@@ -3,7 +3,7 @@
 //! from [`SourceFile`]s by brace tracking over blanked code. Line numbers
 //! in the model are 0-based file indices; findings add 1 at report time.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::source::{leading_ident, rs_files, token_pos, SourceFile};
 
@@ -127,6 +127,52 @@ fn top_level_segments(line: &str) -> Vec<&str> {
     out
 }
 
+/// The module name of an out-of-line declaration line (`mod x;`,
+/// `pub(crate) mod x;`).
+fn out_of_line_mod(code: &str) -> Option<&str> {
+    let mut words = code.trim().strip_suffix(';')?.split_whitespace().rev();
+    let name = words.next()?;
+    (words.next() == Some("mod") && words.all(|w| w.starts_with("pub"))).then_some(name)
+}
+
+/// The two files `mod name;` declared in `decl_file` may resolve to.
+fn module_files(decl_file: &Path, name: &str) -> [PathBuf; 2] {
+    let dir = decl_file.parent().unwrap_or(Path::new(""));
+    let stem = decl_file.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+    let base = match stem {
+        "mod" | "lib" | "main" => dir.to_path_buf(),
+        _ => dir.join(stem),
+    };
+    [
+        base.join(format!("{name}.rs")),
+        base.join(name).join("mod.rs"),
+    ]
+}
+
+/// A file reached only through a `#[cfg(test)] mod x;` declaration is test
+/// code in its entirety: the gate sits in the declaring file, where a
+/// per-file scan of `x.rs` cannot see it.
+fn mark_test_only_modules(files: &mut [SourceFile]) {
+    let (mut gated, mut shipped) = (Vec::new(), Vec::new());
+    for f in files.iter() {
+        for (i, code) in f.code.iter().enumerate() {
+            if let Some(name) = out_of_line_mod(code) {
+                let targets = module_files(&f.path, name);
+                if f.in_test[i] {
+                    gated.extend(targets);
+                } else {
+                    shipped.extend(targets);
+                }
+            }
+        }
+    }
+    for f in files.iter_mut() {
+        if gated.contains(&f.path) && !shipped.contains(&f.path) {
+            f.in_test.fill(true);
+        }
+    }
+}
+
 impl CrateModel {
     /// Parse every `.rs` file under `dir/src`.
     pub fn parse(name: &str, dir: &Path) -> CrateModel {
@@ -138,7 +184,8 @@ impl CrateModel {
     }
 
     /// Build the model from pre-scanned files (tests, fixtures).
-    pub fn from_files(name: &str, files: Vec<SourceFile>) -> CrateModel {
+    pub fn from_files(name: &str, mut files: Vec<SourceFile>) -> CrateModel {
+        mark_test_only_modules(&mut files);
         let mut m = CrateModel {
             name: name.to_string(),
             files,
@@ -542,6 +589,31 @@ mod tests {
             "t",
             vec![SourceFile::from_text(Path::new("t/src/lib.rs"), src)],
         )
+    }
+
+    /// `#[cfg(test)] mod tests;` gates the whole of `tests.rs`, whichever
+    /// of the two layouts it lives in; an ungated declaration does not.
+    #[test]
+    fn out_of_line_test_modules_are_test_code() {
+        let file = |path: &str, src: &str| SourceFile::from_text(Path::new(path), src);
+        let m = CrateModel::from_files(
+            "t",
+            vec![
+                file(
+                    "t/src/coll/mod.rs",
+                    "pub mod ring;\n#[cfg(test)]\nmod tests;\nfn shipped() {}\n",
+                ),
+                file("t/src/coll/ring.rs", "fn ring() { x.unwrap(); }\n"),
+                file("t/src/coll/tests.rs", "fn helper() { x.unwrap(); }\n"),
+                file("t/src/wire.rs", "#[cfg(test)]\nmod props;\n"),
+                file("t/src/wire/props.rs", "fn prop() {}\n"),
+            ],
+        );
+        let in_test = |name: &str| m.functions.iter().find(|f| f.name == name).unwrap().in_test;
+        assert!(in_test("helper") && in_test("prop"));
+        assert!(!in_test("ring") && !in_test("shipped"));
+        let sites = crate::panics::panic_sites(&m);
+        assert_eq!(sites.len(), 1, "only ring.rs ships its unwrap");
     }
 
     #[test]

@@ -173,7 +173,9 @@ impl Report {
     }
 }
 
-/// JSON string literal with escaping.
+/// JSON string literal with escaping. A private copy of
+/// `starfish_util::json::string`: this crate analyses the workspace and
+/// deliberately depends on none of it (`[dependencies]` is empty).
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -219,7 +219,8 @@ pub fn blank(text: &str, blank_literals: bool) -> String {
     out
 }
 
-/// Mark lines belonging to `#[cfg(test)]` items by brace tracking.
+/// Mark lines belonging to `#[cfg(test)]` items by brace tracking. A
+/// braceless item (`mod tests;`, `use x;`) ends at its semicolon.
 pub fn test_regions(code: &[String]) -> Vec<bool> {
     let mut in_test = vec![false; code.len()];
     let mut i = 0;
@@ -241,7 +242,7 @@ pub fn test_regions(code: &[String]) -> Vec<bool> {
                         _ => {}
                     }
                 }
-                if opened && depth <= 0 {
+                if (opened && depth <= 0) || (!opened && code[j].contains(';')) {
                     break;
                 }
                 j += 1;
@@ -353,6 +354,15 @@ mod tests {
         assert!(!b.contains("multi"));
         assert!(!b.contains("raw"));
         assert!(!b.contains("nested"));
+    }
+
+    #[test]
+    fn braceless_test_item_ends_at_its_semicolon() {
+        let code: Vec<String> = ["#[cfg(test)]", "mod tests;", "fn shipped() {", "}"]
+            .iter()
+            .map(|l| l.to_string())
+            .collect();
+        assert_eq!(test_regions(&code), vec![true, true, false, false]);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use starfish_mpi::{
     RankDirectory, RecvMode, ThresholdCache,
 };
 use starfish_util::trace::TraceSink;
-use starfish_util::{AppId, NodeId, Rank, VClock};
+use starfish_util::{json, AppId, NodeId, Rank, VClock};
 use starfish_vni::{BipMyrinet, Fabric, LayerCosts, NetworkModel, TcpEthernet};
 
 /// `rows[model][ranks][size]` = (reduce_bcast, rdouble, ring) vt-ns.
@@ -136,7 +136,10 @@ impl Json {
 fn json_map<K: std::fmt::Display>(j: &mut Json, indent: &str, rows: &[(K, String)]) {
     for (i, (k, v)) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
-        j.push(&format!("{indent}\"{k}\": {v}{comma}\n"));
+        j.push(&format!(
+            "{indent}{}: {v}{comma}\n",
+            json::string(&k.to_string())
+        ));
     }
 }
 
@@ -354,7 +357,10 @@ fn main() {
     j.push("  \"layer_costs\": \"prototype\",\n");
     j.push("  \"allreduce_vt_ns\": {\n");
     for (mi, (model, per_ranks)) in allreduce.iter().enumerate() {
-        j.push(&format!("    \"{}\": {{\n", model.replace('/', "-")));
+        j.push(&format!(
+            "    {}: {{\n",
+            json::string(&model.replace('/', "-"))
+        ));
         for (ni, (n, rows)) in per_ranks.iter().enumerate() {
             j.push(&format!("      \"{n}\": {{\n"));
             let cells: Vec<(usize, String)> = rows
@@ -376,8 +382,8 @@ fn main() {
     j.push("  },\n");
     j.push(&format!(
         "  \"ring_speedup_largest\": {{\"ranks\": {head_n}, \"bytes\": {head_size}, \
-         \"model\": \"{}\", \"speedup\": {head:.2}}},\n",
-        models[0].replace('/', "-")
+         \"model\": {}, \"speedup\": {head:.2}}},\n",
+        json::string(&models[0].replace('/', "-"))
     ));
     j.push("  \"scaling_allreduce_65536_vt_ns\": {\n");
     let cells: Vec<(u32, String)> = scaling
@@ -416,7 +422,7 @@ fn main() {
     j.push("  }},\n");
     j.push("  \"selector_thresholds\": {\n");
     for (oi, (op, entries)) in thresholds.iter().enumerate() {
-        j.push(&format!("    \"{op}\": {{\n"));
+        j.push(&format!("    {}: {{\n", json::string(op)));
         let cells: Vec<(String, String)> = entries
             .iter()
             .map(|(model, cross, cal)| {

@@ -31,7 +31,7 @@ pub fn cr_protocols() {
         CkptProto::ChandyLamport,
         CkptProto::Independent,
     ] {
-        let trace = TraceSink::enabled(100_000);
+        let trace = TraceSink::enabled();
         let cluster = Cluster::builder()
             .nodes(4)
             .trace(trace.clone())
@@ -99,7 +99,7 @@ pub fn lwgroups() {
     );
     let mut rows = Vec::new();
     for n in [4u32, 8, 16] {
-        let trace = TraceSink::enabled(10_000);
+        let trace = TraceSink::enabled();
         let fabric = Fabric::new(Box::new(Ideal), LayerCosts::zero());
         for i in 0..n + 1 {
             fabric.add_node(NodeId(i));

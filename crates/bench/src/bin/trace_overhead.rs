@@ -119,8 +119,9 @@ fn main() {
     for (i, c) in cases.iter().enumerate() {
         let comma = if i + 1 == cases.len() { "" } else { "," };
         json.push_str(&format!(
-            "    \"{}\": {:.1}{comma}\n",
-            c.name, c.ns_per_event
+            "    {}: {:.1}{comma}\n",
+            starfish_util::json::string(c.name),
+            c.ns_per_event
         ));
     }
     json.push_str("  }\n}\n");

@@ -298,7 +298,7 @@ pub fn table1() {
         "Table 1 — message types observed on a full application lifecycle",
         "each class only on its sanctioned path (see integration_message_taxonomy)",
     );
-    let trace = TraceSink::enabled(100_000);
+    let trace = TraceSink::enabled();
     let cluster = Cluster::builder()
         .nodes(3)
         .trace(trace.clone())

@@ -154,8 +154,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Size of each process's flight-recorder ring (events retained per
-    /// daemon / per rank). Recording is on by default; see
+    /// Size of each process's flight-recorder message ring (sends and
+    /// receives retained per daemon / per rank; phases and marks have their
+    /// own fixed-size ring). Recording is on by default; see
     /// [`no_flight_recorder`](ClusterBuilder::no_flight_recorder).
     pub fn flight_recorder(mut self, events: usize) -> Self {
         self.trace_cap = events;
@@ -163,7 +164,9 @@ impl ClusterBuilder {
     }
 
     /// Disable the causal flight recorder entirely (one predicted branch
-    /// per would-be event remains; see BENCH_trace.json).
+    /// per would-be event remains; see BENCH_trace.json). `TRACE *` and
+    /// `TIMELINE` then have nothing to show: phases are recorded nowhere
+    /// else.
     pub fn no_flight_recorder(mut self) -> Self {
         self.trace_cap = 0;
         self

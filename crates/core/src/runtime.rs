@@ -319,8 +319,9 @@ impl ProcessRuntime {
             let now = self.clock.now();
             self.metrics
                 .record_vt(metric::RECOVERY_RESPAWN_SEND_NS, now - t);
-            self.metrics
-                .span_record("recovery.respawn_send", "", t, now);
+            self.mpi
+                .recorder()
+                .span(t, now, "recovery.respawn_send", "");
         }
     }
 
@@ -333,9 +334,9 @@ impl ProcessRuntime {
             let now = self.clock.now();
             self.metrics.record_vt(metric::CKPT_ROUND_NS, now - started);
             let index = self.cr.last_index;
-            self.metrics
-                .span_record("ckpt.round", &format!("index {index}"), started, now);
-            self.mpi.recorder().phase_end(now, "ckpt.round");
+            self.mpi
+                .recorder()
+                .phase_end(now, "ckpt.round", &format!("index {index}"));
         }
     }
 
@@ -784,11 +785,11 @@ impl ProcessRuntime {
         self.clock.advance(write_cost);
         self.metrics.record(metric::CKPT_IMAGE_BYTES, bytes);
         self.metrics.record_vt(metric::CKPT_WRITE_NS, write_cost);
-        self.metrics.span_record(
-            "ckpt.write",
-            &format!("index {index}, {bytes} B"),
+        self.mpi.recorder().span(
             taken_at,
             self.clock.now(),
+            "ckpt.write",
+            &format!("index {index}, {bytes} B"),
         );
         self.cr.last_index = index;
         // For the CL path, emitting Saved is the engine's business; for
@@ -1004,9 +1005,9 @@ pub(crate) fn process_main(mut rt: ProcessRuntime, run: Arc<crate::host::AppFn>)
             rt.metrics.inc(metric::RECOVERY_RESTARTS);
             rt.metrics
                 .record_vt(metric::RECOVERY_RESTORE_NS, now - started);
-            rt.metrics
-                .span_record("recovery.restore", &format!("to index {idx}"), started, now);
-            rt.mpi.recorder().phase_end(now, "recovery.restore");
+            rt.mpi
+                .recorder()
+                .phase_end(now, "recovery.restore", &format!("to index {idx}"));
             rt.restored_at = Some(now);
             rt.flush_stats();
         }

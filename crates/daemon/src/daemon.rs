@@ -164,7 +164,6 @@ impl Daemon {
             events: events.clone(),
             forensics: Forensics::new(),
             postmortems: postmortems.clone(),
-            events_dropped_seen: 0,
             trace_hub: trace_hub.clone(),
         };
         std::thread::Builder::new()
@@ -321,8 +320,6 @@ struct Loop {
     events: EventBus,
     forensics: Forensics,
     postmortems: Arc<Mutex<BTreeMap<AppId, Postmortem>>>,
-    /// Bus drop count already mirrored into the EVENTS_DROPPED metric.
-    events_dropped_seen: u64,
     /// Local flight recorders, for the postmortem causal slice.
     trace_hub: TraceHub,
 }
@@ -658,11 +655,6 @@ impl Loop {
         };
         if let Some(m) = &self.metrics {
             m.inc(metric::EVENTS_PUBLISHED);
-            let dropped = self.events.dropped();
-            if dropped > self.events_dropped_seen {
-                m.add(metric::EVENTS_DROPPED, dropped - self.events_dropped_seen);
-                self.events_dropped_seen = dropped;
-            }
         }
         let ev = ClusterEvent {
             seq,

@@ -26,6 +26,7 @@ use crate::daemon::Daemon;
 use crate::msg::CfgCmd;
 use starfish_checkpoint::backend::CkptBackend;
 use starfish_events::{EventCursor, Poll};
+use starfish_trace::TraceCursor;
 
 /// Default administrator password; override with `SET admin_password <pw>`.
 pub const DEFAULT_ADMIN_PASSWORD: &str = "starfish";
@@ -116,7 +117,7 @@ enum Subscription {
     },
     Trace {
         scope: String,
-        next_seq: u64,
+        cursor: TraceCursor,
     },
 }
 
@@ -193,12 +194,14 @@ impl MgmtSession {
                     frames.push(f);
                 }
             }
-            Some(Subscription::Trace { scope, next_seq }) => {
+            Some(Subscription::Trace { scope, cursor }) => {
                 if let Some(r) = self.daemon.trace_hub().get(scope) {
-                    let from = *next_seq;
-                    for ev in r.dump().events.iter().filter(|e| e.seq >= from) {
+                    let (events, missed) = r.poll(cursor);
+                    if missed > 0 {
+                        frames.push(format!("TRACE! missed {missed}"));
+                    }
+                    for ev in events {
                         frames.push(format!("TRACE {scope} {}", ev.summary()));
-                        *next_seq = ev.seq + 1;
                     }
                 }
             }
@@ -655,10 +658,23 @@ impl MgmtSession {
                         "recovery.restarts",
                         starfish_telemetry::metric::RECOVERY_RESTARTS,
                     ),
-                    ("trace.dropped", starfish_telemetry::metric::TRACE_DROPPED),
                 ] {
                     out.push_str(&format!("\n{label} {}", snap.counter(id)));
                 }
+                // Ring losses are read where they are counted, not mirrored
+                // into metrics: every flight recorder, and this node's bus.
+                let hub = self.daemon.trace_hub();
+                let trace_dropped: u64 = hub
+                    .scopes()
+                    .iter()
+                    .filter_map(|s| hub.get(s))
+                    .map(|r| r.dropped())
+                    .sum();
+                out.push_str(&format!("\ntrace.dropped {trace_dropped}"));
+                out.push_str(&format!(
+                    "\nevents.dropped {}",
+                    self.daemon.events().dropped()
+                ));
                 Ok(out)
             }
             "TIMELINE" => {
@@ -668,14 +684,27 @@ impl MgmtSession {
                     return Err(USAGE.into());
                 }
                 let id = Self::parse_app_id(toks[1]).map_err(|_| USAGE.to_string())?;
-                let events = self.daemon.stats().timeline_for(&format!("{id}.r"));
-                if events.is_empty() {
+                let mut phases: Vec<_> = self
+                    .daemon
+                    .trace_hub()
+                    .dump_prefix(&format!("{id}.r"))
+                    .iter()
+                    .flat_map(|t| t.phases())
+                    .collect();
+                if phases.is_empty() {
                     return Ok(format!("OK timeline {id} (empty)"));
                 }
+                phases.sort_by_key(|p| (p.start, p.end));
                 let mut out = format!("OK timeline {id}");
-                for line in starfish_telemetry::render_timeline(&events).lines() {
-                    out.push('\n');
-                    out.push_str(line);
+                for p in &phases {
+                    out.push_str(&format!(
+                        "\n{} {} vt={:.3}..{:.3}ms ({:.3}ms)",
+                        p.name,
+                        if p.detail.is_empty() { "-" } else { &p.detail },
+                        p.start.as_millis_f64(),
+                        p.end.as_millis_f64(),
+                        p.end.since(p.start).as_millis_f64(),
+                    ));
                 }
                 Ok(out)
             }
@@ -696,38 +725,30 @@ impl MgmtSession {
                         }
                         Ok(out)
                     }
-                    Some("DUMP") if toks.len() <= 3 => {
-                        let dumps = match toks.get(2) {
-                            Some(scope) => match hub.get(scope) {
-                                Some(r) => vec![r.dump()],
-                                None => return Err(format!("ERR no such scope {scope:?}")),
-                            },
-                            None => hub.dump_all(),
-                        };
-                        let mut out = String::from("OK trace dump");
-                        for t in &dumps {
-                            out.push_str(&format!("\n== {} dropped={}", t.scope, t.dropped));
-                            for ev in &t.events {
-                                out.push('\n');
-                                out.push_str(&ev.summary());
+                    Some(verb @ ("DUMP" | "TAIL")) => {
+                        // DUMP [scope] is TAIL <everything> [scope].
+                        let (n, scope) = match (verb, toks.len()) {
+                            ("DUMP", 2 | 3) => (usize::MAX, toks.get(2)),
+                            ("TAIL", 3 | 4) => {
+                                (toks[2].parse().map_err(|_| USAGE.to_string())?, toks.get(3))
                             }
-                        }
-                        Ok(out)
-                    }
-                    Some("TAIL") if toks.len() == 3 || toks.len() == 4 => {
-                        let n: usize = toks[2].parse().map_err(|_| USAGE.to_string())?;
-                        let dumps = match toks.get(3) {
+                            _ => return Err(USAGE.into()),
+                        };
+                        let dumps = match scope {
                             Some(scope) => match hub.get(scope) {
                                 Some(r) => vec![r.dump()],
                                 None => return Err(format!("ERR no such scope {scope:?}")),
                             },
                             None => hub.dump_all(),
                         };
-                        let mut out = format!("OK trace tail {n}");
+                        let mut out = if verb == "DUMP" {
+                            String::from("OK trace dump")
+                        } else {
+                            format!("OK trace tail {n}")
+                        };
                         for t in &dumps {
                             out.push_str(&format!("\n== {} dropped={}", t.scope, t.dropped));
-                            let skip = t.events.len().saturating_sub(n);
-                            for ev in t.events.iter().skip(skip) {
+                            for ev in t.events.iter().skip(t.events.len().saturating_sub(n)) {
                                 out.push('\n');
                                 out.push_str(&ev.summary());
                             }
@@ -740,10 +761,9 @@ impl MgmtSession {
                             return Err(format!("ERR no such scope {scope:?}"));
                         };
                         // Live edge: only events recorded after this line.
-                        let next_seq = r.dump().events.last().map(|e| e.seq + 1).unwrap_or(0);
                         self.subscription = Some(Subscription::Trace {
                             scope: scope.clone(),
-                            next_seq,
+                            cursor: r.live_edge(),
                         });
                         Ok(format!("OK following trace {scope}"))
                     }
@@ -1220,6 +1240,59 @@ mod tests {
         assert!(s
             .handle_line("TRACE FOLLOW nosuch")
             .starts_with("ERR no such scope"));
+    }
+
+    /// A follower lapped by its ring is told exactly how much it missed —
+    /// the `EVENT! missed` contract — and HEALTH's `trace.dropped` is the
+    /// same loss, read from the recorders themselves.
+    #[test]
+    fn trace_follow_reports_missed_and_health_sums_recorder_drops() {
+        let d = one_node_daemon();
+        let rec = starfish_trace::FlightRecorder::new("app9.r0", 4);
+        d.trace_hub().register(rec.clone());
+        let mut s = MgmtSession::connect(d.clone(), 24);
+        s.handle_line("LOGIN ADMIN starfish");
+        s.handle_line("TRACE FOLLOW app9.r0");
+        for i in 0..10 {
+            rec.on_send(starfish_util::VirtualTime::from_nanos(i), 1, 1, i, 8);
+        }
+        let frames = s.poll_frames();
+        assert_eq!(frames[0], "TRACE! missed 6", "{frames:?}");
+        assert_eq!(frames.len(), 5, "{frames:?}");
+        assert!(frames[1].starts_with("TRACE app9.r0 #6 "), "{frames:?}");
+        assert!(s.poll_frames().is_empty(), "the gap is charged once");
+        let health = s.handle_line("HEALTH");
+        assert!(health.contains("\ntrace.dropped 6"), "{health}");
+        assert!(health.contains("\nevents.dropped 0"), "{health}");
+    }
+
+    /// TIMELINE is a fold over the app's flight recorders: closed phases of
+    /// every rank, oldest first, in the documented line format.
+    #[test]
+    fn timeline_folds_phases_from_the_flight_recorders() {
+        let d = one_node_daemon();
+        let us = starfish_util::VirtualTime::from_micros;
+        let r0 = starfish_trace::FlightRecorder::new("app9.r0", 4);
+        let r1 = starfish_trace::FlightRecorder::new("app9.r1", 4);
+        r0.phase_begin(us(2000), "ckpt.round");
+        r1.span(us(1000), us(1500), "ckpt.write", "index 1, 64 B");
+        r0.phase_end(us(3250), "ckpt.round", "index 1");
+        r0.phase_begin(us(4000), "still.open");
+        r1.span(us(5000), us(5000), "recovery.respawn_send", "");
+        d.trace_hub().register(r0);
+        d.trace_hub().register(r1);
+        d.trace_hub()
+            .register(starfish_trace::FlightRecorder::new("app90.r0", 4));
+        let mut s = MgmtSession::connect(d.clone(), 25);
+        s.handle_line("LOGIN USER tess");
+        assert_eq!(
+            s.handle_line("TIMELINE app9"),
+            "OK timeline app9\n\
+             ckpt.write index 1, 64 B vt=1.000..1.500ms (0.500ms)\n\
+             ckpt.round index 1 vt=2.000..3.250ms (1.250ms)\n\
+             recovery.respawn_send - vt=5.000..5.000ms (0.000ms)"
+        );
+        assert_eq!(s.handle_line("TIMELINE app90"), "OK timeline app90 (empty)");
     }
 
     /// Satellite: HEALTH distinguishes a registered-but-unannounced node

@@ -4,36 +4,40 @@
 //! to its daemon ([`ProcUp::Stats`](crate::msg::ProcUp)); the daemon casts
 //! them on the totally ordered ensemble stream
 //! ([`WireCast::Stats`](crate::msg::WireCast)), so all daemons converge on
-//! the same per-scope table and any of them can answer the `STATS`, `HEALTH`
-//! and `TIMELINE` management commands.
+//! the same per-scope table and any of them can answer the `STATS` and
+//! `HEALTH` management commands.
 //!
 //! Scopes are strings: `"cluster"` for the shared infrastructure registry
 //! (fabric, trace, ensemble), `"app<N>.r<R>"` for one application process.
 //! Snapshots are **cumulative**, so a newer snapshot for a scope *replaces*
 //! the previous one; snapshots of *different* scopes merge additively.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use starfish_telemetry::{Snapshot, TimelineEvent};
+use starfish_telemetry::Snapshot;
+use starfish_util::ring::SeqRing;
 use starfish_util::VirtualTime;
 
 /// Default number of timestamped history snapshots retained.
 pub const DEFAULT_HISTORY_RETENTION: usize = 64;
 
-#[derive(Default)]
-struct History {
-    retention: usize,
-    ring: VecDeque<(VirtualTime, Snapshot)>,
-}
-
 /// Shared table of the latest snapshot per scope. Cheap to clone.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct StatsHub {
     inner: Arc<Mutex<BTreeMap<String, Snapshot>>>,
-    history: Arc<Mutex<History>>,
+    history: Arc<Mutex<SeqRing<(VirtualTime, Snapshot)>>>,
+}
+
+impl Default for StatsHub {
+    fn default() -> Self {
+        StatsHub {
+            inner: Arc::default(),
+            history: Arc::new(Mutex::new(SeqRing::new(DEFAULT_HISTORY_RETENTION))),
+        }
+    }
 }
 
 impl StatsHub {
@@ -71,47 +75,26 @@ impl StatsHub {
     /// the history ring (called while applying ordered `Stats` casts, so
     /// all daemons record the same sequence).
     pub fn record_history(&self, vt: VirtualTime) {
-        let snap = self.merged();
+        let sample = (vt, self.merged());
         let mut h = self.history.lock();
-        if h.retention == 0 {
-            h.retention = DEFAULT_HISTORY_RETENTION;
-        }
         // Same ordered-stream point twice (e.g. the per-rank cast followed
         // by its "cluster" piggyback) collapses into one sample.
-        if h.ring.back().map(|(t, _)| *t) == Some(vt) {
-            h.ring.pop_back();
-        }
-        h.ring.push_back((vt, snap));
-        while h.ring.len() > h.retention {
-            h.ring.pop_front();
+        match h.back_mut() {
+            Some(last) if last.0 == vt => *last = sample,
+            _ => {
+                h.push(sample);
+            }
         }
     }
 
     /// Set how many history snapshots are retained (`SET stats_history <n>`).
     pub fn set_retention(&self, n: usize) {
-        let mut h = self.history.lock();
-        h.retention = n.max(1);
-        while h.ring.len() > h.retention {
-            h.ring.pop_front();
-        }
+        self.history.lock().set_capacity(n);
     }
 
     /// Oldest-first timestamped history snapshots.
     pub fn history(&self) -> Vec<(VirtualTime, Snapshot)> {
-        self.history.lock().ring.iter().cloned().collect()
-    }
-
-    /// Timeline events of every scope starting with `prefix` (e.g.
-    /// `"app1."`), ordered by virtual start time.
-    pub fn timeline_for(&self, prefix: &str) -> Vec<TimelineEvent> {
-        let g = self.inner.lock();
-        let mut events: Vec<TimelineEvent> = g
-            .iter()
-            .filter(|(scope, _)| scope.starts_with(prefix))
-            .flat_map(|(_, s)| s.timeline.iter().cloned())
-            .collect();
-        events.sort_by_key(|e| (e.start_vt, e.end_vt));
-        events
+        self.history.lock().iter().cloned().collect()
     }
 }
 
@@ -157,28 +140,5 @@ mod tests {
         // New samples keep honouring the tighter retention.
         hub.record_history(starfish_util::VirtualTime(500));
         assert_eq!(hub.history().len(), 2);
-    }
-
-    #[test]
-    fn timeline_prefix_filter_sorts_by_start() {
-        let hub = StatsHub::new();
-        let r = Registry::new();
-        r.span_record(
-            "late",
-            "",
-            starfish_util::VirtualTime(200),
-            starfish_util::VirtualTime(300),
-        );
-        r.span_record(
-            "early",
-            "",
-            starfish_util::VirtualTime(10),
-            starfish_util::VirtualTime(20),
-        );
-        hub.update("app1.r0", r.snapshot());
-        hub.update("app2.r0", r.snapshot());
-        let tl = hub.timeline_for("app1.");
-        assert_eq!(tl.len(), 2);
-        assert_eq!(tl[0].name, "early");
     }
 }

@@ -1,16 +1,15 @@
-//! Bounded, sequenced event ring with exact drop accounting and cursor
-//! subscriptions — the flight-recorder discipline applied to cluster events.
+//! The cluster event ring: a [`SeqRing`] of [`ClusterEvent`]s behind a lock,
+//! plus cursor subscriptions.
 //!
 //! Like the trace `FlightRecorder`, the bus is an `Option<Arc<...>>`: a
 //! disabled bus is one branch per publish and allocates nothing. Sequence
 //! numbers keep counting across evictions, so a cursor that fell behind can
 //! tell *exactly* how many events it missed instead of silently skipping.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use starfish_util::ring::SeqRing;
 use starfish_util::{NodeId, VirtualTime};
 
 use crate::event::{ClusterEvent, EventKind};
@@ -19,24 +18,10 @@ use crate::event::{ClusterEvent, EventKind};
 /// checkpoint traffic around it, small enough to never matter in memory.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-struct State {
-    /// Next sequence number to assign. Monotone; never reset.
-    next_seq: u64,
-    events: VecDeque<ClusterEvent>,
-}
-
-struct Inner {
-    cap: usize,
-    /// Events evicted from the ring before anyone read them through a
-    /// snapshot is not knowable; `dropped` counts ring evictions exactly.
-    dropped: AtomicU64,
-    state: Mutex<State>,
-}
-
 /// Handle to one bus. Cheap to clone; all clones share the ring.
 #[derive(Clone)]
 pub struct EventBus {
-    inner: Option<Arc<Inner>>,
+    ring: Option<Arc<Mutex<SeqRing<ClusterEvent>>>>,
 }
 
 impl EventBus {
@@ -47,38 +32,30 @@ impl EventBus {
 
     pub fn with_capacity(cap: usize) -> Self {
         EventBus {
-            inner: Some(Arc::new(Inner {
-                cap: cap.max(1),
-                dropped: AtomicU64::new(0),
-                state: Mutex::new(State {
-                    next_seq: 0,
-                    events: VecDeque::new(),
-                }),
-            })),
+            ring: Some(Arc::new(Mutex::new(SeqRing::new(cap)))),
         }
     }
 
     /// A disabled bus: `publish` is a single branch, everything reads empty.
     pub fn disabled() -> Self {
-        EventBus { inner: None }
+        EventBus { ring: None }
     }
 
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.ring.is_some()
+    }
+
+    /// Read the ring under its lock; a disabled bus reads as empty.
+    fn read<R: Default>(&self, f: impl FnOnce(&SeqRing<ClusterEvent>) -> R) -> R {
+        self.ring.as_ref().map_or_else(R::default, |r| f(&r.lock()))
     }
 
     /// Append an event, assigning its sequence number. Returns the assigned
     /// seq, or `None` on a disabled bus.
     pub fn publish(&self, origin: NodeId, vt: VirtualTime, kind: EventKind) -> Option<u64> {
-        let inner = self.inner.as_ref()?;
-        let mut st = inner.state.lock();
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        if st.events.len() == inner.cap {
-            st.events.pop_front();
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        st.events.push_back(ClusterEvent {
+        let mut ring = self.ring.as_ref()?.lock();
+        let seq = ring.pushed();
+        ring.push(ClusterEvent {
             seq,
             vt,
             origin,
@@ -87,65 +64,30 @@ impl EventBus {
         Some(seq)
     }
 
-    /// Re-append an event that already carries a sequence number (a
-    /// cast-carried event sequenced by the publisher's bus). The ring keeps
-    /// local monotonicity by still assigning the local seq; used only by
-    /// consumers that mirror a remote bus verbatim.
-    pub fn publish_event(&self, ev: ClusterEvent) {
-        let Some(inner) = self.inner.as_ref() else {
-            return;
-        };
-        let mut st = inner.state.lock();
-        st.next_seq = st.next_seq.max(ev.seq + 1);
-        if st.events.len() == inner.cap {
-            st.events.pop_front();
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        st.events.push_back(ev);
-    }
-
     /// Total events ever published (== next seq to assign).
     pub fn published(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.state.lock().next_seq)
+        self.read(|r| r.pushed())
     }
 
     /// Exact count of events evicted from the ring.
     pub fn dropped(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.dropped.load(Ordering::Relaxed))
+        self.read(|r| r.dropped())
     }
 
     /// Snapshot of the current ring contents, oldest first.
     pub fn snapshot(&self) -> Vec<ClusterEvent> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| {
-            i.state.lock().events.iter().cloned().collect()
-        })
+        self.read(|r| r.iter().cloned().collect())
     }
 
     /// The last `n` events, oldest first.
     pub fn tail(&self, n: usize) -> Vec<ClusterEvent> {
-        let snap = self.snapshot();
-        let skip = snap.len().saturating_sub(n);
-        snap.into_iter().skip(skip).collect()
+        self.read(|r| r.tail(n))
     }
 
     /// Events with `seq >= from`, oldest first, plus how many events in that
     /// range were already evicted (the gap a late reader can never see).
     pub fn since(&self, from: u64) -> (Vec<ClusterEvent>, u64) {
-        let Some(inner) = self.inner.as_ref() else {
-            return (Vec::new(), 0);
-        };
-        let st = inner.state.lock();
-        let oldest = st.events.front().map(|e| e.seq).unwrap_or(st.next_seq);
-        let missed = oldest.saturating_sub(from);
-        let evs = st
-            .events
-            .iter()
-            .filter(|e| e.seq >= from)
-            .cloned()
-            .collect();
-        (evs, missed)
+        self.read(|r| r.since(from))
     }
 
     /// A cursor starting at the *next* event to be published: an
@@ -154,19 +96,6 @@ impl EventBus {
         EventCursor {
             bus: self.clone(),
             next: self.published(),
-        }
-    }
-
-    /// A cursor positioned at the oldest retained event (replays the ring).
-    pub fn subscribe_from_start(&self) -> EventCursor {
-        let next = self
-            .inner
-            .as_ref()
-            .and_then(|i| i.state.lock().events.front().map(|e| e.seq))
-            .unwrap_or(0);
-        EventCursor {
-            bus: self.clone(),
-            next,
         }
     }
 }
@@ -199,13 +128,8 @@ impl EventCursor {
     /// Drain everything published since the last poll.
     pub fn poll(&mut self) -> Poll {
         let (events, missed) = self.bus.since(self.next);
-        if let Some(last) = events.last() {
-            self.next = last.seq + 1;
-        } else {
-            // Nothing retained at/after `next`: if events were evicted past
-            // us, jump to the live edge so the gap is charged once.
-            self.next = self.next.max(self.bus.published());
-        }
+        // Past the gap and everything just read: the gap is charged once.
+        self.next += missed + events.len() as u64;
         Poll { events, missed }
     }
 
@@ -229,16 +153,6 @@ mod tests {
             bus.publish(NodeId(0), VirtualTime::from_nanos(i * 10), ev(i as u32));
         }
         bus
-    }
-
-    #[test]
-    fn seqs_are_dense_and_survive_eviction() {
-        let bus = bus_with(10, 4);
-        assert_eq!(bus.published(), 10);
-        assert_eq!(bus.dropped(), 6);
-        let snap = bus.snapshot();
-        let seqs: Vec<u64> = snap.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9]);
     }
 
     #[test]
@@ -281,38 +195,6 @@ mod tests {
         assert_eq!(p.events[0].seq, 6);
         // Gap charged once: a further poll with no publishes misses nothing.
         assert_eq!(cur.poll(), Poll::default());
-    }
-
-    #[test]
-    fn tail_returns_newest_n_oldest_first() {
-        let bus = bus_with(5, 64);
-        let t = bus.tail(2);
-        assert_eq!(t.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![3, 4]);
-        assert_eq!(bus.tail(100).len(), 5);
-    }
-
-    #[test]
-    fn subscribe_from_start_replays_ring() {
-        let bus = bus_with(3, 64);
-        let mut cur = bus.subscribe_from_start();
-        let p = cur.poll();
-        assert_eq!(p.events.len(), 3);
-        assert_eq!(p.missed, 0);
-    }
-
-    #[test]
-    fn publish_event_mirrors_remote_seq() {
-        let bus = EventBus::with_capacity(8);
-        bus.publish_event(ClusterEvent {
-            seq: 5,
-            vt: VirtualTime::from_nanos(1),
-            origin: NodeId(2),
-            kind: ev(2),
-        });
-        assert_eq!(bus.published(), 6);
-        // Local publishes continue after the mirrored seq.
-        let s = bus.publish(NodeId(0), VirtualTime::ZERO, ev(0)).unwrap();
-        assert_eq!(s, 6);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! - [`event`]: the structured event vocabulary ([`EventKind`]) and the
 //!   sequenced, virtually-timestamped [`ClusterEvent`] record, with the same
 //!   portable wire codec the rest of the control plane uses.
-//! - [`bus`]: a bounded, sequenced ring ([`EventBus`]) with exact drop
-//!   accounting (modeled on the trace flight recorder) and cheap cursor
+//! - [`bus`]: the shared `SeqRing` of events ([`EventBus`]) with cheap cursor
 //!   subscriptions ([`EventCursor`]) that report evicted-before-read gaps
 //!   instead of silently skipping.
 //! - [`postmortem`]: the self-contained recovery [`Postmortem`] bundle — the

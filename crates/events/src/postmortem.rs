@@ -12,6 +12,8 @@
 //! or explicitly tagged `"wall"` (the failure detector's clock). A bundle
 //! produced by a deterministic scenario is byte-identical across replays.
 
+use starfish_util::json;
+
 use crate::event::ClusterEvent;
 
 /// One timed recovery phase. `domain` says which clock measured it:
@@ -111,12 +113,15 @@ impl Postmortem {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
-        out.push_str(&format!("  \"postmortem\": {},\n", json_str(&self.app)));
+        out.push_str(&format!("  \"postmortem\": {},\n", json::string(&self.app)));
         out.push_str(&format!("  \"epoch\": {},\n", self.epoch));
-        out.push_str(&format!("  \"trigger\": {},\n", json_str(&self.trigger)));
+        out.push_str(&format!(
+            "  \"trigger\": {},\n",
+            json::string(&self.trigger)
+        ));
         out.push_str(&format!(
             "  \"store_backend\": {},\n",
-            json_str(&self.store_backend)
+            json::string(&self.store_backend)
         ));
         out.push_str(&format!(
             "  \"window_vt_ns\": {{\"begin\": {}, \"complete\": {}}},\n",
@@ -129,7 +134,7 @@ impl Postmortem {
             }
             out.push_str(&format!(
                 "\n    {{\"name\": {}, \"ns\": {}, \"domain\": \"{}\"}}",
-                json_str(&p.name),
+                json::string(&p.name),
                 p.ns,
                 p.domain
             ));
@@ -159,9 +164,9 @@ impl Postmortem {
                 "\n    {{\"seq\": {}, \"vt_ns\": {}, \"origin\": {}, \"kind\": {}, \"detail\": {}}}",
                 e.seq,
                 e.vt.as_nanos(),
-                json_str(&e.origin.to_string()),
-                json_str(e.kind.label()),
-                json_str(&e.kind.detail())
+                json::string(&e.origin.to_string()),
+                json::string(e.kind.label()),
+                json::string(&e.kind.detail())
             ));
         }
         out.push_str(if self.events.is_empty() {
@@ -174,7 +179,7 @@ impl Postmortem {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    {}", json_str(t)));
+            out.push_str(&format!("\n    {}", json::string(t)));
         }
         out.push_str(if self.trace.is_empty() {
             "],\n"
@@ -186,7 +191,7 @@ impl Postmortem {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    {}: {}", json_str(&m.name), m.delta));
+            out.push_str(&format!("\n    {}: {}", json::string(&m.name), m.delta));
         }
         out.push_str(if self.metrics.is_empty() {
             "}\n"
@@ -196,25 +201,6 @@ impl Postmortem {
         out.push('}');
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

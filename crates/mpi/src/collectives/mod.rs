@@ -72,7 +72,7 @@ pub use selector::{AllgatherAlgo, AllreduceAlgo, BcastAlgo, CollAlgoSelector};
 
 use bytes::Bytes;
 use starfish_telemetry::{metric, MetricId};
-use starfish_util::{Error, Rank, Result, VClock, VirtualTime};
+use starfish_util::{Error, Rank, Result, VClock};
 
 use crate::comm::Comm;
 use crate::endpoint::{MpiEndpoint, RecvdMsg, Request};
@@ -253,12 +253,6 @@ fn note_sent(ep: &MpiEndpoint, bytes: usize) {
 fn note_segments(ep: &MpiEndpoint, n: u64) {
     if let Some(m) = ep.metrics_handle() {
         m.add(metric::COLL_SEGMENTS, n);
-    }
-}
-
-fn note_span(ep: &MpiEndpoint, name: &str, detail: &str, t0: VirtualTime, t1: VirtualTime) {
-    if let Some(m) = ep.metrics_handle() {
-        m.span_record(name, detail, t0, t1);
     }
 }
 
@@ -530,7 +524,8 @@ fn run_bcast(
         }
         BcastAlgo::ScatterAllgather => vdg::bcast(ep, comm, clock, seq, root, data, len),
     }?;
-    note_span(ep, "coll.bcast", algo.name(), t0, clock.now());
+    ep.recorder()
+        .span(t0, clock.now(), "coll.bcast", algo.name());
     Ok(out)
 }
 
@@ -628,7 +623,8 @@ pub fn allreduce_with<T: PodNum>(
             ring::allreduce(ep, comm, clock, seq, data, op)
         }
     }?;
-    note_span(ep, "coll.allreduce", algo.name(), t0, clock.now());
+    ep.recorder()
+        .span(t0, clock.now(), "coll.allreduce", algo.name());
     Ok(out)
 }
 
@@ -765,7 +761,8 @@ fn run_allgather(
             ring::allgather(ep, comm, clock, seq, data, &lens.expect("lens pre-round"))
         }
     }?;
-    note_span(ep, "coll.allgather", algo.name(), t0, clock.now());
+    ep.recorder()
+        .span(t0, clock.now(), "coll.allgather", algo.name());
     Ok(out)
 }
 

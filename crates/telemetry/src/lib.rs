@@ -13,12 +13,13 @@
 //!   (see [`metric::DEFS`]), so node snapshots aggregate by identity;
 //! * [`Registry`] — a per-node (or per-process) handle owning one slot per
 //!   metric, cloneable and shareable across threads;
-//! * [`Timeline`] — multi-phase span recording (checkpoint rounds, view
-//!   changes, recovery) stamped in both virtual time and wall time;
 //! * [`Snapshot`] — a wire-encodable dump of a registry, mergeable across
 //!   nodes; the daemons ship these over the totally ordered ensemble path
-//!   and the management protocol renders the aggregate (`STATS`, `HEALTH`,
-//!   `TIMELINE`).
+//!   and the management protocol renders the aggregate (`STATS`, `HEALTH`).
+//!
+//! Phases (checkpoint rounds, recoveries, collectives) are not metrics:
+//! they are recorded once, on the process's `starfish-trace` flight
+//! recorder, and `TIMELINE` folds them from there.
 
 pub mod counter;
 pub mod histogram;
@@ -26,12 +27,10 @@ pub mod metric;
 pub mod registry;
 pub mod render;
 pub mod snapshot;
-pub mod timeline;
 
 pub use counter::{Counter, Gauge};
 pub use histogram::{HistSnap, Histogram};
 pub use metric::{MetricDef, MetricId, MetricKind, Unit};
 pub use registry::Registry;
-pub use render::{render_stats, render_timeline};
+pub use render::render_stats;
 pub use snapshot::Snapshot;
-pub use timeline::{SpanId, Timeline, TimelineEvent};

@@ -160,12 +160,9 @@ metric_table! {
 
     // --- Daemon / liveness ----------------------------------------------
     PROCS_RUNNING = ("procs.running", Gauge, Count, "Application processes alive on this node");
-    TRACE_DROPPED = ("trace.dropped", Counter, Count, "Trace events dropped by the bounded ring");
-    TRACE_DEDUPED = ("trace.deduped", Counter, Count, "Trace events coalesced by deduplication");
 
     // --- Recovery forensics (event bus + postmortems) --------------------
     EVENTS_PUBLISHED = ("events.published", Counter, Count, "Cluster events appended to this node's event bus");
-    EVENTS_DROPPED = ("events.dropped", Counter, Count, "Cluster events evicted from the bounded event ring");
     RECOVERY_DETECT_NS = ("recovery.detect_ns", Histogram, WallNanos, "Failure detection latency: last heartbeat heard to suspicion");
     RECOVERY_ROLLBACK_VT_NS = ("recovery.rollback_vt_ns", Histogram, VirtualNanos, "Rollback depth: virtual time between the recovery line and the rollback");
     RECOVERY_LOST_MSGS = ("recovery.lost_msgs", Histogram, Count, "Messages consumed since the recovery line that a rollback discards");

@@ -1,11 +1,10 @@
 //! Per-node / per-process metric registries.
 //!
 //! A [`Registry`] owns one slot per entry in [`crate::metric::DEFS`]:
-//! counters and gauges are lock-free, histograms are lock-free, and the
-//! timeline takes a short mutex only when a phase completes. Cloning a
-//! registry is an `Arc` bump, so one handle threads through the whole
-//! stack (fabric, MPI endpoints, ensemble, checkpoint engine) without
-//! plumbing costs.
+//! counters, gauges and histograms are all lock-free. Cloning a registry
+//! is an `Arc` bump, so one handle threads through the whole stack
+//! (fabric, MPI endpoints, ensemble, checkpoint engine) without plumbing
+//! costs.
 
 use std::sync::Arc;
 
@@ -13,7 +12,6 @@ use crate::counter::{Counter, Gauge};
 use crate::histogram::Histogram;
 use crate::metric::{self, MetricId, MetricKind};
 use crate::snapshot::Snapshot;
-use crate::timeline::{SpanId, Timeline, TimelineEvent};
 use starfish_util::time::VirtualTime;
 
 enum Slot {
@@ -22,15 +20,10 @@ enum Slot {
     Histogram(Histogram),
 }
 
-struct Inner {
-    slots: Vec<Slot>,
-    timeline: Timeline,
-}
-
 /// A cheap-to-clone handle on a full set of metric slots.
 #[derive(Clone)]
 pub struct Registry {
-    inner: Arc<Inner>,
+    slots: Arc<Vec<Slot>>,
 }
 
 impl Default for Registry {
@@ -41,10 +34,6 @@ impl Default for Registry {
 
 impl Registry {
     pub fn new() -> Self {
-        Registry::with_timeline_capacity(crate::timeline::DEFAULT_SPAN_CAP)
-    }
-
-    pub fn with_timeline_capacity(cap: usize) -> Self {
         let slots = metric::DEFS
             .iter()
             .map(|def| match def.kind {
@@ -54,16 +43,13 @@ impl Registry {
             })
             .collect();
         Registry {
-            inner: Arc::new(Inner {
-                slots,
-                timeline: Timeline::with_capacity(cap),
-            }),
+            slots: Arc::new(slots),
         }
     }
 
     /// True when `other` is a clone of this registry (same slots).
     pub fn same_as(&self, other: &Registry) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
+        Arc::ptr_eq(&self.slots, &other.slots)
     }
 
     // --- counters ---------------------------------------------------------
@@ -75,7 +61,7 @@ impl Registry {
 
     #[inline]
     pub fn add(&self, id: MetricId, n: u64) {
-        if let Slot::Counter(c) = &self.inner.slots[id.0 as usize] {
+        if let Slot::Counter(c) = &self.slots[id.0 as usize] {
             c.add(n);
         } else {
             debug_assert!(false, "{} is not a counter", id.name());
@@ -83,7 +69,7 @@ impl Registry {
     }
 
     pub fn counter(&self, id: MetricId) -> u64 {
-        match &self.inner.slots[id.0 as usize] {
+        match &self.slots[id.0 as usize] {
             Slot::Counter(c) => c.get(),
             _ => 0,
         }
@@ -92,7 +78,7 @@ impl Registry {
     // --- gauges -----------------------------------------------------------
 
     pub fn gauge_set(&self, id: MetricId, v: i64) {
-        if let Slot::Gauge(g) = &self.inner.slots[id.0 as usize] {
+        if let Slot::Gauge(g) = &self.slots[id.0 as usize] {
             g.set(v);
         } else {
             debug_assert!(false, "{} is not a gauge", id.name());
@@ -100,7 +86,7 @@ impl Registry {
     }
 
     pub fn gauge_add(&self, id: MetricId, delta: i64) {
-        if let Slot::Gauge(g) = &self.inner.slots[id.0 as usize] {
+        if let Slot::Gauge(g) = &self.slots[id.0 as usize] {
             g.add(delta);
         } else {
             debug_assert!(false, "{} is not a gauge", id.name());
@@ -108,7 +94,7 @@ impl Registry {
     }
 
     pub fn gauge(&self, id: MetricId) -> i64 {
-        match &self.inner.slots[id.0 as usize] {
+        match &self.slots[id.0 as usize] {
             Slot::Gauge(g) => g.get(),
             _ => 0,
         }
@@ -118,7 +104,7 @@ impl Registry {
 
     #[inline]
     pub fn record(&self, id: MetricId, value: u64) {
-        if let Slot::Histogram(h) = &self.inner.slots[id.0 as usize] {
+        if let Slot::Histogram(h) = &self.slots[id.0 as usize] {
             h.record(value);
         } else {
             debug_assert!(false, "{} is not a histogram", id.name());
@@ -132,34 +118,10 @@ impl Registry {
     }
 
     pub fn hist_count(&self, id: MetricId) -> u64 {
-        match &self.inner.slots[id.0 as usize] {
+        match &self.slots[id.0 as usize] {
             Slot::Histogram(h) => h.count(),
             _ => 0,
         }
-    }
-
-    // --- timeline ---------------------------------------------------------
-
-    pub fn span_begin(&self, name: &str, detail: &str, vt: VirtualTime) -> SpanId {
-        self.inner.timeline.begin(name, detail, vt)
-    }
-
-    pub fn span_end(&self, id: SpanId, vt: VirtualTime) {
-        self.inner.timeline.end(id, vt);
-    }
-
-    pub fn span_record(
-        &self,
-        name: &str,
-        detail: &str,
-        start_vt: VirtualTime,
-        end_vt: VirtualTime,
-    ) {
-        self.inner.timeline.record(name, detail, start_vt, end_vt);
-    }
-
-    pub fn timeline_events(&self) -> Vec<TimelineEvent> {
-        self.inner.timeline.events()
     }
 
     // --- snapshots --------------------------------------------------------
@@ -167,7 +129,7 @@ impl Registry {
     /// Cumulative, non-destructive dump of every touched metric.
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::default();
-        for (i, slot) in self.inner.slots.iter().enumerate() {
+        for (i, slot) in self.slots.iter().enumerate() {
             match slot {
                 Slot::Counter(c) => {
                     let v = c.get();
@@ -189,7 +151,6 @@ impl Registry {
                 }
             }
         }
-        snap.timeline = self.inner.timeline.events();
         snap
     }
 }
@@ -206,14 +167,6 @@ impl starfish_util::trace::MsgCounter for Registry {
     fn on_message(&self, class: starfish_util::trace::MsgClass, bytes: usize) {
         self.inc(metric::msg_count(class));
         self.add(metric::msg_bytes(class), bytes as u64);
-    }
-
-    fn on_trace_dropped(&self) {
-        self.inc(metric::TRACE_DROPPED);
-    }
-
-    fn on_trace_deduped(&self) {
-        self.inc(metric::TRACE_DEDUPED);
     }
 }
 
@@ -247,16 +200,6 @@ mod tests {
         assert_eq!(s1.hist(CKPT_IMAGE_BYTES).unwrap().count, 1);
         r.inc(CKPT_ROUNDS);
         assert_eq!(r.snapshot().counter(CKPT_ROUNDS), 2);
-    }
-
-    #[test]
-    fn spans_land_in_snapshot() {
-        let r = Registry::new();
-        let id = r.span_begin("ckpt.round", "r=0", VirtualTime::ZERO);
-        r.span_end(id, VirtualTime::from_micros(5));
-        let snap = r.snapshot();
-        assert_eq!(snap.timeline.len(), 1);
-        assert_eq!(snap.timeline[0].name, "ckpt.round");
     }
 
     #[test]

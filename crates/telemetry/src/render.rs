@@ -1,11 +1,10 @@
-//! ASCII rendering for the management protocol (`STATS`, `TIMELINE`).
+//! ASCII rendering for the management protocol (`STATS`).
 //!
-//! One metric (or span) per line, machine-greppable, in the same plain
-//! style as the rest of the management protocol.
+//! One metric per line, machine-greppable, in the same plain style as the
+//! rest of the management protocol.
 
 use crate::metric::{MetricId, MetricKind, Unit, DEFS};
 use crate::snapshot::Snapshot;
-use crate::timeline::TimelineEvent;
 
 fn unit_suffix(unit: Unit) -> &'static str {
     match unit {
@@ -56,35 +55,11 @@ pub fn render_stats(snap: &Snapshot) -> String {
     out
 }
 
-/// Render timeline spans, oldest first:
-/// `+<start_us>us <name> <detail> vt=<start>..<end>ms (<dur>ms, wall <w>us)`.
-pub fn render_timeline(events: &[TimelineEvent]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        out.push_str(&format!(
-            "+{}us {} {} vt={:.3}..{:.3}ms ({:.3}ms, wall {}us)\n",
-            ev.start_wall_us,
-            ev.name,
-            if ev.detail.is_empty() {
-                "-"
-            } else {
-                &ev.detail
-            },
-            ev.start_vt.as_millis_f64(),
-            ev.end_vt.as_millis_f64(),
-            ev.vt_duration().as_millis_f64(),
-            ev.wall_duration_us(),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metric::*;
     use crate::Registry;
-    use starfish_util::time::VirtualTime;
 
     #[test]
     fn stats_renders_touched_metrics_only() {
@@ -97,21 +72,5 @@ mod tests {
         assert!(text.contains("msg.bytes.data 1000B\n"), "{text}");
         assert!(text.contains("vni.wire_ns count=1"), "{text}");
         assert!(!text.contains("msg.count.control"), "{text}");
-    }
-
-    #[test]
-    fn timeline_renders_spans() {
-        let r = Registry::new();
-        r.span_record(
-            "view.change",
-            "view=2",
-            VirtualTime::from_millis(1),
-            VirtualTime::from_millis(3),
-        );
-        let text = render_timeline(&r.timeline_events());
-        assert!(
-            text.contains("view.change view=2 vt=1.000..3.000ms"),
-            "{text}"
-        );
     }
 }

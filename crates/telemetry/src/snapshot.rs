@@ -8,7 +8,6 @@
 
 use crate::histogram::HistSnap;
 use crate::metric::MetricId;
-use crate::timeline::TimelineEvent;
 use starfish_util::codec::{Decode, Decoder, Encode, Encoder};
 use starfish_util::Result;
 
@@ -20,16 +19,11 @@ pub struct Snapshot {
     pub gauges: Vec<(u16, i64)>,
     /// `(metric index, state)` for histograms with at least one sample.
     pub hists: Vec<(u16, HistSnap)>,
-    /// Completed timeline spans.
-    pub timeline: Vec<TimelineEvent>,
 }
 
 impl Snapshot {
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.hists.is_empty()
-            && self.timeline.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
     }
 
     pub fn counter(&self, id: MetricId) -> u64 {
@@ -51,8 +45,7 @@ impl Snapshot {
     }
 
     /// Additive merge of a snapshot from a *different* scope: counters and
-    /// gauges sum, histograms accumulate, timelines concatenate (sorted by
-    /// caller if needed).
+    /// gauges sum, histograms accumulate.
     pub fn merge(&mut self, other: &Snapshot) {
         for &(i, v) in &other.counters {
             match self.counters.binary_search_by_key(&i, |&(k, _)| k) {
@@ -72,7 +65,6 @@ impl Snapshot {
                 Err(pos) => self.hists.insert(pos, (*i, h.clone())),
             }
         }
-        self.timeline.extend(other.timeline.iter().cloned());
     }
 }
 
@@ -92,10 +84,6 @@ impl Encode for Snapshot {
         for (i, h) in &self.hists {
             enc.put_u16(*i);
             h.encode(enc);
-        }
-        enc.put_u32(self.timeline.len() as u32);
-        for ev in &self.timeline {
-            ev.encode(enc);
         }
     }
 }
@@ -123,16 +111,10 @@ impl Decode for Snapshot {
             let h = HistSnap::decode(dec)?;
             hists.push((i, h));
         }
-        let nt = dec.get_u32()? as usize;
-        let mut timeline = Vec::with_capacity(nt.min(1024));
-        for _ in 0..nt {
-            timeline.push(TimelineEvent::decode(dec)?);
-        }
         Ok(Snapshot {
             counters,
             gauges,
             hists,
-            timeline,
         })
     }
 }
@@ -141,7 +123,6 @@ impl Decode for Snapshot {
 mod tests {
     use super::*;
     use crate::metric;
-    use starfish_util::time::VirtualTime;
 
     #[test]
     fn merge_sums_counters_and_hists() {
@@ -157,7 +138,6 @@ mod tests {
                     buckets: vec![(4, 1)],
                 },
             )],
-            timeline: vec![],
         };
         let b = Snapshot {
             counters: vec![(0, 7), (9, 2)],
@@ -171,14 +151,6 @@ mod tests {
                     buckets: vec![(2, 1), (3, 1)],
                 },
             )],
-            timeline: vec![TimelineEvent {
-                name: "x".into(),
-                detail: String::new(),
-                start_vt: VirtualTime::ZERO,
-                end_vt: VirtualTime::ZERO,
-                start_wall_us: 0,
-                end_wall_us: 0,
-            }],
         };
         a.merge(&b);
         assert_eq!(a.counter(metric::MSG_COUNT_CONTROL), 12); // id 0
@@ -187,7 +159,6 @@ mod tests {
         let h = a.hist(crate::MetricId(2)).unwrap();
         assert_eq!(h.count, 3);
         assert_eq!(h.max, 8);
-        assert_eq!(a.timeline.len(), 1);
     }
 
     #[test]
@@ -204,14 +175,6 @@ mod tests {
                     buckets: vec![(1, 4), (9, 5)],
                 },
             )],
-            timeline: vec![TimelineEvent {
-                name: "view.change".into(),
-                detail: "view=3".into(),
-                start_vt: VirtualTime::from_micros(1),
-                end_vt: VirtualTime::from_micros(2),
-                start_wall_us: 10,
-                end_wall_us: 20,
-            }],
         };
         assert_eq!(starfish_util::codec::roundtrip(&snap).unwrap(), snap);
     }

@@ -1,15 +1,10 @@
 //! Property coverage for the aggregation algebra the cluster relies on:
 //! cross-scope [`Snapshot`] merging must be commutative and associative
 //! (daemons fold per-scope snapshots in whatever order the total order
-//! happens to deliver them), and both bounded trace rings must account for
-//! every eviction exactly — a ring may never claim more retained events
-//! than it kept, nor fewer drops than the `trace.dropped` counter saw.
+//! happens to deliver them).
 
 use proptest::prelude::*;
-use starfish_telemetry::{metric, HistSnap, Registry, Snapshot};
-use starfish_trace::FlightRecorder;
-use starfish_util::trace::{ActorKind, MsgClass, TraceSink};
-use starfish_util::VirtualTime;
+use starfish_telemetry::{HistSnap, Snapshot};
 
 // ---- generators --------------------------------------------------------------
 
@@ -49,7 +44,6 @@ fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
             counters: dedup_by_key(counters),
             gauges: dedup_by_key(gauges),
             hists: dedup_by_key(hists),
-            timeline: Vec::new(),
         })
 }
 
@@ -65,8 +59,6 @@ fn canonical(mut s: Snapshot) -> Snapshot {
     for (_, h) in &mut s.hists {
         h.buckets.sort_unstable();
     }
-    s.timeline
-        .sort_by(|x, y| (x.start_vt, &x.name).cmp(&(y.start_vt, &y.name)));
     s
 }
 
@@ -87,52 +79,5 @@ proptest! {
         let left = merged(&merged(&a, &b), &c);
         let right = merged(&a, &merged(&b, &c));
         prop_assert_eq!(canonical(left), canonical(right));
-    }
-
-    /// The util-level message ring: every eviction increments both the
-    /// sink's own `dropped` tally and the hooked `trace.dropped` counter,
-    /// and retained + dropped always equals the number recorded.
-    #[test]
-    fn message_ring_drops_match_the_trace_dropped_counter(
-        cap in 1usize..32,
-        records in 0usize..200,
-    ) {
-        let sink = TraceSink::enabled(cap);
-        let reg = Registry::new();
-        sink.attach_metrics(std::sync::Arc::new(reg.clone()));
-        for _ in 0..records {
-            sink.record(MsgClass::Data, ActorKind::AppProcess, ActorKind::Daemon, "fast-path", 8);
-        }
-        let expected_drops = records.saturating_sub(cap) as u64;
-        prop_assert_eq!(sink.dropped(), expected_drops);
-        prop_assert_eq!(reg.counter(metric::TRACE_DROPPED), expected_drops);
-        prop_assert!(sink.dropped() <= reg.counter(metric::TRACE_DROPPED));
-        prop_assert_eq!(sink.events().len() as u64 + sink.dropped(), records as u64);
-    }
-
-    /// The flight recorder's ring: exact drop accounting under arbitrary
-    /// event mixes — `len() + dropped()` equals the number of events fed in,
-    /// and the ring never under-reports drops.
-    #[test]
-    fn flight_recorder_accounts_for_every_eviction(
-        cap in 1usize..48,
-        kinds in proptest::collection::vec(0u8..4, 0..200),
-    ) {
-        let rec = FlightRecorder::new("prop", cap);
-        for (i, k) in kinds.iter().enumerate() {
-            let vt = VirtualTime::from_nanos((i as u64 + 1) * 10);
-            match k {
-                0 => { let _ = rec.on_send(vt, 0, 0, 1, 64); }
-                1 => rec.phase_begin(vt, "p"),
-                2 => rec.mark(vt, "m", "detail"),
-                _ => rec.fault(vt, "injected"),
-            }
-        }
-        let expected_drops = kinds.len().saturating_sub(cap) as u64;
-        prop_assert_eq!(rec.dropped(), expected_drops);
-        prop_assert_eq!(rec.len() as u64 + rec.dropped(), kinds.len() as u64);
-        let dump = rec.dump();
-        prop_assert_eq!(dump.events.len(), rec.len());
-        prop_assert_eq!(dump.dropped, rec.dropped());
     }
 }

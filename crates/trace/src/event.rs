@@ -9,8 +9,8 @@ use crate::context::TraceCtx;
 /// (a receive folds the sender's clock in before stamping).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Per-recorder event index (survives ring eviction: the index of the
-    /// oldest retained event tells you how many were dropped before it).
+    /// Per-recorder event index, counted across both of its rings and
+    /// across evictions (a gap in a dump is history that was dropped).
     pub seq: u64,
     /// Lamport timestamp.
     pub lamport: u64,
@@ -43,8 +43,9 @@ pub enum EventKind {
     /// A named phase opened (collective phase, checkpoint protocol phase).
     /// Paired with a later `PhaseEnd` of the same name on this recorder.
     PhaseBegin { name: String },
-    /// The matching close of a `PhaseBegin`.
-    PhaseEnd { name: String },
+    /// The matching close of a `PhaseBegin`. `detail` carries what is only
+    /// known at the end (checkpoint index, chosen algorithm, bytes).
+    PhaseEnd { name: String, detail: String },
     /// A membership view was installed at this node's ensemble endpoint.
     ViewChange { view: u64, members: u32 },
     /// A point annotation (checkpoint markers, protocol milestones).
@@ -85,7 +86,13 @@ impl TraceEvent {
                 }
             }
             EventKind::PhaseBegin { name } => format!("begin {name}"),
-            EventKind::PhaseEnd { name } => format!("end {name}"),
+            EventKind::PhaseEnd { name, detail } => {
+                if detail.is_empty() {
+                    format!("end {name}")
+                } else {
+                    format!("end {name}: {detail}")
+                }
+            }
             EventKind::ViewChange { view, members } => {
                 format!("view v{view} ({members} members)")
             }

@@ -27,4 +27,4 @@ pub use context::TraceCtx;
 pub use event::{EventKind, TraceEvent};
 pub use hub::TraceHub;
 pub use reassemble::{reassemble, Dag, NodeRef, PathStep};
-pub use recorder::{FlightRecorder, ProcTrace, DEFAULT_CAPACITY};
+pub use recorder::{FlightRecorder, PhaseSpan, ProcTrace, TraceCursor, DEFAULT_CAPACITY};

@@ -12,29 +12,10 @@
 //! [`validate`] — the schema check CI runs over every exported file — and
 //! by tests.
 
-use std::fmt::Write as _;
+use starfish_util::json;
 
 use crate::event::EventKind;
 use crate::recorder::ProcTrace;
-
-/// Escape a string for a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Export dumped rings as a Chrome-trace JSON object.
 pub fn export(traces: &[ProcTrace]) -> String {
@@ -55,8 +36,8 @@ pub fn export(traces: &[ProcTrace]) -> String {
     for (p, t) in traces.iter().enumerate() {
         let pid = p + 1;
         ev.push(format!(
-            r#"{{"ph":"M","pid":{pid},"tid":1,"name":"process_name","args":{{"name":"{}"}}}}"#,
-            esc(&t.scope)
+            r#"{{"ph":"M","pid":{pid},"tid":1,"name":"process_name","args":{{"name":{}}}}}"#,
+            json::string(&t.scope)
         ));
         for e in &t.events {
             // Virtual nanoseconds -> fractional microseconds.
@@ -102,14 +83,15 @@ pub fn export(traces: &[ProcTrace]) -> String {
                 }
                 EventKind::PhaseBegin { name } => {
                     ev.push(format!(
-                        r#"{{"name":"{}","cat":"phase","ph":"B",{common},"args":{{"lamport":{lam}}}}}"#,
-                        esc(name)
+                        r#"{{"name":{},"cat":"phase","ph":"B",{common},"args":{{"lamport":{lam}}}}}"#,
+                        json::string(name)
                     ));
                 }
-                EventKind::PhaseEnd { name } => {
+                EventKind::PhaseEnd { name, detail } => {
                     ev.push(format!(
-                        r#"{{"name":"{}","cat":"phase","ph":"E",{common},"args":{{"lamport":{lam}}}}}"#,
-                        esc(name)
+                        r#"{{"name":{},"cat":"phase","ph":"E",{common},"args":{{"lamport":{lam},"detail":{}}}}}"#,
+                        json::string(name),
+                        json::string(detail)
                     ));
                 }
                 EventKind::ViewChange { view, members } => {
@@ -119,15 +101,15 @@ pub fn export(traces: &[ProcTrace]) -> String {
                 }
                 EventKind::Mark { name, detail } => {
                     ev.push(format!(
-                        r#"{{"name":"{}","cat":"mark","ph":"i","s":"t",{common},"args":{{"lamport":{lam},"detail":"{}"}}}}"#,
-                        esc(name),
-                        esc(detail)
+                        r#"{{"name":{},"cat":"mark","ph":"i","s":"t",{common},"args":{{"lamport":{lam},"detail":{}}}}}"#,
+                        json::string(name),
+                        json::string(detail)
                     ));
                 }
                 EventKind::Fault { desc } => {
                     ev.push(format!(
-                        r#"{{"name":"fault: {}","cat":"fault","ph":"i","s":"g",{common},"args":{{"lamport":{lam}}}}}"#,
-                        esc(desc)
+                        r#"{{"name":{},"cat":"fault","ph":"i","s":"g",{common},"args":{{"lamport":{lam}}}}}"#,
+                        json::string(&format!("fault: {desc}"))
                     ));
                 }
             }
@@ -479,7 +461,7 @@ mod tests {
         let ctx = a.on_send(vt(10), 1, 1, 7, 64);
         b.on_recv(vt(20), 0, 1, 7, 64, ctx);
         b.on_recv(vt(25), 3, 1, 9, 8, TraceCtx::NONE);
-        a.phase_end(vt(30), "round");
+        a.phase_end(vt(30), "round", "");
         a.view_change(vt(40), 2, 3);
         a.mark(vt(50), "ckpt.commit", "index 1");
         a.fault(vt(60), "partition n0|n1");

@@ -1,4 +1,4 @@
-//! The per-process flight recorder: an always-on, bounded ring of
+//! The per-process flight recorder: an always-on, bounded record of
 //! [`TraceEvent`]s plus the process's Lamport clock.
 //!
 //! Design constraints, in order:
@@ -10,38 +10,94 @@
 //!    per event, no allocation for send/receive events (their fields are
 //!    plain words), ring eviction instead of growth. The measured per-event
 //!    cost is committed in `BENCH_trace.json`.
-//! 3. **Never lossy about being lossy.** When the ring is full the oldest
-//!    event is evicted and `dropped` is incremented; `seq` keeps counting,
-//!    so a dump always says exactly how much history is missing.
+//! 3. **Never lossy about being lossy.** Both rings are
+//!    [`SeqRing`]s: eviction is counted exactly and `seq` keeps counting,
+//!    so a dump always says how much history is missing.
+//! 4. **Traffic cannot evict structure.** Sends and receives live in one
+//!    ring, everything else (phases, marks, view changes, faults) in a
+//!    second one of fixed size, so a job that moves 20 000 messages between
+//!    two checkpoint rounds still shows both rounds in `TIMELINE`.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use starfish_util::ring::SeqRing;
 use starfish_util::VirtualTime;
 
 use crate::context::TraceCtx;
 use crate::event::{EventKind, TraceEvent};
 
-/// Default ring capacity (events) of recorders created by the cluster.
+/// Default message-ring capacity (events) of recorders created by the
+/// cluster.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-/// One process's dumped ring: what the reassembler and exporters consume.
+/// Capacity of the phase ring. A constant: phases are rare (a handful per
+/// checkpoint round or recovery), so no workload needs a different bound.
+pub const PHASE_CAPACITY: usize = 1024;
+
+/// One process's dumped rings: what the reassembler and exporters consume.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcTrace {
     /// The recorder's scope (`"app1.r0"`, `"n2"`, `"chaos"`, ...).
     pub scope: String,
-    /// Events evicted from the ring before this dump.
+    /// Events evicted before this dump.
     pub dropped: u64,
-    /// Retained events, oldest first.
+    /// Retained events of both rings, in record order.
     pub events: Vec<TraceEvent>,
 }
 
+/// One closed phase: a `PhaseBegin` folded with its `PhaseEnd`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PhaseSpan {
+    pub name: String,
+    /// The annotation its `PhaseEnd` carried (checkpoint index, algorithm).
+    pub detail: String,
+    pub start: VirtualTime,
+    pub end: VirtualTime,
+}
+
+impl ProcTrace {
+    /// Fold begin/end pairs into closed phases, in end order — the
+    /// `TIMELINE` query. An end closes the innermost open begin of its
+    /// name; a begin that never ended (still running, or cut off by a
+    /// crash) and an end whose begin was evicted produce nothing.
+    pub fn phases(&self) -> Vec<PhaseSpan> {
+        let mut open: Vec<(&str, VirtualTime)> = Vec::new();
+        let mut out = Vec::new();
+        for ev in &self.events {
+            match &ev.kind {
+                EventKind::PhaseBegin { name } => open.push((name, ev.vt)),
+                EventKind::PhaseEnd { name, detail } => {
+                    if let Some(pos) = open.iter().rposition(|(n, _)| n == name) {
+                        let (_, start) = open.remove(pos);
+                        out.push(PhaseSpan {
+                            name: name.clone(),
+                            detail: detail.clone(),
+                            start,
+                            end: ev.vt,
+                        });
+                    }
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+}
+
+/// A reader's position in one recorder (`TRACE FOLLOW`): the next event it
+/// has not seen, in each ring.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraceCursor {
+    msgs: u64,
+    phases: u64,
+}
+
 struct State {
-    ring: VecDeque<TraceEvent>,
-    /// Next event index (total events ever recorded).
-    seq: u64,
+    /// Sends and receives, bounded by the configured capacity.
+    msgs: SeqRing<TraceEvent>,
+    /// Everything else, bounded by [`PHASE_CAPACITY`].
+    phases: SeqRing<TraceEvent>,
     /// The process Lamport clock.
     lamport: u64,
     /// Causal cursor: the trace/span subsequent sends attach to. Set by
@@ -52,17 +108,32 @@ struct State {
     span_ctr: u64,
 }
 
+impl State {
+    fn push(&mut self, vt: VirtualTime, kind: EventKind) {
+        self.lamport += 1;
+        let ev = TraceEvent {
+            // Events ever recorded here, across both rings.
+            seq: self.msgs.pushed() + self.phases.pushed(),
+            lamport: self.lamport,
+            vt,
+            kind,
+        };
+        match ev.kind {
+            EventKind::Send { .. } | EventKind::Recv { .. } => self.msgs.push(ev),
+            _ => self.phases.push(ev),
+        };
+    }
+}
+
 struct Inner {
     scope: String,
     /// High bits of every span id minted here (derived from the scope), so
     /// spans are unique across the recorders of one cluster.
     span_base: u64,
-    cap: usize,
     state: Mutex<State>,
-    dropped: AtomicU64,
 }
 
-/// Handle to a flight recorder. Cheap to clone; all clones share the ring.
+/// Handle to a flight recorder. Cheap to clone; all clones share the rings.
 #[derive(Clone, Default)]
 pub struct FlightRecorder {
     inner: Option<Arc<Inner>>,
@@ -80,7 +151,7 @@ fn fnv1a(s: &str) -> u64 {
 }
 
 impl FlightRecorder {
-    /// Create an enabled recorder with the given ring capacity.
+    /// Create an enabled recorder whose message ring holds `cap` events.
     pub fn new(scope: &str, cap: usize) -> FlightRecorder {
         FlightRecorder::with_incarnation(scope, cap, 0)
     }
@@ -101,16 +172,14 @@ impl FlightRecorder {
             inner: Some(Arc::new(Inner {
                 scope: scope.to_string(),
                 span_base,
-                cap: cap.max(1),
                 state: Mutex::new(State {
-                    ring: VecDeque::new(),
-                    seq: 0,
+                    msgs: SeqRing::new(cap),
+                    phases: SeqRing::new(PHASE_CAPACITY),
                     lamport: 0,
                     cur_trace: 0,
                     cur_parent: 0,
                     span_ctr: 0,
                 }),
-                dropped: AtomicU64::new(0),
             })),
         }
     }
@@ -129,20 +198,23 @@ impl FlightRecorder {
         self.inner.as_ref().map(|i| i.scope.as_str()).unwrap_or("")
     }
 
-    /// Events evicted so far.
-    pub fn dropped(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map(|i| i.dropped.load(Ordering::Relaxed))
-            .unwrap_or(0)
+    /// Run `f` under the state lock; a disabled recorder answers with the
+    /// empty value (`()`, 0, [`TraceCtx::NONE`]) without running it.
+    fn with<R: Default>(&self, f: impl FnOnce(&Inner, &mut State) -> R) -> R {
+        match &self.inner {
+            Some(inner) => f(inner, &mut inner.state.lock()),
+            None => R::default(),
+        }
     }
 
-    /// Events currently retained in the ring.
+    /// Events evicted so far, over both rings.
+    pub fn dropped(&self) -> u64 {
+        self.with(|_, s| s.msgs.dropped() + s.phases.dropped())
+    }
+
+    /// Events currently retained, over both rings.
     pub fn len(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map(|i| i.state.lock().ring.len())
-            .unwrap_or(0)
+        self.with(|_, s| s.msgs.len() + s.phases.len())
     }
 
     pub fn is_empty(&self) -> bool {
@@ -151,26 +223,7 @@ impl FlightRecorder {
 
     /// Current Lamport clock value.
     pub fn lamport(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map(|i| i.state.lock().lamport)
-            .unwrap_or(0)
-    }
-
-    fn push(inner: &Inner, state: &mut State, vt: VirtualTime, kind: EventKind) {
-        state.lamport += 1;
-        let ev = TraceEvent {
-            seq: state.seq,
-            lamport: state.lamport,
-            vt,
-            kind,
-        };
-        state.seq += 1;
-        if state.ring.len() == inner.cap {
-            state.ring.pop_front();
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        state.ring.push_back(ev);
+        self.with(|_, s| s.lamport)
     }
 
     /// Record a send and mint the context to stamp on the wire. Returns
@@ -184,34 +237,30 @@ impl FlightRecorder {
         tag: u64,
         bytes: usize,
     ) -> TraceCtx {
-        let Some(inner) = &self.inner else {
-            return TraceCtx::NONE;
-        };
-        let mut s = inner.state.lock();
-        s.span_ctr += 1;
-        let span = inner.span_base | (s.span_ctr & 0xff_ffff);
-        let ctx = TraceCtx {
-            trace: if s.cur_trace != 0 { s.cur_trace } else { span },
-            span,
-            parent: s.cur_parent,
-            // `lamport + 1` is the value the Send event below is stamped
-            // with; the wire carries the same value so the receiver's
-            // `max + 1` lands strictly after it.
-            lamport: s.lamport + 1,
-        };
-        Self::push(
-            inner,
-            &mut s,
-            vt,
-            EventKind::Send {
-                peer,
-                context,
-                tag,
-                bytes: bytes as u32,
-                ctx,
-            },
-        );
-        ctx
+        self.with(|inner, s| {
+            s.span_ctr += 1;
+            let span = inner.span_base | (s.span_ctr & 0xff_ffff);
+            let ctx = TraceCtx {
+                trace: if s.cur_trace != 0 { s.cur_trace } else { span },
+                span,
+                parent: s.cur_parent,
+                // `lamport + 1` is the value the Send event below is
+                // stamped with; the wire carries the same value so the
+                // receiver's `max + 1` lands strictly after it.
+                lamport: s.lamport + 1,
+            };
+            s.push(
+                vt,
+                EventKind::Send {
+                    peer,
+                    context,
+                    tag,
+                    bytes: bytes as u32,
+                    ctx,
+                },
+            );
+            ctx
+        })
     }
 
     /// Record a delivered message. Folds the sender's Lamport clock in
@@ -226,129 +275,145 @@ impl FlightRecorder {
         bytes: usize,
         ctx: TraceCtx,
     ) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let mut s = inner.state.lock();
-        if ctx.is_some() {
-            s.lamport = s.lamport.max(ctx.lamport);
-            s.cur_trace = ctx.trace;
-            s.cur_parent = ctx.span;
-        }
-        Self::push(
-            inner,
-            &mut s,
-            vt,
-            EventKind::Recv {
-                peer,
-                context,
-                tag,
-                bytes: bytes as u32,
-                ctx,
-            },
-        );
+        self.with(|_, s| {
+            if ctx.is_some() {
+                s.lamport = s.lamport.max(ctx.lamport);
+                s.cur_trace = ctx.trace;
+                s.cur_parent = ctx.span;
+            }
+            s.push(
+                vt,
+                EventKind::Recv {
+                    peer,
+                    context,
+                    tag,
+                    bytes: bytes as u32,
+                    ctx,
+                },
+            );
+        })
     }
 
     /// Open a named phase; sends recorded until the matching
     /// [`phase_end`](Self::phase_end) parent to it.
     pub fn phase_begin(&self, vt: VirtualTime, name: &str) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let mut s = inner.state.lock();
-        s.span_ctr += 1;
-        let span = inner.span_base | (s.span_ctr & 0xff_ffff);
-        if s.cur_trace == 0 {
-            s.cur_trace = span;
-        }
-        s.cur_parent = span;
-        Self::push(
-            inner,
-            &mut s,
-            vt,
-            EventKind::PhaseBegin {
-                name: name.to_string(),
-            },
-        );
+        self.with(|inner, s| {
+            s.span_ctr += 1;
+            let span = inner.span_base | (s.span_ctr & 0xff_ffff);
+            if s.cur_trace == 0 {
+                s.cur_trace = span;
+            }
+            s.cur_parent = span;
+            s.push(
+                vt,
+                EventKind::PhaseBegin {
+                    name: name.to_string(),
+                },
+            );
+        })
     }
 
-    /// Close the innermost open phase of `name` and reset the causal
-    /// cursor.
-    pub fn phase_end(&self, vt: VirtualTime, name: &str) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let mut s = inner.state.lock();
-        s.cur_trace = 0;
-        s.cur_parent = 0;
-        Self::push(
-            inner,
-            &mut s,
-            vt,
-            EventKind::PhaseEnd {
-                name: name.to_string(),
-            },
-        );
+    /// Close the innermost open phase of `name`, annotating it with what
+    /// is only known now (`detail`: the checkpoint index, the line restored
+    /// to), and reset the causal cursor.
+    pub fn phase_end(&self, vt: VirtualTime, name: &str, detail: &str) {
+        self.with(|_, s| {
+            s.cur_trace = 0;
+            s.cur_parent = 0;
+            s.push(
+                vt,
+                EventKind::PhaseEnd {
+                    name: name.to_string(),
+                    detail: detail.to_string(),
+                },
+            );
+        })
+    }
+
+    /// Record a phase that was timed by its caller, as one begin/end pair.
+    /// The causal cursor is left alone: the interval is already over, and
+    /// it may lie inside a phase that is still open.
+    pub fn span(&self, start: VirtualTime, end: VirtualTime, name: &str, detail: &str) {
+        self.with(|_, s| {
+            s.push(
+                start,
+                EventKind::PhaseBegin {
+                    name: name.to_string(),
+                },
+            );
+            s.push(
+                end,
+                EventKind::PhaseEnd {
+                    name: name.to_string(),
+                    detail: detail.to_string(),
+                },
+            );
+        })
     }
 
     /// Record a membership view installation.
     pub fn view_change(&self, vt: VirtualTime, view: u64, members: u32) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let mut s = inner.state.lock();
-        Self::push(inner, &mut s, vt, EventKind::ViewChange { view, members });
+        self.with(|_, s| s.push(vt, EventKind::ViewChange { view, members }))
     }
 
     /// Record a point annotation.
     pub fn mark(&self, vt: VirtualTime, name: &str, detail: &str) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let mut s = inner.state.lock();
-        Self::push(
-            inner,
-            &mut s,
-            vt,
-            EventKind::Mark {
-                name: name.to_string(),
-                detail: detail.to_string(),
-            },
-        );
+        self.with(|_, s| {
+            s.push(
+                vt,
+                EventKind::Mark {
+                    name: name.to_string(),
+                    detail: detail.to_string(),
+                },
+            )
+        })
     }
 
     /// Record an injected fault.
     pub fn fault(&self, vt: VirtualTime, desc: &str) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let mut s = inner.state.lock();
-        Self::push(
-            inner,
-            &mut s,
-            vt,
-            EventKind::Fault {
-                desc: desc.to_string(),
-            },
-        );
+        self.with(|_, s| {
+            s.push(
+                vt,
+                EventKind::Fault {
+                    desc: desc.to_string(),
+                },
+            )
+        })
     }
 
-    /// Snapshot the ring (oldest first).
+    /// A cursor at the live edge: polling it yields only events recorded
+    /// after this call.
+    pub fn live_edge(&self) -> TraceCursor {
+        self.with(|_, s| TraceCursor {
+            msgs: s.msgs.pushed(),
+            phases: s.phases.pushed(),
+        })
+    }
+
+    /// Events recorded since `cur` in record order, plus how many more were
+    /// evicted before this reader got to them. Advances `cur`.
+    pub fn poll(&self, cur: &mut TraceCursor) -> (Vec<TraceEvent>, u64) {
+        self.with(|_, s| {
+            let (mut events, missed_msgs) = s.msgs.since(cur.msgs);
+            let (phases, missed_phases) = s.phases.since(cur.phases);
+            events.extend(phases);
+            // Two seq-sorted runs: the stable sort merges them in O(n).
+            events.sort_by_key(|e| e.seq);
+            *cur = TraceCursor {
+                msgs: s.msgs.pushed(),
+                phases: s.phases.pushed(),
+            };
+            (events, missed_msgs + missed_phases)
+        })
+    }
+
+    /// Snapshot everything retained (record order).
     pub fn dump(&self) -> ProcTrace {
-        match &self.inner {
-            None => ProcTrace {
-                scope: String::new(),
-                dropped: 0,
-                events: Vec::new(),
-            },
-            Some(inner) => {
-                let s = inner.state.lock();
-                ProcTrace {
-                    scope: inner.scope.clone(),
-                    dropped: inner.dropped.load(Ordering::Relaxed),
-                    events: s.ring.iter().cloned().collect(),
-                }
-            }
+        let (events, dropped) = self.poll(&mut TraceCursor::default());
+        ProcTrace {
+            scope: self.scope().to_string(),
+            dropped,
+            events,
         }
     }
 }
@@ -402,10 +467,10 @@ mod tests {
     }
 
     #[test]
-    fn ring_evicts_and_counts_drops_exactly() {
+    fn message_ring_evicts_and_counts_drops_exactly() {
         let r = FlightRecorder::new("app0.r0", 8);
         for i in 0..100 {
-            r.mark(vt(i), "m", "");
+            r.on_send(vt(i), 1, 1, i, 8);
         }
         let d = r.dump();
         assert_eq!(d.events.len(), 8);
@@ -414,6 +479,97 @@ mod tests {
         // seq keeps counting across evictions.
         assert_eq!(d.events.first().unwrap().seq, 92);
         assert_eq!(d.events.last().unwrap().seq, 99);
+    }
+
+    /// Traffic cannot evict structure: phases survive any number of
+    /// sends, and the dump interleaves both rings in record order.
+    #[test]
+    fn phases_outlive_message_eviction() {
+        let r = FlightRecorder::new("app0.r0", 4);
+        r.phase_begin(vt(1), "ckpt.round");
+        r.phase_end(vt(2), "ckpt.round", "index 1");
+        for i in 0..50 {
+            r.on_send(vt(10 + i), 1, 1, i, 8);
+        }
+        r.span(vt(70), vt(80), "ckpt.write", "index 2, 64 B");
+        r.on_send(vt(90), 1, 1, 50, 8);
+        let d = r.dump();
+        assert_eq!(d.dropped, 51 - 4);
+        assert_eq!(d.events.len(), 4 + 4);
+        for w in d.events.windows(2) {
+            assert!(w[0].seq < w[1].seq && w[0].lamport < w[1].lamport);
+        }
+        // The last send was recorded after the span: it dumps after it.
+        assert!(matches!(
+            d.events.last().unwrap().kind,
+            EventKind::Send { tag: 50, .. }
+        ));
+        let phases = d.phases();
+        assert_eq!(
+            phases
+                .iter()
+                .map(|p| (p.name.as_str(), p.detail.as_str(), p.start, p.end))
+                .collect::<Vec<_>>(),
+            vec![
+                ("ckpt.round", "index 1", vt(1), vt(2)),
+                ("ckpt.write", "index 2, 64 B", vt(70), vt(80)),
+            ]
+        );
+    }
+
+    /// A caller-timed span inside an open phase must not detach the sends
+    /// that follow it from that phase.
+    #[test]
+    fn span_leaves_the_causal_cursor_alone() {
+        let r = FlightRecorder::new("app0.r0", 16);
+        r.phase_begin(vt(1), "ckpt.round");
+        let before = r.on_send(vt(2), 1, 1, 0, 1);
+        r.span(vt(2), vt(3), "ckpt.write", "index 1, 8 B");
+        let after = r.on_send(vt(4), 1, 1, 1, 1);
+        assert_ne!(after.parent, 0);
+        assert_eq!((after.trace, after.parent), (before.trace, before.parent));
+    }
+
+    #[test]
+    fn phase_fold_pairs_innermost_and_skips_unclosed() {
+        let r = FlightRecorder::new("app0.r0", 4);
+        r.phase_end(vt(1), "orphan", ""); // begin evicted / never seen
+        r.phase_begin(vt(2), "outer");
+        r.phase_begin(vt(3), "outer");
+        r.phase_end(vt(4), "outer", "inner one");
+        r.phase_begin(vt(5), "running");
+        r.phase_end(vt(6), "outer", "");
+        let spans: Vec<_> = r
+            .dump()
+            .phases()
+            .into_iter()
+            .map(|p| (p.detail, p.start, p.end))
+            .collect();
+        assert_eq!(
+            spans,
+            vec![
+                ("inner one".to_string(), vt(3), vt(4)),
+                (String::new(), vt(2), vt(6))
+            ]
+        );
+    }
+
+    #[test]
+    fn cursor_reports_exactly_what_it_missed() {
+        let r = FlightRecorder::new("app0.r0", 4);
+        r.mark(vt(1), "before", "");
+        let mut cur = r.live_edge();
+        assert_eq!(r.poll(&mut cur), (vec![], 0));
+        for i in 0..10 {
+            r.on_send(vt(i), 1, 1, i, 8);
+        }
+        r.mark(vt(20), "after", "");
+        let (events, missed) = r.poll(&mut cur);
+        assert_eq!(missed, 6);
+        assert_eq!(events.len(), 5);
+        assert!(matches!(events[4].kind, EventKind::Mark { .. }));
+        // The gap is charged once.
+        assert_eq!(r.poll(&mut cur), (vec![], 0));
     }
 
     #[test]
@@ -435,7 +591,7 @@ mod tests {
         let inside = r.on_send(vt(3), 1, 1, 0, 1);
         assert_ne!(inside.parent, 0);
         assert_eq!(inside.trace, inside.parent);
-        r.phase_end(vt(4), "ckpt.round");
+        r.phase_end(vt(4), "ckpt.round", "");
         let after = r.on_send(vt(5), 1, 1, 0, 1);
         assert_eq!(after.parent, 0);
     }

@@ -1,4 +1,4 @@
-//! Concurrency model tests for the [`FlightRecorder`] ring.
+//! Concurrency model tests for the [`FlightRecorder`] message ring.
 //!
 //! Written against the `loom` API: under the real crate (CI images that
 //! patch it in) every interleaving is explored exhaustively; under the
@@ -23,7 +23,7 @@ const PER_THREAD: usize = 4;
 const CAP: usize = 6; // smaller than THREADS * PER_THREAD: eviction is live
 
 #[test]
-fn concurrent_marks_never_tear_the_ring() {
+fn concurrent_sends_never_tear_the_ring() {
     loom::model(|| {
         let rec = Arc::new(FlightRecorder::new("loom.r0", CAP));
         let handles: Vec<_> = (0..THREADS)
@@ -31,11 +31,8 @@ fn concurrent_marks_never_tear_the_ring() {
                 let rec = Arc::clone(&rec);
                 thread::spawn(move || {
                     for k in 0..PER_THREAD {
-                        rec.mark(
-                            VirtualTime((t * PER_THREAD + k) as u64),
-                            "loom",
-                            "concurrent mark",
-                        );
+                        let n = (t * PER_THREAD + k) as u64;
+                        rec.on_send(VirtualTime(n), t as u32, 0, n, 8);
                         thread::yield_now();
                     }
                 })

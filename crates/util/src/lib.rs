@@ -14,13 +14,19 @@
 //!   `starfish-checkpoint`, because representation control is part of the
 //!   heterogeneous-checkpointing experiment.
 //! * [`rng`] — deterministic seeded RNG helpers for reproducible workloads.
-//! * [`trace`] — a lightweight event trace used by tests and by the Table 1
-//!   message-taxonomy audit.
+//! * [`trace`] — the Table 1 message-taxonomy audit: per-class totals and
+//!   the exact set of paths each class was seen on.
+//! * [`ring`] — [`ring::SeqRing`], the one bounded, sequenced ring every
+//!   observability buffer (event bus, flight recorder, stats history) is a
+//!   typed user of.
+//! * [`json`] — the one JSON string writer.
 //! * [`error`] — the shared error type.
 
 pub mod codec;
 pub mod error;
 pub mod ids;
+pub mod json;
+pub mod ring;
 pub mod rng;
 pub mod time;
 pub mod trace;

@@ -18,15 +18,16 @@
 //! assert that each class was observed, and observed only on its sanctioned
 //! path.
 //!
-//! The sink itself keeps only the bounded event ring and the path audit. The
-//! authoritative per-class counters live in the telemetry registry: attach one
-//! with [`TraceSink::attach_metrics`] and every recorded message is forwarded
-//! through the [`MsgCounter`] hook, so there is a single accounting channel
-//! instead of two drifting ones.
+//! The sink itself keeps only the path audit: exact per-class totals and the
+//! exact set of `(class, from, to, path)` combinations seen. The
+//! authoritative per-class counters live in the telemetry registry: attach
+//! one with [`TraceSink::attach_metrics`] and every recorded message is
+//! forwarded through the [`MsgCounter`] hook, so there is a single
+//! accounting channel instead of two drifting ones.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
@@ -85,147 +86,60 @@ pub enum ActorKind {
     Client,
 }
 
-/// One traced message movement (possibly coalescing several identical ones
-/// when deduplication is on).
-#[derive(Debug, Clone)]
-pub struct TraceEvent {
-    pub class: MsgClass,
-    pub from: ActorKind,
-    pub to: ActorKind,
-    /// Free-form path annotation, e.g. `"fast-path"`, `"via-daemon"`,
-    /// `"object-bus"`; audited by the taxonomy test.
-    pub path: &'static str,
-    /// Total bytes across the coalesced messages.
-    pub bytes: usize,
-    /// How many messages this event represents (1 unless deduplicated).
-    pub count: usize,
-}
-
 /// Sink into which per-class message accounting is forwarded.
 ///
 /// Implemented by `starfish-telemetry`'s `Registry`, which maps each class to
-/// its Table 1 count/bytes counters. Default no-op hooks keep `util` free of
-/// an upward dependency.
+/// its Table 1 count/bytes counters; the trait keeps `util` free of an upward
+/// dependency.
 pub trait MsgCounter: Send + Sync {
     fn on_message(&self, class: MsgClass, bytes: usize);
-    /// A retained event was evicted by the bounded ring.
-    fn on_trace_dropped(&self) {}
-    /// A recorded event was coalesced into the previous identical one.
-    fn on_trace_deduped(&self) {}
 }
 
-/// Configuration for a [`TraceSink`]'s event ring.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceConfig {
-    /// Retain events at all (per-class accounting still flows to an attached
-    /// [`MsgCounter`] when disabled).
-    pub enabled: bool,
-    /// Maximum retained events; older events are evicted.
-    pub capacity: usize,
-    /// Coalesce an event into its predecessor when `(class, from, to, path)`
-    /// are identical, keeping the ring small under bursty identical traffic.
-    pub dedup: bool,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            enabled: true,
-            capacity: 4096,
-            dedup: false,
-        }
-    }
-}
-
-/// A shared, thread-safe sink of [`TraceEvent`]s with a bounded ring buffer
-/// of the most recent events and unbounded per-class counters.
-#[derive(Clone, Default)]
-pub struct TraceSink {
-    inner: Arc<Mutex<TraceInner>>,
-}
+type Path = (MsgClass, ActorKind, ActorKind, &'static str);
 
 #[derive(Default)]
-struct TraceInner {
-    events: VecDeque<TraceEvent>,
-    cfg: TraceConfigState,
-    counts: [u64; 6],
-    bytes: [u64; 6],
-    dropped: u64,
-    deduped: u64,
-    hook: Option<Arc<dyn MsgCounter>>,
-}
-
-/// `TraceConfig` with `enabled` defaulting *off* (a default sink is a no-op).
-#[derive(Debug, Clone, Copy)]
-struct TraceConfigState {
+struct Inner {
+    /// Keep the path audit (a default sink only forwards to its hook).
     enabled: bool,
-    capacity: usize,
-    dedup: bool,
+    hook: OnceLock<Arc<dyn MsgCounter>>,
+    counts: [AtomicU64; 6],
+    bytes: [AtomicU64; 6],
+    /// Distinct paths seen, in first-seen order. A handful at most, so a
+    /// linear scan under a short lock beats hashing.
+    paths: Mutex<Vec<Path>>,
 }
 
-impl Default for TraceConfigState {
-    fn default() -> Self {
-        TraceConfigState {
-            enabled: false,
-            capacity: 4096,
-            dedup: false,
-        }
-    }
-}
-
-fn class_idx(c: MsgClass) -> usize {
-    match c {
-        MsgClass::Control => 0,
-        MsgClass::Coordination => 1,
-        MsgClass::Data => 2,
-        MsgClass::LwMembership => 3,
-        MsgClass::Configuration => 4,
-        MsgClass::CheckpointRestart => 5,
-    }
+/// A shared, thread-safe audit of message movements: what moved, how much,
+/// and between whom. Cheap to clone; all clones share the audit.
+#[derive(Clone, Default)]
+pub struct TraceSink {
+    inner: Arc<Inner>,
 }
 
 impl TraceSink {
-    /// A disabled sink: no events retained. Per-class accounting still
-    /// reaches an attached [`MsgCounter`] hook (used by benchmarks that want
-    /// counters without ring overhead).
+    /// A sink that audits nothing. Per-class accounting still reaches an
+    /// attached [`MsgCounter`] hook, lock-free.
     pub fn disabled() -> Self {
         TraceSink::default()
     }
 
-    /// An enabled sink keeping at most `cap` recent events, no deduplication.
-    pub fn enabled(cap: usize) -> Self {
-        TraceSink::with_config(TraceConfig {
-            enabled: true,
-            capacity: cap,
-            dedup: false,
-        })
-    }
-
-    /// A sink with full [`TraceConfig`] control.
-    pub fn with_config(cfg: TraceConfig) -> Self {
-        let sink = TraceSink::default();
-        {
-            let mut g = sink.inner.lock();
-            g.cfg = TraceConfigState {
-                enabled: cfg.enabled,
-                capacity: cfg.capacity.max(1),
-                dedup: cfg.dedup,
-            };
+    /// A sink that keeps the exact per-class totals and path set.
+    pub fn enabled() -> Self {
+        TraceSink {
+            inner: Arc::new(Inner {
+                enabled: true,
+                ..Inner::default()
+            }),
         }
-        sink
     }
 
-    /// Forward all future per-class accounting to `hook` (the telemetry
-    /// registry). Replaces any previous hook.
+    /// Forward all per-class accounting to `hook` (the telemetry registry).
+    /// A sink feeds one registry: the first hook attached stays.
     pub fn attach_metrics(&self, hook: Arc<dyn MsgCounter>) {
-        self.inner.lock().hook = Some(hook);
+        let _ = self.inner.hook.set(hook);
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.inner.lock().cfg.enabled
-    }
-
-    /// Record one message movement. Cheap no-op when disabled and unhooked.
+    /// Record one message movement.
     pub fn record(
         &self,
         class: MsgClass,
@@ -234,101 +148,49 @@ impl TraceSink {
         path: &'static str,
         bytes: usize,
     ) {
-        let mut g = self.inner.lock();
-        if let Some(hook) = &g.hook {
+        let inner = &*self.inner;
+        if let Some(hook) = inner.hook.get() {
             hook.on_message(class, bytes);
         }
-        if !g.cfg.enabled {
+        if !inner.enabled {
             return;
         }
-        g.counts[class_idx(class)] += 1;
-        g.bytes[class_idx(class)] += bytes as u64;
-        if g.cfg.dedup {
-            if let Some(last) = g.events.back_mut() {
-                if last.class == class && last.from == from && last.to == to && last.path == path {
-                    last.bytes += bytes;
-                    last.count += 1;
-                    g.deduped += 1;
-                    if let Some(hook) = &g.hook {
-                        hook.on_trace_deduped();
-                    }
-                    return;
-                }
-            }
+        inner.counts[class as usize].fetch_add(1, Ordering::Relaxed);
+        inner.bytes[class as usize].fetch_add(bytes as u64, Ordering::Relaxed);
+        let key = (class, from, to, path);
+        let mut paths = inner.paths.lock();
+        if !paths.contains(&key) {
+            paths.push(key);
         }
-        if g.events.len() == g.cfg.capacity {
-            g.events.pop_front();
-            g.dropped += 1;
-            if let Some(hook) = &g.hook {
-                hook.on_trace_dropped();
-            }
-        }
-        g.events.push_back(TraceEvent {
-            class,
-            from,
-            to,
-            path,
-            bytes,
-            count: 1,
-        });
     }
 
     /// Number of messages recorded for `class`.
     pub fn count(&self, class: MsgClass) -> u64 {
-        self.inner.lock().counts[class_idx(class)]
+        self.inner.counts[class as usize].load(Ordering::Relaxed)
     }
 
     /// Total bytes recorded for `class`.
     pub fn bytes(&self, class: MsgClass) -> u64 {
-        self.inner.lock().bytes[class_idx(class)]
-    }
-
-    /// Events evicted by the bounded ring so far.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
-    }
-
-    /// Events coalesced by deduplication so far.
-    pub fn deduped(&self) -> u64 {
-        self.inner.lock().deduped
-    }
-
-    /// Snapshot of the retained recent events.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.lock().events.iter().cloned().collect()
+        self.inner.bytes[class as usize].load(Ordering::Relaxed)
     }
 
     /// All `(from, to, path)` combinations observed for `class`.
     pub fn paths_for(&self, class: MsgClass) -> Vec<(ActorKind, ActorKind, &'static str)> {
-        let g = self.inner.lock();
-        let mut out: Vec<(ActorKind, ActorKind, &'static str)> = Vec::new();
-        for e in g.events.iter().filter(|e| e.class == class) {
-            let key = (e.from, e.to, e.path);
-            if !out.contains(&key) {
-                out.push(key);
-            }
-        }
-        out
-    }
-
-    /// Clear all recorded state (counters and events; the hook keeps its own).
-    pub fn clear(&self) {
-        let mut g = self.inner.lock();
-        g.events.clear();
-        g.counts = [0; 6];
-        g.bytes = [0; 6];
-        g.dropped = 0;
-        g.deduped = 0;
+        self.inner
+            .paths
+            .lock()
+            .iter()
+            .filter(|p| p.0 == class)
+            .map(|&(_, from, to, path)| (from, to, path))
+            .collect()
     }
 }
 
 impl fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let g = self.inner.lock();
         f.debug_struct("TraceSink")
-            .field("enabled", &g.cfg.enabled)
-            .field("events", &g.events.len())
-            .field("hooked", &g.hook.is_some())
+            .field("enabled", &self.inner.enabled)
+            .field("hooked", &self.inner.hook.get().is_some())
             .finish()
     }
 }
@@ -336,25 +198,28 @@ impl fmt::Debug for TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
-    #[test]
-    fn disabled_sink_records_nothing() {
-        let s = TraceSink::disabled();
+    fn data(s: &TraceSink, bytes: usize) {
         s.record(
             MsgClass::Data,
             ActorKind::AppProcess,
             ActorKind::AppProcess,
             "fast-path",
-            10,
+            bytes,
         );
-        assert_eq!(s.count(MsgClass::Data), 0);
-        assert!(s.events().is_empty());
     }
 
     #[test]
-    fn enabled_sink_counts_and_retains() {
-        let s = TraceSink::enabled(2);
+    fn disabled_sink_records_nothing() {
+        let s = TraceSink::disabled();
+        data(&s, 10);
+        assert_eq!(s.count(MsgClass::Data), 0);
+        assert!(s.paths_for(MsgClass::Data).is_empty());
+    }
+
+    #[test]
+    fn enabled_sink_counts_every_message() {
+        let s = TraceSink::enabled();
         for i in 0..5 {
             s.record(
                 MsgClass::Control,
@@ -366,25 +231,14 @@ mod tests {
         }
         assert_eq!(s.count(MsgClass::Control), 5);
         assert_eq!(s.bytes(MsgClass::Control), 10); // 0+1+2+3+4
-                                                    // Ring keeps only the 2 most recent.
-        let ev = s.events();
-        assert_eq!(ev.len(), 2);
-        assert_eq!(ev[1].bytes, 4);
-        assert_eq!(s.dropped(), 3);
+        assert_eq!(s.count(MsgClass::Data), 0);
     }
 
+    /// The path audit is a set, and an exact one: a rare path is still
+    /// there after any amount of other traffic.
     #[test]
-    fn paths_deduplicate() {
-        let s = TraceSink::enabled(16);
-        for _ in 0..3 {
-            s.record(
-                MsgClass::Coordination,
-                ActorKind::AppProcess,
-                ActorKind::Daemon,
-                "via-daemon",
-                1,
-            );
-        }
+    fn paths_are_an_exact_set() {
+        let s = TraceSink::enabled();
         s.record(
             MsgClass::Coordination,
             ActorKind::Daemon,
@@ -392,44 +246,22 @@ mod tests {
             "via-daemon",
             1,
         );
-        assert_eq!(s.paths_for(MsgClass::Coordination).len(), 2);
-    }
-
-    #[test]
-    fn dedup_coalesces_identical_runs() {
-        let s = TraceSink::with_config(TraceConfig {
-            enabled: true,
-            capacity: 16,
-            dedup: true,
-        });
-        for _ in 0..4 {
+        for _ in 0..10_000 {
             s.record(
-                MsgClass::Data,
+                MsgClass::Coordination,
                 ActorKind::AppProcess,
-                ActorKind::AppProcess,
-                "fast-path",
-                10,
+                ActorKind::Daemon,
+                "via-daemon",
+                1,
             );
+            data(&s, 1);
         }
-        s.record(
-            MsgClass::Control,
-            ActorKind::Daemon,
-            ActorKind::Daemon,
-            "ensemble",
-            3,
-        );
-        let ev = s.events();
-        assert_eq!(ev.len(), 2);
-        assert_eq!(ev[0].count, 4);
-        assert_eq!(ev[0].bytes, 40);
-        assert_eq!(s.deduped(), 3);
-        // Per-class accounting still counts every message.
-        assert_eq!(s.count(MsgClass::Data), 4);
-        assert_eq!(s.bytes(MsgClass::Data), 40);
+        assert_eq!(s.paths_for(MsgClass::Coordination).len(), 2);
+        assert_eq!(s.paths_for(MsgClass::Data).len(), 1);
     }
 
     #[test]
-    fn hook_sees_messages_even_when_ring_disabled() {
+    fn hook_sees_messages_even_when_audit_is_off() {
         #[derive(Default)]
         struct CountHook {
             msgs: AtomicU64,
@@ -444,40 +276,33 @@ mod tests {
         let hook = Arc::new(CountHook::default());
         let s = TraceSink::disabled();
         s.attach_metrics(hook.clone());
-        s.record(
-            MsgClass::Data,
-            ActorKind::AppProcess,
-            ActorKind::AppProcess,
-            "fast-path",
-            7,
-        );
-        s.record(
-            MsgClass::Data,
-            ActorKind::AppProcess,
-            ActorKind::AppProcess,
-            "fast-path",
-            5,
-        );
+        data(&s, 7);
+        data(&s.clone(), 5);
         assert_eq!(hook.msgs.load(Ordering::Relaxed), 2);
         assert_eq!(hook.bytes.load(Ordering::Relaxed), 12);
-        // The ring itself stayed off.
-        assert!(s.events().is_empty());
         assert_eq!(s.count(MsgClass::Data), 0);
     }
 
+    /// The cluster attaches its registry to whatever sink the builder was
+    /// given; a sink handed to a second cluster keeps feeding the first.
     #[test]
-    fn clear_resets() {
-        let s = TraceSink::enabled(4);
-        s.record(
-            MsgClass::Data,
-            ActorKind::AppProcess,
-            ActorKind::AppProcess,
-            "fast-path",
-            9,
+    fn first_attached_hook_stays() {
+        struct Tally(AtomicU64);
+        impl MsgCounter for Tally {
+            fn on_message(&self, _class: MsgClass, _bytes: usize) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let (first, second) = (
+            Arc::new(Tally(AtomicU64::new(0))),
+            Arc::new(Tally(AtomicU64::new(0))),
         );
-        s.clear();
-        assert_eq!(s.count(MsgClass::Data), 0);
-        assert!(s.events().is_empty());
+        let s = TraceSink::enabled();
+        s.attach_metrics(first.clone());
+        s.attach_metrics(second.clone());
+        data(&s, 1);
+        assert_eq!(first.0.load(Ordering::Relaxed), 1);
+        assert_eq!(second.0.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use starfish_mpi::collectives::{allgather, allreduce, bcast};
 use starfish_mpi::{CollAlgoSelector, Comm, MpiEndpoint, RankDirectory, RecvMode, ReduceOp};
 use starfish_telemetry::{metric, render_stats, Registry};
+use starfish_trace::FlightRecorder;
 use starfish_util::trace::TraceSink;
 use starfish_util::{AppId, NodeId, Rank, VClock};
 use starfish_vni::{Fabric, Ideal, LayerCosts};
@@ -72,13 +73,15 @@ fn ring_allreduce_reports_algorithm_bytes_and_segments_exactly() {
     let reg_for_ranks = reg.clone();
     let res = run_ranks(N, move |r, ep, comm, clock| {
         ep.set_metrics(reg_for_ranks.clone());
+        ep.set_recorder(FlightRecorder::new(&format!("app1.r{r}"), 64));
         let data = vec![(r + 1) as u64; ELEMS];
-        allreduce(ep, comm, clock, &data, ReduceOp::Sum).unwrap()
+        let sum = allreduce(ep, comm, clock, &data, ReduceOp::Sum).unwrap();
+        (sum, ep.recorder().dump())
     });
 
     // Correctness first: sum of 1..=64 in every element on every rank.
     let expect = (1..=N as u64).sum::<u64>();
-    for v in res {
+    for (v, _) in &res {
         assert_eq!(v.len(), ELEMS);
         assert!(v.iter().all(|&x| x == expect), "expected all {expect}");
     }
@@ -94,13 +97,17 @@ fn ring_allreduce_reports_algorithm_bytes_and_segments_exactly() {
     assert_eq!(reg.counter(metric::COLL_BYTES_MOVED), sends * block);
     assert_eq!(reg.counter(metric::COLL_SEGMENTS), sends);
 
-    // The trace span names the operation and the chosen algorithm.
-    let spans = reg.timeline_events();
-    let ring_spans = spans
-        .iter()
-        .filter(|e| e.name == "coll.allreduce" && e.detail == "ring")
-        .count();
-    assert_eq!(ring_spans as u64, N as u64);
+    // Each rank's flight recorder names the operation and the chosen
+    // algorithm, once — and the 252 sends and receives around it (in a
+    // 64-event message ring) did not evict it.
+    for (_, trace) in &res {
+        let ring_spans = trace
+            .phases()
+            .iter()
+            .filter(|p| p.name == "coll.allreduce" && p.detail == "ring")
+            .count();
+        assert_eq!(ring_spans, 1, "{}", trace.scope);
+    }
 }
 
 /// The `STATS` verb renders a registry snapshot through `render_stats`;

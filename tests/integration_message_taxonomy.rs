@@ -12,7 +12,7 @@ const T: Duration = Duration::from_secs(90);
 
 #[test]
 fn all_six_message_classes_on_their_sanctioned_paths() {
-    let trace = TraceSink::enabled(100_000);
+    let trace = TraceSink::enabled();
     let cluster = Cluster::builder()
         .nodes(3)
         .trace(trace.clone())

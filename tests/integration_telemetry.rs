@@ -132,9 +132,65 @@ fn stats_health_timeline_populated_through_checkpoint_and_failure() {
     );
 }
 
+/// Traffic must not evict structure: with far more sends between two
+/// checkpoint rounds than the message ring holds, `TIMELINE` still shows
+/// both rounds, each with the index it committed.
+#[test]
+fn timeline_keeps_checkpoint_rounds_across_message_ring_eviction() {
+    const RING: usize = 64;
+    const SENDS: u64 = 4 * RING as u64;
+    let cluster = Cluster::builder()
+        .nodes(2)
+        .flight_recorder(RING)
+        .build()
+        .unwrap();
+    cluster.register_app("chatty", |ctx| {
+        let state = CkptValue::Int(0);
+        ctx.barrier()?;
+        ctx.checkpoint(&state)?;
+        for i in 0..SENDS {
+            if ctx.rank().0 == 0 {
+                ctx.send(Rank(1), 7, &i.to_le_bytes())?;
+            } else {
+                ctx.recv(Some(Rank(0)), Some(7))?;
+            }
+        }
+        ctx.barrier()?;
+        ctx.checkpoint(&state)?;
+        Ok(())
+    });
+    let app = cluster.submit("chatty", 2, SubmitOpts::default()).unwrap();
+    cluster.wait_app_done(app, T).unwrap();
+
+    for rank in 0..2 {
+        let rec = cluster
+            .trace_hub()
+            .get(&format!("{app}.r{rank}"))
+            .expect("rank recorder");
+        assert!(
+            rec.dropped() >= SENDS - RING as u64,
+            "the message ring must have overflowed (dropped {})",
+            rec.dropped()
+        );
+    }
+    let mut s = cluster.session();
+    ok(&s.handle_line("LOGIN USER tess"));
+    let tl = ok(&s.handle_line(&format!("TIMELINE {app}"))).to_string();
+    // The coordinator always closes its round; a member that exits right
+    // after its last checkpoint may never hear the resume, so one line per
+    // round is the deterministic floor.
+    for index in [1, 2] {
+        assert!(
+            tl.lines()
+                .any(|l| l.starts_with(&format!("ckpt.round index {index} "))),
+            "timeline lost ckpt.round index {index}: {tl}"
+        );
+    }
+}
+
 #[test]
 fn stats_message_class_counters_match_trace_audit() {
-    let trace = TraceSink::enabled(100_000);
+    let trace = TraceSink::enabled();
     let cluster = Cluster::builder()
         .nodes(3)
         .trace(trace.clone())
