@@ -114,6 +114,11 @@ pub fn analyze_workspace(root: &Path) -> Result<Report, String> {
             &root.join("crates").join(name).join("src"),
         ));
     }
+    for name in rules::NO_SLEEP_CRATES {
+        report.findings.extend(rules::sleep_poll(
+            &root.join("crates").join(name).join("src"),
+        ));
+    }
     for m in &models {
         report.findings.extend(rules::wire_enum_coverage(
             &root.join("crates").join(&m.name),
@@ -157,6 +162,7 @@ pub fn analyze_crate(dir: &Path) -> Report {
     report.findings.extend(findings);
 
     report.findings.extend(rules::wall_clock(&dir.join("src")));
+    report.findings.extend(rules::sleep_poll(&dir.join("src")));
     report.findings.extend(rules::wire_enum_coverage(dir));
     let mgmt = dir.join("src/mgmt.rs");
     if mgmt.exists() {

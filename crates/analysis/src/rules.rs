@@ -3,7 +3,9 @@
 //!
 //! 1. **wall-clock** — crates whose behavior must be a pure function of
 //!    virtual time and seeds must not call wall-clock or seedless-entropy
-//!    APIs outside test code. Real-time escape hatches carry
+//!    APIs outside test code, and the runtime-path crates must not
+//!    `thread::sleep` there (they wait on the state change itself — see
+//!    DESIGN.md, "who waits on what"). Real-time escape hatches carry
 //!    `// lint: allow(wall-clock)` on the same or preceding line.
 //! 2. **wire-enum-coverage** — every enum with an `Encode` *and* `Decode`
 //!    implementation (trait or inherent) must have each variant named in
@@ -48,12 +50,38 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
     "trace",
 ];
 
+/// Tokens rule 1 forbids in the runtime-path crates: a sleep there is a
+/// poll of state somebody else changes, and every such change has a
+/// wake-up (config watch, the rank's wait point, the store hub's condvar).
+pub const SLEEP_TOKENS: &[&str] = &["thread::sleep"];
+
+/// Crates whose non-test code must not sleep. They read wall clocks for
+/// deadlines, so [`WALL_CLOCK_TOKENS`] does not apply to them.
+pub const NO_SLEEP_CRATES: &[&str] = &["core", "daemon"];
+
 // ---------------------------------------------------------------------------
 // Rule 1: wall-clock
 // ---------------------------------------------------------------------------
 
 /// Check one crate's `src/` for forbidden wall-clock/entropy tokens.
 pub fn wall_clock(src_dir: &Path) -> Vec<Finding> {
+    forbidden_tokens(
+        src_dir,
+        WALL_CLOCK_TOKENS,
+        "in a virtual-time-deterministic crate",
+    )
+}
+
+/// Check one crate's `src/` for sleeps on the runtime path.
+pub fn sleep_poll(src_dir: &Path) -> Vec<Finding> {
+    forbidden_tokens(
+        src_dir,
+        SLEEP_TOKENS,
+        "on the runtime path (wait on the state change, not on a timer)",
+    )
+}
+
+fn forbidden_tokens(src_dir: &Path, tokens: &[&str], wher: &str) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in rs_files(src_dir) {
         let Some(scan) = SourceFile::load(&f) else {
@@ -63,7 +91,7 @@ pub fn wall_clock(src_dir: &Path) -> Vec<Finding> {
             if scan.in_test[i] {
                 continue;
             }
-            for tok in WALL_CLOCK_TOKENS {
+            for tok in tokens {
                 if !token_in(code, tok) {
                     continue;
                 }
@@ -73,7 +101,7 @@ pub fn wall_clock(src_dir: &Path) -> Vec<Finding> {
                         scan.path.clone(),
                         i + 1,
                         format!(
-                            "`{tok}` in a virtual-time-deterministic crate \
+                            "`{tok}` {wher} \
                              (annotate `// {ALLOW_WALL_CLOCK}` if this is a real-time escape hatch)"
                         ),
                     ));
@@ -403,6 +431,36 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "wall-clock");
         assert!(v[0].file.ends_with("replica.rs"), "{v:?}");
+    }
+
+    #[test]
+    fn sleep_ban_covers_the_runtime_path_and_spares_tests() {
+        assert!(NO_SLEEP_CRATES.contains(&"core"));
+        assert!(NO_SLEEP_CRATES.contains(&"daemon"));
+        let d = tmpdir("sleep-poll");
+        fs::write(
+            d.join("src/lib.rs"),
+            concat!(
+                "pub fn wait_ready(ready: &dyn Fn() -> bool) {\n",
+                "    while !ready() {\n",
+                "        std::thread::sleep(std::time::Duration::from_millis(5));\n",
+                "    }\n",
+                "    // lint: allow(wall-clock)\n",
+                "    std::thread::sleep(std::time::Duration::from_millis(1));\n",
+                "    let _deadline = std::time::Instant::now();\n",
+                "}\n",
+                "#[cfg(test)]\n",
+                "mod tests {\n",
+                "    fn t() { std::thread::sleep(std::time::Duration::ZERO); }\n",
+                "}\n",
+            ),
+        )
+        .unwrap();
+        let v = sleep_poll(&d.join("src"));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "wall-clock");
+        assert_eq!(v[0].line, 3);
+        assert!(v[0].msg.contains("thread::sleep"), "{}", v[0].msg);
     }
 
     #[test]

@@ -18,10 +18,12 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use starfish_util::{AppId, NodeId, Rank, VirtualTime};
+use starfish_util::watch::ChangeCount;
+use starfish_util::{AppId, Error, NodeId, Rank, Result, VirtualTime};
 
 use crate::image::CkptImage;
 use crate::recovery::MsgDep;
@@ -191,6 +193,8 @@ pub struct StoreHub {
     replica: ReplicaStore,
     net: ReplicaNet,
     inner: Arc<Mutex<HubInner>>,
+    /// Bumped once per image stored through this hub.
+    stored: Arc<ChangeCount>,
 }
 
 impl Default for StoreHub {
@@ -200,6 +204,7 @@ impl Default for StoreHub {
             replica: ReplicaStore::new(),
             net: ReplicaNet::lan_1999(),
             inner: Arc::default(),
+            stored: Arc::default(),
         }
     }
 }
@@ -294,6 +299,30 @@ impl StoreHub {
         let app = img.app;
         let owner = self.owner_of(app, img.rank).unwrap_or(NodeId(0));
         self.dispatch(app).put(img, owner);
+        self.stored.bump();
+    }
+
+    /// Block (real time) until every rank in `ranks` has a readable image
+    /// newer than `above`, and return that common index. Re-evaluated once
+    /// per image stored through this hub, not on a timer.
+    pub fn wait_common_index(
+        &self,
+        app: AppId,
+        ranks: &[Rank],
+        above: u64,
+        timeout: Duration,
+    ) -> Result<u64> {
+        let deadline = Instant::now() + timeout; // lint: allow(wall-clock)
+        let mut seen = self.stored.current();
+        loop {
+            let idx = self.latest_common_index(app, ranks);
+            if idx > above {
+                return Ok(idx);
+            }
+            seen = self.stored.wait_past(seen, deadline).ok_or_else(|| {
+                Error::timeout(format!("{app}: no common checkpoint above {above}"))
+            })?;
+        }
     }
 
     /// Replica-path put with its timing receipt; falls back to an untimed
@@ -301,7 +330,7 @@ impl StoreHub {
     /// time) when the app's backend is `disk`.
     pub fn put_timed(&self, img: CkptImage) -> Option<PutReceipt> {
         let app = img.app;
-        match self.backend_of(app) {
+        let receipt = match self.backend_of(app) {
             CkptBackend::Disk => {
                 self.nfs.put(img);
                 None
@@ -310,7 +339,9 @@ impl StoreHub {
                 let owner = self.owner_of(app, img.rank).unwrap_or(NodeId(0));
                 Some(self.replica.put_replicated(img, owner, k, &self.net))
             }
-        }
+        };
+        self.stored.bump();
+        receipt
     }
 
     /// Replica-path fetch with its timing receipt; `None` for disk apps
@@ -464,6 +495,29 @@ mod tests {
         assert_eq!(hub.backend_of(AppId(1)), CkptBackend::Disk);
         assert_eq!(hub.nfs().latest_index(AppId(1), Rank(0)), 1);
         assert_eq!(hub.latest_index(AppId(1), Rank(0)), 1);
+    }
+
+    #[test]
+    fn wait_common_index_wakes_on_the_completing_put() {
+        let hub = StoreHub::new();
+        let ranks = [Rank(0), Rank(1)];
+        let long = Duration::from_secs(30);
+        hub.put(img(1, 0, 1));
+        let waiter = {
+            let hub = hub.clone();
+            std::thread::spawn(move || hub.wait_common_index(AppId(1), &ranks, 0, long))
+        };
+        // Images of other apps and of the same rank again wake the waiter
+        // but do not satisfy it; rank 1's does.
+        hub.put(img(2, 1, 1));
+        hub.put(img(1, 0, 2));
+        hub.put_timed(img(1, 1, 1));
+        assert_eq!(waiter.join().unwrap().unwrap(), 1);
+        // Already satisfied: returns without waiting. Never satisfied:
+        // times out at the deadline.
+        assert_eq!(hub.wait_common_index(AppId(1), &ranks, 0, long).unwrap(), 1);
+        let late = hub.wait_common_index(AppId(1), &ranks, 1, Duration::from_millis(10));
+        assert!(matches!(late, Err(Error::Timeout(_))), "{late:?}");
     }
 
     #[test]

@@ -11,6 +11,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use std::time::Duration;
 
+use crossbeam::channel::RecvTimeoutError;
+
 use starfish_checkpoint::backend::{CkptBackend, StoreHub};
 use starfish_checkpoint::store::CkptStore;
 use starfish_checkpoint::CkptValue;
@@ -448,16 +450,13 @@ impl Cluster {
     /// dropping it stops the driver.
     pub fn enable_auto_checkpoint(&self, interval: Duration) -> AutoCheckpoint {
         let daemon = self.daemon();
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = stop.clone();
+        let (stop, stopped) = crossbeam::channel::unbounded::<()>();
         let handle = std::thread::Builder::new()
             .name("starfish-auto-ckpt".into())
             .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
-                    if stop2.load(Ordering::Relaxed) {
-                        return;
-                    }
+                // A timer, not a poll: each `interval` that passes without
+                // the guard being dropped triggers one round per running app.
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                     let cfg = daemon.config();
                     for app in cfg.apps.values() {
                         if app.status == AppStatus::Running {
@@ -468,8 +467,8 @@ impl Cluster {
             })
             .expect("spawn auto-checkpoint driver");
         AutoCheckpoint {
-            stop,
-            _handle: handle,
+            stop: Some(stop),
+            handle: Some(handle),
         }
     }
 
@@ -500,14 +499,10 @@ impl Cluster {
         let ranks: Vec<Rank> = (0..entry.spec.size).map(Rank).collect();
         let before = self.store.latest_common_index(app, &ranks);
         self.checkpoint(app)?;
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while self.store.latest_common_index(app, &ranks) <= before {
-            if std::time::Instant::now() > deadline {
-                return Err(Error::timeout("pre-migration checkpoint"));
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let idx = self.store.latest_common_index(app, &ranks);
+        let idx = self
+            .store
+            .wait_common_index(app, &ranks, before, Duration::from_secs(60))
+            .map_err(|_| Error::timeout("pre-migration checkpoint"))?;
         self.daemon().issue(starfish_daemon::CfgCmd::Migrate {
             app,
             rank,
@@ -620,9 +615,13 @@ impl Cluster {
             Box::new(host),
             self.store.clone(),
         )?;
-        d.wait_config(Duration::from_secs(30), |c| {
-            c.nodes.contains_key(&node) && c.up_nodes().contains(&node)
-        })?;
+        // "Once the whole cluster knows it": the newcomer first, then every
+        // daemon still running (`config()` may ask any of them next).
+        let up = |n| self.fabric.node_status(n).is_some_and(|s| s.reachable());
+        let running: Vec<Daemon> = self.daemons.lock().clone();
+        for w in std::iter::once(&d).chain(running.iter().filter(|w| up(w.node()))) {
+            w.wait_config(Duration::from_secs(30), |c| c.up_nodes().contains(&node))?;
+        }
         self.daemons.lock().push(d);
         Ok(())
     }
@@ -690,16 +689,37 @@ impl Cluster {
     }
 }
 
+impl Drop for Cluster {
+    /// Deterministic teardown: power every node off at the fabric, then
+    /// wait for the daemon threads. Daemons that are merely dropped
+    /// negotiate their leave with peers doing the same, and an ensemble
+    /// thread can be left ticking for the rest of the process; a powered-off
+    /// node's ports close, so its ensemble stack, daemon loop, polling
+    /// threads, forwarders and ranks all see a disconnect and exit.
+    fn drop(&mut self) {
+        for (node, _) in self.fabric.nodes() {
+            self.fabric.crash_node(node);
+        }
+        for d in self.daemons.get_mut().drain(..) {
+            d.join();
+        }
+    }
+}
+
 /// Guard for the system-initiated checkpoint driver; dropping it stops the
-/// periodic triggering.
+/// periodic triggering and joins the driver thread.
 pub struct AutoCheckpoint {
-    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    _handle: std::thread::JoinHandle<()>,
+    stop: Option<crossbeam::channel::Sender<()>>,
+    handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Drop for AutoCheckpoint {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        // Disconnecting the channel wakes the driver out of its interval.
+        self.stop.take();
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
+        }
     }
 }
 

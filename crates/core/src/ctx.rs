@@ -25,7 +25,7 @@
 //! * Every `Ctx` call can return [`Error::Interrupted`]; propagate it with
 //!   `?`. The runtime catches it and re-enters `run` after the rollback.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
@@ -38,7 +38,7 @@ use starfish_mpi::{Comm, RecvdMsg, ReduceOp, Request};
 use starfish_util::{Error, Rank, Result, VirtualTime};
 
 use crate::bus::{BusEvent, BusTopic};
-use crate::runtime::{CrEngine, ProcessRuntime};
+use crate::runtime::{CrEngine, ProcessRuntime, HOLD_LIMIT, SERVICE_SLICE};
 use crate::state::Checkpointable;
 
 /// A membership-change notification delivered to the application.
@@ -147,20 +147,37 @@ impl Ctx<'_> {
     pub fn send(&mut self, dst: Rank, tag: u64, data: &[u8]) -> Result<()> {
         self.hold_while_stopped()?;
         self.rt.note_first_send();
-        let deadline = std::time::Instant::now() + SEND_GRACE;
+        self.send_when_reachable(WORLD_CONTEXT, dst, tag, data)
+    }
+
+    /// Send, waiting out a destination that is not reachable *yet* (rank
+    /// not placed, port not bound, node down: the peer is still spawning or
+    /// restarting) for up to [`SEND_GRACE`]. Each failed attempt parks on
+    /// the rank's wait point: the rank directory kicks it when a peer is
+    /// placed or binds its port, the forwarder when the daemon orders a
+    /// rollback. What has no notifier (a healed partition, a re-enabled
+    /// node) is re-tried once per [`SERVICE_SLICE`].
+    fn send_when_reachable(
+        &mut self,
+        context: u32,
+        dst: Rank,
+        tag: u64,
+        data: &[u8],
+    ) -> Result<()> {
+        let deadline = Instant::now() + SEND_GRACE;
         loop {
             match self
                 .rt
                 .mpi
-                .send_world(&mut self.rt.clock, dst, WORLD_CONTEXT, tag, data)
+                .send_world(&mut self.rt.clock, dst, context, tag, data)
             {
                 Ok(()) => return Ok(()),
-                // Peer not bound yet (still spawning/restarting): retry.
                 Err(Error::NotFound(_)) | Err(Error::Unreachable(_))
-                    if std::time::Instant::now() < deadline =>
+                    if Instant::now() < deadline =>
                 {
                     self.rt.service(None)?;
-                    std::thread::sleep(Duration::from_millis(5));
+                    self.rt
+                        .wait_event(deadline.min(Instant::now() + SERVICE_SLICE))?;
                 }
                 Err(e) => return Err(e),
             }
@@ -207,10 +224,10 @@ impl Ctx<'_> {
         tag: Option<u64>,
         timeout: Duration,
     ) -> Result<RecvdMsg> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         loop {
             let remain = deadline
-                .checked_duration_since(std::time::Instant::now())
+                .checked_duration_since(Instant::now())
                 .ok_or_else(|| Error::timeout("ctx recv"))?;
             match self.rt.mpi.recv_world_timeout(
                 &mut self.rt.clock,
@@ -315,46 +332,15 @@ impl Ctx<'_> {
 
     /// Hold here while a stop-and-sync round has this process stopped.
     fn hold_while_stopped(&mut self) -> Result<()> {
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while self.rt.cr.stopped {
-            if std::time::Instant::now() > deadline {
-                return Err(Error::timeout("quiesce never completed"));
-            }
-            self.rt.service(None)?;
-            if self.rt.cr.stopped {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        Ok(())
+        self.rt
+            .service_until(None, HOLD_LIMIT, "quiesce never completed", |rt| {
+                !rt.cr.stopped
+            })
     }
 
     fn csend(&mut self, context: u32, dst_world: Rank, tag: u64, data: &[u8]) -> Result<()> {
         self.hold_while_stopped()?;
-        let deadline = std::time::Instant::now() + SEND_GRACE;
-        loop {
-            match self
-                .rt
-                .mpi
-                .send_world(&mut self.rt.clock, dst_world, context, tag, data)
-            {
-                Ok(()) => return Ok(()),
-                Err(Error::NotFound(_)) | Err(Error::Unreachable(_))
-                    if std::time::Instant::now() < deadline =>
-                {
-                    self.rt.service(None)?;
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => {
-                    if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-                        eprintln!(
-                            "[rt {}.{}] csend FAILED dst={dst_world} tag={tag:#x} err={e:?}",
-                            self.rt.app, self.rt.rank
-                        );
-                    }
-                    return Err(e);
-                }
-            }
-        }
+        self.send_when_reachable(context, dst_world, tag, data)
     }
 
     fn crecv(&mut self, context: u32, src_world: Rank, tag: u64) -> Result<RecvdMsg> {
@@ -796,28 +782,15 @@ impl Ctx<'_> {
             // stop-and-sync, the resume received).
             self.rt.cached_state = Some((state.save(), self.rt.comm.coll_seq));
             let before = self.rt.cr.last_index;
-            let deadline = std::time::Instant::now() + Duration::from_secs(60);
             // Exit as soon as this round's image landed; if the *next* round
             // has already stopped us, the following context call completes
             // it via `hold_while_stopped`.
-            while self.rt.cr.last_index == before {
-                if std::time::Instant::now() > deadline {
-                    if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-                        if let CrEngine::Sync(e) = &self.rt.cr.engine {
-                            eprintln!(
-                                "[rt {}.{}] member stuck (epoch {}): {:?}",
-                                self.rt.app,
-                                self.rt.rank,
-                                self.rt.mpi.epoch(),
-                                e
-                            );
-                        }
-                    }
-                    return Err(Error::timeout("checkpoint round never reached this rank"));
-                }
-                self.rt.service(Some(state))?;
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            self.rt.service_until(
+                Some(state),
+                HOLD_LIMIT,
+                "checkpoint round never reached this rank",
+                |rt| rt.cr.last_index != before,
+            )?;
             return Ok(self.rt.clock.now() - start);
         }
         self.rt.cached_state = Some((state.save(), self.rt.comm.coll_seq));
@@ -837,25 +810,12 @@ impl Ctx<'_> {
             return Ok(self.rt.clock.now() - start);
         }
         // Wait until the round commits (the engine reports Committed).
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while self.rt.cr.committed == committed_before {
-            if std::time::Instant::now() > deadline {
-                if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-                    if let CrEngine::Sync(e) = &self.rt.cr.engine {
-                        eprintln!(
-                            "[rt {}.{}] commit stuck (epoch {}): {:?}",
-                            self.rt.app,
-                            self.rt.rank,
-                            self.rt.mpi.epoch(),
-                            e
-                        );
-                    }
-                }
-                return Err(Error::timeout("checkpoint round never committed"));
-            }
-            self.rt.service(Some(state))?;
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        self.rt.service_until(
+            Some(state),
+            HOLD_LIMIT,
+            "checkpoint round never committed",
+            |rt| rt.cr.committed != committed_before,
+        )?;
         Ok(self.rt.clock.now() - start)
     }
 

@@ -138,6 +138,9 @@ impl NodeHost for RuntimeHost {
             Ok(ep) => ep,
             Err(_) => return, // node going down while spawning
         };
+        // The port is bound: wake the peers waiting to send here, and have
+        // this rank woken when one of theirs binds.
+        mpi.directory().bound(spec.rank, mpi.kicker());
         if self.trace_cap > 0 {
             // A restarted incarnation re-registers under the same scope,
             // replacing the dead ring; the epoch salts the span namespace

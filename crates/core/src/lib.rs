@@ -75,3 +75,5 @@ pub use starfish_vni::{BipMyrinet, Ideal, NetworkModel, ServerNetVia, TcpEtherne
 
 #[cfg(test)]
 mod tests;
+#[cfg(test)]
+mod wait_tests;

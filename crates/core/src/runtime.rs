@@ -32,11 +32,11 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use starfish_checkpoint::backend::{CkptBackend, StoreHub};
 use starfish_checkpoint::image::{ChannelMsg, CkptImage, CkptLevel};
@@ -67,7 +67,7 @@ type OutputMap = HashMap<(AppId, Rank), Vec<CkptValue>>;
 /// examples, benches read these).
 #[derive(Clone, Default)]
 pub struct Outputs {
-    inner: Arc<Mutex<OutputMap>>,
+    inner: Arc<(Mutex<OutputMap>, Condvar)>,
 }
 
 impl Outputs {
@@ -76,11 +76,13 @@ impl Outputs {
     }
 
     pub fn publish(&self, app: AppId, rank: Rank, v: CkptValue) {
-        self.inner.lock().entry((app, rank)).or_default().push(v);
+        self.inner.0.lock().entry((app, rank)).or_default().push(v);
+        self.inner.1.notify_all();
     }
 
     pub fn get(&self, app: AppId, rank: Rank) -> Vec<CkptValue> {
         self.inner
+            .0
             .lock()
             .get(&(app, rank))
             .cloned()
@@ -89,13 +91,15 @@ impl Outputs {
 
     pub fn count(&self, app: AppId, rank: Rank) -> usize {
         self.inner
+            .0
             .lock()
             .get(&(app, rank))
             .map(|v| v.len())
             .unwrap_or(0)
     }
 
-    /// Wait (real time) until `rank` has published at least `n` values.
+    /// Wait (real time) until `rank` has published at least `n` values;
+    /// woken by each [`publish`](Self::publish).
     pub fn wait_count(
         &self,
         app: AppId,
@@ -103,19 +107,20 @@ impl Outputs {
         n: usize,
         timeout: Duration,
     ) -> Result<Vec<CkptValue>> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
+        let mut g = self.inner.0.lock();
         loop {
-            let got = self.get(app, rank);
-            if got.len() >= n {
-                return Ok(got);
+            let have = g.get(&(app, rank)).map(|v| v.len()).unwrap_or(0);
+            if have >= n {
+                return Ok(g.get(&(app, rank)).cloned().unwrap_or_default());
             }
-            if std::time::Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(Error::timeout(format!(
-                    "outputs of {app}.{rank}: have {}, want {n}",
-                    got.len()
+                    "outputs of {app}.{rank}: have {have}, want {n}"
                 )));
             }
-            std::thread::sleep(Duration::from_millis(5));
+            self.inner.1.wait_for(&mut g, left);
         }
     }
 }
@@ -235,10 +240,16 @@ pub struct ProcessRuntime {
     /// Set when a restore completes; taken by the first outbound send (the
     /// respawn-to-first-send forensic phase).
     pub(crate) restored_at: Option<VirtualTime>,
+    /// Service points run so far (the no-poll tests count these).
+    #[cfg(test)]
+    pub(crate) service_calls: u64,
 }
 
 /// How often blocking loops wake to service interrupts (real time).
-const SERVICE_SLICE: Duration = Duration::from_millis(50);
+pub(crate) const SERVICE_SLICE: Duration = Duration::from_millis(50);
+
+/// Real-time bound on holding at a service point for a checkpoint round.
+pub(crate) const HOLD_LIMIT: Duration = Duration::from_secs(60);
 
 impl ProcessRuntime {
     #[allow(clippy::too_many_arguments)]
@@ -309,6 +320,8 @@ impl ProcessRuntime {
             ckpt_marks: std::collections::BTreeMap::from([(0, (spawn_vt, 0))]),
             consumed_total: 0,
             restored_at: None,
+            #[cfg(test)]
+            service_calls: 0,
         }
     }
 
@@ -353,12 +366,65 @@ impl ProcessRuntime {
         let _ = self.up_tx.send((self.app, self.rank, msg));
     }
 
+    // ---- the wait point ---------------------------------------------------------
+
+    /// The rank's one wait point: park on the MPI receive queue until a
+    /// packet arrives, the group-handler forwarder relays a daemon message,
+    /// a peer of this application is placed or binds its port — or
+    /// `deadline` passes. Always preceded by [`service`](Self::service):
+    /// whatever woke us is handled there, so the idiom is
+    /// `service(); wait_event(deadline)` and nothing polls.
+    pub(crate) fn wait_event(&mut self, deadline: Instant) -> Result<()> {
+        let left = deadline.saturating_duration_since(Instant::now());
+        self.mpi.wait_event(&mut self.clock, left)
+    }
+
+    /// Stay at this service point until `done` holds: service, and while it
+    /// still does not hold, park on the wait point. `Timeout(what)` after
+    /// `limit` of real time.
+    pub(crate) fn service_until(
+        &mut self,
+        state: Option<&dyn Checkpointable>,
+        limit: Duration,
+        what: &str,
+        done: impl Fn(&Self) -> bool,
+    ) -> Result<()> {
+        if done(self) {
+            return Ok(()); // the common case, on every send: no clock read
+        }
+        let deadline = Instant::now() + limit;
+        while !done(self) {
+            if Instant::now() > deadline {
+                if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
+                    if let CrEngine::Sync(e) = &self.cr.engine {
+                        eprintln!(
+                            "[rt {}.{}] {what} (epoch {}): {e:?}",
+                            self.app,
+                            self.rank,
+                            self.mpi.epoch()
+                        );
+                    }
+                }
+                return Err(Error::timeout(what));
+            }
+            self.service(state)?;
+            if !done(self) {
+                self.wait_event(deadline)?;
+            }
+        }
+        Ok(())
+    }
+
     // ---- service points --------------------------------------------------------
 
     /// Drain daemon messages and C/R marks, run protocol engines, execute
     /// effects. `state` enables live checkpoint capture (safepoints);
     /// without it the cached safepoint state is captured instead.
     pub(crate) fn service(&mut self, mut state: Option<&dyn Checkpointable>) -> Result<()> {
+        #[cfg(test)]
+        {
+            self.service_calls += 1;
+        }
         // Retry any C/R marks whose destination was not yet reachable,
         // preserving their original virtual send times.
         if !self.pending_marks.is_empty() {
@@ -834,28 +900,9 @@ impl ProcessRuntime {
             }
         }
         // Stop-and-sync quiesce: the application stays here until Resume.
-        let hold_deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while self.cr.stopped {
-            if std::time::Instant::now() > hold_deadline {
-                if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-                    if let CrEngine::Sync(e) = &self.cr.engine {
-                        eprintln!(
-                            "[rt {}.{}] quiesce stuck (epoch {}): {:?}",
-                            self.app,
-                            self.rank,
-                            self.mpi.epoch(),
-                            e
-                        );
-                    }
-                }
-                return Err(Error::timeout("quiesce never completed"));
-            }
-            self.service(Some(state))?;
-            if self.cr.stopped {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        Ok(())
+        self.service_until(Some(state), HOLD_LIMIT, "quiesce never completed", |rt| {
+            !rt.cr.stopped
+        })
     }
 
     // ---- restart ---------------------------------------------------------------
@@ -973,11 +1020,14 @@ impl ProcessRuntime {
 
 /// The process main loop: run the user code, re-entering after rollbacks.
 pub(crate) fn process_main(mut rt: ProcessRuntime, run: Arc<crate::host::AppFn>) {
-    // Spawn a forwarder that mirrors Rollback/Kill into the abort flag so
-    // blocking MPI waits preempt promptly.
+    // Spawn the group-handler forwarder: it kicks the rank's wait point on
+    // every daemon message, so a rank parked there or blocked in a receive
+    // services it at once, and mirrors Rollback/Kill into the abort flag so
+    // blocking MPI waits that cannot be re-posted fail instead.
     let (fwd_tx, fwd_rx) = channel::unbounded();
     let outer_rx = std::mem::replace(&mut rt.down_rx, fwd_rx);
     let flag = rt.abort_flag.clone();
+    let kick = rt.mpi.kicker();
     std::thread::Builder::new()
         .name(format!("gh-{}-{}", rt.app, rt.rank))
         .spawn(move || {
@@ -988,7 +1038,11 @@ pub(crate) fn process_main(mut rt: ProcessRuntime, run: Arc<crate::host::AppFn>)
                 if fwd_tx.send(msg).is_err() {
                     return;
                 }
+                kick.kick();
             }
+            // Daemon gone: let a parked rank find the disconnect.
+            drop(fwd_tx);
+            kick.kick();
         })
         .expect("spawn group-handler forwarder");
 
@@ -1035,6 +1089,9 @@ pub(crate) fn process_main(mut rt: ProcessRuntime, run: Arc<crate::host::AppFn>)
         }
         match result {
             Ok(()) => {
+                // A member that returns right after its last checkpoint
+                // never hears that round's Resume: close it here.
+                rt.note_round_done();
                 rt.flush_stats();
                 rt.send_up(ProcUp::Done { vt: rt.clock.now() });
                 return;
@@ -1044,15 +1101,15 @@ pub(crate) fn process_main(mut rt: ProcessRuntime, run: Arc<crate::host::AppFn>)
                     return;
                 }
                 if rt.restart_to.is_none() {
-                    // Interrupted without a pending rollback: poll for one
-                    // briefly (the Rollback may be right behind the abort).
-                    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                    // Interrupted without a pending rollback: the Rollback
+                    // may be right behind the abort; wait for it briefly.
+                    let deadline = Instant::now() + Duration::from_secs(10);
                     while rt.restart_to.is_none() && !rt.killed {
-                        if std::time::Instant::now() > deadline {
+                        if Instant::now() > deadline
+                            || (rt.service(None).is_ok() && rt.wait_event(deadline).is_err())
+                        {
                             return;
                         }
-                        let _ = rt.service(None);
-                        std::thread::sleep(Duration::from_millis(2));
                     }
                     if rt.killed {
                         return;

@@ -1,8 +1,10 @@
 //! End-to-end scenario tests of the full Starfish stack (cluster boot →
 //! daemons → application processes → C/R → recovery).
 
+use std::sync::Arc;
 use std::time::Duration;
 
+use parking_lot::{Condvar, Mutex};
 use starfish_checkpoint::CkptValue;
 use starfish_daemon::{CkptProto, FtPolicy, LevelKind};
 use starfish_mpi::ReduceOp;
@@ -12,6 +14,27 @@ use crate::cluster::{Cluster, SubmitOpts};
 use crate::state::CkptValueExt;
 
 const T: Duration = Duration::from_secs(60);
+
+/// A gate the test opens once and application ranks wait at: it pins *where*
+/// in its run an application is when the test injects a fault, the way the
+/// old tests hoped a `sleep` would. Stays open, so restarted incarnations
+/// pass straight through.
+#[derive(Clone, Default)]
+struct Gate(Arc<(Mutex<bool>, Condvar)>);
+
+impl Gate {
+    fn open(&self) {
+        *self.0 .0.lock() = true;
+        self.0 .1.notify_all();
+    }
+
+    fn wait(&self) {
+        let mut open = self.0 .0.lock();
+        while !*open {
+            self.0 .1.wait(&mut open);
+        }
+    }
+}
 
 #[test]
 fn ring_pass_completes() {
@@ -90,7 +113,9 @@ fn user_initiated_checkpoint_round_commits() {
 #[test]
 fn crash_restart_from_checkpoint_preserves_result() {
     let cluster = Cluster::builder().nodes(3).build().unwrap();
-    cluster.register_app("survivor", |ctx| {
+    let crashed = Gate::default();
+    let gate = crashed.clone();
+    cluster.register_app("survivor", move |ctx| {
         let me = ctx.rank();
         let mut iter;
         let mut acc;
@@ -116,9 +141,12 @@ fn crash_restart_from_checkpoint_preserves_result() {
             } else {
                 ctx.safepoint(&state)?;
             }
-            // One "compute + exchange" step: global sum of ranks. The real
-            // sleep keeps the run alive long enough for the injected crash.
-            std::thread::sleep(Duration::from_millis(25));
+            // Past the committed checkpoint every rank waits for the crash,
+            // so it always lands mid-run.
+            if iter == 4 {
+                gate.wait();
+            }
+            // One "compute + exchange" step: global sum of ranks.
             let sums = ctx.allreduce_i64(&[me.0 as i64 + 1], ReduceOp::Sum)?;
             acc += sums[0];
             iter += 1;
@@ -131,20 +159,13 @@ fn crash_restart_from_checkpoint_preserves_result() {
         .unwrap();
 
     // Let it checkpoint (all ranks at index 1), then kill a node.
-    let deadline = std::time::Instant::now() + T;
-    while cluster
-        .store()
-        .latest_common_index(app, &[Rank(0), Rank(1), Rank(2)])
-        < 1
-    {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "checkpoint never landed"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    cluster
+        .ckpt_hub()
+        .wait_common_index(app, &[Rank(0), Rank(1), Rank(2)], 0, T)
+        .expect("checkpoint never landed");
     let victim = cluster.config().apps[&app].placement[1];
     cluster.crash_node(victim);
+    crashed.open();
 
     cluster.wait_app_done(app, T).unwrap();
     // Expected: 6 iterations × (1+2+3) = 36, identical to failure-free.
@@ -175,17 +196,19 @@ fn crash_restart_from_checkpoint_preserves_result() {
 fn kill_policy_takes_app_down_on_crash() {
     let cluster = Cluster::builder().nodes(2).build().unwrap();
     cluster.register_app("fragile", |ctx| {
-        let state = CkptValue::Unit;
-        loop {
-            ctx.safepoint(&state)?;
-            ctx.advance(VirtualTime::from_millis(1));
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        ctx.advance(VirtualTime::from_millis(1));
+        ctx.publish(CkptValue::Unit);
+        // Blocked for good in a receive nobody will satisfy: only the
+        // daemon's Kill (or the node's crash) gets a rank out of here.
+        let peer = Rank(1 - ctx.rank().0);
+        ctx.recv(Some(peer), Some(1)).map(|_| ())
     });
     let app = cluster
         .submit("fragile", 2, SubmitOpts::default().policy(FtPolicy::Kill))
         .unwrap();
-    std::thread::sleep(Duration::from_millis(100));
+    for r in 0..2 {
+        cluster.wait_outputs(app, Rank(r), 1, T).unwrap();
+    }
     let victim = cluster.config().apps[&app].placement[1];
     cluster.crash_node(victim);
     cluster
@@ -198,7 +221,9 @@ fn kill_policy_takes_app_down_on_crash() {
 #[test]
 fn notify_view_policy_repartitions() {
     let cluster = Cluster::builder().nodes(3).build().unwrap();
-    cluster.register_app("adaptive", |ctx| {
+    let node_dead = Gate::default();
+    let gate = node_dead.clone();
+    cluster.register_app("adaptive", move |ctx| {
         let state = CkptValue::Unit;
         // Work is 12 items; each alive rank owns a slice.
         let me = ctx.rank();
@@ -217,11 +242,13 @@ fn notify_view_policy_repartitions() {
                 }
             }
             // Round 20 publishes a progress marker so the test can inject
-            // the failure in the middle.
-            if round == 20 && me.0 == 0 {
-                ctx.publish(CkptValue::Str("mid".into()));
+            // the failure in the middle, and holds until it has.
+            if round == 20 {
+                if me.0 == 0 {
+                    ctx.publish(CkptValue::Str("mid".into()));
+                }
+                gate.wait();
             }
-            std::thread::sleep(Duration::from_millis(2));
         }
         covered.sort_unstable();
         ctx.publish(CkptValue::IntArray(covered));
@@ -237,6 +264,15 @@ fn notify_view_policy_repartitions() {
     cluster.wait_outputs(app, Rank(0), 1, T).unwrap();
     let victim = cluster.config().apps[&app].placement[2];
     cluster.crash_node(victim);
+    // A daemon publishes NodeDead after dropping the lost rank from the
+    // placement directory, so from here `alive_ranks` excludes it.
+    cluster
+        .daemon()
+        .wait_config(T, |c| {
+            c.nodes[&victim].status == starfish_daemon::config::CfgNodeStatus::Dead
+        })
+        .unwrap();
+    node_dead.open();
     // Ranks 0 and 1 finish and together cover a larger share after the
     // crash (6 items each instead of 4).
     let out0 = cluster.wait_outputs(app, Rank(0), 2, T).unwrap();
@@ -266,15 +302,13 @@ fn notify_view_policy_repartitions() {
 #[test]
 fn suspend_resume_via_cluster_api() {
     let cluster = Cluster::builder().nodes(1).build().unwrap();
-    cluster.register_app("pausable", |ctx| {
+    let resumed = Gate::default();
+    let gate = resumed.clone();
+    cluster.register_app("pausable", move |ctx| {
         let state = CkptValue::Unit;
-        for i in 0..30 {
-            ctx.safepoint(&state)?;
-            if i == 5 {
-                ctx.publish(CkptValue::Int(5));
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        ctx.publish(CkptValue::Int(5));
+        gate.wait();
+        ctx.safepoint(&state)?;
         ctx.publish(CkptValue::Str("done".into()));
         Ok(())
     });
@@ -288,14 +322,16 @@ fn suspend_resume_via_cluster_api() {
             a.status == starfish_daemon::AppStatus::Suspended
         })
         .unwrap();
-    // While suspended it must not finish.
-    std::thread::sleep(Duration::from_millis(150));
-    assert_ne!(
-        cluster.app_status(app),
-        Some(starfish_daemon::AppStatus::Done)
-    );
     cluster.resume(app).unwrap();
+    cluster
+        .wait_app(app, T, |a| a.status == starfish_daemon::AppStatus::Running)
+        .unwrap();
+    // The rank finds Suspend and Resume queued in that order at its next
+    // service point and runs on (that a suspended rank *stays* parked until
+    // the Resume is pinned by `wait::suspended_rank_parks_until_resume`).
+    resumed.open();
     cluster.wait_app_done(app, T).unwrap();
+    assert_eq!(cluster.outputs(app, Rank(0)).len(), 2);
 }
 
 #[test]
@@ -415,13 +451,15 @@ fn mgmt_session_drives_whole_lifecycle() {
 }
 
 /// Robustness: crash the same workload at several different points in its
-/// execution (before, during and after checkpoints); the answer must always
-/// match the failure-free run.
+/// execution (before any checkpoint, right after one, between two, after the
+/// last); the answer must always match the failure-free run.
 #[test]
 fn crash_at_various_times_always_recovers() {
-    for delay_ms in [20u64, 80, 160, 240] {
+    for crash_at in [0i64, 3, 5, 9] {
         let cluster = Cluster::builder().nodes(3).build().unwrap();
-        cluster.register_app("robust", |ctx| {
+        let crashed = Gate::default();
+        let gate = crashed.clone();
+        cluster.register_app("robust", move |ctx| {
             let me = ctx.rank();
             let (mut iter, mut acc) = match ctx.restored() {
                 Some(v) => (
@@ -440,7 +478,12 @@ fn crash_at_various_times_always_recovers() {
                 } else {
                     ctx.safepoint(&state)?;
                 }
-                std::thread::sleep(Duration::from_millis(10));
+                // Every rank reports in and holds here until the node is
+                // down: the crash hits exactly this point of the run.
+                if iter == crash_at {
+                    ctx.publish(CkptValue::Str("here".into()));
+                    gate.wait();
+                }
                 let s = ctx.allreduce_i64(&[me.0 as i64 + 1], ReduceOp::Sum)?;
                 acc += s[0];
                 iter += 1;
@@ -449,10 +492,13 @@ fn crash_at_various_times_always_recovers() {
             Ok(())
         });
         let app = cluster.submit("robust", 3, SubmitOpts::default()).unwrap();
-        std::thread::sleep(Duration::from_millis(delay_ms));
+        for r in 0..3 {
+            cluster.wait_outputs(app, Rank(r), 1, T).unwrap();
+        }
         // Crash whichever node currently hosts rank 1.
         let victim = cluster.config().apps[&app].placement[1];
         cluster.crash_node(victim);
+        crashed.open();
         cluster
             .wait_app_done(app, Duration::from_secs(120))
             .unwrap();
@@ -460,20 +506,22 @@ fn crash_at_various_times_always_recovers() {
             let out = cluster.outputs(app, Rank(r));
             assert!(
                 out.contains(&CkptValue::Int(60)), // 10 × (1+2+3)
-                "delay {delay_ms}ms, rank {r}: {out:?}"
+                "crash at iteration {crash_at}, rank {r}: {out:?}"
             );
         }
     }
 }
 
-/// Stop-and-sync checkpoint with a *rendezvous* transfer in flight: rank 0
-/// isends a payload over the rendezvous threshold (RTS out, payload parked
-/// awaiting CTS — rank 1 has not posted the receive yet) and then starts a
-/// coordinated round. The flush protocol must push the parked payload ahead
-/// of its marks so channel capture sees it, and the payload must arrive
-/// intact exactly once after the round.
+/// Stop-and-sync checkpoint right behind a *rendezvous* transfer: rank 0
+/// sends a payload over the rendezvous threshold and then starts a
+/// coordinated round. (`Ctx::isend` of a rendezvous-sized payload blocks
+/// until the receiver grants the CTS, so at this level the transfer cannot
+/// be parked across the round; `starfish-mpi`'s
+/// `snapshot_skips_placeholders_and_quiescence_push_completes_them` covers
+/// that.) The payload must arrive intact exactly once and both ranks must
+/// store the round.
 #[test]
-fn checkpoint_with_rendezvous_in_flight_loses_nothing() {
+fn checkpoint_behind_a_rendezvous_transfer_loses_nothing() {
     const LEN: usize = 192 * 1024; // over DEFAULT_RNDV_THRESHOLD (64 KiB)
     let cluster = Cluster::builder().nodes(2).build().unwrap();
     cluster.register_app("bigsend", |ctx| {
@@ -481,14 +529,11 @@ fn checkpoint_with_rendezvous_in_flight_loses_nothing() {
         let state = CkptValue::Unit;
         if me == 0 {
             let payload: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
-            // RTS leaves, payload parks: no receive is posted on rank 1.
             let req = ctx.isend(Rank(1), 7, &payload)?;
             ctx.checkpoint(&state)?;
             ctx.wait(req)?;
             ctx.barrier()?;
         } else {
-            // Let rank 0 park the transfer and start the round first.
-            std::thread::sleep(Duration::from_millis(50));
             let m = ctx.recv(Some(Rank(0)), Some(7))?;
             let intact = m.data.len() == LEN
                 && m.data
@@ -513,7 +558,9 @@ fn checkpoint_with_rendezvous_in_flight_loses_nothing() {
 #[test]
 fn replica_backend_recovers_from_peer_memory_after_crash() {
     let cluster = Cluster::builder().nodes(4).build().unwrap();
-    cluster.register_app("diskless", |ctx| {
+    let crashed = Gate::default();
+    let gate = crashed.clone();
+    cluster.register_app("diskless", move |ctx| {
         let me = ctx.rank();
         let (mut iter, mut acc) = match ctx.restored() {
             Some(v) => {
@@ -532,7 +579,9 @@ fn replica_backend_recovers_from_peer_memory_after_crash() {
             } else {
                 ctx.safepoint(&state)?;
             }
-            std::thread::sleep(Duration::from_millis(25));
+            if iter == 4 {
+                gate.wait(); // past the round: the crash lands mid-run
+            }
             let sums = ctx.allreduce_i64(&[me.0 as i64 + 1], ReduceOp::Sum)?;
             acc += sums[0];
             iter += 1;
@@ -546,14 +595,10 @@ fn replica_backend_recovers_from_peer_memory_after_crash() {
     let ranks = [Rank(0), Rank(1), Rank(2)];
 
     // Wait for the coordinated round to land in peer memory.
-    let deadline = std::time::Instant::now() + T;
-    while cluster.ckpt_hub().latest_common_index(app, &ranks) < 1 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "replica checkpoint never landed"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    cluster
+        .ckpt_hub()
+        .wait_common_index(app, &ranks, 0, T)
+        .expect("replica checkpoint never landed");
     // The stable store saw none of it, and every rank is replicated.
     for r in ranks {
         assert_eq!(cluster.store().latest_index(app, r), 0, "disk used for {r}");
@@ -564,6 +609,7 @@ fn replica_backend_recovers_from_peer_memory_after_crash() {
 
     let victim = cluster.config().apps[&app].placement[1];
     cluster.crash_node(victim);
+    crashed.open();
 
     cluster.wait_app_done(app, T).unwrap();
     // Same answer as failure-free: 6 iterations × (1+2+3) = 36.
@@ -592,12 +638,10 @@ fn replica_backend_recovers_from_peer_memory_after_crash() {
 fn mgmt_submitted_replica_app_lands_fragments_in_peer_memory() {
     let cluster = Cluster::builder().nodes(3).build().unwrap();
     cluster.register_app("soak", |ctx| {
-        let state = CkptValue::Unit;
-        for _ in 0..400 {
-            ctx.safepoint(&state)?;
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        Ok(())
+        // Blocked in a receive until the DELETE below: every daemon message
+        // (the CHECKPOINT trigger, the relayed Stop) is serviced from here.
+        let peer = Rank(1 - ctx.rank().0);
+        ctx.recv(Some(peer), Some(1)).map(|_| ())
     });
     let mut s = cluster.session();
     assert!(s.handle_line("LOGIN USER alice").starts_with("OK"));
@@ -608,14 +652,10 @@ fn mgmt_submitted_replica_app_lands_fragments_in_peer_memory() {
     assert!(s.handle_line(&format!("CHECKPOINT {id}")).starts_with("OK"));
 
     let ranks = [Rank(0), Rank(1)];
-    let deadline = std::time::Instant::now() + T;
-    while cluster.ckpt_hub().latest_common_index(app, &ranks) < 1 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "mgmt-submitted replica checkpoint never landed"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    cluster
+        .ckpt_hub()
+        .wait_common_index(app, &ranks, 0, T)
+        .expect("mgmt-submitted replica checkpoint never landed");
     for r in ranks {
         assert_eq!(cluster.store().latest_index(app, r), 0, "disk used for {r}");
     }
@@ -665,4 +705,37 @@ fn checkpoint_under_heavy_traffic_loses_nothing() {
         cluster.outputs(app, Rank(1)),
         vec![CkptValue::Int(expect as i64)]
     );
+}
+
+/// A member that returns right after its last checkpoint never hears that
+/// round's Resume; the round is closed when the rank exits, so `TIMELINE`
+/// shows every round on every rank.
+#[test]
+fn last_checkpoint_round_is_closed_on_every_rank() {
+    const ROUNDS: usize = 3;
+    let cluster = Cluster::builder().nodes(2).build().unwrap();
+    cluster.register_app("rounds", |ctx| {
+        let state = CkptValue::Unit;
+        for _ in 0..ROUNDS {
+            ctx.checkpoint(&state)?;
+        }
+        Ok(())
+    });
+    let app = cluster.submit("rounds", 2, SubmitOpts::default()).unwrap();
+    cluster.wait_app_done(app, T).unwrap();
+    for r in 0..2 {
+        let scope = format!("{app}.{}", Rank(r));
+        let trace = cluster.trace_hub().get(&scope).unwrap().dump();
+        let rounds: Vec<String> = trace
+            .phases()
+            .into_iter()
+            .filter(|p| p.name == "ckpt.round")
+            .map(|p| p.detail)
+            .collect();
+        assert_eq!(
+            rounds,
+            ["index 1", "index 2", "index 3"],
+            "{scope} timeline"
+        );
+    }
 }

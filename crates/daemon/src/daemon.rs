@@ -29,6 +29,7 @@ use starfish_telemetry::{metric, Registry};
 use starfish_trace::{FlightRecorder, TraceHub};
 use starfish_util::codec::{Decode, Encode};
 use starfish_util::trace::{ActorKind, MsgClass, TraceSink};
+use starfish_util::watch::ChangeCount;
 use starfish_util::{AppId, Error, GroupId, NodeId, Rank, Result, VClock, VirtualTime};
 use starfish_vni::Fabric;
 
@@ -96,12 +97,16 @@ pub struct Daemon {
     node: NodeId,
     cmd_tx: Sender<DaemonCmd>,
     shared_cfg: Arc<Mutex<ClusterConfig>>,
+    /// Bumped by the loop (its only writer) after each `shared_cfg` update.
+    cfg_published: Arc<ChangeCount>,
     stats: StatsHub,
     trace_hub: TraceHub,
     store: StoreHub,
     events: EventBus,
     postmortems: Arc<Mutex<BTreeMap<AppId, Postmortem>>>,
     liveness: HeartbeatAges,
+    /// The loop thread, until someone [`join`](Daemon::join)s it.
+    thread: Arc<Mutex<Option<std::thread::JoinHandle<()>>>>,
 }
 
 impl Daemon {
@@ -133,6 +138,7 @@ impl Daemon {
         let (cmd_tx, cmd_rx) = channel::unbounded();
         let (up_tx, up_rx) = channel::unbounded();
         let shared_cfg = Arc::new(Mutex::new(ClusterConfig::new()));
+        let cfg_published = Arc::new(ChangeCount::new());
         let stats = StatsHub::new();
         let trace_hub = cfg.trace_hub.clone();
         let node = cfg.node;
@@ -149,6 +155,7 @@ impl Daemon {
             router: LwRouter::new(node),
             config: ClusterConfig::new(),
             shared_cfg: shared_cfg.clone(),
+            cfg_published: cfg_published.clone(),
             host,
             store: store.clone(),
             clock: VClock::new(),
@@ -166,14 +173,16 @@ impl Daemon {
             postmortems: postmortems.clone(),
             trace_hub: trace_hub.clone(),
         };
-        std::thread::Builder::new()
+        let thread = std::thread::Builder::new()
             .name(format!("starfishd-{node}"))
             .spawn(move || state.run(cmd_rx, up_rx))
             .expect("spawn daemon");
         Ok(Daemon {
+            thread: Arc::new(Mutex::new(Some(thread))),
             node,
             cmd_tx,
             shared_cfg,
+            cfg_published,
             stats,
             trace_hub,
             store,
@@ -200,21 +209,25 @@ impl Daemon {
     }
 
     /// Wait (real time) until `pred` holds on the replicated configuration.
+    /// `pred` runs on a snapshot, outside the lock, once now and once per
+    /// configuration the daemon loop publishes afterwards — never on a
+    /// timer.
     pub fn wait_config(
         &self,
         timeout: Duration,
         mut pred: impl FnMut(&ClusterConfig) -> bool,
     ) -> Result<ClusterConfig> {
         let deadline = std::time::Instant::now() + timeout;
+        let mut seen = self.cfg_published.current();
         loop {
             let cfg = self.config();
             if pred(&cfg) {
                 return Ok(cfg);
             }
-            if std::time::Instant::now() >= deadline {
-                return Err(Error::timeout("wait_config"));
-            }
-            std::thread::sleep(Duration::from_millis(5));
+            seen = self
+                .cfg_published
+                .wait_past(seen, deadline)
+                .ok_or_else(|| Error::timeout("wait_config"))?;
         }
     }
 
@@ -271,6 +284,19 @@ impl Daemon {
     pub fn shutdown(&self) {
         let _ = self.cmd_tx.send(DaemonCmd::Shutdown);
     }
+
+    /// Wait for the daemon loop to exit — after [`shutdown`](Self::shutdown)
+    /// or after its node was powered off at the fabric. The first caller
+    /// joins the thread; later calls (other clones) return at once.
+    pub fn join(&self) {
+        let handle = {
+            let mut slot = self.thread.lock();
+            slot.take()
+        };
+        if let Some(h) = handle {
+            let _ = h.join();
+        }
+    }
 }
 
 /// Directory recovery postmortem bundles are written to by the view
@@ -298,6 +324,7 @@ struct Loop {
     router: LwRouter,
     config: ClusterConfig,
     shared_cfg: Arc<Mutex<ClusterConfig>>,
+    cfg_published: Arc<ChangeCount>,
     host: Box<dyn NodeHost>,
     store: StoreHub,
     clock: VClock,
@@ -398,6 +425,7 @@ impl Loop {
 
     fn publish_config(&self) {
         *self.shared_cfg.lock() = self.config.clone();
+        self.cfg_published.bump();
     }
 
     // -- totally ordered casts --------------------------------------------------
@@ -518,12 +546,16 @@ impl Loop {
                         }
                     }
                 }
-                self.publish_config();
                 self.derive_events(from, &cmd, restart_dead, &effects, vt);
                 for eff in effects {
                     self.on_effect(eff);
                 }
                 self.sync_lw_groups();
+                // Published last: whoever `wait_config` wakes on this
+                // command also finds this daemon's response to it done —
+                // bus events appended, store policy set, local ranks
+                // spawned or signalled.
+                self.publish_config();
             }
             WireCast::Lw(lw) => {
                 if !self.bootstrapped {
@@ -1459,10 +1491,11 @@ mod tests {
             assert_eq!(app.spec.size, 3);
             assert_eq!(app.placement.len(), 3);
         }
-        // Each node spawned exactly the ranks placed on it.
+        // Each node spawned exactly the ranks placed on it (a daemon
+        // publishes a configuration only after acting on it, so the spawns
+        // of every daemon waited on above have happened).
         let cfg = daemons[0].config();
         let app = cfg.apps.values().next().unwrap();
-        std::thread::sleep(Duration::from_millis(100));
         for (i, rec) in spawns.iter().enumerate() {
             let got = rec.lock().clone();
             let expect: Vec<Rank> = app
@@ -1487,10 +1520,10 @@ mod tests {
                 spec: spec("app", 3, FtPolicy::Restart),
             })
             .unwrap();
-        daemons[0]
-            .wait_config(Duration::from_secs(10), |c| !c.apps.is_empty())
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(100));
+        for d in &daemons {
+            d.wait_config(Duration::from_secs(10), |c| !c.apps.is_empty())
+                .unwrap();
+        }
         let app = daemons[0].config().apps.values().next().unwrap().clone();
         // Crash the node hosting rank 1.
         let dead = app.placement[1];
@@ -1517,7 +1550,6 @@ mod tests {
         }
         // Someone spawned the replacement with restore_from 0 (no
         // checkpoints were taken).
-        std::thread::sleep(Duration::from_millis(100));
         let restarted: Vec<(AppId, Rank, NodeId, u64)> = spawns
             .iter()
             .flat_map(|r| r.lock().clone())
@@ -1538,29 +1570,39 @@ mod tests {
                 spec: spec("app", 3, FtPolicy::Restart),
             })
             .unwrap();
-        daemons[0]
-            .wait_config(Duration::from_secs(10), |c| !c.apps.is_empty())
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(100));
+        for d in &daemons {
+            d.wait_config(Duration::from_secs(10), |c| !c.apps.is_empty())
+                .unwrap();
+        }
         let entry = daemons[0].config().apps.values().next().unwrap().clone();
         let app = entry.id;
         let dead = entry.placement[1];
         f.crash_node(dead);
         // Every survivor assembles the same bundle for the recovered app.
         let survivors: Vec<&Daemon> = daemons.iter().filter(|d| d.node() != dead).collect();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        // The recovery completes with the respawn event, which the daemon
+        // hosting the replacement casts while acting on the restart. A
+        // marker cast through that same daemon afterwards is ordered behind
+        // it, so whoever has applied the marker has assembled its bundle.
+        let restarted = survivors[0]
+            .wait_config(Duration::from_secs(10), |c| c.apps[&app].epoch.0 == 1)
+            .unwrap();
+        let host = restarted.apps[&app].placement[1];
+        let host = survivors.iter().find(|d| d.node() == host).unwrap();
+        host.wait_config(Duration::from_secs(10), |c| c.apps[&app].epoch.0 == 1)
+            .unwrap();
+        host.issue(CfgCmd::SetParam {
+            key: "marker".into(),
+            value: "1".into(),
+        })
+        .unwrap();
         let bundles: Vec<Postmortem> = survivors
             .iter()
-            .map(|d| loop {
-                if let Some(pm) = d.postmortem(app) {
-                    break pm;
-                }
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "daemon {} produced no postmortem",
-                    d.node()
-                );
-                std::thread::sleep(Duration::from_millis(20));
+            .map(|d| {
+                d.wait_config(Duration::from_secs(10), |c| c.params.contains_key("marker"))
+                    .unwrap();
+                d.postmortem(app)
+                    .unwrap_or_else(|| panic!("daemon {} produced no postmortem", d.node()))
             })
             .collect();
         let pm = &bundles[0];
@@ -1675,17 +1717,61 @@ mod tests {
         .unwrap();
     }
 
+    /// `wait_config` runs its predicate once on entry and once per
+    /// configuration published after that — never on a timer.
+    #[test]
+    fn wait_config_evaluates_once_per_publish() {
+        let f = fabric(1);
+        let (daemons, _) = start_cluster(&f, 1);
+        let d = daemons[0].clone();
+        let publishes = |d: &Daemon| d.cfg_published.current();
+        let before = publishes(&d);
+        let evals = Arc::new(Mutex::new(0u64));
+        let waiter = {
+            let (d, evals) = (d.clone(), evals.clone());
+            std::thread::spawn(move || {
+                d.wait_config(Duration::from_secs(10), |c| {
+                    *evals.lock() += 1;
+                    c.params.get("k").map(String::as_str) == Some("3")
+                })
+                .unwrap();
+            })
+        };
+        for v in 1..=3 {
+            d.issue(CfgCmd::SetParam {
+                key: "k".into(),
+                value: v.to_string(),
+            })
+            .unwrap();
+        }
+        waiter.join().unwrap();
+        let evals = *evals.lock();
+        let published = publishes(&d) - before;
+        assert_eq!(published, 3);
+        assert!(
+            (1..=published + 1).contains(&evals),
+            "{evals} evaluations for {published} publishes"
+        );
+        // And a wait nothing satisfies ends at its deadline, not before.
+        let err = d.wait_config(Duration::from_millis(20), |_| false);
+        assert!(matches!(err, Err(Error::Timeout(_))));
+    }
+
     #[test]
     fn daemon_shutdown_leaves_group() {
         let f = fabric(2);
         let (daemons, _) = start_cluster(&f, 2);
         daemons[1].shutdown();
-        // Daemon 0 keeps running; the group shrinks without marking node 1
-        // dead (graceful leave is not a crash).
-        std::thread::sleep(Duration::from_millis(300));
-        let cfg = daemons[0].config();
-        // Node 1 is still listed (graceful daemon exit does not remove the
-        // node from the configuration; that is the admin's REMOVENODE).
+        daemons[1].join();
+        // Daemon 0 keeps running: the group shrinks, and its coordinator
+        // records the node that left as Dead — but still listed (dropping a
+        // node from the configuration is the admin's REMOVENODE).
+        let cfg = daemons[0]
+            .wait_config(Duration::from_secs(10), |c| {
+                c.nodes[&NodeId(1)].status == CfgNodeStatus::Dead
+            })
+            .unwrap();
         assert!(cfg.nodes.contains_key(&NodeId(1)));
+        assert_eq!(cfg.up_nodes(), vec![NodeId(0)]);
     }
 }

@@ -901,6 +901,20 @@ mod tests {
         d
     }
 
+    /// Block until `d` has applied everything issued or published through
+    /// it so far: a marker parameter rides the same command queue and the
+    /// same ordered cast stream, so once it shows in the configuration the
+    /// earlier commands and events have been applied too.
+    fn settle(d: &Daemon, marker: &str) {
+        d.issue(CfgCmd::SetParam {
+            key: marker.into(),
+            value: "set".into(),
+        })
+        .unwrap();
+        d.wait_config(Duration::from_secs(5), |c| c.params.contains_key(marker))
+            .unwrap();
+    }
+
     #[test]
     fn help_lists_every_command_without_login() {
         let d = one_node_daemon();
@@ -1136,17 +1150,11 @@ mod tests {
         let d = one_node_daemon();
         let mut s = MgmtSession::connect(d.clone(), 20);
         s.handle_line("LOGIN ADMIN starfish");
-        // The bus already carries the founder's own node-up.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let out = s.handle_line("EVENTS");
-            assert!(out.starts_with("OK events published="), "{out}");
-            if out.contains("node-up") {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "no node-up: {out}");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // The bus already carries the founder's own node-up: a daemon
+        // appends an event before it publishes the configuration change.
+        let out = s.handle_line("EVENTS");
+        assert!(out.starts_with("OK events published="), "{out}");
+        assert!(out.contains("node-up"), "no node-up: {out}");
         // Subscribe at the live edge, then publish an observation.
         assert_eq!(s.handle_line("EVENTS SUBSCRIBE"), "OK subscribed events");
         assert!(s.subscribed());
@@ -1154,15 +1162,8 @@ mod tests {
             desc: "test kill".into(),
         })
         .unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let frames = loop {
-            let frames = s.poll_frames();
-            if !frames.is_empty() {
-                break frames;
-            }
-            assert!(std::time::Instant::now() < deadline, "no frames");
-            std::thread::sleep(Duration::from_millis(10));
-        };
+        settle(&d, "m1");
+        let frames = s.poll_frames();
         assert!(
             frames
                 .iter()
@@ -1178,7 +1179,7 @@ mod tests {
             desc: "filtered".into(),
         })
         .unwrap();
-        std::thread::sleep(Duration::from_millis(100));
+        settle(&d, "m2");
         assert!(s.poll_frames().is_empty());
         s.unsubscribe();
         assert!(!s.subscribed());
@@ -1222,20 +1223,9 @@ mod tests {
         // Nothing new yet: the follow starts at the live edge, not history.
         assert!(s.poll_frames().is_empty());
         // New ensemble traffic shows up as frames.
-        d.issue(CfgCmd::SetParam {
-            key: "k".into(),
-            value: "v".into(),
-        })
-        .unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let frames = loop {
-            let frames = s.poll_frames();
-            if !frames.is_empty() {
-                break frames;
-            }
-            assert!(std::time::Instant::now() < deadline, "no trace frames");
-            std::thread::sleep(Duration::from_millis(10));
-        };
+        settle(&d, "k");
+        let frames = s.poll_frames();
+        assert!(!frames.is_empty(), "no trace frames");
         assert!(frames[0].starts_with("TRACE n0 "), "{frames:?}");
         assert!(s
             .handle_line("TRACE FOLLOW nosuch")

@@ -6,23 +6,42 @@
 //! that placement, plus the application's current restart epoch, which the
 //! MPI layer stamps on every message so that traffic from a rolled-back past
 //! is discarded.
+//!
+//! It is also where a rank learns that a peer it could not reach has become
+//! reachable: every bound endpoint leaves a [`Kick`] here, and a placement
+//! change or a newly bound port kicks the others, so a send that failed with
+//! "not placed" / "no port bound" is retried on the change instead of on a
+//! timer.
 
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use starfish_util::{Epoch, Error, NodeId, Rank, Result};
+use starfish_vni::Kick;
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct DirInner {
     placement: Vec<Option<NodeId>>,
     epoch: Epoch,
+    /// The wake-up handle of each rank's currently bound endpoint.
+    bound: Vec<(Rank, Kick)>,
 }
 
 /// Shared placement directory of one application. Cheap to clone.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct RankDirectory {
     inner: Arc<RwLock<DirInner>>,
+}
+
+impl std::fmt::Debug for RankDirectory {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let g = self.inner.read();
+        f.debug_struct("RankDirectory")
+            .field("placement", &g.placement)
+            .field("epoch", &g.epoch)
+            .finish_non_exhaustive()
+    }
 }
 
 impl RankDirectory {
@@ -31,7 +50,7 @@ impl RankDirectory {
         RankDirectory {
             inner: Arc::new(RwLock::new(DirInner {
                 placement: vec![None; size],
-                epoch: Epoch(0),
+                ..DirInner::default()
             })),
         }
     }
@@ -41,7 +60,7 @@ impl RankDirectory {
         RankDirectory {
             inner: Arc::new(RwLock::new(DirInner {
                 placement: nodes.iter().map(|n| Some(*n)).collect(),
-                epoch: Epoch(0),
+                ..DirInner::default()
             })),
         }
     }
@@ -61,13 +80,51 @@ impl RankDirectory {
             .ok_or_else(|| Error::not_found(format!("rank {rank} is not placed")))
     }
 
-    /// (Re)place a rank on a node (spawn, migration, restart).
+    /// (Re)place a rank on a node (spawn, migration, restart). A change
+    /// wakes the bound ranks: one of them may be waiting to send here.
     pub fn place(&self, rank: Rank, node: NodeId) {
         let mut g = self.inner.write();
         if rank.index() >= g.placement.len() {
             g.placement.resize(rank.index() + 1, None);
         }
-        g.placement[rank.index()] = Some(node);
+        if g.placement[rank.index()].replace(node) != Some(node) {
+            Self::wake_except(g, rank);
+        }
+    }
+
+    /// `rank`'s endpoint has bound its data port and wants wake-ups through
+    /// `kick` (replacing the handle of a previous incarnation). Every other
+    /// registered rank is kicked: its sends to `rank` can succeed now.
+    /// Called by the process runtime; bare endpoints never register.
+    pub fn bound(&self, rank: Rank, kick: Kick) {
+        let mut g = self.inner.write();
+        g.bound.retain(|(r, _)| *r != rank);
+        g.bound.push((rank, kick));
+        Self::wake_except(g, rank);
+    }
+
+    /// `rank`'s endpoint is going away; forget `kick` unless a newer
+    /// incarnation has already replaced it.
+    pub fn unbound(&self, rank: Rank, kick: &Kick) {
+        self.inner
+            .write()
+            .bound
+            .retain(|(r, k)| !(*r == rank && k.same(kick)));
+    }
+
+    /// Kick every bound rank but `rank`, after releasing the directory lock
+    /// (a kick takes the target's queue lock).
+    fn wake_except(g: parking_lot::RwLockWriteGuard<'_, DirInner>, rank: Rank) {
+        let kicks: Vec<Kick> = g
+            .bound
+            .iter()
+            .filter(|(r, _)| *r != rank)
+            .map(|(_, k)| k.clone())
+            .collect();
+        drop(g);
+        for k in kicks {
+            k.kick();
+        }
     }
 
     /// Mark a rank as down (its node crashed); sends to it fail fast until

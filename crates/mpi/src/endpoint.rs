@@ -24,7 +24,9 @@ use starfish_telemetry::{metric, Registry};
 use starfish_trace::{FlightRecorder, TraceCtx};
 use starfish_util::trace::{ActorKind, MsgClass, TraceSink};
 use starfish_util::{AppId, Epoch, Error, Rank, Result, VClock, VirtualTime};
-use starfish_vni::{Addr, Fabric, LayerCosts, Packet, PacketKind, PollingThread, Port, RecvQueue};
+use starfish_vni::{
+    Addr, Fabric, Kick, LayerCosts, Packet, PacketKind, PollingThread, Port, RecvQueue,
+};
 
 use crate::directory::RankDirectory;
 use crate::reliability::{FlowRx, FlowTx, RxVerdict};
@@ -555,6 +557,42 @@ impl MpiEndpoint {
         &self.recorder
     }
 
+    /// Account one data-path message that the fabric accepted: the flight
+    /// recorder's send event (stamped with the pre-send time, like the wire
+    /// context minted for it), the message-taxonomy count, and the send-side
+    /// layer costs on `clock`.
+    fn note_sent(
+        &self,
+        clock: &mut VClock,
+        dst: Rank,
+        header: &MsgHeader,
+        body_len: usize,
+        wire_len: usize,
+        ctx: TraceCtx,
+    ) {
+        self.recorder.record_send(
+            clock.now(),
+            dst.0,
+            header.context,
+            header.tag,
+            body_len,
+            ctx,
+        );
+        self.trace.record(
+            MsgClass::Data,
+            ActorKind::AppProcess,
+            ActorKind::AppProcess,
+            if header.context == CTRL_CONTEXT {
+                "data-path-mark"
+            } else {
+                "fast-path"
+            },
+            wire_len,
+        );
+        clock.advance(self.layers.send_total());
+        self.note_send();
+    }
+
     /// Record the send-side layer breakdown (Figure 6, left column).
     fn note_send(&self) {
         if let Some(m) = &self.metrics {
@@ -600,6 +638,32 @@ impl MpiEndpoint {
         self.cts_last.clear();
         self.eager_budget.clear();
         self.credit_owed.clear();
+    }
+
+    /// A handle that interrupts this endpoint's blocking waits once per
+    /// kick: a blocking receive returns [`Error::Interrupted`] (the caller
+    /// services whatever changed and re-posts it), [`wait_event`] returns.
+    /// Unlike the abort flag a kick is consumed by the wait it wakes.
+    /// Nobody holds one unless the owner hands it out (the process runtime
+    /// gives one to its forwarder and one to [`RankDirectory::bound`]), so
+    /// a bare endpoint's receives are never interrupted.
+    ///
+    /// [`wait_event`]: Self::wait_event
+    pub fn kicker(&self) -> Kick {
+        match &self.source {
+            Source::Polled { queue, .. } => queue.kicker(),
+            Source::Direct { port } => port.kicker(),
+        }
+    }
+
+    /// Park until something happens to this endpoint: packets arrive (they
+    /// are ingested into the parsed queues), it is [kicked](Self::kicker),
+    /// or `timeout` elapses. The process runtime's one wait point.
+    pub fn wait_event(&mut self, clock: &mut VClock, timeout: Duration) -> Result<()> {
+        match self.ingest_one(clock, Some(timeout)) {
+            Ok(_) | Err(Error::Interrupted(_)) => Ok(()),
+            Err(e) => Err(e),
+        }
     }
 
     fn check_abort(&self) -> Result<()> {
@@ -878,7 +942,8 @@ impl MpiEndpoint {
                     self.pending_rndv_tx.remove(&id);
                     Error::timeout(format!("rendezvous send {id} awaiting CTS"))
                 })?;
-            self.ingest_one(clock, Some(remain.min(REL_PING_INTERVAL)))?;
+            // A kick is not an abort (checked above): keep pumping.
+            self.wait_event(clock, remain.min(REL_PING_INTERVAL))?;
         }
         Ok(())
     }
@@ -906,21 +971,8 @@ impl MpiEndpoint {
     ) -> Result<(Bytes, VirtualTime)> {
         let dst_node = self.dir.node_of(dst)?;
         let app = self.app;
-        let ctx = self
-            .recorder
-            .on_send(clock.now(), dst.0, header.context, header.tag, data.len());
+        let ctx = self.recorder.mint_send();
         let payload = header.frame_ext_prefixed(prefix, data, ctx);
-        self.trace.record(
-            MsgClass::Data,
-            ActorKind::AppProcess,
-            ActorKind::AppProcess,
-            if header.context == CTRL_CONTEXT {
-                "data-path-mark"
-            } else {
-                "fast-path"
-            },
-            payload.len(),
-        );
         let src_node = self.dir.node_of(self.rank)?;
         let mut pkt = Packet::new(
             Addr::new(src_node, data_port(app, self.rank)),
@@ -932,15 +984,15 @@ impl MpiEndpoint {
         // The bandwidth term covers the application payload; the fixed-size
         // envelope is absorbed by the constant per-layer costs (Figure 6).
         pkt.model_len = data.len();
-        // Charge the send-side layers only when the send actually happens:
-        // failed attempts (peer mid-restart, retried by the caller) must not
-        // accumulate virtual cost, or retry counts — a real-time artifact —
-        // would leak into the timeline.
+        // Charge the send-side layers — and count and record the message —
+        // only when the send actually happens: failed attempts (peer
+        // mid-restart, retried by the caller) must not accumulate virtual
+        // cost, message counts or flight-recorder events, or retry counts —
+        // a real-time artifact — would leak into the timeline.
         let depart = clock.now() + self.layers.send_total();
         pkt.depart_vt = depart;
         self.fabric.send(pkt)?;
-        clock.advance(self.layers.send_total());
-        self.note_send();
+        self.note_sent(clock, dst, &header, data.len(), payload.len(), ctx);
         Ok((payload, depart))
     }
 
@@ -959,17 +1011,8 @@ impl MpiEndpoint {
     ) -> Result<(Bytes, VirtualTime)> {
         let dst_node = self.dir.node_of(dst)?;
         let app = self.app;
-        let ctx = self
-            .recorder
-            .on_send(clock.now(), dst.0, header.context, header.tag, seg.len());
+        let ctx = self.recorder.mint_send();
         let envelope = header.frame_ext_prefixed(prefix, &[], ctx);
-        self.trace.record(
-            MsgClass::Data,
-            ActorKind::AppProcess,
-            ActorKind::AppProcess,
-            "fast-path",
-            envelope.len() + seg.len(),
-        );
         let src_node = self.dir.node_of(self.rank)?;
         let model_len = seg.len();
         let mut pkt = Packet::gather(
@@ -986,8 +1029,8 @@ impl MpiEndpoint {
         let depart = clock.now() + self.layers.send_total();
         pkt.depart_vt = depart;
         self.fabric.send(pkt)?;
-        clock.advance(self.layers.send_total());
-        self.note_send();
+        let wire_len = envelope.len() + model_len;
+        self.note_sent(clock, dst, &header, model_len, wire_len, ctx);
         Ok((envelope, depart))
     }
 
@@ -1896,6 +1939,7 @@ impl Drop for MpiEndpoint {
     /// itself alive) until the node dies — leaking the port across
     /// application lifetimes on the same node.
     fn drop(&mut self) {
+        self.dir.unbound(self.rank, &self.kicker());
         self.fabric.unbind(self.bound_addr);
     }
 }
@@ -1917,6 +1961,10 @@ mod tests {
         let dir = RankDirectory::with_placement(&(0..n).map(NodeId).collect::<Vec<_>>());
         (f, dir)
     }
+
+    /// Far longer than any test runs: a wait bounded by it ends only when
+    /// what it waits for happens.
+    const LONG: Duration = Duration::from_secs(30);
 
     fn ep(f: &Fabric, dir: &RankDirectory, rank: u32) -> MpiEndpoint {
         MpiEndpoint::new(
@@ -2133,6 +2181,131 @@ mod tests {
         let mut ca = VClock::new();
         dir.unplace(Rank(1));
         assert!(a.send_world(&mut ca, Rank(1), 1, 1, b"x").is_err());
+    }
+
+    /// Attempts the fabric refuses (peer placed, port not bound yet: the
+    /// caller retries them) are not messages: no data-message count, no
+    /// flight-recorder event, no virtual send cost. The first accepted send
+    /// is the first of each.
+    #[test]
+    fn failed_sends_are_neither_counted_nor_recorded() {
+        let (f, dir) = setup(2, "bip");
+        let reg = Registry::new();
+        let sink = TraceSink::enabled();
+        sink.attach_metrics(Arc::new(reg.clone()));
+        let mut a = MpiEndpoint::new(
+            &f,
+            AppId(1),
+            Rank(0),
+            dir.clone(),
+            RecvMode::Polled,
+            sink.clone(),
+        )
+        .unwrap();
+        a.set_recorder(FlightRecorder::new("app1.r0", 64));
+        let mut ca = VClock::new();
+        for _ in 0..5 {
+            let err = a.send_world(&mut ca, Rank(1), 1, 1, b"x");
+            assert!(matches!(err, Err(Error::NotFound(_))), "{err:?}");
+            let mark = a.send_ctrl_mark(&mut ca, Rank(1), b"m");
+            assert!(matches!(mark, Err(Error::NotFound(_))), "{mark:?}");
+        }
+        assert_eq!(reg.counter(metric::MSG_COUNT_DATA), 0);
+        assert_eq!(sink.count(MsgClass::Data), 0);
+        assert_eq!(sink.bytes(MsgClass::Data), 0);
+        assert!(a.recorder().is_empty());
+        assert_eq!(ca.now(), VirtualTime::ZERO);
+
+        let mut b = ep(&f, &dir, 1);
+        a.send_world(&mut ca, Rank(1), 1, 1, b"x").unwrap();
+        assert_eq!(reg.counter(metric::MSG_COUNT_DATA), 1);
+        assert_eq!(sink.count(MsgClass::Data), 1);
+        assert_eq!(a.recorder().len(), 1);
+        assert!(ca.now() > VirtualTime::ZERO);
+        let mut cb = VClock::new();
+        assert_eq!(
+            &b.recv_world(&mut cb, 1, ANY_SOURCE, ANY_TAG).unwrap().data[..],
+            b"x"
+        );
+    }
+
+    /// A kick gets a blocked receive out once, with `Interrupted`; nobody
+    /// kicks an endpoint whose owner handed out no handle.
+    #[test]
+    fn kick_interrupts_a_blocked_receive() {
+        let (f, dir) = setup(2, "ideal");
+        let mut a = ep(&f, &dir, 0);
+        let mut b = ep(&f, &dir, 1);
+        let kick = b.kicker();
+        let blocked = std::thread::spawn(move || {
+            let mut cb = VClock::new();
+            let first = b.recv_world_timeout(&mut cb, 1, ANY_SOURCE, ANY_TAG, LONG);
+            let second = b.recv_world_timeout(&mut cb, 1, ANY_SOURCE, ANY_TAG, LONG);
+            (first, second)
+        });
+        kick.kick();
+        let mut ca = VClock::new();
+        a.send_world(&mut ca, Rank(1), 1, 9, b"after the kick")
+            .unwrap();
+        let (first, second) = blocked.join().unwrap();
+        // Either order of kick and packet is fine; neither is lost.
+        let (kicked, got) = match (first, second) {
+            (Err(e), Ok(m)) => (e, m),
+            (Ok(m), Err(e)) => (e, m),
+            other => panic!("expected one message and one kick, got {other:?}"),
+        };
+        assert!(matches!(kicked, Error::Interrupted(_)), "{kicked:?}");
+        assert_eq!(&got.data[..], b"after the kick");
+    }
+
+    /// Has anything kicked `ep` since it last waited? (Consumes the kick.)
+    fn kicked(ep: &mut MpiEndpoint) -> bool {
+        let polled = ep.ingest_one(&mut VClock::new(), Some(Duration::ZERO));
+        matches!(polled, Err(Error::Interrupted(_)))
+    }
+
+    /// A rank that registered with the directory is woken when a peer is
+    /// placed somewhere new and when a peer's port binds — the two changes
+    /// a "peer not reachable yet" send retry waits for.
+    #[test]
+    fn directory_wakes_registered_ranks_on_place_and_bind() {
+        let (f, dir) = setup(3, "ideal");
+        let mut a = ep(&f, &dir, 0);
+        dir.bound(Rank(0), a.kicker());
+        assert!(!kicked(&mut a), "nothing has happened yet");
+        // The same placement again is no change.
+        dir.place(Rank(1), NodeId(1));
+        assert!(!kicked(&mut a));
+        // A peer moves.
+        dir.place(Rank(1), NodeId(2));
+        assert!(kicked(&mut a));
+        assert!(!kicked(&mut a), "a kick wakes one wait");
+        // A peer binds its port and registers; the newcomer itself is left
+        // alone.
+        let mut b = MpiEndpoint::new(
+            &f,
+            AppId(1),
+            Rank(1),
+            dir.clone(),
+            RecvMode::Direct,
+            TraceSink::disabled(),
+        )
+        .unwrap();
+        dir.bound(Rank(1), b.kicker());
+        assert!(kicked(&mut a));
+        assert!(!kicked(&mut b));
+        dir.place(Rank(2), NodeId(0));
+        assert!(kicked(&mut a) && kicked(&mut b));
+        // An endpoint takes its registration with it — unless a newer
+        // incarnation of the rank (here: a stand-in) has replaced it.
+        let mut next = ep(&f, &dir, 2);
+        dir.bound(Rank(1), next.kicker());
+        drop(b);
+        dir.place(Rank(0), NodeId(1));
+        assert!(
+            kicked(&mut next),
+            "the newer registration survived the drop"
+        );
     }
 
     #[test]

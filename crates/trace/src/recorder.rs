@@ -109,6 +109,46 @@ struct State {
 }
 
 impl State {
+    fn mint(&mut self, span_base: u64) -> TraceCtx {
+        self.span_ctr += 1;
+        let span = span_base | (self.span_ctr & 0xff_ffff);
+        TraceCtx {
+            trace: if self.cur_trace != 0 {
+                self.cur_trace
+            } else {
+                span
+            },
+            span,
+            parent: self.cur_parent,
+            // `lamport + 1` is the value the Send event is stamped with
+            // when nothing is recorded in between; the wire carries the
+            // same value so the receiver's `max + 1` lands strictly after
+            // it.
+            lamport: self.lamport + 1,
+        }
+    }
+
+    fn push_send(
+        &mut self,
+        vt: VirtualTime,
+        peer: u32,
+        context: u32,
+        tag: u64,
+        bytes: usize,
+        ctx: TraceCtx,
+    ) {
+        self.push(
+            vt,
+            EventKind::Send {
+                peer,
+                context,
+                tag,
+                bytes: bytes as u32,
+                ctx,
+            },
+        );
+    }
+
     fn push(&mut self, vt: VirtualTime, kind: EventKind) {
         self.lamport += 1;
         let ev = TraceEvent {
@@ -238,29 +278,32 @@ impl FlightRecorder {
         bytes: usize,
     ) -> TraceCtx {
         self.with(|inner, s| {
-            s.span_ctr += 1;
-            let span = inner.span_base | (s.span_ctr & 0xff_ffff);
-            let ctx = TraceCtx {
-                trace: if s.cur_trace != 0 { s.cur_trace } else { span },
-                span,
-                parent: s.cur_parent,
-                // `lamport + 1` is the value the Send event below is
-                // stamped with; the wire carries the same value so the
-                // receiver's `max + 1` lands strictly after it.
-                lamport: s.lamport + 1,
-            };
-            s.push(
-                vt,
-                EventKind::Send {
-                    peer,
-                    context,
-                    tag,
-                    bytes: bytes as u32,
-                    ctx,
-                },
-            );
+            let ctx = s.mint(inner.span_base);
+            s.push_send(vt, peer, context, tag, bytes, ctx);
             ctx
         })
+    }
+
+    /// First half of [`on_send`](Self::on_send) for senders whose send can
+    /// fail: mint the wire context without recording anything. Follow a
+    /// successful send with [`record_send`](Self::record_send); after a
+    /// failed one do nothing (the span id is simply never used).
+    pub fn mint_send(&self) -> TraceCtx {
+        self.with(|inner, s| s.mint(inner.span_base))
+    }
+
+    /// Second half of [`on_send`](Self::on_send): record the send that
+    /// carried `ctx` (from [`mint_send`](Self::mint_send)).
+    pub fn record_send(
+        &self,
+        vt: VirtualTime,
+        peer: u32,
+        context: u32,
+        tag: u64,
+        bytes: usize,
+        ctx: TraceCtx,
+    ) {
+        self.with(|_, s| s.push_send(vt, peer, context, tag, bytes, ctx));
     }
 
     /// Record a delivered message. Folds the sender's Lamport clock in

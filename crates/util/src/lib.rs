@@ -30,6 +30,7 @@ pub mod ring;
 pub mod rng;
 pub mod time;
 pub mod trace;
+pub mod watch;
 
 pub use error::{Error, Result};
 pub use ids::{AppId, Epoch, GroupId, NodeId, ProcId, Rank, SeqNo, ViewId};

@@ -11,6 +11,7 @@
 //!   5. lock-order           — `Locks.a`/`Locks.b` acquired in both orders
 //!   6. blocking-while-locked— `thread::sleep` under `Locks.a`
 //!   7. panic-surface        — `unwrap` in non-test code
+//!   8. wall-clock (sleep)   — a `thread::sleep` poll loop on the runtime path
 
 use std::time::Instant;
 
@@ -71,6 +72,14 @@ impl Locks {
         let ga = self.a.lock();
         std::thread::sleep(std::time::Duration::from_millis(5));
         *ga
+    }
+}
+
+/// Violation 8 (wall-clock): polling state on a timer instead of waiting
+/// on the change itself.
+pub fn wait_ready(ready: &dyn Fn() -> bool) {
+    while !ready() {
+        std::thread::sleep(std::time::Duration::from_millis(5));
     }
 }
 

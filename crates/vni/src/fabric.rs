@@ -784,6 +784,12 @@ impl Port {
         &self.doorbell
     }
 
+    /// A handle that wakes this port's owner out of
+    /// [`recv_batch_timeout`](Self::recv_batch_timeout).
+    pub fn kicker(&self) -> crate::polling::Kick {
+        crate::polling::Kick::inbox(Arc::clone(&self.inbox))
+    }
+
     /// Blocking receive. Errors with [`Error::Closed`] if the port was
     /// unbound (e.g. the node crashed) and nothing remains queued.
     pub fn recv(&self) -> Result<Packet> {
@@ -818,11 +824,13 @@ impl Port {
     /// Batched receive with a real-time deadline: waits for the first
     /// packet, then returns up to `max` packets drained in one inbox lock
     /// acquisition. `Ok(vec![])` on timeout; [`Error::Closed`] once the
-    /// port is closed and drained.
+    /// port is closed and drained; [`Error::Interrupted`] when the port was
+    /// [kicked](Self::kicker) while empty.
     pub fn recv_batch_timeout(&self, max: usize, d: Duration) -> Result<Vec<Packet>> {
         match self.inbox.pop_batch_timeout(max, d) {
             PopBatch::Packets(b) => Ok(b),
             PopBatch::TimedOut => Ok(Vec::new()),
+            PopBatch::Kicked => Err(Error::interrupted(format!("port {} kicked", self.addr))),
             PopBatch::Closed => Err(Error::closed(format!("port {} closed", self.addr))),
         }
     }

@@ -43,11 +43,16 @@ pub enum PopBatch {
     Packets(Vec<Packet>),
     Closed,
     TimedOut,
+    /// [`Inbox::kick`] was called while the inbox was empty.
+    Kicked,
 }
 
 struct InboxState {
     packets: VecDeque<Packet>,
     closed: bool,
+    /// Set by [`Inbox::kick`], consumed by the next timed batch pop that
+    /// finds no packet.
+    kicked: bool,
     doorbell: Option<Sender<()>>,
 }
 
@@ -66,6 +71,7 @@ impl Inbox {
             q: Mutex::new(InboxState {
                 packets: VecDeque::new(),
                 closed: false,
+                kicked: false,
                 doorbell: Some(tx),
             }),
             cond: Condvar::new(),
@@ -102,6 +108,13 @@ impl Inbox {
         g.closed = true;
         g.doorbell = None;
         drop(g);
+        self.cond.notify_all();
+    }
+
+    /// Wake the owner out of [`pop_batch_timeout`](Self::pop_batch_timeout)
+    /// without queueing a packet (see [`crate::polling::Kick`]).
+    pub fn kick(&self) {
+        self.q.lock().kicked = true;
         self.cond.notify_all();
     }
 
@@ -151,7 +164,8 @@ impl Inbox {
     /// Like [`pop_batch_wait`](Self::pop_batch_wait), but bounded by a
     /// real-time `timeout`: a pipelined burst is still drained in one lock
     /// acquisition, and an idle wait surfaces as [`PopBatch::TimedOut`]
-    /// instead of blocking forever.
+    /// instead of blocking forever. A [`kick`](Self::kick) on an empty inbox
+    /// surfaces as [`PopBatch::Kicked`].
     pub fn pop_batch_timeout(&self, max: usize, timeout: Duration) -> PopBatch {
         let start = std::time::Instant::now(); // lint: allow(wall-clock)
         let mut g = self.q.lock();
@@ -162,6 +176,9 @@ impl Inbox {
             }
             if g.closed {
                 return PopBatch::Closed;
+            }
+            if std::mem::take(&mut g.kicked) {
+                return PopBatch::Kicked;
             }
             let elapsed = start.elapsed();
             if elapsed >= timeout {

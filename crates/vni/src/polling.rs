@@ -24,6 +24,7 @@ use starfish_telemetry::{metric, Registry};
 use starfish_util::{Error, Result};
 
 use crate::fabric::Port;
+use crate::inbox::Inbox;
 use crate::packet::Packet;
 
 /// The queue of received messages fed by the polling thread and consumed by
@@ -43,6 +44,9 @@ struct QueueInner {
 struct QueueState {
     packets: VecDeque<Packet>,
     closed: bool,
+    /// Set by [`RecvQueue::kick`], consumed by the next `wait_batch` that
+    /// finds no packet (kicks coalesce).
+    kicked: bool,
     /// Telemetry registry whose `vni.recv_queue_depth` gauge mirrors
     /// `packets.len()` after every mutation.
     metrics: Option<Registry>,
@@ -99,6 +103,22 @@ impl RecvQueue {
         self.inner.q.lock().closed
     }
 
+    /// Wake whoever is (or next goes) blocked in [`wait_batch`](Self::wait_batch)
+    /// without queueing a packet: that wait returns [`Error::Interrupted`].
+    /// This is how state changes that do not travel the fabric (a daemon
+    /// message, a peer's port being bound) reach a process whose one wait
+    /// point is its receive queue.
+    pub fn kick(&self) {
+        let mut g = self.inner.q.lock();
+        g.kicked = true;
+        self.inner.cond.notify_all();
+    }
+
+    /// A [`Kick`] handle onto this queue.
+    pub fn kicker(&self) -> Kick {
+        Kick(KickTarget::Queue(self.clone()))
+    }
+
     pub fn len(&self) -> usize {
         self.inner.q.lock().packets.len()
     }
@@ -123,7 +143,9 @@ impl RecvQueue {
 
     /// Block until at least one packet is available (or `deadline` passes),
     /// then remove and return up to `max` packets in one lock acquisition.
-    /// `Ok(vec![])` means the wait timed out with nothing queued.
+    /// `Ok(vec![])` means the wait timed out with nothing queued;
+    /// [`Error::Interrupted`] means the queue was [kicked](Self::kick) while
+    /// empty (packets win over a pending kick, which then stays pending).
     pub fn wait_batch(&self, max: usize, deadline: Duration) -> Result<Vec<Packet>> {
         let start = std::time::Instant::now(); // lint: allow(wall-clock)
         let mut g = self.inner.q.lock();
@@ -136,6 +158,9 @@ impl RecvQueue {
             }
             if g.closed {
                 return Err(Error::closed("receive queue closed"));
+            }
+            if std::mem::take(&mut g.kicked) {
+                return Err(Error::interrupted("receive queue kicked"));
             }
             let elapsed = start.elapsed();
             if elapsed >= deadline {
@@ -209,6 +234,42 @@ impl RecvQueue {
         let mut g = self.inner.q.lock();
         g.packets.clear();
         g.publish_depth();
+    }
+}
+
+#[derive(Clone)]
+enum KickTarget {
+    Queue(RecvQueue),
+    Inbox(Arc<Inbox>),
+}
+
+/// Wakes the owner of one receive endpoint out of its timed batch wait —
+/// the polled [`RecvQueue`] or, without a polling thread, the port's own
+/// [`Inbox`] — without queueing a packet. Cheap to clone and `Send`: the
+/// process runtime hands one to its daemon-message forwarder and one to the
+/// application's rank directory.
+#[derive(Clone)]
+pub struct Kick(KickTarget);
+
+impl Kick {
+    pub(crate) fn inbox(inbox: Arc<Inbox>) -> Kick {
+        Kick(KickTarget::Inbox(inbox))
+    }
+
+    pub fn kick(&self) {
+        match &self.0 {
+            KickTarget::Queue(q) => q.kick(),
+            KickTarget::Inbox(i) => i.kick(),
+        }
+    }
+
+    /// Do both handles wake the same endpoint?
+    pub fn same(&self, other: &Kick) -> bool {
+        match (&self.0, &other.0) {
+            (KickTarget::Queue(a), KickTarget::Queue(b)) => Arc::ptr_eq(&a.inner, &b.inner),
+            (KickTarget::Inbox(a), KickTarget::Inbox(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 }
 
@@ -348,6 +409,49 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert!(matches!(h.join().unwrap(), Err(Error::Closed(_))));
+    }
+
+    #[test]
+    fn kick_interrupts_a_batch_wait_once() {
+        let q = RecvQueue::new();
+        let kick = q.kicker();
+        let waiter = {
+            let q = q.clone();
+            std::thread::spawn(move || q.wait_batch(8, Duration::from_secs(30)))
+        };
+        kick.kick();
+        assert!(matches!(waiter.join().unwrap(), Err(Error::Interrupted(_))));
+        // Consumed by the wait it woke: the next one runs to its deadline.
+        let idle = q.wait_batch(8, Duration::from_millis(10)).unwrap();
+        assert!(idle.is_empty());
+    }
+
+    #[test]
+    fn queued_packets_win_over_a_pending_kick() {
+        let q = RecvQueue::new();
+        let (_, a, b) = setup();
+        q.push(pkt(a, b, 1));
+        q.kick();
+        assert_eq!(q.wait_batch(8, Duration::from_secs(30)).unwrap().len(), 1);
+        // The kick stayed pending: it is never lost to a packet.
+        let kicked = q.wait_batch(8, Duration::from_secs(30));
+        assert!(matches!(kicked, Err(Error::Interrupted(_))));
+    }
+
+    #[test]
+    fn port_kick_interrupts_a_direct_batch_receive() {
+        let (f, _, b) = setup();
+        let port = f.bind(b).unwrap();
+        let other = f.bind(Addr::new(NodeId(1), PortId(2))).unwrap();
+        let kick = port.kicker();
+        assert!(kick.same(&port.kicker()));
+        assert!(!kick.same(&other.kicker()));
+        assert!(!kick.same(&RecvQueue::new().kicker()));
+        kick.kick();
+        let got = port.recv_batch_timeout(8, Duration::from_secs(30));
+        assert!(matches!(got, Err(Error::Interrupted(_))));
+        let idle = port.recv_batch_timeout(8, Duration::from_millis(10));
+        assert!(idle.unwrap().is_empty());
     }
 
     #[test]
