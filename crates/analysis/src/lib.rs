@@ -268,6 +268,7 @@ fn finish(
         .findings
         .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     report.stats.crates = models.iter().map(|m| m.name.clone()).collect();
+    report.stats.non_test_lines = models.iter().map(|m| m.non_test_lines()).collect();
     report.stats.files = models.iter().map(|m| m.files.len()).sum();
     report.stats.functions = lstats.functions;
     report.stats.lock_classes = graph.classes.len();

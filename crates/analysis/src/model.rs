@@ -183,6 +183,16 @@ impl CrateModel {
         Self::from_files(name, files)
     }
 
+    /// Physical lines (code, comments, blanks) outside `#[cfg(test)]`
+    /// regions and test-only files: the one definition of "non-test lines"
+    /// a PR that claims to delete code quotes before and after.
+    pub fn non_test_lines(&self) -> usize {
+        self.files
+            .iter()
+            .map(|f| f.in_test.iter().filter(|t| !**t).count())
+            .sum()
+    }
+
     /// Build the model from pre-scanned files (tests, fixtures).
     pub fn from_files(name: &str, mut files: Vec<SourceFile>) -> CrateModel {
         mark_test_only_modules(&mut files);

@@ -62,6 +62,8 @@ impl fmt::Display for Finding {
 #[derive(Debug, Clone, Default)]
 pub struct Stats {
     pub crates: Vec<String>,
+    /// `CrateModel::non_test_lines` of each entry of `crates`, in order.
+    pub non_test_lines: Vec<usize>,
     pub files: usize,
     pub functions: usize,
     pub lock_classes: usize,
@@ -101,7 +103,8 @@ impl Report {
         out.push_str(&format!(
             "analysis: {} crate(s), {} file(s), {} function(s); \
              {} lock class(es), {} lock-order edge(s), {} unresolved lock site(s); \
-             {} panic site(s); {} finding(s) ({} baselined)\n",
+             {} panic site(s); {} finding(s) ({} baselined); \
+             {} non-test line(s)\n",
             s.crates.len(),
             s.files,
             s.functions,
@@ -111,6 +114,7 @@ impl Report {
             s.panic_sites,
             self.findings.len(),
             s.baselined,
+            s.non_test_lines.iter().sum::<usize>(),
         ));
         out
     }
@@ -157,8 +161,15 @@ impl Report {
             }
             out.push_str(&json_str(c));
         }
+        out.push_str("], \"non_test_lines\": {");
+        for (i, (c, n)) in s.crates.iter().zip(&s.non_test_lines).enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&format!("{}: {n}", json_str(c)));
+        }
         out.push_str(&format!(
-            "], \"files\": {}, \"functions\": {}, \"lock_classes\": {}, \
+            "}}, \"files\": {}, \"functions\": {}, \"lock_classes\": {}, \
              \"lock_edges\": {}, \"unresolved_locks\": {}, \"panic_sites\": {}, \
              \"baselined\": {}}}\n}}\n",
             s.files,
@@ -210,11 +221,13 @@ mod tests {
         f.chains.push("x -> y\t(f.rs:1)".into());
         r.findings.push(f);
         r.stats.crates.push("vni".into());
+        r.stats.non_test_lines.push(42);
         let j = r.to_json();
         assert!(j.contains("\\\"a\\\""), "{j}");
         assert!(j.contains("\\t"), "{j}");
         assert!(j.contains("\"schema\": \"starfish-analysis/1\""));
         assert!(j.contains("\"crates\": [\"vni\"]"));
+        assert!(j.contains("\"non_test_lines\": {\"vni\": 42}, "));
         // Structurally balanced (cheap sanity: equal brace counts).
         assert_eq!(
             j.matches('{').count(),

@@ -24,6 +24,16 @@
 //!   iteration; checkpoints and reconfigurations take effect there.
 //! * Every `Ctx` call can return [`Error::Interrupted`]; propagate it with
 //!   `?`. The runtime catches it and re-enters `run` after the rollback.
+//! * Message tags at or above [`COLL_TAG_BASE`] belong to the collectives;
+//!   every point-to-point call rejects them with [`Error::InvalidArg`].
+//!
+//! ## One collective stack
+//!
+//! This file holds no collective algorithm: every `Ctx` collective is a
+//! call into `starfish_mpi::collectives`, which runs over the `Ctx` as its
+//! transport (`crate::transport` — sends and receives with this runtime's
+//! service points inside). Which algorithm runs is fixed by three constants
+//! below, not by the endpoint's `CollAlgoSelector`; DESIGN.md §5c says why.
 
 use std::time::{Duration, Instant};
 
@@ -34,12 +44,22 @@ use starfish_daemon::{CkptProto, ProcUp, RelayKind};
 use starfish_lwgroups::LwView;
 use starfish_mpi::collectives as coll;
 use starfish_mpi::wire::WORLD_CONTEXT;
-use starfish_mpi::{Comm, RecvdMsg, ReduceOp, Request};
+use starfish_mpi::{
+    AllgatherAlgo, AllreduceAlgo, BcastAlgo, Comm, RecvdMsg, ReduceOp, Request, COLL_TAG_BASE,
+};
 use starfish_util::{Error, Rank, Result, VirtualTime};
 
 use crate::bus::{BusEvent, BusTopic};
 use crate::runtime::{CrEngine, ProcessRuntime, HOLD_LIMIT, SERVICE_SLICE};
 use crate::state::Checkpointable;
+use crate::transport::OwnClock;
+
+/// What every cluster collective runs: the trees this runtime always ran,
+/// as the library's code. The selector's picks (`coll::allreduce` & co.)
+/// send a different number of messages, so switching is a measured change.
+const ALLREDUCE: AllreduceAlgo = AllreduceAlgo::ReduceBcast;
+const BCAST: BcastAlgo = BcastAlgo::Binomial;
+const ALLGATHER: AllgatherAlgo = AllgatherAlgo::GatherBcast;
 
 /// A membership-change notification delivered to the application.
 #[derive(Debug, Clone)]
@@ -62,7 +82,7 @@ pub struct Ctx<'a> {
 /// the `sub_*` collective operations.
 #[derive(Debug, Clone)]
 pub struct SubComm {
-    comm: Comm,
+    pub(crate) comm: Comm,
 }
 
 impl SubComm {
@@ -85,6 +105,27 @@ impl SubComm {
 /// How long a send retries while the destination's port is not yet bound
 /// (peer still spawning / restarting).
 const SEND_GRACE: Duration = Duration::from_secs(20);
+
+/// Longest a blocking receive waits between two service points (a safety
+/// net: whatever needs servicing kicks the receive out of its wait).
+const RECV_SLICE: Duration = Duration::from_millis(100);
+
+/// Reject a user tag in the space reserved for collectives (bit 63 set): a
+/// point-to-point message there could cross-match a collective on the
+/// world context.
+fn user_tag(tag: Option<u64>) -> Result<()> {
+    match tag {
+        Some(t) if t >= COLL_TAG_BASE => Err(Error::invalid_arg(format!(
+            "tag {t:#x} is reserved for collectives (user tags stay below {COLL_TAG_BASE:#x})"
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// Collective results at the `Ctx` API are owned byte vectors.
+fn to_vecs(blobs: Vec<Bytes>) -> Vec<Vec<u8>> {
+    blobs.iter().map(|b| b.to_vec()).collect()
+}
 
 impl Ctx<'_> {
     // ---- identity & environment -------------------------------------------
@@ -145,33 +186,31 @@ impl Ctx<'_> {
     /// makes checkpoints taken inside blocking calls consistent (see
     /// `ProcessRuntime::cached_state`).
     pub fn send(&mut self, dst: Rank, tag: u64, data: &[u8]) -> Result<()> {
-        self.hold_while_stopped()?;
-        self.rt.note_first_send();
-        self.send_when_reachable(WORLD_CONTEXT, dst, tag, data)
+        user_tag(Some(tag))?;
+        self.send_when_reachable(|rt| {
+            rt.note_first_send();
+            rt.mpi
+                .send_world(&mut rt.clock, dst, WORLD_CONTEXT, tag, data)
+        })
     }
 
-    /// Send, waiting out a destination that is not reachable *yet* (rank
-    /// not placed, port not bound, node down: the peer is still spawning or
-    /// restarting) for up to [`SEND_GRACE`]. Each failed attempt parks on
-    /// the rank's wait point: the rank directory kicks it when a peer is
-    /// placed or binds its port, the forwarder when the daemon orders a
-    /// rollback. What has no notifier (a healed partition, a re-enabled
-    /// node) is re-tried once per [`SERVICE_SLICE`].
-    fn send_when_reachable(
+    /// The one send path: hold while a stop-and-sync round has this process
+    /// stopped (`hold_while_stopped`), then run the send `attempt`, waiting
+    /// out a destination that is not reachable *yet* (rank not placed, port
+    /// not bound, node down: the peer is still spawning or restarting) for
+    /// up to [`SEND_GRACE`]. Each failed attempt parks on the rank's wait
+    /// point: the rank directory kicks it when a peer is placed or binds
+    /// its port, the forwarder when the daemon orders a rollback. What has
+    /// no notifier (a healed partition, a re-enabled node) is re-tried once
+    /// per [`SERVICE_SLICE`].
+    pub(crate) fn send_when_reachable<R>(
         &mut self,
-        context: u32,
-        dst: Rank,
-        tag: u64,
-        data: &[u8],
-    ) -> Result<()> {
+        mut attempt: impl FnMut(&mut ProcessRuntime) -> Result<R>,
+    ) -> Result<R> {
+        self.rt.hold_while_stopped(None)?;
         let deadline = Instant::now() + SEND_GRACE;
         loop {
-            match self
-                .rt
-                .mpi
-                .send_world(&mut self.rt.clock, dst, context, tag, data)
-            {
-                Ok(()) => return Ok(()),
+            match attempt(self.rt) {
                 Err(Error::NotFound(_)) | Err(Error::Unreachable(_))
                     if Instant::now() < deadline =>
                 {
@@ -179,42 +218,15 @@ impl Ctx<'_> {
                     self.rt
                         .wait_event(deadline.min(Instant::now() + SERVICE_SLICE))?;
                 }
-                Err(e) => return Err(e),
+                done => return done,
             }
         }
     }
 
     /// Blocking receive with wildcards (`None` = any source / any tag).
     pub fn recv(&mut self, src: Option<Rank>, tag: Option<u64>) -> Result<RecvdMsg> {
-        self.recv_on(WORLD_CONTEXT, src, tag)
-    }
-
-    pub(crate) fn recv_on(
-        &mut self,
-        context: u32,
-        src: Option<Rank>,
-        tag: Option<u64>,
-    ) -> Result<RecvdMsg> {
-        loop {
-            match self.rt.mpi.recv_world_timeout(
-                &mut self.rt.clock,
-                context,
-                src,
-                tag,
-                Duration::from_millis(100),
-            ) {
-                Ok(m) => {
-                    self.note_receive(context, &m);
-                    return Ok(m);
-                }
-                Err(Error::Timeout(_)) | Err(Error::Interrupted(_)) => {
-                    // Service interrupts, then keep waiting (the runtime's
-                    // service points inside blocking receives).
-                    self.rt.service(None)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        user_tag(tag)?;
+        self.recv_on(WORLD_CONTEXT, src, tag, None)
     }
 
     /// Blocking receive with an explicit real-time bound.
@@ -224,25 +236,38 @@ impl Ctx<'_> {
         tag: Option<u64>,
         timeout: Duration,
     ) -> Result<RecvdMsg> {
-        let deadline = Instant::now() + timeout;
+        user_tag(tag)?;
+        self.recv_on(WORLD_CONTEXT, src, tag, Some(Instant::now() + timeout))
+    }
+
+    /// The one receive loop: wait in [`RECV_SLICE`]s, servicing interrupts
+    /// between them (the runtime's service points inside blocking
+    /// receives), until a message matches or `deadline` passes.
+    pub(crate) fn recv_on(
+        &mut self,
+        context: u32,
+        src: Option<Rank>,
+        tag: Option<u64>,
+        deadline: Option<Instant>,
+    ) -> Result<RecvdMsg> {
         loop {
-            let remain = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or_else(|| Error::timeout("ctx recv"))?;
-            match self.rt.mpi.recv_world_timeout(
-                &mut self.rt.clock,
-                WORLD_CONTEXT,
-                src,
-                tag,
-                remain.min(Duration::from_millis(100)),
-            ) {
+            let slice = match deadline {
+                Some(d) => d
+                    .checked_duration_since(Instant::now())
+                    .ok_or_else(|| Error::timeout("ctx recv"))?
+                    .min(RECV_SLICE),
+                None => RECV_SLICE,
+            };
+            match self
+                .rt
+                .mpi
+                .recv_world_timeout(&mut self.rt.clock, context, src, tag, slice)
+            {
                 Ok(m) => {
-                    self.note_receive(WORLD_CONTEXT, &m);
+                    self.note_receive(context, &m);
                     return Ok(m);
                 }
-                Err(Error::Timeout(_)) | Err(Error::Interrupted(_)) => {
-                    self.rt.service(None)?;
-                }
+                Err(Error::Timeout(_)) | Err(Error::Interrupted(_)) => self.rt.service(None)?,
                 Err(e) => return Err(e),
             }
         }
@@ -250,6 +275,7 @@ impl Ctx<'_> {
 
     /// Non-blocking receive.
     pub fn try_recv(&mut self, src: Option<Rank>, tag: Option<u64>) -> Result<Option<RecvdMsg>> {
+        user_tag(tag)?;
         self.rt.service(None)?;
         let got = self
             .rt
@@ -269,7 +295,9 @@ impl Ctx<'_> {
         })
     }
 
-    /// Post a non-blocking receive; complete with [`Ctx::wait`].
+    /// Post a non-blocking receive; complete with [`Ctx::wait`] (which is
+    /// also where a tag in the collectives' reserved space is rejected —
+    /// posting cannot fail).
     pub fn irecv(&mut self, src: Option<Rank>, tag: Option<u64>) -> Request {
         self.rt.mpi.irecv_world(WORLD_CONTEXT, src, tag)
     }
@@ -281,12 +309,16 @@ impl Ctx<'_> {
             Request::Send { .. } | Request::RndvSend { .. } => {
                 self.rt.mpi.wait(&mut self.rt.clock, req)
             }
-            Request::Recv { context, src, tag } => Ok(Some(self.recv_on(context, src, tag)?)),
+            Request::Recv { context, src, tag } => {
+                user_tag(tag)?;
+                Ok(Some(self.recv_on(context, src, tag, None)?))
+            }
         }
     }
 
     /// `MPI_Iprobe`.
     pub fn iprobe(&mut self, src: Option<Rank>, tag: Option<u64>) -> Result<bool> {
+        user_tag(tag)?;
         self.rt.service(None)?;
         self.rt
             .mpi
@@ -320,310 +352,48 @@ impl Ctx<'_> {
         }
     }
 
-    // ---- collectives -----------------------------------------------------------
+    // ---- collectives ---------------------------------------------------------
     //
-    // Implemented over the serviceable ctx primitives (not the raw endpoint
-    // collectives) so that a rank blocked inside a collective still
-    // participates in checkpoint rounds, suspension and rollback. The
-    // algorithms mirror `starfish_mpi::collectives` (binomial trees,
-    // dissemination barrier); tags live in the same reserved space. Every
-    // operation exists on the world communicator and on application-created
-    // sub-communicators ([`SubComm`], from [`Ctx::comm_split`]/[`Ctx::comm_dup`]).
+    // Each is one call into `starfish_mpi::collectives` with this `Ctx` as the
+    // transport. The world communicator is the `SubComm` the runtime keeps
+    // (and checkpoints) for the application: where an operation exists on
+    // sub-communicators, its world form is that `sub_*` on the world.
 
-    /// Hold here while a stop-and-sync round has this process stopped.
-    fn hold_while_stopped(&mut self) -> Result<()> {
-        self.rt
-            .service_until(None, HOLD_LIMIT, "quiesce never completed", |rt| {
-                !rt.cr.stopped
-            })
-    }
-
-    fn csend(&mut self, context: u32, dst_world: Rank, tag: u64, data: &[u8]) -> Result<()> {
-        self.hold_while_stopped()?;
-        self.send_when_reachable(context, dst_world, tag, data)
-    }
-
-    fn crecv(&mut self, context: u32, src_world: Rank, tag: u64) -> Result<RecvdMsg> {
-        self.recv_on(context, Some(src_world), Some(tag))
-    }
-
-    /// Run `f` with the world communicator checked out (only its collective
-    /// sequence number mutates).
-    fn with_world<R>(&mut self, f: impl FnOnce(&mut Self, &mut Comm) -> Result<R>) -> Result<R> {
-        let mut comm = self.rt.comm.clone();
-        let r = f(self, &mut comm);
-        self.rt.comm.coll_seq = comm.coll_seq;
+    /// Run `f` with the world communicator checked out of the runtime (a
+    /// collective needs `&mut self` as its transport and the communicator
+    /// side by side). Nothing reads `rt.comm` meanwhile: a checkpoint taken
+    /// inside a collective captures the `coll_seq` cached at the last
+    /// safepoint.
+    pub(crate) fn with_world<R>(
+        &mut self,
+        f: impl FnOnce(&mut Self, &mut SubComm) -> Result<R>,
+    ) -> Result<R> {
+        let mut world = SubComm {
+            comm: std::mem::take(&mut self.rt.comm),
+        };
+        let r = f(self, &mut world);
+        self.rt.comm = world.comm;
         r
     }
 
-    fn next_coll_tag(comm: &mut Comm, op: u8) -> u64 {
-        let seq = comm.coll_seq;
-        comm.coll_seq += 1;
-        (1u64 << 63) | ((op as u64) << 48) | (seq & 0xFFFF_FFFF_FFFF)
-    }
-
-    fn barrier_in(&mut self, comm: &mut Comm) -> Result<()> {
-        let n = comm.size() as usize;
-        let me = comm.rank().index();
-        let context = comm.context();
-        let tag_base = Self::next_coll_tag(comm, 1);
-        let mut k = 1usize;
-        let mut round = 0u64;
-        while k < n {
-            let to = comm.world_rank(Rank(((me + k) % n) as u32))?;
-            let from = comm.world_rank(Rank(((me + n - k) % n) as u32))?;
-            self.csend(context, to, tag_base + (round << 32), &[])?;
-            self.crecv(context, from, tag_base + (round << 32))?;
-            k <<= 1;
-            round += 1;
-        }
-        Ok(())
-    }
-
-    fn bcast_in(&mut self, comm: &mut Comm, root: Rank, data: Vec<u8>) -> Result<Vec<u8>> {
-        let n = comm.size() as usize;
-        let me = comm.rank().index();
-        let context = comm.context();
-        let tag = Self::next_coll_tag(comm, 2);
-        if n == 1 {
-            return Ok(data);
-        }
-        let vr = (me + n - root.index()) % n;
-        let mut buf = data;
-        let mut mask = 1usize;
-        while mask < n {
-            if vr & mask != 0 {
-                let src = comm.world_rank(Rank(((me + n - mask) % n) as u32))?;
-                buf = self.crecv(context, src, tag)?.data.to_vec();
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if vr + mask < n {
-                let dst = comm.world_rank(Rank(((me + mask) % n) as u32))?;
-                self.csend(context, dst, tag, &buf)?;
-            }
-            mask >>= 1;
-        }
-        Ok(buf)
-    }
-
-    fn reduce_in<T: coll::PodNum>(
-        &mut self,
-        comm: &mut Comm,
-        root: Rank,
-        data: &[T],
-        op: ReduceOp,
-    ) -> Result<Option<Vec<T>>> {
-        let n = comm.size() as usize;
-        let me = comm.rank().index();
-        let context = comm.context();
-        let tag = Self::next_coll_tag(comm, 3);
-        let vr = (me + n - root.index()) % n;
-        let mut acc: Vec<T> = data.to_vec();
-        let mut mask = 1usize;
-        while mask < n {
-            if vr & mask == 0 {
-                let peer_vr = vr | mask;
-                if peer_vr < n {
-                    let src = comm.world_rank(Rank(((peer_vr + root.index()) % n) as u32))?;
-                    let m = self.crecv(context, src, tag)?;
-                    let other: Vec<T> = coll::decode_slice(&m.data)?;
-                    if other.len() != acc.len() {
-                        return Err(Error::invalid_arg("reduce buffers differ in length"));
-                    }
-                    for (a, b) in acc.iter_mut().zip(other) {
-                        *a = T::reduce(op, *a, b);
-                    }
-                }
-            } else {
-                let peer_vr = vr ^ mask;
-                let dst = comm.world_rank(Rank(((peer_vr + root.index()) % n) as u32))?;
-                self.csend(context, dst, tag, &coll::encode_slice(&acc))?;
-                return Ok(None);
-            }
-            mask <<= 1;
-        }
-        Ok(Some(acc))
-    }
-
-    fn allreduce_in<T: coll::PodNum>(
-        &mut self,
-        comm: &mut Comm,
-        data: &[T],
-        op: ReduceOp,
-    ) -> Result<Vec<T>> {
-        let reduced = self.reduce_in(comm, Rank(0), data, op)?;
-        let bytes = self.bcast_in(
-            comm,
-            Rank(0),
-            reduced.map(|v| coll::encode_slice(&v)).unwrap_or_default(),
-        )?;
-        coll::decode_slice(&bytes)
-    }
-
-    fn gather_in(
-        &mut self,
-        comm: &mut Comm,
-        root: Rank,
-        data: &[u8],
-    ) -> Result<Option<Vec<Vec<u8>>>> {
-        let n = comm.size() as usize;
-        let me = comm.rank();
-        let context = comm.context();
-        let tag = Self::next_coll_tag(comm, 4);
-        if me == root {
-            let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-            out[me.index()] = data.to_vec();
-            for (i, slot) in out.iter_mut().enumerate() {
-                if i == me.index() {
-                    continue;
-                }
-                let src = comm.world_rank(Rank(i as u32))?;
-                let m = self.crecv(context, src, tag)?;
-                *slot = m.data.to_vec();
-            }
-            Ok(Some(out))
-        } else {
-            let dst = comm.world_rank(root)?;
-            self.csend(context, dst, tag, data)?;
-            Ok(None)
-        }
-    }
-
-    fn scatter_in(
-        &mut self,
-        comm: &mut Comm,
-        root: Rank,
-        data: Option<Vec<Vec<u8>>>,
-    ) -> Result<Vec<u8>> {
-        let n = comm.size() as usize;
-        let me = comm.rank();
-        let context = comm.context();
-        let tag = Self::next_coll_tag(comm, 5);
-        if me == root {
-            let blobs =
-                data.ok_or_else(|| Error::invalid_arg("scatter root must supply the blobs"))?;
-            if blobs.len() != n {
-                return Err(Error::invalid_arg(format!(
-                    "scatter needs {n} blobs, got {}",
-                    blobs.len()
-                )));
-            }
-            for (i, blob) in blobs.iter().enumerate() {
-                if i != me.index() {
-                    let dst = comm.world_rank(Rank(i as u32))?;
-                    self.csend(context, dst, tag, blob)?;
-                }
-            }
-            Ok(blobs[me.index()].clone())
-        } else {
-            let src = comm.world_rank(root)?;
-            Ok(self.crecv(context, src, tag)?.data.to_vec())
-        }
-    }
-
-    fn allgather_in(&mut self, comm: &mut Comm, data: &[u8]) -> Result<Vec<Vec<u8>>> {
-        let gathered = self.gather_in(comm, Rank(0), data)?;
-        let framed = gathered.map(|blobs| {
-            let mut out = Vec::new();
-            out.extend_from_slice(&(blobs.len() as u32).to_be_bytes());
-            for b in &blobs {
-                out.extend_from_slice(&(b.len() as u32).to_be_bytes());
-                out.extend_from_slice(b);
-            }
-            out
-        });
-        let bytes = self.bcast_in(comm, Rank(0), framed.unwrap_or_default())?;
-        let mut out = Vec::new();
-        if bytes.len() < 4 {
-            return Err(Error::codec("allgather frame too short"));
-        }
-        let count = u32::from_be_bytes(bytes[0..4].try_into().unwrap()) as usize;
-        let mut pos = 4usize;
-        for _ in 0..count {
-            if pos + 4 > bytes.len() {
-                return Err(Error::codec("allgather frame truncated"));
-            }
-            let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-            pos += 4;
-            if pos + len > bytes.len() {
-                return Err(Error::codec("allgather frame truncated"));
-            }
-            out.push(bytes[pos..pos + len].to_vec());
-            pos += len;
-        }
-        Ok(out)
-    }
-
-    fn alltoall_in(&mut self, comm: &mut Comm, send: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-        let n = comm.size() as usize;
-        let me = comm.rank().index();
-        let context = comm.context();
-        if send.len() != n {
-            return Err(Error::invalid_arg(format!(
-                "alltoall needs {n} blobs, got {}",
-                send.len()
-            )));
-        }
-        let tag = Self::next_coll_tag(comm, 7);
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-        out[me] = send[me].clone();
-        for r in 1..n {
-            let dst_i = (me + r) % n;
-            let src_i = (me + n - r) % n;
-            let dst = comm.world_rank(Rank(dst_i as u32))?;
-            let src = comm.world_rank(Rank(src_i as u32))?;
-            self.csend(context, dst, tag, &send[dst_i])?;
-            let m = self.crecv(context, src, tag)?;
-            out[src_i] = m.data.to_vec();
-        }
-        Ok(out)
-    }
-
-    fn scan_in(&mut self, comm: &mut Comm, data: &[i64], op: ReduceOp) -> Result<Vec<i64>> {
-        let n = comm.size() as usize;
-        let me = comm.rank().index();
-        let context = comm.context();
-        let tag = Self::next_coll_tag(comm, 8);
-        let mut acc: Vec<i64> = data.to_vec();
-        if me > 0 {
-            let src = comm.world_rank(Rank((me - 1) as u32))?;
-            let m = self.crecv(context, src, tag)?;
-            let prev: Vec<i64> = coll::decode_slice(&m.data)?;
-            for (a, p) in acc.iter_mut().zip(prev) {
-                *a = <i64 as coll::PodNum>::reduce(op, p, *a);
-            }
-        }
-        if me + 1 < n {
-            let dst = comm.world_rank(Rank((me + 1) as u32))?;
-            self.csend(context, dst, tag, &coll::encode_slice(&acc))?;
-        }
-        Ok(acc)
-    }
-
-    // -- world-communicator API --------------------------------------------------
-
     /// `MPI_Barrier` over the world communicator.
     pub fn barrier(&mut self) -> Result<()> {
-        self.with_world(|c, comm| c.barrier_in(comm))
+        self.with_world(Self::sub_barrier)
     }
 
     /// `MPI_Bcast` of raw bytes from `root`.
     pub fn bcast(&mut self, root: Rank, data: Vec<u8>) -> Result<Vec<u8>> {
-        self.with_world(|c, comm| c.bcast_in(comm, root, data))
+        self.with_world(|c, w| c.sub_bcast(w, root, data))
     }
 
     /// `MPI_Allreduce` over f64 element-wise.
     pub fn allreduce_f64(&mut self, data: &[f64], op: ReduceOp) -> Result<Vec<f64>> {
-        self.with_world(|c, comm| c.allreduce_in(comm, data, op))
+        self.with_world(|c, w| c.sub_allreduce_f64(w, data, op))
     }
 
     /// `MPI_Allreduce` over i64 element-wise.
     pub fn allreduce_i64(&mut self, data: &[i64], op: ReduceOp) -> Result<Vec<i64>> {
-        self.with_world(|c, comm| c.allreduce_in(comm, data, op))
+        self.with_world(|c, w| c.sub_allreduce_i64(w, data, op))
     }
 
     /// `MPI_Reduce` to `root` (Some at root, None elsewhere).
@@ -633,35 +403,36 @@ impl Ctx<'_> {
         data: &[f64],
         op: ReduceOp,
     ) -> Result<Option<Vec<f64>>> {
-        self.with_world(|c, comm| c.reduce_in(comm, root, data, op))
+        self.with_world(|c, w| coll::reduce(c, &mut w.comm, &mut OwnClock, root, data, op))
     }
 
     /// `MPI_Gather` of byte blobs to `root`.
     pub fn gather(&mut self, root: Rank, data: &[u8]) -> Result<Option<Vec<Vec<u8>>>> {
-        self.with_world(|c, comm| c.gather_in(comm, root, data))
+        self.with_world(|c, w| c.sub_gather(w, root, data))
     }
 
     /// `MPI_Scatter` from `root`.
     pub fn scatter(&mut self, root: Rank, data: Option<Vec<Vec<u8>>>) -> Result<Vec<u8>> {
-        self.with_world(|c, comm| c.scatter_in(comm, root, data))
+        let blobs = data.map(|v| v.into_iter().map(Bytes::from).collect());
+        self.with_world(|c, w| coll::scatter(c, &mut w.comm, &mut OwnClock, root, blobs))
+            .map(|b| b.to_vec())
     }
 
     /// `MPI_Allgather` of byte blobs.
     pub fn allgather(&mut self, data: &[u8]) -> Result<Vec<Vec<u8>>> {
-        self.with_world(|c, comm| c.allgather_in(comm, data))
+        self.with_world(|c, w| c.sub_allgather(w, data))
     }
 
     /// `MPI_Alltoall` of per-destination blobs.
     pub fn alltoall(&mut self, send: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-        self.with_world(|c, comm| c.alltoall_in(comm, send))
+        self.with_world(|c, w| coll::alltoall(c, &mut w.comm, &mut OwnClock, send))
+            .map(to_vecs)
     }
 
     /// `MPI_Scan` (inclusive prefix) over i64.
     pub fn scan_i64(&mut self, data: &[i64], op: ReduceOp) -> Result<Vec<i64>> {
-        self.with_world(|c, comm| c.scan_in(comm, data, op))
+        self.with_world(|c, w| coll::scan(c, &mut w.comm, &mut OwnClock, data, op))
     }
-
-    // -- sub-communicators (MPI-2 comm management) --------------------------------
 
     /// `MPI_Comm_split`: ranks with the same `color` form a new
     /// communicator, ordered by `(key, world rank)`. Returns `None` for
@@ -673,33 +444,10 @@ impl Ctx<'_> {
     /// deterministic) — the world communicator's state is checkpointed
     /// automatically.
     pub fn comm_split(&mut self, color: Option<u32>, key: u32) -> Result<Option<SubComm>> {
-        let mut mine = Vec::with_capacity(8);
-        mine.extend_from_slice(&color.unwrap_or(u32::MAX).to_be_bytes());
-        mine.extend_from_slice(&key.to_be_bytes());
-        let all = self.allgather(&mine)?;
-        let Some(my_color) = color else {
-            return Ok(None);
-        };
-        let mut members: Vec<(u32, Rank)> = Vec::new();
-        for (i, blob) in all.iter().enumerate() {
-            if blob.len() != 8 {
-                return Err(Error::codec("bad split blob"));
-            }
-            let c = u32::from_be_bytes(blob[0..4].try_into().unwrap());
-            let k = u32::from_be_bytes(blob[4..8].try_into().unwrap());
-            if c == my_color {
-                members.push((k, Rank(i as u32)));
-            }
-        }
-        members.sort();
-        let world_members: Vec<Rank> = members.into_iter().map(|(_, r)| r).collect();
-        let ctxid = starfish_mpi::comm::derive_context(
-            self.rt.comm.context(),
-            my_color.wrapping_mul(2654435761).wrapping_add(9),
-        );
-        Ok(Some(SubComm {
-            comm: Comm::from_members(ctxid, world_members, self.rt.rank)?,
-        }))
+        let split = self.with_world(|c, w| {
+            coll::comm_split(c, &mut w.comm, &mut OwnClock, color, key, ALLGATHER)
+        })?;
+        Ok(split.map(|comm| SubComm { comm }))
     }
 
     /// `MPI_Comm_dup` of the world communicator: same members, isolated
@@ -712,12 +460,13 @@ impl Ctx<'_> {
 
     /// Barrier over a sub-communicator.
     pub fn sub_barrier(&mut self, sub: &mut SubComm) -> Result<()> {
-        self.barrier_in(&mut sub.comm)
+        coll::barrier(self, &mut sub.comm, &mut OwnClock)
     }
 
     /// Broadcast over a sub-communicator (`root` is a sub-communicator rank).
     pub fn sub_bcast(&mut self, sub: &mut SubComm, root: Rank, data: Vec<u8>) -> Result<Vec<u8>> {
-        self.bcast_in(&mut sub.comm, root, data)
+        coll::bcast_with(self, &mut sub.comm, &mut OwnClock, root, data.into(), BCAST)
+            .map(|b| b.to_vec())
     }
 
     /// Allreduce over a sub-communicator.
@@ -727,7 +476,7 @@ impl Ctx<'_> {
         data: &[f64],
         op: ReduceOp,
     ) -> Result<Vec<f64>> {
-        self.allreduce_in(&mut sub.comm, data, op)
+        coll::allreduce_with(self, &mut sub.comm, &mut OwnClock, data, op, ALLREDUCE)
     }
 
     /// Allreduce over a sub-communicator (i64).
@@ -737,7 +486,7 @@ impl Ctx<'_> {
         data: &[i64],
         op: ReduceOp,
     ) -> Result<Vec<i64>> {
-        self.allreduce_in(&mut sub.comm, data, op)
+        coll::allreduce_with(self, &mut sub.comm, &mut OwnClock, data, op, ALLREDUCE)
     }
 
     /// Gather over a sub-communicator.
@@ -747,12 +496,12 @@ impl Ctx<'_> {
         root: Rank,
         data: &[u8],
     ) -> Result<Option<Vec<Vec<u8>>>> {
-        self.gather_in(&mut sub.comm, root, data)
+        Ok(coll::gather(self, &mut sub.comm, &mut OwnClock, root, data)?.map(to_vecs))
     }
 
     /// Allgather over a sub-communicator.
     pub fn sub_allgather(&mut self, sub: &mut SubComm, data: &[u8]) -> Result<Vec<Vec<u8>>> {
-        self.allgather_in(&mut sub.comm, data)
+        coll::allgather_with(self, &mut sub.comm, &mut OwnClock, data, ALLGATHER).map(to_vecs)
     }
 
     // ---- Starfish extensions ------------------------------------------------------
@@ -857,10 +606,7 @@ impl Ctx<'_> {
         Ok(self.rt.bus.take(BusTopic::Membership).map(|ev| match ev {
             BusEvent::View { view, vt } => ViewNotice {
                 lw: view,
-                alive: (0..self.rt.size)
-                    .map(Rank)
-                    .filter(|r| self.rt.mpi.directory().node_of(*r).is_ok())
-                    .collect(),
+                alive: self.alive_ranks(),
                 vt,
             },
             _ => unreachable!("membership queue holds View events"),

@@ -59,6 +59,7 @@ pub mod ctx;
 pub mod host;
 pub mod runtime;
 pub mod state;
+mod transport;
 
 pub use bus::{Bus, BusTopic};
 pub use cluster::{AutoCheckpoint, Cluster, ClusterBuilder, SubmitOpts};

@@ -899,8 +899,13 @@ impl ProcessRuntime {
                 self.run_effects(effects, &mut s)?;
             }
         }
-        // Stop-and-sync quiesce: the application stays here until Resume.
-        self.service_until(Some(state), HOLD_LIMIT, "quiesce never completed", |rt| {
+        self.hold_while_stopped(Some(state))
+    }
+
+    /// Stop-and-sync quiesce: stay at this service point while a round has
+    /// the process stopped, until its Resume.
+    pub(crate) fn hold_while_stopped(&mut self, state: Option<&dyn Checkpointable>) -> Result<()> {
+        self.service_until(state, HOLD_LIMIT, "quiesce never completed", |rt| {
             !rt.cr.stopped
         })
     }

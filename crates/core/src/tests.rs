@@ -739,3 +739,215 @@ fn last_checkpoint_round_is_closed_on_every_rank() {
         );
     }
 }
+
+/// User tags stay below `COLL_TAG_BASE`: a point-to-point message in the
+/// reserved space could cross-match a collective on the world context, so
+/// every entry point that takes a tag refuses one (and the largest user tag
+/// still works).
+#[test]
+fn reserved_tags_are_rejected_at_every_entry_point() {
+    use starfish_util::Error;
+    const BAD: u64 = starfish_mpi::COLL_TAG_BASE | 7;
+    let cluster = Cluster::builder().nodes(1).build().unwrap();
+    cluster.register_app("tags", |ctx| {
+        let me = ctx.rank();
+        let ms = Duration::from_millis(1);
+        let posted = ctx.irecv(None, Some(BAD));
+        let verdicts = [
+            ("send", ctx.send(me, BAD, b"x").err()),
+            ("isend", ctx.isend(me, BAD, b"x").err()),
+            ("recv", ctx.recv(None, Some(BAD)).err()),
+            ("recv_timeout", ctx.recv_timeout(None, Some(BAD), ms).err()),
+            ("try_recv", ctx.try_recv(None, Some(BAD)).err()),
+            ("irecv", ctx.wait(posted).err()),
+            ("iprobe", ctx.iprobe(None, Some(BAD)).err()),
+        ];
+        for (entry, verdict) in verdicts {
+            if !matches!(verdict, Some(Error::InvalidArg(_))) {
+                ctx.publish(CkptValue::Str(format!("{entry}: {verdict:?}")));
+            }
+        }
+        ctx.send(me, BAD - 8, b"edge")?;
+        let m = ctx.recv(Some(me), Some(BAD - 8))?;
+        ctx.publish(CkptValue::Str(
+            String::from_utf8_lossy(&m.data).into_owned(),
+        ));
+        Ok(())
+    });
+    let app = cluster
+        .submit("tags", 1, SubmitOpts::default().policy(FtPolicy::Kill))
+        .unwrap();
+    cluster.wait_app_done(app, T).unwrap();
+    assert_eq!(
+        cluster.outputs(app, Rank(0)),
+        vec![CkptValue::Str("edge".into())],
+        "every entry point must answer InvalidArg"
+    );
+}
+
+/// What one rank adds to its accumulator in iteration `iter` of the
+/// algorithm bank below, at payload scale `len`: element sums of two
+/// allreduces, byte sums of two ragged allgathers and of one bcast.
+/// `run` is `None` for the serial oracle (closed forms only) and
+/// `Some(ctx)` for the real thing — every library algorithm the cluster
+/// path does *not* pick, forced over the `Ctx` transport on the world
+/// communicator.
+fn algo_bank_round(
+    mut run: Option<&mut crate::Ctx<'_>>,
+    me: i64,
+    n: i64,
+    iter: i64,
+    len: usize,
+) -> crate::Result<i64> {
+    use crate::transport::OwnClock;
+    use bytes::Bytes;
+    use starfish_mpi::collectives as coll;
+    use starfish_mpi::{AllgatherAlgo, AllreduceAlgo, BcastAlgo};
+
+    let bytes_sum =
+        |blobs: &[Bytes]| -> i64 { blobs.iter().flat_map(|b| b.iter()).map(|b| *b as i64).sum() };
+    let mut acc = 0i64;
+
+    // Allreduce: rank r contributes r + iter + i (ring), (r+1)(i+1) + iter
+    // (doubling).
+    for (algo, mine, total) in [
+        (
+            AllreduceAlgo::Ring,
+            (0..len as i64).map(|i| me + iter + i).collect::<Vec<_>>(),
+            (0..len as i64)
+                .map(|i| n * (n - 1) / 2 + n * (iter + i))
+                .sum::<i64>(),
+        ),
+        (
+            AllreduceAlgo::RecursiveDoubling,
+            (0..len as i64).map(|i| (me + 1) * (i + 1) + iter).collect(),
+            (0..len as i64)
+                .map(|i| (i + 1) * n * (n + 1) / 2 + n * iter)
+                .sum(),
+        ),
+    ] {
+        acc += match run.as_deref_mut() {
+            Some(ctx) => ctx
+                .with_world(|c, w| {
+                    coll::allreduce_with(c, &mut w.comm, &mut OwnClock, &mine, ReduceOp::Sum, algo)
+                })?
+                .iter()
+                .sum(),
+            None => total,
+        };
+    }
+
+    // Allgather: rank r contributes 2·len + r bytes of value r + iter + k.
+    for (k, algo) in [(1, AllgatherAlgo::Bruck), (2, AllgatherAlgo::Ring)] {
+        let blob = |r: i64| vec![(r + iter + k) as u8; 2 * len + r as usize];
+        acc += match run.as_deref_mut() {
+            Some(ctx) => bytes_sum(&ctx.with_world(|c, w| {
+                coll::allgather_with(c, &mut w.comm, &mut OwnClock, &blob(me), algo)
+            })?),
+            None => bytes_sum(&(0..n).map(|r| blob(r).into()).collect::<Vec<Bytes>>()),
+        };
+    }
+
+    // Bcast: a rotating root sends 8·len + 1 patterned bytes.
+    let root = Rank((iter % n) as u32);
+    let payload: Bytes = (0..8 * len + 1).map(|i| (i as i64 + iter) as u8).collect();
+    acc += match run {
+        Some(ctx) => {
+            let data = if ctx.rank() == root {
+                payload
+            } else {
+                Bytes::new()
+            };
+            bytes_sum(&[ctx.with_world(|c, w| {
+                coll::bcast_with(
+                    c,
+                    &mut w.comm,
+                    &mut OwnClock,
+                    root,
+                    data,
+                    BcastAlgo::ScatterAllgather,
+                )
+            })?])
+        }
+        None => bytes_sum(&[payload]),
+    };
+    Ok(acc)
+}
+
+/// ROADMAP item 3's "chaos banks re-run through `Ctx`" at tier-1 size: ring
+/// and recursive-doubling allreduce, Bruck and ring allgather and van de
+/// Geijn bcast all run over the `Ctx` transport — at an eager size and at
+/// one whose every block is over the rendezvous threshold, so segmented
+/// isends and their waits go through `Ctx` too — with stop-and-sync rounds
+/// in between and a node crash mid-run. Every rank must finish with exactly
+/// the closed-form sums of a failure-free run.
+#[test]
+fn library_algorithms_over_ctx_survive_checkpoint_and_crash() {
+    const ITERS: i64 = 8;
+    // 16 elements: eager everywhere. 40 Ki elements: a ring block of a
+    // 4-rank i64 allreduce is 80 KiB, over DEFAULT_RNDV_THRESHOLD (64 KiB).
+    const LENS: [usize; 2] = [16, 40 * 1024];
+    const N: i64 = 4;
+    // The running checksum is checkpointed state, and a VM-level image
+    // keeps integers in the saving machine's 32-bit word.
+    let fold = |acc: i64, round: i64| (acc + round) % 1_000_003;
+    let cluster = Cluster::builder().nodes(4).build().unwrap();
+    let crashed = Gate::default();
+    let gate = crashed.clone();
+    cluster.register_app("algos", move |ctx| {
+        let me = ctx.rank().0 as i64;
+        let (mut iter, mut acc) = match ctx.restored() {
+            Some(v) => (v.req_int("iter")?, v.req_int("acc")?),
+            None => (0, 0),
+        };
+        while iter < ITERS {
+            let state = CkptValue::record(vec![
+                ("iter", CkptValue::Int(iter)),
+                ("acc", CkptValue::Int(acc)),
+            ]);
+            if iter % 2 == 0 && iter > 0 {
+                // The barrier is bench-e2e finding 1's work-around for the
+                // ≥ 3-rank checkpoint wedge (ROADMAP item 1a).
+                ctx.barrier()?;
+                ctx.checkpoint(&state)?;
+            } else {
+                ctx.safepoint(&state)?;
+            }
+            if iter == 5 {
+                ctx.publish(CkptValue::Str("here".into()));
+                gate.wait();
+            }
+            for len in LENS {
+                acc = fold(acc, algo_bank_round(Some(&mut *ctx), me, N, iter, len)?);
+            }
+            iter += 1;
+        }
+        ctx.publish(CkptValue::Int(acc));
+        Ok(())
+    });
+    let app = cluster
+        .submit("algos", N as u32, SubmitOpts::default())
+        .unwrap();
+    for r in 0..N as u32 {
+        cluster.wait_outputs(app, Rank(r), 1, T).unwrap();
+    }
+    let victim = cluster.config().apps[&app].placement[1];
+    cluster.crash_node(victim);
+    cluster.add_node(0).unwrap();
+    crashed.open();
+    cluster
+        .wait_app_done(app, Duration::from_secs(120))
+        .unwrap();
+
+    assert_eq!(cluster.config().apps[&app].epoch.0, 1, "one rollback");
+    for r in 0..N {
+        let expect = (0..ITERS)
+            .flat_map(|iter| LENS.map(|len| algo_bank_round(None, r, N, iter, len).unwrap()))
+            .fold(0, fold);
+        let out = cluster.outputs(app, Rank(r as u32));
+        assert!(
+            out.contains(&CkptValue::Int(expect)),
+            "rank {r}: want {expect}, got {out:?}"
+        );
+    }
+}

@@ -13,20 +13,20 @@
 
 use bytes::Bytes;
 
-use starfish_util::{Error, Rank, Result, VClock};
+use starfish_util::{Error, Rank, Result};
 
 use super::{
-    exchange_segments, Comm, MpiEndpoint, PhaseTag, MAX_COLL_RANKS, OP_ALLGATHER, PHASE_CTRL,
+    check_group_size, exchange_segments, Comm, PhaseTag, Transport, OP_ALLGATHER, PHASE_CTRL,
     PHASE_MAIN,
 };
 
 /// One Bruck circulation. `lens_rot[j]` must hold the byte length of the
 /// blob of rank `me + j` (mod n); `blocks` starts as `[own blob]` and ends
 /// with all `n` blobs in rotated order.
-fn rounds(
-    ep: &mut MpiEndpoint,
+fn rounds<X: Transport>(
+    t: &mut X,
     comm: &Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     phase_of: impl Fn(u32) -> PhaseTag,
     lens_rot: &[usize],
     blocks: &mut Vec<Bytes>,
@@ -49,7 +49,7 @@ fn rounds(
             Bytes::from(buf)
         };
         let expect: usize = lens_rot[have..have + cnt].iter().sum();
-        let got = exchange_segments(ep, comm, clock, dst, src, phase_of(step), out, expect)?;
+        let got = exchange_segments(t, comm, clock, dst, src, phase_of(step), out, expect)?;
         let mut pos = 0usize;
         for j in 0..cnt {
             let len = lens_rot[have + j];
@@ -72,26 +72,22 @@ fn unrotate<T: Clone + Default>(me: usize, n: usize, blocks: &[T]) -> Vec<T> {
 
 /// The length pre-round: circulate every rank's blob length (4-byte BE
 /// entries on the control phase). Returns lengths in rank order.
-pub(super) fn exchange_lens(
-    ep: &mut MpiEndpoint,
+pub(super) fn exchange_lens<X: Transport>(
+    t: &mut X,
     comm: &Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     seq: u64,
     my_len: usize,
 ) -> Result<Vec<usize>> {
     let n = comm.size() as usize;
     let me = comm.rank().index();
-    if n > MAX_COLL_RANKS {
-        return Err(Error::invalid_arg(format!(
-            "allgather supports at most {MAX_COLL_RANKS} ranks, got {n}"
-        )));
-    }
+    check_group_size(n)?;
     let entry = u32::try_from(my_len)
         .map_err(|_| Error::invalid_arg("allgather blob exceeds u32 length"))?;
     let mut blocks = vec![Bytes::copy_from_slice(&entry.to_be_bytes())];
     let lens_rot = vec![4usize; n];
     rounds(
-        ep,
+        t,
         comm,
         clock,
         |step| PhaseTag::new(OP_ALLGATHER, seq, PHASE_CTRL, step),
@@ -106,10 +102,10 @@ pub(super) fn exchange_lens(
 }
 
 /// Bruck allgather of the blobs themselves, lengths already shared.
-pub(super) fn allgather(
-    ep: &mut MpiEndpoint,
+pub(super) fn allgather<X: Transport>(
+    t: &mut X,
     comm: &Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     seq: u64,
     data: &[u8],
     lens: &[usize],
@@ -119,7 +115,7 @@ pub(super) fn allgather(
     let lens_rot: Vec<usize> = (0..n).map(|j| lens[(me + j) % n]).collect();
     let mut blocks = vec![Bytes::copy_from_slice(data)];
     rounds(
-        ep,
+        t,
         comm,
         clock,
         |step| PhaseTag::new(OP_ALLGATHER, seq, PHASE_MAIN, step),

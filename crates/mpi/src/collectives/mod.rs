@@ -1,17 +1,19 @@
-//! MPI collectives over point-to-point, with per-call algorithm selection.
+//! MPI collectives over point-to-point, with per-call algorithm selection:
+//! the one collective stack, generic over the [`Transport`] that carries
+//! its messages (a bare endpoint, or the cluster runtime's `Ctx`).
 //!
 //! Every collective operation of a communicator must be invoked by all
 //! members in the same order (the MPI rule); the communicator's internal
 //! sequence number then gives each round a unique tag so that consecutive
 //! collectives never cross-match. Each operation with a bandwidth/latency
-//! trade-off carries several algorithms and a [`CollAlgoSelector`] picks
-//! per call:
+//! trade-off carries several algorithms; the `*_with` entry points take
+//! one, the plain ones ask the [`CollAlgoSelector`]:
 //!
 //! * **allreduce** — recursive doubling ([`rdouble`]) for small payloads,
-//!   reduce-scatter + ring allgather ([`ring`]) for large ones, and the
-//!   legacy reduce+bcast composition kept as a forced-only baseline;
+//!   reduce-scatter + ring allgather ([`ring`]) for large ones; forced
+//!   only: binomial reduce + bcast, which is what the cluster runs;
 //! * **allgather** — Bruck doubling ([`bruck`]) small, ring circulation
-//!   large, gather+bcast as the forced-only baseline;
+//!   large; forced only: gather + bcast, which is what the cluster runs;
 //! * **bcast** — binomial tree small, van de Geijn scatter + ring
 //!   allgather ([`vdg`]) large.
 //!
@@ -26,7 +28,7 @@
 //! # Tag layout
 //!
 //! Collective tags live above [`COLL_TAG_BASE`]; user tags must stay below
-//! it. The 64-bit tag packs:
+//! it (`Ctx` rejects the rest). The 64-bit tag packs:
 //!
 //! ```text
 //! bit  63       COLL_TAG_BASE
@@ -55,8 +57,8 @@
 //!
 //! Per-rank blobs move as [`Bytes`] handles that alias the arrival buffer —
 //! receiving a blob never copies it, and multi-blob results are zero-copy
-//! slices. The one composite wire format left is the legacy gather+bcast
-//! allgather concatenation:
+//! slices. The one composite wire format is the gather+bcast allgather's
+//! concatenation:
 //!
 //! ```text
 //! [count: u32 BE] ( [len_i: u32 BE] [blob_i: len_i bytes] ) * count
@@ -66,13 +68,15 @@ mod bruck;
 mod rdouble;
 mod ring;
 pub mod selector;
+mod transport;
 mod vdg;
 
 pub use selector::{AllgatherAlgo, AllreduceAlgo, BcastAlgo, CollAlgoSelector};
+pub use transport::Transport;
 
 use bytes::Bytes;
 use starfish_telemetry::{metric, MetricId};
-use starfish_util::{Error, Rank, Result, VClock};
+use starfish_util::{Error, Rank, Result};
 
 use crate::comm::Comm;
 use crate::endpoint::{MpiEndpoint, RecvdMsg, Request};
@@ -89,6 +93,17 @@ const SEQ_MASK: u64 = 0xFFFF_FFFF;
 /// Ring/scatter step indices ride the 12-bit `step` tag field, so a
 /// collective can span at most this many ranks.
 pub const MAX_COLL_RANKS: usize = 1 << 12;
+
+/// The stepped algorithms (ring, Bruck, scatter+allgather) refuse a group
+/// whose step indices would overflow the tag field.
+fn check_group_size(n: usize) -> Result<()> {
+    if n > MAX_COLL_RANKS {
+        return Err(Error::invalid_arg(format!(
+            "stepped collectives span at most {MAX_COLL_RANKS} ranks, got {n}"
+        )));
+    }
+    Ok(())
+}
 
 pub(crate) const OP_BARRIER: u8 = 1;
 pub(crate) const OP_BCAST: u8 = 2;
@@ -238,48 +253,36 @@ impl PodNum for u64 {
 
 // --- telemetry plumbing ------------------------------------------------
 
-fn note_algo(ep: &MpiEndpoint, id: MetricId) {
+fn note(ep: &MpiEndpoint, id: MetricId, n: u64) {
     if let Some(m) = ep.metrics_handle() {
-        m.inc(id);
-    }
-}
-
-fn note_sent(ep: &MpiEndpoint, bytes: usize) {
-    if let Some(m) = ep.metrics_handle() {
-        m.add(metric::COLL_BYTES_MOVED, bytes as u64);
-    }
-}
-
-fn note_segments(ep: &MpiEndpoint, n: u64) {
-    if let Some(m) = ep.metrics_handle() {
-        m.add(metric::COLL_SEGMENTS, n);
+        m.add(id, n);
     }
 }
 
 // --- point-to-point plumbing -------------------------------------------
 
-fn send_c(
-    ep: &mut MpiEndpoint,
+fn send_c<X: Transport>(
+    t: &mut X,
     comm: &Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     dst: Rank, // communicator rank
     tag: u64,
     data: &[u8],
 ) -> Result<()> {
     let world = comm.world_rank(dst)?;
-    note_sent(ep, data.len());
-    ep.send_world(clock, world, comm.context(), tag, data)
+    note(t.endpoint(), metric::COLL_BYTES_MOVED, data.len() as u64);
+    t.send(clock, world, comm.context(), tag, data)
 }
 
-fn recv_c(
-    ep: &mut MpiEndpoint,
+fn recv_c<X: Transport>(
+    t: &mut X,
     comm: &Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     src: Rank, // communicator rank
     tag: u64,
 ) -> Result<RecvdMsg> {
     let world = comm.world_rank(src)?;
-    ep.recv_world(clock, comm.context(), Some(world), Some(tag))
+    t.recv(clock, comm.context(), world, tag)
 }
 
 /// Segment count of a block of `len` bytes at `seg_bytes` per segment.
@@ -290,32 +293,26 @@ fn seg_count(len: usize, seg_bytes: usize) -> u32 {
 
 /// Start a segmented block send: the block is sliced into rendezvous-chunk-
 /// aligned segments, each isent under its own `seg` tag. Returns the
-/// requests; the caller must [`MpiEndpoint::wait`] them (after posting its
+/// requests; the caller must [`Transport::wait`] them (after posting its
 /// own receives, so segment pipelines from both directions interleave).
-fn isend_segments(
-    ep: &mut MpiEndpoint,
+fn isend_segments<X: Transport>(
+    t: &mut X,
     comm: &Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     dst: Rank,
     tag: PhaseTag,
     data: Bytes,
 ) -> Result<Vec<Request>> {
-    let seg_bytes = ep.rendezvous_chunk_bytes().max(1);
+    let seg_bytes = t.endpoint().rendezvous_chunk_bytes().max(1);
     let nsegs = seg_count(data.len(), seg_bytes);
     let world = comm.world_rank(dst)?;
-    note_sent(ep, data.len());
-    note_segments(ep, nsegs as u64);
+    note(t.endpoint(), metric::COLL_BYTES_MOVED, data.len() as u64);
+    note(t.endpoint(), metric::COLL_SEGMENTS, nsegs as u64);
     let mut reqs = Vec::with_capacity(nsegs as usize);
     for i in 0..nsegs {
         let lo = i as usize * seg_bytes;
         let hi = (lo + seg_bytes).min(data.len());
-        reqs.push(ep.isend_world_bytes(
-            clock,
-            world,
-            comm.context(),
-            tag.seg(i),
-            data.slice(lo..hi),
-        )?);
+        reqs.push(t.isend(clock, world, comm.context(), tag.seg(i), data.slice(lo..hi))?);
     }
     Ok(reqs)
 }
@@ -323,18 +320,18 @@ fn isend_segments(
 /// Receive a segmented block of exactly `expect` bytes (see
 /// [`isend_segments`]). Single-segment blocks come back as the zero-copy
 /// arrival buffer; multi-segment blocks are assembled into one buffer.
-fn recv_segments(
-    ep: &mut MpiEndpoint,
+fn recv_segments<X: Transport>(
+    t: &mut X,
     comm: &Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     src: Rank,
     tag: PhaseTag,
     expect: usize,
 ) -> Result<Bytes> {
-    let seg_bytes = ep.rendezvous_chunk_bytes().max(1);
+    let seg_bytes = t.endpoint().rendezvous_chunk_bytes().max(1);
     let nsegs = seg_count(expect, seg_bytes);
     if nsegs == 1 {
-        let m = recv_c(ep, comm, clock, src, tag.seg(0))?;
+        let m = recv_c(t, comm, clock, src, tag.seg(0))?;
         if m.data.len() != expect {
             return Err(Error::codec("collective segment length mismatch"));
         }
@@ -342,7 +339,7 @@ fn recv_segments(
     }
     let mut buf = Vec::with_capacity(expect);
     for i in 0..nsegs {
-        buf.extend_from_slice(&recv_c(ep, comm, clock, src, tag.seg(i))?.data);
+        buf.extend_from_slice(&recv_c(t, comm, clock, src, tag.seg(i))?.data);
     }
     if buf.len() != expect {
         return Err(Error::codec("collective segment length mismatch"));
@@ -354,20 +351,20 @@ fn recv_segments(
 /// bytes from `src`, then retire the send requests. The isend-first order
 /// is what makes rings and doubling exchanges deadlock-free.
 #[allow(clippy::too_many_arguments)]
-fn exchange_segments(
-    ep: &mut MpiEndpoint,
+fn exchange_segments<X: Transport>(
+    t: &mut X,
     comm: &Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     dst: Rank,
     src: Rank,
     tag: PhaseTag,
     out: Bytes,
     expect: usize,
 ) -> Result<Bytes> {
-    let reqs = isend_segments(ep, comm, clock, dst, tag, out)?;
-    let got = recv_segments(ep, comm, clock, src, tag, expect)?;
+    let reqs = isend_segments(t, comm, clock, dst, tag, out)?;
+    let got = recv_segments(t, comm, clock, src, tag, expect)?;
     for r in reqs {
-        ep.wait(clock, r)?;
+        t.wait(clock, r)?;
     }
     Ok(got)
 }
@@ -375,19 +372,18 @@ fn exchange_segments(
 // --- core tree algorithms ----------------------------------------------
 
 /// `MPI_Barrier`: dissemination algorithm, ⌈log₂ n⌉ rounds.
-pub fn barrier(ep: &mut MpiEndpoint, comm: &mut Comm, clock: &mut VClock) -> Result<()> {
+pub fn barrier<X: Transport>(t: &mut X, comm: &mut Comm, clock: &mut X::Clock) -> Result<()> {
     let n = comm.size() as usize;
     let me = comm.rank().index();
-    let seq = comm.coll_seq;
-    comm.coll_seq += 1;
+    let seq = comm.next_coll_seq();
     let mut k = 1usize;
     let mut round = 0u32;
     while k < n {
         let tag = PhaseTag::new(OP_BARRIER, seq, PHASE_MAIN, round).seg(0);
         let to = Rank(((me + k) % n) as u32);
         let from = Rank(((me + n - k) % n) as u32);
-        send_c(ep, comm, clock, to, tag, &[])?;
-        recv_c(ep, comm, clock, from, tag)?;
+        send_c(t, comm, clock, to, tag, &[])?;
+        recv_c(t, comm, clock, from, tag)?;
         k <<= 1;
         round += 1;
     }
@@ -397,10 +393,10 @@ pub fn barrier(ep: &mut MpiEndpoint, comm: &mut Comm, clock: &mut VClock) -> Res
 /// Binomial-tree broadcast of `data` from `root` under an explicit tag.
 /// Non-roots receive into the returned buffer, which aliases the arrival
 /// buffer (no copy per tree level).
-fn binomial_bcast_raw(
-    ep: &mut MpiEndpoint,
+fn binomial_bcast_raw<X: Transport>(
+    t: &mut X,
     comm: &Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     root: Rank,
     data: Bytes,
     tag: u64,
@@ -417,7 +413,7 @@ fn binomial_bcast_raw(
     while mask < n {
         if vr & mask != 0 {
             let src = Rank(((me + n - mask) % n) as u32);
-            buf = recv_c(ep, comm, clock, src, tag)?.data;
+            buf = recv_c(t, comm, clock, src, tag)?.data;
             break;
         }
         mask <<= 1;
@@ -427,7 +423,7 @@ fn binomial_bcast_raw(
     while mask > 0 {
         if vr + mask < n {
             let dst = Rank(((me + mask) % n) as u32);
-            send_c(ep, comm, clock, dst, tag, &buf)?;
+            send_c(t, comm, clock, dst, tag, &buf)?;
         }
         mask >>= 1;
     }
@@ -437,10 +433,10 @@ fn binomial_bcast_raw(
 /// Broadcast the payload length from `root` on the control phase, so every
 /// rank can run the selector (and the van de Geijn chunk arithmetic) on
 /// shared knowledge.
-fn bcast_len_header(
-    ep: &mut MpiEndpoint,
+fn bcast_len_header<X: Transport>(
+    t: &mut X,
     comm: &Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     seq: u64,
     root: Rank,
     len_at_root: usize,
@@ -451,7 +447,7 @@ fn bcast_len_header(
     } else {
         Bytes::new()
     };
-    let got = binomial_bcast_raw(ep, comm, clock, root, hdr, tag)?;
+    let got = binomial_bcast_raw(t, comm, clock, root, hdr, tag)?;
     if got.len() != 8 {
         return Err(Error::codec("bcast length header truncated"));
     }
@@ -462,87 +458,77 @@ fn bcast_len_header(
 /// rides the binomial tree first (control phase), then the
 /// [`CollAlgoSelector`] picks binomial vs scatter+allgather from the
 /// now-shared (size, group) key.
-pub fn bcast(
-    ep: &mut MpiEndpoint,
+pub fn bcast<X: Transport>(
+    t: &mut X,
     comm: &mut Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     root: Rank,
     data: Bytes,
 ) -> Result<Bytes> {
     let n = comm.size() as usize;
-    let seq = comm.coll_seq;
-    comm.coll_seq += 1;
-    if n == 1 {
-        return Ok(data);
-    }
-    let len = bcast_len_header(ep, comm, clock, seq, root, data.len())?;
-    let algo = ep.coll_selector().select_bcast(len, n);
-    run_bcast(ep, comm, clock, root, data, len, seq, algo)
+    let seq = comm.next_coll_seq();
+    let len = bcast_len_header(t, comm, clock, seq, root, data.len())?;
+    let algo = t.endpoint().coll_selector().select_bcast(len, n);
+    run_bcast(t, comm, clock, root, data, len, seq, algo)
 }
 
-/// `MPI_Bcast` with a forced algorithm. `Binomial` keeps the legacy wire
-/// shape (no length header); `ScatterAllgather` needs the header so
-/// non-roots can size their chunks.
-pub fn bcast_with(
-    ep: &mut MpiEndpoint,
+/// `MPI_Bcast` with a forced algorithm. `Binomial` sends no length header;
+/// `ScatterAllgather` needs one so non-roots can size their chunks.
+pub fn bcast_with<X: Transport>(
+    t: &mut X,
     comm: &mut Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     root: Rank,
     data: Bytes,
     algo: BcastAlgo,
 ) -> Result<Bytes> {
-    let n = comm.size() as usize;
-    let seq = comm.coll_seq;
-    comm.coll_seq += 1;
-    if n == 1 {
-        return Ok(data);
-    }
+    let seq = comm.next_coll_seq();
     let len = match algo {
         BcastAlgo::Binomial => data.len(),
-        BcastAlgo::ScatterAllgather => bcast_len_header(ep, comm, clock, seq, root, data.len())?,
+        BcastAlgo::ScatterAllgather => bcast_len_header(t, comm, clock, seq, root, data.len())?,
     };
-    run_bcast(ep, comm, clock, root, data, len, seq, algo)
+    run_bcast(t, comm, clock, root, data, len, seq, algo)
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_bcast(
-    ep: &mut MpiEndpoint,
+fn run_bcast<X: Transport>(
+    t: &mut X,
     comm: &Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     root: Rank,
     data: Bytes,
     len: usize,
     seq: u64,
     algo: BcastAlgo,
 ) -> Result<Bytes> {
-    note_algo(ep, algo.metric());
-    let t0 = clock.now();
+    note(t.endpoint(), algo.metric(), 1);
+    let t0 = t.now(clock);
     let out = match algo {
         BcastAlgo::Binomial => {
             let tag = PhaseTag::new(OP_BCAST, seq, PHASE_MAIN, 0).seg(0);
-            binomial_bcast_raw(ep, comm, clock, root, data, tag)
+            binomial_bcast_raw(t, comm, clock, root, data, tag)
         }
-        BcastAlgo::ScatterAllgather => vdg::bcast(ep, comm, clock, seq, root, data, len),
+        BcastAlgo::ScatterAllgather => vdg::bcast(t, comm, clock, seq, root, data, len),
     }?;
-    ep.recorder()
-        .span(t0, clock.now(), "coll.bcast", algo.name());
+    t.endpoint()
+        .recorder()
+        .span(t0, t.now(clock), "coll.bcast", algo.name());
     Ok(out)
 }
 
 /// `MPI_Reduce` to communicator rank `root`: binomial combine tree. Returns
 /// `Some(result)` at the root, `None` elsewhere.
-pub fn reduce<T: PodNum>(
-    ep: &mut MpiEndpoint,
+pub fn reduce<X: Transport, T: PodNum>(
+    t: &mut X,
     comm: &mut Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     root: Rank,
     data: &[T],
     op: ReduceOp,
 ) -> Result<Option<Vec<T>>> {
     let n = comm.size() as usize;
     let me = comm.rank().index();
-    let tag = PhaseTag::new(OP_REDUCE, comm.coll_seq, PHASE_MAIN, 0).seg(0);
-    comm.coll_seq += 1;
+    let tag = PhaseTag::new(OP_REDUCE, comm.next_coll_seq(), PHASE_MAIN, 0).seg(0);
     let vr = (me + n - root.index()) % n;
     let mut acc: Vec<T> = data.to_vec();
     let mut mask = 1usize;
@@ -551,7 +537,7 @@ pub fn reduce<T: PodNum>(
             let peer_vr = vr | mask;
             if peer_vr < n {
                 let src = Rank(((peer_vr + root.index()) % n) as u32);
-                let m = recv_c(ep, comm, clock, src, tag)?;
+                let m = recv_c(t, comm, clock, src, tag)?;
                 let other: Vec<T> = decode_slice(&m.data)?;
                 if other.len() != acc.len() {
                     return Err(Error::invalid_arg("reduce buffers differ in length"));
@@ -563,7 +549,7 @@ pub fn reduce<T: PodNum>(
         } else {
             let peer_vr = vr ^ mask;
             let dst = Rank(((peer_vr + root.index()) % n) as u32);
-            send_c(ep, comm, clock, dst, tag, &encode_slice(&acc))?;
+            send_c(t, comm, clock, dst, tag, &encode_slice(&acc))?;
             return Ok(None);
         }
         mask <<= 1;
@@ -573,35 +559,38 @@ pub fn reduce<T: PodNum>(
 
 /// `MPI_Allreduce`. The [`CollAlgoSelector`] picks the algorithm from the
 /// payload size (symmetric across ranks by MPI semantics) and group size.
-pub fn allreduce<T: PodNum>(
-    ep: &mut MpiEndpoint,
+pub fn allreduce<X: Transport, T: PodNum>(
+    t: &mut X,
     comm: &mut Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     data: &[T],
     op: ReduceOp,
 ) -> Result<Vec<T>> {
     let n = comm.size() as usize;
-    let algo = ep.coll_selector().select_allreduce(data.len() * T::SIZE, n);
-    allreduce_with(ep, comm, clock, data, op, algo)
+    let algo = t
+        .endpoint()
+        .coll_selector()
+        .select_allreduce(data.len() * T::SIZE, n);
+    allreduce_with(t, comm, clock, data, op, algo)
 }
 
 /// `MPI_Allreduce` with a forced algorithm (every rank must force the same
 /// one — the usual MPI symmetric-call rule).
-pub fn allreduce_with<T: PodNum>(
-    ep: &mut MpiEndpoint,
+pub fn allreduce_with<X: Transport, T: PodNum>(
+    t: &mut X,
     comm: &mut Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     data: &[T],
     op: ReduceOp,
     algo: AllreduceAlgo,
 ) -> Result<Vec<T>> {
-    note_algo(ep, algo.metric());
-    let t0 = clock.now();
+    note(t.endpoint(), algo.metric(), 1);
+    let t0 = t.now(clock);
     let out = match algo {
         AllreduceAlgo::ReduceBcast => {
-            let reduced = reduce(ep, comm, clock, Rank(0), data, op)?;
+            let reduced = reduce(t, comm, clock, Rank(0), data, op)?;
             let bytes = bcast_with(
-                ep,
+                t,
                 comm,
                 clock,
                 Rank(0),
@@ -613,18 +602,17 @@ pub fn allreduce_with<T: PodNum>(
             decode_slice(&bytes)
         }
         AllreduceAlgo::RecursiveDoubling => {
-            let seq = comm.coll_seq;
-            comm.coll_seq += 1;
-            rdouble::allreduce(ep, comm, clock, seq, data, op)
+            let seq = comm.next_coll_seq();
+            rdouble::allreduce(t, comm, clock, seq, data, op)
         }
         AllreduceAlgo::Ring => {
-            let seq = comm.coll_seq;
-            comm.coll_seq += 1;
-            ring::allreduce(ep, comm, clock, seq, data, op)
+            let seq = comm.next_coll_seq();
+            ring::allreduce(t, comm, clock, seq, data, op)
         }
     }?;
-    ep.recorder()
-        .span(t0, clock.now(), "coll.allreduce", algo.name());
+    t.endpoint()
+        .recorder()
+        .span(t0, t.now(clock), "coll.allreduce", algo.name());
     Ok(out)
 }
 
@@ -632,17 +620,16 @@ pub fn allreduce_with<T: PodNum>(
 /// communicator-rank order at the root, `None` elsewhere. Each received
 /// blob aliases its arrival buffer — the root copies nothing but its own
 /// contribution.
-pub fn gather(
-    ep: &mut MpiEndpoint,
+pub fn gather<X: Transport>(
+    t: &mut X,
     comm: &mut Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     root: Rank,
     data: &[u8],
 ) -> Result<Option<Vec<Bytes>>> {
     let n = comm.size() as usize;
     let me = comm.rank();
-    let tag = PhaseTag::new(OP_GATHER, comm.coll_seq, PHASE_MAIN, 0).seg(0);
-    comm.coll_seq += 1;
+    let tag = PhaseTag::new(OP_GATHER, comm.next_coll_seq(), PHASE_MAIN, 0).seg(0);
     if me == root {
         let mut out: Vec<Bytes> = vec![Bytes::new(); n];
         out[me.index()] = Bytes::copy_from_slice(data);
@@ -650,29 +637,28 @@ pub fn gather(
             if i == me.index() {
                 continue;
             }
-            let m = recv_c(ep, comm, clock, Rank(i as u32), tag)?;
+            let m = recv_c(t, comm, clock, Rank(i as u32), tag)?;
             *slot = m.data;
         }
         Ok(Some(out))
     } else {
-        send_c(ep, comm, clock, root, tag, data)?;
+        send_c(t, comm, clock, root, tag, data)?;
         Ok(None)
     }
 }
 
 /// `MPI_Scatter` of per-rank byte blobs from `root` (which passes
 /// `Some(blobs)`, one per rank). Returns this rank's blob.
-pub fn scatter(
-    ep: &mut MpiEndpoint,
+pub fn scatter<X: Transport>(
+    t: &mut X,
     comm: &mut Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     root: Rank,
     data: Option<Vec<Bytes>>,
 ) -> Result<Bytes> {
     let n = comm.size() as usize;
     let me = comm.rank();
-    let tag = PhaseTag::new(OP_SCATTER, comm.coll_seq, PHASE_MAIN, 0).seg(0);
-    comm.coll_seq += 1;
+    let tag = PhaseTag::new(OP_SCATTER, comm.next_coll_seq(), PHASE_MAIN, 0).seg(0);
     if me == root {
         let blobs = data.ok_or_else(|| Error::invalid_arg("scatter root must supply the blobs"))?;
         if blobs.len() != n {
@@ -683,12 +669,12 @@ pub fn scatter(
         }
         for (i, blob) in blobs.iter().enumerate() {
             if i != me.index() {
-                send_c(ep, comm, clock, Rank(i as u32), tag, blob)?;
+                send_c(t, comm, clock, Rank(i as u32), tag, blob)?;
             }
         }
         Ok(blobs[me.index()].clone())
     } else {
-        Ok(recv_c(ep, comm, clock, root, tag)?.data)
+        Ok(recv_c(t, comm, clock, root, tag)?.data)
     }
 }
 
@@ -696,86 +682,75 @@ pub fn scatter(
 /// pre-round first (control phase, ⌈log₂ n⌉ tiny messages), which both
 /// feeds the selector a rank-symmetric total and lets the ring/Bruck data
 /// phases run without per-blob framing.
-pub fn allgather(
-    ep: &mut MpiEndpoint,
+pub fn allgather<X: Transport>(
+    t: &mut X,
     comm: &mut Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     data: &[u8],
 ) -> Result<Vec<Bytes>> {
     let n = comm.size() as usize;
-    if n == 1 {
-        comm.coll_seq += 1;
-        return Ok(vec![Bytes::copy_from_slice(data)]);
-    }
-    let seq = comm.coll_seq;
-    comm.coll_seq += 1;
-    let lens = bruck::exchange_lens(ep, comm, clock, seq, data.len())?;
+    let seq = comm.next_coll_seq();
+    let lens = bruck::exchange_lens(t, comm, clock, seq, data.len())?;
     let total: usize = lens.iter().sum();
-    let algo = ep.coll_selector().select_allgather(total, n);
-    run_allgather(ep, comm, clock, seq, data, Some(lens), algo)
+    let algo = t.endpoint().coll_selector().select_allgather(total, n);
+    run_allgather(t, comm, clock, seq, data, Some(lens), algo)
 }
 
-/// `MPI_Allgather` with a forced algorithm. `GatherBcast` keeps the legacy
-/// wire shape (no length pre-round); `Bruck`/`Ring` run the pre-round
-/// themselves.
-pub fn allgather_with(
-    ep: &mut MpiEndpoint,
+/// `MPI_Allgather` with a forced algorithm. `GatherBcast` runs no length
+/// pre-round; `Bruck`/`Ring` run it themselves.
+pub fn allgather_with<X: Transport>(
+    t: &mut X,
     comm: &mut Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     data: &[u8],
     algo: AllgatherAlgo,
 ) -> Result<Vec<Bytes>> {
-    let n = comm.size() as usize;
-    if n == 1 {
-        comm.coll_seq += 1;
-        return Ok(vec![Bytes::copy_from_slice(data)]);
-    }
     match algo {
-        AllgatherAlgo::GatherBcast => run_allgather(ep, comm, clock, 0, data, None, algo),
+        AllgatherAlgo::GatherBcast => run_allgather(t, comm, clock, 0, data, None, algo),
         AllgatherAlgo::Bruck | AllgatherAlgo::Ring => {
-            let seq = comm.coll_seq;
-            comm.coll_seq += 1;
-            let lens = bruck::exchange_lens(ep, comm, clock, seq, data.len())?;
-            run_allgather(ep, comm, clock, seq, data, Some(lens), algo)
+            let seq = comm.next_coll_seq();
+            let lens = bruck::exchange_lens(t, comm, clock, seq, data.len())?;
+            run_allgather(t, comm, clock, seq, data, Some(lens), algo)
         }
     }
 }
 
-fn run_allgather(
-    ep: &mut MpiEndpoint,
+fn run_allgather<X: Transport>(
+    t: &mut X,
     comm: &mut Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     seq: u64,
     data: &[u8],
     lens: Option<Vec<usize>>,
     algo: AllgatherAlgo,
 ) -> Result<Vec<Bytes>> {
-    note_algo(ep, algo.metric());
-    let t0 = clock.now();
+    note(t.endpoint(), algo.metric(), 1);
+    let t0 = t.now(clock);
     let out = match algo {
-        AllgatherAlgo::GatherBcast => allgather_gather_bcast(ep, comm, clock, data),
+        AllgatherAlgo::GatherBcast => allgather_gather_bcast(t, comm, clock, data),
         AllgatherAlgo::Bruck => {
-            bruck::allgather(ep, comm, clock, seq, data, &lens.expect("lens pre-round"))
+            bruck::allgather(t, comm, clock, seq, data, &lens.expect("lens pre-round"))
         }
         AllgatherAlgo::Ring => {
-            ring::allgather(ep, comm, clock, seq, data, &lens.expect("lens pre-round"))
+            ring::allgather(t, comm, clock, seq, data, &lens.expect("lens pre-round"))
         }
     }?;
-    ep.recorder()
-        .span(t0, clock.now(), "coll.allgather", algo.name());
+    t.endpoint()
+        .recorder()
+        .span(t0, t.now(clock), "coll.allgather", algo.name());
     Ok(out)
 }
 
-/// Legacy allgather: gather to rank 0, then broadcast the concatenation
-/// (wire layout in the module docs). Every returned blob is a zero-copy
-/// slice of the single broadcast buffer. Kept as the bench baseline.
-fn allgather_gather_bcast(
-    ep: &mut MpiEndpoint,
+/// Gather to rank 0, then broadcast the concatenation (wire layout in the
+/// module docs). Every returned blob is a zero-copy slice of the single
+/// broadcast buffer.
+fn allgather_gather_bcast<X: Transport>(
+    t: &mut X,
     comm: &mut Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     data: &[u8],
 ) -> Result<Vec<Bytes>> {
-    let gathered = gather(ep, comm, clock, Rank(0), data)?;
+    let gathered = gather(t, comm, clock, Rank(0), data)?;
     let framed = gathered.map(|blobs| {
         let total: usize = 4 + blobs.iter().map(|b| 4 + b.len()).sum::<usize>();
         let mut out = Vec::with_capacity(total);
@@ -787,7 +762,7 @@ fn allgather_gather_bcast(
         Bytes::from(out)
     });
     let bytes = bcast_with(
-        ep,
+        t,
         comm,
         clock,
         Rank(0),
@@ -819,10 +794,10 @@ fn allgather_gather_bcast(
 /// `MPI_Alltoall` of per-destination blobs (`send[i]` goes to communicator
 /// rank `i`); returns per-source blobs, each aliasing its arrival buffer
 /// (only this rank's own blob is copied).
-pub fn alltoall(
-    ep: &mut MpiEndpoint,
+pub fn alltoall<X: Transport>(
+    t: &mut X,
     comm: &mut Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     send: &[Vec<u8>],
 ) -> Result<Vec<Bytes>> {
     let n = comm.size() as usize;
@@ -833,8 +808,7 @@ pub fn alltoall(
             send.len()
         )));
     }
-    let tag = PhaseTag::new(OP_ALLTOALL, comm.coll_seq, PHASE_MAIN, 0).seg(0);
-    comm.coll_seq += 1;
+    let tag = PhaseTag::new(OP_ALLTOALL, comm.next_coll_seq(), PHASE_MAIN, 0).seg(0);
     let mut out: Vec<Bytes> = vec![Bytes::new(); n];
     out[me] = Bytes::copy_from_slice(&send[me]);
     // Pairwise exchange: round r pairs me with me^r is only valid for powers
@@ -842,28 +816,27 @@ pub fn alltoall(
     for r in 1..n {
         let dst = (me + r) % n;
         let src = (me + n - r) % n;
-        send_c(ep, comm, clock, Rank(dst as u32), tag, &send[dst])?;
-        let m = recv_c(ep, comm, clock, Rank(src as u32), tag)?;
+        send_c(t, comm, clock, Rank(dst as u32), tag, &send[dst])?;
+        let m = recv_c(t, comm, clock, Rank(src as u32), tag)?;
         out[src] = m.data;
     }
     Ok(out)
 }
 
 /// `MPI_Scan` (inclusive prefix reduction in communicator-rank order).
-pub fn scan<T: PodNum>(
-    ep: &mut MpiEndpoint,
+pub fn scan<X: Transport, T: PodNum>(
+    t: &mut X,
     comm: &mut Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     data: &[T],
     op: ReduceOp,
 ) -> Result<Vec<T>> {
     let n = comm.size() as usize;
     let me = comm.rank().index();
-    let tag = PhaseTag::new(OP_SCAN, comm.coll_seq, PHASE_MAIN, 0).seg(0);
-    comm.coll_seq += 1;
+    let tag = PhaseTag::new(OP_SCAN, comm.next_coll_seq(), PHASE_MAIN, 0).seg(0);
     let mut acc: Vec<T> = data.to_vec();
     if me > 0 {
-        let m = recv_c(ep, comm, clock, Rank((me - 1) as u32), tag)?;
+        let m = recv_c(t, comm, clock, Rank((me - 1) as u32), tag)?;
         let prev: Vec<T> = decode_slice(&m.data)?;
         for (a, p) in acc.iter_mut().zip(prev) {
             *a = T::reduce(op, p, *a);
@@ -871,7 +844,7 @@ pub fn scan<T: PodNum>(
     }
     if me + 1 < n {
         send_c(
-            ep,
+            t,
             comm,
             clock,
             Rank((me + 1) as u32),
@@ -884,19 +857,20 @@ pub fn scan<T: PodNum>(
 
 /// `MPI_Comm_split`: members with the same `color` form a new communicator,
 /// ordered by `(key, world rank)`. Returns `None` for `color == None`
-/// (MPI_UNDEFINED).
-pub fn comm_split(
-    ep: &mut MpiEndpoint,
+/// (MPI_UNDEFINED). The `(color, key)` pairs travel by an `exchange`
+/// allgather.
+pub fn comm_split<X: Transport>(
+    t: &mut X,
     comm: &mut Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     color: Option<u32>,
     key: u32,
+    exchange: AllgatherAlgo,
 ) -> Result<Option<Comm>> {
-    // Exchange (color, key) via allgather.
-    let mut mine = Vec::new();
+    let mut mine = Vec::with_capacity(8);
     mine.extend_from_slice(&color.unwrap_or(u32::MAX).to_be_bytes());
     mine.extend_from_slice(&key.to_be_bytes());
-    let all = allgather(ep, comm, clock, &mine)?;
+    let all = allgather_with(t, comm, clock, &mine, exchange)?;
     let Some(my_color) = color else {
         return Ok(None);
     };

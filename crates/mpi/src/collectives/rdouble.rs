@@ -10,11 +10,11 @@
 
 use bytes::Bytes;
 
-use starfish_util::{Rank, Result, VClock};
+use starfish_util::{Rank, Result};
 
 use super::{
-    decode_slice, encode_slice, exchange_segments, isend_segments, recv_segments, Comm,
-    MpiEndpoint, PhaseTag, PodNum, ReduceOp, OP_ALLREDUCE, PHASE_MAIN,
+    decode_slice, encode_slice, exchange_segments, isend_segments, recv_segments, Comm, PhaseTag,
+    PodNum, ReduceOp, Transport, OP_ALLREDUCE, PHASE_MAIN,
 };
 
 /// Real rank of virtual rank `v` after the fold (`r` = excess ranks).
@@ -26,10 +26,10 @@ fn real_rank(v: usize, r: usize) -> usize {
     }
 }
 
-pub(super) fn allreduce<T: PodNum>(
-    ep: &mut MpiEndpoint,
+pub(super) fn allreduce<X: Transport, T: PodNum>(
+    t: &mut X,
     comm: &Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     seq: u64,
     data: &[T],
     op: ReduceOp,
@@ -50,7 +50,7 @@ pub(super) fn allreduce<T: PodNum>(
     let vrank = if me < 2 * r {
         if me.is_multiple_of(2) {
             let reqs = isend_segments(
-                ep,
+                t,
                 comm,
                 clock,
                 Rank((me + 1) as u32),
@@ -58,11 +58,11 @@ pub(super) fn allreduce<T: PodNum>(
                 Bytes::from(encode_slice(&acc)),
             )?;
             for q in reqs {
-                ep.wait(clock, q)?;
+                t.wait(clock, q)?;
             }
             None
         } else {
-            let got = recv_segments(ep, comm, clock, Rank((me - 1) as u32), tag(0), expect)?;
+            let got = recv_segments(t, comm, clock, Rank((me - 1) as u32), tag(0), expect)?;
             let other: Vec<T> = decode_slice(&got)?;
             for (a, b) in acc.iter_mut().zip(other) {
                 *a = T::reduce(op, *a, b);
@@ -79,7 +79,7 @@ pub(super) fn allreduce<T: PodNum>(
         while mask < p {
             let peer = Rank(real_rank(v ^ mask, r) as u32);
             let out = Bytes::from(encode_slice(&acc));
-            let got = exchange_segments(ep, comm, clock, peer, peer, tag(step), out, expect)?;
+            let got = exchange_segments(t, comm, clock, peer, peer, tag(step), out, expect)?;
             let other: Vec<T> = decode_slice(&got)?;
             for (a, b) in acc.iter_mut().zip(other) {
                 *a = T::reduce(op, *a, b);
@@ -94,7 +94,7 @@ pub(super) fn allreduce<T: PodNum>(
         let step = p.trailing_zeros() + 1;
         if me % 2 == 1 {
             let reqs = isend_segments(
-                ep,
+                t,
                 comm,
                 clock,
                 Rank((me - 1) as u32),
@@ -102,10 +102,10 @@ pub(super) fn allreduce<T: PodNum>(
                 Bytes::from(encode_slice(&acc)),
             )?;
             for q in reqs {
-                ep.wait(clock, q)?;
+                t.wait(clock, q)?;
             }
         } else {
-            let got = recv_segments(ep, comm, clock, Rank((me + 1) as u32), tag(step), expect)?;
+            let got = recv_segments(t, comm, clock, Rank((me + 1) as u32), tag(step), expect)?;
             acc = decode_slice(&got)?;
         }
     }

@@ -16,11 +16,11 @@
 
 use bytes::Bytes;
 
-use starfish_util::{Error, Rank, Result, VClock};
+use starfish_util::{Rank, Result};
 
 use super::{
-    decode_slice, encode_slice, exchange_segments, Comm, MpiEndpoint, PhaseTag, PodNum, ReduceOp,
-    MAX_COLL_RANKS, OP_ALLGATHER, OP_ALLREDUCE, PHASE_AG, PHASE_MAIN,
+    check_group_size, decode_slice, encode_slice, exchange_segments, Comm, PhaseTag, PodNum,
+    ReduceOp, Transport, OP_ALLGATHER, OP_ALLREDUCE, PHASE_AG, PHASE_MAIN,
 };
 
 /// Element range `[lo, hi)` of block `b` when `total` elements are split
@@ -34,20 +34,11 @@ pub(crate) fn block_range(total: usize, n: usize, b: usize) -> (usize, usize) {
     (lo, hi)
 }
 
-fn check_ring_size(n: usize) -> Result<()> {
-    if n > MAX_COLL_RANKS {
-        return Err(Error::invalid_arg(format!(
-            "ring collectives support at most {MAX_COLL_RANKS} ranks, got {n}"
-        )));
-    }
-    Ok(())
-}
-
 /// Ring allreduce: reduce-scatter then ring allgather.
-pub(super) fn allreduce<T: PodNum>(
-    ep: &mut MpiEndpoint,
+pub(super) fn allreduce<X: Transport, T: PodNum>(
+    t: &mut X,
     comm: &Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     seq: u64,
     data: &[T],
     op: ReduceOp,
@@ -57,7 +48,7 @@ pub(super) fn allreduce<T: PodNum>(
     if n == 1 {
         return Ok(data.to_vec());
     }
-    check_ring_size(n)?;
+    check_group_size(n)?;
     let mut acc: Vec<T> = data.to_vec();
     let m = acc.len();
     let right = Rank(((me + 1) % n) as u32);
@@ -71,16 +62,7 @@ pub(super) fn allreduce<T: PodNum>(
         let out = Bytes::from(encode_slice(&acc[lo..hi]));
         let (rlo, rhi) = block_range(m, n, recv_b);
         let tag = PhaseTag::new(OP_ALLREDUCE, seq, PHASE_MAIN, s as u32);
-        let got = exchange_segments(
-            ep,
-            comm,
-            clock,
-            right,
-            left,
-            tag,
-            out,
-            (rhi - rlo) * T::SIZE,
-        )?;
+        let got = exchange_segments(t, comm, clock, right, left, tag, out, (rhi - rlo) * T::SIZE)?;
         let other: Vec<T> = decode_slice(&got)?;
         for (a, b) in acc[rlo..rhi].iter_mut().zip(other) {
             *a = T::reduce(op, *a, b);
@@ -95,16 +77,7 @@ pub(super) fn allreduce<T: PodNum>(
         let out = Bytes::from(encode_slice(&acc[lo..hi]));
         let (rlo, rhi) = block_range(m, n, recv_b);
         let tag = PhaseTag::new(OP_ALLREDUCE, seq, PHASE_AG, s as u32);
-        let got = exchange_segments(
-            ep,
-            comm,
-            clock,
-            right,
-            left,
-            tag,
-            out,
-            (rhi - rlo) * T::SIZE,
-        )?;
+        let got = exchange_segments(t, comm, clock, right, left, tag, out, (rhi - rlo) * T::SIZE)?;
         let other: Vec<T> = decode_slice(&got)?;
         acc[rlo..rhi].copy_from_slice(&other);
     }
@@ -114,17 +87,17 @@ pub(super) fn allreduce<T: PodNum>(
 /// Ring allgather of per-rank blobs whose lengths are already known to
 /// every rank (from the Bruck length pre-round): n−1 steps, each rank
 /// forwards the blob it received in the previous step.
-pub(super) fn allgather(
-    ep: &mut MpiEndpoint,
+pub(super) fn allgather<X: Transport>(
+    t: &mut X,
     comm: &Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     seq: u64,
     data: &[u8],
     lens: &[usize],
 ) -> Result<Vec<Bytes>> {
     let n = comm.size() as usize;
     let me = comm.rank().index();
-    check_ring_size(n)?;
+    check_group_size(n)?;
     let mut out: Vec<Bytes> = vec![Bytes::new(); n];
     out[me] = Bytes::copy_from_slice(data);
     let right = Rank(((me + 1) % n) as u32);
@@ -134,7 +107,7 @@ pub(super) fn allgather(
         let recv_b = (me + n - s - 1) % n;
         let tag = PhaseTag::new(OP_ALLGATHER, seq, PHASE_MAIN, s as u32);
         out[recv_b] = exchange_segments(
-            ep,
+            t,
             comm,
             clock,
             right,

@@ -18,7 +18,7 @@
 
 use starfish_telemetry::{metric, MetricId};
 
-use crate::threshold::{calibrate, ThresholdCache};
+use crate::threshold::ThresholdCache;
 
 /// Fallback crossover for ring vs recursive-doubling allreduce (total
 /// payload bytes), used until a bench calibration is loaded.
@@ -33,8 +33,8 @@ pub const DEFAULT_BCAST_SCATTER_BYTES: usize = 256 * 1024;
 /// Allreduce algorithm choices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllreduceAlgo {
-    /// Legacy composition: binomial reduce to rank 0, then binomial bcast.
-    /// Kept as the comparison baseline; the selector never picks it.
+    /// Binomial reduce to rank 0, then binomial bcast: 2(n−1) messages.
+    /// What the cluster runtime forces; the selector never picks it.
     ReduceBcast,
     /// Recursive doubling with a pre/post fold for non-power-of-two sizes:
     /// ⌈log₂ n⌉ exchange rounds, every rank moves O(m·log n) bytes.
@@ -47,8 +47,8 @@ pub enum AllreduceAlgo {
 /// Allgather algorithm choices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllgatherAlgo {
-    /// Legacy composition: gather to rank 0, bcast the framed concatenation
-    /// (total bytes cross the wire twice). Comparison baseline only.
+    /// Gather to rank 0, bcast the framed concatenation (total bytes cross
+    /// the wire twice). What the cluster runtime forces; never selected.
     GatherBcast,
     /// Bruck's algorithm: ⌈log₂ n⌉ rounds of doubling block exchanges —
     /// latency-optimal for small blobs.
@@ -145,33 +145,11 @@ impl Default for CollAlgoSelector {
 }
 
 impl CollAlgoSelector {
-    /// Build from measured crossovers (`None` keeps the default for that
-    /// knob). Crossovers are run through [`calibrate`] so a noisy sweep
-    /// still yields a sane power-of-two threshold.
-    pub fn from_crossovers(
-        allreduce: Option<usize>,
-        allgather: Option<usize>,
-        bcast: Option<usize>,
-    ) -> Self {
-        let d = CollAlgoSelector::default();
-        CollAlgoSelector {
-            allreduce_ring_bytes: allreduce
-                .map(|c| calibrate(Some(c)))
-                .unwrap_or(d.allreduce_ring_bytes),
-            allgather_ring_bytes: allgather
-                .map(|c| calibrate(Some(c)))
-                .unwrap_or(d.allgather_ring_bytes),
-            bcast_scatter_bytes: bcast
-                .map(|c| calibrate(Some(c)))
-                .unwrap_or(d.bcast_scatter_bytes),
-        }
-    }
-
     /// Load thresholds calibrated by `benches/collectives.rs` for `model`
     /// (a [`starfish_vni::NetworkModel::name`], spaces replaced by `-`).
     /// Missing keys keep their defaults.
     pub fn from_cache(cache: &ThresholdCache, model: &str) -> Self {
-        let key = |op: &str| format!("coll.{op}.{}", model.replace([' ', '/'], "-"));
+        let key = |op: &str| Self::cache_key(op, model);
         let d = CollAlgoSelector::default();
         CollAlgoSelector {
             allreduce_ring_bytes: cache
@@ -253,15 +231,6 @@ mod tests {
         );
         assert_eq!(s.select_allgather(1 << 20, 2), AllgatherAlgo::Bruck);
         assert_eq!(s.select_bcast(1 << 20, 2), BcastAlgo::Binomial);
-    }
-
-    #[test]
-    fn crossovers_are_calibrated_not_raw() {
-        let s = CollAlgoSelector::from_crossovers(Some(100_000), None, Some(3));
-        // calibrate() rounds up to a power of two and clamps to [1 KiB, 1 MiB].
-        assert_eq!(s.allreduce_ring_bytes, 131072);
-        assert_eq!(s.allgather_ring_bytes, DEFAULT_ALLGATHER_RING_BYTES);
-        assert_eq!(s.bcast_scatter_bytes, 1024);
     }
 
     #[test]

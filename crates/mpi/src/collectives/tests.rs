@@ -4,7 +4,7 @@ use crate::endpoint::RecvMode;
 use proptest::prelude::*;
 use starfish_telemetry::Registry;
 use starfish_util::trace::TraceSink;
-use starfish_util::{AppId, NodeId, VirtualTime};
+use starfish_util::{AppId, NodeId, VClock, VirtualTime};
 use starfish_vni::{Fabric, Ideal, LayerCosts};
 
 /// Run `f(rank, endpoint, comm, clock)` on `n` rank-threads and collect
@@ -351,7 +351,9 @@ fn comm_split_partitions_and_works() {
     // Even/odd split; each half does its own allreduce.
     let res = run_ranks(4, |r, ep, comm, clock| {
         let color = Some(r % 2);
-        let mut sub = comm_split(ep, comm, clock, color, r).unwrap().unwrap();
+        let mut sub = comm_split(ep, comm, clock, color, r, AllgatherAlgo::Bruck)
+            .unwrap()
+            .unwrap();
         assert_eq!(sub.size(), 2);
         allreduce(ep, &mut sub, clock, &[r as i64], ReduceOp::Sum).unwrap()
     });
@@ -365,7 +367,9 @@ fn comm_split_partitions_and_works() {
 fn comm_split_undefined_color() {
     let res = run_ranks(3, |r, ep, comm, clock| {
         let color = if r == 2 { None } else { Some(0) };
-        comm_split(ep, comm, clock, color, 0).unwrap().is_some()
+        comm_split(ep, comm, clock, color, 0, AllgatherAlgo::Bruck)
+            .unwrap()
+            .is_some()
     });
     assert_eq!(res, vec![true, true, false]);
 }

@@ -10,18 +10,18 @@
 
 use bytes::Bytes;
 
-use starfish_util::{Error, Rank, Result, VClock};
+use starfish_util::{Error, Rank, Result};
 
 use super::ring::block_range;
 use super::{
-    exchange_segments, isend_segments, recv_segments, Comm, MpiEndpoint, PhaseTag, MAX_COLL_RANKS,
+    check_group_size, exchange_segments, isend_segments, recv_segments, Comm, PhaseTag, Transport,
     OP_BCAST, PHASE_AG, PHASE_MAIN,
 };
 
-pub(super) fn bcast(
-    ep: &mut MpiEndpoint,
+pub(super) fn bcast<X: Transport>(
+    t: &mut X,
     comm: &Comm,
-    clock: &mut VClock,
+    clock: &mut X::Clock,
     seq: u64,
     root: Rank,
     data: Bytes,
@@ -32,11 +32,7 @@ pub(super) fn bcast(
     if n == 1 {
         return Ok(data);
     }
-    if n > MAX_COLL_RANKS {
-        return Err(Error::invalid_arg(format!(
-            "scatter-allgather bcast supports at most {MAX_COLL_RANKS} ranks, got {n}"
-        )));
-    }
+    check_group_size(n)?;
     let vr = (me + n - root.index()) % n;
 
     // Phase 1: the root scatters chunk `v` to virtual rank `v`.
@@ -50,7 +46,7 @@ pub(super) fn bcast(
             let dst = Rank(((v + root.index()) % n) as u32);
             let (lo, hi) = block_range(len, n, v);
             reqs.extend(isend_segments(
-                ep,
+                t,
                 comm,
                 clock,
                 dst,
@@ -61,12 +57,12 @@ pub(super) fn bcast(
         let (lo, hi) = block_range(len, n, 0);
         chunks[0] = data.slice(lo..hi);
         for r in reqs {
-            ep.wait(clock, r)?;
+            t.wait(clock, r)?;
         }
     } else {
         let (lo, hi) = block_range(len, n, vr);
         chunks[vr] = recv_segments(
-            ep,
+            t,
             comm,
             clock,
             root,
@@ -83,7 +79,7 @@ pub(super) fn bcast(
         let recv_b = (vr + n - s - 1) % n;
         let (rlo, rhi) = block_range(len, n, recv_b);
         chunks[recv_b] = exchange_segments(
-            ep,
+            t,
             comm,
             clock,
             right,

@@ -5,8 +5,9 @@ use starfish_util::{Error, Rank, Result};
 use crate::wire::WORLD_CONTEXT;
 
 /// A communicator: an ordered set of world ranks plus a context id that
-/// isolates its traffic from every other communicator's.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// isolates its traffic from every other communicator's. The default is
+/// empty: what `mem::take` leaves while the real one is checked out.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Comm {
     context: u32,
     /// Members as world ranks; a member's *communicator rank* is its index.
@@ -45,6 +46,12 @@ impl Comm {
             my_index,
             coll_seq: 0,
         })
+    }
+
+    /// Take the sequence number of the next collective round.
+    pub fn next_coll_seq(&mut self) -> u64 {
+        self.coll_seq += 1;
+        self.coll_seq - 1
     }
 
     /// This process's rank *within the communicator*.

@@ -128,10 +128,10 @@ metric_table! {
     // selector's decisions directly; kept contiguous so the rendered
     // output groups them. The mapping lives with the selector
     // (starfish-mpi), which tests pin against these ids.
-    COLL_ALGO_ALLREDUCE_REDUCE_BCAST = ("coll.algo.allreduce.reduce-bcast", Counter, Count, "Allreduce calls routed through the legacy reduce+bcast composition");
+    COLL_ALGO_ALLREDUCE_REDUCE_BCAST = ("coll.algo.allreduce.reduce-bcast", Counter, Count, "Allreduce calls routed through binomial reduce + bcast (the cluster path)");
     COLL_ALGO_ALLREDUCE_RDOUBLE = ("coll.algo.allreduce.recursive-doubling", Counter, Count, "Allreduce calls routed through recursive doubling");
     COLL_ALGO_ALLREDUCE_RING = ("coll.algo.allreduce.ring", Counter, Count, "Allreduce calls routed through ring reduce-scatter + ring allgather");
-    COLL_ALGO_ALLGATHER_GATHER_BCAST = ("coll.algo.allgather.gather-bcast", Counter, Count, "Allgather calls routed through the legacy gather+bcast composition");
+    COLL_ALGO_ALLGATHER_GATHER_BCAST = ("coll.algo.allgather.gather-bcast", Counter, Count, "Allgather calls routed through gather + bcast (the cluster path)");
     COLL_ALGO_ALLGATHER_BRUCK = ("coll.algo.allgather.bruck", Counter, Count, "Allgather calls routed through the Bruck log-step algorithm");
     COLL_ALGO_ALLGATHER_RING = ("coll.algo.allgather.ring", Counter, Count, "Allgather calls routed through the bandwidth-optimal ring");
     COLL_ALGO_BCAST_BINOMIAL = ("coll.algo.bcast.binomial", Counter, Count, "Bcast calls routed through the binomial tree");

@@ -13,10 +13,12 @@
 //! 3. **Never lossy about being lossy.** Both rings are
 //!    [`SeqRing`]s: eviction is counted exactly and `seq` keeps counting,
 //!    so a dump always says how much history is missing.
-//! 4. **Traffic cannot evict structure.** Sends and receives live in one
-//!    ring, everything else (phases, marks, view changes, faults) in a
-//!    second one of fixed size, so a job that moves 20 000 messages between
-//!    two checkpoint rounds still shows both rounds in `TIMELINE`.
+//! 4. **Traffic cannot evict structure.** Sends, receives and the phases
+//!    recorded once per operation ([`TRAFFIC_PHASES`]) live in one ring,
+//!    everything else (phases, marks, view changes, faults) in a second one
+//!    of fixed size, so a job that moves 20 000 messages or runs 600
+//!    allreduces between two checkpoint rounds still shows both rounds in
+//!    `TIMELINE`.
 
 use std::sync::Arc;
 
@@ -34,6 +36,12 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 /// Capacity of the phase ring. A constant: phases are rare (a handful per
 /// checkpoint round or recovery), so no workload needs a different bound.
 pub const PHASE_CAPACITY: usize = 1024;
+
+/// Name prefix of the phases that occur at message rate — the `coll.<op>`
+/// span of every collective call. They are traffic: filed in the message
+/// ring, where a long run of them ages out sends and receives, never a
+/// `ckpt.round`.
+pub const TRAFFIC_PHASES: &str = "coll.";
 
 /// One process's dumped rings: what the reassembler and exporters consume.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,7 +102,8 @@ pub struct TraceCursor {
 }
 
 struct State {
-    /// Sends and receives, bounded by the configured capacity.
+    /// Sends, receives and [`TRAFFIC_PHASES`], bounded by the configured
+    /// capacity.
     msgs: SeqRing<TraceEvent>,
     /// Everything else, bounded by [`PHASE_CAPACITY`].
     phases: SeqRing<TraceEvent>,
@@ -158,8 +167,13 @@ impl State {
             vt,
             kind,
         };
-        match ev.kind {
+        match &ev.kind {
             EventKind::Send { .. } | EventKind::Recv { .. } => self.msgs.push(ev),
+            EventKind::PhaseBegin { name } | EventKind::PhaseEnd { name, .. }
+                if name.starts_with(TRAFFIC_PHASES) =>
+            {
+                self.msgs.push(ev)
+            }
             _ => self.phases.push(ev),
         };
     }
@@ -534,10 +548,14 @@ mod tests {
         for i in 0..50 {
             r.on_send(vt(10 + i), 1, 1, i, 8);
         }
+        // Per-call spans are traffic too: 2 events each, in the same ring.
+        for i in 0..PHASE_CAPACITY as u64 {
+            r.span(vt(60), vt(61 + i), "coll.allreduce", "ring");
+        }
         r.span(vt(70), vt(80), "ckpt.write", "index 2, 64 B");
         r.on_send(vt(90), 1, 1, 50, 8);
         let d = r.dump();
-        assert_eq!(d.dropped, 51 - 4);
+        assert_eq!(d.dropped, 51 + 2 * PHASE_CAPACITY as u64 - 4);
         assert_eq!(d.events.len(), 4 + 4);
         for w in d.events.windows(2) {
             assert!(w[0].seq < w[1].seq && w[0].lamport < w[1].lamport);
@@ -555,6 +573,13 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![
                 ("ckpt.round", "index 1", vt(1), vt(2)),
+                // The newest of them is still in the 4-slot message ring.
+                (
+                    "coll.allreduce",
+                    "ring",
+                    vt(60),
+                    vt(60 + PHASE_CAPACITY as u64)
+                ),
                 ("ckpt.write", "index 2, 64 B", vt(70), vt(80)),
             ]
         );

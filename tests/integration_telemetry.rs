@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use starfish::{CkptValue, Cluster, Rank, SubmitOpts};
+use starfish::{CkptValue, Cluster, FtPolicy, Rank, ReduceOp, SubmitOpts};
 use starfish_telemetry::metric;
 use starfish_util::trace::{MsgClass, TraceSink};
 
@@ -133,12 +133,16 @@ fn stats_health_timeline_populated_through_checkpoint_and_failure() {
 }
 
 /// Traffic must not evict structure: with far more sends between two
-/// checkpoint rounds than the message ring holds, `TIMELINE` still shows
-/// both rounds, each with the index it committed.
+/// checkpoint rounds than the message ring holds — and more collective
+/// calls, each leaving `coll.*` spans, than the phase ring holds events —
+/// `TIMELINE` still shows both rounds, each with the index it committed.
 #[test]
 fn timeline_keeps_checkpoint_rounds_across_message_ring_eviction() {
     const RING: usize = 64;
     const SENDS: u64 = 4 * RING as u64;
+    // A reduce+bcast allreduce records 2 spans = 4 events; the phase ring
+    // holds 1024.
+    const ALLREDUCES: usize = 600;
     let cluster = Cluster::builder()
         .nodes(2)
         .flight_recorder(RING)
@@ -154,6 +158,9 @@ fn timeline_keeps_checkpoint_rounds_across_message_ring_eviction() {
             } else {
                 ctx.recv(Some(Rank(0)), Some(7))?;
             }
+        }
+        for _ in 0..ALLREDUCES {
+            ctx.allreduce_f64(&[1.0], ReduceOp::Sum)?;
         }
         ctx.barrier()?;
         ctx.checkpoint(&state)?;
@@ -186,6 +193,115 @@ fn timeline_keeps_checkpoint_rounds_across_message_ring_eviction() {
             "timeline lost ckpt.round index {index}: {tl}"
         );
     }
+}
+
+/// The cluster path runs the library's collectives with its algorithms
+/// pinned (`ctx.rs`: reduce+bcast, binomial, gather+bcast). Each collective
+/// issued through `Ctx` at 4 ranks must put exactly the messages of those
+/// trees on the wire, and the job's `STATS` must carry the library's
+/// `coll.*` accounting of them — so pointing the cluster path at the
+/// selector (8 instead of 6 messages per allreduce) cannot happen silently.
+#[test]
+fn ctx_collectives_pin_message_counts_and_coll_telemetry() {
+    const N: usize = 4;
+    type Op = fn(&mut starfish::Ctx<'_>) -> starfish::Result<()>;
+    // (name, data messages over all ranks, payload bytes over all ranks)
+    let ops: [(&str, u64, u64, Op); 9] = [
+        ("barrier", 8, 0, |c| c.barrier()),
+        ("bcast", 3, 3 * 16, |c| {
+            c.bcast(Rank(0), vec![7; 16]).map(drop)
+        }),
+        ("reduce", 3, 3 * 16, |c| {
+            c.reduce_f64(Rank(0), &[1.0, 2.0], ReduceOp::Sum).map(drop)
+        }),
+        ("allreduce", 6, 6 * 16, |c| {
+            c.allreduce_f64(&[1.0, 2.0], ReduceOp::Sum).map(drop)
+        }),
+        ("gather", 3, 3 * 4, |c| c.gather(Rank(0), &[1; 4]).map(drop)),
+        ("scatter", 3, 3 * 4, |c| {
+            let blobs = (c.rank() == Rank(0)).then(|| vec![vec![1; 4]; N]);
+            c.scatter(Rank(0), blobs).map(drop)
+        }),
+        // 3 blobs in, then 3 copies of the frame `count, (len, blob) * 4`.
+        ("allgather", 6, 3 * 4 + 3 * (4 + N as u64 * 8), |c| {
+            c.allgather(&[1; 4]).map(drop)
+        }),
+        ("alltoall", 12, 12 * 4, |c| {
+            c.alltoall(&vec![vec![1; 4]; N]).map(drop)
+        }),
+        ("scan", 3, 3 * 8, |c| {
+            c.scan_i64(&[1], ReduceOp::Sum).map(drop)
+        }),
+    ];
+
+    let cluster = Cluster::builder().nodes(2).build().unwrap();
+    // The ranks are threads of this process: a std barrier fences each
+    // collective, and rank 0 reads the cluster's data-message counter while
+    // everyone stands still (a sender counts its message before `send`
+    // returns).
+    let fence = std::sync::Arc::new(std::sync::Barrier::new(N));
+    let infra = cluster.metrics().clone();
+    cluster.register_app("pinned", move |ctx| {
+        let mut marks = Vec::new();
+        for op in ops.iter().map(|o| Some(o.3)).chain([None]) {
+            fence.wait();
+            if ctx.rank() == Rank(0) {
+                marks.push(infra.snapshot().counter(metric::MSG_COUNT_DATA) as i64);
+            }
+            fence.wait();
+            if let Some(op) = op {
+                op(ctx)?;
+            }
+        }
+        for w in marks.windows(2) {
+            ctx.publish(CkptValue::Int(w[1] - w[0]));
+        }
+        Ok(())
+    });
+    let app = cluster
+        .submit(
+            "pinned",
+            N as u32,
+            SubmitOpts::default().policy(FtPolicy::Kill),
+        )
+        .unwrap();
+    cluster.wait_app_done(app, T).unwrap();
+
+    let counted = cluster.outputs(app, Rank(0));
+    for ((name, msgs, _, _), got) in ops.iter().zip(&counted) {
+        assert_eq!(got, &CkptValue::Int(*msgs as i64), "{name}: data messages");
+    }
+    assert_eq!(counted.len(), ops.len());
+
+    // Each rank's registry reaches the hub by an ordered cast as it exits.
+    let hub = cluster.stats();
+    let deadline = std::time::Instant::now() + T;
+    while hub.scopes().iter().filter(|s| s.contains(".r")).count() < N {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "rank stats never landed"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut s = cluster.session();
+    ok(&s.handle_line("LOGIN USER tess"));
+    let stats = ok(&s.handle_line("STATS")).to_string();
+    let bytes: u64 = ops.iter().map(|o| o.2).sum();
+    for want in [
+        // One call per rank; bcast also serves allreduce and allgather.
+        format!("coll.algo.allreduce.reduce-bcast {N}"),
+        format!("coll.algo.allgather.gather-bcast {N}"),
+        format!("coll.algo.bcast.binomial {}", 3 * N),
+        format!("coll.bytes_moved {bytes}B"),
+    ] {
+        assert!(
+            stats.lines().any(|l| l == want),
+            "STATS lacks `{want}`: {stats}"
+        );
+    }
+    // Nothing the selector would have picked, no segmented phase.
+    assert_eq!(stats.matches("coll.algo.").count(), 3, "{stats}");
+    assert!(!stats.contains("coll.segments"), "{stats}");
 }
 
 #[test]
