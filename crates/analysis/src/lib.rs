@@ -12,7 +12,8 @@
 //!   blocking-while-locked pass.
 //! - [`panics`] — panic-surface audit over the protocol crates.
 //! - [`rules`] — the original wall-clock / wire-enum-coverage / mgmt-usage
-//!   rules, re-hosted on the model.
+//!   rules, re-hosted on the model, and the sans-io rule for files that
+//!   declare themselves pure protocol machines.
 //! - [`baseline`] / [`report`] — the committed triage file and the
 //!   human + JSON outputs.
 //!
@@ -120,9 +121,9 @@ pub fn analyze_workspace(root: &Path) -> Result<Report, String> {
         ));
     }
     for m in &models {
-        report.findings.extend(rules::wire_enum_coverage(
-            &root.join("crates").join(&m.name),
-        ));
+        let dir = root.join("crates").join(&m.name);
+        report.findings.extend(rules::sans_io(&dir.join("src")));
+        report.findings.extend(rules::wire_enum_coverage(&dir));
     }
     report
         .findings
@@ -163,6 +164,7 @@ pub fn analyze_crate(dir: &Path) -> Report {
 
     report.findings.extend(rules::wall_clock(&dir.join("src")));
     report.findings.extend(rules::sleep_poll(&dir.join("src")));
+    report.findings.extend(rules::sans_io(&dir.join("src")));
     report.findings.extend(rules::wire_enum_coverage(dir));
     let mgmt = dir.join("src/mgmt.rs");
     if mgmt.exists() {

@@ -14,6 +14,10 @@
 //!    several variants per line.
 //! 3. **mgmt-usage** — every command arm of the management console's
 //!    dispatch must have a `COMMAND_USAGE` entry, and vice versa.
+//! 4. **sans-io** — a file carrying the `// lint: sans-io` marker is a pure
+//!    protocol machine: it may not name a clock read, the fabric, the
+//!    virtual clock, a lock, a thread or an instrument, tests included, and
+//!    there is no escape hatch (the wall-clock one is itself a finding).
 
 use std::fs;
 use std::path::Path;
@@ -106,6 +110,59 @@ fn forbidden_tokens(src_dir: &Path, tokens: &[&str], wher: &str) -> Vec<Finding>
                         ),
                     ));
                 }
+            }
+        }
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// Rule 4: sans-io
+// ---------------------------------------------------------------------------
+
+/// The file marker (a comment line of its own) that opts a module into
+/// rule 4. `crates/mpi/src/{reliability,rendezvous,credit,matching}.rs`
+/// carry it; a unit test below pins that.
+pub const SANS_IO_MARKER: &str = "// lint: sans-io";
+
+/// What a sans-IO module may not name: wall-clock reads, the fabric and
+/// the virtual clock (it is handed values, never the thing that produces
+/// them), locks, threads (`thread::…` paths), and the instruments.
+pub const SANS_IO_TOKENS: &[&str] = &[
+    "Instant::now",
+    "SystemTime::now",
+    "Fabric",
+    "VClock",
+    "Mutex",
+    "Condvar",
+    "thread",
+    "Registry",
+    "FlightRecorder",
+];
+
+/// Does this file declare itself a pure machine?
+pub fn is_sans_io(scan: &SourceFile) -> bool {
+    scan.raw.iter().any(|l| l.trim() == SANS_IO_MARKER)
+}
+
+/// Check the marked files under `src_dir`: every line, test code included
+/// (a machine whose tests need a thread or a clock is not driven purely),
+/// and no marker excuses a finding.
+pub fn sans_io(src_dir: &Path) -> Vec<Finding> {
+    let mut out = Vec::new();
+    let files = rs_files(src_dir);
+    let scans = files.iter().filter_map(|f| SourceFile::load(f));
+    for scan in scans.filter(is_sans_io) {
+        for (i, code) in scan.code.iter().enumerate() {
+            let named = SANS_IO_TOKENS.iter().filter(|t| token_in(code, t));
+            let escape = scan.raw[i].contains(ALLOW_WALL_CLOCK);
+            for tok in named.chain(escape.then_some(&ALLOW_WALL_CLOCK)) {
+                let msg = format!(
+                    "`{tok}` in a `{SANS_IO_MARKER}` module: protocol machines take values \
+                     and return decisions; I/O, clocks, locks, threads and instruments \
+                     belong to the shell that drives them"
+                );
+                out.push(Finding::new("sans-io", scan.path.clone(), i + 1, msg));
             }
         }
     }
@@ -461,6 +518,79 @@ mod tests {
         assert_eq!(v[0].rule, "wall-clock");
         assert_eq!(v[0].line, 3);
         assert!(v[0].msg.contains("thread::sleep"), "{}", v[0].msg);
+    }
+
+    /// In a marked file every banned name is a finding — in test code too,
+    /// and the wall-clock escape is one more finding rather than an excuse;
+    /// an unmarked file is not this rule's business.
+    #[test]
+    fn sans_io_bans_io_names_in_marked_files_with_no_escape() {
+        let d = tmpdir("sans-io");
+        let body = concat!(
+            "pub struct M { fabric: Fabric, last: Option<std::time::Instant> }\n",
+            "impl M {\n",
+            "    pub fn tick(&mut self, clock: &mut VClock) {\n",
+            "        self.last = Some(std::time::Instant::now()); // lint: allow(wall-clock)\n",
+            "        let _g = self.lock.lock(); // a Mutex in a comment is fine\n",
+            "    }\n",
+            "}\n",
+            "#[cfg(test)]\n",
+            "mod tests {\n",
+            "    fn t() { std::thread::spawn(|| ()); let _ = \"Registry in a string\"; }\n",
+            "}\n",
+        );
+        fs::write(
+            d.join("src/machine.rs"),
+            format!("//! A pure machine.\n{SANS_IO_MARKER}\n{body}"),
+        )
+        .unwrap();
+        fs::write(d.join("src/shell.rs"), body).unwrap();
+        // Mentioning the marker in prose does not opt a file in.
+        fs::write(
+            d.join("src/lib.rs"),
+            format!("//! See `{SANS_IO_MARKER}`.\npub fn f(_: &Fabric) {{}}\n"),
+        )
+        .unwrap();
+        let v = sans_io(&d.join("src"));
+        let got: Vec<(usize, &str)> = v
+            .iter()
+            .map(|f| (f.line, f.msg.split('`').nth(1).unwrap()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (3, "Fabric"),
+                (5, "VClock"),
+                (6, "Instant::now"),
+                (6, ALLOW_WALL_CLOCK),
+                (12, "thread"),
+            ],
+            "{v:?}"
+        );
+        assert!(v
+            .iter()
+            .all(|f| f.rule == "sans-io" && f.file.ends_with("machine.rs")));
+        // The wall-clock rule alone accepts the marked read.
+        assert!(wall_clock(&d.join("src")).is_empty());
+    }
+
+    /// The four MPI protocol machines carry the marker (and the shell that
+    /// drives them does not): deleting one is a reviewed change here, not
+    /// a silent loss of coverage.
+    #[test]
+    fn the_mpi_protocol_machines_are_marked_sans_io() {
+        let mpi = Path::new(env!("CARGO_MANIFEST_DIR")).join("../mpi/src");
+        let marked = |f: &str| is_sans_io(&SourceFile::load(&mpi.join(f)).expect(f));
+        for f in [
+            "reliability.rs",
+            "rendezvous.rs",
+            "credit.rs",
+            "matching.rs",
+        ] {
+            assert!(marked(f), "{f} lost its `{SANS_IO_MARKER}` marker");
+        }
+        assert!(!marked("endpoint.rs"));
+        assert!(sans_io(&mpi).is_empty(), "{:?}", sans_io(&mpi));
     }
 
     #[test]

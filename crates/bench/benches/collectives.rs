@@ -1,8 +1,9 @@
 //! Collective-algorithm sweep: allreduce / allgather / bcast, every
 //! algorithm arm, at 8–1024 simulated ranks under both network models.
-//! Results are written to `BENCH_collectives.json` at the workspace root
-//! and the measured crossovers are persisted in the threshold cache that
-//! [`starfish_mpi::CollAlgoSelector::from_cache`] reads.
+//! Results — the measured crossovers and the thresholds calibrated from
+//! them included — are written to `BENCH_collectives.json` at the workspace
+//! root. The bench reports the calibration; the constants in
+//! `collectives::selector` are what runs.
 //!
 //! Unlike the fabric bench, the figure of merit here is **virtual time**:
 //! every rank's `VClock` max-merges across message exchanges, so the
@@ -22,8 +23,7 @@ use bytes::Bytes;
 use starfish_bench::report;
 use starfish_mpi::collectives::{self, AllgatherAlgo, AllreduceAlgo, BcastAlgo, ReduceOp};
 use starfish_mpi::{
-    calibrate, measured_crossover, threshold_consistent, CollAlgoSelector, Comm, MpiEndpoint,
-    RankDirectory, RecvMode, ThresholdCache,
+    calibrate, measured_crossover, threshold_consistent, Comm, MpiEndpoint, RankDirectory, RecvMode,
 };
 use starfish_util::trace::TraceSink;
 use starfish_util::{json, AppId, NodeId, Rank, VClock};
@@ -273,12 +273,7 @@ fn main() {
     // The selector's crossover per op and model, found exactly the way the
     // rendezvous threshold is: smallest size where the bandwidth-optimal
     // arm is within tolerance of the latency-optimal arm, then calibrated
-    // (power of two, clamped). Persisted so CollAlgoSelector::from_cache
-    // starts from measurements on this box.
-    let cache = ThresholdCache::at(format!(
-        "{}/../../target/threshold-cache.txt",
-        env!("CARGO_MANIFEST_DIR")
-    ));
+    // (power of two, clamped).
     let mut thresholds: ThresholdRows = Vec::new();
     let mut all_measured = true;
 
@@ -299,10 +294,6 @@ fn main() {
                 "allreduce threshold {calibrated} inconsistent with sweep {sweep:?} @ {model}"
             );
         }
-        let key = CollAlgoSelector::cache_key("allreduce", model);
-        if let Err(e) = cache.store(&key, calibrated) {
-            println!("could not persist {key}: {e}");
-        }
         ar_entries.push((model.clone(), crossover, calibrated));
     }
     thresholds.push(("allreduce", ar_entries));
@@ -315,10 +306,6 @@ fn main() {
     let ag_cross = measured_crossover(&ag_sweep);
     let ag_cal = calibrate(ag_cross);
     all_measured &= ag_cross.is_some();
-    let key = CollAlgoSelector::cache_key("allgather", models[0]);
-    if let Err(e) = cache.store(&key, ag_cal) {
-        println!("could not persist {key}: {e}");
-    }
     thresholds.push(("allgather", vec![(models[0].to_string(), ag_cross, ag_cal)]));
 
     // bcast: binomial vs scatter+allgather.
@@ -329,10 +316,6 @@ fn main() {
     let bc_cross = measured_crossover(&bc_sweep);
     let bc_cal = calibrate(bc_cross);
     all_measured &= bc_cross.is_some();
-    let key = CollAlgoSelector::cache_key("bcast", models[0]);
-    if let Err(e) = cache.store(&key, bc_cal) {
-        println!("could not persist {key}: {e}");
-    }
     thresholds.push(("bcast", vec![(models[0].to_string(), bc_cross, bc_cal)]));
 
     println!("\ncalibrated selector thresholds:");

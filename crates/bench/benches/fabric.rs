@@ -18,7 +18,7 @@ use bytes::Bytes;
 use starfish_bench::report;
 use starfish_mpi::{
     calibrate, measured_crossover, threshold_consistent, MpiEndpoint, RankDirectory, RecvMode,
-    ThresholdCache, WORLD_CONTEXT,
+    WORLD_CONTEXT,
 };
 use starfish_util::trace::TraceSink;
 use starfish_util::{AppId, NodeId, Rank, VClock};
@@ -258,20 +258,6 @@ fn main() {
             (starfish_mpi::threshold::CROSSOVER_TOLERANCE - 1.0) * 100.0,
             starfish_mpi::DEFAULT_RNDV_THRESHOLD
         ),
-    }
-    // Persist the calibration per network model so later runs on this box
-    // start from the measured threshold instead of the static default.
-    let model = Fabric::new(Box::new(Ideal), LayerCosts::zero())
-        .model()
-        .name()
-        .to_string();
-    let cache = ThresholdCache::at(format!(
-        "{}/../../target/threshold-cache.txt",
-        env!("CARGO_MANIFEST_DIR")
-    ));
-    match cache.store(&model, calibrated) {
-        Ok(()) => println!("cached threshold for model '{model}': {calibrated}"),
-        Err(e) => println!("could not persist threshold cache: {e}"),
     }
     // In full mode the sweep numbers are real: a calibration inconsistent
     // with its own fresh measurements means the data path or the calibration

@@ -287,11 +287,16 @@ impl Ctx<'_> {
         Ok(got)
     }
 
-    /// Non-blocking send (eager: completes immediately).
+    /// Non-blocking send, down the same path as [`send`](Self::send). An
+    /// eager payload is on the wire when this returns; a rendezvous-sized
+    /// one is parked behind its RTS and leaves when the receiver grants it
+    /// — complete the request with [`wait`](Self::wait).
     pub fn isend(&mut self, dst: Rank, tag: u64, data: &[u8]) -> Result<Request> {
-        self.send(dst, tag, data)?;
-        Ok(Request::Send {
-            vt: self.rt.clock.now(),
+        user_tag(Some(tag))?;
+        self.send_when_reachable(|rt| {
+            rt.note_first_send();
+            rt.mpi
+                .isend_world(&mut rt.clock, dst, WORLD_CONTEXT, tag, data)
         })
     }
 

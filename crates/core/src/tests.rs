@@ -512,14 +512,45 @@ fn crash_at_various_times_always_recovers() {
     }
 }
 
+/// The textbook symmetric exchange — `isend(big) → recv → wait` on both
+/// ranks — with a payload over the rendezvous threshold. Neither CTS is
+/// granted before the peer's `recv`, so an `isend` that blocked until its
+/// grant would park both ranks until the blocking timeout; a non-blocking
+/// one finishes in milliseconds.
+#[test]
+fn symmetric_isend_exchange_of_rendezvous_payloads_completes() {
+    const LEN: usize = 192 * 1024; // over DEFAULT_RNDV_THRESHOLD: one chunk, no early window
+    let cluster = Cluster::builder().nodes(2).build().unwrap();
+    cluster.register_app("swap", |ctx| {
+        let me = ctx.rank().0;
+        let peer = Rank(1 - me);
+        let fill = |r: u32| -> Vec<u8> { (0..LEN).map(|i| (i as u32 % 251 + r) as u8).collect() };
+        let started = std::time::Instant::now();
+        let req = ctx.isend(peer, 7, &fill(me))?;
+        let m = ctx.recv(Some(peer), Some(7))?;
+        ctx.wait(req)?;
+        let quick = started.elapsed() < Duration::from_secs(10);
+        ctx.publish(CkptValue::Int(
+            (m.data[..] == fill(peer.0)[..] && quick) as i64,
+        ));
+        Ok(())
+    });
+    let app = cluster.submit("swap", 2, SubmitOpts::default()).unwrap();
+    cluster.wait_app_done(app, T).unwrap();
+    for r in 0..2 {
+        assert_eq!(cluster.outputs(app, Rank(r)), vec![CkptValue::Int(1)]);
+    }
+}
+
 /// Stop-and-sync checkpoint right behind a *rendezvous* transfer: rank 0
-/// sends a payload over the rendezvous threshold and then starts a
-/// coordinated round. (`Ctx::isend` of a rendezvous-sized payload blocks
-/// until the receiver grants the CTS, so at this level the transfer cannot
-/// be parked across the round; `starfish-mpi`'s
-/// `snapshot_skips_placeholders_and_quiescence_push_completes_them` covers
-/// that.) The payload must arrive intact exactly once and both ranks must
-/// store the round.
+/// `isend`s a payload over the rendezvous threshold and then starts a
+/// coordinated round while the transfer may still be parked behind its RTS
+/// (rank 1 grants it from its `recv`, whenever that runs) — the round's
+/// quiescence push or the grant completes it, whichever comes first. The
+/// payload must arrive intact exactly once and both ranks must store the
+/// round. (`starfish-mpi`'s
+/// `snapshot_skips_placeholders_and_quiescence_push_completes_them` pins
+/// the push alone at endpoint level.)
 #[test]
 fn checkpoint_behind_a_rendezvous_transfer_loses_nothing() {
     const LEN: usize = 192 * 1024; // over DEFAULT_RNDV_THRESHOLD (64 KiB)

@@ -3,12 +3,14 @@
 //! Every algorithm family has a bandwidth-optimal member that wins for
 //! large payloads (ring allreduce, ring allgather, van de Geijn bcast) and
 //! a latency-optimal member that wins for small ones (recursive doubling,
-//! Bruck, binomial tree). The crossover depends on the network model, so
-//! the thresholds here are *calibrated*, not guessed: `benches/collectives.rs`
-//! sweeps both arms under each [`starfish_vni::NetworkModel`], finds the
-//! measured crossover with [`crate::threshold::measured_crossover`], and
-//! persists it in a [`ThresholdCache`] under `coll.<op>.<model>` keys that
-//! [`CollAlgoSelector::from_cache`] reads back.
+//! Bruck, binomial tree). The crossover depends on the network model:
+//! `benches/collectives.rs` sweeps both arms under each
+//! [`starfish_vni::NetworkModel`], finds the measured crossover with
+//! [`crate::threshold::measured_crossover`] and reports the calibrated
+//! thresholds in `BENCH_collectives.json` (gated by `ci/check_bench.py`).
+//! The bench reports the calibration; the constants below are what runs,
+//! unless a caller installs its own selector
+//! ([`crate::endpoint::MpiEndpoint::set_coll_selector`]).
 //!
 //! Selection must be *deterministic across ranks*: every member of the
 //! communicator has to pick the same algorithm from shared knowledge only.
@@ -18,14 +20,12 @@
 
 use starfish_telemetry::{metric, MetricId};
 
-use crate::threshold::ThresholdCache;
-
-/// Fallback crossover for ring vs recursive-doubling allreduce (total
-/// payload bytes), used until a bench calibration is loaded.
+/// Crossover for ring vs recursive-doubling allreduce (total payload
+/// bytes).
 pub const DEFAULT_ALLREDUCE_RING_BYTES: usize = 64 * 1024;
-/// Fallback crossover for ring vs Bruck allgather (total gathered bytes).
+/// Crossover for ring vs Bruck allgather (total gathered bytes).
 pub const DEFAULT_ALLGATHER_RING_BYTES: usize = 64 * 1024;
-/// Fallback crossover for scatter+allgather vs binomial bcast (payload
+/// Crossover for scatter+allgather vs binomial bcast (payload
 /// bytes). The van de Geijn scheme pays 2 extra latency phases, so its
 /// break-even sits higher than the allreduce one.
 pub const DEFAULT_BCAST_SCATTER_BYTES: usize = 256 * 1024;
@@ -125,8 +125,7 @@ impl BcastAlgo {
 /// Thresholds are total payload bytes at which the bandwidth-optimal arm
 /// takes over. An endpoint carries one (see
 /// [`crate::endpoint::MpiEndpoint::set_coll_selector`]); the defaults are
-/// conservative fallbacks, and [`CollAlgoSelector::from_cache`] loads the
-/// bench-calibrated values.
+/// the constants above.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollAlgoSelector {
     pub allreduce_ring_bytes: usize,
@@ -145,28 +144,6 @@ impl Default for CollAlgoSelector {
 }
 
 impl CollAlgoSelector {
-    /// Load thresholds calibrated by `benches/collectives.rs` for `model`
-    /// (a [`starfish_vni::NetworkModel::name`], spaces replaced by `-`).
-    /// Missing keys keep their defaults.
-    pub fn from_cache(cache: &ThresholdCache, model: &str) -> Self {
-        let key = |op: &str| Self::cache_key(op, model);
-        let d = CollAlgoSelector::default();
-        CollAlgoSelector {
-            allreduce_ring_bytes: cache
-                .load(&key("allreduce"))
-                .unwrap_or(d.allreduce_ring_bytes),
-            allgather_ring_bytes: cache
-                .load(&key("allgather"))
-                .unwrap_or(d.allgather_ring_bytes),
-            bcast_scatter_bytes: cache.load(&key("bcast")).unwrap_or(d.bcast_scatter_bytes),
-        }
-    }
-
-    /// The cache key the bench stores an op's threshold under.
-    pub fn cache_key(op: &str, model: &str) -> String {
-        format!("coll.{op}.{}", model.replace([' ', '/'], "-"))
-    }
-
     /// Pick the allreduce algorithm for `bytes` total payload across `n`
     /// ranks. `bytes` is symmetric across ranks by MPI semantics, so every
     /// rank reaches the same verdict.
@@ -231,31 +208,5 @@ mod tests {
         );
         assert_eq!(s.select_allgather(1 << 20, 2), AllgatherAlgo::Bruck);
         assert_eq!(s.select_bcast(1 << 20, 2), BcastAlgo::Binomial);
-    }
-
-    #[test]
-    fn cache_roundtrip_overrides_defaults() {
-        let dir = std::env::temp_dir().join(format!("coll-sel-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let cache = ThresholdCache::at(dir.join("cache.txt"));
-        cache
-            .store(
-                &CollAlgoSelector::cache_key("allreduce", "BIP/Myrinet"),
-                32768,
-            )
-            .unwrap();
-        let s = CollAlgoSelector::from_cache(&cache, "BIP/Myrinet");
-        assert_eq!(s.allreduce_ring_bytes, 32768);
-        assert_eq!(s.allgather_ring_bytes, DEFAULT_ALLGATHER_RING_BYTES);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn model_names_with_slashes_make_one_token_keys() {
-        // ThresholdCache lines are whitespace-split; the key must be a
-        // single token even for "BIP/Myrinet" or "ServerNet/VIA".
-        let key = CollAlgoSelector::cache_key("bcast", "ServerNet/VIA");
-        assert_eq!(key, "coll.bcast.ServerNet-VIA");
-        assert_eq!(key.split_whitespace().count(), 1);
     }
 }

@@ -15,11 +15,16 @@
 //!   dup with deterministic context derivation;
 //! * [`endpoint`] — [`endpoint::MpiEndpoint`], one per application process:
 //!   send/recv/isend/irecv/wait/probe, channel-state capture for C/R, and
-//!   the C/R data-path marks (flush marks, Chandy–Lamport markers);
+//!   the C/R data-path marks (flush marks, Chandy–Lamport markers). It is
+//!   the I/O shell around four pure protocol machines, which name no
+//!   fabric, clock, lock or thread (`starfish-lint` checks) and which the
+//!   `verify` crate's model checker drives directly: [`reliability`]
+//!   (per-flow sequencing and repair), [`rendezvous`] (parked transfers,
+//!   early window, reassembly, CTS pacing), [`credit`] (eager budget, the
+//!   fall-back-to-rendezvous verdict) and [`matching`] (the unexpected
+//!   queue with its placeholders, channel snapshot/restore/recording);
 //! * [`collectives`] — barrier, bcast, reduce, allreduce, gather, scatter,
-//!   allgather, alltoall, scan over point-to-point;
-//! * [`reliability`] — the pure per-flow sequencing state machines of the
-//!   reliable channel (shared with the `verify` crate's model checker).
+//!   allgather, alltoall, scan over point-to-point.
 //!
 //! ## Starfish API notes (paper §1)
 //!
@@ -31,9 +36,12 @@
 
 pub mod collectives;
 pub mod comm;
+pub mod credit;
 pub mod directory;
 pub mod endpoint;
+pub mod matching;
 pub mod reliability;
+pub mod rendezvous;
 pub mod replication;
 pub mod threshold;
 pub mod wire;
@@ -43,11 +51,13 @@ pub use collectives::{
     MAX_COLL_RANKS,
 };
 pub use comm::Comm;
+pub use credit::EAGER_CREDIT_BYTES;
 pub use directory::RankDirectory;
 pub use endpoint::{
-    CtsCadence, MpiEndpoint, RecvMode, RecvdMsg, Request, ANY_SOURCE, ANY_TAG,
-    DEFAULT_RNDV_THRESHOLD, EAGER_CREDIT_BYTES, RNDV_CHUNK_BYTES, RNDV_EARLY_CHUNKS,
+    MpiEndpoint, RecvMode, RecvdMsg, Request, ANY_SOURCE, ANY_TAG, DEFAULT_RNDV_THRESHOLD,
+    RNDV_CHUNK_BYTES,
 };
-pub use replication::{plan_push, replica_net, FragPath, FragXfer, PushSession};
-pub use threshold::{calibrate, measured_crossover, threshold_consistent, ThresholdCache};
+pub use rendezvous::{CtsCadence, RNDV_EARLY_CHUNKS};
+pub use replication::{replica_net, PushSession};
+pub use threshold::{calibrate, measured_crossover, threshold_consistent};
 pub use wire::{MsgHeader, CTRL_CONTEXT, DATA_PORT_BASE, WORLD_CONTEXT};

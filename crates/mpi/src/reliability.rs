@@ -17,8 +17,18 @@
 //! * everything below a cumulative ack is forgotten, everything above is
 //!   retransmittable;
 //! * a NACK never names a sequence that is already parked or delivered.
+//!
+//! [`Flows`] is one endpoint's set of them — a [`FlowTx`] per destination, a
+//! [`FlowRx`] per peer incarnation — with the layer's on/off switch.
+// lint: sans-io
 
 use std::collections::{BTreeMap, VecDeque};
+
+use starfish_util::{Epoch, Rank};
+
+/// Default retransmission window: messages kept per destination until
+/// acknowledged by a peer's Ping (cumulative ack).
+pub const REL_WINDOW: usize = 1024;
 
 /// Most missing sequences named by a single NACK. Bounds control-message
 /// size; the remainder is recovered by the next ping/flush round.
@@ -170,13 +180,63 @@ impl<P> FlowRx<P> {
 
 impl<P> Default for FlowTx<P> {
     fn default() -> Self {
-        FlowTx::new(crate::endpoint::REL_WINDOW)
+        FlowTx::new(REL_WINDOW)
     }
 }
 
 impl<P> Default for FlowRx<P> {
     fn default() -> Self {
         FlowRx::new()
+    }
+}
+
+/// Every reliable flow of one endpoint: outgoing by destination (payload
+/// `S`, what a retransmission needs), incoming by `(source rank, source
+/// epoch)` (payload `R`, what delivery needs).
+#[derive(Debug, Clone)]
+pub struct Flows<S, R> {
+    /// While off (the default) sends are not sequenced: `seq == 0` marks
+    /// unmanaged traffic, delivered as it arrives.
+    pub enabled: bool,
+    tx: BTreeMap<Rank, FlowTx<S>>,
+    rx: BTreeMap<(Rank, Epoch), FlowRx<R>>,
+}
+
+impl<S, R> Default for Flows<S, R> {
+    fn default() -> Self {
+        Flows {
+            enabled: false,
+            tx: BTreeMap::new(),
+            rx: BTreeMap::new(),
+        }
+    }
+}
+
+impl<S, R> Flows<S, R> {
+    /// The flow to `dst`.
+    pub fn tx(&mut self, dst: Rank) -> &mut FlowTx<S> {
+        self.tx.entry(dst).or_default()
+    }
+
+    /// The flow from `src`'s incarnation `epoch`.
+    pub fn rx(&mut self, src: Rank, epoch: Epoch) -> &mut FlowRx<R> {
+        self.rx.entry((src, epoch)).or_default()
+    }
+
+    /// Every outgoing flow's highest assigned sequence, in rank order: what
+    /// a quiescence flush advertises.
+    pub fn highest(&self) -> Vec<(Rank, u64)> {
+        let sent = |(dst, f): (&Rank, &FlowTx<S>)| f.highest().map(|h| (*dst, h));
+        self.tx.iter().filter_map(sent).collect()
+    }
+
+    /// Enter incarnation `epoch`. Flows are per incarnation: sequences
+    /// restart at 1 (receiver flows are keyed by the sender's epoch, so old
+    /// and new incarnations can never be confused), and flows from
+    /// rolled-back incarnations are dropped with their past.
+    pub fn new_epoch(&mut self, epoch: Epoch) {
+        self.tx.clear();
+        self.rx.retain(|(_, e), _| *e >= epoch);
     }
 }
 
@@ -251,6 +311,44 @@ mod tests {
         assert_eq!(rx.on_data(3, ()), RxVerdict::Parked { nack: vec![2] });
         assert_eq!(rx.missing_upto(4), vec![2, 4]);
         assert!(rx.missing_upto(1).is_empty());
+    }
+
+    /// The endpoint-wide table: off by default, flows keyed per peer and per
+    /// peer incarnation, flush marks in rank order, a new epoch restarts
+    /// the senders and drops only older receivers.
+    #[test]
+    fn flows_key_by_peer_and_incarnation() {
+        let mut f: Flows<&str, &str> = Flows::default();
+        assert!(!f.enabled);
+        assert!(f.highest().is_empty());
+        for (dst, want) in [(2, 1), (1, 1), (2, 2)] {
+            let seq = f.tx(Rank(dst)).peek_seq();
+            assert_eq!(seq, want);
+            f.tx(Rank(dst)).commit(seq, "m");
+        }
+        f.tx(Rank(3)); // looked at, never sent on: nothing to flush
+        assert_eq!(f.highest(), vec![(Rank(1), 1), (Rank(2), 2)]);
+        assert_eq!(f.tx(Rank(2)).on_ping(2), vec![2]);
+
+        let (old, new) = (Epoch(0), Epoch(1));
+        assert_eq!(
+            f.rx(Rank(1), old).on_data(1, "a"),
+            RxVerdict::Deliver(vec!["a"])
+        );
+        assert_eq!(
+            f.rx(Rank(1), new).on_data(1, "b"),
+            RxVerdict::Deliver(vec!["b"])
+        );
+        assert_eq!(f.rx(Rank(1), old).next_expected(), 2);
+        assert_eq!(f.rx(Rank(5), old).missing_upto(2), vec![1, 2]);
+        f.new_epoch(new);
+        assert_eq!(f.tx(Rank(2)).peek_seq(), 1, "senders restart");
+        assert_eq!(
+            f.rx(Rank(1), old).next_expected(),
+            1,
+            "the old incarnation is gone"
+        );
+        assert_eq!(f.rx(Rank(1), new).next_expected(), 2, "the new one is kept");
     }
 
     #[test]

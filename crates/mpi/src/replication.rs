@@ -7,13 +7,14 @@
 //! ones use the RTS/CTS rendezvous handshake — so replication traffic obeys
 //! the same flow control as everything else on the fabric.
 //!
-//! This module is the flow-machinery side of that design: it plans which
-//! path each fragment takes (tied to the *real*
-//! [`DEFAULT_RNDV_THRESHOLD`], not a copy of the constant), builds the
-//! canonical [`ReplicaNet`] cost model from those constants, and tracks the
-//! per-fragment ack state of an in-progress push so a checkpoint round
-//! knows when every replica is durable in peer memory. The ack protocol
-//! itself is model-checked in `crates/verify` (`models/replica.rs`).
+//! This module is the flow-machinery side of that design: it builds the
+//! canonical [`ReplicaNet`] cost model from the *real*
+//! [`DEFAULT_RNDV_THRESHOLD`] (not a copy of the constant), and defines the
+//! per-fragment ack tracking of a push ([`PushSession`]) so a checkpoint
+//! round can know when every replica is durable in peer memory. The ack
+//! protocol is model-checked in `crates/verify` (`models/replica.rs`),
+//! which is so far its only driver: the deployed
+//! `ReplicaStore::put_replicated` is a synchronous in-memory write.
 
 use std::collections::BTreeSet;
 
@@ -21,58 +22,6 @@ use starfish_checkpoint::replica::{Fragment, ReplicaNet, DEFAULT_FRAG_BYTES};
 use starfish_util::NodeId;
 
 use crate::endpoint::DEFAULT_RNDV_THRESHOLD;
-
-/// Which transfer path a fragment push takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FragPath {
-    /// Small fragment: one eager send, counted against the peer's credit.
-    Eager,
-    /// Large fragment: RTS/CTS rendezvous, payload parked until the peer
-    /// grants the transfer.
-    Rendezvous,
-}
-
-impl FragPath {
-    /// Path selection, same rule the data path uses.
-    pub fn for_bytes(bytes: u64, rndv_threshold: u64) -> FragPath {
-        if bytes >= rndv_threshold {
-            FragPath::Rendezvous
-        } else {
-            FragPath::Eager
-        }
-    }
-}
-
-/// One planned fragment transfer of a push.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FragXfer {
-    pub seq: u32,
-    pub bytes: u64,
-    pub path: FragPath,
-}
-
-/// Split an image of `image_bytes` into `frag_bytes`-sized transfers and
-/// assign each its path. The tail fragment carries the remainder; a
-/// zero-byte image still yields one (empty, eager) transfer so the ack
-/// machinery has something to complete on.
-pub fn plan_push(image_bytes: u64, frag_bytes: u64) -> Vec<FragXfer> {
-    let frag_bytes = frag_bytes.max(1);
-    let n = image_bytes.div_ceil(frag_bytes).max(1);
-    (0..n)
-        .map(|i| {
-            let bytes = if i == n - 1 {
-                image_bytes - i * frag_bytes
-            } else {
-                frag_bytes
-            };
-            FragXfer {
-                seq: i as u32,
-                bytes,
-                path: FragPath::for_bytes(bytes, DEFAULT_RNDV_THRESHOLD as u64),
-            }
-        })
-        .collect()
-}
 
 /// The canonical replica-push cost model: LAN-era latency/bandwidth with
 /// the rendezvous threshold taken from the live MPI constant, so the
@@ -145,38 +94,6 @@ impl PushSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn path_selection_matches_the_data_path_threshold() {
-        let t = DEFAULT_RNDV_THRESHOLD as u64;
-        assert_eq!(FragPath::for_bytes(t - 1, t), FragPath::Eager);
-        assert_eq!(FragPath::for_bytes(t, t), FragPath::Rendezvous);
-        assert_eq!(FragPath::for_bytes(t + 1, t), FragPath::Rendezvous);
-    }
-
-    #[test]
-    fn plan_covers_every_byte_exactly_once() {
-        for (image, frag) in [(0u64, 256 * 1024u64), (1, 256), (1000, 256), (1024, 256)] {
-            let plan = plan_push(image, frag);
-            assert!(!plan.is_empty());
-            assert_eq!(plan.iter().map(|x| x.bytes).sum::<u64>(), image);
-            // Seqs are dense from zero.
-            for (i, x) in plan.iter().enumerate() {
-                assert_eq!(x.seq, i as u32);
-            }
-        }
-    }
-
-    #[test]
-    fn default_fragments_ride_the_rendezvous_path() {
-        // 256 KiB fragments are over the 64 KiB threshold: a full-size
-        // image pushes via rendezvous, only a sub-threshold tail goes eager.
-        let plan = plan_push(544 * 1024, DEFAULT_FRAG_BYTES); // 256 + 256 + 32 KiB
-        assert_eq!(plan.len(), 3);
-        assert_eq!(plan[0].path, FragPath::Rendezvous);
-        assert_eq!(plan[1].path, FragPath::Rendezvous);
-        assert_eq!(plan[2].path, FragPath::Eager);
-    }
 
     #[test]
     fn replica_net_tracks_the_live_mpi_threshold() {

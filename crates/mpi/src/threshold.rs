@@ -6,17 +6,14 @@
 //! The fabric microbenchmark (`starfish-bench`, `benches/fabric.rs`) sweeps
 //! payload sizes with each protocol forced on, derives the *measured
 //! crossover* with [`measured_crossover`], turns it into a threshold with
-//! [`calibrate`], and persists it per network model in a [`ThresholdCache`]
-//! so later runs on the same box start calibrated.
+//! [`calibrate`], and reports both in `BENCH_fabric.json`. The bench
+//! reports the calibration; the constants are what runs.
 //!
 //! Everything here is pure and deterministic: the same sweep always yields
 //! the same threshold, and a larger measured crossover never yields a
 //! smaller threshold (monotonicity) — both properties are pinned by
 //! proptests below, and [`threshold_consistent`] is the assertion the bench
 //! applies to catch a mis-calibrated configuration against fresh numbers.
-
-use std::io::Write as _;
-use std::path::PathBuf;
 
 use crate::endpoint::DEFAULT_RNDV_THRESHOLD;
 
@@ -32,7 +29,7 @@ pub const MIN_CALIBRATED: usize = 1024;
 
 /// Largest threshold calibration will produce: at this size the eager
 /// path's buffering cost is unacceptable regardless of measured speed
-/// (it is also [`crate::endpoint::EAGER_CREDIT_BYTES`], where credit
+/// (it is also [`crate::credit::EAGER_CREDIT_BYTES`], where credit
 /// fallback forces rendezvous anyway).
 pub const MAX_CALIBRATED: usize = 1 << 20;
 
@@ -99,60 +96,6 @@ pub fn threshold_consistent(threshold: usize, sweep: &[SweepRow]) -> bool {
     }
 }
 
-/// Per-network-model persisted calibration, one `<model> <threshold>` line
-/// per model in a plain text file (human-diffable; lives under `target/` by
-/// convention so it never pollutes the tree).
-pub struct ThresholdCache {
-    path: PathBuf,
-}
-
-impl ThresholdCache {
-    pub fn at(path: impl Into<PathBuf>) -> ThresholdCache {
-        ThresholdCache { path: path.into() }
-    }
-
-    /// The calibrated threshold stored for `model`, if any.
-    pub fn load(&self, model: &str) -> Option<usize> {
-        let text = std::fs::read_to_string(&self.path).ok()?;
-        for line in text.lines() {
-            let mut parts = line.split_whitespace();
-            if parts.next() == Some(model) {
-                return parts.next()?.parse().ok();
-            }
-        }
-        None
-    }
-
-    /// Store (or replace) the calibrated threshold for `model`. Lines are
-    /// kept sorted by model name so the file is byte-deterministic for a
-    /// given set of calibrations.
-    pub fn store(&self, model: &str, threshold: usize) -> std::io::Result<()> {
-        let mut entries: Vec<(String, usize)> = Vec::new();
-        if let Ok(text) = std::fs::read_to_string(&self.path) {
-            for line in text.lines() {
-                let mut parts = line.split_whitespace();
-                if let (Some(m), Some(t)) = (parts.next(), parts.next()) {
-                    if m != model {
-                        if let Ok(t) = t.parse() {
-                            entries.push((m.to_string(), t));
-                        }
-                    }
-                }
-            }
-        }
-        entries.push((model.to_string(), threshold));
-        entries.sort();
-        if let Some(parent) = self.path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut out = Vec::new();
-        for (m, t) in entries {
-            writeln!(&mut out, "{m} {t}")?;
-        }
-        std::fs::write(&self.path, out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,27 +151,6 @@ mod tests {
         assert!(!threshold_consistent(DEFAULT_RNDV_THRESHOLD, &sweep));
         // Mutation 2: disable rendezvous despite measured wins. Caught.
         assert!(!threshold_consistent(usize::MAX, &sweep));
-    }
-
-    #[test]
-    fn cache_roundtrip_and_replace() {
-        let path = std::env::temp_dir().join(format!(
-            "starfish-threshold-cache-{}.txt",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let cache = ThresholdCache::at(&path);
-        assert_eq!(cache.load("ideal"), None);
-        cache.store("ideal", 262144).unwrap();
-        cache.store("bip-myrinet", 65536).unwrap();
-        assert_eq!(cache.load("ideal"), Some(262144));
-        assert_eq!(cache.load("bip-myrinet"), Some(65536));
-        cache.store("ideal", 131072).unwrap();
-        assert_eq!(cache.load("ideal"), Some(131072));
-        // Deterministic file layout: sorted by model name.
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "bip-myrinet 65536\nideal 131072\n");
-        let _ = std::fs::remove_file(&path);
     }
 }
 

@@ -33,8 +33,7 @@ pub const FLAG_RNDV_RTS: u8 = 1 << 0;
 
 /// Header flag: the frame is one rendezvous DATA chunk. The header is
 /// followed by a [`RndvChunk`] descriptor; the chunk bytes ride in the
-/// packet's separate `payload` segment (zero-copy gather framing), or —
-/// for single-buffer frames — directly after the descriptor.
+/// packet's separate `payload` segment (zero-copy gather framing).
 pub const FLAG_RNDV_DATA: u8 = 1 << 1;
 
 /// The envelope prefixed to every data-path message.
@@ -85,25 +84,17 @@ impl MsgHeader {
     }
 
     /// Prefix `body` with this header and, when `ctx` carries one, a
-    /// trace-context extension.
+    /// trace-context extension. The body bytes are copied into the wire
+    /// buffer exactly once.
     pub fn frame_ext(&self, body: &[u8], ctx: TraceCtx) -> Bytes {
-        self.frame_ext_prefixed(&[], body, ctx)
-    }
-
-    /// Like [`frame_ext`](Self::frame_ext), but with an extra `prefix`
-    /// region between the header and `body`. The rendezvous DATA path uses
-    /// this to plant the transfer id before the payload so the payload
-    /// itself is copied into the wire buffer exactly once.
-    pub fn frame_ext_prefixed(&self, prefix: &[u8], body: &[u8], ctx: TraceCtx) -> Bytes {
         let ext = if ctx.is_some() { TraceCtx::WIRE_LEN } else { 0 };
-        let mut enc = Encoder::with_capacity(Self::LEN + ext + prefix.len() + body.len());
+        let mut enc = Encoder::with_capacity(Self::LEN + ext + body.len());
         self.put_fixed(&mut enc);
         enc.put_u16(ext as u16);
         if ctx.is_some() {
             ctx.encode(&mut enc);
         }
         let mut buf = BytesMut::from(&enc.into_vec()[..]);
-        buf.extend_from_slice(prefix);
         buf.extend_from_slice(body);
         buf.freeze()
     }
@@ -169,7 +160,7 @@ impl MsgHeader {
 /// never copied into the frame. The receiver reassembles chunks
 /// offset-addressed into one contiguous buffer (the transfer's single copy),
 /// so duplicates are idempotent and arrival order does not matter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RndvChunk {
     /// Transfer id of the RTS this chunk answers.
     pub id: u64,
@@ -209,7 +200,7 @@ impl RndvChunk {
 
 /// The body of a rendezvous RTS message: the transfer id (unique per sender
 /// incarnation) and the payload size the receiver should expect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RndvEnv {
     pub id: u64,
     pub size: u64,
@@ -407,7 +398,7 @@ mod tests {
             total: 1 << 20,
         };
         assert_eq!(RndvChunk::decode(&c.encode()).unwrap(), c);
-        // Trailing bytes after the descriptor (single-buffer frames) are fine.
+        // Trailing bytes after the descriptor are ignored.
         let mut buf = c.encode().to_vec();
         buf.extend_from_slice(b"chunk-bytes");
         assert_eq!(RndvChunk::decode(&buf).unwrap(), c);

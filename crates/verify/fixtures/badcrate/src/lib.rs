@@ -12,6 +12,9 @@
 //!   6. blocking-while-locked— `thread::sleep` under `Locks.a`
 //!   7. panic-surface        — `unwrap` in non-test code
 //!   8. wall-clock (sleep)   — a `thread::sleep` poll loop on the runtime path
+//!   9. sans-io              — `src/machine.rs` declares itself a pure machine
+//!                             and reads a clock (under the wall-clock escape,
+//!                             which is no excuse there) and holds a `Fabric`
 
 use std::time::Instant;
 

@@ -126,7 +126,8 @@ fn main() -> ExitCode {
     }
 
     println!("== mpi: rendezvous (pipelined chunks) ==");
-    for (transfers, chunks, drops, dups) in [(2, 2, 2, 1), (2, 3, 1, 0)] {
+    // chunks=4 parks a two-chunk tail behind the two-chunk early window.
+    for (transfers, chunks, drops, dups) in [(2, 2, 2, 1), (2, 3, 1, 0), (1, 4, 2, 1)] {
         run(
             &format!("rendezvous transfers={transfers} chunks={chunks} drops={drops} dups={dups}"),
             2,

@@ -3,24 +3,15 @@
 //! wire — and of the same wire *without* the layer, which is where the
 //! model-checker → chaos bridge gets its counterexample.
 //!
-//! The state holds the real [`FlowTx`]/[`FlowRx`] machines the endpoint
-//! runs, specialized to `u64` payloads (the endpoint stores framed bytes;
-//! the machines are payload-generic, so checking them over ids checks the
-//! deployed logic). The wire is an unordered *set* of data sequence
-//! numbers — the adversary delivers any element in any order, may drop up
-//! to `max_drops` and deliver-without-consuming (duplicate) up to
-//! `max_dups` of them. That is exactly the fault model
-//! [`starfish_vni::LinkFault`] injects.
-//!
-//! The control round trips are collapsed into atomic repair actions, which
-//! keeps the space finite without hiding decisions:
-//!
-//! * `Ping` — the receiver's periodic cumulative ack reaches the sender,
-//!   which prunes its buffer with [`FlowTx::on_ping`] and retransmits
-//!   everything unacked (re-inserted into the wire set);
-//! * `Flush` — the sender's tail-loss probe: the receiver computes its
-//!   gaps against [`FlowTx::highest`] with [`FlowRx::missing_upto`] and
-//!   the sender retransmits the [`FlowTx::select`]ion.
+//! The state holds the real `FlowTx`/`FlowRx` machines the endpoint runs
+//! ([`Link`]), specialized to `u64` payloads (the endpoint stores framed
+//! bytes; the machines are payload-generic, so checking them over ids
+//! checks the deployed logic). The wire is an unordered *set* of frames —
+//! the adversary delivers any element in any order, may drop up to
+//! `max_drops` and deliver-without-consuming (duplicate) up to `max_dups`
+//! of them. That is exactly the fault model [`starfish_vni::LinkFault`]
+//! injects. The control round trips (`Ping`, `Flush`, the NACK) are
+//! collapsed into atomic repair actions, as [`Link`] documents.
 //!
 //! With `reliable = true` the safety invariant is the chaos `exactly_once`
 //! and `fifo_order` oracle pair in their strongest form — the delivered list
@@ -32,10 +23,7 @@
 //! inevitable exactly-once violation; [`crate::counterexample`] turns its
 //! trace into a committed `FaultPlan`.
 
-use std::collections::BTreeSet;
-
-use starfish_mpi::reliability::{FlowRx, FlowTx, RxVerdict};
-
+use super::link::Link;
 use crate::explorer::Model;
 
 /// Model parameters.
@@ -49,7 +37,7 @@ pub struct ReliabilityModel {
     pub max_dups: u32,
     /// Run the real flow machines (true) or the raw datagram path (false).
     pub reliable: bool,
-    /// Retransmission window for [`FlowTx`]; must be ≥ `total` for the
+    /// Retransmission window of the flow; must be ≥ `total` for the
     /// liveness claim (a seed narrower than the in-flight span genuinely
     /// cannot repair).
     pub window: usize,
@@ -57,12 +45,8 @@ pub struct ReliabilityModel {
 
 #[derive(Clone, Debug)]
 pub struct RelState {
-    tx: FlowTx<u64>,
-    rx: FlowRx<u64>,
-    /// Data packets in flight, by sequence number (set semantics: the wire
-    /// may reorder arbitrarily; duplication is the deliver-without-consume
-    /// action, so one element per sequence suffices).
-    wire: BTreeSet<u64>,
+    /// The flow pair and the wire; every frame carries its own sequence.
+    link: Link<u64>,
     delivered: Vec<u64>,
     sent: u64,
     drops_left: u32,
@@ -85,36 +69,13 @@ pub enum RelAction {
     Flush,
 }
 
-impl ReliabilityModel {
-    fn receive(&self, s: &mut RelState, seq: u64) {
-        if !self.reliable {
-            // Raw datagram path: endpoint seq 0, no dedup, no ordering.
-            s.delivered.push(seq);
-            return;
-        }
-        match s.rx.on_data(seq, seq) {
-            RxVerdict::Duplicate => {}
-            RxVerdict::Deliver(ready) => s.delivered.extend(ready),
-            RxVerdict::Parked { nack } => {
-                // The NACK round trip, collapsed: the sender retransmits
-                // the requested sequences onto the wire.
-                for (rseq, _) in s.tx.select(&nack) {
-                    s.wire.insert(rseq);
-                }
-            }
-        }
-    }
-}
-
 impl Model for ReliabilityModel {
     type State = RelState;
     type Action = RelAction;
 
     fn init(&self) -> Vec<RelState> {
         vec![RelState {
-            tx: FlowTx::new(self.window),
-            rx: FlowRx::new(),
-            wire: BTreeSet::new(),
+            link: Link::new(self.window),
             delivered: Vec::new(),
             sent: 0,
             drops_left: self.max_drops,
@@ -127,7 +88,7 @@ impl Model for ReliabilityModel {
         if s.sent < self.total {
             acts.push(RelAction::Send);
         }
-        for &seq in &s.wire {
+        for &(seq, _) in &s.link.wire {
             acts.push(RelAction::Deliver(seq));
             if s.dups_left > 0 {
                 acts.push(RelAction::Duplicate(seq));
@@ -149,37 +110,31 @@ impl Model for ReliabilityModel {
             RelAction::Send => {
                 s.sent += 1;
                 if self.reliable {
-                    let seq = s.tx.peek_seq();
-                    s.tx.commit(seq, seq);
-                    s.wire.insert(seq);
+                    s.link.send(s.sent);
                 } else {
-                    s.wire.insert(s.sent);
+                    s.link.wire.insert((s.sent, s.sent));
                 }
             }
-            RelAction::Deliver(seq) => {
-                s.wire.remove(seq);
-                self.receive(&mut s, *seq);
-            }
-            RelAction::Duplicate(seq) => {
-                s.dups_left -= 1;
-                self.receive(&mut s, *seq);
+            RelAction::Deliver(seq) | RelAction::Duplicate(seq) => {
+                let dup = matches!(a, RelAction::Duplicate(_));
+                if dup {
+                    s.dups_left -= 1;
+                }
+                if self.reliable {
+                    let ready = s.link.deliver(*seq, dup);
+                    s.delivered.extend(ready.iter().map(|(_, m)| m));
+                } else {
+                    // Raw datagram path: endpoint seq 0, no dedup, no
+                    // ordering.
+                    s.delivered.extend(s.link.take(*seq, dup).map(|(_, m)| m));
+                }
             }
             RelAction::Drop(seq) => {
-                s.wire.remove(seq);
+                s.link.take(*seq, false);
                 s.drops_left -= 1;
             }
-            RelAction::Ping => {
-                let resend = s.tx.on_ping(s.rx.next_expected());
-                s.wire.extend(resend);
-            }
-            RelAction::Flush => {
-                if let Some(highest) = s.tx.highest() {
-                    let missing = s.rx.missing_upto(highest);
-                    for (rseq, _) in s.tx.select(&missing) {
-                        s.wire.insert(rseq);
-                    }
-                }
-            }
+            RelAction::Ping => s.link.ping(),
+            RelAction::Flush => s.link.flush(),
         }
         s
     }
@@ -208,12 +163,14 @@ impl Model for ReliabilityModel {
 
     fn accepting(&self, s: &RelState) -> bool {
         if self.reliable {
-            s.sent == self.total && s.wire.is_empty() && s.delivered.len() == self.total as usize
+            s.sent == self.total
+                && s.link.wire.is_empty()
+                && s.delivered.len() == self.total as usize
         } else {
             // Raw path: quiescence is just "everything sent, wire empty".
             // Exactly-once then *fails* in accepting states after a drop —
             // the bridge asserts that with the explorer directly.
-            s.sent == self.total && s.wire.is_empty()
+            s.sent == self.total && s.link.wire.is_empty()
         }
     }
 }

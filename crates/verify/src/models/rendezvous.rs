@@ -1,53 +1,75 @@
-//! Exhaustive model of the MPI rendezvous protocol
-//! (RTS → CTS → chunked DATA, [`starfish_mpi::endpoint`]) over the same
-//! lossy, reordering, duplicating wire the reliability model uses.
+//! Exhaustive model of the MPI rendezvous protocol (RTS → CTS → chunked
+//! DATA) over the same lossy, reordering, duplicating wire the reliability
+//! model uses — driving the **deployed** machines, not a transcription of
+//! them: the sender is [`RndvTx`], the receiver [`RndvRx`] behind the
+//! [`MatchQueue`], exactly the values an `MpiEndpoint` holds. The model
+//! contributes the environment only: the wire, the application's receive
+//! calls, and the checkpoint push.
 //!
-//! Fidelity follows the deployed layering exactly. RTS and DATA chunks are
-//! *sequenced* messages riding the real [`FlowTx`]/[`FlowRx`] machines —
-//! a lost RTS or chunk is repaired by the same Ping/Flush/NACK machinery as
+//! Fidelity follows the deployed layering. RTS and DATA chunks are
+//! *sequenced* messages riding the real `FlowTx`/`FlowRx` machines
+//! ([`Link`], the reliability model's wire) — a
+//! lost RTS or chunk is repaired by the same Ping/Flush/NACK machinery as
 //! any data message, and in-order flow delivery is what guarantees a chunk
-//! never reaches matching before its RTS placeholder. CTS is an
-//! *unsequenced* control message (the endpoint's `RelMsg::Cts`): it can be
-//! dropped or duplicated, and its only repair is the receiver's re-grant —
-//! modeled as the always-enabled `SendCts` action, mirroring the cadence
-//! re-grant a blocked receive performs.
+//! never reaches matching before its RTS placeholder. Every delivered frame
+//! goes through `MatchQueue::on_message` with a real header, a real encoded
+//! `RndvEnv`/`RndvChunk` body and the chunk bytes the sender machine sliced.
+//! CTS is an *unsequenced* control message (the endpoint's `RelMsg::Cts`):
+//! it can be dropped or duplicated, and its only repair is the re-grant —
+//! which, as deployed, happens when the application's receive meets the
+//! still-incomplete placeholder (`take → Await`, then `RndvRx::grant` under
+//! `EveryEncounter` pacing). Only the *first matching* placeholder is ever
+//! granted: a later transfer's tail stays parked until the one before it
+//! was received, which is the deployed non-overtaking rule.
 //!
-//! The payload is pipelined as `chunks` DATA frames per transfer. Chunk 0
-//! streams *optimistically* right behind the RTS — before any CTS — which
-//! is the model's one-chunk analogue of the endpoint's `RNDV_EARLY_CHUNKS`
-//! optimistic window, and is what makes the explorer cover every
-//! chunk-interleaved-with-CTS ordering (chunk 0 racing the grant in both
-//! directions). The tail chunks stay parked until a CTS arrives, so the
-//! grant path remains load-bearing. Crash-mid-chunk states — early chunk
-//! out or even delivered, tail still parked, any subset of frames dropped —
-//! are ordinary reachable states here, and the liveness pass proves each
-//! one converges. The `datamark_push` switch adds the recovery path that
-//! covers those states in the deployed system: `PushPending` models
-//! `push_pending_rendezvous` (the checkpoint `DataMark` re-push), blasting
-//! every parked tail without waiting for a grant.
+//! Payloads are tiny — one byte per chunk, `chunks` chunks per transfer —
+//! so the deployed early-window rule is what the explorer walks: a
+//! size-based transfer streams `min(chunks − 1, RNDV_EARLY_CHUNKS)` chunks
+//! right behind its RTS and **never its last**, so every transfer, a
+//! single-chunk one included, parks until a CTS or a push. Crash-mid-chunk
+//! states — early chunks out or even merged, tail still parked, any subset
+//! of frames dropped — are ordinary reachable states, and the liveness pass
+//! proves each one converges. The `datamark_push` switch adds the recovery
+//! path that covers those states in the deployed system: `PushPending` is
+//! `push_pending_rendezvous` (the checkpoint `DataMark` re-push), draining
+//! every parked tail in id order without a grant.
 //!
 //! The safety invariant is MPI non-overtaking end to end: the application
-//! receives transfers in RTS (send) order, each exactly once and fully
-//! reassembled. The liveness pass proves every reachable state can still
-//! converge to full delivery. The `broken_cts` mutation disables the grant
-//! path and must be caught as a livelock — the parked tail chunks can
-//! never leave — proving the pass actually depends on the CTS machinery;
-//! flipping `datamark_push` on top must restore convergence, proving the
-//! DataMark re-push alone can finish a transfer cut down mid-pipeline.
+//! receives transfers in RTS (send) order, each exactly once and reassembled
+//! byte for byte. The `broken_cts` mutation disables the grant path and
+//! must be caught as a livelock — the parked tail can never leave — proving
+//! the liveness pass depends on the CTS machinery; flipping `datamark_push`
+//! on top must restore convergence, proving the DataMark re-push alone can
+//! finish a transfer cut down mid-pipeline.
 
 use std::collections::BTreeSet;
+use std::time::Duration;
 
-use starfish_mpi::reliability::{FlowRx, FlowTx, RxVerdict};
+use bytes::Bytes;
+use starfish_mpi::matching::{MatchQueue, Matched};
+use starfish_mpi::rendezvous::{ChunkOut, CtsCadence, Grant, RndvRx, RndvTx};
+use starfish_mpi::wire::{MsgHeader, RndvChunk, RndvEnv, FLAG_RNDV_DATA, FLAG_RNDV_RTS};
+use starfish_util::{Epoch, Rank, VirtualTime};
 
+use super::link::Link;
 use crate::explorer::Model;
 
-/// A sequenced message on the data-path flow.
+/// The one sender, the one receiver, and the (context, tag) every transfer
+/// shares — so non-overtaking is judged on a single match.
+const SENDER: Rank = Rank(0);
+const RECEIVER: Rank = Rank(1);
+const CONTEXT: u32 = 1;
+const TAG: u64 = 7;
+const EPOCH: Epoch = Epoch(0);
+
+/// A sequenced frame on the data-path flow, reduced to what the receiver
+/// needs to rebuild the real frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Msg {
-    /// Request-to-send for transfer `id` (the parked payload's envelope).
-    Rts(u64),
-    /// Pipelined payload chunk `c` of transfer `id`.
-    Data(u64, u8),
+    /// Request-to-send for a parked payload.
+    Rts(RndvEnv),
+    /// One payload chunk: its descriptor and its single byte.
+    Data(RndvChunk, u8),
 }
 
 /// Model parameters.
@@ -55,14 +77,14 @@ pub enum Msg {
 pub struct RendezvousModel {
     /// Rendezvous transfers the sender starts (ids `1..=transfers`).
     pub transfers: u64,
-    /// DATA chunks per transfer (≥ 1). Chunk 0 streams optimistically with
-    /// the RTS; chunks `1..` park until a CTS (or a DataMark push).
+    /// One-byte DATA chunks per transfer (≥ 1). The sender machine decides
+    /// how many stream early and how many park.
     pub chunks: u8,
     /// Wire drop budget (shared by the data and CTS paths).
     pub max_drops: u32,
     /// Wire duplication budget (shared by the data and CTS paths).
     pub max_dups: u32,
-    /// Retransmission window for [`FlowTx`]; must cover the in-flight span.
+    /// Retransmission window of the flow; must cover the in-flight span.
     pub window: usize,
     /// Mutation: the receiver never grants (or re-grants) a CTS. The
     /// liveness pass must refuse this configuration unless `datamark_push`
@@ -76,32 +98,30 @@ pub struct RendezvousModel {
 
 #[derive(Clone, Debug)]
 pub struct RndvState {
-    tx: FlowTx<Msg>,
-    rx: FlowRx<Msg>,
-    /// Sequenced packets in flight: `(seq, payload)`, set semantics (the
-    /// wire reorders freely; duplication delivers without consuming).
-    wire: BTreeSet<(u64, Msg)>,
+    /// The sequenced data path: RTS and DATA frames.
+    link: Link<Msg>,
     /// Unsequenced CTS grants in flight, by transfer id.
     cts: BTreeSet<u64>,
-    /// Sender: transfers whose RTS (and early chunk) left but whose tail
-    /// chunks are still parked.
-    pending: BTreeSet<u64>,
-    /// Receiver matching queue in arrival (= send) order:
-    /// `(id, chunks_merged)`.
-    placeholders: Vec<(u64, u8)>,
+    /// The deployed sender machine: parked transfers, early window, what a
+    /// grant or a push releases.
+    sender: RndvTx,
+    /// The deployed receiver machine (re-grant pacing, strays)…
+    receiver: RndvRx,
+    /// …behind the deployed unexpected queue.
+    queue: MatchQueue,
     /// Transfers the application has received, in match order.
     delivered: Vec<u64>,
     started: u64,
     drops_left: u32,
     dups_left: u32,
-    /// Protocol-impossible observation (e.g. a chunk with no placeholder).
+    /// Protocol-impossible observation (e.g. a corrupt reassembly).
     poison: Option<String>,
 }
 
 #[derive(Clone, Debug)]
 pub enum RndvAction {
-    /// Sender starts the next transfer: RTS and the optimistic chunk 0
-    /// committed to the flow, tail chunks parked.
+    /// Sender starts the next transfer: RTS committed to the flow, payload
+    /// parked, the early window streamed behind the RTS.
     Start,
     /// Wire delivers sequenced packet `seq` (consuming it).
     Deliver(u64),
@@ -109,9 +129,11 @@ pub enum RndvAction {
     Duplicate(u64),
     /// Wire drops sequenced packet `seq`.
     Drop(u64),
-    /// Receiver grants (or re-grants) transfer `id`.
-    SendCts(u64),
-    /// Wire delivers the CTS for `id`; the sender pushes the tail chunks
+    /// The application's receive looks at the queue: a complete head is
+    /// consumed; an incomplete one is the transfer it waits on, so its CTS
+    /// is granted (or re-granted); later entries are never considered.
+    Receive,
+    /// Wire delivers the CTS for `id`; the sender pushes what is parked
     /// (or ignores a duplicate grant).
     DeliverCts(u64),
     /// Wire duplicates the CTS for `id`.
@@ -125,53 +147,52 @@ pub enum RndvAction {
     Ping,
     /// Sender's tail-loss probe: receiver NACKs gaps, sender resends.
     Flush,
-    /// Application matches the head of the queue (only once every chunk
-    /// has merged — non-overtaking never lets a later transfer jump it).
-    Receive,
 }
 
 impl RendezvousModel {
-    /// Sender side of releasing a parked tail: push chunks `1..chunks` for
-    /// a still-parked transfer, ignore a transfer already fully streamed
-    /// (duplicate grant, or a grant racing a DataMark push).
-    fn release_tail(&self, s: &mut RndvState, id: u64) {
-        if s.pending.remove(&id) {
-            for c in 1..self.chunks {
-                let seq = s.tx.peek_seq();
-                s.tx.commit(seq, Msg::Data(id, c));
-                s.wire.insert((seq, Msg::Data(id, c)));
-            }
+    /// The payload of transfer `id`: distinct per transfer and per chunk,
+    /// so a mis-spliced reassembly cannot hide.
+    fn payload(&self, id: u64) -> Vec<u8> {
+        (0..self.chunks).map(|c| (id as u8) << 4 | c).collect()
+    }
+}
+
+/// The endpoint's `push_chunks`: put the chunks the sender machine named
+/// for `id` on the wire and tell it they left.
+fn push_chunks(s: &mut RndvState, id: u64, chunks: Vec<ChunkOut>) {
+    s.sender.sent(id, chunks.len());
+    for c in chunks {
+        match c.seg[..] {
+            [byte] => s.link.send(Msg::Data(c.desc, byte)),
+            _ => s.poison = Some(format!("chunk {:?} is not one byte", c.desc)),
         }
     }
+}
 
-    /// Receiver side of an in-order flow delivery.
-    fn deliver_msg(&self, s: &mut RndvState, m: Msg) {
-        match m {
-            Msg::Rts(id) => s.placeholders.push((id, 0)),
-            Msg::Data(id, c) => match s.placeholders.iter_mut().find(|(p, _)| *p == id) {
-                Some((_, merged)) if *merged < self.chunks => *merged += 1,
-                Some(_) => s.poison = Some(format!("chunk {id}.{c} arrived after full reassembly")),
-                None => s.poison = Some(format!("chunk {id}.{c} arrived with no RTS placeholder")),
-            },
-        }
-    }
-
-    fn receive_seq(&self, s: &mut RndvState, seq: u64, m: Msg) {
-        match s.rx.on_data(seq, m) {
-            RxVerdict::Duplicate => {}
-            RxVerdict::Deliver(ready) => {
-                for r in ready {
-                    self.deliver_msg(s, r);
-                }
-            }
-            RxVerdict::Parked { nack } => {
-                // The NACK round trip, collapsed: the sender retransmits
-                // the requested sequences onto the wire.
-                let resend: Vec<(u64, Msg)> =
-                    s.tx.select(&nack).iter().map(|(q, p)| (*q, **p)).collect();
-                s.wire.extend(resend);
-            }
-        }
+/// Receiver side of an in-order flow delivery: the endpoint's
+/// `enqueue_parsed` — rebuild the frame and hand it to the matching queue.
+fn deliver_frame(s: &mut RndvState, seq: u64, m: Msg) {
+    let (flags, body, seg) = match m {
+        Msg::Rts(env) => (FLAG_RNDV_RTS, env.encode().to_vec(), Bytes::new()),
+        Msg::Data(desc, byte) => (
+            FLAG_RNDV_DATA,
+            desc.encode().to_vec(),
+            Bytes::copy_from_slice(&[byte]),
+        ),
+    };
+    let header = MsgHeader {
+        src: SENDER,
+        context: CONTEXT,
+        tag: TAG,
+        epoch: EPOCH,
+        interval: 0,
+        seq,
+        flags,
+    };
+    let (queue, rndv) = (&mut s.queue, &mut s.receiver);
+    let done = queue.on_message(rndv, header, body.into(), seg, VirtualTime::ZERO);
+    if done.is_some() && flags == FLAG_RNDV_RTS {
+        s.poison = Some(format!("chunks overtook {m:?} through an in-order flow"));
     }
 }
 
@@ -180,14 +201,17 @@ impl Model for RendezvousModel {
     type Action = RndvAction;
 
     fn init(&self) -> Vec<RndvState> {
-        assert!(self.chunks >= 1, "a transfer is at least one chunk");
+        assert!(
+            (1..=16).contains(&self.chunks),
+            "1..=16 one-byte chunks per transfer"
+        );
+        assert!(self.transfers < 16, "transfer ids share a payload nibble");
         vec![RndvState {
-            tx: FlowTx::new(self.window),
-            rx: FlowRx::new(),
-            wire: BTreeSet::new(),
+            link: Link::new(self.window),
             cts: BTreeSet::new(),
-            pending: BTreeSet::new(),
-            placeholders: Vec::new(),
+            sender: RndvTx::default(),
+            receiver: RndvRx::new(CtsCadence::EveryEncounter),
+            queue: MatchQueue::default(),
             delivered: Vec::new(),
             started: 0,
             drops_left: self.max_drops,
@@ -201,7 +225,7 @@ impl Model for RendezvousModel {
         if s.started < self.transfers {
             acts.push(RndvAction::Start);
         }
-        for &(seq, _) in &s.wire {
+        for &(seq, _) in &s.link.wire {
             acts.push(RndvAction::Deliver(seq));
             if s.dups_left > 0 {
                 acts.push(RndvAction::Duplicate(seq));
@@ -210,12 +234,8 @@ impl Model for RendezvousModel {
                 acts.push(RndvAction::Drop(seq));
             }
         }
-        if !self.broken_cts {
-            for &(id, merged) in &s.placeholders {
-                if merged < self.chunks {
-                    acts.push(RndvAction::SendCts(id));
-                }
-            }
+        if !s.queue.is_empty() {
+            acts.push(RndvAction::Receive);
         }
         for &id in &s.cts {
             acts.push(RndvAction::DeliverCts(id));
@@ -226,15 +246,12 @@ impl Model for RendezvousModel {
                 acts.push(RndvAction::DropCts(id));
             }
         }
-        if self.datamark_push && !s.pending.is_empty() {
+        if self.datamark_push && !s.sender.ids().is_empty() {
             acts.push(RndvAction::PushPending);
         }
         if s.started > 0 {
             acts.push(RndvAction::Ping);
             acts.push(RndvAction::Flush);
-        }
-        if matches!(s.placeholders.first(), Some(&(_, m)) if m == self.chunks) {
-            acts.push(RndvAction::Receive);
         }
         acts
     }
@@ -244,86 +261,69 @@ impl Model for RendezvousModel {
         match a {
             RndvAction::Start => {
                 s.started += 1;
-                let id = s.started;
-                let seq = s.tx.peek_seq();
-                s.tx.commit(seq, Msg::Rts(id));
-                s.wire.insert((seq, Msg::Rts(id)));
-                // Chunk 0 streams optimistically right behind the RTS —
-                // the RNDV_EARLY_CHUNKS analogue. Only the tail parks.
-                let seq = s.tx.peek_seq();
-                s.tx.commit(seq, Msg::Data(id, 0));
-                s.wire.insert((seq, Msg::Data(id, 0)));
-                if self.chunks > 1 {
-                    s.pending.insert(id);
-                }
+                // The endpoint's `start_send`, rendezvous arm: RTS, park,
+                // then whatever the machine lets stream early.
+                let data = Bytes::from(self.payload(s.started));
+                let rts = s.sender.next_rts(data.len());
+                s.link.send(Msg::Rts(rts));
+                let (id, early) = s.sender.park(RECEIVER, CONTEXT, TAG, data, 1, true);
+                push_chunks(&mut s, id, early);
             }
-            RndvAction::Deliver(seq) => {
-                if let Some(&(q, m)) = s.wire.iter().find(|(q, _)| q == seq) {
-                    s.wire.remove(&(q, m));
-                    self.receive_seq(&mut s, q, m);
-                }
-            }
-            RndvAction::Duplicate(seq) => {
-                if let Some(&(q, m)) = s.wire.iter().find(|(q, _)| q == seq) {
+            RndvAction::Deliver(seq) | RndvAction::Duplicate(seq) => {
+                let dup = matches!(a, RndvAction::Duplicate(_));
+                if dup {
                     s.dups_left -= 1;
-                    self.receive_seq(&mut s, q, m);
+                }
+                for (q, m) in s.link.deliver(*seq, dup) {
+                    deliver_frame(&mut s, q, m);
                 }
             }
             RndvAction::Drop(seq) => {
-                if let Some(&(q, m)) = s.wire.iter().find(|(q, _)| q == seq) {
-                    s.wire.remove(&(q, m));
-                    s.drops_left -= 1;
+                s.link.take(*seq, false);
+                s.drops_left -= 1;
+            }
+            RndvAction::Receive => {
+                // The endpoint's `match_once`.
+                match s.queue.take(EPOCH, CONTEXT, Some(SENDER), Some(TAG)) {
+                    Matched::Ready { data, .. } => {
+                        let id = u64::from(data.first().copied().unwrap_or(0) >> 4);
+                        if data[..] != self.payload(id)[..] {
+                            s.poison = Some(format!("transfer {id} reassembled as {data:?}"));
+                        }
+                        s.delivered.push(id);
+                    }
+                    Matched::Await { src, id } => {
+                        let grant = s.receiver.grant(src, id, Duration::ZERO);
+                        if grant != Grant::Hold && !self.broken_cts {
+                            s.cts.insert(id);
+                        }
+                    }
+                    Matched::None => {}
                 }
             }
-            RndvAction::SendCts(id) => {
-                s.cts.insert(*id);
-            }
-            RndvAction::DeliverCts(id) => {
-                s.cts.remove(id);
-                self.release_tail(&mut s, *id);
-            }
-            RndvAction::DuplicateCts(id) => {
-                s.dups_left -= 1;
-                self.release_tail(&mut s, *id);
+            RndvAction::DeliverCts(id) | RndvAction::DuplicateCts(id) => {
+                // A duplicate reaches the sender without consuming the
+                // grant in flight.
+                if matches!(a, RndvAction::DuplicateCts(_)) {
+                    s.dups_left -= 1;
+                } else {
+                    s.cts.remove(id);
+                }
+                let granted = s.sender.remaining(*id);
+                push_chunks(&mut s, *id, granted);
             }
             RndvAction::DropCts(id) => {
                 s.cts.remove(id);
                 s.drops_left -= 1;
             }
             RndvAction::PushPending => {
-                let parked: Vec<u64> = s.pending.iter().copied().collect();
-                for id in parked {
-                    self.release_tail(&mut s, id);
+                for id in s.sender.ids() {
+                    let tail = s.sender.remaining(id);
+                    push_chunks(&mut s, id, tail);
                 }
             }
-            RndvAction::Ping => {
-                let resend = s.tx.on_ping(s.rx.next_expected());
-                let pairs: Vec<(u64, Msg)> =
-                    s.tx.select(&resend)
-                        .iter()
-                        .map(|(q, p)| (*q, **p))
-                        .collect();
-                s.wire.extend(pairs);
-            }
-            RndvAction::Flush => {
-                if let Some(highest) = s.tx.highest() {
-                    let missing = s.rx.missing_upto(highest);
-                    let resend: Vec<(u64, Msg)> =
-                        s.tx.select(&missing)
-                            .iter()
-                            .map(|(q, p)| (*q, **p))
-                            .collect();
-                    s.wire.extend(resend);
-                }
-            }
-            RndvAction::Receive => {
-                if let Some(&(id, merged)) = s.placeholders.first() {
-                    if merged == self.chunks {
-                        s.placeholders.remove(0);
-                        s.delivered.push(id);
-                    }
-                }
-            }
+            RndvAction::Ping => s.link.ping(),
+            RndvAction::Flush => s.link.flush(),
         }
         s
     }
@@ -334,8 +334,9 @@ impl Model for RendezvousModel {
         }
         // Non-overtaking + exactly-once at every state: the application's
         // receive stream is the exact in-order prefix 1..=k of the send
-        // stream, whatever the wire, the chunk pipeline and the grant path
-        // have done so far.
+        // stream (each reassembled byte for byte, checked on receipt),
+        // whatever the wire, the chunk pipeline and the grant path have
+        // done so far.
         for (i, id) in s.delivered.iter().enumerate() {
             if *id != i as u64 + 1 {
                 return Err(format!(
@@ -344,21 +345,15 @@ impl Model for RendezvousModel {
                 ));
             }
         }
-        // A placeholder can never merge more chunks than the transfer has.
-        for &(id, merged) in &s.placeholders {
-            if merged > self.chunks {
-                return Err(format!("transfer {id} over-merged: {merged} chunks"));
-            }
-        }
         Ok(())
     }
 
     fn accepting(&self, s: &RndvState) -> bool {
         s.started == self.transfers
-            && s.wire.is_empty()
+            && s.link.wire.is_empty()
             && s.cts.is_empty()
-            && s.pending.is_empty()
-            && s.placeholders.is_empty()
+            && s.sender.ids().is_empty()
+            && s.queue.is_empty()
             && s.delivered.len() == self.transfers as usize
     }
 }
@@ -370,10 +365,10 @@ mod tests {
 
     /// Two overlapping two-chunk transfers over a wire that may drop,
     /// duplicate and reorder both the sequenced path and the CTS path.
-    /// Chunk 0 races its own CTS in every ordering (delivered before the
-    /// grant leaves, after it, interleaved between grants of different
-    /// transfers), and any individual chunk can be the one dropped.
-    /// Non-overtaking, exactly-once and full reassembly must hold in
+    /// The early chunk races its own CTS in every ordering (delivered
+    /// before the grant leaves, after it, interleaved with the other
+    /// transfer's frames), and any individual frame can be the one dropped.
+    /// Non-overtaking, exactly-once and byte-exact reassembly must hold in
     /// every reachable state, and every reachable state must still be
     /// able to converge.
     #[test]
@@ -392,11 +387,37 @@ mod tests {
         assert!(r.states > 500, "nontrivial space expected: {}", r.states);
     }
 
+    /// The deployed early-window rule with a parked tail of *two* chunks:
+    /// four chunks stream two early (`RNDV_EARLY_CHUNKS`) and park two, so
+    /// a grant (or its duplicate, or a racing push) releases a multi-chunk
+    /// burst whose frames the wire then drops, duplicates and reorders
+    /// individually. The window is the deployed `RndvTx`'s decision.
+    #[test]
+    fn two_chunk_parked_tail_survives_loss_reorder_dup() {
+        let m = RendezvousModel {
+            transfers: 1,
+            chunks: 4,
+            max_drops: 2,
+            max_dups: 1,
+            window: 8,
+            broken_cts: false,
+            datamark_push: true,
+        };
+        // The window the rest of the test rests on, read off the machine.
+        let mut s = m.init().remove(0);
+        s = m.next(&s, &RndvAction::Start);
+        assert_eq!(s.link.wire.len(), 1 + 2, "RTS + two early chunks");
+        assert_eq!(s.sender.remaining(1).len(), 2, "two chunks parked");
+        let r = explore(&m, Options::default());
+        assert!(r.clean(), "{:?}", r.violation);
+        assert!(r.states > 5000, "nontrivial space expected: {}", r.states);
+    }
+
     /// The mutation test: disable the CTS grant path and the parked tail
     /// chunk can never leave — the liveness pass must report a livelock.
-    /// The optimistic chunk 0 still streams (that's the point: a transfer
-    /// cut down mid-pipeline), so this proves convergence genuinely
-    /// depends on the CTS machinery rather than holding vacuously.
+    /// The early chunk still streams (that's the point: a transfer cut
+    /// down mid-pipeline), so this proves convergence genuinely depends on
+    /// the CTS machinery rather than holding vacuously.
     #[test]
     fn broken_cts_fails_liveness() {
         let m = RendezvousModel {
@@ -415,10 +436,10 @@ mod tests {
 
     /// Crash-mid-chunk recovery: with the grant path still broken, the
     /// DataMark push (`push_pending_rendezvous`) must be enough to finish
-    /// every transfer — chunk 0 already streamed, the tail arrives via
-    /// `PushPending`, and the receiver reassembles without ever granting.
-    /// Together with `broken_cts_fails_liveness` this isolates exactly
-    /// which mechanism restores liveness after a checkpoint replay.
+    /// every transfer — the early chunk already streamed, the tail arrives
+    /// via `PushPending`, and the receiver reassembles without ever
+    /// granting. Together with `broken_cts_fails_liveness` this isolates
+    /// exactly which mechanism restores liveness after a checkpoint replay.
     #[test]
     fn datamark_push_restores_liveness_without_cts() {
         let m = RendezvousModel {
@@ -454,14 +475,12 @@ mod tests {
         assert!(r.clean(), "{:?}", r.violation);
     }
 
-    /// A single-chunk transfer degenerates to the optimistic path: the
-    /// whole payload streams behind the RTS and no CTS is ever needed —
-    /// even with the grant path broken, delivery converges. This pins the
-    /// model's RNDV_EARLY_CHUNKS analogue (and matches the endpoint,
-    /// where a transfer within the early-chunk window never parks).
+    /// The last chunk never streams early, so even a transfer that *is* one
+    /// chunk parks behind its RTS: with the grant path broken nothing can
+    /// release it (livelock), with it intact the transfer converges.
     #[test]
-    fn single_chunk_needs_no_cts() {
-        let m = RendezvousModel {
+    fn single_chunk_parks_until_granted() {
+        let mut m = RendezvousModel {
             transfers: 2,
             chunks: 1,
             max_drops: 1,
@@ -470,6 +489,10 @@ mod tests {
             broken_cts: true,
             datamark_push: false,
         };
+        let v = explore(&m, Options::default()).violation;
+        let v = v.expect("one chunk is the last chunk: it waits for a grant");
+        assert_eq!(v.kind, ViolationKind::Livelock, "{v:?}");
+        m.broken_cts = false;
         let r = explore(&m, Options::default());
         assert!(r.clean(), "{:?}", r.violation);
     }

@@ -1,8 +1,8 @@
 //! Exhaustive model of the ring reduce-scatter phase of
 //! [`starfish_mpi::collectives`]'s bandwidth-optimal allreduce, run over
-//! the *deployed* reliability machines: one real
-//! [`FlowTx`]/[`FlowRx`] pair per directed ring link `r → r+1 mod n`,
-//! exactly the flows the endpoint drives under every collective step.
+//! the *deployed* reliability machines: one real `FlowTx`/`FlowRx` pair
+//! ([`Link`]) per directed ring link `r → r+1 mod n`, exactly the flows the
+//! endpoint drives under every collective step.
 //!
 //! The protocol layer is the ring index arithmetic of
 //! `collectives/ring.rs`: in step `s` rank `me` sends its partial of
@@ -29,10 +29,7 @@
 //! pass proves the flows can always repair the ring back to a correct
 //! quiescent reduce-scatter.
 
-use std::collections::BTreeSet;
-
-use starfish_mpi::reliability::{FlowRx, FlowTx, RxVerdict};
-
+use super::link::Link;
 use crate::explorer::Model;
 
 /// Model parameters.
@@ -44,24 +41,15 @@ pub struct RingModel {
     pub max_drops: u32,
     /// Wire duplication budget, shared across all links.
     pub max_dups: u32,
-    /// Retransmission window for every [`FlowTx`]; must cover the
+    /// Retransmission window of every flow; must cover the
     /// in-flight span (`ranks − 1`) for the liveness claim to hold.
     pub window: usize,
 }
 
-/// One directed ring link `i → (i+1) % n` with its deployed flow machines.
-#[derive(Clone, Debug)]
-struct LinkSt {
-    tx: FlowTx<u64>,
-    rx: FlowRx<u64>,
-    /// Frames in flight as `(seq, payload)` (set semantics: arbitrary
-    /// reorder; duplication is deliver-without-consume).
-    wire: BTreeSet<(u64, u64)>,
-}
-
 #[derive(Clone, Debug)]
 pub struct RingState {
-    links: Vec<LinkSt>,
+    /// Directed ring link `i → (i+1) % n`, frames carrying partials.
+    links: Vec<Link<u64>>,
     /// `acc[r][b]`: rank `r`'s current partial of block `b` (bit mask).
     acc: Vec<Vec<u64>>,
     /// Reduce-scatter steps posted by each rank (onto link `r`).
@@ -126,28 +114,6 @@ impl RingModel {
         s.acc[dst][block] += payload;
         s.applied[dst] += 1;
     }
-
-    fn receive(&self, s: &mut RingState, i: usize, seq: u64, payload: u64) {
-        match s.links[i].rx.on_data(seq, payload) {
-            RxVerdict::Duplicate => {}
-            RxVerdict::Deliver(ready) => {
-                for p in ready {
-                    self.apply(s, i, p);
-                }
-            }
-            RxVerdict::Parked { nack } => {
-                // The NACK round trip, collapsed: the sender retransmits
-                // the requested frames onto the wire.
-                let l = &mut s.links[i];
-                let resend: Vec<(u64, u64)> =
-                    l.tx.select(&nack)
-                        .into_iter()
-                        .map(|(q, p)| (q, *p))
-                        .collect();
-                l.wire.extend(resend);
-            }
-        }
-    }
 }
 
 impl Model for RingModel {
@@ -156,13 +122,7 @@ impl Model for RingModel {
 
     fn init(&self) -> Vec<RingState> {
         vec![RingState {
-            links: (0..self.ranks)
-                .map(|_| LinkSt {
-                    tx: FlowTx::new(self.window),
-                    rx: FlowRx::new(),
-                    wire: BTreeSet::new(),
-                })
-                .collect(),
+            links: vec![Link::new(self.window); self.ranks],
             acc: (0..self.ranks)
                 .map(|r| vec![self.contribution(r); self.ranks])
                 .collect(),
@@ -211,63 +171,23 @@ impl Model for RingModel {
                 let block = (*r + n - step) % n;
                 let payload = s.acc[*r][block];
                 s.sent[*r] += 1;
-                let l = &mut s.links[*r];
-                let seq = l.tx.peek_seq();
-                l.tx.commit(seq, payload);
-                l.wire.insert((seq, payload));
+                s.links[*r].send(payload);
             }
-            RingAction::Deliver(i, seq) => {
-                let frame = s.links[*i]
-                    .wire
-                    .iter()
-                    .find(|(q, _)| q == seq)
-                    .copied()
-                    .expect("deliver of a frame not on the wire");
-                s.links[*i].wire.remove(&frame);
-                self.receive(&mut s, *i, frame.0, frame.1);
-            }
-            RingAction::Duplicate(i, seq) => {
-                let frame = s.links[*i]
-                    .wire
-                    .iter()
-                    .find(|(q, _)| q == seq)
-                    .copied()
-                    .expect("duplicate of a frame not on the wire");
-                s.dups_left -= 1;
-                self.receive(&mut s, *i, frame.0, frame.1);
-            }
-            RingAction::Drop(i, seq) => {
-                let frame = s.links[*i]
-                    .wire
-                    .iter()
-                    .find(|(q, _)| q == seq)
-                    .copied()
-                    .expect("drop of a frame not on the wire");
-                s.links[*i].wire.remove(&frame);
-                s.drops_left -= 1;
-            }
-            RingAction::Ping(i) => {
-                let l = &mut s.links[*i];
-                let resend = l.tx.on_ping(l.rx.next_expected());
-                let frames: Vec<(u64, u64)> =
-                    l.tx.select(&resend)
-                        .into_iter()
-                        .map(|(q, p)| (q, *p))
-                        .collect();
-                l.wire.extend(frames);
-            }
-            RingAction::Flush(i) => {
-                let l = &mut s.links[*i];
-                if let Some(highest) = l.tx.highest() {
-                    let missing = l.rx.missing_upto(highest);
-                    let frames: Vec<(u64, u64)> =
-                        l.tx.select(&missing)
-                            .into_iter()
-                            .map(|(q, p)| (q, *p))
-                            .collect();
-                    l.wire.extend(frames);
+            RingAction::Deliver(i, seq) | RingAction::Duplicate(i, seq) => {
+                let dup = matches!(a, RingAction::Duplicate(..));
+                if dup {
+                    s.dups_left -= 1;
+                }
+                for (_, payload) in s.links[*i].deliver(*seq, dup) {
+                    self.apply(&mut s, *i, payload);
                 }
             }
+            RingAction::Drop(i, seq) => {
+                s.links[*i].take(*seq, false);
+                s.drops_left -= 1;
+            }
+            RingAction::Ping(i) => s.links[*i].ping(),
+            RingAction::Flush(i) => s.links[*i].flush(),
         }
         s
     }
