@@ -121,8 +121,9 @@ fn forbidden_tokens(src_dir: &Path, tokens: &[&str], wher: &str) -> Vec<Finding>
 // ---------------------------------------------------------------------------
 
 /// The file marker (a comment line of its own) that opts a module into
-/// rule 4. `crates/mpi/src/{reliability,rendezvous,credit,matching}.rs`
-/// carry it; a unit test below pins that.
+/// rule 4. `crates/mpi/src/{reliability,rendezvous,credit,matching}.rs` and
+/// `crates/ensemble/src/{core,group}.rs` carry it; a unit test below pins
+/// that.
 pub const SANS_IO_MARKER: &str = "// lint: sans-io";
 
 /// What a sans-IO module may not name: wall-clock reads, the fabric and
@@ -574,23 +575,36 @@ mod tests {
         assert!(wall_clock(&d.join("src")).is_empty());
     }
 
-    /// The four MPI protocol machines carry the marker (and the shell that
-    /// drives them does not): deleting one is a reviewed change here, not
-    /// a silent loss of coverage.
+    /// The protocol machines carry the marker (and the shells that drive
+    /// them do not): deleting one is a reviewed change here, not a silent
+    /// loss of coverage.
     #[test]
-    fn the_mpi_protocol_machines_are_marked_sans_io() {
-        let mpi = Path::new(env!("CARGO_MANIFEST_DIR")).join("../mpi/src");
-        let marked = |f: &str| is_sans_io(&SourceFile::load(&mpi.join(f)).expect(f));
-        for f in [
-            "reliability.rs",
-            "rendezvous.rs",
-            "credit.rs",
-            "matching.rs",
-        ] {
-            assert!(marked(f), "{f} lost its `{SANS_IO_MARKER}` marker");
+    fn the_protocol_machines_are_marked_sans_io() {
+        // (crate dir, its machines; its shell is `endpoint.rs`)
+        let table: [(&str, &[&str]); 2] = [
+            (
+                "mpi",
+                &[
+                    "reliability.rs",
+                    "rendezvous.rs",
+                    "credit.rs",
+                    "matching.rs",
+                ],
+            ),
+            ("ensemble", &["core.rs", "group.rs"]),
+        ];
+        for (krate, machines) in table {
+            let src = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../{krate}/src"));
+            let marked = |f: &str| is_sans_io(&SourceFile::load(&src.join(f)).expect(f));
+            for f in machines {
+                assert!(marked(f), "{krate}/{f} lost its `{SANS_IO_MARKER}` marker");
+            }
+            assert!(
+                !marked("endpoint.rs"),
+                "{krate}: the shell is not a machine"
+            );
+            assert!(sans_io(&src).is_empty(), "{:?}", sans_io(&src));
         }
-        assert!(!marked("endpoint.rs"));
-        assert!(sans_io(&mpi).is_empty(), "{:?}", sans_io(&mpi));
     }
 
     #[test]

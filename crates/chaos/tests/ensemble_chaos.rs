@@ -257,3 +257,36 @@ fn cluster_restart_after_fail_stop_crash() {
         .wait_config(Duration::from_secs(20), |c| c.up_nodes().len() == 3)
         .unwrap();
 }
+
+/// The rejoining daemon with the smallest id coordinates the view before
+/// it is bootstrapped: the state transfer, and any failure response in that
+/// window, must come from the smallest *live* member instead.
+#[test]
+fn cluster_restart_of_the_lowest_node_id() {
+    const T: Duration = Duration::from_secs(20);
+    let cluster = starfish::Cluster::builder()
+        .nodes(3)
+        .network(Box::new(Ideal))
+        .layers(LayerCosts::zero())
+        .build()
+        .unwrap();
+    cluster.crash_node(NodeId(0));
+    cluster
+        .daemon()
+        .wait_config(T, |c| c.up_nodes().len() == 2)
+        .unwrap();
+    cluster.restart_node(NodeId(0)).unwrap();
+    cluster
+        .daemon()
+        .wait_config(T, |c| c.up_nodes().len() == 3)
+        .unwrap();
+    // The rejoined daemon is a full member again: new work schedules.
+    cluster.register_app("after-rejoin", |ctx| {
+        ctx.publish(starfish_checkpoint::CkptValue::Unit);
+        Ok(())
+    });
+    let app = cluster
+        .submit("after-rejoin", 2, starfish::SubmitOpts::default())
+        .unwrap();
+    cluster.wait_app_done(app, T).unwrap();
+}

@@ -159,6 +159,11 @@ impl ClusterConfig {
             .collect()
     }
 
+    /// Whether `node` is eligible to run work (`Up` and daemon-announced).
+    pub fn is_live(&self, node: NodeId) -> bool {
+        self.nodes.get(&node).is_some_and(|e| e.live())
+    }
+
     /// Nodes eligible to run work (`Up` and daemon-announced), sorted by id.
     pub fn live_nodes(&self) -> Vec<NodeId> {
         self.nodes
@@ -221,8 +226,7 @@ impl ClusterConfig {
         let mut load = self.load();
         let mut out = Vec::new();
         for (r, n) in app.placement.iter().enumerate() {
-            let alive = self.nodes.get(n).map(|e| e.live()).unwrap_or(false);
-            if !alive {
+            if !self.is_live(*n) {
                 let target = *nodes
                     .iter()
                     .min_by_key(|cand| (load.get(cand).copied().unwrap_or(0), **cand))?;
@@ -393,8 +397,7 @@ impl ClusterConfig {
                 node,
                 line,
             } => {
-                let target_up = self.nodes.get(node).map(|e| e.live()).unwrap_or(false);
-                if !target_up {
+                if !self.is_live(*node) {
                     return Vec::new();
                 }
                 let Some(a) = self.apps.get_mut(app) else {

@@ -450,27 +450,7 @@ impl Loop {
                     self.on_cast(self.node, WireCast::Cfg(cmd), vt);
                 }
                 self.sync_lw_groups();
-                // Now announce ourselves. A restarted daemon finds its node
-                // already in the snapshot but marked Dead — it must still
-                // announce so the re-add flips it back to Up.
-                if !self.announced {
-                    self.announced = true;
-                    // Up-but-unannounced (a bare admin ADDNODE raced our
-                    // boot) still needs the self-announce: only an AddNode
-                    // cast from the node itself marks it live.
-                    let already_live = self
-                        .config
-                        .nodes
-                        .get(&self.node)
-                        .map(|e| e.live())
-                        .unwrap_or(false);
-                    if !already_live {
-                        let _ = self.cast(WireCast::Cfg(CfgCmd::AddNode {
-                            node: self.node,
-                            arch_index: self.arch_index,
-                        }));
-                    }
-                }
+                self.announce();
             }
         }
     }
@@ -494,14 +474,9 @@ impl Loop {
                     return;
                 }
                 // A bootstrapped member answers state-transfer requests if it
-                // coordinates the current view.
+                // acts for the group.
                 if let CfgCmd::NeedState { node } = &cmd {
-                    let is_coord = self
-                        .view
-                        .as_ref()
-                        .map(|v| v.coordinator() == self.node)
-                        .unwrap_or(false);
-                    if is_coord && *node != self.node {
+                    if self.acts_for_group() && *node != self.node {
                         let snapshot = self.config.encode_to_bytes();
                         let _ = self.ep.send_to(
                             *node,
@@ -740,12 +715,7 @@ impl Loop {
         ) else {
             return;
         };
-        let is_coord = self
-            .view
-            .as_ref()
-            .map(|v| v.coordinator() == self.node)
-            .unwrap_or(false);
-        if is_coord {
+        if self.acts_for_group() {
             let dir = postmortem_dir();
             if std::fs::create_dir_all(&dir).is_ok() {
                 let path = dir.join(format!("{}-e{}.json", name, pm.epoch));
@@ -1165,6 +1135,39 @@ impl Loop {
 
     // -- membership ----------------------------------------------------------------
 
+    /// Whether this daemon is the one that acts for the group — answers
+    /// `NeedState`, casts the failure response, writes the postmortem file:
+    /// the smallest view member the replicated configuration knows as
+    /// live, else the view's smallest member (the founder, before anyone
+    /// has announced). Not simply the view coordinator: a rejoining daemon
+    /// with the smallest id coordinates the view before it is bootstrapped.
+    /// Every bootstrapped daemon evaluates this on the same configuration
+    /// at the same point of the cast stream.
+    fn acts_for_group(&self) -> bool {
+        let Some(view) = self.view.as_ref().filter(|_| self.bootstrapped) else {
+            return false;
+        };
+        let acting = view.members.iter().find(|m| self.config.is_live(**m));
+        *acting.unwrap_or(&view.coordinator()) == self.node
+    }
+
+    /// Announce ourselves on the cast stream, once, when bootstrapped. A
+    /// restarted daemon finds its node already in the replicated config but
+    /// marked Dead, and a bare admin ADDNODE that raced our boot leaves it
+    /// Up but unannounced: only an `AddNode` cast from the node itself marks
+    /// it live, so both still announce.
+    fn announce(&mut self) {
+        if std::mem::replace(&mut self.announced, true) {
+            return;
+        }
+        if !self.config.is_live(self.node) {
+            let _ = self.cast(WireCast::Cfg(CfgCmd::AddNode {
+                node: self.node,
+                arch_index: self.arch_index,
+            }));
+        }
+    }
+
     fn on_view(&mut self, view: View) {
         if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
             eprintln!(
@@ -1177,25 +1180,7 @@ impl Loop {
         self.view = Some(view.clone());
         if view.contains(self.node) {
             if self.bootstrapped {
-                // Founder (or already synced): announce once. A restarted
-                // daemon finds its node already in the replicated config
-                // but marked Dead — it must still announce so the re-add
-                // flips it back to Up.
-                if !self.announced {
-                    self.announced = true;
-                    let already_live = self
-                        .config
-                        .nodes
-                        .get(&self.node)
-                        .map(|e| e.live())
-                        .unwrap_or(false);
-                    if !already_live {
-                        let _ = self.cast(WireCast::Cfg(CfgCmd::AddNode {
-                            node: self.node,
-                            arch_index: self.arch_index,
-                        }));
-                    }
-                }
+                self.announce(); // founder, or already synced
             } else if !self.requested_state {
                 // Joiner: mark our snapshot point in the total order.
                 let _ = self.cast(WireCast::Cfg(CfgCmd::NeedState { node: self.node }));
@@ -1206,9 +1191,9 @@ impl Loop {
         let events = self.router.on_main_view(&view, self.clock.now());
         self.deliver_lw_events(events);
 
-        // The view coordinator drives the failure response; everyone else
-        // just applies the resulting casts.
-        if !self.bootstrapped || view.coordinator() != self.node {
+        // One daemon drives the failure response; everyone else just
+        // applies the resulting casts.
+        if !self.acts_for_group() {
             return;
         }
         // One view-change event per installed view, cast by the coordinator

@@ -1,8 +1,7 @@
-//! Pure membership/ordering core of the ensemble stack.
+//! Pure building blocks of the [`Group`](crate::group::Group) machine.
 //!
-//! The [`Stack`](crate::endpoint) thread owns sockets, clocks and channels;
-//! every *decision* it makes about total-order delivery and membership
-//! changes lives here as plain state machines over plain data:
+//! Every decision the ensemble stack makes lives in `group.rs`; the parts of
+//! it that are state machines in their own right live here:
 //!
 //! * [`DeliveryState`] — the member-side totally-ordered delivery queue:
 //!   out-of-order parking, gap-free cascade, flush-union backfill;
@@ -13,9 +12,11 @@
 //!   next-view computation and the proposal numbering that ties a flush to
 //!   the view it closes.
 //!
-//! Because these are pure, the `verify` crate's model checker can enumerate
-//! every interleaving of casts, flushes and failures over exactly the
-//! deployed logic, checking view agreement and total order exhaustively.
+//! A `Group` owns one `DeliveryState` and an `Option<ChangeState>` directly;
+//! the `verify` crate's model checker holds whole `Group`s, so every
+//! interleaving of casts, flushes and failures it enumerates runs exactly
+//! this code.
+// lint: sans-io
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -1,65 +1,37 @@
 //! The group-communication endpoint: one per Starfish daemon.
 //!
-//! An [`Endpoint`] owns a background *stack thread* (the analogue of the
-//! Ensemble protocol stack) that runs the membership, ordering and flush
-//! protocols, and reports deliveries to its owner through an event channel.
-//!
-//! Architecture: primary-component virtual synchrony with a
-//! coordinator-sequencer. The coordinator of the current view sequences all
-//! casts and drives view changes through a flush protocol (see crate docs
-//! for the exact guarantees).
+//! An [`Endpoint`] owns a background *stack thread*: the I/O shell around
+//! one [`Group`] machine (`group.rs` decides membership, sequencing and
+//! flush; the crate docs state the guarantees). The shell owns what the
+//! machine may not name — the fabric port, the fabric-event and command
+//! channels, the virtual clock, the instruments, the owner's event channel.
+//! It feeds each packet, fabric event, command and deadline to the machine
+//! and carries out the answer in order: a `Send` becomes a packet (a failed
+//! one is reported back), the rest a [`GcEvent`], a metric or a trace
+//! record. It blocks until an input is ready, with a timeout only while the
+//! machine reports a deadline (join retry; beacons when heartbeats are on).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use starfish_telemetry::{metric, Registry};
-use starfish_trace::{FlightRecorder, TraceCtx};
+use starfish_trace::FlightRecorder;
 use starfish_util::codec::{Decode, Encode};
 use starfish_util::trace::{ActorKind, MsgClass, TraceSink};
 use starfish_util::{Error, NodeId, Result, VClock, ViewId, VirtualTime};
 use starfish_vni::{Addr, Fabric, FabricEvent, Packet, PacketKind, Port, PortId};
 
-use crate::core::{encode_proposal, proposal_view, proposed_members, ChangeState, DeliveryState};
-use crate::msg::{GcMsg, SeqEntry};
+use crate::group::{Group, HeartbeatCfg, HeartbeatChaos, Out};
+use crate::msg::GcMsg;
 use crate::view::View;
 
 /// Well-known fabric port of the group-communication stack on every node.
 pub const ENSEMBLE_PORT: PortId = PortId(1);
-
-/// How often a joining endpoint re-sends its join request until a view that
-/// includes it is installed (real time; the join protocol itself is also
-/// charged virtual time like any other message).
-const JOIN_RETRY: Duration = Duration::from_millis(200);
-
-/// Stack-thread idle tick, bounding reaction latency to owner shutdown.
-const TICK: Duration = Duration::from_millis(50);
-
-/// Heartbeat-based failure detection settings (the role Ensemble's
-/// heartbeat stack plays on a real LAN, where hangs emit no event).
-#[derive(Clone, Copy, Debug)]
-pub struct HeartbeatCfg {
-    /// How often each member beacons to its peers (real time).
-    pub interval: Duration,
-    /// Silence longer than this marks a member suspected.
-    pub timeout: Duration,
-}
-
-/// Chaos-layer perturbation of the heartbeat path: each beacon round is
-/// skipped with probability `skip_p`, drawn from a deterministic RNG seeded
-/// with `seed`. A skipped round models a stalled daemon or a lost beacon
-/// burst — the stimulus the suspicion machinery must absorb (transient) or
-/// act on (persistent).
-#[derive(Clone, Copy, Debug)]
-pub struct HeartbeatChaos {
-    pub seed: u64,
-    /// Probability that one whole beacon round is skipped.
-    pub skip_p: f64,
-}
 
 /// Configuration of an endpoint.
 #[derive(Clone)]
@@ -135,13 +107,13 @@ pub enum GcEvent {
 /// [`Endpoint::liveness`]). Defaults to an empty, never-updated table.
 #[derive(Clone, Default)]
 pub struct HeartbeatAges {
-    last_seen: Arc<Mutex<BTreeMap<NodeId, std::time::Instant>>>,
+    last_seen: Arc<Mutex<BTreeMap<NodeId, Instant>>>,
 }
 
 impl HeartbeatAges {
     /// `(peer, time since last heard)` for every peer ever heard from.
     pub fn ages(&self) -> Vec<(NodeId, Duration)> {
-        let now = std::time::Instant::now(); // lint: allow(wall-clock)
+        let now = Instant::now(); // lint: allow(wall-clock)
         self.last_seen
             .lock()
             .iter()
@@ -151,15 +123,8 @@ impl HeartbeatAges {
 }
 
 enum Cmd {
-    Cast {
-        payload: Bytes,
-        vt: VirtualTime,
-    },
-    SendTo {
-        node: NodeId,
-        payload: Bytes,
-        vt: VirtualTime,
-    },
+    Cast(Bytes, VirtualTime),
+    SendTo(NodeId, Bytes, VirtualTime),
     Leave,
 }
 
@@ -169,7 +134,10 @@ pub struct Endpoint {
     cmd_tx: Sender<Cmd>,
     events_rx: Receiver<GcEvent>,
     shared_view: Arc<Mutex<Option<View>>>,
-    last_seen: Arc<Mutex<BTreeMap<NodeId, std::time::Instant>>>,
+    liveness: HeartbeatAges,
+    /// Stack-thread wake-ups (the no-tick test counts them).
+    #[cfg(test)]
+    wakes: Arc<std::sync::atomic::AtomicU64>,
 }
 
 impl Endpoint {
@@ -199,49 +167,39 @@ impl Endpoint {
         let fabric_events = fabric.subscribe();
         let (cmd_tx, cmd_rx) = channel::unbounded();
         let (events_tx, events_rx) = channel::unbounded();
-        let shared_view = Arc::new(Mutex::new(None));
-        let last_seen = Arc::new(Mutex::new(BTreeMap::new()));
-        let chaos_rng = cfg
-            .chaos
-            .map(|c| starfish_util::rng::DetRng::new(c.seed).derive(node.0 as u64));
-        let stack = Stack {
-            node,
-            fabric: fabric.clone(),
-            port,
-            cfg,
-            chaos_rng,
-            clock: VClock::new(),
-            events_tx,
-            shared_view: shared_view.clone(),
-            view: None,
-            contact,
-            delivery: DeliveryState::new(),
-            next_seq: 1,
-            held_casts: Vec::new(),
-            held_local: Vec::new(),
-            change: None,
-            proposal_counter: 0,
-            pending_joins: BTreeSet::new(),
-            pending_leaves: BTreeSet::new(),
-            suspects: BTreeSet::new(),
-            flushing: false,
-            leaving: false,
-            dead: false,
-            last_seen: last_seen.clone(),
-            last_beacon: std::time::Instant::now(), // lint: allow(wall-clock)
-            change_started: None,
-        };
-        std::thread::Builder::new()
-            .name(format!("ensemble-{node}"))
-            .spawn(move || stack.run(cmd_rx, fabric_events))
-            .expect("spawn ensemble stack");
-        Ok(Endpoint {
+        let ep = Endpoint {
             node,
             cmd_tx,
             events_rx,
-            shared_view,
-            last_seen,
-        })
+            shared_view: Arc::default(),
+            liveness: HeartbeatAges::default(),
+            #[cfg(test)]
+            wakes: Arc::default(),
+        };
+        let (group, first) = Group::new(node, contact, cfg.heartbeat, cfg.chaos, Duration::ZERO);
+        let shell = Shell {
+            group,
+            fabric: fabric.clone(),
+            port,
+            fabric_events,
+            cmd_rx,
+            debug: std::env::var_os("STARFISH_GC_DEBUG").is_some(),
+            cfg,
+            clock: VClock::new(),
+            epoch: Instant::now(), // lint: allow(wall-clock)
+            events_tx,
+            shared_view: ep.shared_view.clone(),
+            liveness: ep.liveness.clone(),
+            change_started: None,
+            dead: false,
+            #[cfg(test)]
+            wakes: ep.wakes.clone(),
+        };
+        std::thread::Builder::new()
+            .name(format!("ensemble-{node}"))
+            .spawn(move || shell.run(first))
+            .expect("spawn ensemble stack");
+        Ok(ep)
     }
 
     pub fn node(&self) -> NodeId {
@@ -253,26 +211,26 @@ impl Endpoint {
         self.shared_view.lock().clone()
     }
 
+    fn command(&self, cmd: Cmd) -> Result<()> {
+        self.cmd_tx
+            .send(cmd)
+            .map_err(|_| Error::closed("ensemble stack gone"))
+    }
+
     /// Submit a totally ordered multicast. `vt` is the caller's current
     /// virtual time.
     pub fn cast(&self, payload: Bytes, vt: VirtualTime) -> Result<()> {
-        self.cmd_tx
-            .send(Cmd::Cast { payload, vt })
-            .map_err(|_| Error::closed("ensemble stack gone"))
+        self.command(Cmd::Cast(payload, vt))
     }
 
     /// Point-to-point send to another member.
     pub fn send_to(&self, node: NodeId, payload: Bytes, vt: VirtualTime) -> Result<()> {
-        self.cmd_tx
-            .send(Cmd::SendTo { node, payload, vt })
-            .map_err(|_| Error::closed("ensemble stack gone"))
+        self.command(Cmd::SendTo(node, payload, vt))
     }
 
     /// Leave the group gracefully. The final event will be [`GcEvent::Left`].
     pub fn leave(&self) -> Result<()> {
-        self.cmd_tx
-            .send(Cmd::Leave)
-            .map_err(|_| Error::closed("ensemble stack gone"))
+        self.command(Cmd::Leave)
     }
 
     /// The delivery stream.
@@ -282,38 +240,30 @@ impl Endpoint {
 
     /// Failure-detector view of peer liveness: for every peer this endpoint
     /// has heard from, how long ago (wall-clock) the last packet — heartbeat
-    /// or otherwise — arrived. Empty when heartbeats are disabled and no
-    /// traffic has flowed. Powers the mgmt `HEALTH` last-heartbeat column.
+    /// or otherwise — arrived. Empty when no traffic has flowed. Powers the
+    /// mgmt `HEALTH` last-heartbeat column.
     pub fn heartbeat_ages(&self) -> Vec<(NodeId, Duration)> {
-        self.liveness().ages()
+        self.liveness.ages()
     }
 
-    /// Cheap clonable handle onto the failure detector's last-heard table,
-    /// usable after the endpoint itself moves into its owner's loop.
+    /// Cheap clonable handle onto the last-heard table, usable after the
+    /// endpoint itself moves into its owner's loop.
     pub fn liveness(&self) -> HeartbeatAges {
-        HeartbeatAges {
-            last_seen: self.last_seen.clone(),
-        }
+        self.liveness.clone()
     }
 
     /// Test/bootstrap helper: block until a view containing `expect_members`
     /// members is installed, returning it (events consumed in the process
     /// are NOT replayed; use only when driving the endpoint directly).
     pub fn wait_for_view_size(&self, size: usize, timeout: Duration) -> Result<View> {
-        let deadline = std::time::Instant::now() + timeout; // lint: allow(wall-clock)
+        let started = Instant::now(); // lint: allow(wall-clock)
         loop {
-            let remain = deadline
-                .checked_duration_since(std::time::Instant::now()) // lint: allow(wall-clock)
-                .ok_or_else(|| Error::timeout("wait_for_view_size"))?;
+            let remain = timeout.saturating_sub(started.elapsed());
             match self.events_rx.recv_timeout(remain) {
                 Ok(GcEvent::View { view, .. }) if view.size() == size => return Ok(view),
                 Ok(_) => continue,
-                Err(channel::RecvTimeoutError::Timeout) => {
-                    return Err(Error::timeout("wait_for_view_size"))
-                }
-                Err(channel::RecvTimeoutError::Disconnected) => {
-                    return Err(Error::closed("ensemble stack gone"))
-                }
+                Err(RecvTimeoutError::Timeout) => return Err(Error::timeout("wait_for_view_size")),
+                Err(RecvTimeoutError::Disconnected) => return Err(Error::closed("stack gone")),
             }
         }
     }
@@ -325,142 +275,203 @@ impl Drop for Endpoint {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The protocol stack proper (runs on its own thread).
-// ---------------------------------------------------------------------------
+// -- The I/O shell around the `Group` machine (runs on its own thread) -------
 
-struct Stack {
-    node: NodeId,
+struct Shell {
+    group: Group,
     fabric: Fabric,
     port: Port,
+    fabric_events: Receiver<FabricEvent>,
+    cmd_rx: Receiver<Cmd>,
     cfg: EndpointConfig,
     clock: VClock,
+    /// The machine's time is the real time since this instant.
+    epoch: Instant,
     events_tx: Sender<GcEvent>,
+    /// Mirrors of machine state for readers on other threads.
     shared_view: Arc<Mutex<Option<View>>>,
-
-    /// Installed view (None while joining).
-    view: Option<View>,
-    /// Join contact (Some while still joining via a contact).
-    contact: Option<NodeId>,
-
-    // member role: the pure totally-ordered delivery machine
-    delivery: DeliveryState,
-
-    // coordinator role
-    next_seq: u64,
-    held_casts: Vec<(NodeId, Bytes, TraceCtx)>,
-    change: Option<ChangeState>,
-    proposal_counter: u64,
-    pending_joins: BTreeSet<NodeId>,
-    pending_leaves: BTreeSet<NodeId>,
-    suspects: BTreeSet<NodeId>,
-
-    // member-side flush state
-    flushing: bool,
-    /// Casts we could not hand to a coordinator; re-sent on the next view
-    /// (with their original trace context — a re-submission is the same
-    /// logical cast).
-    held_local: Vec<(Bytes, TraceCtx)>,
-    leaving: bool,
-    /// Set when this endpoint is finished (left, excluded, or its node
-    /// crashed); the run loop exits at the next opportunity.
-    dead: bool,
-    /// Heartbeat failure detection: last real-time instant each member was
-    /// heard from.
-    last_seen: Arc<Mutex<BTreeMap<NodeId, std::time::Instant>>>,
-    last_beacon: std::time::Instant,
-    /// Per-node beacon-skip decision stream (chaos layer), derived from the
-    /// configured seed so every node perturbs independently but replayably.
-    chaos_rng: Option<starfish_util::rng::DetRng>,
-    /// Virtual time at which the in-progress membership change started
-    /// (coordinator only); measured into `ensemble.view_change_ns` when the
-    /// resulting view installs.
+    liveness: HeartbeatAges,
+    /// When (virtual) the change this member coordinates was opened; timed
+    /// into `ensemble.view_change_ns` when the resulting view installs.
     change_started: Option<VirtualTime>,
+    /// Our node crashed under us; `Left` has been said if anyone listens.
+    dead: bool,
+    /// `STARFISH_GC_DEBUG`: print what the machine answers.
+    debug: bool,
+    #[cfg(test)]
+    wakes: Arc<std::sync::atomic::AtomicU64>,
 }
 
-enum LoopCtl {
-    Continue,
-    Exit,
-}
-
-impl Stack {
-    fn run(mut self, mut cmd_rx: Receiver<Cmd>, fabric_events: Receiver<FabricEvent>) {
-        // Found or join.
-        match self.contact {
-            None => {
-                let view = View::new(ViewId(1), vec![self.node]);
-                self.install(view, Vec::new());
+impl Shell {
+    fn run(mut self, first: Vec<Out>) {
+        self.apply(first);
+        while !self.done() {
+            match self.group.deadline() {
+                Some(at) => crossbeam::channel::select! {
+                    recv(self.port.doorbell()) -> t => self.on_doorbell(t.is_ok()),
+                    recv(self.fabric_events) -> e => self.on_fabric_event(e.ok()),
+                    recv(self.cmd_rx) -> c => self.on_cmd(c.ok()),
+                    default(at.saturating_sub(self.epoch.elapsed())) => {}
+                },
+                None => crossbeam::channel::select! {
+                    recv(self.port.doorbell()) -> t => self.on_doorbell(t.is_ok()),
+                    recv(self.fabric_events) -> e => self.on_fabric_event(e.ok()),
+                    recv(self.cmd_rx) -> c => self.on_cmd(c.ok()),
+                },
             }
-            Some(contact) => {
-                let _ = self.send_gc(contact, &GcMsg::JoinReq { node: self.node });
-            }
-        }
-        let mut last_join_retry = std::time::Instant::now(); // lint: allow(wall-clock)
-        loop {
-            crossbeam::channel::select! {
-                recv(self.port.doorbell()) -> tok => {
-                    // The doorbell token means "packets may be waiting";
-                    // drain everything queued (the inbox contract requires a
-                    // full drain per token taken).
-                    while let Ok(Some(p)) = self.port.try_recv() {
-                        if let LoopCtl::Exit = self.handle_packet(p) {
-                            return;
-                        }
-                    }
-                    if tok.is_err() {
-                        // Doorbell disconnected: our node crashed or was
-                        // removed. Anything still queued was drained above.
-                        let _ = self.events_tx.send(GcEvent::Left);
-                        return;
-                    }
-                }
-                recv(fabric_events) -> ev => {
-                    match ev {
-                        Ok(e) => {
-                            if let LoopCtl::Exit = self.handle_fabric_event(e) {
-                                return;
-                            }
-                        }
-                        Err(_) => { /* fabric gone (test teardown) */ }
-                    }
-                }
-                recv(cmd_rx) -> cmd => {
-                    match cmd {
-                        Ok(c) => {
-                            if let LoopCtl::Exit = self.handle_cmd(c) {
-                                return;
-                            }
-                        }
-                        Err(_) => {
-                            // Owner dropped: leave gracefully. Swap in a
-                            // never-ready channel so this arm does not
-                            // busy-fire on every subsequent iteration.
-                            cmd_rx = channel::never();
-                            if let LoopCtl::Exit = self.handle_cmd(Cmd::Leave) {
-                                return;
-                            }
-                        }
-                    }
-                }
-                default(TICK) => {}
-            }
-            if self.dead {
-                return;
-            }
-            self.heartbeat_tick();
-            // Join retry while we have no view yet.
-            if self.view.is_none() {
-                if let Some(contact) = self.contact {
-                    if last_join_retry.elapsed() >= JOIN_RETRY {
-                        last_join_retry = std::time::Instant::now(); // lint: allow(wall-clock)
-                        let _ = self.send_gc(contact, &GcMsg::JoinReq { node: self.node });
-                    }
-                }
-            }
+            #[cfg(test)]
+            self.wakes
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let outs = self.group.tick(self.epoch.elapsed());
+            self.apply(outs);
         }
     }
 
-    // -- helpers ------------------------------------------------------------
+    /// The token means "packets may be waiting"; the inbox contract requires
+    /// a full drain per token taken. A disconnected doorbell means our node
+    /// crashed or was removed (anything still queued is drained first).
+    fn on_doorbell(&mut self, connected: bool) {
+        while let (false, Ok(Some(pkt))) = (self.done(), self.port.try_recv()) {
+            self.on_packet(pkt);
+        }
+        if !connected {
+            self.node_down();
+        }
+    }
+
+    fn on_fabric_event(&mut self, ev: Option<FabricEvent>) {
+        // Anything else is not about a node, or the fabric is gone (teardown).
+        let Some(FabricEvent::NodeCrashed(n) | FabricEvent::NodeRemoved(n)) = ev else {
+            return;
+        };
+        if n == self.group.node() {
+            return self.node_down();
+        }
+        let outs = self.group.member_failed(n);
+        self.apply(outs);
+    }
+
+    fn node_down(&mut self) {
+        if !std::mem::replace(&mut self.dead, true) && !self.group.is_gone() {
+            self.emit(GcEvent::Left);
+        }
+    }
+
+    /// Finished: left, excluded, or our node crashed under us.
+    fn done(&self) -> bool {
+        self.dead || self.group.is_gone()
+    }
+
+    fn on_packet(&mut self, pkt: Packet) {
+        let Ok(msg) = GcMsg::decode_from_bytes(&pkt.payload) else {
+            return; // corrupt packet: drop
+        };
+        let (from, now) = (pkt.src.node, self.epoch.elapsed());
+        let heard = self.epoch + now;
+        self.liveness.last_seen.lock().insert(from, heard);
+        // Beacons and join retransmissions are real-time artifacts (of the
+        // failure detector, of bootstrap): they must not advance the virtual
+        // clock, or scheduling noise would leak into every measurement.
+        if !matches!(msg, GcMsg::Heartbeat { .. }) {
+            self.clock.merge(pkt.arrive_vt);
+            if !matches!(&msg, GcMsg::JoinReq { node } if self.group.knows_joiner(*node)) {
+                self.clock.advance(self.cfg.proc_cost);
+            }
+        }
+        let outs = self.group.on_msg(from, msg, now);
+        self.apply(outs);
+    }
+
+    fn on_cmd(&mut self, cmd: Option<Cmd>) {
+        if let Some(Cmd::Cast(_, vt) | Cmd::SendTo(_, _, vt)) = &cmd {
+            self.clock.merge(*vt);
+            self.clock.advance(self.cfg.proc_cost);
+        }
+        let outs = match cmd {
+            Some(Cmd::Cast(payload, _)) => {
+                // The submission is this daemon's send event; the context
+                // minted here survives sequencing, backfill and flush, so
+                // every member's delivery stitches back to it.
+                let (now, node) = (self.clock.now(), self.group.node().0);
+                let ctx = self.cfg.recorder.on_send(now, node, 0, 0, payload.len());
+                self.group.cast(payload, ctx)
+            }
+            Some(Cmd::SendTo(node, payload, _)) => self.group.send_to(node, payload),
+            Some(Cmd::Leave) => self.group.leave(),
+            // The owner dropped us, which said `Leave` first: only stop
+            // selecting on the disconnected channel.
+            None => return self.cmd_rx = channel::never(),
+        };
+        self.apply(outs);
+    }
+
+    /// Carry out what the machine answered to an input, in order. A send
+    /// that fails goes back to the machine; its answer joins the queue.
+    fn apply(&mut self, outs: Vec<Out>) {
+        if self.debug && !outs.is_empty() {
+            eprintln!("[gc {}] {outs:?}", self.group.node()); // inputs are peers' `Send`s
+        }
+        let mut queue = VecDeque::from(outs);
+        while let Some(out) = queue.pop_front() {
+            let vt = self.clock.now();
+            if matches!(out, Out::View(_) | Out::Left) {
+                // Before the owner hears of it: `current_view()` right after
+                // the event must not see the old view.
+                *self.shared_view.lock() = self.group.view().cloned();
+            }
+            match out {
+                Out::Send { to, msg } => match self.send_gc(to, &msg) {
+                    Ok(()) => {}
+                    // *We* are the dead side: do not blame the receiver.
+                    Err(Error::Closed(_)) => return self.dead = true,
+                    Err(_) => queue.extend(self.group.send_failed(to, msg)),
+                },
+                Out::ChangeOpened => self.change_started = Some(vt),
+                Out::View(view) => {
+                    if let Some(m) = &self.cfg.metrics {
+                        m.inc(metric::ENSEMBLE_VIEW_CHANGES);
+                        if let Some(started) = self.change_started.take() {
+                            m.record_vt(metric::ENSEMBLE_VIEW_CHANGE_NS, vt - started);
+                        }
+                    }
+                    self.cfg
+                        .recorder
+                        .view_change(vt, view.id.0, view.size() as u32);
+                    self.emit(GcEvent::View { view, vt });
+                }
+                Out::Deliver { view, entry: e } => {
+                    if let Some(m) = &self.cfg.metrics {
+                        m.inc(metric::ENSEMBLE_CASTS);
+                    }
+                    self.cfg
+                        .recorder
+                        .on_recv(vt, e.origin.0, 0, e.seq, e.payload.len(), e.ctx);
+                    self.emit(GcEvent::Cast {
+                        from: e.origin,
+                        seq: e.seq,
+                        view,
+                        payload: e.payload,
+                        vt,
+                    });
+                }
+                Out::P2p { from, payload } => self.emit(GcEvent::P2p { from, payload, vt }),
+                Out::Suspected { node, silent_for } => {
+                    if let Some(reg) = &self.cfg.metrics {
+                        reg.inc(metric::ENSEMBLE_HEARTBEAT_MISSES);
+                        // Detection latency: how long the member had actually
+                        // been silent when the detector fired.
+                        reg.record(metric::RECOVERY_DETECT_NS, silent_for.as_nanos() as u64);
+                    }
+                    self.emit(GcEvent::Suspected {
+                        node,
+                        silent_for,
+                        vt,
+                    });
+                }
+                Out::Left => self.emit(GcEvent::Left),
+            }
+        }
+    }
 
     fn send_gc(&mut self, to: NodeId, msg: &GcMsg) -> Result<()> {
         let payload = msg.encode_to_bytes();
@@ -472,680 +483,18 @@ impl Stack {
             payload.len(),
         );
         let mut pkt = Packet::new(
-            Addr::new(self.node, ENSEMBLE_PORT),
+            Addr::new(self.group.node(), ENSEMBLE_PORT),
             Addr::new(to, ENSEMBLE_PORT),
             PacketKind::Control,
             0,
             payload,
         );
         pkt.depart_vt = self.clock.now();
-        match self.fabric.send(pkt) {
-            Ok(()) => Ok(()),
-            Err(Error::Closed(m)) => {
-                // *We* are the dead side: our node crashed under us. Do not
-                // blame the receiver; shut down instead.
-                self.dead = true;
-                Err(Error::Closed(m))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn is_coordinator(&self) -> bool {
-        self.view
-            .as_ref()
-            .map(|v| v.coordinator() == self.node)
-            .unwrap_or(false)
-    }
-
-    /// Whether this node must coordinate the *next* membership change: the
-    /// smallest member that is not suspected. (After the installed
-    /// coordinator crashes, its successor takes over the recovery.)
-    fn is_recovery_coordinator(&self) -> bool {
-        self.view
-            .as_ref()
-            .and_then(|v| {
-                v.members
-                    .iter()
-                    .copied()
-                    .find(|m| !self.suspects.contains(m))
-            })
-            .map(|c| c == self.node)
-            .unwrap_or(false)
+        self.fabric.send(pkt)
     }
 
     fn emit(&self, ev: GcEvent) {
         let _ = self.events_tx.send(ev);
-    }
-
-    fn dbg(&self, msg: &str) {
-        if std::env::var_os("STARFISH_GC_DEBUG").is_some() {
-            eprintln!("[gc {}] {}", self.node, msg);
-        }
-    }
-
-    // -- packet handling ------------------------------------------------------
-
-    fn handle_packet(&mut self, pkt: Packet) -> LoopCtl {
-        let msg = match GcMsg::decode_from_bytes(&pkt.payload) {
-            Ok(m) => m,
-            Err(_) => return LoopCtl::Continue, // corrupt packet: drop
-        };
-        // Join retransmissions (a real-time bootstrap artifact) must not
-        // advance the virtual clock, or boot-time scheduling noise would
-        // leak into every subsequent measurement.
-        let duplicate_join = matches!(
-            &msg,
-            GcMsg::JoinReq { node }
-                if self.view.as_ref().map(|v| v.contains(*node)).unwrap_or(false)
-                    || self.pending_joins.contains(node)
-        );
-        self.last_seen
-            .lock()
-            .insert(pkt.src.node, std::time::Instant::now()); // lint: allow(wall-clock)
-        if matches!(msg, GcMsg::Heartbeat { .. }) {
-            // Pure liveness beacon: refreshing `last_seen` is its whole job.
-            // No virtual cost: beacons are a real-time artifact of the
-            // failure detector, not protocol work on the modelled timeline.
-            return LoopCtl::Continue;
-        }
-        self.clock.merge(pkt.arrive_vt);
-        if !duplicate_join {
-            self.clock.advance(self.cfg.proc_cost);
-        }
-        self.dbg(&format!("pkt from {}: {:?}", pkt.src.node, msg));
-        match msg {
-            GcMsg::JoinReq { node } => self.on_join_req(node),
-            GcMsg::LeaveReq { node } => self.on_leave_req(node),
-            GcMsg::CastReq {
-                origin,
-                payload,
-                ctx,
-            } => self.on_cast_req(origin, payload, ctx),
-            GcMsg::SeqCast {
-                view,
-                seq,
-                origin,
-                payload,
-                ctx,
-            } => self.on_seq_cast(view, seq, origin, payload, ctx),
-            GcMsg::P2p { payload } => {
-                self.emit(GcEvent::P2p {
-                    from: pkt.src.node,
-                    payload,
-                    vt: self.clock.now(),
-                });
-                LoopCtl::Continue
-            }
-            GcMsg::FlushReq {
-                proposal,
-                new_members,
-            } => self.on_flush_req(pkt.src.node, proposal, new_members),
-            GcMsg::FlushOk {
-                proposal,
-                node,
-                delivered,
-            } => self.on_flush_ok(proposal, node, delivered),
-            GcMsg::NewView { view, backfill } => self.on_new_view(view, backfill),
-            GcMsg::Heartbeat { .. } => LoopCtl::Continue,
-        }
-    }
-
-    fn on_join_req(&mut self, joiner: NodeId) -> LoopCtl {
-        let Some(view) = self.view.clone() else {
-            return LoopCtl::Continue; // still joining ourselves; ignore
-        };
-        if view.contains(joiner) {
-            return LoopCtl::Continue; // duplicate join (retry after success)
-        }
-        if view.coordinator() == self.node {
-            if self.pending_joins.insert(joiner) {
-                self.maybe_start_change();
-            }
-        } else {
-            // Forward to the coordinator.
-            let coord = view.coordinator();
-            let _ = self.send_gc(coord, &GcMsg::JoinReq { node: joiner });
-        }
-        LoopCtl::Continue
-    }
-
-    fn on_leave_req(&mut self, leaver: NodeId) -> LoopCtl {
-        if !self.is_coordinator() {
-            // Only the coordinator handles leaves; forward.
-            if let Some(v) = self.view.clone() {
-                let _ = self.send_gc(v.coordinator(), &GcMsg::LeaveReq { node: leaver });
-            }
-            return LoopCtl::Continue;
-        }
-        if self.pending_leaves.insert(leaver) {
-            self.maybe_start_change();
-        }
-        LoopCtl::Continue
-    }
-
-    fn on_cast_req(&mut self, origin: NodeId, payload: Bytes, ctx: TraceCtx) -> LoopCtl {
-        if !self.is_coordinator() {
-            // Mis-routed (view raced); forward to the real coordinator.
-            if let Some(v) = self.view.clone() {
-                if v.coordinator() != self.node {
-                    let _ = self.send_gc(
-                        v.coordinator(),
-                        &GcMsg::CastReq {
-                            origin,
-                            payload,
-                            ctx,
-                        },
-                    );
-                }
-            }
-            return LoopCtl::Continue;
-        }
-        if self.change.is_some() {
-            self.held_casts.push((origin, payload, ctx));
-            return LoopCtl::Continue;
-        }
-        self.sequence_cast(origin, payload, ctx);
-        LoopCtl::Continue
-    }
-
-    fn sequence_cast(&mut self, origin: NodeId, payload: Bytes, ctx: TraceCtx) {
-        let view = self.view.clone().expect("coordinator has a view");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let msg = GcMsg::SeqCast {
-            view: view.id,
-            seq,
-            origin,
-            payload,
-            ctx,
-        };
-        let mut failed = Vec::new();
-        for m in &view.members {
-            if self.send_gc(*m, &msg).is_err() {
-                failed.push(*m);
-            }
-        }
-        for m in failed {
-            if m != self.node {
-                self.suspects.insert(m);
-            }
-        }
-        if !self.suspects.is_empty() {
-            self.maybe_start_change();
-        }
-    }
-
-    fn on_seq_cast(
-        &mut self,
-        vid: ViewId,
-        seq: u64,
-        origin: NodeId,
-        payload: Bytes,
-        ctx: TraceCtx,
-    ) -> LoopCtl {
-        let Some(view) = self.view.clone() else {
-            return LoopCtl::Continue;
-        };
-        if vid != view.id || self.flushing {
-            // Stale (pre-flush) cast: if any surviving member delivered it,
-            // the flush union will backfill it; otherwise it is dropped as a
-            // whole (virtual synchrony permits this).
-            return LoopCtl::Continue;
-        }
-        let entry = SeqEntry {
-            seq,
-            origin,
-            payload,
-            ctx,
-        };
-        for e in self.delivery.on_seq_cast(entry) {
-            self.emit_delivered(view.id, e);
-        }
-        LoopCtl::Continue
-    }
-
-    /// Side effects of one delivery the pure [`DeliveryState`] decided on:
-    /// metrics, the flight-recorder receive, and the owner-visible event.
-    fn emit_delivered(&mut self, vid: ViewId, e: SeqEntry) {
-        if let Some(m) = &self.cfg.metrics {
-            m.inc(metric::ENSEMBLE_CASTS);
-        }
-        self.cfg.recorder.on_recv(
-            self.clock.now(),
-            e.origin.0,
-            0,
-            e.seq,
-            e.payload.len(),
-            e.ctx,
-        );
-        self.emit(GcEvent::Cast {
-            from: e.origin,
-            seq: e.seq,
-            view: vid,
-            payload: e.payload,
-            vt: self.clock.now(),
-        });
-    }
-
-    // -- view changes ---------------------------------------------------------
-
-    /// Start a membership change if one is needed and none is in progress.
-    fn maybe_start_change(&mut self) {
-        if self.dead || self.change.is_some() || !self.is_recovery_coordinator() {
-            return;
-        }
-        if self.pending_joins.is_empty()
-            && self.pending_leaves.is_empty()
-            && self.suspects.is_empty()
-            && !self.leaving
-        {
-            return;
-        }
-        let view = self.view.clone().expect("coordinator has a view");
-        let new_members = proposed_members(
-            &view.members,
-            &self.suspects,
-            &self.pending_leaves,
-            &self.pending_joins,
-            self.node,
-            self.leaving,
-        );
-        self.dbg(&format!("start_change new_members={new_members:?}"));
-        if new_members.is_empty() {
-            // Group dissolves (this coordinator was the last member and is
-            // leaving, or everyone else is suspected).
-            self.emit(GcEvent::Left);
-            *self.shared_view.lock() = None;
-            self.view = None;
-            self.dead = true;
-            return;
-        }
-        self.proposal_counter += 1;
-        let proposal = encode_proposal(view.id.0, self.proposal_counter);
-        // Everyone still alive in the current view must flush, including us.
-        let waiting: BTreeSet<NodeId> = view
-            .members
-            .iter()
-            .copied()
-            .filter(|m| !self.suspects.contains(m) && *m != self.node)
-            .collect();
-        let change = ChangeState::new(proposal, new_members.clone(), waiting, self.delivery.log());
-        let req = GcMsg::FlushReq {
-            proposal,
-            new_members,
-        };
-        let targets: Vec<NodeId> = change.waiting().iter().copied().collect();
-        self.change_started = Some(self.clock.now());
-        self.change = Some(change);
-        let mut failed = Vec::new();
-        for m in targets {
-            if self.send_gc(m, &req).is_err() {
-                failed.push(m);
-            }
-        }
-        for m in failed {
-            self.suspects.insert(m);
-            if let Some(ch) = self.change.as_mut() {
-                ch.drop_member(m);
-            }
-        }
-        self.maybe_finish_change();
-    }
-
-    fn on_flush_req(&mut self, from: NodeId, proposal: u64, _new_members: Vec<NodeId>) -> LoopCtl {
-        // The proposal's high bits name the view being closed; a flush for
-        // any other view is stale (e.g. from a coordinator that crashed
-        // before completing it) and must not re-block delivery.
-        match &self.view {
-            Some(v) if proposal_view(proposal) == v.id.0 => {}
-            _ => return LoopCtl::Continue,
-        }
-        self.flushing = true;
-        let ok = GcMsg::FlushOk {
-            proposal,
-            node: self.node,
-            delivered: self.delivery.log().to_vec(),
-        };
-        let _ = self.send_gc(from, &ok);
-        LoopCtl::Continue
-    }
-
-    fn on_flush_ok(&mut self, proposal: u64, node: NodeId, delivered: Vec<SeqEntry>) -> LoopCtl {
-        let Some(ch) = self.change.as_mut() else {
-            return LoopCtl::Continue;
-        };
-        if ch.proposal() != proposal {
-            return LoopCtl::Continue; // stale
-        }
-        ch.on_flush_ok(node, delivered);
-        self.maybe_finish_change();
-        LoopCtl::Continue
-    }
-
-    fn maybe_finish_change(&mut self) {
-        if self.dead {
-            return;
-        }
-        let done = self.change.as_ref().map(|c| c.is_done()).unwrap_or(false);
-        if !done {
-            return;
-        }
-        let ch = self.change.take().expect("checked above");
-        let (new_members, backfill) = ch.into_outcome();
-        if new_members.is_empty() {
-            // Every prospective member is gone: the group dissolves here.
-            self.emit(GcEvent::Left);
-            *self.shared_view.lock() = None;
-            self.view = None;
-            self.dead = true;
-            return;
-        }
-        let old_view = self.view.clone().expect("coordinator has a view");
-        let new_view = View::new(ViewId(old_view.id.0 + 1), new_members);
-        // Send to everyone involved: survivors learn the new view, leavers
-        // learn they are out.
-        let mut targets: BTreeSet<NodeId> = new_view.members.iter().copied().collect();
-        for m in &old_view.members {
-            if !self.suspects.contains(m) {
-                targets.insert(*m);
-            }
-        }
-        targets.remove(&self.node);
-        let msg = GcMsg::NewView {
-            view: new_view.clone(),
-            backfill: backfill.clone(),
-        };
-        for m in targets {
-            let _ = self.send_gc(m, &msg);
-        }
-        // Install locally (delivers our own missing backfill too).
-        self.apply_new_view(new_view, backfill);
-    }
-
-    fn on_new_view(&mut self, view: View, backfill: Vec<SeqEntry>) -> LoopCtl {
-        self.apply_new_view(view, backfill);
-        if self.view.is_none() {
-            // We were excluded: Left was emitted.
-            return LoopCtl::Exit;
-        }
-        LoopCtl::Continue
-    }
-
-    /// Install `view`, delivering any backfill casts of the closing view
-    /// first (only if we were a member of that closing view).
-    fn apply_new_view(&mut self, view: View, backfill: Vec<SeqEntry>) {
-        let was_member = self
-            .view
-            .as_ref()
-            .map(|v| v.contains(self.node))
-            .unwrap_or(false);
-        if was_member {
-            let old_vid = self.view.as_ref().map(|v| v.id).expect("was_member");
-            // Deliver gap-free: the union is gap-free by construction (a
-            // sequencer assigned 1..k); already-delivered entries are skipped.
-            for e in self.delivery.apply_backfill(backfill) {
-                self.emit_delivered(old_vid, e);
-            }
-        }
-        let includes_me = view.contains(self.node);
-        self.install(view, Vec::new());
-        if !includes_me {
-            self.emit(GcEvent::Left);
-            *self.shared_view.lock() = None;
-            self.view = None;
-        }
-    }
-
-    fn install(&mut self, view: View, _backfill: Vec<SeqEntry>) {
-        self.dbg(&format!("install view {:?}", view));
-        if let Some(m) = &self.cfg.metrics {
-            m.inc(metric::ENSEMBLE_VIEW_CHANGES);
-            if let Some(started) = self.change_started.take() {
-                m.record_vt(metric::ENSEMBLE_VIEW_CHANGE_NS, self.clock.now() - started);
-            }
-        }
-        self.cfg
-            .recorder
-            .view_change(self.clock.now(), view.id.0, view.size() as u32);
-        self.delivery.reset();
-        self.next_seq = 1;
-        self.flushing = false;
-        self.contact = None;
-        self.suspects.retain(|s| view.contains(*s));
-        self.pending_joins.retain(|j| !view.contains(*j));
-        self.pending_leaves.retain(|l| view.contains(*l));
-        *self.shared_view.lock() = Some(view.clone());
-        self.view = Some(view.clone());
-        if view.contains(self.node) {
-            self.emit(GcEvent::View {
-                view: view.clone(),
-                vt: self.clock.now(),
-            });
-        }
-        // Re-submit casts we failed to hand to a dead coordinator.
-        let held: Vec<(Bytes, TraceCtx)> = std::mem::take(&mut self.held_local);
-        for (payload, ctx) in held {
-            self.submit_cast_ctx(payload, ctx);
-        }
-        // Coordinator: sequence casts held during the change, then handle any
-        // membership work that queued up meanwhile.
-        if view.coordinator() == self.node {
-            let held: Vec<(NodeId, Bytes, TraceCtx)> = std::mem::take(&mut self.held_casts);
-            for (origin, payload, ctx) in held {
-                self.sequence_cast(origin, payload, ctx);
-            }
-            self.maybe_start_change();
-        }
-    }
-
-    // -- owner commands -------------------------------------------------------
-
-    fn submit_cast(&mut self, payload: Bytes) {
-        // The submission is this daemon's send event; the context minted
-        // here survives sequencing, backfill and flush, so every member's
-        // delivery stitches back to it.
-        let ctx = self
-            .cfg
-            .recorder
-            .on_send(self.clock.now(), self.node.0, 0, 0, payload.len());
-        self.submit_cast_ctx(payload, ctx);
-    }
-
-    fn submit_cast_ctx(&mut self, payload: Bytes, ctx: TraceCtx) {
-        match self.view.clone() {
-            Some(v) => {
-                let coord = v.coordinator();
-                if coord == self.node {
-                    if self.change.is_some() {
-                        self.held_casts.push((self.node, payload, ctx));
-                    } else {
-                        self.sequence_cast(self.node, payload, ctx);
-                    }
-                } else {
-                    let msg = GcMsg::CastReq {
-                        origin: self.node,
-                        payload: payload.clone(),
-                        ctx,
-                    };
-                    if self.send_gc(coord, &msg).is_err() {
-                        self.held_local.push((payload, ctx));
-                    }
-                }
-            }
-            None => self.held_local.push((payload, ctx)),
-        }
-    }
-
-    fn handle_cmd(&mut self, cmd: Cmd) -> LoopCtl {
-        match cmd {
-            Cmd::Cast { payload, vt } => {
-                self.clock.merge(vt);
-                self.clock.advance(self.cfg.proc_cost);
-                self.submit_cast(payload);
-                LoopCtl::Continue
-            }
-            Cmd::SendTo { node, payload, vt } => {
-                self.clock.merge(vt);
-                self.clock.advance(self.cfg.proc_cost);
-                let _ = self.send_gc(node, &GcMsg::P2p { payload });
-                LoopCtl::Continue
-            }
-            Cmd::Leave => {
-                self.leaving = true;
-                match self.view.clone() {
-                    None => {
-                        self.emit(GcEvent::Left);
-                        LoopCtl::Exit
-                    }
-                    Some(v) if v.size() == 1 => {
-                        self.emit(GcEvent::Left);
-                        LoopCtl::Exit
-                    }
-                    Some(v) => {
-                        if v.coordinator() == self.node {
-                            self.maybe_start_change();
-                            // Exit once the view excluding us is installed:
-                            // apply_new_view emits Left and clears the view.
-                            if self.view.is_none() {
-                                return LoopCtl::Exit;
-                            }
-                            LoopCtl::Continue
-                        } else {
-                            let _ =
-                                self.send_gc(v.coordinator(), &GcMsg::LeaveReq { node: self.node });
-                            LoopCtl::Continue
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // -- failure detection ------------------------------------------------------
-
-    /// Heartbeat maintenance (no-op unless configured): beacon to peers and
-    /// suspect members that have been silent past the timeout.
-    fn heartbeat_tick(&mut self) {
-        let Some(hb) = self.cfg.heartbeat else {
-            return;
-        };
-        let Some(view) = self.view.clone() else {
-            return;
-        };
-        let now = std::time::Instant::now(); // lint: allow(wall-clock)
-        if now.duration_since(self.last_beacon) >= hb.interval {
-            self.last_beacon = now;
-            let skipped = match (&mut self.chaos_rng, self.cfg.chaos) {
-                (Some(rng), Some(c)) => rng.chance(c.skip_p),
-                _ => false,
-            };
-            if !skipped {
-                for m in view.members.clone() {
-                    if m != self.node {
-                        let _ = self.send_gc(m, &GcMsg::Heartbeat { node: self.node });
-                    }
-                }
-            }
-        }
-        let mut newly_suspected = Vec::new();
-        {
-            let mut seen_map = self.last_seen.lock();
-            for m in &view.members {
-                if *m == self.node || self.suspects.contains(m) {
-                    continue;
-                }
-                let seen = *seen_map.entry(*m).or_insert(now);
-                if now.duration_since(seen) > hb.timeout {
-                    newly_suspected.push((*m, now.duration_since(seen)));
-                }
-            }
-        }
-        for (m, silent_for) in newly_suspected {
-            self.dbg(&format!("heartbeat timeout: suspecting {m}"));
-            if let Some(reg) = &self.cfg.metrics {
-                reg.inc(metric::ENSEMBLE_HEARTBEAT_MISSES);
-                // Detection latency: how long the member had actually been
-                // silent when the detector fired (>= timeout by at most one
-                // tick — the detector's wall-clock resolution).
-                reg.record(metric::RECOVERY_DETECT_NS, silent_for.as_nanos() as u64);
-            }
-            self.emit(GcEvent::Suspected {
-                node: m,
-                silent_for,
-                vt: self.clock.now(),
-            });
-            self.on_member_failure(m);
-        }
-    }
-
-    fn handle_fabric_event(&mut self, ev: FabricEvent) -> LoopCtl {
-        let crashed = match ev {
-            FabricEvent::NodeCrashed(n) | FabricEvent::NodeRemoved(n) => n,
-            _ => return LoopCtl::Continue,
-        };
-        self.dbg(&format!("fabric event: crashed {crashed}"));
-        if crashed == self.node {
-            let _ = self.events_tx.send(GcEvent::Left);
-            return LoopCtl::Exit;
-        }
-        self.on_member_failure(crashed);
-        if self.dead {
-            return LoopCtl::Exit;
-        }
-        LoopCtl::Continue
-    }
-
-    /// A member is believed failed (fabric event or heartbeat timeout).
-    fn on_member_failure(&mut self, crashed: NodeId) {
-        let Some(view) = self.view.clone() else {
-            // Still joining: if our contact died we have no group knowledge;
-            // keep retrying (the caller may re-point us via a fresh join).
-            return;
-        };
-        if !view.contains(crashed) {
-            self.pending_joins.remove(&crashed);
-            return;
-        }
-        self.suspects.insert(crashed);
-        // Who coordinates the recovery? The smallest non-suspected member.
-        let new_coord = view
-            .members
-            .iter()
-            .copied()
-            .find(|m| !self.suspects.contains(m));
-        match new_coord {
-            Some(c) if c == self.node => {
-                // Remove the crashed node from any in-progress change.
-                if let Some(ch) = self.change.as_mut() {
-                    ch.drop_member(crashed);
-                    self.maybe_finish_change();
-                } else {
-                    self.maybe_start_change();
-                }
-                // A change might have been in progress under the old (now
-                // dead) coordinator; if we were mid-flush as a member, our
-                // own change supersedes it.
-                if self.change.is_none() {
-                    self.maybe_start_change();
-                }
-            }
-            Some(_) => {
-                // Someone else will coordinate; if we are the old coordinator
-                // with a pending change that now lacks the crashed member,
-                // update it.
-                if let Some(ch) = self.change.as_mut() {
-                    ch.drop_member(crashed);
-                    self.maybe_finish_change();
-                }
-            }
-            None => {
-                // Everyone else is dead; we are alone.
-                let v = View::new(ViewId(view.id.0 + 1), vec![self.node]);
-                self.change = None;
-                self.install(v, Vec::new());
-            }
-        }
     }
 }
 
@@ -1392,6 +741,61 @@ mod tests {
         // At minimum one TCP hop (239us) beyond the caller's start time.
         assert!(got_vt > start + VirtualTime::from_micros(239));
     }
+
+    /// Wake-ups, not ticks: an installed member without heartbeats blocks
+    /// until a packet, a fabric event or a command arrives.
+    #[test]
+    fn an_idle_member_never_wakes() {
+        let f = fabric(2);
+        let e0 = Endpoint::found(&f, NodeId(0), EndpointConfig::default()).unwrap();
+        let e1 = Endpoint::join(&f, NodeId(1), NodeId(0), EndpointConfig::default()).unwrap();
+        e1.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
+        e0.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
+        let wakes = |e: &Endpoint| e.wakes.load(std::sync::atomic::Ordering::Relaxed);
+        // On a loaded box a join retransmission may still be in flight.
+        std::thread::sleep(Duration::from_millis(250));
+        let before = (wakes(&e0), wakes(&e1));
+        std::thread::sleep(Duration::from_millis(300));
+        assert_eq!((wakes(&e0), wakes(&e1)), before);
+        // Still responsive: a command is a wake-up.
+        e1.cast(Bytes::from_static(b"ping"), VirtualTime::ZERO)
+            .unwrap();
+        assert_eq!(drain_until_casts(&e0, 1, Duration::from_secs(5)).len(), 1);
+        assert!(wakes(&e0) > before.0);
+    }
+
+    /// The threaded form of the hand-over regression: n2 streams casts while
+    /// n0 — the smallest id, so the coordinator role moves to it — joins
+    /// {n1, n2}. Nobody crashes, so nothing may be lost.
+    #[test]
+    fn casts_survive_a_coordinator_hand_over() {
+        const CASTS: usize = 3_000;
+        let f = fabric(3);
+        let e1 = Endpoint::found(&f, NodeId(1), EndpointConfig::default()).unwrap();
+        let e2 = Endpoint::join(&f, NodeId(2), NodeId(1), EndpointConfig::default()).unwrap();
+        e2.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
+        let streamer = std::thread::spawn(move || {
+            for i in 0..CASTS as u32 {
+                let payload = Bytes::from(i.to_le_bytes().to_vec());
+                e2.cast(payload, VirtualTime::ZERO).unwrap();
+                if i % 64 == 0 {
+                    std::thread::yield_now();
+                }
+            }
+            e2
+        });
+        let e0 = Endpoint::join(&f, NodeId(0), NodeId(2), EndpointConfig::default()).unwrap();
+        e0.wait_for_view_size(3, Duration::from_secs(10)).unwrap();
+        let _e2 = streamer.join().unwrap();
+        let got = drain_until_casts(&e1, CASTS, Duration::from_secs(20));
+        let mut ids: Vec<u32> = got
+            .iter()
+            .map(|(_, _, p)| u32::from_le_bytes(p[..4].try_into().unwrap()))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), CASTS, "casts lost or duplicated in hand-over");
+    }
 }
 
 #[cfg(test)]
@@ -1550,29 +954,5 @@ mod heartbeat_tests {
         let v0 = e0.wait_for_view_size(2, Duration::from_secs(15)).unwrap();
         assert_eq!(v0.members, vec![NodeId(0), NodeId(1)]);
         drop(e2);
-    }
-
-    /// Healthy members never get evicted by heartbeats, even with tight
-    /// timing and no application traffic.
-    #[test]
-    fn heartbeats_keep_idle_members_alive() {
-        let f = Fabric::new(Box::new(Ideal), LayerCosts::zero());
-        for i in 0..3 {
-            f.add_node(NodeId(i));
-        }
-        let e0 = Endpoint::found(&f, NodeId(0), hb_cfg()).unwrap();
-        let e1 = Endpoint::join(&f, NodeId(1), NodeId(0), hb_cfg()).unwrap();
-        e1.wait_for_view_size(2, Duration::from_secs(10)).unwrap();
-        let e2 = Endpoint::join(&f, NodeId(2), NodeId(0), hb_cfg()).unwrap();
-        e2.wait_for_view_size(3, Duration::from_secs(10)).unwrap();
-        // Idle for several timeout periods.
-        std::thread::sleep(Duration::from_millis(1500));
-        assert_eq!(
-            e0.current_view().map(|v| v.size()),
-            Some(3),
-            "idle members must stay in the view"
-        );
-        assert_eq!(e1.current_view().map(|v| v.size()), Some(3));
-        assert_eq!(e2.current_view().map(|v| v.size()), Some(3));
     }
 }

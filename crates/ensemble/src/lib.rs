@@ -26,6 +26,14 @@
 //! sufficient for the daemon workloads in the paper (configuration commands,
 //! application coordination, C/R control traffic).
 //!
+//! ## Shape
+//!
+//! One machine and a shell (DESIGN.md §5e): [`group::Group`] is one member's
+//! whole protocol as a pure `event → outputs` state machine over the
+//! building blocks of [`core`] — linted sans-IO, unit-tested without fabric,
+//! clock or sleep, model-checked as deployed by the `verify` crate — and
+//! [`Endpoint`] is the thread that does its I/O.
+//!
 //! ## Delivery guarantees, precisely
 //!
 //! * Casts are delivered in a single total order per view (gap-free sequence
@@ -34,18 +42,22 @@
 //!   view `v`, every member that survives into the next view delivers `m` in
 //!   `v` (before installing the next view).
 //! * A cast issued while a view change is in progress is sequenced in the
-//!   next view (held by the coordinator, or re-sent by the member after the
-//!   new view installs).
+//!   next view: held by the coordinator, or kept by the member while it
+//!   flushes (or cannot reach a coordinator) and re-sent after the new view
+//!   installs. When the view change moves the coordinator role without a
+//!   crash — a joiner with a smaller id, or the coordinator leaving — the
+//!   old coordinator forwards what it held to the new one, which parks
+//!   requests that beat its first view: absent a crash, no cast is lost.
 //! * Point-to-point sends ([`Endpoint::send_to`]) are FIFO per sender and
 //!   reliable while both endpoints stay up.
 
 pub mod core;
 pub mod endpoint;
+pub mod group;
 pub mod msg;
 pub mod view;
 
-pub use endpoint::{
-    Endpoint, EndpointConfig, GcEvent, HeartbeatAges, HeartbeatCfg, HeartbeatChaos, ENSEMBLE_PORT,
-};
+pub use endpoint::{Endpoint, EndpointConfig, GcEvent, HeartbeatAges, ENSEMBLE_PORT};
+pub use group::{HeartbeatCfg, HeartbeatChaos};
 pub use msg::GcMsg;
 pub use view::View;

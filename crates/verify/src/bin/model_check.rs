@@ -98,14 +98,30 @@ fn main() -> ExitCode {
     }
 
     println!("== ensemble: membership ==");
-    for (casts, crashes) in [(3, 0), (2, 1)] {
-        run(
-            &format!("membership casts={casts} crashes={crashes}"),
-            3,
-            3,
-            &MembershipModel { casts, crashes },
-            &mut failed,
-        );
+    let (trio, pair) = (MembershipModel::TRIO, MembershipModel::PAIR);
+    let crash = |crashes| MembershipModel { crashes, ..trio };
+    let join = |joiner, caster| MembershipModel {
+        joiner: Some(joiner),
+        caster,
+        casts: 3,
+        ..pair
+    };
+    let leave = |leaver| MembershipModel {
+        leaver: Some(leaver),
+        ..trio
+    };
+    for (name, m) in [
+        ("casts=3", MembershipModel { casts: 3, ..trio }),
+        ("casts=2 crash=n0 (sequencer)", crash(&[0])),
+        ("casts=2 crash=n0,n2 (member, mid-change)", crash(&[0, 2])),
+        ("casts=2 crash=n0,n1 (recovery coord.)", crash(&[0, 1])),
+        ("casts=3 join=n3 (largest id)", join(3, 2)),
+        ("casts=3 join=n0 (hand-over)", join(0, 2)),
+        ("casts=3 join=n0, old coordinator casts", join(0, 1)),
+        ("casts=2 leave=n2", leave(2)),
+        ("casts=2 leave=n0 (coordinator)", leave(0)),
+    ] {
+        run(&format!("membership {name}"), 4, 4, &m, &mut failed);
     }
 
     println!("== mpi: reliability ==");

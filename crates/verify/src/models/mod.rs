@@ -3,7 +3,7 @@
 //!
 //! Each model owns real engine values — [`starfish_checkpoint::proto`]
 //! engines, [`starfish_mpi::reliability`] flow machines,
-//! [`starfish_ensemble::core`] membership state — and contributes only the
+//! [`starfish_ensemble::group`] membership machines — and contributes only the
 //! environment the runtime normally provides: message channels with the
 //! transport's actual ordering guarantees, crash/restart surgery, and local
 //! completion callbacks. Every protocol *decision* explored by the checker
