@@ -115,10 +115,8 @@ pub fn analyze_workspace(root: &Path) -> Result<Report, String> {
             &root.join("crates").join(name).join("src"),
         ));
     }
-    for name in rules::NO_SLEEP_CRATES {
-        report.findings.extend(rules::sleep_poll(
-            &root.join("crates").join(name).join("src"),
-        ));
+    for dir in rules::NO_SLEEP_DIRS {
+        report.findings.extend(rules::sleep_poll(&root.join(dir)));
     }
     for m in &models {
         let dir = root.join("crates").join(&m.name);
@@ -325,7 +323,7 @@ mod tests {
             concat!(
                 "pub struct S { a: Mutex<u32> }\n",
                 "impl S {\n",
-                "    fn blk(&self) { let g = self.a.lock(); std::thread::sleep(d); }\n",
+                "    fn blk(&self) { let g = self.a.lock(); self.rx.recv(); }\n",
                 "}\n",
             ),
         )
@@ -339,7 +337,7 @@ mod tests {
             concat!(
                 "[[blocking-while-locked]]\n",
                 "function = \"S::blk\"\n",
-                "op = \"thread::sleep\"\n",
+                "op = \"channel recv\"\n",
                 "reason = \"test triage\"\n",
             ),
         )

@@ -290,3 +290,61 @@ fn cluster_restart_of_the_lowest_node_id() {
         .unwrap();
     cluster.wait_app_done(app, T).unwrap();
 }
+
+/// ROADMAP 1(b), the checkpoint-cadence form: a job checkpointing every 50
+/// iterations as fast as it can loses rank 1's host, and that host is
+/// restarted while the job recovers and goes on checkpointing. The rejoin
+/// takes milliseconds (the report was the 30 s `wait_config` timeout) and
+/// the job finishes with the failure-free answer.
+#[test]
+fn cluster_restart_under_a_frequently_checkpointing_job() {
+    use starfish::{CkptValue, Rank, ReduceOp};
+    const T: Duration = Duration::from_secs(60);
+    const ITERS: i64 = 20_000;
+    let cluster = starfish::Cluster::builder().nodes(3).build().unwrap();
+    cluster.register_app("cadence", |ctx| {
+        let restored = ctx.restored();
+        let int = |f| {
+            restored
+                .as_ref()
+                .and_then(|v| v.field(f)?.as_int())
+                .unwrap_or(0)
+        };
+        let (mut iter, mut acc) = (int("iter"), int("acc"));
+        while iter < ITERS {
+            if iter % 50 == 0 && iter > 0 {
+                let at = [("iter", CkptValue::Int(iter)), ("acc", CkptValue::Int(acc))];
+                ctx.checkpoint(&CkptValue::record(at.to_vec()))?;
+            }
+            acc += ctx.allreduce_i64(&[ctx.rank().0 as i64 + 1], ReduceOp::Sum)?[0];
+            iter += 1;
+        }
+        ctx.publish(CkptValue::Int(acc));
+        Ok(())
+    });
+    let app = cluster
+        .submit("cadence", 2, starfish::SubmitOpts::default())
+        .unwrap();
+    let ranks = [Rank(0), Rank(1)];
+    cluster
+        .ckpt_hub()
+        .wait_common_index(app, &ranks, 1, T)
+        .unwrap();
+    let host = cluster.config().apps[&app].placement[1];
+    cluster.crash_node(host);
+    let started = std::time::Instant::now();
+    cluster.restart_node(host).unwrap();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(5), "restart_node took {took:?}");
+    assert!(cluster.config().up_nodes().contains(&host));
+    cluster.wait_app_done(app, T).unwrap();
+    assert_eq!(
+        cluster.config().apps[&app].epoch.0,
+        1,
+        "the job did recover"
+    );
+    for r in ranks {
+        let out = cluster.outputs(app, r);
+        assert_eq!(out, vec![CkptValue::Int(3 * ITERS)], "{r}");
+    }
+}

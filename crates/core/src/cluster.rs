@@ -222,64 +222,10 @@ impl ClusterBuilder {
         let dirs = DirRegistry::default();
         let outputs = Outputs::new();
         let trace_hub = starfish_trace::TraceHub::new();
-        let n = self.node_archs.len() as u32;
-        let mut daemons = Vec::new();
-        for (i, arch_index) in self.node_archs.iter().enumerate() {
-            let node = NodeId(i as u32);
-            fabric.add_node(node);
-            let host = RuntimeHost {
-                node,
-                arch: starfish_checkpoint::MACHINES
-                    .get(*arch_index as usize)
-                    .copied()
-                    .unwrap_or(starfish_checkpoint::arch::DEFAULT_ARCH),
-                fabric: fabric.clone(),
-                registry: registry.clone(),
-                dirs: dirs.clone(),
-                store: store.clone(),
-                outputs: outputs.clone(),
-                trace: self.trace.clone(),
-                knobs: self.knobs,
-                trace_hub: trace_hub.clone(),
-                trace_cap: self.trace_cap,
-            };
-            let mut dc = DaemonConfig::new(node);
-            dc.arch_index = *arch_index;
-            dc.trace = self.trace.clone();
-            dc.ensemble.trace = self.trace.clone();
-            dc.ensemble.heartbeat = self.heartbeat;
-            dc.ensemble.chaos = self.heartbeat_chaos;
-            dc.metrics = Some(metrics.clone());
-            dc.ensemble.metrics = Some(metrics.clone());
-            if self.trace_cap > 0 {
-                dc.recorder =
-                    starfish_trace::FlightRecorder::new(&format!("{node}"), self.trace_cap);
-            }
-            dc.events = if self.events_cap > 0 {
-                EventBus::with_capacity(self.events_cap)
-            } else {
-                EventBus::disabled()
-            };
-            dc.trace_hub = trace_hub.clone();
-            let d = Daemon::start(
-                &fabric,
-                dc,
-                if i == 0 { None } else { Some(NodeId(0)) },
-                Box::new(host),
-                store.clone(),
-            )?;
-            // Sequential boot keeps daemon ids and join order deterministic.
-            d.wait_config(Duration::from_secs(30), |c| c.up_nodes().len() == i + 1)?;
-            daemons.push(d);
-        }
-        for d in &daemons {
-            d.wait_config(Duration::from_secs(30), |c| {
-                c.up_nodes().len() == n as usize
-            })?;
-        }
-        Ok(Cluster {
+        let n = self.node_archs.len();
+        let cluster = Cluster {
             fabric,
-            daemons: parking_lot::Mutex::new(daemons),
+            daemons: parking_lot::Mutex::new(Vec::new()),
             store,
             registry,
             dirs,
@@ -293,8 +239,20 @@ impl ClusterBuilder {
             trace_cap: self.trace_cap,
             events_cap: self.events_cap,
             next_token: AtomicU64::new(1),
-            next_node: AtomicU32::new(n),
-        })
+            next_node: AtomicU32::new(n as u32),
+        };
+        for (i, arch_index) in self.node_archs.iter().enumerate() {
+            // The first node founds the group, the rest join through it.
+            let contact = (i > 0).then_some(NodeId(0));
+            let d = cluster.boot_daemon(NodeId(i as u32), *arch_index, contact)?;
+            // Sequential boot keeps daemon ids and join order deterministic.
+            d.wait_config(Duration::from_secs(30), |c| c.up_nodes().len() == i + 1)?;
+            cluster.daemons.lock().push(d);
+        }
+        for d in cluster.daemons.lock().iter() {
+            d.wait_config(Duration::from_secs(30), |c| c.up_nodes().len() == n)?;
+        }
+        Ok(cluster)
     }
 }
 
@@ -536,7 +494,7 @@ impl Cluster {
     /// dynamicity). Returns its id once the whole cluster knows it.
     pub fn add_node(&self, arch_index: u8) -> Result<NodeId> {
         let node = NodeId(self.next_node.fetch_add(1, Ordering::Relaxed));
-        self.boot_daemon(node, arch_index)?;
+        self.join_node(node, arch_index)?;
         Ok(node)
     }
 
@@ -566,13 +524,29 @@ impl Cluster {
         let _ = self.daemon().publish_event(EventKind::FaultInjected {
             desc: format!("restart {node}"),
         });
-        self.boot_daemon(node, arch_index)
+        self.join_node(node, arch_index)
     }
 
-    /// Boot a daemon for `node` and join it through a live contact; shared
-    /// tail of [`add_node`](Cluster::add_node) and
-    /// [`restart_node`](Cluster::restart_node).
-    fn boot_daemon(&self, node: NodeId, arch_index: u8) -> Result<()> {
+    /// Boot a daemon for `node`, join it through a live contact and wait
+    /// until the whole cluster knows it (`add_node`, `restart_node`).
+    fn join_node(&self, node: NodeId, arch_index: u8) -> Result<()> {
+        let contact = self.daemon().node();
+        let d = self.boot_daemon(node, arch_index, Some(contact))?;
+        // The newcomer first, then every daemon still running (`config()`
+        // may ask any of them next).
+        let up = |n| self.fabric.node_status(n).is_some_and(|s| s.reachable());
+        let running: Vec<Daemon> = self.daemons.lock().clone();
+        for w in std::iter::once(&d).chain(running.iter().filter(|w| up(w.node()))) {
+            w.wait_config(Duration::from_secs(30), |c| c.up_nodes().contains(&node))?;
+        }
+        self.daemons.lock().push(d);
+        Ok(())
+    }
+
+    /// The one node bring-up: power `node` on at the fabric and start its
+    /// daemon, founding the group (`contact == None`: `build`'s first node)
+    /// or joining through `contact`. What to wait for is the caller's.
+    fn boot_daemon(&self, node: NodeId, arch_index: u8, contact: Option<NodeId>) -> Result<Daemon> {
         self.fabric.add_node(node);
         let host = RuntimeHost {
             node,
@@ -607,23 +581,8 @@ impl Cluster {
             EventBus::disabled()
         };
         dc.trace_hub = self.trace_hub.clone();
-        let contact = self.daemon().node();
-        let d = Daemon::start(
-            &self.fabric,
-            dc,
-            Some(contact),
-            Box::new(host),
-            self.store.clone(),
-        )?;
-        // "Once the whole cluster knows it": the newcomer first, then every
-        // daemon still running (`config()` may ask any of them next).
-        let up = |n| self.fabric.node_status(n).is_some_and(|s| s.reachable());
-        let running: Vec<Daemon> = self.daemons.lock().clone();
-        for w in std::iter::once(&d).chain(running.iter().filter(|w| up(w.node()))) {
-            w.wait_config(Duration::from_secs(30), |c| c.up_nodes().contains(&node))?;
-        }
-        self.daemons.lock().push(d);
-        Ok(())
+        let store = self.store.clone();
+        Daemon::start(&self.fabric, dc, contact, Box::new(host), store)
     }
 
     /// Values published by a rank (in publish order).
@@ -692,10 +651,9 @@ impl Cluster {
 impl Drop for Cluster {
     /// Deterministic teardown: power every node off at the fabric, then
     /// wait for the daemon threads. Daemons that are merely dropped
-    /// negotiate their leave with peers doing the same, and an ensemble
-    /// thread can be left ticking for the rest of the process; a powered-off
-    /// node's ports close, so its ensemble stack, daemon loop, polling
-    /// threads, forwarders and ranks all see a disconnect and exit.
+    /// negotiate their leave with peers doing the same, for up to two
+    /// seconds each; a powered-off node's ports close, so its node loop,
+    /// polling threads and ranks all see a disconnect and exit.
     fn drop(&mut self) {
         for (node, _) in self.fabric.nodes() {
             self.fabric.crash_node(node);
@@ -740,7 +698,3 @@ fn _assert_traits() {
     fn is_send_sync<T: Send + Sync>() {}
     is_send_sync::<Cluster>();
 }
-
-// keep Error in the public surface referenced
-#[allow(unused_imports)]
-use Error as _ErrorAlias;

@@ -200,7 +200,7 @@ impl Ctx<'_> {
     /// not bound, node down: the peer is still spawning or restarting) for
     /// up to [`SEND_GRACE`]. Each failed attempt parks on the rank's wait
     /// point: the rank directory kicks it when a peer is placed or binds
-    /// its port, the forwarder when the daemon orders a rollback. What has
+    /// its port, the daemon's link when it orders a rollback. What has
     /// no notifier (a healed partition, a re-enabled node) is re-tried once
     /// per [`SERVICE_SLICE`].
     pub(crate) fn send_when_reachable<R>(
@@ -258,16 +258,29 @@ impl Ctx<'_> {
                     .min(RECV_SLICE),
                 None => RECV_SLICE,
             };
-            match self
-                .rt
-                .mpi
-                .recv_world_timeout(&mut self.rt.clock, context, src, tag, slice)
-            {
-                Ok(m) => {
+            let clock = &mut self.rt.clock;
+            // A capture the last service point put off for this receive:
+            // what could complete it has arrived, so one look decides
+            // whether the rank goes on or is captured blocked after all.
+            let got = match self.rt.deferred_capture {
+                Some(_) => self.rt.mpi.try_recv_world(clock, context, src, tag),
+                None => self
+                    .rt
+                    .mpi
+                    .recv_world_timeout(clock, context, src, tag, slice)
+                    .map(Some),
+            };
+            match got {
+                Ok(Some(m)) => {
                     self.note_receive(context, &m);
                     return Ok(m);
                 }
-                Err(Error::Timeout(_)) | Err(Error::Interrupted(_)) => self.rt.service(None)?,
+                Ok(None) => {
+                    if let Some(index) = self.rt.deferred_capture.take() {
+                        self.rt.capture(index, &mut None)?;
+                    }
+                }
+                Err(Error::Timeout(_)) | Err(Error::Interrupted(_)) => self.rt.service_in_recv()?,
                 Err(e) => return Err(e),
             }
         }

@@ -9,11 +9,11 @@ use parking_lot::Mutex;
 use starfish_checkpoint::backend::StoreHub;
 use starfish_checkpoint::Arch;
 use starfish_daemon::config::AppEntry;
-use starfish_daemon::{NodeHost, ProcSpec};
+use starfish_daemon::{DownLink, NodeHost, ProcSpec};
 use starfish_mpi::{MpiEndpoint, RankDirectory, RecvMode};
 use starfish_util::trace::TraceSink;
 use starfish_util::{AppId, NodeId, Rank, Result};
-use starfish_vni::Fabric;
+use starfish_vni::{Fabric, KickSender};
 
 use crate::ctx::Ctx;
 use crate::runtime::{process_main, Outputs, ProcessRuntime};
@@ -118,26 +118,23 @@ impl NodeHost for RuntimeHost {
         dir.set_epoch(entry.epoch);
     }
 
-    fn spawn(&self, spec: ProcSpec) {
-        let Some(run) = self.registry.get(&spec.entry.spec.name) else {
-            // Unknown program: nothing to start (the submission stays
-            // "running" but empty; a real system would reject at submit).
-            return;
-        };
+    fn spawn(&self, spec: ProcSpec) -> Option<DownLink> {
+        // Unknown program: nothing to start (the submission stays
+        // "running" but empty; a real system would reject at submit).
+        let run = self.registry.get(&spec.entry.spec.name)?;
         let dir = self
             .dirs
             .get_or_create(spec.app, spec.entry.spec.size as usize);
-        let mut mpi = match MpiEndpoint::new(
+        // (An error here is the node going down while spawning.)
+        let mut mpi = MpiEndpoint::new(
             &self.fabric,
             spec.app,
             spec.rank,
             dir,
             self.knobs.recv_mode,
             self.trace.clone(),
-        ) {
-            Ok(ep) => ep,
-            Err(_) => return, // node going down while spawning
-        };
+        )
+        .ok()?;
         // The port is bound: wake the peers waiting to send here, and have
         // this rank woken when one of theirs binds.
         mpi.directory().bound(spec.rank, mpi.kicker());
@@ -153,27 +150,31 @@ impl NodeHost for RuntimeHost {
             self.trace_hub.register(rec.clone());
             mpi.set_recorder(rec);
         }
+        let (down_tx, down_rx) = crossbeam::channel::unbounded();
         let rt = ProcessRuntime::new(
             spec.entry,
             spec.rank,
             spec.node,
             self.arch,
             mpi,
-            spec.down_rx,
+            down_rx,
             spec.up_tx,
             self.store.clone(),
             self.outputs.clone(),
-            self.trace.clone(),
             spec.spawn_vt,
             spec.restore_from,
             self.knobs.bus_data_path,
             self.knobs.indep_every,
             starfish_telemetry::Registry::new(),
         );
+        // The daemon's end: it queues, then kicks the rank's wait point.
+        let down_tx = KickSender::new(down_tx, rt.mpi.kicker());
+        let link = DownLink::new(down_tx, rt.abort_flag.clone());
         std::thread::Builder::new()
             .name(format!("app-{}-{}", spec.app, spec.rank))
             .spawn(move || process_main(rt, run))
             .expect("spawn application process");
+        Some(link)
     }
 
     fn rank_lost(&self, app: AppId, rank: Rank) {

@@ -6,8 +6,10 @@
 //! * the **MPI module** — [`starfish_mpi::MpiEndpoint`], reached through the
 //!   *fast data path* (direct calls, no bus dispatch);
 //! * the **VNI** — inside the MPI endpoint (port + polling thread);
-//! * the **group handler** — the forwarder that turns daemon messages into
-//!   object-bus events;
+//! * the **group handler** — the `ProcDown` queue from the daemon, drained
+//!   at every service point and turned into object-bus events (no thread:
+//!   the daemon's [`DownLink`](starfish_daemon::DownLink) queues, then
+//!   kicks the rank's wait point);
 //! * the **C/R module** — `CrModule`, the protocol engines plus image
 //!   capture/restore.
 //!
@@ -35,7 +37,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Receiver};
 use parking_lot::{Condvar, Mutex};
 
 use starfish_checkpoint::backend::{CkptBackend, StoreHub};
@@ -51,8 +53,8 @@ use starfish_mpi::wire::MsgHeader;
 use starfish_mpi::{Comm, MpiEndpoint};
 use starfish_telemetry::{metric, Registry};
 use starfish_util::codec::{Decode, Encode};
-use starfish_util::trace::TraceSink;
 use starfish_util::{AppId, Error, NodeId, Rank, Result, VClock, VirtualTime};
+use starfish_vni::KickSender;
 
 use crate::bus::{Bus, BusEvent, BUS_EVENT_COST};
 use crate::state::Checkpointable;
@@ -177,7 +179,6 @@ pub struct ProcessRuntime {
     pub(crate) app: AppId,
     pub(crate) rank: Rank,
     pub(crate) size: u32,
-    #[allow(dead_code)] // diagnostics / future placement-aware features
     pub(crate) node: NodeId,
     pub(crate) arch: Arch,
     pub(crate) entry: AppEntry,
@@ -185,11 +186,9 @@ pub struct ProcessRuntime {
     pub(crate) comm: Comm,
     pub(crate) clock: VClock,
     pub(crate) down_rx: Receiver<ProcDown>,
-    pub(crate) up_tx: Sender<(AppId, Rank, ProcUp)>,
+    pub(crate) up_tx: Arc<KickSender<(AppId, Rank, ProcUp)>>,
     pub(crate) store: StoreHub,
     pub(crate) outputs: Outputs,
-    #[allow(dead_code)] // carried for future process-level tracing
-    pub(crate) trace: TraceSink,
     pub(crate) bus: Bus,
     pub(crate) cr: CrModule,
     pub(crate) disk: DiskModel,
@@ -211,6 +210,11 @@ pub struct ProcessRuntime {
     /// Every data message consumed since the last safepoint (message log
     /// backing the cached-state capture; cleared at each safepoint).
     pub(crate) consumed_log: Vec<(MsgHeader, Bytes)>,
+    /// Servicing from inside a blocking receive (`service_in_recv`).
+    in_recv: bool,
+    /// A stop-and-sync capture that came due inside a blocking receive, put
+    /// off until that receive completes or would block again: its index.
+    pub(crate) deferred_capture: Option<u64>,
 
     /// Ablation: route data-message delivery through the object bus,
     /// charging [`BUS_EVENT_COST`] per message (what the fast path avoids).
@@ -260,10 +264,9 @@ impl ProcessRuntime {
         arch: Arch,
         mpi: MpiEndpoint,
         down_rx: Receiver<ProcDown>,
-        up_tx: Sender<(AppId, Rank, ProcUp)>,
+        up_tx: Arc<KickSender<(AppId, Rank, ProcUp)>>,
         store: StoreHub,
         outputs: Outputs,
-        trace: TraceSink,
         spawn_vt: VirtualTime,
         restore_from: u64,
         bus_data_path: bool,
@@ -295,7 +298,6 @@ impl ProcessRuntime {
             up_tx,
             store,
             outputs,
-            trace,
             bus: Bus::new(),
             cr: CrModule::new(proto, rank, size, restore_from),
             disk,
@@ -311,6 +313,8 @@ impl ProcessRuntime {
             killed: false,
             cached_state: None,
             consumed_log: Vec::new(),
+            in_recv: false,
+            deferred_capture: None,
             bus_data_path,
             indep_every,
             safepoint_count: 0,
@@ -369,8 +373,8 @@ impl ProcessRuntime {
     // ---- the wait point ---------------------------------------------------------
 
     /// The rank's one wait point: park on the MPI receive queue until a
-    /// packet arrives, the group-handler forwarder relays a daemon message,
-    /// a peer of this application is placed or binds its port — or
+    /// packet arrives, the daemon queues a message (and kicks), a peer of
+    /// this application is placed or binds its port — or
     /// `deadline` passes. Always preceded by [`service`](Self::service):
     /// whatever woke us is handled there, so the idiom is
     /// `service(); wait_event(deadline)` and nothing polls.
@@ -425,6 +429,11 @@ impl ProcessRuntime {
         {
             self.service_calls += 1;
         }
+        // The receive a capture was put off for has completed: take it here,
+        // live if this is a safepoint.
+        if let Some(index) = self.deferred_capture.take() {
+            self.capture(index, &mut state)?;
+        }
         // Retry any C/R marks whose destination was not yet reachable,
         // preserving their original virtual send times.
         if !self.pending_marks.is_empty() {
@@ -450,6 +459,11 @@ impl ProcessRuntime {
         loop {
             match self.down_rx.try_recv() {
                 Ok(msg) => self.handle_down(msg, &mut state)?,
+                // Administratively suspended: hold here, on the wait point
+                // the daemon's `Resume` or `Kill` will kick.
+                Err(channel::TryRecvError::Empty) if self.suspended => {
+                    self.wait_event(Instant::now() + HOLD_LIMIT)?
+                }
                 Err(channel::TryRecvError::Empty) => break,
                 Err(channel::TryRecvError::Disconnected) => {
                     // Daemon gone: our node crashed or the app was torn down.
@@ -458,11 +472,16 @@ impl ProcessRuntime {
                 }
             }
         }
-        self.pump_marks(&mut state)?;
-        if self.suspended {
-            self.park()?;
-        }
-        Ok(())
+        self.pump_marks(&mut state)
+    }
+
+    /// The service point inside a blocking receive: a capture that comes
+    /// due here is put off until the receive has had a look (`capture`).
+    pub(crate) fn service_in_recv(&mut self) -> Result<()> {
+        self.in_recv = true;
+        let serviced = self.service(None);
+        self.in_recv = false;
+        serviced
     }
 
     fn handle_down(
@@ -648,30 +667,16 @@ impl ProcessRuntime {
                     self.cr.stopped = true;
                 }
                 CrEffect::TakeCheckpoint { index } => {
-                    if self.round_started.is_none() {
-                        self.round_started = Some(self.clock.now());
-                        self.mpi
-                            .recorder()
-                            .phase_begin(self.clock.now(), "ckpt.round");
-                    }
-                    match state {
-                        Some(s) => {
-                            // Live capture at a safepoint: nothing consumed since.
-                            let v = s.save();
-                            let seq = self.comm.coll_seq;
-                            self.cached_state = Some((v.clone(), seq));
-                            self.consumed_log.clear();
-                            self.take_checkpoint_value(index, v, seq, Vec::new())?;
-                        }
-                        None => {
-                            // Blocked in a communication call: rewind to the
-                            // cached safepoint and log the consumed messages so
-                            // the restored incarnation can replay them.
-                            let (v, seq) =
-                                self.cached_state.clone().unwrap_or((CkptValue::Unit, 0));
-                            let replay = self.consumed_log.clone();
-                            self.take_checkpoint_value(index, v, seq, replay)?;
-                        }
+                    // Every flush mark is in, so everything the peers sent
+                    // before they stopped has arrived. If that completes the
+                    // receive we are inside of, the rank is not blocked — the
+                    // Stop overtook the data on its way round the daemons —
+                    // and capturing it as blocked would take the round its
+                    // next `checkpoint()` waits for. Let the receive look.
+                    if self.in_recv && matches!(self.cr.engine, CrEngine::Sync(_)) {
+                        self.deferred_capture = Some(index);
+                    } else {
+                        self.capture(index, state)?;
                     }
                 }
                 CrEffect::RecordChannel { from } => self.mpi.start_recording(from),
@@ -724,6 +729,40 @@ impl ProcessRuntime {
             }
         }
         Ok(())
+    }
+
+    /// Take the local checkpoint of round `index`: live when the caller has
+    /// the application's state in hand (a safepoint), else of the state
+    /// cached at the last one.
+    pub(crate) fn capture(
+        &mut self,
+        index: u64,
+        state: &mut Option<&dyn Checkpointable>,
+    ) -> Result<()> {
+        if self.round_started.is_none() {
+            self.round_started = Some(self.clock.now());
+            self.mpi
+                .recorder()
+                .phase_begin(self.clock.now(), "ckpt.round");
+        }
+        match state {
+            Some(s) => {
+                // Live capture at a safepoint: nothing consumed since.
+                let v = s.save();
+                let seq = self.comm.coll_seq;
+                self.cached_state = Some((v.clone(), seq));
+                self.consumed_log.clear();
+                self.take_checkpoint_value(index, v, seq, Vec::new())
+            }
+            None => {
+                // Blocked in a communication call: rewind to the cached
+                // safepoint and log the consumed messages so the restored
+                // incarnation can replay them.
+                let (v, seq) = self.cached_state.clone().unwrap_or((CkptValue::Unit, 0));
+                let replay = self.consumed_log.clone();
+                self.take_checkpoint_value(index, v, seq, replay)
+            }
+        }
     }
 
     fn participating_nodes(&self) -> usize {
@@ -863,24 +902,6 @@ impl ProcessRuntime {
         Ok(())
     }
 
-    /// Hold here while the application is administratively suspended.
-    fn park(&mut self) -> Result<()> {
-        while self.suspended {
-            match self.down_rx.recv_timeout(SERVICE_SLICE) {
-                Ok(msg) => {
-                    let mut no_state: Option<&dyn Checkpointable> = None;
-                    self.handle_down(msg, &mut no_state)?;
-                }
-                Err(channel::RecvTimeoutError::Timeout) => {}
-                Err(channel::RecvTimeoutError::Disconnected) => {
-                    self.killed = true;
-                    return Err(Error::interrupted("daemon connection lost"));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Full safepoint: service everything; if a stop-and-sync round is in
     /// progress, hold here (quiesce) until it commits.
     pub(crate) fn safepoint(&mut self, state: &dyn Checkpointable) -> Result<()> {
@@ -920,6 +941,7 @@ impl ProcessRuntime {
         self.suspended = false;
         self.cached_state = None;
         self.consumed_log.clear();
+        self.deferred_capture = None;
         self.pending_marks.clear();
         // Drop forensic marks past the restored line and rewind the
         // consumed counter to the line's value.
@@ -1025,32 +1047,6 @@ impl ProcessRuntime {
 
 /// The process main loop: run the user code, re-entering after rollbacks.
 pub(crate) fn process_main(mut rt: ProcessRuntime, run: Arc<crate::host::AppFn>) {
-    // Spawn the group-handler forwarder: it kicks the rank's wait point on
-    // every daemon message, so a rank parked there or blocked in a receive
-    // services it at once, and mirrors Rollback/Kill into the abort flag so
-    // blocking MPI waits that cannot be re-posted fail instead.
-    let (fwd_tx, fwd_rx) = channel::unbounded();
-    let outer_rx = std::mem::replace(&mut rt.down_rx, fwd_rx);
-    let flag = rt.abort_flag.clone();
-    let kick = rt.mpi.kicker();
-    std::thread::Builder::new()
-        .name(format!("gh-{}-{}", rt.app, rt.rank))
-        .spawn(move || {
-            for msg in outer_rx.iter() {
-                if matches!(msg, ProcDown::Rollback { .. } | ProcDown::Kill { .. }) {
-                    flag.store(true, Ordering::Relaxed);
-                }
-                if fwd_tx.send(msg).is_err() {
-                    return;
-                }
-                kick.kick();
-            }
-            // Daemon gone: let a parked rank find the disconnect.
-            drop(fwd_tx);
-            kick.kick();
-        })
-        .expect("spawn group-handler forwarder");
-
     let dbg = std::env::var_os("STARFISH_RT_DEBUG").is_some();
     loop {
         if let Some(idx) = rt.restart_to.take() {
@@ -1094,6 +1090,11 @@ pub(crate) fn process_main(mut rt: ProcessRuntime, run: Arc<crate::host::AppFn>)
         }
         match result {
             Ok(()) => {
+                // No service point is left to take a capture put off for
+                // the program's last receive.
+                if let Some(index) = rt.deferred_capture.take() {
+                    let _ = rt.capture(index, &mut None);
+                }
                 // A member that returns right after its last checkpoint
                 // never hears that round's Resume: close it here.
                 rt.note_round_done();

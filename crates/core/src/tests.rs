@@ -262,7 +262,17 @@ fn notify_view_policy_repartitions() {
         )
         .unwrap();
     cluster.wait_outputs(app, Rank(0), 1, T).unwrap();
-    let victim = cluster.config().apps[&app].placement[2];
+    let placement = cluster.config().apps[&app].placement.clone();
+    // Every daemon has acted on the submission: one that got to it only
+    // after the crash would put the lost rank back into the (shared)
+    // placement directory behind the survivors' backs.
+    for node in &placement {
+        let daemon = cluster.daemon_of(*node).unwrap();
+        daemon
+            .wait_config(T, |c| c.apps.contains_key(&app))
+            .unwrap();
+    }
+    let victim = placement[2];
     cluster.crash_node(victim);
     // A daemon publishes NodeDead after dropping the lost rank from the
     // placement directory, so from here `alive_ranks` excludes it.

@@ -1,8 +1,9 @@
 //! Deterministic tests of the rank's wait point.
 //!
 //! The rig is a hand-built rank 1 of a two-rank stop-and-sync application.
-//! The test plays everything around it: its daemon (the `ProcDown` /
-//! `ProcUp` channels) and its peer, rank 0 (a bare MPI endpoint). Nothing
+//! The test plays everything around it: its daemon (holding the real
+//! [`DownLink`] and the receiving end of a `KickSender` for `ProcUp`, as a
+//! node loop does) and its peer, rank 0 (a bare MPI endpoint). Nothing
 //! here sleeps, and the assertions count service points, not time: a rank
 //! that waits correctly runs one service point per thing delivered to it.
 
@@ -10,19 +11,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Receiver};
 
 use starfish_checkpoint::backend::{CkptBackend, StoreHub};
 use starfish_checkpoint::proto::CrMsg;
 use starfish_checkpoint::CkptValue;
 use starfish_daemon::config::{AppEntry, AppSpec, AppStatus};
-use starfish_daemon::{CkptProto, FtPolicy, LevelKind, ProcDown, ProcUp, RelayKind};
+use starfish_daemon::{CkptProto, DownLink, FtPolicy, LevelKind, ProcDown, ProcUp, RelayKind};
 use starfish_mpi::wire::WORLD_CONTEXT;
 use starfish_mpi::{MpiEndpoint, RankDirectory, RecvMode};
 use starfish_util::codec::{Decode, Encode};
 use starfish_util::trace::TraceSink;
 use starfish_util::{AppId, Epoch, Error, NodeId, Rank, Result, VClock, VirtualTime};
-use starfish_vni::{Fabric, Ideal, LayerCosts};
+use starfish_vni::{Fabric, Ideal, KickSender, LayerCosts, RecvQueue};
 
 use crate::ctx::Ctx;
 use crate::runtime::{process_main, Outputs, ProcessRuntime};
@@ -32,8 +33,9 @@ const APP: AppId = AppId(1);
 
 /// What the test holds of the world around rank 1.
 struct Rig {
-    /// The daemon's side of rank 1's message channels.
-    down: Sender<ProcDown>,
+    /// The daemon's side of rank 1's message queues. Nobody parks on the
+    /// wait point `up`'s senders kick (the test blocks on the queue).
+    down: DownLink,
     up: Receiver<(AppId, Rank, ProcUp)>,
     /// Rank 0, and its clock.
     peer: MpiEndpoint,
@@ -41,6 +43,12 @@ struct Rig {
 }
 
 fn rig() -> (Rig, ProcessRuntime) {
+    rig_receiving(RecvMode::Polled)
+}
+
+/// `Direct` puts what rank 0 sends where rank 1's next look at the network
+/// finds it, with no polling thread in between to wait for.
+fn rig_receiving(mode: RecvMode) -> (Rig, ProcessRuntime) {
     let fabric = Fabric::new(Box::new(Ideal), LayerCosts::zero());
     fabric.add_node(NodeId(0));
     fabric.add_node(NodeId(1));
@@ -51,7 +59,7 @@ fn rig() -> (Rig, ProcessRuntime) {
             APP,
             Rank(r),
             dir.clone(),
-            RecvMode::Polled,
+            mode,
             TraceSink::disabled(),
         )
         .unwrap()
@@ -73,8 +81,9 @@ fn rig() -> (Rig, ProcessRuntime) {
         epoch: Epoch(0),
         done_ranks: 0,
     };
-    let (down, down_rx) = channel::unbounded();
+    let (down_tx, down_rx) = channel::unbounded();
     let (up_tx, up) = channel::unbounded();
+    let up_tx = Arc::new(KickSender::new(up_tx, RecvQueue::new().kicker()));
     let rt = ProcessRuntime::new(
         entry,
         Rank(1),
@@ -85,7 +94,6 @@ fn rig() -> (Rig, ProcessRuntime) {
         up_tx,
         StoreHub::new(),
         Outputs::new(),
-        TraceSink::disabled(),
         VirtualTime::ZERO,
         0,
         false,
@@ -93,7 +101,10 @@ fn rig() -> (Rig, ProcessRuntime) {
         starfish_telemetry::Registry::new(),
     );
     let rig = Rig {
-        down,
+        down: DownLink::new(
+            KickSender::new(down_tx, rt.mpi.kicker()),
+            rt.abort_flag.clone(),
+        ),
         up,
         peer: ep(0),
         clock: VClock::new(),
@@ -104,13 +115,18 @@ fn rig() -> (Rig, ProcessRuntime) {
 impl Rig {
     /// The daemon relays a C/R control message from rank 0.
     fn relay(&self, msg: CrMsg) {
-        self.down
-            .send(ProcDown::Relay {
-                kind: RelayKind::CheckpointRestart,
-                from: Rank(0),
-                body: msg.encode_to_bytes(),
-                vt: VirtualTime::ZERO,
-            })
+        self.down.send(ProcDown::Relay {
+            kind: RelayKind::CheckpointRestart,
+            from: Rank(0),
+            body: msg.encode_to_bytes(),
+            vt: VirtualTime::ZERO,
+        });
+    }
+
+    /// Rank 0 sends rank 1 a data message.
+    fn go(&mut self, tag: u64) {
+        self.peer
+            .send_world(&mut self.clock, Rank(1), WORLD_CONTEXT, tag, b"go")
             .unwrap();
     }
 
@@ -196,9 +212,7 @@ fn held_rank_services_once_per_delivery() {
     // Round 1 up to the point where rank 1 is held in its send.
     rig.relay(CrMsg::Stop { index: 1 });
     rig.await_flush_mark(1);
-    rig.peer
-        .send_world(&mut rig.clock, Rank(1), WORLD_CONTEXT, 1, b"go")
-        .unwrap();
+    rig.go(1);
     // Two deliveries finish the round: rank 0's mark, then the Resume.
     rig.flush_mark(1);
     rig.await_saved(1);
@@ -229,7 +243,7 @@ fn held_rank_services_once_per_delivery() {
     rank.join().unwrap();
 }
 
-/// The forwarder kicks the wait point on every daemon message: a rank
+/// The daemon's link kicks the wait point on every message: a rank
 /// blocked in an MPI receive — here with no service slice at all — gets out
 /// to service a relayed Stop at once.
 #[test]
@@ -249,8 +263,8 @@ fn blocked_receive_is_kicked_by_a_relayed_stop() {
     rank.join().unwrap();
 }
 
-/// A daemon that goes away (its end of the channel dropped) wakes a rank
-/// held at its wait point, which then finds the disconnect and exits.
+/// A daemon that goes away (its link dropped) wakes a rank held at its wait
+/// point, which then finds the disconnect and exits.
 #[test]
 fn held_rank_notices_its_daemon_going_away() {
     let (mut rig, rt) = rig();
@@ -262,9 +276,7 @@ fn held_rank_notices_its_daemon_going_away() {
     });
     rig.relay(CrMsg::Stop { index: 1 });
     rig.await_flush_mark(1);
-    rig.peer
-        .send_world(&mut rig.clock, Rank(1), WORLD_CONTEXT, 1, b"go")
-        .unwrap();
+    rig.go(1);
     drop(rig.down);
     rank.join().unwrap();
 }
@@ -275,11 +287,9 @@ fn held_rank_notices_its_daemon_going_away() {
 #[test]
 fn suspended_rank_parks_until_resume() {
     let (rig, mut rt) = rig();
-    rig.down
-        .send(ProcDown::Suspend {
-            vt: VirtualTime::ZERO,
-        })
-        .unwrap();
+    rig.down.send(ProcDown::Suspend {
+        vt: VirtualTime::ZERO,
+    });
     let resumed = Arc::new(AtomicBool::new(false));
     let seen = resumed.clone();
     let rank = std::thread::spawn(move || {
@@ -287,10 +297,62 @@ fn suspended_rank_parks_until_resume() {
         seen.load(Ordering::SeqCst)
     });
     resumed.store(true, Ordering::SeqCst);
-    rig.down
-        .send(ProcDown::Resume {
-            vt: VirtualTime::ZERO,
-        })
-        .unwrap();
+    rig.down.send(ProcDown::Resume {
+        vt: VirtualTime::ZERO,
+    });
     assert!(rank.join().unwrap(), "left the park before the Resume");
+}
+
+/// Round 1 as the service point inside rank 1's `recv(tag 1)` finds it
+/// when the Stop's kick wins its race against the data path: the Stop at
+/// the link, rank 0's mark (behind `sent_first`, if any) on the wire but not
+/// looked at yet. Returns with the capture put off.
+fn stopped_inside_a_receive(sent_first: Option<u64>) -> (Rig, ProcessRuntime) {
+    let (mut rig, mut rt) = rig_receiving(RecvMode::Direct);
+    rig.relay(CrMsg::Stop { index: 1 });
+    if let Some(tag) = sent_first {
+        rig.go(tag);
+    }
+    rig.flush_mark(1);
+    rt.service_in_recv().unwrap();
+    assert_eq!((rt.deferred_capture, rt.cr.last_index), (Some(1), 0));
+    rig.await_flush_mark(1);
+    (rig, rt)
+}
+
+/// A Stop relayed round the daemons can overtake the data rank 0 sent just
+/// before stopping. A rank serviced inside the receive of that data is not
+/// blocked: once the flush mark is in, so is the message — the receive
+/// completes, and the capture is taken, live, by the `checkpoint()` call
+/// the round pairs with (which would otherwise wait for a round that never
+/// starts).
+#[test]
+fn a_round_lets_a_receive_complete_instead_of_capturing_it_blocked() {
+    let (rig, rt) = stopped_inside_a_receive(Some(1));
+    let rank = run(rt, |ctx| {
+        ctx.recv(Some(Rank(0)), Some(1))?;
+        assert_eq!(ctx.rt.cr.last_index, 0, "captured although it could go on");
+        ctx.checkpoint(&CkptValue::Unit)?;
+        assert!(ctx.rt.cr.last_index == 1 && ctx.rt.consumed_log.is_empty());
+        Ok(())
+    });
+    rig.await_saved(1);
+    rig.await_done();
+    rank.join().unwrap();
+}
+
+/// ... and a receive that what has arrived does not complete is captured
+/// blocked, as ever: its sender is stopped too.
+#[test]
+fn a_round_captures_a_receive_that_stays_blocked() {
+    let (mut rig, rt) = stopped_inside_a_receive(None);
+    let rank = run(rt, |ctx| {
+        ctx.recv(Some(Rank(0)), Some(1))?;
+        assert_eq!(ctx.rt.cr.last_index, 1);
+        Ok(())
+    });
+    rig.await_saved(1);
+    rig.go(1);
+    rig.await_done();
+    rank.join().unwrap();
 }

@@ -1,9 +1,10 @@
 //! The daemon event loop.
 //!
-//! One [`Daemon`] runs per node. Its thread multiplexes three sources:
-//! the group-communication endpoint (views, totally ordered casts, targeted
-//! relays), the local application processes (their `ProcUp` channel), and
-//! administrative commands from management sessions.
+//! One [`Daemon`] runs per node, on one thread: the loop owns the node's
+//! group-communication [`Stack`] and parks on its port (DESIGN.md §5d).
+//! Each pass serves three sources: the stack's deliveries (views, totally
+//! ordered casts, targeted relays), the local application processes (their
+//! `ProcUp` queue), and administrative commands from management sessions.
 //!
 //! Everything that must be **consistent cluster-wide** (configuration,
 //! placement, restart decisions) flows through the totally ordered cast
@@ -15,14 +16,14 @@
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Receiver, TryRecvError};
 use parking_lot::Mutex;
 
 use starfish_checkpoint::backend::StoreHub;
 use starfish_checkpoint::recovery::{self};
-use starfish_ensemble::{Endpoint, EndpointConfig, GcEvent, HeartbeatAges, View};
+use starfish_ensemble::{EndpointConfig, GcEvent, HeartbeatAges, Stack, View};
 use starfish_events::{ClusterEvent, EventBus, EventKind as BusEventKind, Postmortem};
 use starfish_lwgroups::{LwEvent, LwMsg, LwRouter};
 use starfish_telemetry::{metric, Registry};
@@ -31,14 +32,14 @@ use starfish_util::codec::{Decode, Encode};
 use starfish_util::trace::{ActorKind, MsgClass, TraceSink};
 use starfish_util::watch::ChangeCount;
 use starfish_util::{AppId, Error, GroupId, NodeId, Rank, Result, VClock, VirtualTime};
-use starfish_vni::Fabric;
+use starfish_vni::{Fabric, KickSender};
 
 use crate::config::{
     AppEntry, AppStatus, CfgEffect, CfgNodeStatus, CkptProto, ClusterConfig, FtPolicy,
 };
 use crate::forensics::Forensics;
-use crate::host::{NodeHost, ProcSpec};
-use crate::msg::{AppRelay, CfgCmd, P2pMsg, ProcDown, ProcUp, RelayKind, WireCast};
+use crate::host::{DownLink, NodeHost, ProcSpec};
+use crate::msg::{AppRelay, CfgCmd, P2pMsg, ProcDown, ProcUp, WireCast};
 use crate::stats::StatsHub;
 
 /// Per-daemon settings.
@@ -95,7 +96,8 @@ enum DaemonCmd {
 #[derive(Clone)]
 pub struct Daemon {
     node: NodeId,
-    cmd_tx: Sender<DaemonCmd>,
+    /// Shared, so the loop is kicked for the last handle's hang-up only.
+    cmd_tx: Arc<KickSender<DaemonCmd>>,
     shared_cfg: Arc<Mutex<ClusterConfig>>,
     /// Bumped by the loop (its only writer) after each `shared_cfg` update.
     cfg_published: Arc<ChangeCount>,
@@ -123,20 +125,35 @@ impl Daemon {
         host: Box<dyn NodeHost>,
         store: impl Into<StoreHub>,
     ) -> Result<Daemon> {
-        let store = store.into();
-        let mut cfg = cfg;
+        let (daemon, node_loop) = Self::boot(fabric, cfg, contact, host, store.into())?;
+        let thread = std::thread::Builder::new()
+            .name(format!("starfishd-{}", daemon.node))
+            .spawn(move || node_loop.run())
+            .expect("spawn daemon");
+        *daemon.thread.lock() = Some(thread);
+        Ok(daemon)
+    }
+
+    /// All of [`start`](Self::start) but the thread: the handle, and the
+    /// node loop for a thread to `run`.
+    fn boot(
+        fabric: &Fabric,
+        mut cfg: DaemonConfig,
+        contact: Option<NodeId>,
+        host: Box<dyn NodeHost>,
+        store: StoreHub,
+    ) -> Result<(Daemon, Loop)> {
         // Share the daemon's recorder with its ensemble endpoint (unless
         // the caller installed a distinct one) and make it discoverable.
         if cfg.recorder.is_enabled() && !cfg.ensemble.recorder.is_enabled() {
             cfg.ensemble.recorder = cfg.recorder.clone();
         }
         cfg.trace_hub.register(cfg.recorder.clone());
-        let ep = match contact {
-            None => Endpoint::found(fabric, cfg.node, cfg.ensemble.clone())?,
-            Some(c) => Endpoint::join(fabric, cfg.node, c, cfg.ensemble.clone())?,
-        };
+        let stack = Stack::start(fabric, cfg.node, contact, cfg.ensemble.clone())?;
         let (cmd_tx, cmd_rx) = channel::unbounded();
+        let cmd_tx = Arc::new(KickSender::new(cmd_tx, stack.kicker()));
         let (up_tx, up_rx) = channel::unbounded();
+        let up_tx = Arc::new(KickSender::new(up_tx, stack.kicker()));
         let shared_cfg = Arc::new(Mutex::new(ClusterConfig::new()));
         let cfg_published = Arc::new(ChangeCount::new());
         let stats = StatsHub::new();
@@ -144,14 +161,14 @@ impl Daemon {
         let node = cfg.node;
         let events = cfg.events.clone();
         let postmortems = Arc::new(Mutex::new(BTreeMap::new()));
-        let liveness = ep.liveness();
+        let liveness = stack.liveness();
         let state = Loop {
             node,
             arch_index: cfg.arch_index,
             trace: cfg.trace,
             metrics: cfg.metrics,
             stats: stats.clone(),
-            ep,
+            stack,
             router: LwRouter::new(node),
             config: ClusterConfig::new(),
             shared_cfg: shared_cfg.clone(),
@@ -161,24 +178,21 @@ impl Daemon {
             clock: VClock::new(),
             procs: HashMap::new(),
             up_tx,
+            up_rx,
+            cmd_rx,
             announced: false,
             // The founding daemon owns the (empty) initial state; joiners
             // must acquire it via state transfer first.
             bootstrapped: contact.is_none(),
             requested_state: false,
             cast_buffer: Vec::new(),
-            view: None,
             events: events.clone(),
             forensics: Forensics::new(),
             postmortems: postmortems.clone(),
             trace_hub: trace_hub.clone(),
         };
-        let thread = std::thread::Builder::new()
-            .name(format!("starfishd-{node}"))
-            .spawn(move || state.run(cmd_rx, up_rx))
-            .expect("spawn daemon");
-        Ok(Daemon {
-            thread: Arc::new(Mutex::new(Some(thread))),
+        let daemon = Daemon {
+            thread: Arc::default(),
             node,
             cmd_tx,
             shared_cfg,
@@ -189,7 +203,8 @@ impl Daemon {
             events,
             postmortems,
             liveness,
-        })
+        };
+        Ok((daemon, state))
     }
 
     pub fn node(&self) -> NodeId {
@@ -217,7 +232,7 @@ impl Daemon {
         timeout: Duration,
         mut pred: impl FnMut(&ClusterConfig) -> bool,
     ) -> Result<ClusterConfig> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         let mut seen = self.cfg_published.current();
         loop {
             let cfg = self.config();
@@ -320,7 +335,7 @@ struct Loop {
     /// Shared infrastructure registry (see [`DaemonConfig::metrics`]).
     metrics: Option<Registry>,
     stats: StatsHub,
-    ep: Endpoint,
+    stack: Stack,
     router: LwRouter,
     config: ClusterConfig,
     shared_cfg: Arc<Mutex<ClusterConfig>>,
@@ -328,8 +343,11 @@ struct Loop {
     host: Box<dyn NodeHost>,
     store: StoreHub,
     clock: VClock,
-    procs: HashMap<(AppId, Rank), Sender<ProcDown>>,
-    up_tx: Sender<(AppId, Rank, ProcUp)>,
+    /// Local processes; `None` where the host started nothing to talk to.
+    procs: HashMap<(AppId, Rank), Option<DownLink>>,
+    up_tx: Arc<KickSender<(AppId, Rank, ProcUp)>>,
+    up_rx: Receiver<(AppId, Rank, ProcUp)>,
+    cmd_rx: Receiver<DaemonCmd>,
     /// Whether we have announced our own AddNode yet.
     announced: bool,
     /// Joiners start un-bootstrapped: they ignore configuration casts until
@@ -339,8 +357,6 @@ struct Loop {
     bootstrapped: bool,
     requested_state: bool,
     cast_buffer: Vec<CfgCmd>,
-    /// Latest installed main-group view.
-    view: Option<View>,
     /// Cluster event bus: all appends happen while applying the totally
     /// ordered stream (or are the stream), so every bootstrapped daemon
     /// assigns identical sequence numbers.
@@ -352,75 +368,96 @@ struct Loop {
 }
 
 impl Loop {
-    fn run(mut self, cmd_rx: Receiver<DaemonCmd>, up_rx: Receiver<(AppId, Rank, ProcUp)>) {
+    fn run(mut self) {
+        while self.pass() {}
+    }
+
+    /// One pass of the node loop: park in the stack's wait, then serve the
+    /// three sources in this order — all of them, whichever ended the wait:
+    /// a kick only says "look". `false` once the loop is over.
+    fn pass(&mut self) -> bool {
+        for ev in self.stack.wait(Duration::MAX) {
+            self.on_group_event(ev);
+        }
+        if self.stack.done() {
+            return false; // left, excluded, or the node went down
+        }
+        while let Ok((app, rank, up)) = self.up_rx.try_recv() {
+            self.on_proc_up(app, rank, up);
+        }
         loop {
-            channel::select! {
-                recv(self.ep.events()) -> ev => match ev {
-                    Ok(GcEvent::View { view, vt }) => {
-                        self.clock.merge(vt);
-                        self.on_view(view);
-                    }
-                    Ok(GcEvent::Cast { from, payload, vt, .. }) => {
-                        self.clock.merge(vt);
-                        if let Ok(wc) = WireCast::decode_from_bytes(&payload) {
-                            self.on_cast(from, wc, vt);
-                        }
-                    }
-                    Ok(GcEvent::Suspected { node, silent_for, vt }) => {
-                        self.clock.merge(vt);
-                        // Local failure-detector observation: cast it so the
-                        // suspicion (and its measured detection latency)
-                        // lands on every daemon's bus in the total order.
-                        let _ = self.cast(WireCast::Event {
-                            origin: self.node,
-                            vt: self.clock.now(),
-                            kind: BusEventKind::NodeSuspected {
-                                node,
-                                silent_ns: silent_for.as_nanos() as u64,
-                            },
-                        });
-                    }
-                    Ok(GcEvent::P2p { from: _, payload, vt }) => {
-                        self.clock.merge(vt);
-                        if let Ok(msg) = P2pMsg::decode_from_bytes(&payload) {
-                            self.on_p2p(msg);
-                        }
-                    }
-                    Ok(GcEvent::Left) | Err(_) => return,
-                },
-                recv(up_rx) -> msg => match msg {
-                    Ok((app, rank, up)) => self.on_proc_up(app, rank, up),
-                    Err(_) => { /* all process senders gone; keep serving */ }
-                },
-                recv(cmd_rx) -> cmd => match cmd {
-                    Ok(DaemonCmd::Issue(c)) => {
-                        let _ = self.cast(WireCast::Cfg(c));
-                    }
-                    Ok(DaemonCmd::Emit(kind)) => {
-                        let _ = self.cast(WireCast::Event {
-                            origin: self.node,
-                            vt: self.clock.now(),
-                            kind,
-                        });
-                    }
-                    Ok(DaemonCmd::Shutdown) | Err(_) => {
-                        let _ = self.ep.leave();
-                        // Keep draining until ensemble reports Left.
-                        loop {
-                            match self.ep.events().recv_timeout(Duration::from_secs(2)) {
-                                Ok(GcEvent::Left) | Err(_) => return,
-                                Ok(_) => continue,
-                            }
-                        }
-                    }
-                },
+            match self.cmd_rx.try_recv() {
+                Ok(DaemonCmd::Issue(c)) => self.cast(WireCast::Cfg(c)),
+                Ok(DaemonCmd::Emit(kind)) => self.cast_event(kind),
+                Ok(DaemonCmd::Shutdown) | Err(TryRecvError::Disconnected) => {
+                    self.leave();
+                    return false;
+                }
+                Err(TryRecvError::Empty) => return true,
             }
         }
     }
 
-    fn cast(&mut self, wc: WireCast) -> Result<()> {
-        let payload = wc.encode_to_bytes();
-        self.ep.cast(payload, self.clock.now())
+    fn on_group_event(&mut self, ev: GcEvent) {
+        match ev {
+            GcEvent::View { view, vt } => {
+                self.clock.merge(vt);
+                self.on_view(view);
+            }
+            GcEvent::Cast {
+                from, payload, vt, ..
+            } => {
+                self.clock.merge(vt);
+                if let Ok(wc) = WireCast::decode_from_bytes(&payload) {
+                    self.on_cast(from, wc, vt);
+                }
+            }
+            GcEvent::Suspected {
+                node,
+                silent_for,
+                vt,
+            } => {
+                self.clock.merge(vt);
+                // Local failure-detector observation: cast it so the
+                // suspicion (and its measured detection latency) lands on
+                // every daemon's bus in the total order.
+                self.cast_event(BusEventKind::NodeSuspected {
+                    node,
+                    silent_ns: silent_for.as_nanos() as u64,
+                });
+            }
+            GcEvent::P2p { payload, vt, .. } => {
+                self.clock.merge(vt);
+                if let Ok(msg) = P2pMsg::decode_from_bytes(&payload) {
+                    self.on_p2p(msg);
+                }
+            }
+            GcEvent::Left => {} // the last one: `run` finds the stack done
+        }
+    }
+
+    /// Leave the group and keep the stack going until it has (bounded: the
+    /// peers may be leaving too).
+    fn leave(&mut self) {
+        self.stack.leave();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !self.stack.done() && Instant::now() < deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            self.stack.wait(left);
+        }
+    }
+
+    fn cast(&mut self, wc: WireCast) {
+        self.stack.cast(wc.encode_to_bytes(), self.clock.now());
+    }
+
+    /// Cast a locally observed cluster event (this daemon as origin, now).
+    fn cast_event(&mut self, kind: BusEventKind) {
+        self.cast(WireCast::Event {
+            origin: self.node,
+            vt: self.clock.now(),
+            kind,
+        });
     }
 
     fn publish_config(&self) {
@@ -478,7 +515,7 @@ impl Loop {
                 if let CfgCmd::NeedState { node } = &cmd {
                     if self.acts_for_group() && *node != self.node {
                         let snapshot = self.config.encode_to_bytes();
-                        let _ = self.ep.send_to(
+                        self.stack.send_to(
                             *node,
                             P2pMsg::State(snapshot).encode_to_bytes(),
                             self.clock.now(),
@@ -776,20 +813,11 @@ impl Loop {
                 // replaced rank's *previous* incarnation ran here (a
                 // migration, not a crash), kill it first.
                 for (rank, node) in &replaced {
-                    if *node != self.node {
-                        if let Some(tx) = self.procs.remove(&(app, *rank)) {
-                            self.procs_delta(-1);
-                            self.trace.record(
-                                MsgClass::Configuration,
-                                ActorKind::Daemon,
-                                ActorKind::AppProcess,
-                                "local-tcp",
-                                0,
-                            );
-                            let _ = tx.send(ProcDown::Kill {
-                                vt: self.clock.now(),
-                            });
-                        }
+                    if *node != self.node && self.procs.contains_key(&(app, *rank)) {
+                        let vt = self.clock.now();
+                        self.send_down(app, *rank, ProcDown::Kill { vt }, MsgClass::Configuration);
+                        self.procs.remove(&(app, *rank));
+                        self.procs_delta(-1);
                     }
                 }
                 for (rank, node) in &replaced {
@@ -799,14 +827,10 @@ impl Loop {
                         // Observation, not derivation: only the hosting
                         // daemon knows the spawn happened, so it casts the
                         // respawn event into the total order.
-                        let _ = self.cast(WireCast::Event {
-                            origin: self.node,
-                            vt: self.clock.now(),
-                            kind: BusEventKind::RecoveryRespawn {
-                                app,
-                                rank: *rank,
-                                node: *node,
-                            },
+                        self.cast_event(BusEventKind::RecoveryRespawn {
+                            app,
+                            rank: *rank,
+                            node: *node,
                         });
                     }
                 }
@@ -838,40 +862,19 @@ impl Loop {
                 }
             }
             CfgEffect::AppKilled(app) => {
-                let local: Vec<(AppId, Rank)> = self
-                    .procs
-                    .keys()
-                    .filter(|(a, _)| *a == app)
-                    .copied()
-                    .collect();
-                for key in local {
-                    self.send_down(
-                        key.0,
-                        key.1,
-                        ProcDown::Kill {
-                            vt: self.clock.now(),
-                        },
-                        MsgClass::Configuration,
-                    );
-                    if self.procs.remove(&key).is_some() {
-                        self.procs_delta(-1);
-                    }
-                }
+                self.down_all(app, MsgClass::Configuration, |vt| ProcDown::Kill { vt });
+                self.forget_procs(app);
             }
             CfgEffect::AppSuspended(app) => {
-                self.down_all(app, |vt| ProcDown::Suspend { vt }, MsgClass::Configuration)
+                self.down_all(app, MsgClass::Configuration, |vt| ProcDown::Suspend { vt })
             }
             CfgEffect::AppResumed(app) => {
-                self.down_all(app, |vt| ProcDown::Resume { vt }, MsgClass::Configuration)
+                self.down_all(app, MsgClass::Configuration, |vt| ProcDown::Resume { vt })
             }
-            CfgEffect::AppDone(app) => {
-                // Images are retained after completion (postmortem restore /
-                // migration of finished jobs); storage is reclaimed when the
-                // application is deleted.
-                let before = self.procs.len();
-                self.procs.retain(|(a, _), _| *a != app);
-                self.procs_delta(before as i64 - self.procs.len() as i64);
-            }
+            // Images are retained after completion (postmortem restore /
+            // migration of finished jobs); storage is reclaimed when the
+            // application is deleted.
+            CfgEffect::AppDone(app) => self.forget_procs(app),
             CfgEffect::CheckpointRequested(app) => {
                 // The round coordinator is the lowest rank; its hosting
                 // daemon forwards the trigger.
@@ -914,21 +917,19 @@ impl Loop {
                 self.procs.contains_key(&(entry.id, rank))
             );
         }
-        let (down_tx, down_rx) = channel::unbounded();
-        if self.procs.insert((entry.id, rank), down_tx).is_none() {
-            self.procs_delta(1);
-        }
-        self.host.spawn(ProcSpec {
+        let link = self.host.spawn(ProcSpec {
             app: entry.id,
             rank,
             node: self.node,
             epoch: entry.epoch,
             entry: entry.clone(),
             restore_from,
-            down_rx,
             up_tx: self.up_tx.clone(),
             spawn_vt: self.clock.now(),
         });
+        if self.procs.insert((entry.id, rank), link).is_none() {
+            self.procs_delta(1);
+        }
     }
 
     /// Keep the cluster-wide `procs.running` gauge in step with this
@@ -943,7 +944,7 @@ impl Loop {
     }
 
     fn send_down(&self, app: AppId, rank: Rank, msg: ProcDown, class: MsgClass) {
-        if let Some(tx) = self.procs.get(&(app, rank)) {
+        if let Some(link) = self.procs.get(&(app, rank)) {
             self.trace.record(
                 class,
                 ActorKind::Daemon,
@@ -951,20 +952,24 @@ impl Loop {
                 "local-tcp",
                 0,
             );
-            let _ = tx.send(msg);
+            if let Some(link) = link {
+                link.send(msg);
+            }
         }
     }
 
-    fn down_all(&mut self, app: AppId, make: impl Fn(VirtualTime) -> ProcDown, class: MsgClass) {
-        let keys: Vec<(AppId, Rank)> = self
-            .procs
-            .keys()
-            .filter(|(a, _)| *a == app)
-            .copied()
-            .collect();
-        for (a, r) in keys {
-            self.send_down(a, r, make(self.clock.now()), class);
+    /// `make(now)` down to every local rank of `app`.
+    fn down_all(&self, app: AppId, class: MsgClass, make: impl Fn(VirtualTime) -> ProcDown) {
+        for (a, rank) in self.procs.keys().filter(|(a, _)| *a == app) {
+            self.send_down(*a, *rank, make(self.clock.now()), class);
         }
+    }
+
+    /// Drop the links to `app`'s local ranks (which wakes any still there).
+    fn forget_procs(&mut self, app: AppId) {
+        let before = self.procs.len();
+        self.procs.retain(|(a, _), _| *a != app);
+        self.procs_delta(before as i64 - self.procs.len() as i64);
     }
 
     // -- lightweight groups -------------------------------------------------------
@@ -1047,24 +1052,11 @@ impl Loop {
         for ev in events {
             match ev {
                 LwEvent::View { view, vt } => {
-                    let app = AppId(view.gid.0);
-                    let keys: Vec<(AppId, Rank)> = self
-                        .procs
-                        .keys()
-                        .filter(|(a, _)| *a == app)
-                        .copied()
-                        .collect();
-                    for (a, r) in keys {
-                        self.send_down(
-                            a,
-                            r,
-                            ProcDown::LwView {
-                                view: view.clone(),
-                                vt,
-                            },
-                            MsgClass::LwMembership,
-                        );
-                    }
+                    let down = |_| ProcDown::LwView {
+                        view: view.clone(),
+                        vt,
+                    };
+                    self.down_all(AppId(view.gid.0), MsgClass::LwMembership, down);
                 }
                 LwEvent::Mcast {
                     gid: _,
@@ -1076,29 +1068,10 @@ impl Loop {
                         match relay.to {
                             Some(to) => self.deliver_targeted_at(relay, to, vt),
                             None => {
-                                let keys: Vec<(AppId, Rank)> = self
-                                    .procs
-                                    .keys()
-                                    .filter(|(a, r)| *a == relay.app && *r != relay.from)
-                                    .copied()
-                                    .collect();
-                                for (a, r) in keys {
-                                    self.send_down(
-                                        a,
-                                        r,
-                                        ProcDown::Relay {
-                                            kind: relay.kind,
-                                            from: relay.from,
-                                            body: relay.body.clone(),
-                                            vt,
-                                        },
-                                        match relay.kind {
-                                            RelayKind::Coordination => MsgClass::Coordination,
-                                            RelayKind::CheckpointRestart => {
-                                                MsgClass::CheckpointRestart
-                                            }
-                                        },
-                                    );
+                                let others =
+                                    |(a, r): &&(AppId, Rank)| *a == relay.app && *r != relay.from;
+                                for (_, to) in self.procs.keys().filter(others) {
+                                    self.deliver_targeted_at(relay.clone(), *to, vt);
                                 }
                             }
                         }
@@ -1109,14 +1082,14 @@ impl Loop {
         }
     }
 
-    fn deliver_targeted(&mut self, relay: AppRelay) {
+    fn deliver_targeted(&self, relay: AppRelay) {
         if let Some(to) = relay.to {
             let vt = self.clock.now();
             self.deliver_targeted_at(relay, to, vt);
         }
     }
 
-    fn deliver_targeted_at(&mut self, relay: AppRelay, to: Rank, vt: VirtualTime) {
+    fn deliver_targeted_at(&self, relay: AppRelay, to: Rank, vt: VirtualTime) {
         self.send_down(
             relay.app,
             to,
@@ -1126,10 +1099,7 @@ impl Loop {
                 body: relay.body,
                 vt,
             },
-            match relay.kind {
-                RelayKind::Coordination => MsgClass::Coordination,
-                RelayKind::CheckpointRestart => MsgClass::CheckpointRestart,
-            },
+            relay.kind.class(),
         );
     }
 
@@ -1144,7 +1114,7 @@ impl Loop {
     /// Every bootstrapped daemon evaluates this on the same configuration
     /// at the same point of the cast stream.
     fn acts_for_group(&self) -> bool {
-        let Some(view) = self.view.as_ref().filter(|_| self.bootstrapped) else {
+        let Some(view) = self.stack.view().filter(|_| self.bootstrapped) else {
             return false;
         };
         let acting = view.members.iter().find(|m| self.config.is_live(**m));
@@ -1161,7 +1131,7 @@ impl Loop {
             return;
         }
         if !self.config.is_live(self.node) {
-            let _ = self.cast(WireCast::Cfg(CfgCmd::AddNode {
+            self.cast(WireCast::Cfg(CfgCmd::AddNode {
                 node: self.node,
                 arch_index: self.arch_index,
             }));
@@ -1177,13 +1147,12 @@ impl Loop {
                 view.coordinator()
             );
         }
-        self.view = Some(view.clone());
         if view.contains(self.node) {
             if self.bootstrapped {
                 self.announce(); // founder, or already synced
             } else if !self.requested_state {
                 // Joiner: mark our snapshot point in the total order.
-                let _ = self.cast(WireCast::Cfg(CfgCmd::NeedState { node: self.node }));
+                self.cast(WireCast::Cfg(CfgCmd::NeedState { node: self.node }));
                 // `requested_state` flips when our own marker is delivered.
             }
         }
@@ -1198,13 +1167,9 @@ impl Loop {
         }
         // One view-change event per installed view, cast by the coordinator
         // so it lands in the total order ahead of any NodeDead response.
-        let _ = self.cast(WireCast::Event {
-            origin: self.node,
-            vt: self.clock.now(),
-            kind: BusEventKind::ViewChange {
-                view: view.id.raw(),
-                members: view.members.clone(),
-            },
+        self.cast_event(BusEventKind::ViewChange {
+            view: view.id.raw(),
+            members: view.members.clone(),
         });
         let dead: Vec<NodeId> = self
             .config
@@ -1223,7 +1188,7 @@ impl Loop {
             eprintln!("[daemon {}] coordinator response: dead={dead:?}", self.node);
         }
         for n in &dead {
-            let _ = self.cast(WireCast::Cfg(CfgCmd::NodeDead { node: *n }));
+            self.cast(WireCast::Cfg(CfgCmd::NodeDead { node: *n }));
         }
         // Policy response per affected application. Note: we compute from
         // the *current* local config (the casts above will be applied by
@@ -1239,7 +1204,7 @@ impl Loop {
         for app in apps {
             match app.spec.policy {
                 FtPolicy::Kill => {
-                    let _ = self.cast(WireCast::Cfg(CfgCmd::Delete { app: app.id }));
+                    self.cast(WireCast::Cfg(CfgCmd::Delete { app: app.id }));
                 }
                 FtPolicy::NotifyView => {
                     // Nothing to cast: the lightweight view (delivered above
@@ -1247,7 +1212,7 @@ impl Loop {
                 }
                 FtPolicy::Restart => {
                     let line = self.compute_line(&app, &dead);
-                    let _ = self.cast(WireCast::Cfg(CfgCmd::RestartApp { app: app.id, line }));
+                    self.cast(WireCast::Cfg(CfgCmd::RestartApp { app: app.id, line }));
                 }
             }
         }
@@ -1288,10 +1253,7 @@ impl Loop {
             ProcUp::Cast { kind, body, vt } => {
                 self.clock.merge(vt);
                 self.trace.record(
-                    match kind {
-                        RelayKind::Coordination => MsgClass::Coordination,
-                        RelayKind::CheckpointRestart => MsgClass::CheckpointRestart,
-                    },
+                    kind.class(),
                     ActorKind::AppProcess,
                     ActorKind::Daemon,
                     "via-daemon",
@@ -1304,7 +1266,7 @@ impl Loop {
                     to: None,
                     body,
                 };
-                let _ = self.cast(WireCast::Lw(LwMsg::Mcast {
+                self.cast(WireCast::Lw(LwMsg::Mcast {
                     gid: GroupId(app.0),
                     payload: relay.encode_to_bytes(),
                 }));
@@ -1327,7 +1289,7 @@ impl Loop {
                 if target_node == self.node {
                     self.deliver_targeted(relay);
                 } else {
-                    let _ = self.ep.send_to(
+                    self.stack.send_to(
                         target_node,
                         P2pMsg::Relay(relay).encode_to_bytes(),
                         self.clock.now(),
@@ -1342,15 +1304,11 @@ impl Loop {
                 if self.procs.remove(&(app, rank)).is_some() {
                     self.procs_delta(-1);
                 }
-                let _ = self.cast(WireCast::Cfg(CfgCmd::RankDone { app, rank }));
+                self.cast(WireCast::Cfg(CfgCmd::RankDone { app, rank }));
             }
             ProcUp::CkptCommitted { index, vt } => {
                 self.clock.merge(vt);
-                let _ = self.cast(WireCast::Event {
-                    origin: self.node,
-                    vt: self.clock.now(),
-                    kind: BusEventKind::CkptCommit { app, rank, index },
-                });
+                self.cast_event(BusEventKind::CkptCommit { app, rank, index });
                 if index > 1 {
                     self.store.prune_below(app, index);
                 }
@@ -1358,12 +1316,12 @@ impl Loop {
             ProcUp::Stats { snap, vt } => {
                 self.clock.merge(vt);
                 let scope = format!("{app}.r{}", rank.0);
-                let _ = self.cast(WireCast::Stats { scope, snap });
+                self.cast(WireCast::Stats { scope, snap });
                 // Piggyback the shared infrastructure registry so `STATS`
                 // reflects fabric/trace/ensemble activity too. The scope is
                 // a single well-known key, so re-casts replace, not double.
                 if let Some(m) = &self.metrics {
-                    let _ = self.cast(WireCast::Stats {
+                    self.cast(WireCast::Stats {
                         scope: "cluster".to_string(),
                         snap: m.snapshot(),
                     });
@@ -1391,10 +1349,11 @@ mod tests {
 
     impl NodeHost for RecordingHost {
         fn placement_update(&self, _entry: &AppEntry) {}
-        fn spawn(&self, spec: ProcSpec) {
+        fn spawn(&self, spec: ProcSpec) -> Option<DownLink> {
             self.spawns
                 .lock()
                 .push((spec.app, spec.rank, spec.node, spec.restore_from));
+            None
         }
         fn rank_lost(&self, app: AppId, rank: Rank) {
             self.lost.lock().push((app, rank));
@@ -1740,6 +1699,39 @@ mod tests {
         // And a wait nothing satisfies ends at its deadline, not before.
         let err = d.wait_config(Duration::from_millis(20), |_| false);
         assert!(matches!(err, Err(Error::Timeout(_))));
+    }
+
+    /// A command queued while packets are waiting is served by the pass
+    /// those packets wake — not one wake-up later, behind whatever arrives
+    /// next (the loop here has no thread: the test makes its passes).
+    #[test]
+    fn a_pass_serves_commands_queued_behind_waiting_packets() {
+        let f = fabric(1);
+        let boot = DaemonConfig::new(NodeId(0));
+        let (d, mut node) =
+            Daemon::boot(&f, boot, None, Box::new(NullHost), StoreHub::new()).unwrap();
+        let set = |key: &str| {
+            let (key, value) = (key.to_string(), "1".to_string());
+            d.issue(CfgCmd::SetParam { key, value }).unwrap();
+        };
+        // Boot: the founder's view, then its own announcement coming back.
+        assert!(node.pass() && node.pass());
+        assert_eq!(d.config().up_nodes(), vec![NodeId(0)]);
+        assert_eq!(f.queued_packets(), 0);
+        // Idle, so "a" is served by the pass its kick wakes, and its cast
+        // is now a packet waiting at our own port ...
+        set("a");
+        assert!(node.pass());
+        assert_eq!(f.queued_packets(), 1);
+        // ... which is what ends the wait of the next pass. "b", queued
+        // behind it, is cast by that same pass.
+        set("b");
+        assert!(node.pass());
+        assert!(d.config().params.contains_key("a"));
+        assert!(node.cmd_rx.is_empty(), "left for the next wake-up");
+        assert_eq!(f.queued_packets(), 1);
+        assert!(node.pass());
+        assert!(d.config().params.contains_key("b"));
     }
 
     #[test]

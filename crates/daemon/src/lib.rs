@@ -6,8 +6,9 @@
 //!
 //! The daemon is built from the paper's four modules (figure 1):
 //!
-//! * **Ensemble** — the group-communication endpoint
-//!   ([`starfish_ensemble::Endpoint`]), owned by the daemon's event loop;
+//! * **Ensemble** — the group-communication stack
+//!   ([`starfish_ensemble::Stack`]), owned by the daemon's node loop, which
+//!   parks on its port;
 //! * **management module** ([`config`]) — the replicated cluster
 //!   configuration: a deterministic state machine driven exclusively by
 //!   totally ordered casts, so every daemon holds identical state
@@ -17,8 +18,9 @@
 //! * **lightweight membership module** ([`starfish_lwgroups::LwRouter`]) —
 //!   deduces per-application lightweight views from the main group;
 //! * **lightweight endpoint modules** — one per local application process:
-//!   the channel pair carrying configuration, lightweight-membership and
-//!   relayed coordination / C-R messages (paper §2.3, Table 1).
+//!   the pair of queues ([`host::DownLink`] down) carrying configuration,
+//!   lightweight-membership and relayed coordination / C-R messages (paper
+//!   §2.3, Table 1).
 //!
 //! The daemon is deliberately **application-agnostic**: starting an actual
 //! MPI process is delegated to a [`host::NodeHost`] implementation supplied
@@ -42,7 +44,7 @@ pub mod stats;
 pub use config::{AppEntry, AppSpec, AppStatus, CkptProto, ClusterConfig, FtPolicy, LevelKind};
 pub use daemon::{postmortem_dir, Daemon, DaemonConfig};
 pub use forensics::Forensics;
-pub use host::{NodeHost, ProcSpec};
+pub use host::{DownLink, NodeHost, ProcSpec};
 pub use mgmt::MgmtSession;
 pub use msg::{CfgCmd, ProcDown, ProcUp, RelayKind};
 pub use stats::StatsHub;

@@ -7,6 +7,7 @@ use starfish_checkpoint::backend::CkptBackend;
 use starfish_lwgroups::LwView;
 use starfish_telemetry::Snapshot;
 use starfish_util::codec::{Decode, Decoder, Encode, Encoder};
+use starfish_util::trace::MsgClass;
 use starfish_util::{AppId, Epoch, Error, NodeId, Rank, Result, VirtualTime};
 
 use crate::config::{AppSpec, CkptProto, FtPolicy, LevelKind};
@@ -348,6 +349,16 @@ impl Decode for CfgCmd {
 pub enum RelayKind {
     Coordination,
     CheckpointRestart,
+}
+
+impl RelayKind {
+    /// The Table 1 class a relay of this kind is audited under.
+    pub fn class(self) -> MsgClass {
+        match self {
+            RelayKind::Coordination => MsgClass::Coordination,
+            RelayKind::CheckpointRestart => MsgClass::CheckpointRestart,
+        }
+    }
 }
 
 /// Envelope of an application message relayed inside a lightweight group.

@@ -9,7 +9,7 @@
 //! * **Membership & views** — a coordinator-driven membership protocol
 //!   installs a sequence of [`View`]s; every surviving member installs the
 //!   same sequence of views for the group.
-//! * **Totally ordered multicast** — [`Endpoint::cast`] routes messages
+//! * **Totally ordered multicast** — [`Stack::cast`] routes messages
 //!   through the view coordinator, which acts as a sequencer; all members
 //!   deliver casts in the same order.
 //! * **View synchrony** — a flush protocol runs before each view change:
@@ -32,7 +32,8 @@
 //! whole protocol as a pure `event → outputs` state machine over the
 //! building blocks of [`core`] — linted sans-IO, unit-tested without fabric,
 //! clock or sleep, model-checked as deployed by the `verify` crate — and
-//! [`Endpoint`] is the thread that does its I/O.
+//! [`Stack`] does its I/O, thread-free: a daemon's node loop owns one and
+//! parks in its `wait`; [`Endpoint`] is a `Stack` on a thread of its own.
 //!
 //! ## Delivery guarantees, precisely
 //!
@@ -48,7 +49,7 @@
 //!   crash — a joiner with a smaller id, or the coordinator leaving — the
 //!   old coordinator forwards what it held to the new one, which parks
 //!   requests that beat its first view: absent a crash, no cast is lost.
-//! * Point-to-point sends ([`Endpoint::send_to`]) are FIFO per sender and
+//! * Point-to-point sends ([`Stack::send_to`]) are FIFO per sender and
 //!   reliable while both endpoints stay up.
 
 pub mod core;
@@ -57,7 +58,7 @@ pub mod group;
 pub mod msg;
 pub mod view;
 
-pub use endpoint::{Endpoint, EndpointConfig, GcEvent, HeartbeatAges, ENSEMBLE_PORT};
+pub use endpoint::{Endpoint, EndpointConfig, GcEvent, HeartbeatAges, Stack, ENSEMBLE_PORT};
 pub use group::{HeartbeatCfg, HeartbeatChaos};
 pub use msg::GcMsg;
 pub use view::View;

@@ -26,7 +26,7 @@
 //! This crate is deliberately transport-agnostic: [`LwRouter`] is a
 //! deterministic state machine fed with the daemon's delivered casts and
 //! main-group views; the daemon crate owns the actual
-//! [`starfish_ensemble::Endpoint`].
+//! [`starfish_ensemble::Stack`].
 
 pub mod router;
 

@@ -398,9 +398,9 @@ impl MpiEndpoint {
     /// services whatever changed and re-posts it),
     /// [`wait_event`](Self::wait_event) returns. Unlike the abort flag a
     /// kick is consumed by the wait it wakes. Nobody holds one unless the
-    /// owner hands it out (the process runtime gives one to its forwarder
-    /// and one to [`RankDirectory::bound`]), so a bare endpoint's receives
-    /// are never interrupted.
+    /// owner hands it out (the process runtime gives one to its daemon's
+    /// link and one to [`RankDirectory::bound`]), so a bare endpoint's
+    /// receives are never interrupted.
     pub fn kicker(&self) -> Kick {
         match &self.source {
             Source::Polled { queue, .. } => queue.kicker(),

@@ -4,7 +4,7 @@
 //! Every protocol decision — who sequences, when a flush starts, who takes
 //! over from a dead coordinator, what a `NewView` carries, who forwards
 //! what on a coordinator hand-over — is taken by the machine the
-//! [`Endpoint`](starfish_ensemble::Endpoint) thread runs
+//! [`Stack`](starfish_ensemble::Stack) of every daemon runs
 //! (`starfish_ensemble::group`). The model contributes the environment
 //! only, and plays the endpoint's shell in it: sends go onto per-link FIFO
 //! channels (ensemble p2p is FIFO-reliable between live nodes; frames on

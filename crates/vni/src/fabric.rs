@@ -28,9 +28,9 @@
 //!   so concurrent senders validate routes without serializing. Exclusive
 //!   access is only for membership changes — bind/unbind, crash, partition,
 //!   fault install — which are rare and may be slow;
-//! * each bound port owns an [`Inbox`] shard (its own mutex + condvar +
-//!   doorbell, see [`crate::inbox`]); senders to different endpoints touch
-//!   different locks;
+//! * each bound port owns an [`Inbox`] shard (its own mutex + condvar, see
+//!   [`crate::inbox`]); senders to different endpoints touch different
+//!   locks;
 //! * per-link fault state (decision RNG streams, reorder buffers) lives in a
 //!   mutex keyed by the *directed* node pair, locked only when a fault is
 //!   actually installed on that link — an unfaulted route goes straight
@@ -52,12 +52,12 @@
 //! seen by another (e.g. an application's data port) — the property the
 //! chaos harness's replay-a-seed guarantee rests on.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Receiver};
 use parking_lot::{Mutex, RwLock};
 
 use starfish_telemetry::{metric, Registry};
@@ -67,6 +67,7 @@ use starfish_util::{Error, NodeId, Result, VirtualTime};
 use crate::inbox::{Inbox, Pop, PopBatch};
 use crate::models::{LayerCosts, NetworkModel};
 use crate::packet::{Addr, Packet, PortId};
+use crate::polling::{Kick, KickSender};
 
 /// Latency of the node-local daemon ↔ application-process TCP connection
 /// (paper §2.3). Loopback TCP on the era's hardware: tens of microseconds.
@@ -257,7 +258,7 @@ struct Membership {
     nodes: HashMap<NodeId, NodeStatus>,
     /// Unordered node pairs with a cut link, stored as (min, max).
     partitions: HashSet<(NodeId, NodeId)>,
-    watchers: Vec<Sender<FabricEvent>>,
+    watchers: Vec<KickSender<FabricEvent>>,
     /// Installed link faults, keyed by *directed* (src, dst) node pair.
     links: HashMap<(NodeId, NodeId), Mutex<LinkState>>,
     /// Telemetry registry fed per accepted packet (count, size, wire time).
@@ -332,10 +333,12 @@ impl Fabric {
         self.inner.layers
     }
 
-    /// Subscribe to fabric events (node lifecycle, partitions).
-    pub fn subscribe(&self) -> Receiver<FabricEvent> {
+    /// Subscribe to fabric events (node lifecycle, partitions): each is
+    /// queued, then `kick` wakes the subscriber (membership → inbox order).
+    pub fn subscribe(&self, kick: Kick) -> Receiver<FabricEvent> {
         let (tx, rx) = channel::unbounded();
-        self.inner.membership.write().watchers.push(tx);
+        let watcher = KickSender::new(tx, kick);
+        self.inner.membership.write().watchers.push(watcher);
         rx
     }
 
@@ -482,12 +485,11 @@ impl Fabric {
         if m.ports.contains_key(&addr) {
             return Err(Error::invalid_arg(format!("{addr} already bound")));
         }
-        let (inbox, doorbell) = Inbox::new();
+        let inbox = Inbox::new();
         m.ports.insert(addr, Arc::clone(&inbox));
         Ok(Port {
             addr,
             inbox,
-            doorbell,
             fabric: self.clone(),
         })
     }
@@ -767,7 +769,6 @@ impl Fabric {
 pub struct Port {
     addr: Addr,
     inbox: Arc<Inbox>,
-    doorbell: Receiver<()>,
     fabric: Fabric,
 }
 
@@ -776,18 +777,10 @@ impl Port {
         self.addr
     }
 
-    /// The port's doorbell, for multiplexing with other channels via
-    /// `crossbeam::select!`. A token means "packets may be waiting": after
-    /// taking one, drain with [`Port::try_recv`] until empty. Disconnection
-    /// means the port closed — drain remaining packets, then stop.
-    pub fn doorbell(&self) -> &Receiver<()> {
-        &self.doorbell
-    }
-
     /// A handle that wakes this port's owner out of
     /// [`recv_batch_timeout`](Self::recv_batch_timeout).
-    pub fn kicker(&self) -> crate::polling::Kick {
-        crate::polling::Kick::inbox(Arc::clone(&self.inbox))
+    pub fn kicker(&self) -> Kick {
+        Kick::inbox(Arc::clone(&self.inbox))
     }
 
     /// Blocking receive. Errors with [`Error::Closed`] if the port was
@@ -864,12 +857,6 @@ impl Drop for Port {
     fn drop(&mut self) {
         self.fabric.unbind_port(self.addr, &self.inbox);
     }
-}
-
-/// A bounded history of packets, useful in tests.
-#[derive(Debug, Default)]
-pub struct PacketLog {
-    pub packets: VecDeque<Packet>,
 }
 
 #[cfg(test)]
@@ -980,9 +967,14 @@ mod tests {
     #[test]
     fn events_emitted_to_subscribers() {
         let f = fabric();
-        let rx = f.subscribe();
+        let port = f.bind(Addr::new(NodeId(0), PortId(1))).unwrap();
+        let rx = f.subscribe(port.kicker());
         f.crash_node(NodeId(1));
         f.add_node(NodeId(2));
+        // Queued before the kick: a subscriber parked on its port wakes to
+        // find them.
+        let woken = port.recv_batch_timeout(8, Duration::from_secs(30));
+        assert!(matches!(woken, Err(Error::Interrupted(_))));
         assert_eq!(rx.try_recv().unwrap(), FabricEvent::NodeCrashed(NodeId(1)));
         assert_eq!(rx.try_recv().unwrap(), FabricEvent::NodeAdded(NodeId(2)));
     }
@@ -1060,27 +1052,6 @@ mod tests {
         assert_eq!(batch.iter().map(|p| p.tag).collect::<Vec<_>>(), [3, 4]);
         f.crash_node(NodeId(1));
         assert!(matches!(pb.recv_batch(16), Err(Error::Closed(_))));
-    }
-
-    #[test]
-    fn doorbell_multiplexes_and_disconnects() {
-        let f = fabric();
-        let a = Addr::new(NodeId(0), PortId(1));
-        let b = Addr::new(NodeId(1), PortId(1));
-        let _pa = f.bind(a).unwrap();
-        let pb = f.bind(b).unwrap();
-        f.send(tagged(a, b, 1)).unwrap();
-        f.send(tagged(a, b, 2)).unwrap();
-        // A token is waiting; after taking it, a full drain sees both
-        // packets (tokens are a doorbell, not a packet count).
-        crossbeam::channel::select! {
-            recv(pb.doorbell()) -> tok => assert!(tok.is_ok()),
-        }
-        assert_eq!(pb.drain().len(), 2);
-        f.crash_node(NodeId(1));
-        // Closed port: the doorbell disconnects.
-        assert!(pb.doorbell().recv().is_err());
-        assert!(matches!(pb.try_recv(), Err(Error::Closed(_))));
     }
 
     // ---- link faults -------------------------------------------------------

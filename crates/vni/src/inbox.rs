@@ -5,27 +5,20 @@
 //! membership table to validate the route, then queues straight into the
 //! destination's [`Inbox`]. Senders to different endpoints never contend.
 //!
-//! Besides the condvar (which serves the blocking `recv`/`recv_timeout`
-//! family), every inbox carries a *doorbell*: a channel of `()` tokens where
-//! a token means "packets may be waiting". The doorbell is what lets a
-//! consumer multiplex a port with other channels via `crossbeam::select!`
-//! without the fabric keeping a channel of packets per port. Tokens are
-//! coalesced: a producer rings only when the bell is empty, and only while
-//! holding the inbox lock, *after* enqueuing its packet. That makes the
-//! protocol wakeup-safe: if the producer skips ringing, a token existed at
-//! the moment the packet was already queued, so whichever consumer takes
-//! that token (before or after the skip) drains a queue containing the
-//! packet. A consumer must therefore always drain (`try_pop` until empty)
-//! after taking a token; an occasional token left over after a drain wakes
-//! the consumer once with an empty queue, which is harmless. Closing an
-//! inbox drops the doorbell sender, so a `select!` arm sees a disconnect —
-//! after which any still-queued packets remain drainable (the wire does not
-//! eat frames already delivered).
+//! The condvar is the only way to wait on an inbox. The blocking
+//! `recv`/`recv_timeout` family waits for a packet. An owner with more than
+//! one input — a rank, a node loop (DESIGN.md §5d) — parks in
+//! [`Inbox::pop_batch_timeout`] and is woken by a packet, by closure, or by
+//! a [`kick`](Inbox::kick): whoever feeds another of its queues queues
+//! first and kicks second ([`crate::polling::KickSender`]). The kick is a
+//! flag under the inbox lock, so it is never lost — a wait that returns
+//! packets leaves it set for the next one — and kicks coalesce. Closing an
+//! inbox wakes every waiter; packets already queued remain drainable (the
+//! wire does not eat frames already delivered).
 
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use crate::packet::Packet;
@@ -53,7 +46,6 @@ struct InboxState {
     /// Set by [`Inbox::kick`], consumed by the next timed batch pop that
     /// finds no packet.
     kicked: bool,
-    doorbell: Option<Sender<()>>,
 }
 
 /// One port's receive queue. Shared between the fabric (producer side) and
@@ -64,19 +56,15 @@ pub struct Inbox {
 }
 
 impl Inbox {
-    /// Create an inbox and the doorbell receiver its port will hold.
-    pub fn new() -> (std::sync::Arc<Inbox>, Receiver<()>) {
-        let (tx, rx) = channel::unbounded();
-        let inbox = std::sync::Arc::new(Inbox {
+    pub fn new() -> std::sync::Arc<Inbox> {
+        std::sync::Arc::new(Inbox {
             q: Mutex::new(InboxState {
                 packets: VecDeque::new(),
                 closed: false,
                 kicked: false,
-                doorbell: Some(tx),
             }),
             cond: Condvar::new(),
-        });
-        (inbox, rx)
+        })
     }
 
     /// Queue a packet. Returns `false` if the inbox is closed (the frame is
@@ -87,26 +75,16 @@ impl Inbox {
             return false;
         }
         g.packets.push_back(pkt);
-        // Ring under the lock so producers' empty-checks are serialized;
-        // the packet is already queued, so a consumer that takes the
-        // pre-existing token (making the skip-ring decision stale) still
-        // finds it in its drain.
-        if let Some(bell) = &g.doorbell {
-            if bell.is_empty() {
-                let _ = bell.send(());
-            }
-        }
         drop(g);
         self.cond.notify_one();
         true
     }
 
-    /// Close the inbox: waiters wake, the doorbell disconnects, and pushes
-    /// start failing. Packets already queued stay drainable.
+    /// Close the inbox: waiters wake and pushes start failing. Packets
+    /// already queued stay drainable.
     pub fn close(&self) {
         let mut g = self.q.lock();
         g.closed = true;
-        g.doorbell = None;
         drop(g);
         self.cond.notify_all();
     }

@@ -32,4 +32,4 @@ pub use fabric::{Fabric, FabricEvent, FaultStats, LinkFault, NodeStatus, Port};
 pub use inbox::{Inbox, Pop, PopBatch};
 pub use models::{BipMyrinet, Ideal, LayerCosts, NetKind, NetworkModel, ServerNetVia, TcpEthernet};
 pub use packet::{Addr, Packet, PacketKind, PortId, DAEMON_PORT};
-pub use polling::{Kick, PollingThread, RecvQueue};
+pub use polling::{Kick, KickSender, PollingThread, RecvQueue};

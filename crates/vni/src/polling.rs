@@ -18,6 +18,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crossbeam::channel::{SendError, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use starfish_telemetry::{metric, Registry};
@@ -246,8 +247,8 @@ enum KickTarget {
 /// Wakes the owner of one receive endpoint out of its timed batch wait —
 /// the polled [`RecvQueue`] or, without a polling thread, the port's own
 /// [`Inbox`] — without queueing a packet. Cheap to clone and `Send`: the
-/// process runtime hands one to its daemon-message forwarder and one to the
-/// application's rank directory.
+/// owner hands one, inside a [`KickSender`], to whoever queues work for it
+/// (a rank also gives one to the application's rank directory).
 #[derive(Clone)]
 pub struct Kick(KickTarget);
 
@@ -270,6 +271,40 @@ impl Kick {
             (KickTarget::Inbox(a), KickTarget::Inbox(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
+    }
+}
+
+/// The sending half of a queue whose owner is parked on a [`Kick`]able wait
+/// point, not on the queue: *queue, then kick*. The owner drains the queue
+/// with `try_recv` on every pass of its loop, so a kick that lands before
+/// it parks is not lost and one that lands while it is busy costs an empty
+/// pass. Dropping it kicks once more, after its end of the channel is gone,
+/// so a parked owner finds the disconnect (share it in an `Arc`: the
+/// hang-up is then the last holder's).
+pub struct KickSender<T> {
+    tx: Sender<T>, // dropped before `last`: fields drop in this order
+    last: KickOnDrop,
+}
+
+struct KickOnDrop(Kick);
+
+impl Drop for KickOnDrop {
+    fn drop(&mut self) {
+        self.0.kick();
+    }
+}
+
+impl<T> KickSender<T> {
+    pub fn new(tx: Sender<T>, kick: Kick) -> Self {
+        let last = KickOnDrop(kick);
+        KickSender { tx, last }
+    }
+
+    /// Fails only when the owner is gone (nobody is kicked then).
+    pub fn send(&self, msg: T) -> std::result::Result<(), SendError<T>> {
+        self.tx.send(msg)?;
+        self.last.0.kick();
+        Ok(())
     }
 }
 
@@ -452,6 +487,37 @@ mod tests {
         assert!(matches!(got, Err(Error::Interrupted(_))));
         let idle = port.recv_batch_timeout(8, Duration::from_millis(10));
         assert!(idle.unwrap().is_empty());
+    }
+
+    /// Queue, then kick; the hang-up is a kick too, delivered after the
+    /// sender's end of the channel is gone. An owner that drains its queue
+    /// on every wake therefore never needs a timeout, however the kicks
+    /// coalesce.
+    #[test]
+    fn kick_sender_queues_then_kicks_and_kicks_on_drop() {
+        use crossbeam::channel::{self, TryRecvError};
+        let (f, _, b) = setup();
+        let port = f.bind(b).unwrap();
+        let (tx, rx) = channel::unbounded();
+        let tx = KickSender::new(tx, port.kicker());
+        let owner = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            loop {
+                let woken = port.recv_batch_timeout(8, Duration::from_secs(30));
+                assert!(matches!(woken, Err(Error::Interrupted(_))), "{woken:?}");
+                loop {
+                    match rx.try_recv() {
+                        Ok(v) => got.push(v),
+                        Err(TryRecvError::Empty) => break,
+                        Err(TryRecvError::Disconnected) => return got,
+                    }
+                }
+            }
+        });
+        tx.send(7).unwrap();
+        tx.send(8).unwrap();
+        drop(tx);
+        assert_eq!(owner.join().unwrap(), vec![7, 8]);
     }
 
     #[test]

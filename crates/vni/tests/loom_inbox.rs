@@ -11,9 +11,10 @@
 //! * **oldest-first delivery** — each sender's packets come out in the
 //!   order that sender pushed them (the inbox is one FIFO; interleaving
 //!   across senders is free, reordering within a sender is a tear);
-//! * **doorbell soundness** — whenever the queue is non-empty a token is
-//!   waiting, so a `select!`-style consumer that drains fully per token
-//!   never strands a packet, and close() surfaces as a disconnect.
+//! * **a kick is never lost** — a `kick()` racing the owner's
+//!   `pop_batch_timeout` surfaces as `Kicked` from that wait or the next
+//!   one; packets win over it without clearing it; `close()` wakes a parked
+//!   owner, after the drain.
 
 use std::time::Duration;
 
@@ -21,7 +22,7 @@ use bytes::Bytes;
 use loom::sync::Arc;
 use loom::thread;
 use starfish_util::NodeId;
-use starfish_vni::inbox::{Inbox, Pop};
+use starfish_vni::inbox::{Inbox, Pop, PopBatch};
 use starfish_vni::{Addr, Packet, PacketKind, PortId};
 
 const SENDERS: u64 = 3;
@@ -51,7 +52,7 @@ fn assert_per_sender_fifo(tags: &[u64]) {
 #[test]
 fn concurrent_senders_racing_recv_timeout_lose_nothing() {
     loom::model(|| {
-        let (inbox, _bell) = Inbox::new();
+        let inbox = Inbox::new();
         let producers: Vec<_> = (0..SENDERS)
             .map(|s| {
                 let inbox = Arc::clone(&inbox);
@@ -90,46 +91,58 @@ fn concurrent_senders_racing_recv_timeout_lose_nothing() {
     });
 }
 
+/// The owner of a wait point with other queues to serve: every kick means
+/// "look at your queues", so none may vanish — neither into a wait that is
+/// just starting, nor into one that returns packets instead.
 #[test]
-fn doorbell_token_always_covers_queued_packets() {
+fn a_kick_is_never_lost() {
+    const FAR: Duration = Duration::from_secs(10);
     loom::model(|| {
-        let (inbox, bell) = Inbox::new();
-        let producers: Vec<_> = (0..SENDERS)
-            .map(|s| {
-                let inbox = Arc::clone(&inbox);
-                thread::spawn(move || {
-                    for k in 0..PER_SENDER {
-                        inbox.push(pkt(s, k));
-                        thread::yield_now();
-                    }
-                })
-            })
-            .collect();
-        // select!-style consumer: block on the doorbell, then drain fully.
-        let mut tags = Vec::new();
-        while (tags.len() as u64) < SENDERS * PER_SENDER {
-            bell.recv_timeout(Duration::from_secs(10))
-                .expect("doorbell must ring while packets are queued");
-            while let Pop::Packet(p) = inbox.try_pop() {
-                tags.push(p.tag);
+        let inbox = Inbox::new();
+        let kicker = {
+            let inbox = Arc::clone(&inbox);
+            thread::spawn(move || inbox.kick())
+        };
+        let sender = {
+            let inbox = Arc::clone(&inbox);
+            thread::spawn(move || assert!(inbox.push(pkt(0, 0))))
+        };
+        // One kick and one packet, racing the owner's waits in any order:
+        // exactly one `Kicked` and one batch come out, and no wait runs to
+        // its limit. If the packet wins a wait the kick was pending for,
+        // the kick is still there for the next.
+        let (mut kicks, mut packets) = (0, 0);
+        while (kicks, packets) != (1, 1) {
+            match inbox.pop_batch_timeout(8, FAR) {
+                PopBatch::Kicked => kicks += 1,
+                PopBatch::Packets(b) => packets += b.len(),
+                PopBatch::TimedOut => panic!("lost a wake-up ({kicks} kicks, {packets} packets)"),
+                PopBatch::Closed => panic!("inbox closed under its owner"),
             }
         }
-        for p in producers {
-            p.join().unwrap();
-        }
-        assert_per_sender_fifo(&tags);
-        // Close: the doorbell disconnects once drained of leftover tokens.
-        inbox.close();
-        assert!(!inbox.push(pkt(0, 99)), "push into closed inbox succeeded");
-        while bell.try_recv().is_ok() {}
-        assert!(bell.recv_timeout(Duration::from_millis(10)).is_err());
+        kicker.join().unwrap();
+        sender.join().unwrap();
+        // Packets win over a pending kick and leave it pending.
+        inbox.kick();
+        inbox.push(pkt(0, 1));
+        assert!(matches!(inbox.pop_batch_timeout(8, FAR), PopBatch::Packets(b) if b.len() == 1));
+        assert!(matches!(inbox.pop_batch_timeout(8, FAR), PopBatch::Kicked));
+        // close() wakes a parked owner — after the drain.
+        inbox.push(pkt(0, 2));
+        let closer = {
+            let inbox = Arc::clone(&inbox);
+            thread::spawn(move || inbox.close())
+        };
+        assert!(matches!(inbox.pop_batch_timeout(8, FAR), PopBatch::Packets(b) if b.len() == 1));
+        assert!(matches!(inbox.pop_batch_timeout(8, FAR), PopBatch::Closed));
+        closer.join().unwrap();
     });
 }
 
 #[test]
 fn close_wakes_blocked_consumer_after_drain() {
     loom::model(|| {
-        let (inbox, _bell) = Inbox::new();
+        let inbox = Inbox::new();
         inbox.push(pkt(0, 0));
         let closer = {
             let inbox = Arc::clone(&inbox);

@@ -56,11 +56,12 @@ fn dropping_a_cluster_leaves_no_thread_behind() {
     }
     assert!(threads() > before + 8, "a live cluster runs many threads");
 
-    // The driver thread is joined by its guard, the daemons by the cluster;
-    // ensemble stacks, polling threads, forwarders and ranks are detached
-    // and exit on their own once their node's ports close. Wait (bounded)
-    // for the operating system to show all of them gone — a joined thread
-    // can linger in /proc for a moment too.
+    // The driver thread is joined by its guard, the daemons (each one
+    // thread: the node loop owns its group stack) by the cluster; polling
+    // threads and ranks are detached and exit on their own once their
+    // node's ports close. Wait (bounded) for the operating system to show
+    // all of them gone — a joined thread can linger in /proc for a moment
+    // too.
     drop(auto);
     drop(cluster);
     let deadline = Instant::now() + Duration::from_secs(10);
