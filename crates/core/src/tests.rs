@@ -826,6 +826,42 @@ fn reserved_tags_are_rejected_at_every_entry_point() {
     );
 }
 
+/// A wildcard-tag receive on the world context leaves a collective's queued
+/// message alone. Rank 0's bcast leaves before its tag-5 message on the same
+/// link, so once rank 1 has that, the bcast payload sits in rank 1's queue:
+/// a `try_recv(None, None)` and an `iprobe(None, None)` must see nothing
+/// there, and the bcast must still deliver.
+#[test]
+fn a_wildcard_receive_leaves_a_queued_collective_alone() {
+    let cluster = Cluster::builder().nodes(2).build().unwrap();
+    cluster.register_app("wild", |ctx| {
+        if ctx.rank() == Rank(0) {
+            ctx.bcast(Rank(0), b"for everyone".to_vec())?;
+            return ctx.send(Rank(1), 5, b"after");
+        }
+        ctx.recv(Some(Rank(0)), Some(5))?;
+        let stolen = ctx.try_recv(None, None)?.map(|m| m.tag);
+        let probed = ctx.iprobe(None, None)?;
+        ctx.publish(CkptValue::Str(format!("{stolen:?} {probed}")));
+        if stolen.is_none() {
+            let got = ctx.bcast(Rank(0), Vec::new())?;
+            ctx.publish(CkptValue::Str(String::from_utf8_lossy(&got).into_owned()));
+        }
+        Ok(())
+    });
+    let app = cluster
+        .submit("wild", 2, SubmitOpts::default().policy(FtPolicy::Kill))
+        .unwrap();
+    cluster.wait_app_done(app, T).unwrap();
+    assert_eq!(
+        cluster.outputs(app, Rank(1)),
+        vec![
+            CkptValue::Str("None false".into()),
+            CkptValue::Str("for everyone".into())
+        ]
+    );
+}
+
 /// What one rank adds to its accumulator in iteration `iter` of the
 /// algorithm bank below, at payload scale `len`: element sums of two
 /// allreduces, byte sums of two ragged allgathers and of one bcast.

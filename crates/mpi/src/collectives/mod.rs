@@ -57,8 +57,11 @@
 //!
 //! Per-rank blobs move as [`Bytes`] handles that alias the arrival buffer —
 //! receiving a blob never copies it, and multi-blob results are zero-copy
-//! slices. The one composite wire format is the gather+bcast allgather's
-//! concatenation:
+//! slices. Sending does not copy what the library owns either: a tree
+//! forward, an encoded contribution or a scattered blob leaves as its
+//! `Bytes` through [`Transport::isend`]; only a slice the caller lent
+//! (gather, alltoall) pays the endpoint's one copy. The one composite wire
+//! format is the gather+bcast allgather's concatenation:
 //!
 //! ```text
 //! [count: u32 BE] ( [len_i: u32 BE] [blob_i: len_i bytes] ) * count
@@ -274,6 +277,22 @@ fn send_c<X: Transport>(
     t.send(clock, world, comm.context(), tag, data)
 }
 
+/// [`send_c`] of a buffer the library owns (one it encoded or received):
+/// the buffer itself leaves, uncopied, eager or rendezvous.
+fn send_owned_c<X: Transport>(
+    t: &mut X,
+    comm: &Comm,
+    clock: &mut X::Clock,
+    dst: Rank, // communicator rank
+    tag: u64,
+    data: Bytes,
+) -> Result<()> {
+    let world = comm.world_rank(dst)?;
+    note(t.endpoint(), metric::COLL_BYTES_MOVED, data.len() as u64);
+    let req = t.isend(clock, world, comm.context(), tag, data)?;
+    t.wait(clock, req)
+}
+
 fn recv_c<X: Transport>(
     t: &mut X,
     comm: &Comm,
@@ -423,7 +442,7 @@ fn binomial_bcast_raw<X: Transport>(
     while mask > 0 {
         if vr + mask < n {
             let dst = Rank(((me + mask) % n) as u32);
-            send_c(t, comm, clock, dst, tag, &buf)?;
+            send_owned_c(t, comm, clock, dst, tag, buf.clone())?;
         }
         mask >>= 1;
     }
@@ -549,7 +568,7 @@ pub fn reduce<X: Transport, T: PodNum>(
         } else {
             let peer_vr = vr ^ mask;
             let dst = Rank(((peer_vr + root.index()) % n) as u32);
-            send_c(t, comm, clock, dst, tag, &encode_slice(&acc))?;
+            send_owned_c(t, comm, clock, dst, tag, encode_slice(&acc).into())?;
             return Ok(None);
         }
         mask <<= 1;
@@ -669,7 +688,7 @@ pub fn scatter<X: Transport>(
         }
         for (i, blob) in blobs.iter().enumerate() {
             if i != me.index() {
-                send_c(t, comm, clock, Rank(i as u32), tag, blob)?;
+                send_owned_c(t, comm, clock, Rank(i as u32), tag, blob.clone())?;
             }
         }
         Ok(blobs[me.index()].clone())
@@ -843,14 +862,8 @@ pub fn scan<X: Transport, T: PodNum>(
         }
     }
     if me + 1 < n {
-        send_c(
-            t,
-            comm,
-            clock,
-            Rank((me + 1) as u32),
-            tag,
-            &encode_slice(&acc),
-        )?;
+        let next = Rank((me + 1) as u32);
+        send_owned_c(t, comm, clock, next, tag, encode_slice(&acc).into())?;
     }
     Ok(acc)
 }

@@ -84,10 +84,11 @@ pub const INGEST_BATCH: usize = 64;
 /// One data-path frame as it left, which is everything a retransmission
 /// needs — the reliable flows retain exactly this. Single-segment messages
 /// keep their whole frame in `envelope` and no `seg`; rendezvous DATA
-/// chunks keep the gather envelope (header ++ chunk descriptor) and the
-/// zero-copy payload slice. `depart` is the virtual departure of the
-/// *first* send: a retransmission is a real-time artifact of the faulty
-/// wire; protocol-wise the message left when it first left.
+/// chunks and owned eager payloads keep the gather envelope (the header,
+/// and a DATA chunk's descriptor) and the zero-copy payload. `depart` is
+/// the virtual departure of the *first* send: a retransmission is a
+/// real-time artifact of the faulty wire; protocol-wise the message left
+/// when it first left.
 #[derive(Debug, Clone)]
 struct Frame {
     envelope: Bytes,
@@ -484,7 +485,7 @@ impl MpiEndpoint {
     }
 
     /// [`send_world`](Self::send_world) without the payload copy: a `Bytes`
-    /// payload travels the rendezvous path as zero-copy slices end-to-end.
+    /// payload travels either path as zero-copy slices end-to-end.
     pub fn send_world_bytes(
         &mut self,
         clock: &mut VClock,
@@ -527,9 +528,11 @@ impl MpiEndpoint {
     /// Every send: route it ([`Credit::route`]), then either the whole
     /// eager message leaves, charged against the destination's budget, or
     /// the RTS of a rendezvous transfer does and the payload is parked.
-    /// `owned` is the caller's `Bytes` if it has one; a `&[u8]` caller pays
-    /// the one payload copy of the rendezvous path here, and from there to
-    /// the wire — retransmissions included — only slices of it travel.
+    /// `owned` is the caller's `Bytes` if it has one: it leaves as the
+    /// packet's payload segment, eager or rendezvous, and is never copied. A
+    /// `&[u8]` caller pays one payload copy — into the frame if eager, here
+    /// if rendezvous — and from there to the wire, retransmissions
+    /// included, only slices of it travel.
     fn start_send(
         &mut self,
         clock: &mut VClock,
@@ -544,7 +547,11 @@ impl MpiEndpoint {
             _ => self.credit.route(dst, data.len(), self.rndv_threshold),
         };
         if route == Route::Eager {
-            self.emit(clock, dst, context, tag, 0, data, None)?;
+            let (body, seg): (&[u8], _) = match owned {
+                Some(payload) => (&[], Some(payload)),
+                None => (data, None),
+            };
+            self.emit(clock, dst, context, tag, 0, body, seg)?;
             if context != CTRL_CONTEXT {
                 self.credit.spend(dst, data.len());
             }
@@ -647,7 +654,8 @@ impl MpiEndpoint {
     /// The one emit path of the data plane: sequence, frame, send, account,
     /// retain. `body` follows the header in the envelope; a rendezvous DATA
     /// frame carries its chunk descriptor there and the chunk itself in
-    /// `seg`, the packet's separate payload segment, uncopied.
+    /// `seg`, the packet's separate payload segment, uncopied — as an owned
+    /// eager send carries its whole payload, with an empty `body`.
     #[allow(clippy::too_many_arguments)]
     fn emit(
         &mut self,
@@ -784,8 +792,9 @@ impl MpiEndpoint {
         }
         let arrive = pkt.arrive_vt;
         // Gather frames carry the MsgHeader envelope in the head segment and
-        // the (zero-copy) chunk bytes in the payload segment; single-buffer
-        // frames keep everything in the payload.
+        // the (zero-copy) payload in the payload segment — a rendezvous
+        // chunk, or the body of an owned eager send; single-buffer frames
+        // keep everything in the payload.
         let (envelope, seg) = if pkt.head.is_empty() {
             (pkt.payload, Bytes::new())
         } else {
@@ -794,6 +803,10 @@ impl MpiEndpoint {
         let (header, body, ctx) = match MsgHeader::parse_ext(&envelope) {
             Ok(x) => x,
             Err(_) => return, // corrupt: drop
+        };
+        let (body, seg) = match header.flags {
+            0 if !seg.is_empty() => (seg, Bytes::new()),
+            _ => (body, seg),
         };
         // Stale-epoch traffic (from before a rollback) is discarded;
         // future-epoch traffic (a restarted peer racing ahead of our own
@@ -1201,6 +1214,8 @@ impl Drop for MpiEndpoint {
 mod tests {
     use super::*;
     use crate::rendezvous::RNDV_EARLY_CHUNKS;
+    use crate::wire::{RndvChunk, RndvEnv};
+    use starfish_trace::EventKind;
     use starfish_util::NodeId;
     use starfish_vni::{BipMyrinet, Ideal};
 
@@ -2026,6 +2041,45 @@ mod tests {
             range.contains(&p) && range.contains(&(p + got.data.len() - 1)),
             "single-chunk delivery must alias the sender's payload buffer"
         );
+    }
+
+    /// A payload the sender owns reaches the receiver as the sender's own
+    /// buffer on both paths, at the default thresholds: a 256 KiB blocking
+    /// send goes rendezvous in one chunk, a 512 B `isend` goes eager with
+    /// the payload as its packet's segment — and the eager one still counts
+    /// as 512 B of payload wherever the body used to be counted.
+    #[test]
+    fn owned_payloads_reach_the_receiver_uncopied() {
+        let (f, dir) = setup(2, "ideal");
+        let mut a = ep(&f, &dir, 0);
+        let mut b = ep(&f, &dir, 1);
+        let sink = TraceSink::enabled();
+        a.trace = sink.clone();
+        a.set_recorder(FlightRecorder::new("app1.r0", 64));
+        let big = Bytes::from(vec![0xB1u8; 256 * 1024]);
+        let small = Bytes::from(vec![0x5Au8; 512]);
+        let sent = [big.as_ptr(), small.as_ptr()];
+        let rx = std::thread::spawn(move || {
+            let mut cb = VClock::new();
+            [1, 2].map(|tag| b.recv_world(&mut cb, 1, Some(Rank(0)), Some(tag)).unwrap())
+        });
+        let mut ca = VClock::new();
+        a.send_world_bytes(&mut ca, Rank(1), 1, 1, big).unwrap();
+        let req = a.isend_world_bytes(&mut ca, Rank(1), 1, 2, small).unwrap();
+        assert!(matches!(req, Request::Send { .. }), "512 B is eager");
+        let got = rx.join().unwrap();
+        for (m, (ptr, len)) in got.iter().zip(sent.into_iter().zip([256 * 1024, 512])) {
+            assert_eq!((m.data.as_ptr(), m.data.len()), (ptr, len), "tag {}", m.tag);
+        }
+        let events = a.recorder().dump().events;
+        let eager = &events.last().expect("the eager send was recorded").kind;
+        assert!(
+            matches!(eager, EventKind::Send { bytes: 512, .. }),
+            "{eager:?}"
+        );
+        let rts_and_chunk = 2 * MsgHeader::LEN + RndvEnv::LEN + RndvChunk::LEN + 256 * 1024;
+        let framed = rts_and_chunk + MsgHeader::LEN + TraceCtx::WIRE_LEN * 3 + 512;
+        assert_eq!(sink.bytes(MsgClass::Data), framed as u64);
     }
 
     /// The zero-copy pin: every chunk's retransmit record holds a slice of

@@ -22,6 +22,7 @@ use std::collections::{BTreeSet, VecDeque};
 use bytes::Bytes;
 use starfish_util::{Epoch, Rank, VirtualTime};
 
+use crate::collectives::COLL_TAG_BASE;
 use crate::rendezvous::{RndvAsm, RndvRx};
 use crate::wire::{MsgHeader, RndvChunk, RndvEnv, FLAG_RNDV_DATA, FLAG_RNDV_RTS};
 
@@ -83,11 +84,15 @@ pub struct MatchQueue {
     recorded: Vec<(MsgHeader, Bytes)>,
 }
 
+/// Does a receive posted in `epoch` for (`context`, `src`, `tag`) take `h`?
+/// A wildcard tag sees user tags only: the space from [`COLL_TAG_BASE`] up
+/// belongs to the collectives, whose messages share the context with
+/// point-to-point traffic and are received by exact tag.
 fn matches(epoch: Epoch, h: &MsgHeader, context: u32, src: Option<Rank>, tag: Option<u64>) -> bool {
     h.epoch == epoch
         && h.context == context
         && src.is_none_or(|s| s == h.src)
-        && tag.is_none_or(|t| t == h.tag)
+        && tag.map_or(h.tag < COLL_TAG_BASE, |t| t == h.tag)
 }
 
 impl MatchQueue {
@@ -411,6 +416,28 @@ mod tests {
         assert_eq!(rx.take(None, None), "ready 0:5 \"late\" @11");
         assert_eq!(rx.take(None, None), "none");
         assert_eq!(rx.q.len(), 0);
+    }
+
+    /// A wildcard-tag receive must not steal a collective's message, which
+    /// shares the context with point-to-point traffic: only its exact tag
+    /// takes it.
+    #[test]
+    fn a_wildcard_tag_never_sees_the_collective_tag_space() {
+        let mut rx = Rx::new();
+        let coll = COLL_TAG_BASE | 7;
+        assert!(rx.eager(0, coll, b"coll", 1).is_some());
+        assert!(!rx.q.probe(E0, 1, None, None));
+        assert!(!rx.q.probe(E0, 1, Some(Rank(0)), None));
+        assert_eq!(rx.take(None, None), "none");
+        assert_eq!(rx.take(Some(0), None), "none");
+        assert!(rx.eager(0, 5, b"user", 2).is_some());
+        assert_eq!(rx.take(None, None), "ready 0:5 \"user\" @2");
+        assert!(rx.q.probe(E0, 1, None, Some(coll)));
+        assert_eq!(
+            rx.take(None, Some(coll)),
+            format!("ready 0:{coll} \"coll\" @1")
+        );
+        assert!(rx.q.is_empty());
     }
 
     #[test]

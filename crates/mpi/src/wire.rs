@@ -1,6 +1,6 @@
 //! Data-message envelope and addressing constants.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use starfish_trace::TraceCtx;
 use starfish_util::codec::{Decode, Decoder, Encode, Encoder};
 use starfish_util::{AppId, Epoch, Rank, Result};
@@ -76,16 +76,15 @@ impl MsgHeader {
         enc.put_u8(self.flags);
     }
 
-    /// Prefix `body` with this header (no extension). The body bytes are
-    /// copied once into the framed buffer; all subsequent layer hand-offs
-    /// share it.
+    /// Prefix `body` with this header (no extension); see
+    /// [`frame_ext`](Self::frame_ext).
     pub fn frame(&self, body: &[u8]) -> Bytes {
         self.frame_ext(body, TraceCtx::NONE)
     }
 
     /// Prefix `body` with this header and, when `ctx` carries one, a
-    /// trace-context extension. The body bytes are copied into the wire
-    /// buffer exactly once.
+    /// trace-context extension. One buffer of the exact frame size: the body
+    /// bytes are copied into it once, and it becomes the `Bytes` uncopied.
     pub fn frame_ext(&self, body: &[u8], ctx: TraceCtx) -> Bytes {
         let ext = if ctx.is_some() { TraceCtx::WIRE_LEN } else { 0 };
         let mut enc = Encoder::with_capacity(Self::LEN + ext + body.len());
@@ -94,9 +93,9 @@ impl MsgHeader {
         if ctx.is_some() {
             ctx.encode(&mut enc);
         }
-        let mut buf = BytesMut::from(&enc.into_vec()[..]);
+        let mut buf = enc.into_vec();
         buf.extend_from_slice(body);
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     fn parse_fixed(framed: &Bytes) -> Result<(MsgHeader, usize)> {

@@ -59,6 +59,17 @@ impl QueueState {
             m.gauge_set(metric::VNI_RECV_QUEUE_DEPTH, self.packets.len() as i64);
         }
     }
+
+    /// Up to `max` (at least one) packets off the front. When they all fit,
+    /// the queue's buffer itself is handed over — the batch the polling
+    /// thread pushed, usually — so a packet costs no allocation here.
+    fn take(&mut self, max: usize) -> Vec<Packet> {
+        let max = max.max(1);
+        if self.packets.len() <= max {
+            return std::mem::take(&mut self.packets).into();
+        }
+        self.packets.drain(..max).collect()
+    }
 }
 
 impl RecvQueue {
@@ -82,13 +93,18 @@ impl RecvQueue {
     }
 
     /// Enqueue a batch of packets under one lock acquisition, preserving
-    /// order (the polling thread's batched drain lands here).
+    /// order (the polling thread's batched drain lands here). An empty
+    /// queue adopts the batch's buffer instead of copying it into its own.
     pub fn push_batch(&self, batch: Vec<Packet>) {
         if batch.is_empty() {
             return;
         }
         let mut g = self.inner.q.lock();
-        g.packets.extend(batch);
+        if g.packets.is_empty() {
+            g.packets = batch.into();
+        } else {
+            g.packets.extend(batch);
+        }
         g.publish_depth();
         self.inner.cond.notify_all();
     }
@@ -98,10 +114,6 @@ impl RecvQueue {
         let mut g = self.inner.q.lock();
         g.closed = true;
         self.inner.cond.notify_all();
-    }
-
-    pub fn is_closed(&self) -> bool {
-        self.inner.q.lock().closed
     }
 
     /// Wake whoever is (or next goes) blocked in [`wait_batch`](Self::wait_batch)
@@ -134,8 +146,7 @@ impl RecvQueue {
     /// burst costs one lock hop, not one per frame.
     pub fn take_batch(&self, max: usize) -> Vec<Packet> {
         let mut g = self.inner.q.lock();
-        let take = g.packets.len().min(max.max(1));
-        let batch: Vec<Packet> = g.packets.drain(..take).collect();
+        let batch = g.take(max);
         if !batch.is_empty() {
             g.publish_depth();
         }
@@ -152,8 +163,7 @@ impl RecvQueue {
         let mut g = self.inner.q.lock();
         loop {
             if !g.packets.is_empty() {
-                let take = g.packets.len().min(max.max(1));
-                let batch: Vec<Packet> = g.packets.drain(..take).collect();
+                let batch = g.take(max);
                 g.publish_depth();
                 return Ok(batch);
             }
@@ -178,63 +188,6 @@ impl RecvQueue {
         let pkt = g.packets.remove(idx);
         g.publish_depth();
         pkt
-    }
-
-    /// Block until a packet matching `pred` is available, then remove and
-    /// return it. `deadline` bounds the real-time wait.
-    pub fn wait_matching(
-        &self,
-        mut pred: impl FnMut(&Packet) -> bool,
-        deadline: Duration,
-    ) -> Result<Packet> {
-        let start = std::time::Instant::now(); // lint: allow(wall-clock)
-        let mut g = self.inner.q.lock();
-        loop {
-            if let Some(idx) = g.packets.iter().position(&mut pred) {
-                let pkt = g.packets.remove(idx).expect("index valid under lock");
-                g.publish_depth();
-                return Ok(pkt);
-            }
-            if g.closed {
-                return Err(Error::closed("receive queue closed"));
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= deadline {
-                return Err(Error::timeout("wait_matching"));
-            }
-            let timed_out = self
-                .inner
-                .cond
-                .wait_for(&mut g, deadline - elapsed)
-                .timed_out();
-            if timed_out && g.packets.iter().position(&mut pred).is_none() {
-                if g.closed {
-                    return Err(Error::closed("receive queue closed"));
-                }
-                return Err(Error::timeout("wait_matching"));
-            }
-        }
-    }
-
-    /// Snapshot every queued packet (used when checkpointing: in-transit
-    /// messages that already reached the queue belong to the local state).
-    pub fn snapshot(&self) -> Vec<Packet> {
-        self.inner.q.lock().packets.iter().cloned().collect()
-    }
-
-    /// Replace the queue contents (used on restore).
-    pub fn restore(&self, packets: Vec<Packet>) {
-        let mut g = self.inner.q.lock();
-        g.packets = packets.into();
-        g.publish_depth();
-        self.inner.cond.notify_all();
-    }
-
-    /// Drop everything queued (used when an application is killed).
-    pub fn clear(&self) {
-        let mut g = self.inner.q.lock();
-        g.packets.clear();
-        g.publish_depth();
     }
 }
 
@@ -392,16 +345,17 @@ mod tests {
         for t in 0..5 {
             f.send(pkt(a, b, t)).unwrap();
         }
-        // Wait for all five to land.
-        for t in 0..5 {
-            let got = q
-                .wait_matching(|p| p.tag == t, Duration::from_secs(2))
-                .unwrap();
-            assert_eq!(got.tag, t);
+        // Wait for all five to land, in order.
+        let mut tags = Vec::new();
+        while tags.len() < 5 {
+            let batch = q.wait_batch(8, Duration::from_secs(2)).unwrap();
+            tags.extend(batch.iter().map(|p| p.tag));
         }
+        assert_eq!(tags, [0, 1, 2, 3, 4]);
         f.crash_node(NodeId(1));
         assert_eq!(poll.join(), 5);
-        assert!(q.is_closed());
+        let closed = q.wait_batch(8, Duration::from_secs(2));
+        assert!(matches!(closed, Err(Error::Closed(_))), "{closed:?}");
     }
 
     #[test]
@@ -418,32 +372,40 @@ mod tests {
     }
 
     #[test]
-    fn wait_matching_times_out() {
-        let q = RecvQueue::new();
-        let r = q.wait_matching(|_| true, Duration::from_millis(30));
-        assert!(matches!(r, Err(Error::Timeout(_))));
-    }
-
-    #[test]
-    fn wait_matching_wakes_on_push() {
+    fn wait_batch_wakes_on_push() {
         let q = RecvQueue::new();
         let (_, a, b) = setup();
         let q2 = q.clone();
-        let h =
-            std::thread::spawn(move || q2.wait_matching(|p| p.tag == 7, Duration::from_secs(2)));
+        let h = std::thread::spawn(move || q2.wait_batch(8, Duration::from_secs(30)));
         std::thread::sleep(Duration::from_millis(20));
         q.push(pkt(a, b, 7));
-        assert_eq!(h.join().unwrap().unwrap().tag, 7);
+        assert_eq!(h.join().unwrap().unwrap()[0].tag, 7);
     }
 
     #[test]
     fn close_wakes_waiters_with_error() {
         let q = RecvQueue::new();
         let q2 = q.clone();
-        let h = std::thread::spawn(move || q2.wait_matching(|_| true, Duration::from_secs(5)));
+        let h = std::thread::spawn(move || q2.wait_batch(8, Duration::from_secs(30)));
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert!(matches!(h.join().unwrap(), Err(Error::Closed(_))));
+    }
+
+    /// A batch that fits is handed over whole, in order, and the next one
+    /// starts from an empty queue; a longer queue gives `max` at a time.
+    #[test]
+    fn batches_leave_in_order_whole_or_max_at_a_time() {
+        let q = RecvQueue::new();
+        let (_, a, b) = setup();
+        let tags = |batch: Vec<Packet>| batch.iter().map(|p| p.tag).collect::<Vec<_>>();
+        q.push_batch((0..3).map(|t| pkt(a, b, t)).collect());
+        q.push_batch((3..5).map(|t| pkt(a, b, t)).collect());
+        assert_eq!(tags(q.take_batch(2)), [0, 1]);
+        assert_eq!(tags(q.take_batch(8)), [2, 3, 4]);
+        assert!(q.is_empty());
+        q.push_batch(vec![pkt(a, b, 5)]);
+        assert_eq!(tags(q.take_batch(8)), [5]);
     }
 
     #[test]
@@ -518,20 +480,5 @@ mod tests {
         tx.send(8).unwrap();
         drop(tx);
         assert_eq!(owner.join().unwrap(), vec![7, 8]);
-    }
-
-    #[test]
-    fn snapshot_and_restore() {
-        let q = RecvQueue::new();
-        let (_, a, b) = setup();
-        q.push(pkt(a, b, 1));
-        q.push(pkt(a, b, 2));
-        let snap = q.snapshot();
-        assert_eq!(snap.len(), 2);
-        q.clear();
-        assert!(q.is_empty());
-        q.restore(snap);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.take_matching(|p| p.tag == 1).unwrap().tag, 1);
     }
 }

@@ -31,9 +31,26 @@ fn voluntary_switches() -> u64 {
     per_thread("status").iter().map(count).sum()
 }
 
+/// Every live thread's name, sorted. A thread listed between its `clone()`
+/// and its own `PR_SET_NAME` still carries its parent's name — on a loaded
+/// box for as long as it waits for a core — so list until two listings
+/// 20 ms apart agree (for at most a second).
 fn thread_names() -> Vec<String> {
-    let names = per_thread("comm");
-    names.iter().map(|n| n.trim().to_string()).collect()
+    let list = || {
+        let mut names: Vec<String> = per_thread("comm").iter().map(|n| n.trim().into()).collect();
+        names.sort();
+        names
+    };
+    let mut last = list();
+    for _ in 0..50 {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = list();
+        if now == last {
+            break;
+        }
+        last = now;
+    }
+    last
 }
 
 #[test]
