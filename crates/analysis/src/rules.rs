@@ -138,9 +138,10 @@ fn forbidden_tokens(src_dir: &Path, tokens: &[&str], wher: &str) -> Vec<Finding>
 // ---------------------------------------------------------------------------
 
 /// The file marker (a comment line of its own) that opts a module into
-/// rule 4. `crates/mpi/src/{reliability,rendezvous,credit,matching}.rs` and
-/// `crates/ensemble/src/{core,group}.rs` carry it; a unit test below pins
-/// that.
+/// rule 4. `crates/mpi/src/{reliability,rendezvous,credit,matching}.rs`,
+/// `crates/ensemble/src/{core,group}.rs` and
+/// `crates/checkpoint/src/proto/{rank,stop_and_sync,chandy_lamport,independent}.rs`
+/// carry it; a unit test below pins that.
 pub const SANS_IO_MARKER: &str = "// lint: sans-io";
 
 /// What a sans-IO module may not name: wall-clock reads, the fabric and
@@ -619,8 +620,8 @@ mod tests {
     /// loss of coverage.
     #[test]
     fn the_protocol_machines_are_marked_sans_io() {
-        // (crate dir, its machines; its shell is `endpoint.rs`)
-        let table: [(&str, &[&str]); 2] = [
+        // (crate dir, its machines, the shell that drives them)
+        let table: [(&str, &[&str], &str); 3] = [
             (
                 "mpi",
                 &[
@@ -629,18 +630,37 @@ mod tests {
                     "credit.rs",
                     "matching.rs",
                 ],
+                "mpi/src/endpoint.rs",
             ),
-            ("ensemble", &["core.rs", "group.rs"]),
+            (
+                "ensemble",
+                &["core.rs", "group.rs"],
+                "ensemble/src/endpoint.rs",
+            ),
+            (
+                "checkpoint",
+                &[
+                    "proto/rank.rs",
+                    "proto/stop_and_sync.rs",
+                    "proto/chandy_lamport.rs",
+                    "proto/independent.rs",
+                ],
+                "core/src/runtime.rs",
+            ),
         ];
-        for (krate, machines) in table {
-            let src = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../{krate}/src"));
-            let marked = |f: &str| is_sans_io(&SourceFile::load(&src.join(f)).expect(f));
+        let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let marked = |f: &Path| is_sans_io(&SourceFile::load(f).expect("a source file"));
+        for (krate, machines, shell) in table {
+            let src = crates.join(format!("{krate}/src"));
             for f in machines {
-                assert!(marked(f), "{krate}/{f} lost its `{SANS_IO_MARKER}` marker");
+                assert!(
+                    marked(&src.join(f)),
+                    "{krate}/{f} lost its `{SANS_IO_MARKER}` marker"
+                );
             }
             assert!(
-                !marked("endpoint.rs"),
-                "{krate}: the shell is not a machine"
+                !marked(&crates.join(shell)),
+                "{shell}: the shell is not a machine"
             );
             assert!(sans_io(&src).is_empty(), "{:?}", sans_io(&src));
         }

@@ -7,12 +7,13 @@
 //! messages arriving on each incoming channel until that channel's marker
 //! arrives. Channel FIFO order (which our data path provides per sender)
 //! makes the recorded sets exactly the in-flight messages.
+// lint: sans-io
 
 use std::collections::BTreeSet;
 
 use starfish_util::Rank;
 
-use super::{CrEffect, CrEvent, CrMsg};
+use super::{CrEffect, CrMsg};
 
 /// Snapshot status of one participant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,21 +128,6 @@ impl ChandyLamport {
             vec![CrEffect::Committed { index: self.index }]
         } else {
             Vec::new()
-        }
-    }
-
-    /// The uniform transition function: feed one [`CrEvent`], get the
-    /// resulting effects. Exactly equivalent to the named entry point for
-    /// the event's kind; the `verify` model checker explores through here.
-    pub fn step(&mut self, ev: CrEvent) -> Vec<CrEffect> {
-        match ev {
-            CrEvent::Start { index } => self.start(index),
-            CrEvent::Msg { from, msg } => self.on_msg(from, &msg),
-            CrEvent::Marker { from, index } => self.on_marker(from, index),
-            // Flush marks belong to stop-and-sync; a saved-local completion
-            // needs no engine action here (Saved is sent on completion of
-            // marker collection, not of the disk write).
-            CrEvent::FlushMark { .. } | CrEvent::SavedLocal { .. } => Vec::new(),
         }
     }
 

@@ -10,6 +10,7 @@
 //! The paper highlights that Starfish can run this protocol side by side
 //! with the coordinated ones; the `ablation_cr_protocols` and
 //! `ablation_domino` benches compare them.
+// lint: sans-io
 
 use starfish_util::Rank;
 
@@ -24,22 +25,11 @@ pub struct Independent {
     /// Current interval index: number of checkpoints taken so far. Interval
     /// `k` is the execution after checkpoint `k`.
     interval: u64,
-    /// Receive-side dependency log accumulated since the beginning (flushed
-    /// to the store alongside each checkpoint by the runtime).
-    pending_deps: Vec<MsgDep>,
 }
 
 impl Independent {
     pub fn new(me: Rank) -> Self {
-        Independent {
-            me,
-            interval: 0,
-            pending_deps: Vec::new(),
-        }
-    }
-
-    pub fn me(&self) -> Rank {
-        self.me
+        Independent { me, interval: 0 }
     }
 
     /// The interval index to piggyback on outgoing data messages.
@@ -58,28 +48,20 @@ impl Independent {
     }
 
     /// A data message arrived carrying the sender's piggybacked interval.
-    /// Returns the dependency record the runtime must persist.
-    pub fn on_data_received(&mut self, sender: Rank, sender_interval: u64) -> MsgDep {
-        let dep = MsgDep {
+    /// Returns the dependency record the runtime must persist (the engine
+    /// keeps no copy: the store's dependency log is the only one).
+    pub fn on_data_received(&self, sender: Rank, sender_interval: u64) -> MsgDep {
+        MsgDep {
             sender,
             send_interval: sender_interval,
             receiver: self.me,
             recv_interval: self.interval,
-        };
-        self.pending_deps.push(dep);
-        dep
-    }
-
-    /// Dependencies logged since the last drain (the runtime persists these
-    /// with each checkpoint / periodically).
-    pub fn drain_deps(&mut self) -> Vec<MsgDep> {
-        std::mem::take(&mut self.pending_deps)
+        }
     }
 
     /// After a rollback, reset to the restored interval.
     pub fn rollback_to(&mut self, index: u64) {
         self.interval = index;
-        self.pending_deps.clear();
     }
 }
 
@@ -107,8 +89,6 @@ mod tests {
         assert_eq!(dep.send_interval, 3);
         assert_eq!(dep.receiver, Rank(1));
         assert_eq!(dep.recv_interval, 1);
-        assert_eq!(e.drain_deps().len(), 1);
-        assert!(e.drain_deps().is_empty(), "drained");
     }
 
     #[test]
@@ -116,10 +96,9 @@ mod tests {
         let mut e = Independent::new(Rank(1));
         e.take_checkpoint();
         e.take_checkpoint();
-        e.on_data_received(Rank(0), 0);
         e.rollback_to(1);
         assert_eq!(e.current_interval(), 1);
-        assert!(e.drain_deps().is_empty());
+        assert_eq!(e.on_data_received(Rank(0), 0).recv_interval, 1);
     }
 
     /// End-to-end with the recovery module: two processes, an orphan

@@ -5,10 +5,11 @@
 //! encountered" (§2.2), and protocols can run side by side for comparison
 //! (§3.2.2). We realize that with *pure protocol engines*: each engine is a
 //! deterministic state machine that consumes protocol messages ([`CrMsg`])
-//! and local completion callbacks, and emits [`CrEffect`]s. The runtime in
-//! the `starfish` crate maps effects onto real sends (through the daemons'
-//! lightweight groups for control, through the VNI data path for channel
-//! marks), queue flushes and disk writes; unit tests drive engines directly.
+//! and local completion callbacks, and emits [`CrEffect`]s. What a rank does
+//! with them is one more pure machine, [`rank::RankCr`]; the runtime in the
+//! `starfish` crate carries its answers out (sends through the daemons'
+//! lightweight groups for control, marks on the VNI data path, image
+//! writes), and the `verify` crate drives the same values.
 //!
 //! Implemented protocols:
 //! * [`stop_and_sync`] — the coordinated protocol the paper measures in
@@ -20,16 +21,26 @@
 
 pub mod chandy_lamport;
 pub mod independent;
+pub mod rank;
 pub mod stop_and_sync;
 
 use starfish_util::codec::{Decode, Decoder, Encode, Encoder};
 use starfish_util::{Error, Rank, Result, VirtualTime};
 
+/// Which distributed C/R protocol an application runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CkptProto {
+    StopAndSync,
+    ChandyLamport,
+    Independent,
+}
+
 /// Checkpoint/restart protocol messages (Table 1's "Checkpoint/restart"
 /// class; exchanged by C/R modules through the daemons, opaque to them).
 /// `Marker` and `FlushMark` additionally travel the *data* path so they are
 /// FIFO-ordered with application messages — that is what makes channel
-/// flushing/recording sound.
+/// flushing/recording sound. Rollbacks are not a C/R message: the daemon
+/// orders them directly (`ProcDown::Rollback`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CrMsg {
     /// Coordinator tells everyone to stop and checkpoint (stop-and-sync).
@@ -42,8 +53,6 @@ pub enum CrMsg {
     Marker { index: u64 },
     /// Stop-and-sync channel-flush mark (data path).
     FlushMark { index: u64 },
-    /// Daemon tells a restarted process which checkpoint to load.
-    RollbackTo { index: u64 },
 }
 
 impl CrMsg {
@@ -56,7 +65,6 @@ impl CrMsg {
             CrMsg::Resume { index } => format!("resume #{index}"),
             CrMsg::Marker { index } => format!("marker #{index}"),
             CrMsg::FlushMark { index } => format!("flush-mark #{index}"),
-            CrMsg::RollbackTo { index } => format!("rollback-to #{index}"),
         }
     }
 }
@@ -66,7 +74,6 @@ const T_SAVED: u8 = 2;
 const T_RESUME: u8 = 3;
 const T_MARKER: u8 = 4;
 const T_FLUSH: u8 = 5;
-const T_ROLLBACK: u8 = 6;
 
 impl Encode for CrMsg {
     fn encode(&self, enc: &mut Encoder) {
@@ -92,10 +99,6 @@ impl Encode for CrMsg {
                 enc.put_u8(T_FLUSH);
                 index.encode(enc);
             }
-            CrMsg::RollbackTo { index } => {
-                enc.put_u8(T_ROLLBACK);
-                index.encode(enc);
-            }
         }
     }
 }
@@ -119,32 +122,9 @@ impl Decode for CrMsg {
             T_FLUSH => CrMsg::FlushMark {
                 index: u64::decode(dec)?,
             },
-            T_ROLLBACK => CrMsg::RollbackTo {
-                index: u64::decode(dec)?,
-            },
             t => return Err(Error::codec(format!("unknown CrMsg tag {t}"))),
         })
     }
-}
-
-/// A single input to a C/R protocol engine — the uniform event type of the
-/// `step(state, event) → actions` transition interface that the `verify`
-/// crate's model checker drives. The runtime's named entry points (`start`,
-/// `on_msg`, `on_flush_mark`, `on_marker`, `on_saved`) are equivalent to
-/// feeding the corresponding event through `step`, so model-checked
-/// behavior is exactly deployed behavior.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CrEvent {
-    /// The coordinator/initiator kicks off round `index`.
-    Start { index: u64 },
-    /// A C/R control message arrived through the daemons.
-    Msg { from: Rank, msg: CrMsg },
-    /// A stop-and-sync flush mark arrived on the data path from `from`.
-    FlushMark { from: Rank, index: u64 },
-    /// A Chandy–Lamport marker arrived on the data path from `from`.
-    Marker { from: Rank, index: u64 },
-    /// The local image for round `index` reached stable storage.
-    SavedLocal { index: u64 },
 }
 
 /// Instructions from a protocol engine to its hosting runtime.
@@ -218,7 +198,6 @@ mod tests {
             CrMsg::Resume { index: 3 },
             CrMsg::Marker { index: 1 },
             CrMsg::FlushMark { index: 9 },
-            CrMsg::RollbackTo { index: 2 },
         ];
         for m in msgs {
             assert_eq!(roundtrip(&m).unwrap(), m);

@@ -15,12 +15,13 @@
 //!    reports `Saved` to the coordinator.
 //! 4. When the coordinator has all `Saved`s, the checkpoint commits; it
 //!    broadcasts `Resume` and everyone continues.
+// lint: sans-io
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use starfish_util::Rank;
 
-use super::{CrEffect, CrEvent, CrMsg};
+use super::{CrEffect, CrMsg};
 
 /// Protocol phase of one participant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,22 +91,6 @@ impl StopAndSync {
     fn peers(&self) -> impl Iterator<Item = Rank> + '_ {
         let me = self.me;
         self.ranks.iter().copied().filter(move |r| *r != me)
-    }
-
-    /// The uniform transition function: feed one [`CrEvent`], get the
-    /// resulting effects. Exactly equivalent to calling the named entry
-    /// point for the event's kind — the model checker in `crates/verify`
-    /// drives engines through this single door so exhaustive exploration
-    /// covers precisely the deployed transition logic.
-    pub fn step(&mut self, ev: CrEvent) -> Vec<CrEffect> {
-        match ev {
-            CrEvent::Start { index } => self.start(index),
-            CrEvent::Msg { from, msg } => self.on_msg(from, &msg),
-            CrEvent::FlushMark { from, index } => self.on_flush_mark(from, index),
-            CrEvent::SavedLocal { index } => self.on_saved(index),
-            // Chandy–Lamport markers are not this protocol's mark.
-            CrEvent::Marker { .. } => Vec::new(),
-        }
     }
 
     /// Coordinator initiates checkpoint round `index`.

@@ -50,7 +50,7 @@ use starfish_mpi::{
 use starfish_util::{Error, Rank, Result, VirtualTime};
 
 use crate::bus::{BusEvent, BusTopic};
-use crate::runtime::{CrEngine, ProcessRuntime, HOLD_LIMIT, SERVICE_SLICE};
+use crate::runtime::{ProcessRuntime, HOLD_LIMIT, SERVICE_SLICE};
 use crate::state::Checkpointable;
 use crate::transport::OwnClock;
 
@@ -122,6 +122,11 @@ fn user_tag(tag: Option<u64>) -> Result<()> {
     }
 }
 
+/// A non-blocking send that was suppressed is complete at once.
+pub(crate) fn complete(rt: &ProcessRuntime) -> Request {
+    Request::Send { vt: rt.clock.now() }
+}
+
 /// Collective results at the `Ctx` API are owned byte vectors.
 fn to_vecs(blobs: Vec<Bytes>) -> Vec<Vec<u8>> {
     blobs.iter().map(|b| b.to_vec()).collect()
@@ -184,30 +189,41 @@ impl Ctx<'_> {
     /// Blocking eager send to a world rank. If a stop-and-sync round is in
     /// progress, the send is *held* until the round commits — the rule that
     /// makes checkpoints taken inside blocking calls consistent (see
-    /// `ProcessRuntime::cached_state`).
+    /// `runtime::SafepointCache`).
     pub fn send(&mut self, dst: Rank, tag: u64, data: &[u8]) -> Result<()> {
         user_tag(Some(tag))?;
-        self.send_when_reachable(|rt| {
-            rt.note_first_send();
-            rt.mpi
-                .send_world(&mut rt.clock, dst, WORLD_CONTEXT, tag, data)
-        })
+        self.send_when_reachable(
+            dst,
+            |_| (),
+            |rt| {
+                rt.note_first_send();
+                rt.mpi
+                    .send_world(&mut rt.clock, dst, WORLD_CONTEXT, tag, data)
+            },
+        )
     }
 
     /// The one send path: hold while a stop-and-sync round has this process
-    /// stopped (`hold_while_stopped`), then run the send `attempt`, waiting
-    /// out a destination that is not reachable *yet* (rank not placed, port
-    /// not bound, node down: the peer is still spawning or restarting) for
-    /// up to [`SEND_GRACE`]. Each failed attempt parks on the rank's wait
-    /// point: the rank directory kicks it when a peer is placed or binds
-    /// its port, the daemon's link when it orders a rollback. What has
-    /// no notifier (a healed partition, a re-enabled node) is re-tried once
-    /// per [`SERVICE_SLICE`].
+    /// stopped (`hold_while_stopped`); skip a send the receiver already
+    /// holds (a restored incarnation re-executing it: `suppressed` is the
+    /// result); else run the send `attempt`, waiting out a destination that
+    /// is not reachable *yet* (rank not placed, port not bound, node down:
+    /// the peer is still spawning or restarting) for up to [`SEND_GRACE`].
+    /// Each failed attempt parks on the rank's wait point: the rank
+    /// directory kicks it when a peer is placed or binds its port, the
+    /// daemon's link when it orders a rollback. What has no notifier (a
+    /// healed partition, a re-enabled node) is re-tried once per
+    /// [`SERVICE_SLICE`].
     pub(crate) fn send_when_reachable<R>(
         &mut self,
+        dst: Rank,
+        suppressed: impl FnOnce(&ProcessRuntime) -> R,
         mut attempt: impl FnMut(&mut ProcessRuntime) -> Result<R>,
     ) -> Result<R> {
         self.rt.hold_while_stopped(None)?;
+        if self.rt.cr.suppress(dst) {
+            return Ok(suppressed(self.rt));
+        }
         let deadline = Instant::now() + SEND_GRACE;
         loop {
             match attempt(self.rt) {
@@ -218,7 +234,12 @@ impl Ctx<'_> {
                     self.rt
                         .wait_event(deadline.min(Instant::now() + SERVICE_SLICE))?;
                 }
-                done => return done,
+                done => {
+                    if done.is_ok() {
+                        self.rt.cr.sent(dst);
+                    }
+                    return done;
+                }
             }
         }
     }
@@ -262,13 +283,13 @@ impl Ctx<'_> {
             // A capture the last service point put off for this receive:
             // what could complete it has arrived, so one look decides
             // whether the rank goes on or is captured blocked after all.
-            let got = match self.rt.deferred_capture {
-                Some(_) => self.rt.mpi.try_recv_world(clock, context, src, tag),
-                None => self
-                    .rt
+            let got = if self.rt.cr.deferred() {
+                self.rt.mpi.try_recv_world(clock, context, src, tag)
+            } else {
+                self.rt
                     .mpi
                     .recv_world_timeout(clock, context, src, tag, slice)
-                    .map(Some),
+                    .map(Some)
             };
             match got {
                 Ok(Some(m)) => {
@@ -276,9 +297,8 @@ impl Ctx<'_> {
                     return Ok(m);
                 }
                 Ok(None) => {
-                    if let Some(index) = self.rt.deferred_capture.take() {
-                        self.rt.capture(index, &mut None)?;
-                    }
+                    let outs = self.rt.cr.recv_would_block();
+                    self.rt.carry(outs, None)?;
                 }
                 Err(Error::Timeout(_)) | Err(Error::Interrupted(_)) => self.rt.service_in_recv()?,
                 Err(e) => return Err(e),
@@ -306,7 +326,7 @@ impl Ctx<'_> {
     /// — complete the request with [`wait`](Self::wait).
     pub fn isend(&mut self, dst: Rank, tag: u64, data: &[u8]) -> Result<Request> {
         user_tag(Some(tag))?;
-        self.send_when_reachable(|rt| {
+        self.send_when_reachable(dst, complete, |rt| {
             rt.note_first_send();
             rt.mpi
                 .isend_world(&mut rt.clock, dst, WORLD_CONTEXT, tag, data)
@@ -348,7 +368,7 @@ impl Ctx<'_> {
     /// log, and the fast-path-ablation bus charge.
     fn note_receive(&mut self, context: u32, m: &RecvdMsg) {
         self.rt.consumed_total += 1;
-        self.rt.consumed_log.push((
+        self.rt.cache.consumed.push((
             starfish_mpi::wire::MsgHeader {
                 src: m.src,
                 context,
@@ -364,8 +384,7 @@ impl Ctx<'_> {
             // Ablation: pretend data messages ride the object bus.
             self.rt.clock.advance(crate::bus::BUS_EVENT_COST);
         }
-        if let CrEngine::Indep(e) = &mut self.rt.cr.engine {
-            let dep = e.on_data_received(m.src, m.interval);
+        if let Some(dep) = self.rt.cr.consumed(m.src, m.interval) {
             self.rt.store.log_dep(self.rt.app, dep);
         }
     }
@@ -531,69 +550,36 @@ impl Ctx<'_> {
         self.rt.safepoint(state)
     }
 
-    /// User-initiated checkpoint (a Starfish extension downcall): the round
-    /// coordinator (rank 0 by convention) triggers a full distributed
-    /// checkpoint and blocks until it commits, returning the round's virtual
-    /// duration. Other ranks participate through their safepoints. On other
-    /// ranks, this behaves like [`Ctx::safepoint`] and returns zero.
+    /// User-initiated checkpoint (a Starfish extension downcall), collective
+    /// over the application: the round coordinator (rank 0 by convention)
+    /// triggers a full distributed checkpoint and blocks until it commits;
+    /// every other rank blocks until its image of that round is written —
+    /// or returns at once if it was already captured, blocked in a
+    /// communication call, for the round this call pairs with. Returns the
+    /// call's virtual duration. An independent-protocol rank checkpoints
+    /// locally.
     pub fn checkpoint(&mut self, state: &dyn Checkpointable) -> Result<VirtualTime> {
         let start = self.rt.clock.now();
-        let is_initiator = match &self.rt.cr.engine {
-            CrEngine::Sync(e) => e.is_coordinator(),
-            CrEngine::Cl(e) => e.is_initiator(),
-            CrEngine::Indep(_) => true, // no coordination: everyone local
-        };
-        if !is_initiator {
-            // Collective participation: stay at this service point until a
-            // round has been completed locally (image written and, for
-            // stop-and-sync, the resume received).
-            self.rt.cached_state = Some((state.save(), self.rt.comm.coll_seq));
-            let before = self.rt.cr.last_index;
-            // Exit as soon as this round's image landed; if the *next* round
-            // has already stopped us, the following context call completes
-            // it via `hold_while_stopped`.
-            self.rt.service_until(
-                Some(state),
-                HOLD_LIMIT,
-                "checkpoint round never reached this rank",
-                |rt| rt.cr.last_index != before,
-            )?;
-            return Ok(self.rt.clock.now() - start);
-        }
-        self.rt.cached_state = Some((state.save(), self.rt.comm.coll_seq));
-        let next = self.rt.cr.last_index + 1;
-        let committed_before = self.rt.cr.committed;
-        let effects = match &mut self.rt.cr.engine {
-            CrEngine::Sync(e) => e.start(next),
-            CrEngine::Cl(e) => e.start(next),
-            CrEngine::Indep(e) => e.take_checkpoint(),
-        };
-        {
-            let mut s: Option<&dyn Checkpointable> = Some(state);
-            self.rt.run_effects(effects, &mut s)?;
-        }
-        // Independent: no distributed phase; the local write is it.
-        if matches!(self.rt.cr.engine, CrEngine::Indep(_)) {
-            return Ok(self.rt.clock.now() - start);
-        }
-        // Wait until the round commits (the engine reports Committed).
+        self.rt.cache_safepoint(state);
+        let outs = self.rt.cr.checkpoint_called();
+        self.rt.carry(outs, Some(state))?;
         self.rt.service_until(
             Some(state),
             HOLD_LIMIT,
-            "checkpoint round never committed",
-            |rt| rt.cr.committed != committed_before,
+            "checkpoint round never completed",
+            |rt| !rt.cr.in_call(),
         )?;
         Ok(self.rt.clock.now() - start)
     }
 
     /// Number of committed checkpoint rounds this process coordinated.
     pub fn committed_rounds(&self) -> u64 {
-        self.rt.cr.committed
+        self.rt.cr.committed()
     }
 
     /// Highest checkpoint index written locally.
     pub fn last_checkpoint_index(&self) -> u64 {
-        self.rt.cr.last_index
+        self.rt.cr.last_index()
     }
 
     /// Broadcast a coordination message to the application's other ranks

@@ -75,9 +75,6 @@ pub struct RuntimeKnobs {
     /// Route data messages through the object bus (ablation; default off =
     /// fast path).
     pub bus_data_path: bool,
-    /// Independent protocol: auto-checkpoint every N safepoints (None =
-    /// only explicit checkpoints).
-    pub indep_every: Option<u64>,
 }
 
 impl Default for RuntimeKnobs {
@@ -85,7 +82,6 @@ impl Default for RuntimeKnobs {
         RuntimeKnobs {
             recv_mode: RecvMode::Polled,
             bus_data_path: false,
-            indep_every: None,
         }
     }
 }
@@ -164,7 +160,6 @@ impl NodeHost for RuntimeHost {
             spec.spawn_vt,
             spec.restore_from,
             self.knobs.bus_data_path,
-            self.knobs.indep_every,
             starfish_telemetry::Registry::new(),
         );
         // The daemon's end: it queues, then kicks the rank's wait point.

@@ -10,8 +10,9 @@
 //!   at every service point and turned into object-bus events (no thread:
 //!   the daemon's [`DownLink`](starfish_daemon::DownLink) queues, then
 //!   kicks the rank's wait point);
-//! * the **C/R module** — `CrModule`, the protocol engines plus image
-//!   capture/restore.
+//! * the **C/R module** — a [`RankCr`] machine (every checkpoint/restart
+//!   decision, around the protocol engine) whose answers this runtime
+//!   carries out: image capture, write and restore, marks, relays.
 //!
 //! The runtime's *scheduler* is cooperative: non-data events are processed
 //! at **service points** — every blocking receive slice and every explicit
@@ -27,9 +28,10 @@
 //! return [`Error::Interrupted`]; the application propagates it out of its
 //! `run` function, and the runtime re-enters `run` with
 //! [`Ctx::restored`](crate::Ctx::restored) populated from the recovery-line
-//! image (state + channel contents + collective sequence number). Stale
-//! messages from the rolled-back execution are discarded by the epoch filter
-//! in the MPI layer.
+//! image (state + channel contents + collective sequence number, and — for
+//! an image taken inside a communication call — the sends to suppress).
+//! Stale messages from the rolled-back execution are discarded by the epoch
+//! filter in the MPI layer.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -42,18 +44,16 @@ use parking_lot::{Condvar, Mutex};
 
 use starfish_checkpoint::backend::{CkptBackend, StoreHub};
 use starfish_checkpoint::image::{ChannelMsg, CkptImage, CkptLevel};
-use starfish_checkpoint::proto::chandy_lamport::{ChandyLamport, ClPhase};
-use starfish_checkpoint::proto::independent::Independent;
-use starfish_checkpoint::proto::stop_and_sync::StopAndSync;
-use starfish_checkpoint::proto::{CrEffect, CrMsg, SyncCostModel};
+use starfish_checkpoint::proto::rank::{Capture, Out, Point, RankCr};
+use starfish_checkpoint::proto::{CrMsg, SyncCostModel};
 use starfish_checkpoint::{Arch, CkptValue, DiskModel};
 use starfish_daemon::config::AppEntry;
-use starfish_daemon::{CkptProto, LevelKind, ProcDown, ProcUp, RelayKind};
+use starfish_daemon::{LevelKind, ProcDown, ProcUp, RelayKind};
 use starfish_mpi::wire::MsgHeader;
 use starfish_mpi::{Comm, MpiEndpoint};
 use starfish_telemetry::{metric, Registry};
 use starfish_util::codec::{Decode, Encode};
-use starfish_util::{AppId, Error, NodeId, Rank, Result, VClock, VirtualTime};
+use starfish_util::{AppId, Epoch, Error, NodeId, Rank, Result, VClock, VirtualTime};
 use starfish_vni::KickSender;
 
 use crate::bus::{Bus, BusEvent, BUS_EVENT_COST};
@@ -127,54 +127,8 @@ impl Outputs {
     }
 }
 
-/// The checkpoint/restart module of one process.
-pub(crate) struct CrModule {
-    pub engine: CrEngine,
-    /// Stop-and-sync: application held at its service point.
-    pub stopped: bool,
-    /// Chandy–Lamport: state snapshot waiting for the remaining markers.
-    pub pending_cl: Option<PendingCl>,
-    /// Highest checkpoint index written locally.
-    pub last_index: u64,
-    /// Rounds committed (coordinator only).
-    pub committed: u64,
-}
-
-pub(crate) enum CrEngine {
-    Sync(StopAndSync),
-    Cl(ChandyLamport),
-    Indep(Independent),
-}
-
-pub(crate) struct PendingCl {
-    pub index: u64,
-    pub state: CkptValue,
-    pub taken_at: VirtualTime,
-}
-
-impl CrModule {
-    fn new(proto: CkptProto, me: Rank, size: u32, start_index: u64) -> Self {
-        let ranks: Vec<Rank> = (0..size).map(Rank).collect();
-        let engine = match proto {
-            CkptProto::StopAndSync => CrEngine::Sync(StopAndSync::new(me, ranks)),
-            CkptProto::ChandyLamport => CrEngine::Cl(ChandyLamport::new(me, ranks)),
-            CkptProto::Independent => {
-                let mut e = Independent::new(me);
-                e.rollback_to(start_index);
-                CrEngine::Indep(e)
-            }
-        };
-        CrModule {
-            engine,
-            stopped: false,
-            pending_cl: None,
-            last_index: start_index,
-            committed: 0,
-        }
-    }
-}
-
-/// One application process (runs on its own OS thread).
+/// One application process (runs on its own OS thread): the I/O shell of
+/// its [`RankCr`] machine.
 pub struct ProcessRuntime {
     pub(crate) app: AppId,
     pub(crate) rank: Rank,
@@ -190,50 +144,25 @@ pub struct ProcessRuntime {
     pub(crate) store: StoreHub,
     pub(crate) outputs: Outputs,
     pub(crate) bus: Bus,
-    pub(crate) cr: CrModule,
+    /// Every checkpoint/restart decision of this rank.
+    pub(crate) cr: RankCr,
     pub(crate) disk: DiskModel,
     pub(crate) abort_flag: Arc<AtomicBool>,
 
     pub(crate) restored: Option<CkptValue>,
-    pub(crate) restart_to: Option<u64>,
-    /// Epoch ordered with a pending rollback (applied at load_checkpoint).
-    pub(crate) pending_epoch: Option<starfish_util::Epoch>,
-    pub(crate) suspended: bool,
-    pub(crate) killed: bool,
-    /// `(state, coll_seq)` cached at the last safepoint. When a checkpoint
-    /// must be taken while the application is blocked in a communication
-    /// call (no live state in hand), this pair is captured instead, together
-    /// with the [`consumed_log`](Self::consumed_log): the restored process
-    /// rewinds to the safepoint and replays exactly the messages the
-    /// abandoned execution had consumed, so the cut stays consistent.
-    pub(crate) cached_state: Option<(CkptValue, u64)>,
-    /// Every data message consumed since the last safepoint (message log
-    /// backing the cached-state capture; cleared at each safepoint).
-    pub(crate) consumed_log: Vec<(MsgHeader, Bytes)>,
-    /// Servicing from inside a blocking receive (`service_in_recv`).
-    in_recv: bool,
-    /// A stop-and-sync capture that came due inside a blocking receive, put
-    /// off until that receive completes or would block again: its index.
-    pub(crate) deferred_capture: Option<u64>,
+    /// What a capture taken inside a communication call is made of.
+    pub(crate) cache: SafepointCache,
+    /// A captured image, until the machine has it written.
+    captured: Option<Captured>,
 
     /// Ablation: route data-message delivery through the object bus,
     /// charging [`BUS_EVENT_COST`] per message (what the fast path avoids).
     pub(crate) bus_data_path: bool,
-    /// Independent checkpointing: auto-checkpoint every N safepoints.
-    pub(crate) indep_every: Option<u64>,
-    pub(crate) safepoint_count: u64,
-    /// C/R data-path marks whose destination port was not bound yet (peer
-    /// mid-restart); retried at every service point with their original
-    /// virtual send time.
-    pub(crate) pending_marks: Vec<(Rank, Bytes, VirtualTime)>,
 
     /// This process's telemetry registry (also installed in the MPI
     /// endpoint); snapshots flush to the daemon at round commits,
     /// restores, and completion.
     pub(crate) metrics: Registry,
-    /// Virtual time this incarnation's current checkpoint round began
-    /// (set at local capture, cleared at commit/resume).
-    pub(crate) round_started: Option<VirtualTime>,
     /// Forensic baselines: `(vt, consumed-message count)` at each committed
     /// checkpoint index. A rollback to index `i` is measured against these
     /// — rollback depth in virtual time, and messages consumed past the
@@ -244,9 +173,31 @@ pub struct ProcessRuntime {
     /// Set when a restore completes; taken by the first outbound send (the
     /// respawn-to-first-send forensic phase).
     pub(crate) restored_at: Option<VirtualTime>,
+    /// `STARFISH_RT_DEBUG`: print what the machine answers.
+    debug: bool,
     /// Service points run so far (the no-poll tests count these).
     #[cfg(test)]
     pub(crate) service_calls: u64,
+}
+
+/// The state handed to the last safepoint (none before the first), the
+/// collective sequence number that goes with it, and every data message
+/// consumed since: what a rank blocked in a communication call is captured
+/// as. The restored incarnation rewinds to the safepoint and replays
+/// exactly those messages (and suppresses the sends the machine counted).
+#[derive(Default)]
+pub(crate) struct SafepointCache {
+    pub(crate) state: Option<CkptValue>,
+    pub(crate) coll_seq: u64,
+    pub(crate) consumed: Vec<(MsgHeader, Bytes)>,
+}
+
+/// An image between its capture and its write: the wrapped state, the
+/// consumed messages to replay, and when it was taken.
+struct Captured {
+    state: CkptValue,
+    replay: Vec<(MsgHeader, Bytes)>,
+    taken_at: VirtualTime,
 }
 
 /// How often blocking loops wake to service interrupts (real time).
@@ -254,6 +205,9 @@ pub(crate) const SERVICE_SLICE: Duration = Duration::from_millis(50);
 
 /// Real-time bound on holding at a service point for a checkpoint round.
 pub(crate) const HOLD_LIMIT: Duration = Duration::from_secs(60);
+
+/// Real-time bound on waiting for the rollback behind an interrupt.
+const REWIND_WAIT: Duration = Duration::from_secs(10);
 
 impl ProcessRuntime {
     #[allow(clippy::too_many_arguments)]
@@ -270,7 +224,6 @@ impl ProcessRuntime {
         spawn_vt: VirtualTime,
         restore_from: u64,
         bus_data_path: bool,
-        indep_every: Option<u64>,
         metrics: Registry,
     ) -> ProcessRuntime {
         let app = entry.id;
@@ -283,7 +236,7 @@ impl ProcessRuntime {
         let mut mpi = mpi;
         mpi.set_abort_flag(abort_flag.clone());
         mpi.set_metrics(metrics.clone());
-        let proto = entry.spec.proto;
+        let cr = RankCr::new(entry.spec.proto, rank, size, restore_from);
         ProcessRuntime {
             app,
             rank,
@@ -299,31 +252,18 @@ impl ProcessRuntime {
             store,
             outputs,
             bus: Bus::new(),
-            cr: CrModule::new(proto, rank, size, restore_from),
+            cr,
             disk,
             abort_flag,
             restored: None,
-            pending_epoch: None,
-            restart_to: if restore_from > 0 {
-                Some(restore_from)
-            } else {
-                None
-            },
-            suspended: false,
-            killed: false,
-            cached_state: None,
-            consumed_log: Vec::new(),
-            in_recv: false,
-            deferred_capture: None,
+            cache: SafepointCache::default(),
+            captured: None,
             bus_data_path,
-            indep_every,
-            safepoint_count: 0,
-            pending_marks: Vec::new(),
             metrics,
-            round_started: None,
             ckpt_marks: std::collections::BTreeMap::from([(0, (spawn_vt, 0))]),
             consumed_total: 0,
             restored_at: None,
+            debug: std::env::var_os("STARFISH_RT_DEBUG").is_some(),
             #[cfg(test)]
             service_calls: 0,
         }
@@ -342,15 +282,15 @@ impl ProcessRuntime {
         }
     }
 
-    /// Close out the current checkpoint round, if one is open. Called from
-    /// both `Resume` and `Committed` (with `take()`) because their order
-    /// differs between coordinator and members — whichever fires first ends
-    /// the member's view of the round.
+    /// Close out the current checkpoint round, if one is open. Reached from
+    /// both `Resume` and `Committed` because their order differs between
+    /// coordinator and members — whichever comes first ends the rank's view
+    /// of the round.
     fn note_round_done(&mut self) {
-        if let Some(started) = self.round_started.take() {
+        if let Some(started) = self.cr.take_round_start() {
             let now = self.clock.now();
             self.metrics.record_vt(metric::CKPT_ROUND_NS, now - started);
-            let index = self.cr.last_index;
+            let index = self.cr.last_index();
             self.mpi
                 .recorder()
                 .phase_end(now, "ckpt.round", &format!("index {index}"));
@@ -384,8 +324,8 @@ impl ProcessRuntime {
     }
 
     /// Stay at this service point until `done` holds: service, and while it
-    /// still does not hold, park on the wait point. `Timeout(what)` after
-    /// `limit` of real time.
+    /// still does not hold, park on the wait point. `Timeout(what)`, with
+    /// the machine's state, after `limit` of real time.
     pub(crate) fn service_until(
         &mut self,
         state: Option<&dyn Checkpointable>,
@@ -399,17 +339,7 @@ impl ProcessRuntime {
         let deadline = Instant::now() + limit;
         while !done(self) {
             if Instant::now() > deadline {
-                if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-                    if let CrEngine::Sync(e) = &self.cr.engine {
-                        eprintln!(
-                            "[rt {}.{}] {what} (epoch {}): {e:?}",
-                            self.app,
-                            self.rank,
-                            self.mpi.epoch()
-                        );
-                    }
-                }
-                return Err(Error::timeout(what));
+                return Err(Error::timeout(format!("{what}: {:?}", self.cr)));
             }
             self.service(state)?;
             if !done(self) {
@@ -421,74 +351,53 @@ impl ProcessRuntime {
 
     // ---- service points --------------------------------------------------------
 
-    /// Drain daemon messages and C/R marks, run protocol engines, execute
-    /// effects. `state` enables live checkpoint capture (safepoints);
-    /// without it the cached safepoint state is captured instead.
-    pub(crate) fn service(&mut self, mut state: Option<&dyn Checkpointable>) -> Result<()> {
+    /// Drain daemon messages and C/R marks into the machine and carry out
+    /// its answers. `state` (a safepoint) makes a capture live; without it
+    /// the safepoint cache is captured.
+    pub(crate) fn service(&mut self, state: Option<&dyn Checkpointable>) -> Result<()> {
+        let point = match state {
+            Some(_) => Point::Safepoint,
+            None => Point::Busy,
+        };
+        self.service_at(point, state)
+    }
+
+    /// The service point inside a blocking receive: a capture that comes
+    /// due here is put off until the receive has had a look.
+    pub(crate) fn service_in_recv(&mut self) -> Result<()> {
+        self.service_at(Point::InRecv, None)
+    }
+
+    fn service_at(&mut self, point: Point, state: Option<&dyn Checkpointable>) -> Result<()> {
         #[cfg(test)]
         {
             self.service_calls += 1;
         }
-        // The receive a capture was put off for has completed: take it here,
-        // live if this is a safepoint.
-        if let Some(index) = self.deferred_capture.take() {
-            self.capture(index, &mut state)?;
-        }
-        // Retry any C/R marks whose destination was not yet reachable,
-        // preserving their original virtual send times.
-        if !self.pending_marks.is_empty() {
-            let pending = std::mem::take(&mut self.pending_marks);
-            for (to, body, at) in pending {
-                if let Err(e) = self.mpi.resend_ctrl_mark_at(at, to, &body) {
-                    if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-                        eprintln!(
-                            "[rt {}.{}] mark retry -> {to} failed: {e:?}",
-                            self.app, self.rank
-                        );
-                    }
-                    self.pending_marks.push((to, body, at));
-                }
-            }
-        }
+        let outs = self.cr.service(point);
+        self.carry(outs, state)?;
         // Data-path marks first: they belong to an *earlier* protocol stage
-        // than anything the daemons relay (e.g. a peer's Saved can arrive in
-        // real time before the flush mark that gates our own capture, and
-        // merging its later timestamp first would artificially serialize the
-        // round in virtual time).
-        self.pump_marks(&mut state)?;
+        // than anything the daemons relay.
+        self.pump_marks(state)?;
         loop {
             match self.down_rx.try_recv() {
-                Ok(msg) => self.handle_down(msg, &mut state)?,
+                Ok(msg) => self.handle_down(msg, state)?,
                 // Administratively suspended: hold here, on the wait point
                 // the daemon's `Resume` or `Kill` will kick.
-                Err(channel::TryRecvError::Empty) if self.suspended => {
+                Err(channel::TryRecvError::Empty) if self.cr.suspended() => {
                     self.wait_event(Instant::now() + HOLD_LIMIT)?
                 }
                 Err(channel::TryRecvError::Empty) => break,
                 Err(channel::TryRecvError::Disconnected) => {
                     // Daemon gone: our node crashed or the app was torn down.
-                    self.killed = true;
+                    self.cr.kill();
                     return Err(Error::interrupted("daemon connection lost"));
                 }
             }
         }
-        self.pump_marks(&mut state)
+        self.pump_marks(state)
     }
 
-    /// The service point inside a blocking receive: a capture that comes
-    /// due here is put off until the receive has had a look (`capture`).
-    pub(crate) fn service_in_recv(&mut self) -> Result<()> {
-        self.in_recv = true;
-        let serviced = self.service(None);
-        self.in_recv = false;
-        serviced
-    }
-
-    fn handle_down(
-        &mut self,
-        msg: ProcDown,
-        state: &mut Option<&dyn Checkpointable>,
-    ) -> Result<()> {
+    fn handle_down(&mut self, msg: ProcDown, state: Option<&dyn Checkpointable>) -> Result<()> {
         match msg {
             ProcDown::LwView { view, vt } => {
                 self.clock.merge(vt);
@@ -518,43 +427,32 @@ impl ProcessRuntime {
                 body,
                 vt,
             } => {
-                self.clock.merge(vt);
-                self.clock.advance(BUS_EVENT_COST);
-                if let Ok(m) = CrMsg::decode_from_bytes(&body) {
-                    let effects = match &mut self.cr.engine {
-                        CrEngine::Sync(e) => e.on_msg(from, &m),
-                        CrEngine::Cl(e) => e.on_msg(from, &m),
-                        CrEngine::Indep(_) => Vec::new(),
-                    };
-                    self.run_effects(effects, state)?;
+                let Ok(msg) = CrMsg::decode_from_bytes(&body) else {
+                    return Ok(());
+                };
+                // A leading merge is the relay's own timestamp (or, for the
+                // `Saved` that commits a round, the round's latest image):
+                // it precedes the bus dispatch of the relayed event.
+                let mut outs = self.cr.relay(from, &msg, vt);
+                if let Some(&Out::Merge(t)) = outs.first() {
+                    self.clock.merge(t);
+                    outs.remove(0);
                 }
+                self.clock.advance(BUS_EVENT_COST);
+                self.carry(outs, state)?;
             }
             ProcDown::StartCheckpoint { vt } => {
                 self.clock.merge(vt);
-                let next = self.cr.last_index + 1;
-                let effects = match &mut self.cr.engine {
-                    CrEngine::Sync(e)
-                        if e.is_coordinator()
-                            && e.phase()
-                                == starfish_checkpoint::proto::stop_and_sync::Phase::Running =>
-                    {
-                        e.start(next)
-                    }
-                    CrEngine::Cl(e) if e.is_initiator() && e.phase() == ClPhase::Idle => {
-                        e.start(next)
-                    }
-                    CrEngine::Indep(e) => e.take_checkpoint(),
-                    _ => Vec::new(),
-                };
-                self.run_effects(effects, state)?;
+                let outs = self.cr.start_round();
+                self.carry(outs, state)?;
             }
             ProcDown::Suspend { vt } => {
                 self.clock.merge(vt);
-                self.suspended = true;
+                self.cr.suspend();
             }
             ProcDown::Resume { vt } => {
                 self.clock.merge(vt);
-                self.suspended = false;
+                self.cr.resume();
             }
             ProcDown::Rollback { index, epoch, vt } => {
                 self.clock.merge(vt);
@@ -572,197 +470,195 @@ impl ProcessRuntime {
                     metric::RECOVERY_LOST_MSGS,
                     self.consumed_total.saturating_sub(line_consumed),
                 );
-                self.pending_epoch = Some(epoch);
-                self.restart_to = Some(index);
+                self.cr.rollback(index, epoch);
                 self.bus.clear();
                 return Err(Error::interrupted("rollback ordered by daemon"));
             }
             ProcDown::Kill { vt } => {
                 self.clock.merge(vt);
-                self.killed = true;
+                self.cr.kill();
                 return Err(Error::interrupted("killed by daemon"));
             }
         }
         Ok(())
     }
 
-    /// Pump C/R data-path marks (flush marks / markers) into the engines.
-    fn pump_marks(&mut self, state: &mut Option<&dyn Checkpointable>) -> Result<()> {
+    /// Pump C/R data-path marks (flush marks / markers) into the machine.
+    fn pump_marks(&mut self, state: Option<&dyn Checkpointable>) -> Result<()> {
         let marks = self.mpi.pump_ctrl(&mut self.clock);
         for (from, body, vt) in marks {
             self.clock.merge(vt);
-            let Ok(m) = CrMsg::decode_from_bytes(&body) else {
-                continue;
-            };
-            if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-                eprintln!("[rt {}.{}] mark <- {from}: {m:?}", self.app, self.rank);
-            }
-            let effects = match (&mut self.cr.engine, &m) {
-                (CrEngine::Sync(e), CrMsg::FlushMark { index }) => e.on_flush_mark(from, *index),
-                (CrEngine::Cl(e), CrMsg::Marker { index }) => e.on_marker(from, *index),
-                _ => Vec::new(),
-            };
-            self.run_effects(effects, state)?;
-        }
-        Ok(())
-    }
-
-    pub(crate) fn run_effects(
-        &mut self,
-        effects: Vec<CrEffect>,
-        state: &mut Option<&dyn Checkpointable>,
-    ) -> Result<()> {
-        for eff in effects {
-            match eff {
-                CrEffect::Send { to, msg } => {
-                    self.send_up(ProcUp::SendTo {
-                        kind: RelayKind::CheckpointRestart,
-                        to,
-                        body: msg.encode_to_bytes(),
-                        vt: self.clock.now(),
-                    });
-                }
-                CrEffect::Broadcast { msg } => {
-                    self.send_up(ProcUp::Cast {
-                        kind: RelayKind::CheckpointRestart,
-                        body: msg.encode_to_bytes(),
-                        vt: self.clock.now(),
-                    });
-                }
-                CrEffect::DataMark { to, msg } => {
-                    // Channel capture assumes everything in flight precedes
-                    // the marks on the wire: push any rendezvous payloads
-                    // still parked awaiting CTS *before* the mark, so the
-                    // per-link FIFO delivers them ahead of it (receivers
-                    // merge unsolicited DATA like a granted push).
-                    self.mpi.push_pending_rendezvous(&mut self.clock);
-                    if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-                        eprintln!(
-                            "[rt {}.{}] DataMark -> {to}: {msg:?} (epoch {})",
-                            self.app,
-                            self.rank,
-                            self.mpi.epoch()
-                        );
-                    }
-                    let body = msg.encode_to_bytes();
-                    self.mpi
-                        .recorder()
-                        .mark(self.clock.now(), "cr.mark", &msg.trace_label());
-                    if let Err(e) = self.mpi.send_ctrl_mark(&mut self.clock, to, &body) {
-                        if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-                            eprintln!(
-                                "[rt {}.{}] DataMark -> {to} FAILED: {e:?}",
-                                self.app, self.rank
-                            );
-                        }
-                        let _ = &e;
-                        // Peer mid-restart (port not bound yet) or crashed:
-                        // keep retrying at service points. Genuinely dead
-                        // peers are resolved by the membership layer (the
-                        // round is rebuilt after the restart decision).
-                        self.pending_marks.push((to, body, self.clock.now()));
-                    }
-                }
-                CrEffect::BeginQuiesce { .. } => {
-                    self.cr.stopped = true;
-                }
-                CrEffect::TakeCheckpoint { index } => {
-                    // Every flush mark is in, so everything the peers sent
-                    // before they stopped has arrived. If that completes the
-                    // receive we are inside of, the rank is not blocked — the
-                    // Stop overtook the data on its way round the daemons —
-                    // and capturing it as blocked would take the round its
-                    // next `checkpoint()` waits for. Let the receive look.
-                    if self.in_recv && matches!(self.cr.engine, CrEngine::Sync(_)) {
-                        self.deferred_capture = Some(index);
-                    } else {
-                        self.capture(index, state)?;
-                    }
-                }
-                CrEffect::RecordChannel { from } => self.mpi.start_recording(from),
-                CrEffect::StopRecord { from } => self.mpi.stop_recording(from),
-                CrEffect::Resume { .. } => {
-                    self.cr.stopped = false;
-                    // Member's view of the round ends here; make its layer
-                    // histograms and checkpoint costs visible cluster-wide.
-                    self.note_round_done();
-                    self.flush_stats();
-                }
-                CrEffect::Committed { index } => {
-                    // The coordinator charges the fitted daemon-coordination
-                    // overhead for the distributed phase (EXPERIMENTS.md).
-                    let nodes = self.participating_nodes();
-                    let sync_cost = match self.entry.spec.level {
-                        LevelKind::Native => SyncCostModel::native_sync(nodes),
-                        LevelKind::Vm => SyncCostModel::vm_sync(nodes),
-                    };
-                    self.clock.advance(sync_cost);
-                    self.cr.committed += 1;
-                    self.metrics.inc(metric::CKPT_ROUNDS);
-                    self.note_round_done();
-                    self.mpi.recorder().mark(
-                        self.clock.now(),
-                        "ckpt.committed",
-                        &format!("index {index}"),
-                    );
-                    self.ckpt_marks
-                        .insert(index, (self.clock.now(), self.consumed_total));
-                    self.send_up(ProcUp::CkptCommitted {
-                        index,
-                        vt: self.clock.now(),
-                    });
-                    self.flush_stats();
-                }
-            }
-        }
-        // Chandy–Lamport: finalize the image once all markers are in (the
-        // engine already emitted its Saved message; here we persist the
-        // state snapshot plus the recorded channel contents).
-        let cl_complete = matches!(
-            &self.cr.engine,
-            CrEngine::Cl(e) if e.phase() == ClPhase::Complete || e.phase() == ClPhase::Idle
-        );
-        if cl_complete {
-            if let Some(p) = self.cr.pending_cl.take() {
-                let channel = self.take_recorded_channel();
-                self.write_image(p.index, p.state, channel, p.taken_at)?;
+            if let Ok(msg) = CrMsg::decode_from_bytes(&body) {
+                let outs = self.cr.mark(from, &msg);
+                self.carry(outs, state)?;
             }
         }
         Ok(())
     }
 
-    /// Take the local checkpoint of round `index`: live when the caller has
-    /// the application's state in hand (a safepoint), else of the state
-    /// cached at the last one.
-    pub(crate) fn capture(
+    /// Carry out what the machine answered, in order — with the
+    /// application's state in hand, at a safepoint.
+    pub(crate) fn carry(
         &mut self,
-        index: u64,
-        state: &mut Option<&dyn Checkpointable>,
+        outs: Vec<Out>,
+        state: Option<&dyn Checkpointable>,
     ) -> Result<()> {
-        if self.round_started.is_none() {
-            self.round_started = Some(self.clock.now());
+        if self.debug && !outs.is_empty() {
+            eprintln!("[rt {}.{}] {outs:?}", self.app, self.rank);
+        }
+        for out in outs {
+            match out {
+                Out::Merge(t) => {
+                    self.clock.merge(t);
+                }
+                Out::Up { to, msg } => {
+                    let (kind, body) = (RelayKind::CheckpointRestart, msg.encode_to_bytes());
+                    let vt = self.clock.now();
+                    self.send_up(match to {
+                        Some(to) => ProcUp::SendTo { kind, to, body, vt },
+                        None => ProcUp::Cast { kind, body, vt },
+                    });
+                }
+                Out::Mark { to, msg, at } => self.send_mark(to, msg, at),
+                Out::Capture { kind, owed, .. } => self.capture(kind, owed, state),
+                Out::Write { index, recorded } => {
+                    let taken_at = self.write(index, recorded)?;
+                    let outs = self.cr.written(index, taken_at);
+                    self.carry(outs, state)?;
+                }
+                Out::Record(from) => self.mpi.start_recording(from),
+                Out::Unrecord(from) => self.mpi.stop_recording(from),
+                Out::Interval(i) => self.mpi.piggyback_interval = i,
+                Out::RoundClosed => {
+                    // Make the round's layer histograms and checkpoint costs
+                    // visible cluster-wide.
+                    self.note_round_done();
+                    self.flush_stats();
+                }
+                Out::Committed(index) => self.committed(index),
+            }
+        }
+        Ok(())
+    }
+
+    /// A mark on the data path. Channel capture assumes everything in
+    /// flight precedes the marks on the wire: push any rendezvous payloads
+    /// still parked awaiting CTS *before* the mark, so the per-link FIFO
+    /// delivers them ahead of it (receivers merge unsolicited DATA like a
+    /// granted push). A mark that cannot leave — the peer is mid-restart or
+    /// crashed — goes back to the machine, which has it retried at service
+    /// points; genuinely dead peers are resolved by the membership layer.
+    fn send_mark(&mut self, to: Rank, msg: CrMsg, at: Option<VirtualTime>) {
+        let body = msg.encode_to_bytes();
+        let sent = match at {
+            Some(at) => self.mpi.resend_ctrl_mark_at(at, to, &body),
+            None => {
+                self.mpi.push_pending_rendezvous(&mut self.clock);
+                self.mpi
+                    .recorder()
+                    .mark(self.clock.now(), "cr.mark", &msg.trace_label());
+                self.mpi.send_ctrl_mark(&mut self.clock, to, &body)
+            }
+        };
+        if sent.is_err() {
+            let at = at.unwrap_or(self.clock.now());
+            self.cr.mark_failed(to, msg, at);
+        }
+    }
+
+    /// Capture a checkpoint: the state in hand (`Live`), or the
+    /// safepoint cache with its replay log. The image records how many
+    /// captures are owed to `checkpoint()` calls and, per peer, the sends a
+    /// restored incarnation must suppress (machine-level fields beside the
+    /// collective sequence number, present only when non-zero).
+    fn capture(&mut self, kind: Capture, owed: u64, state: Option<&dyn Checkpointable>) {
+        if !self.cr.round_open() {
             self.mpi
                 .recorder()
                 .phase_begin(self.clock.now(), "ckpt.round");
         }
-        match state {
-            Some(s) => {
-                // Live capture at a safepoint: nothing consumed since.
-                let v = s.save();
-                let seq = self.comm.coll_seq;
-                self.cached_state = Some((v.clone(), seq));
-                self.consumed_log.clear();
-                self.take_checkpoint_value(index, v, seq, Vec::new())
-            }
-            None => {
-                // Blocked in a communication call: rewind to the cached
-                // safepoint and log the consumed messages so the restored
-                // incarnation can replay them.
-                let (v, seq) = self.cached_state.clone().unwrap_or((CkptValue::Unit, 0));
-                let replay = self.consumed_log.clone();
-                self.take_checkpoint_value(index, v, seq, replay)
+        let (user, coll_seq, replay) = match (&kind, state) {
+            (Capture::Live, Some(s)) => (Some(s.save()), self.comm.coll_seq, Vec::new()),
+            _ => (
+                self.cache.state.clone(),
+                self.cache.coll_seq,
+                self.cache.consumed.clone(),
+            ),
+        };
+        let mut fields = vec![("__coll_seq".to_string(), CkptValue::Int(coll_seq as i64))];
+        fields.extend(user.map(|u| ("__user".to_string(), u)));
+        if owed > 0 {
+            fields.push(("__owed".to_string(), CkptValue::Int(owed as i64)));
+        }
+        if let Capture::Cached { sent } = kind {
+            if sent.iter().any(|n| *n > 0) {
+                let sent = sent.into_iter().map(|n| n as i64).collect();
+                fields.push(("__sent".to_string(), CkptValue::IntArray(sent)));
             }
         }
+        self.captured = Some(Captured {
+            state: CkptValue::Record(fields),
+            replay,
+            taken_at: self.clock.now(),
+        });
+    }
+
+    /// Write the image captured for `index`: its channel state is the
+    /// replay log, then the recorded channels (Chandy–Lamport) or whatever
+    /// is unconsumed right now (stop-and-sync guarantees that is all the
+    /// remaining in-flight traffic). Returns when the capture was taken.
+    fn write(&mut self, index: u64, recorded: bool) -> Result<VirtualTime> {
+        let captured = (self.captured.take())
+            .ok_or_else(|| Error::protocol(format!("image {index} written before its capture")))?;
+        let queued = if recorded {
+            self.mpi.take_recorded()
+        } else {
+            self.mpi.snapshot_channel(&mut self.clock)
+        };
+        // A snapshotted image is stamped after its channel snapshot.
+        let stamp = if recorded {
+            captured.taken_at
+        } else {
+            self.clock.now()
+        };
+        let dst = self.rank;
+        let channel = (captured.replay.into_iter().chain(queued))
+            .map(|(h, b)| ChannelMsg {
+                src: h.src,
+                dst,
+                context: h.context,
+                tag: h.tag,
+                payload: b.to_vec(),
+            })
+            .collect();
+        self.write_image(index, captured.state, channel, stamp)?;
+        Ok(captured.taken_at)
+    }
+
+    /// The round this rank coordinated committed: charge the fitted
+    /// daemon-coordination overhead for the distributed phase
+    /// (EXPERIMENTS.md) and tell the daemon.
+    fn committed(&mut self, index: u64) {
+        let nodes = self.participating_nodes();
+        let sync_cost = match self.entry.spec.level {
+            LevelKind::Native => SyncCostModel::native_sync(nodes),
+            LevelKind::Vm => SyncCostModel::vm_sync(nodes),
+        };
+        self.clock.advance(sync_cost);
+        self.metrics.inc(metric::CKPT_ROUNDS);
+        self.note_round_done();
+        self.mpi.recorder().mark(
+            self.clock.now(),
+            "ckpt.committed",
+            &format!("index {index}"),
+        );
+        self.ckpt_marks
+            .insert(index, (self.clock.now(), self.consumed_total));
+        self.send_up(ProcUp::CkptCommitted {
+            index,
+            vt: self.clock.now(),
+        });
+        self.flush_stats();
     }
 
     fn participating_nodes(&self) -> usize {
@@ -770,77 +666,6 @@ impl ProcessRuntime {
         nodes.sort_unstable();
         nodes.dedup();
         nodes.len()
-    }
-
-    fn take_recorded_channel(&mut self) -> Vec<ChannelMsg> {
-        self.mpi
-            .take_recorded()
-            .into_iter()
-            .map(|(h, b)| ChannelMsg {
-                src: h.src,
-                dst: self.rank,
-                context: h.context,
-                tag: h.tag,
-                payload: b.to_vec(),
-            })
-            .collect()
-    }
-
-    /// Capture a local checkpoint at `index` with the given state value,
-    /// the collective sequence number matching that state, and any consumed
-    /// messages the restored incarnation must replay.
-    fn take_checkpoint_value(
-        &mut self,
-        index: u64,
-        user_state: CkptValue,
-        coll_seq: u64,
-        replay: Vec<(MsgHeader, Bytes)>,
-    ) -> Result<()> {
-        let wrapped = CkptValue::Record(vec![
-            ("__coll_seq".to_string(), CkptValue::Int(coll_seq as i64)),
-            ("__user".to_string(), user_state),
-        ]);
-        match &mut self.cr.engine {
-            CrEngine::Cl(_) => {
-                // State snapshots now; channel recording completes later.
-                self.cr.pending_cl = Some(PendingCl {
-                    index,
-                    state: wrapped,
-                    taken_at: self.clock.now(),
-                });
-                // Serialization cost is charged at finalization (write).
-                Ok(())
-            }
-            _ => {
-                // Stop-and-sync / independent: the channel is the replay log
-                // (messages consumed past the capture point) plus whatever
-                // is unconsumed right now (stop-and-sync guarantees the
-                // latter is all remaining in-flight traffic).
-                let channel: Vec<ChannelMsg> = replay
-                    .into_iter()
-                    .chain(self.mpi.snapshot_channel(&mut self.clock))
-                    .map(|(h, b)| ChannelMsg {
-                        src: h.src,
-                        dst: self.rank,
-                        context: h.context,
-                        tag: h.tag,
-                        payload: b.to_vec(),
-                    })
-                    .collect();
-                let taken_at = self.clock.now();
-                self.write_image(index, wrapped, channel, taken_at)?;
-                let effects = match &mut self.cr.engine {
-                    CrEngine::Sync(e) => e.on_saved(index),
-                    CrEngine::Indep(e) => {
-                        self.mpi.piggyback_interval = e.current_interval();
-                        Vec::new()
-                    }
-                    CrEngine::Cl(_) => unreachable!(),
-                };
-                let mut no_state: Option<&dyn Checkpointable> = None;
-                self.run_effects(effects, &mut no_state)
-            }
-        }
     }
 
     fn write_image(
@@ -864,15 +689,6 @@ impl ProcessRuntime {
             channel,
             taken_at,
         )?;
-        if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-            eprintln!(
-                "[rt {}.{}] write_image idx={index} start_vt={} bytes={}",
-                self.app,
-                self.rank,
-                self.clock.now(),
-                img.total_bytes()
-            );
-        }
         let bytes = img.total_bytes();
         // Disk-backed apps pay the (modeled) stable-storage write; replica
         // apps instead push fragments to peer memory over the fabric and pay
@@ -896,30 +712,24 @@ impl ProcessRuntime {
             "ckpt.write",
             &format!("index {index}, {bytes} B"),
         );
-        self.cr.last_index = index;
-        // For the CL path, emitting Saved is the engine's business; for
-        // stop-and-sync, on_saved is invoked by the caller.
         Ok(())
     }
 
-    /// Full safepoint: service everything; if a stop-and-sync round is in
-    /// progress, hold here (quiesce) until it commits.
+    /// The application hands over its state: it is what a capture inside a
+    /// later communication call is taken of.
+    pub(crate) fn cache_safepoint(&mut self, state: &dyn Checkpointable) {
+        self.cache.state = Some(state.save());
+        self.cache.coll_seq = self.comm.coll_seq;
+        self.cache.consumed.clear();
+        self.cr.safepoint();
+    }
+
+    /// Full safepoint: cache the state, service everything; if a
+    /// stop-and-sync round is in progress, hold here (quiesce) until it
+    /// commits.
     pub(crate) fn safepoint(&mut self, state: &dyn Checkpointable) -> Result<()> {
-        self.safepoint_count += 1;
-        self.cached_state = Some((state.save(), self.comm.coll_seq));
-        self.consumed_log.clear();
+        self.cache_safepoint(state);
         self.service(Some(state))?;
-        // Independent auto-checkpointing.
-        if let (Some(every), CrEngine::Indep(_)) = (self.indep_every, &self.cr.engine) {
-            if every > 0 && self.safepoint_count.is_multiple_of(every) {
-                let effects = match &mut self.cr.engine {
-                    CrEngine::Indep(e) => e.take_checkpoint(),
-                    _ => unreachable!(),
-                };
-                let mut s = Some(state);
-                self.run_effects(effects, &mut s)?;
-            }
-        }
         self.hold_while_stopped(Some(state))
     }
 
@@ -927,135 +737,125 @@ impl ProcessRuntime {
     /// the process stopped, until its Resume.
     pub(crate) fn hold_while_stopped(&mut self, state: Option<&dyn Checkpointable>) -> Result<()> {
         self.service_until(state, HOLD_LIMIT, "quiesce never completed", |rt| {
-            !rt.cr.stopped
+            !rt.cr.held()
         })
     }
 
     // ---- restart ---------------------------------------------------------------
 
-    /// Load (or reset to) checkpoint `index` before (re-)entering the
-    /// application code.
-    pub(crate) fn load_checkpoint(&mut self, index: u64) {
+    /// Load (or reset to) checkpoint `index`, entering `epoch`, before
+    /// (re-)entering the application code.
+    pub(crate) fn load_checkpoint(&mut self, index: u64, epoch: Option<Epoch>) {
         self.abort_flag.store(false, Ordering::Relaxed);
         self.bus.clear();
-        self.suspended = false;
-        self.cached_state = None;
-        self.consumed_log.clear();
-        self.deferred_capture = None;
-        self.pending_marks.clear();
         // Drop forensic marks past the restored line and rewind the
         // consumed counter to the line's value.
         self.ckpt_marks.split_off(&(index + 1));
         self.consumed_total = self.ckpt_marks.get(&index).map(|m| m.1).unwrap_or(0);
-        if let Some(e) = self.pending_epoch.take() {
+        if let Some(e) = epoch {
             self.mpi.set_epoch(e);
         }
         self.comm = Comm::world(self.size, self.rank);
-        self.cr = CrModule::new(self.entry.spec.proto, self.rank, self.size, index);
-        self.mpi.piggyback_interval = index;
-        if index == 0 {
-            self.restored = None;
+        let image = self.read_image(index);
+        let line = if image.is_some() { index } else { 0 };
+        let field = |name| image.as_ref().and_then(|v| v.field(name));
+        let int = |name| match field(name) {
+            Some(CkptValue::Int(n)) => *n as u64,
+            _ => 0,
+        };
+        let sent: Vec<u64> = match field("__sent") {
+            Some(CkptValue::IntArray(s)) => s.iter().map(|n| *n as u64).collect(),
+            _ => Vec::new(),
+        };
+        self.comm.coll_seq = int("__coll_seq");
+        self.restored = field("__user").cloned();
+        self.cache = SafepointCache {
+            state: self.restored.clone(),
+            coll_seq: self.comm.coll_seq,
+            consumed: Vec::new(),
+        };
+        self.captured = None;
+        self.cr.restored(line, int("__owed"), &sent);
+        self.mpi.piggyback_interval = line;
+    }
+
+    /// Read image `index` back and refill the receive queue from its
+    /// channel state; `None` (and an empty queue) when there is no image —
+    /// index 0, a recovery line at 0 for this rank — or it cannot be
+    /// restored here (a native image on a different machine: the paper's
+    /// native-level restriction). The rank then starts fresh.
+    fn read_image(&mut self, index: u64) -> Option<CkptValue> {
+        let restored = if index == 0 { None } else { self.fetch(index) };
+        let Some((value, channel)) = restored else {
             self.mpi.restore_channel(Vec::new(), self.clock.now());
-            return;
-        }
-        // Replica-backed apps reassemble the image from surviving peers at
-        // fabric speed (parallel per-source fetch, parity rebuild if a
-        // fragment was fully lost); disk apps read it back from stable
-        // storage at the modeled disk rate.
+            return None;
+        };
+        let epoch = self.mpi.epoch();
+        let msgs: Vec<(MsgHeader, Bytes)> = channel
+            .into_iter()
+            .map(|m| {
+                let header = MsgHeader {
+                    src: m.src,
+                    context: m.context,
+                    tag: m.tag,
+                    epoch,
+                    interval: 0,
+                    seq: 0,
+                    flags: 0,
+                };
+                (header, Bytes::from(m.payload))
+            })
+            .collect();
+        self.mpi.restore_channel(msgs, self.clock.now());
+        Some(value)
+    }
+
+    /// Fetch image `index` and charge its restore costs: replica-backed
+    /// apps reassemble it from surviving peers at fabric speed (parallel
+    /// per-source fetch, parity rebuild if a fragment was fully lost); disk
+    /// apps read it back from stable storage at the modeled disk rate; a
+    /// different saving machine adds representation conversion.
+    fn fetch(&mut self, index: u64) -> Option<(CkptValue, Vec<ChannelMsg>)> {
         let replica = matches!(self.store.backend_of(self.app), CkptBackend::Replica { .. });
         let (img, fetch_cost) = if replica {
-            match self
+            let f = self
                 .store
-                .fetch_timed(self.app, self.rank, index, self.node)
-            {
-                Some(f) => {
-                    self.metrics.add(
-                        metric::CKPT_FRAGMENTS_FETCHED,
-                        u64::from(f.fragments_fetched),
-                    );
-                    self.metrics
-                        .add(metric::CKPT_PARITY_REBUILDS, u64::from(f.parity_rebuilds));
-                    (Some(f.img), Some(f.cost))
-                }
-                None => (None, None),
-            }
+                .fetch_timed(self.app, self.rank, index, self.node)?;
+            self.metrics.add(
+                metric::CKPT_FRAGMENTS_FETCHED,
+                u64::from(f.fragments_fetched),
+            );
+            self.metrics
+                .add(metric::CKPT_PARITY_REBUILDS, u64::from(f.parity_rebuilds));
+            (f.img, Some(f.cost))
         } else {
-            (self.store.get(self.app, self.rank, index), None)
+            (self.store.get(self.app, self.rank, index)?, None)
         };
-        let Some(img) = img else {
-            // No such image (e.g. recovery line at 0 for this rank): fresh.
-            self.restored = None;
-            self.mpi.restore_channel(Vec::new(), self.clock.now());
-            self.cr = CrModule::new(self.entry.spec.proto, self.rank, self.size, 0);
-            self.mpi.piggyback_interval = 0;
-            return;
-        };
-        match img.restore_state(self.arch) {
-            Ok((value, report)) => {
-                // Restore costs: read the image back (peer fetch or disk),
-                // plus representation conversion when the saving machine
-                // differed.
-                match fetch_cost {
-                    Some(c) => {
-                        self.clock.advance(c);
-                        self.metrics.record_vt(metric::RECOVERY_FETCH_NS, c);
-                    }
-                    None => {
-                        self.clock.advance(self.disk.read_time(img.total_bytes()));
-                    }
-                }
-                if !report.identical() {
-                    self.clock
-                        .advance(VirtualTime::transfer(report.body_bytes, CONVERT_BW));
-                }
-                if let Some(CkptValue::Int(seq)) = value.field("__coll_seq") {
-                    // (restored through the wrapper written by take_checkpoint)
-                    self.comm.coll_seq = *seq as u64;
-                }
-                self.restored = value.field("__user").cloned();
-                let msgs: Vec<(MsgHeader, Bytes)> = img
-                    .channel
-                    .iter()
-                    .map(|m| {
-                        (
-                            MsgHeader {
-                                src: m.src,
-                                context: m.context,
-                                tag: m.tag,
-                                epoch: self.mpi.epoch(),
-                                interval: 0,
-                                seq: 0,
-                                flags: 0,
-                            },
-                            Bytes::from(m.payload.clone()),
-                        )
-                    })
-                    .collect();
-                self.mpi.restore_channel(msgs, self.clock.now());
+        let (value, report) = img.restore_state(self.arch).ok()?;
+        match fetch_cost {
+            Some(c) => {
+                self.clock.advance(c);
+                self.metrics.record_vt(metric::RECOVERY_FETCH_NS, c);
             }
-            Err(_) => {
-                // Unrestorable here (native image on a different machine):
-                // start fresh — the paper's native-level restriction.
-                self.restored = None;
-                self.mpi.restore_channel(Vec::new(), self.clock.now());
-                self.cr = CrModule::new(self.entry.spec.proto, self.rank, self.size, 0);
-                self.mpi.piggyback_interval = 0;
+            None => {
+                self.clock.advance(self.disk.read_time(img.total_bytes()));
             }
         }
+        if !report.identical() {
+            self.clock
+                .advance(VirtualTime::transfer(report.body_bytes, CONVERT_BW));
+        }
+        Some((value, img.channel))
     }
 }
 
 /// The process main loop: run the user code, re-entering after rollbacks.
 pub(crate) fn process_main(mut rt: ProcessRuntime, run: Arc<crate::host::AppFn>) {
-    let dbg = std::env::var_os("STARFISH_RT_DEBUG").is_some();
     loop {
-        if let Some(idx) = rt.restart_to.take() {
-            if dbg {
-                eprintln!("[rt {}.{}] load_checkpoint({idx})", rt.app, rt.rank);
-            }
+        if let Some((idx, epoch)) = rt.cr.take_rewind() {
             let started = rt.clock.now();
             rt.mpi.recorder().phase_begin(started, "recovery.restore");
-            rt.load_checkpoint(idx);
+            rt.load_checkpoint(idx, epoch);
             let now = rt.clock.now();
             rt.metrics.inc(metric::RECOVERY_RESTARTS);
             rt.metrics
@@ -1066,62 +866,26 @@ pub(crate) fn process_main(mut rt: ProcessRuntime, run: Arc<crate::host::AppFn>)
             rt.restored_at = Some(now);
             rt.flush_stats();
         }
-        if dbg {
-            eprintln!(
-                "[rt {}.{}] entering run (restored={})",
-                rt.app,
-                rt.rank,
-                rt.restored.is_some()
-            );
-        }
         let result = {
             let mut ctx = crate::ctx::Ctx { rt: &mut rt };
             run(&mut ctx)
         };
-        if dbg {
-            eprintln!(
-                "[rt {}.{}] run -> {:?} killed={} restart_to={:?}",
-                rt.app,
-                rt.rank,
-                result.as_ref().err(),
-                rt.killed,
-                rt.restart_to
-            );
-        }
         match result {
             Ok(()) => {
-                // No service point is left to take a capture put off for
-                // the program's last receive.
-                if let Some(index) = rt.deferred_capture.take() {
-                    let _ = rt.capture(index, &mut None);
-                }
-                // A member that returns right after its last checkpoint
-                // never hears that round's Resume: close it here.
-                rt.note_round_done();
-                rt.flush_stats();
+                let outs = rt.cr.finish();
+                let _ = rt.carry(outs, None);
                 rt.send_up(ProcUp::Done { vt: rt.clock.now() });
                 return;
             }
             Err(Error::Interrupted(_)) => {
-                if rt.killed {
+                // Interrupted without a rollback (yet): the Rollback may be
+                // right behind the abort.
+                let _ = rt.service_until(None, REWIND_WAIT, "rollback", |rt| {
+                    rt.cr.rewinding() || rt.cr.killed()
+                });
+                if rt.cr.killed() || !rt.cr.rewinding() {
                     return;
                 }
-                if rt.restart_to.is_none() {
-                    // Interrupted without a pending rollback: the Rollback
-                    // may be right behind the abort; wait for it briefly.
-                    let deadline = Instant::now() + Duration::from_secs(10);
-                    while rt.restart_to.is_none() && !rt.killed {
-                        if Instant::now() > deadline
-                            || (rt.service(None).is_ok() && rt.wait_event(deadline).is_err())
-                        {
-                            return;
-                        }
-                    }
-                    if rt.killed {
-                        return;
-                    }
-                }
-                continue;
             }
             Err(_other) => {
                 // Node crash mid-run or a fatal application error: exit.

@@ -983,9 +983,6 @@ fn library_algorithms_over_ctx_survive_checkpoint_and_crash() {
                 ("acc", CkptValue::Int(acc)),
             ]);
             if iter % 2 == 0 && iter > 0 {
-                // The barrier is bench-e2e finding 1's work-around for the
-                // ≥ 3-rank checkpoint wedge (ROADMAP item 1a).
-                ctx.barrier()?;
                 ctx.checkpoint(&state)?;
             } else {
                 ctx.safepoint(&state)?;
@@ -1027,4 +1024,100 @@ fn library_algorithms_over_ctx_survive_checkpoint_and_crash() {
             "rank {r}: want {expect}, got {out:?}"
         );
     }
+}
+
+/// A ring of blocking exchanges with a `checkpoint()` per step and no
+/// barrier. A rank whose left neighbour was stopped before sending is
+/// captured blocked in its receive; its next `checkpoint()` claims that
+/// round instead of waiting (60 s) for one nobody will start.
+#[test]
+fn ring_exchanges_with_a_checkpoint_per_step_never_wedge() {
+    const STEPS: i64 = 300;
+    let cluster = Cluster::builder().nodes(4).build().unwrap();
+    cluster.register_app("ringckpt", |ctx| {
+        let (me, n) = (ctx.rank().0, ctx.size());
+        let mut sum = 0i64;
+        for step in 0..STEPS {
+            ctx.send(Rank((me + 1) % n), 1, &step.to_le_bytes())?;
+            let m = ctx.recv(Some(Rank((me + n - 1) % n)), Some(1))?;
+            sum += i64::from_le_bytes(m.data[..8].try_into().unwrap());
+            let state = CkptValue::record(vec![("sum", CkptValue::Int(sum))]);
+            ctx.checkpoint(&state)?;
+        }
+        ctx.publish(CkptValue::Int(sum));
+        ctx.publish(CkptValue::Int(ctx.last_checkpoint_index() as i64));
+        Ok(())
+    });
+    let app = cluster
+        .submit("ringckpt", 4, SubmitOpts::default().policy(FtPolicy::Kill))
+        .unwrap();
+    cluster
+        .wait_app_done(app, Duration::from_secs(120))
+        .unwrap();
+    for r in 0..4 {
+        assert_eq!(
+            cluster.outputs(app, Rank(r)),
+            vec![
+                CkptValue::Int(STEPS * (STEPS - 1) / 2),
+                CkptValue::Int(STEPS)
+            ],
+            "rank {r}"
+        );
+    }
+}
+
+/// Rank 1 sends "a" to rank 2 and blocks in a receive nothing will
+/// complete before the round: its image is the state of its safepoint
+/// (before the send) and rank 2's holds "a" as consumed. Restored after a
+/// crash, rank 1 re-executes the send — which it must suppress, or rank 2
+/// takes "a" a second time where "b" belongs.
+#[test]
+fn a_rank_restored_from_a_blocked_capture_does_not_send_twice() {
+    let cluster = Cluster::builder().nodes(3).build().unwrap();
+    let crashed = Gate::default();
+    let gate = crashed.clone();
+    cluster.register_app("resend", move |ctx| {
+        let first = ctx.restored().is_none();
+        match ctx.rank().0 {
+            0 => {
+                if first {
+                    ctx.recv(Some(Rank(2)), Some(2))?; // rank 2 holds "a"
+                    ctx.checkpoint(&CkptValue::Int(1))?;
+                    ctx.publish(CkptValue::Str("here".into()));
+                    gate.wait();
+                }
+                ctx.send(Rank(1), 3, b"go")?;
+                ctx.recv(Some(Rank(1)), Some(4))?;
+            }
+            1 => {
+                ctx.safepoint(&CkptValue::Unit)?;
+                ctx.send(Rank(2), 1, b"a")?;
+                ctx.recv(Some(Rank(0)), Some(3))?;
+                ctx.send(Rank(2), 1, b"b")?;
+                ctx.send(Rank(0), 4, b"done")?;
+            }
+            _ => {
+                if first {
+                    ctx.recv(Some(Rank(1)), Some(1))?;
+                    ctx.send(Rank(0), 2, b"ok")?;
+                    ctx.checkpoint(&CkptValue::Int(1))?;
+                }
+                let m = ctx.recv(Some(Rank(1)), Some(1))?;
+                ctx.publish(CkptValue::Bytes(m.data.to_vec()));
+            }
+        }
+        Ok(())
+    });
+    let app = cluster.submit("resend", 3, SubmitOpts::default()).unwrap();
+    cluster.wait_outputs(app, Rank(0), 1, T).unwrap();
+    let victim = cluster.config().apps[&app].placement[2];
+    cluster.crash_node(victim);
+    cluster.add_node(0).unwrap();
+    crashed.open();
+    cluster.wait_app_done(app, T).unwrap();
+    assert_eq!(cluster.config().apps[&app].epoch.0, 1, "one rollback");
+    assert_eq!(
+        cluster.outputs(app, Rank(2)),
+        vec![CkptValue::Bytes(b"b".to_vec())]
+    );
 }

@@ -37,7 +37,11 @@ impl Transport for Ctx<'_> {
         tag: u64,
         data: &[u8],
     ) -> Result<()> {
-        self.send_when_reachable(|rt| rt.mpi.send_world(&mut rt.clock, dst, context, tag, data))
+        self.send_when_reachable(
+            dst,
+            |_| (),
+            |rt| rt.mpi.send_world(&mut rt.clock, dst, context, tag, data),
+        )
     }
 
     fn recv(&mut self, _: &mut OwnClock, context: u32, src: Rank, tag: u64) -> Result<RecvdMsg> {
@@ -52,7 +56,7 @@ impl Transport for Ctx<'_> {
         tag: u64,
         data: Bytes,
     ) -> Result<Request> {
-        self.send_when_reachable(|rt| {
+        self.send_when_reachable(dst, crate::ctx::complete, |rt| {
             rt.mpi
                 .isend_world_bytes(&mut rt.clock, dst, context, tag, data.clone())
         })

@@ -97,7 +97,6 @@ fn rig_receiving(mode: RecvMode) -> (Rig, ProcessRuntime) {
         VirtualTime::ZERO,
         0,
         false,
-        None,
         starfish_telemetry::Registry::new(),
     );
     let rig = Rig {
@@ -199,10 +198,13 @@ fn held_rank_services_once_per_delivery() {
     let rank = run(rt, move |ctx| {
         // Blocked in a receive when round 1's Stop is relayed.
         ctx.recv(Some(Rank(0)), Some(1))?;
-        assert!(ctx.rt.cr.stopped, "the Stop was serviced inside recv");
+        assert!(ctx.rt.cr.held(), "the Stop was serviced inside recv");
         let before = ctx.rt.service_calls;
         ctx.send(Rank(0), 2, b"held")?; // waits out the round
         report.send(ctx.rt.service_calls - before).unwrap();
+        // Captured outside a call, round 1 is owed to the next one.
+        ctx.checkpoint(&CkptValue::Unit)?;
+        assert_eq!(ctx.rt.cr.last_index(), 1);
         let before = ctx.rt.service_calls;
         ctx.checkpoint(&CkptValue::Unit)?; // round 2, as a member
         report.send(ctx.rt.service_calls - before).unwrap();
@@ -315,7 +317,7 @@ fn stopped_inside_a_receive(sent_first: Option<u64>) -> (Rig, ProcessRuntime) {
     }
     rig.flush_mark(1);
     rt.service_in_recv().unwrap();
-    assert_eq!((rt.deferred_capture, rt.cr.last_index), (Some(1), 0));
+    assert_eq!((rt.cr.deferred(), rt.cr.last_index()), (true, 0));
     rig.await_flush_mark(1);
     (rig, rt)
 }
@@ -331,9 +333,13 @@ fn a_round_lets_a_receive_complete_instead_of_capturing_it_blocked() {
     let (rig, rt) = stopped_inside_a_receive(Some(1));
     let rank = run(rt, |ctx| {
         ctx.recv(Some(Rank(0)), Some(1))?;
-        assert_eq!(ctx.rt.cr.last_index, 0, "captured although it could go on");
+        assert_eq!(
+            ctx.rt.cr.last_index(),
+            0,
+            "captured although it could go on"
+        );
         ctx.checkpoint(&CkptValue::Unit)?;
-        assert!(ctx.rt.cr.last_index == 1 && ctx.rt.consumed_log.is_empty());
+        assert!(ctx.rt.cr.last_index() == 1 && ctx.rt.cache.consumed.is_empty());
         Ok(())
     });
     rig.await_saved(1);
@@ -348,7 +354,7 @@ fn a_round_captures_a_receive_that_stays_blocked() {
     let (mut rig, rt) = stopped_inside_a_receive(None);
     let rank = run(rt, |ctx| {
         ctx.recv(Some(Rank(0)), Some(1))?;
-        assert_eq!(ctx.rt.cr.last_index, 1);
+        assert_eq!(ctx.rt.cr.last_index(), 1);
         Ok(())
     });
     rig.await_saved(1);

@@ -33,13 +33,7 @@ pub enum LevelKind {
     Vm,
 }
 
-/// Which distributed C/R protocol an application runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CkptProto {
-    StopAndSync,
-    ChandyLamport,
-    Independent,
-}
+pub use starfish_checkpoint::proto::CkptProto;
 
 /// Submission-time application description.
 #[derive(Debug, Clone, PartialEq, Eq)]

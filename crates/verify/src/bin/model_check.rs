@@ -15,6 +15,7 @@ use verify::counterexample;
 use verify::explorer::{explore, Model, Options, Report};
 use verify::models::chandy::ChandyModel;
 use verify::models::membership::MembershipModel;
+use verify::models::rank_cr::RankCrModel;
 use verify::models::reliability::ReliabilityModel;
 use verify::models::rendezvous::RendezvousModel;
 use verify::models::replica::ReplicaPushModel;
@@ -79,6 +80,52 @@ fn main() -> ExitCode {
             &ChandyModel { ranks, rounds },
             &mut failed,
         );
+    }
+
+    println!("== checkpoint: rank C/R service loop (RankCr x stop-and-sync) ==");
+    // A ring of blocking exchanges and a checkpoint() per step; segs=2 puts
+    // a crash inside a ring step.
+    for (ranks, steps, segs, crashes) in [(3, 2, 1, 0), (3, 2, 1, 1), (3, 2, 2, 1)] {
+        run(
+            &format!("rank-cr ranks={ranks} steps={steps} segs={segs} crashes={crashes}"),
+            ranks,
+            ranks,
+            &RankCrModel::ring(ranks, steps, segs, crashes),
+            &mut failed,
+        );
+    }
+    // The two defects the machine fixed, switched back on: each must be
+    // found again.
+    println!("== checkpoint: rank C/R mutations (expected counterexamples) ==");
+    let ring = RankCrModel::ring(3, 2, 1, 1);
+    for (name, m) in [
+        (
+            "late-claim",
+            RankCrModel {
+                late_claim: true,
+                ..ring
+            },
+        ),
+        (
+            "resend",
+            RankCrModel {
+                resend: true,
+                ..ring
+            },
+        ),
+    ] {
+        match explore(&m, Options::default()).violation {
+            Some(v) => println!(
+                "rank-cr {name}: {:?} after {} steps: {}",
+                v.kind,
+                v.trace.len(),
+                v.message
+            ),
+            None => {
+                println!("ERROR: rank-cr {name} found nothing — model broken");
+                failed = true;
+            }
+        }
     }
 
     println!("== checkpoint: replica placement ==");

@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use starfish_checkpoint::proto::chandy_lamport::{ChandyLamport, ClPhase};
-use starfish_checkpoint::proto::{CrEffect, CrEvent, CrMsg};
+use starfish_checkpoint::proto::{CrEffect, CrMsg};
 use starfish_util::Rank;
 
 use super::chan::{self, Fifo};
@@ -148,23 +148,17 @@ impl Model for ChandyModel {
             ClAction::Start => {
                 s.started += 1;
                 let index = s.started;
-                let eff = s.engines[0].step(CrEvent::Start { index });
+                let eff = s.engines[0].start(index);
                 self.apply_effects(&mut s, 0, eff);
             }
             ClAction::Marker(f, t) => {
                 let index = chan::pop(&mut s.markers, *f, *t).expect("enabled action");
-                let eff = s.engines[*t as usize].step(CrEvent::Marker {
-                    from: Rank(*f),
-                    index,
-                });
+                let eff = s.engines[*t as usize].on_marker(Rank(*f), index);
                 self.apply_effects(&mut s, *t, eff);
             }
             ClAction::Ctrl(f, t) => {
                 let msg = chan::pop(&mut s.ctrl, *f, *t).expect("enabled action");
-                let eff = s.engines[*t as usize].step(CrEvent::Msg {
-                    from: Rank(*f),
-                    msg,
-                });
+                let eff = s.engines[*t as usize].on_msg(Rank(*f), &msg);
                 self.apply_effects(&mut s, *t, eff);
             }
         }

@@ -22,6 +22,7 @@
 
 pub mod chandy;
 pub mod membership;
+pub mod rank_cr;
 pub mod reliability;
 pub mod rendezvous;
 pub mod replica;

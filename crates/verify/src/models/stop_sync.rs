@@ -2,8 +2,8 @@
 //! ([`starfish_checkpoint::proto::stop_and_sync`]) under crashes.
 //!
 //! The state holds one real [`StopAndSync`] engine per rank, driven through
-//! [`StopAndSync::step`] — the same single door the runtime uses. The model
-//! supplies the environment:
+//! the entry points the runtime's `RankCr` calls. The model supplies the
+//! environment:
 //!
 //! * a per-link FIFO **control** channel (`Stop`/`Saved`/`Resume` travel
 //!   through the daemons, FIFO per sender);
@@ -33,7 +33,7 @@
 use std::collections::BTreeMap;
 
 use starfish_checkpoint::proto::stop_and_sync::{Phase, StopAndSync};
-use starfish_checkpoint::proto::{CrEffect, CrEvent, CrMsg};
+use starfish_checkpoint::proto::{CrEffect, CrMsg};
 use starfish_util::Rank;
 
 use super::chan::{self, Fifo};
@@ -188,28 +188,22 @@ impl Model for StopSyncModel {
             SsAction::Start => {
                 s.started += 1;
                 let index = s.started;
-                let eff = s.engines[0].step(CrEvent::Start { index });
+                let eff = s.engines[0].start(index);
                 self.apply_effects(&mut s, 0, eff);
             }
             SsAction::Ctrl(f, t) => {
                 let msg = chan::pop(&mut s.ctrl, *f, *t).expect("enabled action");
-                let eff = s.engines[*t as usize].step(CrEvent::Msg {
-                    from: Rank(*f),
-                    msg,
-                });
+                let eff = s.engines[*t as usize].on_msg(Rank(*f), &msg);
                 self.apply_effects(&mut s, *t, eff);
             }
             SsAction::Mark(f, t) => {
                 let index = chan::pop(&mut s.marks, *f, *t).expect("enabled action");
-                let eff = s.engines[*t as usize].step(CrEvent::FlushMark {
-                    from: Rank(*f),
-                    index,
-                });
+                let eff = s.engines[*t as usize].on_flush_mark(Rank(*f), index);
                 self.apply_effects(&mut s, *t, eff);
             }
             SsAction::Save(r) => {
                 let index = s.writing[*r as usize].take().expect("enabled action");
-                let eff = s.engines[*r as usize].step(CrEvent::SavedLocal { index });
+                let eff = s.engines[*r as usize].on_saved(index);
                 self.apply_effects(&mut s, *r, eff);
             }
             SsAction::Crash => {

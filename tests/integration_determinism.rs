@@ -71,16 +71,17 @@ fn run_checkpoint_round() -> Vec<CkptValue> {
 
 #[test]
 fn checkpoint_round_virtual_time_reproducible_within_tolerance() {
-    // Daemon-relayed control timestamps carry sub-millisecond merge-order
-    // noise (documented in DESIGN.md); the round time itself — dominated by
-    // the image write and the fitted coordination cost — must agree to
-    // better than 1 ms out of ~90 ms.
+    // Daemon-relayed control timestamps carry merge-order noise (DESIGN.md
+    // §7): on a 2-vCPU box, 320 rounds with and without three busy loops
+    // beside them took 66.37–66.64 ms. Ranks take a round's times from the
+    // flush marks and merge a peer's `Saved` at the commit, so the image
+    // writes always overlap; one write more in sequence would add ≈ 24 ms.
     let a = run_checkpoint_round()[0].as_int().unwrap();
     let b = run_checkpoint_round()[0].as_int().unwrap();
     let delta = (a - b).abs();
     assert!(
-        delta < 1_000_000,
-        "round times {a} vs {b} ns differ by {delta} ns (> 1 ms)"
+        delta < 500_000,
+        "round times {a} vs {b} ns differ by {delta} ns (> 0.5 ms)"
     );
 }
 
