@@ -11,9 +11,9 @@
 //! - [`locks`] — lock-order graph + cycle detection and the
 //!   blocking-while-locked pass.
 //! - [`panics`] — panic-surface audit over the protocol crates.
-//! - [`rules`] — the original wall-clock / wire-enum-coverage / mgmt-usage
-//!   rules, re-hosted on the model, and the sans-io rule for files that
-//!   declare themselves pure protocol machines.
+//! - [`rules`] — the original wall-clock / wire-enum-coverage rules,
+//!   re-hosted on the model, and the sans-io rule for files that declare
+//!   themselves pure protocol machines.
 //! - [`baseline`] / [`report`] — the committed triage file and the
 //!   human + JSON outputs.
 //!
@@ -123,9 +123,6 @@ pub fn analyze_workspace(root: &Path) -> Result<Report, String> {
         report.findings.extend(rules::sans_io(&dir.join("src")));
         report.findings.extend(rules::wire_enum_coverage(&dir));
     }
-    report
-        .findings
-        .extend(rules::mgmt_usage(&root.join("crates/daemon/src/mgmt.rs")));
 
     finish(
         &mut report,
@@ -164,10 +161,6 @@ pub fn analyze_crate(dir: &Path) -> Report {
     report.findings.extend(rules::sleep_poll(&dir.join("src")));
     report.findings.extend(rules::sans_io(&dir.join("src")));
     report.findings.extend(rules::wire_enum_coverage(dir));
-    let mgmt = dir.join("src/mgmt.rs");
-    if mgmt.exists() {
-        report.findings.extend(rules::mgmt_usage(&mgmt));
-    }
 
     finish(&mut report, &models, &la.graph, &la.stats, panic_total, 0);
     report

@@ -90,13 +90,14 @@ fn index_sites(code: &str) -> Vec<usize> {
         }
         let prev = bytes[j - 1];
         if prev.is_ascii_alphanumeric() || prev == b'_' || prev == b')' || prev == b']' {
-            // Exclude keywords that can directly precede an array literal.
+            // Exclude keywords that can directly precede an array literal
+            // (or, after `let`, a slice pattern).
             let mut s = j;
             while s > 0 && (bytes[s - 1].is_ascii_alphanumeric() || bytes[s - 1] == b'_') {
                 s -= 1;
             }
             let word = &code[s..j];
-            if matches!(word, "return" | "in" | "else" | "match" | "break") {
+            if matches!(word, "return" | "in" | "else" | "match" | "break" | "let") {
                 continue;
             }
             out.push(i);
@@ -153,6 +154,7 @@ mod tests {
             "// a comment: v[0].unwrap() panic!\n",
             "fn g() -> [u8; 2] { [0, 1] }\n",
             "fn my_panic!() {}\n",
+            "fn h(t: &[u8]) -> u8 { let [a, _] = t else { return 0 }; *a }\n",
         ));
         assert!(got.is_empty(), "{got:?}");
     }

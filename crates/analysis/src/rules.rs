@@ -13,9 +13,7 @@
 //!    the crate's test code. Variant parsing uses the item model, which
 //!    (unlike the old line scanner) also sees single-line enums and
 //!    several variants per line.
-//! 3. **mgmt-usage** — every command arm of the management console's
-//!    dispatch must have a `COMMAND_USAGE` entry, and vice versa.
-//! 4. **sans-io** — a file carrying the `// lint: sans-io` marker is a pure
+//! 3. **sans-io** — a file carrying the `// lint: sans-io` marker is a pure
 //!    protocol machine: it may not name a clock read, the fabric, the
 //!    virtual clock, a lock, a thread or an instrument, tests included, and
 //!    there is no escape hatch (the wall-clock one is itself a finding).
@@ -25,7 +23,7 @@ use std::path::Path;
 
 use crate::model::CrateModel;
 use crate::report::Finding;
-use crate::source::{caps_literals, rs_files, token_in, SourceFile};
+use crate::source::{rs_files, token_in, SourceFile};
 
 /// Tokens rule 1 forbids in deterministic crates: wall clocks plus
 /// seedless entropy (`rand::random` / `Rng::gen` draw from OS entropy; the
@@ -134,14 +132,15 @@ fn forbidden_tokens(src_dir: &Path, tokens: &[&str], wher: &str) -> Vec<Finding>
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: sans-io
+// Rule 3: sans-io
 // ---------------------------------------------------------------------------
 
 /// The file marker (a comment line of its own) that opts a module into
-/// rule 4. `crates/mpi/src/{reliability,rendezvous,credit,matching}.rs`,
-/// `crates/ensemble/src/{core,group}.rs` and
-/// `crates/checkpoint/src/proto/{rank,stop_and_sync,chandy_lamport,independent}.rs`
-/// carry it; a unit test below pins that.
+/// rule 3. `crates/mpi/src/{reliability,rendezvous,credit,matching}.rs`,
+/// `crates/ensemble/src/{core,group}.rs`,
+/// `crates/checkpoint/src/proto/{rank,stop_and_sync,chandy_lamport,independent}.rs`,
+/// `crates/daemon/src/node.rs` and `crates/lwgroups/src/router.rs` carry
+/// it; a unit test below pins that.
 pub const SANS_IO_MARKER: &str = "// lint: sans-io";
 
 /// What a sans-IO module may not name: wall-clock reads, the fabric and
@@ -314,105 +313,6 @@ pub fn wire_enum_coverage(crate_dir: &Path) -> Vec<Finding> {
                     ),
                 ));
             }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Rule 3: mgmt usage
-// ---------------------------------------------------------------------------
-
-/// Check the management console source for usage-table completeness.
-pub fn mgmt_usage(mgmt_rs: &Path) -> Vec<Finding> {
-    let Some(scan) = SourceFile::load(mgmt_rs) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-
-    // Commands: depth-1 literal arms of the `match cmd.to_ascii_uppercase()`
-    // dispatch.
-    let mut commands: Vec<(String, usize)> = Vec::new();
-    let mut i = 0;
-    while i < scan.code.len() {
-        if scan.code[i].contains("match cmd.to_ascii_uppercase()") && !scan.in_test[i] {
-            let mut depth = 0i32;
-            let mut j = i;
-            loop {
-                if j >= scan.code.len() {
-                    break;
-                }
-                if j > i && depth == 1 {
-                    let t = scan.code_str[j].trim();
-                    if t.starts_with('"') {
-                        for c in caps_literals(&scan.code_str[j]) {
-                            commands.push((c, j + 1));
-                        }
-                    }
-                }
-                for c in scan.code[j].chars() {
-                    match c {
-                        '{' => depth += 1,
-                        '}' => depth -= 1,
-                        _ => {}
-                    }
-                }
-                if j > i && depth <= 0 {
-                    break;
-                }
-                j += 1;
-            }
-            i = j + 1;
-        } else {
-            i += 1;
-        }
-    }
-
-    // Table entries: first CAPS literal of each line of COMMAND_USAGE.
-    let mut table: Vec<String> = Vec::new();
-    let mut in_table = false;
-    for (i, l) in scan.code.iter().enumerate() {
-        if l.contains("COMMAND_USAGE") && l.contains('[') {
-            in_table = true;
-            continue;
-        }
-        if in_table {
-            if l.contains("];") {
-                break;
-            }
-            if let Some(first) = caps_literals(&scan.code_str[i]).into_iter().next() {
-                table.push(first);
-            }
-        }
-    }
-
-    if commands.is_empty() {
-        out.push(Finding::new(
-            "mgmt-usage",
-            mgmt_rs.to_path_buf(),
-            1,
-            "no command dispatch found (expected `match cmd.to_ascii_uppercase()`)".into(),
-        ));
-        return out;
-    }
-    for (cmd, line) in &commands {
-        if !table.contains(cmd) {
-            out.push(Finding::new(
-                "mgmt-usage",
-                mgmt_rs.to_path_buf(),
-                *line,
-                format!("command {cmd:?} has no COMMAND_USAGE entry (HELP will not list it)"),
-            ));
-        }
-    }
-    for t in &table {
-        if !commands.iter().any(|(c, _)| c == t) {
-            out.push(Finding::new(
-                "mgmt-usage",
-                mgmt_rs.to_path_buf(),
-                1,
-                format!("COMMAND_USAGE advertises {t:?} but no dispatch arm handles it"),
-            ));
         }
     }
     out
@@ -621,7 +521,7 @@ mod tests {
     #[test]
     fn the_protocol_machines_are_marked_sans_io() {
         // (crate dir, its machines, the shell that drives them)
-        let table: [(&str, &[&str], &str); 3] = [
+        let table: [(&str, &[&str], &str); 5] = [
             (
                 "mpi",
                 &[
@@ -647,6 +547,8 @@ mod tests {
                 ],
                 "core/src/runtime.rs",
             ),
+            ("daemon", &["node.rs"], "daemon/src/daemon.rs"),
+            ("lwgroups", &["router.rs"], "daemon/src/daemon.rs"),
         ];
         let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
         let marked = |f: &Path| is_sans_io(&SourceFile::load(f).expect("a source file"));
@@ -777,33 +679,5 @@ mod tests {
         .unwrap();
         let v = wire_enum_coverage(&d);
         assert_eq!(v.len(), 2, "{v:?}"); // no tests at all: both flagged
-    }
-
-    #[test]
-    fn mgmt_usage_requires_table_entries_both_ways() {
-        let d = tmpdir("mgmt1");
-        fs::write(
-            d.join("src/mgmt.rs"),
-            concat!(
-                "pub const COMMAND_USAGE: &[(&str, &str)] = &[\n",
-                "    (\"LOGIN\", \"LOGIN ADMIN <password>\"),\n",
-                "    (\"GHOST\", \"GHOST — not actually handled\"),\n",
-                "];\n",
-                "fn try_handle(cmd: &str) -> String {\n",
-                "    match cmd.to_ascii_uppercase().as_str() {\n",
-                "        \"LOGIN\" => \"ok\".into(),\n",
-                "        \"STATS\" | \"HEALTH\" => \"ok\".into(),\n",
-                "        other => format!(\"ERR unknown command {other:?}\"),\n",
-                "    }\n",
-                "}\n",
-            ),
-        )
-        .unwrap();
-        let v = mgmt_usage(&d.join("src/mgmt.rs"));
-        let msgs: Vec<&str> = v.iter().map(|x| x.msg.as_str()).collect();
-        assert_eq!(v.len(), 3, "{msgs:?}");
-        assert!(msgs.iter().any(|m| m.contains("\"STATS\"")));
-        assert!(msgs.iter().any(|m| m.contains("\"HEALTH\"")));
-        assert!(msgs.iter().any(|m| m.contains("\"GHOST\"")));
     }
 }

@@ -14,8 +14,6 @@ pub struct SourceFile {
     pub raw: Vec<String>,
     /// Comments *and* string/char literal bodies blanked.
     pub code: Vec<String>,
-    /// Comments blanked, string literals kept (for literal extraction).
-    pub code_str: Vec<String>,
     /// Line lies inside a `#[cfg(test)]` item.
     pub in_test: Vec<bool>,
 }
@@ -29,15 +27,13 @@ impl SourceFile {
 
     /// Scan from in-memory text (tests, property generators).
     pub fn from_text(path: &Path, text: &str) -> SourceFile {
-        let code_text = blank(text, true);
-        let code_str_text = blank(text, false);
+        let code_text = blank(text);
         let code: Vec<String> = code_text.lines().map(str::to_string).collect();
         let in_test = test_regions(&code);
         SourceFile {
             path: path.to_path_buf(),
             raw: text.lines().map(str::to_string).collect(),
             code,
-            code_str: code_str_text.lines().map(str::to_string).collect(),
             in_test,
         }
     }
@@ -58,10 +54,10 @@ impl SourceFile {
     }
 }
 
-/// Blank comments (and optionally literal bodies) out of `text`, preserving
-/// line structure so line numbers survive. Every `\n` of the input appears
-/// at the same offset-in-line-count in the output.
-pub fn blank(text: &str, blank_literals: bool) -> String {
+/// Blank comments and literal bodies out of `text`, preserving line
+/// structure so line numbers survive. Every `\n` of the input appears at the
+/// same offset-in-line-count in the output.
+pub fn blank(text: &str) -> String {
     #[derive(PartialEq)]
     enum St {
         Code,
@@ -101,9 +97,9 @@ pub fn blank(text: &str, blank_literals: bool) -> String {
                         j += 1;
                     }
                     if bytes.get(j) == Some(&'"') {
-                        // Emit (or blank) the opening `r##"` delimiters.
+                        // Blank the opening `r##"` delimiters.
                         while i <= j {
-                            out.push(if blank_literals { ' ' } else { bytes[i] });
+                            out.push(' ');
                             i += 1;
                         }
                         st = St::RawStr(hashes);
@@ -133,13 +129,7 @@ pub fn blank(text: &str, blank_literals: bool) -> String {
                             i += 1;
                         }
                     } else if bytes.get(i + 2) == Some(&'\'') {
-                        out.push('\'');
-                        out.push(if blank_literals {
-                            ' '
-                        } else {
-                            next.unwrap_or(' ')
-                        });
-                        out.push('\'');
+                        out.push_str("' '");
                         i += 3;
                     } else {
                         out.push('\''); // lifetime
@@ -171,9 +161,9 @@ pub fn blank(text: &str, blank_literals: bool) -> String {
             }
             St::Str => match c {
                 '\\' => {
-                    out.push(if blank_literals { ' ' } else { c });
+                    out.push(' ');
                     if let Some(n) = next {
-                        out.push(if blank_literals && n != '\n' { ' ' } else { n });
+                        out.push(if n != '\n' { ' ' } else { n });
                         i += 2;
                     } else {
                         i += 1;
@@ -189,7 +179,7 @@ pub fn blank(text: &str, blank_literals: bool) -> String {
                     i += 1;
                 }
                 _ => {
-                    out.push(if blank_literals { ' ' } else { c });
+                    out.push(' ');
                     i += 1;
                 }
             },
@@ -310,23 +300,6 @@ pub fn leading_ident(s: &str) -> Option<String> {
     }
 }
 
-/// Extract `"CAPS"` literals from a `code_str` line.
-pub fn caps_literals(line: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut rest = line;
-    while let Some(a) = rest.find('"') {
-        let Some(b) = rest[a + 1..].find('"') else {
-            break;
-        };
-        let lit = &rest[a + 1..a + 1 + b];
-        if !lit.is_empty() && lit.chars().all(|c| c.is_ascii_uppercase()) {
-            out.push(lit.to_string());
-        }
-        rest = &rest[a + b + 2..];
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,11 +318,8 @@ mod tests {
             "    */\n",
             "}\n",
         );
-        for lits in [true, false] {
-            let b = blank(text, lits);
-            assert_eq!(b.lines().count(), text.lines().count());
-        }
-        let b = blank(text, true);
+        let b = blank(text);
+        assert_eq!(b.lines().count(), text.lines().count());
         assert!(!b.contains("comment"));
         assert!(!b.contains("multi"));
         assert!(!b.contains("raw"));

@@ -41,19 +41,13 @@ fn fragment() -> BoxedStrategy<&'static str> {
 }
 
 proptest! {
-    /// `blank()` must keep exactly the same number of lines as its input
-    /// in both modes, whatever state the lexer ends in.
+    /// `blank()` must keep exactly the same number of lines as its input,
+    /// whatever state the lexer ends in.
     #[test]
     fn blank_preserves_line_structure(frags in collection::vec(fragment(), 0..40)) {
         let text = frags.join("\n");
-        for lits in [true, false] {
-            let b = blank(&text, lits);
-            prop_assert_eq!(
-                b.matches('\n').count(),
-                text.matches('\n').count(),
-                "line count drifted (blank_literals={})", lits
-            );
-        }
+        let b = blank(&text);
+        prop_assert_eq!(b.matches('\n').count(), text.matches('\n').count(), "line count drifted");
     }
 
     /// `test_regions` must be exactly line-aligned, and the full model
@@ -62,7 +56,7 @@ proptest! {
     fn model_lines_stay_in_range(frags in collection::vec(fragment(), 0..40)) {
         let text = frags.join("\n");
         let nlines = text.lines().count();
-        let code: Vec<String> = blank(&text, true).lines().map(str::to_string).collect();
+        let code: Vec<String> = blank(&text).lines().map(str::to_string).collect();
         prop_assert_eq!(test_regions(&code).len(), code.len());
 
         let model = CrateModel::from_files(
@@ -88,8 +82,8 @@ proptest! {
     #[test]
     fn blank_is_idempotent(frags in collection::vec(fragment(), 0..40)) {
         let text = frags.join("\n");
-        let once = blank(&text, true);
-        let twice = blank(&once, true);
+        let once = blank(&text);
+        let twice = blank(&once);
         prop_assert_eq!(&once, &twice);
     }
 }

@@ -7,12 +7,12 @@ use starfish::{CkptProto, CkptValue, Cluster, FtPolicy, Rank, SubmitOpts};
 use starfish_checkpoint::disk::DiskModel;
 use starfish_checkpoint::incremental::IncrementalTracker;
 use starfish_checkpoint::recovery::{recovery_line, MsgDep};
-use starfish_ensemble::{Endpoint, EndpointConfig};
+use starfish_daemon::{CfgCmd, ClusterConfig};
 use starfish_mpi::RecvMode;
 use starfish_util::rng::DetRng;
 use starfish_util::trace::{MsgClass, TraceSink};
 use starfish_util::NodeId;
-use starfish_vni::{Fabric, Ideal, LayerCosts};
+use starfish_vni::{Ideal, LayerCosts};
 
 use crate::report::{print_banner, print_table};
 
@@ -92,74 +92,84 @@ pub fn cr_protocols() {
 }
 
 /// Lightweight groups vs full-blown groups: cost of one membership change.
+/// A full one is a node joining the Starfish group (`add_node`: flush, new
+/// view, state transfer, announcement); a lightweight one is a rank moving
+/// to another node (`MIGRATE`): one cast, whose view change every daemon
+/// derives from it without a message of its own.
 pub fn lwgroups() {
     print_banner(
         "Ablation — lightweight vs full-blown groups ([19], §2.1)",
-        "control messages per membership change at several group sizes",
+        "control messages per membership change at several cluster sizes",
     );
     let mut rows = Vec::new();
     for n in [4u32, 8, 16] {
         let trace = TraceSink::enabled();
-        let fabric = Fabric::new(Box::new(Ideal), LayerCosts::zero());
-        for i in 0..n + 1 {
-            fabric.add_node(NodeId(i));
-        }
-        let cfg = || EndpointConfig {
-            trace: trace.clone(),
-            ..EndpointConfig::default()
-        };
-        let mut eps = vec![Endpoint::found(&fabric, NodeId(0), cfg()).unwrap()];
-        for i in 1..n {
-            let ep = Endpoint::join(&fabric, NodeId(i), NodeId(0), cfg()).unwrap();
-            ep.wait_for_view_size(i as usize + 1, T).unwrap();
-            eps.push(ep);
-        }
-        for ep in &eps {
-            while ep
-                .current_view()
-                .map(|v| v.size() < n as usize)
-                .unwrap_or(true)
-            {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-        std::thread::sleep(Duration::from_millis(50));
-
-        // (a) Full-blown membership change: one more endpoint joins the
-        // heavyweight group (flush + backfill + new view at every member).
-        let before = trace.count(MsgClass::Control);
-        let extra = Endpoint::join(&fabric, NodeId(n), NodeId(0), cfg()).unwrap();
-        extra.wait_for_view_size(n as usize + 1, T).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        let full_msgs = trace.count(MsgClass::Control) - before;
-
-        // (b) Lightweight change: one totally ordered cast announces the
-        // lightweight join; nothing else moves.
-        let before = trace.count(MsgClass::Control);
-        let lw = starfish_lwgroups::LwMsg::Join {
-            gid: starfish_util::GroupId(1),
-            node: NodeId(2),
-        };
-        use starfish_util::codec::Encode;
-        eps[0]
-            .cast(lw.encode_to_bytes(), starfish_util::VirtualTime::ZERO)
+        let cluster = Cluster::builder()
+            .nodes(n)
+            .network(Box::new(Ideal))
+            .layers(LayerCosts::zero())
+            .trace(trace.clone())
+            .build()
             .unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        let lw_msgs = trace.count(MsgClass::Control) - before;
-
+        // Runs until it is deleted.
+        cluster.register_app("lw", |ctx| loop {
+            ctx.safepoint(&CkptValue::Unit)?;
+            std::thread::sleep(Duration::from_millis(1));
+        });
+        let app = cluster.submit("lw", 2, SubmitOpts::default()).unwrap();
+        let everywhere = |cluster: &Cluster, done: &dyn Fn(&ClusterConfig) -> bool| {
+            for d in (0..=n).filter_map(|i| cluster.daemon_of(NodeId(i))) {
+                d.wait_config(T, done).unwrap();
+            }
+        };
+        // A marker every daemon has applied ends a measurement, once what
+        // the change set off (respawn events, telemetry) has had 100 ms to
+        // land; one cast is its price, taken off each figure.
+        let mut marks = 0;
+        let mut settle = |cluster: &Cluster| {
+            std::thread::sleep(Duration::from_millis(100));
+            marks += 1;
+            let (key, value) = (format!("mark{marks}"), String::new());
+            let marker = CfgCmd::SetParam {
+                key: key.clone(),
+                value,
+            };
+            cluster.daemon().issue(marker).unwrap();
+            everywhere(cluster, &|c| c.params.contains_key(&key));
+            trace.count(MsgClass::Control)
+        };
+        let c0 = settle(&cluster);
+        let cast = settle(&cluster) - c0;
+        // (a) Full-blown membership change: one more node joins.
+        let c1 = settle(&cluster);
+        cluster.add_node(0).unwrap();
+        let full = settle(&cluster) - c1 - cast;
+        // (b) Lightweight change: rank 1 moves to the new node.
+        let c2 = settle(&cluster);
+        let (rank, node, line) = (Rank(1), NodeId(n), vec![0; 2]);
+        let migrate = CfgCmd::Migrate {
+            app,
+            rank,
+            node,
+            line,
+        };
+        cluster.daemon().issue(migrate).unwrap();
+        everywhere(&cluster, &|c| c.apps[&app].epoch.0 == 1);
+        let lw = settle(&cluster) - c2 - cast;
+        cluster.delete(app).unwrap();
         rows.push(vec![
             format!("{}", n + 1),
-            format!("{full_msgs}"),
-            format!("{lw_msgs}"),
-            format!("{:.1}x", full_msgs as f64 / lw_msgs.max(1) as f64),
+            format!("{full}"),
+            format!("{lw}"),
+            format!("{:.1}x", full as f64 / lw.max(1) as f64),
         ]);
     }
     print_table(
-        &["group size", "full-group msgs", "lw-group msgs", "ratio"],
+        &["cluster size", "full-group msgs", "lw-group msgs", "ratio"],
         &rows,
     );
-    println!("\nlightweight membership rides the existing total order: one cast,");
-    println!("versus the flush/backfill/new-view exchange of a real view change.");
+    println!("\nlightweight membership rides the existing total order: the migration's");
+    println!("casts, versus the flush/new-view/state-transfer exchange of a node joining.");
 }
 
 /// The polling thread (§2.2.1): receive cost with and without it.

@@ -1,20 +1,21 @@
-//! Ensemble-family chaos: seeded churn scenarios against the threaded
-//! group-communication stack, judged by the two group oracles —
-//! **view agreement** (surviving members converge on the same view with
-//! the same membership) and **total order** (pairwise, the cast sequences
-//! of any two survivors agree on every cast they both delivered). These
-//! scenarios are real-time concurrent, so the *verdict* is deterministic
-//! per seed even though packet interleavings are not.
+//! Ensemble-family chaos: seeded churn scenarios against the
+//! group-communication stack, judged by the two group oracles — **view
+//! agreement** (surviving members converge on the same view with the same
+//! membership) and **total order** (pairwise, the cast sequences of any two
+//! survivors agree on every cast they both delivered). The stacks run from
+//! this test's thread, each given a short wait per turn, under real-time
+//! heartbeats, so the *verdict* is deterministic per seed even though
+//! packet interleavings are not.
 //!
 //! The tail of the file drives the same machinery through the full
 //! [`starfish::Cluster`]: a silently-crashed node must be evicted by the
 //! heartbeat detector and a restarted daemon must rejoin under its old
 //! identity.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use starfish_ensemble::{Endpoint, EndpointConfig, GcEvent, HeartbeatCfg, HeartbeatChaos};
+use starfish_ensemble::{EndpointConfig, GcEvent, HeartbeatCfg, HeartbeatChaos, Stack};
 use starfish_util::rng::DetRng;
 use starfish_util::{NodeId, VirtualTime};
 use starfish_vni::{Fabric, Ideal, LayerCosts};
@@ -44,6 +45,37 @@ struct EnsembleReport {
     survivors: Vec<SurvivorRow>,
 }
 
+/// One stack per node (index = node id), each turn given one short wait;
+/// the casts each delivered, decoded.
+struct Pump {
+    stacks: Vec<Stack>,
+    casts: Vec<Vec<(u32, u64)>>,
+}
+
+impl Pump {
+    fn turn(&mut self) {
+        for (stack, casts) in self.stacks.iter_mut().zip(&mut self.casts) {
+            for ev in stack.wait(Duration::from_millis(1)) {
+                if let GcEvent::Cast { payload, .. } = ev {
+                    casts.push(decode(&payload));
+                }
+            }
+        }
+    }
+
+    fn until(&mut self, what: &str, mut done: impl FnMut(&Pump) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !done(self) {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            self.turn();
+        }
+    }
+
+    fn size(&self, n: u32) -> usize {
+        self.stacks[n as usize].view().map_or(0, |v| v.size())
+    }
+}
+
 /// One churn scenario derived from `seed`: boot 3–4 members under
 /// heartbeat detection (optionally with seeded beacon-skip chaos), cast a
 /// round of traffic, kill one member (fail-stop or silently), let the
@@ -55,7 +87,7 @@ fn run_ensemble_scenario(seed: u64) -> EnsembleReport {
     let silent = rng.chance(0.5);
     let skip_p = if rng.chance(0.5) { 0.15 } else { 0.0 };
 
-    let cfg = |_node: u32| EndpointConfig {
+    let cfg = || EndpointConfig {
         heartbeat: Some(HeartbeatCfg {
             interval: Duration::from_millis(50),
             timeout: Duration::from_millis(400),
@@ -65,28 +97,26 @@ fn run_ensemble_scenario(seed: u64) -> EnsembleReport {
     };
 
     let f = Fabric::new(Box::new(Ideal), LayerCosts::zero());
+    let mut p = Pump {
+        stacks: Vec::new(),
+        casts: Vec::new(),
+    };
     for n in 0..nodes {
         f.add_node(NodeId(n));
+        let contact = (n > 0).then_some(NodeId(0));
+        p.stacks
+            .push(Stack::start(&f, NodeId(n), contact, cfg()).unwrap());
+        p.casts.push(Vec::new());
+        p.until("the join", |p| p.size(n) == n as usize + 1);
     }
-    let mut eps = vec![Endpoint::found(&f, NodeId(0), cfg(0)).unwrap()];
-    for n in 1..nodes {
-        let e = Endpoint::join(&f, NodeId(n), NodeId(0), cfg(n)).unwrap();
-        e.wait_for_view_size(n as usize + 1, Duration::from_secs(10))
-            .unwrap();
-        eps.push(e);
-    }
-    // Settle everyone but the last joiner: `wait_for_view_size` consumes
-    // from the events channel, and the last joiner's own join-wait already
-    // consumed its size-`nodes` view event.
-    for e in &eps[..eps.len() - 1] {
-        e.wait_for_view_size(nodes as usize, Duration::from_secs(10))
-            .unwrap();
-    }
+    p.until("the booted group", |p| {
+        (0..nodes).all(|n| p.size(n) == nodes as usize)
+    });
 
     // Round 1: two casts per member.
-    for (n, e) in eps.iter().enumerate() {
+    for n in 0..nodes {
         for id in 0..2u64 {
-            e.cast(encode(n as u32, id), VirtualTime::ZERO).unwrap();
+            p.stacks[n as usize].cast(encode(n, id), VirtualTime::ZERO);
         }
     }
 
@@ -96,49 +126,32 @@ fn run_ensemble_scenario(seed: u64) -> EnsembleReport {
         f.crash_node(NodeId(victim));
     }
     let survivors: Vec<u32> = (0..nodes).filter(|n| *n != victim).collect();
-    for n in &survivors {
-        eps[*n as usize]
-            .wait_for_view_size(survivors.len(), Duration::from_secs(20))
-            .unwrap();
-    }
+    let all = survivors.len();
+    p.until("the survivors' view", |p| {
+        survivors.iter().all(|n| p.size(*n) == all)
+    });
 
     // Round 2 from the survivors, then a drain marker from the lowest.
     for n in &survivors {
-        eps[*n as usize]
-            .cast(encode(*n, 2), VirtualTime::ZERO)
-            .unwrap();
+        p.stacks[*n as usize].cast(encode(*n, 2), VirtualTime::ZERO);
     }
-    eps[survivors[0] as usize]
-        .cast(encode(MARKER, 0), VirtualTime::ZERO)
-        .unwrap();
+    p.stacks[survivors[0] as usize].cast(encode(MARKER, 0), VirtualTime::ZERO);
+    let marked = |p: &Pump, n: u32| p.casts[n as usize].iter().any(|(from, _)| *from == MARKER);
+    p.until(&format!("seed {seed}: the drain marker"), |p| {
+        survivors.iter().all(|n| marked(p, *n))
+    });
 
     let mut report = EnsembleReport {
         survivors: Vec::new(),
     };
     for n in &survivors {
-        let e = &eps[*n as usize];
-        let mut got = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        loop {
-            match e.events().recv_timeout(Duration::from_millis(200)) {
-                Ok(GcEvent::Cast { payload, .. }) => {
-                    let (from, id) = decode(&payload);
-                    if from == MARKER {
-                        break;
-                    }
-                    got.push((from, id));
-                }
-                Ok(_) => {}
-                Err(_) => {
-                    assert!(
-                        std::time::Instant::now() < deadline,
-                        "seed {seed}: node {n} never saw the drain marker"
-                    );
-                }
-            }
-        }
-        let view = e.current_view().expect("survivor has a view");
-        report.survivors.push((*n, view.members, got));
+        let got = p.casts[*n as usize]
+            .iter()
+            .take_while(|(from, _)| *from != MARKER);
+        let view = p.stacks[*n as usize].view().expect("survivor has a view");
+        report
+            .survivors
+            .push((*n, view.members.clone(), got.copied().collect()));
     }
     report
 }

@@ -519,8 +519,16 @@ impl Cluster {
             .iter()
             .position(|a| *a == arch)
             .unwrap_or(0) as u8;
-        // Drop the dead daemon handle before booting its replacement.
-        self.daemons.lock().retain(|d| d.node() != node);
+        // The dead daemon's thread outlives its node until it notices the
+        // crash: let it finish before the node is powered on again, or it
+        // speaks to the group under the new daemon's id.
+        let dead: Vec<Daemon> = {
+            let mut ds = self.daemons.lock();
+            let (dead, live) = ds.drain(..).partition(|d| d.node() == node);
+            *ds = live;
+            dead
+        };
+        dead.iter().for_each(Daemon::join);
         let _ = self.daemon().publish_event(EventKind::FaultInjected {
             desc: format!("restart {node}"),
         });

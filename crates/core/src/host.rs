@@ -108,8 +108,8 @@ pub struct RuntimeHost {
 impl NodeHost for RuntimeHost {
     fn placement_update(&self, entry: &AppEntry) {
         let dir = self.dirs.get_or_create(entry.id, entry.spec.size as usize);
-        for (r, n) in entry.placement.iter().enumerate() {
-            dir.place(Rank(r as u32), *n);
+        for (rank, n) in entry.placed() {
+            dir.place(rank, n);
         }
         dir.set_epoch(entry.epoch);
     }

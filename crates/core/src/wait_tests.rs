@@ -80,6 +80,7 @@ fn rig_receiving(mode: RecvMode) -> (Rig, ProcessRuntime) {
         status: AppStatus::Running,
         epoch: Epoch(0),
         done_ranks: 0,
+        lost: Vec::new(),
     };
     let (down_tx, down_rx) = channel::unbounded();
     let (up_tx, up) = channel::unbounded();

@@ -74,6 +74,18 @@ pub struct AppEntry {
     pub epoch: Epoch,
     /// How many ranks have reported completion (app is Done at size).
     pub done_ranks: u32,
+    /// Ranks lost for good, ascending: under `NotifyView` a rank whose node
+    /// was recorded dead is not replaced. The rank directory, the
+    /// application's `alive_ranks` and its lightweight group all read this.
+    pub lost: Vec<Rank>,
+}
+
+impl AppEntry {
+    /// `(rank, node)` of every rank that is not lost, by rank.
+    pub fn placed(&self) -> impl Iterator<Item = (Rank, NodeId)> + '_ {
+        let all = (0..).map(Rank).zip(self.placement.iter().copied());
+        all.filter(|(r, _)| !self.lost.contains(r))
+    }
 }
 
 /// Node lifecycle in the replicated configuration.
@@ -106,7 +118,7 @@ impl NodeEntry {
 }
 
 /// The replicated cluster configuration.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterConfig {
     pub nodes: BTreeMap<NodeId, NodeEntry>,
     pub params: BTreeMap<String, String>,
@@ -133,7 +145,8 @@ pub enum CfgEffect {
         replaced: Vec<(Rank, NodeId)>,
     },
     CheckpointRequested(AppId),
-    NodeChanged(NodeId),
+    /// A rank of a `NotifyView` application was lost with its node.
+    RankLost(AppId, Rank),
     ParamSet(String),
 }
 
@@ -279,14 +292,14 @@ impl ClusterConfig {
                         announced,
                     },
                 );
-                vec![CfgEffect::NodeChanged(*node)]
+                Vec::new()
             }
             CfgCmd::RemoveNode { node } => {
                 if let Some(e) = self.nodes.get_mut(node) {
                     e.status = CfgNodeStatus::Removed;
                     e.announced = false;
                 }
-                vec![CfgEffect::NodeChanged(*node)]
+                Vec::new()
             }
             CfgCmd::DisableNode { node } => {
                 if let Some(e) = self.nodes.get_mut(node) {
@@ -294,7 +307,7 @@ impl ClusterConfig {
                         e.status = CfgNodeStatus::Disabled;
                     }
                 }
-                vec![CfgEffect::NodeChanged(*node)]
+                Vec::new()
             }
             CfgCmd::EnableNode { node } => {
                 if let Some(e) = self.nodes.get_mut(node) {
@@ -302,7 +315,7 @@ impl ClusterConfig {
                         e.status = CfgNodeStatus::Up;
                     }
                 }
-                vec![CfgEffect::NodeChanged(*node)]
+                Vec::new()
             }
             CfgCmd::NodeDead { node } => {
                 if let Some(e) = self.nodes.get_mut(node) {
@@ -314,7 +327,26 @@ impl ClusterConfig {
                     // again before the node is schedulable.
                     e.announced = false;
                 }
-                vec![CfgEffect::NodeChanged(*node)]
+                // Ranks of notify-policy apps on it are lost for good.
+                let mut lost = Vec::new();
+                for app in self
+                    .apps
+                    .values_mut()
+                    .filter(|a| a.spec.policy == FtPolicy::NotifyView)
+                {
+                    let on_node: Vec<Rank> = app
+                        .placed()
+                        .filter(|(_, n)| n == node)
+                        .map(|(r, _)| r)
+                        .collect();
+                    let live = matches!(app.status, AppStatus::Running | AppStatus::Suspended);
+                    for rank in on_node.into_iter().filter(|_| live) {
+                        lost.push(CfgEffect::RankLost(app.id, rank));
+                        app.lost.push(rank);
+                    }
+                    app.lost.sort_unstable();
+                }
+                lost
             }
             CfgCmd::SetParam { key, value } => {
                 self.params.insert(key.clone(), value.clone());
@@ -335,6 +367,7 @@ impl ClusterConfig {
                         status: AppStatus::Running,
                         epoch: Epoch(0),
                         done_ranks: 0,
+                        lost: Vec::new(),
                     },
                 );
                 vec![CfgEffect::AppSubmitted(id)]
@@ -404,6 +437,7 @@ impl ClusterConfig {
                     return Vec::new(); // already there
                 }
                 a.placement[rank.index()] = *node;
+                a.lost.retain(|r| r != rank);
                 a.epoch = Epoch(a.epoch.0 + 1);
                 // Reuses the restart machinery: the migrated rank spawns
                 // from its line checkpoint on the new node; survivors roll
@@ -506,6 +540,7 @@ impl Encode for AppEntry {
         enc.put_u8(status_byte(self.status));
         self.epoch.encode(enc);
         enc.put_u32(self.done_ranks);
+        self.lost.encode(enc);
     }
 }
 
@@ -518,6 +553,7 @@ impl Decode for AppEntry {
             status: status_from(dec.get_u8()?)?,
             epoch: Epoch::decode(dec)?,
             done_ranks: dec.get_u32()?,
+            lost: Vec::<Rank>::decode(dec)?,
         })
     }
 }
@@ -724,6 +760,35 @@ mod tests {
         assert_ne!(app.placement[1], dead);
     }
 
+    /// A notify-policy app's ranks on a dead node are recorded lost once,
+    /// travel with the snapshot, and a migration brings one back.
+    #[test]
+    fn node_dead_records_notify_view_ranks_lost() {
+        let mut c = with_nodes(3);
+        let notify = AppSpec {
+            policy: FtPolicy::NotifyView,
+            ..spec("n", 3)
+        };
+        c.apply(&CfgCmd::Submit { spec: notify });
+        c.apply(&CfgCmd::Submit { spec: spec("r", 3) });
+        let eff = c.apply(&CfgCmd::NodeDead { node: NodeId(2) });
+        assert_eq!(eff, vec![CfgEffect::RankLost(AppId(1), Rank(2))]);
+        assert!(c.apply(&CfgCmd::NodeDead { node: NodeId(2) }).is_empty());
+        assert_eq!(c.apps[&AppId(1)].lost, vec![Rank(2)]);
+        assert!(
+            c.apps[&AppId(2)].lost.is_empty(),
+            "restart apps lose nothing"
+        );
+        assert_eq!(roundtrip(&c).unwrap().apps, c.apps);
+        c.apply(&CfgCmd::Migrate {
+            app: AppId(1),
+            rank: Rank(2),
+            node: NodeId(0),
+            line: vec![0; 3],
+        });
+        assert!(c.apps[&AppId(1)].lost.is_empty());
+    }
+
     #[test]
     fn restart_with_no_nodes_kills() {
         let mut c = with_nodes(1);
@@ -844,7 +909,12 @@ mod tests {
     fn needstate_is_a_noop_on_state() {
         let mut c = with_nodes(1);
         let before = c.clone();
-        assert!(c.apply(&CfgCmd::NeedState { node: NodeId(9) }).is_empty());
+        assert!(c
+            .apply(&CfgCmd::NeedState {
+                node: NodeId(9),
+                req: 1
+            })
+            .is_empty());
         assert_eq!(c.nodes, before.nodes);
         assert_eq!(c.apps, before.apps);
     }

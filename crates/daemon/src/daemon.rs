@@ -11,7 +11,8 @@
 //! stream and a deterministic state machine, so all daemons agree without
 //! any extra protocol. Everything **node-local** (spawning processes,
 //! relaying to local processes) is derived from that shared state plus the
-//! daemon's own node id.
+//! daemon's own node id. Every such decision is the [`Node`] machine's
+//! (`node.rs`); the loop here is its I/O shell.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -23,23 +24,21 @@ use parking_lot::Mutex;
 
 use starfish_checkpoint::backend::StoreHub;
 use starfish_checkpoint::recovery::{self};
-use starfish_ensemble::{EndpointConfig, GcEvent, HeartbeatAges, Stack, View};
+use starfish_ensemble::{EndpointConfig, GcEvent, HeartbeatAges, Stack};
 use starfish_events::{ClusterEvent, EventBus, EventKind as BusEventKind, Postmortem};
-use starfish_lwgroups::{LwEvent, LwMsg, LwRouter};
 use starfish_telemetry::{metric, Registry};
 use starfish_trace::{FlightRecorder, TraceHub};
 use starfish_util::codec::{Decode, Encode};
-use starfish_util::trace::{ActorKind, MsgClass, TraceSink};
+use starfish_util::trace::{ActorKind, TraceSink};
 use starfish_util::watch::ChangeCount;
-use starfish_util::{AppId, Error, GroupId, NodeId, Rank, Result, VClock, VirtualTime};
+use starfish_util::{AppId, Error, NodeId, Rank, Result, VClock, VirtualTime};
 use starfish_vni::{Fabric, KickSender};
 
-use crate::config::{
-    AppEntry, AppStatus, CfgEffect, CfgNodeStatus, CkptProto, ClusterConfig, FtPolicy,
-};
+use crate::config::{CkptProto, ClusterConfig};
 use crate::forensics::Forensics;
 use crate::host::{DownLink, NodeHost, ProcSpec};
-use crate::msg::{AppRelay, CfgCmd, P2pMsg, ProcDown, ProcUp, WireCast};
+use crate::msg::{CfgCmd, P2pMsg, ProcDown, ProcUp, WireCast};
+use crate::node::{Node, Out, StoreOp};
 use crate::stats::StatsHub;
 
 /// Per-daemon settings.
@@ -164,13 +163,13 @@ impl Daemon {
         let liveness = stack.liveness();
         let state = Loop {
             node,
-            arch_index: cfg.arch_index,
+            // The founding daemon owns the (empty) initial state; joiners
+            // acquire it by state transfer first.
+            machine: Node::new(node, cfg.arch_index, contact.is_none()),
             trace: cfg.trace,
             metrics: cfg.metrics,
             stats: stats.clone(),
             stack,
-            router: LwRouter::new(node),
-            config: ClusterConfig::new(),
             shared_cfg: shared_cfg.clone(),
             cfg_published: cfg_published.clone(),
             host,
@@ -180,16 +179,11 @@ impl Daemon {
             up_tx,
             up_rx,
             cmd_rx,
-            announced: false,
-            // The founding daemon owns the (empty) initial state; joiners
-            // must acquire it via state transfer first.
-            bootstrapped: contact.is_none(),
-            requested_state: false,
-            cast_buffer: Vec::new(),
             events: events.clone(),
             forensics: Forensics::new(),
             postmortems: postmortems.clone(),
             trace_hub: trace_hub.clone(),
+            debug: std::env::var_os("STARFISH_RT_DEBUG").is_some(),
         };
         let daemon = Daemon {
             thread: Arc::default(),
@@ -328,16 +322,17 @@ pub fn postmortem_dir() -> PathBuf {
 
 // ---------------------------------------------------------------------------
 
+/// The node loop: the I/O shell around one [`Node`] machine. It parks on
+/// the stack's port, feeds each delivery, local rank message and command to
+/// the machine, and carries out the answers in order.
 struct Loop {
     node: NodeId,
-    arch_index: u8,
+    machine: Node,
     trace: TraceSink,
     /// Shared infrastructure registry (see [`DaemonConfig::metrics`]).
     metrics: Option<Registry>,
     stats: StatsHub,
     stack: Stack,
-    router: LwRouter,
-    config: ClusterConfig,
     shared_cfg: Arc<Mutex<ClusterConfig>>,
     cfg_published: Arc<ChangeCount>,
     host: Box<dyn NodeHost>,
@@ -348,15 +343,6 @@ struct Loop {
     up_tx: Arc<KickSender<(AppId, Rank, ProcUp)>>,
     up_rx: Receiver<(AppId, Rank, ProcUp)>,
     cmd_rx: Receiver<DaemonCmd>,
-    /// Whether we have announced our own AddNode yet.
-    announced: bool,
-    /// Joiners start un-bootstrapped: they ignore configuration casts until
-    /// the state-transfer snapshot arrives, buffering everything after their
-    /// own `NeedState` marker (which fixes the snapshot's position in the
-    /// total order).
-    bootstrapped: bool,
-    requested_state: bool,
-    cast_buffer: Vec<CfgCmd>,
     /// Cluster event bus: all appends happen while applying the totally
     /// ordered stream (or are the stream), so every bootstrapped daemon
     /// assigns identical sequence numbers.
@@ -365,6 +351,8 @@ struct Loop {
     postmortems: Arc<Mutex<BTreeMap<AppId, Postmortem>>>,
     /// Local flight recorders, for the postmortem causal slice.
     trace_hub: TraceHub,
+    /// `STARFISH_RT_DEBUG`: print what the machine answers.
+    debug: bool,
 }
 
 impl Loop {
@@ -383,12 +371,34 @@ impl Loop {
             return false; // left, excluded, or the node went down
         }
         while let Ok((app, rank, up)) = self.up_rx.try_recv() {
-            self.on_proc_up(app, rank, up);
+            self.clock.merge(up.vt());
+            if let ProcUp::Cast { kind, body, .. } = &up {
+                let (from, to) = (ActorKind::AppProcess, ActorKind::Daemon);
+                let len = body.len();
+                self.trace.record(kind.class(), from, to, "via-daemon", len);
+            }
+            // A rank's telemetry, and the shared infrastructure's under one
+            // well-known scope (so re-casts replace).
+            if let ProcUp::Stats { snap, .. } = up {
+                let m = self.metrics.as_ref();
+                let cluster = m.map(|m| ("cluster".into(), m.snapshot()));
+                let own = (format!("{app}.r{}", rank.0), snap);
+                for (scope, snap) in std::iter::once(own).chain(cluster) {
+                    let wc = WireCast::Stats { scope, snap };
+                    self.stack.cast(wc.encode_to_bytes(), self.clock.now());
+                }
+                continue;
+            }
+            let outs = self.machine.proc_up(app, rank, up, self.clock.now());
+            self.carry(outs);
         }
         loop {
             match self.cmd_rx.try_recv() {
-                Ok(DaemonCmd::Issue(c)) => self.cast(WireCast::Cfg(c)),
-                Ok(DaemonCmd::Emit(kind)) => self.cast_event(kind),
+                Ok(DaemonCmd::Issue(c)) => self.carry(vec![Out::Cast(WireCast::Cfg(c))]),
+                Ok(DaemonCmd::Emit(kind)) => {
+                    let outs = self.machine.emit(kind, self.clock.now());
+                    self.carry(outs);
+                }
                 Ok(DaemonCmd::Shutdown) | Err(TryRecvError::Disconnected) => {
                     self.leave();
                     return false;
@@ -399,41 +409,48 @@ impl Loop {
     }
 
     fn on_group_event(&mut self, ev: GcEvent) {
-        match ev {
+        let outs = match ev {
             GcEvent::View { view, vt } => {
                 self.clock.merge(vt);
-                self.on_view(view);
+                self.machine.view(view, self.clock.now())
             }
             GcEvent::Cast {
                 from, payload, vt, ..
             } => {
                 self.clock.merge(vt);
-                if let Ok(wc) = WireCast::decode_from_bytes(&payload) {
-                    self.on_cast(from, wc, vt);
+                match WireCast::decode_from_bytes(&payload) {
+                    // Cumulative telemetry: the total order makes every hub
+                    // converge, and its history stays queryable afterwards.
+                    Ok(WireCast::Stats { scope, snap }) => {
+                        self.stats.update(&scope, snap);
+                        return self.stats.record_history(vt);
+                    }
+                    Ok(wc) => self.machine.cast(from, wc, vt, self.clock.now()),
+                    Err(_) => return,
                 }
             }
+            // A local failure-detector observation, published so that the
+            // suspicion and its detection latency land on every bus.
             GcEvent::Suspected {
                 node,
                 silent_for,
                 vt,
             } => {
                 self.clock.merge(vt);
-                // Local failure-detector observation: cast it so the
-                // suspicion (and its measured detection latency) lands on
-                // every daemon's bus in the total order.
-                self.cast_event(BusEventKind::NodeSuspected {
-                    node,
-                    silent_ns: silent_for.as_nanos() as u64,
-                });
+                let silent_ns = silent_for.as_nanos() as u64;
+                let kind = BusEventKind::NodeSuspected { node, silent_ns };
+                self.machine.emit(kind, self.clock.now())
             }
             GcEvent::P2p { payload, vt, .. } => {
                 self.clock.merge(vt);
-                if let Ok(msg) = P2pMsg::decode_from_bytes(&payload) {
-                    self.on_p2p(msg);
-                }
+                let Ok(msg) = P2pMsg::decode_from_bytes(&payload) else {
+                    return;
+                };
+                self.machine.p2p(msg, self.clock.now())
             }
-            GcEvent::Left => {} // the last one: `run` finds the stack done
-        }
+            GcEvent::Left => return, // the last one: `run` finds the stack done
+        };
+        self.carry(outs);
     }
 
     /// Leave the group and keep the stack going until it has (bounded: the
@@ -447,252 +464,85 @@ impl Loop {
         }
     }
 
-    fn cast(&mut self, wc: WireCast) {
-        self.stack.cast(wc.encode_to_bytes(), self.clock.now());
-    }
-
-    /// Cast a locally observed cluster event (this daemon as origin, now).
-    fn cast_event(&mut self, kind: BusEventKind) {
-        self.cast(WireCast::Event {
-            origin: self.node,
-            vt: self.clock.now(),
-            kind,
-        });
-    }
-
-    fn publish_config(&self) {
-        *self.shared_cfg.lock() = self.config.clone();
-        self.cfg_published.bump();
-    }
-
-    // -- totally ordered casts --------------------------------------------------
-
-    fn on_p2p(&mut self, msg: P2pMsg) {
-        match msg {
-            P2pMsg::Relay(relay) => self.deliver_targeted(relay),
-            P2pMsg::State(bytes) => {
-                if self.bootstrapped {
-                    return; // duplicate snapshot
-                }
-                let Ok(cfg) = ClusterConfig::decode_from_bytes(&bytes) else {
-                    return;
-                };
-                self.config = cfg;
-                self.bootstrapped = true;
-                self.publish_config();
-                // Replay the casts that arrived after our snapshot point.
-                let buffered = std::mem::take(&mut self.cast_buffer);
-                for cmd in buffered {
-                    let vt = self.clock.now();
-                    self.on_cast(self.node, WireCast::Cfg(cmd), vt);
-                }
-                self.sync_lw_groups();
-                self.announce();
-            }
+    /// Carry out what the machine answered, in order.
+    fn carry(&mut self, outs: Vec<Out>) {
+        if self.debug && !outs.is_empty() {
+            eprintln!("[daemon {}] {outs:?}", self.node);
         }
-    }
-
-    /// Apply one totally ordered cast. `vt` is this daemon's delivery
-    /// timestamp, used to stamp derived bus events: event *content and
-    /// order* agree across daemons (they come from the total order), while
-    /// timestamps are each daemon's own observation.
-    fn on_cast(&mut self, from: NodeId, wc: WireCast, vt: VirtualTime) {
-        match wc {
-            WireCast::Cfg(cmd) => {
-                if !self.bootstrapped {
-                    match &cmd {
-                        CfgCmd::NeedState { node } if *node == self.node => {
-                            // Our snapshot point: buffer everything after it.
-                            self.requested_state = true;
-                        }
-                        _ if self.requested_state => self.cast_buffer.push(cmd),
-                        _ => {} // pre-snapshot traffic: covered by the snapshot
-                    }
-                    return;
-                }
-                // A bootstrapped member answers state-transfer requests if it
-                // acts for the group.
-                if let CfgCmd::NeedState { node } = &cmd {
-                    if self.acts_for_group() && *node != self.node {
-                        let snapshot = self.config.encode_to_bytes();
-                        self.stack.send_to(
-                            *node,
-                            P2pMsg::State(snapshot).encode_to_bytes(),
-                            self.clock.now(),
-                        );
-                    }
-                    return;
-                }
-                // RestartApp: capture the dead set from the *pre-apply*
-                // placement (the NodeDead casts precede the restart in the
-                // total order, so the status map already knows them).
-                let restart_dead = match &cmd {
-                    CfgCmd::RestartApp { app, .. } => Some(self.dead_in_placement(*app)),
-                    _ => None,
-                };
-                let effects = self.config.apply_from(from, &cmd);
-                // Peer-memory checkpoint fragments hosted on a dead node are
-                // gone; the replica store must stop counting them before any
-                // recovery-line computation below this point of the total
-                // order. Re-added nodes rejoin the placement ring (their old
-                // fragments do not resurrect — see ReplicaStore::node_up).
-                // Only a self-announced AddNode joins the ring: a bare admin
-                // ADDNODE has no daemon to hold fragments.
-                match &cmd {
-                    CfgCmd::NodeDead { node } => self.store.node_down(*node),
-                    CfgCmd::AddNode { node, .. } if *node == from => self.store.node_up(*node),
-                    _ => {}
-                }
-                // NotifyView bookkeeping: when a node is recorded dead, ranks
-                // of notify-policy apps on it are lost for good.
-                if let CfgCmd::NodeDead { node } = &cmd {
-                    for app in self.config.apps.values() {
-                        if app.spec.policy == FtPolicy::NotifyView
-                            && matches!(app.status, AppStatus::Running | AppStatus::Suspended)
-                        {
-                            for (r, n) in app.placement.iter().enumerate() {
-                                if n == node {
-                                    self.host.rank_lost(app.id, Rank(r as u32));
-                                }
-                            }
-                        }
-                    }
-                }
-                self.derive_events(from, &cmd, restart_dead, &effects, vt);
-                for eff in effects {
-                    self.on_effect(eff);
-                }
-                self.sync_lw_groups();
-                // Published last: whoever `wait_config` wakes on this
-                // command also finds this daemon's response to it done —
-                // bus events appended, store policy set, local ranks
-                // spawned or signalled.
-                self.publish_config();
-            }
-            WireCast::Lw(lw) => {
-                if !self.bootstrapped {
-                    return; // no local processes yet; state derives from config
-                }
-                let events = self.router.on_cast(from, &lw, self.clock.now());
-                self.deliver_lw_events(events);
-            }
-            WireCast::Stats { scope, snap } => {
-                // Cumulative snapshot: total order makes every hub converge
-                // on the same latest-per-scope table.
-                self.stats.update(&scope, snap);
-                // Timestamped history ring: rates/deltas stay queryable
-                // after the fact (`STATS HISTORY`).
-                self.stats.record_history(vt);
-            }
-            WireCast::Event {
-                origin,
-                vt: event_vt,
-                kind,
-            } => {
-                // Cast-carried event (a local observation some daemon
-                // published): every bootstrapped bus appends it at this
-                // stream point with the publisher's origin and timestamp.
-                if self.bootstrapped {
-                    self.record_event(origin, event_vt, kind);
-                }
-            }
-        }
-    }
-
-    /// Nodes of `app`'s current placement that the replicated configuration
-    /// has recorded dead (or forgotten entirely).
-    fn dead_in_placement(&self, app: AppId) -> Vec<NodeId> {
-        let Some(entry) = self.config.apps.get(&app) else {
-            return Vec::new();
-        };
-        let mut dead: Vec<NodeId> = entry
-            .placement
-            .iter()
-            .filter(|n| {
-                self.config
-                    .nodes
-                    .get(n)
-                    .map(|e| e.status == CfgNodeStatus::Dead)
-                    .unwrap_or(true)
-            })
-            .copied()
-            .collect();
-        dead.sort_unstable();
-        dead.dedup();
-        dead
-    }
-
-    /// Bus events derivable from the ordered configuration stream itself:
-    /// appended directly (no extra casts) at the same stream point on every
-    /// bootstrapped daemon, stamped with the cast's local delivery `vt`
-    /// and the cast sender as origin — so all buses tell the same story
-    /// in the same order (timestamps and seqs are per-daemon).
-    fn derive_events(
-        &mut self,
-        from: NodeId,
-        cmd: &CfgCmd,
-        restart_dead: Option<Vec<NodeId>>,
-        effects: &[CfgEffect],
-        vt: VirtualTime,
-    ) {
-        match cmd {
-            // Only a self-announced AddNode proves a live daemon (the
-            // phantom-node rule); a bare admin registration is not "up".
-            CfgCmd::AddNode { node, .. } if *node == from => {
-                self.record_event(from, vt, BusEventKind::NodeUp { node: *node });
-            }
-            CfgCmd::NodeDead { node } => {
-                self.record_event(from, vt, BusEventKind::NodeDead { node: *node });
-            }
-            CfgCmd::TriggerCkpt { app } => {
-                self.record_event(from, vt, BusEventKind::CkptRoundBegin { app: *app });
-            }
-            CfgCmd::RestartApp { app, line } => {
-                let dead = restart_dead.unwrap_or_default();
-                self.record_event(from, vt, BusEventKind::RecoveryBegin { app: *app, dead });
-                let epoch = self
-                    .config
-                    .apps
-                    .get(app)
-                    .map(|a| a.epoch)
-                    .unwrap_or_default();
-                self.record_event(
-                    from,
-                    vt,
-                    BusEventKind::RecoveryRestore {
-                        app: *app,
+        for out in outs {
+            let now = self.clock.now();
+            match out {
+                Out::Cast(wc) => self.stack.cast(wc.encode_to_bytes(), now),
+                Out::SendTo(node, msg) => self.stack.send_to(node, msg.encode_to_bytes(), now),
+                Out::Spawn {
+                    entry,
+                    rank,
+                    restore_from,
+                } => {
+                    let (app, epoch, up_tx) = (entry.id, entry.epoch, self.up_tx.clone());
+                    let spec = ProcSpec {
+                        app,
+                        rank,
+                        node: self.node,
                         epoch,
-                        line: line.clone(),
-                    },
-                );
-                let replaced_n = effects
-                    .iter()
-                    .find_map(|e| match e {
-                        CfgEffect::AppRestarted {
-                            app: a, replaced, ..
-                        } if a == app => Some(replaced.len()),
-                        _ => None,
-                    })
-                    .unwrap_or(0);
-                self.forensics.expect_respawns(*app, replaced_n);
-                if replaced_n == 0 {
-                    // Pure rollback, no replacement ranks: complete at once.
-                    self.record_event(
-                        from,
-                        vt,
-                        BusEventKind::RecoveryComplete { app: *app, epoch },
-                    );
-                    self.finalize_postmortem(*app, vt);
+                        entry,
+                        restore_from,
+                        up_tx,
+                        spawn_vt: now,
+                    };
+                    let link = self.host.spawn(spec);
+                    if self.procs.insert((app, rank), link).is_none() {
+                        self.procs_delta(1);
+                    }
+                }
+                Out::Down { app, rank, msg } => self.send_down(app, rank, msg),
+                Out::Forget(app, rank) => {
+                    if self.procs.remove(&(app, rank)).is_some() {
+                        self.procs_delta(-1);
+                    }
+                }
+                Out::Store(op) => match op {
+                    StoreOp::NodeDown(node) => self.store.node_down(node),
+                    StoreOp::NodeUp(node) => self.store.node_up(node),
+                    StoreOp::SetBackend(app, backend, placement) => {
+                        self.store.set_backend(app, backend, placement)
+                    }
+                    StoreOp::UpdatePlacement(app, placement) => {
+                        self.store.update_placement(app, placement)
+                    }
+                    StoreOp::PruneBelow(app, index) => self.store.prune_below(app, index),
+                },
+                Out::Placement(entry) => self.host.placement_update(&entry),
+                Out::RankLost(app, rank) => self.host.rank_lost(app, rank),
+                Out::Event { origin, vt, kind } => self.record_event(origin, vt, kind),
+                Out::Recovery {
+                    app,
+                    respawns,
+                    origin,
+                    vt,
+                } => {
+                    self.forensics.expect_respawns(app, respawns);
+                    if respawns == 0 {
+                        self.complete_recovery(app, origin, vt); // a pure rollback
+                    }
+                }
+                Out::Restart { app, dead } => {
+                    let line = self.compute_line(app, &dead);
+                    let cmd = CfgCmd::RestartApp { app, line };
+                    self.stack.cast(WireCast::Cfg(cmd).encode_to_bytes(), now);
+                }
+                Out::Retention(n) => self.stats.set_retention(n),
+                Out::Publish => {
+                    *self.shared_cfg.lock() = self.machine.config().clone();
+                    self.cfg_published.bump();
                 }
             }
-            _ => {}
         }
     }
 
     /// Append a bus event at the current point of the ordered stream and
     /// run the forensics state machine over it. When the event completes a
-    /// recovery, synthesizes the `recovery-complete` event (every daemon
-    /// does so at the same stream point) and finalizes the bundle.
+    /// recovery, every daemon completes it at the same stream point.
     fn record_event(&mut self, origin: NodeId, vt: VirtualTime, kind: BusEventKind) {
         let Some(seq) = self.events.publish(origin, vt, kind.clone()) else {
             return;
@@ -707,21 +557,21 @@ impl Loop {
             kind,
         };
         let stats = self.stats.clone();
-        let completed = self.forensics.observe(&ev, move || stats.merged());
-        if let Some(app) = completed {
-            let epoch = self
-                .config
-                .apps
-                .get(&app)
-                .map(|a| a.epoch)
-                .unwrap_or_default();
-            self.record_event(origin, vt, BusEventKind::RecoveryComplete { app, epoch });
-            self.finalize_postmortem(app, vt);
+        if let Some(app) = self.forensics.observe(&ev, move || stats.merged()) {
+            self.complete_recovery(app, origin, vt);
         }
     }
 
+    /// The `recovery-complete` event of `app` and its bundle.
+    fn complete_recovery(&mut self, app: AppId, origin: NodeId, vt: VirtualTime) {
+        let entry = self.machine.config().apps.get(&app);
+        let epoch = entry.map(|a| a.epoch).unwrap_or_default();
+        self.record_event(origin, vt, BusEventKind::RecoveryComplete { app, epoch });
+        self.finalize_postmortem(app, vt);
+    }
+
     /// Assemble the recovery bundle of `app`, store it for `POSTMORTEM`,
-    /// and (coordinator only) write it to [`postmortem_dir`].
+    /// and (acting daemon only) write it to [`postmortem_dir`].
     fn finalize_postmortem(&mut self, app: AppId, complete_vt: VirtualTime) {
         let start_vt = self.forensics.window_start_vt(app).unwrap_or(0);
         let window: Vec<ClusterEvent> = self
@@ -732,7 +582,8 @@ impl Loop {
             .collect();
         let name = format!("{app}");
         let backend = self
-            .config
+            .machine
+            .config()
             .apps
             .get(&app)
             .map(|a| a.spec.backend.to_string())
@@ -752,7 +603,7 @@ impl Loop {
         ) else {
             return;
         };
-        if self.acts_for_group() {
+        if self.machine.acts_for_group() {
             let dir = postmortem_dir();
             if std::fs::create_dir_all(&dir).is_ok() {
                 let path = dir.join(format!("{}-e{}.json", name, pm.epoch));
@@ -781,446 +632,31 @@ impl Loop {
         out
     }
 
-    fn on_effect(&mut self, eff: CfgEffect) {
-        match eff {
-            CfgEffect::AppSubmitted(id) => {
-                let entry = self.config.apps[&id].clone();
-                if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-                    eprintln!(
-                        "[daemon {}] AppSubmitted {} placement={:?}",
-                        self.node, id, entry.placement
-                    );
-                }
-                self.store
-                    .set_backend(id, entry.spec.backend, entry.placement.clone());
-                self.host.placement_update(&entry);
-                for (r, n) in entry.placement.iter().enumerate() {
-                    if *n == self.node {
-                        self.spawn_proc(&entry, Rank(r as u32), 0);
-                    }
-                }
-            }
-            CfgEffect::AppRestarted {
-                app,
-                epoch: _,
-                line,
-                replaced,
-            } => {
-                let entry = self.config.apps[&app].clone();
-                self.store.update_placement(app, entry.placement.clone());
-                self.host.placement_update(&entry);
-                // Restart replaced ranks that land on this node; if a
-                // replaced rank's *previous* incarnation ran here (a
-                // migration, not a crash), kill it first.
-                for (rank, node) in &replaced {
-                    if *node != self.node && self.procs.contains_key(&(app, *rank)) {
-                        let vt = self.clock.now();
-                        self.send_down(app, *rank, ProcDown::Kill { vt }, MsgClass::Configuration);
-                        self.procs.remove(&(app, *rank));
-                        self.procs_delta(-1);
-                    }
-                }
-                for (rank, node) in &replaced {
-                    if *node == self.node {
-                        let from = line.get(rank.index()).copied().unwrap_or(0);
-                        self.spawn_proc(&entry, *rank, from);
-                        // Observation, not derivation: only the hosting
-                        // daemon knows the spawn happened, so it casts the
-                        // respawn event into the total order.
-                        self.cast_event(BusEventKind::RecoveryRespawn {
-                            app,
-                            rank: *rank,
-                            node: *node,
-                        });
-                    }
-                }
-                // Roll back the survivors hosted here. A survivor whose
-                // process already ran to completion has no one listening
-                // for the rollback — and the restarted rank's coordinated
-                // rounds and collectives span *every* rank — so finished
-                // survivors are respawned from the line instead.
-                let replaced_ranks: Vec<Rank> = replaced.iter().map(|(r, _)| *r).collect();
-                for (r, n) in entry.placement.iter().enumerate() {
-                    let rank = Rank(r as u32);
-                    if *n == self.node && !replaced_ranks.contains(&rank) {
-                        let idx = line.get(r).copied().unwrap_or(0);
-                        if self.procs.contains_key(&(app, rank)) {
-                            self.send_down(
-                                app,
-                                rank,
-                                ProcDown::Rollback {
-                                    index: idx,
-                                    epoch: entry.epoch,
-                                    vt: self.clock.now(),
-                                },
-                                MsgClass::Configuration,
-                            );
-                        } else {
-                            self.spawn_proc(&entry, rank, idx);
-                        }
-                    }
-                }
-            }
-            CfgEffect::AppKilled(app) => {
-                self.down_all(app, MsgClass::Configuration, |vt| ProcDown::Kill { vt });
-                self.forget_procs(app);
-            }
-            CfgEffect::AppSuspended(app) => {
-                self.down_all(app, MsgClass::Configuration, |vt| ProcDown::Suspend { vt })
-            }
-            CfgEffect::AppResumed(app) => {
-                self.down_all(app, MsgClass::Configuration, |vt| ProcDown::Resume { vt })
-            }
-            // Images are retained after completion (postmortem restore /
-            // migration of finished jobs); storage is reclaimed when the
-            // application is deleted.
-            CfgEffect::AppDone(app) => self.forget_procs(app),
-            CfgEffect::CheckpointRequested(app) => {
-                // The round coordinator is the lowest rank; its hosting
-                // daemon forwards the trigger.
-                if let Some(entry) = self.config.apps.get(&app) {
-                    if entry.placement.first() == Some(&self.node) {
-                        self.send_down(
-                            app,
-                            Rank(0),
-                            ProcDown::StartCheckpoint {
-                                vt: self.clock.now(),
-                            },
-                            MsgClass::Configuration,
-                        );
-                    }
-                }
-            }
-            CfgEffect::ParamSet(key) => {
-                if key == "stats_history" {
-                    if let Some(n) = self
-                        .config
-                        .params
-                        .get("stats_history")
-                        .and_then(|v| v.parse::<usize>().ok())
-                    {
-                        self.stats.set_retention(n);
-                    }
-                }
-            }
-            CfgEffect::NodeChanged(_) => {}
-        }
-    }
-
-    fn spawn_proc(&mut self, entry: &AppEntry, rank: Rank, restore_from: u64) {
-        if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-            eprintln!(
-                "[daemon {}] spawn {}.{} restore_from={restore_from} (replacing_entry={})",
-                self.node,
-                entry.id,
-                rank,
-                self.procs.contains_key(&(entry.id, rank))
-            );
-        }
-        let link = self.host.spawn(ProcSpec {
-            app: entry.id,
-            rank,
-            node: self.node,
-            epoch: entry.epoch,
-            entry: entry.clone(),
-            restore_from,
-            up_tx: self.up_tx.clone(),
-            spawn_vt: self.clock.now(),
-        });
-        if self.procs.insert((entry.id, rank), link).is_none() {
-            self.procs_delta(1);
-        }
-    }
-
     /// Keep the cluster-wide `procs.running` gauge in step with this
     /// daemon's local process table (additive deltas, so daemons sharing a
     /// registry in-process still sum correctly).
     fn procs_delta(&self, delta: i64) {
-        if delta != 0 {
-            if let Some(m) = &self.metrics {
-                m.gauge_add(metric::PROCS_RUNNING, delta);
-            }
+        if let Some(m) = &self.metrics {
+            m.gauge_add(metric::PROCS_RUNNING, delta);
         }
     }
 
-    fn send_down(&self, app: AppId, rank: Rank, msg: ProcDown, class: MsgClass) {
+    fn send_down(&self, app: AppId, rank: Rank, msg: ProcDown) {
         if let Some(link) = self.procs.get(&(app, rank)) {
-            self.trace.record(
-                class,
-                ActorKind::Daemon,
-                ActorKind::AppProcess,
-                "local-tcp",
-                0,
-            );
+            let (from, to) = (ActorKind::Daemon, ActorKind::AppProcess);
+            self.trace.record(msg.class(), from, to, "local-tcp", 0);
             if let Some(link) = link {
                 link.send(msg);
             }
         }
     }
 
-    /// `make(now)` down to every local rank of `app`.
-    fn down_all(&self, app: AppId, class: MsgClass, make: impl Fn(VirtualTime) -> ProcDown) {
-        for (a, rank) in self.procs.keys().filter(|(a, _)| *a == app) {
-            self.send_down(*a, *rank, make(self.clock.now()), class);
-        }
-    }
-
-    /// Drop the links to `app`'s local ranks (which wakes any still there).
-    fn forget_procs(&mut self, app: AppId) {
-        let before = self.procs.len();
-        self.procs.retain(|(a, _), _| *a != app);
-        self.procs_delta(before as i64 - self.procs.len() as i64);
-    }
-
-    // -- lightweight groups -------------------------------------------------------
-
-    /// Derive the lightweight groups from the replicated configuration. All
-    /// daemons run this at the same point of the total order, so the
-    /// synthesized operations are identical everywhere.
-    fn sync_lw_groups(&mut self) {
-        let vt = self.clock.now();
-        let mut events = Vec::new();
-        // Desired groups.
-        let desired: Vec<(GroupId, Vec<NodeId>)> = self
-            .config
-            .apps
-            .values()
-            .filter(|a| matches!(a.status, AppStatus::Running | AppStatus::Suspended))
-            .map(|a| {
-                let mut nodes = a.placement.clone();
-                nodes.sort_unstable();
-                nodes.dedup();
-                (GroupId(a.id.0), nodes)
-            })
-            .collect();
-        for (gid, nodes) in &desired {
-            match self.router.members(*gid) {
-                None => {
-                    events.extend(self.router.on_cast(
-                        self.node,
-                        &LwMsg::Create {
-                            gid: *gid,
-                            members: nodes.clone(),
-                        },
-                        vt,
-                    ));
-                }
-                Some(current) => {
-                    for n in nodes {
-                        if !current.contains(n) {
-                            events.extend(self.router.on_cast(
-                                self.node,
-                                &LwMsg::Join {
-                                    gid: *gid,
-                                    node: *n,
-                                },
-                                vt,
-                            ));
-                        }
-                    }
-                    for n in &current {
-                        if !nodes.contains(n) {
-                            events.extend(self.router.on_cast(
-                                self.node,
-                                &LwMsg::Leave {
-                                    gid: *gid,
-                                    node: *n,
-                                },
-                                vt,
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        // Destroy groups of dead apps.
-        let live: Vec<GroupId> = desired.iter().map(|(g, _)| *g).collect();
-        let stale: Vec<GroupId> = self
-            .router
-            .groups_spanning(self.node)
-            .into_iter()
-            .chain(self.router.local_groups())
-            .filter(|g| !live.contains(g))
-            .collect();
-        for gid in stale {
-            events.extend(self.router.on_cast(self.node, &LwMsg::Destroy { gid }, vt));
-        }
-        self.deliver_lw_events(events);
-    }
-
-    fn deliver_lw_events(&mut self, events: Vec<LwEvent>) {
-        for ev in events {
-            match ev {
-                LwEvent::View { view, vt } => {
-                    let down = |_| ProcDown::LwView {
-                        view: view.clone(),
-                        vt,
-                    };
-                    self.down_all(AppId(view.gid.0), MsgClass::LwMembership, down);
-                }
-                LwEvent::Mcast {
-                    gid: _,
-                    from: _,
-                    payload,
-                    vt,
-                } => {
-                    if let Ok(relay) = AppRelay::decode_from_bytes(&payload) {
-                        match relay.to {
-                            Some(to) => self.deliver_targeted_at(relay, to, vt),
-                            None => {
-                                let others =
-                                    |(a, r): &&(AppId, Rank)| *a == relay.app && *r != relay.from;
-                                for (_, to) in self.procs.keys().filter(others) {
-                                    self.deliver_targeted_at(relay.clone(), *to, vt);
-                                }
-                            }
-                        }
-                    }
-                }
-                LwEvent::Destroyed { .. } => {}
-            }
-        }
-    }
-
-    fn deliver_targeted(&self, relay: AppRelay) {
-        if let Some(to) = relay.to {
-            let vt = self.clock.now();
-            self.deliver_targeted_at(relay, to, vt);
-        }
-    }
-
-    fn deliver_targeted_at(&self, relay: AppRelay, to: Rank, vt: VirtualTime) {
-        self.send_down(
-            relay.app,
-            to,
-            ProcDown::Relay {
-                kind: relay.kind,
-                from: relay.from,
-                body: relay.body,
-                vt,
-            },
-            relay.kind.class(),
-        );
-    }
-
-    // -- membership ----------------------------------------------------------------
-
-    /// Whether this daemon is the one that acts for the group — answers
-    /// `NeedState`, casts the failure response, writes the postmortem file:
-    /// the smallest view member the replicated configuration knows as
-    /// live, else the view's smallest member (the founder, before anyone
-    /// has announced). Not simply the view coordinator: a rejoining daemon
-    /// with the smallest id coordinates the view before it is bootstrapped.
-    /// Every bootstrapped daemon evaluates this on the same configuration
-    /// at the same point of the cast stream.
-    fn acts_for_group(&self) -> bool {
-        let Some(view) = self.stack.view().filter(|_| self.bootstrapped) else {
-            return false;
-        };
-        let acting = view.members.iter().find(|m| self.config.is_live(**m));
-        *acting.unwrap_or(&view.coordinator()) == self.node
-    }
-
-    /// Announce ourselves on the cast stream, once, when bootstrapped. A
-    /// restarted daemon finds its node already in the replicated config but
-    /// marked Dead, and a bare admin ADDNODE that raced our boot leaves it
-    /// Up but unannounced: only an `AddNode` cast from the node itself marks
-    /// it live, so both still announce.
-    fn announce(&mut self) {
-        if std::mem::replace(&mut self.announced, true) {
-            return;
-        }
-        if !self.config.is_live(self.node) {
-            self.cast(WireCast::Cfg(CfgCmd::AddNode {
-                node: self.node,
-                arch_index: self.arch_index,
-            }));
-        }
-    }
-
-    fn on_view(&mut self, view: View) {
-        if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-            eprintln!(
-                "[daemon {}] view {:?} (coord {})",
-                self.node,
-                view,
-                view.coordinator()
-            );
-        }
-        if view.contains(self.node) {
-            if self.bootstrapped {
-                self.announce(); // founder, or already synced
-            } else if !self.requested_state {
-                // Joiner: mark our snapshot point in the total order.
-                self.cast(WireCast::Cfg(CfgCmd::NeedState { node: self.node }));
-                // `requested_state` flips when our own marker is delivered.
-            }
-        }
-        // Lightweight views for groups spanning departed nodes.
-        let events = self.router.on_main_view(&view, self.clock.now());
-        self.deliver_lw_events(events);
-
-        // One daemon drives the failure response; everyone else just
-        // applies the resulting casts.
-        if !self.acts_for_group() {
-            return;
-        }
-        // One view-change event per installed view, cast by the coordinator
-        // so it lands in the total order ahead of any NodeDead response.
-        self.cast_event(BusEventKind::ViewChange {
-            view: view.id.raw(),
-            members: view.members.clone(),
-        });
-        let dead: Vec<NodeId> = self
-            .config
-            .nodes
-            .iter()
-            .filter(|(n, e)| {
-                matches!(e.status, CfgNodeStatus::Up | CfgNodeStatus::Disabled)
-                    && !view.contains(**n)
-            })
-            .map(|(n, _)| *n)
-            .collect();
-        if dead.is_empty() {
-            return;
-        }
-        if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-            eprintln!("[daemon {}] coordinator response: dead={dead:?}", self.node);
-        }
-        for n in &dead {
-            self.cast(WireCast::Cfg(CfgCmd::NodeDead { node: *n }));
-        }
-        // Policy response per affected application. Note: we compute from
-        // the *current* local config (the casts above will be applied by
-        // everyone, including us, in order).
-        let apps: Vec<AppEntry> = self
-            .config
-            .apps
-            .values()
-            .filter(|a| matches!(a.status, AppStatus::Running | AppStatus::Suspended))
-            .filter(|a| a.placement.iter().any(|n| dead.contains(n)))
-            .cloned()
-            .collect();
-        for app in apps {
-            match app.spec.policy {
-                FtPolicy::Kill => {
-                    self.cast(WireCast::Cfg(CfgCmd::Delete { app: app.id }));
-                }
-                FtPolicy::NotifyView => {
-                    // Nothing to cast: the lightweight view (delivered above
-                    // on every daemon) is the application's signal.
-                }
-                FtPolicy::Restart => {
-                    let line = self.compute_line(&app, &dead);
-                    self.cast(WireCast::Cfg(CfgCmd::RestartApp { app: app.id, line }));
-                }
-            }
-        }
-    }
-
     /// Recovery line for a restart decision (carried in the cast so all
     /// daemons — whose store reads might race — agree by construction).
-    fn compute_line(&self, app: &AppEntry, dead: &[NodeId]) -> Vec<u64> {
+    fn compute_line(&self, app: AppId, dead: &[NodeId]) -> Vec<u64> {
+        let Some(app) = self.machine.config().apps.get(&app) else {
+            return Vec::new();
+        };
         let ranks: Vec<Rank> = (0..app.spec.size).map(Rank).collect();
         match app.spec.proto {
             CkptProto::StopAndSync | CkptProto::ChandyLamport => {
@@ -1228,104 +664,18 @@ impl Loop {
                 vec![idx; ranks.len()]
             }
             CkptProto::Independent => {
-                let latest: std::collections::BTreeMap<Rank, u64> = ranks
+                let latest: BTreeMap<Rank, u64> = ranks
                     .iter()
                     .map(|r| (*r, self.store.latest_index(app.id, *r)))
                     .collect();
                 let deps = self.store.deps(app.id);
                 let failed: Vec<Rank> = app
-                    .placement
-                    .iter()
-                    .enumerate()
+                    .placed()
                     .filter(|(_, n)| dead.contains(n))
-                    .map(|(r, _)| Rank(r as u32))
+                    .map(|(r, _)| r)
                     .collect();
                 let rl = recovery::recovery_line(&latest, &deps, &failed);
                 ranks.iter().map(|r| rl.index_of(*r)).collect()
-            }
-        }
-    }
-
-    // -- process messages -------------------------------------------------------------
-
-    fn on_proc_up(&mut self, app: AppId, rank: Rank, up: ProcUp) {
-        match up {
-            ProcUp::Cast { kind, body, vt } => {
-                self.clock.merge(vt);
-                self.trace.record(
-                    kind.class(),
-                    ActorKind::AppProcess,
-                    ActorKind::Daemon,
-                    "via-daemon",
-                    body.len(),
-                );
-                let relay = AppRelay {
-                    app,
-                    kind,
-                    from: rank,
-                    to: None,
-                    body,
-                };
-                self.cast(WireCast::Lw(LwMsg::Mcast {
-                    gid: GroupId(app.0),
-                    payload: relay.encode_to_bytes(),
-                }));
-            }
-            ProcUp::SendTo { kind, to, body, vt } => {
-                self.clock.merge(vt);
-                let relay = AppRelay {
-                    app,
-                    kind,
-                    from: rank,
-                    to: Some(to),
-                    body,
-                };
-                let Some(entry) = self.config.apps.get(&app) else {
-                    return;
-                };
-                let Some(target_node) = entry.placement.get(to.index()).copied() else {
-                    return;
-                };
-                if target_node == self.node {
-                    self.deliver_targeted(relay);
-                } else {
-                    self.stack.send_to(
-                        target_node,
-                        P2pMsg::Relay(relay).encode_to_bytes(),
-                        self.clock.now(),
-                    );
-                }
-            }
-            ProcUp::Done { vt } => {
-                self.clock.merge(vt);
-                if std::env::var_os("STARFISH_RT_DEBUG").is_some() {
-                    eprintln!("[daemon {}] Done from {app}.{rank}", self.node);
-                }
-                if self.procs.remove(&(app, rank)).is_some() {
-                    self.procs_delta(-1);
-                }
-                self.cast(WireCast::Cfg(CfgCmd::RankDone { app, rank }));
-            }
-            ProcUp::CkptCommitted { index, vt } => {
-                self.clock.merge(vt);
-                self.cast_event(BusEventKind::CkptCommit { app, rank, index });
-                if index > 1 {
-                    self.store.prune_below(app, index);
-                }
-            }
-            ProcUp::Stats { snap, vt } => {
-                self.clock.merge(vt);
-                let scope = format!("{app}.r{}", rank.0);
-                self.cast(WireCast::Stats { scope, snap });
-                // Piggyback the shared infrastructure registry so `STATS`
-                // reflects fabric/trace/ensemble activity too. The scope is
-                // a single well-known key, so re-casts replace, not double.
-                if let Some(m) = &self.metrics {
-                    self.cast(WireCast::Stats {
-                        scope: "cluster".to_string(),
-                        snap: m.snapshot(),
-                    });
-                }
             }
         }
     }
@@ -1334,7 +684,7 @@ impl Loop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AppSpec, LevelKind};
+    use crate::config::{AppEntry, AppSpec, AppStatus, CfgNodeStatus, FtPolicy, LevelKind};
     use crate::host::NullHost;
     use starfish_checkpoint::backend::CkptBackend;
     use starfish_checkpoint::store::CkptStore;

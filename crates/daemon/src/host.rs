@@ -77,9 +77,11 @@ pub trait NodeHost: Send + 'static {
 }
 
 /// A no-op host for daemon-level tests.
+#[cfg(test)]
 #[derive(Debug, Default)]
 pub struct NullHost;
 
+#[cfg(test)]
 impl NodeHost for NullHost {
     fn placement_update(&self, _entry: &AppEntry) {}
     fn spawn(&self, _spec: ProcSpec) -> Option<DownLink> {

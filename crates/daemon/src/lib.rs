@@ -15,12 +15,16 @@
 //!   (§3.1.1: "the use of ensemble's reliable and totally ordered delivery
 //!   mechanism is instrumental here, in maintaining coherent state between
 //!   all cluster daemons");
-//! * **lightweight membership module** ([`starfish_lwgroups::LwRouter`]) —
-//!   deduces per-application lightweight views from the main group;
+//! * **lightweight membership module** ([`starfish_lwgroups`]) — deduces
+//!   per-application lightweight views from the configuration and the main
+//!   view;
 //! * **lightweight endpoint modules** — one per local application process:
 //!   the pair of queues ([`host::DownLink`] down) carrying configuration,
 //!   lightweight-membership and relayed coordination / C-R messages (paper
 //!   §2.3, Table 1).
+//!
+//! Every decision a daemon takes is one pure machine, [`node::Node`]; the
+//! node loop in [`daemon`] is its I/O shell (DESIGN.md §5g).
 //!
 //! The daemon is deliberately **application-agnostic**: starting an actual
 //! MPI process is delegated to a [`host::NodeHost`] implementation supplied
@@ -39,6 +43,7 @@ pub mod forensics;
 pub mod host;
 pub mod mgmt;
 pub mod msg;
+pub mod node;
 pub mod stats;
 
 pub use config::{AppEntry, AppSpec, AppStatus, CkptProto, ClusterConfig, FtPolicy, LevelKind};

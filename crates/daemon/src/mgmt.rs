@@ -15,15 +15,19 @@
 //! reproduced.
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 use std::time::Duration;
 
 use starfish_util::{AppId, NodeId};
 
 #[cfg(test)]
 use crate::config::AppStatus;
-use crate::config::{AppSpec, CfgNodeStatus, CkptProto, FtPolicy, LevelKind};
+use crate::config::{
+    AppEntry, AppSpec, CfgNodeStatus, CkptProto, ClusterConfig, FtPolicy, LevelKind,
+};
 use crate::daemon::Daemon;
 use crate::msg::CfgCmd;
+use starfish_checkpoint::arch::MACHINES;
 use starfish_checkpoint::backend::CkptBackend;
 use starfish_events::{EventCursor, Poll};
 use starfish_trace::TraceCursor;
@@ -31,71 +35,74 @@ use starfish_trace::TraceCursor;
 /// Default administrator password; override with `SET admin_password <pw>`.
 pub const DEFAULT_ADMIN_PASSWORD: &str = "starfish";
 
-/// One usage line per command, served by `HELP`. `starfish-lint` checks
-/// this table against the dispatch below in both directions: every command
-/// arm must have an entry, every entry must have an arm.
-pub const COMMAND_USAGE: &[(&str, &str)] = &[
-    ("HELP", "HELP — list commands"),
-    ("LOGIN", "LOGIN ADMIN <password> | LOGIN USER <name>"),
-    ("LOGOUT", "LOGOUT — end the session"),
-    (
-        "ADDNODE",
-        "ADDNODE <id> [arch] — admin: add a node to the cluster",
-    ),
-    ("REMOVENODE", "REMOVENODE <id> — admin: remove a node"),
-    (
-        "DISABLE",
-        "DISABLE <id> — admin: stop scheduling onto a node",
-    ),
-    (
-        "ENABLE",
-        "ENABLE <id> — admin: resume scheduling onto a node",
-    ),
-    ("SET", "SET <key> <value> — admin: set a cluster parameter"),
-    (
-        "SUBMIT",
-        "SUBMIT <name> <size> [POLICY restart|view|kill] [LEVEL native|vm] [PROTO sync|cl|indep] [STORE disk|replica:<k>]",
-    ),
-    ("SUSPEND", "SUSPEND <app> — pause an application you own"),
-    ("RESUME", "RESUME <app> — resume a suspended application"),
-    ("DELETE", "DELETE <app> — remove an application"),
-    (
-        "CHECKPOINT",
-        "CHECKPOINT <app> — trigger a coordinated checkpoint",
-    ),
-    (
-        "CKPT",
-        "CKPT STATUS <app> — per-rank fragment placement and replication health",
-    ),
-    (
-        "MIGRATE",
-        "MIGRATE <app> <rank> <node> — admin: move a rank (cold)",
-    ),
-    ("NODES", "NODES — list nodes and their status"),
-    (
-        "STATS",
-        "STATS | STATS SUBSCRIBE <interval_ms> | STATS HISTORY [n] — merged cluster telemetry",
-    ),
-    (
-        "HEALTH",
-        "HEALTH — per-node liveness (announce state, heartbeat age) plus key health metrics",
-    ),
-    ("TIMELINE", "TIMELINE <app> — per-rank event timeline"),
-    (
-        "TRACE",
-        "TRACE SCOPES | TRACE DUMP [scope] | TRACE TAIL <n> [scope] | TRACE PATH <app> | TRACE FOLLOW <scope>",
-    ),
-    (
-        "EVENTS",
-        "EVENTS [TAIL <n>] | EVENTS SUBSCRIBE [filter] — cluster event bus",
-    ),
-    (
-        "POSTMORTEM",
-        "POSTMORTEM <app> — recovery forensics bundle (JSON)",
-    ),
-    ("APPS", "APPS — list applications (alias: STATUS)"),
-    ("STATUS", "STATUS — list applications (alias: APPS)"),
-];
+/// Who may run a command.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    Anyone,
+    /// A logged-in session, user or admin.
+    User,
+    Admin,
+}
+
+/// A reply, or why there is none: `Some` message, or `None` (= [`USAGE`]).
+type Reply = Result<String, Option<String>>;
+
+/// The failure whose reply is the row's usage line.
+const USAGE: Option<String> = None;
+
+/// One row of the command table.
+pub struct Command {
+    pub name: &'static str,
+    /// What `HELP` lists, and what a usage error replies with.
+    pub usage: &'static str,
+    pub access: Access,
+    /// Accepted token counts, the command's own included.
+    pub arity: RangeInclusive<usize>,
+    run: fn(&mut MgmtSession, &[&str]) -> Reply,
+}
+
+/// One [`Command`] per line: `NAME access lo..=hi handler "usage"`.
+macro_rules! commands {
+    ($($name:literal $access:ident $lo:literal..=$hi:literal $run:ident $usage:literal;)*) => {
+        &[$(Command {
+            name: $name,
+            usage: $usage,
+            access: Access::$access,
+            arity: $lo..=$hi,
+            run: MgmtSession::$run,
+        }),*]
+    };
+}
+
+/// The command table, which is the dispatch: [`MgmtSession::handle_line`]
+/// finds the row, checks its access and arity, then runs its handler.
+#[rustfmt::skip]
+pub const COMMAND_USAGE: &[Command] = commands! {
+    "HELP" Anyone 1..=1 help "HELP — list commands";
+    "LOGIN" Anyone 3..=3 login "LOGIN ADMIN <password> | LOGIN USER <name>";
+    "LOGOUT" Anyone 1..=1 logout "LOGOUT — end the session";
+    "ADDNODE" Admin 2..=3 add_node "ADDNODE <id> [arch] — admin: add a node to the cluster";
+    "REMOVENODE" Admin 2..=2 node_cmd "REMOVENODE <id> — admin: remove a node";
+    "DISABLE" Admin 2..=2 node_cmd "DISABLE <id> — admin: stop scheduling onto a node";
+    "ENABLE" Admin 2..=2 node_cmd "ENABLE <id> — admin: resume scheduling onto a node";
+    "SET" Admin 3..=3 set "SET <key> <value> — admin: set a cluster parameter";
+    "SUBMIT" User 3..=11 submit "SUBMIT <name> <size> [POLICY restart|view|kill] [LEVEL native|vm] [PROTO sync|cl|indep] [STORE disk|replica:<k>]";
+    "SUSPEND" User 2..=2 app_cmd "SUSPEND <app> — pause an application you own";
+    "RESUME" User 2..=2 app_cmd "RESUME <app> — resume a suspended application";
+    "DELETE" User 2..=2 app_cmd "DELETE <app> — remove an application";
+    "CHECKPOINT" User 2..=2 app_cmd "CHECKPOINT <app> — trigger a coordinated checkpoint";
+    "CKPT" User 3..=3 ckpt "CKPT STATUS <app> — per-rank fragment placement and replication health";
+    "MIGRATE" Admin 4..=4 migrate "MIGRATE <app> <rank> <node> — admin: move a rank (cold)";
+    "NODES" User 1..=1 nodes "NODES — list nodes and their status";
+    "STATS" User 1..=3 stats "STATS | STATS SUBSCRIBE <interval_ms> | STATS HISTORY [n] — merged cluster telemetry";
+    "HEALTH" User 1..=1 health "HEALTH — per-node liveness (announce state, heartbeat age) plus key health metrics";
+    "TIMELINE" User 2..=2 timeline "TIMELINE <app> — per-rank event timeline";
+    "TRACE" User 2..=4 trace "TRACE SCOPES | TRACE DUMP [scope] | TRACE TAIL <n> [scope] | TRACE PATH <app> | TRACE FOLLOW <scope>";
+    "EVENTS" User 1..=3 events "EVENTS [TAIL <n>] | EVENTS SUBSCRIBE [filter] — cluster event bus";
+    "POSTMORTEM" User 2..=2 postmortem "POSTMORTEM <app> — recovery forensics bundle (JSON)";
+    "APPS" User 1..=1 apps "APPS — list applications (alias: STATUS)";
+    "STATUS" User 1..=1 apps "STATUS — list applications (alias: APPS)";
+};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Role {
@@ -245,634 +252,524 @@ impl MgmtSession {
 
     /// Process one request line; returns the response line(s).
     pub fn handle_line(&mut self, line: &str) -> String {
-        match self.try_handle(line) {
-            Ok(resp) => resp,
-            Err(e) => e,
-        }
-    }
-
-    fn require_admin(&self) -> Result<(), String> {
-        if self.is_admin() {
-            Ok(())
-        } else {
-            Err("ERR admin privileges required".into())
-        }
-    }
-
-    fn require_login(&self) -> Result<(), String> {
-        if self.role.is_some() {
-            Ok(())
-        } else {
-            Err("ERR login required".into())
-        }
-    }
-
-    fn try_handle(&mut self, line: &str) -> Result<String, String> {
         let toks: Vec<&str> = line.split_whitespace().collect();
         let Some(cmd) = toks.first() else {
-            return Ok(String::new());
+            return String::new();
         };
-        match cmd.to_ascii_uppercase().as_str() {
-            "LOGIN" => match toks.get(1).map(|s| s.to_ascii_uppercase()).as_deref() {
-                Some("ADMIN") => {
-                    let pw = toks.get(2).copied().unwrap_or("");
-                    let expected = self
-                        .daemon
-                        .config()
-                        .params
-                        .get("admin_password")
-                        .cloned()
-                        .unwrap_or_else(|| DEFAULT_ADMIN_PASSWORD.to_string());
-                    if pw == expected {
-                        self.role = Some(Role::Admin);
-                        Ok("OK management connection".into())
-                    } else {
-                        Err("ERR authentication failed".into())
-                    }
+        let cmd = cmd.to_ascii_uppercase();
+        let Some(row) = COMMAND_USAGE.iter().find(|r| r.name == cmd) else {
+            return format!("ERR unknown command {cmd:?}");
+        };
+        let reply = match row.access {
+            Access::User if self.role.is_none() => Err(Some("ERR login required".into())),
+            Access::Admin if !self.is_admin() => Err(Some("ERR admin privileges required".into())),
+            _ if !row.arity.contains(&toks.len()) => Err(USAGE),
+            _ => (row.run)(self, &toks),
+        };
+        match reply {
+            Ok(resp) | Err(Some(resp)) => resp,
+            Err(None) => format!("ERR usage: {}", row.usage),
+        }
+    }
+
+    fn issue(&self, cmd: CfgCmd) -> Result<(), Option<String>> {
+        let issued = self.daemon.issue(cmd);
+        issued.map_err(|e| Some(format!("ERR {e}")))
+    }
+
+    /// The replicated entry of application `tok`.
+    fn app(&self, tok: &str) -> Result<AppEntry, Option<String>> {
+        let id = Self::parse_app_id(tok)?;
+        let entry = self.daemon.config().apps.get(&id).cloned();
+        entry.ok_or_else(|| Some(format!("ERR no such application {id}")))
+    }
+
+    // -- the handlers, one per row (arity already checked) ---------------------
+
+    fn help(&mut self, _: &[&str]) -> Reply {
+        // No login gate: a client must be able to discover LOGIN.
+        let mut out = String::from("OK commands");
+        for row in COMMAND_USAGE {
+            out.push('\n');
+            out.push_str(row.usage);
+        }
+        Ok(out)
+    }
+
+    fn login(&mut self, t: &[&str]) -> Reply {
+        let [_, kind, arg] = t else {
+            return Err(USAGE);
+        };
+        match kind.to_ascii_uppercase().as_str() {
+            "ADMIN" => {
+                let params = self.daemon.config().params;
+                let expected = params.get("admin_password").map(String::as_str);
+                if *arg != expected.unwrap_or(DEFAULT_ADMIN_PASSWORD) {
+                    return Err(Some("ERR authentication failed".into()));
                 }
-                Some("USER") => {
-                    let name = toks
-                        .get(2)
-                        .ok_or_else(|| "ERR usage: LOGIN USER <name>".to_string())?;
-                    self.role = Some(Role::User(name.to_string()));
-                    Ok("OK user session".into())
+                self.role = Some(Role::Admin);
+                Ok("OK management connection".into())
+            }
+            "USER" => {
+                self.role = Some(Role::User(arg.to_string()));
+                Ok("OK user session".into())
+            }
+            _ => Err(USAGE),
+        }
+    }
+
+    fn logout(&mut self, _: &[&str]) -> Reply {
+        self.role = None;
+        Ok("OK bye".into())
+    }
+
+    fn add_node(&mut self, t: &[&str]) -> Reply {
+        let (id, arch) = match t {
+            [_, id] => (id, "0"),
+            [_, id, arch] => (id, *arch),
+            _ => return Err(USAGE),
+        };
+        let node = Self::parse_node_id(id)?;
+        let known = |a: &u8| (*a as usize) < MACHINES.len();
+        let arch_index = arch.parse().ok().filter(known).ok_or(USAGE)?;
+        self.issue(CfgCmd::AddNode { node, arch_index })?;
+        Ok(format!("OK node {node} added"))
+    }
+
+    fn node_cmd(&mut self, t: &[&str]) -> Reply {
+        let [verb, id] = t else {
+            return Err(USAGE);
+        };
+        let node = Self::parse_node_id(id)?;
+        let (cmd, done) = match verb.to_ascii_uppercase().as_str() {
+            "REMOVENODE" => (CfgCmd::RemoveNode { node }, "removed"),
+            "DISABLE" => (CfgCmd::DisableNode { node }, "disabled"),
+            _ => (CfgCmd::EnableNode { node }, "enabled"),
+        };
+        self.issue(cmd)?;
+        Ok(format!("OK node {node} {done}"))
+    }
+
+    fn set(&mut self, t: &[&str]) -> Reply {
+        let [_, key, value] = t else {
+            return Err(USAGE);
+        };
+        let (key, value) = (key.to_string(), value.to_string());
+        let done = format!("OK {key}={value}");
+        self.issue(CfgCmd::SetParam { key, value })?;
+        Ok(done)
+    }
+
+    fn submit(&mut self, t: &[&str]) -> Reply {
+        let [_, name, size, opts @ ..] = t else {
+            return Err(USAGE);
+        };
+        let size: u32 = size.parse().map_err(|_| "ERR bad size".to_string())?;
+        let mut policy = FtPolicy::Restart;
+        let mut level = LevelKind::Vm;
+        let mut proto = CkptProto::StopAndSync;
+        let mut backend = CkptBackend::Disk;
+        for opt in opts.chunks(2) {
+            let [key, value @ ..] = opt else {
+                return Err(USAGE);
+            };
+            let value = value.first().map(|v| v.to_ascii_lowercase());
+            match (key.to_ascii_uppercase().as_str(), value.as_deref()) {
+                ("POLICY", Some("restart")) => policy = FtPolicy::Restart,
+                ("POLICY", Some("view")) => policy = FtPolicy::NotifyView,
+                ("POLICY", Some("kill")) => policy = FtPolicy::Kill,
+                ("LEVEL", Some("native")) => level = LevelKind::Native,
+                ("LEVEL", Some("vm")) => level = LevelKind::Vm,
+                ("PROTO", Some("sync")) => proto = CkptProto::StopAndSync,
+                ("PROTO", Some("cl")) => proto = CkptProto::ChandyLamport,
+                ("PROTO", Some("indep")) => proto = CkptProto::Independent,
+                ("STORE", v) => {
+                    let parsed = v.and_then(CkptBackend::parse);
+                    backend =
+                        parsed.ok_or("ERR bad STORE (disk|replica|replica:<k>)".to_string())?;
                 }
-                _ => Err("ERR usage: LOGIN ADMIN <password> | LOGIN USER <name>".into()),
-            },
-            "LOGOUT" => {
-                self.role = None;
-                Ok("OK bye".into())
-            }
-            "ADDNODE" => {
-                self.require_admin()?;
-                let node =
-                    Self::parse_node_id(toks.get(1).ok_or("ERR usage: ADDNODE <id> [arch]")?)?;
-                let arch: u8 = toks.get(2).and_then(|s| s.parse().ok()).unwrap_or(0);
-                self.daemon
-                    .issue(CfgCmd::AddNode {
-                        node,
-                        arch_index: arch,
-                    })
-                    .map_err(|e| format!("ERR {e}"))?;
-                Ok(format!("OK node {node} added"))
-            }
-            "REMOVENODE" => {
-                self.require_admin()?;
-                let node = Self::parse_node_id(toks.get(1).ok_or("ERR usage: REMOVENODE <id>")?)?;
-                self.daemon
-                    .issue(CfgCmd::RemoveNode { node })
-                    .map_err(|e| format!("ERR {e}"))?;
-                Ok(format!("OK node {node} removed"))
-            }
-            "DISABLE" => {
-                self.require_admin()?;
-                let node = Self::parse_node_id(toks.get(1).ok_or("ERR usage: DISABLE <id>")?)?;
-                self.daemon
-                    .issue(CfgCmd::DisableNode { node })
-                    .map_err(|e| format!("ERR {e}"))?;
-                Ok(format!("OK node {node} disabled"))
-            }
-            "ENABLE" => {
-                self.require_admin()?;
-                let node = Self::parse_node_id(toks.get(1).ok_or("ERR usage: ENABLE <id>")?)?;
-                self.daemon
-                    .issue(CfgCmd::EnableNode { node })
-                    .map_err(|e| format!("ERR {e}"))?;
-                Ok(format!("OK node {node} enabled"))
-            }
-            "SET" => {
-                self.require_admin()?;
-                let key = toks.get(1).ok_or("ERR usage: SET <key> <value>")?;
-                let value = toks.get(2).ok_or("ERR usage: SET <key> <value>")?;
-                self.daemon
-                    .issue(CfgCmd::SetParam {
-                        key: key.to_string(),
-                        value: value.to_string(),
-                    })
-                    .map_err(|e| format!("ERR {e}"))?;
-                Ok(format!("OK {key}={value}"))
-            }
-            "SUBMIT" => {
-                self.require_login()?;
-                let name = toks.get(1).ok_or(
-                    "ERR usage: SUBMIT <name> <size> [POLICY restart|view|kill] [LEVEL native|vm] [PROTO sync|cl|indep] [STORE disk|replica:<k>]",
-                )?;
-                let size: u32 = toks
-                    .get(2)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("ERR bad size")?;
-                let mut policy = FtPolicy::Restart;
-                let mut level = LevelKind::Vm;
-                let mut proto = CkptProto::StopAndSync;
-                let mut backend = CkptBackend::Disk;
-                let mut i = 3;
-                while i + 1 < toks.len() + 1 {
-                    match toks.get(i).map(|s| s.to_ascii_uppercase()).as_deref() {
-                        Some("POLICY") => {
-                            policy =
-                                match toks.get(i + 1).map(|s| s.to_ascii_lowercase()).as_deref() {
-                                    Some("restart") => FtPolicy::Restart,
-                                    Some("view") => FtPolicy::NotifyView,
-                                    Some("kill") => FtPolicy::Kill,
-                                    _ => return Err("ERR bad POLICY".into()),
-                                };
-                            i += 2;
-                        }
-                        Some("LEVEL") => {
-                            level = match toks.get(i + 1).map(|s| s.to_ascii_lowercase()).as_deref()
-                            {
-                                Some("native") => LevelKind::Native,
-                                Some("vm") => LevelKind::Vm,
-                                _ => return Err("ERR bad LEVEL".into()),
-                            };
-                            i += 2;
-                        }
-                        Some("PROTO") => {
-                            proto = match toks.get(i + 1).map(|s| s.to_ascii_lowercase()).as_deref()
-                            {
-                                Some("sync") => CkptProto::StopAndSync,
-                                Some("cl") => CkptProto::ChandyLamport,
-                                Some("indep") => CkptProto::Independent,
-                                _ => return Err("ERR bad PROTO".into()),
-                            };
-                            i += 2;
-                        }
-                        Some("STORE") => {
-                            backend = toks
-                                .get(i + 1)
-                                .and_then(|s| CkptBackend::parse(s))
-                                .ok_or("ERR bad STORE (disk|replica|replica:<k>)")?;
-                            i += 2;
-                        }
-                        Some(_) => return Err(format!("ERR unknown option {:?}", toks[i])),
-                        None => break,
-                    }
+                (k @ ("POLICY" | "LEVEL" | "PROTO"), _) => {
+                    return Err(Some(format!("ERR bad {k}")))
                 }
-                let token = self.next_token;
-                self.next_token = self.next_token.wrapping_add(0x9E37_79B9) | 1;
-                let spec = AppSpec {
-                    name: name.to_string(),
-                    size,
-                    policy,
-                    level,
-                    proto,
-                    backend,
-                    owner: self.user().unwrap_or("?").to_string(),
-                    token,
-                };
-                self.daemon
-                    .issue(CfgCmd::Submit { spec })
-                    .map_err(|e| format!("ERR {e}"))?;
-                // Wait for the submission to land in the replicated state so
-                // we can report the assigned id.
-                let cfg = self
-                    .daemon
-                    .wait_config(Duration::from_secs(10), |c| {
-                        c.find_app_by_token(token).is_some()
-                    })
-                    .map_err(|_| "ERR submission not scheduled (no nodes?)".to_string())?;
-                let app = cfg.find_app_by_token(token).expect("just checked");
-                Ok(format!("OK submitted {} size {}", app.id, app.spec.size))
+                _ => return Err(Some(format!("ERR unknown option {key:?}"))),
             }
-            "SUSPEND" | "RESUME" | "DELETE" | "CHECKPOINT" => {
-                self.require_login()?;
-                let id = Self::parse_app_id(
-                    toks.get(1)
-                        .ok_or_else(|| format!("ERR usage: {cmd} <app>"))?,
-                )?;
-                let cfg = self.daemon.config();
-                let entry = cfg
-                    .apps
-                    .get(&id)
-                    .ok_or_else(|| format!("ERR no such application {id}"))?;
-                if !self.may_touch(&entry.spec.owner) {
-                    return Err(format!("ERR {id} belongs to {}", entry.spec.owner));
-                }
-                let c = match cmd.to_ascii_uppercase().as_str() {
-                    "SUSPEND" => CfgCmd::Suspend { app: id },
-                    "RESUME" => CfgCmd::ResumeApp { app: id },
-                    "DELETE" => CfgCmd::Delete { app: id },
-                    _ => CfgCmd::TriggerCkpt { app: id },
-                };
-                self.daemon.issue(c).map_err(|e| format!("ERR {e}"))?;
-                Ok(format!("OK {} {}", cmd.to_ascii_lowercase(), id))
-            }
-            "CKPT" => {
-                self.require_login()?;
-                const USAGE: &str =
-                    "ERR usage: CKPT STATUS <app> — per-rank fragment placement and replication health";
-                match toks.get(1).map(|s| s.to_ascii_uppercase()).as_deref() {
-                    Some("STATUS") if toks.len() == 3 => {
-                        let id = Self::parse_app_id(toks[2]).map_err(|_| USAGE.to_string())?;
-                        let cfg = self.daemon.config();
-                        let entry = cfg
-                            .apps
-                            .get(&id)
-                            .ok_or_else(|| format!("ERR no such application {id}"))?;
-                        let hub = self.daemon.ckpt_store();
-                        let backend = hub.backend_of(id);
-                        let mut out = format!(
-                            "OK ckpt status {id} backend={backend} epoch={}",
-                            entry.epoch
-                        );
-                        match backend {
-                            CkptBackend::Disk => {
-                                for r in 0..entry.spec.size {
-                                    let rank = starfish_util::Rank(r);
-                                    out.push_str(&format!(
-                                        "\nr{r} latest={} store=disk",
-                                        hub.latest_index(id, rank)
-                                    ));
-                                }
-                            }
-                            CkptBackend::Replica { .. } => {
-                                let health = hub.replica().health(id);
-                                if health.is_empty() {
-                                    out.push_str("\n(no fragments stored yet)");
-                                }
-                                for h in health {
-                                    let frags = hub.replica().placement(id, h.rank);
-                                    let map: Vec<String> = frags
-                                        .iter()
-                                        .map(|f| {
-                                            let nodes: Vec<String> =
-                                                f.replicas.iter().map(|n| n.to_string()).collect();
-                                            format!("f{}->[{}]", f.seq, nodes.join(","))
-                                        })
-                                        .collect();
-                                    out.push_str(&format!(
-                                        "\nr{} index={} owner={} frags={} min_live={} parity={} {} {}",
-                                        h.rank.0,
-                                        h.index,
-                                        h.owner,
-                                        h.fragments,
-                                        h.min_live_replicas,
-                                        if h.parity_live { "live" } else { "lost" },
-                                        if h.recoverable { "recoverable" } else { "UNRECOVERABLE" },
-                                        map.join(" ")
-                                    ));
-                                }
-                            }
-                        }
-                        Ok(out)
-                    }
-                    _ => Err(USAGE.into()),
+        }
+        let token = self.next_token;
+        self.next_token = self.next_token.wrapping_add(0x9E37_79B9) | 1;
+        let spec = AppSpec {
+            name: name.to_string(),
+            size,
+            policy,
+            level,
+            proto,
+            backend,
+            owner: self.user().unwrap_or("?").to_string(),
+            token,
+        };
+        self.issue(CfgCmd::Submit { spec })?;
+        // Wait for the submission to land in the replicated state so we can
+        // report the assigned id.
+        let landed = |c: &ClusterConfig| c.find_app_by_token(token).is_some();
+        let cfg = self.daemon.wait_config(Duration::from_secs(10), landed);
+        let cfg = cfg.map_err(|_| "ERR submission not scheduled (no nodes?)".to_string())?;
+        let app = cfg.find_app_by_token(token).ok_or(USAGE)?;
+        Ok(format!("OK submitted {} size {}", app.id, app.spec.size))
+    }
+
+    fn app_cmd(&mut self, t: &[&str]) -> Reply {
+        let [verb, tok] = t else {
+            return Err(USAGE);
+        };
+        let entry = self.app(tok)?;
+        let (app, owner) = (entry.id, &entry.spec.owner);
+        if !self.may_touch(owner) {
+            return Err(format!("ERR {app} belongs to {owner}").into());
+        }
+        let verb = verb.to_ascii_lowercase();
+        self.issue(match verb.as_str() {
+            "suspend" => CfgCmd::Suspend { app },
+            "resume" => CfgCmd::ResumeApp { app },
+            "delete" => CfgCmd::Delete { app },
+            _ => CfgCmd::TriggerCkpt { app },
+        })?;
+        Ok(format!("OK {verb} {app}"))
+    }
+
+    fn ckpt(&mut self, t: &[&str]) -> Reply {
+        let [_, sub, tok] = t else {
+            return Err(USAGE);
+        };
+        if !sub.eq_ignore_ascii_case("STATUS") {
+            return Err(USAGE);
+        }
+        let id = Self::parse_app_id(tok).map_err(|_| USAGE)?;
+        let entry = self.app(tok)?;
+        let hub = self.daemon.ckpt_store();
+        let backend = hub.backend_of(id);
+        let mut out = format!(
+            "OK ckpt status {id} backend={backend} epoch={}",
+            entry.epoch
+        );
+        match backend {
+            CkptBackend::Disk => {
+                for r in 0..entry.spec.size {
+                    let latest = hub.latest_index(id, starfish_util::Rank(r));
+                    out.push_str(&format!("\nr{r} latest={latest} store=disk"));
                 }
             }
-            "MIGRATE" => {
-                self.require_admin()?;
-                let id = Self::parse_app_id(
-                    toks.get(1)
-                        .ok_or("ERR usage: MIGRATE <app> <rank> <node>")?,
-                )?;
-                let rank: u32 = toks
-                    .get(2)
-                    .map(|s| s.trim_start_matches('r'))
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("ERR bad rank")?;
-                let node = Self::parse_node_id(
-                    toks.get(3)
-                        .ok_or("ERR usage: MIGRATE <app> <rank> <node>")?,
-                )?;
-                let cfg = self.daemon.config();
-                let entry = cfg
-                    .apps
-                    .get(&id)
-                    .ok_or_else(|| format!("ERR no such application {id}"))?;
-                // Consistent rollback point: the latest checkpoint common to
-                // all ranks (0 = restart from scratch; CHECKPOINT first for
-                // a warm migration).
-                let line = vec![0u64; entry.spec.size as usize];
-                self.daemon
-                    .issue(CfgCmd::Migrate {
-                        app: id,
-                        rank: starfish_util::Rank(rank),
-                        node,
-                        line,
-                    })
-                    .map_err(|e| format!("ERR {e}"))?;
-                Ok(format!("OK migrate {id} rank {rank} -> {node} (cold)"))
-            }
-            "NODES" => {
-                self.require_login()?;
-                let cfg = self.daemon.config();
-                let mut out = String::from("OK nodes");
-                for (n, e) in &cfg.nodes {
-                    out.push_str(&format!("\n{n} {:?} {}", e.status, e.arch));
+            CkptBackend::Replica { .. } => {
+                let health = hub.replica().health(id);
+                if health.is_empty() {
+                    out.push_str("\n(no fragments stored yet)");
                 }
-                Ok(out)
-            }
-            "STATS" => {
-                self.require_login()?;
-                const USAGE: &str =
-                    "ERR usage: STATS | STATS SUBSCRIBE <interval_ms> | STATS HISTORY [n]";
-                match toks.get(1).map(|s| s.to_ascii_uppercase()).as_deref() {
-                    None => {
-                        let snap = self.daemon.stats().merged();
-                        if snap.is_empty() {
-                            return Ok("OK stats (no data)".into());
-                        }
-                        let mut out = String::from("OK stats");
-                        for line in starfish_telemetry::render_stats(&snap).lines() {
-                            out.push('\n');
-                            out.push_str(line);
-                        }
-                        Ok(out)
-                    }
-                    Some("SUBSCRIBE") if toks.len() == 3 => {
-                        let ms: u64 = toks[2].parse().map_err(|_| USAGE.to_string())?;
-                        self.subscription = Some(Subscription::Stats {
-                            interval_ms: ms,
-                            last_emit: None,
-                        });
-                        Ok(format!("OK subscribed stats interval={ms}ms"))
-                    }
-                    Some("HISTORY") if toks.len() <= 3 => {
-                        let n: usize = match toks.get(2) {
-                            Some(t) => t.parse().map_err(|_| USAGE.to_string())?,
-                            None => usize::MAX,
-                        };
-                        let hist = self.daemon.stats().history();
-                        let skip = hist.len().saturating_sub(n);
-                        let mut out = format!("OK stats history {}", hist.len() - skip);
-                        let mut prev: Option<u64> = None;
-                        for (vt, snap) in hist.iter().skip(skip) {
-                            let total: u64 = snap.counters.iter().map(|(_, v)| *v).sum();
-                            let delta = match prev {
-                                Some(p) => total.saturating_sub(p),
-                                None => total,
-                            };
-                            prev = Some(total);
-                            out.push_str(&format!(
-                                "\n@{} total={total} delta={delta}",
-                                vt.as_nanos()
-                            ));
-                        }
-                        Ok(out)
-                    }
-                    _ => Err(USAGE.into()),
-                }
-            }
-            "HEALTH" => {
-                self.require_login()?;
-                let cfg = self.daemon.config();
-                let snap = self.daemon.stats().merged();
-                let ages: BTreeMap<NodeId, Duration> =
-                    self.daemon.heartbeat_ages().into_iter().collect();
-                let mut out = String::from("OK health");
-                for (n, e) in &cfg.nodes {
-                    // Registered-but-unannounced is *not* "up": the daemon
-                    // never proved it is alive (the phantom-node rule).
-                    let state = match e.status {
-                        CfgNodeStatus::Up if e.announced => "up",
-                        CfgNodeStatus::Up => "registered",
-                        CfgNodeStatus::Disabled => "disabled",
-                        CfgNodeStatus::Dead => "dead",
-                        CfgNodeStatus::Removed => "removed",
-                    };
-                    let hb = if *n == self.daemon.node() {
-                        "self".to_string()
-                    } else {
-                        match ages.get(n) {
-                            Some(d) => format!("{}ms", d.as_millis()),
-                            None => "-".to_string(),
-                        }
-                    };
-                    out.push_str(&format!("\n{n} {state} hb_age={hb}"));
-                }
-                out.push_str(&format!(
-                    "\nprocs.running {}",
-                    snap.gauge(starfish_telemetry::metric::PROCS_RUNNING)
-                ));
-                for (label, id) in [
-                    (
-                        "ensemble.view_changes",
-                        starfish_telemetry::metric::ENSEMBLE_VIEW_CHANGES,
-                    ),
-                    (
-                        "ensemble.heartbeat_misses",
-                        starfish_telemetry::metric::ENSEMBLE_HEARTBEAT_MISSES,
-                    ),
-                    ("ckpt.rounds", starfish_telemetry::metric::CKPT_ROUNDS),
-                    (
-                        "recovery.restarts",
-                        starfish_telemetry::metric::RECOVERY_RESTARTS,
-                    ),
-                ] {
-                    out.push_str(&format!("\n{label} {}", snap.counter(id)));
-                }
-                // Ring losses are read where they are counted, not mirrored
-                // into metrics: every flight recorder, and this node's bus.
-                let hub = self.daemon.trace_hub();
-                let trace_dropped: u64 = hub
-                    .scopes()
-                    .iter()
-                    .filter_map(|s| hub.get(s))
-                    .map(|r| r.dropped())
-                    .sum();
-                out.push_str(&format!("\ntrace.dropped {trace_dropped}"));
-                out.push_str(&format!(
-                    "\nevents.dropped {}",
-                    self.daemon.events().dropped()
-                ));
-                Ok(out)
-            }
-            "TIMELINE" => {
-                self.require_login()?;
-                const USAGE: &str = "ERR usage: TIMELINE <app>";
-                if toks.len() != 2 {
-                    return Err(USAGE.into());
-                }
-                let id = Self::parse_app_id(toks[1]).map_err(|_| USAGE.to_string())?;
-                let mut phases: Vec<_> = self
-                    .daemon
-                    .trace_hub()
-                    .dump_prefix(&format!("{id}.r"))
-                    .iter()
-                    .flat_map(|t| t.phases())
-                    .collect();
-                if phases.is_empty() {
-                    return Ok(format!("OK timeline {id} (empty)"));
-                }
-                phases.sort_by_key(|p| (p.start, p.end));
-                let mut out = format!("OK timeline {id}");
-                for p in &phases {
+                for h in health {
+                    let frags = hub.replica().placement(id, h.rank);
+                    let map: Vec<String> = frags
+                        .iter()
+                        .map(|f| {
+                            let nodes: Vec<String> =
+                                f.replicas.iter().map(|n| n.to_string()).collect();
+                            format!("f{}->[{}]", f.seq, nodes.join(","))
+                        })
+                        .collect();
                     out.push_str(&format!(
-                        "\n{} {} vt={:.3}..{:.3}ms ({:.3}ms)",
-                        p.name,
-                        if p.detail.is_empty() { "-" } else { &p.detail },
-                        p.start.as_millis_f64(),
-                        p.end.as_millis_f64(),
-                        p.end.since(p.start).as_millis_f64(),
+                        "\nr{} index={} owner={} frags={} min_live={} parity={} {} {}",
+                        h.rank.0,
+                        h.index,
+                        h.owner,
+                        h.fragments,
+                        h.min_live_replicas,
+                        if h.parity_live { "live" } else { "lost" },
+                        if h.recoverable {
+                            "recoverable"
+                        } else {
+                            "UNRECOVERABLE"
+                        },
+                        map.join(" ")
                     ));
                 }
+            }
+        }
+        Ok(out)
+    }
+
+    fn migrate(&mut self, t: &[&str]) -> Reply {
+        let [_, tok, rank, node] = t else {
+            return Err(USAGE);
+        };
+        let entry = self.app(tok)?;
+        let rank = rank
+            .trim_start_matches('r')
+            .parse()
+            .map_err(|_| "ERR bad rank".to_string())?;
+        let node = Self::parse_node_id(node)?;
+        // A cold move: the line is all zeros, so every rank restarts from
+        // its initial state (`Cluster::migrate` checkpoints first for a warm
+        // one).
+        let line = vec![0u64; entry.spec.size as usize];
+        let (app, rank) = (entry.id, starfish_util::Rank(rank));
+        self.issue(CfgCmd::Migrate {
+            app,
+            rank,
+            node,
+            line,
+        })?;
+        Ok(format!("OK migrate {app} rank {} -> {node} (cold)", rank.0))
+    }
+
+    fn nodes(&mut self, _: &[&str]) -> Reply {
+        let mut out = String::from("OK nodes");
+        for (n, e) in &self.daemon.config().nodes {
+            out.push_str(&format!("\n{n} {:?} {}", e.status, e.arch));
+        }
+        Ok(out)
+    }
+
+    fn stats(&mut self, t: &[&str]) -> Reply {
+        let sub = t.get(1).map(|s| s.to_ascii_uppercase());
+        match (sub.as_deref(), t.get(2)) {
+            (None, _) => {
+                let snap = self.daemon.stats().merged();
+                if snap.is_empty() {
+                    return Ok("OK stats (no data)".into());
+                }
+                let mut out = String::from("OK stats");
+                for line in starfish_telemetry::render_stats(&snap).lines() {
+                    out.push('\n');
+                    out.push_str(line);
+                }
                 Ok(out)
             }
-            "TRACE" => {
-                self.require_login()?;
-                const USAGE: &str = "ERR usage: TRACE SCOPES | TRACE DUMP [scope] | TRACE TAIL <n> [scope] | TRACE PATH <app> | TRACE FOLLOW <scope>";
-                let hub = self.daemon.trace_hub();
-                match toks.get(1).map(|s| s.to_ascii_uppercase()).as_deref() {
-                    Some("SCOPES") if toks.len() == 2 => {
-                        let scopes = hub.scopes();
-                        let mut out = format!("OK trace scopes {}", scopes.len());
-                        for s in scopes {
-                            let (len, dropped) = hub
-                                .get(&s)
-                                .map(|r| (r.len(), r.dropped()))
-                                .unwrap_or((0, 0));
-                            out.push_str(&format!("\n{s} events={len} dropped={dropped}"));
-                        }
-                        Ok(out)
-                    }
-                    Some(verb @ ("DUMP" | "TAIL")) => {
-                        // DUMP [scope] is TAIL <everything> [scope].
-                        let (n, scope) = match (verb, toks.len()) {
-                            ("DUMP", 2 | 3) => (usize::MAX, toks.get(2)),
-                            ("TAIL", 3 | 4) => {
-                                (toks[2].parse().map_err(|_| USAGE.to_string())?, toks.get(3))
-                            }
-                            _ => return Err(USAGE.into()),
-                        };
-                        let dumps = match scope {
-                            Some(scope) => match hub.get(scope) {
-                                Some(r) => vec![r.dump()],
-                                None => return Err(format!("ERR no such scope {scope:?}")),
-                            },
-                            None => hub.dump_all(),
-                        };
-                        let mut out = if verb == "DUMP" {
-                            String::from("OK trace dump")
-                        } else {
-                            format!("OK trace tail {n}")
-                        };
-                        for t in &dumps {
-                            out.push_str(&format!("\n== {} dropped={}", t.scope, t.dropped));
-                            for ev in t.events.iter().skip(t.events.len().saturating_sub(n)) {
-                                out.push('\n');
-                                out.push_str(&ev.summary());
-                            }
-                        }
-                        Ok(out)
-                    }
-                    Some("FOLLOW") if toks.len() == 3 => {
-                        let scope = toks[2].to_string();
-                        let Some(r) = hub.get(&scope) else {
-                            return Err(format!("ERR no such scope {scope:?}"));
-                        };
-                        // Live edge: only events recorded after this line.
-                        self.subscription = Some(Subscription::Trace {
-                            scope: scope.clone(),
-                            cursor: r.live_edge(),
-                        });
-                        Ok(format!("OK following trace {scope}"))
-                    }
-                    Some("PATH") if toks.len() == 3 => {
-                        let id = Self::parse_app_id(toks[2]).map_err(|_| USAGE.to_string())?;
-                        let dumps = hub.dump_prefix(&format!("{id}.r"));
-                        if dumps.iter().all(|t| t.events.is_empty()) {
-                            return Ok(format!("OK trace path {id} (empty)"));
-                        }
-                        let dag = starfish_trace::reassemble(dumps);
-                        dag.check()
-                            .map_err(|e| format!("ERR trace inconsistent: {e}"))?;
-                        let mut out = format!("OK trace path {id}");
-                        for line in dag.render_path().lines() {
-                            out.push('\n');
-                            out.push_str(line);
-                        }
-                        Ok(out)
-                    }
-                    _ => Err(USAGE.into()),
-                }
+            (Some("SUBSCRIBE"), Some(ms)) => {
+                let ms: u64 = ms.parse().map_err(|_| USAGE)?;
+                self.subscription = Some(Subscription::Stats {
+                    interval_ms: ms,
+                    last_emit: None,
+                });
+                Ok(format!("OK subscribed stats interval={ms}ms"))
             }
-            "EVENTS" => {
-                self.require_login()?;
-                const USAGE: &str = "ERR usage: EVENTS [TAIL <n>] | EVENTS SUBSCRIBE [filter]";
-                let tail = |n: usize| {
-                    let bus = self.daemon.events();
-                    let mut out = format!(
-                        "OK events published={} dropped={}",
-                        bus.published(),
-                        bus.dropped()
-                    );
-                    for ev in bus.tail(n) {
+            (Some("HISTORY"), n) => {
+                let n: usize = match n {
+                    Some(t) => t.parse().map_err(|_| USAGE)?,
+                    None => usize::MAX,
+                };
+                let hist = self.daemon.stats().history();
+                let skip = hist.len().saturating_sub(n);
+                let mut out = format!("OK stats history {}", hist.len() - skip);
+                let mut prev: Option<u64> = None;
+                for (vt, snap) in hist.iter().skip(skip) {
+                    let total: u64 = snap.counters.iter().map(|(_, v)| *v).sum();
+                    let delta = total.saturating_sub(prev.unwrap_or(0));
+                    prev = Some(total);
+                    out.push_str(&format!("\n@{} total={total} delta={delta}", vt.as_nanos()));
+                }
+                Ok(out)
+            }
+            _ => Err(USAGE),
+        }
+    }
+
+    fn health(&mut self, _: &[&str]) -> Reply {
+        let cfg = self.daemon.config();
+        let snap = self.daemon.stats().merged();
+        let ages: BTreeMap<NodeId, Duration> = self.daemon.heartbeat_ages().into_iter().collect();
+        let mut out = String::from("OK health");
+        for (n, e) in &cfg.nodes {
+            // Registered-but-unannounced is *not* "up": the daemon never
+            // proved it is alive (the phantom-node rule).
+            let state = match e.status {
+                CfgNodeStatus::Up if e.announced => "up",
+                CfgNodeStatus::Up => "registered",
+                CfgNodeStatus::Disabled => "disabled",
+                CfgNodeStatus::Dead => "dead",
+                CfgNodeStatus::Removed => "removed",
+            };
+            let hb = match ages.get(n) {
+                _ if *n == self.daemon.node() => "self".to_string(),
+                Some(d) => format!("{}ms", d.as_millis()),
+                None => "-".to_string(),
+            };
+            out.push_str(&format!("\n{n} {state} hb_age={hb}"));
+        }
+        use starfish_telemetry::metric;
+        let running = snap.gauge(metric::PROCS_RUNNING);
+        out.push_str(&format!("\nprocs.running {running}"));
+        for (label, id) in [
+            ("ensemble.view_changes", metric::ENSEMBLE_VIEW_CHANGES),
+            (
+                "ensemble.heartbeat_misses",
+                metric::ENSEMBLE_HEARTBEAT_MISSES,
+            ),
+            ("ckpt.rounds", metric::CKPT_ROUNDS),
+            ("recovery.restarts", metric::RECOVERY_RESTARTS),
+        ] {
+            out.push_str(&format!("\n{label} {}", snap.counter(id)));
+        }
+        // Ring losses are read where they are counted, not mirrored into
+        // metrics: every flight recorder, and this node's bus.
+        let hub = self.daemon.trace_hub();
+        let recorders = hub.scopes().into_iter().filter_map(|s| hub.get(&s));
+        let trace_dropped: u64 = recorders.map(|r| r.dropped()).sum();
+        out.push_str(&format!("\ntrace.dropped {trace_dropped}"));
+        let events_dropped = self.daemon.events().dropped();
+        out.push_str(&format!("\nevents.dropped {events_dropped}"));
+        Ok(out)
+    }
+
+    fn timeline(&mut self, t: &[&str]) -> Reply {
+        let [_, tok] = t else {
+            return Err(USAGE);
+        };
+        let id = Self::parse_app_id(tok).map_err(|_| USAGE)?;
+        let dumps = self.daemon.trace_hub().dump_prefix(&format!("{id}.r"));
+        let mut phases: Vec<_> = dumps.iter().flat_map(|t| t.phases()).collect();
+        if phases.is_empty() {
+            return Ok(format!("OK timeline {id} (empty)"));
+        }
+        phases.sort_by_key(|p| (p.start, p.end));
+        let mut out = format!("OK timeline {id}");
+        for p in &phases {
+            out.push_str(&format!(
+                "\n{} {} vt={:.3}..{:.3}ms ({:.3}ms)",
+                p.name,
+                if p.detail.is_empty() { "-" } else { &p.detail },
+                p.start.as_millis_f64(),
+                p.end.as_millis_f64(),
+                p.end.since(p.start).as_millis_f64(),
+            ));
+        }
+        Ok(out)
+    }
+
+    fn trace(&mut self, t: &[&str]) -> Reply {
+        let hub = self.daemon.trace_hub();
+        let verb = t.get(1).map(|s| s.to_ascii_uppercase()).unwrap_or_default();
+        match (verb.as_str(), t.get(2..).unwrap_or_default()) {
+            ("SCOPES", []) => {
+                let scopes = hub.scopes();
+                let mut out = format!("OK trace scopes {}", scopes.len());
+                for s in scopes {
+                    let (len, dropped) = hub.get(&s).map_or((0, 0), |r| (r.len(), r.dropped()));
+                    out.push_str(&format!("\n{s} events={len} dropped={dropped}"));
+                }
+                Ok(out)
+            }
+            // DUMP [scope] is TAIL <everything> [scope].
+            ("DUMP" | "TAIL", args) => {
+                let (n, scope) = match (verb.as_str(), args) {
+                    ("DUMP", [] | [_]) => (usize::MAX, args.first()),
+                    ("TAIL", [n, scope @ ..]) => (n.parse().map_err(|_| USAGE)?, scope.first()),
+                    _ => return Err(USAGE),
+                };
+                let dumps = match scope {
+                    Some(scope) => match hub.get(scope) {
+                        Some(r) => vec![r.dump()],
+                        None => return Err(format!("ERR no such scope {scope:?}").into()),
+                    },
+                    None => hub.dump_all(),
+                };
+                let mut out = match verb.as_str() {
+                    "DUMP" => String::from("OK trace dump"),
+                    _ => format!("OK trace tail {n}"),
+                };
+                for t in &dumps {
+                    out.push_str(&format!("\n== {} dropped={}", t.scope, t.dropped));
+                    for ev in t.events.iter().skip(t.events.len().saturating_sub(n)) {
                         out.push('\n');
                         out.push_str(&ev.summary());
                     }
-                    out
+                }
+                Ok(out)
+            }
+            ("FOLLOW", [scope]) => {
+                let Some(r) = hub.get(scope) else {
+                    return Err(format!("ERR no such scope {scope:?}").into());
                 };
-                match toks.get(1).map(|s| s.to_ascii_uppercase()).as_deref() {
-                    None => Ok(tail(10)),
-                    Some("TAIL") if toks.len() == 3 => {
-                        let n: usize = toks[2].parse().map_err(|_| USAGE.to_string())?;
-                        Ok(tail(n))
-                    }
-                    Some("SUBSCRIBE") if toks.len() <= 3 => {
-                        let filter = toks.get(2).map(|s| s.to_string());
-                        self.subscription = Some(Subscription::Events {
-                            cursor: self.daemon.events().subscribe(),
-                            filter,
-                        });
-                        Ok("OK subscribed events".into())
-                    }
-                    _ => Err(USAGE.into()),
-                }
+                // Live edge: only events recorded after this line.
+                let (scope, cursor) = (scope.to_string(), r.live_edge());
+                let done = format!("OK following trace {scope}");
+                self.subscription = Some(Subscription::Trace { scope, cursor });
+                Ok(done)
             }
-            "POSTMORTEM" => {
-                self.require_login()?;
-                const USAGE: &str = "ERR usage: POSTMORTEM <app>";
-                if toks.len() != 2 {
-                    return Err(USAGE.into());
+            ("PATH", [tok]) => {
+                let id = Self::parse_app_id(tok).map_err(|_| USAGE)?;
+                let dumps = hub.dump_prefix(&format!("{id}.r"));
+                if dumps.iter().all(|t| t.events.is_empty()) {
+                    return Ok(format!("OK trace path {id} (empty)"));
                 }
-                let id = Self::parse_app_id(toks[1]).map_err(|_| USAGE.to_string())?;
-                match self.daemon.postmortem(id) {
-                    Some(pm) => Ok(format!("OK postmortem {id}\n{}", pm.to_json())),
-                    None => {
-                        let have: Vec<String> = self
-                            .daemon
-                            .postmortem_apps()
-                            .iter()
-                            .map(|a| a.to_string())
-                            .collect();
-                        Err(format!(
-                            "ERR no postmortem for {id} (have: [{}])",
-                            have.join(",")
-                        ))
-                    }
-                }
-            }
-            "APPS" | "STATUS" => {
-                self.require_login()?;
-                let cfg = self.daemon.config();
-                let mut out = String::from("OK apps");
-                for a in cfg.apps.values() {
-                    let placement: Vec<String> =
-                        a.placement.iter().map(|n| n.to_string()).collect();
-                    out.push_str(&format!(
-                        "\n{} {} size={} status={:?} epoch={} owner={} placement=[{}]",
-                        a.id,
-                        a.spec.name,
-                        a.spec.size,
-                        a.status,
-                        a.epoch,
-                        a.spec.owner,
-                        placement.join(",")
-                    ));
-                }
-                Ok(out)
-            }
-            "HELP" => {
-                // No login gate: a client must be able to discover LOGIN.
-                let mut out = String::from("OK commands");
-                for (_, usage) in COMMAND_USAGE {
+                let dag = starfish_trace::reassemble(dumps);
+                dag.check()
+                    .map_err(|e| format!("ERR trace inconsistent: {e}"))?;
+                let mut out = format!("OK trace path {id}");
+                for line in dag.render_path().lines() {
                     out.push('\n');
-                    out.push_str(usage);
+                    out.push_str(line);
                 }
                 Ok(out)
             }
-            other => Err(format!("ERR unknown command {other:?}")),
+            _ => Err(USAGE),
         }
+    }
+
+    fn events(&mut self, t: &[&str]) -> Reply {
+        let tail = |n: usize| {
+            let bus = self.daemon.events();
+            let (published, dropped) = (bus.published(), bus.dropped());
+            let mut out = format!("OK events published={published} dropped={dropped}");
+            for ev in bus.tail(n) {
+                out.push('\n');
+                out.push_str(&ev.summary());
+            }
+            out
+        };
+        let verb = t.get(1).map(|s| s.to_ascii_uppercase());
+        match (verb.as_deref(), t.get(2)) {
+            (None, _) => Ok(tail(10)),
+            (Some("TAIL"), Some(n)) => Ok(tail(n.parse().map_err(|_| USAGE)?)),
+            (Some("SUBSCRIBE"), filter) => {
+                self.subscription = Some(Subscription::Events {
+                    cursor: self.daemon.events().subscribe(),
+                    filter: filter.map(|s| s.to_string()),
+                });
+                Ok("OK subscribed events".into())
+            }
+            _ => Err(USAGE),
+        }
+    }
+
+    fn postmortem(&mut self, t: &[&str]) -> Reply {
+        let [_, tok] = t else {
+            return Err(USAGE);
+        };
+        let id = Self::parse_app_id(tok).map_err(|_| USAGE)?;
+        if let Some(pm) = self.daemon.postmortem(id) {
+            return Ok(format!("OK postmortem {id}\n{}", pm.to_json()));
+        }
+        let have: Vec<String> = self
+            .daemon
+            .postmortem_apps()
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        Err(format!("ERR no postmortem for {id} (have: [{}])", have.join(",")).into())
+    }
+
+    fn apps(&mut self, _: &[&str]) -> Reply {
+        let mut out = String::from("OK apps");
+        for a in self.daemon.config().apps.values() {
+            let placement: Vec<String> = a.placement.iter().map(|n| n.to_string()).collect();
+            out.push_str(&format!(
+                "\n{} {} size={} status={:?} epoch={} owner={} placement=[{}]",
+                a.id,
+                a.spec.name,
+                a.spec.size,
+                a.status,
+                a.epoch,
+                a.spec.owner,
+                placement.join(",")
+            ));
+        }
+        Ok(out)
     }
 }
 
@@ -921,15 +818,16 @@ mod tests {
         let mut s = MgmtSession::connect(d, 9);
         let out = s.handle_line("HELP");
         assert!(out.starts_with("OK commands"), "{out}");
-        for (cmd, usage) in COMMAND_USAGE {
-            assert!(out.contains(usage), "HELP missing {cmd}: {out}");
+        for row in COMMAND_USAGE {
+            assert!(out.contains(row.usage), "HELP missing {}: {out}", row.name);
         }
         // And every advertised command really dispatches (no ERR unknown).
-        for (cmd, _) in COMMAND_USAGE {
-            let resp = s.handle_line(cmd);
+        for row in COMMAND_USAGE {
+            let resp = s.handle_line(row.name);
             assert!(
                 !resp.contains("unknown command"),
-                "{cmd} advertised but unhandled: {resp}"
+                "{} advertised but unhandled: {resp}",
+                row.name
             );
         }
     }
@@ -1335,6 +1233,34 @@ mod tests {
         assert!(s
             .handle_line("POSTMORTEM app9")
             .starts_with("ERR no postmortem for app9"));
+    }
+
+    /// The table checks arity for every command: extra or malformed
+    /// arguments are a usage error, never silently accepted.
+    #[test]
+    fn arity_and_argument_errors_reply_with_the_row_usage() {
+        let d = one_node_daemon();
+        let mut s = MgmtSession::connect(d.clone(), 26);
+        s.handle_line("LOGIN ADMIN starfish");
+        for (bad, cmd) in [
+            ("ADDNODE 5 x", "ADDNODE"),
+            ("ADDNODE 5 99", "ADDNODE"),
+            ("NODES extra", "NODES"),
+            ("SUSPEND app1 extra", "SUSPEND"),
+        ] {
+            let row = COMMAND_USAGE.iter().find(|r| r.name == cmd).unwrap();
+            assert_eq!(s.handle_line(bad), format!("ERR usage: {}", row.usage));
+        }
+        // Nothing was issued: node 5 never reached the configuration.
+        settle(&d, "m");
+        assert!(!d.config().nodes.contains_key(&NodeId(5)));
+        // Role is checked before arity.
+        let mut anon = MgmtSession::connect(d, 27);
+        assert_eq!(anon.handle_line("NODES extra"), "ERR login required");
+        assert_eq!(
+            anon.handle_line("ADDNODE 5 x"),
+            "ERR admin privileges required"
+        );
     }
 
     #[test]

@@ -69,10 +69,12 @@ pub enum CfgCmd {
     },
     /// State-transfer request: a freshly joined daemon asks for the
     /// replicated configuration. Applying it changes nothing; its position
-    /// in the total order defines the snapshot point, and the view
-    /// coordinator responds with a [`P2pMsg::State`] snapshot.
+    /// in the total order defines the snapshot point, and the daemon acting
+    /// for the group answers with a [`P2pMsg::State`] carrying the same
+    /// `req` (the joiner asks again at each view until one arrives).
     NeedState {
         node: NodeId,
+        req: u32,
     },
     /// Migrate one rank to another node (paper §3.2.1: "C/R allows Starfish
     /// to migrate application processes from one node to another, e.g., if
@@ -263,9 +265,10 @@ impl Encode for CfgCmd {
                 app.encode(enc);
                 line.encode(enc);
             }
-            CfgCmd::NeedState { node } => {
+            CfgCmd::NeedState { node, req } => {
                 enc.put_u8(T_NEEDSTATE);
                 node.encode(enc);
+                enc.put_u32(*req);
             }
             CfgCmd::Migrate {
                 app,
@@ -331,6 +334,7 @@ impl Decode for CfgCmd {
             },
             T_NEEDSTATE => CfgCmd::NeedState {
                 node: NodeId::decode(dec)?,
+                req: dec.get_u32()?,
             },
             T_MIGRATE => CfgCmd::Migrate {
                 app: AppId::decode(dec)?,
@@ -431,6 +435,17 @@ pub enum ProcDown {
     Kill { vt: VirtualTime },
 }
 
+impl ProcDown {
+    /// The Table 1 class this message is audited under.
+    pub fn class(&self) -> MsgClass {
+        match self {
+            ProcDown::LwView { .. } => MsgClass::LwMembership,
+            ProcDown::Relay { kind, .. } => kind.class(),
+            _ => MsgClass::Configuration,
+        }
+    }
+}
+
 /// Messages from a local application process up to its daemon.
 #[derive(Debug, Clone)]
 pub enum ProcUp {
@@ -458,18 +473,30 @@ pub enum ProcUp {
     Stats { snap: Snapshot, vt: VirtualTime },
 }
 
-/// Top-level envelope of every daemon cast: either a replicated
-/// configuration command or a lightweight-group operation.
+impl ProcUp {
+    /// The process's virtual time when it sent this.
+    pub fn vt(&self) -> VirtualTime {
+        match self {
+            ProcUp::Cast { vt, .. }
+            | ProcUp::SendTo { vt, .. }
+            | ProcUp::Done { vt }
+            | ProcUp::CkptCommitted { vt, .. }
+            | ProcUp::Stats { vt, .. } => *vt,
+        }
+    }
+}
+
+/// Top-level envelope of every daemon cast.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireCast {
+    /// A replicated configuration command.
     Cfg(CfgCmd),
-    Lw(starfish_lwgroups::LwMsg),
+    /// An application multicast inside its lightweight group: every other
+    /// rank of `relay.app` gets it.
+    Mcast(AppRelay),
     /// Cumulative telemetry snapshot of one scope (replaces the previous
     /// snapshot of that scope in every daemon's stats hub).
-    Stats {
-        scope: String,
-        snap: Snapshot,
-    },
+    Stats { scope: String, snap: Snapshot },
     /// A structured cluster event observed locally (suspicion, checkpoint
     /// commit, respawn, injected fault) published onto every daemon's event
     /// bus through the total order, so all buses agree on sequence.
@@ -489,9 +516,9 @@ impl Encode for WireCast {
                 enc.put_u8(0);
                 c.encode(enc);
             }
-            WireCast::Lw(l) => {
+            WireCast::Mcast(r) => {
                 enc.put_u8(1);
-                l.encode(enc);
+                r.encode(enc);
             }
             WireCast::Stats { scope, snap } => {
                 enc.put_u8(2);
@@ -512,7 +539,7 @@ impl Decode for WireCast {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(match dec.get_u8()? {
             0 => WireCast::Cfg(CfgCmd::decode(dec)?),
-            1 => WireCast::Lw(starfish_lwgroups::LwMsg::decode(dec)?),
+            1 => WireCast::Mcast(AppRelay::decode(dec)?),
             2 => WireCast::Stats {
                 scope: dec.get_str()?,
                 snap: Snapshot::decode(dec)?,
@@ -532,9 +559,9 @@ impl Decode for WireCast {
 pub enum P2pMsg {
     /// A relayed application message addressed to one rank.
     Relay(AppRelay),
-    /// State transfer: the serialized replicated configuration, sent by the
-    /// view coordinator in response to a `NeedState` cast.
-    State(Bytes),
+    /// State transfer: the serialized replicated configuration at the
+    /// point of the joiner's `NeedState { req }` cast.
+    State { req: u32, config: Bytes },
 }
 
 impl Encode for P2pMsg {
@@ -544,9 +571,10 @@ impl Encode for P2pMsg {
                 enc.put_u8(0);
                 r.encode(enc);
             }
-            P2pMsg::State(b) => {
+            P2pMsg::State { req, config } => {
                 enc.put_u8(1);
-                b.encode(enc);
+                enc.put_u32(*req);
+                config.encode(enc);
             }
         }
     }
@@ -556,7 +584,10 @@ impl Decode for P2pMsg {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(match dec.get_u8()? {
             0 => P2pMsg::Relay(AppRelay::decode(dec)?),
-            1 => P2pMsg::State(Bytes::decode(dec)?),
+            1 => P2pMsg::State {
+                req: dec.get_u32()?,
+                config: Bytes::decode(dec)?,
+            },
             t => return Err(Error::codec(format!("unknown P2pMsg tag {t}"))),
         })
     }
@@ -638,6 +669,16 @@ mod tests {
                 app: AppId(4),
                 line: vec![3, 3, 2],
             },
+            CfgCmd::NeedState {
+                node: NodeId(5),
+                req: 2,
+            },
+            CfgCmd::Migrate {
+                app: AppId(4),
+                rank: Rank(1),
+                node: NodeId(2),
+                line: vec![1, 1, 1],
+            },
         ];
         for c in cmds {
             assert_eq!(roundtrip(&c).unwrap(), c);
@@ -649,8 +690,12 @@ mod tests {
     fn wirecast_roundtrip() {
         let w = WireCast::Cfg(CfgCmd::TriggerCkpt { app: AppId(1) });
         assert_eq!(roundtrip(&w).unwrap(), w);
-        let w = WireCast::Lw(starfish_lwgroups::LwMsg::Destroy {
-            gid: starfish_util::GroupId(3),
+        let w = WireCast::Mcast(AppRelay {
+            app: AppId(3),
+            kind: RelayKind::CheckpointRestart,
+            from: Rank(0),
+            to: None,
+            body: Bytes::from_static(b"stop"),
         });
         assert_eq!(roundtrip(&w).unwrap(), w);
         let reg = starfish_telemetry::Registry::new();
@@ -674,7 +719,10 @@ mod tests {
 
     #[test]
     fn p2pmsg_roundtrip() {
-        let m = P2pMsg::State(Bytes::from_static(b"cfg"));
+        let m = P2pMsg::State {
+            req: 1,
+            config: Bytes::from_static(b"cfg"),
+        };
         assert_eq!(roundtrip(&m).unwrap(), m);
         let m = P2pMsg::Relay(AppRelay {
             app: AppId(1),

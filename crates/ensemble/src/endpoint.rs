@@ -8,14 +8,14 @@
 //! the machine and carries out the answers in order — a `Send` becomes a
 //! packet (a failed one is reported back), the rest a [`GcEvent`], a metric
 //! or a trace record. Commands are direct calls. A daemon's node loop owns
-//! its `Stack`; [`Endpoint`] is a `Stack` on a thread of its own.
+//! its `Stack`; the tests below drive several from one thread.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError};
+use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 
 use starfish_telemetry::{metric, Registry};
@@ -23,7 +23,7 @@ use starfish_trace::FlightRecorder;
 use starfish_util::codec::{Decode, Encode};
 use starfish_util::trace::{ActorKind, MsgClass, TraceSink};
 use starfish_util::{Error, NodeId, Result, VClock, ViewId, VirtualTime};
-use starfish_vni::{Addr, Fabric, FabricEvent, Kick, KickSender, Packet, PacketKind, Port, PortId};
+use starfish_vni::{Addr, Fabric, FabricEvent, Kick, Packet, PacketKind, Port, PortId};
 
 use crate::group::{Group, HeartbeatCfg, HeartbeatChaos, Out};
 use crate::msg::GcMsg;
@@ -367,141 +367,90 @@ impl Stack {
     }
 }
 
-// -- The threaded driver of a `Stack`, for standalone use ---------------------
-
-/// What an [`Endpoint`]'s owner asks of the stack its thread drives.
-type Cmd = Box<dyn FnOnce(&mut Stack) + Send>;
-
-/// Handle to a [`Stack`] running on a thread of its own: commands go in
-/// through a queue whose sender kicks the stack's wait point, deliveries
-/// come out of a channel.
-pub struct Endpoint {
-    node: NodeId,
-    cmd_tx: KickSender<Cmd>,
-    events_rx: Receiver<GcEvent>,
-    liveness: HeartbeatAges,
-}
-
-impl Endpoint {
-    /// [`Stack::start`] a new group, on a thread of its own.
-    pub fn found(fabric: &Fabric, node: NodeId, cfg: EndpointConfig) -> Result<Endpoint> {
-        Stack::start(fabric, node, None, cfg).map(|stack| Self::drive(node, stack))
-    }
-
-    /// [`Stack::start`] in `contact`'s group, on a thread of its own.
-    pub fn join(
-        fabric: &Fabric,
-        node: NodeId,
-        contact: NodeId,
-        cfg: EndpointConfig,
-    ) -> Result<Endpoint> {
-        Stack::start(fabric, node, Some(contact), cfg).map(|stack| Self::drive(node, stack))
-    }
-
-    fn drive(node: NodeId, mut stack: Stack) -> Endpoint {
-        let (cmd_tx, cmd_rx) = channel::unbounded::<Cmd>();
-        let (events_tx, events_rx) = channel::unbounded();
-        let ep = Endpoint {
-            node,
-            cmd_tx: KickSender::new(cmd_tx, stack.kicker()),
-            events_rx,
-            liveness: stack.liveness(),
-        };
-        // Deliveries out, then commands in — every pass, whatever ended the
-        // wait: a kick only says "look". (A dropped owner said `leave`.)
-        let run = move || loop {
-            for ev in stack.wait(Duration::MAX) {
-                let _ = events_tx.send(ev);
-            }
-            if stack.done() {
-                return;
-            }
-            while let Ok(cmd) = cmd_rx.try_recv() {
-                cmd(&mut stack);
-            }
-        };
-        std::thread::Builder::new()
-            .name(format!("ensemble-{node}"))
-            .spawn(run)
-            .expect("spawn ensemble stack");
-        ep
-    }
-
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Latest installed view, if any: asked of the stack itself, so never
-    /// older than the last delivery (`None` once its thread has finished).
-    pub fn current_view(&self) -> Option<View> {
-        let (tx, rx) = channel::unbounded();
-        let asked = self.command(move |stack| drop(tx.send(stack.view().cloned())));
-        asked.ok().and_then(|()| rx.recv().ok()).flatten()
-    }
-
-    fn command(&self, cmd: impl FnOnce(&mut Stack) + Send + 'static) -> Result<()> {
-        let queued = self.cmd_tx.send(Box::new(cmd));
-        queued.map_err(|_| Error::closed("ensemble stack gone"))
-    }
-
-    /// [`Stack::cast`].
-    pub fn cast(&self, payload: Bytes, vt: VirtualTime) -> Result<()> {
-        self.command(move |stack| stack.cast(payload, vt))
-    }
-
-    /// [`Stack::send_to`].
-    pub fn send_to(&self, node: NodeId, payload: Bytes, vt: VirtualTime) -> Result<()> {
-        self.command(move |stack| stack.send_to(node, payload, vt))
-    }
-
-    /// [`Stack::leave`].
-    pub fn leave(&self) -> Result<()> {
-        self.command(Stack::leave)
-    }
-
-    /// The delivery stream.
-    pub fn events(&self) -> &Receiver<GcEvent> {
-        &self.events_rx
-    }
-
-    /// [`HeartbeatAges::ages`] of this endpoint's stack.
-    pub fn heartbeat_ages(&self) -> Vec<(NodeId, Duration)> {
-        self.liveness.ages()
-    }
-
-    /// [`Stack::liveness`].
-    pub fn liveness(&self) -> HeartbeatAges {
-        self.liveness.clone()
-    }
-
-    /// Test/bootstrap helper: block until a view containing `expect_members`
-    /// members is installed, returning it (events consumed in the process
-    /// are NOT replayed; use only when driving the endpoint directly).
-    pub fn wait_for_view_size(&self, size: usize, timeout: Duration) -> Result<View> {
-        let started = Instant::now(); // lint: allow(wall-clock)
-        loop {
-            let remain = timeout.saturating_sub(started.elapsed());
-            match self.events_rx.recv_timeout(remain) {
-                Ok(GcEvent::View { view, .. }) if view.size() == size => return Ok(view),
-                Ok(_) => continue,
-                Err(RecvTimeoutError::Timeout) => return Err(Error::timeout("wait_for_view_size")),
-                Err(RecvTimeoutError::Disconnected) => return Err(Error::closed("stack gone")),
-            }
-        }
-    }
-}
-
-impl Drop for Endpoint {
-    fn drop(&mut self) {
-        let _ = self.leave();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use starfish_vni::{Ideal, LayerCosts};
     use std::time::Duration;
+
+    /// Stacks driven from the test's own thread: a turn gives every stack
+    /// one short [`Stack::wait`] and keeps what it delivered.
+    pub(super) struct Pump {
+        fabric: Fabric,
+        stacks: Vec<Stack>,
+        /// Everything each stack delivered, in order.
+        got: Vec<Vec<GcEvent>>,
+    }
+
+    impl Pump {
+        pub(super) fn new(fabric: &Fabric) -> Pump {
+            let (fabric, stacks, got) = (fabric.clone(), Vec::new(), Vec::new());
+            Pump {
+                fabric,
+                stacks,
+                got,
+            }
+        }
+
+        /// Start `node`'s stack, founding (`contact` `None`) or joining;
+        /// returns its index.
+        pub(super) fn start(
+            &mut self,
+            node: u32,
+            contact: Option<u32>,
+            cfg: EndpointConfig,
+        ) -> usize {
+            let stack = Stack::start(&self.fabric, NodeId(node), contact.map(NodeId), cfg);
+            self.stacks.push(stack.unwrap());
+            self.got.push(Vec::new());
+            self.stacks.len() - 1
+        }
+
+        pub(super) fn stack(&mut self, i: usize) -> &mut Stack {
+            &mut self.stacks[i]
+        }
+
+        pub(super) fn turn(&mut self) {
+            for (stack, got) in self.stacks.iter_mut().zip(&mut self.got) {
+                got.extend(stack.wait(Duration::from_millis(1)));
+            }
+        }
+
+        /// Turn until `done` holds; fails the test after `secs` seconds.
+        pub(super) fn until(&mut self, secs: u64, what: &str, mut done: impl FnMut(&Pump) -> bool) {
+            let deadline = Instant::now() + Duration::from_secs(secs);
+            while !done(self) {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                self.turn();
+            }
+        }
+
+        /// Turn until stack `i` is in a view of `size` members; that view.
+        pub(super) fn view_size(&mut self, i: usize, size: usize, secs: u64) -> View {
+            let sized = |p: &Pump| p.view(i).is_some_and(|v| v.size() == size);
+            self.until(secs, &format!("a view of {size} at stack {i}"), sized);
+            self.view(i).cloned().unwrap()
+        }
+
+        /// The casts stack `i` delivered: `(origin, seq, payload)`.
+        pub(super) fn casts(&self, i: usize) -> Vec<(NodeId, u64, Bytes)> {
+            let cast = |e: &GcEvent| match e {
+                GcEvent::Cast {
+                    from, seq, payload, ..
+                } => Some((*from, *seq, payload.clone())),
+                _ => None,
+            };
+            self.got[i].iter().filter_map(cast).collect()
+        }
+
+        pub(super) fn view(&self, i: usize) -> Option<&View> {
+            self.stacks[i].view()
+        }
+
+        pub(super) fn got(&self, i: usize) -> &[GcEvent] {
+            &self.got[i]
+        }
+    }
 
     fn fabric(n: u32) -> Fabric {
         let f = Fabric::new(Box::new(Ideal), LayerCosts::zero());
@@ -511,33 +460,25 @@ mod tests {
         f
     }
 
-    fn drain_until_casts(
-        ep: &Endpoint,
-        want: usize,
-        timeout: Duration,
-    ) -> Vec<(NodeId, u64, Bytes)> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut out = Vec::new();
-        while out.len() < want {
-            let remain = deadline
-                .checked_duration_since(std::time::Instant::now())
-                .unwrap_or_default();
-            match ep.events().recv_timeout(remain) {
-                Ok(GcEvent::Cast {
-                    from, seq, payload, ..
-                }) => out.push((from, seq, payload)),
-                Ok(_) => {}
-                Err(_) => break,
-            }
+    /// A pump with the group {0, …, n−1} booted: each joins through n0.
+    fn group(f: &Fabric, n: u32) -> Pump {
+        let mut p = Pump::new(f);
+        for i in 0..n {
+            let e = p.start(i, (i > 0).then_some(0), EndpointConfig::default());
+            p.view_size(e, i as usize + 1, 5);
         }
-        out
+        for e in 0..n as usize {
+            p.view_size(e, n as usize, 5);
+        }
+        p
     }
 
     #[test]
     fn found_singleton_view() {
         let f = fabric(1);
-        let ep = Endpoint::found(&f, NodeId(0), EndpointConfig::default()).unwrap();
-        let v = ep.wait_for_view_size(1, Duration::from_secs(2)).unwrap();
+        let mut p = Pump::new(&f);
+        let e = p.start(0, None, EndpointConfig::default());
+        let v = p.view_size(e, 1, 2);
         assert_eq!(v.members, vec![NodeId(0)]);
         assert_eq!(v.coordinator(), NodeId(0));
     }
@@ -545,46 +486,38 @@ mod tests {
     #[test]
     fn three_members_join_incrementally() {
         let f = fabric(3);
-        let e0 = Endpoint::found(&f, NodeId(0), EndpointConfig::default()).unwrap();
-        let e1 = Endpoint::join(&f, NodeId(1), NodeId(0), EndpointConfig::default()).unwrap();
-        let v = e1.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
+        let mut p = Pump::new(&f);
+        let e0 = p.start(0, None, EndpointConfig::default());
+        let e1 = p.start(1, Some(0), EndpointConfig::default());
+        let v = p.view_size(e1, 2, 5);
         assert_eq!(v.members, vec![NodeId(0), NodeId(1)]);
-        let e2 = Endpoint::join(&f, NodeId(2), NodeId(1), EndpointConfig::default()).unwrap();
-        let v = e2.wait_for_view_size(3, Duration::from_secs(5)).unwrap();
+        let e2 = p.start(2, Some(1), EndpointConfig::default());
+        let v = p.view_size(e2, 3, 5);
         assert_eq!(v.members, vec![NodeId(0), NodeId(1), NodeId(2)]);
         // All members converge to the same view.
-        let v0 = e0.wait_for_view_size(3, Duration::from_secs(5)).unwrap();
+        let v0 = p.view_size(e0, 3, 5);
         assert_eq!(v0.id, v.id);
     }
 
     #[test]
     fn casts_are_totally_ordered_across_members() {
         let f = fabric(3);
-        let e0 = Endpoint::found(&f, NodeId(0), EndpointConfig::default()).unwrap();
-        let e1 = Endpoint::join(&f, NodeId(1), NodeId(0), EndpointConfig::default()).unwrap();
-        e1.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
-        let e2 = Endpoint::join(&f, NodeId(2), NodeId(0), EndpointConfig::default()).unwrap();
-        e2.wait_for_view_size(3, Duration::from_secs(5)).unwrap();
-        e0.wait_for_view_size(3, Duration::from_secs(5)).unwrap();
-        e1.wait_for_view_size(3, Duration::from_secs(5)).unwrap();
-
-        // Concurrent casters.
+        let mut p = group(&f, 3);
+        // Interleaved casters.
         let n_each = 50;
         for i in 0..n_each {
-            e0.cast(Bytes::from(format!("a{i}")), VirtualTime::ZERO)
-                .unwrap();
-            e1.cast(Bytes::from(format!("b{i}")), VirtualTime::ZERO)
-                .unwrap();
-            e2.cast(Bytes::from(format!("c{i}")), VirtualTime::ZERO)
-                .unwrap();
+            for (e, tag) in ["a", "b", "c"].iter().enumerate() {
+                let payload = Bytes::from(format!("{tag}{i}"));
+                p.stack(e).cast(payload, VirtualTime::ZERO);
+            }
         }
         let want = 3 * n_each;
-        let d0 = drain_until_casts(&e0, want, Duration::from_secs(10));
-        let d1 = drain_until_casts(&e1, want, Duration::from_secs(10));
-        let d2 = drain_until_casts(&e2, want, Duration::from_secs(10));
-        assert_eq!(d0.len(), want);
-        assert_eq!(d0, d1);
-        assert_eq!(d0, d2);
+        p.until(10, "every cast everywhere", |p| {
+            (0..3).all(|e| p.casts(e).len() == want)
+        });
+        let d0 = p.casts(0);
+        assert_eq!(d0, p.casts(1));
+        assert_eq!(d0, p.casts(2));
         // Sequence numbers are gap-free from 1.
         for (i, (_, seq, _)) in d0.iter().enumerate() {
             assert_eq!(*seq, (i + 1) as u64);
@@ -594,17 +527,10 @@ mod tests {
     #[test]
     fn member_crash_installs_smaller_view() {
         let f = fabric(3);
-        let e0 = Endpoint::found(&f, NodeId(0), EndpointConfig::default()).unwrap();
-        let e1 = Endpoint::join(&f, NodeId(1), NodeId(0), EndpointConfig::default()).unwrap();
-        e1.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
-        let e2 = Endpoint::join(&f, NodeId(2), NodeId(0), EndpointConfig::default()).unwrap();
-        e2.wait_for_view_size(3, Duration::from_secs(5)).unwrap();
-        e0.wait_for_view_size(3, Duration::from_secs(5)).unwrap();
-        e1.wait_for_view_size(3, Duration::from_secs(5)).unwrap();
-
+        let mut p = group(&f, 3);
         f.crash_node(NodeId(2));
-        let v0 = e0.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
-        let v1 = e1.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
+        let v0 = p.view_size(0, 2, 5);
+        let v1 = p.view_size(1, 2, 5);
         assert_eq!(v0.members, vec![NodeId(0), NodeId(1)]);
         assert_eq!(v0.id, v1.id);
     }
@@ -612,111 +538,82 @@ mod tests {
     #[test]
     fn coordinator_crash_elects_next_smallest() {
         let f = fabric(3);
-        let e0 = Endpoint::found(&f, NodeId(0), EndpointConfig::default()).unwrap();
-        let e1 = Endpoint::join(&f, NodeId(1), NodeId(0), EndpointConfig::default()).unwrap();
-        e1.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
-        let e2 = Endpoint::join(&f, NodeId(2), NodeId(0), EndpointConfig::default()).unwrap();
-        e2.wait_for_view_size(3, Duration::from_secs(5)).unwrap();
-        e1.wait_for_view_size(3, Duration::from_secs(5)).unwrap();
-        drop(e0);
-
+        let mut p = group(&f, 3);
+        p.stack(0).leave();
         f.crash_node(NodeId(0));
-        let v1 = e1.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
-        let v2 = e2.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
+        let v1 = p.view_size(1, 2, 5);
+        let v2 = p.view_size(2, 2, 5);
         assert_eq!(v1.members, vec![NodeId(1), NodeId(2)]);
         assert_eq!(v1.coordinator(), NodeId(1));
         assert_eq!(v1.id, v2.id);
-        // The group still works: new coordinator sequences casts.
-        e2.cast(Bytes::from_static(b"post-crash"), VirtualTime::ZERO)
-            .unwrap();
-        let got = drain_until_casts(&e1, 1, Duration::from_secs(5));
-        assert_eq!(got.len(), 1);
-        assert_eq!(&got[0].2[..], b"post-crash");
+        // The group still works: the new coordinator sequences casts.
+        p.stack(2)
+            .cast(Bytes::from_static(b"post-crash"), VirtualTime::ZERO);
+        p.until(5, "the post-crash cast", |p| !p.casts(1).is_empty());
+        assert_eq!(&p.casts(1)[0].2[..], b"post-crash");
     }
 
     #[test]
     fn coordinator_crash_without_graceful_leave() {
-        // Unlike `coordinator_crash_elects_next_smallest`, the coordinator's
-        // endpoint handle stays alive: the only signal is the node crash, so
-        // the successor must take over recovery on its own.
+        // Unlike `coordinator_crash_elects_next_smallest`, the coordinator
+        // never leaves: the only signal is the node crash, so the successor
+        // must take over recovery on its own.
         let f = fabric(3);
-        let e0 = Endpoint::found(&f, NodeId(0), EndpointConfig::default()).unwrap();
-        let e1 = Endpoint::join(&f, NodeId(1), NodeId(0), EndpointConfig::default()).unwrap();
-        e1.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
-        let e2 = Endpoint::join(&f, NodeId(2), NodeId(0), EndpointConfig::default()).unwrap();
-        e2.wait_for_view_size(3, Duration::from_secs(5)).unwrap();
-        e1.wait_for_view_size(3, Duration::from_secs(5)).unwrap();
-
+        let mut p = group(&f, 3);
         f.crash_node(NodeId(0));
-        let v1 = e1.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
-        let v2 = e2.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
+        let v1 = p.view_size(1, 2, 5);
+        let v2 = p.view_size(2, 2, 5);
         assert_eq!(v1.members, vec![NodeId(1), NodeId(2)]);
         assert_eq!(v1.coordinator(), NodeId(1));
         assert_eq!(v1.id, v2.id);
         // The new coordinator sequences casts.
-        e2.cast(Bytes::from_static(b"recovered"), VirtualTime::ZERO)
-            .unwrap();
-        let got = drain_until_casts(&e1, 1, Duration::from_secs(5));
-        assert_eq!(&got[0].2[..], b"recovered");
-        drop(e0);
+        p.stack(2)
+            .cast(Bytes::from_static(b"recovered"), VirtualTime::ZERO);
+        p.until(5, "the cast", |p| !p.casts(1).is_empty());
+        assert_eq!(&p.casts(1)[0].2[..], b"recovered");
     }
 
     #[test]
     fn graceful_leave_shrinks_view() {
         let f = fabric(2);
-        let e0 = Endpoint::found(&f, NodeId(0), EndpointConfig::default()).unwrap();
-        let e1 = Endpoint::join(&f, NodeId(1), NodeId(0), EndpointConfig::default()).unwrap();
-        e1.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
-        e0.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
-        e1.leave().unwrap();
+        let mut p = group(&f, 2);
+        p.stack(1).leave();
         // e1 gets Left.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            assert!(std::time::Instant::now() < deadline, "no Left event");
-            match e1.events().recv_timeout(Duration::from_secs(1)) {
-                Ok(GcEvent::Left) => break,
-                Ok(_) => continue,
-                Err(_) => continue,
-            }
-        }
+        let left = |p: &Pump| p.got(1).iter().any(|e| matches!(e, GcEvent::Left));
+        p.until(5, "Left", left);
+        assert!(p.stack(1).done());
         // e0 sees the singleton view.
-        let v0 = e0.wait_for_view_size(1, Duration::from_secs(5)).unwrap();
+        let v0 = p.view_size(0, 1, 5);
         assert_eq!(v0.members, vec![NodeId(0)]);
     }
 
     #[test]
     fn p2p_between_members() {
         let f = fabric(2);
-        let e0 = Endpoint::found(&f, NodeId(0), EndpointConfig::default()).unwrap();
-        let e1 = Endpoint::join(&f, NodeId(1), NodeId(0), EndpointConfig::default()).unwrap();
-        e1.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
-        e0.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
-        e0.send_to(NodeId(1), Bytes::from_static(b"direct"), VirtualTime::ZERO)
-            .unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            assert!(std::time::Instant::now() < deadline, "no P2p event");
-            match e1.events().recv_timeout(Duration::from_secs(1)) {
-                Ok(GcEvent::P2p { from, payload, .. }) => {
-                    assert_eq!(from, NodeId(0));
-                    assert_eq!(&payload[..], b"direct");
-                    break;
-                }
-                _ => continue,
-            }
-        }
+        let mut p = group(&f, 2);
+        let direct = Bytes::from_static(b"direct");
+        p.stack(0).send_to(NodeId(1), direct, VirtualTime::ZERO);
+        let p2p = |e: &GcEvent| match e {
+            GcEvent::P2p { from, payload, .. } => Some((*from, payload.clone())),
+            _ => None,
+        };
+        p.until(5, "the P2p event", |p| {
+            p.got(1).iter().any(|e| p2p(e).is_some())
+        });
+        let (from, payload) = p.got(1).iter().find_map(p2p).unwrap();
+        assert_eq!(from, NodeId(0));
+        assert_eq!(&payload[..], b"direct");
     }
 
     #[test]
     fn cast_before_any_remote_member_still_delivers_locally() {
         let f = fabric(1);
-        let e0 = Endpoint::found(&f, NodeId(0), EndpointConfig::default()).unwrap();
-        e0.wait_for_view_size(1, Duration::from_secs(2)).unwrap();
-        e0.cast(Bytes::from_static(b"solo"), VirtualTime::ZERO)
-            .unwrap();
-        let got = drain_until_casts(&e0, 1, Duration::from_secs(5));
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].0, NodeId(0));
+        let mut p = group(&f, 1);
+        p.stack(0)
+            .cast(Bytes::from_static(b"solo"), VirtualTime::ZERO);
+        p.until(5, "the solo cast", |p| !p.casts(0).is_empty());
+        assert_eq!(p.casts(0).len(), 1);
+        assert_eq!(p.casts(0)[0].0, NodeId(0));
     }
 
     #[test]
@@ -724,48 +621,45 @@ mod tests {
         let f = Fabric::new(Box::new(starfish_vni::TcpEthernet), LayerCosts::zero());
         f.add_node(NodeId(0));
         f.add_node(NodeId(1));
-        let e0 = Endpoint::found(&f, NodeId(0), EndpointConfig::default()).unwrap();
-        let e1 = Endpoint::join(&f, NodeId(1), NodeId(0), EndpointConfig::default()).unwrap();
-        e1.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
-        e0.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
+        let mut p = group(&f, 2);
         let start = VirtualTime::from_millis(5);
-        e1.cast(Bytes::from_static(b"t"), start).unwrap();
-        // Delivery at e0 is after: start + proc + wire(e1->e0) + proc + wire(e0->e0 is local-loop? no: e0 IS coordinator; e1->coord, coord multicasts).
-        let got_vt = loop {
-            match e0.events().recv_timeout(Duration::from_secs(5)).unwrap() {
-                GcEvent::Cast { vt, .. } => break vt,
-                _ => continue,
-            }
+        p.stack(1).cast(Bytes::from_static(b"t"), start);
+        // e1 → the coordinator e0, which sequences it: delivery at e0 is
+        // at least one TCP hop (239 µs) beyond the caller's start.
+        let cast_vt = |p: &Pump| {
+            let vt = |e: &GcEvent| match e {
+                GcEvent::Cast { vt, .. } => Some(*vt),
+                _ => None,
+            };
+            p.got(0).iter().find_map(vt)
         };
-        // At minimum one TCP hop (239us) beyond the caller's start time.
-        assert!(got_vt > start + VirtualTime::from_micros(239));
+        p.until(5, "the cast at e0", |p| cast_vt(p).is_some());
+        assert!(cast_vt(&p).unwrap() > start + VirtualTime::from_micros(239));
     }
 
-    /// The threaded form of the hand-over regression: n2 streams casts while
-    /// n0 — the smallest id, so the coordinator role moves to it — joins
-    /// {n1, n2}. Nobody crashes, so nothing may be lost.
+    /// The hand-over regression: n2 streams casts while n0 — the smallest
+    /// id, so the coordinator role moves to it — joins {n1, n2}. Nobody
+    /// crashes, so nothing may be lost.
     #[test]
     fn casts_survive_a_coordinator_hand_over() {
         const CASTS: usize = 3_000;
         let f = fabric(3);
-        let e1 = Endpoint::found(&f, NodeId(1), EndpointConfig::default()).unwrap();
-        let e2 = Endpoint::join(&f, NodeId(2), NodeId(1), EndpointConfig::default()).unwrap();
-        e2.wait_for_view_size(2, Duration::from_secs(5)).unwrap();
-        let streamer = std::thread::spawn(move || {
-            for i in 0..CASTS as u32 {
-                let payload = Bytes::from(i.to_le_bytes().to_vec());
-                e2.cast(payload, VirtualTime::ZERO).unwrap();
-                if i % 64 == 0 {
-                    std::thread::yield_now();
-                }
+        let mut p = Pump::new(&f);
+        let e1 = p.start(1, None, EndpointConfig::default());
+        let e2 = p.start(2, Some(1), EndpointConfig::default());
+        p.view_size(e2, 2, 5);
+        let e0 = p.start(0, Some(2), EndpointConfig::default());
+        for i in 0..CASTS as u32 {
+            let payload = Bytes::from(i.to_le_bytes().to_vec());
+            p.stack(e2).cast(payload, VirtualTime::ZERO);
+            if i % 64 == 0 {
+                p.turn();
             }
-            e2
-        });
-        let e0 = Endpoint::join(&f, NodeId(0), NodeId(2), EndpointConfig::default()).unwrap();
-        e0.wait_for_view_size(3, Duration::from_secs(10)).unwrap();
-        let _e2 = streamer.join().unwrap();
-        let got = drain_until_casts(&e1, CASTS, Duration::from_secs(20));
-        let mut ids: Vec<u32> = got
+        }
+        p.view_size(e0, 3, 10);
+        p.until(20, "every cast at n1", |p| p.casts(e1).len() >= CASTS);
+        let casts = p.casts(e1);
+        let mut ids: Vec<u32> = casts
             .iter()
             .map(|(_, _, p)| u32::from_le_bytes(p[..4].try_into().unwrap()))
             .collect();
@@ -777,9 +671,9 @@ mod tests {
 
 #[cfg(test)]
 mod churn_tests {
+    use super::tests::Pump;
     use super::*;
     use starfish_vni::{Fabric, Ideal, LayerCosts};
-    use std::time::Duration;
 
     /// Stress: joins interleaved with crashes; the survivors converge on one
     /// final view and total order still works afterwards.
@@ -789,73 +683,51 @@ mod churn_tests {
         for i in 0..6 {
             f.add_node(NodeId(i));
         }
-        let e0 = Endpoint::found(&f, NodeId(0), EndpointConfig::default()).unwrap();
-        let mut eps = vec![e0];
-        for i in 1..4u32 {
-            let ep = Endpoint::join(&f, NodeId(i), NodeId(0), EndpointConfig::default()).unwrap();
-            ep.wait_for_view_size(i as usize + 1, Duration::from_secs(10))
-                .unwrap();
-            eps.push(ep);
+        let mut p = Pump::new(&f);
+        for i in 0..4 {
+            let e = p.start(i, (i > 0).then_some(0), EndpointConfig::default());
+            p.view_size(e, i as usize + 1, 10);
         }
         // Crash one member and add two more while the change settles.
         f.crash_node(NodeId(2));
-        let e4 = Endpoint::join(&f, NodeId(4), NodeId(0), EndpointConfig::default()).unwrap();
-        let e5 = Endpoint::join(&f, NodeId(5), NodeId(1), EndpointConfig::default()).unwrap();
-        eps.push(e4);
-        eps.push(e5);
-        eps.remove(2); // drop handle of the crashed member
+        p.start(4, Some(0), EndpointConfig::default());
+        p.start(5, Some(1), EndpointConfig::default());
+        let live = [0, 1, 3, 4, 5];
 
         // Everyone alive converges on {0,1,3,4,5}.
-        let want = vec![NodeId(0), NodeId(1), NodeId(3), NodeId(4), NodeId(5)];
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        for ep in &eps {
-            loop {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "no convergence at {:?}: {:?}",
-                    ep.node(),
-                    ep.current_view()
-                );
-                if ep
-                    .current_view()
-                    .map(|v| v.members == want)
-                    .unwrap_or(false)
-                {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
+        let want: Vec<NodeId> = live.iter().map(|i| NodeId(*i as u32)).collect();
+        p.until(20, "convergence on {0,1,3,4,5}", |p| {
+            live.iter()
+                .all(|e| p.view(*e).map(|v| &v.members) == Some(&want))
+        });
         // Total order still intact: every member delivers the same casts.
-        for (i, ep) in eps.iter().enumerate() {
-            ep.cast(Bytes::from(vec![i as u8]), VirtualTime::ZERO)
-                .unwrap();
+        let before: Vec<usize> = live.iter().map(|e| p.casts(*e).len()).collect();
+        for e in live {
+            p.stack(e)
+                .cast(Bytes::from(vec![e as u8]), VirtualTime::ZERO);
         }
-        let mut seqs = Vec::new();
-        for ep in &eps {
-            let mut got = Vec::new();
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            while got.len() < eps.len() {
-                assert!(std::time::Instant::now() < deadline, "missing casts");
-                match ep.events().recv_timeout(Duration::from_millis(200)) {
-                    Ok(GcEvent::Cast { payload, .. }) => got.push(payload[0]),
-                    Ok(_) => {}
-                    Err(_) => {}
-                }
-            }
-            seqs.push(got);
-        }
-        for s in &seqs[1..] {
-            assert_eq!(s, &seqs[0], "total order diverged after churn");
+        let fresh = |p: &Pump, k: usize| -> Vec<u8> {
+            let casts = p.casts(live[k]);
+            casts[before[k]..].iter().map(|(_, _, c)| c[0]).collect()
+        };
+        p.until(10, "the post-churn casts", |p| {
+            (0..live.len()).all(|k| fresh(p, k).len() == live.len())
+        });
+        for k in 1..live.len() {
+            assert_eq!(
+                fresh(&p, k),
+                fresh(&p, 0),
+                "total order diverged after churn"
+            );
         }
     }
 }
 
 #[cfg(test)]
 mod heartbeat_tests {
+    use super::tests::Pump;
     use super::*;
     use starfish_vni::{Fabric, Ideal, LayerCosts};
-    use std::time::Duration;
 
     fn hb_cfg() -> EndpointConfig {
         EndpointConfig {
@@ -867,53 +739,46 @@ mod heartbeat_tests {
         }
     }
 
-    /// A silent crash (hang) emits no fabric event; only the heartbeat
-    /// failure detector can evict the member.
-    #[test]
-    fn heartbeats_detect_silent_crash() {
+    /// {0, 1, 2} under heartbeats, node 2 with `last`.
+    fn trio(last: EndpointConfig) -> (Fabric, Pump) {
         let f = Fabric::new(Box::new(Ideal), LayerCosts::zero());
         for i in 0..3 {
             f.add_node(NodeId(i));
         }
-        let e0 = Endpoint::found(&f, NodeId(0), hb_cfg()).unwrap();
-        let e1 = Endpoint::join(&f, NodeId(1), NodeId(0), hb_cfg()).unwrap();
-        e1.wait_for_view_size(2, Duration::from_secs(10)).unwrap();
-        let e2 = Endpoint::join(&f, NodeId(2), NodeId(0), hb_cfg()).unwrap();
-        e2.wait_for_view_size(3, Duration::from_secs(10)).unwrap();
-        e0.wait_for_view_size(3, Duration::from_secs(10)).unwrap();
-        e1.wait_for_view_size(3, Duration::from_secs(10)).unwrap();
+        let mut p = Pump::new(&f);
+        p.start(0, None, hb_cfg());
+        p.start(1, Some(0), hb_cfg());
+        p.view_size(1, 2, 10);
+        p.start(2, Some(0), last);
+        p.view_size(2, 3, 10);
+        p.view_size(0, 3, 10);
+        (f, p)
+    }
 
+    /// A silent crash (hang) emits no fabric event; only the heartbeat
+    /// failure detector can evict the member.
+    #[test]
+    fn heartbeats_detect_silent_crash() {
+        let (f, mut p) = trio(hb_cfg());
+        p.view_size(1, 3, 10);
         // Hang node 2: no event, ports closed.
         f.crash_node_silently(NodeId(2));
-        let v0 = e0.wait_for_view_size(2, Duration::from_secs(15)).unwrap();
-        let v1 = e1.wait_for_view_size(2, Duration::from_secs(15)).unwrap();
+        let v0 = p.view_size(0, 2, 15);
+        let v1 = p.view_size(1, 2, 15);
         assert_eq!(v0.members, vec![NodeId(0), NodeId(1)]);
         assert_eq!(v0.id, v1.id);
         // The group still sequences casts.
-        e1.cast(Bytes::from_static(b"alive"), VirtualTime::ZERO)
-            .unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            assert!(std::time::Instant::now() < deadline, "cast never delivered");
-            match e0.events().recv_timeout(Duration::from_millis(200)) {
-                Ok(GcEvent::Cast { payload, .. }) => {
-                    assert_eq!(&payload[..], b"alive");
-                    break;
-                }
-                _ => continue,
-            }
-        }
-        drop(e2);
+        let before = p.casts(0).len();
+        p.stack(1)
+            .cast(Bytes::from_static(b"alive"), VirtualTime::ZERO);
+        p.until(10, "the cast", |p| p.casts(0).len() > before);
+        assert_eq!(&p.casts(0)[before].2[..], b"alive");
     }
 
     /// A member whose beacons the chaos layer suppresses entirely looks
     /// exactly like a hang: the others must suspect and evict it.
     #[test]
     fn chaos_muted_beacons_get_member_evicted() {
-        let f = Fabric::new(Box::new(Ideal), LayerCosts::zero());
-        for i in 0..3 {
-            f.add_node(NodeId(i));
-        }
         let muted = EndpointConfig {
             chaos: Some(HeartbeatChaos {
                 seed: 7,
@@ -921,15 +786,9 @@ mod heartbeat_tests {
             }),
             ..hb_cfg()
         };
-        let e0 = Endpoint::found(&f, NodeId(0), hb_cfg()).unwrap();
-        let e1 = Endpoint::join(&f, NodeId(1), NodeId(0), hb_cfg()).unwrap();
-        e1.wait_for_view_size(2, Duration::from_secs(10)).unwrap();
-        let e2 = Endpoint::join(&f, NodeId(2), NodeId(0), muted).unwrap();
-        e2.wait_for_view_size(3, Duration::from_secs(10)).unwrap();
-        e0.wait_for_view_size(3, Duration::from_secs(10)).unwrap();
+        let (_f, mut p) = trio(muted);
         // Node 2 beacons never leave: it is evicted like a silent crash.
-        let v0 = e0.wait_for_view_size(2, Duration::from_secs(15)).unwrap();
+        let v0 = p.view_size(0, 2, 15);
         assert_eq!(v0.members, vec![NodeId(0), NodeId(1)]);
-        drop(e2);
     }
 }

@@ -281,8 +281,11 @@ impl Group {
                 // A cast of an older view, or of this one after our flush, is
                 // stale: if any surviving member delivered it the flush union
                 // backfills it, otherwise it is dropped as a whole (virtual
-                // synchrony permits this).
-                if self.view().is_some_and(|v| v.id == view) && !self.flushing {
+                // synchrony permits this). So is one from anyone but our
+                // view's sequencer: a dead coordinator's view can have the id
+                // its survivors gave theirs.
+                let ours = |v: &View| v.id == view && v.coordinator() == from;
+                if self.view().is_some_and(ours) && !self.flushing {
                     let entry = SeqEntry {
                         seq,
                         origin,
@@ -300,7 +303,8 @@ impl Group {
                 // that crashed before completing it) and must not re-block
                 // delivery.
                 let closing = ViewId(proposal_view(proposal));
-                if self.view().is_some_and(|v| v.id == closing) {
+                let ours = |v: &View| v.id == closing && v.contains(from);
+                if self.view().is_some_and(ours) {
                     self.flushing = true;
                     let ok = GcMsg::FlushOk {
                         proposal,
@@ -613,6 +617,9 @@ impl Group {
         self.delivery.reset();
         self.next_seq = 1;
         self.flushing = false;
+        // A change we opened for an older view is obsolete: completing it
+        // would close that view again. What it was for is re-decided below.
+        self.change = None;
         self.suspects.retain(|s| view.contains(*s));
         self.pending_joins.retain(|j| !view.contains(*j));
         self.pending_leaves.retain(|l| view.contains(*l));
@@ -758,6 +765,20 @@ mod tests {
             while self.step() {}
         }
 
+        /// Deliver the oldest message from `from` to `to`, out of turn.
+        fn deliver(&mut self, from: u32, to: u32) {
+            let at = self
+                .wire
+                .iter()
+                .position(|(f, t, _)| (f.0, t.0) == (from, to));
+            let (_, _, msg) = self
+                .wire
+                .remove(at.expect("a message on that link"))
+                .unwrap();
+            let now = self.now;
+            self.at(to, |g| g.on_msg(n(from), msg, now));
+        }
+
         /// Fail-stop `id` and tell every survivor, smallest first.
         fn crash(&mut self, id: u32) {
             self.down.insert(n(id));
@@ -880,6 +901,67 @@ mod tests {
         net.settle();
         assert_eq!(net.casts(2), vec![b'a', b'c']);
         assert_eq!(net.casts(1), vec![b'a', b'c']);
+    }
+
+    /// A dead coordinator's view and its survivor's can share an id: n0
+    /// installs a view of {n0, n2} and casts in it, then dies before n2 has
+    /// heard of it, and n2 installs a view of {n2} with the same id. What n0
+    /// sent for its view is not delivered in n2's.
+    #[test]
+    fn a_dead_coordinators_traffic_stays_out_of_a_same_numbered_view() {
+        let mut net = Net::of(&[0, 1, 2], None);
+        net.down.insert(n(1));
+        net.at(0, |g| g.member_failed(n(1)));
+        net.at(2, |g| g.member_failed(n(1)));
+        assert!(net.step() && net.step(), "FlushReq to n2, its FlushOk back");
+        assert_eq!(net.members(0), Some(vec![0, 2]));
+        net.at(0, |g| g.cast(Bytes::from_static(b"a"), TraceCtx::NONE));
+        net.down.insert(n(0));
+        let to_n2 = |(_, to, _): &(NodeId, NodeId, GcMsg)| *to == n(2);
+        let in_flight: Vec<_> = net.wire.drain(..).filter(to_n2).collect();
+        net.at(2, |g| g.member_failed(n(0)));
+        assert_eq!(net.members(2), Some(vec![2]));
+        let id = |i: u32| net.groups[&n(i)].view().map(|v| v.id);
+        assert_eq!(id(2), id(0), "the same id, other members");
+        net.wire.extend(in_flight);
+        // Nor does a flush n0 opened for its view close n2's.
+        let closing = id(2).unwrap();
+        let proposal = encode_proposal(closing.0, 9);
+        let flush = GcMsg::FlushReq {
+            proposal,
+            new_members: vec![n(0), n(2)],
+        };
+        net.at(2, |g| g.on_msg(n(0), flush, ms(0)));
+        net.at(2, |g| g.cast(Bytes::from_static(b"b"), TraceCtx::NONE));
+        net.settle();
+        assert_eq!(net.casts(2), vec![b'b']);
+    }
+
+    /// n1 opens a change to exclude the dead n0, then installs the view n0
+    /// had installed just before it died. The change it opened closes the
+    /// view before that one: completed, it would deliver that view's casts
+    /// again in this one.
+    #[test]
+    fn a_change_for_an_older_view_dies_with_it() {
+        let mut net = Net::of(&[0, 1, 2], None);
+        net.at(2, |g| g.cast(Bytes::from_static(b"a"), TraceCtx::NONE));
+        net.settle();
+        net.start(3, Some(0));
+        for _ in 0..5 {
+            net.step(); // the join, both flushes: n0 installs {n0,…,n3}
+        }
+        assert_eq!(net.members(0), Some(vec![0, 1, 2, 3]));
+        net.down.insert(n(0));
+        net.at(1, |g| g.member_failed(n(0)));
+        net.deliver(1, 2); // n1's FlushReq; n2 answers
+        net.deliver(0, 1); // n0's NewView
+        net.deliver(2, 1); // n2's FlushOk for the older view
+        net.at(2, |g| g.member_failed(n(0)));
+        net.settle();
+        assert_eq!(net.casts(1), vec![b'a'], "delivered once");
+        for id in 1..4 {
+            assert_eq!(net.members(id), Some(vec![1, 2, 3]));
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! building blocks of [`core`] — linted sans-IO, unit-tested without fabric,
 //! clock or sleep, model-checked as deployed by the `verify` crate — and
 //! [`Stack`] does its I/O, thread-free: a daemon's node loop owns one and
-//! parks in its `wait`; [`Endpoint`] is a `Stack` on a thread of its own.
+//! parks in its `wait`.
 //!
 //! ## Delivery guarantees, precisely
 //!
@@ -58,7 +58,7 @@ pub mod group;
 pub mod msg;
 pub mod view;
 
-pub use endpoint::{Endpoint, EndpointConfig, GcEvent, HeartbeatAges, Stack, ENSEMBLE_PORT};
+pub use endpoint::{EndpointConfig, GcEvent, HeartbeatAges, Stack, ENSEMBLE_PORT};
 pub use group::{HeartbeatCfg, HeartbeatChaos};
 pub use msg::GcMsg;
 pub use view::View;

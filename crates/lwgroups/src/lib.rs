@@ -12,22 +12,20 @@
 //! * A membership change of one application (process exit, spawn) produces a
 //!   view event **only in that application's lightweight group** — other
 //!   lightweight groups and the main group are undisturbed.
-//! * A node failure is translated by the *lightweight membership module* into
-//!   view events **only for the lightweight groups that spanned that node**.
+//! * A node failure produces view events **only for the lightweight groups
+//!   that spanned that node**.
 //! * Messages multicast in a lightweight group are delivered **only to its
 //!   members**, even though the transport is the main group's totally
 //!   ordered multicast.
 //!
-//! Because every lightweight-group operation rides the main group's total
-//! order, all daemons observe the same sequence of lightweight views — no
-//! extra agreement protocol is needed. That is the efficiency argument of
-//! \[19\], quantified by the `ablation_lwgroups` benchmark.
-//!
-//! This crate is deliberately transport-agnostic: [`LwRouter`] is a
-//! deterministic state machine fed with the daemon's delivered casts and
-//! main-group views; the daemon crate owns the actual
-//! [`starfish_ensemble::Stack`].
+//! Here a lightweight group is no protocol of its own but a *function*:
+//! [`router::members`] of an application's placement (minus its lost ranks)
+//! and the main view. Every daemon evaluates it at the same point of the
+//! total order, so all derive the same view sequence without exchanging a
+//! message; [`LwGroups`] turns the sequence into numbered [`LwView`]s, one
+//! per change. The daemon's reducer owns the table and the multicast
+//! delivery; the `ablation_lwgroups` benchmark measures what this saves.
 
 pub mod router;
 
-pub use router::{LwEvent, LwMsg, LwRouter, LwView};
+pub use router::{members, LwGroups, LwView};

@@ -1,12 +1,18 @@
-//! The lightweight membership module: a deterministic state machine
-//! multiplexing many lightweight groups over one totally ordered stream.
+//! The lightweight membership module as one derivation (paper §2.1,
+//! figure 2). An application's lightweight group is the set of nodes that
+//! host one of its ranks not lost, intersected with the main view:
+//! [`members`] computes it. [`LwGroups`] keeps, per group, a view counter
+//! and the node set it last announced, and answers one [`LwView`] per change
+//! of that set; [`LwGroups::delivers`] filters multicasts by it. Both are
+//! pure: each daemon's reducer calls them with the replicated configuration
+//! and its installed main view at the same point of the total order, so
+//! every daemon derives the same views and delivers at the same members.
+// lint: sans-io
 
 use std::collections::BTreeMap;
 
-use bytes::Bytes;
 use starfish_ensemble::View;
-use starfish_util::codec::{Decode, Decoder, Encode, Encoder};
-use starfish_util::{Error, GroupId, NodeId, Result, ViewId, VirtualTime};
+use starfish_util::{GroupId, NodeId, ViewId};
 
 /// A lightweight group's view: per-group id sequence, independent of the
 /// main Starfish group's view ids.
@@ -27,631 +33,158 @@ impl LwView {
     }
 }
 
-/// Operations on lightweight groups, carried as payloads of main-group casts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LwMsg {
-    /// Create a group with an initial member set.
-    Create { gid: GroupId, members: Vec<NodeId> },
-    /// Add one member.
-    Join { gid: GroupId, node: NodeId },
-    /// Remove one member (application process terminated; the node may be
-    /// perfectly healthy — paper §2.1).
-    Leave { gid: GroupId, node: NodeId },
-    /// Dissolve the group entirely.
-    Destroy { gid: GroupId },
-    /// Multicast a payload inside the group. Delivered only to members.
-    Mcast { gid: GroupId, payload: Bytes },
+/// The lightweight group of an application whose live ranks run on
+/// `hosts`: the hosts that are members of the main view, sorted, once each.
+pub fn members(hosts: impl IntoIterator<Item = NodeId>, main: &View) -> Vec<NodeId> {
+    let mut m: Vec<NodeId> = hosts.into_iter().filter(|n| main.contains(*n)).collect();
+    m.sort_unstable();
+    m.dedup();
+    m
 }
 
-const T_CREATE: u8 = 1;
-const T_JOIN: u8 = 2;
-const T_LEAVE: u8 = 3;
-const T_DESTROY: u8 = 4;
-const T_MCAST: u8 = 5;
+/// Every lightweight group one daemon knows: `(view counter, members)`.
+#[derive(Debug, Clone, Default)]
+pub struct LwGroups {
+    groups: BTreeMap<GroupId, (u64, Vec<NodeId>)>,
+}
 
-impl Encode for LwMsg {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            LwMsg::Create { gid, members } => {
-                enc.put_u8(T_CREATE);
-                gid.encode(enc);
-                members.encode(enc);
+impl LwGroups {
+    pub fn new() -> Self {
+        LwGroups::default()
+    }
+
+    /// Bring the table to `groups` — every live group with its
+    /// [`members`]. A group whose node set changed, a new one included,
+    /// answers its next view; a group that is empty or not listed is
+    /// dropped without one (its application is over, or nobody is left to
+    /// tell).
+    pub fn sync(
+        &mut self,
+        groups: impl IntoIterator<Item = (GroupId, Vec<NodeId>)>,
+    ) -> Vec<LwView> {
+        let mut kept = BTreeMap::new();
+        let mut views = Vec::new();
+        for (gid, members) in groups.into_iter().filter(|(_, m)| !m.is_empty()) {
+            let (mut id, old) = self.groups.remove(&gid).unwrap_or_default();
+            if old != members {
+                id += 1;
+                let (id, members) = (ViewId(id), members.clone());
+                views.push(LwView { gid, id, members });
             }
-            LwMsg::Join { gid, node } => {
-                enc.put_u8(T_JOIN);
-                gid.encode(enc);
-                node.encode(enc);
-            }
-            LwMsg::Leave { gid, node } => {
-                enc.put_u8(T_LEAVE);
-                gid.encode(enc);
-                node.encode(enc);
-            }
-            LwMsg::Destroy { gid } => {
-                enc.put_u8(T_DESTROY);
-                gid.encode(enc);
-            }
-            LwMsg::Mcast { gid, payload } => {
-                enc.put_u8(T_MCAST);
-                gid.encode(enc);
-                payload.encode(enc);
-            }
+            kept.insert(gid, (id, members));
         }
-    }
-}
-
-impl Decode for LwMsg {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(match dec.get_u8()? {
-            T_CREATE => LwMsg::Create {
-                gid: GroupId::decode(dec)?,
-                members: Vec::<NodeId>::decode(dec)?,
-            },
-            T_JOIN => LwMsg::Join {
-                gid: GroupId::decode(dec)?,
-                node: NodeId::decode(dec)?,
-            },
-            T_LEAVE => LwMsg::Leave {
-                gid: GroupId::decode(dec)?,
-                node: NodeId::decode(dec)?,
-            },
-            T_DESTROY => LwMsg::Destroy {
-                gid: GroupId::decode(dec)?,
-            },
-            T_MCAST => LwMsg::Mcast {
-                gid: GroupId::decode(dec)?,
-                payload: Bytes::decode(dec)?,
-            },
-            t => return Err(Error::codec(format!("unknown LwMsg tag {t}"))),
-        })
-    }
-}
-
-/// What the router reports to its owning daemon.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LwEvent {
-    /// A lightweight view changed (group created, member joined/left/failed).
-    View { view: LwView, vt: VirtualTime },
-    /// A group this node belongs to received a multicast.
-    Mcast {
-        gid: GroupId,
-        from: NodeId,
-        payload: Bytes,
-        vt: VirtualTime,
-    },
-    /// A group this node belonged to was destroyed.
-    Destroyed { gid: GroupId, vt: VirtualTime },
-}
-
-#[derive(Debug, Clone)]
-struct LwGroup {
-    view_counter: u64,
-    members: Vec<NodeId>, // sorted
-}
-
-/// The lightweight membership module of one daemon (paper figure 1).
-///
-/// Feed it every main-group cast carrying an [`LwMsg`]
-/// ([`LwRouter::on_cast`]) and every main-group view
-/// ([`LwRouter::on_main_view`]); it returns the lightweight events relevant
-/// to this node. Because input order is the main group's total order, all
-/// routers in the cluster compute identical lightweight view sequences.
-#[derive(Debug, Clone)]
-pub struct LwRouter {
-    node: NodeId,
-    groups: BTreeMap<GroupId, LwGroup>,
-    /// Statistics for the lightweight-vs-full-group ablation: events emitted
-    /// locally and events suppressed (not addressed to this node).
-    pub delivered_events: u64,
-    pub suppressed_events: u64,
-}
-
-impl LwRouter {
-    pub fn new(node: NodeId) -> Self {
-        LwRouter {
-            node,
-            groups: BTreeMap::new(),
-            delivered_events: 0,
-            suppressed_events: 0,
-        }
+        self.groups = kept;
+        views
     }
 
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Current members of a group (None if the group does not exist).
-    pub fn members(&self, gid: GroupId) -> Option<Vec<NodeId>> {
-        self.groups.get(&gid).map(|g| g.members.clone())
-    }
-
-    /// All groups this node is currently a member of.
-    pub fn local_groups(&self) -> Vec<GroupId> {
-        self.groups
-            .iter()
-            .filter(|(_, g)| g.members.binary_search(&self.node).is_ok())
-            .map(|(gid, _)| *gid)
-            .collect()
-    }
-
-    /// All groups that span `node` (used by the daemon to find the
-    /// applications affected by a node failure).
-    pub fn groups_spanning(&self, node: NodeId) -> Vec<GroupId> {
-        self.groups
-            .iter()
-            .filter(|(_, g)| g.members.binary_search(&node).is_ok())
-            .map(|(gid, _)| *gid)
-            .collect()
-    }
-
-    fn is_local_member(&self, gid: GroupId) -> bool {
-        self.groups
-            .get(&gid)
-            .map(|g| g.members.binary_search(&self.node).is_ok())
-            .unwrap_or(false)
-    }
-
-    fn bump_view(&mut self, gid: GroupId, vt: VirtualTime, out: &mut Vec<LwEvent>) {
-        let local = self.is_local_member(gid);
-        if let Some(g) = self.groups.get_mut(&gid) {
-            g.view_counter += 1;
-            let view = LwView {
-                gid,
-                id: ViewId(g.view_counter),
-                members: g.members.clone(),
-            };
-            if local {
-                self.delivered_events += 1;
-                out.push(LwEvent::View { view, vt });
-            } else {
-                self.suppressed_events += 1;
-            }
-        }
-    }
-
-    /// Process one main-group cast that carries an [`LwMsg`]. `from` is the
-    /// cast's origin daemon. Returns the events relevant to this node.
-    pub fn on_cast(&mut self, from: NodeId, msg: &LwMsg, vt: VirtualTime) -> Vec<LwEvent> {
-        let mut out = Vec::new();
-        match msg {
-            LwMsg::Create { gid, members } => {
-                let mut m = members.clone();
-                m.sort_unstable();
-                m.dedup();
-                self.groups.insert(
-                    *gid,
-                    LwGroup {
-                        view_counter: 0,
-                        members: m,
-                    },
-                );
-                self.bump_view(*gid, vt, &mut out);
-            }
-            LwMsg::Join { gid, node } => {
-                let changed = match self.groups.get_mut(gid) {
-                    Some(g) => match g.members.binary_search(node) {
-                        Ok(_) => false,
-                        Err(pos) => {
-                            g.members.insert(pos, *node);
-                            true
-                        }
-                    },
-                    None => false,
-                };
-                if changed {
-                    self.bump_view(*gid, vt, &mut out);
-                }
-            }
-            LwMsg::Leave { gid, node } => {
-                // Capture membership *before* removal so the leaver itself
-                // also gets the final view (it needs to learn it is out).
-                let was_member = self.is_local_member(*gid);
-                let changed = match self.groups.get_mut(gid) {
-                    Some(g) => match g.members.binary_search(node) {
-                        Ok(pos) => {
-                            g.members.remove(pos);
-                            true
-                        }
-                        Err(_) => false,
-                    },
-                    None => false,
-                };
-                if changed {
-                    if *node == self.node && was_member {
-                        // Deliver the post-leave view to the leaver directly.
-                        if let Some(g) = self.groups.get_mut(gid) {
-                            g.view_counter += 1;
-                            self.delivered_events += 1;
-                            out.push(LwEvent::View {
-                                view: LwView {
-                                    gid: *gid,
-                                    id: ViewId(g.view_counter),
-                                    members: g.members.clone(),
-                                },
-                                vt,
-                            });
-                        }
-                    } else {
-                        self.bump_view(*gid, vt, &mut out);
-                    }
-                    // Empty groups vanish.
-                    if self
-                        .groups
-                        .get(gid)
-                        .map(|g| g.members.is_empty())
-                        .unwrap_or(false)
-                    {
-                        self.groups.remove(gid);
-                    }
-                }
-            }
-            LwMsg::Destroy { gid } => {
-                if self.groups.remove(gid).is_some() {
-                    if self.is_local_member(*gid) {
-                        // unreachable: group removed above; kept for clarity
-                    }
-                    self.delivered_events += 1;
-                    out.push(LwEvent::Destroyed { gid: *gid, vt });
-                }
-            }
-            LwMsg::Mcast { gid, payload } => {
-                if self.is_local_member(*gid) {
-                    self.delivered_events += 1;
-                    out.push(LwEvent::Mcast {
-                        gid: *gid,
-                        from,
-                        payload: payload.clone(),
-                        vt,
-                    });
-                } else {
-                    self.suppressed_events += 1;
-                }
-            }
-        }
-        out
-    }
-
-    /// Process a main-group view change: members that dropped out of the
-    /// Starfish group drop out of every lightweight group that spanned them.
-    /// Only the affected lightweight groups get new views — the paper's key
-    /// efficiency property.
-    pub fn on_main_view(&mut self, main: &View, vt: VirtualTime) -> Vec<LwEvent> {
-        let mut out = Vec::new();
-        let affected: Vec<GroupId> = self
-            .groups
-            .iter()
-            .filter(|(_, g)| g.members.iter().any(|m| !main.contains(*m)))
-            .map(|(gid, _)| *gid)
-            .collect();
-        for gid in affected {
-            if let Some(g) = self.groups.get_mut(&gid) {
-                g.members.retain(|m| main.contains(*m));
-            }
-            if self
-                .groups
-                .get(&gid)
-                .map(|g| g.members.is_empty())
-                .unwrap_or(false)
-            {
-                self.groups.remove(&gid);
-                self.delivered_events += 1;
-                out.push(LwEvent::Destroyed { gid, vt });
-            } else {
-                self.bump_view(gid, vt, &mut out);
-            }
-        }
-        out
+    /// Whether a multicast in `gid` is delivered at `node`: only at a
+    /// member of the group's last view. An unknown group has no members.
+    pub fn delivers(&self, gid: GroupId, node: NodeId) -> bool {
+        let members = self.groups.get(&gid).map(|(_, m)| m);
+        members.is_some_and(|m| m.binary_search(&node).is_ok())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use starfish_util::codec::roundtrip;
 
-    fn vt() -> VirtualTime {
-        VirtualTime::from_micros(1)
+    fn main(ids: &[u32]) -> View {
+        View::new(ViewId(1), ids.iter().copied().map(NodeId).collect())
     }
 
-    #[test]
-    fn lwmsg_codec_roundtrip() {
-        let msgs = vec![
-            LwMsg::Create {
-                gid: GroupId(1),
-                members: vec![NodeId(0), NodeId(2)],
-            },
-            LwMsg::Join {
-                gid: GroupId(1),
-                node: NodeId(3),
-            },
-            LwMsg::Leave {
-                gid: GroupId(1),
-                node: NodeId(0),
-            },
-            LwMsg::Destroy { gid: GroupId(1) },
-            LwMsg::Mcast {
-                gid: GroupId(1),
-                payload: Bytes::from_static(b"m"),
-            },
-        ];
-        for m in msgs {
-            assert_eq!(roundtrip(&m).unwrap(), m);
-        }
+    fn nodes(ids: &[u32]) -> Vec<NodeId> {
+        ids.iter().copied().map(NodeId).collect()
     }
 
     #[test]
     fn create_delivers_view_to_members_only() {
-        let mut member = LwRouter::new(NodeId(0));
-        let mut outsider = LwRouter::new(NodeId(9));
-        let msg = LwMsg::Create {
-            gid: GroupId(1),
-            members: vec![NodeId(0), NodeId(1)],
-        };
-        let ev = member.on_cast(NodeId(0), &msg, vt());
-        assert_eq!(ev.len(), 1);
-        match &ev[0] {
-            LwEvent::View { view, .. } => {
-                assert_eq!(view.members, vec![NodeId(0), NodeId(1)]);
-                assert_eq!(view.id, ViewId(1));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let ev = outsider.on_cast(NodeId(0), &msg, vt());
-        assert!(ev.is_empty());
-        // Outsider still tracks the group (it may host a process later).
-        assert_eq!(
-            outsider.members(GroupId(1)).unwrap(),
-            vec![NodeId(0), NodeId(1)]
-        );
+        let mut lw = LwGroups::new();
+        // Hosts outside the main view are not members.
+        let m = members(nodes(&[1, 0, 9, 1]), &main(&[0, 1, 2]));
+        assert_eq!(m, nodes(&[0, 1]));
+        let views = lw.sync([(GroupId(1), m)]);
+        assert_eq!(views.len(), 1);
+        assert_eq!(views[0].id, ViewId(1));
+        assert_eq!(views[0].members, nodes(&[0, 1]));
+        assert!(views[0].contains(NodeId(1)) && !views[0].contains(NodeId(9)));
+        // The same set again is no change, and no view.
+        assert!(lw.sync([(GroupId(1), nodes(&[0, 1]))]).is_empty());
     }
 
     #[test]
     fn mcast_filtered_by_membership() {
-        let mut r0 = LwRouter::new(NodeId(0));
-        let mut r9 = LwRouter::new(NodeId(9));
-        let create = LwMsg::Create {
-            gid: GroupId(1),
-            members: vec![NodeId(0)],
-        };
-        r0.on_cast(NodeId(0), &create, vt());
-        r9.on_cast(NodeId(0), &create, vt());
-        let mc = LwMsg::Mcast {
-            gid: GroupId(1),
-            payload: Bytes::from_static(b"hi"),
-        };
-        assert_eq!(r0.on_cast(NodeId(0), &mc, vt()).len(), 1);
-        assert!(r9.on_cast(NodeId(0), &mc, vt()).is_empty());
-        assert_eq!(r9.suppressed_events, 2); // create view + mcast
+        let mut lw = LwGroups::new();
+        lw.sync([(GroupId(1), members(nodes(&[0]), &main(&[0, 9])))]);
+        assert!(lw.delivers(GroupId(1), NodeId(0)));
+        assert!(!lw.delivers(GroupId(1), NodeId(9)));
+        assert!(!lw.delivers(GroupId(2), NodeId(0)), "unknown group");
+        // Once its node leaves the main view, nobody is left to deliver at.
+        lw.sync([(GroupId(1), members(nodes(&[0]), &main(&[9])))]);
+        assert!(!lw.delivers(GroupId(1), NodeId(0)));
     }
 
     #[test]
     fn join_and_leave_bump_views() {
-        let mut r = LwRouter::new(NodeId(0));
-        r.on_cast(
-            NodeId(0),
-            &LwMsg::Create {
-                gid: GroupId(1),
-                members: vec![NodeId(0)],
-            },
-            vt(),
-        );
-        let ev = r.on_cast(
-            NodeId(1),
-            &LwMsg::Join {
-                gid: GroupId(1),
-                node: NodeId(1),
-            },
-            vt(),
-        );
-        match &ev[0] {
-            LwEvent::View { view, .. } => {
-                assert_eq!(view.id, ViewId(2));
-                assert_eq!(view.members, vec![NodeId(0), NodeId(1)]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Duplicate join: no view change.
-        let ev = r.on_cast(
-            NodeId(1),
-            &LwMsg::Join {
-                gid: GroupId(1),
-                node: NodeId(1),
-            },
-            vt(),
-        );
-        assert!(ev.is_empty());
-        let ev = r.on_cast(
-            NodeId(1),
-            &LwMsg::Leave {
-                gid: GroupId(1),
-                node: NodeId(1),
-            },
-            vt(),
-        );
-        match &ev[0] {
-            LwEvent::View { view, .. } => {
-                assert_eq!(view.id, ViewId(3));
-                assert_eq!(view.members, vec![NodeId(0)]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn leaver_receives_final_view() {
-        let mut r = LwRouter::new(NodeId(1));
-        r.on_cast(
-            NodeId(0),
-            &LwMsg::Create {
-                gid: GroupId(1),
-                members: vec![NodeId(0), NodeId(1)],
-            },
-            vt(),
-        );
-        let ev = r.on_cast(
-            NodeId(1),
-            &LwMsg::Leave {
-                gid: GroupId(1),
-                node: NodeId(1),
-            },
-            vt(),
-        );
-        assert_eq!(ev.len(), 1, "leaver must learn it is out");
-        match &ev[0] {
-            LwEvent::View { view, .. } => assert!(!view.contains(NodeId(1))),
-            other => panic!("unexpected {other:?}"),
-        }
+        let mut lw = LwGroups::new();
+        lw.sync([(GroupId(1), nodes(&[0]))]);
+        let v = lw.sync([(GroupId(1), nodes(&[0, 1]))]);
+        assert_eq!((v[0].id, v[0].size()), (ViewId(2), 2));
+        let v = lw.sync([(GroupId(1), nodes(&[0]))]);
+        assert_eq!((v[0].id, &v[0].members), (ViewId(3), &nodes(&[0])));
     }
 
     #[test]
     fn node_failure_affects_only_spanning_groups() {
         // Figure 2 of the paper: g1 = {p1,p2,p3}, g2 = {p3,p4}; p8 idle.
-        let mut r = LwRouter::new(NodeId(1));
-        r.on_cast(
-            NodeId(0),
-            &LwMsg::Create {
-                gid: GroupId(1),
-                members: vec![NodeId(1), NodeId(2), NodeId(3)],
-            },
-            vt(),
-        );
-        r.on_cast(
-            NodeId(0),
-            &LwMsg::Create {
-                gid: GroupId(2),
-                members: vec![NodeId(3), NodeId(4)],
-            },
-            vt(),
-        );
-        // Node 4 crashes out of the main group.
-        let main = View::new(ViewId(7), vec![NodeId(1), NodeId(2), NodeId(3), NodeId(8)]);
-        let ev = r.on_main_view(&main, vt());
-        // Group 1 does not span node 4: it must be untouched...
-        assert_eq!(r.members(GroupId(1)).unwrap().len(), 3);
-        // ...and only group 2 changed, but node 1 is not a member of group 2,
-        // so locally no view event is delivered (it was suppressed).
-        assert!(ev.is_empty());
-        assert_eq!(r.members(GroupId(2)).unwrap(), vec![NodeId(3)]);
-
-        // From node 3's perspective the same input yields exactly one event.
-        let mut r3 = LwRouter::new(NodeId(3));
-        r3.on_cast(
-            NodeId(0),
-            &LwMsg::Create {
-                gid: GroupId(1),
-                members: vec![NodeId(1), NodeId(2), NodeId(3)],
-            },
-            vt(),
-        );
-        r3.on_cast(
-            NodeId(0),
-            &LwMsg::Create {
-                gid: GroupId(2),
-                members: vec![NodeId(3), NodeId(4)],
-            },
-            vt(),
-        );
-        let ev = r3.on_main_view(&main, vt());
-        assert_eq!(ev.len(), 1);
-        match &ev[0] {
-            LwEvent::View { view, .. } => {
-                assert_eq!(view.gid, GroupId(2));
-                assert_eq!(view.members, vec![NodeId(3)]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let mut lw = LwGroups::new();
+        let all = main(&[1, 2, 3, 4, 8]);
+        let g1 = || nodes(&[1, 2, 3]);
+        let g2 = || nodes(&[3, 4]);
+        lw.sync([
+            (GroupId(1), members(g1(), &all)),
+            (GroupId(2), members(g2(), &all)),
+        ]);
+        // Node 4 crashes out of the main group: only g2 gets a view.
+        let after = main(&[1, 2, 3, 8]);
+        let v = lw.sync([
+            (GroupId(1), members(g1(), &after)),
+            (GroupId(2), members(g2(), &after)),
+        ]);
+        assert_eq!(v.len(), 1);
+        assert_eq!((v[0].gid, &v[0].members), (GroupId(2), &nodes(&[3])));
     }
 
     #[test]
     fn group_vanishes_when_last_member_gone() {
-        let mut r = LwRouter::new(NodeId(1));
-        r.on_cast(
-            NodeId(0),
-            &LwMsg::Create {
-                gid: GroupId(1),
-                members: vec![NodeId(5)],
-            },
-            vt(),
-        );
-        let main = View::new(ViewId(2), vec![NodeId(1)]);
-        let ev = r.on_main_view(&main, vt());
-        assert!(r.members(GroupId(1)).is_none());
-        assert_eq!(ev.len(), 1);
-        assert!(matches!(
-            ev[0],
-            LwEvent::Destroyed {
-                gid: GroupId(1),
-                ..
-            }
-        ));
+        let mut lw = LwGroups::new();
+        lw.sync([(GroupId(1), nodes(&[5]))]);
+        assert!(lw
+            .sync([(GroupId(1), members(nodes(&[5]), &main(&[1])))])
+            .is_empty());
+        // So does the group of an application that is over: either comes
+        // back as a new group.
+        lw.sync([(GroupId(2), nodes(&[1]))]);
+        assert!(lw.sync([]).is_empty());
+        for gid in [GroupId(1), GroupId(2)] {
+            assert_eq!(lw.sync([(gid, nodes(&[1]))])[0].id, ViewId(1));
+        }
     }
 
     #[test]
     fn routers_converge_given_same_input_order() {
-        let script: Vec<(NodeId, LwMsg)> = vec![
-            (
-                NodeId(0),
-                LwMsg::Create {
-                    gid: GroupId(1),
-                    members: vec![NodeId(0), NodeId(1)],
-                },
-            ),
-            (
-                NodeId(2),
-                LwMsg::Join {
-                    gid: GroupId(1),
-                    node: NodeId(2),
-                },
-            ),
-            (
-                NodeId(0),
-                LwMsg::Create {
-                    gid: GroupId(2),
-                    members: vec![NodeId(1)],
-                },
-            ),
-            (
-                NodeId(0),
-                LwMsg::Leave {
-                    gid: GroupId(1),
-                    node: NodeId(0),
-                },
-            ),
+        let script = [
+            vec![(GroupId(1), nodes(&[0, 1]))],
+            vec![(GroupId(1), nodes(&[0, 1, 2])), (GroupId(2), nodes(&[1]))],
+            vec![(GroupId(1), nodes(&[1, 2])), (GroupId(2), nodes(&[1]))],
         ];
-        let mut routers: Vec<LwRouter> = (0..3).map(|i| LwRouter::new(NodeId(i))).collect();
-        for (from, msg) in &script {
-            for r in routers.iter_mut() {
-                r.on_cast(*from, msg, vt());
-            }
-        }
-        for r in &routers {
-            assert_eq!(r.members(GroupId(1)).unwrap(), vec![NodeId(1), NodeId(2)]);
-            assert_eq!(r.members(GroupId(2)).unwrap(), vec![NodeId(1)]);
-        }
-    }
-
-    #[test]
-    fn groups_spanning_lookup() {
-        let mut r = LwRouter::new(NodeId(0));
-        r.on_cast(
-            NodeId(0),
-            &LwMsg::Create {
-                gid: GroupId(1),
-                members: vec![NodeId(0), NodeId(1)],
-            },
-            vt(),
-        );
-        r.on_cast(
-            NodeId(0),
-            &LwMsg::Create {
-                gid: GroupId(2),
-                members: vec![NodeId(1), NodeId(2)],
-            },
-            vt(),
-        );
-        assert_eq!(r.groups_spanning(NodeId(1)), vec![GroupId(1), GroupId(2)]);
-        assert_eq!(r.groups_spanning(NodeId(2)), vec![GroupId(2)]);
-        assert_eq!(r.local_groups(), vec![GroupId(1)]);
+        let mut tables = vec![LwGroups::new(); 3];
+        let seen: Vec<Vec<LwView>> = tables
+            .iter_mut()
+            .map(|t| script.iter().flat_map(|g| t.sync(g.clone())).collect())
+            .collect();
+        assert!(seen.iter().all(|s| *s == seen[0]));
+        assert_eq!(seen[0].len(), 4);
     }
 }
 
@@ -660,70 +193,46 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    fn arb_msg() -> impl Strategy<Value = LwMsg> {
-        prop_oneof![
-            (0u32..4, proptest::collection::vec(0u32..6, 0..4)).prop_map(|(g, m)| {
-                LwMsg::Create {
-                    gid: GroupId(g),
-                    members: m.into_iter().map(NodeId).collect(),
-                }
-            }),
-            (0u32..4, 0u32..6).prop_map(|(g, n)| LwMsg::Join {
-                gid: GroupId(g),
-                node: NodeId(n),
-            }),
-            (0u32..4, 0u32..6).prop_map(|(g, n)| LwMsg::Leave {
-                gid: GroupId(g),
-                node: NodeId(n),
-            }),
-            (0u32..4).prop_map(|g| LwMsg::Destroy { gid: GroupId(g) }),
-            (0u32..4).prop_map(|g| LwMsg::Mcast {
-                gid: GroupId(g),
-                payload: Bytes::from_static(b"m"),
-            }),
-        ]
-    }
-
     proptest! {
-        /// Any totally ordered op sequence leaves every router with the same
-        /// group membership (the determinism the daemons rely on).
+        /// Any sequence of placements and main views gives every table the
+        /// same views, exactly one per change of a group's node set, each
+        /// naming exactly the derived members.
         #[test]
-        fn routers_converge(ops in proptest::collection::vec(arb_msg(), 0..40)) {
-            let mut routers: Vec<LwRouter> =
-                (0..6).map(|i| LwRouter::new(NodeId(i))).collect();
-            for (k, op) in ops.iter().enumerate() {
-                let from = NodeId((k % 6) as u32);
-                for r in routers.iter_mut() {
-                    r.on_cast(from, op, VirtualTime::ZERO);
+        fn routers_converge(
+            steps in proptest::collection::vec(
+                (proptest::collection::vec(0u32..5, 0..4), proptest::collection::vec(0u32..5, 1..5)),
+                0..30,
+            ),
+        ) {
+            let mut tables = vec![LwGroups::new(); 2];
+            let mut last: Option<Vec<NodeId>> = None;
+            for (hosts, view) in steps {
+                let main = View::new(ViewId(1), view.into_iter().map(NodeId).collect());
+                let m = members(hosts.into_iter().map(NodeId), &main);
+                let got: Vec<Vec<LwView>> =
+                    tables.iter_mut().map(|t| t.sync([(GroupId(7), m.clone())])).collect();
+                prop_assert_eq!(&got[0], &got[1]);
+                let changed = !m.is_empty() && last.as_ref() != Some(&m);
+                prop_assert_eq!(got[0].len(), changed as usize);
+                if let Some(v) = got[0].first() {
+                    prop_assert_eq!(&v.members, &m);
                 }
-            }
-            for g in 0..4 {
-                let expect = routers[0].members(GroupId(g));
-                for r in &routers[1..] {
-                    prop_assert_eq!(r.members(GroupId(g)), expect.clone());
-                }
+                last = (!m.is_empty()).then_some(m);
             }
         }
 
-        /// Mcasts are delivered exactly to members.
+        /// Mcasts are delivered exactly at members.
         #[test]
         fn mcast_delivery_matches_membership(
-            members in proptest::collection::vec(0u32..6, 1..6),
+            hosts in proptest::collection::vec(0u32..6, 1..6),
+            view in proptest::collection::vec(0u32..6, 1..6),
         ) {
-            let create = LwMsg::Create {
-                gid: GroupId(1),
-                members: members.iter().copied().map(NodeId).collect(),
-            };
-            let mc = LwMsg::Mcast {
-                gid: GroupId(1),
-                payload: Bytes::from_static(b"x"),
-            };
-            for node in 0..6u32 {
-                let mut r = LwRouter::new(NodeId(node));
-                r.on_cast(NodeId(0), &create, VirtualTime::ZERO);
-                let got = r.on_cast(NodeId(0), &mc, VirtualTime::ZERO);
-                let is_member = members.contains(&node);
-                prop_assert_eq!(!got.is_empty(), is_member);
+            let main = View::new(ViewId(1), view.into_iter().map(NodeId).collect());
+            let m = members(hosts.into_iter().map(NodeId), &main);
+            let mut lw = LwGroups::new();
+            lw.sync([(GroupId(1), m.clone())]);
+            for node in (0..6).map(NodeId) {
+                prop_assert_eq!(lw.delivers(GroupId(1), node), m.contains(&node));
             }
         }
     }

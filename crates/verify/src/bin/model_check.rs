@@ -11,9 +11,11 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use starfish_daemon::FtPolicy;
 use verify::counterexample;
 use verify::explorer::{explore, Model, Options, Report};
 use verify::models::chandy::ChandyModel;
+use verify::models::daemon::DaemonModel;
 use verify::models::membership::MembershipModel;
 use verify::models::rank_cr::RankCrModel;
 use verify::models::reliability::ReliabilityModel;
@@ -51,6 +53,20 @@ fn run<M: Model>(name: &str, nodes: u32, ranks: u32, m: &M, failed: &mut bool) -
         }
     }
     r
+}
+
+/// A mutation row: switched back on, a fixed defect must be found again.
+fn must_find<M: Model>(name: &str, m: &M, failed: &mut bool) {
+    match explore(m, Options::default()).violation {
+        Some(v) => {
+            let (kind, steps, why) = (v.kind, v.trace.len(), v.message);
+            println!("{name}: {kind:?} after {steps} steps: {why}");
+        }
+        None => {
+            println!("ERROR: {name} found nothing — model broken");
+            *failed = true;
+        }
+    }
 }
 
 fn main() -> ExitCode {
@@ -98,35 +114,16 @@ fn main() -> ExitCode {
     // found again.
     println!("== checkpoint: rank C/R mutations (expected counterexamples) ==");
     let ring = RankCrModel::ring(3, 2, 1, 1);
-    for (name, m) in [
-        (
-            "late-claim",
-            RankCrModel {
-                late_claim: true,
-                ..ring
-            },
-        ),
-        (
-            "resend",
-            RankCrModel {
-                resend: true,
-                ..ring
-            },
-        ),
-    ] {
-        match explore(&m, Options::default()).violation {
-            Some(v) => println!(
-                "rank-cr {name}: {:?} after {} steps: {}",
-                v.kind,
-                v.trace.len(),
-                v.message
-            ),
-            None => {
-                println!("ERROR: rank-cr {name} found nothing — model broken");
-                failed = true;
-            }
-        }
-    }
+    let late_claim = RankCrModel {
+        late_claim: true,
+        ..ring
+    };
+    must_find("rank-cr late-claim", &late_claim, &mut failed);
+    let resend = RankCrModel {
+        resend: true,
+        ..ring
+    };
+    must_find("rank-cr resend", &resend, &mut failed);
 
     println!("== checkpoint: replica placement ==");
     for (peers, frags, k, crashes) in [(4, 3, 2, 2), (3, 2, 3, 2), (3, 3, 1, 1)] {
@@ -170,6 +167,44 @@ fn main() -> ExitCode {
     ] {
         run(&format!("membership {name}"), 4, 4, &m, &mut failed);
     }
+
+    println!("== daemon: the Node reducer over Group ==");
+    let restart = DaemonModel::job(FtPolicy::Restart);
+    let crash = DaemonModel {
+        victim: Some(1),
+        responder: Some(0),
+        ..restart
+    };
+    let join = DaemonModel {
+        joiner: true,
+        responder: Some(0),
+        ..restart
+    };
+    let rejoin = DaemonModel {
+        victim: Some(0),
+        rejoin: true,
+        spare_n0: false,
+        ..DaemonModel::job(FtPolicy::NotifyView)
+    };
+    for (name, m) in [
+        ("crash=n1, acting n0 may crash (a)", crash),
+        ("join=n3, answering n0 may crash (b)", join),
+        ("crash=n0, rejoin=n0, notify-view (c)", rejoin),
+    ] {
+        run(&format!("daemon {name}"), 4, 2, &m, &mut failed);
+    }
+    // The two defects the reducer fixed, switched back on.
+    println!("== daemon: mutations (expected counterexamples) ==");
+    let fresh_dead_only = DaemonModel {
+        fresh_dead_only: true,
+        ..crash
+    };
+    must_find("daemon fresh-dead-only", &fresh_dead_only, &mut failed);
+    let ask_once = DaemonModel {
+        ask_once: true,
+        ..join
+    };
+    must_find("daemon ask-once", &ask_once, &mut failed);
 
     println!("== mpi: reliability ==");
     for (total, drops, dups) in [(3, 2, 1), (4, 2, 0)] {

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Workspace mode runs every pass (lock-order cycles, blocking-while-locked,
-//! panic-surface, wall-clock, wire-enum-coverage, mgmt-usage) gated on the
+//! panic-surface, wall-clock, wire-enum-coverage, sans-io) gated on the
 //! committed `analysis-baseline.toml`. Fixture mode runs the same passes on
 //! one crate directory with no baseline — every finding is reported, which
 //! is what the seeded `fixtures/badcrate` must-fail check relies on.
@@ -15,7 +15,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use verify::lint::{analyze_crate, analyze_workspace};
+use starfish_analysis::{analyze_crate, analyze_workspace};
 
 fn main() -> ExitCode {
     let mut json_out: Option<PathBuf> = None;

@@ -7,15 +7,16 @@
 //!   counterexample traces;
 //! * [`models`] — exhaustive models of the repo's protocol engines
 //!   (stop-and-sync and Chandy–Lamport checkpointing, ensemble membership
-//!   with sequencer failover, the MPI reliability layer) driving the *real*
-//!   `step`-style state machines, not re-implementations;
-//! * [`lint`] — the `starfish-lint` workspace pass (wall-clock bans in
-//!   deterministic crates, wire-enum test coverage, mgmt usage table).
+//!   with sequencer failover, the daemon reducer over it, the MPI
+//!   reliability layer) driving the *real* `step`-style state machines,
+//!   not re-implementations;
+//! * the `starfish-lint` binary — the `starfish_analysis` workspace passes
+//!   (lock order, panic surface, wall-clock bans, wire-enum test coverage,
+//!   sans-IO machines).
 //!
 //! [`counterexample`] renders violations as `FaultPlan` DSL so they replay
 //! under the chaos driver; `tests/bridge.rs` keeps that loop closed.
 
 pub mod counterexample;
 pub mod explorer;
-pub mod lint;
 pub mod models;

@@ -184,3 +184,104 @@ fn lightweight_groups_follow_placement() {
         vec![CkptValue::Str("done".into())]
     );
 }
+
+/// A long job whose ranks record every lightweight view they are told, as
+/// node lists, until `stop` is set; then each publishes `"end"`.
+fn register_view_log(cluster: &Cluster, stop: &std::sync::Arc<std::sync::atomic::AtomicBool>) {
+    let stop = stop.clone();
+    cluster.register_app("views", move |ctx| {
+        use std::sync::atomic::Ordering;
+        loop {
+            let done = stop.load(Ordering::Relaxed);
+            while let Some(v) = ctx.take_view()? {
+                let nodes = v.lw.members.iter().map(|n| n.0 as i64).collect();
+                ctx.publish(CkptValue::IntArray(nodes));
+            }
+            if done {
+                break;
+            }
+            ctx.safepoint(&CkptValue::Unit)?;
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        ctx.publish(CkptValue::Str("end".into()));
+        Ok(())
+    });
+}
+
+/// The lightweight group of a notify-policy job names exactly the nodes
+/// that run one of its ranks: a survivor is told `[n0,n1,n2]`, then
+/// `[n0,n1]` — and nothing more, neither when the dead node is recorded
+/// dead nor when it comes back under the same id (its rank stays lost).
+#[test]
+fn a_notify_view_group_names_exactly_the_survivors() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let cluster = Cluster::builder().nodes(3).build().unwrap();
+    let stop = std::sync::Arc::new(AtomicBool::new(false));
+    register_view_log(&cluster, &stop);
+    let opts = SubmitOpts::default().policy(FtPolicy::NotifyView);
+    let app = cluster.submit("views", 3, opts).unwrap();
+    for r in 0..3 {
+        cluster.wait_outputs(app, Rank(r), 1, T).unwrap();
+    }
+    let placement = cluster.config().apps[&app].placement.clone();
+    assert_eq!(placement, vec![NodeId(0), NodeId(1), NodeId(2)]);
+    let victim = NodeId(2);
+    cluster.crash_node(victim);
+    // A daemon publishes a configuration after acting on it: once every
+    // survivor has recorded the death, every view it would send is sent.
+    for n in [0, 1] {
+        let d = cluster.daemon_of(NodeId(n)).unwrap();
+        d.wait_config(T, |c| {
+            c.nodes[&victim].status == starfish_daemon::config::CfgNodeStatus::Dead
+        })
+        .unwrap();
+    }
+    cluster.restart_node(victim).unwrap();
+    stop.store(true, Ordering::Relaxed);
+    for r in [0, 1] {
+        let out = cluster.wait_outputs(app, Rank(r), 3, T).unwrap();
+        let views = vec![
+            CkptValue::IntArray(vec![0, 1, 2]),
+            CkptValue::IntArray(vec![0, 1]),
+            CkptValue::Str("end".into()),
+        ];
+        assert_eq!(out, views, "rank {r}");
+    }
+}
+
+/// One lightweight view per change of the group's node set, to each local
+/// rank: a Restart-policy job of three ranks on n0..n2 of four nodes loses
+/// n1, so the group becomes {n0, n2} (two ranks told) and, once rank 1 is
+/// respawned on n3, {n0, n2, n3} (three ranks told) — five in all.
+#[test]
+fn a_restart_sends_one_lightweight_view_per_node_set_change() {
+    use starfish_util::trace::{MsgClass, TraceSink};
+    use std::sync::atomic::AtomicBool;
+    let trace = TraceSink::enabled();
+    let cluster = Cluster::builder()
+        .nodes(4)
+        .trace(trace.clone())
+        .build()
+        .unwrap();
+    let stop = std::sync::Arc::new(AtomicBool::new(false));
+    register_view_log(&cluster, &stop);
+    let app = cluster.submit("views", 3, SubmitOpts::default()).unwrap();
+    let placement = cluster.config().apps[&app].placement.clone();
+    assert_eq!(placement, vec![NodeId(0), NodeId(1), NodeId(2)]);
+    let daemons: Vec<_> = (0..4)
+        .map(|n| cluster.daemon_of(NodeId(n)).unwrap())
+        .collect();
+    for d in &daemons {
+        d.wait_config(T, |c| c.apps.contains_key(&app)).unwrap();
+    }
+    let before = trace.count(MsgClass::LwMembership);
+    cluster.crash_node(NodeId(1));
+    for d in daemons.iter().filter(|d| d.node() != NodeId(1)) {
+        d.wait_config(T, |c| c.apps[&app].epoch.0 == 1).unwrap();
+    }
+    let sent = trace.count(MsgClass::LwMembership) - before;
+    assert_eq!(cluster.config().apps[&app].placement[1], NodeId(3));
+    assert_eq!(sent, 2 + 3);
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    cluster.wait_app_done(app, T).unwrap();
+}
