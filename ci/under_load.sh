@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 under CPU contention: start `nproc + 1` busy loops, then run the
-# workspace tests twice with `--no-fail-fast`. A rank's helper threads share
-# the cores with the ranks they serve, so an oversubscribed box is a
+# workspace tests twice with `--no-fail-fast`. Ranks share the cores with
+# their daemons and with other jobs' ranks, so an oversubscribed box is a
 # deployment condition: no test may pass or fail because of the scheduler.
 #
 # Usage: ci/under_load.sh [extra cargo test args...]

@@ -12,7 +12,6 @@ use starfish_mpi::wire::MsgHeader;
 use starfish_util::codec::{Decode, Encode};
 use starfish_util::rng::DetRng;
 use starfish_util::{Epoch, Rank};
-use starfish_vni::{Packet, PacketKind, RecvQueue};
 
 fn bench_portable_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("portable_codec");
@@ -82,37 +81,6 @@ fn bench_wire(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_recv_queue(c: &mut Criterion) {
-    let mut g = c.benchmark_group("recv_queue");
-    let mk_pkt = |tag: u64| {
-        Packet::new(
-            starfish_vni::Addr::new(starfish_util::NodeId(0), starfish_vni::PortId(1)),
-            starfish_vni::Addr::new(starfish_util::NodeId(1), starfish_vni::PortId(1)),
-            PacketKind::Data,
-            tag,
-            bytes::Bytes::from_static(b"x"),
-        )
-    };
-    g.bench_function("push_take_matching", |b| {
-        b.iter_batched(
-            || {
-                let q = RecvQueue::new();
-                for t in 0..64 {
-                    q.push(mk_pkt(t));
-                }
-                q
-            },
-            |q| {
-                for t in 0..64 {
-                    q.take_matching(|p| p.tag == t).unwrap();
-                }
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
 fn bench_recovery_line(c: &mut Criterion) {
     let mut g = c.benchmark_group("recovery_line");
     let mut rng = DetRng::new(7);
@@ -161,7 +129,6 @@ criterion_group!(
     benches,
     bench_portable_codec,
     bench_wire,
-    bench_recv_queue,
     bench_recovery_line,
     bench_incremental
 );

@@ -660,8 +660,8 @@ impl Drop for Cluster {
     /// Deterministic teardown: power every node off at the fabric, then
     /// wait for the daemon threads. Daemons that are merely dropped
     /// negotiate their leave with peers doing the same, for up to two
-    /// seconds each; a powered-off node's ports close, so its node loop,
-    /// polling threads and ranks all see a disconnect and exit.
+    /// seconds each; a powered-off node's ports close, so its node loop and
+    /// ranks all see a disconnect and exit.
     fn drop(&mut self) {
         for (node, _) in self.fabric.nodes() {
             self.fabric.crash_node(node);

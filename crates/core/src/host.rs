@@ -69,8 +69,9 @@ impl DirRegistry {
 /// policy defaults).
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeKnobs {
-    /// Use the polling thread (paper design) or direct port reads
-    /// (ablation).
+    /// Charge receives as the paper's polling thread would (paper design)
+    /// or a kernel crossing per port read (ablation). A cost model: either
+    /// way the rank reads its own port.
     pub recv_mode: RecvMode,
     /// Route data messages through the object bus (ablation; default off =
     /// fast path).

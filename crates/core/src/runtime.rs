@@ -5,7 +5,9 @@
 //! * the **application part** — the user closure, executed on this thread;
 //! * the **MPI module** — [`starfish_mpi::MpiEndpoint`], reached through the
 //!   *fast data path* (direct calls, no bus dispatch);
-//! * the **VNI** — inside the MPI endpoint (port + polling thread);
+//! * the **VNI** — inside the MPI endpoint: the rank's own port, which the
+//!   rank reads itself (the paper's polling thread is a cost model,
+//!   [`RecvMode`](starfish_mpi::RecvMode));
 //! * the **group handler** — the `ProcDown` queue from the daemon, drained
 //!   at every service point and turned into object-bus events (no thread:
 //!   the daemon's [`DownLink`](starfish_daemon::DownLink) queues, then

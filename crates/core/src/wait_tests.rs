@@ -23,7 +23,7 @@ use starfish_mpi::{MpiEndpoint, RankDirectory, RecvMode};
 use starfish_util::codec::{Decode, Encode};
 use starfish_util::trace::TraceSink;
 use starfish_util::{AppId, Epoch, Error, NodeId, Rank, Result, VClock, VirtualTime};
-use starfish_vni::{Fabric, Ideal, KickSender, LayerCosts, RecvQueue};
+use starfish_vni::{Addr, Fabric, Ideal, KickSender, LayerCosts};
 
 use crate::ctx::Ctx;
 use crate::runtime::{process_main, Outputs, ProcessRuntime};
@@ -43,12 +43,6 @@ struct Rig {
 }
 
 fn rig() -> (Rig, ProcessRuntime) {
-    rig_receiving(RecvMode::Polled)
-}
-
-/// `Direct` puts what rank 0 sends where rank 1's next look at the network
-/// finds it, with no polling thread in between to wait for.
-fn rig_receiving(mode: RecvMode) -> (Rig, ProcessRuntime) {
     let fabric = Fabric::new(Box::new(Ideal), LayerCosts::zero());
     fabric.add_node(NodeId(0));
     fabric.add_node(NodeId(1));
@@ -59,7 +53,7 @@ fn rig_receiving(mode: RecvMode) -> (Rig, ProcessRuntime) {
             APP,
             Rank(r),
             dir.clone(),
-            mode,
+            RecvMode::Polled,
             TraceSink::disabled(),
         )
         .unwrap()
@@ -84,7 +78,8 @@ fn rig_receiving(mode: RecvMode) -> (Rig, ProcessRuntime) {
     };
     let (down_tx, down_rx) = channel::unbounded();
     let (up_tx, up) = channel::unbounded();
-    let up_tx = Arc::new(KickSender::new(up_tx, RecvQueue::new().kicker()));
+    let daemon_port = fabric.bind(Addr::daemon(NodeId(1))).unwrap();
+    let up_tx = Arc::new(KickSender::new(up_tx, daemon_port.kicker()));
     let rt = ProcessRuntime::new(
         entry,
         Rank(1),
@@ -311,7 +306,7 @@ fn suspended_rank_parks_until_resume() {
 /// the link, rank 0's mark (behind `sent_first`, if any) on the wire but not
 /// looked at yet. Returns with the capture put off.
 fn stopped_inside_a_receive(sent_first: Option<u64>) -> (Rig, ProcessRuntime) {
-    let (mut rig, mut rt) = rig_receiving(RecvMode::Direct);
+    let (mut rig, mut rt) = rig();
     rig.relay(CrMsg::Stop { index: 1 });
     if let Some(tag) = sent_first {
         rig.go(tag);

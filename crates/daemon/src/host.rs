@@ -96,6 +96,7 @@ mod tests {
     use crossbeam::channel::{self, Receiver, TryRecvError};
     use starfish_util::Error;
     use starfish_vni::{Addr, Fabric, Ideal, LayerCosts, Port, PortId};
+    use std::collections::VecDeque;
     use std::time::Duration;
 
     /// A link to a "rank" whose wait point is a bare port.
@@ -151,7 +152,10 @@ mod tests {
     #[test]
     fn the_kick_follows_the_message_and_a_dropped_link_wakes_the_rank() {
         let (link, rx, abort, port) = rig();
-        let parked = |port: &Port| port.recv_batch_timeout(1, Duration::from_secs(30));
+        let parked = |port: &Port| {
+            let wait = Some(Duration::from_secs(30));
+            port.recv_batch(&mut VecDeque::new(), 1, wait)
+        };
         link.send(ProcDown::Resume {
             vt: VirtualTime::ZERO,
         });

@@ -126,6 +126,9 @@ pub struct Stack {
     group: Group,
     fabric: Fabric,
     port: Port,
+    /// The buffer the port trades for its queued packets (emptied by every
+    /// `wait`, so a drained batch allocates nothing).
+    rx: VecDeque<Packet>,
     fabric_events: Receiver<FabricEvent>,
     cfg: EndpointConfig,
     clock: VClock,
@@ -159,6 +162,7 @@ impl Stack {
             group,
             fabric: fabric.clone(),
             port,
+            rx: VecDeque::new(),
             fabric_events,
             debug: std::env::var_os("STARFISH_GC_DEBUG").is_some(),
             cfg,
@@ -202,11 +206,13 @@ impl Stack {
         if self.events.is_empty() && !self.done() {
             let left = |at: Duration| at.saturating_sub(self.epoch.elapsed()).min(limit);
             let timeout = self.group.deadline().map_or(limit, left);
-            match self.port.recv_batch_timeout(usize::MAX, timeout) {
-                Ok(batch) => batch.into_iter().for_each(|pkt| self.on_packet(pkt)),
+            let mut batch = std::mem::take(&mut self.rx);
+            match self.port.recv_batch(&mut batch, usize::MAX, Some(timeout)) {
+                Ok(()) => batch.drain(..).for_each(|pkt| self.on_packet(pkt)),
                 Err(Error::Interrupted(_)) => {} // kicked: events below, or the owner's queues
                 Err(_) => self.node_down(),      // closed, and drained
             }
+            self.rx = batch;
             while let (false, Ok(ev)) = (self.done(), self.fabric_events.try_recv()) {
                 self.on_fabric_event(ev);
             }

@@ -2,10 +2,10 @@
 //!
 //! One [`MpiEndpoint`] lives inside each application process. Sends are
 //! *eager* (paper §2.2.1 \[18\]): the message leaves immediately; the
-//! receive side is always ready because the **polling thread** continuously
-//! drains the network port into the received-messages queue. Receives go
-//! through the classic posted/unexpected design: a receive first scans the
-//! unexpected queue, then blocks on the polling queue.
+//! receive side reads the process's own port, whose queue is always ready
+//! (the paper's **polling thread** is the cost model of [`RecvMode`]).
+//! Receives go through the classic posted/unexpected design: a receive
+//! first scans the unexpected queue, then blocks on the port.
 //!
 //! Every protocol *decision* is made by a pure machine in a sibling module
 //! — [`crate::credit`], [`crate::rendezvous`], [`crate::matching`],
@@ -21,6 +21,7 @@
 //! channel state of a checkpoint (all unconsumed data messages) is captured
 //! and restored through it.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,9 +32,7 @@ use starfish_telemetry::{metric, Registry};
 use starfish_trace::{FlightRecorder, TraceCtx};
 use starfish_util::trace::{ActorKind, MsgClass, TraceSink};
 use starfish_util::{AppId, Epoch, Error, Rank, Result, VClock, VirtualTime};
-use starfish_vni::{
-    Addr, Fabric, Kick, LayerCosts, Packet, PacketKind, PollingThread, Port, RecvQueue,
-};
+use starfish_vni::{Addr, Fabric, Kick, LayerCosts, Packet, PacketKind, Port};
 
 use crate::credit::{Credit, Route, EAGER_CREDIT_BYTES};
 use crate::directory::RankDirectory;
@@ -77,8 +76,8 @@ pub const DEFAULT_RNDV_THRESHOLD: usize = 64 * 1024;
 /// un-granted bytes than eager credit would.
 pub const RNDV_CHUNK_BYTES: usize = 1 << 20;
 
-/// Packets drained from the receive source per ingest round: a pipelined
-/// chunk burst is pulled out of the shared queue in one lock acquisition.
+/// Packets drained from the port per ingest round: a pipelined chunk burst
+/// is pulled out of the port's queue in one lock acquisition.
 pub const INGEST_BATCH: usize = 64;
 
 /// One data-path frame as it left, which is everything a retransmission
@@ -134,14 +133,17 @@ pub enum Request {
     },
 }
 
-/// How the receive side is driven — the polling-thread ablation (§2.2.1).
+/// What a read of the port costs — the polling-thread ablation (§2.2.1).
+/// Either way the rank reads its own port; the mode only decides the
+/// virtual cost of doing so.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvMode {
-    /// The paper's design: a polling thread drains the port concurrently;
-    /// receives pay only the queue hand-off.
+    /// The paper's design: a polling thread has already taken the packets
+    /// off the network, so a port read is free and a matched receive pays
+    /// only [`LayerCosts::poll`].
     Polled,
-    /// No polling thread: every receive performs the (virtual) kernel
-    /// interaction itself, paying [`SYSCALL_COST`] per port read.
+    /// No polling thread: every port read is a (virtual) kernel
+    /// interaction, paying [`SYSCALL_COST`].
     Direct,
 }
 
@@ -149,29 +151,23 @@ pub enum RecvMode {
 /// read in [`RecvMode::Direct`].
 pub const SYSCALL_COST: VirtualTime = VirtualTime(25_000);
 
-enum Source {
-    Polled {
-        queue: RecvQueue,
-        _thread: PollingThread,
-    },
-    Direct {
-        port: Port,
-    },
-}
-
 /// The MPI module of one application process.
 pub struct MpiEndpoint {
     app: AppId,
     rank: Rank,
-    /// The exact fabric address this endpoint bound (NOT re-derived from the
-    /// directory at drop time: by then the rank may have been re-placed, and
-    /// unbinding the *replacement's* port would sever the new incarnation).
-    bound_addr: Addr,
     dir: RankDirectory,
     fabric: Fabric,
     layers: LayerCosts,
     trace: TraceSink,
-    source: Source,
+    /// This process's data port. Dropping it unbinds the address only if
+    /// the port is still the one bound there: a newer incarnation of the
+    /// rank may have bound it since.
+    port: Port,
+    mode: RecvMode,
+    /// The buffer the port trades for its queued packets: emptied by every
+    /// ingest round and handed back on the next, so a round allocates
+    /// nothing.
+    rx: VecDeque<Packet>,
     /// Origin of [`wall`](Self::wall).
     born: Instant,
     /// Parsed messages that arrived before a matching receive was posted.
@@ -221,7 +217,7 @@ pub struct MpiEndpoint {
 }
 
 impl MpiEndpoint {
-    /// Bind this process's data port and start its polling thread.
+    /// Bind this process's data port.
     pub fn new(
         fabric: &Fabric,
         app: AppId,
@@ -232,28 +228,17 @@ impl MpiEndpoint {
     ) -> Result<MpiEndpoint> {
         let node = dir.node_of(rank)?;
         let dir_epoch_at_start = dir.epoch();
-        let bound_addr = Addr::new(node, data_port(app, rank));
-        let port = fabric.bind(bound_addr)?;
-        let source = match mode {
-            RecvMode::Polled => {
-                let queue = RecvQueue::new();
-                let thread = PollingThread::spawn(port, queue.clone());
-                Source::Polled {
-                    queue,
-                    _thread: thread,
-                }
-            }
-            RecvMode::Direct => Source::Direct { port },
-        };
+        let port = fabric.bind(Addr::new(node, data_port(app, rank)))?;
         Ok(MpiEndpoint {
             app,
             rank,
-            bound_addr,
             dir,
             fabric: fabric.clone(),
             layers: fabric.layers(),
             trace,
-            source,
+            port,
+            mode,
+            rx: VecDeque::new(),
             born: Instant::now(), // lint: allow(wall-clock)
             matching: MatchQueue::default(),
             ctrl_marks: Vec::new(),
@@ -346,9 +331,6 @@ impl MpiEndpoint {
     /// Install the process registry; per-layer latencies and the receive
     /// queue depth are recorded from here on.
     pub fn set_metrics(&mut self, reg: Registry) {
-        if let Source::Polled { queue, .. } = &self.source {
-            queue.attach_metrics(reg.clone());
-        }
         self.metrics = Some(reg);
     }
 
@@ -403,10 +385,7 @@ impl MpiEndpoint {
     /// link and one to [`RankDirectory::bound`]), so a bare endpoint's
     /// receives are never interrupted.
     pub fn kicker(&self) -> Kick {
-        match &self.source {
-            Source::Polled { queue, .. } => queue.kicker(),
-            Source::Direct { port } => port.kicker(),
-        }
+        self.port.kicker()
     }
 
     /// Park until something happens to this endpoint: packets arrive (they
@@ -745,33 +724,27 @@ impl MpiEndpoint {
 
     // ---- receive side ---------------------------------------------------------
 
-    /// Pull one *round* of packets from the underlying source into the
-    /// parsed queues: up to [`INGEST_BATCH`] frames drained in one lock
-    /// acquisition, so a pipelined rendezvous burst costs one queue hop.
-    /// Returns true if anything was ingested.
+    /// Pull one *round* of packets from the port into the parsed queues: up
+    /// to [`INGEST_BATCH`] frames drained in one lock acquisition, so a
+    /// pipelined rendezvous burst costs one queue hop, then publish how many
+    /// messages wait unconsumed. Returns true if anything was ingested.
     fn ingest_one(&mut self, clock: &mut VClock, wait: Option<Duration>) -> Result<bool> {
-        let batch = match &self.source {
-            Source::Polled { queue, .. } => match wait {
-                Some(d) => queue.wait_batch(INGEST_BATCH, d)?,
-                None => queue.take_batch(INGEST_BATCH),
-            },
-            Source::Direct { port } => {
-                // Without the polling thread every look at the network is a
-                // kernel interaction (paper §2.2.1) — one per batched read.
-                clock.advance(SYSCALL_COST);
-                match wait {
-                    Some(d) => port.recv_batch_timeout(INGEST_BATCH, d)?,
-                    None => port.try_recv_batch(INGEST_BATCH),
-                }
-            }
-        };
-        if batch.is_empty() {
-            return Ok(false);
+        if self.mode == RecvMode::Direct {
+            // Without the polling thread every look at the network is a
+            // kernel interaction (paper §2.2.1) — one per batched read.
+            clock.advance(SYSCALL_COST);
         }
-        for pkt in batch {
+        let mut batch = std::mem::take(&mut self.rx);
+        let read = self.port.recv_batch(&mut batch, INGEST_BATCH, wait);
+        let ingested = !batch.is_empty();
+        for pkt in batch.drain(..) {
             self.process_packet(clock, pkt);
         }
-        Ok(true)
+        self.rx = batch;
+        if let Some(m) = &self.metrics {
+            m.gauge_set(metric::VNI_RECV_QUEUE_DEPTH, self.matching.len() as i64);
+        }
+        read.map(|()| ingested)
     }
 
     /// Ingest everything that has already arrived, without waiting.
@@ -1200,13 +1173,10 @@ impl MpiEndpoint {
 }
 
 impl Drop for MpiEndpoint {
-    /// Release the data port explicitly: the polling thread owns the `Port`
-    /// object, so without this unbind it would keep the address bound (and
-    /// itself alive) until the node dies — leaking the port across
-    /// application lifetimes on the same node.
+    /// Take this incarnation's registration out of the rank directory; the
+    /// port, dropped next, releases its own address.
     fn drop(&mut self) {
         self.dir.unbound(self.rank, &self.kicker());
-        self.fabric.unbind(self.bound_addr);
     }
 }
 
@@ -1322,12 +1292,9 @@ mod tests {
             .unwrap()
             .is_none());
         a.send_world(&mut ca, Rank(1), 1, 2, b"z").unwrap();
-        // Wait for the polling thread to move it.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !b.iprobe(&mut cb, 1, ANY_SOURCE, ANY_TAG).unwrap() {
-            assert!(std::time::Instant::now() < deadline);
-            std::thread::yield_now();
-        }
+        // A frame the fabric accepted is in the receiver's port: its next
+        // look finds it, with no hand-off to wait for.
+        assert!(b.iprobe(&mut cb, 1, ANY_SOURCE, ANY_TAG).unwrap());
         let m = b
             .try_recv_world(&mut cb, 1, ANY_SOURCE, ANY_TAG)
             .unwrap()
@@ -1575,6 +1542,48 @@ mod tests {
             kicked(&mut next),
             "the newer registration survived the drop"
         );
+    }
+
+    /// A rank restarted on the same node binds the same address; dropping
+    /// the stale endpoint afterwards leaves its successor's port bound.
+    #[test]
+    fn a_stale_endpoint_leaves_its_successors_port_bound() {
+        let (f, dir) = setup(2, "ideal");
+        let mut a = ep(&f, &dir, 0);
+        let stale = ep(&f, &dir, 1);
+        f.crash_node(NodeId(1));
+        f.add_node(NodeId(1));
+        let mut successor = ep(&f, &dir, 1);
+        drop(stale);
+        let mut ca = VClock::new();
+        a.send_world(&mut ca, Rank(1), 1, 1, b"to the successor")
+            .unwrap();
+        let m = successor
+            .recv_world(&mut VClock::new(), 1, ANY_SOURCE, ANY_TAG)
+            .unwrap();
+        assert_eq!(&m.data[..], b"to the successor");
+    }
+
+    /// `vni.recv_queue_depth` is the number of messages that arrived and
+    /// wait unconsumed, as of the endpoint's last look at its port.
+    #[test]
+    fn recv_queue_depth_counts_unconsumed_messages() {
+        let (f, dir) = setup(2, "ideal");
+        let mut a = ep(&f, &dir, 0);
+        let mut b = ep(&f, &dir, 1);
+        let reg = Registry::new();
+        b.set_metrics(reg.clone());
+        let depth = || reg.gauge(metric::VNI_RECV_QUEUE_DEPTH);
+        let (mut ca, mut cb) = (VClock::new(), VClock::new());
+        for tag in 0..3 {
+            a.send_world(&mut ca, Rank(1), 1, tag, b"x").unwrap();
+        }
+        assert_eq!(depth(), 0, "nothing looked at yet");
+        assert!(b.iprobe(&mut cb, 1, ANY_SOURCE, ANY_TAG).unwrap());
+        assert_eq!(depth(), 3);
+        b.recv_world(&mut cb, 1, ANY_SOURCE, Some(1)).unwrap();
+        assert!(b.iprobe(&mut cb, 1, ANY_SOURCE, ANY_TAG).unwrap());
+        assert_eq!(depth(), 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! protocol time on a deterministic virtual timeline calibrated to the paper's
 //! 1999 hardware (300 MHz Pentium-II, Myrinet/BIP, Fast Ethernet, IDE disks).
 //!
-//! Every actor (application process, daemon, polling thread) owns a [`VClock`].
+//! Every actor (application process, daemon) owns a [`VClock`].
 //! Local costs advance the clock; a message carries the sender's virtual
 //! departure time plus wire latency, and the receiver *max-merges* it into its
 //! own clock. Because `max` is commutative and associative, any protocol whose

@@ -13,8 +13,9 @@
 //!   `checkpoint()` with the next step as its state; rank 0 coordinates;
 //! * **daemon relays** (`Stop` / `Saved` / `Resume`): FIFO per link;
 //! * the **data path**: one FIFO per link carrying application messages and
-//!   flush marks in order. An arriving data message is queued at once (the
-//!   polling thread); a flush mark and a relay are serviced only at a
+//!   flush marks in order. An arriving data message is queued at once (in
+//!   the rank's port, which its next look drains); a flush mark and a relay
+//!   are serviced only at a
 //!   service point — and not while a capture put off inside a receive waits
 //!   for that receive's look;
 //! * where a rank services: blocked in a send (no state in hand), inside

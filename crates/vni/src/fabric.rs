@@ -52,7 +52,7 @@
 //! seen by another (e.g. an application's data port) — the property the
 //! chaos harness's replay-a-seed guarantee rests on.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -494,18 +494,9 @@ impl Fabric {
         })
     }
 
-    /// Release a port (idempotent). Waiters wake with `Closed`; packets
-    /// already queued stay drainable through an existing `Port` handle.
-    pub fn unbind(&self, addr: Addr) {
-        let removed = self.inner.membership.write().ports.remove(&addr);
-        if let Some(inbox) = removed {
-            inbox.close();
-        }
-    }
-
-    /// `Port::drop` path: unbind only if `addr` still maps to this port's
-    /// own inbox (a crash + rebind may have installed a successor, which a
-    /// stale drop must not tear down).
+    /// Release a dropped port: unbind only if `addr` still maps to this
+    /// port's own inbox (a crash + rebind may have installed a successor,
+    /// which a stale drop must not tear down).
     fn unbind_port(&self, addr: Addr, inbox: &Arc<Inbox>) {
         let mut m = self.inner.membership.write();
         if m.ports.get(&addr).is_some_and(|i| Arc::ptr_eq(i, inbox)) {
@@ -777,8 +768,8 @@ impl Port {
         self.addr
     }
 
-    /// A handle that wakes this port's owner out of
-    /// [`recv_batch_timeout`](Self::recv_batch_timeout).
+    /// A handle that wakes this port's owner out of a waiting
+    /// [`recv_batch`](Self::recv_batch).
     pub fn kicker(&self) -> Kick {
         Kick::inbox(Arc::clone(&self.inbox))
     }
@@ -801,37 +792,23 @@ impl Port {
         }
     }
 
-    /// Blocking batched receive: waits for the first packet, then returns
-    /// up to `max` packets in one inbox lock acquisition (the polling
-    /// thread's drain loop). Errors with [`Error::Closed`] once the port is
-    /// closed and drained.
-    pub fn recv_batch(&self, max: usize) -> Result<Vec<Packet>> {
-        let batch = self.inbox.pop_batch_wait(max);
-        if batch.is_empty() {
-            Err(Error::closed(format!("port {} closed", self.addr)))
-        } else {
-            Ok(batch)
-        }
-    }
-
-    /// Batched receive with a real-time deadline: waits for the first
-    /// packet, then returns up to `max` packets drained in one inbox lock
-    /// acquisition. `Ok(vec![])` on timeout; [`Error::Closed`] once the
-    /// port is closed and drained; [`Error::Interrupted`] when the port was
-    /// [kicked](Self::kicker) while empty.
-    pub fn recv_batch_timeout(&self, max: usize, d: Duration) -> Result<Vec<Packet>> {
-        match self.inbox.pop_batch_timeout(max, d) {
-            PopBatch::Packets(b) => Ok(b),
-            PopBatch::TimedOut => Ok(Vec::new()),
+    /// The one batched receive ([`Inbox::pop_batch`]): up to `max` queued
+    /// packets land in `buf` in one inbox lock acquisition, by trading
+    /// buffers when they all fit. `Ok` with `buf` still empty: nothing
+    /// arrived (within `wait`; `None` only looks). While waiting,
+    /// [`Error::Interrupted`] means the port was [kicked](Self::kicker)
+    /// while empty and [`Error::Closed`] that it is closed and drained.
+    pub fn recv_batch(
+        &self,
+        buf: &mut VecDeque<Packet>,
+        max: usize,
+        wait: Option<Duration>,
+    ) -> Result<()> {
+        match self.inbox.pop_batch(buf, max, wait) {
+            PopBatch::Packets | PopBatch::Empty => Ok(()),
             PopBatch::Kicked => Err(Error::interrupted(format!("port {} kicked", self.addr))),
             PopBatch::Closed => Err(Error::closed(format!("port {} closed", self.addr))),
         }
-    }
-
-    /// Non-blocking batched receive: up to `max` packets in one inbox lock
-    /// acquisition (empty when nothing is queued).
-    pub fn try_recv_batch(&self, max: usize) -> Vec<Packet> {
-        self.inbox.try_pop_batch(max)
     }
 
     /// Non-blocking receive; `Ok(None)` when no packet is waiting.
@@ -973,7 +950,7 @@ mod tests {
         f.add_node(NodeId(2));
         // Queued before the kick: a subscriber parked on its port wakes to
         // find them.
-        let woken = port.recv_batch_timeout(8, Duration::from_secs(30));
+        let woken = port.recv_batch(&mut VecDeque::new(), 8, Some(Duration::from_secs(30)));
         assert!(matches!(woken, Err(Error::Interrupted(_))));
         assert_eq!(rx.try_recv().unwrap(), FabricEvent::NodeCrashed(NodeId(1)));
         assert_eq!(rx.try_recv().unwrap(), FabricEvent::NodeAdded(NodeId(2)));
@@ -1046,12 +1023,17 @@ mod tests {
         for tag in 0..5 {
             f.send(tagged(a, b, tag)).unwrap();
         }
-        let batch = pb.recv_batch(3).unwrap();
-        assert_eq!(batch.iter().map(|p| p.tag).collect::<Vec<_>>(), [0, 1, 2]);
-        let batch = pb.recv_batch(16).unwrap();
-        assert_eq!(batch.iter().map(|p| p.tag).collect::<Vec<_>>(), [3, 4]);
+        let mut batch = VecDeque::new();
+        let mut take = |max| {
+            pb.recv_batch(&mut batch, max, None).unwrap();
+            batch.drain(..).map(|p| p.tag).collect::<Vec<_>>()
+        };
+        assert_eq!(take(3), [0, 1, 2]);
+        assert_eq!(take(16), [3, 4]);
+        assert!(take(16).is_empty());
         f.crash_node(NodeId(1));
-        assert!(matches!(pb.recv_batch(16), Err(Error::Closed(_))));
+        let closed = pb.recv_batch(&mut batch, 16, Some(Duration::ZERO));
+        assert!(matches!(closed, Err(Error::Closed(_))));
     }
 
     // ---- link faults -------------------------------------------------------

@@ -8,8 +8,8 @@
 //! The condvar is the only way to wait on an inbox. The blocking
 //! `recv`/`recv_timeout` family waits for a packet. An owner with more than
 //! one input — a rank, a node loop (DESIGN.md §5d) — parks in
-//! [`Inbox::pop_batch_timeout`] and is woken by a packet, by closure, or by
-//! a [`kick`](Inbox::kick): whoever feeds another of its queues queues
+//! [`Inbox::pop_batch`] and is woken by a packet, by closure, or by a
+//! [`kick`](Inbox::kick): whoever feeds another of its queues queues
 //! first and kicks second ([`crate::polling::KickSender`]). The kick is a
 //! flag under the inbox lock, so it is never lost — a wait that returns
 //! packets leaves it set for the next one — and kicks coalesce. Closing an
@@ -30,12 +30,13 @@ pub enum Pop {
     TimedOut,
 }
 
-/// Outcome of a blocking batched pop.
+/// Outcome of a batched pop ([`Inbox::pop_batch`]).
 pub enum PopBatch {
-    /// At least one packet (never an empty vector).
-    Packets(Vec<Packet>),
+    /// The consumer's buffer now holds at least one packet.
+    Packets,
+    /// Nothing queued: a look found none, or a wait ran to its limit.
+    Empty,
     Closed,
-    TimedOut,
     /// [`Inbox::kick`] was called while the inbox was empty.
     Kicked,
 }
@@ -43,7 +44,7 @@ pub enum PopBatch {
 struct InboxState {
     packets: VecDeque<Packet>,
     closed: bool,
-    /// Set by [`Inbox::kick`], consumed by the next timed batch pop that
+    /// Set by [`Inbox::kick`], consumed by the next waiting batch pop that
     /// finds no packet.
     kicked: bool,
 }
@@ -89,8 +90,8 @@ impl Inbox {
         self.cond.notify_all();
     }
 
-    /// Wake the owner out of [`pop_batch_timeout`](Self::pop_batch_timeout)
-    /// without queueing a packet (see [`crate::polling::Kick`]).
+    /// Wake the owner out of [`pop_batch`](Self::pop_batch) without
+    /// queueing a packet (see [`crate::polling::Kick`]).
     pub fn kick(&self) {
         self.q.lock().kicked = true;
         self.cond.notify_all();
@@ -139,18 +140,35 @@ impl Inbox {
         }
     }
 
-    /// Like [`pop_batch_wait`](Self::pop_batch_wait), but bounded by a
-    /// real-time `timeout`: a pipelined burst is still drained in one lock
-    /// acquisition, and an idle wait surfaces as [`PopBatch::TimedOut`]
-    /// instead of blocking forever. A [`kick`](Self::kick) on an empty inbox
-    /// surfaces as [`PopBatch::Kicked`].
-    pub fn pop_batch_timeout(&self, max: usize, timeout: Duration) -> PopBatch {
-        let start = std::time::Instant::now(); // lint: allow(wall-clock)
+    /// The one batched pop: hand up to `max` (at least one) queued packets
+    /// to the consumer's `buf`. When they all fit and `buf` is empty, the
+    /// two buffers trade places — the inbox keeps the consumer's emptied
+    /// buffer, capacity and all, and the consumer takes the full one — so a
+    /// drained batch allocates nothing; with more than `max` queued, the
+    /// oldest `max` move over.
+    ///
+    /// `wait: None` only looks: [`PopBatch::Packets`] or
+    /// [`PopBatch::Empty`], a pending kick and a closure left for a wait to
+    /// report. `Some(limit)` waits up to `limit` for the first packet;
+    /// packets win over closure and over a pending kick, which they leave
+    /// pending.
+    pub fn pop_batch(
+        &self,
+        buf: &mut VecDeque<Packet>,
+        max: usize,
+        wait: Option<Duration>,
+    ) -> PopBatch {
         let mut g = self.q.lock();
+        let Some(limit) = wait else {
+            return match hand_over(&mut g.packets, buf, max) {
+                true => PopBatch::Packets,
+                false => PopBatch::Empty,
+            };
+        };
+        let start = std::time::Instant::now(); // lint: allow(wall-clock)
         loop {
-            if !g.packets.is_empty() {
-                let take = g.packets.len().min(max.max(1));
-                return PopBatch::Packets(g.packets.drain(..take).collect());
+            if hand_over(&mut g.packets, buf, max) {
+                return PopBatch::Packets;
             }
             if g.closed {
                 return PopBatch::Closed;
@@ -159,35 +177,25 @@ impl Inbox {
                 return PopBatch::Kicked;
             }
             let elapsed = start.elapsed();
-            if elapsed >= timeout {
-                return PopBatch::TimedOut;
+            if elapsed >= limit {
+                return PopBatch::Empty;
             }
-            self.cond.wait_for(&mut g, timeout - elapsed);
+            self.cond.wait_for(&mut g, limit - elapsed);
         }
     }
+}
 
-    /// Non-blocking batched pop: take up to `max` queued packets in one lock
-    /// acquisition. An empty result means nothing was queued (closed or not).
-    pub fn try_pop_batch(&self, max: usize) -> Vec<Packet> {
-        let mut g = self.q.lock();
-        let take = g.packets.len().min(max.max(1));
-        g.packets.drain(..take).collect()
+/// Move up to `max` of `queued` into `buf` (see [`Inbox::pop_batch`]);
+/// false when nothing is queued.
+fn hand_over(queued: &mut VecDeque<Packet>, buf: &mut VecDeque<Packet>, max: usize) -> bool {
+    let max = max.max(1);
+    if queued.is_empty() {
+        return false;
     }
-
-    /// Blocking batched pop: wait for the first packet, then take up to
-    /// `max` in one lock acquisition. Empty result means the inbox closed
-    /// with nothing queued.
-    pub fn pop_batch_wait(&self, max: usize) -> Vec<Packet> {
-        let mut g = self.q.lock();
-        loop {
-            if !g.packets.is_empty() {
-                let take = g.packets.len().min(max.max(1));
-                return g.packets.drain(..take).collect();
-            }
-            if g.closed {
-                return Vec::new();
-            }
-            self.cond.wait(&mut g);
-        }
+    if buf.is_empty() && queued.len() <= max {
+        std::mem::swap(queued, buf);
+    } else {
+        buf.extend(queued.drain(..queued.len().min(max)));
     }
+    true
 }

@@ -17,10 +17,10 @@
 //! size because payloads are reference-counted [`bytes::Bytes`] and never
 //! copied (paper §5: "messages are never copied in our code").
 //!
-//! The receive side implements the paper's **polling thread** (§2.2.1): a
-//! low-priority thread continuously drains the network port into a queue of
-//! received messages, so a blocking receive almost never needs to touch the
-//! (virtual) kernel.
+//! The paper's **polling thread** (§2.2.1) is a cost model here, not an OS
+//! thread: a rank reads its own port, and `starfish-mpi` charges a polled
+//! receive [`models::LayerCosts::poll`] where the no-polling-thread ablation
+//! pays a (virtual) kernel crossing per port read (see [`polling`]).
 
 pub mod fabric;
 pub mod inbox;
@@ -32,4 +32,4 @@ pub use fabric::{Fabric, FabricEvent, FaultStats, LinkFault, NodeStatus, Port};
 pub use inbox::{Inbox, Pop, PopBatch};
 pub use models::{BipMyrinet, Ideal, LayerCosts, NetKind, NetworkModel, ServerNetVia, TcpEthernet};
 pub use packet::{Addr, Packet, PacketKind, PortId, DAEMON_PORT};
-pub use polling::{Kick, KickSender, PollingThread, RecvQueue};
+pub use polling::{Kick, KickSender};

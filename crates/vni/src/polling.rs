@@ -1,4 +1,5 @@
-//! The polling thread and the received-messages queue (paper §2.2.1).
+//! How the owner of a port waits on it — and the paper's polling thread
+//! (§2.2.1), which here is a cost model, not an OS thread.
 //!
 //! "In Starfish we overcome this problem by introducing a low priority
 //! thread, called the *polling thread*. This thread continuously polls the
@@ -9,221 +10,41 @@
 //! The benefit the paper claims — receive operations avoid a kernel
 //! interaction on the critical path — is modelled by the cost accounting in
 //! `starfish-mpi`: with the polling thread, a receive pays only
-//! [`LayerCosts::poll`](crate::models::LayerCosts::poll); without it (ablation), every receive pays an extra
-//! simulated system-call cost. The thread itself is real: it owns the port
-//! and moves packets concurrently with application compute.
+//! [`LayerCosts::poll`](crate::models::LayerCosts::poll); without it
+//! (ablation), every read of the port pays an extra simulated system call.
+//! Either way the rank reads its own [`Port`](crate::fabric::Port): an OS
+//! thread copying packets into a second queue that nobody reads before the
+//! rank does would only add a wake-up per packet.
+//!
+//! A port's owner with other inputs parks on the port and is woken by a
+//! [`Kick`]; whoever feeds those inputs queues through a [`KickSender`].
 
-use std::collections::VecDeque;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crossbeam::channel::{SendError, Sender};
-use parking_lot::{Condvar, Mutex};
 
-use starfish_telemetry::{metric, Registry};
-use starfish_util::{Error, Result};
-
-use crate::fabric::Port;
 use crate::inbox::Inbox;
-use crate::packet::Packet;
 
-/// The queue of received messages fed by the polling thread and consumed by
-/// the MPI module's matching logic.
-#[derive(Clone, Default)]
-pub struct RecvQueue {
-    inner: Arc<QueueInner>,
-}
-
-#[derive(Default)]
-struct QueueInner {
-    q: Mutex<QueueState>,
-    cond: Condvar,
-}
-
-#[derive(Default)]
-struct QueueState {
-    packets: VecDeque<Packet>,
-    closed: bool,
-    /// Set by [`RecvQueue::kick`], consumed by the next `wait_batch` that
-    /// finds no packet (kicks coalesce).
-    kicked: bool,
-    /// Telemetry registry whose `vni.recv_queue_depth` gauge mirrors
-    /// `packets.len()` after every mutation.
-    metrics: Option<Registry>,
-}
-
-impl QueueState {
-    fn publish_depth(&self) {
-        if let Some(m) = &self.metrics {
-            m.gauge_set(metric::VNI_RECV_QUEUE_DEPTH, self.packets.len() as i64);
-        }
-    }
-
-    /// Up to `max` (at least one) packets off the front. When they all fit,
-    /// the queue's buffer itself is handed over — the batch the polling
-    /// thread pushed, usually — so a packet costs no allocation here.
-    fn take(&mut self, max: usize) -> Vec<Packet> {
-        let max = max.max(1);
-        if self.packets.len() <= max {
-            return std::mem::take(&mut self.packets).into();
-        }
-        self.packets.drain(..max).collect()
-    }
-}
-
-impl RecvQueue {
-    pub fn new() -> Self {
-        RecvQueue::default()
-    }
-
-    /// Mirror this queue's depth into `reg`'s `vni.recv_queue_depth` gauge.
-    pub fn attach_metrics(&self, reg: Registry) {
-        let mut g = self.inner.q.lock();
-        g.metrics = Some(reg);
-        g.publish_depth();
-    }
-
-    /// Enqueue a packet (called by the polling thread).
-    pub fn push(&self, pkt: Packet) {
-        let mut g = self.inner.q.lock();
-        g.packets.push_back(pkt);
-        g.publish_depth();
-        self.inner.cond.notify_all();
-    }
-
-    /// Enqueue a batch of packets under one lock acquisition, preserving
-    /// order (the polling thread's batched drain lands here). An empty
-    /// queue adopts the batch's buffer instead of copying it into its own.
-    pub fn push_batch(&self, batch: Vec<Packet>) {
-        if batch.is_empty() {
-            return;
-        }
-        let mut g = self.inner.q.lock();
-        if g.packets.is_empty() {
-            g.packets = batch.into();
-        } else {
-            g.packets.extend(batch);
-        }
-        g.publish_depth();
-        self.inner.cond.notify_all();
-    }
-
-    /// Mark the queue closed (port gone); waiters wake with `Closed`.
-    pub fn close(&self) {
-        let mut g = self.inner.q.lock();
-        g.closed = true;
-        self.inner.cond.notify_all();
-    }
-
-    /// Wake whoever is (or next goes) blocked in [`wait_batch`](Self::wait_batch)
-    /// without queueing a packet: that wait returns [`Error::Interrupted`].
-    /// This is how state changes that do not travel the fabric (a daemon
-    /// message, a peer's port being bound) reach a process whose one wait
-    /// point is its receive queue.
-    pub fn kick(&self) {
-        let mut g = self.inner.q.lock();
-        g.kicked = true;
-        self.inner.cond.notify_all();
-    }
-
-    /// A [`Kick`] handle onto this queue.
-    pub fn kicker(&self) -> Kick {
-        Kick(KickTarget::Queue(self.clone()))
-    }
-
-    pub fn len(&self) -> usize {
-        self.inner.q.lock().packets.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Remove and return up to `max` packets from the front of the queue in
-    /// one lock acquisition (empty when nothing is queued). The MPI module's
-    /// ingest loop drains pipelined rendezvous bursts through here so a
-    /// burst costs one lock hop, not one per frame.
-    pub fn take_batch(&self, max: usize) -> Vec<Packet> {
-        let mut g = self.inner.q.lock();
-        let batch = g.take(max);
-        if !batch.is_empty() {
-            g.publish_depth();
-        }
-        batch
-    }
-
-    /// Block until at least one packet is available (or `deadline` passes),
-    /// then remove and return up to `max` packets in one lock acquisition.
-    /// `Ok(vec![])` means the wait timed out with nothing queued;
-    /// [`Error::Interrupted`] means the queue was [kicked](Self::kick) while
-    /// empty (packets win over a pending kick, which then stays pending).
-    pub fn wait_batch(&self, max: usize, deadline: Duration) -> Result<Vec<Packet>> {
-        let start = std::time::Instant::now(); // lint: allow(wall-clock)
-        let mut g = self.inner.q.lock();
-        loop {
-            if !g.packets.is_empty() {
-                let batch = g.take(max);
-                g.publish_depth();
-                return Ok(batch);
-            }
-            if g.closed {
-                return Err(Error::closed("receive queue closed"));
-            }
-            if std::mem::take(&mut g.kicked) {
-                return Err(Error::interrupted("receive queue kicked"));
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= deadline {
-                return Ok(Vec::new());
-            }
-            self.inner.cond.wait_for(&mut g, deadline - elapsed);
-        }
-    }
-
-    /// Remove and return the first packet matching `pred`, without blocking.
-    pub fn take_matching(&self, mut pred: impl FnMut(&Packet) -> bool) -> Option<Packet> {
-        let mut g = self.inner.q.lock();
-        let idx = g.packets.iter().position(&mut pred)?;
-        let pkt = g.packets.remove(idx);
-        g.publish_depth();
-        pkt
-    }
-}
-
-#[derive(Clone)]
-enum KickTarget {
-    Queue(RecvQueue),
-    Inbox(Arc<Inbox>),
-}
-
-/// Wakes the owner of one receive endpoint out of its timed batch wait —
-/// the polled [`RecvQueue`] or, without a polling thread, the port's own
-/// [`Inbox`] — without queueing a packet. Cheap to clone and `Send`: the
+/// Wakes the owner of one port out of its waiting batch receive
+/// ([`Port::recv_batch`](crate::fabric::Port::recv_batch)) without queueing
+/// a packet: a flag on the port's [`Inbox`]. Cheap to clone and `Send`: the
 /// owner hands one, inside a [`KickSender`], to whoever queues work for it
 /// (a rank also gives one to the application's rank directory).
 #[derive(Clone)]
-pub struct Kick(KickTarget);
+pub struct Kick(Arc<Inbox>);
 
 impl Kick {
     pub(crate) fn inbox(inbox: Arc<Inbox>) -> Kick {
-        Kick(KickTarget::Inbox(inbox))
+        Kick(inbox)
     }
 
     pub fn kick(&self) {
-        match &self.0 {
-            KickTarget::Queue(q) => q.kick(),
-            KickTarget::Inbox(i) => i.kick(),
-        }
+        self.0.kick();
     }
 
-    /// Do both handles wake the same endpoint?
+    /// Do both handles wake the same port?
     pub fn same(&self, other: &Kick) -> bool {
-        match (&self.0, &other.0) {
-            (KickTarget::Queue(a), KickTarget::Queue(b)) => Arc::ptr_eq(&a.inner, &b.inner),
-            (KickTarget::Inbox(a), KickTarget::Inbox(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
+        Arc::ptr_eq(&self.0, &other.0)
     }
 }
 
@@ -261,64 +82,16 @@ impl<T> KickSender<T> {
     }
 }
 
-/// Handle to a running polling thread. Dropping the handle does not stop the
-/// thread; it stops when its port closes (node crash, process teardown).
-pub struct PollingThread {
-    handle: Option<JoinHandle<u64>>,
-}
-
-impl PollingThread {
-    /// Packets drained from the port per wakeup. Bounds the time the recv
-    /// queue lock is held per batch while amortizing the port lock + condvar
-    /// handshake over many packets under load.
-    pub const DRAIN_BATCH: usize = 64;
-
-    /// Spawn the polling thread: moves every packet from `port` into `queue`
-    /// until the port closes. Each wakeup drains up to [`Self::DRAIN_BATCH`]
-    /// packets in one port lock acquisition instead of one packet per
-    /// handshake. Returns immediately.
-    pub fn spawn(port: Port, queue: RecvQueue) -> Self {
-        let handle = std::thread::Builder::new()
-            .name(format!("starfish-poll-{}", port.addr()))
-            .spawn(move || {
-                let mut moved = 0u64;
-                loop {
-                    match port.recv_batch(Self::DRAIN_BATCH) {
-                        Ok(batch) => {
-                            moved += batch.len() as u64;
-                            queue.push_batch(batch);
-                        }
-                        Err(_) => {
-                            queue.close();
-                            return moved;
-                        }
-                    }
-                }
-            })
-            .expect("spawn polling thread");
-        PollingThread {
-            handle: Some(handle),
-        }
-    }
-
-    /// Wait for the thread to exit (after its port closed); returns the
-    /// number of packets it moved.
-    pub fn join(mut self) -> u64 {
-        self.handle
-            .take()
-            .map(|h| h.join().unwrap_or(0))
-            .unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::Fabric;
+    use crate::fabric::{Fabric, Port};
     use crate::models::{Ideal, LayerCosts};
-    use crate::packet::{Addr, PacketKind, PortId};
+    use crate::packet::{Addr, Packet, PacketKind, PortId};
     use bytes::Bytes;
-    use starfish_util::NodeId;
+    use starfish_util::{Error, NodeId, Result};
+    use std::collections::VecDeque;
+    use std::time::Duration;
 
     fn setup() -> (Fabric, Addr, Addr) {
         let f = Fabric::new(Box::new(Ideal), LayerCosts::zero());
@@ -335,106 +108,89 @@ mod tests {
         Packet::new(src, dst, PacketKind::Data, tag, Bytes::from_static(b"x"))
     }
 
-    #[test]
-    fn polling_thread_moves_packets() {
-        let (f, a, b) = setup();
-        let _pa = f.bind(a).unwrap();
-        let pb = f.bind(b).unwrap();
-        let q = RecvQueue::new();
-        let poll = PollingThread::spawn(pb, q.clone());
-        for t in 0..5 {
-            f.send(pkt(a, b, t)).unwrap();
-        }
-        // Wait for all five to land, in order.
-        let mut tags = Vec::new();
-        while tags.len() < 5 {
-            let batch = q.wait_batch(8, Duration::from_secs(2)).unwrap();
-            tags.extend(batch.iter().map(|p| p.tag));
-        }
-        assert_eq!(tags, [0, 1, 2, 3, 4]);
-        f.crash_node(NodeId(1));
-        assert_eq!(poll.join(), 5);
-        let closed = q.wait_batch(8, Duration::from_secs(2));
-        assert!(matches!(closed, Err(Error::Closed(_))), "{closed:?}");
-    }
-
-    #[test]
-    fn take_matching_picks_by_predicate_not_order() {
-        let q = RecvQueue::new();
-        let (_, a, b) = setup();
-        for t in [3u64, 1, 2] {
-            q.push(pkt(a, b, t));
-        }
-        let got = q.take_matching(|p| p.tag == 2).unwrap();
-        assert_eq!(got.tag, 2);
-        assert_eq!(q.len(), 2);
-        assert!(q.take_matching(|p| p.tag == 99).is_none());
+    /// The owner's wait: up to 8 packets into a fresh buffer, their tags.
+    fn wait(port: &Port, limit: Duration) -> Result<Vec<u64>> {
+        let mut buf = VecDeque::new();
+        port.recv_batch(&mut buf, 8, Some(limit))?;
+        Ok(buf.iter().map(|p| p.tag).collect())
     }
 
     #[test]
     fn wait_batch_wakes_on_push() {
-        let q = RecvQueue::new();
-        let (_, a, b) = setup();
-        let q2 = q.clone();
-        let h = std::thread::spawn(move || q2.wait_batch(8, Duration::from_secs(30)));
+        let (f, a, b) = setup();
+        let _pa = f.bind(a).unwrap();
+        let pb = f.bind(b).unwrap();
+        let h = std::thread::spawn(move || wait(&pb, Duration::from_secs(30)));
         std::thread::sleep(Duration::from_millis(20));
-        q.push(pkt(a, b, 7));
-        assert_eq!(h.join().unwrap().unwrap()[0].tag, 7);
+        f.send(pkt(a, b, 7)).unwrap();
+        assert_eq!(h.join().unwrap().unwrap(), [7]);
     }
 
     #[test]
     fn close_wakes_waiters_with_error() {
-        let q = RecvQueue::new();
-        let q2 = q.clone();
-        let h = std::thread::spawn(move || q2.wait_batch(8, Duration::from_secs(30)));
+        let (f, _, b) = setup();
+        let pb = f.bind(b).unwrap();
+        let h = std::thread::spawn(move || wait(&pb, Duration::from_secs(30)));
         std::thread::sleep(Duration::from_millis(20));
-        q.close();
+        f.crash_node(NodeId(1));
         assert!(matches!(h.join().unwrap(), Err(Error::Closed(_))));
     }
 
-    /// A batch that fits is handed over whole, in order, and the next one
-    /// starts from an empty queue; a longer queue gives `max` at a time.
+    /// A batch that fits an empty buffer is handed over whole, in order (the
+    /// buffers trade places); a longer queue gives `max` at a time, and a
+    /// buffer the owner has not emptied yet keeps what it holds.
     #[test]
     fn batches_leave_in_order_whole_or_max_at_a_time() {
-        let q = RecvQueue::new();
-        let (_, a, b) = setup();
-        let tags = |batch: Vec<Packet>| batch.iter().map(|p| p.tag).collect::<Vec<_>>();
-        q.push_batch((0..3).map(|t| pkt(a, b, t)).collect());
-        q.push_batch((3..5).map(|t| pkt(a, b, t)).collect());
-        assert_eq!(tags(q.take_batch(2)), [0, 1]);
-        assert_eq!(tags(q.take_batch(8)), [2, 3, 4]);
-        assert!(q.is_empty());
-        q.push_batch(vec![pkt(a, b, 5)]);
-        assert_eq!(tags(q.take_batch(8)), [5]);
+        let (f, a, b) = setup();
+        let _pa = f.bind(a).unwrap();
+        let pb = f.bind(b).unwrap();
+        let mut buf = VecDeque::new();
+        let pop = |max: usize, buf: &mut VecDeque<Packet>| {
+            pb.recv_batch(buf, max, None).unwrap();
+            buf.iter().map(|p| p.tag).collect::<Vec<_>>()
+        };
+        for t in 0..5 {
+            f.send(pkt(a, b, t)).unwrap();
+        }
+        assert_eq!(pop(2, &mut buf), [0, 1]);
+        assert_eq!(pop(2, &mut buf), [0, 1, 2, 3]);
+        buf.clear();
+        assert_eq!(pop(8, &mut buf), [4]);
+        buf.clear();
+        assert!(pop(8, &mut buf).is_empty());
     }
 
     #[test]
     fn kick_interrupts_a_batch_wait_once() {
-        let q = RecvQueue::new();
-        let kick = q.kicker();
-        let waiter = {
-            let q = q.clone();
-            std::thread::spawn(move || q.wait_batch(8, Duration::from_secs(30)))
-        };
+        let (f, _, b) = setup();
+        let port = f.bind(b).unwrap();
+        let kick = port.kicker();
+        let waiter = std::thread::spawn(move || {
+            let woken = wait(&port, Duration::from_secs(30));
+            // Consumed by the wait it woke: the next one runs to its limit.
+            (woken, wait(&port, Duration::from_millis(10)))
+        });
         kick.kick();
-        assert!(matches!(waiter.join().unwrap(), Err(Error::Interrupted(_))));
-        // Consumed by the wait it woke: the next one runs to its deadline.
-        let idle = q.wait_batch(8, Duration::from_millis(10)).unwrap();
-        assert!(idle.is_empty());
+        let (woken, idle) = waiter.join().unwrap();
+        assert!(matches!(woken, Err(Error::Interrupted(_))), "{woken:?}");
+        assert!(idle.unwrap().is_empty());
     }
 
+    /// Packets win over a pending kick without clearing it: a kick is never
+    /// lost to a packet.
     #[test]
     fn queued_packets_win_over_a_pending_kick() {
-        let q = RecvQueue::new();
-        let (_, a, b) = setup();
-        q.push(pkt(a, b, 1));
-        q.kick();
-        assert_eq!(q.wait_batch(8, Duration::from_secs(30)).unwrap().len(), 1);
-        // The kick stayed pending: it is never lost to a packet.
-        let kicked = q.wait_batch(8, Duration::from_secs(30));
-        assert!(matches!(kicked, Err(Error::Interrupted(_))));
+        let (f, a, b) = setup();
+        let _pa = f.bind(a).unwrap();
+        let port = f.bind(b).unwrap();
+        f.send(pkt(a, b, 1)).unwrap();
+        port.kicker().kick();
+        assert_eq!(wait(&port, Duration::from_secs(30)).unwrap(), [1]);
+        let kicked = wait(&port, Duration::from_secs(30));
+        assert!(matches!(kicked, Err(Error::Interrupted(_))), "{kicked:?}");
     }
 
+    /// Only a wait takes a kick: a look leaves it pending.
     #[test]
     fn port_kick_interrupts_a_direct_batch_receive() {
         let (f, _, b) = setup();
@@ -443,12 +199,11 @@ mod tests {
         let kick = port.kicker();
         assert!(kick.same(&port.kicker()));
         assert!(!kick.same(&other.kicker()));
-        assert!(!kick.same(&RecvQueue::new().kicker()));
         kick.kick();
-        let got = port.recv_batch_timeout(8, Duration::from_secs(30));
-        assert!(matches!(got, Err(Error::Interrupted(_))));
-        let idle = port.recv_batch_timeout(8, Duration::from_millis(10));
-        assert!(idle.unwrap().is_empty());
+        port.recv_batch(&mut VecDeque::new(), 8, None).unwrap();
+        let got = wait(&port, Duration::from_secs(30));
+        assert!(matches!(got, Err(Error::Interrupted(_))), "{got:?}");
+        assert!(wait(&port, Duration::from_millis(10)).unwrap().is_empty());
     }
 
     /// Queue, then kick; the hang-up is a kick too, delivered after the
@@ -465,7 +220,7 @@ mod tests {
         let owner = std::thread::spawn(move || {
             let mut got = Vec::new();
             loop {
-                let woken = port.recv_batch_timeout(8, Duration::from_secs(30));
+                let woken = wait(&port, Duration::from_secs(30));
                 assert!(matches!(woken, Err(Error::Interrupted(_))), "{woken:?}");
                 loop {
                     match rx.try_recv() {

@@ -11,11 +11,17 @@
 //! * **oldest-first delivery** — each sender's packets come out in the
 //!   order that sender pushed them (the inbox is one FIFO; interleaving
 //!   across senders is free, reordering within a sender is a tear);
-//! * **a kick is never lost** — a `kick()` racing the owner's
-//!   `pop_batch_timeout` surfaces as `Kicked` from that wait or the next
-//!   one; packets win over it without clearing it; `close()` wakes a parked
-//!   owner, after the drain.
+//! * **a kick is never lost** — a `kick()` racing the owner's waiting
+//!   `pop_batch` surfaces as `Kicked` from that wait or the next one;
+//!   packets win over it without clearing it, and a look (`pop_batch` with
+//!   no wait) leaves it pending; `close()` wakes a parked owner, after the
+//!   drain.
+//!
+//! `pop_batch` is the pop every consumer uses: it trades the consumer's
+//! emptied buffer for the queued one, or moves `max` packets when more are
+//! queued, so the properties are checked for both paths.
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -27,6 +33,7 @@ use starfish_vni::{Addr, Packet, PacketKind, PortId};
 
 const SENDERS: u64 = 3;
 const PER_SENDER: u64 = 4;
+const FAR: Duration = Duration::from_secs(10);
 
 fn pkt(sender: u64, k: u64) -> Packet {
     let src = Addr::new(NodeId(sender as u32), PortId(1));
@@ -91,12 +98,18 @@ fn concurrent_senders_racing_recv_timeout_lose_nothing() {
     });
 }
 
+/// `pop_batch` with a fresh buffer: `(outcome, packets handed over)`.
+fn pop(inbox: &Inbox, wait: Option<Duration>) -> (PopBatch, usize) {
+    let mut buf = VecDeque::new();
+    let got = inbox.pop_batch(&mut buf, 8, wait);
+    (got, buf.len())
+}
+
 /// The owner of a wait point with other queues to serve: every kick means
 /// "look at your queues", so none may vanish — neither into a wait that is
 /// just starting, nor into one that returns packets instead.
 #[test]
 fn a_kick_is_never_lost() {
-    const FAR: Duration = Duration::from_secs(10);
     loom::model(|| {
         let inbox = Inbox::new();
         let kicker = {
@@ -113,11 +126,13 @@ fn a_kick_is_never_lost() {
         // the kick is still there for the next.
         let (mut kicks, mut packets) = (0, 0);
         while (kicks, packets) != (1, 1) {
-            match inbox.pop_batch_timeout(8, FAR) {
-                PopBatch::Kicked => kicks += 1,
-                PopBatch::Packets(b) => packets += b.len(),
-                PopBatch::TimedOut => panic!("lost a wake-up ({kicks} kicks, {packets} packets)"),
-                PopBatch::Closed => panic!("inbox closed under its owner"),
+            match pop(&inbox, Some(FAR)) {
+                (PopBatch::Kicked, _) => kicks += 1,
+                (PopBatch::Packets, n) => packets += n,
+                (PopBatch::Empty, _) => {
+                    panic!("lost a wake-up ({kicks} kicks, {packets} packets)")
+                }
+                (PopBatch::Closed, _) => panic!("inbox closed under its owner"),
             }
         }
         kicker.join().unwrap();
@@ -125,17 +140,90 @@ fn a_kick_is_never_lost() {
         // Packets win over a pending kick and leave it pending.
         inbox.kick();
         inbox.push(pkt(0, 1));
-        assert!(matches!(inbox.pop_batch_timeout(8, FAR), PopBatch::Packets(b) if b.len() == 1));
-        assert!(matches!(inbox.pop_batch_timeout(8, FAR), PopBatch::Kicked));
+        assert!(matches!(pop(&inbox, Some(FAR)), (PopBatch::Packets, 1)));
+        assert!(matches!(pop(&inbox, Some(FAR)), (PopBatch::Kicked, 0)));
         // close() wakes a parked owner — after the drain.
         inbox.push(pkt(0, 2));
         let closer = {
             let inbox = Arc::clone(&inbox);
             thread::spawn(move || inbox.close())
         };
-        assert!(matches!(inbox.pop_batch_timeout(8, FAR), PopBatch::Packets(b) if b.len() == 1));
-        assert!(matches!(inbox.pop_batch_timeout(8, FAR), PopBatch::Closed));
+        assert!(matches!(pop(&inbox, Some(FAR)), (PopBatch::Packets, 1)));
+        assert!(matches!(pop(&inbox, Some(FAR)), (PopBatch::Closed, 0)));
         closer.join().unwrap();
+    });
+}
+
+/// The trading pop as a rank drives it — one buffer, emptied after every
+/// round, alternately looking and waiting, at most two packets a round —
+/// raced by concurrent senders and a kick, then by senders and a close.
+/// Every packet comes out once and in its sender's order, the kick comes
+/// out exactly once, and a close loses nothing that was accepted before it.
+#[test]
+fn the_trading_pop_racing_senders_a_kick_and_a_close_loses_nothing() {
+    loom::model(|| {
+        let inbox = Inbox::new();
+        let kicker = {
+            let inbox = Arc::clone(&inbox);
+            thread::spawn(move || inbox.kick())
+        };
+        let producers: Vec<_> = (0..SENDERS)
+            .map(|s| {
+                let inbox = Arc::clone(&inbox);
+                thread::spawn(move || {
+                    for k in 0..PER_SENDER {
+                        assert!(inbox.push(pkt(s, k)));
+                        thread::yield_now();
+                    }
+                })
+            })
+            .collect();
+        let mut buf = VecDeque::new();
+        let (mut tags, mut kicks, mut round) = (Vec::new(), 0, 0u64);
+        while (tags.len() as u64) < SENDERS * PER_SENDER || kicks == 0 {
+            round += 1;
+            let wait = (round % 2 == 0).then_some(FAR);
+            match inbox.pop_batch(&mut buf, 2, wait) {
+                PopBatch::Packets => tags.extend(buf.drain(..).map(|p| p.tag)),
+                PopBatch::Kicked => kicks += 1,
+                PopBatch::Empty if wait.is_none() => thread::yield_now(),
+                PopBatch::Empty => panic!("lost a wake-up ({kicks} kicks, {tags:?})"),
+                PopBatch::Closed => panic!("inbox closed under its owner"),
+            }
+        }
+        kicker.join().unwrap();
+        for p in producers {
+            p.join().unwrap();
+        }
+        assert_eq!(kicks, 1);
+        assert_eq!(tags.len() as u64, SENDERS * PER_SENDER);
+        assert_per_sender_fifo(&tags);
+
+        // A close racing a sender: whatever was accepted comes out, in
+        // order, before the owner sees the closure.
+        let sender = {
+            let inbox = Arc::clone(&inbox);
+            thread::spawn(move || {
+                (0..PER_SENDER)
+                    .take_while(|&k| inbox.push(pkt(0, k)))
+                    .count()
+            })
+        };
+        let closer = {
+            let inbox = Arc::clone(&inbox);
+            thread::spawn(move || inbox.close())
+        };
+        let mut tail = Vec::new();
+        loop {
+            match inbox.pop_batch(&mut buf, 2, Some(FAR)) {
+                PopBatch::Packets => tail.extend(buf.drain(..).map(|p| p.tag)),
+                PopBatch::Closed => break,
+                PopBatch::Kicked | PopBatch::Empty => panic!("no kick pending, nothing lost"),
+            }
+        }
+        let accepted = sender.join().unwrap() as u64;
+        closer.join().unwrap();
+        assert_eq!(tail, (0..accepted).collect::<Vec<_>>());
     });
 }
 

@@ -69,9 +69,10 @@ fn an_idle_cluster_makes_no_context_switches_and_runs_no_helper_threads() {
         "{woke} voluntary context switches in 500 ms of idling"
     );
 
-    // A live job adds its ranks and their polling threads — and nothing
-    // else: no thread stands between a daemon and its group, or between a
-    // rank and its daemon.
+    // A live job adds one thread per rank — and nothing else: no thread
+    // stands between a daemon and its group, between a rank and its daemon,
+    // or between a rank and its port.
+    let idle = thread_names();
     cluster.register_app("stuck", |ctx| {
         ctx.publish(CkptValue::Unit);
         let peer = Rank((ctx.rank().0 + 1) % ctx.size());
@@ -86,4 +87,5 @@ fn an_idle_cluster_makes_no_context_switches_and_runs_no_helper_threads() {
     let family = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
     assert_eq!((family("starfishd-"), family("app-")), (3, 2), "{names:?}");
     assert_eq!((family("ensemble-"), family("gh-")), (0, 0), "{names:?}");
+    assert_eq!(names.len(), idle.len() + 2, "{idle:?} -> {names:?}");
 }

@@ -57,9 +57,8 @@ fn dropping_a_cluster_leaves_no_thread_behind() {
     assert!(threads() > before + 8, "a live cluster runs many threads");
 
     // The driver thread is joined by its guard, the daemons (each one
-    // thread: the node loop owns its group stack) by the cluster; polling
-    // threads and ranks are detached and exit on their own once their
-    // node's ports close. Wait (bounded) for the operating system to show
+    // thread: the node loop owns its group stack) by the cluster; ranks are
+    // detached and exit on their own once their node's ports close. Wait (bounded) for the operating system to show
     // all of them gone — a joined thread can linger in /proc for a moment
     // too.
     drop(auto);
