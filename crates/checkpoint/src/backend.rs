@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use starfish_util::watch::ChangeCount;
-use starfish_util::{AppId, Error, NodeId, Rank, Result, VirtualTime};
+use starfish_util::{AppId, Error, NodeId, Rank, Result};
 
 use crate::image::CkptImage;
 use crate::recovery::MsgDep;
@@ -226,13 +226,6 @@ impl StoreHub {
         StoreHub::default()
     }
 
-    pub fn with_net(net: ReplicaNet) -> Self {
-        StoreHub {
-            net,
-            ..StoreHub::default()
-        }
-    }
-
     /// The underlying disk store (figure harnesses and tests that poke the
     /// NFS model directly).
     pub fn nfs(&self) -> &CkptStore {
@@ -425,27 +418,6 @@ impl StoreHub {
             CkptBackend::Replica { .. } => self.replica.health(app),
         }
     }
-
-    /// Apps with a registered policy, sorted (mgmt listing).
-    pub fn registered_apps(&self) -> Vec<(AppId, CkptBackend)> {
-        let g = self.inner.lock();
-        let mut v: Vec<(AppId, CkptBackend)> =
-            g.apps.iter().map(|(a, p)| (*a, p.backend)).collect();
-        v.sort_by_key(|(a, _)| a.0);
-        v
-    }
-
-    /// Estimated disk-backend recovery time for `bytes` (for the status
-    /// line's disk-vs-replica comparison), using the level-appropriate
-    /// model the runtime charges.
-    pub fn disk_read_estimate(bytes: u64, native: bool) -> VirtualTime {
-        let model = if native {
-            crate::disk::DiskModel::ide_1999()
-        } else {
-            crate::disk::DiskModel::vm_buffered()
-        };
-        model.read_time(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -454,7 +426,7 @@ mod tests {
     use crate::arch::MACHINES;
     use crate::image::CkptLevel;
     use crate::value::CkptValue;
-    use starfish_util::Epoch;
+    use starfish_util::{Epoch, VirtualTime};
 
     fn img(app: u32, rank: u32, index: u64) -> CkptImage {
         CkptImage::capture(

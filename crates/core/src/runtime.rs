@@ -300,7 +300,8 @@ impl ProcessRuntime {
     }
 
     /// Ship the cumulative registry snapshot up to the daemon, which casts
-    /// it cluster-wide (scope `"app<A>.r<R>"`).
+    /// it cluster-wide (scope `"app<A>.r<R>"`): once per round and per
+    /// restore, and at exit.
     pub(crate) fn flush_stats(&self) {
         self.send_up(ProcUp::Stats {
             snap: self.metrics.snapshot(),
@@ -499,7 +500,9 @@ impl ProcessRuntime {
     }
 
     /// Carry out what the machine answered, in order — with the
-    /// application's state in hand, at a safepoint.
+    /// application's state in hand, at a safepoint. A batch that closes or
+    /// commits a round ends with one stats flush, which makes the round's
+    /// layer histograms and checkpoint costs visible cluster-wide.
     pub(crate) fn carry(
         &mut self,
         outs: Vec<Out>,
@@ -508,6 +511,7 @@ impl ProcessRuntime {
         if self.debug && !outs.is_empty() {
             eprintln!("[rt {}.{}] {outs:?}", self.app, self.rank);
         }
+        let flush = (outs.iter()).any(|o| matches!(o, Out::RoundClosed | Out::Committed(_)));
         for out in outs {
             match out {
                 Out::Merge(t) => {
@@ -531,14 +535,12 @@ impl ProcessRuntime {
                 Out::Record(from) => self.mpi.start_recording(from),
                 Out::Unrecord(from) => self.mpi.stop_recording(from),
                 Out::Interval(i) => self.mpi.piggyback_interval = i,
-                Out::RoundClosed => {
-                    // Make the round's layer histograms and checkpoint costs
-                    // visible cluster-wide.
-                    self.note_round_done();
-                    self.flush_stats();
-                }
+                Out::RoundClosed => self.note_round_done(),
                 Out::Committed(index) => self.committed(index),
             }
+        }
+        if flush {
+            self.flush_stats();
         }
         Ok(())
     }
@@ -660,7 +662,6 @@ impl ProcessRuntime {
             index,
             vt: self.clock.now(),
         });
-        self.flush_stats();
     }
 
     fn participating_nodes(&self) -> usize {

@@ -1,9 +1,10 @@
 //! Deterministic tests of the rank's wait point.
 //!
-//! The rig is a hand-built rank 1 of a two-rank stop-and-sync application.
-//! The test plays everything around it: its daemon (holding the real
+//! The rig is a hand-built rank of a two-rank stop-and-sync application:
+//! rank 1, a member, unless a test asks for the coordinator, rank 0. The
+//! test plays everything around it: its daemon (holding the real
 //! [`DownLink`] and the receiving end of a `KickSender` for `ProcUp`, as a
-//! node loop does) and its peer, rank 0 (a bare MPI endpoint). Nothing
+//! node loop does) and its peer, the other rank (a bare MPI endpoint). Nothing
 //! here sleeps, and the assertions count service points, not time: a rank
 //! that waits correctly runs one service point per thing delivered to it.
 
@@ -20,6 +21,7 @@ use starfish_daemon::config::{AppEntry, AppSpec, AppStatus};
 use starfish_daemon::{CkptProto, DownLink, FtPolicy, LevelKind, ProcDown, ProcUp, RelayKind};
 use starfish_mpi::wire::WORLD_CONTEXT;
 use starfish_mpi::{MpiEndpoint, RankDirectory, RecvMode};
+use starfish_telemetry::metric;
 use starfish_util::codec::{Decode, Encode};
 use starfish_util::trace::TraceSink;
 use starfish_util::{AppId, Epoch, Error, NodeId, Rank, Result, VClock, VirtualTime};
@@ -31,18 +33,23 @@ use crate::runtime::{process_main, Outputs, ProcessRuntime};
 const T: Duration = Duration::from_secs(30);
 const APP: AppId = AppId(1);
 
-/// What the test holds of the world around rank 1.
+/// What the test holds of the world around the rig's rank.
 struct Rig {
-    /// The daemon's side of rank 1's message queues. Nobody parks on the
+    me: Rank,
+    /// The daemon's side of the rank's message queues. Nobody parks on the
     /// wait point `up`'s senders kick (the test blocks on the queue).
     down: DownLink,
     up: Receiver<(AppId, Rank, ProcUp)>,
-    /// Rank 0, and its clock.
+    /// The other rank, and its clock.
     peer: MpiEndpoint,
     clock: VClock,
 }
 
 fn rig() -> (Rig, ProcessRuntime) {
+    rig_of(Rank(1))
+}
+
+fn rig_of(me: Rank) -> (Rig, ProcessRuntime) {
     let fabric = Fabric::new(Box::new(Ideal), LayerCosts::zero());
     fabric.add_node(NodeId(0));
     fabric.add_node(NodeId(1));
@@ -78,14 +85,14 @@ fn rig() -> (Rig, ProcessRuntime) {
     };
     let (down_tx, down_rx) = channel::unbounded();
     let (up_tx, up) = channel::unbounded();
-    let daemon_port = fabric.bind(Addr::daemon(NodeId(1))).unwrap();
+    let daemon_port = fabric.bind(Addr::daemon(NodeId(me.0))).unwrap();
     let up_tx = Arc::new(KickSender::new(up_tx, daemon_port.kicker()));
     let rt = ProcessRuntime::new(
         entry,
-        Rank(1),
-        NodeId(1),
+        me,
+        NodeId(me.0),
         starfish_checkpoint::arch::DEFAULT_ARCH,
-        ep(1),
+        ep(me.0),
         down_rx,
         up_tx,
         StoreHub::new(),
@@ -96,45 +103,50 @@ fn rig() -> (Rig, ProcessRuntime) {
         starfish_telemetry::Registry::new(),
     );
     let rig = Rig {
+        me,
         down: DownLink::new(
             KickSender::new(down_tx, rt.mpi.kicker()),
             rt.abort_flag.clone(),
         ),
         up,
-        peer: ep(0),
+        peer: ep(1 - me.0),
         clock: VClock::new(),
     };
     (rig, rt)
 }
 
 impl Rig {
-    /// The daemon relays a C/R control message from rank 0.
+    fn other(&self) -> Rank {
+        Rank(1 - self.me.0)
+    }
+
+    /// The daemon relays a C/R control message from the other rank.
     fn relay(&self, msg: CrMsg) {
         self.down.send(ProcDown::Relay {
             kind: RelayKind::CheckpointRestart,
-            from: Rank(0),
+            from: self.other(),
             body: msg.encode_to_bytes(),
             vt: VirtualTime::ZERO,
         });
     }
 
-    /// Rank 0 sends rank 1 a data message.
+    /// The other rank sends the rig's rank a data message.
     fn go(&mut self, tag: u64) {
         self.peer
-            .send_world(&mut self.clock, Rank(1), WORLD_CONTEXT, tag, b"go")
+            .send_world(&mut self.clock, self.me, WORLD_CONTEXT, tag, b"go")
             .unwrap();
     }
 
-    /// Rank 0 puts a flush mark on the data path.
+    /// The other rank puts a flush mark on the data path.
     fn flush_mark(&mut self, index: u64) {
         let body = CrMsg::FlushMark { index }.encode_to_bytes();
         self.peer
-            .send_ctrl_mark(&mut self.clock, Rank(1), &body)
+            .send_ctrl_mark(&mut self.clock, self.me, &body)
             .unwrap();
     }
 
-    /// Block until rank 1's flush mark for `index` reaches rank 0: proof
-    /// that it has serviced the Stop of that round.
+    /// Block until the rig's flush mark for `index` reaches the other rank:
+    /// proof that it has serviced (or, coordinating, started) that round.
     fn await_flush_mark(&mut self, index: u64) {
         let marks = self.peer.wait_ctrl(&mut self.clock, T).unwrap();
         let got: Vec<CrMsg> = marks
@@ -144,11 +156,11 @@ impl Rig {
         assert_eq!(got, vec![CrMsg::FlushMark { index }]);
     }
 
-    /// Block until rank 1 sends up a message `pick` accepts (stats flushes
-    /// and the like are skipped).
+    /// Block until the rig's rank sends up a message `pick` accepts (stats
+    /// flushes and the like are skipped).
     fn await_up<R>(&self, mut pick: impl FnMut(ProcUp) -> Option<R>) -> R {
         loop {
-            let (_, _, msg) = self.up.recv_timeout(T).expect("rank 1 went quiet");
+            let (_, _, msg) = self.up.recv_timeout(T).expect("the rank went quiet");
             if let Some(r) = pick(msg) {
                 return r;
             }
@@ -162,7 +174,7 @@ impl Rig {
                 assert_eq!(
                     saved,
                     CrMsg::Saved {
-                        rank: Rank(1),
+                        rank: self.me,
                         index
                     }
                 );
@@ -356,5 +368,42 @@ fn a_round_captures_a_receive_that_stays_blocked() {
     rig.await_saved(1);
     rig.go(1);
     rig.await_done();
+    rank.join().unwrap();
+}
+
+/// The round coordinator sends its telemetry up once per round, after the
+/// commit, so the snapshot counts the round it closes; and once more at
+/// exit.
+#[test]
+fn the_coordinator_flushes_stats_once_per_round_after_counting_it() {
+    const ROUNDS: u64 = 3;
+    let (mut rig, rt) = rig_of(Rank(0));
+    let rank = run(rt, |ctx| {
+        for _ in 0..ROUNDS {
+            ctx.checkpoint(&CkptValue::Unit)?;
+        }
+        Ok(())
+    });
+    for index in 1..=ROUNDS {
+        rig.await_flush_mark(index);
+        rig.flush_mark(index);
+        let (rank, index) = (Rank(1), index);
+        rig.relay(CrMsg::Saved { rank, index });
+    }
+    let mut seen = Vec::new();
+    loop {
+        let (_, _, msg) = rig.up.recv_timeout(T).expect("the rank went quiet");
+        seen.push(match msg {
+            ProcUp::CkptCommitted { index, .. } => format!("commit {index}"),
+            ProcUp::Stats { snap, .. } => format!("stats {}", snap.counter(metric::CKPT_ROUNDS)),
+            ProcUp::Done { .. } => break,
+            _ => continue,
+        });
+    }
+    let rounds = [
+        "commit 1", "stats 1", "commit 2", "stats 2", "commit 3", "stats 3",
+    ];
+    let exit = ["stats 3"];
+    assert_eq!(seen, [&rounds[..], &exit].concat());
     rank.join().unwrap();
 }

@@ -378,15 +378,14 @@ impl Loop {
                 self.trace.record(kind.class(), from, to, "via-daemon", len);
             }
             // A rank's telemetry, and the shared infrastructure's under one
-            // well-known scope (so re-casts replace).
+            // well-known scope (so re-casts replace), in one cast.
             if let ProcUp::Stats { snap, .. } = up {
                 let m = self.metrics.as_ref();
                 let cluster = m.map(|m| ("cluster".into(), m.snapshot()));
                 let own = (format!("{app}.r{}", rank.0), snap);
-                for (scope, snap) in std::iter::once(own).chain(cluster) {
-                    let wc = WireCast::Stats { scope, snap };
-                    self.stack.cast(wc.encode_to_bytes(), self.clock.now());
-                }
+                let scopes = std::iter::once(own).chain(cluster).collect();
+                let wc = WireCast::Stats { scopes };
+                self.stack.cast(wc.encode_to_bytes(), self.clock.now());
                 continue;
             }
             let outs = self.machine.proc_up(app, rank, up, self.clock.now());
@@ -421,8 +420,10 @@ impl Loop {
                 match WireCast::decode_from_bytes(&payload) {
                     // Cumulative telemetry: the total order makes every hub
                     // converge, and its history stays queryable afterwards.
-                    Ok(WireCast::Stats { scope, snap }) => {
-                        self.stats.update(&scope, snap);
+                    Ok(WireCast::Stats { scopes }) => {
+                        for (scope, snap) in scopes {
+                            self.stats.update(&scope, snap);
+                        }
                         return self.stats.record_history(vt);
                     }
                     Ok(wc) => self.machine.cast(from, wc, vt, self.clock.now()),

@@ -469,7 +469,8 @@ pub enum ProcUp {
     /// round coordinator for bookkeeping/GC).
     CkptCommitted { index: u64, vt: VirtualTime },
     /// Cumulative telemetry snapshot of this process's registry; the daemon
-    /// casts it so every daemon's stats hub sees it.
+    /// casts it, with its own infrastructure snapshot, in one
+    /// [`WireCast::Stats`] so every daemon's stats hub sees both.
     Stats { snap: Snapshot, vt: VirtualTime },
 }
 
@@ -494,9 +495,11 @@ pub enum WireCast {
     /// An application multicast inside its lightweight group: every other
     /// rank of `relay.app` gets it.
     Mcast(AppRelay),
-    /// Cumulative telemetry snapshot of one scope (replaces the previous
-    /// snapshot of that scope in every daemon's stats hub).
-    Stats { scope: String, snap: Snapshot },
+    /// Cumulative telemetry snapshots, one per scope: a rank's and, where
+    /// its daemon has an infrastructure registry, `"cluster"`. Each replaces
+    /// the previous snapshot of its scope in every daemon's stats hub, and
+    /// the cast is one point of the hub's history.
+    Stats { scopes: Vec<(String, Snapshot)> },
     /// A structured cluster event observed locally (suspicion, checkpoint
     /// commit, respawn, injected fault) published onto every daemon's event
     /// bus through the total order, so all buses agree on sequence.
@@ -520,10 +523,9 @@ impl Encode for WireCast {
                 enc.put_u8(1);
                 r.encode(enc);
             }
-            WireCast::Stats { scope, snap } => {
+            WireCast::Stats { scopes } => {
                 enc.put_u8(2);
-                enc.put_str(scope);
-                snap.encode(enc);
+                scopes.encode(enc);
             }
             WireCast::Event { origin, vt, kind } => {
                 enc.put_u8(3);
@@ -540,10 +542,17 @@ impl Decode for WireCast {
         Ok(match dec.get_u8()? {
             0 => WireCast::Cfg(CfgCmd::decode(dec)?),
             1 => WireCast::Mcast(AppRelay::decode(dec)?),
-            2 => WireCast::Stats {
-                scope: dec.get_str()?,
-                snap: Snapshot::decode(dec)?,
-            },
+            2 => {
+                // The count is the sender's word: two scopes is all a cast
+                // carries, so a lying count costs a truncation error, not
+                // an allocation.
+                let n = dec.get_u32()?;
+                let mut scopes = Vec::with_capacity(n.min(2) as usize);
+                for _ in 0..n {
+                    scopes.push((dec.get_str()?, Snapshot::decode(dec)?));
+                }
+                WireCast::Stats { scopes }
+            }
             3 => WireCast::Event {
                 origin: NodeId::decode(dec)?,
                 vt: VirtualTime::from_nanos(dec.get_u64()?),
@@ -698,14 +707,9 @@ mod tests {
             body: Bytes::from_static(b"stop"),
         });
         assert_eq!(roundtrip(&w).unwrap(), w);
-        let reg = starfish_telemetry::Registry::new();
-        reg.inc(starfish_telemetry::metric::CKPT_ROUNDS);
-        reg.record(starfish_telemetry::metric::CKPT_IMAGE_BYTES, 4096);
-        let w = WireCast::Stats {
-            scope: "app1.r0".into(),
-            snap: reg.snapshot(),
-        };
-        assert_eq!(roundtrip(&w).unwrap(), w);
+        for w in stats_casts() {
+            assert_eq!(roundtrip(&w).unwrap(), w);
+        }
         let w = WireCast::Event {
             origin: NodeId(1),
             vt: VirtualTime::from_nanos(42_000),
@@ -715,6 +719,38 @@ mod tests {
             },
         };
         assert_eq!(roundtrip(&w).unwrap(), w);
+    }
+
+    /// Stats casts of 0, 1 and 2 scopes (a rank's, then `"cluster"`).
+    fn stats_casts() -> Vec<WireCast> {
+        let reg = starfish_telemetry::Registry::new();
+        reg.inc(starfish_telemetry::metric::CKPT_ROUNDS);
+        reg.record(starfish_telemetry::metric::CKPT_IMAGE_BYTES, 4096);
+        let infra = starfish_telemetry::Registry::new();
+        infra.inc(starfish_telemetry::metric::ENSEMBLE_CASTS);
+        let scopes = [
+            ("app1.r0".to_string(), reg.snapshot()),
+            ("cluster".to_string(), infra.snapshot()),
+        ];
+        (0..=2)
+            .map(|n| WireCast::Stats {
+                scopes: scopes[..n].to_vec(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stats_cast_with_a_lying_count_or_a_truncated_snapshot_is_an_error() {
+        let mut enc = starfish_util::codec::Encoder::new();
+        enc.put_u8(2);
+        enc.put_u32(u32::MAX);
+        enc.put_str("app1.r0");
+        let lying = enc.into_bytes();
+        assert!(WireCast::decode_from_bytes(&lying).is_err());
+        let whole = stats_casts().pop().unwrap().encode_to_bytes();
+        for cut in 0..whole.len() {
+            assert!(WireCast::decode_from_bytes(&whole[..cut]).is_err(), "{cut}");
+        }
     }
 
     #[test]
@@ -797,6 +833,10 @@ mod proptests {
             let _ = WireCast::decode_from_bytes(&data);
             let _ = P2pMsg::decode_from_bytes(&data);
             let _ = AppRelay::decode_from_bytes(&data);
+            // A stats cast that claims u32::MAX scopes, whatever follows.
+            let mut lying = vec![2, 0xFF, 0xFF, 0xFF, 0xFF];
+            lying.extend_from_slice(&data);
+            prop_assert!(WireCast::decode_from_bytes(&lying).is_err());
         }
     }
 }

@@ -1,11 +1,12 @@
 //! Cluster-wide telemetry aggregation.
 //!
-//! Every process runtime flushes cumulative [`Snapshot`]s of its registry up
-//! to its daemon ([`ProcUp::Stats`](crate::msg::ProcUp)); the daemon casts
-//! them on the totally ordered ensemble stream
-//! ([`WireCast::Stats`](crate::msg::WireCast)), so all daemons converge on
-//! the same per-scope table and any of them can answer the `STATS` and
-//! `HEALTH` management commands.
+//! Every process runtime flushes a cumulative [`Snapshot`] of its registry
+//! up to its daemon ([`ProcUp::Stats`](crate::msg::ProcUp)) once per
+//! checkpoint round, once per restore and at exit. The daemon casts it,
+//! together with its infrastructure snapshot, as one
+//! [`WireCast::Stats`](crate::msg::WireCast) on the totally ordered ensemble
+//! stream, so all daemons converge on the same per-scope table and history
+//! and any of them can answer the `STATS` and `HEALTH` management commands.
 //!
 //! Scopes are strings: `"cluster"` for the shared infrastructure registry
 //! (fabric, trace, ensemble), `"app<N>.r<R>"` for one application process.
@@ -72,19 +73,11 @@ impl StatsHub {
     }
 
     /// Append a timestamped snapshot of the current cluster-wide merge to
-    /// the history ring (called while applying ordered `Stats` casts, so
-    /// all daemons record the same sequence).
+    /// the history ring (called once per ordered `Stats` cast, after all of
+    /// its scopes are in, so all daemons record the same sequence).
     pub fn record_history(&self, vt: VirtualTime) {
         let sample = (vt, self.merged());
-        let mut h = self.history.lock();
-        // Same ordered-stream point twice (e.g. the per-rank cast followed
-        // by its "cluster" piggyback) collapses into one sample.
-        match h.back_mut() {
-            Some(last) if last.0 == vt => *last = sample,
-            _ => {
-                h.push(sample);
-            }
-        }
+        self.history.lock().push(sample);
     }
 
     /// Set how many history snapshots are retained (`SET stats_history <n>`).
@@ -121,7 +114,7 @@ mod tests {
     }
 
     #[test]
-    fn history_ring_dedups_vt_and_respects_retention() {
+    fn history_ring_respects_retention() {
         let hub = StatsHub::new();
         let r = Registry::new();
         for i in 0..5u64 {
@@ -129,9 +122,6 @@ mod tests {
             hub.update("a", r.snapshot());
             hub.record_history(starfish_util::VirtualTime(i * 100));
         }
-        assert_eq!(hub.history().len(), 5);
-        // Same vt replaces the last sample instead of duplicating it.
-        hub.record_history(starfish_util::VirtualTime(400));
         assert_eq!(hub.history().len(), 5);
         hub.set_retention(2);
         let h = hub.history();

@@ -117,13 +117,6 @@ impl Registry {
         self.record(id, d.as_nanos());
     }
 
-    pub fn hist_count(&self, id: MetricId) -> u64 {
-        match &self.slots[id.0 as usize] {
-            Slot::Histogram(h) => h.count(),
-            _ => 0,
-        }
-    }
-
     // --- snapshots --------------------------------------------------------
 
     /// Cumulative, non-destructive dump of every touched metric.

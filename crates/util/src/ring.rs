@@ -71,12 +71,6 @@ impl<T> SeqRing<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
     }
-
-    /// The newest item, for owners that refine it in place instead of
-    /// pushing a duplicate.
-    pub fn back_mut(&mut self) -> Option<&mut T> {
-        self.items.back_mut()
-    }
 }
 
 impl<T: Clone> SeqRing<T> {
@@ -142,12 +136,11 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_counts_as_eviction_and_back_mut_does_not() {
+    fn shrinking_counts_as_eviction() {
         let mut r = filled(5, 8);
-        *r.back_mut().unwrap() = 40;
         assert_eq!((r.pushed(), r.dropped()), (5, 0));
         r.set_capacity(2);
-        assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![3, 40]);
+        assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![3, 4]);
         assert_eq!(r.dropped(), 3);
         r.push(5);
         assert_eq!((r.len(), r.dropped()), (2, 4));

@@ -215,12 +215,6 @@ impl VClock {
         }
         self.now
     }
-
-    /// Reset to a specific instant (used when restoring from a checkpoint:
-    /// the restored process resumes at the coordinator-chosen restart time).
-    pub fn reset_to(&mut self, t: VirtualTime) {
-        self.now = t;
-    }
 }
 
 #[cfg(test)]

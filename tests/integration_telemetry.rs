@@ -4,9 +4,11 @@
 //! real data, and the message-class counters behind `STATS` must agree with
 //! the Table 1 trace audit — both feed off the same accounting channel.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use starfish::{CkptValue, Cluster, FtPolicy, Rank, ReduceOp, SubmitOpts};
+use starfish::{CkptValue, Cluster, FtPolicy, NodeId, Rank, ReduceOp, SubmitOpts};
 use starfish_telemetry::metric;
 use starfish_util::trace::{MsgClass, TraceSink};
 
@@ -302,6 +304,69 @@ fn ctx_collectives_pin_message_counts_and_coll_telemetry() {
     // Nothing the selector would have picked, no segmented phase.
     assert_eq!(stats.matches("coll.algo.").count(), 3, "{stats}");
     assert!(!stats.contains("coll.segments"), "{stats}");
+}
+
+/// What a stop-and-sync round costs the daemons' total order: Stop,
+/// Resume, the `CkptCommit` event and one stats cast per rank (its own
+/// scope and `"cluster"` together), each delivered at all three daemons.
+/// The ranks hold at safepoints after each round until the test has read
+/// the counters that round left behind.
+#[test]
+fn a_checkpoint_round_costs_five_ordered_casts_and_one_stats_flush_per_rank() {
+    const NODES: u32 = 3;
+    const ROUNDS: u64 = 4;
+    let cluster = Cluster::builder().nodes(NODES).build().unwrap();
+    let step = Arc::new(AtomicU64::new(0));
+    let released = step.clone();
+    cluster.register_app("rounds", move |ctx| {
+        let state = CkptValue::Unit;
+        for round in 1..=ROUNDS {
+            ctx.checkpoint(&state)?;
+            while released.load(Ordering::SeqCst) < round {
+                ctx.safepoint(&state)?;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        Ok(())
+    });
+    let app = cluster.submit("rounds", 2, SubmitOpts::default()).unwrap();
+    let daemons: Vec<_> = (0..NODES)
+        .map(|n| cluster.daemon_of(NodeId(n)).unwrap())
+        .collect();
+    let mut marks = Vec::new();
+    for round in 1..=ROUNDS {
+        // Every daemon has applied both ranks' flush of this round: the
+        // coordinator's counts the commit, each rank's the round's time.
+        let flushed = |d: &starfish_daemon::Daemon| {
+            let m = d.stats().merged();
+            let timed = m.hist(metric::CKPT_ROUND_NS).map_or(0, |h| h.count);
+            m.counter(metric::CKPT_ROUNDS) == round && timed == 2 * round
+        };
+        let deadline = std::time::Instant::now() + T;
+        while !daemons.iter().all(flushed) {
+            assert!(std::time::Instant::now() < deadline, "round {round} stats");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let casts = cluster.metrics().counter(metric::ENSEMBLE_CASTS);
+        let samples: Vec<usize> = daemons.iter().map(|d| d.stats().history().len()).collect();
+        marks.push((casts, samples));
+        step.store(round, Ordering::SeqCst);
+    }
+    for w in marks.windows(2) {
+        let ((c0, h0), (c1, h1)) = (&w[0], &w[1]);
+        assert_eq!(c1 - c0, 5 * u64::from(NODES), "casts delivered per round");
+        for (a, b) in h0.iter().zip(h1) {
+            assert_eq!(b - a, 2, "stats casts per round (one per rank)");
+        }
+    }
+    for d in &daemons {
+        let done = |c: &starfish_daemon::config::ClusterConfig| {
+            c.apps.get(&app).map(|a| a.status) == Some(starfish::AppStatus::Done)
+        };
+        d.wait_config(T, done).unwrap();
+        let rounds = d.stats().merged().counter(metric::CKPT_ROUNDS);
+        assert_eq!(rounds, ROUNDS, "{} hub", d.node());
+    }
 }
 
 #[test]
