@@ -1,99 +1,47 @@
 #!/usr/bin/env python3
-"""Gate on the committed benchmark reports (BENCH_*.json).
+"""Gate on the model-calibration report, BENCH_calibrate.json, written by
+`cargo bench -p starfish-bench --bench calibrate`.
 
-One gate, four report kinds — dispatched on the report's own "bench"
-field:
+Always: the schema. Every section names its clock ("virtual" or "count").
+Every row key that is a size or a rank count is one, and every cell carries
+its section's keys: each algorithm arm, each recovery leg, and for a
+selector threshold a boolean `measured`, a null or integer crossover and an
+integer `calibrated`. Every other cell value is a positive number.
 
-* fabric (BENCH_fabric.json) — schema, plus in full mode the measured
-  eager/rendezvous crossover and a 25% ns/msg regression gate against the
-  committed baseline (--baseline).
-* ckpt (BENCH_ckpt.json) — schema, plus in full mode the headline claim:
-  replica recovery beats the modeled disk at every swept size.
-* trace_overhead (BENCH_trace.json) — schema, plus the per-event budget
-  flag the bench computed (this report has no quick mode; its numbers are
-  only committed from quiet full runs).
-* events (BENCH_events.json) — schema, plus in full mode the publish
-  budget: the event bus must stay under its ns-scale per-publish budget
-  or the always-on forensics layer is too expensive.
-* collectives (BENCH_collectives.json) — schema, plus in full mode the
-  headline claim (ring allreduce >= 4x faster than the legacy
-  reduce+bcast composition at the largest size x rank cell), measured
-  (not defaulted) selector thresholds, and a 25% virtual-time regression
-  gate against the committed baseline (--baseline).
+Quick mode (the report's "quick" flag; the CI smoke run with
+BENCH_QUICK=1) stops there: its sizes are too small for the claims to hold.
 
-Two modes, keyed off the report's "quick" flag (absent == full):
+Full mode (the committed report) also checks the three headline claims:
+* ring allreduce is at least 4x faster than reduce+bcast at the largest
+  size x rank cell;
+* every selector threshold comes from a measured crossover, not a default;
+* replica recovery beats the modelled disk at every image size.
 
-* quick mode (CI smoke runs, BENCH_QUICK=1): numbers are noisy
-  throwaways, so only the schema is enforced — the report must exist,
-  parse, and carry every required field with sane types. A panic or
-  regressed plumbing in the bench shows up here; slow CI containers
-  do not.
-
-* full mode (the committed reference run, or a local quiet-box run): the
-  numbers are the point, and the kind-specific judgments above apply.
-
-Usage: check_bench.py <report.json> [--baseline <committed.json>]
+Usage: check_bench.py <BENCH_calibrate.json>
 """
 
-import argparse
 import json
 import sys
 
-REQUIRED_FIELDS = {
-    "fabric": [
-        "bench",
-        "quick",
-        "ping_pong_one_way_ns",
-        "contention_pkts_per_sec",
-        "eager_vs_rendezvous_ns_per_msg",
-        "crossover_measured",
-        "default_rendezvous_threshold",
-    ],
-    "ckpt": [
-        "bench",
-        "quick",
-        "k",
-        "nodes",
-        "recovery_ns",
-        "replica_recovery_beats_disk",
-        "store_ops_wallclock",
-    ],
-    "trace_overhead": [
-        "bench",
-        "events_per_case",
-        "budget_ns_per_event",
-        "within_budget",
-        "cases",
-    ],
-    "events": [
-        "bench",
-        "quick",
-        "publish_ns",
-        "publish_budget_ns",
-        "publish_within_budget",
-        "fanout_ns_per_event",
-        "overflow_publish_ns",
-        "overflow_drops_accounted",
-    ],
-    "collectives": [
-        "bench",
-        "quick",
-        "allreduce_vt_ns",
-        "ring_speedup_largest",
-        "scaling_allreduce_65536_vt_ns",
-        "allgather_vt_ns",
-        "bcast_vt_ns",
-        "selector_thresholds",
-        "thresholds_measured",
-    ],
+CLOCKS = ("virtual", "count")
+
+# The row tree of each section: the kind of key at each level ("digits"
+# for a size or rank count, "name" for a network model or collective), then
+# the keys every cell must carry.
+ROWS = {
+    "allreduce_vt_ns": (("name", "digits", "digits"), ("reduce_bcast", "rdouble", "ring")),
+    "scaling_allreduce_65536_vt_ns": (("digits",), ("rdouble", "ring")),
+    "allgather_vt_ns": (("digits",), ("gather_bcast", "bruck", "ring")),
+    "bcast_vt_ns": (("digits",), ("binomial", "scatter_allgather")),
+    "selector_thresholds": (("name", "name"), ("crossover_bytes", "measured", "calibrated")),
+    "recovery_ns": (
+        ("digits",),
+        ("disk_write", "replica_push", "disk_read", "replica_fetch", "speedup"),
+    ),
 }
+SECTIONS = (*ROWS, "ring_speedup_largest")
 
-# The headline collectives claim: at the largest (bytes, ranks) cell the
-# bandwidth-optimal ring allreduce must beat the legacy reduce+bcast
-# composition by at least this factor.
 RING_SPEEDUP_FLOOR = 4.0
-
-REGRESSION_TOLERANCE = 1.25
 
 
 def fail(msg):
@@ -101,208 +49,104 @@ def fail(msg):
     sys.exit(1)
 
 
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, ValueError) as e:
-        fail(f"{path}: {e}")
+def positive(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
 
 
-def check_positive_number_map(m, path, what):
-    """A non-empty {label: positive number} map."""
-    if not isinstance(m, dict) or not m:
-        fail(f"{path}: empty {what}")
-    for key, v in m.items():
-        if not isinstance(v, (int, float)) or v <= 0:
-            fail(f"{path}: {what}[{key}] = {v!r} is not a positive number")
+def positive_int(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v > 0
+
+
+def cells(node, levels, where):
+    """(where, cell) for every cell of a row tree whose key kinds are `levels`."""
+    if not levels:
+        yield where, node
+        return
+    if not isinstance(node, dict) or not node:
+        fail(f"{where} is {node!r}, expected a non-empty object")
+    for k, v in node.items():
+        if levels[0] == "digits" and not k.isdigit():
+            fail(f"{where}: key {k!r} is not a size or rank count")
+        yield from cells(v, levels[1:], f"{where}[{k}]")
+
+
+def check_threshold(cell, where):
+    if not isinstance(cell["measured"], bool):
+        fail(f"{where}.measured = {cell['measured']!r} is not a boolean")
+    crossover = cell["crossover_bytes"]
+    if not (crossover is None or positive_int(crossover)):
+        fail(f"{where}.crossover_bytes = {crossover!r} is neither null nor a positive integer")
+    if cell["measured"] != (crossover is not None):
+        fail(f"{where}: measured = {cell['measured']} but crossover_bytes = {crossover!r}")
+    if not positive_int(cell["calibrated"]):
+        fail(f"{where}.calibrated = {cell['calibrated']!r} is not a positive integer")
 
 
 def check_schema(r, path):
-    kind = r.get("bench")
-    if kind not in REQUIRED_FIELDS:
-        fail(f"{path}: unknown bench kind {kind!r} (expected one of {sorted(REQUIRED_FIELDS)})")
-    for field in REQUIRED_FIELDS[kind]:
-        if field not in r:
-            fail(f"{path}: missing field {field!r}")
-
-    if kind == "fabric":
-        sweep = r["eager_vs_rendezvous_ns_per_msg"]
-        if not isinstance(sweep, dict) or not sweep:
-            fail(f"{path}: empty eager_vs_rendezvous_ns_per_msg sweep")
-        for size, row in sweep.items():
-            if not str(size).isdigit():
-                fail(f"{path}: non-numeric sweep size {size!r}")
-            for proto in ("eager", "rendezvous"):
-                v = row.get(proto)
-                if not isinstance(v, (int, float)) or v <= 0:
-                    fail(f"{path}: sweep[{size}].{proto} = {v!r} is not a positive number")
-    elif kind == "ckpt":
-        rec = r["recovery_ns"]
-        if not isinstance(rec, dict) or not rec:
-            fail(f"{path}: empty recovery_ns sweep")
-        for size, row in rec.items():
-            if not str(size).isdigit():
-                fail(f"{path}: non-numeric image size {size!r}")
-            for leg in ("disk_write", "replica_push", "disk_read", "replica_fetch"):
-                v = row.get(leg) if isinstance(row, dict) else None
-                if not isinstance(v, (int, float)) or v <= 0:
-                    fail(f"{path}: recovery_ns[{size}].{leg} = {v!r} is not a positive number")
-    elif kind == "trace_overhead":
-        check_positive_number_map(r["cases"], path, "cases")
-    elif kind == "events":
-        check_positive_number_map(r["fanout_ns_per_event"], path, "fanout_ns_per_event")
-        for subs in r["fanout_ns_per_event"]:
-            if not str(subs).isdigit():
-                fail(f"{path}: non-numeric subscriber count {subs!r}")
-    elif kind == "collectives":
-        sweep = r["allreduce_vt_ns"]
-        if not isinstance(sweep, dict) or not sweep:
-            fail(f"{path}: empty allreduce_vt_ns sweep")
-        for model, per_ranks in sweep.items():
-            if not isinstance(per_ranks, dict) or not per_ranks:
-                fail(f"{path}: allreduce_vt_ns[{model}] is empty")
-            for ranks, rows in per_ranks.items():
-                if not str(ranks).isdigit():
-                    fail(f"{path}: non-numeric rank count {ranks!r}")
-                for size, cell in rows.items():
-                    if not str(size).isdigit():
-                        fail(f"{path}: non-numeric sweep size {size!r}")
-                    for algo in ("reduce_bcast", "rdouble", "ring"):
-                        v = cell.get(algo) if isinstance(cell, dict) else None
-                        if not isinstance(v, (int, float)) or v <= 0:
-                            fail(
-                                f"{path}: allreduce_vt_ns[{model}][{ranks}][{size}]"
-                                f".{algo} = {v!r} is not a positive number"
-                            )
-        head = r["ring_speedup_largest"]
-        if not isinstance(head, dict) or not isinstance(
-            head.get("speedup"), (int, float)
-        ):
-            fail(f"{path}: ring_speedup_largest.speedup missing or non-numeric")
-        th = r["selector_thresholds"]
-        if not isinstance(th, dict) or not th:
-            fail(f"{path}: empty selector_thresholds")
-        for op, per_model in th.items():
-            for model, entry in per_model.items():
-                if not isinstance(entry, dict) or "measured" not in entry:
-                    fail(f"{path}: selector_thresholds[{op}][{model}] malformed")
-                cal = entry.get("calibrated")
-                if not isinstance(cal, int) or cal <= 0:
-                    fail(
-                        f"{path}: selector_thresholds[{op}][{model}].calibrated "
-                        f"= {cal!r} is not a positive integer"
-                    )
+    if r.get("bench") != "calibrate":
+        fail(f"{path}: bench is {r.get('bench')!r}, expected 'calibrate'")
+    if not isinstance(r.get("quick"), bool):
+        fail(f"{path}: quick is {r.get('quick')!r}, expected a boolean")
+    for name in SECTIONS:
+        if name not in r:
+            fail(f"{path}: missing section {name!r}")
+    for name, section in r.items():
+        if name in ("bench", "quick"):
+            continue
+        if not isinstance(section, dict) or section.get("clock") not in CLOCKS:
+            fail(f"{path}: section {name!r} names no clock (one of {CLOCKS})")
+    if not positive(r["ring_speedup_largest"].get("speedup")):
+        fail(f"{path}: ring_speedup_largest.speedup = {r['ring_speedup_largest'].get('speedup')!r}")
+    for name, (levels, keys) in ROWS.items():
+        for where, cell in cells(r[name].get("rows"), levels, f"{path}: {name}.rows"):
+            if not isinstance(cell, dict):
+                fail(f"{where} is {cell!r}, expected an object")
+            for key in keys:
+                if key not in cell:
+                    fail(f"{where} lacks {key!r}")
+            if name == "selector_thresholds":
+                check_threshold(cell, where)
+                continue
+            for key, v in cell.items():
+                if not positive(v):
+                    fail(f"{where}[{key}] = {v!r} is not a positive number")
 
 
-def check_full(fresh, baseline, fresh_path):
-    kind = fresh["bench"]
-    if kind == "fabric":
-        if not fresh["crossover_measured"]:
-            fail(
-                f"{fresh_path}: full-mode run reports crossover_measured: false — "
-                "the rendezvous path no longer beats eager at any swept size"
-            )
-        if not isinstance(fresh.get("crossover_bytes"), int):
-            fail(f"{fresh_path}: crossover_measured is true but crossover_bytes is not an integer")
-        if baseline is None:
-            return
-        base_sweep = baseline["eager_vs_rendezvous_ns_per_msg"]
-        fresh_sweep = fresh["eager_vs_rendezvous_ns_per_msg"]
-        for size in sorted(base_sweep, key=int):
-            if size not in fresh_sweep:
-                fail(f"{fresh_path}: swept size {size} present in baseline but missing from fresh run")
-            for proto in ("eager", "rendezvous"):
-                base, got = base_sweep[size][proto], fresh_sweep[size][proto]
-                if got > base * REGRESSION_TOLERANCE:
-                    fail(
-                        f"{fresh_path}: {proto} ns/msg at {size} B regressed "
-                        f"{got / base:.2f}x vs committed baseline ({base} -> {got}, "
-                        f"tolerance {REGRESSION_TOLERANCE}x)"
-                    )
-    elif kind == "ckpt":
-        if not fresh["replica_recovery_beats_disk"]:
-            fail(
-                f"{fresh_path}: replica_recovery_beats_disk is false — the diskless "
-                "store lost to the modeled 1999 disk at some swept size"
-            )
-    elif kind == "trace_overhead":
-        if not fresh["within_budget"]:
-            fail(
-                f"{fresh_path}: within_budget is false — tracing exceeds "
-                f"{fresh['budget_ns_per_event']} ns/event"
-            )
-    elif kind == "events":
-        if not fresh["publish_within_budget"]:
-            fail(
-                f"{fresh_path}: publish_within_budget is false — event publish "
-                f"({fresh['publish_ns']} ns) exceeds the "
-                f"{fresh['publish_budget_ns']} ns always-on budget"
-            )
-    elif kind == "collectives":
-        head = fresh["ring_speedup_largest"]
-        if head["speedup"] < RING_SPEEDUP_FLOOR:
-            fail(
-                f"{fresh_path}: ring allreduce speedup {head['speedup']}x at "
-                f"{head.get('bytes')} B x {head.get('ranks')} ranks is below the "
-                f"{RING_SPEEDUP_FLOOR}x floor — the bandwidth-optimal path lost its edge"
-            )
-        if not fresh["thresholds_measured"]:
-            fail(
-                f"{fresh_path}: thresholds_measured is false — some selector "
-                "threshold fell back to a default instead of a measured crossover"
-            )
-        if baseline is None:
-            return
-        base_sweep = baseline["allreduce_vt_ns"]
-        fresh_sweep = fresh["allreduce_vt_ns"]
-        for model, per_ranks in base_sweep.items():
-            if model not in fresh_sweep:
-                fail(f"{fresh_path}: model {model} present in baseline but missing from fresh run")
-            for ranks, rows in per_ranks.items():
-                for size, cell in rows.items():
-                    fresh_cell = fresh_sweep[model].get(ranks, {}).get(size)
-                    if fresh_cell is None:
-                        fail(
-                            f"{fresh_path}: allreduce cell [{model}][{ranks}][{size}] "
-                            "present in baseline but missing from fresh run"
-                        )
-                    for algo in ("reduce_bcast", "rdouble", "ring"):
-                        base, got = cell[algo], fresh_cell[algo]
-                        if got > base * REGRESSION_TOLERANCE:
-                            fail(
-                                f"{fresh_path}: {algo} virtual time at [{model}][{ranks}]"
-                                f"[{size}] regressed {got / base:.2f}x vs committed "
-                                f"baseline ({base} -> {got}, tolerance {REGRESSION_TOLERANCE}x)"
-                            )
+def check_claims(r, path):
+    head = r["ring_speedup_largest"]
+    if head["speedup"] < RING_SPEEDUP_FLOOR:
+        fail(
+            f"{path}: ring allreduce speedup {head['speedup']}x at "
+            f"{head.get('bytes')} B x {head.get('ranks')} ranks is below the "
+            f"{RING_SPEEDUP_FLOOR}x floor — the bandwidth-optimal path lost its edge"
+        )
+    if r["selector_thresholds"].get("measured") is not True:
+        fail(
+            f"{path}: selector_thresholds.measured is not true — some selector "
+            "threshold fell back to a default instead of a measured crossover"
+        )
+    if r["recovery_ns"].get("replica_recovery_beats_disk") is not True:
+        fail(
+            f"{path}: recovery_ns.replica_recovery_beats_disk is not true — the "
+            "diskless store lost to the modelled 1999 disk at some image size"
+        )
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("report", help="fresh BENCH_*.json to gate on")
-    ap.add_argument(
-        "--baseline",
-        help="committed reference report; enables the 25%% regression gate in full mode",
-    )
-    args = ap.parse_args()
-
-    fresh = load(args.report)
-    check_schema(fresh, args.report)
-    kind = fresh["bench"]
-    if fresh.get("quick", False):
-        print(f"BENCH GATE: {args.report} [{kind}] quick mode — schema ok, numbers not judged")
+    if len(sys.argv) != 2:
+        fail(__doc__.strip().splitlines()[-1])
+    path = sys.argv[1]
+    try:
+        with open(path) as f:
+            report = json.load(f)
+    except (OSError, ValueError) as e:
+        fail(f"{path}: {e}")
+    check_schema(report, path)
+    if report["quick"]:
+        print(f"BENCH GATE: {path} quick mode — schema ok, claims not judged")
         return
-    baseline = None
-    if args.baseline:
-        baseline = load(args.baseline)
-        check_schema(baseline, args.baseline)
-        if baseline["bench"] != kind:
-            fail(f"{args.baseline}: baseline is {baseline['bench']!r}, report is {kind!r}")
-        if baseline.get("quick", False):
-            fail(f"{args.baseline}: the committed baseline must be a full-mode run")
-    check_full(fresh, baseline, args.report)
-    mode = "full + baseline regression" if baseline else "full"
-    print(f"BENCH GATE: {args.report} [{kind}] {mode} checks passed")
+    check_claims(report, path)
+    print(f"BENCH GATE: {path} schema and headline claims ok")
 
 
 if __name__ == "__main__":

@@ -415,7 +415,15 @@ pub fn table2() {
         rows.push(cells);
     }
     print_table(
-        &["src\\dst", "[0]", "[1]", "[2]", "[3]", "[4]", "[5]"],
+        &[
+            "src\\dst (kind:wall-clock decode us)",
+            "[0]",
+            "[1]",
+            "[2]",
+            "[3]",
+            "[4]",
+            "[5]",
+        ],
         &rows,
     );
     println!("\n'=' identical representation, 'S' byte-swapped, 'W' word-resized");

@@ -1,13 +1,13 @@
-//! Eager/rendezvous threshold calibration.
+//! Threshold calibration: a two-arm size sweep in, a crossover and a
+//! threshold out.
 //!
-//! The hardcoded [`DEFAULT_RNDV_THRESHOLD`] is a fallback, not a
-//! measurement: the size at which the rendezvous protocol's control
-//! round-trip pays for itself depends on the host and the network model.
-//! The fabric microbenchmark (`starfish-bench`, `benches/fabric.rs`) sweeps
-//! payload sizes with each protocol forced on, derives the *measured
+//! The `calibrate` bench sweeps each collective's latency-optimal and
+//! bandwidth-optimal algorithm over payload sizes, derives the *measured
 //! crossover* with [`measured_crossover`], turns it into a threshold with
-//! [`calibrate`], and reports both in `BENCH_fabric.json`. The bench
-//! reports the calibration; the constants are what runs.
+//! [`calibrate`], and reports both in `BENCH_calibrate.json`. The bench
+//! reports the calibration; the constants in `starfish_mpi` are what runs.
+//! In the names below, "eager" is the arm that wins small and "rendezvous"
+//! the one that wins large.
 //!
 //! Everything here is pure and deterministic: the same sweep always yields
 //! the same threshold, and a larger measured crossover never yields a
@@ -15,7 +15,7 @@
 //! proptests below, and [`threshold_consistent`] is the assertion the bench
 //! applies to catch a mis-calibrated configuration against fresh numbers.
 
-use crate::endpoint::DEFAULT_RNDV_THRESHOLD;
+use starfish_mpi::DEFAULT_RNDV_THRESHOLD;
 
 /// How far above eager the rendezvous cost may sit and still count as
 /// "competitive": the crossover is the smallest size with
@@ -29,7 +29,7 @@ pub const MIN_CALIBRATED: usize = 1024;
 
 /// Largest threshold calibration will produce: at this size the eager
 /// path's buffering cost is unacceptable regardless of measured speed
-/// (it is also [`crate::credit::EAGER_CREDIT_BYTES`], where credit
+/// (it is also [`starfish_mpi::EAGER_CREDIT_BYTES`], where credit
 /// fallback forces rendezvous anyway).
 pub const MAX_CALIBRATED: usize = 1 << 20;
 

@@ -166,7 +166,8 @@ impl ClusterBuilder {
     }
 
     /// Disable the causal flight recorder entirely (one predicted branch
-    /// per would-be event remains; see BENCH_trace.json). `TRACE *` and
+    /// per would-be event remains; bench-e2e's `trace.overhead_pct` prices
+    /// the difference). `TRACE *` and
     /// `TIMELINE` then have nothing to show: phases are recorded nowhere
     /// else.
     pub fn no_flight_recorder(mut self) -> Self {

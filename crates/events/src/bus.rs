@@ -189,8 +189,10 @@ mod tests {
             bus.publish(NodeId(0), VirtualTime::ZERO, ev(i));
         }
         let p = cur.poll();
-        // Ring holds seqs 6..10; cursor wanted from 0 → missed exactly 6.
+        // Ring holds seqs 6..10; cursor wanted from 0 → missed exactly 6,
+        // which is exactly what the bus counts as dropped.
         assert_eq!(p.missed, 6);
+        assert_eq!(p.missed, bus.dropped());
         assert_eq!(p.events.len(), 4);
         assert_eq!(p.events[0].seq, 6);
         // Gap charged once: a further poll with no publishes misses nothing.

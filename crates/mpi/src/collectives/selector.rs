@@ -4,10 +4,10 @@
 //! large payloads (ring allreduce, ring allgather, van de Geijn bcast) and
 //! a latency-optimal member that wins for small ones (recursive doubling,
 //! Bruck, binomial tree). The crossover depends on the network model:
-//! `benches/collectives.rs` sweeps both arms under each
-//! [`starfish_vni::NetworkModel`], finds the measured crossover with
-//! [`crate::threshold::measured_crossover`] and reports the calibrated
-//! thresholds in `BENCH_collectives.json` (gated by `ci/check_bench.py`).
+//! `starfish-bench`'s `calibrate` bench sweeps both arms under each
+//! [`starfish_vni::NetworkModel`] in virtual time and reports the measured
+//! crossovers and the thresholds calibrated from them in
+//! `BENCH_calibrate.json` (gated by `ci/check_bench.py`).
 //! The bench reports the calibration; the constants below are what runs,
 //! unless a caller installs its own selector
 //! ([`crate::endpoint::MpiEndpoint::set_coll_selector`]).

@@ -59,10 +59,11 @@ pub const REL_PING_INTERVAL: Duration = Duration::from_millis(25);
 const WAIT_SLICE: Duration = Duration::from_millis(100);
 
 /// Default payload size at which sends leave the eager protocol for
-/// rendezvous (RTS → CTS → DATA). Set from the eager/rendezvous crossover
-/// measured by the fabric microbenchmarks (`starfish-bench`, see
-/// EXPERIMENTS.md): below this the extra control round-trip costs more than
-/// the unexpected-queue buffering it avoids (see [`crate::threshold`]).
+/// rendezvous (RTS → CTS → DATA): below this the extra control round-trip
+/// costs more than the unexpected-queue buffering it avoids. It is the
+/// crossover a wall-clock eager/rendezvous sweep once measured on a 1-core
+/// host; nothing re-measures it, and it is what every endpoint runs unless a
+/// harness calls [`MpiEndpoint::set_rendezvous_threshold`] (DESIGN.md §5b).
 pub const DEFAULT_RNDV_THRESHOLD: usize = 64 * 1024;
 
 /// Default size of one rendezvous DATA chunk. A transfer larger than this

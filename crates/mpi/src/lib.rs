@@ -43,7 +43,6 @@ pub mod matching;
 pub mod reliability;
 pub mod rendezvous;
 pub mod replication;
-pub mod threshold;
 pub mod wire;
 
 pub use collectives::{
@@ -59,5 +58,4 @@ pub use endpoint::{
 };
 pub use rendezvous::{CtsCadence, RNDV_EARLY_CHUNKS};
 pub use replication::{replica_net, PushSession};
-pub use threshold::{calibrate, measured_crossover, threshold_consistent};
 pub use wire::{MsgHeader, CTRL_CONTEXT, DATA_PORT_BASE, WORLD_CONTEXT};

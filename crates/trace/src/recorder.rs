@@ -8,8 +8,8 @@
 //!    its seed-era cost.
 //! 2. **Cheap when on.** One uncontended `parking_lot` mutex acquisition
 //!    per event, no allocation for send/receive events (their fields are
-//!    plain words), ring eviction instead of growth. The measured per-event
-//!    cost is committed in `BENCH_trace.json`.
+//!    plain words), ring eviction instead of growth. What recording costs a
+//!    whole job is bench-e2e's `trace.overhead_pct`.
 //! 3. **Never lossy about being lossy.** Both rings are
 //!    [`SeqRing`]s: eviction is counted exactly and `seq` keeps counting,
 //!    so a dump always says how much history is missing.

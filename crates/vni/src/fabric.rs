@@ -1282,8 +1282,8 @@ mod tests {
     #[test]
     fn disjoint_pairs_deliver_concurrently() {
         // Smoke test for the sharding contract: senders to different
-        // endpoints make progress concurrently (the real perf claim lives
-        // in crates/bench/benches/fabric.rs).
+        // endpoints make progress concurrently (the message rate end to
+        // end is bench-e2e's `msgrate_8B`).
         let f = Fabric::new(Box::new(Ideal), LayerCosts::zero());
         for i in 0..4 {
             f.add_node(NodeId(i));
