@@ -85,6 +85,9 @@ pub struct CkptImage {
     /// accumulated in the preceding interval, as `(peer rank, peer interval)`
     /// pairs (see `recovery`).
     pub deps: Vec<(Rank, u64)>,
+    /// Heap footprint of the registered state, taken from the value at
+    /// capture so that sizing an image never decodes its body.
+    heap_bytes: u64,
 }
 
 impl CkptImage {
@@ -102,6 +105,7 @@ impl CkptImage {
     ) -> Result<CkptImage> {
         let body = portable::encode_portable(state, level.arch())?;
         Ok(CkptImage {
+            heap_bytes: state.heap_bytes() as u64,
             app,
             rank,
             epoch,
@@ -125,11 +129,7 @@ impl CkptImage {
             .sum();
         // `Zeros` regions are stored compressed in `body` but account at
         // their full heap footprint, like real untouched pages hitting disk.
-        let state_bytes = match portable::decode_portable(&self.body, self.level.arch()) {
-            Ok((v, _)) => v.heap_bytes() as u64,
-            Err(_) => self.body.len() as u64,
-        };
-        self.level.base_bytes() + state_bytes + chan
+        self.level.base_bytes() + self.heap_bytes + chan
     }
 
     /// Restore the state on a machine of architecture `target`.
@@ -236,6 +236,45 @@ mod tests {
             payload: vec![0; 5000],
         });
         assert!(i.total_bytes() >= before + 5000);
+    }
+
+    /// Sizing an image from the value captured equals sizing it from its
+    /// decoded body, on every machine and at both levels.
+    #[test]
+    fn the_captured_heap_size_is_the_decoded_bodys() {
+        let state = CkptValue::record(vec![
+            ("unit", CkptValue::Unit),
+            ("flag", CkptValue::Bool(true)),
+            ("iter", CkptValue::Int(-7)),
+            ("x", CkptValue::Float(0.5)),
+            ("name", CkptValue::Str("jacobi".into())),
+            ("raw", CkptValue::Bytes(vec![1; 300])),
+            ("ints", CkptValue::IntArray(vec![3; 40])),
+            ("grid", CkptValue::FloatArray(vec![1.5; 500])),
+            (
+                "list",
+                CkptValue::List(vec![CkptValue::Int(1), CkptValue::Zeros(9)]),
+            ),
+            ("heap", CkptValue::Zeros(1 << 20)),
+        ]);
+        for arch in MACHINES {
+            for level in [CkptLevel::Native { arch }, CkptLevel::Vm { arch }] {
+                let i = CkptImage::capture(
+                    AppId(1),
+                    Rank(0),
+                    Epoch(0),
+                    1,
+                    level,
+                    &state,
+                    vec![],
+                    VirtualTime::ZERO,
+                )
+                .unwrap();
+                let (decoded, _) = portable::decode_portable(&i.body, arch).unwrap();
+                let want = level.base_bytes() + decoded.heap_bytes() as u64;
+                assert_eq!(i.total_bytes(), want, "{level:?}");
+            }
+        }
     }
 
     #[test]

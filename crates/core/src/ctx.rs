@@ -377,6 +377,7 @@ impl Ctx<'_> {
                 interval: m.interval,
                 seq: 0,
                 flags: 0,
+                credit: 0,
             },
             m.data.clone(),
         ));

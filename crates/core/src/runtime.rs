@@ -805,6 +805,7 @@ impl ProcessRuntime {
                     interval: 0,
                     seq: 0,
                     flags: 0,
+                    credit: 0,
                 };
                 (header, Bytes::from(m.payload))
             })

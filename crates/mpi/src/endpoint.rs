@@ -34,7 +34,7 @@ use starfish_util::trace::{ActorKind, MsgClass, TraceSink};
 use starfish_util::{AppId, Epoch, Error, Rank, Result, VClock, VirtualTime};
 use starfish_vni::{Addr, Fabric, Kick, LayerCosts, Packet, PacketKind, Port};
 
-use crate::credit::{Credit, Route, EAGER_CREDIT_BYTES};
+use crate::credit::{Credit, Route};
 use crate::directory::RankDirectory;
 use crate::matching::{MatchQueue, Matched};
 use crate::reliability::{Flows, RxVerdict};
@@ -72,7 +72,7 @@ pub const DEFAULT_RNDV_THRESHOLD: usize = 64 * 1024;
 /// CTS round-trip overlaps the early chunks instead of preceding the whole
 /// payload. A transfer that *fits* in one chunk takes the fully zero-copy
 /// path: no placement buffer, the receiver delivers the sender's payload
-/// slice as-is. The default equals [`EAGER_CREDIT_BYTES`] so a single
+/// slice as-is. The default equals [`crate::EAGER_CREDIT_BYTES`] so a single
 /// optimistically-streamed chunk never exposes the receiver to more
 /// un-granted bytes than eager credit would.
 pub const RNDV_CHUNK_BYTES: usize = 1 << 20;
@@ -254,7 +254,7 @@ impl MpiEndpoint {
             rndv_chunk_bytes: RNDV_CHUNK_BYTES,
             rndv_tx: RndvTx::default(),
             rndv_rx: RndvRx::new(CtsCadence::Interval(REL_PING_INTERVAL)),
-            credit: Credit::new(EAGER_CREDIT_BYTES),
+            credit: Credit::default(),
             coll_selector: crate::collectives::CollAlgoSelector::default(),
         })
     }
@@ -296,17 +296,6 @@ impl MpiEndpoint {
     /// their own traffic and selection decisions.
     pub(crate) fn metrics_handle(&self) -> Option<&Registry> {
         self.metrics.as_ref()
-    }
-
-    /// Override the per-destination eager credit ceiling
-    /// ([`EAGER_CREDIT_BYTES`] by default). The fabric benchmark raises it
-    /// to `usize::MAX` in its eager arm so the sweep measures the *pure*
-    /// eager protocol — unbounded buffering and a sender-side frame copy per
-    /// message — instead of the production credit fallback, which would
-    /// silently route large messages through rendezvous and contaminate the
-    /// comparison. Production endpoints keep the default bound.
-    pub fn set_eager_credit(&mut self, bytes: usize) {
-        self.credit.set_ceiling(bytes);
     }
 
     /// Override the CTS re-grant pacing (see [`CtsCadence`]).
@@ -665,6 +654,7 @@ impl MpiEndpoint {
             interval: self.piggyback_interval,
             seq,
             flags,
+            credit: self.credit.stamp(dst),
         };
         let ctx = self.recorder.mint_send();
         // The bandwidth term covers the application payload; the fixed-size
@@ -788,6 +778,12 @@ impl MpiEndpoint {
         if header.epoch < self.epoch {
             return;
         }
+        // Every current-epoch frame reports the sender's credit count. It
+        // is cumulative, so a duplicate, a reordered frame or a
+        // retransmission credits nothing twice.
+        if header.epoch == self.epoch {
+            self.credit.on_frame(header.src, header.credit);
+        }
         if header.context == CTRL_CONTEXT {
             // Current-epoch marks are pumped now; future-epoch marks (a
             // restarted peer's round racing ahead of our own rollback) are
@@ -877,26 +873,43 @@ impl MpiEndpoint {
                 let missing = self.flows.rx(from, epoch).missing_upto(highest);
                 self.send_nack(clock, from, epoch, missing);
             }
-            RelMsg::Cts { epoch, id, .. } if epoch == self.epoch => {
+            RelMsg::Cts {
+                from,
+                epoch,
+                id,
+                credit,
+            } if epoch == self.epoch => {
+                self.credit.on_count(from, credit);
                 let granted = self.rndv_tx.remaining(id);
                 self.push_chunks(clock, id, granted);
             }
-            RelMsg::Credit { from, epoch, bytes } if epoch == self.epoch => {
-                self.credit.refill(from, bytes);
+            RelMsg::Credit {
+                from,
+                epoch,
+                credit,
+            } if epoch == self.epoch => {
+                self.credit.on_count(from, credit);
             }
             _ => {} // another incarnation's control traffic
         }
     }
 
-    /// Re-inject buffered frames onto the wire as they first left.
+    /// Re-inject buffered frames onto the wire as they first left, but
+    /// reporting the credit count of now: a count as old as the frame could
+    /// lie outside the window the peer reads it in.
     fn retransmit(&mut self, dst: Rank, seqs: &[u64]) {
         let Ok(addrs) = self.addrs(dst) else {
             return;
         };
+        let credit = self.credit.stamp(dst);
         let frames = self.flows.tx(dst).select(seqs);
         let resends: Vec<Packet> = frames
             .iter()
-            .map(|(_, f)| Self::data_packet(addrs, f))
+            .map(|&(_, f)| {
+                let mut f = f.clone();
+                f.envelope = MsgHeader::restamp(&f.envelope, credit);
+                Self::data_packet(addrs, &f)
+            })
             .collect();
         for pkt in resends {
             if self.fabric.send(pkt).is_ok() {
@@ -930,18 +943,26 @@ impl MpiEndpoint {
             Grant::First => {}
         }
         let (from, epoch) = (self.rank, self.epoch);
-        let _ = self.send_rel(clock, peer, RelMsg::Cts { from, epoch, id });
+        let credit = self.credit.report(peer);
+        let cts = RelMsg::Cts {
+            from,
+            epoch,
+            id,
+            credit,
+        };
+        let _ = self.send_rel(clock, peer, cts);
         if self.flows.enabled {
             self.send_ping(clock, peer);
         }
     }
 
     /// One attempt of a receive against the unexpected queue. A complete
-    /// match is consumed: credit owed to its sender goes back once a batch
-    /// has accumulated, its arrival time merges into `clock`, the
-    /// receive-side layer costs (Figure 6, right column) are charged. A
-    /// placeholder is the transfer this receive waits on: grant (or
-    /// re-grant, if the last CTS was lost) and report nothing yet.
+    /// match is consumed: it counts toward its sender's credit (the count
+    /// leaves alone only if no frame reported it for half the ceiling), its
+    /// arrival time merges into `clock`, the receive-side layer costs
+    /// (Figure 6, right column) are charged. A placeholder is the transfer
+    /// this receive waits on: grant (or re-grant, if the last CTS was lost)
+    /// and report nothing yet.
     fn match_once(
         &mut self,
         clock: &mut VClock,
@@ -957,9 +978,14 @@ impl MpiEndpoint {
             }
             Matched::None => return None,
         };
-        if let Some(bytes) = self.credit.consumed(&header, data.len()) {
+        if let Some(credit) = self.credit.consumed(&header, data.len()) {
             let (from, epoch) = (self.rank, self.epoch);
-            let _ = self.send_rel(clock, header.src, RelMsg::Credit { from, epoch, bytes });
+            let ret = RelMsg::Credit {
+                from,
+                epoch,
+                credit,
+            };
+            let _ = self.send_rel(clock, header.src, ret);
         }
         clock.merge(at);
         clock.advance(self.layers.recv_total());
@@ -1911,6 +1937,137 @@ mod tests {
         };
         assert_eq!(&got.data[..], &[1, 2, 3]);
         assert_eq!(a.pending_rendezvous(), 0);
+    }
+
+    /// A message replayed from a checkpoint's channel state was not spent
+    /// by its sender in this epoch, so consuming it returns no credit.
+    #[test]
+    fn replayed_channel_messages_owe_no_credit() {
+        let (f, dir) = setup(2, "ideal");
+        let _a = ep(&f, &dir, 0);
+        let mut b = ep(&f, &dir, 1);
+        let mut cb = VClock::new();
+        b.set_epoch(Epoch(1));
+        let header = MsgHeader {
+            src: Rank(0),
+            context: 1,
+            tag: 4,
+            epoch: Epoch(0),
+            interval: 0,
+            seq: 0,
+            flags: 0,
+            credit: 0,
+        };
+        let replay = Bytes::from(vec![7u8; 256 * 1024]);
+        b.restore_channel(vec![(header, replay)], VirtualTime::ZERO);
+        let m = b.recv_world(&mut cb, 1, Some(Rank(0)), Some(4)).unwrap();
+        assert_eq!(m.data.len(), 256 * 1024);
+        assert_eq!(f.stats().0, 0, "no credit packet left");
+        assert_eq!(b.credit.stamp(Rank(0)), 0, "nothing counted for a frame");
+    }
+
+    /// The consumer's first standalone return is lost or duplicated in a
+    /// one-way stream of 16 × 64 KiB eager messages. Halfway, the producer
+    /// never believes it has more room than the consumer's count grants;
+    /// once everything is consumed, its whole budget is back.
+    #[test]
+    fn a_lost_or_duplicated_credit_return_leaves_the_budget_exact() {
+        use crate::credit::{CREDIT_BATCH_BYTES as UNIT, EAGER_CREDIT_BYTES};
+        use starfish_vni::LinkFault;
+        for fault in [
+            LinkFault::seeded(1).drop_nth(0),
+            LinkFault::seeded(1).dup_nth(0),
+        ] {
+            let (f, dir) = setup(2, "ideal");
+            let mut a = ep(&f, &dir, 0);
+            let mut b = ep(&f, &dir, 1);
+            a.set_rendezvous_threshold(usize::MAX);
+            f.set_link_fault(NodeId(1), NodeId(0), fault);
+            let (mut ca, mut cb) = (VClock::new(), VClock::new());
+            for _ in 0..16 {
+                let req = a.isend_world(&mut ca, Rank(1), 1, 1, &[0; UNIT]).unwrap();
+                assert!(matches!(req, Request::Send { .. }), "{fault:?}");
+            }
+            for half in [8, 16] {
+                for _ in 0..8 {
+                    b.recv_world(&mut cb, 1, Some(Rank(0)), Some(1)).unwrap();
+                }
+                a.drain(&mut ca).unwrap();
+                let more = a.credit.route(Rank(1), half * UNIT + 1, usize::MAX);
+                assert_eq!(more, Route::CreditFallback, "{fault:?} after {half}");
+            }
+            assert_eq!(f.fault_stats().dropped + f.fault_stats().duplicated, 1);
+            let next = a
+                .isend_world(&mut ca, Rank(1), 1, 1, &vec![0; EAGER_CREDIT_BYTES])
+                .unwrap();
+            assert!(matches!(next, Request::Send { .. }), "{fault:?}: {next:?}");
+        }
+    }
+
+    /// A data frame lost while its sender's count moves on by most of the
+    /// six-bit range is retransmitted with the count of now: the old one
+    /// would read as a forward step and credit the producer with payload
+    /// the consumer never took.
+    #[test]
+    fn a_retransmission_reports_the_count_of_now() {
+        use crate::credit::CREDIT_BATCH_BYTES as UNIT;
+        use starfish_vni::LinkFault;
+        let (f, dir) = setup(2, "ideal");
+        let (mut a, mut b) = (ep(&f, &dir, 0), ep(&f, &dir, 1));
+        a.set_reliable(true);
+        b.set_reliable(true);
+        a.set_rendezvous_threshold(usize::MAX);
+        let (mut ca, mut cb) = (VClock::new(), VClock::new());
+        // The consumer's first packet to the producer is lost: a data
+        // frame carrying a count of 4.
+        f.set_link_fault(NodeId(1), NodeId(0), LinkFault::seeded(1).drop_nth(0));
+        fn stream(a: &mut MpiEndpoint, b: &mut MpiEndpoint, units: usize, consume: bool) {
+            let (mut ca, mut cb) = (VClock::new(), VClock::new());
+            for _ in 0..units {
+                a.send_world(&mut ca, Rank(1), 1, 1, &[0; UNIT]).unwrap();
+                if consume {
+                    b.recv_world(&mut cb, 1, Some(Rank(0)), Some(1)).unwrap();
+                }
+                a.drain(&mut ca).unwrap();
+            }
+        }
+        stream(&mut a, &mut b, 4, true);
+        b.send_world(&mut cb, Rank(0), 1, 9, b"lost").unwrap();
+        // 60 units more, returned standalone up to 60; then 8 unconsumed.
+        stream(&mut a, &mut b, 60, true);
+        stream(&mut a, &mut b, 8, false);
+        // The flush exposes the loss; the NACK brings the frame back.
+        b.flush_reliable(&mut cb);
+        a.drain(&mut ca).unwrap();
+        b.drain(&mut cb).unwrap();
+        let m = a.recv_world(&mut ca, 1, Some(Rank(1)), Some(9)).unwrap();
+        assert_eq!(&m.data[..], b"lost");
+        // 72 units spent, 64 consumed: room for exactly 8 more.
+        assert_eq!(a.credit.route(Rank(1), 8 * UNIT, usize::MAX), Route::Eager);
+        let more = a.credit.route(Rank(1), 8 * UNIT + 1, usize::MAX);
+        assert_eq!(more, Route::CreditFallback);
+    }
+
+    /// A halo exchange returns its credit on the halos: 256 × 8 KiB each
+    /// way is 512 packets, not one more.
+    #[test]
+    fn a_halo_exchange_sends_no_credit_packet() {
+        let (f, dir) = setup(2, "ideal");
+        let mut a = ep(&f, &dir, 0);
+        let mut b = ep(&f, &dir, 1);
+        let (mut ca, mut cb) = (VClock::new(), VClock::new());
+        let halo = [0u8; 8 * 1024];
+        for _ in 0..256 {
+            a.send_world(&mut ca, Rank(1), 1, 1, &halo).unwrap();
+            b.send_world(&mut cb, Rank(0), 1, 1, &halo).unwrap();
+            a.recv_world(&mut ca, 1, Some(Rank(1)), Some(1)).unwrap();
+            b.recv_world(&mut cb, 1, Some(Rank(0)), Some(1)).unwrap();
+        }
+        assert_eq!(f.stats().0, 2 * 256);
+        for side in [&a, &b] {
+            let peer = Rank(1 - side.rank().0);
+            assert_eq!(side.credit.route(peer, 15 << 16, usize::MAX), Route::Eager);
+        }
     }
 
     /// MPI non-overtaking: a small eager message sent *after* a rendezvous

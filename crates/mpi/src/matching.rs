@@ -260,10 +260,13 @@ impl MatchQueue {
             // Restored messages belong to the *new* epoch, and sit outside
             // the reliability flows and the rendezvous protocol (their
             // originals were already sequenced/transferred by a rolled-back
-            // incarnation) — they are complete eager payloads now.
+            // incarnation) — they are complete payloads now. Their senders
+            // spent no credit on them in this epoch, so they carry the DATA
+            // flag, as a merged rendezvous payload does: credit-exempt.
             header.epoch = epoch;
             header.seq = 0;
-            header.flags = 0;
+            header.flags = FLAG_RNDV_DATA;
+            header.credit = 0;
             self.queue.push_back(Entry {
                 header,
                 body: Body::Eager(b),
@@ -315,6 +318,7 @@ mod tests {
             interval: 0,
             seq: 0,
             flags,
+            credit: 0,
         }
     }
 
@@ -541,14 +545,18 @@ mod tests {
         assert_eq!(rx.q.len(), 3);
         let mut order = Vec::new();
         while let Matched::Ready { header, data, at } = rx.q.take(Epoch(1), 1, None, None) {
-            assert_eq!((header.epoch, header.seq, header.flags), (Epoch(1), 0, 0));
-            order.push((data, at));
+            assert_eq!((header.epoch, header.seq), (Epoch(1), 0));
+            order.push((data, at, header.flags));
         }
-        let want: Vec<(&[u8], VirtualTime)> =
-            vec![(b"one", vt(100)), (b"two", vt(100)), (b"new", vt(4))];
+        // Replayed messages are credit-exempt; the live one is not.
+        let want: Vec<(&[u8], VirtualTime, u8)> = vec![
+            (b"one", vt(100), FLAG_RNDV_DATA),
+            (b"two", vt(100), FLAG_RNDV_DATA),
+            (b"new", vt(4), 0),
+        ];
         assert_eq!(order.len(), want.len());
-        for ((data, at), (wd, wa)) in order.iter().zip(want) {
-            assert_eq!((&data[..], *at), (wd, wa));
+        for ((data, at, flags), (wd, wa, wf)) in order.iter().zip(want) {
+            assert_eq!((&data[..], *at, *flags), (wd, wa, wf));
         }
         rx.eager(0, 1, b"unrecorded", 5);
         assert!(

@@ -33,8 +33,21 @@ pub const FLAG_RNDV_RTS: u8 = 1 << 0;
 
 /// Header flag: the frame is one rendezvous DATA chunk. The header is
 /// followed by a [`RndvChunk`] descriptor; the chunk bytes ride in the
-/// packet's separate `payload` segment (zero-copy gather framing).
+/// packet's separate `payload` segment (zero-copy gather framing). On a
+/// complete message in the matching queue it marks a payload that charged
+/// no eager credit: a merged rendezvous payload, or one replayed from a
+/// checkpoint's channel state.
 pub const FLAG_RNDV_DATA: u8 = 1 << 1;
+
+/// The bits of the wire's flags byte that are [`MsgHeader::flags`]; the
+/// six above them carry [`MsgHeader::credit`].
+const FLAG_BITS: u8 = FLAG_RNDV_RTS | FLAG_RNDV_DATA;
+
+/// Shift of [`MsgHeader::credit`] within the wire's flags byte.
+const CREDIT_SHIFT: u8 = 2;
+
+/// Offset of the flags byte in a framed header.
+const FLAGS_AT: usize = 4 + 4 + 8 + 4 + 8 + 8;
 
 /// The envelope prefixed to every data-path message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,6 +69,11 @@ pub struct MsgHeader {
     /// Rendezvous-protocol flags ([`FLAG_RNDV_RTS`] / [`FLAG_RNDV_DATA`]);
     /// `0` for plain eager messages.
     pub flags: u8,
+    /// The low six bits of the sender's eager credit count toward the
+    /// destination: the units of the destination's eager payload it has
+    /// consumed this epoch ([`crate::credit`]). It rides in bits 2–7 of the
+    /// flags byte, so it costs no wire byte.
+    pub credit: u8,
 }
 
 impl MsgHeader {
@@ -64,7 +82,7 @@ impl MsgHeader {
     /// only a [`TraceCtx`]) is skipped wholesale by [`parse`](Self::parse),
     /// so a receiver that does not understand it — the paper's unmodified
     /// MPI program, §MPI-module — still gets the exact body bytes.
-    pub const LEN: usize = 4 + 4 + 8 + 4 + 8 + 8 + 1 + 2;
+    pub const LEN: usize = FLAGS_AT + 1 + 2;
 
     fn put_fixed(&self, enc: &mut Encoder) {
         self.src.encode(enc);
@@ -73,7 +91,7 @@ impl MsgHeader {
         self.epoch.encode(enc);
         enc.put_u64(self.interval);
         enc.put_u64(self.seq);
-        enc.put_u8(self.flags);
+        enc.put_u8(self.flags | (self.credit << CREDIT_SHIFT));
     }
 
     /// Prefix `body` with this header (no extension); see
@@ -106,7 +124,7 @@ impl MsgHeader {
         let epoch = Epoch::decode(&mut dec)?;
         let interval = dec.get_u64()?;
         let seq = dec.get_u64()?;
-        let flags = dec.get_u8()?;
+        let bits = dec.get_u8()?;
         let ext = dec.get_u16()? as usize;
         if dec.remaining() < ext {
             return Err(starfish_util::Error::codec(format!(
@@ -122,10 +140,22 @@ impl MsgHeader {
                 epoch,
                 interval,
                 seq,
-                flags,
+                flags: bits & FLAG_BITS,
+                credit: bits >> CREDIT_SHIFT,
             },
             ext,
         ))
+    }
+
+    /// A copy of the frame `framed` whose header carries the credit count
+    /// `credit` instead of the one it left with: a retransmission reports
+    /// the count of when it leaves again, never a stale one.
+    pub fn restamp(framed: &Bytes, credit: u8) -> Bytes {
+        let mut buf = framed.to_vec();
+        if let Some(bits) = buf.get_mut(FLAGS_AT) {
+            *bits = (*bits & FLAG_BITS) | (credit << CREDIT_SHIFT);
+        }
+        Bytes::from(buf)
     }
 
     /// Split a framed payload into header + body (zero-copy body slice).
@@ -253,14 +283,25 @@ pub enum RelMsg {
     /// Receiver grants a rendezvous transfer: a matching receive is posted
     /// for the RTS carrying `id`, the sender may ship the payload.
     /// Idempotent — a blocked receiver re-sends it on the ping cadence, the
-    /// sender honours only the first copy per id.
-    Cts { from: Rank, epoch: Epoch, id: u64 },
-    /// Receiver returns eager flow-control credit: it consumed `bytes` of
-    /// eager payload from `from`'s traffic, the sender may spend them again.
+    /// sender honours only the first copy per id. `credit` is the
+    /// receiver's full eager credit count toward the sender, as in
+    /// [`RelMsg::Credit`], so a sender that fell back to rendezvous for
+    /// want of credit gets it back with the grant it waits for.
+    Cts {
+        from: Rank,
+        epoch: Epoch,
+        id: u64,
+        credit: u64,
+    },
+    /// Receiver returns eager flow-control credit: `credit` is the full
+    /// count of [`CREDIT_BATCH_BYTES`](crate::credit::CREDIT_BATCH_BYTES)
+    /// units of the addressee's eager payload that `from` has consumed
+    /// this epoch. Cumulative, so a lost copy is repaired by the next
+    /// report and a duplicated or late one changes nothing.
     Credit {
         from: Rank,
         epoch: Epoch,
-        bytes: u64,
+        credit: u64,
     },
 }
 
@@ -293,17 +334,27 @@ impl RelMsg {
                 epoch.encode(&mut enc);
                 enc.put_u64(*highest);
             }
-            RelMsg::Cts { from, epoch, id } => {
+            RelMsg::Cts {
+                from,
+                epoch,
+                id,
+                credit,
+            } => {
                 enc.put_u8(4);
                 from.encode(&mut enc);
                 epoch.encode(&mut enc);
                 enc.put_u64(*id);
+                enc.put_u64(*credit);
             }
-            RelMsg::Credit { from, epoch, bytes } => {
+            RelMsg::Credit {
+                from,
+                epoch,
+                credit,
+            } => {
                 enc.put_u8(5);
                 from.encode(&mut enc);
                 epoch.encode(&mut enc);
-                enc.put_u64(*bytes);
+                enc.put_u64(*credit);
             }
         }
         enc.into_bytes()
@@ -337,11 +388,12 @@ impl RelMsg {
                 from,
                 epoch,
                 id: dec.get_u64()?,
+                credit: dec.get_u64()?,
             }),
             5 => Ok(RelMsg::Credit {
                 from,
                 epoch,
-                bytes: dec.get_u64()?,
+                credit: dec.get_u64()?,
             }),
             k => Err(starfish_util::Error::codec(format!(
                 "unknown RelMsg kind {k}"
@@ -364,6 +416,7 @@ mod tests {
             interval: 9,
             seq: 11,
             flags: 0,
+            credit: 0,
         };
         let framed = h.frame(b"payload");
         assert_eq!(framed.len(), MsgHeader::LEN + 7);
@@ -382,6 +435,7 @@ mod tests {
             interval: 0,
             seq: 0,
             flags: 0,
+            credit: 0,
         };
         let framed = h.frame(&[9u8; 64]);
         let (_, body) = MsgHeader::parse(&framed).unwrap();
@@ -426,14 +480,41 @@ mod tests {
                 from: Rank(1),
                 epoch: Epoch(0),
                 id: 9,
+                credit: 17,
             },
             RelMsg::Credit {
                 from: Rank(3),
                 epoch: Epoch(1),
-                bytes: 4096,
+                credit: 70,
             },
         ] {
             assert_eq!(RelMsg::decode(&msg.encode()).unwrap(), msg);
+        }
+    }
+
+    /// The credit count shares the flags byte without touching the
+    /// rendezvous bits or the header length, and a restamped copy changes
+    /// the count alone.
+    #[test]
+    fn credit_rides_the_spare_flag_bits() {
+        for (flags, credit) in [(0, 63), (FLAG_RNDV_RTS, 1), (FLAG_RNDV_DATA, 42), (0, 0)] {
+            let h = MsgHeader {
+                src: Rank(2),
+                context: 1,
+                tag: 5,
+                epoch: Epoch(3),
+                interval: 0,
+                seq: 4,
+                flags,
+                credit,
+            };
+            let framed = h.frame(b"body");
+            assert_eq!(framed.len(), MsgHeader::LEN + 4);
+            assert_eq!(MsgHeader::parse(&framed).unwrap().0, h);
+            let again = MsgHeader::restamp(&framed, 7);
+            let (got, body) = MsgHeader::parse(&again).unwrap();
+            assert_eq!(got, MsgHeader { credit: 7, ..h });
+            assert_eq!(&body[..], b"body");
         }
     }
 
@@ -466,6 +547,7 @@ mod tests {
             interval: 9,
             seq: 11,
             flags: 0,
+            credit: 0,
         };
         let traced = h.frame_ext(b"payload", ctx());
         assert_eq!(traced.len(), MsgHeader::LEN + TraceCtx::WIRE_LEN + 7);
@@ -491,6 +573,7 @@ mod tests {
             interval: 0,
             seq: 0,
             flags: 0,
+            credit: 0,
         };
         let plain = h.frame(b"xy");
         let (_, body, c) = MsgHeader::parse_ext(&plain).unwrap();
@@ -510,6 +593,7 @@ mod tests {
             interval: 0,
             seq: 0,
             flags: 0,
+            credit: 0,
         };
         let framed = h.frame(b"abc");
         let mut raw = framed.to_vec();

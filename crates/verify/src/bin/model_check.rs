@@ -15,6 +15,7 @@ use starfish_daemon::FtPolicy;
 use verify::counterexample;
 use verify::explorer::{explore, Model, Options, Report};
 use verify::models::chandy::ChandyModel;
+use verify::models::credit::CreditModel;
 use verify::models::daemon::DaemonModel;
 use verify::models::membership::MembershipModel;
 use verify::models::rank_cr::RankCrModel;
@@ -259,6 +260,36 @@ fn main() -> ExitCode {
         },
         &mut failed,
     );
+
+    println!("== mpi: eager credit (count on frames, returns and grants) ==");
+    // units=8: every payload is half the ceiling, so the third waits on the
+    // first's credit; units=4 leaves counts that only frames report.
+    let credit = |msgs, units, frames, drops, dups| CreditModel {
+        msgs,
+        units,
+        frames,
+        max_drops: drops,
+        max_dups: dups,
+        delta: false,
+    };
+    for m in [
+        credit(3, 8, 2, 1, 1),
+        credit(4, 8, 2, 2, 1),
+        credit(5, 4, 3, 1, 1),
+        credit(2, 16, 2, 2, 1),
+    ] {
+        let name = format!(
+            "credit msgs={} units={} frames={} drops={} dups={}",
+            m.msgs, m.units, m.frames, m.max_drops, m.max_dups
+        );
+        run(&name, 2, 2, &m, &mut failed);
+    }
+    println!("== mpi: eager credit mutation (expected counterexample) ==");
+    let delta = CreditModel {
+        delta: true,
+        ..credit(3, 8, 2, 1, 1)
+    };
+    must_find("credit delta-count", &delta, &mut failed);
 
     println!("== mpi: ring reduce-scatter ==");
     for (drops, dups) in [(1, 1), (2, 0)] {

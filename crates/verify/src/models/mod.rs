@@ -21,6 +21,7 @@
 //! three MPI models share it as [`link::Link`].
 
 pub mod chandy;
+pub mod credit;
 pub mod daemon;
 pub mod membership;
 pub mod rank_cr;

@@ -188,6 +188,7 @@ fn deliver_frame(s: &mut RndvState, seq: u64, m: Msg) {
         interval: 0,
         seq,
         flags,
+        credit: 0,
     };
     let (queue, rndv) = (&mut s.queue, &mut s.receiver);
     let done = queue.on_message(rndv, header, body.into(), seg, VirtualTime::ZERO);
