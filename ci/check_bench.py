@@ -2,7 +2,9 @@
 """Gate on the model-calibration report, BENCH_calibrate.json, written by
 `cargo bench -p starfish-bench --bench calibrate`.
 
-Always: the schema. Every section names its clock ("virtual" or "count").
+Always: the schema. The top level records the rendezvous threshold the run
+used, a positive integer `rndv_threshold_bytes`. Every section names its
+clock ("virtual" or "count").
 Every row key that is a size or a rank count is one, and every cell carries
 its section's keys: each algorithm arm, each recovery leg, and for a
 selector threshold a boolean `measured`, a null or integer crossover and an
@@ -87,11 +89,16 @@ def check_schema(r, path):
         fail(f"{path}: bench is {r.get('bench')!r}, expected 'calibrate'")
     if not isinstance(r.get("quick"), bool):
         fail(f"{path}: quick is {r.get('quick')!r}, expected a boolean")
+    if not positive_int(r.get("rndv_threshold_bytes")):
+        fail(
+            f"{path}: rndv_threshold_bytes is {r.get('rndv_threshold_bytes')!r}, "
+            "expected a positive integer"
+        )
     for name in SECTIONS:
         if name not in r:
             fail(f"{path}: missing section {name!r}")
     for name, section in r.items():
-        if name in ("bench", "quick"):
+        if name in ("bench", "quick", "rndv_threshold_bytes"):
             continue
         if not isinstance(section, dict) or section.get("clock") not in CLOCKS:
             fail(f"{path}: section {name!r} names no clock (one of {CLOCKS})")

@@ -38,7 +38,9 @@ use starfish_bench::threshold::{calibrate, measured_crossover, threshold_consist
 use starfish_checkpoint::replica::ReplicaStore;
 use starfish_checkpoint::{CkptImage, CkptLevel, CkptValue, DiskModel, MACHINES};
 use starfish_mpi::collectives::{self, AllgatherAlgo, AllreduceAlgo, BcastAlgo, ReduceOp};
-use starfish_mpi::{replica_net, Comm, CtsCadence, MpiEndpoint, RankDirectory, RecvMode};
+use starfish_mpi::{
+    replica_net, Comm, CtsCadence, MpiEndpoint, RankDirectory, RecvMode, DEFAULT_RNDV_THRESHOLD,
+};
 use starfish_util::trace::TraceSink;
 use starfish_util::{json, AppId, Epoch, NodeId, Rank, VClock, VirtualTime};
 use starfish_vni::{BipMyrinet, Fabric, LayerCosts, NetworkModel, TcpEthernet};
@@ -532,7 +534,12 @@ fn recovery_section(q: bool) -> (&'static str, J) {
 fn main() {
     let q = quick();
     println!("calibrate: {} mode", if q { "quick" } else { "full" });
-    let mut fields = vec![("bench", J::str("calibrate")), ("quick", J::num(q))];
+    let mut fields = vec![
+        ("bench", J::str("calibrate")),
+        ("quick", J::num(q)),
+        // The recovery rows and the large collective cells depend on it.
+        ("rndv_threshold_bytes", J::num(DEFAULT_RNDV_THRESHOLD)),
+    ];
     fields.extend(collectives_sections(q));
     fields.push(recovery_section(q));
 

@@ -6,7 +6,7 @@
 //! crossover* with [`measured_crossover`], turns it into a threshold with
 //! [`calibrate`], and reports both in `BENCH_calibrate.json`. The bench
 //! reports the calibration; the constants in `starfish_mpi` are what runs.
-//! In the names below, "eager" is the arm that wins small and "rendezvous"
+//! In the names below, "latency" is the arm that wins small and "bandwidth"
 //! the one that wins large.
 //!
 //! Everything here is pure and deterministic: the same sweep always yields
@@ -15,53 +15,50 @@
 //! proptests below, and [`threshold_consistent`] is the assertion the bench
 //! applies to catch a mis-calibrated configuration against fresh numbers.
 
-use starfish_mpi::DEFAULT_RNDV_THRESHOLD;
-
-/// How far above eager the rendezvous cost may sit and still count as
-/// "competitive": the crossover is the smallest size with
-/// `rendezvous <= eager * CROSSOVER_TOLERANCE`. The slack absorbs run-to-run
-/// noise around the true intersection of the two cost curves.
+/// How far above the latency arm the bandwidth arm's cost may sit and still
+/// count as "competitive": the crossover is the smallest size with
+/// `bandwidth <= latency * CROSSOVER_TOLERANCE`. The slack absorbs
+/// run-to-run noise around the true intersection of the two cost curves.
 pub const CROSSOVER_TOLERANCE: f64 = 1.10;
 
-/// Smallest threshold calibration will produce: below this the control
-/// round-trip can never amortize, whatever one noisy sweep says.
+/// Smallest threshold calibration will produce: below this the bandwidth
+/// arm's extra steps can never amortize, whatever one noisy sweep says.
 pub const MIN_CALIBRATED: usize = 1024;
 
-/// Largest threshold calibration will produce: at this size the eager
-/// path's buffering cost is unacceptable regardless of measured speed
-/// (it is also [`starfish_mpi::EAGER_CREDIT_BYTES`], where credit
-/// fallback forces rendezvous anyway).
+/// Largest threshold calibration will produce, and the one it produces when
+/// the bandwidth arm never competed in the sweep: the latency arm keeps
+/// every size below it.
 pub const MAX_CALIBRATED: usize = 1 << 20;
 
-/// One row of the protocol sweep: payload size in bytes, eager ns/msg,
-/// rendezvous ns/msg.
+/// One row of a sweep: payload size in bytes, the latency arm's cost, the
+/// bandwidth arm's cost.
 pub type SweepRow = (usize, f64, f64);
 
-/// The smallest swept size at which rendezvous is competitive with eager
-/// (within [`CROSSOVER_TOLERANCE`]), or `None` if it never is. Rows may be
-/// passed in any order; non-finite measurements are ignored.
+/// The smallest swept size at which the bandwidth arm is competitive with
+/// the latency arm (within [`CROSSOVER_TOLERANCE`]), or `None` if it never
+/// is. Rows may be passed in any order; non-finite measurements are ignored.
 pub fn measured_crossover(sweep: &[SweepRow]) -> Option<usize> {
     let mut rows: Vec<&SweepRow> = sweep
         .iter()
-        .filter(|(_, e, r)| e.is_finite() && r.is_finite() && *e > 0.0)
+        .filter(|(_, lat, bw)| lat.is_finite() && bw.is_finite() && *lat > 0.0)
         .collect();
     rows.sort_by_key(|(size, _, _)| *size);
     rows.iter()
-        .find(|(_, eager, rndv)| *rndv <= *eager * CROSSOVER_TOLERANCE)
+        .find(|(_, lat, bw)| *bw <= *lat * CROSSOVER_TOLERANCE)
         .map(|(size, _, _)| *size)
 }
 
-/// Turn a measured crossover into a send threshold: round up to the next
-/// power of two (sweeps sample sparsely; rounding up is conservative toward
-/// eager, whose small-size cost is flat), clamped to
-/// [`MIN_CALIBRATED`]..=[`MAX_CALIBRATED`]. `None` — no crossover measured —
-/// keeps the static [`DEFAULT_RNDV_THRESHOLD`].
+/// Turn a measured crossover into a threshold: round up to the next power of
+/// two (sweeps sample sparsely; rounding up is conservative toward the
+/// latency arm, whose small-size cost is flat), clamped to
+/// [`MIN_CALIBRATED`]..=[`MAX_CALIBRATED`]. `None` — the bandwidth arm never
+/// competed in the sweep — is [`MAX_CALIBRATED`].
 ///
 /// Deterministic and monotone: equal inputs give equal outputs, and a
 /// larger crossover never produces a smaller threshold.
 pub fn calibrate(crossover: Option<usize>) -> usize {
     match crossover {
-        None => DEFAULT_RNDV_THRESHOLD,
+        None => MAX_CALIBRATED,
         Some(c) => c
             .max(1)
             .checked_next_power_of_two()
@@ -74,22 +71,22 @@ pub fn calibrate(crossover: Option<usize>) -> usize {
 /// measured `sweep`? Catches both failure modes of a stale or mutated
 /// calibration:
 ///
-/// * a threshold *below* the measured crossover routes sizes through
-///   rendezvous where eager still wins (some swept size `>= threshold` is
+/// * a threshold *below* the measured crossover hands sizes to the bandwidth
+///   arm where the latency arm still wins (some swept size `>= threshold` is
 ///   not competitive);
 /// * a threshold far *above* it (or `usize::MAX`) throws away measured
-///   rendezvous wins.
+///   bandwidth-arm wins.
 ///
-/// With no measured crossover, only the static default (or disabling
-/// rendezvous outright) is consistent.
+/// With no measured crossover, only what [`calibrate`] makes of it,
+/// [`MAX_CALIBRATED`], is consistent.
 pub fn threshold_consistent(threshold: usize, sweep: &[SweepRow]) -> bool {
     match measured_crossover(sweep) {
-        None => threshold == DEFAULT_RNDV_THRESHOLD || threshold == usize::MAX,
+        None => threshold == MAX_CALIBRATED,
         Some(c) => {
             let competitive_above = sweep
                 .iter()
                 .filter(|(size, _, _)| *size >= threshold)
-                .all(|(_, eager, rndv)| *rndv <= *eager * CROSSOVER_TOLERANCE);
+                .all(|(_, lat, bw)| *bw <= *lat * CROSSOVER_TOLERANCE);
             let captures_wins = threshold <= calibrate(Some(c)).saturating_mul(2);
             competitive_above && captures_wins
         }
@@ -100,8 +97,9 @@ pub fn threshold_consistent(threshold: usize, sweep: &[SweepRow]) -> bool {
 mod tests {
     use super::*;
 
-    /// A synthetic sweep with a clean crossover at 256 KiB: below it eager
-    /// wins comfortably, at and above it rendezvous is ahead.
+    /// A synthetic sweep with a clean crossover at 256 KiB: below it the
+    /// latency arm wins comfortably, at and above it the bandwidth arm is
+    /// ahead.
     fn sweep_with_crossover() -> Vec<SweepRow> {
         vec![
             (256, 800.0, 4000.0),
@@ -121,10 +119,12 @@ mod tests {
     }
 
     #[test]
-    fn no_crossover_when_rendezvous_never_competitive() {
+    fn no_crossover_when_bandwidth_arm_never_competitive() {
         let s = vec![(256usize, 800.0, 4000.0), (1048576, 300000.0, 400000.0)];
         assert_eq!(measured_crossover(&s), None);
-        assert_eq!(calibrate(None), DEFAULT_RNDV_THRESHOLD);
+        assert_eq!(calibrate(None), MAX_CALIBRATED);
+        assert!(threshold_consistent(MAX_CALIBRATED, &s));
+        assert!(!threshold_consistent(usize::MAX, &s));
     }
 
     #[test]
@@ -136,20 +136,21 @@ mod tests {
     }
 
     /// The mutation-style teeth check for the bench assertion: the
-    /// calibrated threshold passes, and both mis-calibrations — the old
-    /// hardcoded 64 KiB default below the measured crossover, and a
-    /// rendezvous-never threshold above it — are caught.
+    /// calibrated threshold passes, and both mis-calibrations — a stale
+    /// hardcoded 64 KiB below the measured crossover, and a bandwidth-never
+    /// threshold above it — are caught.
     #[test]
     fn bench_assertion_catches_miscalibrated_threshold() {
         let sweep = sweep_with_crossover();
         let calibrated = calibrate(measured_crossover(&sweep));
         assert_eq!(calibrated, 262144);
         assert!(threshold_consistent(calibrated, &sweep));
-        // Mutation 1: keep the stale hardcoded default (64 KiB) even though
-        // the measured crossover is 256 KiB → 64 KiB..256 KiB would go
-        // rendezvous where eager wins. Caught.
-        assert!(!threshold_consistent(DEFAULT_RNDV_THRESHOLD, &sweep));
-        // Mutation 2: disable rendezvous despite measured wins. Caught.
+        // Mutation 1: keep a stale hardcoded 64 KiB even though the measured
+        // crossover is 256 KiB → 64 KiB..256 KiB would take the bandwidth arm
+        // where the latency arm wins. Caught.
+        assert!(!threshold_consistent(64 * 1024, &sweep));
+        // Mutation 2: never take the bandwidth arm despite measured wins.
+        // Caught.
         assert!(!threshold_consistent(usize::MAX, &sweep));
     }
 }

@@ -62,7 +62,9 @@ impl ReplicaNet {
         ReplicaNet {
             latency: VirtualTime::from_micros(120),
             bandwidth: 11.0 * 1024.0 * 1024.0,
-            rndv_threshold: 64 * 1024,
+            // `starfish_mpi::DEFAULT_RNDV_THRESHOLD`, which `checkpoint`
+            // cannot name; a test in `starfish_mpi::replication` pins it.
+            rndv_threshold: 512 * 1024,
             rndv_rtt: VirtualTime::from_micros(240),
             frag_bytes: DEFAULT_FRAG_BYTES,
         }

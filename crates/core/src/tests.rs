@@ -7,7 +7,8 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 use starfish_checkpoint::CkptValue;
 use starfish_daemon::{CkptProto, FtPolicy, LevelKind};
-use starfish_mpi::ReduceOp;
+use starfish_mpi::{ReduceOp, Request, DEFAULT_RNDV_THRESHOLD};
+use starfish_telemetry::metric;
 use starfish_util::{AppId, Rank, VirtualTime};
 
 use crate::cluster::{Cluster, SubmitOpts};
@@ -529,7 +530,8 @@ fn crash_at_various_times_always_recovers() {
 /// one finishes in milliseconds.
 #[test]
 fn symmetric_isend_exchange_of_rendezvous_payloads_completes() {
-    const LEN: usize = 192 * 1024; // over DEFAULT_RNDV_THRESHOLD: one chunk, no early window
+    // At the rendezvous threshold: one chunk, no early window.
+    const LEN: usize = DEFAULT_RNDV_THRESHOLD;
     let cluster = Cluster::builder().nodes(2).build().unwrap();
     cluster.register_app("swap", |ctx| {
         let me = ctx.rank().0;
@@ -537,11 +539,12 @@ fn symmetric_isend_exchange_of_rendezvous_payloads_completes() {
         let fill = |r: u32| -> Vec<u8> { (0..LEN).map(|i| (i as u32 % 251 + r) as u8).collect() };
         let started = std::time::Instant::now();
         let req = ctx.isend(peer, 7, &fill(me))?;
+        let rndv = matches!(req, Request::RndvSend { .. });
         let m = ctx.recv(Some(peer), Some(7))?;
         ctx.wait(req)?;
         let quick = started.elapsed() < Duration::from_secs(10);
         ctx.publish(CkptValue::Int(
-            (m.data[..] == fill(peer.0)[..] && quick) as i64,
+            (m.data[..] == fill(peer.0)[..] && quick && rndv) as i64,
         ));
         Ok(())
     });
@@ -563,7 +566,7 @@ fn symmetric_isend_exchange_of_rendezvous_payloads_completes() {
 /// the push alone at endpoint level.)
 #[test]
 fn checkpoint_behind_a_rendezvous_transfer_loses_nothing() {
-    const LEN: usize = 192 * 1024; // over DEFAULT_RNDV_THRESHOLD (64 KiB)
+    const LEN: usize = DEFAULT_RNDV_THRESHOLD; // one chunk
     let cluster = Cluster::builder().nodes(2).build().unwrap();
     cluster.register_app("bigsend", |ctx| {
         let me = ctx.rank().0;
@@ -571,6 +574,9 @@ fn checkpoint_behind_a_rendezvous_transfer_loses_nothing() {
         if me == 0 {
             let payload: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
             let req = ctx.isend(Rank(1), 7, &payload)?;
+            ctx.publish(CkptValue::Int(
+                matches!(req, Request::RndvSend { .. }) as i64
+            ));
             ctx.checkpoint(&state)?;
             ctx.wait(req)?;
             ctx.barrier()?;
@@ -588,6 +594,11 @@ fn checkpoint_behind_a_rendezvous_transfer_loses_nothing() {
     });
     let app = cluster.submit("bigsend", 2, SubmitOpts::default()).unwrap();
     cluster.wait_app_done(app, T).unwrap();
+    assert_eq!(
+        cluster.outputs(app, Rank(0)),
+        vec![CkptValue::Int(1)],
+        "rendezvous"
+    );
     assert_eq!(cluster.outputs(app, Rank(1)), vec![CkptValue::Int(1)]);
     assert_eq!(cluster.store().latest_index(app, Rank(0)), 1);
     assert_eq!(cluster.store().latest_index(app, Rank(1)), 1);
@@ -961,9 +972,9 @@ fn algo_bank_round(
 #[test]
 fn library_algorithms_over_ctx_survive_checkpoint_and_crash() {
     const ITERS: i64 = 8;
-    // 16 elements: eager everywhere. 40 Ki elements: a ring block of a
-    // 4-rank i64 allreduce is 80 KiB, over DEFAULT_RNDV_THRESHOLD (64 KiB).
-    const LENS: [usize; 2] = [16, 40 * 1024];
+    // 16 elements: eager everywhere. THRESHOLD / 2 elements: a ring block of
+    // a 4-rank i64 allreduce is THRESHOLD bytes, one rendezvous chunk.
+    const LENS: [usize; 2] = [16, DEFAULT_RNDV_THRESHOLD / 2];
     const N: i64 = 4;
     // The running checksum is checkpointed state, and a VM-level image
     // keeps integers in the saving machine's 32-bit word.
@@ -1014,6 +1025,8 @@ fn library_algorithms_over_ctx_survive_checkpoint_and_crash() {
         .unwrap();
 
     assert_eq!(cluster.config().apps[&app].epoch.0, 1, "one rollback");
+    let rndv = cluster.stats().merged().counter(metric::MPI_RNDV_SENDS);
+    assert!(rndv > 0, "the large rounds never went rendezvous");
     for r in 0..N {
         let expect = (0..ITERS)
             .flat_map(|iter| LENS.map(|len| algo_bank_round(None, r, N, iter, len).unwrap()))

@@ -36,6 +36,22 @@ use crate::wire::{MsgHeader, CTRL_CONTEXT, FLAG_RNDV_DATA};
 /// its sends fall back to rendezvous *regardless of size*.
 pub const EAGER_CREDIT_BYTES: usize = 1 << 20;
 
+/// Default payload size at which sends leave the eager protocol for
+/// rendezvous (RTS → CTS → DATA): half the ceiling. Below it the handshake
+/// buys nothing:
+/// * credit already bounds what one peer can leave in the receiver's
+///   unexpected queue at [`EAGER_CREDIT_BYTES`], whatever the threshold;
+/// * both routes copy a borrowed `&[u8]` once and an owned `Bytes` never;
+/// * two threshold-sized messages fit the window, so a send never waits for
+///   its predecessor's credit to come back.
+///
+/// It is what every endpoint runs unless a harness calls
+/// [`crate::MpiEndpoint::set_rendezvous_threshold`] (DESIGN.md §5b).
+pub const DEFAULT_RNDV_THRESHOLD: usize = EAGER_CREDIT_BYTES / 2;
+
+// Two threshold-sized messages must fit the window.
+const _: () = assert!(DEFAULT_RNDV_THRESHOLD <= EAGER_CREDIT_BYTES / 2);
+
 /// The unit in which a consumer counts the eager payload it consumed. A
 /// remainder below one unit stays outstanding until more is consumed.
 pub const CREDIT_BATCH_BYTES: usize = 64 * 1024;
@@ -229,6 +245,33 @@ mod tests {
             c.route(Rank(2), full + 1, usize::MAX),
             Route::CreditFallback
         );
+    }
+
+    /// At the default constants, from an idle budget: just under the
+    /// threshold leaves eager and the threshold goes rendezvous; two
+    /// threshold-sized payloads fit the budget, so the second never waits
+    /// for the first's credit, and only a third falls back.
+    #[test]
+    fn the_default_threshold_is_half_the_ceiling() {
+        let t = DEFAULT_RNDV_THRESHOLD;
+        let idle = Credit::default();
+        for (len, want) in [(t - 1, Route::Eager), (t, Route::Rendezvous)] {
+            assert_eq!(idle.route(Rank(1), len, t), want, "len {len}");
+        }
+        let mut c = Credit::default();
+        // (len, budget before, verdict with size taken out of the question)
+        let table = [
+            (t, EAGER_CREDIT_BYTES, Route::Eager),
+            (t, EAGER_CREDIT_BYTES - t, Route::Eager),
+            (t, 0, Route::CreditFallback),
+        ];
+        for (len, budget, want) in table {
+            assert_eq!(c.budget(Rank(1)), budget);
+            assert_eq!(c.route(Rank(1), len, usize::MAX), want, "{budget} left");
+            if want == Route::Eager {
+                c.spend(Rank(1), len);
+            }
+        }
     }
 
     /// The consumer's side: frames carry the running count, a standalone

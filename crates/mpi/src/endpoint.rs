@@ -34,7 +34,7 @@ use starfish_util::trace::{ActorKind, MsgClass, TraceSink};
 use starfish_util::{AppId, Epoch, Error, Rank, Result, VClock, VirtualTime};
 use starfish_vni::{Addr, Fabric, Kick, LayerCosts, Packet, PacketKind, Port};
 
-use crate::credit::{Credit, Route};
+use crate::credit::{Credit, Route, DEFAULT_RNDV_THRESHOLD};
 use crate::directory::RankDirectory;
 use crate::matching::{MatchQueue, Matched};
 use crate::reliability::{Flows, RxVerdict};
@@ -58,14 +58,6 @@ pub const REL_PING_INTERVAL: Duration = Duration::from_millis(25);
 /// Longest a blocked wait goes without re-checking its abort flag.
 const WAIT_SLICE: Duration = Duration::from_millis(100);
 
-/// Default payload size at which sends leave the eager protocol for
-/// rendezvous (RTS → CTS → DATA): below this the extra control round-trip
-/// costs more than the unexpected-queue buffering it avoids. It is the
-/// crossover a wall-clock eager/rendezvous sweep once measured on a 1-core
-/// host; nothing re-measures it, and it is what every endpoint runs unless a
-/// harness calls [`MpiEndpoint::set_rendezvous_threshold`] (DESIGN.md §5b).
-pub const DEFAULT_RNDV_THRESHOLD: usize = 64 * 1024;
-
 /// Default size of one rendezvous DATA chunk. A transfer larger than this
 /// is shipped as a pipeline of chunk frames so the receiver's placement
 /// copy of chunk *k* overlaps the wire transfer of chunk *k+1*, and so the
@@ -76,6 +68,9 @@ pub const DEFAULT_RNDV_THRESHOLD: usize = 64 * 1024;
 /// optimistically-streamed chunk never exposes the receiver to more
 /// un-granted bytes than eager credit would.
 pub const RNDV_CHUNK_BYTES: usize = 1 << 20;
+
+// A threshold-sized rendezvous transfer is one chunk: no placement buffer.
+const _: () = assert!(DEFAULT_RNDV_THRESHOLD <= RNDV_CHUNK_BYTES);
 
 /// Packets drained from the port per ingest round: a pipelined chunk burst
 /// is pulled out of the port's queue in one lock acquisition.
@@ -2211,10 +2206,10 @@ mod tests {
     }
 
     /// A payload the sender owns reaches the receiver as the sender's own
-    /// buffer on both paths, at the default thresholds: a 256 KiB blocking
-    /// send goes rendezvous in one chunk, a 512 B `isend` goes eager with
-    /// the payload as its packet's segment — and the eager one still counts
-    /// as 512 B of payload wherever the body used to be counted.
+    /// buffer on both paths, at the default thresholds: a threshold-sized
+    /// blocking send goes rendezvous in one chunk, a 512 B `isend` goes
+    /// eager with the payload as its packet's segment — and the eager one
+    /// still counts as 512 B of payload wherever the body used to be counted.
     #[test]
     fn owned_payloads_reach_the_receiver_uncopied() {
         let (f, dir) = setup(2, "ideal");
@@ -2223,7 +2218,10 @@ mod tests {
         let sink = TraceSink::enabled();
         a.trace = sink.clone();
         a.set_recorder(FlightRecorder::new("app1.r0", 64));
-        let big = Bytes::from(vec![0xB1u8; 256 * 1024]);
+        let reg = Registry::new();
+        a.set_metrics(reg.clone());
+        const BIG: usize = DEFAULT_RNDV_THRESHOLD;
+        let big = Bytes::from(vec![0xB1u8; BIG]);
         let small = Bytes::from(vec![0x5Au8; 512]);
         let sent = [big.as_ptr(), small.as_ptr()];
         let rx = std::thread::spawn(move || {
@@ -2234,8 +2232,13 @@ mod tests {
         a.send_world_bytes(&mut ca, Rank(1), 1, 1, big).unwrap();
         let req = a.isend_world_bytes(&mut ca, Rank(1), 1, 2, small).unwrap();
         assert!(matches!(req, Request::Send { .. }), "512 B is eager");
+        assert_eq!(
+            reg.counter(metric::MPI_RNDV_SENDS),
+            1,
+            "BIG went rendezvous"
+        );
         let got = rx.join().unwrap();
-        for (m, (ptr, len)) in got.iter().zip(sent.into_iter().zip([256 * 1024, 512])) {
+        for (m, (ptr, len)) in got.iter().zip(sent.into_iter().zip([BIG, 512])) {
             assert_eq!((m.data.as_ptr(), m.data.len()), (ptr, len), "tag {}", m.tag);
         }
         let events = a.recorder().dump().events;
@@ -2244,7 +2247,7 @@ mod tests {
             matches!(eager, EventKind::Send { bytes: 512, .. }),
             "{eager:?}"
         );
-        let rts_and_chunk = 2 * MsgHeader::LEN + RndvEnv::LEN + RndvChunk::LEN + 256 * 1024;
+        let rts_and_chunk = 2 * MsgHeader::LEN + RndvEnv::LEN + RndvChunk::LEN + BIG;
         let framed = rts_and_chunk + MsgHeader::LEN + TraceCtx::WIRE_LEN * 3 + 512;
         assert_eq!(sink.bytes(MsgClass::Data), framed as u64);
     }

@@ -50,11 +50,10 @@ pub use collectives::{
     MAX_COLL_RANKS,
 };
 pub use comm::Comm;
-pub use credit::EAGER_CREDIT_BYTES;
+pub use credit::{DEFAULT_RNDV_THRESHOLD, EAGER_CREDIT_BYTES};
 pub use directory::RankDirectory;
 pub use endpoint::{
-    MpiEndpoint, RecvMode, RecvdMsg, Request, ANY_SOURCE, ANY_TAG, DEFAULT_RNDV_THRESHOLD,
-    RNDV_CHUNK_BYTES,
+    MpiEndpoint, RecvMode, RecvdMsg, Request, ANY_SOURCE, ANY_TAG, RNDV_CHUNK_BYTES,
 };
 pub use rendezvous::{CtsCadence, RNDV_EARLY_CHUNKS};
 pub use replication::{replica_net, PushSession};

@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 use starfish_checkpoint::replica::{Fragment, ReplicaNet, DEFAULT_FRAG_BYTES};
 use starfish_util::NodeId;
 
-use crate::endpoint::DEFAULT_RNDV_THRESHOLD;
+use crate::credit::DEFAULT_RNDV_THRESHOLD;
 
 /// The canonical replica-push cost model: LAN-era latency/bandwidth with
 /// the rendezvous threshold taken from the live MPI constant, so the
@@ -100,6 +100,9 @@ mod tests {
         let net = replica_net();
         assert_eq!(net.rndv_threshold, DEFAULT_RNDV_THRESHOLD as u64);
         assert_eq!(net.frag_bytes, DEFAULT_FRAG_BYTES);
+        // The cluster's `StoreHub` charges replica pushes with the
+        // unadjusted LAN model: its copy of the threshold must agree too.
+        assert_eq!(ReplicaNet::lan_1999().rndv_threshold, net.rndv_threshold);
     }
 
     #[test]

@@ -7,7 +7,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use starfish_mpi::collectives::{self, AllreduceAlgo, ReduceOp};
-use starfish_mpi::{Comm, MpiEndpoint, RankDirectory, RecvMode, WORLD_CONTEXT};
+use starfish_mpi::{
+    Comm, MpiEndpoint, RankDirectory, RecvMode, DEFAULT_RNDV_THRESHOLD, WORLD_CONTEXT,
+};
+use starfish_telemetry::{metric, Registry};
 use starfish_util::trace::TraceSink;
 use starfish_util::{AppId, NodeId, Rank, VClock};
 use starfish_vni::{BipMyrinet, Fabric, LayerCosts};
@@ -132,23 +135,31 @@ fn an_eager_8_byte_message_allocates_only_its_frame() {
     assert!(per_msg <= 2.05, "{per_msg:.3} allocations per 8 B message");
 }
 
-/// A borrowed rendezvous payload is copied once, in `start_send`: one
-/// 256 KiB block end to end, since a one-chunk transfer reaches the
-/// receiver as the sender's buffer. The parent made two on the send side.
+/// A borrowed 256 KiB payload is copied once on either route: eager, into
+/// its frame (the default, under `DEFAULT_RNDV_THRESHOLD`), or rendezvous,
+/// in `start_send`, whose one-chunk transfer reaches the receiver as the
+/// sender's buffer. One 256 KiB block end to end; the send side used to
+/// make two.
 #[test]
 fn a_borrowed_256_kib_send_allocates_one_payload_block() {
     let _turn = one_at_a_time();
-    let (_f, mut eps) = endpoints(2);
-    let (rx, mut tx) = (eps.pop().unwrap(), eps.pop().unwrap());
-    let payload = vec![3u8; BIG];
-    let (_, before) = counts();
-    let rx = receiver(rx, 1);
-    tx.send_world(&mut VClock::new(), Rank(1), WORLD_CONTEXT, 1, &payload)
-        .unwrap();
-    let rx = rx.join().unwrap();
-    let big = counts().1 - before;
-    drop((tx, rx));
-    assert_eq!(big, 1, "payload-sized blocks for one borrowed 256 KiB send");
+    for (threshold, rndv) in [(DEFAULT_RNDV_THRESHOLD, 0), (BIG, 1)] {
+        let (_f, mut eps) = endpoints(2);
+        let (rx, mut tx) = (eps.pop().unwrap(), eps.pop().unwrap());
+        let reg = Registry::new();
+        tx.set_metrics(reg.clone());
+        tx.set_rendezvous_threshold(threshold);
+        let payload = vec![3u8; BIG];
+        let (_, before) = counts();
+        let rx = receiver(rx, 1);
+        tx.send_world(&mut VClock::new(), Rank(1), WORLD_CONTEXT, 1, &payload)
+            .unwrap();
+        let rx = rx.join().unwrap();
+        let big = counts().1 - before;
+        drop((tx, rx));
+        assert_eq!(reg.counter(metric::MPI_RNDV_SENDS), rndv);
+        assert_eq!(big, 1, "payload-sized blocks at threshold {threshold}");
+    }
 }
 
 /// The collectives hand over the buffers they own. One 4-rank 256 KiB

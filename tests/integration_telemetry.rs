@@ -203,12 +203,16 @@ fn timeline_keeps_checkpoint_rounds_across_message_ring_eviction() {
 /// trees on the wire, and the job's `STATS` must carry the library's
 /// `coll.*` accounting of them — so pointing the cluster path at the
 /// selector (8 instead of 6 messages per allreduce) cannot happen silently.
+/// A 256 KiB allreduce is under `DEFAULT_RNDV_THRESHOLD`: its six hops leave
+/// eager, with no RTS ahead of them.
 #[test]
 fn ctx_collectives_pin_message_counts_and_coll_telemetry() {
     const N: usize = 4;
+    const BIG: usize = 256 * 1024;
+    const _: () = assert!(BIG < starfish_mpi::DEFAULT_RNDV_THRESHOLD);
     type Op = fn(&mut starfish::Ctx<'_>) -> starfish::Result<()>;
     // (name, data messages over all ranks, payload bytes over all ranks)
-    let ops: [(&str, u64, u64, Op); 9] = [
+    let ops: [(&str, u64, u64, Op); 10] = [
         ("barrier", 8, 0, |c| c.barrier()),
         ("bcast", 3, 3 * 16, |c| {
             c.bcast(Rank(0), vec![7; 16]).map(drop)
@@ -218,6 +222,10 @@ fn ctx_collectives_pin_message_counts_and_coll_telemetry() {
         }),
         ("allreduce", 6, 6 * 16, |c| {
             c.allreduce_f64(&[1.0, 2.0], ReduceOp::Sum).map(drop)
+        }),
+        ("allreduce 256 KiB", 6, 6 * BIG as u64, |c| {
+            c.allreduce_f64(&vec![1.0; BIG / 8], ReduceOp::Sum)
+                .map(drop)
         }),
         ("gather", 3, 3 * 4, |c| c.gather(Rank(0), &[1; 4]).map(drop)),
         ("scatter", 3, 3 * 4, |c| {
@@ -291,9 +299,9 @@ fn ctx_collectives_pin_message_counts_and_coll_telemetry() {
     let bytes: u64 = ops.iter().map(|o| o.2).sum();
     for want in [
         // One call per rank; bcast also serves allreduce and allgather.
-        format!("coll.algo.allreduce.reduce-bcast {N}"),
+        format!("coll.algo.allreduce.reduce-bcast {}", 2 * N),
         format!("coll.algo.allgather.gather-bcast {N}"),
-        format!("coll.algo.bcast.binomial {}", 3 * N),
+        format!("coll.algo.bcast.binomial {}", 4 * N),
         format!("coll.bytes_moved {bytes}B"),
     ] {
         assert!(
