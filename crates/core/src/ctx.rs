@@ -57,6 +57,9 @@ use crate::transport::OwnClock;
 /// What every cluster collective runs: the trees this runtime always ran,
 /// as the library's code. The selector's picks (`coll::allreduce` & co.)
 /// send a different number of messages, so switching is a measured change.
+/// `ReduceBcast` sends the 2(n−1) messages of reduce to rank 0 then bcast
+/// in one round fewer: each half of the group reduces to its lowest rank,
+/// the two half roots swap partials in one exchange, each half bcasts.
 const ALLREDUCE: AllreduceAlgo = AllreduceAlgo::ReduceBcast;
 const BCAST: BcastAlgo = BcastAlgo::Binomial;
 const ALLGATHER: AllgatherAlgo = AllgatherAlgo::GatherBcast;

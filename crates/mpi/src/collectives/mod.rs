@@ -11,7 +11,9 @@
 //!
 //! * **allreduce** — recursive doubling ([`rdouble`]) for small payloads,
 //!   reduce-scatter + ring allgather ([`ring`]) for large ones; forced
-//!   only: binomial reduce + bcast, which is what the cluster runs;
+//!   only: binomial reduce + bcast that meets in the middle (each half
+//!   reduces, the half roots swap partials, each half bcasts), which is
+//!   what the cluster runs;
 //! * **allgather** — Bruck doubling ([`bruck`]) small, ring circulation
 //!   large; forced only: gather + bcast, which is what the cluster runs;
 //! * **bcast** — binomial tree small, van de Geijn scatter + ring
@@ -206,6 +208,19 @@ pub fn decode_slice<T: Pod>(buf: &[u8]) -> Result<Vec<T>> {
     Ok(buf.chunks_exact(T::SIZE).map(T::read).collect())
 }
 
+/// Fold the big-endian elements of a received buffer into `acc` in place,
+/// `*a = f(*a, theirs)` element by element: the buffer is never decoded
+/// into a vector of its own.
+fn fold_into<T: Pod>(acc: &mut [T], theirs: &[u8], f: impl Fn(T, T) -> T) -> Result<()> {
+    if theirs.len() != acc.len() * T::SIZE {
+        return Err(Error::invalid_arg("reduce buffers differ in length"));
+    }
+    for (a, b) in acc.iter_mut().zip(theirs.chunks_exact(T::SIZE)) {
+        *a = f(*a, T::read(b));
+    }
+    Ok(())
+}
+
 /// Element-wise reduction operators (associative and commutative, as the
 /// tree and ring algorithms require).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -291,6 +306,26 @@ fn send_owned_c<X: Transport>(
     note(t.endpoint(), metric::COLL_BYTES_MOVED, data.len() as u64);
     let req = t.isend(clock, world, comm.context(), tag, data)?;
     t.wait(clock, req)
+}
+
+/// One unsegmented full-duplex step with `peer`: isend `data` (a buffer
+/// the library owns), receive the peer's message under the same tag, then
+/// retire the send. The isend-first order keeps two peers that both call
+/// this from deadlocking at rendezvous sizes.
+fn exchange_c<X: Transport>(
+    t: &mut X,
+    comm: &Comm,
+    clock: &mut X::Clock,
+    peer: Rank, // communicator rank
+    tag: u64,
+    data: Bytes,
+) -> Result<RecvdMsg> {
+    let world = comm.world_rank(peer)?;
+    note(t.endpoint(), metric::COLL_BYTES_MOVED, data.len() as u64);
+    let req = t.isend(clock, world, comm.context(), tag, data)?;
+    let got = recv_c(t, comm, clock, peer, tag)?;
+    t.wait(clock, req)?;
+    Ok(got)
 }
 
 fn recv_c<X: Transport>(
@@ -409,27 +444,26 @@ pub fn barrier<X: Transport>(t: &mut X, comm: &mut Comm, clock: &mut X::Clock) -
     Ok(())
 }
 
-/// Binomial-tree broadcast of `data` from `root` under an explicit tag.
-/// Non-roots receive into the returned buffer, which aliases the arrival
-/// buffer (no copy per tree level).
+/// Binomial-tree broadcast of `data` from `root` to the `span` ranks
+/// `root, root + 1, …` (mod n) under an explicit tag; only those ranks call
+/// it. Non-roots receive into the returned buffer, which aliases the
+/// arrival buffer (no copy per tree level).
 fn binomial_bcast_raw<X: Transport>(
     t: &mut X,
     comm: &Comm,
     clock: &mut X::Clock,
     root: Rank,
+    span: usize,
     data: Bytes,
     tag: u64,
 ) -> Result<Bytes> {
     let n = comm.size() as usize;
     let me = comm.rank().index();
-    if n == 1 {
-        return Ok(data);
-    }
     let vr = (me + n - root.index()) % n;
     let mut buf = data;
     // Receive from parent (non-root).
     let mut mask = 1usize;
-    while mask < n {
+    while mask < span {
         if vr & mask != 0 {
             let src = Rank(((me + n - mask) % n) as u32);
             buf = recv_c(t, comm, clock, src, tag)?.data;
@@ -440,13 +474,49 @@ fn binomial_bcast_raw<X: Transport>(
     // Forward to children.
     mask >>= 1;
     while mask > 0 {
-        if vr + mask < n {
+        if vr + mask < span {
             let dst = Rank(((me + mask) % n) as u32);
             send_owned_c(t, comm, clock, dst, tag, buf.clone())?;
         }
         mask >>= 1;
     }
     Ok(buf)
+}
+
+/// Binomial combine tree over the `span` ranks `root, root + 1, …` (mod n),
+/// the mirror of [`binomial_bcast_raw`]: each rank folds its children's
+/// partials into `acc` in place, `acc` first, then sends `acc` to its
+/// parent. Returns whether this rank is `root`, the one left holding the
+/// reduction of all `span` contributions.
+#[allow(clippy::too_many_arguments)]
+fn binomial_reduce_raw<X: Transport, T: PodNum>(
+    t: &mut X,
+    comm: &Comm,
+    clock: &mut X::Clock,
+    root: Rank,
+    span: usize,
+    acc: &mut [T],
+    op: ReduceOp,
+    tag: u64,
+) -> Result<bool> {
+    let n = comm.size() as usize;
+    let me = comm.rank().index();
+    let vr = (me + n - root.index()) % n;
+    let mut mask = 1usize;
+    while mask < span {
+        if vr & mask != 0 {
+            let dst = Rank(((me + n - mask) % n) as u32);
+            send_owned_c(t, comm, clock, dst, tag, encode_slice(acc).into())?;
+            return Ok(false);
+        }
+        if vr + mask < span {
+            let src = Rank(((me + mask) % n) as u32);
+            let m = recv_c(t, comm, clock, src, tag)?;
+            fold_into(acc, &m.data, |a, b| T::reduce(op, a, b))?;
+        }
+        mask <<= 1;
+    }
+    Ok(true)
 }
 
 /// Broadcast the payload length from `root` on the control phase, so every
@@ -466,11 +536,10 @@ fn bcast_len_header<X: Transport>(
     } else {
         Bytes::new()
     };
-    let got = binomial_bcast_raw(t, comm, clock, root, hdr, tag)?;
-    if got.len() != 8 {
-        return Err(Error::codec("bcast length header truncated"));
-    }
-    Ok(u64::from_be_bytes(got[0..8].try_into().unwrap()) as usize)
+    let got = binomial_bcast_raw(t, comm, clock, root, comm.size() as usize, hdr, tag)?;
+    let len = <[u8; 8]>::try_from(got.as_ref())
+        .map_err(|_| Error::codec("bcast length header truncated"))?;
+    Ok(u64::from_be_bytes(len) as usize)
 }
 
 /// `MPI_Bcast` of raw bytes from communicator rank `root`. A length header
@@ -525,7 +594,7 @@ fn run_bcast<X: Transport>(
     let out = match algo {
         BcastAlgo::Binomial => {
             let tag = PhaseTag::new(OP_BCAST, seq, PHASE_MAIN, 0).seg(0);
-            binomial_bcast_raw(t, comm, clock, root, data, tag)
+            binomial_bcast_raw(t, comm, clock, root, comm.size() as usize, data, tag)
         }
         BcastAlgo::ScatterAllgather => vdg::bcast(t, comm, clock, seq, root, data, len),
     }?;
@@ -546,34 +615,10 @@ pub fn reduce<X: Transport, T: PodNum>(
     op: ReduceOp,
 ) -> Result<Option<Vec<T>>> {
     let n = comm.size() as usize;
-    let me = comm.rank().index();
     let tag = PhaseTag::new(OP_REDUCE, comm.next_coll_seq(), PHASE_MAIN, 0).seg(0);
-    let vr = (me + n - root.index()) % n;
     let mut acc: Vec<T> = data.to_vec();
-    let mut mask = 1usize;
-    while mask < n {
-        if vr & mask == 0 {
-            let peer_vr = vr | mask;
-            if peer_vr < n {
-                let src = Rank(((peer_vr + root.index()) % n) as u32);
-                let m = recv_c(t, comm, clock, src, tag)?;
-                let other: Vec<T> = decode_slice(&m.data)?;
-                if other.len() != acc.len() {
-                    return Err(Error::invalid_arg("reduce buffers differ in length"));
-                }
-                for (a, b) in acc.iter_mut().zip(other) {
-                    *a = T::reduce(op, *a, b);
-                }
-            }
-        } else {
-            let peer_vr = vr ^ mask;
-            let dst = Rank(((peer_vr + root.index()) % n) as u32);
-            send_owned_c(t, comm, clock, dst, tag, encode_slice(&acc).into())?;
-            return Ok(None);
-        }
-        mask <<= 1;
-    }
-    Ok(Some(acc))
+    let at_root = binomial_reduce_raw(t, comm, clock, root, n, &mut acc, op, tag)?;
+    Ok(at_root.then_some(acc))
 }
 
 /// `MPI_Allreduce`. The [`CollAlgoSelector`] picks the algorithm from the
@@ -607,18 +652,8 @@ pub fn allreduce_with<X: Transport, T: PodNum>(
     let t0 = t.now(clock);
     let out = match algo {
         AllreduceAlgo::ReduceBcast => {
-            let reduced = reduce(t, comm, clock, Rank(0), data, op)?;
-            let bytes = bcast_with(
-                t,
-                comm,
-                clock,
-                Rank(0),
-                reduced
-                    .map(|v| Bytes::from(encode_slice(&v)))
-                    .unwrap_or_default(),
-                BcastAlgo::Binomial,
-            )?;
-            decode_slice(&bytes)
+            let seq = comm.next_coll_seq();
+            allreduce_halves(t, comm, clock, seq, data, op)
         }
         AllreduceAlgo::RecursiveDoubling => {
             let seq = comm.next_coll_seq();
@@ -633,6 +668,52 @@ pub fn allreduce_with<X: Transport, T: PodNum>(
         .recorder()
         .span(t0, t.now(clock), "coll.allreduce", algo.name());
     Ok(out)
+}
+
+/// Reduce + bcast that meets in the middle: a binomial reduce inside each
+/// half, `[0, h)` and `[h, n)` with `h = ⌈n/2⌉`, to the half's lowest rank;
+/// one full-duplex exchange of the two partials between those half roots;
+/// a binomial bcast inside each half. 2(n−1) full-vector messages, as
+/// reduce to rank 0 then bcast, in 2⌈log₂ n⌉ − 1 rounds instead of
+/// 2⌈log₂ n⌉: the top reduce hop and the top bcast hop cross the link
+/// between the half roots at once. Both roots combine the lower half's
+/// partial first, so every rank returns the same bits; for a power-of-two
+/// n they are the bits of `reduce` to rank 0 + binomial `bcast`.
+/// Tag steps: 0 = reduce, 1 = exchange, 2 = bcast.
+fn allreduce_halves<X: Transport, T: PodNum>(
+    t: &mut X,
+    comm: &Comm,
+    clock: &mut X::Clock,
+    seq: u64,
+    data: &[T],
+    op: ReduceOp,
+) -> Result<Vec<T>> {
+    let n = comm.size() as usize;
+    let me = comm.rank().index();
+    let h = n.div_ceil(2);
+    let (lo, span) = if me < h { (0, h) } else { (h, n - h) };
+    let root = Rank(lo as u32);
+    let tag = |step: u32| PhaseTag::new(OP_ALLREDUCE, seq, PHASE_MAIN, step).seg(0);
+    let mut acc: Vec<T> = data.to_vec();
+    let is_root = binomial_reduce_raw(t, comm, clock, root, span, &mut acc, op, tag(0))?;
+    let mut out = Bytes::new();
+    if is_root && n > 1 {
+        let peer = Rank((h - lo) as u32);
+        let theirs = exchange_c(t, comm, clock, peer, tag(1), encode_slice(&acc).into())?;
+        if lo == 0 {
+            fold_into(&mut acc, &theirs.data, |mine, up| T::reduce(op, mine, up))?;
+        } else {
+            fold_into(&mut acc, &theirs.data, |mine, low| T::reduce(op, low, mine))?;
+        }
+        if span > 1 {
+            out = encode_slice(&acc).into();
+        }
+    }
+    let got = binomial_bcast_raw(t, comm, clock, root, span, out, tag(2))?;
+    if !is_root {
+        fold_into(&mut acc, &got, |_, result| result)?;
+    }
+    Ok(acc)
 }
 
 /// `MPI_Gather` of per-rank byte blobs to `root`. Returns `Some(blobs)` in
@@ -856,10 +937,7 @@ pub fn scan<X: Transport, T: PodNum>(
     let mut acc: Vec<T> = data.to_vec();
     if me > 0 {
         let m = recv_c(t, comm, clock, Rank((me - 1) as u32), tag)?;
-        let prev: Vec<T> = decode_slice(&m.data)?;
-        for (a, p) in acc.iter_mut().zip(prev) {
-            *a = T::reduce(op, p, *a);
-        }
+        fold_into(&mut acc, &m.data, |a, prev| T::reduce(op, prev, a))?;
     }
     if me + 1 < n {
         let next = Rank((me + 1) as u32);

@@ -13,7 +13,7 @@ use bytes::Bytes;
 use starfish_util::{Rank, Result};
 
 use super::{
-    decode_slice, encode_slice, exchange_segments, isend_segments, recv_segments, Comm, PhaseTag,
+    encode_slice, exchange_segments, fold_into, isend_segments, recv_segments, Comm, PhaseTag,
     PodNum, ReduceOp, Transport, OP_ALLREDUCE, PHASE_MAIN,
 };
 
@@ -63,10 +63,7 @@ pub(super) fn allreduce<X: Transport, T: PodNum>(
             None
         } else {
             let got = recv_segments(t, comm, clock, Rank((me - 1) as u32), tag(0), expect)?;
-            let other: Vec<T> = decode_slice(&got)?;
-            for (a, b) in acc.iter_mut().zip(other) {
-                *a = T::reduce(op, *a, b);
-            }
+            fold_into(&mut acc, &got, |a, b| T::reduce(op, a, b))?;
             Some(me / 2)
         }
     } else {
@@ -80,10 +77,7 @@ pub(super) fn allreduce<X: Transport, T: PodNum>(
             let peer = Rank(real_rank(v ^ mask, r) as u32);
             let out = Bytes::from(encode_slice(&acc));
             let got = exchange_segments(t, comm, clock, peer, peer, tag(step), out, expect)?;
-            let other: Vec<T> = decode_slice(&got)?;
-            for (a, b) in acc.iter_mut().zip(other) {
-                *a = T::reduce(op, *a, b);
-            }
+            fold_into(&mut acc, &got, |a, b| T::reduce(op, a, b))?;
             mask <<= 1;
             step += 1;
         }
@@ -106,7 +100,7 @@ pub(super) fn allreduce<X: Transport, T: PodNum>(
             }
         } else {
             let got = recv_segments(t, comm, clock, Rank((me + 1) as u32), tag(step), expect)?;
-            acc = decode_slice(&got)?;
+            fold_into(&mut acc, &got, |_, b| b)?;
         }
     }
     Ok(acc)

@@ -19,8 +19,8 @@ use bytes::Bytes;
 use starfish_util::{Rank, Result};
 
 use super::{
-    check_group_size, decode_slice, encode_slice, exchange_segments, Comm, PhaseTag, PodNum,
-    ReduceOp, Transport, OP_ALLGATHER, OP_ALLREDUCE, PHASE_AG, PHASE_MAIN,
+    check_group_size, encode_slice, exchange_segments, fold_into, Comm, PhaseTag, PodNum, ReduceOp,
+    Transport, OP_ALLGATHER, OP_ALLREDUCE, PHASE_AG, PHASE_MAIN,
 };
 
 /// Element range `[lo, hi)` of block `b` when `total` elements are split
@@ -63,10 +63,7 @@ pub(super) fn allreduce<X: Transport, T: PodNum>(
         let (rlo, rhi) = block_range(m, n, recv_b);
         let tag = PhaseTag::new(OP_ALLREDUCE, seq, PHASE_MAIN, s as u32);
         let got = exchange_segments(t, comm, clock, right, left, tag, out, (rhi - rlo) * T::SIZE)?;
-        let other: Vec<T> = decode_slice(&got)?;
-        for (a, b) in acc[rlo..rhi].iter_mut().zip(other) {
-            *a = T::reduce(op, *a, b);
-        }
+        fold_into(&mut acc[rlo..rhi], &got, |a, b| T::reduce(op, a, b))?;
     }
     // Phase 2: ring allgather of the reduced blocks (rank me owns block
     // me + 1 after the reduce-scatter).
@@ -78,8 +75,7 @@ pub(super) fn allreduce<X: Transport, T: PodNum>(
         let (rlo, rhi) = block_range(m, n, recv_b);
         let tag = PhaseTag::new(OP_ALLREDUCE, seq, PHASE_AG, s as u32);
         let got = exchange_segments(t, comm, clock, right, left, tag, out, (rhi - rlo) * T::SIZE)?;
-        let other: Vec<T> = decode_slice(&got)?;
-        acc[rlo..rhi].copy_from_slice(&other);
+        fold_into(&mut acc[rlo..rhi], &got, |_, b| b)?;
     }
     Ok(acc)
 }

@@ -33,8 +33,10 @@ pub const DEFAULT_BCAST_SCATTER_BYTES: usize = 256 * 1024;
 /// Allreduce algorithm choices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllreduceAlgo {
-    /// Binomial reduce to rank 0, then binomial bcast: 2(n−1) messages.
-    /// What the cluster runtime forces; the selector never picks it.
+    /// Binomial reduce inside each half of the group, one exchange between
+    /// the two half roots, binomial bcast inside each half: 2(n−1)
+    /// messages in 2⌈log₂ n⌉ − 1 rounds. What the cluster runtime forces;
+    /// the selector never picks it.
     ReduceBcast,
     /// Recursive doubling with a pre/post fold for non-power-of-two sizes:
     /// ⌈log₂ n⌉ exchange rounds, every rank moves O(m·log n) bytes.

@@ -3,9 +3,9 @@ use crate::directory::RankDirectory;
 use crate::endpoint::RecvMode;
 use proptest::prelude::*;
 use starfish_telemetry::Registry;
-use starfish_util::trace::TraceSink;
+use starfish_util::trace::{MsgClass, TraceSink};
 use starfish_util::{AppId, NodeId, VClock, VirtualTime};
-use starfish_vni::{Fabric, Ideal, LayerCosts};
+use starfish_vni::{BipMyrinet, Fabric, Ideal, LayerCosts, NetworkModel};
 
 /// Run `f(rank, endpoint, comm, clock)` on `n` rank-threads and collect
 /// the results in rank order.
@@ -13,7 +13,18 @@ fn run_ranks<T: Send + 'static>(
     n: u32,
     f: impl Fn(u32, &mut MpiEndpoint, &mut Comm, &mut VClock) -> T + Send + Sync + 'static,
 ) -> Vec<T> {
-    let fabric = Fabric::new(Box::new(Ideal), LayerCosts::zero());
+    run_ranks_on(Box::new(Ideal), TraceSink::disabled(), n, f)
+}
+
+/// [`run_ranks`] over the wire `net` (zero layer costs, one node per rank),
+/// with every endpoint auditing its messages into `sink`.
+fn run_ranks_on<T: Send + 'static>(
+    net: Box<dyn NetworkModel>,
+    sink: TraceSink,
+    n: u32,
+    f: impl Fn(u32, &mut MpiEndpoint, &mut Comm, &mut VClock) -> T + Send + Sync + 'static,
+) -> Vec<T> {
+    let fabric = Fabric::new(net, LayerCosts::zero());
     for i in 0..n {
         fabric.add_node(NodeId(i));
     }
@@ -29,7 +40,7 @@ fn run_ranks<T: Send + 'static>(
                 starfish_util::Rank(r),
                 dir.clone(),
                 RecvMode::Polled,
-                TraceSink::disabled(),
+                sink.clone(),
             )
             .unwrap()
         })
@@ -231,6 +242,139 @@ fn allreduce_selector_picks_ring_for_large_payloads() {
         assert_eq!(big[0], 3); // max over r of (0 + r)
         assert_eq!(rdouble_n, 1, "small payload must pick recursive doubling");
         assert_eq!(ring_n, 1, "2 KiB payload must pick ring at threshold 1 KiB");
+    }
+}
+
+/// One forced reduce+bcast allreduce of `data(rank)` on `n` bare endpoints
+/// over BIP/Myrinet with zero layer costs, every clock starting at zero:
+/// each rank's result and finishing virtual time, and the data messages
+/// the whole group sent.
+fn meet_in_the_middle<T: PodNum + Send + 'static>(
+    n: u32,
+    data: fn(u32) -> Vec<T>,
+    op: ReduceOp,
+) -> (Vec<Vec<T>>, Vec<VirtualTime>, u64) {
+    let sink = TraceSink::enabled();
+    let res = run_ranks_on(
+        Box::new(BipMyrinet),
+        sink.clone(),
+        n,
+        move |r, ep, comm, clock| {
+            let out =
+                allreduce_with(ep, comm, clock, &data(r), op, AllreduceAlgo::ReduceBcast).unwrap();
+            (out, clock.now())
+        },
+    );
+    let (outs, vts) = res.into_iter().unzip();
+    (outs, vts, sink.count(MsgClass::Data))
+}
+
+/// The reference the cluster path ran before: `reduce` to rank 0, then a
+/// binomial `bcast_with` of the encoded result.
+fn reduce_then_bcast<T: PodNum + Send + 'static>(
+    n: u32,
+    data: fn(u32) -> Vec<T>,
+    op: ReduceOp,
+) -> Vec<Vec<T>> {
+    run_ranks(n, move |r, ep, comm, clock| {
+        let reduced = reduce(ep, comm, clock, Rank(0), &data(r), op).unwrap();
+        let at_root = reduced.map(|v| Bytes::from(encode_slice(&v)));
+        let bytes = bcast_with(
+            ep,
+            comm,
+            clock,
+            Rank(0),
+            at_root.unwrap_or_default(),
+            BcastAlgo::Binomial,
+        )
+        .unwrap();
+        decode_slice(&bytes).unwrap()
+    })
+}
+
+/// Elements of the meet-in-the-middle test: 64 per rank.
+const MEET_LEN: usize = 64;
+
+fn meet_ints(r: u32) -> Vec<i64> {
+    (0..MEET_LEN as i64)
+        .map(|i| (r as i64 + 1) * (i - 7))
+        .collect()
+}
+
+/// Multiples of 1/8 small enough that every partial sum is exact, in any
+/// order.
+fn meet_exact(r: u32) -> Vec<f64> {
+    (0..MEET_LEN)
+        .map(|i| (r as f64 - i as f64) * 0.125)
+        .collect()
+}
+
+/// Values whose sum rounds differently in different orders.
+fn meet_awkward(r: u32) -> Vec<f64> {
+    (0..MEET_LEN)
+        .map(|i| 1.0 / (r as f64 * 7.0 + i as f64 + 3.0))
+        .collect()
+}
+
+fn serial<T: PodNum>(n: u32, data: fn(u32) -> Vec<T>, op: ReduceOp) -> Vec<T> {
+    (1..n).fold(data(0), |acc, r| {
+        acc.into_iter()
+            .zip(data(r))
+            .map(|(a, b)| T::reduce(op, a, b))
+            .collect()
+    })
+}
+
+/// The cluster path's allreduce at every group size from 1 to 9: a binomial
+/// reduce inside each half, one exchange between the half roots, a binomial
+/// bcast inside each half. Every rank gets the serial reduction and the
+/// same bits as every other rank, over exactly 2(n−1) data messages, in
+/// 2⌈log₂⌈n/2⌉⌉ + 1 one-way hops — under the 2⌈log₂ n⌉ of reduce then
+/// bcast, whose bits it keeps at powers of two.
+#[test]
+fn reduce_bcast_allreduce_meets_in_the_middle() {
+    let ceil_log2 = |k: usize| k.next_power_of_two().trailing_zeros() as u64;
+    let hop = BipMyrinet.one_way(MEET_LEN * 8);
+    for n in 1..=9u32 {
+        let rounds = 2 * ceil_log2((n as usize).div_ceil(2)) + 1;
+        let check_time = |vts: &[VirtualTime]| {
+            let slowest = vts.iter().copied().max().unwrap();
+            assert!(
+                slowest <= hop * rounds,
+                "n={n}: {slowest:?} > {rounds} hops"
+            );
+            if n >= 2 {
+                let parent = 2 * ceil_log2(n as usize);
+                assert!(
+                    slowest < hop * parent,
+                    "n={n}: {slowest:?} vs {parent} hops"
+                );
+            }
+        };
+        for op in [ReduceOp::Sum, ReduceOp::Max] {
+            let (ints, vts, msgs) = meet_in_the_middle(n, meet_ints, op);
+            let want = serial(n, meet_ints, op);
+            assert!(ints.iter().all(|v| *v == want), "n={n} {op:?} i64");
+            assert_eq!(msgs, 2 * (n as u64 - 1), "n={n} {op:?} i64 messages");
+            check_time(&vts);
+
+            let (exact, vts, msgs) = meet_in_the_middle(n, meet_exact, op);
+            let want = serial(n, meet_exact, op);
+            assert!(exact.iter().all(|v| *v == want), "n={n} {op:?} f64");
+            assert_eq!(msgs, 2 * (n as u64 - 1), "n={n} {op:?} f64 messages");
+            check_time(&vts);
+
+            let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (awkward, _, _) = meet_in_the_middle(n, meet_awkward, op);
+            assert!(
+                awkward.iter().all(|v| bits(v) == bits(&awkward[0])),
+                "n={n} {op:?}: ranks disagree"
+            );
+            if [2, 4, 8].contains(&n) {
+                let reference = reduce_then_bcast(n, meet_awkward, op);
+                assert_eq!(bits(&awkward[0]), bits(&reference[0]), "n={n} {op:?}");
+            }
+        }
     }
 }
 

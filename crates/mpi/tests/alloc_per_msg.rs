@@ -162,13 +162,15 @@ fn a_borrowed_256_kib_send_allocates_one_payload_block() {
     }
 }
 
-/// The collectives hand over the buffers they own. One 4-rank 256 KiB
-/// reduce + bcast allreduce allocates 15 payload-sized blocks: each rank's
-/// accumulator and decoded result (8), the three encoded reduce
-/// contributions and the root's encoded result (4), and the three decoded
-/// contributions (3) — nothing per hop. The parent allocated 28: two more
-/// per rendezvous hop (six hops: `copy_from_slice` copied twice) and one
-/// for the root's `Bytes::from`.
+/// The collectives hand over the buffers they own and fold what they
+/// receive in place. One 4-rank 256 KiB reduce + bcast allreduce allocates
+/// 10 payload-sized blocks: each rank's accumulator (4), the two leaves'
+/// encoded contributions to their half roots (2), the two half roots'
+/// encoded partials for their exchange (2) and their encoded results for
+/// the bcast to their leaf (2). Every received partial and result is folded
+/// into the accumulator — nothing per hop. Reduce to rank 0 then bcast
+/// allocated 15: it decoded its three received contributions and all four
+/// results into fresh vectors (+7), and had no exchange partials (−2).
 #[test]
 fn a_reduce_bcast_allreduce_copies_nothing_per_hop() {
     const RANKS: u32 = 4;
@@ -202,5 +204,8 @@ fn a_reduce_bcast_allreduce_copies_nothing_per_hop() {
     });
     let big = counts().1 - before;
     drop(eps);
-    assert!(big <= 15, "{big} payload-sized blocks (the parent made 28)");
+    assert!(
+        big <= 10,
+        "{big} payload-sized blocks (reduce then bcast made 15)"
+    );
 }

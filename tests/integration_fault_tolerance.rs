@@ -237,3 +237,113 @@ fn warm_migration_moves_rank_and_preserves_result() {
     // Exactly one epoch bump (the migration's rollback).
     assert_eq!(cluster.config().apps[&app].epoch.0, 1);
 }
+
+/// Steps of the `meet` app below: even steps sum one f64, odd steps 32 768
+/// of them (256 KiB).
+const MEET_STEPS: i64 = 12;
+
+fn meet_len(step: i64) -> usize {
+    if step % 2 == 0 {
+        1
+    } else {
+        256 * 1024 / 8
+    }
+}
+
+/// Rank `me`'s element `i` in `step`: small integers, so every order of
+/// summation is exact.
+fn meet_contribution(me: i64, step: i64, i: usize) -> f64 {
+    ((me + 1) * (i as i64 % 97 + 1) + step) as f64
+}
+
+/// The running checksum is checkpointed state, and a VM-level image keeps
+/// integers in the saving machine's 32-bit word.
+fn meet_fold(acc: i64, sum: &[f64]) -> i64 {
+    (acc + sum.iter().map(|x| *x as i64).sum::<i64>()) % 1_000_003
+}
+
+/// Whether rank 0's image `index` was captured blocked in the half roots'
+/// exchange: it had sent since its last safepoint, and the only send of a
+/// lower half root before its exchange receive is its partial to rank 2.
+fn rank0_in_exchange(cluster: &Cluster, app: starfish::AppId, index: u64) -> bool {
+    let Some(img) = cluster.store().get(app, Rank(0), index) else {
+        return false;
+    };
+    let (state, _) = img.restore_state(starfish::MACHINES[0]).unwrap();
+    let sent = state.field("__sent").and_then(|s| s.as_int_array());
+    sent.is_some_and(|sent| sent.get(2).is_some_and(|n| *n > 0))
+}
+
+/// A cluster allreduce at 4 ranks reduces each half to its lowest rank,
+/// swaps the two partials between ranks 0 and 2 in one isend → recv → wait,
+/// and bcasts in each half. Rank 3 holds back before every allreduce until
+/// a round lands, so the rounds the test keeps triggering find rank 0
+/// blocked in that exchange with its partial sent, rank 2 waiting for rank
+/// 3 and rank 1 for the result. A node crash then rolls the job back to
+/// such a capture. Every 8 B and 256 KiB sum must equal a serial replay.
+#[test]
+fn allreduce_recovers_from_captures_inside_the_half_root_exchange() {
+    let cluster = Cluster::builder().nodes(5).build().unwrap();
+    cluster.register_app("meet", |ctx| {
+        let me = ctx.rank().0 as i64;
+        let (mut step, mut acc) = match ctx.restored() {
+            Some(v) => (
+                v.field("step").and_then(|f| f.as_int()).unwrap_or(0),
+                v.field("acc").and_then(|f| f.as_int()).unwrap_or(0),
+            ),
+            None => (0, 0),
+        };
+        while step < MEET_STEPS {
+            let state = CkptValue::record(vec![
+                ("step", CkptValue::Int(step)),
+                ("acc", CkptValue::Int(acc)),
+            ]);
+            ctx.safepoint(&state)?;
+            if me == 3 {
+                let seen = ctx.last_checkpoint_index();
+                while ctx.last_checkpoint_index() == seen {
+                    std::thread::sleep(Duration::from_millis(1));
+                    ctx.safepoint(&state)?;
+                }
+            }
+            let mine: Vec<f64> = (0..meet_len(step))
+                .map(|i| meet_contribution(me, step, i))
+                .collect();
+            acc = meet_fold(acc, &ctx.allreduce_f64(&mine, ReduceOp::Sum)?);
+            step += 1;
+        }
+        ctx.publish(CkptValue::Int(acc));
+        Ok(())
+    });
+    let app = cluster.submit("meet", 4, SubmitOpts::default()).unwrap();
+    let ranks: Vec<Rank> = (0..4).map(Rank).collect();
+    let deadline = std::time::Instant::now() + T;
+    let mut crashed = false;
+    while cluster
+        .wait_app_done(app, Duration::from_millis(40))
+        .is_err()
+    {
+        assert!(std::time::Instant::now() < deadline, "the job hung");
+        let line = cluster.store().latest_common_index(app, &ranks);
+        if !crashed && line > 0 && rank0_in_exchange(&cluster, app, line) {
+            cluster.crash_node(cluster.config().apps[&app].placement[0]);
+            crashed = true;
+        }
+        cluster.checkpoint(app).unwrap();
+    }
+    assert!(crashed, "no committed round caught rank 0 in the exchange");
+    assert_eq!(cluster.config().apps[&app].epoch.0, 1, "one rollback");
+    let expect = (0..MEET_STEPS).fold(0, |acc, step| {
+        let sum: Vec<f64> = (0..meet_len(step))
+            .map(|i| (0..4).map(|me| meet_contribution(me, step, i)).sum())
+            .collect();
+        meet_fold(acc, &sum)
+    });
+    for r in ranks {
+        let out = cluster.outputs(app, r);
+        assert!(
+            out.contains(&CkptValue::Int(expect)),
+            "rank {r}: want {expect}, got {out:?}"
+        );
+    }
+}
