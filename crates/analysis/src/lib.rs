@@ -8,8 +8,8 @@
 //!   line numbers, `#[cfg(test)]` regions, token predicates.
 //! - [`model`] — item layer: structs (with fields), enums (with variants),
 //!   impl blocks, functions (with body extents and call sites).
-//! - [`locks`] — lock-order graph + cycle detection and the
-//!   blocking-while-locked pass.
+//! - [`locks`] — lock-order graph + cycle detection, the
+//!   blocking-while-locked pass and the notify-unlocked pass.
 //! - [`panics`] — panic-surface audit over the protocol crates.
 //! - [`rules`] — the original wall-clock / wire-enum-coverage rules,
 //!   re-hosted on the model, and the sans-io rule for files that declare
@@ -85,6 +85,19 @@ pub fn analyze_workspace(root: &Path) -> Result<Report, String> {
             report.findings.push(f);
         }
     }
+    report.findings.extend(la.notify);
+    // The notify rule also covers the stand-ins the runtime waits in.
+    for dir in rules::NO_SLEEP_DIRS {
+        if let Some(krate) = dir
+            .strip_prefix("third_party/")
+            .and_then(|d| d.strip_suffix("/src"))
+        {
+            let m = CrateModel::parse(krate, &root.join("third_party").join(krate));
+            report
+                .findings
+                .extend(locks::analyze(&[m], Watched::All).notify);
+        }
+    }
 
     // Panic surface (baselined per file).
     let mut panic_total = 0usize;
@@ -151,6 +164,7 @@ pub fn analyze_crate(dir: &Path) -> Report {
         report.findings.push(cycle_finding(&c));
     }
     report.findings.extend(la.blocking);
+    report.findings.extend(la.notify);
 
     let sites = panics::panic_sites(&models[0]);
     let panic_total = sites.len();
@@ -338,6 +352,31 @@ mod tests {
         let r2 = analyze_workspace(&root).unwrap();
         assert!(r2.is_clean(), "{:?}", r2.findings);
         assert_eq!(r2.stats.baselined, 1);
+    }
+
+    #[test]
+    fn workspace_mode_holds_the_stand_ins_to_the_notify_rule() {
+        let root = std::env::temp_dir().join("starfish-analysis-lib-standin");
+        let _ = fs::remove_dir_all(&root);
+        fs::create_dir_all(root.join("crates")).unwrap();
+        fs::create_dir_all(root.join("third_party/crossbeam/src")).unwrap();
+        fs::write(
+            root.join("third_party/crossbeam/src/lib.rs"),
+            concat!(
+                "struct Shared { queue: Mutex<VecDeque<u8>>, avail: Condvar, senders: AtomicUsize }\n",
+                "impl Drop for Sender {\n",
+                "    fn drop(&mut self) {\n",
+                "        self.shared.senders.fetch_sub(1, Ordering::SeqCst);\n",
+                "        self.shared.avail.notify_all();\n",
+                "    }\n",
+                "}\n",
+            ),
+        )
+        .unwrap();
+        let r = analyze_workspace(&root).unwrap();
+        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+        assert_eq!(r.findings[0].rule, "notify-unlocked");
+        assert_eq!(r.findings[0].subject, "Sender::drop");
     }
 
     #[test]

@@ -19,6 +19,16 @@
 //! exempt with respect to the innermost held guard (that guard *is* the
 //! condvar's paired mutex; waiting releases it).
 //!
+//! The notify-unlocked pass holds notifiers to the condvar contract the
+//! `parking_lot` stand-in's wake-up skip relies on (a notify with no waiter
+//! counted makes no syscall — DESIGN.md §5d): a `notify_one`/`notify_all`
+//! on the condvar field of a struct that also has a mutex is a finding
+//! unless the same function acquired that struct's mutex — directly or
+//! through a resolved call — earlier in its body. The guard may be dropped
+//! or a temporary by then: passing through the lock is what orders the
+//! change against a waiter's look-then-park. A notify whose condvar does
+//! not resolve to a field is not checked.
+//!
 //! Known limitations (deliberate, documented): call resolution is
 //! intra-crate and name-based with receiver-type heuristics — unresolved
 //! call and lock sites are *counted* in the stats rather than silently
@@ -216,6 +226,8 @@ pub struct LockStats {
 pub struct LockAnalysis {
     pub graph: LockGraph,
     pub blocking: Vec<Finding>,
+    /// notify-unlocked findings.
+    pub notify: Vec<Finding>,
     pub fields: Vec<LockField>,
     pub stats: LockStats,
 }
@@ -244,6 +256,11 @@ const BLOCKING_TOKENS: &[(&str, &str)] = &[
     ("fs::write", "file I/O"),
     (".read_to_string(", "file I/O"),
     ("OpenOptions::new", "file I/O"),
+];
+
+const NOTIFY_TOKENS: &[(&str, &str)] = &[
+    (".notify_one()", "notify_one"),
+    (".notify_all()", "notify_all"),
 ];
 
 const WAIT_TOKENS: &[(&str, &str)] = &[
@@ -327,8 +344,6 @@ struct CrateMaps {
     free: BTreeMap<String, Vec<usize>>,
     /// any fn name -> local fn indices (fallback resolution).
     by_name: BTreeMap<String, Vec<usize>>,
-    /// structs that have a Condvar field.
-    condvar_structs: BTreeSet<String>,
 }
 
 fn field_lock_kind(ty: &str) -> Option<LockKind> {
@@ -351,7 +366,6 @@ fn crate_maps(model: &CrateModel) -> CrateMaps {
         methods: BTreeMap::new(),
         free: BTreeMap::new(),
         by_name: BTreeMap::new(),
-        condvar_structs: BTreeSet::new(),
     };
     for s in &model.structs {
         m.struct_names.insert(s.name.clone());
@@ -361,9 +375,6 @@ fn crate_maps(model: &CrateModel) -> CrateMaps {
                 .or_default()
                 .push((s.name.clone(), f.ty.clone()));
             if let Some(kind) = field_lock_kind(&f.ty) {
-                if kind == LockKind::Condvar {
-                    m.condvar_structs.insert(s.name.clone());
-                }
                 m.lock_fields
                     .entry(f.name.clone())
                     .or_default()
@@ -555,11 +566,21 @@ struct RCall {
     site: String,
 }
 
+/// A condvar notify whose condvar resolved to a field of `strukt`.
+#[derive(Debug, Clone)]
+struct Notify {
+    strukt: String,
+    line: usize,
+    pos: usize,
+    call: &'static str,
+}
+
 #[derive(Default)]
 struct FnData {
     acqs: Vec<Acq>,
     blks: Vec<Blk>,
     calls: Vec<RCall>,
+    notifies: Vec<Notify>,
 }
 
 fn in_scope(a: &Acq, line: usize, pos: usize) -> bool {
@@ -818,6 +839,46 @@ pub fn analyze(models: &[CrateModel], watched: Watched) -> LockAnalysis {
         }
     }
 
+    let mut notify = Vec::new();
+    for (g, d) in data.iter().enumerate() {
+        let (ci, fi) = gfns[g];
+        let model = &models[ci];
+        let fdef = &model.functions[fi];
+        for n in &d.notifies {
+            let prefix = format!("{}::{}.", model.name, n.strukt);
+            let earlier = |line: usize, pos: usize| (line, pos) < (n.line, n.pos);
+            let locked = d
+                .acqs
+                .iter()
+                .any(|a| earlier(a.line, a.pos) && classes[a.class].starts_with(&prefix))
+                || d.calls.iter().any(|c| {
+                    earlier(c.line, c.pos)
+                        && trans_acq[c.callee]
+                            .keys()
+                            .any(|&k| classes[k].starts_with(&prefix))
+                });
+            if locked {
+                continue;
+            }
+            let mut f = Finding::new(
+                "notify-unlocked",
+                model.files[fdef.file].path.clone(),
+                n.line + 1,
+                format!(
+                    "`{}` on `{}`'s condvar, and `{}` has not taken that struct's mutex \
+                     by then — change the waited-on state under the waiter's mutex, then \
+                     notify: a waiter between its look and its park misses the wake-up",
+                    n.call,
+                    n.strukt,
+                    fdef.qualified()
+                ),
+            );
+            f.subject = fdef.qualified();
+            f.detail = n.call.to_string();
+            notify.push(f);
+        }
+    }
+
     let mut edges = Vec::new();
     for ((a, b, file, line), witness) in edge_map {
         edges.push(LockEdge {
@@ -831,6 +892,7 @@ pub fn analyze(models: &[CrateModel], watched: Watched) -> LockAnalysis {
     LockAnalysis {
         graph: LockGraph { classes, edges },
         blocking,
+        notify,
         fields,
         stats,
     }
@@ -941,6 +1003,22 @@ fn extract_fn(
                     is_wait: true,
                     site: format!("{desc} in {qual} at {}", loc(&sf.path, j)),
                 });
+            }
+        }
+
+        for &(tok, call) in NOTIFY_TOKENS {
+            let mut from = 0;
+            while let Some(p) = line[from..].find(tok) {
+                let dot = from + p;
+                from = dot + tok.len();
+                if let Some(strukt) = resolve_condvar(m, fdef.self_ty.as_deref(), bytes, dot) {
+                    d.notifies.push(Notify {
+                        strukt,
+                        line: j,
+                        pos: dot,
+                        call,
+                    });
+                }
             }
         }
 
@@ -1065,6 +1143,41 @@ fn resolve_lock<'m>(
         if best.is_some() {
             return best;
         }
+    }
+    None
+}
+
+/// The struct whose condvar field a `.notify_*()` at `dot` is called on,
+/// if that struct also has a mutex for the condvar to pair with.
+fn resolve_condvar(
+    m: &CrateMaps,
+    self_ty: Option<&str>,
+    bytes: &[u8],
+    dot: usize,
+) -> Option<String> {
+    for seg in receiver_chain(bytes, dot) {
+        let Some(entries) = m.all_fields.get(&seg) else {
+            continue;
+        };
+        let owners: BTreeSet<&str> = entries
+            .iter()
+            .filter(|(_, ty)| token_in(ty, "Condvar"))
+            .map(|(s, _)| s.as_str())
+            .collect();
+        if owners.is_empty() {
+            continue;
+        }
+        let owner = match self_ty.filter(|t| owners.contains(t)) {
+            Some(t) => t,
+            None if owners.len() == 1 => owners.into_iter().next()?,
+            None => return None,
+        };
+        let paired = m
+            .lock_fields
+            .values()
+            .flatten()
+            .any(|lf| lf.strukt == owner && lf.kind != LockKind::Condvar);
+        return paired.then(|| owner.to_string());
     }
     None
 }
@@ -1326,6 +1439,87 @@ mod tests {
             "{:?}",
             la.blocking[0].chains
         );
+    }
+
+    #[test]
+    fn notify_without_the_waiters_mutex_is_flagged() {
+        let la = run(concat!(
+            "struct Shared<T> { queue: Mutex<VecDeque<T>>, avail: Condvar, senders: AtomicUsize }\n",
+            "impl<T> Drop for Sender<T> {\n",
+            "    fn drop(&mut self) {\n",
+            "        if self.shared.senders.fetch_sub(1, Ordering::SeqCst) == 1 {\n",
+            "            self.shared.avail.notify_all();\n",
+            "        }\n",
+            "    }\n",
+            "}\n",
+            "pub struct Flag { up: AtomicBool, m: Mutex<()>, cv: Condvar }\n",
+            "impl Flag {\n",
+            "    fn raise(&self) {\n",
+            "        self.up.store(true, Ordering::SeqCst);\n",
+            "        self.cv.notify_one();\n",
+            "    }\n",
+            "}\n",
+        ));
+        let got: Vec<(&str, &str, usize)> = la
+            .notify
+            .iter()
+            .map(|f| (f.subject.as_str(), f.detail.as_str(), f.line))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                ("Sender::drop", "notify_all", 5),
+                ("Flag::raise", "notify_one", 13)
+            ]
+        );
+        assert!(la.notify.iter().all(|f| f.rule == "notify-unlocked"));
+    }
+
+    #[test]
+    fn notify_after_passing_through_the_mutex_is_clean() {
+        let la = run(concat!(
+            "struct Shared<T> { queue: Mutex<VecDeque<T>>, avail: Condvar, senders: AtomicUsize }\n",
+            "impl<T> Drop for Sender<T> {\n",
+            "    fn drop(&mut self) {\n",
+            "        if self.shared.senders.fetch_sub(1, Ordering::SeqCst) == 1 {\n",
+            "            drop(self.shared.queue.lock());\n",
+            "            self.shared.avail.notify_all();\n",
+            "        }\n",
+            "    }\n",
+            "}\n",
+            "pub struct Inbox { q: Mutex<State>, cond: Condvar }\n",
+            "impl Inbox {\n",
+            "    fn push(&self, p: P) {\n",
+            "        let mut g = self.q.lock();\n",
+            "        g.packets.push_back(p);\n",
+            "        drop(g);\n",
+            "        self.cond.notify_one();\n",
+            "    }\n",
+            "    fn kick(&self) {\n",
+            "        self.q.lock().kicked = true;\n",
+            "        self.cond.notify_all();\n",
+            "    }\n",
+            "    fn close(&self) {\n",
+            "        self.shut();\n",
+            "        self.cond.notify_all();\n",
+            "    }\n",
+            "    fn shut(&self) {\n",
+            "        self.q.lock().closed = true;\n",
+            "    }\n",
+            "}\n",
+            "pub struct Outputs { inner: Arc<(Mutex<Map>, Condvar)> }\n",
+            "impl Outputs {\n",
+            "    fn publish(&self, v: V) {\n",
+            "        self.inner.0.lock().push(v);\n",
+            "        self.inner.1.notify_all();\n",
+            "    }\n",
+            "}\n",
+            "pub struct Condvar { inner: std::sync::Condvar, waiters: AtomicUsize }\n",
+            "impl Condvar {\n",
+            "    fn notify_one(&self) { self.inner.notify_one(); }\n",
+            "}\n",
+        ));
+        assert!(la.notify.is_empty(), "{:?}", la.notify);
     }
 
     #[test]

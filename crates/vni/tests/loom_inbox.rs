@@ -22,7 +22,7 @@
 //! queued, so the properties are checked for both paths.
 
 use std::collections::VecDeque;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use loom::sync::Arc;
@@ -34,6 +34,9 @@ use starfish_vni::{Addr, Packet, PacketKind, PortId};
 const SENDERS: u64 = 3;
 const PER_SENDER: u64 = 4;
 const FAR: Duration = Duration::from_secs(10);
+/// A wait given `FAR` must be woken well inside it: a lost wake-up would
+/// sit the limit out, find the packet or kick on its final look and pass.
+const STALL: Duration = Duration::from_secs(1);
 
 fn pkt(sender: u64, k: u64) -> Packet {
     let src = Addr::new(NodeId(sender as u32), PortId(1));
@@ -98,10 +101,19 @@ fn concurrent_senders_racing_recv_timeout_lose_nothing() {
     });
 }
 
+/// Run one wait given `FAR` and fail if it came back by running into it.
+fn woken<R>(wait: impl FnOnce() -> R) -> R {
+    let t0 = Instant::now();
+    let got = wait();
+    let took = t0.elapsed();
+    assert!(took < STALL, "a wait took {took:?}: lost wake-up");
+    got
+}
+
 /// `pop_batch` with a fresh buffer: `(outcome, packets handed over)`.
 fn pop(inbox: &Inbox, wait: Option<Duration>) -> (PopBatch, usize) {
     let mut buf = VecDeque::new();
-    let got = inbox.pop_batch(&mut buf, 8, wait);
+    let got = woken(|| inbox.pop_batch(&mut buf, 8, wait));
     (got, buf.len())
 }
 
@@ -183,7 +195,7 @@ fn the_trading_pop_racing_senders_a_kick_and_a_close_loses_nothing() {
         while (tags.len() as u64) < SENDERS * PER_SENDER || kicks == 0 {
             round += 1;
             let wait = (round % 2 == 0).then_some(FAR);
-            match inbox.pop_batch(&mut buf, 2, wait) {
+            match woken(|| inbox.pop_batch(&mut buf, 2, wait)) {
                 PopBatch::Packets => tags.extend(buf.drain(..).map(|p| p.tag)),
                 PopBatch::Kicked => kicks += 1,
                 PopBatch::Empty if wait.is_none() => thread::yield_now(),
@@ -215,7 +227,7 @@ fn the_trading_pop_racing_senders_a_kick_and_a_close_loses_nothing() {
         };
         let mut tail = Vec::new();
         loop {
-            match inbox.pop_batch(&mut buf, 2, Some(FAR)) {
+            match woken(|| inbox.pop_batch(&mut buf, 2, Some(FAR))) {
                 PopBatch::Packets => tail.extend(buf.drain(..).map(|p| p.tag)),
                 PopBatch::Closed => break,
                 PopBatch::Kicked | PopBatch::Empty => panic!("no kick pending, nothing lost"),
@@ -240,7 +252,7 @@ fn close_wakes_blocked_consumer_after_drain() {
         };
         // Packets win over closure: the queued packet is drained first,
         // whichever side of the close the consumer lands on...
-        match inbox.pop_wait(Some(Duration::from_secs(10))) {
+        match woken(|| inbox.pop_wait(Some(FAR))) {
             Pop::Packet(p) => assert_eq!(p.tag, 0),
             _ => panic!("queued packet must survive close"),
         }
