@@ -2,8 +2,9 @@
 # Per-crate non-test line counts, base → change: `starfish-lint`'s
 # `non_test_lines` (physical lines of crates/*/src outside test code) for
 # the tree at a base revision and for the working tree, one line per crate,
-# then the workspace total and its delta. Report only: it exits 0 whatever
-# the numbers say.
+# then the workspace total and its delta, then the lint's `lock_classes`
+# and `panic_sites` the same way. Report only: it exits 0 whatever the
+# numbers say.
 #
 #   ci/lines.sh [base]      # base defaults to HEAD^
 #
@@ -30,11 +31,13 @@ git archive "$base" | tar -x -C "$tmp/base"
 python3 - "$base" "$tmp/base.json" "$tmp/change.json" <<'EOF'
 import json, sys
 
-name, base, change = sys.argv[1], *(json.load(open(p))["stats"]["non_test_lines"] for p in sys.argv[2:])
+name, base, change = sys.argv[1], *(json.load(open(p))["stats"] for p in sys.argv[2:])
+row = lambda label, b, c: print(f"  {label:<12} {b:>7} -> {c:>7}  {c - b:+d}")
 print(f"non_test_lines, {name} -> working tree")
-for crate in sorted(set(base) | set(change)):
-    b, c = base.get(crate, 0), change.get(crate, 0)
-    print(f"  {crate:<12} {b:>7} -> {c:>7}  {c - b:+d}")
-b, c = sum(base.values()), sum(change.values())
-print(f"  {'workspace':<12} {b:>7} -> {c:>7}  {c - b:+d}")
+lines_b, lines_c = base["non_test_lines"], change["non_test_lines"]
+for crate in sorted(set(lines_b) | set(lines_c)):
+    row(crate, lines_b.get(crate, 0), lines_c.get(crate, 0))
+row("workspace", sum(lines_b.values()), sum(lines_c.values()))
+for stat in ("lock_classes", "panic_sites"):
+    row(stat, base[stat], change[stat])
 EOF

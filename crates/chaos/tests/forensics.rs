@@ -119,6 +119,15 @@ fn postmortem_bundle_is_byte_identical_across_replays() {
     assert!(pm1.events.windows(2).all(|w| w[0].vt <= w[1].vt));
 }
 
+/// The bundle writer, pinned byte for byte: `forensic_plan(0)`'s bundle
+/// as the writer produced it when it was committed.
+#[test]
+fn golden_bundle_is_byte_identical() {
+    let plan = forensic_plan(0);
+    let pm = postmortem(&plan, &run_mpi_scenario(&plan)).expect("crash => bundle");
+    assert_eq!(pm.to_json(), include_str!("golden/postmortem_seed0.json"));
+}
+
 #[test]
 fn bundle_is_written_under_the_postmortem_dir() {
     let plan = forensic_plan(7);

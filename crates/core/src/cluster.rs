@@ -19,7 +19,7 @@ use starfish_checkpoint::CkptValue;
 use starfish_daemon::config::{AppSpec, AppStatus, ClusterConfig};
 use starfish_daemon::{CfgCmd, CkptProto, Daemon, DaemonConfig, FtPolicy, LevelKind, MgmtSession};
 use starfish_ensemble::{HeartbeatCfg, HeartbeatChaos};
-use starfish_events::{EventBus, EventKind};
+use starfish_events::EventKind;
 use starfish_mpi::RankDirectory;
 use starfish_util::trace::TraceSink;
 use starfish_util::{AppId, Error, NodeId, Rank, Result};
@@ -85,8 +85,6 @@ pub struct ClusterBuilder {
     heartbeat: Option<HeartbeatCfg>,
     heartbeat_chaos: Option<HeartbeatChaos>,
     trace_cap: usize,
-    /// Event-bus ring capacity per daemon; 0 disables the bus.
-    events_cap: usize,
 }
 
 impl Default for ClusterBuilder {
@@ -100,7 +98,6 @@ impl Default for ClusterBuilder {
             heartbeat: None,
             heartbeat_chaos: None,
             trace_cap: starfish_trace::DEFAULT_CAPACITY,
-            events_cap: starfish_events::bus::DEFAULT_CAPACITY,
         }
     }
 }
@@ -157,8 +154,9 @@ impl ClusterBuilder {
     }
 
     /// Size of each process's flight-recorder message ring (sends and
-    /// receives retained per daemon / per rank; phases and marks have their
-    /// own fixed-size ring). Recording is on by default; see
+    /// receives retained per daemon / per rank; phases and marks, and a
+    /// daemon's cluster events, have fixed-size rings of their own).
+    /// Recording is on by default; see
     /// [`no_flight_recorder`](ClusterBuilder::no_flight_recorder).
     pub fn flight_recorder(mut self, events: usize) -> Self {
         self.trace_cap = events;
@@ -167,27 +165,20 @@ impl ClusterBuilder {
 
     /// Disable the causal flight recorder entirely (one predicted branch
     /// per would-be event remains; bench-e2e's `trace.overhead_pct` prices
-    /// the difference). `TRACE *` and
-    /// `TIMELINE` then have nothing to show: phases are recorded nowhere
-    /// else.
+    /// the difference). `TRACE *` and `TIMELINE` then have nothing to
+    /// show: phases are recorded nowhere else. Nor do `EVENTS` and
+    /// `POSTMORTEM`: the cluster events are a record class of the daemons'
+    /// recorders.
     pub fn no_flight_recorder(mut self) -> Self {
         self.trace_cap = 0;
         self
     }
 
-    /// Ring capacity of each daemon's cluster event bus (events retained
-    /// for `EVENTS TAIL` / postmortem slices; drops are counted exactly).
-    /// The bus is on by default; see
-    /// [`no_event_bus`](ClusterBuilder::no_event_bus).
-    pub fn event_bus(mut self, capacity: usize) -> Self {
-        self.events_cap = capacity;
-        self
-    }
-
-    /// Disable the cluster event bus entirely (publishes become no-ops;
-    /// postmortem bundles lose their event slice).
-    pub fn no_event_bus(mut self) -> Self {
-        self.events_cap = 0;
+    /// Does nothing. Kept so callers written when the cluster events had a
+    /// ring of their own still build; they are a record class of the
+    /// flight recorder now, off with
+    /// [`no_flight_recorder`](ClusterBuilder::no_flight_recorder).
+    pub fn no_event_bus(self) -> Self {
         self
     }
 
@@ -238,7 +229,6 @@ impl ClusterBuilder {
             heartbeat_chaos: self.heartbeat_chaos,
             trace_hub,
             trace_cap: self.trace_cap,
-            events_cap: self.events_cap,
             next_token: AtomicU64::new(1),
             next_node: AtomicU32::new(n as u32),
         };
@@ -272,7 +262,6 @@ pub struct Cluster {
     heartbeat_chaos: Option<HeartbeatChaos>,
     trace_hub: starfish_trace::TraceHub,
     trace_cap: usize,
-    events_cap: usize,
     next_token: AtomicU64,
     next_node: AtomicU32,
 }
@@ -471,7 +460,7 @@ impl Cluster {
     }
 
     /// Crash a node (fail-stop fault injection). The injection itself is
-    /// published to the event bus via a surviving daemon, so postmortems
+    /// published as a cluster event via a surviving daemon, so postmortems
     /// can correlate recoveries with the faults that caused them.
     pub fn crash_node(&self, node: NodeId) {
         self.fabric.crash_node(node);
@@ -581,13 +570,9 @@ impl Cluster {
         dc.ensemble.chaos = self.heartbeat_chaos;
         dc.metrics = Some(self.metrics.clone());
         dc.ensemble.metrics = Some(self.metrics.clone());
-        if self.trace_cap > 0 {
-            dc.recorder = starfish_trace::FlightRecorder::new(&format!("{node}"), self.trace_cap);
-        }
-        dc.events = if self.events_cap > 0 {
-            EventBus::with_capacity(self.events_cap)
-        } else {
-            EventBus::disabled()
+        dc.recorder = match self.trace_cap {
+            0 => starfish_trace::FlightRecorder::disabled(),
+            cap => starfish_trace::FlightRecorder::new(&format!("{node}"), cap),
         };
         dc.trace_hub = self.trace_hub.clone();
         let store = self.store.clone();
@@ -642,11 +627,13 @@ impl Cluster {
         d.stats().clone()
     }
 
-    /// The cluster event bus of a live daemon: the sequenced record of
+    /// The cluster events of a live daemon: the sequenced record of
     /// membership, checkpoint and recovery events (`EVENTS` over mgmt, or
-    /// subscribe with [`EventBus::subscribe`]).
-    pub fn events(&self) -> EventBus {
-        self.daemon().events().clone()
+    /// follow them from [`EventLog::live_edge`]).
+    ///
+    /// [`EventLog::live_edge`]: starfish_trace::EventLog::live_edge
+    pub fn events(&self) -> starfish_trace::EventLog {
+        self.daemon().events()
     }
 
     /// The recovery postmortem bundle of `app` on a live daemon, if one has

@@ -25,9 +25,9 @@ use parking_lot::Mutex;
 use starfish_checkpoint::backend::StoreHub;
 use starfish_checkpoint::recovery::{self};
 use starfish_ensemble::{EndpointConfig, GcEvent, HeartbeatAges, Stack};
-use starfish_events::{ClusterEvent, EventBus, EventKind as BusEventKind, Postmortem};
+use starfish_events::{ClusterEvent, EventKind as ClusterKind, Postmortem};
 use starfish_telemetry::{metric, Registry};
-use starfish_trace::{FlightRecorder, TraceHub};
+use starfish_trace::{EventLog, FlightRecorder, TraceHub};
 use starfish_util::codec::{Decode, Encode};
 use starfish_util::trace::{ActorKind, TraceSink};
 use starfish_util::watch::ChangeCount;
@@ -55,16 +55,14 @@ pub struct DaemonConfig {
     pub metrics: Option<Registry>,
     /// This daemon's flight recorder (scope `"n<id>"`); shared with the
     /// ensemble endpoint so casts and view changes become causal events.
-    /// Disabled by default.
+    /// The cluster event stream is a record class of it: on by default,
+    /// and a [`FlightRecorder::disabled`] one also turns off `EVENTS` and
+    /// the postmortems.
     pub recorder: FlightRecorder,
     /// The cluster's recorder registry. The daemon registers its own
     /// recorder here at start; the runtime host registers one per spawned
     /// process; the `TRACE` management commands read it.
     pub trace_hub: TraceHub,
-    /// This daemon's cluster event bus. Enabled by default (events are
-    /// control-plane volume; the bench pins publish cost at ns scale);
-    /// pass [`EventBus::disabled`] to opt out entirely.
-    pub events: EventBus,
 }
 
 impl DaemonConfig {
@@ -75,9 +73,8 @@ impl DaemonConfig {
             trace: TraceSink::disabled(),
             ensemble: EndpointConfig::default(),
             metrics: None,
-            recorder: FlightRecorder::disabled(),
+            recorder: FlightRecorder::new(&node.to_string(), starfish_trace::DEFAULT_CAPACITY),
             trace_hub: TraceHub::new(),
-            events: EventBus::new(),
         }
     }
 }
@@ -85,8 +82,8 @@ impl DaemonConfig {
 enum DaemonCmd {
     Issue(CfgCmd),
     /// Publish a locally observed cluster event (rides the ordered cast
-    /// path so every daemon's bus assigns it the same sequence number).
-    Emit(BusEventKind),
+    /// path so every daemon's recorder assigns it the same sequence number).
+    Emit(ClusterKind),
     Shutdown,
 }
 
@@ -103,7 +100,7 @@ pub struct Daemon {
     stats: StatsHub,
     trace_hub: TraceHub,
     store: StoreHub,
-    events: EventBus,
+    recorder: FlightRecorder,
     postmortems: Arc<Mutex<BTreeMap<AppId, Postmortem>>>,
     liveness: HeartbeatAges,
     /// The loop thread, until someone [`join`](Daemon::join)s it.
@@ -158,7 +155,7 @@ impl Daemon {
         let stats = StatsHub::new();
         let trace_hub = cfg.trace_hub.clone();
         let node = cfg.node;
-        let events = cfg.events.clone();
+        let recorder = cfg.recorder.clone();
         let postmortems = Arc::new(Mutex::new(BTreeMap::new()));
         let liveness = stack.liveness();
         let state = Loop {
@@ -179,7 +176,7 @@ impl Daemon {
             up_tx,
             up_rx,
             cmd_rx,
-            events: events.clone(),
+            recorder: recorder.clone(),
             forensics: Forensics::new(),
             postmortems: postmortems.clone(),
             trace_hub: trace_hub.clone(),
@@ -194,7 +191,7 @@ impl Daemon {
             stats,
             trace_hub,
             store,
-            events,
+            recorder,
             postmortems,
             liveness,
         };
@@ -258,15 +255,20 @@ impl Daemon {
         &self.store
     }
 
-    /// This daemon's cluster event bus (sequenced over the ordered cast
-    /// path; the `EVENTS` management commands read it).
-    pub fn events(&self) -> &EventBus {
-        &self.events
+    /// This daemon's flight recorder (`EVENTS SUBSCRIBE` follows it).
+    pub(crate) fn recorder(&self) -> &FlightRecorder {
+        &self.recorder
+    }
+
+    /// This daemon's cluster events (sequenced over the ordered cast path;
+    /// the `EVENTS` management commands read them).
+    pub fn events(&self) -> EventLog {
+        self.recorder.events()
     }
 
     /// Publish a locally observed cluster event (e.g. an injected fault).
     /// Rides the ordered cast path, so all daemons sequence it identically.
-    pub fn publish_event(&self, kind: BusEventKind) -> Result<()> {
+    pub fn publish_event(&self, kind: ClusterKind) -> Result<()> {
         self.cmd_tx
             .send(DaemonCmd::Emit(kind))
             .map_err(|_| Error::closed("daemon gone"))
@@ -343,10 +345,10 @@ struct Loop {
     up_tx: Arc<KickSender<(AppId, Rank, ProcUp)>>,
     up_rx: Receiver<(AppId, Rank, ProcUp)>,
     cmd_rx: Receiver<DaemonCmd>,
-    /// Cluster event bus: all appends happen while applying the totally
-    /// ordered stream (or are the stream), so every bootstrapped daemon
-    /// assigns identical sequence numbers.
-    events: EventBus,
+    /// The daemon's recorder. Its cluster events are all recorded while
+    /// applying the totally ordered stream (or are the stream), so every
+    /// bootstrapped daemon assigns identical sequence numbers.
+    recorder: FlightRecorder,
     forensics: Forensics,
     postmortems: Arc<Mutex<BTreeMap<AppId, Postmortem>>>,
     /// Local flight recorders, for the postmortem causal slice.
@@ -431,7 +433,7 @@ impl Loop {
                 }
             }
             // A local failure-detector observation, published so that the
-            // suspicion and its detection latency land on every bus.
+            // suspicion and its detection latency land on every daemon.
             GcEvent::Suspected {
                 node,
                 silent_for,
@@ -439,7 +441,7 @@ impl Loop {
             } => {
                 self.clock.merge(vt);
                 let silent_ns = silent_for.as_nanos() as u64;
-                let kind = BusEventKind::NodeSuspected { node, silent_ns };
+                let kind = ClusterKind::NodeSuspected { node, silent_ns };
                 self.machine.emit(kind, self.clock.now())
             }
             GcEvent::P2p { payload, vt, .. } => {
@@ -541,22 +543,17 @@ impl Loop {
         }
     }
 
-    /// Append a bus event at the current point of the ordered stream and
-    /// run the forensics state machine over it. When the event completes a
-    /// recovery, every daemon completes it at the same stream point.
-    fn record_event(&mut self, origin: NodeId, vt: VirtualTime, kind: BusEventKind) {
-        let Some(seq) = self.events.publish(origin, vt, kind.clone()) else {
+    /// Record a cluster event at the current point of the ordered stream
+    /// and run the forensics state machine over it. When the event
+    /// completes a recovery, every daemon completes it at the same stream
+    /// point.
+    fn record_event(&mut self, origin: NodeId, vt: VirtualTime, kind: ClusterKind) {
+        let Some(ev) = self.recorder.record_event(origin, vt, kind) else {
             return;
         };
         if let Some(m) = &self.metrics {
             m.inc(metric::EVENTS_PUBLISHED);
         }
-        let ev = ClusterEvent {
-            seq,
-            vt,
-            origin,
-            kind,
-        };
         let stats = self.stats.clone();
         if let Some(app) = self.forensics.observe(&ev, move || stats.merged()) {
             self.complete_recovery(app, origin, vt);
@@ -567,20 +564,13 @@ impl Loop {
     fn complete_recovery(&mut self, app: AppId, origin: NodeId, vt: VirtualTime) {
         let entry = self.machine.config().apps.get(&app);
         let epoch = entry.map(|a| a.epoch).unwrap_or_default();
-        self.record_event(origin, vt, BusEventKind::RecoveryComplete { app, epoch });
+        self.record_event(origin, vt, ClusterKind::RecoveryComplete { app, epoch });
         self.finalize_postmortem(app, vt);
     }
 
     /// Assemble the recovery bundle of `app`, store it for `POSTMORTEM`,
     /// and (acting daemon only) write it to [`postmortem_dir`].
     fn finalize_postmortem(&mut self, app: AppId, complete_vt: VirtualTime) {
-        let start_vt = self.forensics.window_start_vt(app).unwrap_or(0);
-        let window: Vec<ClusterEvent> = self
-            .events
-            .snapshot()
-            .into_iter()
-            .filter(|e| e.vt.as_nanos() >= start_vt && e.vt.as_nanos() <= complete_vt.as_nanos())
-            .collect();
         let name = format!("{app}");
         let backend = self
             .machine
@@ -589,21 +579,20 @@ impl Loop {
             .get(&app)
             .map(|a| a.spec.backend.to_string())
             .unwrap_or_else(|| "disk".into());
-        let trace = self.trace_slice(start_vt, complete_vt.as_nanos());
         let stats_after = self.stats.merged();
-        let Some(pm) = self.forensics.finalize(
+        let Some(mut pm) = self.forensics.finalize(
             app,
             crate::forensics::BundleInputs {
                 app_name: &name,
                 store_backend: &backend,
                 complete_vt_ns: complete_vt.as_nanos(),
-                events: window,
+                events: &self.recorder.events(),
                 stats_after: &stats_after,
-                trace,
             },
         ) else {
             return;
         };
+        pm.trace = self.trace_slice(&pm.events);
         if self.machine.acts_for_group() {
             let dir = postmortem_dir();
             if std::fs::create_dir_all(&dir).is_ok() {
@@ -614,15 +603,20 @@ impl Loop {
         self.postmortems.lock().insert(app, pm);
     }
 
-    /// Flight-recorder summaries inside the recovery window, for the
-    /// bundle's causal slice. Bounded; local to this daemon's recorders.
-    fn trace_slice(&self, from_ns: u64, to_ns: u64) -> Vec<String> {
+    /// Flight-recorder summaries inside the virtual-time span of the
+    /// bundle's events, for its causal slice (the events themselves are
+    /// the bundle's own section). Bounded; local to this daemon's
+    /// recorders.
+    fn trace_slice(&self, events: &[ClusterEvent]) -> Vec<String> {
         const MAX: usize = 256;
+        let vts = || events.iter().map(|e| e.vt);
+        let (Some(from), Some(to)) = (vts().min(), vts().max()) else {
+            return Vec::new();
+        };
         let mut out = Vec::new();
         for pt in self.trace_hub.dump_all() {
             for ev in &pt.events {
-                let t = ev.vt.as_nanos();
-                if t >= from_ns && t <= to_ns {
+                if (from..=to).contains(&ev.vt) && ev.cluster().is_none() {
                     out.push(format!("{}: {}", pt.scope, ev.summary()));
                     if out.len() >= MAX {
                         return out;

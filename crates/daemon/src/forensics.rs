@@ -2,10 +2,13 @@
 //! stream that assembles one [`Postmortem`] bundle per application
 //! recovery.
 //!
-//! The tracker is driven exclusively by the daemon's event bus — every
+//! The tracker is driven exclusively by the daemon's cluster events — every
 //! input is a [`ClusterEvent`] that either rode the totally ordered cast
 //! path or was derived deterministically from it, so all daemons observing
-//! the same stream assemble byte-identical bundles.
+//! the same stream assemble byte-identical bundles. A bundle embeds a
+//! sequence range of that stream, from the recovery's anchor to its
+//! `recovery-complete`: an event's vt is its origin daemon's clock, so
+//! stream order is not vt order, and a vt window would lose events.
 //!
 //! Lifecycle of one recovery:
 //!
@@ -25,11 +28,14 @@ use std::collections::BTreeMap;
 
 use starfish_events::{ClusterEvent, EventKind, MetricDelta, Phase, Postmortem, Rollback};
 use starfish_telemetry::{metric, MetricKind, Snapshot};
+use starfish_trace::EventLog;
 use starfish_util::{AppId, NodeId};
 
 /// One in-flight recovery, keyed by app.
 struct InFlight {
-    begin_seq: u64,
+    /// Seq of the first event the bundle embeds: the earliest suspicion or
+    /// death of a node in `dead`, else the `recovery-begin` itself.
+    anchor: u64,
     begin_vt_ns: u64,
     dead: Vec<NodeId>,
     /// Wall-clock silent-time of the first suspicion of the first dead
@@ -47,25 +53,24 @@ struct InFlight {
 }
 
 /// Everything [`Forensics::finalize`] needs besides its own record: the
-/// bus window to embed (the caller slices from [`Forensics::begin_seq`]),
-/// the cluster-wide metrics at completion, a causal trace slice around
-/// the crash, and the recovery line's backend label.
+/// cluster events to embed (read from the recovery's anchor on, so the
+/// newest must be its `recovery-complete`), the cluster-wide metrics at
+/// completion, and the recovery line's backend label.
 pub struct BundleInputs<'a> {
     pub app_name: &'a str,
     pub store_backend: &'a str,
     pub complete_vt_ns: u64,
-    pub events: Vec<ClusterEvent>,
+    pub events: &'a EventLog,
     pub stats_after: &'a Snapshot,
-    pub trace: Vec<String>,
 }
 
 /// Deterministic recovery observer. One per daemon loop.
 #[derive(Default)]
 pub struct Forensics {
-    /// Latest suspicion per node: `(event vt ns, wall silent ns)`.
-    suspects: BTreeMap<NodeId, (u64, u64)>,
-    /// When the cluster declared each node dead (event vt ns).
-    dead_at: BTreeMap<NodeId, u64>,
+    /// First suspicion per node: `(event seq, event vt ns, wall silent ns)`.
+    suspects: BTreeMap<NodeId, (u64, u64, u64)>,
+    /// When the cluster declared each node dead: `(event seq, event vt ns)`.
+    dead_at: BTreeMap<NodeId, (u64, u64)>,
     inflight: BTreeMap<AppId, InFlight>,
 }
 
@@ -89,7 +94,7 @@ impl Forensics {
         self.inflight.contains_key(&app)
     }
 
-    /// Feed one bus event. Returns `Some(app)` when this event completed a
+    /// Feed one cluster event. Returns `Some(app)` when this event completed a
     /// recovery: the caller should synthesize the `recovery-complete` event,
     /// feed it back through here, and then call [`Forensics::finalize`].
     ///
@@ -104,7 +109,7 @@ impl Forensics {
             EventKind::NodeSuspected { node, silent_ns } => {
                 self.suspects
                     .entry(*node)
-                    .or_insert((ev.vt.as_nanos(), *silent_ns));
+                    .or_insert((ev.seq, ev.vt.as_nanos(), *silent_ns));
             }
             EventKind::NodeUp { node } => {
                 // A re-announced node starts a fresh detector history.
@@ -112,23 +117,35 @@ impl Forensics {
                 self.dead_at.remove(node);
             }
             EventKind::NodeDead { node } => {
-                self.dead_at.entry(*node).or_insert(ev.vt.as_nanos());
+                self.dead_at
+                    .entry(*node)
+                    .or_insert((ev.seq, ev.vt.as_nanos()));
             }
             EventKind::RecoveryBegin { app, dead } => {
                 let first_dead = dead.first();
                 let detect = first_dead.and_then(|n| self.suspects.get(n)).copied();
                 let suspect_to_dead = first_dead.and_then(|n| {
-                    let (s_vt, _) = self.suspects.get(n)?;
-                    let d_vt = self.dead_at.get(n)?;
+                    let (_, s_vt, _) = self.suspects.get(n)?;
+                    let (_, d_vt) = self.dead_at.get(n)?;
                     Some(d_vt.saturating_sub(*s_vt))
                 });
+                let anchor = dead
+                    .iter()
+                    .flat_map(|n| {
+                        [
+                            self.suspects.get(n).map(|s| s.0),
+                            self.dead_at.get(n).map(|d| d.0),
+                        ]
+                    })
+                    .flatten()
+                    .fold(ev.seq, u64::min);
                 self.inflight.insert(
                     *app,
                     InFlight {
-                        begin_seq: ev.seq,
+                        anchor,
                         begin_vt_ns: ev.vt.as_nanos(),
                         dead: dead.clone(),
-                        detect_wall_ns: detect.map(|(_, silent)| silent),
+                        detect_wall_ns: detect.map(|(_, _, silent)| silent),
                         suspect_to_dead_vt_ns: suspect_to_dead,
                         line: Vec::new(),
                         epoch: 0,
@@ -165,7 +182,6 @@ impl Forensics {
             complete_vt_ns,
             events,
             stats_after,
-            trace,
         } = inputs;
         let f = self.inflight.remove(&app)?;
         let mut pm = Postmortem::new(app_name);
@@ -208,34 +224,9 @@ impl Forensics {
             depth_vt_ns: depth,
             messages_lost: lost,
         };
-        pm.events = events;
-        pm.trace = trace;
+        pm.events = events.since(f.anchor).0;
         pm.metrics = metrics_delta(&f.stats_before, stats_after);
         Some(pm)
-    }
-
-    /// The bus seq at which the recovery of `app` opened (for slicing the
-    /// event window). The window should start at the first suspicion or
-    /// death of any involved node, whichever the bus still retains.
-    pub fn begin_seq(&self, app: AppId) -> Option<u64> {
-        self.inflight.get(&app).map(|f| f.begin_seq)
-    }
-
-    /// First event seq worth embedding: walks back from the recovery's dead
-    /// set to the earliest suspicion/death the tracker saw. Conservative —
-    /// returns `begin_seq` when no earlier anchor exists.
-    pub fn window_start_vt(&self, app: AppId) -> Option<u64> {
-        let f = self.inflight.get(&app)?;
-        let mut start = f.begin_vt_ns;
-        for n in &f.dead {
-            if let Some((vt, _)) = self.suspects.get(n) {
-                start = start.min(*vt);
-            }
-            if let Some(vt) = self.dead_at.get(n) {
-                start = start.min(*vt);
-            }
-        }
-        Some(start)
     }
 }
 
@@ -278,199 +269,151 @@ fn hist_sum_delta(before: &Snapshot, after: &Snapshot, id: starfish_telemetry::M
 #[cfg(test)]
 mod tests {
     use super::*;
+    use starfish_trace::FlightRecorder;
     use starfish_util::{Epoch, Rank, VirtualTime};
 
-    fn ev(seq: u64, vt_ns: u64, kind: EventKind) -> ClusterEvent {
-        ClusterEvent {
-            seq,
-            vt: VirtualTime::from_nanos(vt_ns),
-            origin: NodeId(0),
-            kind,
+    /// The daemon loop in miniature: each event is recorded on a
+    /// recorder's event class, and the sequenced event feeds the tracker.
+    struct Stream {
+        fx: Forensics,
+        rec: FlightRecorder,
+    }
+
+    impl Stream {
+        fn new() -> Self {
+            Stream {
+                fx: Forensics::new(),
+                rec: FlightRecorder::new("n0", 64),
+            }
+        }
+
+        fn feed(&mut self, vt_ns: u64, kind: EventKind) -> Option<AppId> {
+            let vt = VirtualTime::from_nanos(vt_ns);
+            let ev = self.rec.record_event(NodeId(0), vt, kind).unwrap();
+            self.fx.observe(&ev, Snapshot::default)
+        }
+
+        /// Record `recovery-complete`, then assemble the bundle.
+        fn complete(&mut self, app: AppId, vt_ns: u64) -> Option<Postmortem> {
+            let epoch = Epoch(2);
+            self.feed(vt_ns, EventKind::RecoveryComplete { app, epoch });
+            self.finalize(app, vt_ns)
+        }
+
+        fn finalize(&mut self, app: AppId, complete_vt_ns: u64) -> Option<Postmortem> {
+            let inputs = BundleInputs {
+                app_name: &app.to_string(),
+                store_backend: "disk",
+                complete_vt_ns,
+                events: &self.rec.events(),
+                stats_after: &Snapshot::default(),
+            };
+            self.fx.finalize(app, inputs)
         }
     }
 
-    fn drive_recovery(fx: &mut Forensics) -> Vec<ClusterEvent> {
-        let app = AppId(1);
-        let events = vec![
-            ev(
-                0,
-                1_000,
-                EventKind::NodeSuspected {
-                    node: NodeId(2),
-                    silent_ns: 450_000_000,
-                },
-            ),
-            ev(1, 2_000, EventKind::NodeDead { node: NodeId(2) }),
-            ev(
-                2,
-                3_000,
-                EventKind::RecoveryBegin {
-                    app,
-                    dead: vec![NodeId(2)],
-                },
-            ),
-            ev(
-                3,
-                3_500,
-                EventKind::RecoveryRestore {
-                    app,
-                    epoch: Epoch(2),
-                    line: vec![4, 4, 4],
-                },
-            ),
-            ev(
-                4,
-                4_000,
-                EventKind::RecoveryRespawn {
-                    app,
-                    rank: Rank(1),
-                    node: NodeId(0),
-                },
-            ),
-        ];
-        for (i, e) in events.iter().enumerate() {
-            let done = fx.observe(e, Snapshot::default);
-            if matches!(e.kind, EventKind::RecoveryBegin { .. }) {
-                fx.expect_respawns(app, 1);
-            }
-            if i == events.len() - 1 {
-                assert_eq!(done, Some(app), "last respawn completes the recovery");
-            } else {
-                assert_eq!(done, None);
-            }
-        }
-        events
+    fn labels(pm: &Postmortem) -> Vec<&'static str> {
+        pm.events.iter().map(|e| e.kind.label()).collect()
+    }
+
+    /// Suspicion, death and a recovery of app1 whose one respawn lands at
+    /// virtual time `respawn_vt_ns`.
+    fn drive_recovery(s: &mut Stream, respawn_vt_ns: u64) {
+        let (app, node) = (AppId(1), NodeId(2));
+        let silent_ns = 450_000_000;
+        assert_eq!(
+            s.feed(1_000, EventKind::NodeSuspected { node, silent_ns }),
+            None
+        );
+        assert_eq!(s.feed(2_000, EventKind::NodeDead { node }), None);
+        let dead = vec![node];
+        assert_eq!(s.feed(3_000, EventKind::RecoveryBegin { app, dead }), None);
+        s.fx.expect_respawns(app, 1);
+        let (epoch, line) = (Epoch(2), vec![4, 4, 4]);
+        let restore = EventKind::RecoveryRestore { app, epoch, line };
+        assert_eq!(s.feed(3_500, restore), None);
+        let (rank, node) = (Rank(1), NodeId(0));
+        let respawn = EventKind::RecoveryRespawn { app, rank, node };
+        let done = s.feed(respawn_vt_ns, respawn);
+        assert_eq!(done, Some(app), "last respawn completes the recovery");
     }
 
     #[test]
     fn full_lifecycle_builds_a_bundle() {
-        let mut fx = Forensics::new();
-        let events = drive_recovery(&mut fx);
-        assert!(fx.in_flight(AppId(1)));
-        assert_eq!(fx.begin_seq(AppId(1)), Some(2));
-        // Window walks back to the suspicion.
-        assert_eq!(fx.window_start_vt(AppId(1)), Some(1_000));
-        let pm = fx
-            .finalize(
-                AppId(1),
-                BundleInputs {
-                    app_name: "app1",
-                    store_backend: "replica:2",
-                    complete_vt_ns: 5_000,
-                    events,
-                    stats_after: &Snapshot::default(),
-                    trace: vec![],
-                },
-            )
-            .unwrap();
-        assert!(!fx.in_flight(AppId(1)));
+        let mut s = Stream::new();
+        // Before the recovery's anchor: not in its bundle.
+        s.feed(500, EventKind::NodeUp { node: NodeId(3) });
+        drive_recovery(&mut s, 4_000);
+        assert!(s.fx.in_flight(AppId(1)));
+        let pm = s.complete(AppId(1), 5_000).unwrap();
+        assert!(!s.fx.in_flight(AppId(1)));
         assert_eq!(pm.epoch, 2);
         assert_eq!(pm.rollback.line, vec![4, 4, 4]);
         assert_eq!(pm.phase_ns("detect"), Some(450_000_000));
         assert_eq!(pm.phase_ns("suspect-to-dead"), Some(1_000));
         assert_eq!(pm.phase_ns("respawn-window"), Some(2_000));
         assert!(pm.trigger.contains("heartbeat timeout"), "{}", pm.trigger);
-        assert_eq!(pm.events.len(), 5);
+        // The window walks back to the suspicion and ends at the complete.
+        assert_eq!(
+            labels(&pm),
+            [
+                "node-suspected",
+                "node-dead",
+                "recovery-begin",
+                "recovery-restore",
+                "recovery-respawn",
+                "recovery-complete"
+            ]
+        );
+        assert_eq!(pm.events[0].seq, 1);
+    }
+
+    /// An event's vt is its origin daemon's clock, so an event inside the
+    /// recovery can carry a vt below the window's first one. The bundle is
+    /// a sequence range, so it keeps it; a vt window would drop it.
+    #[test]
+    fn in_window_event_with_an_earlier_origin_vt_lands_in_the_bundle() {
+        let mut s = Stream::new();
+        drive_recovery(&mut s, 600);
+        let pm = s.complete(AppId(1), 700).unwrap();
+        let respawn = &pm.events[4];
+        assert_eq!(respawn.kind.label(), "recovery-respawn");
+        assert!(respawn.vt < pm.events[0].vt, "{:?}", pm.events);
+        assert_eq!(labels(&pm).last(), Some(&"recovery-complete"));
+        assert_eq!(pm.events.len(), 6);
     }
 
     #[test]
     fn fail_stop_without_suspicion_is_labelled() {
-        let mut fx = Forensics::new();
-        let app = AppId(3);
-        fx.observe(
-            &ev(0, 100, EventKind::NodeDead { node: NodeId(1) }),
-            Snapshot::default,
-        );
-        fx.observe(
-            &ev(
-                1,
-                200,
-                EventKind::RecoveryBegin {
-                    app,
-                    dead: vec![NodeId(1)],
-                },
-            ),
-            Snapshot::default,
-        );
-        fx.expect_respawns(app, 0);
-        let pm = fx
-            .finalize(
-                app,
-                BundleInputs {
-                    app_name: "app3",
-                    store_backend: "disk",
-                    complete_vt_ns: 300,
-                    events: vec![],
-                    stats_after: &Snapshot::default(),
-                    trace: vec![],
-                },
-            )
-            .unwrap();
+        let mut s = Stream::new();
+        let (app, node) = (AppId(3), NodeId(1));
+        s.feed(100, EventKind::NodeDead { node });
+        let dead = vec![node];
+        s.feed(200, EventKind::RecoveryBegin { app, dead });
+        s.fx.expect_respawns(app, 0);
+        let pm = s.finalize(app, 300).unwrap();
         assert!(pm.trigger.contains("fail-stop"), "{}", pm.trigger);
         assert_eq!(pm.phase_ns("detect"), None);
+        assert_eq!(labels(&pm), ["node-dead", "recovery-begin"]);
     }
 
     #[test]
     fn reannounce_resets_detector_history() {
-        let mut fx = Forensics::new();
-        fx.observe(
-            &ev(
-                0,
-                100,
-                EventKind::NodeSuspected {
-                    node: NodeId(2),
-                    silent_ns: 7,
-                },
-            ),
-            Snapshot::default,
-        );
-        fx.observe(
-            &ev(1, 200, EventKind::NodeUp { node: NodeId(2) }),
-            Snapshot::default,
-        );
-        fx.observe(
-            &ev(
-                2,
-                300,
-                EventKind::RecoveryBegin {
-                    app: AppId(1),
-                    dead: vec![NodeId(2)],
-                },
-            ),
-            Snapshot::default,
-        );
-        let pm = fx
-            .finalize(
-                AppId(1),
-                BundleInputs {
-                    app_name: "app1",
-                    store_backend: "disk",
-                    complete_vt_ns: 400,
-                    events: vec![],
-                    stats_after: &Snapshot::default(),
-                    trace: vec![],
-                },
-            )
-            .unwrap();
-        // The stale pre-rejoin suspicion must not masquerade as detection.
+        let mut s = Stream::new();
+        let node = NodeId(2);
+        s.feed(100, EventKind::NodeSuspected { node, silent_ns: 7 });
+        s.feed(200, EventKind::NodeUp { node });
+        let (app, dead) = (AppId(1), vec![node]);
+        s.feed(300, EventKind::RecoveryBegin { app, dead });
+        let pm = s.finalize(app, 400).unwrap();
+        // The stale pre-rejoin suspicion must not masquerade as detection,
+        // nor anchor the bundle.
         assert_eq!(pm.phase_ns("detect"), None);
+        assert_eq!(labels(&pm), ["recovery-begin"]);
     }
 
     #[test]
     fn finalize_unknown_app_is_none() {
-        let mut fx = Forensics::new();
-        assert!(fx
-            .finalize(
-                AppId(9),
-                BundleInputs {
-                    app_name: "app9",
-                    store_backend: "disk",
-                    complete_vt_ns: 0,
-                    events: vec![],
-                    stats_after: &Snapshot::default(),
-                    trace: vec![],
-                },
-            )
-            .is_none());
+        assert!(Stream::new().finalize(AppId(9), 0).is_none());
     }
 }

@@ -29,7 +29,6 @@ use crate::daemon::Daemon;
 use crate::msg::CfgCmd;
 use starfish_checkpoint::arch::MACHINES;
 use starfish_checkpoint::backend::CkptBackend;
-use starfish_events::{EventCursor, Poll};
 use starfish_trace::TraceCursor;
 
 /// Default administrator password; override with `SET admin_password <pw>`.
@@ -98,7 +97,7 @@ pub const COMMAND_USAGE: &[Command] = commands! {
     "HEALTH" User 1..=1 health "HEALTH — per-node liveness (announce state, heartbeat age) plus key health metrics";
     "TIMELINE" User 2..=2 timeline "TIMELINE <app> — per-rank event timeline";
     "TRACE" User 2..=4 trace "TRACE SCOPES | TRACE DUMP [scope] | TRACE TAIL <n> [scope] | TRACE PATH <app> | TRACE FOLLOW <scope>";
-    "EVENTS" User 1..=3 events "EVENTS [TAIL <n>] | EVENTS SUBSCRIBE [filter] — cluster event bus";
+    "EVENTS" User 1..=3 events "EVENTS [TAIL <n>] | EVENTS SUBSCRIBE [filter] — cluster events";
     "POSTMORTEM" User 2..=2 postmortem "POSTMORTEM <app> — recovery forensics bundle (JSON)";
     "APPS" User 1..=1 apps "APPS — list applications (alias: STATUS)";
     "STATUS" User 1..=1 apps "STATUS — list applications (alias: APPS)";
@@ -113,18 +112,18 @@ enum Role {
 /// The streaming state a `SUBSCRIBE`/`FOLLOW` command arms on a session.
 /// One subscription per session; a new one replaces the old.
 enum Subscription {
-    Events {
-        cursor: EventCursor,
-        /// Substring match against the event label (e.g. "recovery").
-        filter: Option<String>,
-    },
     Stats {
         interval_ms: u64,
         last_emit: Option<std::time::Instant>,
     },
+    /// `TRACE FOLLOW <scope>`, or with `events` set, `EVENTS SUBSCRIBE`:
+    /// the cluster-event class of the daemon's own recorder.
     Trace {
         scope: String,
         cursor: TraceCursor,
+        /// Substring match against the event label (e.g. "recovery"); empty
+        /// matches every event.
+        events: Option<String>,
     },
 }
 
@@ -167,20 +166,6 @@ impl MgmtSession {
         let mut frames = Vec::new();
         match &mut self.subscription {
             None => {}
-            Some(Subscription::Events { cursor, filter }) => {
-                let Poll { events, missed } = cursor.poll();
-                if missed > 0 {
-                    frames.push(format!("EVENT! missed {missed}"));
-                }
-                for ev in events {
-                    if let Some(f) = filter {
-                        if !ev.kind.label().contains(f.as_str()) {
-                            continue;
-                        }
-                    }
-                    frames.push(format!("EVENT {}", ev.summary()));
-                }
-            }
             Some(Subscription::Stats {
                 interval_ms,
                 last_emit,
@@ -201,16 +186,32 @@ impl MgmtSession {
                     frames.push(f);
                 }
             }
-            Some(Subscription::Trace { scope, cursor }) => {
-                if let Some(r) = self.daemon.trace_hub().get(scope) {
-                    let (events, missed) = r.poll(cursor);
-                    if missed > 0 {
-                        frames.push(format!("TRACE! missed {missed}"));
+            Some(Subscription::Trace {
+                scope,
+                cursor,
+                events,
+            }) => {
+                let Some(r) = self.daemon.trace_hub().get(scope) else {
+                    return frames;
+                };
+                let (lines, missed, tag) = match events {
+                    None => {
+                        let (records, missed) = r.poll(cursor);
+                        let lines = records.iter().map(|ev| format!("{scope} {}", ev.summary()));
+                        (lines.collect::<Vec<_>>(), missed, "TRACE")
                     }
-                    for ev in events {
-                        frames.push(format!("TRACE {scope} {}", ev.summary()));
+                    Some(label) => {
+                        let (events, missed) = r.events().poll(cursor);
+                        let matching = events
+                            .iter()
+                            .filter(|ev| ev.kind.label().contains(&**label));
+                        (matching.map(|ev| ev.summary()).collect(), missed, "EVENT")
                     }
+                };
+                if missed > 0 {
+                    frames.push(format!("{tag}! missed {missed}"));
                 }
+                frames.extend(lines.into_iter().map(|l| format!("{tag} {l}")));
             }
         }
         frames
@@ -606,7 +607,8 @@ impl MgmtSession {
             out.push_str(&format!("\n{label} {}", snap.counter(id)));
         }
         // Ring losses are read where they are counted, not mirrored into
-        // metrics: every flight recorder, and this node's bus.
+        // metrics: every flight recorder, and this node's cluster events
+        // (a class of its recorder, so also in `trace.dropped`).
         let hub = self.daemon.trace_hub();
         let recorders = hub.scopes().into_iter().filter_map(|s| hub.get(&s));
         let trace_dropped: u64 = recorders.map(|r| r.dropped()).sum();
@@ -688,7 +690,12 @@ impl MgmtSession {
                 // Live edge: only events recorded after this line.
                 let (scope, cursor) = (scope.to_string(), r.live_edge());
                 let done = format!("OK following trace {scope}");
-                self.subscription = Some(Subscription::Trace { scope, cursor });
+                let events = None;
+                self.subscription = Some(Subscription::Trace {
+                    scope,
+                    cursor,
+                    events,
+                });
                 Ok(done)
             }
             ("PATH", [tok]) => {
@@ -713,10 +720,10 @@ impl MgmtSession {
 
     fn events(&mut self, t: &[&str]) -> Reply {
         let tail = |n: usize| {
-            let bus = self.daemon.events();
-            let (published, dropped) = (bus.published(), bus.dropped());
+            let log = self.daemon.events();
+            let (published, dropped) = (log.published(), log.dropped());
             let mut out = format!("OK events published={published} dropped={dropped}");
-            for ev in bus.tail(n) {
+            for ev in log.tail(n) {
                 out.push('\n');
                 out.push_str(&ev.summary());
             }
@@ -727,9 +734,11 @@ impl MgmtSession {
             (None, _) => Ok(tail(10)),
             (Some("TAIL"), Some(n)) => Ok(tail(n.parse().map_err(|_| USAGE)?)),
             (Some("SUBSCRIBE"), filter) => {
-                self.subscription = Some(Subscription::Events {
-                    cursor: self.daemon.events().subscribe(),
-                    filter: filter.map(|s| s.to_string()),
+                let r = self.daemon.recorder();
+                self.subscription = Some(Subscription::Trace {
+                    scope: r.scope().to_string(),
+                    cursor: r.live_edge(),
+                    events: Some(filter.map_or_else(String::new, |s| s.to_string())),
                 });
                 Ok("OK subscribed events".into())
             }

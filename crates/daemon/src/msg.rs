@@ -501,8 +501,8 @@ pub enum WireCast {
     /// the cast is one point of the hub's history.
     Stats { scopes: Vec<(String, Snapshot)> },
     /// A structured cluster event observed locally (suspicion, checkpoint
-    /// commit, respawn, injected fault) published onto every daemon's event
-    /// bus through the total order, so all buses agree on sequence.
+    /// commit, respawn, injected fault) published to every daemon's flight
+    /// recorder through the total order, so all agree on sequence.
     /// Events derivable from the `Cfg` stream itself are *not* cast — each
     /// daemon appends those deterministically while applying the command.
     Event {

@@ -20,10 +20,10 @@
 //! Each event is handed its timestamps — the input's `vt` and the shell's
 //! clock after merging it (`now`) — and the machine stamps with those only.
 //! The shell (the node loop in `daemon.rs`) owns everything else: the
-//! ensemble stack, the node host, the checkpoint store, the event bus and
-//! its forensics, the stats hub, the instruments and the links to the local
-//! ranks. The `verify` crate's daemon rows run *n* of these values over the
-//! deployed ensemble `Group`.
+//! ensemble stack, the node host, the checkpoint store, the flight recorder
+//! (cluster events included) and the forensics, the stats hub, the
+//! instruments and the links to the local ranks. The `verify` crate's
+//! daemon rows run *n* of these values over the deployed ensemble `Group`.
 // lint: sans-io
 
 use std::collections::BTreeSet;
@@ -65,7 +65,7 @@ pub enum Out {
     Placement(AppEntry),
     /// The host unplaces a rank lost with no replacement.
     RankLost(AppId, Rank),
-    /// Append to the event bus.
+    /// Record a cluster event on the daemon's flight recorder.
     Event {
         origin: NodeId,
         vt: VirtualTime,
@@ -216,7 +216,7 @@ impl Node {
             WireCast::Event { origin, vt, kind } if self.bootstrapped => {
                 self.out.push(Out::Event { origin, vt, kind })
             }
-            // Before a snapshot: no local ranks and no bus history yet.
+            // Before a snapshot: no local ranks and no event history yet.
             // A multicast of a group we are not in. Telemetry is the shell's.
             _ => {}
         }
@@ -295,7 +295,7 @@ impl Node {
     }
 
     /// Publish a locally observed event: it rides the total order, so every
-    /// bus appends it at the same point.
+    /// daemon records it at the same point.
     pub fn emit(&mut self, kind: EventKind, now: VirtualTime) -> Vec<Out> {
         self.emit_event(kind, now);
         self.take()

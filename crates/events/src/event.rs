@@ -2,9 +2,9 @@
 //!
 //! Events travel between daemons over the totally ordered cast path (a
 //! `WireCast::Event` frame) or are derived deterministically from the ordered
-//! configuration stream itself, so every daemon's bus holds the same events
-//! in the same order with the same sequence numbers. The codec is the same
-//! portable big-endian format as the rest of the control plane.
+//! configuration stream itself, so every daemon's flight recorder holds the
+//! same events in the same order with the same sequence numbers. The codec
+//! is the same portable big-endian format as the rest of the control plane.
 
 use starfish_util::codec::{Decode, Decoder, Encode, Encoder};
 use starfish_util::{AppId, Epoch, Error, NodeId, Rank, Result, VirtualTime};
@@ -227,12 +227,13 @@ impl Decode for EventKind {
     }
 }
 
-/// One sequenced event on a bus: who observed/originated it (`origin`), the
-/// publisher's virtual time, and the bus-assigned sequence number.
+/// One sequenced cluster event: who observed/originated it (`origin`), the
+/// publisher's virtual time, and its sequence number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterEvent {
-    /// Bus-assigned, dense and strictly increasing; identical on every
-    /// daemon for cast-carried and cast-derived events.
+    /// Assigned by the recorder's event class: dense and strictly
+    /// increasing, identical on every daemon for cast-carried and
+    /// cast-derived events.
     pub seq: u64,
     /// The publisher's virtual time when the event was observed.
     pub vt: VirtualTime,
@@ -377,5 +378,84 @@ mod tests {
         enc.put_u8(200);
         let bytes = enc.into_vec();
         assert!(EventKind::decode(&mut Decoder::new(&bytes)).is_err());
+    }
+
+    /// Every kind in the frame `WireCast::Event` carries between daemons.
+    fn frames() -> Vec<Vec<u8>> {
+        all_kinds()
+            .into_iter()
+            .map(|kind| {
+                let (seq, vt, origin) = (9, VirtualTime::from_nanos(77), NodeId(1));
+                ClusterEvent {
+                    seq,
+                    vt,
+                    origin,
+                    kind,
+                }
+                .encode_to_bytes()
+                .to_vec()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_truncation_is_an_error() {
+        for frame in frames() {
+            for cut in 0..frame.len() {
+                let got = ClusterEvent::decode_from_bytes(&frame[..cut]);
+                assert!(got.is_err(), "{cut} of {frame:?} decoded: {got:?}");
+            }
+        }
+    }
+
+    /// A frame whose `Vec` length prefix (`ViewChange.members`,
+    /// `RecoveryRestore.line`) says `len`, followed by `tail`.
+    fn lying(restore: bool, len: u32, tail: &[u8]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        if restore {
+            enc.put_u8(T_RECOVERY_RESTORE);
+            AppId(1).encode(&mut enc);
+            Epoch(2).encode(&mut enc);
+        } else {
+            enc.put_u8(T_VIEW_CHANGE);
+            enc.put_u64(7);
+        }
+        enc.put_u32(len);
+        let mut bytes = enc.into_vec();
+        bytes.extend_from_slice(tail);
+        bytes
+    }
+
+    proptest::proptest! {
+        /// Decoding never panics, whatever bit of a real frame is flipped.
+        #[test]
+        fn decode_never_panics_on_a_flipped_bit(
+            k in 0usize..11,
+            pos in proptest::prelude::any::<usize>(),
+            bit in 0u8..8,
+        ) {
+            let mut frame = frames().swap_remove(k);
+            let at = pos % frame.len();
+            frame[at] ^= 1 << bit;
+            let _ = ClusterEvent::decode_from_bytes(&frame);
+        }
+
+        /// A `Vec` length that overstates what follows is an error, and no
+        /// length panics the decoder or sizes an allocation from the wire.
+        #[test]
+        fn lying_vec_lengths_never_panic(
+            small in 0u32..40,
+            huge in proptest::prelude::any::<u32>(),
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+        ) {
+            for (restore, width) in [(false, 4), (true, 8)] {
+                for len in [small, huge, u32::MAX] {
+                    let got = EventKind::decode_from_bytes(&lying(restore, len, &tail));
+                    if len as usize * width > tail.len() {
+                        proptest::prop_assert!(got.is_err(), "{len} over {} bytes", tail.len());
+                    }
+                }
+            }
+        }
     }
 }

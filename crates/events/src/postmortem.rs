@@ -78,7 +78,8 @@ pub struct Postmortem {
     pub complete_vt_ns: u64,
     pub phases: Vec<Phase>,
     pub rollback: Rollback,
-    /// The bus events of this recovery, in sequence order.
+    /// The cluster events of this recovery, in sequence order: from the
+    /// forensics anchor to `recovery-complete`.
     pub events: Vec<ClusterEvent>,
     /// Causal trace slice around the crash (flight-recorder summaries).
     pub trace: Vec<String>,

@@ -161,8 +161,8 @@ metric_table! {
     // --- Daemon / liveness ----------------------------------------------
     PROCS_RUNNING = ("procs.running", Gauge, Count, "Application processes alive on this node");
 
-    // --- Recovery forensics (event bus + postmortems) --------------------
-    EVENTS_PUBLISHED = ("events.published", Counter, Count, "Cluster events appended to this node's event bus");
+    // --- Recovery forensics (cluster events + postmortems) --------------
+    EVENTS_PUBLISHED = ("events.published", Counter, Count, "Cluster events recorded by this node's flight recorder");
     RECOVERY_DETECT_NS = ("recovery.detect_ns", Histogram, WallNanos, "Failure detection latency: last heartbeat heard to suspicion");
     RECOVERY_ROLLBACK_VT_NS = ("recovery.rollback_vt_ns", Histogram, VirtualNanos, "Rollback depth: virtual time between the recovery line and the rollback");
     RECOVERY_LOST_MSGS = ("recovery.lost_msgs", Histogram, Count, "Messages consumed since the recovery line that a rollback discards");

@@ -1,5 +1,6 @@
 //! Structured flight-recorder events.
 
+use starfish_events::ClusterEvent;
 use starfish_util::VirtualTime;
 
 use crate::context::TraceCtx;
@@ -9,8 +10,8 @@ use crate::context::TraceCtx;
 /// (a receive folds the sender's clock in before stamping).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Per-recorder event index, counted across both of its rings and
-    /// across evictions (a gap in a dump is history that was dropped).
+    /// Per-recorder event index, counted across all of its record classes
+    /// and across evictions (a gap in a dump is history that was dropped).
     pub seq: u64,
     /// Lamport timestamp.
     pub lamport: u64,
@@ -52,9 +53,22 @@ pub enum EventKind {
     Mark { name: String, detail: String },
     /// A fault was injected (chaos harness, heartbeat chaos).
     Fault { desc: String },
+    /// A cluster event, in a daemon's recorder: boxed, so no record grows.
+    /// Its own `seq` counts this class alone (see [`EventLog`]).
+    ///
+    /// [`EventLog`]: crate::EventLog
+    Cluster(Box<ClusterEvent>),
 }
 
 impl TraceEvent {
+    /// The cluster event this record carries, if it is one.
+    pub fn cluster(&self) -> Option<&ClusterEvent> {
+        match &self.kind {
+            EventKind::Cluster(ev) => Some(ev),
+            _ => None,
+        }
+    }
+
     /// One-line rendering used by the `TRACE DUMP|TAIL` management
     /// commands and the `.trace.json` sidecar summaries.
     pub fn summary(&self) -> String {
@@ -104,6 +118,13 @@ impl TraceEvent {
                 }
             }
             EventKind::Fault { desc } => format!("fault {desc}"),
+            EventKind::Cluster(ev) => format!(
+                "event #{} {} {} {}",
+                ev.seq,
+                ev.origin,
+                ev.kind.label(),
+                ev.kind.detail()
+            ),
         };
         format!(
             "#{} L{} @{}us {}",

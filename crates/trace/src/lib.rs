@@ -10,8 +10,13 @@
 //! paths; [`perfetto::export`] renders the whole thing as Chrome-trace JSON
 //! that `ui.perfetto.dev` loads directly.
 //!
-//! Layering: this crate depends only on `starfish-util`, so every layer —
-//! vni, mpi, ensemble, checkpoint, daemon, chaos — can record into it.
+//! A daemon's recorder also holds the cluster's event stream (§3.1's event
+//! bus) as a record class of its own, read through [`EventLog`]; its
+//! vocabulary is `starfish-events`.
+//!
+//! Layering: this crate depends only on `starfish-util` and that
+//! vocabulary, so every layer — vni, mpi, ensemble, checkpoint, daemon,
+//! chaos — can record into it.
 //!
 //! See `OBSERVABILITY.md` at the repository root for the wire layout and a
 //! worked debugging walkthrough.
@@ -27,4 +32,4 @@ pub use context::TraceCtx;
 pub use event::{EventKind, TraceEvent};
 pub use hub::TraceHub;
 pub use reassemble::{reassemble, Dag, NodeRef, PathStep};
-pub use recorder::{FlightRecorder, PhaseSpan, ProcTrace, TraceCursor, DEFAULT_CAPACITY};
+pub use recorder::{EventLog, FlightRecorder, PhaseSpan, ProcTrace, TraceCursor, DEFAULT_CAPACITY};

@@ -112,6 +112,14 @@ pub fn export(traces: &[ProcTrace]) -> String {
                         json::string(&format!("fault: {desc}"))
                     ));
                 }
+                EventKind::Cluster(c) => {
+                    ev.push(format!(
+                        r#"{{"name":{},"cat":"event","ph":"i","s":"p",{common},"args":{{"lamport":{lam},"seq":{},"detail":{}}}}}"#,
+                        json::string(c.kind.label()),
+                        c.seq,
+                        json::string(&c.kind.detail())
+                    ));
+                }
             }
         }
     }
@@ -465,11 +473,13 @@ mod tests {
         a.view_change(vt(40), 2, 3);
         a.mark(vt(50), "ckpt.commit", "index 1");
         a.fault(vt(60), "partition n0|n1");
+        let node = starfish_util::NodeId(0);
+        a.record_event(node, vt(70), starfish_events::EventKind::NodeUp { node });
         let json = export(&[a.dump(), b.dump()]);
         let sum = validate(&json).expect("exported trace must validate");
         assert_eq!(sum.processes, 2);
         assert_eq!(sum.flows, 1);
-        assert!(sum.events >= 9);
+        assert!(sum.events >= 10);
     }
 
     #[test]

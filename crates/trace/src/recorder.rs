@@ -1,5 +1,7 @@
 //! The per-process flight recorder: an always-on, bounded record of
-//! [`TraceEvent`]s plus the process's Lamport clock.
+//! [`TraceEvent`]s plus the process's Lamport clock. A daemon's recorder is
+//! also where the cluster's event stream lives: [`EventLog`] reads that
+//! record class on its own.
 //!
 //! Design constraints, in order:
 //!
@@ -10,21 +12,24 @@
 //!    per event, no allocation for send/receive events (their fields are
 //!    plain words), ring eviction instead of growth. What recording costs a
 //!    whole job is bench-e2e's `trace.overhead_pct`.
-//! 3. **Never lossy about being lossy.** Both rings are
-//!    [`SeqRing`]s: eviction is counted exactly and `seq` keeps counting,
-//!    so a dump always says how much history is missing.
-//! 4. **Traffic cannot evict structure.** Sends, receives and the phases
-//!    recorded once per operation ([`TRAFFIC_PHASES`]) live in one ring,
-//!    everything else (phases, marks, view changes, faults) in a second one
-//!    of fixed size, so a job that moves 20 000 messages or runs 600
-//!    allreduces between two checkpoint rounds still shows both rounds in
-//!    `TIMELINE`.
+//! 3. **Never lossy about being lossy.** Every ring is a [`SeqRing`]:
+//!    eviction is counted exactly and `seq` keeps counting, so a dump
+//!    always says how much history is missing.
+//! 4. **Traffic cannot evict structure.** Retention is per record class,
+//!    one ring each. Sends, receives and the phases recorded once per
+//!    operation ([`TRAFFIC_PHASES`]) fill the message ring; cluster events
+//!    have a ring of their own, of fixed size; everything else (phases,
+//!    marks, view changes, faults) a third one, also of fixed size. So a
+//!    job that moves 20 000 messages or runs 600 allreduces between two
+//!    checkpoint rounds still shows both rounds in `TIMELINE`, and a
+//!    recovery's events in its postmortem.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use starfish_events::{ClusterEvent, EventKind as ClusterKind};
 use starfish_util::ring::SeqRing;
-use starfish_util::VirtualTime;
+use starfish_util::{NodeId, VirtualTime};
 
 use crate::context::TraceCtx;
 use crate::event::{EventKind, TraceEvent};
@@ -36,6 +41,11 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 /// Capacity of the phase ring. A constant: phases are rare (a handful per
 /// checkpoint round or recovery), so no workload needs a different bound.
 pub const PHASE_CAPACITY: usize = 1024;
+
+/// Capacity of the cluster-event ring. A constant: enough for every event
+/// of a sizeable recovery with checkpoint traffic around it, small enough
+/// to never matter in memory.
+pub const EVENT_CAPACITY: usize = 4096;
 
 /// Name prefix of the phases that occur at message rate — the `coll.<op>`
 /// span of every collective call. They are traffic: filed in the message
@@ -50,7 +60,7 @@ pub struct ProcTrace {
     pub scope: String,
     /// Events evicted before this dump.
     pub dropped: u64,
-    /// Retained events of both rings, in record order.
+    /// Retained events of every ring, in record order.
     pub events: Vec<TraceEvent>,
 }
 
@@ -94,17 +104,22 @@ impl ProcTrace {
 }
 
 /// A reader's position in one recorder (`TRACE FOLLOW`): the next event it
-/// has not seen, in each ring.
+/// has not seen, in each ring. [`EventLog::poll`] reads and moves only its
+/// cluster-event position (`EVENTS SUBSCRIBE`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCursor {
     msgs: u64,
     phases: u64,
+    events: u64,
 }
 
 struct State {
     /// Sends, receives and [`TRAFFIC_PHASES`], bounded by the configured
     /// capacity.
     msgs: SeqRing<TraceEvent>,
+    /// Cluster events, bounded by [`EVENT_CAPACITY`]. Their ring index is
+    /// their [`ClusterEvent::seq`].
+    events: SeqRing<TraceEvent>,
     /// Everything else, bounded by [`PHASE_CAPACITY`].
     phases: SeqRing<TraceEvent>,
     /// The process Lamport clock.
@@ -158,11 +173,20 @@ impl State {
         );
     }
 
+    /// The position past everything recorded so far.
+    fn edge(&self) -> TraceCursor {
+        TraceCursor {
+            msgs: self.msgs.pushed(),
+            phases: self.phases.pushed(),
+            events: self.events.pushed(),
+        }
+    }
+
     fn push(&mut self, vt: VirtualTime, kind: EventKind) {
         self.lamport += 1;
         let ev = TraceEvent {
-            // Events ever recorded here, across both rings.
-            seq: self.msgs.pushed() + self.phases.pushed(),
+            // Events ever recorded here, across all rings.
+            seq: self.msgs.pushed() + self.events.pushed() + self.phases.pushed(),
             lamport: self.lamport,
             vt,
             kind,
@@ -174,6 +198,7 @@ impl State {
             {
                 self.msgs.push(ev)
             }
+            EventKind::Cluster(_) => self.events.push(ev),
             _ => self.phases.push(ev),
         };
     }
@@ -228,6 +253,7 @@ impl FlightRecorder {
                 span_base,
                 state: Mutex::new(State {
                     msgs: SeqRing::new(cap),
+                    events: SeqRing::new(EVENT_CAPACITY),
                     phases: SeqRing::new(PHASE_CAPACITY),
                     lamport: 0,
                     cur_trace: 0,
@@ -261,14 +287,14 @@ impl FlightRecorder {
         }
     }
 
-    /// Events evicted so far, over both rings.
+    /// Events evicted so far, over all rings.
     pub fn dropped(&self) -> u64 {
-        self.with(|_, s| s.msgs.dropped() + s.phases.dropped())
+        self.with(|_, s| s.msgs.dropped() + s.events.dropped() + s.phases.dropped())
     }
 
-    /// Events currently retained, over both rings.
+    /// Events currently retained, over all rings.
     pub fn len(&self) -> usize {
-        self.with(|_, s| s.msgs.len() + s.phases.len())
+        self.with(|_, s| s.msgs.len() + s.events.len() + s.phases.len())
     }
 
     pub fn is_empty(&self) -> bool {
@@ -438,29 +464,52 @@ impl FlightRecorder {
         })
     }
 
+    /// Record a cluster event, assigning it the next sequence number of
+    /// its class. Returns the sequenced event, or `None` when disabled.
+    pub fn record_event(
+        &self,
+        origin: NodeId,
+        vt: VirtualTime,
+        kind: ClusterKind,
+    ) -> Option<ClusterEvent> {
+        self.with(|_, s| {
+            let seq = s.events.pushed();
+            let ev = ClusterEvent {
+                seq,
+                vt,
+                origin,
+                kind,
+            };
+            s.push(vt, EventKind::Cluster(Box::new(ev.clone())));
+            Some(ev)
+        })
+    }
+
+    /// The cluster-event class of this recorder, read on its own.
+    pub fn events(&self) -> EventLog {
+        EventLog(self.clone())
+    }
+
     /// A cursor at the live edge: polling it yields only events recorded
     /// after this call.
     pub fn live_edge(&self) -> TraceCursor {
-        self.with(|_, s| TraceCursor {
-            msgs: s.msgs.pushed(),
-            phases: s.phases.pushed(),
-        })
+        self.with(|_, s| s.edge())
     }
 
     /// Events recorded since `cur` in record order, plus how many more were
     /// evicted before this reader got to them. Advances `cur`.
     pub fn poll(&self, cur: &mut TraceCursor) -> (Vec<TraceEvent>, u64) {
         self.with(|_, s| {
-            let (mut events, missed_msgs) = s.msgs.since(cur.msgs);
-            let (phases, missed_phases) = s.phases.since(cur.phases);
-            events.extend(phases);
-            // Two seq-sorted runs: the stable sort merges them in O(n).
+            let (mut events, mut missed) = s.msgs.since(cur.msgs);
+            for (ring, from) in [(&s.events, cur.events), (&s.phases, cur.phases)] {
+                let (more, gap) = ring.since(from);
+                events.extend(more);
+                missed += gap;
+            }
+            // Seq-sorted runs: the stable sort merges them in O(n).
             events.sort_by_key(|e| e.seq);
-            *cur = TraceCursor {
-                msgs: s.msgs.pushed(),
-                phases: s.phases.pushed(),
-            };
-            (events, missed_msgs + missed_phases)
+            *cur = s.edge();
+            (events, missed)
         })
     }
 
@@ -472,6 +521,63 @@ impl FlightRecorder {
             dropped,
             events,
         }
+    }
+}
+
+/// The cluster-event class of one [`FlightRecorder`], read on its own:
+/// what `EVENTS`, the postmortem and `Cluster::events()` see. Sequence
+/// numbers and drops count this class alone, so they are exact, and equal
+/// on every daemon at equal positions of the ordered stream. A disabled
+/// recorder reads as empty.
+#[derive(Clone)]
+pub struct EventLog(FlightRecorder);
+
+impl EventLog {
+    fn read<R: Default>(&self, f: impl FnOnce(&SeqRing<TraceEvent>) -> R) -> R {
+        self.0.with(|_, s| f(&s.events))
+    }
+
+    /// Events ever recorded (== the next seq to assign).
+    pub fn published(&self) -> u64 {
+        self.read(|r| r.pushed())
+    }
+
+    /// Exact count of events evicted from the ring.
+    pub fn dropped(&self) -> u64 {
+        self.read(|r| r.dropped())
+    }
+
+    /// Events with `seq >= from`, oldest first, plus how many events in that
+    /// range were already evicted (the gap a late reader can never see).
+    pub fn since(&self, from: u64) -> (Vec<ClusterEvent>, u64) {
+        let (records, missed) = self.read(|r| r.since(from));
+        let events = records.iter().filter_map(TraceEvent::cluster).cloned();
+        (events.collect(), missed)
+    }
+
+    /// Every retained event, oldest first.
+    pub fn snapshot(&self) -> Vec<ClusterEvent> {
+        self.since(0).0
+    }
+
+    /// The last `n` events, oldest first.
+    pub fn tail(&self, n: usize) -> Vec<ClusterEvent> {
+        self.since(self.published().saturating_sub(n as u64)).0
+    }
+
+    /// A cursor at the live edge: `EVENTS SUBSCRIBE` sees only what happens
+    /// after it subscribed.
+    pub fn live_edge(&self) -> TraceCursor {
+        self.0.live_edge()
+    }
+
+    /// Events since `cur`'s cluster-event position, plus how many were
+    /// evicted before this reader got to them; the gap is charged once.
+    /// Advances that position only.
+    pub fn poll(&self, cur: &mut TraceCursor) -> (Vec<ClusterEvent>, u64) {
+        let (events, missed) = self.since(cur.events);
+        cur.events += missed + events.len() as u64;
+        (events, missed)
     }
 }
 
@@ -638,6 +744,120 @@ mod tests {
         assert!(matches!(events[4].kind, EventKind::Mark { .. }));
         // The gap is charged once.
         assert_eq!(r.poll(&mut cur), (vec![], 0));
+    }
+
+    /// Every rank's ring is made of these records: the boxed cluster event
+    /// must not grow them.
+    #[test]
+    fn trace_event_stays_80_bytes() {
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 80);
+    }
+
+    fn node_up(n: u32) -> ClusterKind {
+        ClusterKind::NodeUp { node: NodeId(n) }
+    }
+
+    /// Cluster events are a retention class of their own: a message flood
+    /// evicts none of them, and their sequence counts that class alone.
+    #[test]
+    fn traffic_cannot_evict_cluster_events() {
+        let r = FlightRecorder::new("n0", 4);
+        for i in 0..3 {
+            r.on_send(vt(i), 1, 1, i, 8);
+            let ev = r.record_event(NodeId(0), vt(i), node_up(i as u32)).unwrap();
+            assert_eq!(ev.seq, i);
+        }
+        for i in 0..100 {
+            r.on_send(vt(10 + i), 1, 1, i, 8);
+        }
+        let log = r.events();
+        assert_eq!((log.published(), log.dropped()), (3, 0));
+        let seqs: Vec<u64> = log.snapshot().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2]);
+        assert_eq!(log.tail(2)[0].seq, 1);
+        assert_eq!(r.dropped(), 103 - 4);
+        // One stream: the dump interleaves them with the traffic.
+        let d = r.dump();
+        assert_eq!(d.events.iter().filter_map(TraceEvent::cluster).count(), 3);
+        assert!(d.events.windows(2).all(|w| w[0].seq < w[1].seq));
+    }
+
+    #[test]
+    fn event_class_is_inert_when_disabled() {
+        let r = FlightRecorder::disabled();
+        assert_eq!(
+            r.record_event(NodeId(0), VirtualTime::ZERO, node_up(1)),
+            None
+        );
+        let log = r.events();
+        assert_eq!((log.published(), log.dropped()), (0, 0));
+        assert!(log.snapshot().is_empty());
+        let mut cur = log.live_edge();
+        assert_eq!(log.poll(&mut cur), (vec![], 0));
+    }
+
+    #[test]
+    fn event_cursor_sees_only_post_subscribe_events() {
+        let r = FlightRecorder::new("n0", 64);
+        for i in 0..3 {
+            r.record_event(NodeId(0), vt(i * 10), node_up(i as u32));
+        }
+        let log = r.events();
+        let mut cur = log.live_edge();
+        assert_eq!(log.poll(&mut cur), (vec![], 0));
+        r.mark(vt(98), "not an event", "");
+        r.record_event(NodeId(1), vt(99), node_up(42));
+        let (events, missed) = log.poll(&mut cur);
+        assert_eq!(missed, 0);
+        assert_eq!(events.len(), 1);
+        assert_eq!((events[0].seq, events[0].origin), (3, NodeId(1)));
+        // Drained: next poll is empty.
+        assert_eq!(log.poll(&mut cur), (vec![], 0));
+    }
+
+    #[test]
+    fn event_cursor_reports_exact_gap_when_lapped() {
+        let r = FlightRecorder::new("n0", 4);
+        let log = r.events();
+        let mut cur = log.live_edge();
+        let total = EVENT_CAPACITY as u64 + 6;
+        for i in 0..total {
+            r.record_event(NodeId(0), VirtualTime::ZERO, node_up(i as u32));
+        }
+        let (events, missed) = log.poll(&mut cur);
+        // The ring holds the newest EVENT_CAPACITY; the cursor wanted all
+        // of them, so it missed exactly what the class counts as dropped.
+        assert_eq!(missed, 6);
+        assert_eq!(missed, log.dropped());
+        assert_eq!(events.len(), EVENT_CAPACITY);
+        assert_eq!(events[0].seq, 6);
+        // Gap charged once: a further poll with no records misses nothing.
+        assert_eq!(log.poll(&mut cur), (vec![], 0));
+    }
+
+    #[test]
+    fn concurrent_event_publishers_never_lose_a_seq() {
+        let r = FlightRecorder::new("n0", 16);
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let r = r.clone();
+                std::thread::spawn(move || {
+                    for i in 0..100 {
+                        let app = starfish_util::AppId(t);
+                        r.record_event(NodeId(t), vt(i), ClusterKind::CkptRoundBegin { app });
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let log = r.events();
+        assert_eq!((log.published(), log.dropped()), (400, 0));
+        // Retained window is dense and sorted.
+        let snap = log.snapshot();
+        assert_eq!(snap.len(), 400);
+        assert!(snap.windows(2).all(|w| w[1].seq == w[0].seq + 1));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * [`trace`] — the Table 1 message-taxonomy audit: per-class totals and
 //!   the exact set of paths each class was seen on.
 //! * [`ring`] — [`ring::SeqRing`], the one bounded, sequenced ring every
-//!   observability buffer (event bus, flight recorder, stats history) is a
-//!   typed user of.
+//!   observability buffer (the flight recorder's record classes, the stats
+//!   history) is a typed user of.
 //! * [`json`] — the one JSON string writer.
 //! * [`error`] — the shared error type.
 

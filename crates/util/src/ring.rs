@@ -3,8 +3,8 @@
 //! A [`SeqRing`] keeps the newest `cap` items it was given and numbers every
 //! item with a sequence that keeps counting across evictions, so a reader
 //! that fell behind learns *exactly* how much it missed instead of silently
-//! skipping. The event bus, the flight recorder and the stats history are
-//! typed users of it; none of them evicts or counts drops on its own.
+//! skipping. The flight recorder (one ring per record class) and the stats
+//! history are typed users of it; neither evicts or counts drops on its own.
 //!
 //! The ring is plain data: its owner supplies the lock.
 

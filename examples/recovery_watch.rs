@@ -1,4 +1,4 @@
-//! Watch a recovery unfold on the cluster event bus, then read the
+//! Watch a recovery unfold on the cluster's event stream, then read the
 //! postmortem bundle the coordinator assembled.
 //!
 //! ```text
@@ -6,8 +6,8 @@
 //! ```
 //!
 //! A 3-node cluster runs a diskless-checkpointing job (`replica:2`); we
-//! subscribe to the event bus, kill the node hosting rank 1, and stream the
-//! failure → recovery event sequence live. When the recovery completes, the
+//! follow the cluster events a daemon records, kill the node hosting
+//! rank 1, and stream the failure → recovery event sequence live. When the recovery completes, the
 //! daemon's forensics module has already written a self-contained JSON
 //! bundle (event sequence, per-phase timings, rollback depth, trace slice,
 //! metric deltas) — the same bundle `POSTMORTEM app1` serves over the
@@ -44,15 +44,18 @@ fn main() -> Result<()> {
         Ok(())
     });
 
-    // Follow the bus from the live edge: everything after this line streams.
-    let mut cursor = cluster.events().subscribe();
+    // Follow the events from the live edge: everything after this line
+    // streams.
+    let events = cluster.events();
+    let mut cursor = events.live_edge();
     let app = cluster.submit("it", 3, SubmitOpts::default().replica(2))?;
 
-    // Watch the bus until a checkpoint round commits, then kill the node
-    // hosting rank 1 — the rollback will restore from that committed line.
+    // Watch the events until a checkpoint round commits, then kill the
+    // node hosting rank 1 — the rollback will restore from that committed
+    // line.
     let warmup = std::time::Instant::now() + Duration::from_secs(30);
     'warm: while std::time::Instant::now() < warmup {
-        for ev in cursor.poll().events {
+        for ev in events.poll(&mut cursor).0 {
             println!("  {}", ev.summary());
             if matches!(ev.kind, starfish_events::EventKind::CkptCommit { .. }) {
                 break 'warm;
@@ -67,11 +70,11 @@ fn main() -> Result<()> {
     // Stream events until the recovery completes (or the app finishes).
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
     'watch: while std::time::Instant::now() < deadline {
-        let poll = cursor.poll();
-        if poll.missed > 0 {
-            println!("! missed {} events (bus wrapped)", poll.missed);
+        let (polled, missed) = events.poll(&mut cursor);
+        if missed > 0 {
+            println!("! missed {missed} events (their ring wrapped)");
         }
-        for ev in &poll.events {
+        for ev in &polled {
             println!("  {}", ev.summary());
             if matches!(ev.kind, starfish_events::EventKind::RecoveryComplete { .. }) {
                 break 'watch;

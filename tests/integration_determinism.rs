@@ -1,7 +1,10 @@
 //! Virtual-time determinism: the measured virtual durations of
 //! deterministic workloads must be identical across repeated runs,
-//! regardless of OS scheduling. This property is what lets the benchmark
-//! harness reproduce the paper's figures exactly.
+//! regardless of OS scheduling (the checkpoint round within a stated
+//! tolerance). That is a property of these workloads, not of the paper's
+//! figure harness: Fig 3, Fig 4, Table 1 and the C/R protocol ablation
+//! still vary between runs (ROADMAP.md, "Measured at this re-anchor", says
+//! by how much).
 
 use std::time::Duration;
 
