@@ -10,14 +10,20 @@ its section's keys: each algorithm arm, each recovery leg, and for a
 selector threshold a boolean `measured`, a null or integer crossover and an
 integer `calibrated`. Every other cell value is a positive number.
 
-Quick mode (the report's "quick" flag; the CI smoke run with
-BENCH_QUICK=1) stops there: its sizes are too small for the claims to hold.
+Always, too: the recovery claim, recomputed from the legs rather than
+taken from the report's own boolean. Every row's replica_fetch is below its
+disk_read, its speedup is round(disk_read / replica_fetch, 2), and
+replica_recovery_beats_disk is the AND of the rows. It is virtual time, so
+quick mode's two sizes carry it as well as full mode's four.
 
-Full mode (the committed report) also checks the three headline claims:
+Quick mode (the report's "quick" flag; the CI smoke run with
+BENCH_QUICK=1) stops there: its sizes are too small for the collective
+claims to hold.
+
+Full mode (the committed report) also checks the two collective claims:
 * ring allreduce is at least 4x faster than reduce+bcast at the largest
   size x rank cell;
-* every selector threshold comes from a measured crossover, not a default;
-* replica recovery beats the modelled disk at every image size.
+* every selector threshold comes from a measured crossover, not a default.
 
 Usage: check_bench.py <BENCH_calibrate.json>
 """
@@ -132,10 +138,30 @@ def check_claims(r, path):
             f"{path}: selector_thresholds.measured is not true — some selector "
             "threshold fell back to a default instead of a measured crossover"
         )
-    if r["recovery_ns"].get("replica_recovery_beats_disk") is not True:
+
+
+def check_recovery(r, path):
+    section = r["recovery_ns"]
+    wins = {}
+    for size, row in section["rows"].items():
+        fetch, read = row["replica_fetch"], row["disk_read"]
+        if row["speedup"] != round(read / fetch, 2):
+            fail(
+                f"{path}: recovery_ns.rows[{size}].speedup = {row['speedup']} but "
+                f"disk_read / replica_fetch = {read / fetch:.4f}"
+            )
+        wins[size] = fetch < read
+    claimed = section.get("replica_recovery_beats_disk")
+    if claimed is not all(wins.values()):
         fail(
-            f"{path}: recovery_ns.replica_recovery_beats_disk is not true — the "
-            "diskless store lost to the modelled 1999 disk at some image size"
+            f"{path}: recovery_ns.replica_recovery_beats_disk = {claimed!r} but the "
+            f"rows say {all(wins.values())}"
+        )
+    lost = [size for size, won in wins.items() if not won]
+    if lost:
+        fail(
+            f"{path}: recovery_ns: the diskless store lost to the modelled 1999 "
+            f"disk at {', '.join(lost)} B (replica_fetch >= disk_read)"
         )
 
 
@@ -149,8 +175,9 @@ def main():
     except (OSError, ValueError) as e:
         fail(f"{path}: {e}")
     check_schema(report, path)
+    check_recovery(report, path)
     if report["quick"]:
-        print(f"BENCH GATE: {path} quick mode — schema ok, claims not judged")
+        print(f"BENCH GATE: {path} quick mode — schema and recovery claim ok, collective claims not judged")
         return
     check_claims(report, path)
     print(f"BENCH GATE: {path} schema and headline claims ok")

@@ -55,7 +55,8 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 
 /// Tokens rule 1 forbids on the runtime path: a sleep there is a poll of
 /// state somebody else changes, and every such change has a wake-up
-/// (config watch, a thread's one wait point, the store hub's condvar).
+/// (config watch, a thread's one wait point, the checkpoint store's change
+/// count).
 pub const SLEEP_TOKENS: &[&str] = &["thread::sleep"];
 
 /// Source directories (from the workspace root) whose non-test code must

@@ -33,21 +33,17 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use starfish_bench::recovery::{recovery_model, speedup, K, LEGS, NODES};
 use starfish_bench::report;
 use starfish_bench::threshold::{calibrate, measured_crossover, threshold_consistent, SweepRow};
-use starfish_checkpoint::replica::ReplicaStore;
-use starfish_checkpoint::{CkptImage, CkptLevel, CkptValue, DiskModel, MACHINES};
 use starfish_mpi::collectives::{self, AllgatherAlgo, AllreduceAlgo, BcastAlgo, ReduceOp};
 use starfish_mpi::{
-    replica_net, Comm, CtsCadence, MpiEndpoint, RankDirectory, RecvMode, DEFAULT_RNDV_THRESHOLD,
+    Comm, CtsCadence, MpiEndpoint, RankDirectory, RecvMode, DEFAULT_RNDV_THRESHOLD,
 };
 use starfish_util::trace::TraceSink;
-use starfish_util::{json, AppId, Epoch, NodeId, Rank, VClock, VirtualTime};
+use starfish_util::{json, AppId, NodeId, Rank, VClock};
 use starfish_vni::{BipMyrinet, Fabric, LayerCosts, NetworkModel, TcpEthernet};
 
-/// Replication factor and cluster size of the recovery rows.
-const K: u8 = 2;
-const NODES: u32 = 8;
 const APP: AppId = AppId(1);
 
 fn quick() -> bool {
@@ -440,46 +436,6 @@ fn collectives_sections(q: bool) -> Vec<(&'static str, J)> {
 
 // ---- checkpoint recovery ---------------------------------------------------
 
-fn image(index: u64, bytes: usize) -> CkptImage {
-    CkptImage::capture(
-        APP,
-        Rank(0),
-        Epoch(0),
-        index,
-        CkptLevel::Vm { arch: MACHINES[0] },
-        &CkptValue::Bytes(vec![0x5a; bytes]),
-        vec![],
-        VirtualTime::ZERO,
-    )
-    .expect("capture image")
-}
-
-/// The four legs of the disk-vs-replica comparison.
-const LEGS: [&str; 4] = ["disk_write", "replica_push", "disk_read", "replica_fetch"];
-
-/// Virtual-time disk-vs-replica comparison at one image size: the [`LEGS`]
-/// in nanoseconds. The recovery legs lose the owner node first, so the
-/// replica fetch reassembles the image purely from surviving peers.
-fn recovery_model(bytes: usize) -> [u64; 4] {
-    let disk = DiskModel::ide_1999();
-    let img = image(1, bytes);
-    let total = img.total_bytes();
-    let dw = disk.write_time(total).as_nanos();
-    let dr = disk.read_time(total).as_nanos();
-
-    let store = ReplicaStore::new();
-    store.set_live(&(0..NODES).map(NodeId).collect::<Vec<_>>());
-    let net = replica_net();
-    let receipt = store.put_replicated(img, NodeId(0), K, &net);
-    assert!(!receipt.under_replicated);
-    store.node_down(NodeId(0)); // the owner dies with its local state
-    let fetch = store
-        .fetch(APP, Rank(0), 1, NodeId(1), &net)
-        .expect("image must be recoverable from peers after owner loss");
-    assert_eq!(fetch.parity_rebuilds, 0, "k−1 losses never need parity");
-    [dw, receipt.cost.as_nanos(), dr, fetch.cost.as_nanos()]
-}
-
 /// The disk-vs-replica rows, printed, and their report section.
 fn recovery_section(q: bool) -> (&'static str, J) {
     let sizes: &[usize] = if q {
@@ -498,7 +454,7 @@ fn recovery_section(q: bool) -> (&'static str, J) {
         let legs = recovery_model(size);
         let [.., disk_read, replica_fetch] = legs;
         replica_wins &= replica_fetch < disk_read;
-        let speedup = format!("{:.2}", disk_read as f64 / replica_fetch as f64);
+        let speedup = speedup(legs);
         let ms = legs.map(|ns| format!("{:.2}", ns as f64 / 1e6));
         rows.push(
             [

@@ -14,10 +14,11 @@
 //!
 //! The `calibrate` bench target measures what the model rests on — the
 //! collective crossovers ([`threshold`]) and the modelled checkpoint
-//! recovery — and writes them to `BENCH_calibrate.json`.
+//! recovery ([`recovery`]) — and writes them to `BENCH_calibrate.json`.
 
 pub mod ablations;
 pub mod figures;
+pub mod recovery;
 pub mod report;
 pub mod threshold;
 

@@ -19,8 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
-use starfish_checkpoint::replica::{ReplicaNet, ReplicaStore};
-use starfish_checkpoint::{CkptImage, CkptLevel, CkptStore, CkptValue, MACHINES};
+use starfish_checkpoint::{CkptBackend, CkptImage, CkptLevel, CkptStore, CkptValue, MACHINES};
 use starfish_events::{ClusterEvent, EventKind, Phase, Postmortem, Rollback};
 use starfish_mpi::{CtsCadence, MpiEndpoint, RankDirectory, RecvMode, WORLD_CONTEXT};
 use starfish_trace::{FlightRecorder, ProcTrace};
@@ -133,16 +132,18 @@ fn run_scenario_inner(plan: &FaultPlan, traced: bool) -> (ScenarioReport, Vec<Pr
     for f in &plan.faults {
         fabric.set_link_fault(NodeId(f.src), NodeId(f.dst), f.to_fault());
     }
-    let store = CkptStore::new();
-    // Diskless mode: a `replica <k>` directive swaps the stable store for
-    // the in-memory replicated one; node crashes then take checkpoint
-    // fragments with them, which is exactly what the diskless oracles probe.
-    let replica: Option<(ReplicaStore, ReplicaNet, u8)> = plan.replica_k.map(|k| {
-        let rs = ReplicaStore::new();
-        rs.set_live(&(0..plan.nodes).map(NodeId).collect::<Vec<_>>());
-        (rs, ReplicaNet::lan_1999(), k)
-    });
     let placement: Vec<NodeId> = (0..plan.ranks).map(|r| NodeId(r % plan.nodes)).collect();
+    let store = CkptStore::new();
+    for n in 0..plan.nodes {
+        store.node_up(NodeId(n));
+    }
+    // Diskless mode: a `replica <k>` directive places the app's images in
+    // peer memory instead of on the stable disk; node crashes then take
+    // checkpoint fragments with them, which is exactly what the diskless
+    // oracles probe.
+    if let Some(k) = plan.replica_k {
+        store.set_backend(CHAOS_APP, CkptBackend::Replica { k }, placement.clone());
+    }
     let dir = RankDirectory::with_placement(&placement);
     let recorders: Vec<FlightRecorder> = (0..plan.ranks)
         .map(|r| {
@@ -221,18 +222,14 @@ fn run_scenario_inner(plan: &FaultPlan, traced: bool) -> (ScenarioReport, Vec<Pr
                     mark_dead(&mut dead, plan, n);
                     crashed_nodes.insert(n);
                     first_crash_vt.get_or_insert(step_vt.as_nanos());
-                    if let Some((rs, _, _)) = &replica {
-                        rs.node_down(NodeId(n));
-                    }
+                    store.node_down(NodeId(n));
                 }
                 Event::SilentCrash(n) => {
                     fabric.crash_node_silently(NodeId(n));
                     mark_dead(&mut dead, plan, n);
                     crashed_nodes.insert(n);
                     first_crash_vt.get_or_insert(step_vt.as_nanos());
-                    if let Some((rs, _, _)) = &replica {
-                        rs.node_down(NodeId(n));
-                    }
+                    store.node_down(NodeId(n));
                 }
                 // Restarting an application rank needs the full runtime's
                 // recovery machinery; the ensemble/cluster family covers
@@ -241,16 +238,10 @@ fn run_scenario_inner(plan: &FaultPlan, traced: bool) -> (ScenarioReport, Vec<Pr
                 // hosted before the crash stay lost.
                 Event::Restart(n) => {
                     fabric.add_node(NodeId(n));
-                    if let Some((rs, _, _)) = &replica {
-                        rs.node_wiped(NodeId(n));
-                    }
+                    store.node_up(NodeId(n));
                 }
                 Event::Corrupt { rank, index } => {
-                    let hit = match &replica {
-                        Some((rs, _, _)) => rs.corrupt_image(CHAOS_APP, Rank(rank), index),
-                        None => store.corrupt_image(CHAOS_APP, Rank(rank), index),
-                    };
-                    if hit {
+                    if store.corrupt_image(CHAOS_APP, Rank(rank), index) {
                         report.corruptions += 1;
                     }
                 }
@@ -311,17 +302,10 @@ fn run_scenario_inner(plan: &FaultPlan, traced: bool) -> (ScenarioReport, Vec<Pr
                     clocks[r as usize].now(),
                 )
                 .expect("capture image");
-                match &replica {
-                    Some((rs, net, k)) => {
-                        let receipt = rs.put_replicated(img, placement[r as usize], *k, net);
-                        report.replica_fragments += u64::from(receipt.fragments);
-                        if receipt.under_replicated {
-                            report.replica_under_replicated += 1;
-                        }
-                    }
-                    None => {
-                        store.put(img);
-                    }
+                let receipt = store.put(img);
+                report.replica_fragments += u64::from(receipt.fragments);
+                if receipt.under_replicated {
+                    report.replica_under_replicated += 1;
                 }
             }
             sends_at_round.push(accepted_total);
@@ -385,35 +369,21 @@ fn run_scenario_inner(plan: &FaultPlan, traced: bool) -> (ScenarioReport, Vec<Pr
         .collect();
     report.nodes_lost = crashed_nodes.len() as u32;
     let mut restore_cost_ns: u64 = 0;
-    match &replica {
-        Some((rs, net, _)) => {
-            report.line = rs.latest_common_index(CHAOS_APP, &live);
-            // Restorability is proven the hard way: actually reassemble
-            // every live rank's image at the line from surviving peer
-            // memory (parity rebuilds allowed), fetched to a live node.
-            if report.line > 0 {
-                let to = NodeId(live[0].0 % plan.nodes);
-                let mut restorable = true;
-                for r in &live {
-                    match rs.fetch(CHAOS_APP, *r, report.line, to, net) {
-                        Some(f) => {
-                            report.replica_parity_rebuilds += u64::from(f.parity_rebuilds);
-                            restore_cost_ns += f.cost.as_nanos();
-                        }
-                        None => restorable = false,
-                    }
+    report.line = store.latest_common_index(CHAOS_APP, &live);
+    // Restorability is proven the hard way: actually read back every live
+    // rank's image at the line to a live node — under `replica <k>`,
+    // reassembled from surviving peer memory (parity rebuilds allowed).
+    report.line_restorable = true;
+    if report.line > 0 {
+        let to = NodeId(live[0].0 % plan.nodes);
+        for r in &live {
+            match store.fetch(CHAOS_APP, *r, report.line, to) {
+                Some(f) => {
+                    report.replica_parity_rebuilds += u64::from(f.parity_rebuilds);
+                    restore_cost_ns += f.cost.as_nanos();
                 }
-                report.line_restorable = restorable;
-            } else {
-                report.line_restorable = true;
+                None => report.line_restorable = false,
             }
-        }
-        None => {
-            report.line = store.latest_common_index(CHAOS_APP, &live);
-            report.line_restorable = report.line == 0
-                || live
-                    .iter()
-                    .all(|r| store.get(CHAOS_APP, *r, report.line).is_some());
         }
     }
     // ---- recovery forensics: a pure function of (plan, schedule) --------

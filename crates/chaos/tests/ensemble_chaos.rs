@@ -340,7 +340,7 @@ fn cluster_restart_under_a_frequently_checkpointing_job() {
         .unwrap();
     let ranks = [Rank(0), Rank(1)];
     cluster
-        .ckpt_hub()
+        .store()
         .wait_common_index(app, &ranks, 1, T)
         .unwrap();
     let host = cluster.config().apps[&app].placement[1];

@@ -20,13 +20,13 @@
 //!   The engines emit effects; the runtime in `starfish` maps effects onto
 //!   real sends, queue flushes and disk writes. This is what lets Starfish
 //!   "run multiple C/R protocols side by side" and compare them.
-//! * **Storage and timing** : [`store::CkptStore`] models the cluster's
-//!   stable checkpoint storage; [`disk::DiskModel`] charges virtual time
-//!   calibrated to the paper's Figures 3 and 4 anchor points. The
-//!   [`backend`] module makes storage a per-app policy: `disk` (the above)
-//!   or `replica` — the diskless in-memory replicated store of [`replica`],
-//!   with k-way fragment placement over peer nodes and XOR-parity fallback
-//!   (DESIGN.md §6a).
+//! * **Storage and timing** : [`store::CkptStore`] is the one checkpoint
+//!   store. It models the cluster's stable checkpoint storage, with
+//!   [`disk::DiskModel`] charging virtual time calibrated to the paper's
+//!   Figures 3 and 4 anchor points, and keeps each app's [`backend`]
+//!   policy: `disk` (the above) or `replica`, where an image also carries
+//!   the k-way fragment placement over peer memory of [`replica`], with an
+//!   XOR-parity fallback (DESIGN.md §6a).
 //! * **Optimizations**: [`incremental`] implements libckpt-style
 //!   incremental checkpoints (only chunks dirtied since the previous image
 //!   are written), quantified by the `ablation_incremental` bench.
@@ -44,9 +44,9 @@ pub mod store;
 pub mod value;
 
 pub use arch::{Arch, Endianness, MACHINES};
-pub use backend::{CheckpointStore, CkptBackend, StoreHub};
+pub use backend::CkptBackend;
 pub use disk::DiskModel;
 pub use image::{ChannelMsg, CkptImage, CkptLevel};
-pub use replica::{ReplicaNet, ReplicaStore};
+pub use replica::ReplicaNet;
 pub use store::CkptStore;
 pub use value::CkptValue;

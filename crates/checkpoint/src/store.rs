@@ -1,35 +1,93 @@
-//! The stable checkpoint store.
+//! The checkpoint store.
 //!
-//! Models the cluster's shared stable storage (the NFS-mounted checkpoint
-//! directory of the paper's testbed): it survives node crashes, so a process
-//! restarted on a *different* node finds its images. All daemons share one
-//! handle.
+//! One store holds every image of the cluster, whichever backend an app
+//! checkpoints to. It models the cluster's shared stable storage (the
+//! NFS-mounted checkpoint directory of the paper's testbed): it survives
+//! node crashes, so a process restarted on a *different* node finds its
+//! images. A `replica` app's image is the same stored image carrying a
+//! fragment [`Placement`] over peer memory ([`crate::replica`]): it stays
+//! readable only while that placement can be rebuilt from the live nodes.
+//! The store also decides what each put and fetch costs — the modeled disk
+//! ([`DiskModel`]) or the replication fabric ([`ReplicaNet`]) — and says so
+//! in the receipt. All daemons and runtimes share one handle.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use starfish_util::{AppId, Rank};
+use starfish_util::watch::ChangeCount;
+use starfish_util::{AppId, Error, NodeId, Rank, Result};
 
-use crate::image::CkptImage;
+use crate::backend::CkptBackend;
+use crate::disk::DiskModel;
+use crate::image::{CkptImage, CkptLevel};
 use crate::recovery::MsgDep;
+use crate::replica::{FetchReceipt, Placement, PutReceipt, RankHealth, ReplicaNet};
+
+/// One stored image; `placement` is set for a replica-backed one.
+struct Stored {
+    img: CkptImage,
+    placement: Option<Placement>,
+}
+
+/// An app's checkpoint policy: its backend and the node each rank runs on
+/// (kept current by the daemons on submit and restart), which names the
+/// owner a replica put pushes from.
+struct AppPolicy {
+    backend: CkptBackend,
+    placement: Vec<NodeId>,
+}
 
 #[derive(Default)]
 struct StoreInner {
-    images: HashMap<(AppId, Rank), Vec<CkptImage>>,
+    images: HashMap<(AppId, Rank), Vec<Stored>>,
     /// Message-dependency log for uncoordinated checkpointing, per app.
     deps: HashMap<AppId, Vec<MsgDep>>,
     /// Images the chaos layer marked torn/corrupt: present on disk but
     /// failing their checksum, so every read path skips them (a torn write
     /// must degrade recovery to an older line, never crash it).
     corrupted: HashSet<(AppId, Rank, u64)>,
+    /// Nodes whose memory can serve replica fragments.
+    live: BTreeSet<NodeId>,
+    apps: HashMap<AppId, AppPolicy>,
 }
 
-/// Shared, thread-safe checkpoint storage. Cheap to clone.
+impl StoreInner {
+    /// The readable images of one process, oldest first: not torn and, if
+    /// placed in peer memory, rebuildable from the live nodes.
+    fn readable(&self, app: AppId, rank: Rank) -> impl Iterator<Item = &Stored> {
+        self.images
+            .get(&(app, rank))
+            .into_iter()
+            .flatten()
+            .filter(move |s| {
+                !self.corrupted.contains(&(app, rank, s.img.index))
+                    && s.placement
+                        .as_ref()
+                        .is_none_or(|p| p.rebuild_plan(&self.live).is_some())
+            })
+    }
+}
+
+/// What writing and reading back an image costs on stable storage: a native
+/// image is a synchronous core dump to the IDE disk, a VM-level one is
+/// absorbed by the buffer cache (DESIGN.md §6).
+fn disk_model(level: &CkptLevel) -> DiskModel {
+    match level {
+        CkptLevel::Native { .. } => DiskModel::ide_1999(),
+        CkptLevel::Vm { .. } => DiskModel::vm_buffered(),
+    }
+}
+
+/// Shared, thread-safe checkpoint storage. Cheap to clone; clones share
+/// state.
 #[derive(Clone, Default)]
 pub struct CkptStore {
     inner: Arc<Mutex<StoreInner>>,
+    /// Bumped once per image stored.
+    stored: Arc<ChangeCount>,
 }
 
 impl CkptStore {
@@ -37,16 +95,125 @@ impl CkptStore {
         CkptStore::default()
     }
 
-    /// Persist an image. Images of one process are kept sorted by index;
+    /// Register (or update) an app's backend and rank placement. An app
+    /// never registered checkpoints to `disk`.
+    pub fn set_backend(&self, app: AppId, backend: CkptBackend, placement: Vec<NodeId>) {
+        let policy = AppPolicy { backend, placement };
+        self.inner.lock().apps.insert(app, policy);
+    }
+
+    /// Update only the placement (after restart/migration re-placement).
+    pub fn update_placement(&self, app: AppId, placement: Vec<NodeId>) {
+        if let Some(p) = self.inner.lock().apps.get_mut(&app) {
+            p.placement = placement;
+        }
+    }
+
+    pub fn backend_of(&self, app: AppId) -> CkptBackend {
+        let g = self.inner.lock();
+        g.apps.get(&app).map(|p| p.backend).unwrap_or_default()
+    }
+
+    /// A node joins. It holds no replicas: a restarted node's memory was
+    /// wiped by its crash, so every copy placed on it before is forgotten
+    /// and old images survive only through their other copies (or parity).
+    /// New puts place fragments on it as usual. Every daemon relays the
+    /// same join, so a repeat for a node that is already up changes nothing.
+    pub fn node_up(&self, node: NodeId) {
+        let mut g = self.inner.lock();
+        if !g.live.insert(node) {
+            return;
+        }
+        let placements = g.images.values_mut().flatten();
+        for p in placements.filter_map(|s| s.placement.as_mut()) {
+            p.forget(node);
+        }
+    }
+
+    /// A node died, and the fragments in its memory with it.
+    pub fn node_down(&self, node: NodeId) {
+        self.inner.lock().live.remove(&node);
+    }
+
+    /// Persist an image and charge its write. A replica app's image is
+    /// split over `k` live peers of the rank's node; any other is written
+    /// to the modeled disk. Images of one process are kept sorted by index;
     /// re-putting an index replaces it (idempotent retry) and clears any
     /// corruption mark (a fresh write heals the torn one).
-    pub fn put(&self, img: CkptImage) {
+    pub fn put(&self, img: CkptImage) -> PutReceipt {
         let mut g = self.inner.lock();
-        g.corrupted.remove(&(img.app, img.rank, img.index));
-        let v = g.images.entry((img.app, img.rank)).or_default();
-        match v.binary_search_by_key(&img.index, |i| i.index) {
-            Ok(pos) => v[pos] = img,
-            Err(pos) => v.insert(pos, img),
+        let bytes = img.total_bytes();
+        let (placement, receipt) = match g.apps.get(&img.app) {
+            Some(AppPolicy {
+                backend: CkptBackend::Replica { k },
+                placement,
+            }) => {
+                let owner = placement.get(img.rank.0 as usize).copied();
+                let net = ReplicaNet::lan_1999();
+                let (p, r) = Placement::new(bytes, owner.unwrap_or(NodeId(0)), *k, &g.live, &net);
+                (Some(p), r)
+            }
+            _ => {
+                let cost = disk_model(&img.level).write_time(bytes);
+                (
+                    None,
+                    PutReceipt {
+                        cost,
+                        ..PutReceipt::default()
+                    },
+                )
+            }
+        };
+        let (app, rank, index) = (img.app, img.rank, img.index);
+        g.corrupted.remove(&(app, rank, index));
+        let v = g.images.entry((app, rank)).or_default();
+        v.retain(|s| s.img.index != index);
+        let pos = v.partition_point(|s| s.img.index < index);
+        v.insert(pos, Stored { img, placement });
+        drop(g);
+        self.stored.bump();
+        receipt
+    }
+
+    /// Read image `index` back to node `to` and charge the read: a disk
+    /// read, or a parallel fetch of its fragments from surviving peers
+    /// (rebuilding a fully lost one from parity). `None` if the image is
+    /// absent, corrupt or unrecoverable.
+    pub fn fetch(&self, app: AppId, rank: Rank, index: u64, to: NodeId) -> Option<FetchReceipt> {
+        let g = self.inner.lock();
+        let s = g.readable(app, rank).find(|s| s.img.index == index)?;
+        let img = s.img.clone();
+        match &s.placement {
+            Some(p) => p.fetch(img, &g.live, to, &ReplicaNet::lan_1999()),
+            None => Some(FetchReceipt {
+                cost: disk_model(&img.level).read_time(img.total_bytes()),
+                img,
+                fragments_fetched: 0,
+                parity_rebuilds: 0,
+            }),
+        }
+    }
+
+    /// Block (real time) until every rank in `ranks` has a readable image
+    /// newer than `above`, and return that common index. Re-evaluated once
+    /// per image stored, not on a timer.
+    pub fn wait_common_index(
+        &self,
+        app: AppId,
+        ranks: &[Rank],
+        above: u64,
+        timeout: Duration,
+    ) -> Result<u64> {
+        let deadline = Instant::now() + timeout; // lint: allow(wall-clock)
+        let mut seen = self.stored.current();
+        loop {
+            let idx = self.latest_common_index(app, ranks);
+            if idx > above {
+                return Ok(idx);
+            }
+            seen = self.stored.wait_past(seen, deadline).ok_or_else(|| {
+                Error::timeout(format!("{app}: no common checkpoint above {above}"))
+            })?;
         }
     }
 
@@ -58,41 +225,36 @@ impl CkptStore {
         let exists = g
             .images
             .get(&(app, rank))
-            .is_some_and(|v| v.binary_search_by_key(&index, |i| i.index).is_ok());
+            .is_some_and(|v| v.iter().any(|s| s.img.index == index));
         if exists {
             g.corrupted.insert((app, rank, index));
         }
         exists
     }
 
-    /// Latest *readable* image of a process, if any (corrupt ones skipped).
+    /// Latest *readable* image of a process, if any.
     pub fn latest(&self, app: AppId, rank: Rank) -> Option<CkptImage> {
         let g = self.inner.lock();
-        g.images.get(&(app, rank)).and_then(|v| {
-            v.iter()
-                .rev()
-                .find(|i| !g.corrupted.contains(&(app, rank, i.index)))
-                .cloned()
-        })
+        let img = g.readable(app, rank).last().map(|s| s.img.clone());
+        img
     }
 
-    /// A specific image by index; `None` if absent or corrupt.
+    /// A specific image by index; `None` if absent or unreadable.
     pub fn get(&self, app: AppId, rank: Rank, index: u64) -> Option<CkptImage> {
         let g = self.inner.lock();
-        if g.corrupted.contains(&(app, rank, index)) {
-            return None;
-        }
-        g.images.get(&(app, rank)).and_then(|v| {
-            v.binary_search_by_key(&index, |i| i.index)
-                .ok()
-                .map(|pos| v[pos].clone())
-        })
+        let img = g
+            .readable(app, rank)
+            .find(|s| s.img.index == index)
+            .map(|s| s.img.clone());
+        img
     }
 
     /// Index 0 means "initial state" (no stored image); this returns the
-    /// highest stored index, or 0.
+    /// highest readable index, or 0.
     pub fn latest_index(&self, app: AppId, rank: Rank) -> u64 {
-        self.latest(app, rank).map(|i| i.index).unwrap_or(0)
+        let g = self.inner.lock();
+        let index = g.readable(app, rank).last().map_or(0, |s| s.img.index);
+        index
     }
 
     /// Highest checkpoint index at which *every* rank of `ranks` has a
@@ -104,24 +266,15 @@ impl CkptStore {
     /// The chaos harness's `torn-interior-image` regression plan pins this
     /// (the line must be jointly *restorable*, not just jointly reached).
     pub fn latest_common_index(&self, app: AppId, ranks: &[Rank]) -> u64 {
-        if ranks.is_empty() {
+        let Some((first, rest)) = ranks.split_first() else {
             return 0;
-        }
-        let g = self.inner.lock();
-        let readable = |r: Rank| -> Vec<u64> {
-            g.images
-                .get(&(app, r))
-                .map(|v| {
-                    v.iter()
-                        .map(|i| i.index)
-                        .filter(|idx| !g.corrupted.contains(&(app, r, *idx)))
-                        .collect()
-                })
-                .unwrap_or_default()
         };
-        let mut common: HashSet<u64> = readable(ranks[0]).into_iter().collect();
-        for r in &ranks[1..] {
-            let set: HashSet<u64> = readable(*r).into_iter().collect();
+        let g = self.inner.lock();
+        let readable =
+            |r: Rank| -> HashSet<u64> { g.readable(app, r).map(|s| s.img.index).collect() };
+        let mut common = readable(*first);
+        for r in rest {
+            let set = readable(*r);
             common.retain(|idx| set.contains(idx));
             if common.is_empty() {
                 return 0;
@@ -136,19 +289,20 @@ impl CkptStore {
         let mut g = self.inner.lock();
         for ((a, _), v) in g.images.iter_mut() {
             if *a == app {
-                v.retain(|i| i.index >= keep_from);
+                v.retain(|s| s.img.index >= keep_from);
             }
         }
         g.corrupted
             .retain(|(a, _, idx)| *a != app || *idx >= keep_from);
     }
 
-    /// Delete everything belonging to an application.
+    /// Delete everything belonging to an application, its policy included.
     pub fn remove_app(&self, app: AppId) {
         let mut g = self.inner.lock();
         g.images.retain(|(a, _), _| *a != app);
         g.deps.remove(&app);
         g.corrupted.retain(|(a, _, _)| *a != app);
+        g.apps.remove(&app);
     }
 
     /// Record a message dependency (uncoordinated checkpointing).
@@ -166,17 +320,33 @@ impl CkptStore {
             .unwrap_or_default()
     }
 
-    /// (image count, accounted bytes) across the whole store.
+    /// (image count, logical bytes) across the whole store — logical image
+    /// sizes for both backends (replica copies are reported separately via
+    /// the replication-bytes telemetry counter).
     pub fn stats(&self) -> (usize, u64) {
         let g = self.inner.lock();
-        let count = g.images.values().map(|v| v.len()).sum();
-        let bytes = g
+        let images = g.images.values().flatten();
+        let count = images.clone().count();
+        (count, images.map(|s| s.img.total_bytes()).sum())
+    }
+
+    /// Replication health of every rank's *latest* stored image that sits
+    /// in peer memory, by rank, for the management plane's `CKPT STATUS`;
+    /// empty for a disk app.
+    pub fn health(&self, app: AppId) -> Vec<RankHealth> {
+        let g = self.inner.lock();
+        let mut out: Vec<RankHealth> = g
             .images
-            .values()
-            .flat_map(|v| v.iter())
-            .map(|i| i.total_bytes())
-            .sum();
-        (count, bytes)
+            .iter()
+            .filter(|((a, _), _)| *a == app)
+            .filter_map(|((_, rank), v)| {
+                let s = v.last()?;
+                let p = s.placement.as_ref()?;
+                Some(p.health(*rank, s.img.index, &g.live))
+            })
+            .collect();
+        out.sort_by_key(|h| h.rank);
+        out
     }
 }
 

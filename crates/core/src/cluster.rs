@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use crossbeam::channel::RecvTimeoutError;
 
-use starfish_checkpoint::backend::{CkptBackend, StoreHub};
+use starfish_checkpoint::backend::CkptBackend;
 use starfish_checkpoint::store::CkptStore;
 use starfish_checkpoint::CkptValue;
 use starfish_daemon::config::{AppSpec, AppStatus, ClusterConfig};
@@ -209,7 +209,7 @@ impl ClusterBuilder {
         fabric.attach_metrics(metrics.clone());
         self.trace
             .attach_metrics(std::sync::Arc::new(metrics.clone()));
-        let store = StoreHub::new();
+        let store = CkptStore::new();
         let registry = AppRegistry::new();
         let dirs = DirRegistry::default();
         let outputs = Outputs::new();
@@ -251,7 +251,7 @@ impl ClusterBuilder {
 pub struct Cluster {
     fabric: Fabric,
     daemons: parking_lot::Mutex<Vec<Daemon>>,
-    store: StoreHub,
+    store: CkptStore,
     registry: AppRegistry,
     dirs: DirRegistry,
     outputs: Outputs,
@@ -276,14 +276,9 @@ impl Cluster {
         &self.fabric
     }
 
-    /// Shared stable (disk) checkpoint storage — the NFS side of the hub.
+    /// The shared checkpoint store: every app's images, on the modeled
+    /// disk or placed in peer memory per the app's backend.
     pub fn store(&self) -> &CkptStore {
-        self.store.nfs()
-    }
-
-    /// The full checkpoint store hub: stable disk plus the diskless
-    /// peer-memory replica backend, with per-app routing policies.
-    pub fn ckpt_hub(&self) -> &StoreHub {
         &self.store
     }
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use starfish_checkpoint::backend::StoreHub;
+use starfish_checkpoint::store::CkptStore;
 use starfish_checkpoint::Arch;
 use starfish_daemon::config::AppEntry;
 use starfish_daemon::{DownLink, NodeHost, ProcSpec};
@@ -95,7 +95,7 @@ pub struct RuntimeHost {
     pub fabric: Fabric,
     pub registry: AppRegistry,
     pub dirs: DirRegistry,
-    pub store: StoreHub,
+    pub store: CkptStore,
     pub outputs: Outputs,
     pub trace: TraceSink,
     pub knobs: RuntimeKnobs,

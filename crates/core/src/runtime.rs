@@ -44,11 +44,11 @@ use bytes::Bytes;
 use crossbeam::channel::{self, Receiver};
 use parking_lot::{Condvar, Mutex};
 
-use starfish_checkpoint::backend::{CkptBackend, StoreHub};
 use starfish_checkpoint::image::{ChannelMsg, CkptImage, CkptLevel};
 use starfish_checkpoint::proto::rank::{Capture, Out, Point, RankCr};
 use starfish_checkpoint::proto::{CrMsg, SyncCostModel};
-use starfish_checkpoint::{Arch, CkptValue, DiskModel};
+use starfish_checkpoint::store::CkptStore;
+use starfish_checkpoint::{Arch, CkptValue};
 use starfish_daemon::config::AppEntry;
 use starfish_daemon::{LevelKind, ProcDown, ProcUp, RelayKind};
 use starfish_mpi::wire::MsgHeader;
@@ -143,12 +143,11 @@ pub struct ProcessRuntime {
     pub(crate) clock: VClock,
     pub(crate) down_rx: Receiver<ProcDown>,
     pub(crate) up_tx: Arc<KickSender<(AppId, Rank, ProcUp)>>,
-    pub(crate) store: StoreHub,
+    pub(crate) store: CkptStore,
     pub(crate) outputs: Outputs,
     pub(crate) bus: Bus,
     /// Every checkpoint/restart decision of this rank.
     pub(crate) cr: RankCr,
-    pub(crate) disk: DiskModel,
     pub(crate) abort_flag: Arc<AtomicBool>,
 
     pub(crate) restored: Option<CkptValue>,
@@ -221,7 +220,7 @@ impl ProcessRuntime {
         mpi: MpiEndpoint,
         down_rx: Receiver<ProcDown>,
         up_tx: Arc<KickSender<(AppId, Rank, ProcUp)>>,
-        store: StoreHub,
+        store: CkptStore,
         outputs: Outputs,
         spawn_vt: VirtualTime,
         restore_from: u64,
@@ -230,10 +229,6 @@ impl ProcessRuntime {
     ) -> ProcessRuntime {
         let app = entry.id;
         let size = entry.spec.size;
-        let disk = match entry.spec.level {
-            LevelKind::Native => DiskModel::ide_1999(),
-            LevelKind::Vm => DiskModel::vm_buffered(),
-        };
         let abort_flag = Arc::new(AtomicBool::new(false));
         let mut mpi = mpi;
         mpi.set_abort_flag(abort_flag.clone());
@@ -255,7 +250,6 @@ impl ProcessRuntime {
             outputs,
             bus: Bus::new(),
             cr,
-            disk,
             abort_flag,
             restored: None,
             cache: SafepointCache::default(),
@@ -693,19 +687,17 @@ impl ProcessRuntime {
             taken_at,
         )?;
         let bytes = img.total_bytes();
-        // Disk-backed apps pay the (modeled) stable-storage write; replica
-        // apps instead push fragments to peer memory over the fabric and pay
-        // the serialized NIC cost reported by the replica store.
-        let write_cost = match self.store.put_timed(img) {
-            Some(receipt) => {
-                self.metrics
-                    .add(metric::CKPT_FRAGMENTS_STORED, u64::from(receipt.fragments));
-                self.metrics
-                    .record(metric::CKPT_REPLICATION_BYTES, receipt.replicated_bytes);
-                receipt.cost
-            }
-            None => self.disk.write_time(bytes),
-        };
+        // The store charges the write: the (modeled) stable-storage write
+        // of a disk app, or for a replica app the serialized NIC cost of
+        // pushing its fragments to peer memory.
+        let receipt = self.store.put(img);
+        if receipt.fragments > 0 {
+            self.metrics
+                .add(metric::CKPT_FRAGMENTS_STORED, u64::from(receipt.fragments));
+            self.metrics
+                .record(metric::CKPT_REPLICATION_BYTES, receipt.replicated_bytes);
+        }
+        let write_cost = receipt.cost;
         self.clock.advance(write_cost);
         self.metrics.record(metric::CKPT_IMAGE_BYTES, bytes);
         self.metrics.record_vt(metric::CKPT_WRITE_NS, write_cost);
@@ -814,42 +806,32 @@ impl ProcessRuntime {
         Some(value)
     }
 
-    /// Fetch image `index` and charge its restore costs: replica-backed
-    /// apps reassemble it from surviving peers at fabric speed (parallel
-    /// per-source fetch, parity rebuild if a fragment was fully lost); disk
-    /// apps read it back from stable storage at the modeled disk rate; a
-    /// different saving machine adds representation conversion.
+    /// Fetch image `index` and charge its restore costs: the store's read
+    /// (replica-backed apps reassemble it from surviving peers at fabric
+    /// speed, disk apps read it back at the modeled disk rate); a different
+    /// saving machine adds representation conversion.
     fn fetch(&mut self, index: u64) -> Option<(CkptValue, Vec<ChannelMsg>)> {
-        let replica = matches!(self.store.backend_of(self.app), CkptBackend::Replica { .. });
-        let (img, fetch_cost) = if replica {
-            let f = self
-                .store
-                .fetch_timed(self.app, self.rank, index, self.node)?;
+        let f = self.store.fetch(self.app, self.rank, index, self.node)?;
+        // A disk read moves no fragments.
+        let from_peers = f.fragments_fetched > 0;
+        if from_peers {
             self.metrics.add(
                 metric::CKPT_FRAGMENTS_FETCHED,
                 u64::from(f.fragments_fetched),
             );
             self.metrics
                 .add(metric::CKPT_PARITY_REBUILDS, u64::from(f.parity_rebuilds));
-            (f.img, Some(f.cost))
-        } else {
-            (self.store.get(self.app, self.rank, index)?, None)
-        };
-        let (value, report) = img.restore_state(self.arch).ok()?;
-        match fetch_cost {
-            Some(c) => {
-                self.clock.advance(c);
-                self.metrics.record_vt(metric::RECOVERY_FETCH_NS, c);
-            }
-            None => {
-                self.clock.advance(self.disk.read_time(img.total_bytes()));
-            }
+        }
+        let (value, report) = f.img.restore_state(self.arch).ok()?;
+        self.clock.advance(f.cost);
+        if from_peers {
+            self.metrics.record_vt(metric::RECOVERY_FETCH_NS, f.cost);
         }
         if !report.identical() {
             self.clock
                 .advance(VirtualTime::transfer(report.body_bytes, CONVERT_BW));
         }
-        Some((value, img.channel))
+        Some((value, f.img.channel))
     }
 }
 

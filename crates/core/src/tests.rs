@@ -9,7 +9,7 @@ use starfish_checkpoint::CkptValue;
 use starfish_daemon::{CkptProto, FtPolicy, LevelKind};
 use starfish_mpi::{ReduceOp, Request, DEFAULT_RNDV_THRESHOLD};
 use starfish_telemetry::metric;
-use starfish_util::{AppId, Rank, VirtualTime};
+use starfish_util::{AppId, NodeId, Rank, VirtualTime};
 
 use crate::cluster::{Cluster, SubmitOpts};
 use crate::state::CkptValueExt;
@@ -161,7 +161,7 @@ fn crash_restart_from_checkpoint_preserves_result() {
 
     // Let it checkpoint (all ranks at index 1), then kill a node.
     cluster
-        .ckpt_hub()
+        .store()
         .wait_common_index(app, &[Rank(0), Rank(1), Rank(2)], 0, T)
         .expect("checkpoint never landed");
     let victim = cluster.config().apps[&app].placement[1];
@@ -648,14 +648,12 @@ fn replica_backend_recovers_from_peer_memory_after_crash() {
 
     // Wait for the coordinated round to land in peer memory.
     cluster
-        .ckpt_hub()
+        .store()
         .wait_common_index(app, &ranks, 0, T)
         .expect("replica checkpoint never landed");
-    // The stable store saw none of it, and every rank is replicated.
-    for r in ranks {
-        assert_eq!(cluster.store().latest_index(app, r), 0, "disk used for {r}");
-    }
-    let health = cluster.ckpt_hub().replica().health(app);
+    // Every rank's image is in peer memory, off its own node.
+    assert_placed_off_owner(&cluster, app, &ranks);
+    let health = cluster.store().health(app);
     assert_eq!(health.len(), 3);
     assert!(health.iter().all(|h| h.recoverable && !h.under_replicated));
 
@@ -683,6 +681,64 @@ fn replica_backend_recovers_from_peer_memory_after_crash() {
     assert_eq!(cluster.config().apps[&app].epoch.0, 1);
 }
 
+/// Every rank's latest image carries a placement in peer memory, and none
+/// of its replicas sits on the rank's own node.
+fn assert_placed_off_owner(cluster: &Cluster, app: AppId, ranks: &[Rank]) {
+    let health = cluster.store().health(app);
+    let placed: Vec<Rank> = health.iter().map(|h| h.rank).collect();
+    assert_eq!(placed, ranks, "ranks whose latest image has no placement");
+    for h in &health {
+        assert!(
+            h.map.iter().all(|f| !f.replicas.contains(&h.owner)),
+            "{h:?}"
+        );
+    }
+}
+
+/// A restarted node comes back with its memory wiped: the fragments it
+/// held before its crash must not count as live copies again. With k = 2
+/// on three nodes both peers of the owner hold every fragment; once one
+/// peer has crashed and restarted and the other has crashed, no copy is
+/// left, so the image is gone even though two nodes are up.
+#[test]
+fn a_restarted_node_brings_back_none_of_its_replicas() {
+    let cluster = Cluster::builder().nodes(3).build().unwrap();
+    let done = Gate::default();
+    let gate = done.clone();
+    cluster.register_app("lone", move |ctx| {
+        ctx.checkpoint(&CkptValue::Int(1))?;
+        gate.wait();
+        Ok(())
+    });
+    let app = cluster
+        .submit("lone", 1, SubmitOpts::default().replica(2))
+        .unwrap();
+    let store = cluster.store();
+    store.wait_common_index(app, &[Rank(0)], 0, T).unwrap();
+    let owner = cluster.config().apps[&app].placement[0];
+    let peers: Vec<NodeId> = (0..3).map(NodeId).filter(|n| *n != owner).collect();
+    let dead = |n: NodeId| {
+        cluster
+            .daemon()
+            .wait_config(T, |c| !c.up_nodes().contains(&n))
+            .unwrap()
+    };
+
+    cluster.crash_node(peers[0]);
+    dead(peers[0]);
+    cluster.restart_node(peers[0]).unwrap();
+    assert_eq!(store.latest_index(app, Rank(0)), 1, "the other peer's copy");
+    cluster.crash_node(peers[1]);
+    dead(peers[1]);
+    assert_eq!(store.latest_index(app, Rank(0)), 0);
+    let health = store.health(app);
+    assert_eq!(health.len(), 1);
+    assert!(!health[0].recoverable, "{health:?}");
+
+    done.open();
+    cluster.wait_app_done(app, T).unwrap();
+}
+
 /// The management-protocol spelling of the same policy: `SUBMIT … STORE
 /// replica:2` must route the round into peer memory and `CKPT STATUS`
 /// must show the fragments — the path the paper's GUI drives.
@@ -705,12 +761,10 @@ fn mgmt_submitted_replica_app_lands_fragments_in_peer_memory() {
 
     let ranks = [Rank(0), Rank(1)];
     cluster
-        .ckpt_hub()
+        .store()
         .wait_common_index(app, &ranks, 0, T)
         .expect("mgmt-submitted replica checkpoint never landed");
-    for r in ranks {
-        assert_eq!(cluster.store().latest_index(app, r), 0, "disk used for {r}");
-    }
+    assert_placed_off_owner(&cluster, app, &ranks);
     let status = s.handle_line(&format!("CKPT STATUS {id}"));
     assert!(status.contains("backend=replica:2"), "{status}");
     assert!(!status.contains("no fragments"), "{status}");

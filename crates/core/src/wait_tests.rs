@@ -14,8 +14,9 @@ use std::time::Duration;
 
 use crossbeam::channel::{self, Receiver};
 
-use starfish_checkpoint::backend::{CkptBackend, StoreHub};
+use starfish_checkpoint::backend::CkptBackend;
 use starfish_checkpoint::proto::CrMsg;
+use starfish_checkpoint::store::CkptStore;
 use starfish_checkpoint::CkptValue;
 use starfish_daemon::config::{AppEntry, AppSpec, AppStatus};
 use starfish_daemon::{CkptProto, DownLink, FtPolicy, LevelKind, ProcDown, ProcUp, RelayKind};
@@ -95,7 +96,7 @@ fn rig_of(me: Rank) -> (Rig, ProcessRuntime) {
         ep(me.0),
         down_rx,
         up_tx,
-        StoreHub::new(),
+        CkptStore::new(),
         Outputs::new(),
         VirtualTime::ZERO,
         0,

@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{self, Receiver, TryRecvError};
 use parking_lot::Mutex;
 
-use starfish_checkpoint::backend::StoreHub;
 use starfish_checkpoint::recovery::{self};
+use starfish_checkpoint::store::CkptStore;
 use starfish_ensemble::{EndpointConfig, GcEvent, HeartbeatAges, Stack};
 use starfish_events::{ClusterEvent, EventKind as ClusterKind, Postmortem};
 use starfish_telemetry::{metric, Registry};
@@ -99,7 +99,7 @@ pub struct Daemon {
     cfg_published: Arc<ChangeCount>,
     stats: StatsHub,
     trace_hub: TraceHub,
-    store: StoreHub,
+    store: CkptStore,
     recorder: FlightRecorder,
     postmortems: Arc<Mutex<BTreeMap<AppId, Postmortem>>>,
     liveness: HeartbeatAges,
@@ -110,18 +110,15 @@ pub struct Daemon {
 impl Daemon {
     /// Start a daemon. `contact == None` founds the Starfish group (first
     /// daemon of the cluster); otherwise join via an existing member.
-    ///
-    /// `store` accepts either a bare [`CkptStore`] (lifted into a disk-only
-    /// [`StoreHub`]) or a shared `StoreHub` carrying both the disk and the
-    /// replica (peer-memory) checkpoint backends.
+    /// `store` is the checkpoint store the cluster shares.
     pub fn start(
         fabric: &Fabric,
         cfg: DaemonConfig,
         contact: Option<NodeId>,
         host: Box<dyn NodeHost>,
-        store: impl Into<StoreHub>,
+        store: CkptStore,
     ) -> Result<Daemon> {
-        let (daemon, node_loop) = Self::boot(fabric, cfg, contact, host, store.into())?;
+        let (daemon, node_loop) = Self::boot(fabric, cfg, contact, host, store)?;
         let thread = std::thread::Builder::new()
             .name(format!("starfishd-{}", daemon.node))
             .spawn(move || node_loop.run())
@@ -137,7 +134,7 @@ impl Daemon {
         mut cfg: DaemonConfig,
         contact: Option<NodeId>,
         host: Box<dyn NodeHost>,
-        store: StoreHub,
+        store: CkptStore,
     ) -> Result<(Daemon, Loop)> {
         // Share the daemon's recorder with its ensemble endpoint (unless
         // the caller installed a distinct one) and make it discoverable.
@@ -249,9 +246,9 @@ impl Daemon {
         &self.trace_hub
     }
 
-    /// The checkpoint store hub this daemon reads recovery lines from (the
+    /// The checkpoint store this daemon reads recovery lines from (the
     /// `CKPT` management commands report through it).
-    pub fn ckpt_store(&self) -> &StoreHub {
+    pub fn ckpt_store(&self) -> &CkptStore {
         &self.store
     }
 
@@ -338,7 +335,7 @@ struct Loop {
     shared_cfg: Arc<Mutex<ClusterConfig>>,
     cfg_published: Arc<ChangeCount>,
     host: Box<dyn NodeHost>,
-    store: StoreHub,
+    store: CkptStore,
     clock: VClock,
     /// Local processes; `None` where the host started nothing to talk to.
     procs: HashMap<(AppId, Rank), Option<DownLink>>,
@@ -682,7 +679,6 @@ mod tests {
     use crate::config::{AppEntry, AppSpec, AppStatus, CfgNodeStatus, FtPolicy, LevelKind};
     use crate::host::NullHost;
     use starfish_checkpoint::backend::CkptBackend;
-    use starfish_checkpoint::store::CkptStore;
     use starfish_vni::{Ideal, LayerCosts};
 
     type SpawnLog = Arc<Mutex<Vec<(AppId, Rank, NodeId, u64)>>>;
@@ -1054,7 +1050,7 @@ mod tests {
         let f = fabric(1);
         let boot = DaemonConfig::new(NodeId(0));
         let (d, mut node) =
-            Daemon::boot(&f, boot, None, Box::new(NullHost), StoreHub::new()).unwrap();
+            Daemon::boot(&f, boot, None, Box::new(NullHost), CkptStore::new()).unwrap();
         let set = |key: &str| {
             let (key, value) = (key.to_string(), "1".to_string());
             d.issue(CfgCmd::SetParam { key, value }).unwrap();

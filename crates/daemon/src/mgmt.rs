@@ -445,8 +445,8 @@ impl MgmtSession {
         }
         let id = Self::parse_app_id(tok).map_err(|_| USAGE)?;
         let entry = self.app(tok)?;
-        let hub = self.daemon.ckpt_store();
-        let backend = hub.backend_of(id);
+        let store = self.daemon.ckpt_store();
+        let backend = store.backend_of(id);
         let mut out = format!(
             "OK ckpt status {id} backend={backend} epoch={}",
             entry.epoch
@@ -454,18 +454,18 @@ impl MgmtSession {
         match backend {
             CkptBackend::Disk => {
                 for r in 0..entry.spec.size {
-                    let latest = hub.latest_index(id, starfish_util::Rank(r));
+                    let latest = store.latest_index(id, starfish_util::Rank(r));
                     out.push_str(&format!("\nr{r} latest={latest} store=disk"));
                 }
             }
             CkptBackend::Replica { .. } => {
-                let health = hub.replica().health(id);
+                let health = store.health(id);
                 if health.is_empty() {
                     out.push_str("\n(no fragments stored yet)");
                 }
                 for h in health {
-                    let frags = hub.replica().placement(id, h.rank);
-                    let map: Vec<String> = frags
+                    let map: Vec<String> = h
+                        .map
                         .iter()
                         .map(|f| {
                             let nodes: Vec<String> =

@@ -324,7 +324,8 @@ impl Node {
         let effects = self.config.apply_from(from, &cmd);
         // Peer-memory fragments on a dead node are gone before any recovery
         // line below this point is computed; a self-announced node rejoins
-        // the replica ring (a bare admin ADDNODE has no daemon to hold any).
+        // the replica ring holding none of them (a bare admin ADDNODE has
+        // no daemon to hold any).
         match &cmd {
             CfgCmd::NodeDead { node } => self.out.push(Out::Store(StoreOp::NodeDown(*node))),
             CfgCmd::AddNode { node, .. } if *node == from => {

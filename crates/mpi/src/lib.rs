@@ -56,5 +56,5 @@ pub use endpoint::{
     MpiEndpoint, RecvMode, RecvdMsg, Request, ANY_SOURCE, ANY_TAG, RNDV_CHUNK_BYTES,
 };
 pub use rendezvous::{CtsCadence, RNDV_EARLY_CHUNKS};
-pub use replication::{replica_net, PushSession};
+pub use replication::PushSession;
 pub use wire::{MsgHeader, CTRL_CONTEXT, DATA_PORT_BASE, WORLD_CONTEXT};

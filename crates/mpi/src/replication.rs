@@ -7,32 +7,19 @@
 //! ones use the RTS/CTS rendezvous handshake — so replication traffic obeys
 //! the same flow control as everything else on the fabric.
 //!
-//! This module is the flow-machinery side of that design: it builds the
-//! canonical [`ReplicaNet`] cost model from the *real*
-//! [`DEFAULT_RNDV_THRESHOLD`] (not a copy of the constant), and defines the
-//! per-fragment ack tracking of a push ([`PushSession`]) so a checkpoint
+//! This module is the flow-machinery side of that design: a test holds the
+//! store's cost model, `ReplicaNet::lan_1999`, to the *real*
+//! [`DEFAULT_RNDV_THRESHOLD`](crate::DEFAULT_RNDV_THRESHOLD), and
+//! [`PushSession`] tracks the per-fragment acks of a push so a checkpoint
 //! round can know when every replica is durable in peer memory. The ack
 //! protocol is model-checked in `crates/verify` (`models/replica.rs`),
-//! which is so far its only driver: the deployed
-//! `ReplicaStore::put_replicated` is a synchronous in-memory write.
+//! which is so far its only driver: the deployed `CkptStore::put` of a
+//! replica image is a synchronous in-memory write.
 
 use std::collections::BTreeSet;
 
-use starfish_checkpoint::replica::{Fragment, ReplicaNet, DEFAULT_FRAG_BYTES};
+use starfish_checkpoint::replica::Fragment;
 use starfish_util::NodeId;
-
-use crate::credit::DEFAULT_RNDV_THRESHOLD;
-
-/// The canonical replica-push cost model: LAN-era latency/bandwidth with
-/// the rendezvous threshold taken from the live MPI constant, so the
-/// replica store's timing and the data path's flow control never drift
-/// apart.
-pub fn replica_net() -> ReplicaNet {
-    let mut net = ReplicaNet::lan_1999();
-    net.rndv_threshold = DEFAULT_RNDV_THRESHOLD as u64;
-    net.frag_bytes = DEFAULT_FRAG_BYTES;
-    net
-}
 
 /// Ack tracking for one in-progress fragment push: the round may only
 /// commit once every `(fragment, replica)` copy has been acknowledged by
@@ -43,8 +30,8 @@ pub struct PushSession {
 }
 
 impl PushSession {
-    /// Start tracking a push of `frags` (data fragments plus parity, as
-    /// returned by the replica store's placement).
+    /// Start tracking a push of `frags` (a `Placement`'s data fragments
+    /// plus its parity).
     pub fn begin(frags: &[Fragment]) -> PushSession {
         let pending = frags
             .iter()
@@ -94,15 +81,16 @@ impl PushSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::credit::DEFAULT_RNDV_THRESHOLD;
+    use starfish_checkpoint::replica::{ReplicaNet, DEFAULT_FRAG_BYTES};
 
     #[test]
     fn replica_net_tracks_the_live_mpi_threshold() {
-        let net = replica_net();
+        // The checkpoint store charges replica pushes with the LAN model:
+        // its copy of the threshold must agree with the data path's.
+        let net = ReplicaNet::lan_1999();
         assert_eq!(net.rndv_threshold, DEFAULT_RNDV_THRESHOLD as u64);
         assert_eq!(net.frag_bytes, DEFAULT_FRAG_BYTES);
-        // The cluster's `StoreHub` charges replica pushes with the
-        // unadjusted LAN model: its copy of the threshold must agree too.
-        assert_eq!(ReplicaNet::lan_1999().rndv_threshold, net.rndv_threshold);
     }
 
     #[test]

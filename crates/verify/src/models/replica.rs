@@ -19,7 +19,8 @@
 //! * the round commits exactly when the session completes (every pushed
 //!   copy acked). If replication strength cannot be restored for lack of
 //!   peers, the round commits `under_replicated`, which voids the loss
-//!   guarantee — mirroring `ReplicaStore::put_replicated`.
+//!   guarantee — mirroring a replica image's `Placement::under_replicated`
+//!   in the checkpoint store.
 //!
 //! Safety invariants:
 //! * **commit soundness** — a committed round's placement map only lists

@@ -224,7 +224,7 @@ fn events_subscribe_stream_matches_postmortem_bundle() {
         .unwrap();
     let ranks = [Rank(0), Rank(1), Rank(2)];
     let deadline = std::time::Instant::now() + T;
-    while cluster.ckpt_hub().latest_common_index(app, &ranks) < 1 {
+    while cluster.store().latest_common_index(app, &ranks) < 1 {
         assert!(
             std::time::Instant::now() < deadline,
             "no replica checkpoint"
