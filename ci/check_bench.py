@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Gate on the model-calibration report, BENCH_calibrate.json, written by
+"""Gate on the one bench report, BENCH_calibrate.json, written by
 `cargo bench -p starfish-bench --bench calibrate`.
 
 Always: the schema. The top level records the rendezvous threshold the run
@@ -15,6 +15,14 @@ taken from the report's own boolean. Every row's replica_fetch is below its
 disk_read, its speedup is round(disk_read / replica_fetch, 2), and
 replica_recovery_beats_disk is the AND of the rows. It is virtual time, so
 quick mode's two sizes carry it as well as full mode's four.
+
+Always, too: the paper's sections (PAPER below), which run the same in
+both modes. Each holds the paper's anchor where the paper gives one, and
+the gate holds it to the paper's number. A cell is a number, a string, or
+a band {min, max, cause} where BANDS lets one move, for the cause BANDS
+names. Every anchor and claim is recomputed from the rows: a derived cell
+(an overhead, a speedup) must equal its recomputation, and a band must
+meet a claim at both ends.
 
 Quick mode (the report's "quick" flag; the CI smoke run with
 BENCH_QUICK=1) stops there: its sizes are too small for the collective
@@ -47,7 +55,67 @@ ROWS = {
         ("disk_write", "replica_push", "disk_read", "replica_fetch", "speedup"),
     ),
 }
-SECTIONS = (*ROWS, "ring_speedup_largest")
+PAPER = (
+    "fig3_native_ckpt",
+    "fig4_hetero_ckpt",
+    "fig5_roundtrip",
+    "fig6_layers",
+    "table1_message_audit",
+    "table2_hetero_matrix",
+    "claim_overhead_1pct",
+    "sync_model_table",
+    "ablation_cr_protocols",
+    "ablation_lwgroups",
+    "ablation_polling",
+    "ablation_fastpath",
+    "ablation_incremental",
+    "ablation_forked",
+    "ablation_domino",
+)
+SECTIONS = (*ROWS, "ring_speedup_largest", *PAPER)
+
+# Why a cell moves between runs (EXPERIMENTS.md, "Bands").
+CAUSES = {
+    "relay-order": "a stop-and-sync round takes stamps daemons relay, in scheduling order",
+    "cast-timing": "a cast races the idle node's crash; telemetry casts vary in size",
+    "arrival-order": "a ring message is queued or in flight when a rank captures",
+}
+# The cells a run may record as a band, by path ("*" is any row), and why.
+BANDS = {
+    "fig3_native_ckpt": {
+        ("rows", "*", "t_2nodes_s"): "relay-order",
+        ("rows", "*", "t_4nodes_s"): "relay-order",
+    },
+    "table1_message_audit": {
+        ("rows", "Control", "count"): "cast-timing",
+        ("rows", "Control", "bytes"): "cast-timing",
+    },
+    "claim_overhead_1pct": {
+        ("ckpt_s",): "relay-order",
+        ("rows", "*", "overhead_pct"): "relay-order",
+    },
+    "ablation_cr_protocols": {
+        ("rows", "*", "round_s"): "relay-order",
+        ("rows", "*", "channel_msgs"): "arrival-order",
+    },
+}
+BANDS["fig4_hetero_ckpt"] = BANDS["fig3_native_ckpt"]
+
+# The paper's anchors and the tolerance the reproduction holds each to.
+FIG3_ANCHOR = {"t_1node_s": 0.104061, "t_2nodes_s": 0.131898, "t_4nodes_s": 0.149219, "tolerance_pct": 2}
+FIG4_ANCHOR = {"t_1node_s": 0.0077, "t_2nodes_s": 0.0205, "t_4nodes_s": 0.052, "tolerance_pct": 10}
+FIG5_ANCHOR = {"bytes": 1, "bip_us": 86, "tcp_us": 552, "tolerance_pct": 1}
+CLAIM_ANCHOR = {"interval_min": 60, "overhead_pct_below": 1}
+MSG_CLASSES = (
+    "Control",
+    "Coordination",
+    "Data",
+    "Lightweight membership",
+    "Configuration",
+    "Checkpoint/restart",
+)
+INCREMENTAL_FLOOR = 9.0
+FORKED_STALL_CEILING_S = 1.0
 
 RING_SPEEDUP_FLOOR = 4.0
 
@@ -165,6 +233,205 @@ def check_recovery(r, path):
         )
 
 
+# ---- the paper's sections ----------------------------------------------------
+
+
+def is_band(v):
+    return isinstance(v, dict) and set(v) == {"min", "max", "cause"}
+
+
+def lo(v):
+    return v["min"] if is_band(v) else v
+
+
+def hi(v):
+    return v["max"] if is_band(v) else v
+
+
+def number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0
+
+
+def band_cause(name, path):
+    for pattern, cause in BANDS.get(name, {}).items():
+        if len(pattern) == len(path) and all(p in ("*", k) for p, k in zip(pattern, path)):
+            return cause
+    return None
+
+
+def check_paper_cells(name, node, path, where):
+    """Every leaf of a paper section is a number, a string, or an allowed band."""
+    if is_band(node):
+        cause = band_cause(name, path)
+        if cause is None:
+            fail(f"{where} is a band, but BANDS lets no cell there move")
+        if node["cause"] != cause:
+            fail(f"{where}.cause = {node['cause']!r}, expected {cause!r} ({CAUSES[cause]})")
+        if not (number(node["min"]) and number(node["max"]) and node["min"] <= node["max"]):
+            fail(f"{where} = {node!r} is not a band of numbers with min <= max")
+    elif isinstance(node, dict):
+        if not node:
+            fail(f"{where} is an empty object")
+        for k, v in node.items():
+            if (name, *path, k) != (name, "clock"):
+                check_paper_cells(name, v, (*path, k), f"{where}[{k}]")
+    elif not (number(node) or isinstance(node, str)):
+        fail(f"{where} = {node!r} is neither a number, a string nor a band")
+
+
+def check_anchor(section, expected, where):
+    if section.get("anchor") != expected:
+        fail(f"{where}.anchor = {section.get('anchor')!r}, expected the paper's {expected!r}")
+
+
+def near(value, target, tol_pct):
+    return abs(value / target - 1) * 100 <= tol_pct
+
+
+def check_ckpt_figure(name, r, path, anchor):
+    section, where = r[name], f"{path}: {name}"
+    check_anchor(section, anchor, where)
+    cols = ("t_1node_s", "t_2nodes_s", "t_4nodes_s")
+    rows = sorted(section["rows"].values(), key=lambda row: row["image_MB"])
+    tol = anchor["tolerance_pct"]
+    for col in cols:
+        for end in (lo, hi):
+            v = end(rows[0][col])
+            if not near(v, anchor[col], tol):
+                fail(
+                    f"{where}: {col} of the smallest image is {v} s, "
+                    f"not within {tol} % of the paper's {anchor[col]} s"
+                )
+    for smaller, larger in zip(rows, rows[1:]):
+        for col in cols:
+            if not hi(smaller[col]) < lo(larger[col]):
+                fail(f"{where}: {col} does not grow with the image size")
+    for row in rows:
+        for fewer, more in zip(cols, cols[1:]):
+            if not hi(row[fewer]) < lo(row[more]):
+                fail(f"{where}: {more} is not above {fewer} at {row['image_MB']} MB")
+
+
+def check_fig5(r, path):
+    section, where = r["fig5_roundtrip"], f"{path}: fig5_roundtrip"
+    check_anchor(section, FIG5_ANCHOR, where)
+    row = section["rows"][str(FIG5_ANCHOR["bytes"])]
+    for net in ("bip_us", "tcp_us"):
+        if not near(row[net], FIG5_ANCHOR[net], FIG5_ANCHOR["tolerance_pct"]):
+            fail(
+                f"{where}: {net} at 1 B is {row[net]}, not within "
+                f"{FIG5_ANCHOR['tolerance_pct']} % of the paper's {FIG5_ANCHOR[net]}"
+            )
+
+
+def check_fig6(r, path):
+    section, where = r["fig6_layers"], f"{path}: fig6_layers"
+    layers = [us for d in ("send", "recv") for us in section["layers_us"][d].values()]
+    total = sum(layers)
+    for net, sizes in section["software_us"].items():
+        for size, us in sizes.items():
+            if us != total:
+                fail(
+                    f"{where}: software time on {net} at {size} B is {us} us, not the "
+                    f"{total} us the layers sum to — it is no longer independent of size"
+                )
+    measured = [cell["mean_us"] for cell in section["measured"].values()]
+    if measured != layers:
+        fail(f"{where}: the live per-layer means {measured} are not the model's {layers}")
+
+
+def check_table1(r, path):
+    rows, where = r["table1_message_audit"]["rows"], f"{path}: table1_message_audit"
+    if tuple(rows) != MSG_CLASSES:
+        fail(f"{where}: rows {list(rows)} are not the six classes {list(MSG_CLASSES)}")
+    unseen = [c for c, row in rows.items() if lo(row["count"]) < 1]
+    if unseen:
+        fail(f"{where}: the lifecycle observed no {', '.join(unseen)} message")
+
+
+def check_table2(r, path):
+    section, where = r["table2_hetero_matrix"], f"{path}: table2_hetero_matrix"
+    machines = section["machines"]
+    restored = 0
+    for src, cells in section["rows"].items():
+        for dst, kind in cells.items():
+            a, b = machines[src], machines[dst]
+            swap, resize = a["endian"] != b["endian"], a["word_bits"] != b["word_bits"]
+            expected = {(False, False): "=", (True, False): "S", (False, True): "W"}.get(
+                (swap, resize), "S+W"
+            )
+            if kind != expected:
+                fail(f"{where}: [{src}] -> [{dst}] is {kind!r}, expected {expected!r}")
+            restored += 1
+    if len(machines) != 6 or restored != 36:
+        fail(f"{where}: {restored} pairs of {len(machines)} machines restored, not 36 of 6")
+
+
+def check_claim(r, path):
+    section, where = r["claim_overhead_1pct"], f"{path}: claim_overhead_1pct"
+    check_anchor(section, CLAIM_ANCHOR, where)
+    ckpt = section["ckpt_s"]
+    for interval, row in section["rows"].items():
+        for end in (lo, hi):
+            c = end(ckpt)
+            overhead = c / (int(interval) * 60.0 + c) * 100.0
+            if end(row["overhead_pct"]) != overhead:
+                fail(
+                    f"{where}: overhead_pct at {interval} min is {row['overhead_pct']!r}, "
+                    f"but a {c} s round every {interval} min costs {overhead} %"
+                )
+    hourly = hi(section["rows"][str(CLAIM_ANCHOR["interval_min"])]["overhead_pct"])
+    if not hourly < CLAIM_ANCHOR["overhead_pct_below"]:
+        fail(f"{where}: hourly checkpoints cost {hourly} %, not under the paper's 1 %")
+
+
+def check_ablations(r, path):
+    where = f"{path}: ablation_lwgroups"
+    for size, row in r["ablation_lwgroups"]["rows"].items():
+        if not row["lw_msgs"] < row["full_msgs"]:
+            fail(f"{where}: at {size} nodes a lightweight change costs {row['lw_msgs']} "
+                 f"messages, a full one {row['full_msgs']}")
+    where = f"{path}: ablation_incremental"
+    rows = r["ablation_incremental"]["rows"]
+    for dirty, row in rows.items():
+        if row["speedup"] != row["full_s"] / row["incr_s"]:
+            fail(f"{where}: speedup at {dirty} % dirty is {row['speedup']}, not full_s / incr_s")
+    if not rows["1"]["full_s"] / rows["1"]["incr_s"] >= INCREMENTAL_FLOOR:
+        fail(f"{where}: incremental is under {INCREMENTAL_FLOOR}x at 1 % dirty")
+    section, where = r["ablation_forked"], f"{path}: ablation_forked"
+    for mb, row in section["rows"].items():
+        for stall, pct in (("blocking_s", "overhead_blocking_pct"), ("forked_s", "overhead_forked_pct")):
+            if row[pct] != row[stall] / (section["interval_s"] + row[stall]) * 100.0:
+                fail(f"{where}: {pct} at {mb} MB is not {stall} over the interval")
+    if not section["rows"]["135"]["forked_s"] < FORKED_STALL_CEILING_S:
+        fail(f"{where}: the forked 135 MB checkpoint stalls the app {section['rows']['135']['forked_s']} s")
+    where = f"{path}: ablation_domino"
+    for rate, row in r["ablation_domino"]["rows"].items():
+        if row["coordinated_avg"] != 0 or row["coordinated_worst"] != 0:
+            fail(f"{where}: coordinated checkpoints at {rate} % discarded some on rollback")
+        if not row["independent_avg"] > 0:
+            fail(f"{where}: independent checkpoints at {rate} % never propagated a rollback")
+    rows, where = r["ablation_fastpath"]["rows"], f"{path}: ablation_fastpath"
+    if not rows["object_bus"]["rtt_us"] > rows["fast_path"]["rtt_us"]:
+        fail(f"{where}: the object bus costs no more than the fast data path")
+    rows, where = r["ablation_polling"]["rows"], f"{path}: ablation_polling"
+    if not rows["direct"]["us_per_recv"] > rows["polled"]["us_per_recv"]:
+        fail(f"{where}: direct port reads cost no more than the polling thread")
+
+
+def check_paper(r, path):
+    for name in PAPER:
+        check_paper_cells(name, r[name], (), f"{path}: {name}")
+    check_ckpt_figure("fig3_native_ckpt", r, path, FIG3_ANCHOR)
+    check_ckpt_figure("fig4_hetero_ckpt", r, path, FIG4_ANCHOR)
+    check_fig5(r, path)
+    check_fig6(r, path)
+    check_table1(r, path)
+    check_table2(r, path)
+    check_claim(r, path)
+    check_ablations(r, path)
+
+
 def main():
     if len(sys.argv) != 2:
         fail(__doc__.strip().splitlines()[-1])
@@ -176,11 +443,15 @@ def main():
         fail(f"{path}: {e}")
     check_schema(report, path)
     check_recovery(report, path)
+    check_paper(report, path)
     if report["quick"]:
-        print(f"BENCH GATE: {path} quick mode — schema and recovery claim ok, collective claims not judged")
+        print(
+            f"BENCH GATE: {path} quick mode — schema, recovery and paper claims ok, "
+            "collective claims not judged"
+        )
         return
     check_claims(report, path)
-    print(f"BENCH GATE: {path} schema and headline claims ok")
+    print(f"BENCH GATE: {path} schema, headline and paper claims ok")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,11 @@
-//! Model calibration: what the virtual-time model and the collective
-//! selector rest on, measured in one run and written to one report,
+//! The one report: the paper's evaluation and what the virtual-time model
+//! and the collective selector rest on, measured in one run and written to
 //! `BENCH_calibrate.json` at the workspace root.
 //!
+//! * **The paper's evaluation** — Figures 3–6, Tables 1–2, the § 5 claim,
+//!   the coordination-cost fit and seven ablations, one section each under
+//!   the names of `starfish_bench::PAPER`. They run the same in quick and
+//!   full mode.
 //! * **Collectives** — allreduce / allgather / bcast, every algorithm arm,
 //!   at 8–1024 simulated ranks under both network models, and the selector
 //!   thresholds calibrated from the measured crossovers. The bench reports
@@ -11,7 +15,7 @@
 //!   image sizes.
 //!
 //! Every section of the report names its clock: `"virtual"` (modelled
-//! nanoseconds, or a ratio of them) or `"count"` (bytes). Nothing here reads
+//! time, or a ratio of it) or `"count"` (bytes, messages). Nothing here reads
 //! a wall clock: on a shared host a per-thread wall-clock figure for 64
 //! communicating rank-threads measures the scheduler, not the algorithms.
 //!
@@ -26,22 +30,23 @@
 //! and that moment depends on thread scheduling (DESIGN.md §5b,
 //! "Determinism caveat").
 //!
-//! `BENCH_QUICK=1` shrinks ranks, sizes and images for the CI smoke job.
+//! `BENCH_QUICK=1` shrinks the calibration's ranks, sizes and images for
+//! the CI smoke job.
 
-use std::fmt::Display;
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use starfish_bench::recovery::{recovery_model, speedup, K, LEGS, NODES};
-use starfish_bench::report;
+use starfish_bench::report::J;
 use starfish_bench::threshold::{calibrate, measured_crossover, threshold_consistent, SweepRow};
+use starfish_bench::PAPER;
 use starfish_mpi::collectives::{self, AllgatherAlgo, AllreduceAlgo, BcastAlgo, ReduceOp};
 use starfish_mpi::{
     Comm, CtsCadence, MpiEndpoint, RankDirectory, RecvMode, DEFAULT_RNDV_THRESHOLD,
 };
 use starfish_util::trace::TraceSink;
-use starfish_util::{json, AppId, NodeId, Rank, VClock};
+use starfish_util::{AppId, NodeId, Rank, VClock};
 use starfish_vni::{BipMyrinet, Fabric, LayerCosts, NetworkModel, TcpEthernet};
 
 const APP: AppId = AppId(1);
@@ -50,62 +55,6 @@ fn quick() -> bool {
     std::env::var("BENCH_QUICK")
         .map(|v| v == "1")
         .unwrap_or(false)
-}
-
-/// One value of the report: a formatted scalar, or an object. An object of
-/// scalars prints on one line; an object holding an object nests.
-enum J {
-    Lit(String),
-    Obj(Vec<(String, J)>),
-}
-
-impl J {
-    fn num(v: impl Display) -> J {
-        J::Lit(v.to_string())
-    }
-
-    fn str(s: &str) -> J {
-        J::Lit(json::string(s))
-    }
-
-    fn obj<S: Display>(fields: impl IntoIterator<Item = (S, J)>) -> J {
-        J::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    /// A report section: its clock first, then its fields.
-    fn section(clock: &str, fields: Vec<(&str, J)>) -> J {
-        J::obj([("clock", J::str(clock))].into_iter().chain(fields))
-    }
-
-    fn write(&self, out: &mut String, depth: usize) {
-        let fields = match self {
-            J::Lit(s) => return out.push_str(s),
-            J::Obj(fields) => fields,
-        };
-        let flat = fields.iter().all(|(_, v)| matches!(v, J::Lit(_)));
-        out.push('{');
-        for (i, (k, v)) in fields.iter().enumerate() {
-            out.push_str(if i == 0 { "" } else { "," });
-            if flat {
-                out.push_str(if i == 0 { "" } else { " " });
-            } else {
-                out.push('\n');
-                out.push_str(&"  ".repeat(depth + 1));
-            }
-            out.push_str(&format!("{}: ", json::string(k)));
-            v.write(out, depth + 1);
-        }
-        if !flat {
-            out.push('\n');
-            out.push_str(&"  ".repeat(depth));
-        }
-        out.push('}');
-    }
 }
 
 /// Model names as they appear in report keys.
@@ -201,11 +150,6 @@ fn bcast_vt(model: &str, n: u32, bytes: usize, algo: BcastAlgo) -> u64 {
     })
 }
 
-/// Virtual µs with one decimal, for the printed tables.
-fn us(ns: u64) -> String {
-    format!("{:.1}", ns as f64 / 1e3)
-}
-
 const ALLREDUCE: [(&str, AllreduceAlgo); 3] = [
     ("reduce_bcast", AllreduceAlgo::ReduceBcast),
     ("rdouble", AllreduceAlgo::RecursiveDoubling),
@@ -242,23 +186,6 @@ impl Sweep {
         Sweep { arms, rows }
     }
 
-    /// Print as a table of virtual µs.
-    fn print(&self, title: &str, key: &str) {
-        println!("\n{title} (virtual µs):");
-        let headers: Vec<&str> = [key].into_iter().chain(self.arms.clone()).collect();
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|(k, ns)| {
-                [k.to_string()]
-                    .into_iter()
-                    .chain(ns.iter().map(|&v| us(v)))
-                    .collect()
-            })
-            .collect();
-        report::print_table(&headers, &rows);
-    }
-
     /// The report's rows: key → {arm: ns}.
     fn json(&self) -> J {
         J::obj(self.rows.iter().map(|(k, ns)| {
@@ -274,7 +201,7 @@ impl Sweep {
     }
 }
 
-/// The collective sweeps, printed, and their report sections.
+/// The collective sweeps and their report sections.
 fn collectives_sections(q: bool) -> Vec<(&'static str, J)> {
     let models: &[&str] = &["BIP/Myrinet", "TCP/IP"];
     let ranks: &[u32] = if q { &[4, 8] } else { &[8, 64] };
@@ -284,11 +211,6 @@ fn collectives_sections(q: bool) -> Vec<(&'static str, J)> {
         &[1024, 16384, 262144, 1048576]
     };
     let scaling_ranks: &[usize] = if q { &[8, 16] } else { &[8, 64, 256, 1024] };
-    report::print_banner(
-        "Collective algorithms (virtual-time critical path)",
-        &format!("ranks {ranks:?}, sizes {sizes:?}, scaling {scaling_ranks:?}"),
-    );
-
     // Allreduce: algorithm x size x ranks x model.
     let mut allreduce = Vec::new();
     for &model in models {
@@ -297,7 +219,6 @@ fn collectives_sections(q: bool) -> Vec<(&'static str, J)> {
             let sw = Sweep::measure(&ALLREDUCE, sizes, |size, algo| {
                 allreduce_vt(model, n, size, algo)
             });
-            sw.print(&format!("allreduce @ {model}, {n} ranks"), "bytes");
             per_ranks.push((n, sw));
         }
         allreduce.push((model, per_ranks));
@@ -309,20 +230,11 @@ fn collectives_sections(q: bool) -> Vec<(&'static str, J)> {
     let (head_n, head_size) = (*ranks.last().unwrap(), *sizes.last().unwrap());
     let head_row = &allreduce[0].1.last().unwrap().1.rows.last().unwrap().1;
     let head = head_row[0] as f64 / head_row[2] as f64;
-    println!(
-        "\nring allreduce speedup vs reduce+bcast @ {head_size} B x {head_n} ranks \
-         ({}): {head:.2}x",
-        models[0]
-    );
 
     // Allreduce scaling in ranks at a fixed 64 KiB.
     let scaling = Sweep::measure(&ALLREDUCE[1..], scaling_ranks, |n, algo| {
         allreduce_vt(models[0], n as u32, 65536, algo)
     });
-    scaling.print(
-        &format!("allreduce 64 KiB scaling @ {}", models[0]),
-        "ranks",
-    );
 
     // Allgather, keyed on total gathered bytes, and bcast.
     let per_rank: &[usize] = if q { &[64, 256] } else { &[64, 1024, 16384] };
@@ -330,10 +242,6 @@ fn collectives_sections(q: bool) -> Vec<(&'static str, J)> {
     let allgather = Sweep::measure(&ALLGATHER, &totals, |total, algo| {
         allgather_vt(models[0], head_n, total / head_n as usize, algo)
     });
-    allgather.print(
-        &format!("allgather @ {}, {head_n} ranks", models[0]),
-        "total bytes",
-    );
     let bc_sizes: &[usize] = if q {
         &[1024, 4096]
     } else {
@@ -342,7 +250,6 @@ fn collectives_sections(q: bool) -> Vec<(&'static str, J)> {
     let bcast = Sweep::measure(&BCAST, bc_sizes, |size, algo| {
         bcast_vt(models[0], head_n, size, algo)
     });
-    bcast.print(&format!("bcast @ {}, {head_n} ranks", models[0]), "bytes");
 
     // Threshold calibration: per op and model, the smallest size where the
     // bandwidth-optimal arm is within tolerance of the latency-optimal arm,
@@ -356,7 +263,6 @@ fn collectives_sections(q: bool) -> Vec<(&'static str, J)> {
     sweeps.push(("allgather", models[0], allgather.crossover_sweep(1, 2)));
     sweeps.push(("bcast", models[0], bcast.crossover_sweep(0, 1)));
     let mut all_measured = true;
-    let mut th_rows = Vec::new();
     let mut thresholds: Vec<(&str, Vec<(String, J)>)> = Vec::new();
     for (op, model, sweep) in sweeps {
         let crossover = measured_crossover(&sweep);
@@ -369,12 +275,6 @@ fn collectives_sections(q: bool) -> Vec<(&'static str, J)> {
             );
         }
         let shown = crossover.map_or("null".to_string(), |c| c.to_string());
-        th_rows.push(vec![
-            op.into(),
-            model.into(),
-            shown.clone(),
-            calibrated.to_string(),
-        ]);
         let entry = J::obj([
             ("crossover_bytes", J::Lit(shown)),
             ("measured", J::num(crossover.is_some())),
@@ -385,9 +285,6 @@ fn collectives_sections(q: bool) -> Vec<(&'static str, J)> {
             _ => thresholds.push((op, vec![(key(model), entry)])),
         }
     }
-    println!("\ncalibrated selector thresholds:");
-    report::print_table(&["op", "model", "crossover", "calibrated"], &th_rows);
-
     let allreduce_rows = J::obj(allreduce.iter().map(|(model, per_ranks)| {
         (
             key(model),
@@ -436,18 +333,13 @@ fn collectives_sections(q: bool) -> Vec<(&'static str, J)> {
 
 // ---- checkpoint recovery ---------------------------------------------------
 
-/// The disk-vs-replica rows, printed, and their report section.
+/// The disk-vs-replica rows and their report section.
 fn recovery_section(q: bool) -> (&'static str, J) {
     let sizes: &[usize] = if q {
         &[256 * 1024, 1 << 20]
     } else {
         &[256 * 1024, 1 << 20, 4 << 20, 16 << 20]
     };
-    report::print_banner(
-        "Checkpoint recovery: disk vs diskless replica (virtual ms)",
-        &format!("k={K}, {NODES} nodes"),
-    );
-    let mut rows = Vec::new();
     let mut cells = Vec::new();
     let mut replica_wins = true;
     for &size in sizes {
@@ -455,15 +347,6 @@ fn recovery_section(q: bool) -> (&'static str, J) {
         let [.., disk_read, replica_fetch] = legs;
         replica_wins &= replica_fetch < disk_read;
         let speedup = speedup(legs);
-        let ms = legs.map(|ns| format!("{:.2}", ns as f64 / 1e6));
-        rows.push(
-            [
-                vec![size.to_string()],
-                ms.to_vec(),
-                vec![format!("{speedup}x")],
-            ]
-            .concat(),
-        );
         let mut cell: Vec<_> = LEGS
             .iter()
             .zip(legs)
@@ -472,12 +355,6 @@ fn recovery_section(q: bool) -> (&'static str, J) {
         cell.push(("speedup", J::Lit(speedup)));
         cells.push((size, J::obj(cell)));
     }
-    let headers = [["bytes"].as_slice(), &LEGS, &["recovery speedup"]].concat();
-    report::print_table(&headers, &rows);
-    println!(
-        "\nreplica recovery {} modelled disk on every size",
-        if replica_wins { "beats" } else { "LOSES TO" }
-    );
     let fields = vec![
         ("k", J::num(K)),
         ("nodes", J::num(NODES)),
@@ -498,12 +375,13 @@ fn main() {
     ];
     fields.extend(collectives_sections(q));
     fields.push(recovery_section(q));
+    for (name, section) in PAPER {
+        fields.push((name, section()));
+        println!("calibrate: {name}");
+    }
 
-    let mut out = String::new();
-    J::obj(fields).write(&mut out, 0);
-    out.push('\n');
     let path = format!("{}/../../BENCH_calibrate.json", env!("CARGO_MANIFEST_DIR"));
-    match std::fs::write(&path, &out) {
+    match std::fs::write(&path, J::obj(fields).render()) {
         Ok(()) => println!("\nwrote {path}"),
         Err(e) => println!("\ncould not write {path}: {e}"),
     }

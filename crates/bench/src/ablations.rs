@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use starfish::{CkptProto, CkptValue, Cluster, FtPolicy, Rank, SubmitOpts};
+use starfish::{CkptProto, CkptValue, Cluster, FtPolicy, Rank, RuntimeKnobs, SubmitOpts};
 use starfish_checkpoint::disk::DiskModel;
 use starfish_checkpoint::incremental::IncrementalTracker;
 use starfish_checkpoint::recovery::{recovery_line, MsgDep};
@@ -14,95 +14,89 @@ use starfish_util::trace::{MsgClass, TraceSink};
 use starfish_util::NodeId;
 use starfish_vni::{Ideal, LayerCosts};
 
-use crate::report::{print_banner, print_table};
+use crate::report::{cause, exact, J, REPEATS};
 
 const T: Duration = Duration::from_secs(120);
 
 /// Coordinated vs uncoordinated C/R, side by side — "we can run the same
 /// application with two different C/R protocols, and compare them" (§1).
-pub fn cr_protocols() {
-    print_banner(
-        "Ablation — C/R protocols side by side",
-        "one application, three protocols; round time + control traffic",
-    );
-    let mut rows = Vec::new();
-    for proto in [
+/// One round of a 4-rank ring on 4 nodes per protocol: (rank 0's round
+/// seconds, C/R messages, channel messages captured).
+fn cr_round(proto: CkptProto) -> (f64, u64, u64) {
+    let trace = TraceSink::enabled();
+    let cluster = Cluster::builder()
+        .nodes(4)
+        .trace(trace.clone())
+        .build()
+        .unwrap();
+    cluster.register_app("compare", |ctx| {
+        let me = ctx.rank().0;
+        let n = ctx.size();
+        let state = CkptValue::record(vec![("heap", CkptValue::Zeros(2_000_000))]);
+        // Keep messages flowing so the protocols' channel handling
+        // differs meaningfully.
+        let next = Rank((me + 1) % n);
+        let prev = Rank((me + n - 1) % n);
+        ctx.send(next, 1, &[me as u8])?;
+        let dt = ctx.checkpoint(&state)?;
+        let m = ctx.recv(Some(prev), Some(1))?;
+        assert_eq!(m.data[0] as u32, (me + n - 1) % n);
+        if me == 0 {
+            ctx.publish(CkptValue::Float(dt.as_secs_f64()));
+        }
+        ctx.barrier()?;
+        Ok(())
+    });
+    let before = trace.count(MsgClass::CheckpointRestart);
+    let app = cluster
+        .submit("compare", 4, SubmitOpts::default().proto(proto))
+        .unwrap();
+    cluster.wait_app_done(app, T).unwrap();
+    let round = cluster.outputs(app, Rank(0))[0].as_float().unwrap();
+    let cr_msgs = trace.count(MsgClass::CheckpointRestart) - before;
+    let chan = (0..4)
+        .filter_map(|r| cluster.store().latest(app, Rank(r)))
+        .map(|i| i.channel.len() as u64)
+        .sum();
+    (round, cr_msgs, chan)
+}
+
+/// [`cr_round`] per protocol, [`REPEATS`] times: the round time moves with
+/// [`cause::RELAY_ORDER`] and the captured channel messages with
+/// [`cause::ARRIVAL_ORDER`].
+pub fn cr_protocols() -> J {
+    let protos = [
         CkptProto::StopAndSync,
         CkptProto::ChandyLamport,
         CkptProto::Independent,
-    ] {
-        let trace = TraceSink::enabled();
-        let cluster = Cluster::builder()
-            .nodes(4)
-            .trace(trace.clone())
-            .build()
-            .unwrap();
-        cluster.register_app("compare", |ctx| {
-            let me = ctx.rank().0;
-            let n = ctx.size();
-            let state = CkptValue::record(vec![("heap", CkptValue::Zeros(2_000_000))]);
-            // Keep messages flowing so the protocols' channel handling
-            // differs meaningfully.
-            let next = Rank((me + 1) % n);
-            let prev = Rank((me + n - 1) % n);
-            ctx.send(next, 1, &[me as u8])?;
-            let dt = ctx.checkpoint(&state)?;
-            let m = ctx.recv(Some(prev), Some(1))?;
-            assert_eq!(m.data[0] as u32, (me + n - 1) % n);
-            if me == 0 {
-                ctx.publish(CkptValue::Float(dt.as_secs_f64()));
-            }
-            ctx.barrier()?;
-            Ok(())
-        });
-        let before = trace.count(MsgClass::CheckpointRestart);
-        let app = cluster
-            .submit("compare", 4, SubmitOpts::default().proto(proto))
-            .unwrap();
-        cluster.wait_app_done(app, T).unwrap();
-        let round = cluster.outputs(app, Rank(0))[0].as_float().unwrap();
-        let cr_msgs = trace.count(MsgClass::CheckpointRestart) - before;
-        let chan: usize = (0..4)
-            .map(|r| {
-                cluster
-                    .store()
-                    .latest(app, Rank(r))
-                    .map(|i| i.channel.len())
-                    .unwrap_or(0)
-            })
-            .sum();
-        rows.push(vec![
-            format!("{proto:?}"),
-            format!("{round:.4}"),
-            format!("{cr_msgs}"),
-            format!("{chan}"),
-        ]);
-    }
-    print_table(
-        &[
-            "protocol",
-            "round_s(rank0)",
-            "cr_msgs",
-            "channel_msgs_captured",
-        ],
-        &rows,
-    );
-    println!("\nStopAndSync pays a global stop; ChandyLamport snapshots without blocking;");
-    println!("Independent has no coordination at all (but risks rollback propagation).");
+    ];
+    let rows = protos.map(|proto| {
+        let runs: Vec<(f64, u64, u64)> = (0..REPEATS).map(|_| cr_round(proto)).collect();
+        let cr_msgs: Vec<u64> = runs.iter().map(|r| r.1).collect();
+        let cells = [
+            (
+                "round_s",
+                J::band(runs.iter().map(|r| r.0), cause::RELAY_ORDER),
+            ),
+            ("cr_msgs", J::num(exact(&cr_msgs, "C/R messages"))),
+            (
+                "channel_msgs",
+                J::band(runs.iter().map(|r| r.2 as f64), cause::ARRIVAL_ORDER),
+            ),
+        ];
+        (format!("{proto:?}"), J::obj(cells))
+    });
+    J::section("virtual", vec![("rows", J::obj(rows))])
 }
 
 /// Lightweight groups vs full-blown groups: cost of one membership change.
 /// A full one is a node joining the Starfish group (`add_node`: flush, new
 /// view, state transfer, announcement); a lightweight one is a rank moving
 /// to another node (`MIGRATE`): one cast, whose view change every daemon
-/// derives from it without a message of its own.
-pub fn lwgroups() {
-    print_banner(
-        "Ablation — lightweight vs full-blown groups ([19], §2.1)",
-        "control messages per membership change at several cluster sizes",
-    );
-    let mut rows = Vec::new();
-    for n in [4u32, 8, 16] {
+/// derives from it without a message of its own. Control messages per
+/// change at 5, 9 and 17 nodes.
+pub fn lwgroups() -> J {
+    let rows = [4u32, 8, 16].map(|n| {
         let trace = TraceSink::enabled();
         let cluster = Cluster::builder()
             .nodes(n)
@@ -157,27 +151,15 @@ pub fn lwgroups() {
         everywhere(&cluster, &|c| c.apps[&app].epoch.0 == 1);
         let lw = settle(&cluster) - c2 - cast;
         cluster.delete(app).unwrap();
-        rows.push(vec![
-            format!("{}", n + 1),
-            format!("{full}"),
-            format!("{lw}"),
-            format!("{:.1}x", full as f64 / lw.max(1) as f64),
-        ]);
-    }
-    print_table(
-        &["cluster size", "full-group msgs", "lw-group msgs", "ratio"],
-        &rows,
-    );
-    println!("\nlightweight membership rides the existing total order: the migration's");
-    println!("casts, versus the flush/new-view/state-transfer exchange of a node joining.");
+        let cells = [("full_msgs", J::num(full)), ("lw_msgs", J::num(lw))];
+        (n + 1, J::obj(cells))
+    });
+    J::section("count", vec![("rows", J::obj(rows))])
 }
 
-/// The polling thread (§2.2.1): receive cost with and without it.
-pub fn polling() {
-    print_banner(
-        "Ablation — the polling thread (§2.2.1)",
-        "receives of already-arrived messages: kernel crossings on/off the critical path",
-    );
+/// The polling thread (§2.2.1): virtual µs per receive of an
+/// already-arrived message, with and without it.
+pub fn polling() -> J {
     // The paper's point: "when using the polling thread, the time required
     // for kernel interaction is interleaved with other operations, yielding
     // fast receive operations". So the interesting case is a receive posted
@@ -185,8 +167,10 @@ pub fn polling() {
     // in the queue; without it, every receive performs the (virtual) kernel
     // interaction itself.
     fn recv_cost(mode: RecvMode) -> f64 {
-        let mut k = crate::host_knobs();
-        k.recv_mode = mode;
+        let k = RuntimeKnobs {
+            recv_mode: mode,
+            ..RuntimeKnobs::default()
+        };
         let cluster = Cluster::builder()
             .nodes(2)
             .network_bip()
@@ -220,30 +204,20 @@ pub fn polling() {
         cluster.wait_app_done(app, T).unwrap();
         cluster.outputs(app, Rank(0))[0].as_float().unwrap()
     }
-    let with = recv_cost(RecvMode::Polled);
-    let without = recv_cost(RecvMode::Direct);
-    print_table(
-        &["receive path", "us_per_recv(drained)"],
-        &[
-            vec!["polling thread (paper)".into(), format!("{with:.2}")],
-            vec!["direct port reads".into(), format!("{without:.2}")],
-        ],
-    );
-    println!(
-        "\nwithout the polling thread each receive pays a kernel interaction: +{:.2} us per message",
-        without - with
-    );
+    let rows = [("polled", RecvMode::Polled), ("direct", RecvMode::Direct)]
+        .map(|(name, mode)| (name, J::obj([("us_per_recv", J::num(recv_cost(mode)))])));
+    J::section("virtual", vec![("rows", J::obj(rows))])
 }
 
-/// The fast data path vs routing data through the object bus (§2.2).
-pub fn fastpath() {
-    print_banner(
-        "Ablation — fast data path vs object bus (§2.2)",
-        "\"we employ a fast data path ... that does not go through the object bus\"",
-    );
+/// The fast data path vs routing data through the object bus (§2.2, "we
+/// employ a fast data path ... that does not go through the object bus"):
+/// the 1-byte round trip each way.
+pub fn fastpath() -> J {
     fn rtt(bus: bool) -> f64 {
-        let mut k = crate::host_knobs();
-        k.bus_data_path = bus;
+        let k = RuntimeKnobs {
+            bus_data_path: bus,
+            ..RuntimeKnobs::default()
+        };
         let cluster = Cluster::builder()
             .nodes(2)
             .network_bip()
@@ -278,31 +252,18 @@ pub fn fastpath() {
         cluster.wait_app_done(app, T).unwrap();
         cluster.outputs(app, Rank(0))[0].as_float().unwrap()
     }
-    let fast = rtt(false);
-    let bus = rtt(true);
-    print_table(
-        &["data path", "RTT_us(1B)"],
-        &[
-            vec!["fast path (paper)".into(), format!("{fast:.2}")],
-            vec!["via object bus".into(), format!("{bus:.2}")],
-        ],
-    );
-    println!(
-        "\nbus dispatch would add {:.2} us per round trip to every data message",
-        bus - fast
-    );
+    let rows = [("fast_path", false), ("object_bus", true)]
+        .map(|(name, bus)| (name, J::obj([("rtt_us", J::num(rtt(bus)))])));
+    J::section("virtual", vec![("rows", J::obj(rows))])
 }
 
-/// Incremental checkpointing (libckpt-style, §6).
-pub fn incremental() {
-    print_banner(
-        "Ablation — full vs incremental checkpoints (libckpt [33])",
-        "64 MB image, 10 checkpoints, varying dirty fraction per interval",
-    );
+/// Incremental checkpointing (libckpt-style, §6): a 64 MB image written
+/// 10 times, in full or as the pages dirtied since the last checkpoint, at
+/// several dirty fractions per interval.
+pub fn incremental() -> J {
     let disk = DiskModel::ide_1999();
     const IMG: usize = 64 << 20;
-    let mut rows = Vec::new();
-    for dirty_pct in [1usize, 5, 20, 100] {
+    let rows = [1usize, 5, 20, 100].map(|dirty_pct| {
         let mut rng = DetRng::new(42);
         let mut image = vec![0u8; IMG];
         let mut tracker = IncrementalTracker::new();
@@ -324,125 +285,105 @@ pub fn incremental() {
             full_bytes += IMG as u64;
             full_time += disk.write_time(IMG as u64);
         }
-        rows.push(vec![
-            format!("{dirty_pct}%"),
-            format!("{:.1}", full_bytes as f64 / 1e6),
-            format!("{:.1}", incr_bytes as f64 / 1e6),
-            format!("{:.2}", full_time.as_secs_f64()),
-            format!("{:.2}", incr_time.as_secs_f64()),
-            format!("{:.1}x", full_time.as_secs_f64() / incr_time.as_secs_f64()),
-        ]);
-    }
-    print_table(
-        &[
-            "dirty/ckpt",
-            "full_MB",
-            "incr_MB",
-            "full_s",
-            "incr_s",
-            "speedup",
-        ],
-        &rows,
-    );
+        let (full_s, incr_s) = (full_time.as_secs_f64(), incr_time.as_secs_f64());
+        let cells = [
+            ("full_MB", J::num(full_bytes as f64 / 1e6)),
+            ("incr_MB", J::num(incr_bytes as f64 / 1e6)),
+            ("full_s", J::num(full_s)),
+            ("incr_s", J::num(incr_s)),
+            ("speedup", J::num(full_s / incr_s)),
+        ];
+        (dirty_pct, J::obj(cells))
+    });
+    J::section("virtual", vec![("rows", J::obj(rows))])
 }
 
-/// Rollback propagation (domino effect) under uncoordinated checkpointing.
-pub fn domino() {
-    print_banner(
-        "Ablation — rollback propagation under uncoordinated C/R [34,41]",
-        "ring workload, random independent checkpoints; rollback on rank-0 failure",
-    );
-    let mut rows = Vec::new();
-    for (label, ckpt_prob) in [
-        ("rare (5%)", 0.05),
-        ("occasional (20%)", 0.2),
-        ("frequent (50%)", 0.5),
-    ] {
-        let mut total_rolled = 0u64;
-        let mut worst = 0u64;
-        const TRIALS: usize = 50;
-        for trial in 0..TRIALS {
-            let mut rng = DetRng::new(1000 + trial as u64);
-            const N: u32 = 8;
-            const STEPS: usize = 200;
-            let mut intervals: BTreeMap<Rank, u64> = (0..N).map(|r| (Rank(r), 0u64)).collect();
-            let mut deps: Vec<MsgDep> = Vec::new();
-            for step in 0..STEPS {
-                let s = Rank((step % N as usize) as u32);
-                let r = Rank(((step + 1) % N as usize) as u32);
-                deps.push(MsgDep {
-                    sender: s,
-                    send_interval: intervals[&s],
-                    receiver: r,
-                    recv_interval: intervals[&r],
-                });
-                // Random independent checkpoints.
-                for rank in (0..N).map(Rank) {
-                    if rng.chance(ckpt_prob / N as f64) {
-                        *intervals.get_mut(&rank).unwrap() += 1;
-                    }
+/// Checkpoints discarded when rank 0 fails, on a ring workload of 8 ranks
+/// and 200 steps, averaged over 50 seeded trials: checkpoints taken by each
+/// rank on its own at a random rate (rollback propagation, the domino
+/// effect [34,41]) or by all ranks together at the same rate.
+fn discarded(ckpt_prob: f64, coordinated: bool) -> (f64, u64) {
+    let mut total_rolled = 0u64;
+    let mut worst = 0u64;
+    const TRIALS: usize = 50;
+    for trial in 0..TRIALS {
+        let mut rng = DetRng::new(1000 + trial as u64);
+        const N: u32 = 8;
+        const STEPS: usize = 200;
+        let mut intervals: BTreeMap<Rank, u64> = (0..N).map(|r| (Rank(r), 0u64)).collect();
+        let mut deps: Vec<MsgDep> = Vec::new();
+        for step in 0..STEPS {
+            let s = Rank((step % N as usize) as u32);
+            let r = Rank(((step + 1) % N as usize) as u32);
+            deps.push(MsgDep {
+                sender: s,
+                send_interval: intervals[&s],
+                receiver: r,
+                recv_interval: intervals[&r],
+            });
+            if coordinated {
+                if rng.chance(ckpt_prob / N as f64) {
+                    intervals.values_mut().for_each(|i| *i += 1);
+                }
+                continue;
+            }
+            for rank in (0..N).map(Rank) {
+                if rng.chance(ckpt_prob / N as f64) {
+                    *intervals.get_mut(&rank).unwrap() += 1;
                 }
             }
-            let latest = intervals.clone();
-            let rl = recovery_line(&latest, &deps, &[Rank(0)]);
-            total_rolled += rl.rolled_back;
-            worst = worst.max(rl.rolled_back);
         }
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.2}", total_rolled as f64 / TRIALS as f64),
-            format!("{worst}"),
-        ]);
+        let rl = recovery_line(&intervals, &deps, &[Rank(0)]);
+        total_rolled += rl.rolled_back;
+        worst = worst.max(rl.rolled_back);
     }
-    // Coordinated baseline: the recovery line is always everyone's latest.
-    rows.push(vec![
-        "coordinated (any rate)".into(),
-        "0.00".into(),
-        "0".into(),
-    ]);
-    print_table(
-        &["checkpoint rate", "avg ckpts discarded", "worst case"],
-        &rows,
-    );
-    println!("\ncoordinated protocols never discard checkpoints; independent");
-    println!("checkpointing trades coordination for rollback propagation.");
+    (total_rolled as f64 / TRIALS as f64, worst)
+}
+
+/// Rollback propagation under uncoordinated checkpointing against the
+/// coordinated baseline, at three checkpoint rates (percent per step).
+pub fn domino() -> J {
+    let rows = [5u32, 20, 50].map(|rate_pct| {
+        let ckpt_prob = rate_pct as f64 / 100.0;
+        let (avg, worst) = discarded(ckpt_prob, false);
+        let (coord_avg, coord_worst) = discarded(ckpt_prob, true);
+        let cells = [
+            ("independent_avg", J::num(avg)),
+            ("independent_worst", J::num(worst)),
+            ("coordinated_avg", J::num(coord_avg)),
+            ("coordinated_worst", J::num(coord_worst)),
+        ];
+        (rate_pct, J::obj(cells))
+    });
+    J::section("count", vec![("rows", J::obj(rows))])
 }
 
 /// Forked (copy-on-write) checkpointing — the libckpt optimization the
-/// paper's related work highlights alongside incremental checkpoints (§6).
-pub fn forked() {
-    print_banner(
-        "Ablation — blocking vs forked (copy-on-write) checkpoints [32,33]",
-        "app-visible stall per checkpoint; the write overlaps compute",
-    );
+/// paper's related work highlights alongside incremental checkpoints
+/// (§6): the app-visible stall per checkpoint, blocking or forked, and the
+/// slowdown it costs at a 60 s compute interval. The background write
+/// still gates the next checkpoint: the minimum interval is the write time.
+pub fn forked() -> J {
     let disk = DiskModel::ide_1999();
-    let mut rows = Vec::new();
-    for mb in [1u64, 16, 64, 135] {
+    const INTERVAL_S: f64 = 60.0;
+    let rows = [1u64, 16, 64, 135].map(|mb| {
         let bytes = mb * 1_000_000;
-        let blocking = disk.write_time(bytes);
-        let forked = disk.fork_time(bytes);
-        // A 60 s compute interval between checkpoints: end-to-end slowdown.
-        let interval = 60.0;
-        let over_b = blocking.as_secs_f64() / (interval + blocking.as_secs_f64()) * 100.0;
-        let over_f = forked.as_secs_f64() / (interval + forked.as_secs_f64()) * 100.0;
-        rows.push(vec![
-            format!("{mb}"),
-            format!("{:.3}", blocking.as_secs_f64()),
-            format!("{:.4}", forked.as_secs_f64()),
-            format!("{over_b:.2}%"),
-            format!("{over_f:.3}%"),
-        ]);
-    }
-    print_table(
-        &[
-            "image_MB",
-            "blocking_s",
-            "forked_s",
-            "ovh_blk(60s)",
-            "ovh_fork(60s)",
-        ],
-        &rows,
-    );
-    println!("\nthe background write still gates the next checkpoint: minimum");
-    println!("checkpoint interval = write_time (11.3 s for the 135 MB image).");
+        let blocking = disk.write_time(bytes).as_secs_f64();
+        let forked = disk.fork_time(bytes).as_secs_f64();
+        let cells = [
+            ("blocking_s", J::num(blocking)),
+            ("forked_s", J::num(forked)),
+            (
+                "overhead_blocking_pct",
+                J::num(blocking / (INTERVAL_S + blocking) * 100.0),
+            ),
+            (
+                "overhead_forked_pct",
+                J::num(forked / (INTERVAL_S + forked) * 100.0),
+            ),
+        ];
+        (mb, J::obj(cells))
+    });
+    let fields = vec![("interval_s", J::num(INTERVAL_S)), ("rows", J::obj(rows))];
+    J::section("virtual", fields)
 }

@@ -1,17 +1,18 @@
-//! The paper's tables and figures, regenerated.
+//! The paper's tables and figures, regenerated as report sections.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use starfish::{CkptValue, Cluster, LevelKind, Rank, SubmitOpts, MACHINES};
+use starfish::{CkptValue, Cluster, LevelKind, NodeId, Rank, SubmitOpts, MACHINES};
 use starfish_checkpoint::portable::{decode_portable, encode_portable};
 use starfish_checkpoint::proto::SyncCostModel;
+use starfish_daemon::config::{AppStatus, CfgNodeStatus};
 use starfish_telemetry::metric as telemetry_metric;
 use starfish_util::trace::{MsgClass, TraceSink};
 use starfish_vni::{BipMyrinet, LayerCosts, NetworkModel, TcpEthernet};
 
-use crate::report::{ascii_chart, print_banner, print_table};
+use crate::report::{cause, exact, J, REPEATS};
 
 const T: Duration = Duration::from_secs(120);
 
@@ -20,11 +21,8 @@ const T: Duration = Duration::from_secs(120);
 /// Returns (total image bytes, round seconds).
 fn one_ckpt_point(level: LevelKind, n: u32, payload: u64) -> (u64, f64) {
     let cluster = Cluster::builder().nodes(n).network_tcp().build().unwrap();
-    let size = Arc::new(AtomicU64::new(payload));
-    let size2 = size.clone();
     cluster.register_app("sweep", move |ctx| {
-        let p = size2.load(Ordering::Relaxed);
-        let state = CkptValue::record(vec![("heap", CkptValue::Zeros(p))]);
+        let state = CkptValue::record(vec![("heap", CkptValue::Zeros(payload))]);
         let dt = ctx.checkpoint(&state)?;
         if ctx.rank().0 == 0 {
             ctx.publish(CkptValue::Float(dt.as_secs_f64()));
@@ -45,48 +43,56 @@ fn one_ckpt_point(level: LevelKind, n: u32, payload: u64) -> (u64, f64) {
     (bytes, secs)
 }
 
-fn ckpt_figure(
-    title: &str,
-    level: LevelKind,
-    payloads: &[u64],
-    anchors: &[(f64, f64, f64)], // paper (1,2,4)-node seconds for smallest point
-) {
-    let node_counts = [1u32, 2, 4];
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut chart_1n: Vec<(f64, f64)> = Vec::new();
-    for &payload in payloads {
-        let mut cells = Vec::new();
-        let mut total_bytes = 0;
-        for &n in &node_counts {
-            let (bytes, secs) = one_ckpt_point(level, n, payload);
-            total_bytes = bytes;
-            if n == 1 {
-                chart_1n.push((bytes as f64 / 1e6, secs));
-            }
-            cells.push(format!("{secs:.5}"));
-        }
-        let mut row = vec![format!("{:.3}", total_bytes as f64 / 1e6)];
-        row.extend(cells);
-        rows.push(row);
+/// [`REPEATS`] runs of [`one_ckpt_point`]: the image bytes, which repeat,
+/// and each run's round seconds.
+fn repeated_ckpt_point(level: LevelKind, n: u32, payload: u64) -> (u64, Vec<f64>) {
+    let runs: Vec<(u64, f64)> = (0..REPEATS)
+        .map(|_| one_ckpt_point(level, n, payload))
+        .collect();
+    let bytes: Vec<u64> = runs.iter().map(|r| r.0).collect();
+    (
+        exact(&bytes, "image bytes"),
+        runs.iter().map(|r| r.1).collect(),
+    )
+}
+
+/// The round seconds of one node count: one node relays no stamp between
+/// daemons and repeats; more nodes move with the relay order.
+fn round_cell(n: u32, secs: &[f64]) -> J {
+    match n {
+        1 => J::num(exact(secs, "1-node round")),
+        _ => J::band(secs.iter().copied(), cause::RELAY_ORDER),
     }
-    print_table(&["size_MB", "t_1node_s", "t_2nodes_s", "t_4nodes_s"], &rows);
-    if let Some((a1, a2, a4)) = anchors.first() {
-        println!("\npaper anchors (smallest point): 1 node {a1} s, 2 nodes {a2} s, 4 nodes {a4} s");
-        println!(
-            "measured   (smallest point):   1 node {} s, 2 nodes {} s, 4 nodes {} s",
-            rows[0][1], rows[0][2], rows[0][3]
-        );
-    }
-    ascii_chart(&format!("{title} — 1 node, seconds vs size_MB"), &chart_1n);
+}
+
+/// Checkpoint time vs image size at 1, 2 and 4 nodes, against the paper's
+/// times for the smallest image.
+fn ckpt_figure(level: LevelKind, payloads: &[u64], anchor: [f64; 3], tolerance_pct: u32) -> J {
+    const NODES: [u32; 3] = [1, 2, 4];
+    const COLUMNS: [&str; 3] = ["t_1node_s", "t_2nodes_s", "t_4nodes_s"];
+    let rows = payloads.iter().map(|&payload| {
+        let points: Vec<(u64, Vec<f64>)> = NODES
+            .iter()
+            .map(|&n| repeated_ckpt_point(level, n, payload))
+            .collect();
+        let bytes: Vec<u64> = points.iter().map(|p| p.0).collect();
+        let mb = exact(&bytes, "image bytes") as f64 / 1e6;
+        let cells = NODES.iter().zip(&points).map(|(&n, p)| round_cell(n, &p.1));
+        let row = [("image_MB", J::num(mb))].into_iter();
+        (payload, J::obj(row.chain(COLUMNS.into_iter().zip(cells))))
+    });
+    let anchor = COLUMNS.iter().zip(anchor).map(|(c, s)| (*c, J::num(s)));
+    let anchor = anchor.chain([("tolerance_pct", J::num(tolerance_pct))]);
+    J::section(
+        "virtual",
+        vec![("anchor", J::obj(anchor)), ("rows", J::obj(rows))],
+    )
 }
 
 /// Figure 3: native (homogeneous) checkpointing time vs size, 1/2/4 nodes.
-pub fn fig3() {
-    print_banner(
-        "Figure 3 — native (homogeneous) checkpointing, stop-and-sync",
-        "time grows linearly with size; smallest image = 632 KB (empty program)",
-    );
-    // Payloads chosen so total sizes span the paper's 632 KB ... 135 MB range.
+/// Payloads span the paper's 632 KB ... 135 MB range; the smallest image
+/// is the empty program.
+pub fn fig3() -> J {
     let payloads = [
         0u64,
         4_000_000,
@@ -95,38 +101,23 @@ pub fn fig3() {
         96_000_000,
         134_352_832, // ≈ 135 MB total with the 632 KB base
     ];
-    ckpt_figure(
-        "Figure 3",
-        LevelKind::Native,
-        &payloads,
-        &[(0.104061, 0.131898, 0.149219)],
-    );
+    let anchor = [0.104061, 0.131898, 0.149219];
+    ckpt_figure(LevelKind::Native, &payloads, anchor, 2)
 }
 
-/// Figure 4: VM-level (heterogeneous) checkpointing time vs size.
-pub fn fig4() {
-    print_banner(
-        "Figure 4 — virtual-machine-level (heterogeneous) checkpointing",
-        "smallest image = 260 KB: the VM itself is not saved (§5)",
-    );
+/// Figure 4: VM-level (heterogeneous) checkpointing time vs size. The
+/// smallest image is 260 KB: the VM itself is not saved (§5).
+pub fn fig4() -> J {
     let payloads = [
         0u64, 4_000_000, 16_000_000, 48_000_000,
         95_733_760, // ≈ 96 MB total with the 260 KB base
     ];
-    ckpt_figure(
-        "Figure 4",
-        LevelKind::Vm,
-        &payloads,
-        &[(0.0077, 0.0205, 0.052)],
-    );
+    ckpt_figure(LevelKind::Vm, &payloads, [0.0077, 0.0205, 0.052], 10)
 }
 
-/// Figure 5: application-level round-trip delay vs data size, BIP vs TCP.
-pub fn fig5() {
-    print_banner(
-        "Figure 5 — round-trip delay vs data size (100-repetition average)",
-        "paper anchors: 1 byte = 86 us on BIP/Myrinet, 552 us on TCP/IP",
-    );
+/// Figure 5: application-level round-trip delay vs data size, BIP vs TCP,
+/// each a 100-repetition average like the paper's ping application.
+pub fn fig5() -> J {
     let sizes: [usize; 8] = [1, 256, 1024, 4096, 16384, 65536, 262_144, 1_048_576];
 
     fn run(cluster: &Cluster, sizes: &[usize]) -> Vec<f64> {
@@ -183,82 +174,51 @@ pub fn fig5() {
         &Cluster::builder().nodes(2).network_tcp().build().unwrap(),
         &sizes,
     );
-    let rows: Vec<Vec<String>> = sizes
+    let rows = sizes
         .iter()
-        .zip(bip.iter().zip(tcp.iter()))
-        .map(|(s, (b, t))| {
-            vec![
-                format!("{s}"),
-                format!("{b:.2}"),
-                format!("{t:.2}"),
-                format!("{:.2}", t / b),
-            ]
-        })
-        .collect();
-    print_table(&["bytes", "BIP_us", "TCP_us", "TCP/BIP"], &rows);
-    println!("\npaper anchors at 1 byte: BIP 86 us, TCP 552 us");
-    println!(
-        "measured at 1 byte:      BIP {:.2} us, TCP {:.2} us",
-        bip[0], tcp[0]
-    );
-    ascii_chart(
-        "Figure 5 — RTT (us) vs size (bytes), TCP/IP",
-        &sizes
-            .iter()
-            .zip(tcp.iter())
-            .map(|(s, t)| (*s as f64, *t))
-            .collect::<Vec<_>>(),
-    );
+        .zip(bip.iter().zip(&tcp))
+        .map(|(s, (b, t))| (s, J::obj([("bip_us", J::num(b)), ("tcp_us", J::num(t))])));
+    let anchor = [
+        ("bytes", J::num(1)),
+        ("bip_us", J::num(86)),
+        ("tcp_us", J::num(552)),
+        ("tolerance_pct", J::num(1)),
+    ];
+    J::section(
+        "virtual",
+        vec![("anchor", J::obj(anchor)), ("rows", J::obj(rows))],
+    )
 }
 
-/// Figure 6: per-layer overhead of sending and receiving a message,
-/// independent of message size.
-pub fn fig6() {
-    print_banner(
-        "Figure 6 — layer overheads for sending and receiving messages",
-        "constant per layer: payloads are never copied between layers",
-    );
+/// Figure 6: per-layer overhead of sending and receiving a message, the
+/// software time left of a one-way message once the wire terms are
+/// removed (the same at every size: payloads are never copied between
+/// layers), and the per-layer histograms a live ping-pong records.
+pub fn fig6() -> J {
     let layers = LayerCosts::prototype();
-    let rows: Vec<Vec<String>> = layers
-        .breakdown()
-        .into_iter()
-        .map(|(dir, name, t)| {
-            vec![
-                dir.to_string(),
-                name.to_string(),
-                format!("{:.1}", t.as_micros_f64()),
-            ]
-        })
-        .collect();
-    print_table(&["dir", "layer", "us"], &rows);
-    println!(
-        "software total: send {:.1} us + recv {:.1} us = {:.1} us one-way",
-        layers.send_total().as_micros_f64(),
-        layers.recv_total().as_micros_f64(),
-        (layers.send_total() + layers.recv_total()).as_micros_f64()
-    );
+    let breakdown = layers.breakdown();
+    let layers_us = ["send", "recv"].map(|dir| {
+        let cells = breakdown.iter().filter(|(d, ..)| *d == dir);
+        (
+            dir,
+            J::obj(cells.map(|(_, name, t)| (name, J::num(t.as_micros_f64())))),
+        )
+    });
 
-    // Verify size-independence: measured one-way time minus the wire terms
-    // must be the same constant at every size.
-    println!("\nsize-independence check (one-way software time after removing wire terms):");
-    let mut rows = Vec::new();
-    for model in [&BipMyrinet as &dyn NetworkModel, &TcpEthernet] {
-        for size in [1usize, 1024, 65536, 1_048_576] {
-            let one_way_total = layers.send_total() + model.one_way(size) + layers.recv_total();
-            let software = one_way_total - model.one_way(size);
-            rows.push(vec![
-                model.name().to_string(),
-                format!("{size}"),
-                format!("{:.1}", software.as_micros_f64()),
-            ]);
-        }
-    }
-    print_table(&["network", "bytes", "software_us"], &rows);
+    let software = [&BipMyrinet as &dyn NetworkModel, &TcpEthernet].map(|model| {
+        let cells = [1usize, 1024, 65536, 1_048_576].map(|size| {
+            let one_way = layers.send_total() + model.one_way(size) + layers.recv_total();
+            (
+                size,
+                J::num((one_way - model.one_way(size)).as_micros_f64()),
+            )
+        });
+        (model.name().replace('/', "-"), J::obj(cells))
+    });
 
-    // Cross-check against live telemetry: run a ping-pong and read the seven
-    // per-layer histograms back out of the cluster's aggregated registry
-    // snapshots (the same data the STATS management command renders).
-    println!("\nmeasured per-layer histograms (telemetry registry, ns):");
+    // Run a ping-pong and read the seven per-layer histograms back out of
+    // the cluster's aggregated registry snapshots (the data the STATS
+    // management command renders).
     let cluster = Cluster::builder().nodes(2).build().unwrap();
     cluster.register_app("layers", |ctx| {
         let me = ctx.rank().0;
@@ -276,35 +236,37 @@ pub fn fig6() {
     let app = cluster.submit("layers", 2, SubmitOpts::default()).unwrap();
     cluster.wait_app_done(app, T).unwrap();
     let snap = cluster.stats().merged();
-    let rows: Vec<Vec<String>> = telemetry_metric::LAYERS
-        .iter()
-        .filter_map(|id| {
-            snap.hist(*id).map(|h| {
-                vec![
-                    id.name().to_string(),
-                    format!("{}", h.count),
-                    format!("{:.1}", h.mean() / 1000.0),
-                    format!("{:.1}", h.p99() as f64 / 1000.0),
-                ]
-            })
-        })
-        .collect();
-    print_table(&["layer", "samples", "mean_us", "p99_us"], &rows);
+    let measured = telemetry_metric::LAYERS.iter().filter_map(|id| {
+        let h = snap.hist(*id)?;
+        let cells = [
+            ("samples", J::num(h.count)),
+            ("mean_us", J::num(h.mean() / 1e3)),
+        ];
+        Some((id.name(), J::obj(cells)))
+    });
+    J::section(
+        "virtual",
+        vec![
+            ("layers_us", J::obj(layers_us)),
+            ("software_us", J::obj(software)),
+            ("measured", J::obj(measured)),
+        ],
+    )
 }
 
-/// Table 1: the message taxonomy, audited on a live run.
-pub fn table1() {
-    print_banner(
-        "Table 1 — message types observed on a full application lifecycle",
-        "each class only on its sanctioned path (see integration_message_taxonomy)",
-    );
+/// One application lifecycle — submission, data exchange, a coordination
+/// broadcast, a coordinated checkpoint, suspend/resume and the crash of an
+/// idle node — traced: (count, bytes) per message class.
+fn lifecycle_audit() -> Vec<(u64, u64)> {
     let trace = TraceSink::enabled();
     let cluster = Cluster::builder()
         .nodes(3)
         .trace(trace.clone())
         .build()
         .unwrap();
-    cluster.register_app("audit", |ctx| {
+    let stop = Arc::new(AtomicBool::new(false));
+    let stop2 = stop.clone();
+    cluster.register_app("audit", move |ctx| {
         let me = ctx.rank().0;
         let state = CkptValue::Int(1);
         if me == 0 {
@@ -314,67 +276,87 @@ pub fn table1() {
             ctx.recv(Some(Rank(0)), Some(1))?;
         }
         ctx.checkpoint(&state)?;
-        for _ in 0..100 {
+        // The round is over here, so the suspension below cannot race it.
+        ctx.publish(CkptValue::Unit);
+        // Alive, at safepoints, until the lifecycle is over.
+        while !stop2.load(Ordering::Relaxed) {
             ctx.safepoint(&state)?;
-            std::thread::sleep(Duration::from_millis(2));
+            std::thread::sleep(Duration::from_millis(1));
         }
         Ok(())
     });
     let app = cluster.submit("audit", 2, SubmitOpts::default()).unwrap();
-    let deadline = std::time::Instant::now() + T;
-    while cluster
-        .store()
-        .latest_common_index(app, &[Rank(0), Rank(1)])
-        < 1
-    {
-        assert!(std::time::Instant::now() < deadline);
-        std::thread::sleep(Duration::from_millis(5));
+    for rank in [Rank(0), Rank(1)] {
+        cluster.wait_outputs(app, rank, 1, T).unwrap();
     }
     cluster.suspend(app).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
+    cluster
+        .wait_app(app, T, |a| a.status == AppStatus::Suspended)
+        .unwrap();
     cluster.resume(app).unwrap();
+    cluster
+        .wait_app(app, T, |a| a.status == AppStatus::Running)
+        .unwrap();
     let placement = cluster.config().apps[&app].placement.clone();
-    if let Some(idle) = (0..3)
-        .map(starfish::NodeId)
-        .find(|n| !placement.contains(n))
-    {
-        cluster.crash_node(idle);
-    }
-    std::thread::sleep(Duration::from_millis(400));
+    let idle = (0..3).map(NodeId).find(|n| !placement.contains(n)).unwrap();
+    cluster.crash_node(idle);
+    cluster
+        .daemon()
+        .wait_config(T, |c| c.nodes[&idle].status == CfgNodeStatus::Dead)
+        .unwrap();
+    stop.store(true, Ordering::Relaxed);
+    cluster.wait_app_done(app, T).unwrap();
 
     // Counts come from the shared telemetry registry: the trace sink feeds
     // every classified message into it (single accounting channel), and the
     // same counters back the daemons' STATS management command.
     let reg = cluster.metrics();
-    let rows: Vec<Vec<String>> = MsgClass::ALL
+    MsgClass::ALL
         .iter()
         .map(|c| {
-            let sent_between = match c {
-                MsgClass::Control => "Starfish daemons",
-                MsgClass::Coordination => "application processes through daemons",
-                MsgClass::Data => "application processes (MPI/VNI fast path)",
-                MsgClass::LwMembership => "lightweight endpoint module and processes",
-                MsgClass::Configuration => "local daemon and application processes",
-                MsgClass::CheckpointRestart => "C/R modules through daemons",
-            };
-            vec![
-                c.name().to_string(),
-                sent_between.to_string(),
-                format!("{}", reg.counter(telemetry_metric::msg_count(*c))),
-                format!("{}", reg.counter(telemetry_metric::msg_bytes(*c))),
-            ]
+            let count = reg.counter(telemetry_metric::msg_count(*c));
+            (count, reg.counter(telemetry_metric::msg_bytes(*c)))
         })
-        .collect();
-    print_table(&["message type", "sent between", "count", "bytes"], &rows);
+        .collect()
 }
 
-/// Table 2: the heterogeneous C/R machine matrix — every ordered pair of the
-/// six Table 2 machines restores the same image.
-pub fn table2() {
-    print_banner(
-        "Table 2 — heterogeneous C/R across the six tested machine types",
-        "save in native representation, convert on restore (§4, TR [2])",
-    );
+/// Table 1: the message taxonomy, audited on [`REPEATS`] live lifecycles.
+/// Every class repeats but Control, whose count and bytes move with
+/// [`cause::CAST_TIMING`].
+pub fn table1() -> J {
+    let runs: Vec<Vec<(u64, u64)>> = (0..REPEATS).map(|_| lifecycle_audit()).collect();
+    let rows = MsgClass::ALL.iter().enumerate().map(|(i, c)| {
+        let sent_between = match c {
+            MsgClass::Control => "Starfish daemons",
+            MsgClass::Coordination => "application processes through daemons",
+            MsgClass::Data => "application processes (MPI/VNI fast path)",
+            MsgClass::LwMembership => "lightweight endpoint module and processes",
+            MsgClass::Configuration => "local daemon and application processes",
+            MsgClass::CheckpointRestart => "C/R modules through daemons",
+        };
+        let count: Vec<u64> = runs.iter().map(|r| r[i].0).collect();
+        let bytes: Vec<u64> = runs.iter().map(|r| r[i].1).collect();
+        let cell = |v: &[u64], what: &str| match c {
+            MsgClass::Control => J::band(v.iter().map(|&x| x as f64), cause::CAST_TIMING),
+            _ => J::num(exact(v, what)),
+        };
+        let cells = [
+            ("sent_between", J::str(sent_between)),
+            ("count", cell(&count, c.name())),
+            ("bytes", cell(&bytes, c.name())),
+        ];
+        (c.name(), J::obj(cells))
+    });
+    J::section("count", vec![("rows", J::obj(rows))])
+}
+
+/// Table 2: the heterogeneous C/R machine matrix. An image saved in each
+/// of the six Table 2 machines' native representation is restored on each
+/// (§4): a cell is the conversion the pair needed (`=` identical
+/// representation, `S` byte-swapped, `W` word-resized, `S+W` both) when the
+/// state came back exact, `corrupt` when it did not, `error` when decoding
+/// failed.
+pub fn table2() -> J {
     // A representative VM heap.
     let state = CkptValue::record(vec![
         ("step", CkptValue::Int(123_456)),
@@ -388,91 +370,77 @@ pub fn table2() {
         ),
         ("tag", CkptValue::Str("heterogeneous".into())),
     ]);
-    println!("machines:");
-    for (i, m) in MACHINES.iter().enumerate() {
-        println!("  [{i}] {m}");
-    }
-    let mut rows = Vec::new();
-    for (si, src) in MACHINES.iter().enumerate() {
+    let machines = MACHINES.iter().enumerate().map(|(i, m)| {
+        let cells = [
+            ("cpu", J::str(m.cpu)),
+            ("os", J::str(m.os)),
+            ("endian", J::str(m.endian.name())),
+            ("word_bits", J::num(m.word_bits)),
+        ];
+        (i, J::obj(cells))
+    });
+    let rows = MACHINES.iter().enumerate().map(|(si, src)| {
         let img = encode_portable(&state, *src).unwrap();
-        let mut cells = vec![format!("[{si}]")];
-        for dst in MACHINES.iter() {
-            let t0 = std::time::Instant::now();
-            let (got, rep) = decode_portable(&img, *dst).unwrap();
-            let us = t0.elapsed().as_micros();
-            assert_eq!(got, state, "state corrupted {src} -> {dst}");
-            let kind = if rep.identical() {
-                "="
-            } else if rep.byte_swapped && (rep.word_widened || rep.word_narrowed) {
-                "S+W"
-            } else if rep.byte_swapped {
-                "S"
-            } else {
-                "W"
+        let cells = MACHINES.iter().enumerate().map(|(di, dst)| {
+            let kind = match decode_portable(&img, *dst) {
+                Err(_) => "error",
+                Ok((got, _)) if got != state => "corrupt",
+                Ok((_, rep)) if rep.identical() => "=",
+                Ok((_, rep)) if rep.byte_swapped && (rep.word_widened || rep.word_narrowed) => {
+                    "S+W"
+                }
+                Ok((_, rep)) if rep.byte_swapped => "S",
+                Ok(_) => "W",
             };
-            cells.push(format!("{kind}:{us}us"));
-        }
-        rows.push(cells);
-    }
-    print_table(
-        &[
-            "src\\dst (kind:wall-clock decode us)",
-            "[0]",
-            "[1]",
-            "[2]",
-            "[3]",
-            "[4]",
-            "[5]",
-        ],
-        &rows,
-    );
-    println!("\n'=' identical representation, 'S' byte-swapped, 'W' word-resized");
-    println!("all 36 ordered pairs restored the state exactly ✓");
+            (di, J::str(kind))
+        });
+        (si, J::obj(cells))
+    });
+    J::section(
+        "count",
+        vec![("machines", J::obj(machines)), ("rows", J::obj(rows))],
+    )
 }
 
 /// §5 claim: "if a checkpoint is taken once every hour, it would only slow
-/// down the entire execution time by less than 1%".
-pub fn claim_overhead() {
-    print_banner(
-        "§5 claim — hourly checkpoints cost < 1% of execution time",
-        "native level, 4 nodes, largest reported image (135 MB)",
-    );
-    let (bytes, round) = one_ckpt_point(LevelKind::Native, 4, 134_352_832);
-    let mut rows = Vec::new();
-    for interval_min in [10u64, 30, 60, 120] {
+/// down the entire execution time by less than 1%" — the worst case, a
+/// native-level round of the largest image (135 MB) on 4 nodes.
+pub fn claim_overhead() -> J {
+    let (bytes, rounds) = repeated_ckpt_point(LevelKind::Native, 4, 134_352_832);
+    let rows = [10u64, 30, 60, 120].map(|interval_min| {
         let interval = interval_min as f64 * 60.0;
-        let overhead = round / (interval + round) * 100.0;
-        rows.push(vec![
-            format!("{interval_min}"),
-            format!("{:.1}", bytes as f64 / 1e6),
-            format!("{round:.3}"),
-            format!("{overhead:.3}%"),
-        ]);
-    }
-    print_table(&["interval_min", "image_MB", "ckpt_s", "overhead"], &rows);
-    let hourly = round / (3600.0 + round) * 100.0;
-    println!(
-        "\nhourly overhead = {hourly:.3}% {} 1% (paper's claim {})",
-        if hourly < 1.0 { "<" } else { "≥" },
-        if hourly < 1.0 { "holds ✓" } else { "FAILS" }
-    );
+        let overhead = rounds.iter().map(|r| r / (interval + r) * 100.0);
+        let cell = J::band(overhead, cause::RELAY_ORDER);
+        (interval_min, J::obj([("overhead_pct", cell)]))
+    });
+    let anchor = [
+        ("interval_min", J::num(60)),
+        ("overhead_pct_below", J::num(1)),
+    ];
+    J::section(
+        "virtual",
+        vec![
+            ("anchor", J::obj(anchor)),
+            ("image_MB", J::num(bytes as f64 / 1e6)),
+            ("ckpt_s", J::band(rounds, cause::RELAY_ORDER)),
+            ("rows", J::obj(rows)),
+        ],
+    )
 }
 
-/// The fitted stop-and-sync coordination model against the paper's node
-/// scaling (documentation table printed with Figures 3/4).
-pub fn sync_model_table() {
-    print_banner(
-        "Coordination-cost fit (DESIGN.md §6)",
-        "native: 55.6 ms x (1 - 1/n); VM: 13.9 ms x (n - 1)",
-    );
-    let mut rows = Vec::new();
-    for n in [1usize, 2, 4, 8] {
-        rows.push(vec![
-            format!("{n}"),
-            format!("{:.1}", SyncCostModel::native_sync(n).as_millis_f64()),
-            format!("{:.1}", SyncCostModel::vm_sync(n).as_millis_f64()),
-        ]);
-    }
-    print_table(&["nodes", "native_ms", "vm_ms"], &rows);
-    println!("paper deltas over 1 node: native +27.8 ms (2), +45.2 ms (4); vm +12.8 ms (2), +44.3 ms (4)");
+/// The fitted stop-and-sync coordination model behind Figures 3 and 4's
+/// node scaling (DESIGN.md §6): native 55.6 ms x (1 - 1/n), VM 13.9 ms x
+/// (n - 1).
+pub fn sync_model_table() -> J {
+    let rows = [1usize, 2, 4, 8].map(|n| {
+        let cells = [
+            (
+                "native_ms",
+                J::num(SyncCostModel::native_sync(n).as_millis_f64()),
+            ),
+            ("vm_ms", J::num(SyncCostModel::vm_sync(n).as_millis_f64())),
+        ];
+        (n, J::obj(cells))
+    });
+    J::section("virtual", vec![("rows", J::obj(rows))])
 }

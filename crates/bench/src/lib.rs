@@ -1,20 +1,21 @@
 //! # starfish-bench — the evaluation harness
 //!
-//! Regenerates every table and figure of the paper's evaluation (§5) plus
-//! the ablations DESIGN.md calls out. Each experiment is a library function
-//! (so both the per-figure binaries and the `figures` bench target can run
-//! it) that prints the series the paper reports next to the paper's own
-//! anchor numbers.
+//! One bench target, `calibrate`, writes one report, `BENCH_calibrate.json`
+//! at the workspace root, and `ci/check_bench.py` gates it. Its sections:
 //!
-//! All times are **virtual** (see DESIGN.md): deterministic, calibrated to
-//! the paper's 1999 testbed. Shapes — who wins, slopes, crossovers — are the
-//! reproduction target; absolute agreement beyond the calibrated anchor
-//! points is not expected. The one wall-clock number is Table 2's per-cell
-//! decode time, labelled so in its header.
+//! * **The paper's evaluation** (§5) — every table and figure plus the
+//!   ablations DESIGN.md calls out, one section each under the names in
+//!   [`PAPER`], each holding the paper's anchor and tolerance where the
+//!   paper gives one ([`figures`], [`ablations`]).
+//! * **The model calibration** — the collective crossovers ([`threshold`])
+//!   and the modelled checkpoint recovery ([`recovery`]).
 //!
-//! The `calibrate` bench target measures what the model rests on — the
-//! collective crossovers ([`threshold`]) and the modelled checkpoint
-//! recovery ([`recovery`]) — and writes them to `BENCH_calibrate.json`.
+//! All times are **virtual** (see DESIGN.md): computed by the calibrated
+//! models, so shapes — who wins, slopes, crossovers — are the reproduction
+//! target; absolute agreement beyond the calibrated anchor points is not
+//! expected. Every section names its clock, `virtual` or `count`. A cell
+//! that moves between runs is recorded as the range of [`report::REPEATS`]
+//! runs with the cause that moves it ([`report::cause`]).
 
 pub mod ablations;
 pub mod figures;
@@ -22,9 +23,27 @@ pub mod recovery;
 pub mod report;
 pub mod threshold;
 
-pub use report::{print_banner, print_table};
+use report::J;
 
-/// Default runtime knobs (helper for the ablations).
-pub fn host_knobs() -> starfish::RuntimeKnobs {
-    starfish::RuntimeKnobs::default()
-}
+/// A report section's name and what computes it.
+pub type Section = (&'static str, fn() -> J);
+
+/// The paper's sections of the report. They run the same in quick and full
+/// mode.
+pub const PAPER: [Section; 15] = [
+    ("fig3_native_ckpt", figures::fig3),
+    ("fig4_hetero_ckpt", figures::fig4),
+    ("fig5_roundtrip", figures::fig5),
+    ("fig6_layers", figures::fig6),
+    ("table1_message_audit", figures::table1),
+    ("table2_hetero_matrix", figures::table2),
+    ("claim_overhead_1pct", figures::claim_overhead),
+    ("sync_model_table", figures::sync_model_table),
+    ("ablation_cr_protocols", ablations::cr_protocols),
+    ("ablation_lwgroups", ablations::lwgroups),
+    ("ablation_polling", ablations::polling),
+    ("ablation_fastpath", ablations::fastpath),
+    ("ablation_incremental", ablations::incremental),
+    ("ablation_forked", ablations::forked),
+    ("ablation_domino", ablations::domino),
+];

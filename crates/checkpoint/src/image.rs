@@ -47,10 +47,6 @@ impl CkptLevel {
             CkptLevel::Vm { .. } => VM_BASE_BYTES,
         }
     }
-
-    pub fn is_native(&self) -> bool {
-        matches!(self, CkptLevel::Native { .. })
-    }
 }
 
 /// An in-transit data message captured as part of a checkpoint (stop-and-sync

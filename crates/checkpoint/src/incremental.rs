@@ -4,7 +4,7 @@
 //! checkpoints write only the *pages* (chunks) dirtied since the previous
 //! image. Real implementations use MMU write protection; we detect dirty
 //! chunks by content hashing, which has identical write-volume behaviour —
-//! the quantity the `ablation_incremental` bench reports.
+//! the quantity the bench report's `ablation_incremental` section records.
 //!
 //! Restore replays the chain: the last full image plus every later
 //! increment, newest-wins per chunk.

@@ -29,7 +29,8 @@
 //!   XOR-parity fallback (DESIGN.md §6a).
 //! * **Optimizations**: [`incremental`] implements libckpt-style
 //!   incremental checkpoints (only chunks dirtied since the previous image
-//!   are written), quantified by the `ablation_incremental` bench.
+//!   are written), quantified by the bench report's `ablation_incremental`
+//!   section.
 
 pub mod arch;
 pub mod backend;

@@ -6,7 +6,8 @@
 //! inconsistent if it contains an *orphan* message: one whose receipt is
 //! remembered by the receiver's checkpoint but whose send was rolled back.
 //! Eliminating orphans can force further rollbacks — the classic *domino
-//! effect* \[34,41\], which the `ablation_domino` benchmark quantifies.
+//! effect* \[34,41\], which the bench report's `ablation_domino` section
+//! quantifies.
 //!
 //! Model: process `p`'s execution is divided into checkpoint intervals;
 //! interval `k` is the execution *after* checkpoint `k` (interval 0 runs

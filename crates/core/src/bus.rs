@@ -9,7 +9,7 @@
 //! membership views, relayed coordination messages, and C/R protocol
 //! messages. Crucially, *data* messages never touch it — they use the fast
 //! data path straight into the MPI module (the design decision Figure 6 and
-//! the `ablation_fastpath` benchmark justify). Each posted event costs
+//! the bench report's `ablation_fastpath` section justify). Each posted event costs
 //! [`BUS_EVENT_COST`] of virtual time (handler dispatch on the era's
 //! hardware), which is exactly the cost the fast path avoids per data
 //! message.

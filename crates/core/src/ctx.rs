@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use starfish_checkpoint::CkptValue;
-use starfish_daemon::{CkptProto, ProcUp, RelayKind};
+use starfish_daemon::{ProcUp, RelayKind};
 use starfish_lwgroups::LwView;
 use starfish_mpi::collectives as coll;
 use starfish_mpi::wire::WORLD_CONTEXT;
@@ -576,11 +576,6 @@ impl Ctx<'_> {
         Ok(self.rt.clock.now() - start)
     }
 
-    /// Number of committed checkpoint rounds this process coordinated.
-    pub fn committed_rounds(&self) -> u64 {
-        self.rt.cr.committed()
-    }
-
     /// Highest checkpoint index written locally.
     pub fn last_checkpoint_index(&self) -> u64 {
         self.rt.cr.last_index()
@@ -619,10 +614,5 @@ impl Ctx<'_> {
             },
             _ => unreachable!("membership queue holds View events"),
         }))
-    }
-
-    /// The distributed C/R protocol this application runs.
-    pub fn ckpt_proto(&self) -> CkptProto {
-        self.rt.entry.spec.proto
     }
 }

@@ -24,7 +24,8 @@
 //! total order, so all derive the same view sequence without exchanging a
 //! message; [`LwGroups`] turns the sequence into numbered [`LwView`]s, one
 //! per change. The daemon's reducer owns the table and the multicast
-//! delivery; the `ablation_lwgroups` benchmark measures what this saves.
+//! delivery; the bench report's `ablation_lwgroups` section measures what
+//! this saves.
 
 pub mod router;
 

@@ -7,12 +7,10 @@
 //! message's send to its receive across tracks. Timestamps are virtual
 //! microseconds.
 //!
-//! The workspace has no serde (offline shims only), so the module also
-//! carries a small recursive-descent JSON parser used by
-//! [`validate`] — the schema check CI runs over every exported file — and
-//! by tests.
+//! [`validate`] is the schema check CI runs over every exported file; it
+//! reads the file with the workspace's JSON reader, `starfish_util::json`.
 
-use starfish_util::json;
+use starfish_util::json::{self, Json};
 
 use crate::event::EventKind;
 use crate::recorder::ProcTrace;
@@ -129,236 +127,6 @@ pub fn export(traces: &[ProcTrace]) -> String {
     )
 }
 
-// ---- minimal JSON parsing, for the schema check --------------------------
-
-/// A parsed JSON value (just enough for validation and tests).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.ws();
-        self.b
-            .get(self.i)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek()? == c {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                c as char, self.i, self.b[self.i] as char
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.lit("true", Json::Bool(true)),
-            b'f' => self.lit("false", Json::Bool(false)),
-            b'n' => self.lit("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while self.i < self.b.len()
-            && matches!(
-                self.b[self.i],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self
-                .b
-                .get(self.i)
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self
-                        .b
-                        .get(self.i)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| "bad \\u escape".to_string())?;
-                            self.i += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape \\{}", e as char)),
-                    }
-                }
-                c => {
-                    // Reassemble multi-byte UTF-8 sequences verbatim.
-                    let len = match c {
-                        0x00..=0x7f => 0,
-                        0xc0..=0xdf => 1,
-                        0xe0..=0xef => 2,
-                        _ => 3,
-                    };
-                    let start = self.i - 1;
-                    self.i += len;
-                    let chunk = self
-                        .b
-                        .get(start..self.i)
-                        .ok_or_else(|| "truncated utf-8".to_string())?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek()? == b']' {
-            self.i += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            match self.peek()? {
-                b',' => self.i += 1,
-                b']' => {
-                    self.i += 1;
-                    return Ok(Json::Arr(out));
-                }
-                c => return Err(format!("expected , or ] found {:?}", c as char)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut out = Vec::new();
-        if self.peek()? == b'}' {
-            self.i += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            out.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.i += 1,
-                b'}' => {
-                    self.i += 1;
-                    return Ok(Json::Obj(out));
-                }
-                c => return Err(format!("expected , or }} found {:?}", c as char)),
-            }
-        }
-    }
-}
-
-/// Parse a JSON document.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing bytes at {}", p.i));
-    }
-    Ok(v)
-}
-
 /// What [`validate`] measured about a trace file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSummary {
@@ -373,7 +141,7 @@ pub struct TraceSummary {
 /// ends (`f`) all match an emitted flow start (`s`). This is the check the
 /// CI trace job runs over the example's export.
 pub fn validate(text: &str) -> Result<TraceSummary, String> {
-    let doc = parse_json(text)?;
+    let doc = json::parse(text)?;
     let events = doc
         .get("traceEvents")
         .ok_or("missing traceEvents key")?
@@ -502,14 +270,5 @@ mod tests {
             r#"{"traceEvents":[{"ph":"i","s":"t","pid":1,"tid":1,"ts":0,"name":"x"}]}"#
         )
         .is_ok());
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v = parse_json(r#"{"a":[1,2.5,-3e2],"b":"q\"\\\nA","c":{"d":null,"e":true}}"#).unwrap();
-        assert_eq!(v.get("b").unwrap().as_str().unwrap(), "q\"\\\nA");
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert!(parse_json("[1,2,]").is_err());
-        assert!(parse_json("{\"a\":1} extra").is_err());
     }
 }

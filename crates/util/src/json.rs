@@ -1,5 +1,6 @@
-//! The workspace's one JSON string writer (there is no serde offline, so
-//! every emitter formats its own objects — but they all quote through here).
+//! The workspace's one JSON string writer and one JSON reader (there is no
+//! serde offline, so every emitter formats its own objects — but they all
+//! quote through [`string`], and every reader parses through [`parse`]).
 
 use std::fmt::Write as _;
 
@@ -24,6 +25,241 @@ pub fn string(s: &str) -> String {
     out
 }
 
+/// A parsed JSON value. An object keeps its keys in document order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub fn as_num(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(kv) => Some(kv),
+            _ => None,
+        }
+    }
+}
+
+struct Parser<'a> {
+    b: &'a [u8],
+    i: usize,
+}
+
+impl<'a> Parser<'a> {
+    fn ws(&mut self) {
+        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
+            self.i += 1;
+        }
+    }
+
+    fn peek(&mut self) -> Result<u8, String> {
+        self.ws();
+        self.b
+            .get(self.i)
+            .copied()
+            .ok_or_else(|| "unexpected end of input".to_string())
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        if self.peek()? == c {
+            self.i += 1;
+            Ok(())
+        } else {
+            Err(format!(
+                "expected {:?} at byte {}, found {:?}",
+                c as char, self.i, self.b[self.i] as char
+            ))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        match self.peek()? {
+            b'{' => self.object(),
+            b'[' => self.array(),
+            b'"' => Ok(Json::Str(self.string()?)),
+            b't' => self.lit("true", Json::Bool(true)),
+            b'f' => self.lit("false", Json::Bool(false)),
+            b'n' => self.lit("null", Json::Null),
+            _ => self.number(),
+        }
+    }
+
+    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
+        if self.b[self.i..].starts_with(word.as_bytes()) {
+            self.i += word.len();
+            Ok(v)
+        } else {
+            Err(format!("bad literal at byte {}", self.i))
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.i;
+        while self.i < self.b.len()
+            && matches!(
+                self.b[self.i],
+                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
+            )
+        {
+            self.i += 1;
+        }
+        std::str::from_utf8(&self.b[start..self.i])
+            .ok()
+            .and_then(|s| s.parse::<f64>().ok())
+            .map(Json::Num)
+            .ok_or_else(|| format!("bad number at byte {start}"))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let c = *self
+                .b
+                .get(self.i)
+                .ok_or_else(|| "unterminated string".to_string())?;
+            self.i += 1;
+            match c {
+                b'"' => return Ok(out),
+                b'\\' => {
+                    let e = *self
+                        .b
+                        .get(self.i)
+                        .ok_or_else(|| "unterminated escape".to_string())?;
+                    self.i += 1;
+                    match e {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'u' => {
+                            let hex = self
+                                .b
+                                .get(self.i..self.i + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| "bad \\u escape".to_string())?;
+                            self.i += 4;
+                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                        }
+                        _ => return Err(format!("bad escape \\{}", e as char)),
+                    }
+                }
+                c => {
+                    // Reassemble multi-byte UTF-8 sequences verbatim.
+                    let len = match c {
+                        0x00..=0x7f => 0,
+                        0xc0..=0xdf => 1,
+                        0xe0..=0xef => 2,
+                        _ => 3,
+                    };
+                    let start = self.i - 1;
+                    self.i += len;
+                    let chunk = self
+                        .b
+                        .get(start..self.i)
+                        .ok_or_else(|| "truncated utf-8".to_string())?;
+                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
+                }
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.expect(b'[')?;
+        let mut out = Vec::new();
+        if self.peek()? == b']' {
+            self.i += 1;
+            return Ok(Json::Arr(out));
+        }
+        loop {
+            out.push(self.value()?);
+            match self.peek()? {
+                b',' => self.i += 1,
+                b']' => {
+                    self.i += 1;
+                    return Ok(Json::Arr(out));
+                }
+                c => return Err(format!("expected , or ] found {:?}", c as char)),
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.expect(b'{')?;
+        let mut out = Vec::new();
+        if self.peek()? == b'}' {
+            self.i += 1;
+            return Ok(Json::Obj(out));
+        }
+        loop {
+            self.ws();
+            let key = self.string()?;
+            self.expect(b':')?;
+            out.push((key, self.value()?));
+            match self.peek()? {
+                b',' => self.i += 1,
+                b'}' => {
+                    self.i += 1;
+                    return Ok(Json::Obj(out));
+                }
+                c => return Err(format!("expected , or }} found {:?}", c as char)),
+            }
+        }
+    }
+}
+
+/// Parse a JSON document.
+pub fn parse(text: &str) -> Result<Json, String> {
+    let mut p = Parser {
+        b: text.as_bytes(),
+        i: 0,
+    };
+    let v = p.value()?;
+    p.ws();
+    if p.i != p.b.len() {
+        return Err(format!("trailing bytes at {}", p.i));
+    }
+    Ok(v)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -33,5 +269,14 @@ mod tests {
         assert_eq!(string("plain"), "\"plain\"");
         assert_eq!(string("q\"\\\n\r\t"), "\"q\\\"\\\\\\n\\r\\t\"");
         assert_eq!(string("\u{1}é"), "\"\\u0001é\"");
+    }
+
+    #[test]
+    fn json_parser_handles_escapes_and_nesting() {
+        let v = parse(r#"{"a":[1,2.5,-3e2],"b":"q\"\\\nA","c":{"d":null,"e":true}}"#).unwrap();
+        assert_eq!(v.get("b").unwrap().as_str().unwrap(), "q\"\\\nA");
+        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
+        assert!(parse("[1,2,]").is_err());
+        assert!(parse("{\"a\":1} extra").is_err());
     }
 }

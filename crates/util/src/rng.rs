@@ -60,11 +60,6 @@ impl DetRng {
         result
     }
 
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform in `[0, bound)`; `bound` must be non-zero.
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0)");

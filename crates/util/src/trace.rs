@@ -13,7 +13,7 @@
 //! | Checkpoint/restart | C/R modules, through daemons |
 //!
 //! Every subsystem records the messages it moves into a shared
-//! [`TraceSink`]; the `table1_message_audit` harness and the
+//! [`TraceSink`]; the bench report's `table1_message_audit` section and the
 //! `integration_message_taxonomy` test replay a full application lifecycle and
 //! assert that each class was observed, and observed only on its sanctioned
 //! path.

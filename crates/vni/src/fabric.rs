@@ -400,13 +400,6 @@ impl Fabric {
         self.take_down(&mut m, n, NodeStatus::Crashed);
     }
 
-    /// Administratively remove a node (graceful version of crash).
-    pub fn remove_node(&self, n: NodeId) {
-        let mut m = self.inner.membership.write();
-        self.take_down(&mut m, n, NodeStatus::Removed);
-        Self::emit(&mut m, FabricEvent::NodeRemoved(n));
-    }
-
     /// Disable a node: it keeps running but should get no new work.
     pub fn disable_node(&self, n: NodeId) {
         let mut m = self.inner.membership.write();
@@ -721,12 +714,6 @@ impl Fabric {
         let mut m = self.inner.membership.write();
         self.release_held(&m, |_, _| true);
         m.links.clear();
-    }
-
-    /// The fault spec installed on `src → dst`, if any.
-    pub fn link_fault(&self, src: NodeId, dst: NodeId) -> Option<LinkFault> {
-        let m = self.inner.membership.read();
-        m.links.get(&(src, dst)).map(|l| l.lock().fault)
     }
 
     /// Conservation counters of the fault layer.

@@ -1,10 +1,11 @@
 //! Virtual-time determinism: the measured virtual durations of
 //! deterministic workloads must be identical across repeated runs,
 //! regardless of OS scheduling (the checkpoint round within a stated
-//! tolerance). That is a property of these workloads, not of the paper's
-//! figure harness: Fig 3, Fig 4, Table 1 and the C/R protocol ablation
-//! still vary between runs (ROADMAP.md, "Measured at this re-anchor", says
-//! by how much).
+//! tolerance). That is a property of these workloads, not of every section
+//! of the bench report: the cells of Fig 3, Fig 4, Table 1, the § 5 claim
+//! and the C/R protocol ablation that vary between runs are recorded as
+//! bands in `BENCH_calibrate.json`, each naming its cause, and
+//! `ci/check_bench.py` lists which cells may band and why.
 
 use std::time::Duration;
 
