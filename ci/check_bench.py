@@ -17,7 +17,8 @@ replica_recovery_beats_disk is the AND of the rows. It is virtual time, so
 quick mode's two sizes carry it as well as full mode's four.
 
 Always, too: the paper's sections (PAPER below), which run the same in
-both modes. Each holds the paper's anchor where the paper gives one, and
+both modes. Table 1's Data bytes over its Data count is at most
+DATA_BYTES_PER_MSG_CEILING: the data envelope stays small. Each holds the paper's anchor where the paper gives one, and
 the gate holds it to the paper's number. A cell is a number, a string, or
 a band {min, max, cause} where BANDS lets one move, for the cause BANDS
 names. Every anchor and claim is recomputed from the rows: a derived cell
@@ -114,6 +115,10 @@ MSG_CLASSES = (
     "Configuration",
     "Checkpoint/restart",
 )
+# Table 1's Data messages: payload plus the varint envelope and the 32-byte
+# trace context. Eight-byte-class messages frame in about 48 bytes; the
+# fixed 39-byte header of before put them at 79.
+DATA_BYTES_PER_MSG_CEILING = 56
 INCREMENTAL_FLOOR = 9.0
 FORKED_STALL_CEILING_S = 1.0
 
@@ -347,6 +352,13 @@ def check_table1(r, path):
     unseen = [c for c, row in rows.items() if lo(row["count"]) < 1]
     if unseen:
         fail(f"{where}: the lifecycle observed no {', '.join(unseen)} message")
+    data = rows["Data"]
+    per_msg = hi(data["bytes"]) / lo(data["count"])
+    if not per_msg <= DATA_BYTES_PER_MSG_CEILING:
+        fail(
+            f"{where}: a Data message is {per_msg:.1f} bytes on the wire, over the "
+            f"{DATA_BYTES_PER_MSG_CEILING} a varint envelope and a trace context allow"
+        )
 
 
 def check_table2(r, path):

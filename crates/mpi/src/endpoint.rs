@@ -2247,8 +2247,25 @@ mod tests {
             matches!(eager, EventKind::Send { bytes: 512, .. }),
             "{eager:?}"
         );
-        let rts_and_chunk = 2 * MsgHeader::LEN + RndvEnv::LEN + RndvChunk::LEN + BIG;
-        let framed = rts_and_chunk + MsgHeader::LEN + TraceCtx::WIRE_LEN * 3 + 512;
+        // The RTS, the chunk and the eager frame, each header at its own
+        // encoded length.
+        let seqs: [u64; 3] = if a.flows.enabled { [1, 2, 3] } else { [0; 3] };
+        let head = |tag, seq, flags| {
+            let h = MsgHeader {
+                src: Rank(0),
+                context: 1,
+                tag,
+                epoch: Epoch(0),
+                interval: 0,
+                seq,
+                flags,
+                credit: 0,
+            };
+            h.frame(&[]).len()
+        };
+        let rts = head(1, seqs[0], FLAG_RNDV_RTS) + RndvEnv::LEN;
+        let chunk = head(1, seqs[1], FLAG_RNDV_DATA) + RndvChunk::LEN + BIG;
+        let framed = rts + chunk + head(2, seqs[2], 0) + TraceCtx::WIRE_LEN * 3 + 512;
         assert_eq!(sink.bytes(MsgClass::Data), framed as u64);
     }
 

@@ -1,9 +1,12 @@
 //! Data-message envelope and addressing constants.
+//!
+//! Every decoder here reads through `util::codec`'s bounds-checked
+//! [`Decoder`]: a truncated or malformed frame is an `Err`, never a panic.
 
 use bytes::Bytes;
 use starfish_trace::TraceCtx;
-use starfish_util::codec::{Decode, Decoder, Encode, Encoder};
-use starfish_util::{AppId, Epoch, Rank, Result};
+use starfish_util::codec::{Decode, Decoder, Encode, Encoder, VAR_MAX_LEN};
+use starfish_util::{AppId, Epoch, Error, Rank, Result};
 use starfish_vni::PortId;
 
 /// Application processes bind data ports at
@@ -46,10 +49,17 @@ const FLAG_BITS: u8 = FLAG_RNDV_RTS | FLAG_RNDV_DATA;
 /// Shift of [`MsgHeader::credit`] within the wire's flags byte.
 const CREDIT_SHIFT: u8 = 2;
 
-/// Offset of the flags byte in a framed header.
-const FLAGS_AT: usize = 4 + 4 + 8 + 4 + 8 + 8;
+/// The longest varint of a `u32` field.
+const VAR_U32_LEN: usize = 5;
 
 /// The envelope prefixed to every data-path message.
+///
+/// On the wire: the flags byte (the rendezvous [`flags`](Self::flags) in
+/// bits 0–1, the [`credit`](Self::credit) count in bits 2–7), then `src`,
+/// `context`, `tag`, `epoch`, `interval`, `seq` and the length of the
+/// extension region, each an LEB128 varint ([`Encoder::put_var`]), then
+/// the extension, then the body. A header whose fields are all below 128 is
+/// 8 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MsgHeader {
     /// Sender's world rank.
@@ -77,21 +87,24 @@ pub struct MsgHeader {
 }
 
 impl MsgHeader {
-    /// Serialized header length: the fixed fields plus the `u16` length of
-    /// the optional extension region that follows them. The extension (today
-    /// only a [`TraceCtx`]) is skipped wholesale by [`parse`](Self::parse),
-    /// so a receiver that does not understand it — the paper's unmodified
-    /// MPI program, §MPI-module — still gets the exact body bytes.
-    pub const LEN: usize = FLAGS_AT + 1 + 2;
+    /// The longest header [`frame_ext`](Self::frame_ext) writes: the flags
+    /// byte, three `u32` and three `u64` varints, and an extension length
+    /// below 2^16. It only sizes the frame buffer: a header is as long as
+    /// its values need. The extension region (today only a [`TraceCtx`]) is
+    /// skipped wholesale by [`parse`](Self::parse), so a receiver that does
+    /// not understand it — the paper's unmodified MPI program, §MPI-module —
+    /// still gets the exact body bytes.
+    pub const MAX_LEN: usize = 1 + 3 * VAR_U32_LEN + 3 * VAR_MAX_LEN + 3;
 
-    fn put_fixed(&self, enc: &mut Encoder) {
-        self.src.encode(enc);
-        enc.put_u32(self.context);
-        enc.put_u64(self.tag);
-        self.epoch.encode(enc);
-        enc.put_u64(self.interval);
-        enc.put_u64(self.seq);
+    fn put_head(&self, enc: &mut Encoder, ext: usize) {
         enc.put_u8(self.flags | (self.credit << CREDIT_SHIFT));
+        enc.put_var(self.src.0.into());
+        enc.put_var(self.context.into());
+        enc.put_var(self.tag);
+        enc.put_var(self.epoch.0.into());
+        enc.put_var(self.interval);
+        enc.put_var(self.seq);
+        enc.put_var(ext as u64);
     }
 
     /// Prefix `body` with this header (no extension); see
@@ -101,13 +114,13 @@ impl MsgHeader {
     }
 
     /// Prefix `body` with this header and, when `ctx` carries one, a
-    /// trace-context extension. One buffer of the exact frame size: the body
-    /// bytes are copied into it once, and it becomes the `Bytes` uncopied.
+    /// trace-context extension. One buffer of at least the frame's size: the
+    /// body bytes are copied into it once, and it becomes the `Bytes`
+    /// uncopied.
     pub fn frame_ext(&self, body: &[u8], ctx: TraceCtx) -> Bytes {
         let ext = if ctx.is_some() { TraceCtx::WIRE_LEN } else { 0 };
-        let mut enc = Encoder::with_capacity(Self::LEN + ext + body.len());
-        self.put_fixed(&mut enc);
-        enc.put_u16(ext as u16);
+        let mut enc = Encoder::with_capacity(Self::MAX_LEN + ext + body.len());
+        self.put_head(&mut enc, ext);
         if ctx.is_some() {
             ctx.encode(&mut enc);
         }
@@ -116,43 +129,34 @@ impl MsgHeader {
         Bytes::from(buf)
     }
 
-    fn parse_fixed(framed: &Bytes) -> Result<(MsgHeader, usize)> {
-        let mut dec = Decoder::new(&framed[..]);
-        let src = Rank::decode(&mut dec)?;
-        let context = dec.get_u32()?;
-        let tag = dec.get_u64()?;
-        let epoch = Epoch::decode(&mut dec)?;
-        let interval = dec.get_u64()?;
-        let seq = dec.get_u64()?;
+    /// Decode the header and step over its extension: the header, the
+    /// extension's bytes and the offset at which the body starts.
+    fn parse_head(framed: &[u8]) -> Result<(MsgHeader, &[u8], usize)> {
+        let mut dec = Decoder::new(framed);
         let bits = dec.get_u8()?;
-        let ext = dec.get_u16()? as usize;
-        if dec.remaining() < ext {
-            return Err(starfish_util::Error::codec(format!(
-                "extension length {ext} exceeds remaining {} bytes",
-                dec.remaining()
-            )));
-        }
-        Ok((
-            MsgHeader {
-                src,
-                context,
-                tag,
-                epoch,
-                interval,
-                seq,
-                flags: bits & FLAG_BITS,
-                credit: bits >> CREDIT_SHIFT,
-            },
-            ext,
-        ))
+        let header = MsgHeader {
+            src: Rank(get_var_u32(&mut dec)?),
+            context: get_var_u32(&mut dec)?,
+            tag: dec.get_var()?,
+            epoch: Epoch(get_var_u32(&mut dec)?),
+            interval: dec.get_var()?,
+            seq: dec.get_var()?,
+            flags: bits & FLAG_BITS,
+            credit: bits >> CREDIT_SHIFT,
+        };
+        let len = dec.get_var()?;
+        let ext = dec.take(usize::try_from(len).unwrap_or(usize::MAX))?;
+        Ok((header, ext, framed.len() - dec.remaining()))
     }
 
     /// A copy of the frame `framed` whose header carries the credit count
     /// `credit` instead of the one it left with: a retransmission reports
-    /// the count of when it leaves again, never a stale one.
+    /// the count of when it leaves again, never a stale one. The flags byte
+    /// leads the header, so this rewrites the first byte alone however long
+    /// the varints after it are.
     pub fn restamp(framed: &Bytes, credit: u8) -> Bytes {
         let mut buf = framed.to_vec();
-        if let Some(bits) = buf.get_mut(FLAGS_AT) {
+        if let Some(bits) = buf.first_mut() {
             *bits = (*bits & FLAG_BITS) | (credit << CREDIT_SHIFT);
         }
         Bytes::from(buf)
@@ -161,22 +165,42 @@ impl MsgHeader {
     /// Split a framed payload into header + body (zero-copy body slice).
     /// Any extension region is skipped unread.
     pub fn parse(framed: &Bytes) -> Result<(MsgHeader, Bytes)> {
-        let (header, ext) = Self::parse_fixed(framed)?;
-        Ok((header, framed.slice(Self::LEN + ext..)))
+        let (header, _, body) = Self::parse_head(framed)?;
+        Ok((header, framed.slice(body..)))
     }
 
     /// Like [`parse`](Self::parse), but also decode the trace context when
     /// the extension carries one ([`TraceCtx::NONE`] otherwise).
     pub fn parse_ext(framed: &Bytes) -> Result<(MsgHeader, Bytes, TraceCtx)> {
-        let (header, ext) = Self::parse_fixed(framed)?;
-        let ctx = if ext >= TraceCtx::WIRE_LEN {
-            let mut dec = Decoder::new(&framed[Self::LEN..Self::LEN + ext]);
-            TraceCtx::decode(&mut dec)?
+        let (header, ext, body) = Self::parse_head(framed)?;
+        let ctx = if ext.len() >= TraceCtx::WIRE_LEN {
+            TraceCtx::decode(&mut Decoder::new(ext))?
         } else {
             TraceCtx::NONE
         };
-        Ok((header, framed.slice(Self::LEN + ext..), ctx))
+        Ok((header, framed.slice(body..), ctx))
     }
+}
+
+/// A varint that must fit a `u32` field.
+fn get_var_u32(dec: &mut Decoder<'_>) -> Result<u32> {
+    let v = dec.get_var()?;
+    u32::try_from(v).map_err(|_| Error::codec(format!("varint {v} overflows a u32 field")))
+}
+
+/// `words` as consecutive big-endian `u64`s, in a buffer on the stack: a
+/// rendezvous descriptor is copied into its frame at once, so it costs no
+/// heap block of its own.
+fn be_words<const N: usize, const LEN: usize>(words: [u64; N]) -> [u8; LEN] {
+    const { assert!(LEN == 8 * N) };
+    let mut buf = [0u8; LEN];
+    for (dst, src) in buf
+        .iter_mut()
+        .zip(words.into_iter().flat_map(u64::to_be_bytes))
+    {
+        *dst = src;
+    }
+    buf
 }
 
 /// The descriptor of one rendezvous DATA chunk.
@@ -203,26 +227,19 @@ pub struct RndvChunk {
 impl RndvChunk {
     pub const LEN: usize = 24;
 
+    /// The three fields as big-endian `u64`s.
     pub fn encode(&self) -> [u8; Self::LEN] {
-        let mut buf = [0u8; Self::LEN];
-        buf[..8].copy_from_slice(&self.id.to_be_bytes());
-        buf[8..16].copy_from_slice(&self.offset.to_be_bytes());
-        buf[16..].copy_from_slice(&self.total.to_be_bytes());
-        buf
+        be_words([self.id, self.offset, self.total])
     }
 
+    /// Decode the descriptor at the front of `body`; bytes after it are
+    /// not read.
     pub fn decode(body: &[u8]) -> Result<RndvChunk> {
-        if body.len() < Self::LEN {
-            return Err(starfish_util::Error::codec(format!(
-                "rendezvous chunk descriptor {} bytes, need {}",
-                body.len(),
-                Self::LEN
-            )));
-        }
+        let mut dec = Decoder::new(body);
         Ok(RndvChunk {
-            id: u64::from_be_bytes(body[..8].try_into().expect("8 bytes")),
-            offset: u64::from_be_bytes(body[8..16].try_into().expect("8 bytes")),
-            total: u64::from_be_bytes(body[16..24].try_into().expect("8 bytes")),
+            id: dec.get_u64()?,
+            offset: dec.get_u64()?,
+            total: dec.get_u64()?,
         })
     }
 }
@@ -238,24 +255,18 @@ pub struct RndvEnv {
 impl RndvEnv {
     pub const LEN: usize = 16;
 
+    /// The two fields as big-endian `u64`s.
     pub fn encode(&self) -> [u8; Self::LEN] {
-        let mut buf = [0u8; Self::LEN];
-        buf[..8].copy_from_slice(&self.id.to_be_bytes());
-        buf[8..].copy_from_slice(&self.size.to_be_bytes());
-        buf
+        be_words([self.id, self.size])
     }
 
+    /// Decode the envelope at the front of `body`; bytes after it are not
+    /// read.
     pub fn decode(body: &[u8]) -> Result<RndvEnv> {
-        if body.len() < Self::LEN {
-            return Err(starfish_util::Error::codec(format!(
-                "RTS envelope {} bytes, need {}",
-                body.len(),
-                Self::LEN
-            )));
-        }
+        let mut dec = Decoder::new(body);
         Ok(RndvEnv {
-            id: u64::from_be_bytes(body[..8].try_into().expect("8 bytes")),
-            size: u64::from_be_bytes(body[8..16].try_into().expect("8 bytes")),
+            id: dec.get_u64()?,
+            size: dec.get_u64()?,
         })
     }
 }
@@ -361,7 +372,7 @@ impl RelMsg {
     }
 
     pub fn decode(buf: &Bytes) -> Result<RelMsg> {
-        let mut dec = Decoder::new(&buf[..]);
+        let mut dec = Decoder::new(buf);
         let kind = dec.get_u8()?;
         let from = Rank::decode(&mut dec)?;
         let epoch = Epoch::decode(&mut dec)?;
@@ -395,9 +406,7 @@ impl RelMsg {
                 epoch,
                 credit: dec.get_u64()?,
             }),
-            k => Err(starfish_util::Error::codec(format!(
-                "unknown RelMsg kind {k}"
-            ))),
+            k => Err(Error::codec(format!("unknown RelMsg kind {k}"))),
         }
     }
 }
@@ -419,7 +428,7 @@ mod tests {
             credit: 0,
         };
         let framed = h.frame(b"payload");
-        assert_eq!(framed.len(), MsgHeader::LEN + 7);
+        assert_eq!(framed.len(), 8 + 7, "every field below 128: 8 header bytes");
         let (got, body) = MsgHeader::parse(&framed).unwrap();
         assert_eq!(got, h);
         assert_eq!(&body[..], b"payload");
@@ -440,7 +449,7 @@ mod tests {
         let framed = h.frame(&[9u8; 64]);
         let (_, body) = MsgHeader::parse(&framed).unwrap();
         // Same backing allocation.
-        assert_eq!(body.as_ptr(), framed[MsgHeader::LEN..].as_ptr());
+        assert_eq!(body.as_ptr(), framed[framed.len() - 64..].as_ptr());
     }
 
     #[test]
@@ -451,11 +460,21 @@ mod tests {
             total: 1 << 20,
         };
         assert_eq!(RndvChunk::decode(&c.encode()).unwrap(), c);
+        // Big-endian words, in field order.
+        assert_eq!(c.encode()[..8], 0x1122_3344_5566_7788u64.to_be_bytes());
+        assert_eq!(c.encode()[16..], (1u64 << 20).to_be_bytes());
         // Trailing bytes after the descriptor are ignored.
         let mut buf = c.encode().to_vec();
         buf.extend_from_slice(b"chunk-bytes");
         assert_eq!(RndvChunk::decode(&buf).unwrap(), c);
         assert!(RndvChunk::decode(&buf[..23]).is_err());
+        let env = RndvEnv {
+            id: 7,
+            size: 1 << 40,
+        };
+        assert_eq!(env.encode()[8..], (1u64 << 40).to_be_bytes());
+        assert_eq!(RndvEnv::decode(&env.encode()).unwrap(), env);
+        assert!(RndvEnv::decode(&env.encode()[..15]).is_err());
     }
 
     #[test]
@@ -509,7 +528,12 @@ mod tests {
                 credit,
             };
             let framed = h.frame(b"body");
-            assert_eq!(framed.len(), MsgHeader::LEN + 4);
+            let bare = MsgHeader {
+                flags: 0,
+                credit: 0,
+                ..h
+            };
+            assert_eq!(framed.len(), bare.frame(b"body").len());
             assert_eq!(MsgHeader::parse(&framed).unwrap().0, h);
             let again = MsgHeader::restamp(&framed, 7);
             let (got, body) = MsgHeader::parse(&again).unwrap();
@@ -550,7 +574,7 @@ mod tests {
             credit: 0,
         };
         let traced = h.frame_ext(b"payload", ctx());
-        assert_eq!(traced.len(), MsgHeader::LEN + TraceCtx::WIRE_LEN + 7);
+        assert_eq!(traced.len(), h.frame(b"payload").len() + TraceCtx::WIRE_LEN);
         let (got, body) = MsgHeader::parse(&traced).unwrap();
         assert_eq!(got, h);
         assert_eq!(&body[..], b"payload");
@@ -597,11 +621,218 @@ mod tests {
         };
         let framed = h.frame(b"abc");
         let mut raw = framed.to_vec();
-        // The ext_len u16 is the last two bytes of the fixed header.
-        raw[MsgHeader::LEN - 2..MsgHeader::LEN].copy_from_slice(&1000u16.to_be_bytes());
+        // Every field is below 128, so the extension length is byte 7.
+        assert_eq!(raw[7], 0);
+        raw[7] = 100;
         let lying = Bytes::from(raw);
         assert!(MsgHeader::parse(&lying).is_err());
         assert!(MsgHeader::parse_ext(&lying).is_err());
+    }
+
+    /// The envelope on the small-message path: an 8-byte world-context
+    /// eager frame whose rank, tag and epoch are below 128, outside the
+    /// reliability layer and before any checkpoint, is 8 header bytes and the
+    /// payload — 48 bytes with a trace context. A header with every field at
+    /// its maximum still fits `MAX_LEN`.
+    #[test]
+    fn an_8_byte_eager_frame_is_16_bytes_or_48_traced() {
+        let h = MsgHeader {
+            src: Rank(127),
+            context: WORLD_CONTEXT,
+            tag: 127,
+            epoch: Epoch(127),
+            interval: 0,
+            seq: 0,
+            flags: 0,
+            credit: 63,
+        };
+        assert_eq!(h.frame(&[7u8; 8]).len(), 16);
+        assert_eq!(h.frame_ext(&[7u8; 8], ctx()).len(), 48);
+        let max = MsgHeader {
+            src: Rank(u32::MAX),
+            context: u32::MAX,
+            tag: u64::MAX,
+            epoch: Epoch(u32::MAX),
+            interval: u64::MAX,
+            seq: u64::MAX,
+            flags: FLAG_BITS,
+            credit: 63,
+        };
+        let framed = max.frame(&[]);
+        assert!(framed.len() <= MsgHeader::MAX_LEN, "{}", framed.len());
+        assert_eq!(
+            max.frame_ext(&[], ctx()).len(),
+            framed.len() + TraceCtx::WIRE_LEN
+        );
+    }
+
+    /// Everything the envelope promises of one frame: both parses give back
+    /// the header, the body and the context; every strict prefix of the
+    /// header and its extension is rejected; an extension length past the
+    /// end of the frame is rejected; no single bit flip panics; and a
+    /// restamp rewrites the credit bits and nothing else.
+    fn check_frame(h: MsgHeader, ctx: TraceCtx, body: &[u8]) {
+        let framed = h.frame_ext(body, ctx);
+        let (got, got_body, got_ctx) = MsgHeader::parse_ext(&framed).unwrap();
+        assert_eq!((got, &got_body[..], got_ctx), (h, body, ctx));
+        let (plain, plain_body) = MsgHeader::parse(&framed).unwrap();
+        assert_eq!((plain, &plain_body[..]), (h, body));
+        let head = framed.len() - body.len();
+        let ext = if ctx.is_some() { TraceCtx::WIRE_LEN } else { 0 };
+        assert!(head - ext <= MsgHeader::MAX_LEN, "{h:?}: {head} bytes");
+        for cut in 0..head {
+            let prefix = framed.slice(..cut);
+            assert!(MsgHeader::parse(&prefix).is_err(), "{h:?} cut at {cut}");
+            assert!(MsgHeader::parse_ext(&prefix).is_err(), "{h:?} cut at {cut}");
+        }
+        if ext == 0 {
+            // The extension length is the header's last byte; claim one
+            // byte more than the body holds.
+            let mut raw = framed.to_vec();
+            raw[head - 1] = body.len() as u8 + 1;
+            assert!(MsgHeader::parse(&Bytes::from(raw)).is_err(), "{h:?}");
+        }
+        for bit in 0..framed.len() * 8 {
+            let mut raw = framed.to_vec();
+            raw[bit / 8] ^= 1 << (bit % 8);
+            let flipped = Bytes::from(raw);
+            let _ = MsgHeader::parse(&flipped);
+            let _ = MsgHeader::parse_ext(&flipped);
+        }
+        for credit in [0, 1, 42, 63] {
+            let again = MsgHeader::restamp(&framed, credit);
+            assert_eq!(again.len(), framed.len());
+            assert_eq!(again[0] & FLAG_BITS, framed[0] & FLAG_BITS);
+            assert_eq!(again[1..], framed[1..]);
+            let (got, _, _) = MsgHeader::parse_ext(&again).unwrap();
+            assert_eq!(got, MsgHeader { credit, ..h });
+        }
+    }
+
+    fn base_header() -> MsgHeader {
+        MsgHeader {
+            src: Rank(5),
+            context: WORLD_CONTEXT,
+            tag: 300,
+            epoch: Epoch(2),
+            interval: 1,
+            seq: 129,
+            flags: 0,
+            credit: 0,
+        }
+    }
+
+    /// Each field at 0, 127, 128 (where a varint grows to two bytes) and its
+    /// type's maximum, every flag pair against all 64 credit values, each
+    /// with and without a trace context.
+    #[test]
+    fn every_field_at_its_varint_edges_roundtrips() {
+        let edges = |max: u64| [0, 127, 128, max];
+        for traced in [TraceCtx::NONE, ctx()] {
+            for v in edges(u32::MAX.into()) {
+                let v32 = v as u32;
+                for h in [
+                    MsgHeader {
+                        src: Rank(v32),
+                        ..base_header()
+                    },
+                    MsgHeader {
+                        context: v32,
+                        ..base_header()
+                    },
+                    MsgHeader {
+                        epoch: Epoch(v32),
+                        ..base_header()
+                    },
+                ] {
+                    check_frame(h, traced, b"body");
+                }
+            }
+            for v in edges(u64::MAX) {
+                for h in [
+                    MsgHeader {
+                        tag: v,
+                        ..base_header()
+                    },
+                    MsgHeader {
+                        interval: v,
+                        ..base_header()
+                    },
+                    MsgHeader {
+                        seq: v,
+                        ..base_header()
+                    },
+                ] {
+                    check_frame(h, traced, b"");
+                }
+            }
+            for flags in 0..=FLAG_BITS {
+                for credit in 0..64 {
+                    let h = MsgHeader {
+                        flags,
+                        credit,
+                        ..base_header()
+                    };
+                    check_frame(h, traced, b"x");
+                }
+            }
+        }
+    }
+
+    /// A varint wider than its field is rejected, not truncated.
+    #[test]
+    fn a_u32_field_past_its_range_is_rejected() {
+        let mut enc = Encoder::new();
+        enc.put_u8(0);
+        enc.put_var(u64::from(u32::MAX) + 1); // src
+        for _ in 0..6 {
+            enc.put_var(0);
+        }
+        assert!(MsgHeader::parse(&enc.into_bytes()).is_err());
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn edge_u64() -> impl Strategy<Value = u64> {
+            prop_oneof![Just(0), Just(127), Just(128), Just(u64::MAX), any::<u64>()]
+        }
+
+        fn edge_u32() -> impl Strategy<Value = u32> {
+            prop_oneof![Just(0), Just(127), Just(128), Just(u32::MAX), any::<u32>()]
+        }
+
+        fn arb_header() -> impl Strategy<Value = MsgHeader> {
+            (
+                (edge_u32(), edge_u32(), edge_u64()),
+                (edge_u32(), edge_u64(), edge_u64()),
+                (0..=FLAG_BITS, 0u8..64),
+            )
+                .prop_map(
+                    |((src, context, tag), (epoch, interval, seq), (flags, credit))| MsgHeader {
+                        src: Rank(src),
+                        context,
+                        tag,
+                        epoch: Epoch(epoch),
+                        interval,
+                        seq,
+                        flags,
+                        credit,
+                    },
+                )
+        }
+
+        proptest! {
+            #[test]
+            fn any_header_roundtrips_and_its_prefixes_are_rejected(
+                h in arb_header(),
+                traced in any::<bool>(),
+                body in proptest::collection::vec(any::<u8>(), 0..16),
+            ) {
+                check_frame(h, if traced { ctx() } else { TraceCtx::NONE }, &body);
+            }
+        }
     }
 
     #[test]

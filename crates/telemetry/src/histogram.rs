@@ -27,10 +27,11 @@ pub fn bucket_bound(index: usize) -> u64 {
     }
 }
 
-/// Lock-free log-bucketed histogram.
+/// Lock-free log-bucketed histogram. A record is two atomic adds (its
+/// bucket and the sum) and, only when it raises the maximum, a third RMW;
+/// the count is the buckets' total, summed when read.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS + 1],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -39,7 +40,6 @@ impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             buckets: [(); BUCKETS + 1].map(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -54,13 +54,14 @@ impl Histogram {
     #[inline]
     pub fn record(&self, value: u64) {
         self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     pub fn snapshot(&self) -> HistSnap {
@@ -72,7 +73,7 @@ impl Histogram {
             }
         }
         HistSnap {
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().map(|&(_, n)| n).sum(),
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
             buckets,
@@ -237,6 +238,32 @@ mod tests {
         assert_eq!(s.count, 3);
         assert_eq!(s.sum, 1110);
         assert_eq!(s.max, 1000);
+    }
+
+    /// Concurrent records lose nothing: the count derived from the buckets,
+    /// the sum, the max and every bucket equal the totals of the same
+    /// values recorded serially.
+    #[test]
+    fn concurrent_records_sum_to_the_serial_totals() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 20_000;
+        let value = |t: u64, i: u64| (i * 7919 + t * 104_729) % (1 << (i % 40)) + t;
+        let shared = Histogram::new();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let h = &shared;
+                s.spawn(move || (0..PER_THREAD).for_each(|i| h.record(value(t, i))));
+            }
+        });
+        let serial = Histogram::new();
+        for t in 0..THREADS {
+            (0..PER_THREAD).for_each(|i| serial.record(value(t, i)));
+        }
+        let (got, want) = (shared.snapshot(), serial.snapshot());
+        assert_eq!(got, want);
+        assert_eq!(got.count, THREADS * PER_THREAD);
+        assert_eq!(shared.count(), got.count);
+        assert_eq!(got.buckets.iter().map(|&(_, n)| n).sum::<u64>(), got.count);
     }
 
     #[test]

@@ -1,16 +1,21 @@
 //! Canonical portable binary wire format for control-plane messages.
 //!
-//! All multi-byte integers are big-endian ("network order"); byte strings and
-//! sequences are length-prefixed with a `u32`. The format is deliberately
-//! simple and self-contained: the reproduction must not lean on an external
-//! serialization framework for the parts of the system whose *representation*
-//! is under study (checkpoint images use `starfish-checkpoint`'s native
-//! representations instead; this codec is only for control messages, which the
-//! paper sends through Ensemble).
+//! All fixed-width multi-byte integers are big-endian ("network order"); a
+//! varint ([`Encoder::put_var`]) is LEB128, low seven bits first. Byte
+//! strings and sequences are length-prefixed with a `u32`. The format is
+//! deliberately simple and self-contained: the reproduction must not lean on
+//! an external serialization framework for the parts of the system whose
+//! *representation* is under study (checkpoint images use
+//! `starfish-checkpoint`'s native representations instead; this codec is for
+//! control messages, which the paper sends through Ensemble, and for the MPI
+//! data envelope).
 
 use bytes::Bytes;
 
 use crate::error::{Error, Result};
+
+/// The longest varint [`Encoder::put_var`] writes: a `u64` in groups of seven bits.
+pub const VAR_MAX_LEN: usize = 10;
 
 /// Append-only encoder over a growable buffer.
 #[derive(Debug, Default)]
@@ -54,6 +59,18 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
+    /// Write `v` as an unsigned LEB128 varint: seven bits per byte, low
+    /// group first, the top bit set on every byte but the last. One byte
+    /// below 128, at most [`VAR_MAX_LEN`] for any `u64`.
+    #[inline]
+    pub fn put_var(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
         self.buf.extend_from_slice(v);
@@ -93,13 +110,14 @@ impl<'a> Decoder<'a> {
         Decoder { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+    /// The next `n` bytes, uncopied.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if n > self.remaining() {
             return Err(Error::codec(format!(
                 "truncated: need {} bytes at offset {}, have {}",
                 n,
                 self.pos,
-                self.buf.len() - self.pos
+                self.remaining()
             )));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -130,6 +148,27 @@ impl<'a> Decoder<'a> {
     #[inline]
     pub fn get_f64(&mut self) -> Result<f64> {
         Ok(f64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// Read a varint written by [`Encoder::put_var`]. A varint cut short,
+    /// longer than [`VAR_MAX_LEN`] bytes or above `u64::MAX` is an error.
+    #[inline]
+    pub fn get_var(&mut self) -> Result<u64> {
+        let mut v = 0u64;
+        for i in 0..VAR_MAX_LEN {
+            let b = self.get_u8()?;
+            let group = u64::from(b & 0x7F);
+            if i == VAR_MAX_LEN - 1 && group > 1 {
+                return Err(Error::codec("varint overflows 64 bits"));
+            }
+            v |= group << (7 * i);
+            if b < 0x80 {
+                return Ok(v);
+            }
+        }
+        Err(Error::codec(format!(
+            "varint longer than {VAR_MAX_LEN} bytes"
+        )))
     }
 
     pub fn get_bytes(&mut self) -> Result<Vec<u8>> {
@@ -389,6 +428,42 @@ mod tests {
         enc.put_u32(u32::MAX); // claims 4 billion elements
         let b = enc.into_bytes();
         assert!(Vec::<u8>::decode_from_bytes(&b).is_err());
+    }
+
+    #[test]
+    fn varints_roundtrip_at_every_group_boundary() {
+        let mut values = vec![0, 1, u64::MAX];
+        for bits in (7..64).step_by(7) {
+            values.extend([(1u64 << bits) - 1, 1u64 << bits]);
+        }
+        for v in values {
+            let mut enc = Encoder::new();
+            enc.put_var(v);
+            let b = enc.into_vec();
+            let groups = (64 - v.leading_zeros() as usize).div_ceil(7).max(1);
+            assert_eq!(b.len(), groups, "{v:#x}");
+            let mut dec = Decoder::new(&b);
+            assert_eq!(dec.get_var().unwrap(), v);
+            assert_eq!(dec.remaining(), 0);
+            // Every strict prefix is truncated.
+            for cut in 0..b.len() {
+                assert!(Decoder::new(&b[..cut]).get_var().is_err(), "{v:#x}/{cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn overlong_or_overflowing_varints_rejected() {
+        // Eleven bytes: longer than any u64 needs.
+        let mut long = vec![0x80; VAR_MAX_LEN];
+        long.push(0);
+        assert!(Decoder::new(&long).get_var().is_err());
+        // Ten bytes whose last group carries more than the 64th bit.
+        let mut over = vec![0xFF; VAR_MAX_LEN - 1];
+        over.push(0x02);
+        assert!(Decoder::new(&over).get_var().is_err());
+        over[VAR_MAX_LEN - 1] = 0x01;
+        assert_eq!(Decoder::new(&over).get_var().unwrap(), u64::MAX);
     }
 
     #[test]
