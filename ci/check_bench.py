@@ -119,6 +119,12 @@ MSG_CLASSES = (
 # trace context. Eight-byte-class messages frame in about 48 bytes; the
 # fixed 39-byte header of before put them at 79.
 DATA_BYTES_PER_MSG_CEILING = 56
+# Table 1's Control messages: the ensemble packets the daemons send in one
+# lifecycle. The sequencer delivers its own casts in place and a daemon's
+# casts of one virtual instant leave as one, so a lifecycle reads 48-49
+# (60 of them); with a packet to itself per cast and one cast per entry it
+# read 78-79.
+CONTROL_COUNT_CEILING = 51
 INCREMENTAL_FLOOR = 9.0
 FORKED_STALL_CEILING_S = 1.0
 
@@ -352,6 +358,12 @@ def check_table1(r, path):
     unseen = [c for c, row in rows.items() if lo(row["count"]) < 1]
     if unseen:
         fail(f"{where}: the lifecycle observed no {', '.join(unseen)} message")
+    control = hi(rows["Control"]["count"])
+    if not control <= CONTROL_COUNT_CEILING:
+        fail(
+            f"{where}: the lifecycle sent {control} Control messages, over the "
+            f"{CONTROL_COUNT_CEILING} of in-place self-delivery and same-instant casts"
+        )
     data = rows["Data"]
     per_msg = hi(data["bytes"]) / lo(data["count"])
     if not per_msg <= DATA_BYTES_PER_MSG_CEILING:

@@ -142,7 +142,7 @@ pub struct ProcessRuntime {
     pub(crate) comm: Comm,
     pub(crate) clock: VClock,
     pub(crate) down_rx: Receiver<ProcDown>,
-    pub(crate) up_tx: Arc<KickSender<(AppId, Rank, ProcUp)>>,
+    pub(crate) up_tx: Arc<KickSender<(AppId, Rank, Vec<ProcUp>)>>,
     pub(crate) store: CkptStore,
     pub(crate) outputs: Outputs,
     pub(crate) bus: Bus,
@@ -219,7 +219,7 @@ impl ProcessRuntime {
         arch: Arch,
         mpi: MpiEndpoint,
         down_rx: Receiver<ProcDown>,
-        up_tx: Arc<KickSender<(AppId, Rank, ProcUp)>>,
+        up_tx: Arc<KickSender<(AppId, Rank, Vec<ProcUp>)>>,
         store: CkptStore,
         outputs: Outputs,
         spawn_vt: VirtualTime,
@@ -293,18 +293,26 @@ impl ProcessRuntime {
         }
     }
 
-    /// Ship the cumulative registry snapshot up to the daemon, which casts
-    /// it cluster-wide (scope `"app<A>.r<R>"`): once per round and per
+    /// The cumulative registry snapshot, for the daemon to cast
+    /// cluster-wide (scope `"app<A>.r<R>"`): once per round and per
     /// restore, and at exit.
-    pub(crate) fn flush_stats(&self) {
-        self.send_up(ProcUp::Stats {
+    pub(crate) fn stats_up(&self) -> ProcUp {
+        ProcUp::Stats {
             snap: self.metrics.snapshot(),
             vt: self.clock.now(),
-        });
+        }
     }
 
     pub(crate) fn send_up(&self, msg: ProcUp) {
-        let _ = self.up_tx.send((self.app, self.rank, msg));
+        self.send_ups(vec![msg]);
+    }
+
+    /// Hand the daemon `ups`, in order, as one message with one kick: what
+    /// it casts of them at one virtual instant leaves as one cast.
+    fn send_ups(&self, ups: Vec<ProcUp>) {
+        if !ups.is_empty() {
+            let _ = self.up_tx.send((self.app, self.rank, ups));
+        }
     }
 
     // ---- the wait point ---------------------------------------------------------
@@ -494,13 +502,28 @@ impl ProcessRuntime {
     }
 
     /// Carry out what the machine answered, in order — with the
-    /// application's state in hand, at a safepoint. A batch that closes or
-    /// commits a round ends with one stats flush, which makes the round's
-    /// layer histograms and checkpoint costs visible cluster-wide.
+    /// application's state in hand, at a safepoint. Everything it sends the
+    /// daemon goes up at the end, as one message.
     pub(crate) fn carry(
         &mut self,
         outs: Vec<Out>,
         state: Option<&dyn Checkpointable>,
+    ) -> Result<()> {
+        let mut ups = Vec::new();
+        let carried = self.carry_into(outs, state, &mut ups);
+        self.send_ups(ups);
+        carried
+    }
+
+    /// [`carry`](Self::carry), gathering what goes up in `ups`. A batch
+    /// that closes or commits a round ends with one stats flush, which
+    /// makes the round's layer histograms and checkpoint costs visible
+    /// cluster-wide.
+    fn carry_into(
+        &mut self,
+        outs: Vec<Out>,
+        state: Option<&dyn Checkpointable>,
+        ups: &mut Vec<ProcUp>,
     ) -> Result<()> {
         if self.debug && !outs.is_empty() {
             eprintln!("[rt {}.{}] {outs:?}", self.app, self.rank);
@@ -514,7 +537,7 @@ impl ProcessRuntime {
                 Out::Up { to, msg } => {
                     let (kind, body) = (RelayKind::CheckpointRestart, msg.encode_to_bytes());
                     let vt = self.clock.now();
-                    self.send_up(match to {
+                    ups.push(match to {
                         Some(to) => ProcUp::SendTo { kind, to, body, vt },
                         None => ProcUp::Cast { kind, body, vt },
                     });
@@ -524,17 +547,17 @@ impl ProcessRuntime {
                 Out::Write { index, recorded } => {
                     let taken_at = self.write(index, recorded)?;
                     let outs = self.cr.written(index, taken_at);
-                    self.carry(outs, state)?;
+                    self.carry_into(outs, state, ups)?;
                 }
                 Out::Record(from) => self.mpi.start_recording(from),
                 Out::Unrecord(from) => self.mpi.stop_recording(from),
                 Out::Interval(i) => self.mpi.piggyback_interval = i,
                 Out::RoundClosed => self.note_round_done(),
-                Out::Committed(index) => self.committed(index),
+                Out::Committed(index) => ups.push(self.committed(index)),
             }
         }
         if flush {
-            self.flush_stats();
+            ups.push(self.stats_up());
         }
         Ok(())
     }
@@ -635,8 +658,8 @@ impl ProcessRuntime {
 
     /// The round this rank coordinated committed: charge the fitted
     /// daemon-coordination overhead for the distributed phase
-    /// (EXPERIMENTS.md) and tell the daemon.
-    fn committed(&mut self, index: u64) {
+    /// (EXPERIMENTS.md); what the daemon is told.
+    fn committed(&mut self, index: u64) -> ProcUp {
         let nodes = self.participating_nodes();
         let sync_cost = match self.entry.spec.level {
             LevelKind::Native => SyncCostModel::native_sync(nodes),
@@ -652,10 +675,10 @@ impl ProcessRuntime {
         );
         self.ckpt_marks
             .insert(index, (self.clock.now(), self.consumed_total));
-        self.send_up(ProcUp::CkptCommitted {
+        ProcUp::CkptCommitted {
             index,
             vt: self.clock.now(),
-        });
+        }
     }
 
     fn participating_nodes(&self) -> usize {
@@ -850,7 +873,7 @@ pub(crate) fn process_main(mut rt: ProcessRuntime, run: Arc<crate::host::AppFn>)
                 .recorder()
                 .phase_end(now, "recovery.restore", &format!("to index {idx}"));
             rt.restored_at = Some(now);
-            rt.flush_stats();
+            rt.send_up(rt.stats_up());
         }
         let result = {
             let mut ctx = crate::ctx::Ctx { rt: &mut rt };
@@ -858,9 +881,11 @@ pub(crate) fn process_main(mut rt: ProcessRuntime, run: Arc<crate::host::AppFn>)
         };
         match result {
             Ok(()) => {
-                let outs = rt.cr.finish();
-                let _ = rt.carry(outs, None);
-                rt.send_up(ProcUp::Done { vt: rt.clock.now() });
+                // The last flush and `Done` go up together: one cast.
+                let (outs, mut ups) = (rt.cr.finish(), Vec::new());
+                let _ = rt.carry_into(outs, None, &mut ups);
+                ups.push(ProcUp::Done { vt: rt.clock.now() });
+                rt.send_ups(ups);
                 return;
             }
             Err(Error::Interrupted(_)) => {

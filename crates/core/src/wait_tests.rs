@@ -8,6 +8,7 @@
 //! here sleeps, and the assertions count service points, not time: a rank
 //! that waits correctly runs one service point per thing delivered to it.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,7 +41,9 @@ struct Rig {
     /// The daemon's side of the rank's message queues. Nobody parks on the
     /// wait point `up`'s senders kick (the test blocks on the queue).
     down: DownLink,
-    up: Receiver<(AppId, Rank, ProcUp)>,
+    up: Receiver<(AppId, Rank, Vec<ProcUp>)>,
+    /// What came up in one message but was not looked at yet.
+    unread: VecDeque<ProcUp>,
     /// The other rank, and its clock.
     peer: MpiEndpoint,
     clock: VClock,
@@ -110,6 +113,7 @@ fn rig_of(me: Rank) -> (Rig, ProcessRuntime) {
             rt.abort_flag.clone(),
         ),
         up,
+        unread: VecDeque::new(),
         peer: ep(1 - me.0),
         clock: VClock::new(),
     };
@@ -159,33 +163,32 @@ impl Rig {
 
     /// Block until the rig's rank sends up a message `pick` accepts (stats
     /// flushes and the like are skipped).
-    fn await_up<R>(&self, mut pick: impl FnMut(ProcUp) -> Option<R>) -> R {
+    fn await_up<R>(&mut self, mut pick: impl FnMut(ProcUp) -> Option<R>) -> R {
         loop {
-            let (_, _, msg) = self.up.recv_timeout(T).expect("the rank went quiet");
+            if self.unread.is_empty() {
+                let (_, _, msgs) = self.up.recv_timeout(T).expect("the rank went quiet");
+                self.unread.extend(msgs);
+            }
+            let msg = self.unread.pop_front().expect("a message");
             if let Some(r) = pick(msg) {
                 return r;
             }
         }
     }
 
-    fn await_saved(&self, index: u64) {
+    fn await_saved(&mut self, index: u64) {
+        let me = self.me;
         self.await_up(|m| match m {
             ProcUp::SendTo { body, .. } => {
                 let saved = CrMsg::decode_from_bytes(&body).unwrap();
-                assert_eq!(
-                    saved,
-                    CrMsg::Saved {
-                        rank: self.me,
-                        index
-                    }
-                );
+                assert_eq!(saved, CrMsg::Saved { rank: me, index });
                 Some(())
             }
             _ => None,
         })
     }
 
-    fn await_done(&self) {
+    fn await_done(&mut self) {
         self.await_up(|m| matches!(m, ProcUp::Done { .. }).then_some(()))
     }
 }
@@ -339,7 +342,7 @@ fn stopped_inside_a_receive(sent_first: Option<u64>) -> (Rig, ProcessRuntime) {
 /// starts).
 #[test]
 fn a_round_lets_a_receive_complete_instead_of_capturing_it_blocked() {
-    let (rig, rt) = stopped_inside_a_receive(Some(1));
+    let (mut rig, rt) = stopped_inside_a_receive(Some(1));
     let rank = run(rt, |ctx| {
         ctx.recv(Some(Rank(0)), Some(1))?;
         assert_eq!(
@@ -373,8 +376,9 @@ fn a_round_captures_a_receive_that_stays_blocked() {
 }
 
 /// The round coordinator sends its telemetry up once per round, after the
-/// commit, so the snapshot counts the round it closes; and once more at
-/// exit.
+/// commit and in the same message, so the snapshot counts the round it
+/// closes and the daemon can cast both at once; and once more at exit,
+/// with its `Done`.
 #[test]
 fn the_coordinator_flushes_stats_once_per_round_after_counting_it() {
     const ROUNDS: u64 = 3;
@@ -391,20 +395,30 @@ fn the_coordinator_flushes_stats_once_per_round_after_counting_it() {
         let (rank, index) = (Rank(1), index);
         rig.relay(CrMsg::Saved { rank, index });
     }
-    let mut seen = Vec::new();
-    loop {
-        let (_, _, msg) = rig.up.recv_timeout(T).expect("the rank went quiet");
-        seen.push(match msg {
-            ProcUp::CkptCommitted { index, .. } => format!("commit {index}"),
-            ProcUp::Stats { snap, .. } => format!("stats {}", snap.counter(metric::CKPT_ROUNDS)),
-            ProcUp::Done { .. } => break,
-            _ => continue,
-        });
+    let mut seen: Vec<String> = Vec::new();
+    while !seen.last().is_some_and(|m| m.ends_with("done")) {
+        let (_, _, msgs) = rig.up.recv_timeout(T).expect("the rank went quiet");
+        let message: Vec<String> = msgs
+            .into_iter()
+            .filter_map(|msg| match msg {
+                ProcUp::CkptCommitted { index, .. } => Some(format!("commit {index}")),
+                ProcUp::Stats { snap, .. } => {
+                    Some(format!("stats {}", snap.counter(metric::CKPT_ROUNDS)))
+                }
+                ProcUp::Done { .. } => Some("done".into()),
+                _ => None,
+            })
+            .collect();
+        if !message.is_empty() {
+            seen.push(message.join(" + "));
+        }
     }
     let rounds = [
-        "commit 1", "stats 1", "commit 2", "stats 2", "commit 3", "stats 3",
+        "commit 1 + stats 1",
+        "commit 2 + stats 2",
+        "commit 3 + stats 3",
     ];
-    let exit = ["stats 3"];
+    let exit = ["stats 3 + done"];
     assert_eq!(seen, [&rounds[..], &exit].concat());
     rank.join().unwrap();
 }

@@ -339,8 +339,8 @@ struct Loop {
     clock: VClock,
     /// Local processes; `None` where the host started nothing to talk to.
     procs: HashMap<(AppId, Rank), Option<DownLink>>,
-    up_tx: Arc<KickSender<(AppId, Rank, ProcUp)>>,
-    up_rx: Receiver<(AppId, Rank, ProcUp)>,
+    up_tx: Arc<KickSender<(AppId, Rank, Vec<ProcUp>)>>,
+    up_rx: Receiver<(AppId, Rank, Vec<ProcUp>)>,
     cmd_rx: Receiver<DaemonCmd>,
     /// The daemon's recorder. Its cluster events are all recorded while
     /// applying the totally ordered stream (or are the stream), so every
@@ -369,30 +369,25 @@ impl Loop {
         if self.stack.done() {
             return false; // left, excluded, or the node went down
         }
-        while let Ok((app, rank, up)) = self.up_rx.try_recv() {
-            self.clock.merge(up.vt());
-            if let ProcUp::Cast { kind, body, .. } = &up {
-                let (from, to) = (ActorKind::AppProcess, ActorKind::Daemon);
-                let len = body.len();
-                self.trace.record(kind.class(), from, to, "via-daemon", len);
+        while let Ok((app, rank, ups)) = self.up_rx.try_recv() {
+            let now = self.clock.now();
+            for up in &ups {
+                self.clock.merge(up.vt());
+                if let ProcUp::Cast { kind, body, .. } = up {
+                    let (from, to) = (ActorKind::AppProcess, ActorKind::Daemon);
+                    let len = body.len();
+                    self.trace.record(kind.class(), from, to, "via-daemon", len);
+                }
             }
-            // A rank's telemetry, and the shared infrastructure's under one
-            // well-known scope (so re-casts replace), in one cast.
-            if let ProcUp::Stats { snap, .. } = up {
-                let m = self.metrics.as_ref();
-                let cluster = m.map(|m| ("cluster".into(), m.snapshot()));
-                let own = (format!("{app}.r{}", rank.0), snap);
-                let scopes = std::iter::once(own).chain(cluster).collect();
-                let wc = WireCast::Stats { scopes };
-                self.stack.cast(wc.encode_to_bytes(), self.clock.now());
-                continue;
-            }
-            let outs = self.machine.proc_up(app, rank, up, self.clock.now());
+            let outs = self.machine.proc_up(app, rank, ups, now);
             self.carry(outs);
         }
         loop {
             match self.cmd_rx.try_recv() {
-                Ok(DaemonCmd::Issue(c)) => self.carry(vec![Out::Cast(WireCast::Cfg(c))]),
+                Ok(DaemonCmd::Issue(c)) => {
+                    let (wc, vt) = (WireCast::Cfg(c), self.clock.now());
+                    self.carry(vec![Out::Cast { wc, vt }]);
+                }
                 Ok(DaemonCmd::Emit(kind)) => {
                     let outs = self.machine.emit(kind, self.clock.now());
                     self.carry(outs);
@@ -417,14 +412,6 @@ impl Loop {
             } => {
                 self.clock.merge(vt);
                 match WireCast::decode_from_bytes(&payload) {
-                    // Cumulative telemetry: the total order makes every hub
-                    // converge, and its history stays queryable afterwards.
-                    Ok(WireCast::Stats { scopes }) => {
-                        for (scope, snap) in scopes {
-                            self.stats.update(&scope, snap);
-                        }
-                        return self.stats.record_history(vt);
-                    }
                     Ok(wc) => self.machine.cast(from, wc, vt, self.clock.now()),
                     Err(_) => return,
                 }
@@ -472,8 +459,8 @@ impl Loop {
         for out in outs {
             let now = self.clock.now();
             match out {
-                Out::Cast(wc) => self.stack.cast(wc.encode_to_bytes(), now),
-                Out::SendTo(node, msg) => self.stack.send_to(node, msg.encode_to_bytes(), now),
+                Out::Cast { wc, vt } => self.cast(wc, vt),
+                Out::SendTo { to, msg, vt } => self.stack.send_to(to, msg.encode_to_bytes(), vt),
                 Out::Spawn {
                     entry,
                     rank,
@@ -528,8 +515,15 @@ impl Loop {
                 }
                 Out::Restart { app, dead } => {
                     let line = self.compute_line(app, &dead);
-                    let cmd = CfgCmd::RestartApp { app, line };
-                    self.stack.cast(WireCast::Cfg(cmd).encode_to_bytes(), now);
+                    self.cast(WireCast::Cfg(CfgCmd::RestartApp { app, line }), now);
+                }
+                // Cumulative telemetry: the total order makes every hub
+                // converge, and its history stays queryable afterwards.
+                Out::Stats { scopes, vt } => {
+                    for (scope, snap) in scopes {
+                        self.stats.update(&scope, snap);
+                    }
+                    self.stats.record_history(vt);
                 }
                 Out::Retention(n) => self.stats.set_retention(n),
                 Out::Publish => {
@@ -538,6 +532,25 @@ impl Loop {
                 }
             }
         }
+    }
+
+    /// Cast `wc` at `vt`. Each stats entry gains the shared
+    /// infrastructure's snapshot under one well-known scope (so re-casts
+    /// replace): a rank's telemetry and the cluster's take one slot.
+    fn cast(&mut self, wc: WireCast, vt: VirtualTime) {
+        let stamp = |entry| match entry {
+            WireCast::Stats { mut scopes } => {
+                let cluster = self.metrics.as_ref().map(|m| m.snapshot());
+                scopes.extend(cluster.map(|snap| ("cluster".to_string(), snap)));
+                WireCast::Stats { scopes }
+            }
+            entry => entry,
+        };
+        let wc = match wc {
+            WireCast::Batch(casts) => WireCast::Batch(casts.into_iter().map(stamp).collect()),
+            wc => stamp(wc),
+        };
+        self.stack.cast(wc.encode_to_bytes(), vt);
     }
 
     /// Record a cluster event at the current point of the ordered stream
@@ -1047,7 +1060,7 @@ mod tests {
     /// next (the loop here has no thread: the test makes its passes).
     #[test]
     fn a_pass_serves_commands_queued_behind_waiting_packets() {
-        let f = fabric(1);
+        let f = fabric(2);
         let boot = DaemonConfig::new(NodeId(0));
         let (d, mut node) =
             Daemon::boot(&f, boot, None, Box::new(NullHost), CkptStore::new()).unwrap();
@@ -1055,24 +1068,25 @@ mod tests {
             let (key, value) = (key.to_string(), "1".to_string());
             d.issue(CfgCmd::SetParam { key, value }).unwrap();
         };
-        // Boot: the founder's view, then its own announcement coming back.
+        // Boot: the founder's view, then its own announcement — which it
+        // sequenced, so delivered in place: no packet.
         assert!(node.pass() && node.pass());
         assert_eq!(d.config().up_nodes(), vec![NodeId(0)]);
         assert_eq!(f.queued_packets(), 0);
-        // Idle, so "a" is served by the pass its kick wakes, and its cast
-        // is now a packet waiting at our own port ...
+        // A second node's join request is a packet waiting at our port ...
+        let joiner = Stack::start(&f, NodeId(1), Some(NodeId(0)), EndpointConfig::default());
+        assert_eq!(f.queued_packets(), 1);
+        // ... which is what ends the wait of the next pass. "a", queued
+        // behind it, is cast by that same pass.
         set("a");
         assert!(node.pass());
-        assert_eq!(f.queued_packets(), 1);
-        // ... which is what ends the wait of the next pass. "b", queued
-        // behind it, is cast by that same pass.
-        set("b");
+        assert!(node.cmd_rx.is_empty(), "left for the next wake-up");
+        assert_eq!(node.stack.view().map(|v| v.size()), Some(2), "joined");
+        assert!(!d.config().params.contains_key("a"));
+        // Its delivery (in place) is the next pass's.
         assert!(node.pass());
         assert!(d.config().params.contains_key("a"));
-        assert!(node.cmd_rx.is_empty(), "left for the next wake-up");
-        assert_eq!(f.queued_packets(), 1);
-        assert!(node.pass());
-        assert!(d.config().params.contains_key("b"));
+        drop(joiner);
     }
 
     #[test]

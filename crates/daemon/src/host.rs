@@ -29,7 +29,7 @@ pub struct ProcSpec {
     /// state).
     pub restore_from: u64,
     /// Process → daemon messages, tagged with the process identity.
-    pub up_tx: Arc<KickSender<(AppId, Rank, ProcUp)>>,
+    pub up_tx: Arc<KickSender<(AppId, Rank, Vec<ProcUp>)>>,
     /// Virtual time at which the spawn happens (inherited by the process).
     pub spawn_vt: VirtualTime,
 }

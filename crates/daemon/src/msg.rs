@@ -510,6 +510,70 @@ pub enum WireCast {
         vt: VirtualTime,
         kind: starfish_events::EventKind,
     },
+    /// Casts one daemon made at one virtual instant, in one slot of the
+    /// total order: every daemon takes them in this order. Never empty and
+    /// never nested; build it with [`WireCast::batch`], which leaves a
+    /// single cast as it is.
+    Batch(Vec<WireCast>),
+}
+
+const T_BATCH: u8 = 4;
+
+/// Entries a decoder reserves room for before it has seen them: a lying
+/// count costs a truncation error, not an allocation.
+const BATCH_RESERVE: u32 = 4;
+
+impl WireCast {
+    /// `casts`, which are not none, as one cast: the cast itself if there
+    /// is one, a batch if there are more.
+    pub fn batch(casts: Vec<WireCast>) -> WireCast {
+        match <[WireCast; 1]>::try_from(casts) {
+            Ok([one]) => one,
+            Err(casts) => WireCast::Batch(casts),
+        }
+    }
+
+    /// The casts this one carries: a batch's entries, or itself.
+    pub fn entries(&self) -> &[WireCast] {
+        match self {
+            WireCast::Batch(casts) => casts,
+            wc => std::slice::from_ref(wc),
+        }
+    }
+
+    /// [`entries`](Self::entries), by value.
+    pub fn into_entries(self) -> Vec<WireCast> {
+        match self {
+            WireCast::Batch(casts) => casts,
+            wc => vec![wc],
+        }
+    }
+
+    /// Decode the rest of a cast tagged `tag` that is not a batch.
+    fn decode_plain(tag: u8, dec: &mut Decoder<'_>) -> Result<Self> {
+        Ok(match tag {
+            0 => WireCast::Cfg(CfgCmd::decode(dec)?),
+            1 => WireCast::Mcast(AppRelay::decode(dec)?),
+            2 => {
+                // The count is the sender's word: two scopes is all a cast
+                // carries, so a lying count costs a truncation error, not
+                // an allocation.
+                let n = dec.get_u32()?;
+                let mut scopes = Vec::with_capacity(n.min(2) as usize);
+                for _ in 0..n {
+                    scopes.push((dec.get_str()?, Snapshot::decode(dec)?));
+                }
+                WireCast::Stats { scopes }
+            }
+            3 => WireCast::Event {
+                origin: NodeId::decode(dec)?,
+                vt: VirtualTime::from_nanos(dec.get_u64()?),
+                kind: starfish_events::EventKind::decode(dec)?,
+            },
+            T_BATCH => return Err(Error::codec("a batch inside a batch")),
+            t => return Err(Error::codec(format!("unknown WireCast tag {t}"))),
+        })
+    }
 }
 
 impl Encode for WireCast {
@@ -533,33 +597,31 @@ impl Encode for WireCast {
                 enc.put_u64(vt.as_nanos());
                 kind.encode(enc);
             }
+            WireCast::Batch(casts) => {
+                enc.put_u8(T_BATCH);
+                enc.put_u32(casts.len() as u32);
+                casts.iter().for_each(|wc| wc.encode(enc));
+            }
         }
     }
 }
 
 impl Decode for WireCast {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(match dec.get_u8()? {
-            0 => WireCast::Cfg(CfgCmd::decode(dec)?),
-            1 => WireCast::Mcast(AppRelay::decode(dec)?),
-            2 => {
-                // The count is the sender's word: two scopes is all a cast
-                // carries, so a lying count costs a truncation error, not
-                // an allocation.
-                let n = dec.get_u32()?;
-                let mut scopes = Vec::with_capacity(n.min(2) as usize);
-                for _ in 0..n {
-                    scopes.push((dec.get_str()?, Snapshot::decode(dec)?));
-                }
-                WireCast::Stats { scopes }
-            }
-            3 => WireCast::Event {
-                origin: NodeId::decode(dec)?,
-                vt: VirtualTime::from_nanos(dec.get_u64()?),
-                kind: starfish_events::EventKind::decode(dec)?,
-            },
-            t => return Err(Error::codec(format!("unknown WireCast tag {t}"))),
-        })
+        let tag = dec.get_u8()?;
+        if tag != T_BATCH {
+            return WireCast::decode_plain(tag, dec);
+        }
+        let n = dec.get_u32()?;
+        if n == 0 {
+            return Err(Error::codec("an empty batch"));
+        }
+        let mut casts = Vec::with_capacity(n.min(BATCH_RESERVE) as usize);
+        for _ in 0..n {
+            let tag = dec.get_u8()?;
+            casts.push(WireCast::decode_plain(tag, dec)?);
+        }
+        Ok(WireCast::Batch(casts))
     }
 }
 
@@ -753,6 +815,60 @@ mod tests {
         }
     }
 
+    /// A batch of one cast of each kind but a batch, in stream order.
+    pub(super) fn batched() -> WireCast {
+        let event = WireCast::Event {
+            origin: NodeId(1),
+            vt: VirtualTime::from_nanos(42_000),
+            kind: starfish_events::EventKind::CkptCommit {
+                app: AppId(1),
+                rank: Rank(0),
+                index: 3,
+            },
+        };
+        let mcast = WireCast::Mcast(AppRelay {
+            app: AppId(1),
+            kind: RelayKind::CheckpointRestart,
+            from: Rank(0),
+            to: None,
+            body: Bytes::from_static(b"resume"),
+        });
+        let dead = WireCast::Cfg(CfgCmd::NodeDead { node: NodeId(2) });
+        let stats = stats_casts().pop().unwrap();
+        WireCast::Batch(vec![mcast, event, stats, dead])
+    }
+
+    #[test]
+    fn a_batch_roundtrips_in_order_and_one_cast_is_no_batch() {
+        let batch = batched();
+        assert_eq!(roundtrip(&batch).unwrap(), batch);
+        let entries = batch.entries().to_vec();
+        assert_eq!(WireCast::batch(entries.clone()), batch);
+        assert_eq!(batch.into_entries(), entries);
+        let one = entries[3].clone();
+        assert_eq!(WireCast::batch(vec![one.clone()]), one);
+        assert_eq!(one.entries(), std::slice::from_ref(&one));
+        assert_eq!(one.clone().into_entries(), vec![one]);
+    }
+
+    #[test]
+    fn an_empty_nested_lying_or_truncated_batch_is_an_error() {
+        let mut enc = starfish_util::codec::Encoder::new();
+        enc.put_u8(T_BATCH);
+        enc.put_u32(0);
+        let empty = enc.into_bytes();
+        assert!(WireCast::decode_from_bytes(&empty).is_err(), "empty");
+        let nested = WireCast::Batch(vec![batched()]).encode_to_bytes();
+        assert!(WireCast::decode_from_bytes(&nested).is_err(), "nested");
+        let whole = batched().encode_to_bytes();
+        let mut lying = whole.to_vec();
+        lying[1..5].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(WireCast::decode_from_bytes(&lying).is_err(), "lying");
+        for cut in 0..whole.len() {
+            assert!(WireCast::decode_from_bytes(&whole[..cut]).is_err(), "{cut}");
+        }
+    }
+
     #[test]
     fn p2pmsg_roundtrip() {
         let m = P2pMsg::State {
@@ -837,6 +953,44 @@ mod proptests {
             let mut lying = vec![2, 0xFF, 0xFF, 0xFF, 0xFF];
             lying.extend_from_slice(&data);
             prop_assert!(WireCast::decode_from_bytes(&lying).is_err());
+        }
+
+        /// A cut batch is an error, and no flipped bit of a real one panics
+        /// the decoder.
+        #[test]
+        fn a_cut_or_flipped_batch_never_panics(
+            cut in any::<usize>(),
+            pos in any::<usize>(),
+            bit in 0u8..8,
+        ) {
+            let whole = super::tests::batched().encode_to_bytes().to_vec();
+            let cut = cut % whole.len();
+            prop_assert!(WireCast::decode_from_bytes(&whole[..cut]).is_err());
+            let mut flipped = whole.clone();
+            flipped[pos % whole.len()] ^= 1 << bit;
+            let _ = WireCast::decode_from_bytes(&flipped);
+        }
+
+        /// A batch count that overstates what follows is an error, and no
+        /// count panics the decoder or sizes an allocation from the wire.
+        #[test]
+        fn lying_batch_counts_never_panic(
+            small in 0u32..40,
+            huge in any::<u32>(),
+            tail in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            for n in [small, huge, u32::MAX] {
+                let mut enc = Encoder::new();
+                enc.put_u8(T_BATCH);
+                enc.put_u32(n);
+                let mut frame = enc.into_vec();
+                frame.extend_from_slice(&tail);
+                let got = WireCast::decode_from_bytes(&frame);
+                // Every entry takes at least its tag byte.
+                if n as usize > tail.len() {
+                    prop_assert!(got.is_err(), "{n} entries in {} bytes", tail.len());
+                }
+            }
         }
     }
 }

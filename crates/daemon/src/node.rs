@@ -18,7 +18,11 @@
 //! | a local observation to publish (a suspicion, an injected fault) | [`Node::emit`] |
 //!
 //! Each event is handed its timestamps — the input's `vt` and the shell's
-//! clock after merging it (`now`) — and the machine stamps with those only.
+//! clock after merging it (`now`) — and the machine stamps with those only,
+//! the casts and sends it asks for included. The casts of one answer that
+//! leave at one virtual instant, one after the other, leave as one
+//! [`WireCast::Batch`]: one slot of the total order, unpacked in order on
+//! delivery.
 //! The shell (the node loop in `daemon.rs`) owns everything else: the
 //! ensemble stack, the node host, the checkpoint store, the flight recorder
 //! (cluster events included) and the forensics, the stats hub, the
@@ -32,6 +36,7 @@ use starfish_checkpoint::backend::CkptBackend;
 use starfish_ensemble::View;
 use starfish_events::EventKind;
 use starfish_lwgroups::{self as lw, LwGroups};
+use starfish_telemetry::Snapshot;
 use starfish_util::codec::{Decode, Encode};
 use starfish_util::{AppId, GroupId, NodeId, Rank, VirtualTime};
 
@@ -41,10 +46,17 @@ use crate::msg::{AppRelay, CfgCmd, P2pMsg, ProcDown, ProcUp, WireCast};
 /// What the machine asks its shell to do, in order.
 #[derive(Debug, Clone)]
 pub enum Out {
-    /// Cast on the group's total order.
-    Cast(WireCast),
-    /// Send to one daemon.
-    SendTo(NodeId, P2pMsg),
+    /// Cast on the group's total order, leaving at `vt`.
+    Cast {
+        wc: WireCast,
+        vt: VirtualTime,
+    },
+    /// Send to one daemon, leaving at `vt`.
+    SendTo {
+        to: NodeId,
+        msg: P2pMsg,
+        vt: VirtualTime,
+    },
     /// Start local rank `rank` of `entry`, from checkpoint `restore_from`
     /// (0: its initial state).
     Spawn {
@@ -84,6 +96,13 @@ pub enum Out {
     Restart {
         app: AppId,
         dead: Vec<NodeId>,
+    },
+    /// Telemetry a daemon cast, delivered at `vt`: each scope's snapshot
+    /// replaces that scope's last one in the stats hub, and the entry is
+    /// one point of the hub's history.
+    Stats {
+        scopes: Vec<(String, Snapshot)>,
+        vt: VirtualTime,
     },
     /// Keep this many stats history samples.
     Retention(usize),
@@ -176,12 +195,12 @@ impl Node {
         // cast dies with a coordinator that crashes before sequencing it,
         // and a snapshot with the daemon that was to send it.
         if member && self.bootstrapped {
-            self.announce();
+            self.announce(now);
         } else if member {
             // Mark our snapshot point in the total order.
             self.asked += 1;
             let (node, req) = (self.me, self.asked);
-            self.cast_cfg(CfgCmd::NeedState { node, req });
+            self.cast_cfg(CfgCmd::NeedState { node, req }, now);
         }
         self.sync_lw(now);
         if self.acts_for_group() {
@@ -192,7 +211,8 @@ impl Node {
 
     /// A totally ordered cast from `from`, delivered at `vt`: event
     /// *content and order* agree across daemons (the total order decides
-    /// them), stamps are each daemon's own.
+    /// them), stamps are each daemon's own. A batch is its entries, in
+    /// order.
     pub fn cast(
         &mut self,
         from: NodeId,
@@ -200,6 +220,13 @@ impl Node {
         vt: VirtualTime,
         now: VirtualTime,
     ) -> Vec<Out> {
+        for wc in wc.into_entries() {
+            self.delivered(from, wc, vt, now);
+        }
+        self.take()
+    }
+
+    fn delivered(&mut self, from: NodeId, wc: WireCast, vt: VirtualTime, now: VirtualTime) {
         match wc {
             WireCast::Cfg(cmd) => self.cfg(from, cmd, vt, now),
             // Delivered only at members of the app's lightweight group.
@@ -216,11 +243,11 @@ impl Node {
             WireCast::Event { origin, vt, kind } if self.bootstrapped => {
                 self.out.push(Out::Event { origin, vt, kind })
             }
+            WireCast::Stats { scopes } => self.out.push(Out::Stats { scopes, vt }),
             // Before a snapshot: no local ranks and no event history yet.
-            // A multicast of a group we are not in. Telemetry is the shell's.
+            // A multicast of a group we are not in.
             _ => {}
         }
-        self.take()
     }
 
     /// A daemon-to-daemon message.
@@ -248,8 +275,24 @@ impl Node {
         self.take()
     }
 
-    /// Rank `rank` of `app`, local, sent `up`.
-    pub fn proc_up(&mut self, app: AppId, rank: Rank, up: ProcUp, now: VirtualTime) -> Vec<Out> {
+    /// Rank `rank` of `app`, local, sent `ups`: what one step of its
+    /// machine produced, in order. Each is handled at `now` merged with its
+    /// own `vt` and those before it, as the shell's clock merges them.
+    pub fn proc_up(
+        &mut self,
+        app: AppId,
+        rank: Rank,
+        ups: Vec<ProcUp>,
+        mut now: VirtualTime,
+    ) -> Vec<Out> {
+        for up in ups {
+            now = now.max(up.vt());
+            self.up(app, rank, up, now);
+        }
+        self.take()
+    }
+
+    fn up(&mut self, app: AppId, rank: Rank, up: ProcUp, now: VirtualTime) {
         match up {
             ProcUp::Cast { kind, body, .. } => {
                 let relay = AppRelay {
@@ -259,7 +302,7 @@ impl Node {
                     to: None,
                     body,
                 };
-                self.out.push(Out::Cast(WireCast::Mcast(relay)));
+                self.queue_cast(WireCast::Mcast(relay), now);
             }
             ProcUp::SendTo { kind, to, body, .. } => {
                 let relay = AppRelay {
@@ -272,26 +315,31 @@ impl Node {
                 let entry = self.config.apps.get(&app);
                 match entry.and_then(|e| e.placement.get(to.index())).copied() {
                     Some(node) if node == self.me => self.relay(&relay, to, now),
-                    Some(node) => {
+                    Some(to) => {
                         let msg = P2pMsg::Relay(relay);
-                        self.out.push(Out::SendTo(node, msg));
+                        self.out.push(Out::SendTo { to, msg, vt: now });
                     }
                     None => {}
                 }
             }
+            // Cast first: the exit's stats flush ahead of it joins it.
             ProcUp::Done { .. } => {
+                self.cast_cfg(CfgCmd::RankDone { app, rank }, now);
                 self.forget(app, rank);
-                self.cast_cfg(CfgCmd::RankDone { app, rank });
             }
             ProcUp::CkptCommitted { index, .. } => {
-                self.emit_event(EventKind::CkptCommit { app, rank, index }, now);
                 if index > 1 {
                     self.out.push(Out::Store(StoreOp::PruneBelow(app, index)));
                 }
+                // Last: the stats flush behind it joins this cast.
+                self.emit_event(EventKind::CkptCommit { app, rank, index }, now);
             }
-            ProcUp::Stats { .. } => {} // telemetry: the shell's
+            // The shell adds the cluster's own scope as it casts.
+            ProcUp::Stats { snap, .. } => {
+                let scopes = vec![(format!("{app}.r{}", rank.0), snap)];
+                self.queue_cast(WireCast::Stats { scopes }, now);
+            }
         }
-        self.take()
     }
 
     /// Publish a locally observed event: it rides the total order, so every
@@ -309,9 +357,9 @@ impl Node {
         }
         if let CfgCmd::NeedState { node, req } = cmd {
             if self.acts_for_group() && node != self.me {
-                let config = self.config.encode_to_bytes();
+                let (to, config) = (node, self.config.encode_to_bytes());
                 let msg = P2pMsg::State { req, config };
-                self.out.push(Out::SendTo(node, msg));
+                self.out.push(Out::SendTo { to, msg, vt: now });
             }
             return;
         }
@@ -383,17 +431,17 @@ impl Node {
             self.cfg(from, cmd, now, now);
         }
         self.sync_lw(now);
-        self.announce();
+        self.announce(now);
     }
 
     /// Announce ourselves on the cast stream unless the configuration has
     /// us live. A restarted daemon finds its node there but `Dead`, and a
     /// bare admin ADDNODE that raced our boot leaves it `Up` but unannounced:
     /// only an `AddNode` cast by the node itself makes it live.
-    fn announce(&mut self) {
+    fn announce(&mut self, now: VirtualTime) {
         if !self.config.is_live(self.me) {
             let (node, arch_index) = (self.me, self.arch_index);
-            self.cast_cfg(CfgCmd::AddNode { node, arch_index });
+            self.cast_cfg(CfgCmd::AddNode { node, arch_index }, now);
         }
     }
 
@@ -578,11 +626,11 @@ impl Node {
             }
         }
         for node in left {
-            self.cast_cfg(CfgCmd::NodeDead { node });
+            self.cast_cfg(CfgCmd::NodeDead { node }, now);
         }
         for (app, policy, dead) in responses {
             match policy {
-                FtPolicy::Kill => self.cast_cfg(CfgCmd::Delete { app }),
+                FtPolicy::Kill => self.cast_cfg(CfgCmd::Delete { app }, now),
                 // The lightweight view is the application's signal.
                 FtPolicy::NotifyView => {}
                 FtPolicy::Restart => self.out.push(Out::Restart { app, dead }),
@@ -661,18 +709,36 @@ impl Node {
         of_app.map(|(_, r)| *r).collect()
     }
 
-    fn cast_cfg(&mut self, cmd: CfgCmd) {
-        self.out.push(Out::Cast(WireCast::Cfg(cmd)));
+    fn queue_cast(&mut self, wc: WireCast, vt: VirtualTime) {
+        self.out.push(Out::Cast { wc, vt });
+    }
+
+    fn cast_cfg(&mut self, cmd: CfgCmd, vt: VirtualTime) {
+        self.queue_cast(WireCast::Cfg(cmd), vt);
     }
 
     fn emit_event(&mut self, kind: EventKind, vt: VirtualTime) {
         let origin = self.me;
-        self.out
-            .push(Out::Cast(WireCast::Event { origin, vt, kind }));
+        self.queue_cast(WireCast::Event { origin, vt, kind }, vt);
     }
 
+    /// The answer, with each run of casts that leave at one instant made
+    /// one cast: no cast leaves later, and the total order takes the run
+    /// in one slot.
     fn take(&mut self) -> Vec<Out> {
-        std::mem::take(&mut self.out)
+        let mut outs: Vec<Out> = Vec::with_capacity(self.out.len());
+        for out in std::mem::take(&mut self.out) {
+            match (out, outs.last_mut()) {
+                (Out::Cast { wc, vt }, Some(Out::Cast { wc: run, vt: at })) if *at == vt => {
+                    let run_so_far = std::mem::replace(run, WireCast::Batch(Vec::new()));
+                    let mut casts = run_so_far.into_entries();
+                    casts.push(wc);
+                    *run = WireCast::Batch(casts);
+                }
+                (out, _) => outs.push(out),
+            }
+        }
+        outs
     }
 }
 
@@ -694,7 +760,8 @@ mod tests {
     /// Machines over one in-memory total order — no stack, thread or clock:
     /// every cast any node answers joins one stream that every node is fed
     /// in order, sends wait in a queue of their own, the test installs the
-    /// views, and everything else each node answered is kept.
+    /// views, and everything else each node answered is kept. `casts` keeps
+    /// each cast's entries, a batch's one by one.
     #[derive(Default)]
     struct Net {
         nodes: BTreeMap<u32, Node>,
@@ -725,11 +792,12 @@ mod tests {
         fn answer(&mut self, at: u32, outs: Vec<Out>) {
             for out in outs {
                 match out {
-                    Out::Cast(wc) => {
-                        self.casts.push((n(at), wc.clone()));
+                    Out::Cast { wc, .. } => {
+                        let entries = wc.entries().iter().map(|e| (n(at), e.clone()));
+                        self.casts.extend(entries);
                         self.stream.push_back((n(at), wc));
                     }
-                    Out::SendTo(node, msg) => self.sends.push_back((node, msg)),
+                    Out::SendTo { to, msg, .. } => self.sends.push_back((to, msg)),
                     out => self.told.push((at, out)),
                 }
             }
@@ -1075,7 +1143,7 @@ mod tests {
         let app = net.submit(2, FtPolicy::Restart);
         for r in 0..2 {
             net.at(r, |node| {
-                node.proc_up(app, Rank(r), ProcUp::Done { vt: T }, T)
+                node.proc_up(app, Rank(r), vec![ProcUp::Done { vt: T }], T)
             });
             assert!(net.told(r).iter().any(|o| matches!(o, Out::Forget(..))));
         }
@@ -1166,7 +1234,7 @@ mod tests {
         let kind = crate::msg::RelayKind::Coordination;
         let body = bytes::Bytes::from_static(b"m");
         let up = ProcUp::Cast { kind, body, vt: T };
-        net.at(0, |node| node.proc_up(app, Rank(0), up, T));
+        net.at(0, |node| node.proc_up(app, Rank(0), vec![up], T));
         let relayed = |outs: Vec<Out>| -> Vec<Rank> {
             let to = |o: &Out| match o {
                 Out::Down {
@@ -1180,5 +1248,93 @@ mod tests {
         };
         assert_eq!(relayed(net.told(0)), vec![Rank(2)]);
         assert_eq!(relayed(net.told(1)), vec![Rank(1)]);
+    }
+
+    /// A coordinator rank's last step of a round: the `Resume` relay at one
+    /// instant, then the commit and the stats flush at a later one. Those
+    /// two leave as one cast, which every daemon takes in order.
+    #[test]
+    fn the_casts_of_one_instant_leave_as_one() {
+        let mut net = Net::of(&[0, 1]);
+        let app = net.submit(2, FtPolicy::Restart);
+        net.told.clear();
+        let (t, synced) = (VirtualTime::from_micros(5), VirtualTime::from_micros(9));
+        let kind = crate::msg::RelayKind::CheckpointRestart;
+        let body = bytes::Bytes::from_static(b"resume");
+        let ups = vec![
+            ProcUp::Cast { kind, body, vt: t },
+            ProcUp::CkptCommitted {
+                index: 2,
+                vt: synced,
+            },
+            ProcUp::Stats {
+                snap: Snapshot::default(),
+                vt: synced,
+            },
+        ];
+        let outs = net.nodes.get_mut(&0).unwrap().proc_up(app, Rank(0), ups, T);
+        let casts: Vec<(VirtualTime, Vec<&'static str>)> = outs
+            .iter()
+            .filter_map(|o| match o {
+                Out::Cast { wc, vt } => Some((*vt, wc.entries().iter().map(label).collect())),
+                _ => None,
+            })
+            .collect();
+        let prune = StoreOp::PruneBelow(app, 2);
+        assert!(
+            matches!(&outs[1], Out::Store(op) if *op == prune),
+            "{outs:?}"
+        );
+        assert_eq!(
+            casts,
+            vec![(t, vec!["mcast"]), (synced, vec!["event", "stats"])]
+        );
+        net.answer(0, outs);
+        net.settle();
+        for id in [0, 1] {
+            let told: Vec<&str> = net
+                .told(id)
+                .iter()
+                .filter_map(|o| match o {
+                    Out::Event { .. } => Some("event"),
+                    Out::Stats { scopes, .. } => Some(if scopes[0].0 == format!("{app}.r0") {
+                        "stats"
+                    } else {
+                        "other stats"
+                    }),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(told, vec!["event", "stats"], "n{id}");
+        }
+    }
+
+    fn label(wc: &WireCast) -> &'static str {
+        match wc {
+            WireCast::Cfg(_) => "cfg",
+            WireCast::Mcast(_) => "mcast",
+            WireCast::Stats { .. } => "stats",
+            WireCast::Event { .. } => "event",
+            WireCast::Batch(_) => "batch",
+        }
+    }
+
+    /// The failure response leaves in one cast: the view-change event, then
+    /// `NodeDead`, then the kill.
+    #[test]
+    fn the_failure_response_is_one_cast() {
+        let mut net = Net::of(&[0, 1, 2]);
+        net.submit(3, FtPolicy::Kill);
+        net.nodes.remove(&2);
+        let view = View::new(ViewId(9), vec![n(0), n(1)]);
+        let outs = net.nodes.get_mut(&0).unwrap().view(view, T);
+        let casts: Vec<Vec<&str>> = outs
+            .iter()
+            .filter_map(|o| match o {
+                Out::Cast { wc, .. } => Some(wc.entries().iter().map(label).collect()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(casts, vec![vec!["event", "cfg", "cfg"]]);
     }
 }

@@ -4,9 +4,11 @@
 //! up to its daemon ([`ProcUp::Stats`](crate::msg::ProcUp)) once per
 //! checkpoint round, once per restore and at exit. The daemon casts it,
 //! together with its infrastructure snapshot, as one
-//! [`WireCast::Stats`](crate::msg::WireCast) on the totally ordered ensemble
-//! stream, so all daemons converge on the same per-scope table and history
-//! and any of them can answer the `STATS` and `HEALTH` management commands.
+//! [`WireCast::Stats`](crate::msg::WireCast) entry on the totally ordered
+//! ensemble stream (alone, or in one batch with its other casts of that
+//! virtual instant), so all daemons converge on the same per-scope table
+//! and history and any of them can answer the `STATS` and `HEALTH`
+//! management commands.
 //!
 //! Scopes are strings: `"cluster"` for the shared infrastructure registry
 //! (fabric, trace, ensemble), `"app<N>.r<R>"` for one application process.
@@ -73,7 +75,7 @@ impl StatsHub {
     }
 
     /// Append a timestamped snapshot of the current cluster-wide merge to
-    /// the history ring (called once per ordered `Stats` cast, after all of
+    /// the history ring (called once per delivered `Stats` entry, after all of
     /// its scopes are in, so all daemons record the same sequence).
     pub fn record_history(&self, vt: VirtualTime) {
         let sample = (vt, self.merged());

@@ -372,7 +372,7 @@ impl Group {
     /// never took waits for the next view; anything else is best-effort.
     pub fn send_failed(&mut self, to: NodeId, msg: GcMsg) -> Vec<Out> {
         match msg {
-            GcMsg::SeqCast { .. } | GcMsg::FlushReq { .. } if to != self.node => self.fail(to),
+            GcMsg::SeqCast { .. } | GcMsg::FlushReq { .. } => self.fail(to),
             GcMsg::CastReq { origin, .. } if origin == self.node => self.held.push(msg),
             _ => {}
         }
@@ -476,20 +476,30 @@ impl Group {
         else {
             return;
         };
-        let msg = GcMsg::SeqCast {
-            view: view.id,
-            seq: self.next_seq,
+        let (id, seq) = (view.id, self.next_seq);
+        self.next_seq += 1;
+        let others = view.members.iter().filter(|m| **m != self.node);
+        let sends = others.map(|m| Out::Send {
+            to: *m,
+            msg: GcMsg::SeqCast {
+                view: id,
+                seq,
+                origin,
+                payload: payload.clone(),
+                ctx,
+            },
+        });
+        self.out.extend(sends);
+        // The sequencer's own copy is delivered here and now: it is in the
+        // log a change opened next is seeded with, and costs no packet.
+        let entry = SeqEntry {
+            seq,
             origin,
             payload,
             ctx,
         };
-        self.next_seq += 1;
-        // Ourselves included: the sequencer delivers through its own port.
-        let sends = view.members.iter().map(|m| Out::Send {
-            to: *m,
-            msg: msg.clone(),
-        });
-        self.out.extend(sends);
+        let ready = self.delivery.on_seq_cast(entry);
+        self.deliver(id, ready);
     }
 
     // -- membership changes ---------------------------------------------------
@@ -1043,6 +1053,12 @@ mod tests {
         assert!(g0.on_msg(n(2), cast_req(2, b'y', 8), ms(0)).is_empty());
         let installed = g0.on_msg(n(1), new_view, ms(0));
         let vid = view.id;
+        let entry = SeqEntry {
+            seq: 1,
+            origin: n(2),
+            payload: Bytes::from_static(b"y"),
+            ctx: ctx(8),
+        };
         let seq = |to| Out::Send {
             to,
             msg: GcMsg::SeqCast {
@@ -1053,10 +1069,34 @@ mod tests {
                 ctx: ctx(8),
             },
         };
-        assert_eq!(
-            installed,
-            vec![Out::View(view), seq(n(0)), seq(n(1)), seq(n(2))]
-        );
+        // The new sequencer delivers its own copy in place.
+        let own = Out::Deliver { view: vid, entry };
+        assert_eq!(installed, vec![Out::View(view), seq(n(1)), seq(n(2)), own]);
+    }
+
+    /// A lone sequencer's cast is delivered as it is sequenced, so a join
+    /// handled before anything else closes the view with that cast in its
+    /// log — no crash is involved, so nothing may be lost.
+    #[test]
+    fn a_lone_sequencers_cast_survives_a_join_handled_first() {
+        let mut net = Net::of(&[0], None);
+        net.at(0, |g| g.cast(Bytes::from_static(b"z"), ctx(3)));
+        net.start(1, Some(0));
+        net.deliver(1, 0); // the join, ahead of whatever n0 sent itself
+        let backfill = net.wire.iter().find_map(|(_, to, msg)| match msg {
+            GcMsg::NewView { backfill, .. } if *to == n(1) => Some(backfill.clone()),
+            _ => None,
+        });
+        let entry = SeqEntry {
+            seq: 1,
+            origin: n(0),
+            payload: Bytes::from_static(b"z"),
+            ctx: ctx(3),
+        };
+        assert_eq!(backfill, Some(vec![entry]), "the closed view's log");
+        net.settle();
+        assert_eq!(net.members(1), Some(vec![0, 1]));
+        assert_eq!(net.casts(0), vec![b'z'], "delivered once");
     }
 
     #[test]

@@ -49,6 +49,9 @@
 //!   crash — a joiner with a smaller id, or the coordinator leaving — the
 //!   old coordinator forwards what it held to the new one, which parks
 //!   requests that beat its first view: absent a crash, no cast is lost.
+//! * The sequencer delivers its own copy of a cast as it sequences it, not
+//!   through its port: a cast costs one packet per other member, and is in
+//!   the log of any change the sequencer opens next.
 //! * Point-to-point sends ([`Stack::send_to`]) are FIFO per sender and
 //!   reliable while both endpoints stay up.
 

@@ -60,10 +60,6 @@ impl Histogram {
         }
     }
 
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
     pub fn snapshot(&self) -> HistSnap {
         let mut buckets = Vec::new();
         for (i, b) in self.buckets.iter().enumerate() {
@@ -262,7 +258,6 @@ mod tests {
         let (got, want) = (shared.snapshot(), serial.snapshot());
         assert_eq!(got, want);
         assert_eq!(got.count, THREADS * PER_THREAD);
-        assert_eq!(shared.count(), got.count);
         assert_eq!(got.buckets.iter().map(|&(_, n)| n).sum::<u64>(), got.count);
     }
 

@@ -155,6 +155,10 @@ fn main() -> ExitCode {
         leaver: Some(leaver),
         ..trio
     };
+    let solo = |joiner| MembershipModel {
+        joiner: Some(joiner),
+        ..MembershipModel::SOLO
+    };
     for (name, m) in [
         ("casts=3", MembershipModel { casts: 3, ..trio }),
         ("casts=2 crash=n0 (sequencer)", crash(&[0])),
@@ -163,6 +167,8 @@ fn main() -> ExitCode {
         ("casts=3 join=n3 (largest id)", join(3, 2)),
         ("casts=3 join=n0 (hand-over)", join(0, 2)),
         ("casts=3 join=n0, old coordinator casts", join(0, 1)),
+        ("casts=2 group of one, join=n2", solo(2)),
+        ("casts=2 group of one, join=n0 (hand-over)", solo(0)),
         ("casts=2 leave=n2", leave(2)),
         ("casts=2 leave=n0 (coordinator)", leave(0)),
     ] {
@@ -187,8 +193,13 @@ fn main() -> ExitCode {
         spare_n0: false,
         ..DaemonModel::job(FtPolicy::NotifyView)
     };
+    let kill = DaemonModel {
+        policy: FtPolicy::Kill,
+        ..crash
+    };
     for (name, m) in [
         ("crash=n1, acting n0 may crash (a)", crash),
+        ("crash=n1, kill, acting n0 may crash (d)", kill),
         ("join=n3, answering n0 may crash (b)", join),
         ("crash=n0, rejoin=n0, notify-view (c)", rejoin),
     ] {

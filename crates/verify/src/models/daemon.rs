@@ -213,32 +213,50 @@ impl DaemonModel {
             }
             _ => Vec::new(),
         };
-        // The mutations, and the abstraction of bus events.
-        let declared = |a: &Out| match a {
-            Out::Cast(WireCast::Cfg(CfgCmd::NodeDead { node })) => Some(*node),
+        // The mutations, and the abstraction of bus events: a batch keeps
+        // its other entries.
+        let casts = answers.iter().filter_map(|a| match a {
+            Out::Cast { wc, .. } => Some(wc.entries()),
+            _ => None,
+        });
+        let declared = |wc: &WireCast| match wc {
+            WireCast::Cfg(CfgCmd::NodeDead { node }) => Some(*node),
             _ => None,
         };
-        let fresh: Vec<NodeId> = answers.iter().filter_map(declared).collect();
+        let fresh: Vec<NodeId> = casts.flatten().filter_map(declared).collect();
         let announced = &mut at(s, d).announced;
-        let mut kept = |a: &Out| match a {
-            Out::Restart { dead, .. } => {
-                !self.fresh_dead_only || dead.iter().any(|n| fresh.contains(n))
-            }
-            Out::Cast(WireCast::Cfg(CfgCmd::NeedState { req, .. })) => !self.ask_once || *req == 1,
-            Out::Cast(WireCast::Cfg(CfgCmd::AddNode { node, .. })) if node.0 == d => {
+        let mut kept = |wc: &WireCast| match wc {
+            WireCast::Cfg(CfgCmd::NeedState { req, .. }) => !self.ask_once || *req == 1,
+            WireCast::Cfg(CfgCmd::AddNode { node, .. }) if node.0 == d => {
                 !self.ask_once || !std::mem::replace(announced, true)
             }
-            Out::Cast(WireCast::Event { .. }) => false,
+            WireCast::Event { .. } => false,
             _ => true,
         };
-        answers.into_iter().filter(|a| kept(a)).collect()
+        let answer = |a: Out| match a {
+            Out::Restart { dead, .. }
+                if self.fresh_dead_only && !dead.iter().any(|n| fresh.contains(n)) =>
+            {
+                None
+            }
+            Out::Cast { wc, vt } => {
+                let mut casts = wc.into_entries();
+                casts.retain(&mut kept);
+                (!casts.is_empty()).then(|| Out::Cast {
+                    wc: WireCast::batch(casts),
+                    vt,
+                })
+            }
+            a => Some(a),
+        };
+        answers.into_iter().filter_map(answer).collect()
     }
 
     fn carry(&self, s: &mut DmState, d: u32, out: Out) {
         let m = at(s, d);
         let outs = match out {
-            Out::Cast(wc) => m.group.cast(wc.encode_to_bytes(), TraceCtx::NONE),
-            Out::SendTo(node, msg) => m.group.send_to(node, msg.encode_to_bytes()),
+            Out::Cast { wc, .. } => m.group.cast(wc.encode_to_bytes(), TraceCtx::NONE),
+            Out::SendTo { to, msg, .. } => m.group.send_to(to, msg.encode_to_bytes()),
             Out::Restart { app, .. } => {
                 let line = vec![0; m.node.config().apps[&app].spec.size as usize];
                 let restart = WireCast::Cfg(CfgCmd::RestartApp { app, line });
@@ -320,7 +338,8 @@ impl Model for DaemonModel {
             spare.then_some(CfgCmd::EnableNode { node: n0 }),
         ];
         for cmd in cmds.into_iter().flatten() {
-            self.carry(&mut s, 0, Out::Cast(WireCast::Cfg(cmd)));
+            let (wc, vt) = (WireCast::Cfg(cmd), VT);
+            self.carry(&mut s, 0, Out::Cast { wc, vt });
             settle(&mut s);
         }
         if self.joiner {
@@ -498,6 +517,18 @@ mod tests {
             ..RESTART
         });
         assert!(states > 100, "nontrivial space expected: {states}");
+    }
+
+    /// (d) The same under the kill policy: the acting daemon's response —
+    /// `NodeDead` and the job's `Delete` — leaves as one batch, which every
+    /// survivor applies entry by entry in one slot of the order.
+    #[test]
+    fn a_kill_response_leaves_as_one_batch() {
+        clean(DaemonModel {
+            victim: Some(1),
+            responder: Some(0),
+            ..DaemonModel::job(FtPolicy::Kill)
+        });
     }
 
     /// Without re-deriving the restart from placement, the job whose dead

@@ -24,7 +24,8 @@
 //!   change** the first one started;
 //! * a node **joins under in-flight casts**, with the largest id (the
 //!   coordinator stays) or the smallest (the coordinator role is handed
-//!   over mid-stream);
+//!   over mid-stream) — also a group of one, whose sequencer's casts are
+//!   its own and must be in the log the join's change closes with;
 //! * a member or the coordinator **leaves** under in-flight casts.
 //!
 //! Safety, checked on every reachable state:
@@ -79,6 +80,9 @@ impl MembershipModel {
     pub const TRIO: Self = Self::of(&[0, 1, 2], 1, 2);
     /// {n1, n2} with n2 casting twice: the group every join row starts from.
     pub const PAIR: Self = Self::of(&[1, 2], 2, 2);
+    /// {n1} alone, casting twice: the sequencer is the only member, so
+    /// every cast it makes is its own to deliver.
+    pub const SOLO: Self = Self::of(&[1], 1, 2);
 
     pub const fn of(members: &'static [u32], caster: u32, casts: u8) -> Self {
         MembershipModel {
@@ -429,6 +433,19 @@ mod tests {
             clean(MembershipModel {
                 joiner: Some(joiner),
                 ..PAIR
+            });
+        }
+    }
+
+    /// A group of one under a join: the sequencer delivers its own casts
+    /// as it sequences them, so a join it handles next finds them in the
+    /// log its change closes with — whatever the joiner's id.
+    #[test]
+    fn a_lone_sequencer_loses_nothing_to_a_join() {
+        for joiner in [2, 0] {
+            clean(MembershipModel {
+                joiner: Some(joiner),
+                ..MembershipModel::SOLO
             });
         }
     }
