@@ -7,16 +7,19 @@
 //! method calls that answer with [`Out`]s, in the order they must happen;
 //! the per-message hooks ([`RankCr::suppress`], [`RankCr::sent`],
 //! [`RankCr::consumed`], [`RankCr::safepoint`]) allocate nothing. Payloads —
-//! the state cached at the last safepoint, the bytes consumed since, the
+//! the state of the cached safepoint, the bytes consumed since, the
 //! image, the clock — stay in the shell (`starfish`'s `ProcessRuntime`);
 //! the `verify` crate composes *n* of these values over FIFO links.
 //!
 //! **The cut of a blocked rank.** A rank captured inside a communication
-//! call has no state in hand: its image is the state of its last safepoint,
-//! the messages consumed since (replayed on restore), and how many messages
-//! it sent to each peer since — which the restored incarnation suppresses,
-//! because everything a rank sent before it stopped precedes its flush mark
-//! and so is held by the receiver. Such a capture comes *before* the
+//! call has no state in hand: its image is the state of its cached
+//! safepoint, the messages consumed since (replayed on restore), and how
+//! many messages it sent to each peer since — which the restored
+//! incarnation suppresses, because everything a rank sent before it stopped
+//! precedes its flush mark and so is held by the receiver. The cached
+//! safepoint is the last one at which the shell copied the state
+//! ([`RankCr::safepoint`]): at or after the last `checkpoint()` call, not
+//! necessarily the last safepoint. Such a capture comes *before* the
 //! `checkpoint()` call it pairs with: it is **owed** to that call, which
 //! claims it and returns at once instead of waiting for a round nobody will
 //! start. Images record the owed count, so a restored rank claims alike.
@@ -54,8 +57,8 @@ pub enum Point {
 pub enum Capture {
     /// The state in hand; nothing consumed or sent since.
     Live,
-    /// The state cached at the last safepoint, plus the messages consumed
-    /// since (the shell's log) and `sent[p]` messages to each peer since.
+    /// The state of the cached safepoint, plus the messages consumed since
+    /// (the shell's log) and `sent[p]` messages to each peer since.
     Cached { sent: Vec<u64> },
 }
 
@@ -134,10 +137,10 @@ pub struct RankCr {
     saved_vt: Option<VirtualTime>,
     /// When this rank's current round began (its first image write).
     round_started: Option<VirtualTime>,
-    /// Messages sent to each peer since the last safepoint, suppressed
+    /// Messages sent to each peer since the cached safepoint, suppressed
     /// ones included.
     sent: Vec<u64>,
-    /// Sends to each peer since the last safepoint that a restored
+    /// Sends to each peer since the cached safepoint that a restored
     /// incarnation's receivers already hold: suppressed while
     /// `sent[p] < skip[p]`.
     skip: Vec<u64>,
@@ -298,10 +301,12 @@ impl RankCr {
         }
     }
 
-    /// The application handed over its state (a safepoint, or a
-    /// `checkpoint()` call): a Cached capture starts from here. Sends still
-    /// to suppress stay so — a restored program typically calls again the
-    /// safepoint its image was cached at before re-executing its sends.
+    /// The shell cached the application's state (at a `checkpoint()` call,
+    /// or a safepoint where the copy is due): a Cached capture starts from
+    /// here. A safepoint that keeps the older copy must not call this — the
+    /// counts go on from the cached one. Sends still to suppress stay so — a
+    /// restored program typically calls again the safepoint its image was
+    /// cached at before re-executing its sends.
     pub fn safepoint(&mut self) {
         for (skip, sent) in self.skip.iter_mut().zip(&self.sent) {
             *skip = skip.saturating_sub(*sent);
@@ -653,7 +658,7 @@ mod tests {
     }
 
     /// A member at a safepoint is captured live; one blocked in a receive
-    /// (sender stopped first) of the state cached at its last safepoint,
+    /// (sender stopped first) of the state of its cached safepoint,
     /// with what it sent since — and that capture is owed to its next call.
     #[test]
     fn live_and_cached_captures() {

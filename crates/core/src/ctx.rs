@@ -371,7 +371,7 @@ impl Ctx<'_> {
     /// log, and the fast-path-ablation bus charge.
     fn note_receive(&mut self, context: u32, m: &RecvdMsg) {
         self.rt.consumed_total += 1;
-        self.rt.cache.consumed.push((
+        self.rt.cache.log(
             starfish_mpi::wire::MsgHeader {
                 src: m.src,
                 context,
@@ -383,7 +383,7 @@ impl Ctx<'_> {
                 credit: 0,
             },
             m.data.clone(),
-        ));
+        );
         if self.rt.bus_data_path {
             // Ablation: pretend data messages ride the object bus.
             self.rt.clock.advance(crate::bus::BUS_EVENT_COST);
@@ -403,7 +403,7 @@ impl Ctx<'_> {
     /// Run `f` with the world communicator checked out of the runtime (a
     /// collective needs `&mut self` as its transport and the communicator
     /// side by side). Nothing reads `rt.comm` meanwhile: a checkpoint taken
-    /// inside a collective captures the `coll_seq` cached at the last
+    /// inside a collective captures the `coll_seq` of the cached
     /// safepoint.
     pub(crate) fn with_world<R>(
         &mut self,

@@ -18,11 +18,15 @@
 //!
 //! The runtime's *scheduler* is cooperative: non-data events are processed
 //! at **service points** — every blocking receive slice and every explicit
-//! [`Ctx::safepoint`](crate::Ctx::safepoint). Checkpoints are taken only at
-//! safepoints (with the registered state in hand), mirroring VM-safepoint
-//! checkpointing; the runtime documentation of `Ctx` spells out the
-//! programming-model contract (iteration-structured programs call
-//! `safepoint` once per iteration).
+//! [`Ctx::safepoint`](crate::Ctx::safepoint). A capture at a safepoint
+//! takes the registered state in hand, mirroring VM-safepoint
+//! checkpointing; one inside a communication call takes the
+//! [`SafepointCache`]: the state of an earlier safepoint — at or after the
+//! last `checkpoint()` call, and copied again only when replaying what was
+//! consumed since would cost as much as the copy — and that replay log.
+//! The runtime documentation of `Ctx` spells out the programming-model
+//! contract (iteration-structured programs call `safepoint` once per
+//! iteration).
 //!
 //! ## Restart semantics
 //!
@@ -181,16 +185,61 @@ pub struct ProcessRuntime {
     pub(crate) service_calls: u64,
 }
 
-/// The state handed to the last safepoint (none before the first), the
+/// The state of the cached safepoint (none before the first), the
 /// collective sequence number that goes with it, and every data message
 /// consumed since: what a rank blocked in a communication call is captured
-/// as. The restored incarnation rewinds to the safepoint and replays
+/// as. The restored incarnation rewinds to that safepoint and replays
 /// exactly those messages (and suppresses the sends the machine counted).
+///
+/// A plain safepoint copies the state in hand only when the copy is cheap
+/// or the log has grown as heavy as it ([`stale`](Self::stale)); otherwise
+/// it keeps the older state and the log grows on. A `checkpoint()` call
+/// always copies, so the cached safepoint is at or after the last one, and
+/// a restored rank never re-executes across it. Under piecewise
+/// determinism, rewinding to any such safepoint and replaying the log
+/// reaches the same state as rewinding to the last.
 #[derive(Default)]
 pub(crate) struct SafepointCache {
     pub(crate) state: Option<CkptValue>,
+    /// `state`'s `heap_bytes()`.
+    state_bytes: usize,
     pub(crate) coll_seq: u64,
     pub(crate) consumed: Vec<(MsgHeader, Bytes)>,
+    /// What `consumed` weighs: its payloads plus [`LOG_ENTRY_BYTES`] each.
+    consumed_bytes: usize,
+}
+
+/// A state smaller than this is copied at every safepoint: the copy costs
+/// less than keeping the log would save.
+const PAGE_BYTES: usize = 4096;
+
+/// What a logged message weighs beyond its payload: its header and handle.
+const LOG_ENTRY_BYTES: usize = 64;
+
+impl SafepointCache {
+    fn refresh(&mut self, state: Option<CkptValue>, coll_seq: u64) {
+        self.state_bytes = state.as_ref().map_or(0, CkptValue::heap_bytes);
+        self.state = state;
+        self.coll_seq = coll_seq;
+        self.consumed.clear();
+        self.consumed_bytes = 0;
+    }
+
+    /// Whether a plain safepoint should copy the state in hand: nothing is
+    /// cached, the cached state is under a page, or replaying the log
+    /// would move as many bytes as the copy.
+    fn stale(&self) -> bool {
+        self.state.is_none()
+            || self.state_bytes < PAGE_BYTES
+            || self.consumed_bytes >= self.state_bytes
+    }
+
+    /// The application consumed a message: the restored incarnation
+    /// replays it.
+    pub(crate) fn log(&mut self, header: MsgHeader, payload: Bytes) {
+        self.consumed_bytes += payload.len() + LOG_ENTRY_BYTES;
+        self.consumed.push((header, payload));
+    }
 }
 
 /// An image between its capture and its write: the wrapped state, the
@@ -734,19 +783,20 @@ impl ProcessRuntime {
     }
 
     /// The application hands over its state: it is what a capture inside a
-    /// later communication call is taken of.
+    /// later communication call is taken of, and the machine counts sends
+    /// from here.
     pub(crate) fn cache_safepoint(&mut self, state: &dyn Checkpointable) {
-        self.cache.state = Some(state.save());
-        self.cache.coll_seq = self.comm.coll_seq;
-        self.cache.consumed.clear();
+        self.cache.refresh(Some(state.save()), self.comm.coll_seq);
         self.cr.safepoint();
     }
 
-    /// Full safepoint: cache the state, service everything; if a
-    /// stop-and-sync round is in progress, hold here (quiesce) until it
-    /// commits.
+    /// Full safepoint: refresh the cache if it is [stale](SafepointCache::stale),
+    /// service everything; if a stop-and-sync round is in progress, hold
+    /// here (quiesce) until it commits.
     pub(crate) fn safepoint(&mut self, state: &dyn Checkpointable) -> Result<()> {
-        self.cache_safepoint(state);
+        if self.cache.stale() {
+            self.cache_safepoint(state);
+        }
         self.service(Some(state))?;
         self.hold_while_stopped(Some(state))
     }
@@ -787,11 +837,8 @@ impl ProcessRuntime {
         };
         self.comm.coll_seq = int("__coll_seq");
         self.restored = field("__user").cloned();
-        self.cache = SafepointCache {
-            state: self.restored.clone(),
-            coll_seq: self.comm.coll_seq,
-            consumed: Vec::new(),
-        };
+        self.cache
+            .refresh(self.restored.clone(), self.comm.coll_seq);
         self.captured = None;
         self.cr.restored(line, int("__owed"), &sent);
         self.mpi.piggyback_interval = line;

@@ -58,10 +58,12 @@ fn run<M: Model>(name: &str, nodes: u32, ranks: u32, m: &M, failed: &mut bool) -
 
 /// A mutation row: switched back on, a fixed defect must be found again.
 fn must_find<M: Model>(name: &str, m: &M, failed: &mut bool) {
-    match explore(m, Options::default()).violation {
+    let r = explore(m, Options::default());
+    match r.violation {
         Some(v) => {
             let (kind, steps, why) = (v.kind, v.trace.len(), v.message);
-            println!("{name}: {kind:?} after {steps} steps: {why}");
+            let states = r.states;
+            println!("{name}: {kind:?} after {steps} steps ({states} states): {why}");
         }
         None => {
             println!("ERROR: {name} found nothing — model broken");
@@ -101,8 +103,9 @@ fn main() -> ExitCode {
 
     println!("== checkpoint: rank C/R service loop (RankCr x stop-and-sync) ==");
     // A ring of blocking exchanges and a checkpoint() per step; segs=2 puts
-    // a crash inside a ring step.
-    for (ranks, steps, segs, crashes) in [(3, 2, 1, 0), (3, 2, 1, 1), (3, 2, 2, 1)] {
+    // a crash inside a ring step and a plain safepoint, kept or refreshed,
+    // between its exchanges; segs=3 puts two there.
+    for (ranks, steps, segs, crashes) in [(3, 2, 1, 0), (3, 2, 1, 1), (3, 2, 2, 1), (3, 1, 3, 1)] {
         run(
             &format!("rank-cr ranks={ranks} steps={steps} segs={segs} crashes={crashes}"),
             ranks,
@@ -111,8 +114,8 @@ fn main() -> ExitCode {
             &mut failed,
         );
     }
-    // The two defects the machine fixed, switched back on: each must be
-    // found again.
+    // The defects the machine and its shell avoid, switched back on: each
+    // must be found again.
     println!("== checkpoint: rank C/R mutations (expected counterexamples) ==");
     let ring = RankCrModel::ring(3, 2, 1, 1);
     let late_claim = RankCrModel {
@@ -125,6 +128,11 @@ fn main() -> ExitCode {
         ..ring
     };
     must_find("rank-cr resend", &resend, &mut failed);
+    let reset_on_keep = RankCrModel {
+        reset_on_keep: true,
+        ..RankCrModel::ring(3, 1, 2, 1)
+    };
+    must_find("rank-cr reset-on-keep", &reset_on_keep, &mut failed);
 
     println!("== checkpoint: replica placement ==");
     for (peers, frags, k, crashes) in [(4, 3, 2, 2), (3, 2, 3, 2), (3, 3, 1, 1)] {

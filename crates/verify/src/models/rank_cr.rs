@@ -9,8 +9,12 @@
 //! and the world around it:
 //!
 //! * the **skeleton**: every rank runs `steps` steps of `segs` blocking
-//!   exchanges (send to the right neighbour, receive from the left), then
-//!   `checkpoint()` with the next step as its state; rank 0 coordinates;
+//!   exchanges (send to the right neighbour, receive from the left), with a
+//!   plain safepoint between two exchanges, then `checkpoint()` with the
+//!   next step as its state; rank 0 coordinates. At a plain safepoint the
+//!   shell may copy the state in hand into its cache or keep the older copy
+//!   (and its growing log): the checker explores both, so every refresh
+//!   policy is covered; `checkpoint()` always refreshes;
 //! * **daemon relays** (`Stop` / `Saved` / `Resume`): FIFO per link;
 //! * the **data path**: one FIFO per link carrying application messages and
 //!   flush marks in order. An arriving data message is queued at once (in
@@ -19,7 +23,8 @@
 //!   service point — and not while a capture put off inside a receive waits
 //!   for that receive's look;
 //! * where a rank services: blocked in a send (no state in hand), inside
-//!   its receive, or inside `checkpoint()` (state in hand);
+//!   its receive, or at a plain safepoint or inside `checkpoint()` (state
+//!   in hand);
 //! * image writes that complete at once; the safepoint cache and the
 //!   consumed log of each rank;
 //! * up to `crashes` failures: every rank restores the last committed line
@@ -35,11 +40,13 @@
 //! links empty — no rank waits in `checkpoint()` for a round nobody will
 //! start.
 //!
-//! Two switches put back the defects the machine fixed, for the checker to
-//! find: `late_claim` (a member's `checkpoint()` waits for an image newer
-//! than the one it had at the call, as the runtime did) deadlocks a rank
-//! captured blocked before its call; `resend` (a restored rank sends what
-//! the machine suppresses) delivers a message twice.
+//! Three switches put back defects, for the checker to find: `late_claim`
+//! (a member's `checkpoint()` waits for an image newer than the one it had
+//! at the call, as the runtime did) deadlocks a rank captured blocked
+//! before its call; `resend` (a restored rank sends what the machine
+//! suppresses) delivers a message twice; `reset_on_keep` (a safepoint that
+//! keeps the older copy still restarts the machine's sent counts) images
+//! too few sends, so the restored rank sends again what its receiver holds.
 
 use std::collections::BTreeMap;
 
@@ -62,6 +69,9 @@ pub struct RankCrModel {
     pub late_claim: bool,
     /// Mutation (ii): a restored rank sends what the machine suppresses.
     pub resend: bool,
+    /// Mutation (iii): a safepoint that keeps the cached state restarts
+    /// the machine's sent counts all the same.
+    pub reset_on_keep: bool,
 }
 
 impl RankCrModel {
@@ -73,6 +83,7 @@ impl RankCrModel {
             crashes,
             late_claim: false,
             resend: false,
+            reset_on_keep: false,
         }
     }
 }
@@ -85,6 +96,11 @@ enum Pc {
         seg: u32,
     },
     Recv {
+        step: u32,
+        seg: u32,
+    },
+    /// At the plain safepoint before exchange `seg` (> 0) of `step`.
+    Safe {
         step: u32,
         seg: u32,
     },
@@ -103,8 +119,8 @@ enum Wire {
     Mark(CrMsg),
 }
 
-/// A written image: where the program resumes, the channel state, and the
-/// machine's fields.
+/// A written image: where the program resumes (the id of its next
+/// exchange), the channel state, and the machine's fields.
 #[derive(Clone, Debug)]
 struct Image {
     resume: u32,
@@ -117,7 +133,7 @@ struct Image {
 struct Proc {
     cr: RankCr,
     pc: Pc,
-    /// The step the state cached at the last safepoint resumes at.
+    /// The exchange the state of the cached safepoint resumes at.
     cache: u32,
     /// Messages consumed since that safepoint.
     consumed: Vec<u32>,
@@ -140,8 +156,11 @@ pub struct RcState {
 
 #[derive(Clone, Debug)]
 pub enum RcAction {
-    /// Rank's program makes progress.
+    /// Rank's program makes progress; at a plain safepoint, refreshing
+    /// its cache.
     Step(u32),
+    /// Rank leaves a plain safepoint keeping its cache.
+    Keep(u32),
     /// Deliver the head relay on link `from → to`.
     Ctrl(u32, u32),
     /// Deliver the head of data link `from → to`.
@@ -176,7 +195,7 @@ impl RankCrModel {
             Pc::Send { .. } => Some(Point::Busy),
             Pc::Recv { .. } if p.cr.deferred() => None,
             Pc::Recv { .. } => Some(Point::InRecv),
-            Pc::Call { .. } => Some(Point::Safepoint),
+            Pc::Safe { .. } | Pc::Call { .. } => Some(Point::Safepoint),
             Pc::Done => None,
         }
     }
@@ -194,12 +213,12 @@ impl RankCrModel {
                 Out::Mark { to, msg, .. } => chan::push(&mut s.data, r, to.0, Wire::Mark(msg)),
                 Out::Capture { kind, owed, .. } => {
                     let p = &mut s.procs[r as usize];
-                    let (replay, sent) = match kind {
-                        Capture::Live => (Vec::new(), Vec::new()),
-                        Capture::Cached { sent } => (p.consumed.clone(), sent),
+                    let (resume, replay, sent) = match kind {
+                        Capture::Live => (self.here(&p.pc), Vec::new(), Vec::new()),
+                        Capture::Cached { sent } => (p.cache, p.consumed.clone(), sent),
                     };
                     p.captured = Some(Image {
-                        resume: p.cache,
+                        resume,
                         channel: replay,
                         owed,
                         sent,
@@ -252,6 +271,7 @@ impl RankCrModel {
             // receive before it is taken there.
             Pc::Send { .. } => !p.cr.held() || p.cr.deferred(),
             Pc::Recv { .. } => !p.queue.is_empty() || p.cr.deferred(),
+            Pc::Safe { .. } => !p.cr.held() || p.cr.deferred(),
             // Rank 0 coordinates: its call waits for the commit either way.
             Pc::Call { before, .. } if self.late_claim && r > 0 => p.cr.last_index() > *before,
             Pc::Call { .. } => !p.cr.in_call(),
@@ -295,11 +315,11 @@ impl RankCrModel {
                 }
                 p.consumed.push(m);
                 if seg + 1 < self.segs {
-                    p.pc = Pc::Send { step, seg: seg + 1 };
+                    p.pc = Pc::Safe { step, seg: seg + 1 };
                     return;
                 }
                 // `checkpoint()` with the next step as its state.
-                p.cache = step + 1;
+                p.cache = self.id(step + 1, 0);
                 p.consumed.clear();
                 p.cr.safepoint();
                 let before = p.cr.last_index();
@@ -309,6 +329,7 @@ impl RankCrModel {
                 let outs = s.procs[r as usize].cr.service(Point::Safepoint);
                 self.carry(s, r, outs);
             }
+            Pc::Safe { .. } => self.leave_safepoint(s, r, true),
             Pc::Call { step, .. } if step + 1 < self.steps => {
                 s.procs[r as usize].pc = Pc::Send {
                     step: step + 1,
@@ -325,6 +346,39 @@ impl RankCrModel {
         }
     }
 
+    /// Where a capture with the state in hand resumes: the exchange after
+    /// the safepoint or `checkpoint()` call `pc` is at.
+    fn here(&self, pc: &Pc) -> u32 {
+        match *pc {
+            Pc::Safe { step, seg } => self.id(step, seg),
+            Pc::Call { step, .. } => self.id(step + 1, 0),
+            _ => unreachable!("a live capture outside a safepoint: {pc:?}"),
+        }
+    }
+
+    /// `r` services at its plain safepoint and, unless that holds it, goes
+    /// on to its next exchange — having copied its state into the cache
+    /// (`refresh`) or kept the older copy.
+    fn leave_safepoint(&self, s: &mut RcState, r: u32, refresh: bool) {
+        let outs = s.procs[r as usize].cr.service(Point::Safepoint);
+        self.carry(s, r, outs);
+        let p = &mut s.procs[r as usize];
+        let Pc::Safe { step, seg } = p.pc else {
+            unreachable!("left a safepoint it was not at")
+        };
+        if p.cr.held() {
+            return;
+        }
+        if refresh {
+            p.cache = self.id(step, seg);
+            p.consumed.clear();
+        }
+        if refresh || self.reset_on_keep {
+            p.cr.safepoint();
+        }
+        p.pc = Pc::Send { step, seg };
+    }
+
     /// Every rank restores the last committed line.
     fn crash(&self, s: &mut RcState) {
         let line = s.committed;
@@ -334,13 +388,12 @@ impl RankCrModel {
                 p.cr.restored(line, img.owed, &img.sent);
                 p.cache = img.resume;
                 p.queue = img.channel.clone();
-                p.pc = if img.resume < self.steps {
-                    Pc::Send {
-                        step: img.resume,
-                        seg: 0,
-                    }
-                } else {
-                    Pc::Done
+                // A program restored mid-step calls its safepoint again.
+                let (step, seg) = (img.resume / self.segs, img.resume % self.segs);
+                p.pc = match seg {
+                    _ if step >= self.steps => Pc::Done,
+                    0 => Pc::Send { step, seg },
+                    _ => Pc::Safe { step, seg },
                 };
             }
             s.procs[r as usize] = p;
@@ -360,15 +413,19 @@ impl RankCrModel {
             let (Some(to), Some(from)) = (img(r), img(left)) else {
                 return Err(format!("index {line} committed without rank {r}'s image"));
             };
-            let sent =
-                from.resume * self.segs + from.sent.get(r as usize).copied().unwrap_or(0) as u32;
-            let want: Vec<u32> = (to.resume * self.segs..sent).collect();
+            let sent = from.resume + from.sent.get(r as usize).copied().unwrap_or(0) as u32;
+            let want: Vec<u32> = (to.resume..sent).collect();
+            if let Some(again) = to.channel.strip_prefix(&want[..]).filter(|a| !a.is_empty()) {
+                return Err(format!(
+                    "index {line}: rank {r} holds {again:?}, which rank {left} restored \
+                     from its image sends again: delivered twice"
+                ));
+            }
             if to.channel != want {
                 return Err(format!(
                     "index {line}: link {left} → {r} is cut at {sent} sent, but rank {r} \
                      resumes at {} with channel {:?}",
-                    to.resume * self.segs,
-                    to.channel
+                    to.resume, to.channel
                 ));
             }
         }
@@ -397,6 +454,9 @@ impl Model for RankCrModel {
         for (r, p) in s.procs.iter().enumerate() {
             if self.step_enabled(r, p) {
                 acts.push(RcAction::Step(r as u32));
+                if matches!(p.pc, Pc::Safe { .. }) {
+                    acts.push(RcAction::Keep(r as u32));
+                }
             }
         }
         let takes = |t: u32| {
@@ -424,6 +484,7 @@ impl Model for RankCrModel {
         let mut s = s.clone();
         match a {
             RcAction::Step(r) => self.step(&mut s, *r),
+            RcAction::Keep(r) => self.leave_safepoint(&mut s, *r, false),
             RcAction::Ctrl(f, t) => {
                 let msg = chan::pop(&mut s.ctrl, *f, *t).expect("enabled action");
                 let from = Rank(*f);
@@ -497,6 +558,29 @@ mod tests {
         let m = RankCrModel {
             resend: true,
             ..RankCrModel::ring(3, 2, 1, 1)
+        };
+        let v = explore(&m, Options::default()).violation.expect("caught");
+        assert_eq!(v.kind, ViolationKind::Safety, "{v:?}");
+        assert!(v.message.contains("delivered twice"), "{}", v.message);
+    }
+
+    /// Three exchanges a step put two plain safepoints inside it, each of
+    /// which keeps or refreshes the cache: every line is a consistent cut.
+    /// (`segs=2` above adds a crash.)
+    #[test]
+    fn kept_and_refreshed_safepoints_commit_consistent_cuts() {
+        let r = explore(&RankCrModel::ring(3, 1, 3, 0), Options::default());
+        assert!(r.clean(), "{:?}", r.violation);
+    }
+
+    /// Defect (iii): a safepoint that keeps the older copy but restarts the
+    /// sent counts images too few sends; the restored rank sends again what
+    /// its receiver holds.
+    #[test]
+    fn a_kept_safepoint_that_resets_sent_counts_is_delivered_twice() {
+        let m = RankCrModel {
+            reset_on_keep: true,
+            ..RankCrModel::ring(3, 1, 2, 1)
         };
         let v = explore(&m, Options::default()).violation.expect("caught");
         assert_eq!(v.kind, ViolationKind::Safety, "{v:?}");

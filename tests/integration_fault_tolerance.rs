@@ -1,8 +1,11 @@
 //! Fault tolerance end to end: crashes under each policy, repeated
 //! failures, restart placement, and recovery correctness.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
+use starfish::state::CkptValueExt;
 use starfish::{AppStatus, CkptProto, CkptValue, Cluster, FtPolicy, Rank, ReduceOp, SubmitOpts};
 
 const T: Duration = Duration::from_secs(90);
@@ -263,7 +266,7 @@ fn meet_fold(acc: i64, sum: &[f64]) -> i64 {
 }
 
 /// Whether rank 0's image `index` was captured blocked in the half roots'
-/// exchange: it had sent since its last safepoint, and the only send of a
+/// exchange: it had sent since its cached safepoint, and the only send of a
 /// lower half root before its exchange receive is its partial to rank 2.
 fn rank0_in_exchange(cluster: &Cluster, app: starfish::AppId, index: u64) -> bool {
     let Some(img) = cluster.store().get(app, Rank(0), index) else {
@@ -346,4 +349,173 @@ fn allreduce_recovers_from_captures_inside_the_half_root_exchange() {
             "rank {r}: want {expect}, got {out:?}"
         );
     }
+}
+
+/// The `pingpong` app's state: 256 KiB of floats, far more than the log of
+/// its 16-byte messages, so a safepoint keeps the cached copy.
+const PP_CELLS: usize = 32 * 1024;
+/// Iterations, and the one at which rank 0 calls `checkpoint()`.
+const PP_ITERS: i64 = 12;
+const PP_CKPT: i64 = 5;
+
+/// What `from` sends in iteration `iter`: the iteration, then a value.
+fn pp_msg(from: i64, iter: i64) -> Vec<u8> {
+    let value = (from + 1) * (iter + 1);
+    [iter.to_le_bytes(), value.to_le_bytes()].concat()
+}
+
+fn pp_fold(acc: &mut [f64], msg: &[u8]) {
+    let word = |k: usize| i64::from_le_bytes(msg[k..k + 8].try_into().unwrap());
+    let (iter, value) = (word(0), word(8));
+    acc[(iter as usize * 7919) % acc.len()] += value as f64;
+}
+
+/// Check that `msg` is the one iteration `iter` consumes. A message consumed
+/// twice (or skipped) becomes the rank's only output and ends it.
+fn pp_expect(ctx: &mut starfish::Ctx<'_>, msg: &[u8], iter: i64) -> starfish::Result<()> {
+    let got = i64::from_le_bytes(msg[..8].try_into().unwrap());
+    if msg.len() != 16 || got != iter {
+        let why = format!("{} consumed message {got} in iteration {iter}", ctx.rank());
+        ctx.publish(CkptValue::Str(why.clone()));
+        return Err(starfish::Error::invalid_arg(why));
+    }
+    Ok(())
+}
+
+/// Two ranks in lockstep. Rank 1: safepoint, send, receive. Rank 0:
+/// receive, safepoint, send — and in iteration [`PP_CKPT`] `checkpoint()`
+/// in place of the safepoint, when rank 1 has passed its own safepoint and
+/// sent, and waits in its receive for rank 0's send behind the call. Rank 1
+/// is captured there, with the state cached at its first safepoint (every
+/// later one keeps it) and the messages it consumed since; its own
+/// `checkpoint()` call, next iteration, claims that capture. Rank 0 then
+/// holds at a service point until `go`, which the test sets after crashing
+/// rank 1's node.
+fn pingpong(ctx: &mut starfish::Ctx<'_>, go: &AtomicBool) -> starfish::Result<()> {
+    let me = ctx.rank().0 as i64;
+    let peer = Rank(1 - me as u32);
+    let restored = ctx.restored();
+    let (mut iter, mut acc) = match &restored {
+        Some(v) => (v.req_int("iter")?, v.req_float_array("acc")?),
+        None => (0, vec![0.0; PP_CELLS]),
+    };
+    // Rank 0's state is taken after its receive: a restored rank 0 has it.
+    let mut received = restored.is_some() && me == 0;
+    // The image restored from is the checkpoint of its iteration.
+    let mut skip_ckpt_at = restored.as_ref().map(|_| iter);
+    while iter < PP_ITERS {
+        if me == 0 && !std::mem::take(&mut received) {
+            let m = ctx.recv(Some(peer), Some(1))?;
+            pp_expect(ctx, &m.data, iter)?;
+            pp_fold(&mut acc, &m.data);
+        }
+        let state = CkptValue::record(vec![
+            ("iter", CkptValue::Int(iter)),
+            ("acc", CkptValue::FloatArray(acc.clone())),
+        ]);
+        let ckpt_at = if me == 0 { PP_CKPT } else { PP_CKPT + 1 };
+        if iter == ckpt_at && skip_ckpt_at.take() != Some(iter) {
+            ctx.checkpoint(&state)?;
+        } else {
+            ctx.safepoint(&state)?;
+        }
+        ctx.send(peer, 1, &pp_msg(me, iter))?;
+        if me == 0 && iter == PP_CKPT {
+            while !go.load(Ordering::SeqCst) {
+                ctx.take_coord()?;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        if me == 1 {
+            let m = ctx.recv(Some(peer), Some(1))?;
+            pp_expect(ctx, &m.data, iter)?;
+            pp_fold(&mut acc, &m.data);
+        }
+        iter += 1;
+    }
+    let sum = acc.iter().sum::<f64>() as i64;
+    ctx.publish(CkptValue::record(vec![
+        ("sum", CkptValue::Int(sum)),
+        ("restored", CkptValue::Bool(restored.is_some())),
+    ]));
+    Ok(())
+}
+
+/// A capture inside a blocked receive, several kept safepoints after the
+/// cached one, restores correctly: the image is the first safepoint's state
+/// with every message consumed since as replay, the restored rank suppresses
+/// every send since, and the job's answer is the serial one.
+fn capture_at_a_kept_safepoint_restores(proto: CkptProto) {
+    let cluster = Cluster::builder().nodes(3).build().unwrap();
+    let go = Arc::new(AtomicBool::new(false));
+    let gate = go.clone();
+    cluster.register_app("pingpong", move |ctx| pingpong(ctx, &gate));
+    let app = cluster
+        .submit("pingpong", 2, SubmitOpts::default().proto(proto))
+        .unwrap();
+    wait_ckpt(&cluster, app, 2, 1);
+
+    // Rank 1's image: its first safepoint's state, the messages consumed
+    // since as replay, and the sends since to suppress.
+    let img = cluster
+        .store()
+        .get(app, Rank(1), 1)
+        .expect("rank 1's image");
+    let (state, _) = img.restore_state(starfish::MACHINES[0]).unwrap();
+    let user = state.field("__user").expect("a cached state");
+    let cached_at = user.field("iter").and_then(|f| f.as_int()).unwrap();
+    assert!(
+        PP_CKPT - cached_at >= 3,
+        "captured {} safepoints after the cached one",
+        PP_CKPT - cached_at
+    );
+    let sent = state.field("__sent").and_then(|s| s.as_int_array());
+    assert_eq!(
+        sent,
+        Some(&[PP_CKPT - cached_at + 1, 0][..]),
+        "sends to suppress"
+    );
+    let replay: Vec<Vec<u8>> = img.channel.iter().map(|m| m.payload.clone()).collect();
+    let kept: Vec<Vec<u8>> = (cached_at..PP_CKPT).map(|i| pp_msg(0, i)).collect();
+    assert_eq!(replay, kept, "the replay log spans the kept intervals");
+    let logged: usize = replay.iter().map(Vec::len).sum();
+    assert!(logged <= user.heap_bytes() + 16, "{logged} B logged");
+
+    let victim = cluster.config().apps[&app].placement[1];
+    cluster.crash_node(victim);
+    go.store(true, Ordering::SeqCst);
+
+    // Each rank publishes once: its answer, or the message it consumed
+    // twice.
+    let mut serial = [vec![0.0; PP_CELLS], vec![0.0; PP_CELLS]];
+    for iter in 0..PP_ITERS {
+        pp_fold(&mut serial[0], &pp_msg(1, iter));
+        pp_fold(&mut serial[1], &pp_msg(0, iter));
+    }
+    for (r, acc) in serial.iter().enumerate() {
+        let want = acc.iter().sum::<f64>() as i64;
+        let out = cluster.wait_outputs(app, Rank(r as u32), 1, T).unwrap();
+        assert_eq!(
+            out[0].field("sum"),
+            Some(&CkptValue::Int(want)),
+            "rank {r}: {out:?}"
+        );
+        assert_eq!(
+            out[0].field("restored"),
+            Some(&CkptValue::Bool(true)),
+            "rank {r}"
+        );
+    }
+    cluster.wait_app_done(app, T).unwrap();
+    assert_eq!(cluster.config().apps[&app].epoch.0, 1, "one rollback");
+}
+
+#[test]
+fn stop_and_sync_restores_a_capture_taken_after_kept_safepoints() {
+    capture_at_a_kept_safepoint_restores(CkptProto::StopAndSync);
+}
+
+#[test]
+fn chandy_lamport_restores_a_capture_taken_after_kept_safepoints() {
+    capture_at_a_kept_safepoint_restores(CkptProto::ChandyLamport);
 }
