@@ -1,10 +1,9 @@
 //! The committed triage file, `analysis-baseline.toml`. Hand-rolled parser
-//! for the TOML subset the baseline actually uses: comments, `[table]`,
-//! `[[array-of-tables]]`, and `key = "string" | integer` pairs (keys may be
-//! quoted). Anything else is a parse error — a baseline that cannot be read
-//! must fail loudly, not silently allow everything.
+//! for the TOML subset the baseline actually uses: comments,
+//! `[[array-of-tables]]` and `key = "string"` pairs. Anything else is a
+//! parse error — a baseline that cannot be read must fail loudly, not
+//! silently allow everything.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
@@ -30,8 +29,6 @@ pub struct BlockingAllow {
 pub struct Baseline {
     pub lock_order: Vec<LockOrderAllow>,
     pub blocking: Vec<BlockingAllow>,
-    /// Repo-relative file path -> allowed panic-site count.
-    pub panic_surface: BTreeMap<String, usize>,
 }
 
 impl Baseline {
@@ -56,7 +53,6 @@ impl Baseline {
             None,
             LockOrder,
             Blocking,
-            PanicSurface,
         }
         let mut b = Baseline::empty();
         let mut sec = Sec::None;
@@ -88,23 +84,19 @@ impl Baseline {
                 };
                 continue;
             }
-            if let Some(name) = line.strip_prefix('[').and_then(|r| r.strip_suffix(']')) {
-                sec = match name.trim() {
-                    "panic-surface" => Sec::PanicSurface,
-                    other => return Err(at(&format!("unknown section [{other}]"))),
-                };
-                continue;
+            if line.starts_with('[') {
+                return Err(at(&format!("unknown section {line}")));
             }
             let Some(eq) = line.find('=') else {
                 return Err(at("expected `key = value`"));
             };
-            let key = unquote(line[..eq].trim());
+            let key = line[..eq].trim();
             let val = line[eq + 1..].trim();
             match sec {
                 Sec::None => return Err(at("key before any section")),
                 Sec::LockOrder => {
                     let e = b.lock_order.last_mut().unwrap();
-                    match key.as_str() {
+                    match key {
                         "a" => e.a = parse_str(val).ok_or_else(|| at("`a` must be a string"))?,
                         "b" => e.b = parse_str(val).ok_or_else(|| at("`b` must be a string"))?,
                         "reason" => {
@@ -116,7 +108,7 @@ impl Baseline {
                 }
                 Sec::Blocking => {
                     let e = b.blocking.last_mut().unwrap();
-                    match key.as_str() {
+                    match key {
                         "function" => {
                             e.function =
                                 parse_str(val).ok_or_else(|| at("`function` must be a string"))?
@@ -128,12 +120,6 @@ impl Baseline {
                         }
                         k => return Err(at(&format!("unknown blocking key `{k}`"))),
                     }
-                }
-                Sec::PanicSurface => {
-                    let n: usize = val
-                        .parse()
-                        .map_err(|_| at(&format!("`{key}` must be an integer, got `{val}`")))?;
-                    b.panic_surface.insert(key, n);
                 }
             }
         }
@@ -182,19 +168,12 @@ fn parse_str(val: &str) -> Option<String> {
     Some(v.to_string())
 }
 
-fn unquote(key: &str) -> String {
-    key.strip_prefix('"')
-        .and_then(|k| k.strip_suffix('"'))
-        .unwrap_or(key)
-        .to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn parses_all_three_sections() {
+    fn parses_both_sections() {
         let b = Baseline::parse(concat!(
             "# triaged findings\n",
             "[[lock-order]]\n",
@@ -206,15 +185,11 @@ mod tests {
             "function = \"Daemon::wait_config\"\n",
             "op = \"thread::sleep\"\n",
             "reason = \"startup poll, no shard lock held\"\n",
-            "\n",
-            "[panic-surface]\n",
-            "\"crates/vni/src/fabric.rs\" = 3\n",
         ))
         .unwrap();
         assert!(b.allows_edge("vni::Membership.links", "vni::Inbox.q"));
         assert!(!b.allows_edge("vni::Inbox.q", "vni::Membership.links"));
         assert!(b.allows_blocking("Daemon::wait_config", "thread::sleep"));
-        assert_eq!(b.panic_surface.get("crates/vni/src/fabric.rs"), Some(&3));
     }
 
     #[test]
@@ -222,12 +197,12 @@ mod tests {
         assert!(Baseline::parse("[[lock-order]]\na = \"x\"\n").is_err());
         assert!(Baseline::parse("[mystery]\n").is_err());
         assert!(Baseline::parse("stray = 1\n").is_err());
-        assert!(Baseline::parse("[panic-surface]\n\"f.rs\" = \"three\"\n").is_err());
+        assert!(Baseline::parse("[panic-surface]\n\"f.rs\" = 3\n").is_err());
     }
 
     #[test]
     fn missing_file_is_empty() {
         let b = Baseline::load(Path::new("/nonexistent/analysis-baseline.toml")).unwrap();
-        assert!(b.lock_order.is_empty() && b.blocking.is_empty() && b.panic_surface.is_empty());
+        assert!(b.lock_order.is_empty() && b.blocking.is_empty());
     }
 }

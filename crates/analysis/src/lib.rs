@@ -1,6 +1,8 @@
 //! `starfish-analysis`: offline multi-pass static analysis over the
 //! workspace source, grown out of `verify::lint`'s 3-rule line scanner and
-//! re-exported through the same `starfish-lint` binary.
+//! re-exported through the same `starfish-lint` binary. It holds only the
+//! rules clippy cannot express: the panic surface and the clock, sleep and
+//! entropy bans are clippy's (`clippy.toml`, VERIFICATION.md §2).
 //!
 //! Layers, bottom up:
 //!
@@ -10,10 +12,9 @@
 //!   impl blocks, functions (with body extents and call sites).
 //! - [`locks`] — lock-order graph + cycle detection, the
 //!   blocking-while-locked pass and the notify-unlocked pass.
-//! - [`panics`] — panic-surface audit over the protocol crates.
-//! - [`rules`] — the original wall-clock / wire-enum-coverage rules,
-//!   re-hosted on the model, and the sans-io rule for files that declare
-//!   themselves pure protocol machines.
+//! - [`rules`] — the wire-enum-coverage rule, re-hosted on the model, and
+//!   the sans-io rule for files that declare themselves pure protocol
+//!   machines.
 //! - [`baseline`] / [`report`] — the committed triage file and the
 //!   human + JSON outputs.
 //!
@@ -21,14 +22,12 @@
 //! `analysis-baseline.toml`) and [`analyze_crate`] (fixture mode: all
 //! passes on one crate directory, no baseline — every finding reported).
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 pub mod baseline;
 pub mod locks;
 pub mod model;
-pub mod panics;
 pub mod report;
 pub mod rules;
 pub mod source;
@@ -37,6 +36,10 @@ pub use baseline::Baseline;
 pub use locks::{LockGraph, Watched};
 pub use model::CrateModel;
 pub use report::{Finding, Report};
+
+/// The vendored stand-ins under `third_party/` that the runtime waits in:
+/// the notify-unlocked pass covers them too.
+const STAND_INS: [&str; 2] = ["crossbeam", "parking_lot"];
 
 /// Parse models for every crate under `root/crates/`, sorted by name.
 pub fn workspace_models(root: &Path) -> Vec<CrateModel> {
@@ -87,64 +90,20 @@ pub fn analyze_workspace(root: &Path) -> Result<Report, String> {
     }
     report.findings.extend(la.notify);
     // The notify rule also covers the stand-ins the runtime waits in.
-    for dir in rules::NO_SLEEP_DIRS {
-        if let Some(krate) = dir
-            .strip_prefix("third_party/")
-            .and_then(|d| d.strip_suffix("/src"))
-        {
-            let m = CrateModel::parse(krate, &root.join("third_party").join(krate));
-            report
-                .findings
-                .extend(locks::analyze(&[m], Watched::All).notify);
-        }
+    for krate in STAND_INS {
+        let m = CrateModel::parse(krate, &root.join("third_party").join(krate));
+        report
+            .findings
+            .extend(locks::analyze(&[m], Watched::All).notify);
     }
 
-    // Panic surface (baselined per file).
-    let mut panic_total = 0usize;
-    let mut seen_keys = Vec::new();
-    for m in &models {
-        if !panics::PANIC_CRATES.contains(&m.name.as_str()) {
-            continue;
-        }
-        let sites = panics::panic_sites(m);
-        panic_total += sites.len();
-        let (findings, notes, keys, shadowed) = audit_panics(&sites, &bl, root);
-        report.findings.extend(findings);
-        report.notes.extend(notes);
-        seen_keys.extend(keys);
-        baselined += shadowed;
-    }
-    for key in bl.panic_surface.keys() {
-        if !seen_keys.contains(key) {
-            report.notes.push(format!(
-                "panic-surface baseline entry `{key}` matches no audited file — remove it"
-            ));
-        }
-    }
-
-    // Legacy rules.
-    for name in rules::DETERMINISTIC_CRATES {
-        report.findings.extend(rules::wall_clock(
-            &root.join("crates").join(name).join("src"),
-        ));
-    }
-    for dir in rules::NO_SLEEP_DIRS {
-        report.findings.extend(rules::sleep_poll(&root.join(dir)));
-    }
     for m in &models {
         let dir = root.join("crates").join(&m.name);
         report.findings.extend(rules::sans_io(&dir.join("src")));
         report.findings.extend(rules::wire_enum_coverage(&dir));
     }
 
-    finish(
-        &mut report,
-        &models,
-        &graph,
-        &la.stats,
-        panic_total,
-        baselined,
-    );
+    finish(&mut report, &models, &graph, &la.stats, baselined);
     Ok(report)
 }
 
@@ -166,17 +125,10 @@ pub fn analyze_crate(dir: &Path) -> Report {
     report.findings.extend(la.blocking);
     report.findings.extend(la.notify);
 
-    let sites = panics::panic_sites(&models[0]);
-    let panic_total = sites.len();
-    let (findings, _notes, _keys, _) = audit_panics(&sites, &Baseline::empty(), dir);
-    report.findings.extend(findings);
-
-    report.findings.extend(rules::wall_clock(&dir.join("src")));
-    report.findings.extend(rules::sleep_poll(&dir.join("src")));
     report.findings.extend(rules::sans_io(&dir.join("src")));
     report.findings.extend(rules::wire_enum_coverage(dir));
 
-    finish(&mut report, &models, &la.graph, &la.stats, panic_total, 0);
+    finish(&mut report, &models, &la.graph, &la.stats, 0);
     report
 }
 
@@ -209,66 +161,11 @@ fn cycle_finding(c: &locks::Cycle) -> Finding {
     f
 }
 
-/// Compare one crate's panic sites against the baseline. Returns
-/// (findings, notes, keys seen, sites shadowed by the baseline).
-fn audit_panics(
-    sites: &[panics::PanicSite],
-    bl: &Baseline,
-    root: &Path,
-) -> (Vec<Finding>, Vec<String>, Vec<String>, usize) {
-    let mut per_file: BTreeMap<String, Vec<&panics::PanicSite>> = BTreeMap::new();
-    for s in sites {
-        per_file
-            .entry(panics::rel_key(&s.file, root))
-            .or_default()
-            .push(s);
-    }
-    let mut findings = Vec::new();
-    let mut notes = Vec::new();
-    let mut keys = Vec::new();
-    let mut shadowed = 0usize;
-    for (key, sites) in &per_file {
-        keys.push(key.clone());
-        let allowed = bl.panic_surface.get(key).copied().unwrap_or(0);
-        let n = sites.len();
-        if n > allowed {
-            let head: Vec<String> = sites
-                .iter()
-                .take(5)
-                .map(|s| format!("{} at line {}", s.what, s.line + 1))
-                .collect();
-            let mut f = Finding::new(
-                "panic-surface",
-                sites[0].file.clone(),
-                sites[0].line + 1,
-                format!(
-                    "{n} panic site(s), baseline allows {allowed} — handle the error \
-                     or raise the baseline with a triage reason ({})",
-                    head.join(", ")
-                ),
-            );
-            f.subject = key.clone();
-            f.detail = n.to_string();
-            findings.push(f);
-        } else {
-            shadowed += n;
-            if n < allowed {
-                notes.push(format!(
-                    "panic-surface baseline for `{key}` is stale ({n} site(s), {allowed} allowed) \
-                     — tighten it"
-                ));
-            }
-        }
-    }
-    (findings, notes, keys, shadowed)
-}
-
 fn finish(
     report: &mut Report,
     models: &[CrateModel],
     graph: &LockGraph,
     lstats: &locks::LockStats,
-    panic_sites: usize,
     baselined: usize,
 ) {
     report
@@ -281,7 +178,6 @@ fn finish(
     report.stats.lock_classes = graph.classes.len();
     report.stats.lock_edges = graph.edges.len();
     report.stats.unresolved_locks = lstats.unresolved_locks;
-    report.stats.panic_sites = panic_sites;
     report.stats.baselined = baselined;
 }
 
@@ -298,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn analyze_crate_reports_cycles_blocking_and_panics() {
+    fn analyze_crate_reports_cycles_and_blocking() {
         let d = fixture_crate(
             "all-passes",
             concat!(
@@ -307,7 +203,6 @@ mod tests {
                 "    fn ab(&self) { let ga = self.a.lock(); let gb = self.b.lock(); }\n",
                 "    fn ba(&self) { let gb = self.b.lock(); let ga = self.a.lock(); }\n",
                 "    fn blk(&self) { let g = self.a.lock(); std::thread::sleep(d); }\n",
-                "    fn oops(&self) -> u32 { self.maybe().unwrap() }\n",
                 "}\n",
             ),
         );
@@ -315,7 +210,6 @@ mod tests {
         let rules: Vec<&str> = r.findings.iter().map(|f| f.rule.as_str()).collect();
         assert!(rules.contains(&"lock-order"), "{rules:?}");
         assert!(rules.contains(&"blocking-while-locked"), "{rules:?}");
-        assert!(rules.contains(&"panic-surface"), "{rules:?}");
         assert!(r.stats.lock_classes >= 2);
     }
 

@@ -622,8 +622,14 @@ mod tests {
         let in_test = |name: &str| m.functions.iter().find(|f| f.name == name).unwrap().in_test;
         assert!(in_test("helper") && in_test("prop"));
         assert!(!in_test("ring") && !in_test("shipped"));
-        let sites = crate::panics::panic_sites(&m);
-        assert_eq!(sites.len(), 1, "only ring.rs ships its unwrap");
+        let shipped: Vec<&Path> = m
+            .files
+            .iter()
+            .filter(|f| f.in_test.contains(&false))
+            .map(|f| f.path.as_path())
+            .collect();
+        let want = ["t/src/coll/mod.rs", "t/src/coll/ring.rs"].map(Path::new);
+        assert_eq!(shipped, want, "only mod.rs and ring.rs ship code");
     }
 
     #[test]

@@ -21,8 +21,8 @@ pub struct Finding {
     /// blocking findings, the `a -> b` pair for lock-order findings,
     /// empty for legacy rules.
     pub subject: String,
-    /// Stable detail for baseline matching: the blocking op kind, or the
-    /// panic-site count. Empty when unused.
+    /// Stable detail for baseline matching: the blocking op kind. Empty
+    /// when unused.
     pub detail: String,
 }
 
@@ -69,7 +69,6 @@ pub struct Stats {
     pub lock_classes: usize,
     pub lock_edges: usize,
     pub unresolved_locks: usize,
-    pub panic_sites: usize,
     pub baselined: usize,
 }
 
@@ -77,9 +76,6 @@ pub struct Stats {
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     pub findings: Vec<Finding>,
-    /// Non-failing observations (stale baseline entries, counts that could
-    /// be tightened). Printed, never gating.
-    pub notes: Vec<String>,
     pub stats: Stats,
 }
 
@@ -88,22 +84,19 @@ impl Report {
         self.findings.is_empty()
     }
 
-    /// Human output: one line per finding (plus indented chains), then the
-    /// notes and a stats trailer.
+    /// Human output: one line per finding (plus indented chains), then a
+    /// stats trailer.
     pub fn render_human(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
             out.push_str(&f.to_string());
             out.push('\n');
         }
-        for n in &self.notes {
-            out.push_str(&format!("note: {n}\n"));
-        }
         let s = &self.stats;
         out.push_str(&format!(
             "analysis: {} crate(s), {} file(s), {} function(s); \
              {} lock class(es), {} lock-order edge(s), {} unresolved lock site(s); \
-             {} panic site(s); {} finding(s) ({} baselined); \
+             {} finding(s) ({} baselined); \
              {} non-test line(s)\n",
             s.crates.len(),
             s.files,
@@ -111,7 +104,6 @@ impl Report {
             s.lock_classes,
             s.lock_edges,
             s.unresolved_locks,
-            s.panic_sites,
             self.findings.len(),
             s.baselined,
             s.non_test_lines.iter().sum::<usize>(),
@@ -121,7 +113,7 @@ impl Report {
 
     /// Machine-readable report (CI artifact).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"starfish-analysis/1\",\n  \"findings\": [");
+        let mut out = String::from("{\n  \"schema\": \"starfish-analysis/2\",\n  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -145,15 +137,8 @@ impl Report {
             }
             out.push_str("]}");
         }
-        out.push_str("\n  ],\n  \"notes\": [");
-        for (i, n) in self.notes.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(n));
-        }
         let s = &self.stats;
-        out.push_str("],\n  \"stats\": {");
+        out.push_str("\n  ],\n  \"stats\": {");
         out.push_str("\"crates\": [");
         for (i, c) in s.crates.iter().enumerate() {
             if i > 0 {
@@ -170,15 +155,8 @@ impl Report {
         }
         out.push_str(&format!(
             "}}, \"files\": {}, \"functions\": {}, \"lock_classes\": {}, \
-             \"lock_edges\": {}, \"unresolved_locks\": {}, \"panic_sites\": {}, \
-             \"baselined\": {}}}\n}}\n",
-            s.files,
-            s.functions,
-            s.lock_classes,
-            s.lock_edges,
-            s.unresolved_locks,
-            s.panic_sites,
-            s.baselined,
+             \"lock_edges\": {}, \"unresolved_locks\": {}, \"baselined\": {}}}\n}}\n",
+            s.files, s.functions, s.lock_classes, s.lock_edges, s.unresolved_locks, s.baselined,
         ));
         out
     }
@@ -225,7 +203,7 @@ mod tests {
         let j = r.to_json();
         assert!(j.contains("\\\"a\\\""), "{j}");
         assert!(j.contains("\\t"), "{j}");
-        assert!(j.contains("\"schema\": \"starfish-analysis/1\""));
+        assert!(j.contains("\"schema\": \"starfish-analysis/2\""));
         assert!(j.contains("\"crates\": [\"vni\"]"));
         assert!(j.contains("\"non_test_lines\": {\"vni\": 42}, "));
         // Structurally balanced (cheap sanity: equal brace counts).
@@ -247,11 +225,9 @@ mod tests {
         );
         f.chains.push("chain step".into());
         r.findings.push(f);
-        r.notes.push("stale entry".into());
         let h = r.render_human();
         assert!(h.contains("a.rs:3: [blocking-while-locked] m"));
         assert!(h.contains("    chain step"));
-        assert!(h.contains("note: stale entry"));
         assert!(h.contains("1 finding(s)"));
     }
 }

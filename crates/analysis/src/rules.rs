@@ -1,22 +1,15 @@
-//! The original `starfish-lint` rules, re-hosted on the analysis
+//! The repo-specific rules clippy cannot express, hosted on the analysis
 //! framework's source model:
 //!
-//! 1. **wall-clock** — crates whose behavior must be a pure function of
-//!    virtual time and seeds must not call wall-clock or seedless-entropy
-//!    APIs outside test code, and nothing on the runtime path — the
-//!    vendored channel and lock stand-ins included — may `thread::sleep`
-//!    there (it waits on the state change itself — see DESIGN.md, "who
-//!    waits on what"). Real-time escape hatches carry
-//!    `// lint: allow(wall-clock)` on the same or preceding line.
+//! 1. **sans-io** — a file carrying the `// lint: sans-io` marker is a pure
+//!    protocol machine: it may not name a clock read, the fabric, the
+//!    virtual clock, a lock, a thread or an instrument, tests included, and
+//!    there is no escape hatch.
 //! 2. **wire-enum-coverage** — every enum with an `Encode` *and* `Decode`
 //!    implementation (trait or inherent) must have each variant named in
 //!    the crate's test code. Variant parsing uses the item model, which
 //!    (unlike the old line scanner) also sees single-line enums and
 //!    several variants per line.
-//! 3. **sans-io** — a file carrying the `// lint: sans-io` marker is a pure
-//!    protocol machine: it may not name a clock read, the fabric, the
-//!    virtual clock, a lock, a thread or an instrument, tests included, and
-//!    there is no escape hatch (the wall-clock one is itself a finding).
 
 use std::fs;
 use std::path::Path;
@@ -25,119 +18,12 @@ use crate::model::CrateModel;
 use crate::report::Finding;
 use crate::source::{rs_files, token_in, SourceFile};
 
-/// Tokens rule 1 forbids in deterministic crates: wall clocks plus
-/// seedless entropy (`rand::random` / `Rng::gen` draw from OS entropy; the
-/// workspace's `DetRng` is the seeded alternative).
-pub const WALL_CLOCK_TOKENS: &[&str] = &[
-    "Instant::now",
-    "SystemTime::now",
-    "thread_rng",
-    "rand::random",
-    "Rng::gen",
-];
-
-/// The escape-hatch marker for rule 1.
-pub const ALLOW_WALL_CLOCK: &str = "lint: allow(wall-clock)";
-
-/// Crates (by directory name under `crates/`) whose `src/` must stay
-/// virtual-time deterministic. `events` and `trace` sit on the recovery
-/// forensics path: their frames are replayed and diffed across runs, so
-/// wall-clock reads there would break postmortem reproducibility.
-pub const DETERMINISTIC_CRATES: &[&str] = &[
-    "vni",
-    "mpi",
-    "ensemble",
-    "checkpoint",
-    "chaos",
-    "events",
-    "trace",
-];
-
-/// Tokens rule 1 forbids on the runtime path: a sleep there is a poll of
-/// state somebody else changes, and every such change has a wake-up
-/// (config watch, a thread's one wait point, the checkpoint store's change
-/// count).
-pub const SLEEP_TOKENS: &[&str] = &["thread::sleep"];
-
-/// Source directories (from the workspace root) whose non-test code must
-/// not sleep: what a running cluster executes, stand-ins included (a
-/// `select!` that slept 200 µs between probes hid in `crossbeam`). Some
-/// read wall clocks for deadlines: [`WALL_CLOCK_TOKENS`] is not for them.
-pub const NO_SLEEP_DIRS: &[&str] = &[
-    "crates/core/src",
-    "crates/daemon/src",
-    "crates/ensemble/src",
-    "crates/vni/src",
-    "crates/mpi/src",
-    "crates/lwgroups/src",
-    "crates/checkpoint/src",
-    "crates/util/src",
-    "crates/events/src",
-    "crates/trace/src",
-    "crates/telemetry/src",
-    "third_party/crossbeam/src",
-    "third_party/parking_lot/src",
-];
-
 // ---------------------------------------------------------------------------
-// Rule 1: wall-clock
-// ---------------------------------------------------------------------------
-
-/// Check one crate's `src/` for forbidden wall-clock/entropy tokens.
-pub fn wall_clock(src_dir: &Path) -> Vec<Finding> {
-    forbidden_tokens(
-        src_dir,
-        WALL_CLOCK_TOKENS,
-        "in a virtual-time-deterministic crate",
-    )
-}
-
-/// Check one crate's `src/` for sleeps on the runtime path.
-pub fn sleep_poll(src_dir: &Path) -> Vec<Finding> {
-    forbidden_tokens(
-        src_dir,
-        SLEEP_TOKENS,
-        "on the runtime path (wait on the state change, not on a timer)",
-    )
-}
-
-fn forbidden_tokens(src_dir: &Path, tokens: &[&str], wher: &str) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in rs_files(src_dir) {
-        let Some(scan) = SourceFile::load(&f) else {
-            continue;
-        };
-        for (i, code) in scan.code.iter().enumerate() {
-            if scan.in_test[i] {
-                continue;
-            }
-            for tok in tokens {
-                if !token_in(code, tok) {
-                    continue;
-                }
-                if !scan.allowed(i, ALLOW_WALL_CLOCK) {
-                    out.push(Finding::new(
-                        "wall-clock",
-                        scan.path.clone(),
-                        i + 1,
-                        format!(
-                            "`{tok}` {wher} \
-                             (annotate `// {ALLOW_WALL_CLOCK}` if this is a real-time escape hatch)"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Rule 3: sans-io
+// sans-io
 // ---------------------------------------------------------------------------
 
 /// The file marker (a comment line of its own) that opts a module into
-/// rule 3. `crates/mpi/src/{reliability,rendezvous,credit,matching}.rs`,
+/// the sans-io rule. `crates/mpi/src/{reliability,rendezvous,credit,matching}.rs`,
 /// `crates/ensemble/src/{core,group}.rs`,
 /// `crates/checkpoint/src/proto/{rank,stop_and_sync,chandy_lamport,independent}.rs`,
 /// `crates/daemon/src/node.rs` and `crates/lwgroups/src/router.rs` carry
@@ -166,16 +52,14 @@ pub fn is_sans_io(scan: &SourceFile) -> bool {
 
 /// Check the marked files under `src_dir`: every line, test code included
 /// (a machine whose tests need a thread or a clock is not driven purely),
-/// and no marker excuses a finding.
+/// and nothing excuses a finding.
 pub fn sans_io(src_dir: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
     let files = rs_files(src_dir);
     let scans = files.iter().filter_map(|f| SourceFile::load(f));
     for scan in scans.filter(is_sans_io) {
         for (i, code) in scan.code.iter().enumerate() {
-            let named = SANS_IO_TOKENS.iter().filter(|t| token_in(code, t));
-            let escape = scan.raw[i].contains(ALLOW_WALL_CLOCK);
-            for tok in named.chain(escape.then_some(&ALLOW_WALL_CLOCK)) {
+            for tok in SANS_IO_TOKENS.iter().filter(|t| token_in(code, t)) {
                 let msg = format!(
                     "`{tok}` in a `{SANS_IO_MARKER}` module: protocol machines take values \
                      and return decisions; I/O, clocks, locks, threads and instruments \
@@ -189,7 +73,7 @@ pub fn sans_io(src_dir: &Path) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 2: wire-enum coverage
+// wire-enum coverage
 // ---------------------------------------------------------------------------
 
 /// Names with an `impl Encode for X` / `impl Decode for X`, or an inherent
@@ -331,140 +215,9 @@ mod tests {
         d
     }
 
-    #[test]
-    fn wall_clock_flags_bare_instant_now() {
-        let d = tmpdir("wc1");
-        fs::write(
-            d.join("src/lib.rs"),
-            "pub fn f() -> std::time::Instant { std::time::Instant::now() }\n",
-        )
-        .unwrap();
-        let v = wall_clock(&d.join("src"));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "wall-clock");
-        assert_eq!(v[0].line, 1);
-    }
-
-    #[test]
-    fn wall_clock_flags_seedless_entropy() {
-        let d = tmpdir("wc-entropy");
-        fs::write(
-            d.join("src/lib.rs"),
-            concat!(
-                "pub fn jitter() -> u64 { rand::random::<u64>() }\n",
-                "pub fn draw<R: Rng>(r: &mut R) -> u64 { Rng::gen(r) }\n",
-            ),
-        )
-        .unwrap();
-        let v = wall_clock(&d.join("src"));
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v[0].msg.contains("rand::random"), "{}", v[0].msg);
-        assert!(v[1].msg.contains("Rng::gen"), "{}", v[1].msg);
-    }
-
-    #[test]
-    fn wall_clock_honors_allow_and_tests_and_comments() {
-        let d = tmpdir("wc2");
-        fs::write(
-            d.join("src/lib.rs"),
-            concat!(
-                "pub fn ok() {\n",
-                "    let _ = std::time::Instant::now(); // lint: allow(wall-clock)\n",
-                "    // lint: allow(wall-clock)\n",
-                "    let _ = std::time::Instant::now();\n",
-                "    // a comment mentioning Instant::now() is fine\n",
-                "    let _ = \"Instant::now() in a string is fine\";\n",
-                "}\n",
-                "#[cfg(test)]\n",
-                "mod tests {\n",
-                "    fn t() { let _ = std::time::Instant::now(); }\n",
-                "}\n",
-            ),
-        )
-        .unwrap();
-        let v = wall_clock(&d.join("src"));
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn wall_clock_ban_covers_the_diskless_replica_store() {
-        // The replica backend's virtual-time determinism rests on the
-        // checkpoint crate being policed; pin the crate list so a future
-        // edit cannot silently drop it (or the other deterministic cores).
-        assert!(DETERMINISTIC_CRATES.contains(&"checkpoint"));
-        assert!(DETERMINISTIC_CRATES.contains(&"mpi"));
-        // And the rule has teeth inside a replica.rs-shaped module.
-        let d = tmpdir("wc-replica");
-        fs::write(
-            d.join("src/replica.rs"),
-            concat!(
-                "pub fn put_replicated() {\n",
-                "    let _t0 = std::time::Instant::now();\n",
-                "}\n",
-            ),
-        )
-        .unwrap();
-        let v = wall_clock(&d.join("src"));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "wall-clock");
-        assert!(v[0].file.ends_with("replica.rs"), "{v:?}");
-    }
-
-    #[test]
-    fn sleep_ban_covers_the_runtime_path_and_spares_tests() {
-        for dir in [
-            "crates/core/src",
-            "crates/daemon/src",
-            "crates/ensemble/src",
-        ] {
-            assert!(NO_SLEEP_DIRS.contains(&dir), "{dir}");
-        }
-        assert!(NO_SLEEP_DIRS.contains(&"third_party/crossbeam/src"));
-        let d = tmpdir("sleep-poll");
-        fs::write(
-            d.join("src/lib.rs"),
-            concat!(
-                "pub fn wait_ready(ready: &dyn Fn() -> bool) {\n",
-                "    while !ready() {\n",
-                "        std::thread::sleep(std::time::Duration::from_millis(5));\n",
-                "    }\n",
-                "    // lint: allow(wall-clock)\n",
-                "    std::thread::sleep(std::time::Duration::from_millis(1));\n",
-                "    let _deadline = std::time::Instant::now();\n",
-                "}\n",
-                "#[cfg(test)]\n",
-                "mod tests {\n",
-                "    fn t() { std::thread::sleep(std::time::Duration::ZERO); }\n",
-                "}\n",
-            ),
-        )
-        .unwrap();
-        // A macro body is code like any other: this is the shape the
-        // stand-in's polling `select!` had.
-        fs::write(
-            d.join("src/select.rs"),
-            concat!(
-                "#[macro_export]\n",
-                "macro_rules! select {\n",
-                "    ($($rx:expr),*) => {{ loop {\n",
-                "        $( if let Ok(m) = $rx.try_recv() { break m; } )*\n",
-                "        ::std::thread::sleep(::std::time::Duration::from_micros(200));\n",
-                "    } }};\n",
-                "}\n",
-            ),
-        )
-        .unwrap();
-        let v = sleep_poll(&d.join("src"));
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().all(|f| f.rule == "wall-clock"));
-        assert!(v.iter().all(|f| f.msg.contains("thread::sleep")), "{v:?}");
-        let at = |file: &str| v.iter().find(|f| f.file.ends_with(file)).map(|f| f.line);
-        assert_eq!((at("lib.rs"), at("select.rs")), (Some(3), Some(5)), "{v:?}");
-    }
-
     /// In a marked file every banned name is a finding — in test code too,
-    /// and the wall-clock escape is one more finding rather than an excuse;
-    /// an unmarked file is not this rule's business.
+    /// and clippy's `#[expect]` for a clock read is no excuse here; an
+    /// unmarked file is not this rule's business.
     #[test]
     fn sans_io_bans_io_names_in_marked_files_with_no_escape() {
         let d = tmpdir("sans-io");
@@ -472,7 +225,8 @@ mod tests {
             "pub struct M { fabric: Fabric, last: Option<std::time::Instant> }\n",
             "impl M {\n",
             "    pub fn tick(&mut self, clock: &mut VClock) {\n",
-            "        self.last = Some(std::time::Instant::now()); // lint: allow(wall-clock)\n",
+            "        #[expect(clippy::disallowed_methods, reason = \"a deadline\")]\n",
+            "        let now = std::time::Instant::now();\n",
             "        let _g = self.lock.lock(); // a Mutex in a comment is fine\n",
             "    }\n",
             "}\n",
@@ -503,17 +257,14 @@ mod tests {
             vec![
                 (3, "Fabric"),
                 (5, "VClock"),
-                (6, "Instant::now"),
-                (6, ALLOW_WALL_CLOCK),
-                (12, "thread"),
+                (7, "Instant::now"),
+                (13, "thread"),
             ],
             "{v:?}"
         );
         assert!(v
             .iter()
             .all(|f| f.rule == "sans-io" && f.file.ends_with("machine.rs")));
-        // The wall-clock rule alone accepts the marked read.
-        assert!(wall_clock(&d.join("src")).is_empty());
     }
 
     /// The protocol machines carry the marker (and the shells that drive
@@ -567,25 +318,6 @@ mod tests {
             );
             assert!(sans_io(&src).is_empty(), "{:?}", sans_io(&src));
         }
-    }
-
-    #[test]
-    fn wall_clock_ban_covers_the_forensics_crates() {
-        // PR 8's event bus / postmortem frames are replayed and diffed
-        // across runs; pin `events` and `trace` into the deterministic set.
-        assert!(DETERMINISTIC_CRATES.contains(&"events"));
-        assert!(DETERMINISTIC_CRATES.contains(&"trace"));
-    }
-
-    #[test]
-    fn wall_clock_does_not_match_sub_identifiers() {
-        let d = tmpdir("wc3");
-        fs::write(
-            d.join("src/lib.rs"),
-            "pub fn f(x: u64) -> u64 { my_thread_rng_seed(x) }\nfn my_thread_rng_seed(x: u64) -> u64 { x }\n",
-        )
-        .unwrap();
-        assert!(wall_clock(&d.join("src")).is_empty());
     }
 
     #[test]

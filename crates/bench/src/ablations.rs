@@ -108,6 +108,7 @@ pub fn lwgroups() -> J {
         // Runs until it is deleted.
         cluster.register_app("lw", |ctx| loop {
             ctx.safepoint(&CkptValue::Unit)?;
+            #[expect(clippy::disallowed_methods, reason = "idles 1 ms between safepoints")]
             std::thread::sleep(Duration::from_millis(1));
         });
         let app = cluster.submit("lw", 2, SubmitOpts::default()).unwrap();
@@ -121,6 +122,7 @@ pub fn lwgroups() -> J {
         // land; one cast is its price, taken off each figure.
         let mut marks = 0;
         let mut settle = |cluster: &Cluster| {
+            #[expect(clippy::disallowed_methods, reason = "100 ms for stats casts to land")]
             std::thread::sleep(Duration::from_millis(100));
             marks += 1;
             let (key, value) = (format!("mark{marks}"), String::new());
@@ -188,6 +190,7 @@ pub fn polling() -> J {
                 // Compute while the burst arrives (the overlap the polling
                 // thread exploits), then drain it.
                 ctx.advance(starfish::VirtualTime::from_millis(20));
+                #[expect(clippy::disallowed_methods, reason = "the burst arrives in real time")]
                 std::thread::sleep(Duration::from_millis(100)); // real arrival
                 let t0 = ctx.time();
                 for i in 0..N {

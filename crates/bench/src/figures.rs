@@ -281,6 +281,7 @@ fn lifecycle_audit() -> Vec<(u64, u64)> {
         // Alive, at safepoints, until the lifecycle is over.
         while !stop2.load(Ordering::Relaxed) {
             ctx.safepoint(&state)?;
+            #[expect(clippy::disallowed_methods, reason = "idles 1 ms between safepoints")]
             std::thread::sleep(Duration::from_millis(1));
         }
         Ok(())

@@ -322,7 +322,8 @@ fn run_scenario_inner(plan: &FaultPlan, traced: bool) -> (ScenarioReport, Vec<Pr
     // The quiescence deadline is a real-time escape hatch for a hung run,
     // not part of the virtual-time schedule: a converging run never consults
     // it, so determinism is unaffected.
-    let deadline = Instant::now() + QUIESCE_DEADLINE; // lint: allow(wall-clock)
+    #[expect(clippy::disallowed_methods, reason = "`QUIESCE_DEADLINE` for a hang")]
+    let deadline = Instant::now() + QUIESCE_DEADLINE;
     let mut quiet = 0u32;
     report.quiesced = true;
     let pending_rndv = |eps: &[MpiEndpoint], dead: &[bool]| -> usize {
@@ -333,7 +334,8 @@ fn run_scenario_inner(plan: &FaultPlan, traced: bool) -> (ScenarioReport, Vec<Pr
             .sum()
     };
     while quiet < 3 || fabric.queued_packets() > 0 || pending_rndv(&eps, &dead) > 0 {
-        let overdue = Instant::now() > deadline; // lint: allow(wall-clock)
+        #[expect(clippy::disallowed_methods, reason = "`QUIESCE_DEADLINE` for a hang")]
+        let overdue = Instant::now() > deadline;
         if overdue {
             report.quiesced = false;
             break;

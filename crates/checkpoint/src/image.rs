@@ -88,7 +88,7 @@ pub struct CkptImage {
 
 impl CkptImage {
     /// Build an image by serializing `state` on `arch` at the given level.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "every field of an image header")]
     pub fn capture(
         app: AppId,
         rank: Rank,

@@ -62,6 +62,7 @@ impl IncrementalTracker {
     pub fn capture(&mut self, image: &[u8]) -> Increment {
         let n_chunks = image.len().div_ceil(CHUNK);
         let mut dirty = BTreeMap::new();
+        #[expect(clippy::indexing_slicing, reason = "`lo < hi <= image.len()`")]
         for i in 0..n_chunks {
             let lo = i * CHUNK;
             let hi = (lo + CHUNK).min(image.len());
@@ -72,6 +73,7 @@ impl IncrementalTracker {
         }
         // Shrinkage also dirties the tail implicitly via `len`.
         self.hashes.resize(n_chunks, 0);
+        #[expect(clippy::indexing_slicing, reason = "`hashes` was just resized to fit")]
         for (i, c) in &dirty {
             self.hashes[*i] = hash_chunk(c);
         }
@@ -110,6 +112,7 @@ pub fn reassemble(base: &Increment, increments: &[Increment]) -> Vec<u8> {
             continue;
         }
         let hi = (lo + c.len()).min(final_len);
+        #[expect(clippy::indexing_slicing, reason = "both ranges are clamped above")]
         out[lo..hi].copy_from_slice(&c[..hi - lo]);
     }
     out

@@ -201,16 +201,19 @@ impl<'a> ConvertingReader<'a> {
                 self.pos
             )));
         }
+        #[expect(clippy::indexing_slicing, reason = "checked just above")]
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
+    #[expect(clippy::indexing_slicing, reason = "`take(1)` returned one byte")]
     fn get_u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
     fn get_u32_src(&mut self) -> Result<u32> {
+        #[expect(clippy::unwrap_used, reason = "`take(4)` returned four bytes")]
         let b: [u8; 4] = self.take(4)?.try_into().unwrap();
         Ok(match self.src.endian {
             Endianness::Little => u32::from_le_bytes(b),
@@ -219,6 +222,7 @@ impl<'a> ConvertingReader<'a> {
     }
 
     fn get_u64_src(&mut self) -> Result<u64> {
+        #[expect(clippy::unwrap_used, reason = "`take(8)` returned eight bytes")]
         let b: [u8; 8] = self.take(8)?.try_into().unwrap();
         Ok(match self.src.endian {
             Endianness::Little => u64::from_le_bytes(b),
@@ -363,6 +367,8 @@ pub fn encode_portable(value: &CkptValue, arch: Arch) -> Result<Vec<u8>> {
 }
 
 /// Read the representation header of an image without decoding the body.
+#[expect(clippy::indexing_slicing, reason = "the 7-byte header is checked")]
+#[expect(clippy::unwrap_used, reason = "the 7-byte header is checked")]
 pub fn peek_arch(img: &[u8]) -> Result<Arch> {
     if img.len() < 7 {
         return Err(Error::checkpoint("image too short for header"));

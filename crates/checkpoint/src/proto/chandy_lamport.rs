@@ -51,6 +51,7 @@ impl ChandyLamport {
         }
     }
 
+    #[expect(clippy::indexing_slicing, reason = "`new`'s `ranks` holds `me`")]
     pub fn initiator(&self) -> Rank {
         self.ranks[0]
     }

@@ -72,6 +72,7 @@ impl StopAndSync {
         }
     }
 
+    #[expect(clippy::indexing_slicing, reason = "`new`'s `ranks` holds `me`")]
     pub fn coordinator(&self) -> Rank {
         self.ranks[0]
     }

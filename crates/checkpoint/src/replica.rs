@@ -159,6 +159,7 @@ pub struct RankHealth {
 /// ring starting at the owner's successor; fragment `f`'s `k` replicas are
 /// `peers[(f + j) mod n]` for `j in 0..k`. Consecutive `j` give distinct
 /// nodes whenever `n ≥ k`; the `f` offset rotates load across peers.
+#[expect(clippy::indexing_slicing, reason = "`n > 0`; the index is mod `n`")]
 pub fn ring_placement(peers: &[NodeId], frag: u32, k: u8) -> Vec<NodeId> {
     let n = peers.len();
     if n == 0 {

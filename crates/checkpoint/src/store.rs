@@ -204,7 +204,8 @@ impl CkptStore {
         above: u64,
         timeout: Duration,
     ) -> Result<u64> {
-        let deadline = Instant::now() + timeout; // lint: allow(wall-clock)
+        #[expect(clippy::disallowed_methods, reason = "the caller's `timeout`")]
+        let deadline = Instant::now() + timeout;
         let mut seen = self.stored.current();
         loop {
             let idx = self.latest_common_index(app, ranks);

@@ -217,6 +217,7 @@ impl Ctx<'_> {
     /// daemon's link when it orders a rollback. What has no notifier (a
     /// healed partition, a re-enabled node) is re-tried once per
     /// [`SERVICE_SLICE`].
+    #[expect(clippy::disallowed_methods, reason = "`SEND_GRACE`, in 50 ms slices")]
     pub(crate) fn send_when_reachable<R>(
         &mut self,
         dst: Rank,
@@ -254,6 +255,7 @@ impl Ctx<'_> {
     }
 
     /// Blocking receive with an explicit real-time bound.
+    #[expect(clippy::disallowed_methods, reason = "the caller's receive bound")]
     pub fn recv_timeout(
         &mut self,
         src: Option<Rank>,
@@ -275,6 +277,7 @@ impl Ctx<'_> {
         deadline: Option<Instant>,
     ) -> Result<RecvdMsg> {
         loop {
+            #[expect(clippy::disallowed_methods, reason = "the deadline, in `RECV_SLICE`s")]
             let slice = match deadline {
                 Some(d) => d
                     .checked_duration_since(Instant::now())

@@ -108,6 +108,7 @@ impl Outputs {
 
     /// Wait (real time) until `rank` has published at least `n` values;
     /// woken by each [`publish`](Self::publish).
+    #[expect(clippy::disallowed_methods, reason = "the caller's `timeout`")]
     pub fn wait_count(
         &self,
         app: AppId,
@@ -373,6 +374,7 @@ impl ProcessRuntime {
     /// whatever woke us is handled there, so the idiom is
     /// `service(); wait_event(deadline)` and nothing polls.
     pub(crate) fn wait_event(&mut self, deadline: Instant) -> Result<()> {
+        #[expect(clippy::disallowed_methods, reason = "the caller's deadline")]
         let left = deadline.saturating_duration_since(Instant::now());
         self.mpi.wait_event(&mut self.clock, left)
     }
@@ -380,6 +382,7 @@ impl ProcessRuntime {
     /// Stay at this service point until `done` holds: service, and while it
     /// still does not hold, park on the wait point. `Timeout(what)`, with
     /// the machine's state, after `limit` of real time.
+    #[expect(clippy::disallowed_methods, reason = "the service point's `limit`")]
     pub(crate) fn service_until(
         &mut self,
         state: Option<&dyn Checkpointable>,
@@ -437,6 +440,7 @@ impl ProcessRuntime {
                 Ok(msg) => self.handle_down(msg, state)?,
                 // Administratively suspended: hold here, on the wait point
                 // the daemon's `Resume` or `Kill` will kick.
+                #[expect(clippy::disallowed_methods, reason = "`HOLD_LIMIT` while suspended")]
                 Err(channel::TryRecvError::Empty) if self.cr.suspended() => {
                     self.wait_event(Instant::now() + HOLD_LIMIT)?
                 }

@@ -202,6 +202,7 @@ impl ClusterConfig {
 
     /// Deterministic initial placement: round-robin over up nodes, starting
     /// at the least-loaded one.
+    #[expect(clippy::indexing_slicing, reason = "non-empty; the index is mod len")]
     pub fn place_new(&self, size: u32) -> Option<Vec<NodeId>> {
         let nodes = self.live_nodes();
         if nodes.is_empty() {
@@ -418,6 +419,7 @@ impl ClusterConfig {
                 }
             }
             CfgCmd::NeedState { .. } => Vec::new(),
+            #[expect(clippy::indexing_slicing, reason = "`rank` is range-checked first")]
             CfgCmd::Migrate {
                 app,
                 rank,
@@ -461,6 +463,7 @@ impl ClusterConfig {
                 if !matches!(entry.status, AppStatus::Running | AppStatus::Suspended) {
                     return Vec::new();
                 }
+                #[expect(clippy::expect_used, reason = "`app` was found above")]
                 let Some(replaced) = self.replace_lost(&entry) else {
                     // No nodes left to host the lost ranks: kill.
                     self.apps.get_mut(app).expect("present").status = AppStatus::Killed;
@@ -472,7 +475,9 @@ impl ClusterConfig {
                     // the command idempotent.
                     return Vec::new();
                 }
+                #[expect(clippy::expect_used, reason = "`app` was found above")]
                 let a = self.apps.get_mut(app).expect("present");
+                #[expect(clippy::indexing_slicing, reason = "ranks of this app's placement")]
                 for (r, n) in &replaced {
                     a.placement[r.index()] = *n;
                 }

@@ -119,6 +119,7 @@ impl Daemon {
         store: CkptStore,
     ) -> Result<Daemon> {
         let (daemon, node_loop) = Self::boot(fabric, cfg, contact, host, store)?;
+        #[expect(clippy::expect_used, reason = "only fails when out of threads")]
         let thread = std::thread::Builder::new()
             .name(format!("starfishd-{}", daemon.node))
             .spawn(move || node_loop.run())
@@ -220,6 +221,7 @@ impl Daemon {
         timeout: Duration,
         mut pred: impl FnMut(&ClusterConfig) -> bool,
     ) -> Result<ClusterConfig> {
+        #[expect(clippy::disallowed_methods, reason = "the caller's `timeout`")]
         let deadline = Instant::now() + timeout;
         let mut seen = self.cfg_published.current();
         loop {
@@ -442,6 +444,7 @@ impl Loop {
 
     /// Leave the group and keep the stack going until it has (bounded: the
     /// peers may be leaving too).
+    #[expect(clippy::disallowed_methods, reason = "the 2 s bound on leaving")]
     fn leave(&mut self) {
         self.stack.leave();
         let deadline = Instant::now() + Duration::from_secs(2);

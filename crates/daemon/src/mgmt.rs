@@ -175,6 +175,7 @@ impl MgmtSession {
                     (_, None) => true,
                     (ms, Some(t)) => t.elapsed() >= Duration::from_millis(ms),
                 };
+                #[expect(clippy::disallowed_methods, reason = "a `STATS` stream's interval")]
                 if due {
                     *last_emit = Some(std::time::Instant::now());
                     let snap = self.daemon.stats().merged();

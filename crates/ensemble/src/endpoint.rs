@@ -112,7 +112,8 @@ pub struct HeartbeatAges {
 impl HeartbeatAges {
     /// `(peer, time since last heard)` for every peer ever heard from.
     pub fn ages(&self) -> Vec<(NodeId, Duration)> {
-        let now = Instant::now(); // lint: allow(wall-clock)
+        #[expect(clippy::disallowed_methods, reason = "a peer's heartbeat age")]
+        let now = Instant::now();
         self.last_seen
             .lock()
             .iter()
@@ -167,7 +168,8 @@ impl Stack {
             debug: std::env::var_os("STARFISH_GC_DEBUG").is_some(),
             cfg,
             clock: VClock::new(),
-            epoch: Instant::now(), // lint: allow(wall-clock)
+            #[expect(clippy::disallowed_methods, reason = "origin of heartbeat deadlines")]
+            epoch: Instant::now(),
             events: Vec::new(),
             liveness: HeartbeatAges::default(),
             change_started: None,

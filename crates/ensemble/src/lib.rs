@@ -55,6 +55,13 @@
 //! * Point-to-point sends ([`Stack::send_to`]) are FIFO per sender and
 //!   reliable while both endpoints stay up.
 
+// The panic surface: each surviving site carries an `#[expect]` with its
+// reason (VERIFICATION.md §2).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod core;
 pub mod endpoint;
 pub mod group;

@@ -16,6 +16,13 @@
 //! Events carry virtual timestamps supplied by the caller; two replays of a
 //! deterministic scenario produce byte-identical bundles.
 
+// The panic surface: each surviving site carries an `#[expect]` with its
+// reason (VERIFICATION.md §2).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod event;
 pub mod postmortem;
 

@@ -23,6 +23,7 @@ use super::{
 /// One Bruck circulation. `lens_rot[j]` must hold the byte length of the
 /// blob of rank `me + j` (mod n); `blocks` starts as `[own blob]` and ends
 /// with all `n` blobs in rotated order.
+#[expect(clippy::indexing_slicing, reason = "`cnt <= have`, `have + cnt <= n`")]
 fn rounds<X: Transport>(
     t: &mut X,
     comm: &Comm,
@@ -64,6 +65,7 @@ fn rounds<X: Transport>(
 /// Un-rotate `blocks` (slot `j` = rank `me + j` mod n) into rank order.
 fn unrotate<T: Clone + Default>(me: usize, n: usize, blocks: &[T]) -> Vec<T> {
     let mut out = vec![T::default(); n];
+    #[expect(clippy::indexing_slicing, reason = "index mod `n` = `out.len()`")]
     for (j, b) in blocks.iter().enumerate() {
         out[(me + j) % n] = b.clone();
     }
@@ -72,6 +74,8 @@ fn unrotate<T: Clone + Default>(me: usize, n: usize, blocks: &[T]) -> Vec<T> {
 
 /// The length pre-round: circulate every rank's blob length (4-byte BE
 /// entries on the control phase). Returns lengths in rank order.
+#[expect(clippy::indexing_slicing, reason = "each block has 4 bytes")]
+#[expect(clippy::unwrap_used, reason = "a 4-byte slice")]
 pub(super) fn exchange_lens<X: Transport>(
     t: &mut X,
     comm: &Comm,
@@ -112,6 +116,7 @@ pub(super) fn allgather<X: Transport>(
 ) -> Result<Vec<Bytes>> {
     let n = comm.size() as usize;
     let me = comm.rank().index();
+    #[expect(clippy::indexing_slicing, reason = "index mod `n` = `lens.len()`")]
     let lens_rot: Vec<usize> = (0..n).map(|j| lens[(me + j) % n]).collect();
     let mut blocks = vec![Bytes::copy_from_slice(data)];
     rounds(

@@ -178,6 +178,7 @@ macro_rules! impl_pod {
             fn write(self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_be_bytes());
             }
+            #[expect(clippy::indexing_slicing, reason = "callers pass whole `SIZE` chunks")]
             fn read(buf: &[u8]) -> Self {
                 <$ty>::from_be_bytes(buf[..$size].try_into().unwrap())
             }
@@ -404,7 +405,7 @@ fn recv_segments<X: Transport>(
 /// One full-duplex step: isend `out` to `dst` (segmented), receive `expect`
 /// bytes from `src`, then retire the send requests. The isend-first order
 /// is what makes rings and doubling exchanges deadlock-free.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "peers, tag, blob and length")]
 fn exchange_segments<X: Transport>(
     t: &mut X,
     comm: &Comm,
@@ -488,7 +489,7 @@ fn binomial_bcast_raw<X: Transport>(
 /// partials into `acc` in place, `acc` first, then sends `acc` to its
 /// parent. Returns whether this rank is `root`, the one left holding the
 /// reduction of all `span` contributions.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one binomial reduction")]
 fn binomial_reduce_raw<X: Transport, T: PodNum>(
     t: &mut X,
     comm: &Comm,
@@ -578,7 +579,7 @@ pub fn bcast_with<X: Transport>(
     run_bcast(t, comm, clock, root, data, len, seq, algo)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one broadcast's parameters")]
 fn run_bcast<X: Transport>(
     t: &mut X,
     comm: &Comm,
@@ -720,6 +721,7 @@ fn allreduce_halves<X: Transport, T: PodNum>(
 /// communicator-rank order at the root, `None` elsewhere. Each received
 /// blob aliases its arrival buffer — the root copies nothing but its own
 /// contribution.
+#[expect(clippy::indexing_slicing, reason = "`me.index() < n = out.len()`")]
 pub fn gather<X: Transport>(
     t: &mut X,
     comm: &mut Comm,
@@ -749,6 +751,7 @@ pub fn gather<X: Transport>(
 
 /// `MPI_Scatter` of per-rank byte blobs from `root` (which passes
 /// `Some(blobs)`, one per rank). Returns this rank's blob.
+#[expect(clippy::indexing_slicing, reason = "`blobs.len() == n` checked above")]
 pub fn scatter<X: Transport>(
     t: &mut X,
     comm: &mut Comm,
@@ -826,6 +829,7 @@ fn run_allgather<X: Transport>(
 ) -> Result<Vec<Bytes>> {
     note(t.endpoint(), algo.metric(), 1);
     let t0 = t.now(clock);
+    #[expect(clippy::expect_used, reason = "Bruck and Ring run the lens pre-round")]
     let out = match algo {
         AllgatherAlgo::GatherBcast => allgather_gather_bcast(t, comm, clock, data),
         AllgatherAlgo::Bruck => {
@@ -875,11 +879,15 @@ fn allgather_gather_bcast<X: Transport>(
     if bytes.len() < 4 {
         return Err(Error::codec("allgather frame too short"));
     }
+    #[expect(clippy::indexing_slicing, reason = "`bytes.len() >= 4`")]
+    #[expect(clippy::unwrap_used, reason = "a 4-byte slice")]
     let count = u32::from_be_bytes(bytes[0..4].try_into().unwrap()) as usize;
     for _ in 0..count {
         if pos + 4 > bytes.len() {
             return Err(Error::codec("allgather frame truncated"));
         }
+        #[expect(clippy::indexing_slicing, reason = "`pos + 4 <= bytes.len()`")]
+        #[expect(clippy::unwrap_used, reason = "a 4-byte slice")]
         let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
         pos += 4;
         if pos + len > bytes.len() {
@@ -894,6 +902,7 @@ fn allgather_gather_bcast<X: Transport>(
 /// `MPI_Alltoall` of per-destination blobs (`send[i]` goes to communicator
 /// rank `i`); returns per-source blobs, each aliasing its arrival buffer
 /// (only this rank's own blob is copied).
+#[expect(clippy::indexing_slicing, reason = "`send.len() == n`; index mod `n`")]
 pub fn alltoall<X: Transport>(
     t: &mut X,
     comm: &mut Comm,
@@ -966,6 +975,8 @@ pub fn comm_split<X: Transport>(
         return Ok(None);
     };
     let mut members: Vec<(u32, Rank)> = Vec::new();
+    #[expect(clippy::indexing_slicing, reason = "each blob has 8 bytes")]
+    #[expect(clippy::unwrap_used, reason = "4-byte slices")]
     for (i, blob) in all.iter().enumerate() {
         if blob.len() != 8 {
             return Err(Error::codec("bad split blob"));

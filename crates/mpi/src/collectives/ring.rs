@@ -35,6 +35,7 @@ pub(crate) fn block_range(total: usize, n: usize, b: usize) -> (usize, usize) {
 }
 
 /// Ring allreduce: reduce-scatter then ring allgather.
+#[expect(clippy::indexing_slicing, reason = "blocks lie within `acc`")]
 pub(super) fn allreduce<X: Transport, T: PodNum>(
     t: &mut X,
     comm: &Comm,
@@ -83,6 +84,7 @@ pub(super) fn allreduce<X: Transport, T: PodNum>(
 /// Ring allgather of per-rank blobs whose lengths are already known to
 /// every rank (from the Bruck length pre-round): n−1 steps, each rank
 /// forwards the blob it received in the previous step.
+#[expect(clippy::indexing_slicing, reason = "index mod `n`, one slot per rank")]
 pub(super) fn allgather<X: Transport>(
     t: &mut X,
     comm: &Comm,

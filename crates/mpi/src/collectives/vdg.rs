@@ -18,6 +18,7 @@ use super::{
     OP_BCAST, PHASE_AG, PHASE_MAIN,
 };
 
+#[expect(clippy::indexing_slicing, reason = "index mod `n`, one slot per rank")]
 pub(super) fn bcast<X: Transport>(
     t: &mut X,
     comm: &Comm,

@@ -87,6 +87,7 @@ impl RankDirectory {
         if rank.index() >= g.placement.len() {
             g.placement.resize(rank.index() + 1, None);
         }
+        #[expect(clippy::indexing_slicing, reason = "grown to cover `rank` above")]
         if g.placement[rank.index()].replace(node) != Some(node) {
             Self::wake_except(g, rank);
         }

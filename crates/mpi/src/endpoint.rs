@@ -235,7 +235,8 @@ impl MpiEndpoint {
             port,
             mode,
             rx: VecDeque::new(),
-            born: Instant::now(), // lint: allow(wall-clock)
+            #[expect(clippy::disallowed_methods, reason = "origin of the endpoint's clock")]
+            born: Instant::now(),
             matching: MatchQueue::default(),
             ctrl_marks: Vec::new(),
             epoch: dir_epoch_at_start,
@@ -338,8 +339,9 @@ impl MpiEndpoint {
 
     /// Real time since this endpoint was created: the clock of deadlines,
     /// ping probes and CTS pacing. The machines are handed the value.
+    #[expect(clippy::disallowed_methods, reason = "deadlines, pings, CTS pacing")]
     fn wall(&self) -> Duration {
-        Instant::now().duration_since(self.born) // lint: allow(wall-clock)
+        Instant::now().duration_since(self.born)
     }
 
     /// This incarnation's epoch.
@@ -620,7 +622,7 @@ impl MpiEndpoint {
     /// frame carries its chunk descriptor there and the chunk itself in
     /// `seg`, the packet's separate payload segment, uncopied — as an owned
     /// eager send carries its whole payload, with an empty `body`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "every field of the envelope")]
     fn emit(
         &mut self,
         clock: &mut VClock,

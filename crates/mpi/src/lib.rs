@@ -34,6 +34,13 @@
 //! unmodified MPI programs run unchanged and Starfish-aware programs can be
 //! mechanically stripped back to plain MPI.
 
+// The panic surface: each surviving site carries an `#[expect]` with its
+// reason (VERIFICATION.md §2).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod collectives;
 pub mod comm;
 pub mod credit;

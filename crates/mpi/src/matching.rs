@@ -352,7 +352,7 @@ mod tests {
                 .on_message(&mut self.rndv, h, body, Bytes::new(), vt(at))
         }
 
-        #[allow(clippy::too_many_arguments)]
+        #[expect(clippy::too_many_arguments, reason = "a rendezvous chunk's fields")]
         fn chunk(
             &mut self,
             src: u32,

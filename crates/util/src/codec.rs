@@ -112,42 +112,66 @@ impl<'a> Decoder<'a> {
 
     /// The next `n` bytes, uncopied.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if n > self.remaining() {
-            return Err(Error::codec(format!(
-                "truncated: need {} bytes at offset {}, have {}",
-                n,
-                self.pos,
-                self.remaining()
-            )));
+        match self.rest().get(..n) {
+            Some(s) => {
+                self.pos += n;
+                Ok(s)
+            }
+            None => Err(self.truncated(n)),
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    }
+
+    /// The next `N` bytes, copied into an array.
+    #[inline]
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        match self.rest().first_chunk::<N>() {
+            Some(a) => {
+                self.pos += N;
+                Ok(*a)
+            }
+            None => Err(self.truncated(N)),
+        }
+    }
+
+    /// The bytes after the cursor.
+    #[inline]
+    fn rest(&self) -> &'a [u8] {
+        self.buf.get(self.pos..).unwrap_or_default()
+    }
+
+    #[cold]
+    fn truncated(&self, n: usize) -> Error {
+        Error::codec(format!(
+            "truncated: need {} bytes at offset {}, have {}",
+            n,
+            self.pos,
+            self.remaining()
+        ))
     }
 
     #[inline]
     pub fn get_u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_be_bytes(self.take_array()?))
     }
     #[inline]
     pub fn get_u16(&mut self) -> Result<u16> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_be_bytes(self.take_array()?))
     }
     #[inline]
     pub fn get_u32(&mut self) -> Result<u32> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_be_bytes(self.take_array()?))
     }
     #[inline]
     pub fn get_u64(&mut self) -> Result<u64> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_be_bytes(self.take_array()?))
     }
     #[inline]
     pub fn get_i64(&mut self) -> Result<i64> {
-        Ok(i64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_be_bytes(self.take_array()?))
     }
     #[inline]
     pub fn get_f64(&mut self) -> Result<f64> {
-        Ok(f64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(f64::from_be_bytes(self.take_array()?))
     }
 
     /// Read a varint written by [`Encoder::put_var`]. A varint cut short,

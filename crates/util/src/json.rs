@@ -79,6 +79,7 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    #[expect(clippy::indexing_slicing, reason = "`i < len` is checked first")]
     fn ws(&mut self) {
         while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
             self.i += 1;
@@ -93,6 +94,7 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| "unexpected end of input".to_string())
     }
 
+    #[expect(clippy::indexing_slicing, reason = "`peek` found a byte at `i`")]
     fn expect(&mut self, c: u8) -> Result<(), String> {
         if self.peek()? == c {
             self.i += 1;
@@ -117,6 +119,7 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[expect(clippy::indexing_slicing, reason = "`peek` found a byte at `i`")]
     fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
         if self.b[self.i..].starts_with(word.as_bytes()) {
             self.i += word.len();
@@ -126,6 +129,7 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[expect(clippy::indexing_slicing, reason = "`start <= i < len`, checked first")]
     fn number(&mut self) -> Result<Json, String> {
         let start = self.i;
         while self.i < self.b.len()

@@ -22,6 +22,13 @@
 //! * [`json`] — the one JSON string writer.
 //! * [`error`] — the shared error type.
 
+// The panic surface: each surviving site carries an `#[expect]` with its
+// reason (VERIFICATION.md §2).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod codec;
 pub mod error;
 pub mod ids;

@@ -99,6 +99,7 @@ impl DetRng {
             out.extend_from_slice(&self.next_u64().to_le_bytes());
         }
         let rest = self.next_u64().to_le_bytes();
+        #[expect(clippy::indexing_slicing, reason = "fewer than 8 bytes are left")]
         out.extend_from_slice(&rest[..n - out.len()]);
         out
     }

@@ -140,6 +140,7 @@ impl TraceSink {
     }
 
     /// Record one message movement.
+    #[expect(clippy::indexing_slicing, reason = "one slot per `MsgClass`")]
     pub fn record(
         &self,
         class: MsgClass,
@@ -165,11 +166,13 @@ impl TraceSink {
     }
 
     /// Number of messages recorded for `class`.
+    #[expect(clippy::indexing_slicing, reason = "one slot per `MsgClass`")]
     pub fn count(&self, class: MsgClass) -> u64 {
         self.inner.counts[class as usize].load(Ordering::Relaxed)
     }
 
     /// Total bytes recorded for `class`.
+    #[expect(clippy::indexing_slicing, reason = "one slot per `MsgClass`")]
     pub fn bytes(&self, class: MsgClass) -> u64 {
         self.inner.bytes[class as usize].load(Ordering::Relaxed)
     }

@@ -41,6 +41,7 @@ impl ChangeCount {
     pub fn wait_past(&self, seen: u64, deadline: Instant) -> Option<u64> {
         let mut count = self.count.lock();
         while *count == seen {
+            #[expect(clippy::disallowed_methods, reason = "the caller's deadline")]
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 return None;

@@ -1,33 +1,19 @@
 //! Seeded lint-violation fixture. This crate is NOT a workspace member and
 //! is never compiled; it exists so CI can prove `starfish-lint` actually
 //! fails on violations (`cargo run -p verify --bin starfish-lint -- \
-//! crates/verify/fixtures/badcrate` must exit 1).
+//! crates/verify/fixtures/badcrate` must exit 1), and so
+//! `crates/verify/tests/badcrate.rs` can pin every finding by rule, file
+//! and line. The rules clippy holds (the panic surface, the clock, sleep
+//! and entropy bans) are seeded in the compiled `fixtures/clippybad`.
 //!
 //! One seeded violation per analysis pass:
-//!   1. wall-clock           — `Instant::now` in non-test code
-//!   2. wall-clock (entropy) — seedless `rand::random`
-//!   3. wire-enum-coverage   — `Orphan` variant no test mentions
-//!   4. wire-enum-coverage   — single-line enum `Packed`, untested `Skipped`
-//!   5. lock-order           — `Locks.a`/`Locks.b` acquired in both orders
-//!   6. blocking-while-locked— `thread::sleep` under `Locks.a`
-//!   7. panic-surface        — `unwrap` in non-test code
-//!   8. wall-clock (sleep)   — a `thread::sleep` poll loop on the runtime path
-//!   9. sans-io              — `src/machine.rs` declares itself a pure machine
-//!                             and reads a clock (under the wall-clock escape,
-//!                             which is no excuse there) and holds a `Fabric`
-
-use std::time::Instant;
-
-/// Violation 1 (wall-clock): bare `Instant::now` in non-test code with no
-/// `lint: allow` marker.
-pub fn stamp() -> Instant {
-    Instant::now()
-}
-
-/// Violation 2 (wall-clock): seedless process entropy.
-pub fn jitter() -> u64 {
-    rand::random::<u64>()
-}
+//!   1. wire-enum-coverage   — `Orphan` variant no test mentions
+//!   2. wire-enum-coverage   — single-line enum `Packed`, untested `Skipped`
+//!   3. lock-order           — `Locks.a`/`Locks.b` acquired in both orders
+//!   4. blocking-while-locked— `thread::sleep` under `Locks.a`
+//!   5. sans-io              — `src/machine.rs` declares itself a pure machine
+//!                             and reads a clock and holds a `Fabric`
+//!   6. notify-unlocked      — `Flag::raise` notifies without the waiter's mutex
 
 pub trait Encode {}
 pub trait Decode {}
@@ -35,14 +21,14 @@ pub trait Decode {}
 /// A wire enum with a codec impl pair…
 pub enum BadWire {
     Ping,
-    /// Violation 3 (wire-enum-coverage): no test ever mentions this.
+    /// Violation 1 (wire-enum-coverage): no test ever mentions this.
     Orphan,
 }
 
 impl Encode for BadWire {}
 impl Decode for BadWire {}
 
-/// Violation 4 (wire-enum-coverage): a single-line wire enum — the old
+/// Violation 2 (wire-enum-coverage): a single-line wire enum — the old
 /// line-oriented parser missed variants declared like this, so this is a
 /// regression guard as much as a seeded violation.
 pub enum Packed { Seen, Skipped }
@@ -56,7 +42,7 @@ pub struct Locks {
 }
 
 impl Locks {
-    /// Half of violation 5 (lock-order): `a` then `b`…
+    /// Half of violation 3 (lock-order): `a` then `b`…
     pub fn forward(&self) -> u32 {
         let ga = self.a.lock();
         let gb = self.b.lock();
@@ -70,7 +56,7 @@ impl Locks {
         *gb - *ga
     }
 
-    /// Violation 6 (blocking-while-locked): sleeping while holding `a`.
+    /// Violation 4 (blocking-while-locked): sleeping while holding `a`.
     pub fn doze(&self) -> u32 {
         let ga = self.a.lock();
         std::thread::sleep(std::time::Duration::from_millis(5));
@@ -78,17 +64,19 @@ impl Locks {
     }
 }
 
-/// Violation 8 (wall-clock): polling state on a timer instead of waiting
-/// on the change itself.
-pub fn wait_ready(ready: &dyn Fn() -> bool) {
-    while !ready() {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
+pub struct Flag {
+    up: AtomicBool,
+    m: Mutex<()>,
+    cv: Condvar,
 }
 
-/// Violation 7 (panic-surface): `unwrap` on a protocol path.
-pub fn first_byte(frame: &[u8]) -> u8 {
-    frame.first().copied().unwrap()
+impl Flag {
+    /// Violation 6 (notify-unlocked): a waiter that has checked `up` but not
+    /// yet parked misses this wake-up.
+    pub fn raise(&self) {
+        self.up.store(true, Ordering::SeqCst);
+        self.cv.notify_one();
+    }
 }
 
 #[cfg(test)]

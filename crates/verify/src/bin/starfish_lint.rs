@@ -7,10 +7,12 @@
 //! ```
 //!
 //! Workspace mode runs every pass (lock-order cycles, blocking-while-locked,
-//! panic-surface, wall-clock, wire-enum-coverage, sans-io) gated on the
-//! committed `analysis-baseline.toml`. Fixture mode runs the same passes on
-//! one crate directory with no baseline — every finding is reported, which
-//! is what the seeded `fixtures/badcrate` must-fail check relies on.
+//! notify-unlocked, wire-enum-coverage, sans-io) gated on the committed
+//! `analysis-baseline.toml`. Fixture mode runs the same passes on one crate
+//! directory with no baseline — every finding is reported, which is what
+//! the seeded `fixtures/badcrate` must-fail check relies on. The panic
+//! surface and the clock, sleep and entropy bans are clippy's
+//! (`clippy.toml`, seeded in `fixtures/clippybad`).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

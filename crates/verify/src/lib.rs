@@ -11,8 +11,9 @@
 //!   reliability layer) driving the *real* `step`-style state machines,
 //!   not re-implementations;
 //! * the `starfish-lint` binary — the `starfish_analysis` workspace passes
-//!   (lock order, panic surface, wall-clock bans, wire-enum test coverage,
-//!   sans-IO machines).
+//!   (lock order, blocking while locked, notify-unlocked, wire-enum test
+//!   coverage, sans-IO machines); the panic surface and the clock, sleep
+//!   and entropy bans are clippy's (`clippy.toml`).
 //!
 //! [`counterexample`] renders violations as `FaultPlan` DSL so they replay
 //! under the chaos driver; `tests/bridge.rs` keeps that loop closed.

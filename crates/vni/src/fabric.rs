@@ -615,6 +615,7 @@ impl Fabric {
             }
             let _ = self.deliver(&m, copy, true);
         }
+        #[expect(clippy::expect_used, reason = "the stream was inserted above")]
         let held = std::mem::take(&mut ls.streams.get_mut(&port).expect("stream above").held);
         for frame in held {
             stats.held.fetch_sub(1, Ordering::Relaxed);
@@ -672,10 +673,12 @@ impl Fabric {
             .collect();
         link_keys.sort_unstable();
         for lk in link_keys {
+            #[expect(clippy::indexing_slicing, reason = "`lk` is a key of `m.links`")]
             let mut ls = m.links[&lk].lock();
             let mut ports: Vec<PortId> = ls.streams.keys().copied().collect();
             ports.sort_unstable();
             for port in ports {
+                #[expect(clippy::expect_used, reason = "`port` is a key of `ls.streams`")]
                 let held = std::mem::take(&mut ls.streams.get_mut(&port).expect("stream").held);
                 for frame in held {
                     self.inner.fault_stats.held.fetch_sub(1, Ordering::Relaxed);

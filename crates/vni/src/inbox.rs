@@ -118,7 +118,8 @@ impl Inbox {
     /// Block until a packet arrives, the inbox closes, or `timeout` (if any)
     /// elapses. Packets win over closure: a closed inbox drains first.
     pub fn pop_wait(&self, timeout: Option<Duration>) -> Pop {
-        let start = std::time::Instant::now(); // lint: allow(wall-clock)
+        #[expect(clippy::disallowed_methods, reason = "the caller's `timeout`")]
+        let start = std::time::Instant::now();
         let mut g = self.q.lock();
         loop {
             if let Some(p) = g.packets.pop_front() {
@@ -165,7 +166,8 @@ impl Inbox {
                 false => PopBatch::Empty,
             };
         };
-        let start = std::time::Instant::now(); // lint: allow(wall-clock)
+        #[expect(clippy::disallowed_methods, reason = "the caller's wait limit")]
+        let start = std::time::Instant::now();
         loop {
             if hand_over(&mut g.packets, buf, max) {
                 return PopBatch::Packets;

@@ -22,6 +22,13 @@
 //! receive [`models::LayerCosts::poll`] where the no-polling-thread ablation
 //! pays a (virtual) kernel crossing per port read (see [`polling`]).
 
+// The panic surface: each surviving site carries an `#[expect]` with its
+// reason (VERIFICATION.md §2).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod fabric;
 pub mod inbox;
 pub mod models;
