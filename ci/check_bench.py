@@ -115,10 +115,12 @@ MSG_CLASSES = (
     "Configuration",
     "Checkpoint/restart",
 )
-# Table 1's Data messages: payload plus the varint envelope and the 32-byte
-# trace context. Eight-byte-class messages frame in about 48 bytes; the
-# fixed 39-byte header of before put them at 79.
-DATA_BYTES_PER_MSG_CEILING = 56
+# Table 1's Data messages: payload plus the varint envelope and a trace
+# context that sends only what the receiver cannot derive from the header.
+# Three messages read 60 bytes, 20 each, and the ceiling leaves 8 bytes
+# above that; a fixed 32-byte context put them at 145 (48.3 each), the
+# fixed 39-byte header before it at 238 (79.3).
+DATA_BYTES_PER_MSG_CEILING = 28
 # Table 1's Control messages: the ensemble packets the daemons send in one
 # lifecycle. The sequencer delivers its own casts in place and a daemon's
 # casts of one virtual instant leave as one, so a lifecycle reads 48-49
@@ -369,7 +371,7 @@ def check_table1(r, path):
     if not per_msg <= DATA_BYTES_PER_MSG_CEILING:
         fail(
             f"{where}: a Data message is {per_msg:.1f} bytes on the wire, over the "
-            f"{DATA_BYTES_PER_MSG_CEILING} a varint envelope and a trace context allow"
+            f"{DATA_BYTES_PER_MSG_CEILING} a varint envelope and a compact trace context allow"
         )
 
 

@@ -140,7 +140,7 @@ impl NodeHost for RuntimeHost {
             // replacing the dead ring; the epoch salts the span namespace
             // so stale receives held by survivors never match its spans.
             let rec = starfish_trace::FlightRecorder::with_incarnation(
-                &format!("{}.{}", spec.app, spec.rank),
+                &starfish_trace::rank_scope(spec.app, spec.rank),
                 self.trace_cap,
                 u64::from(spec.entry.epoch.0),
             );

@@ -336,7 +336,7 @@ impl Node {
             }
             // The shell adds the cluster's own scope as it casts.
             ProcUp::Stats { snap, .. } => {
-                let scopes = vec![(format!("{app}.r{}", rank.0), snap)];
+                let scopes = vec![(starfish_trace::rank_scope(app, rank), snap)];
                 self.queue_cast(WireCast::Stats { scopes }, now);
             }
         }

@@ -268,6 +268,26 @@ mod tests {
         }
     }
 
+    /// A cast's context goes through the one trace-context codec with no
+    /// implied bases: absent, it is one byte.
+    #[test]
+    fn an_untraced_entry_carries_a_one_byte_context() {
+        let entry = SeqEntry {
+            seq: 1,
+            origin: NodeId(1),
+            payload: Bytes::from_static(&[0; 64]),
+            ctx: TraceCtx::NONE,
+        };
+        // seq, origin, the payload's length and bytes, the context.
+        assert_eq!(entry.encode_to_bytes().len(), 8 + 4 + 4 + 64 + 1);
+        let ok = GcMsg::FlushOk {
+            proposal: 9,
+            node: NodeId(2),
+            delivered: vec![entry; 100],
+        };
+        assert_eq!(ok.encode_to_bytes().len(), 8_117);
+    }
+
     #[test]
     fn unknown_tag_rejected() {
         assert!(GcMsg::decode_from_bytes(&[99]).is_err());

@@ -168,7 +168,9 @@ impl PhaseTag {
 pub trait Pod: Copy {
     const SIZE: usize;
     fn write(self, out: &mut Vec<u8>);
-    fn read(buf: &[u8]) -> Self;
+    /// The element at the front of `buf`; `None` if `buf` is shorter than
+    /// [`SIZE`](Self::SIZE).
+    fn read(buf: &[u8]) -> Option<Self>;
 }
 
 macro_rules! impl_pod {
@@ -178,9 +180,8 @@ macro_rules! impl_pod {
             fn write(self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_be_bytes());
             }
-            #[expect(clippy::indexing_slicing, reason = "callers pass whole `SIZE` chunks")]
-            fn read(buf: &[u8]) -> Self {
-                <$ty>::from_be_bytes(buf[..$size].try_into().unwrap())
+            fn read(buf: &[u8]) -> Option<Self> {
+                buf.first_chunk::<$size>().map(|b| <$ty>::from_be_bytes(*b))
             }
         }
     };
@@ -206,7 +207,9 @@ pub fn decode_slice<T: Pod>(buf: &[u8]) -> Result<Vec<T>> {
     if !buf.len().is_multiple_of(T::SIZE) {
         return Err(Error::codec("ragged Pod buffer"));
     }
-    Ok(buf.chunks_exact(T::SIZE).map(T::read).collect())
+    buf.chunks_exact(T::SIZE)
+        .map(|b| T::read(b).ok_or_else(|| Error::codec("short Pod element")))
+        .collect()
 }
 
 /// Fold the big-endian elements of a received buffer into `acc` in place,
@@ -217,7 +220,8 @@ fn fold_into<T: Pod>(acc: &mut [T], theirs: &[u8], f: impl Fn(T, T) -> T) -> Res
         return Err(Error::invalid_arg("reduce buffers differ in length"));
     }
     for (a, b) in acc.iter_mut().zip(theirs.chunks_exact(T::SIZE)) {
-        *a = f(*a, T::read(b));
+        let b = T::read(b).ok_or_else(|| Error::codec("short Pod element"))?;
+        *a = f(*a, b);
     }
     Ok(())
 }

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use starfish_telemetry::{metric, Registry};
-use starfish_trace::{FlightRecorder, TraceCtx};
+use starfish_trace::{rank_scope, span_base, FlightRecorder, TraceCtx};
 use starfish_util::trace::{ActorKind, MsgClass, TraceSink};
 use starfish_util::{AppId, Epoch, Error, Rank, Result, VClock, VirtualTime};
 use starfish_vni::{Addr, Fabric, Kick, LayerCosts, Packet, PacketKind, Port};
@@ -97,6 +97,42 @@ struct Frame {
 /// gather payload segment (empty for single-segment frames), the arrival
 /// time and the trace context the frame carried, so delivery records it.
 type Arrival = (MsgHeader, Bytes, Bytes, VirtualTime, TraceCtx);
+
+/// The implied span bases of the trace-context codec at the endpoint's
+/// epoch: the [`span_base`] of each rank of the application (index =
+/// rank), which both ends of a frame derive from its header. Another
+/// epoch's (a stale or early frame's) is computed afresh.
+struct SpanBases {
+    app: AppId,
+    epoch: Epoch,
+    by_rank: Vec<u64>,
+}
+
+impl SpanBases {
+    fn new(app: AppId, ranks: usize, epoch: Epoch) -> SpanBases {
+        let by_rank = (0..ranks as u32)
+            .map(|r| Self::compute(app, Rank(r), epoch))
+            .collect();
+        SpanBases {
+            app,
+            epoch,
+            by_rank,
+        }
+    }
+
+    fn compute(app: AppId, rank: Rank, epoch: Epoch) -> u64 {
+        span_base(&rank_scope(app, rank), epoch.0.into())
+    }
+
+    /// The bases of a frame from `src` to `dst` in `epoch`: the sender's,
+    /// then the receiver's.
+    fn pair(&self, src: Rank, dst: Rank, epoch: Epoch) -> [u64; 2] {
+        [src, dst].map(|r| match self.by_rank.get(r.0 as usize) {
+            Some(&base) if epoch == self.epoch => base,
+            _ => Self::compute(self.app, r, epoch),
+        })
+    }
+}
 
 /// A received, matched message.
 #[derive(Debug, Clone)]
@@ -191,6 +227,8 @@ pub struct MpiEndpoint {
     /// rides the wire extension; every delivery records the context that
     /// arrived. Disabled by default (one branch per event).
     recorder: FlightRecorder,
+    /// The span bases the trace-context extension is coded against.
+    span_bases: SpanBases,
     /// Real-time bound used by `recv_world` (tests shrink it so a crashed
     /// peer surfaces as a clean Timeout quickly).
     blocking_timeout: Duration,
@@ -224,6 +262,7 @@ impl MpiEndpoint {
     ) -> Result<MpiEndpoint> {
         let node = dir.node_of(rank)?;
         let dir_epoch_at_start = dir.epoch();
+        let span_bases = SpanBases::new(app, dir.size(), dir_epoch_at_start);
         let port = fabric.bind(Addr::new(node, data_port(app, rank)))?;
         Ok(MpiEndpoint {
             app,
@@ -244,6 +283,7 @@ impl MpiEndpoint {
             abort: None,
             metrics: None,
             recorder: FlightRecorder::disabled(),
+            span_bases,
             blocking_timeout: BLOCKING_TIMEOUT,
             flows: Flows::default(),
             rndv_threshold: DEFAULT_RNDV_THRESHOLD,
@@ -354,6 +394,7 @@ impl MpiEndpoint {
     /// matchable.
     pub fn set_epoch(&mut self, e: Epoch) {
         self.epoch = e;
+        self.span_bases = SpanBases::new(self.app, self.dir.size(), e);
         self.flows.new_epoch(e);
         // In-flight rendezvous state belongs to the rolled-back incarnation:
         // unsent payloads were captured (or re-sent) by the C/R protocol,
@@ -654,11 +695,12 @@ impl MpiEndpoint {
             credit: self.credit.stamp(dst),
         };
         let ctx = self.recorder.mint_send();
-        // The bandwidth term covers the application payload; the fixed-size
-        // envelope is absorbed by the constant per-layer costs (Figure 6).
+        let bases = self.span_bases.pair(self.rank, dst, self.epoch);
+        // The bandwidth term covers the application payload; the envelope
+        // is absorbed by the constant per-layer costs (Figure 6).
         let model_len = seg.as_ref().map_or(body.len(), Bytes::len);
         let frame = Frame {
-            envelope: header.frame_ext(body, ctx),
+            envelope: header.frame_ext(body, ctx, bases),
             seg,
             model_len,
             depart: clock.now() + self.layers.send_total(),
@@ -761,7 +803,9 @@ impl MpiEndpoint {
         } else {
             (pkt.head, pkt.payload)
         };
-        let (header, body, ctx) = match MsgHeader::parse_ext(&envelope) {
+        let bases = |h: &MsgHeader| self.span_bases.pair(h.src, self.rank, h.epoch);
+        let parsed = MsgHeader::parse_ext(&envelope, bases);
+        let (header, body, ctx) = match parsed {
             Ok(x) => x,
             Err(_) => return, // corrupt: drop
         };
@@ -1781,6 +1825,87 @@ mod tests {
         dag.check().unwrap();
     }
 
+    /// The contexts of the sends (`true`) or receives recorded by `ep`, in
+    /// order.
+    fn recorded(ep: &MpiEndpoint, sends: bool) -> Vec<TraceCtx> {
+        let events = ep.recorder().dump().events;
+        events
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Send { ctx, .. } if sends => Some(ctx),
+                EventKind::Recv { ctx, .. } if !sends => Some(ctx),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A survivor rolled back in place keeps its old recorder, whose span
+    /// base is not the implied base of its new epoch; its peer restarted
+    /// with a recorder of that epoch. The survivor's ids travel in full,
+    /// the peer's under the implied bases, and every context arrives as it
+    /// left, so every receive pairs with its send.
+    #[test]
+    fn a_recorder_off_its_implied_base_still_pairs_every_receive() {
+        let (f, dir) = setup(2, "ideal");
+        let mut a = ep(&f, &dir, 0);
+        let mut b = ep(&f, &dir, 1);
+        a.set_recorder(FlightRecorder::new("app1.r0", 64));
+        b.set_recorder(FlightRecorder::with_incarnation("app1.r1", 64, 1));
+        a.set_epoch(Epoch(1));
+        b.set_epoch(Epoch(1));
+        let (mut ca, mut cb) = (VClock::new(), VClock::new());
+        for tag in 0..3 {
+            a.send_world(&mut ca, Rank(1), 1, tag, b"ping").unwrap();
+            b.recv_world(&mut cb, 1, Some(Rank(0)), Some(tag)).unwrap();
+            b.send_world(&mut cb, Rank(0), 1, tag, b"pong").unwrap();
+            a.recv_world(&mut ca, 1, Some(Rank(1)), Some(tag)).unwrap();
+        }
+        assert_eq!(recorded(&a, true), recorded(&b, false));
+        assert_eq!(recorded(&b, true), recorded(&a, false));
+        let dag = starfish_trace::reassemble(vec![a.recorder().dump(), b.recorder().dump()]);
+        assert_eq!(dag.message_edges, 6, "every receive pairs with its send");
+        dag.check().unwrap();
+    }
+
+    /// A frame whose extension does not decode still delivers its body,
+    /// recorded untraced; the traced frame behind it keeps its context.
+    #[test]
+    fn a_garbage_extension_delivers_its_body_untraced() {
+        let (f, dir) = setup(2, "ideal");
+        let mut a = ep(&f, &dir, 0);
+        let mut b = ep(&f, &dir, 1);
+        a.set_recorder(FlightRecorder::new("app1.r0", 64));
+        b.set_recorder(FlightRecorder::new("app1.r1", 64));
+        let h = MsgHeader {
+            src: Rank(0),
+            context: 1,
+            tag: 1,
+            epoch: Epoch(0),
+            interval: 0,
+            seq: 0,
+            flags: 0,
+            credit: 0,
+        };
+        // The extension length is the header's last byte; the one byte of
+        // extension has the context tag's reserved bit set.
+        let mut raw = h.frame(&[]).to_vec();
+        *raw.last_mut().unwrap() = 1;
+        raw.push(0xFF);
+        raw.extend_from_slice(b"garbled");
+        let (src, dst) = a.addrs(Rank(1)).unwrap();
+        let garbled = Packet::new(src, dst, PacketKind::Data, 1, Bytes::from(raw));
+        f.send(garbled).unwrap();
+        let (mut ca, mut cb) = (VClock::new(), VClock::new());
+        a.send_world(&mut ca, Rank(1), 1, 2, b"traced").unwrap();
+        let m = b.recv_world(&mut cb, 1, Some(Rank(0)), Some(1)).unwrap();
+        assert_eq!(&m.data[..], b"garbled");
+        let m = b.recv_world(&mut cb, 1, Some(Rank(0)), Some(2)).unwrap();
+        assert_eq!(&m.data[..], b"traced");
+        let sent = recorded(&a, true);
+        assert!(sent.iter().all(TraceCtx::is_some));
+        assert_eq!(recorded(&b, false), [vec![TraceCtx::NONE], sent].concat());
+    }
+
     // ---- rendezvous protocol ----------------------------------------------
 
     /// Blocking rendezvous end-to-end: a payload over the threshold goes
@@ -2250,7 +2375,10 @@ mod tests {
             "{eager:?}"
         );
         // The RTS, the chunk and the eager frame, each header at its own
-        // encoded length.
+        // encoded length, each context three bytes: the tag, the span's
+        // counter under the sender's implied base and the clock's distance
+        // from it, 0. The trace is the span (nothing arrived to join) and
+        // there is no parent.
         let seqs: [u64; 3] = if a.flows.enabled { [1, 2, 3] } else { [0; 3] };
         let head = |tag, seq, flags| {
             let h = MsgHeader {
@@ -2267,7 +2395,7 @@ mod tests {
         };
         let rts = head(1, seqs[0], FLAG_RNDV_RTS) + RndvEnv::LEN;
         let chunk = head(1, seqs[1], FLAG_RNDV_DATA) + RndvChunk::LEN + BIG;
-        let framed = rts + chunk + head(2, seqs[2], 0) + TraceCtx::WIRE_LEN * 3 + 512;
+        let framed = rts + chunk + head(2, seqs[2], 0) + 3 * 3 + 512;
         assert_eq!(sink.bytes(MsgClass::Data), framed as u64);
     }
 

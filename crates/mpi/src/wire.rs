@@ -88,15 +88,15 @@ pub struct MsgHeader {
 
 impl MsgHeader {
     /// The longest header [`frame_ext`](Self::frame_ext) writes: the flags
-    /// byte, three `u32` and three `u64` varints, and an extension length
-    /// below 2^16. It only sizes the frame buffer: a header is as long as
-    /// its values need. The extension region (today only a [`TraceCtx`]) is
-    /// skipped wholesale by [`parse`](Self::parse), so a receiver that does
-    /// not understand it — the paper's unmodified MPI program, §MPI-module —
-    /// still gets the exact body bytes.
-    pub const MAX_LEN: usize = 1 + 3 * VAR_U32_LEN + 3 * VAR_MAX_LEN + 3;
+    /// byte, three `u32` and three `u64` varints, and the one-byte extension
+    /// length. It only sizes the frame buffer: a header is as long as
+    /// its values need. The extension region (empty, or exactly one
+    /// [`TraceCtx`]) is skipped wholesale by [`parse`](Self::parse), so a
+    /// receiver that does not understand it — the paper's unmodified MPI
+    /// program, §MPI-module — still gets the exact body bytes.
+    pub const MAX_LEN: usize = 1 + 3 * VAR_U32_LEN + 3 * VAR_MAX_LEN + 1;
 
-    fn put_head(&self, enc: &mut Encoder, ext: usize) {
+    fn put_head(&self, enc: &mut Encoder) {
         enc.put_u8(self.flags | (self.credit << CREDIT_SHIFT));
         enc.put_var(self.src.0.into());
         enc.put_var(self.context.into());
@@ -104,27 +104,36 @@ impl MsgHeader {
         enc.put_var(self.epoch.0.into());
         enc.put_var(self.interval);
         enc.put_var(self.seq);
-        enc.put_var(ext as u64);
     }
 
     /// Prefix `body` with this header (no extension); see
     /// [`frame_ext`](Self::frame_ext).
     pub fn frame(&self, body: &[u8]) -> Bytes {
-        self.frame_ext(body, TraceCtx::NONE)
+        self.frame_ext(body, TraceCtx::NONE, [0; 2])
     }
 
     /// Prefix `body` with this header and, when `ctx` carries one, a
-    /// trace-context extension. One buffer of at least the frame's size: the
-    /// body bytes are copied into it once, and it becomes the `Bytes`
-    /// uncopied.
-    pub fn frame_ext(&self, body: &[u8], ctx: TraceCtx) -> Bytes {
-        let ext = if ctx.is_some() { TraceCtx::WIRE_LEN } else { 0 };
-        let mut enc = Encoder::with_capacity(Self::MAX_LEN + ext + body.len());
-        self.put_head(&mut enc, ext);
+    /// trace-context extension coded against `bases`: the span bases of
+    /// the sender and of the receiver at the header's epoch, which the
+    /// receiver derives from the header alone ([`parse_ext`](Self::parse_ext)).
+    /// One buffer of at least the frame's size: the body bytes are copied
+    /// into it once, and it becomes the `Bytes` uncopied.
+    pub fn frame_ext(&self, body: &[u8], ctx: TraceCtx, bases: [u64; 2]) -> Bytes {
+        const { assert!(TraceCtx::MAX_WIRE_LEN < 0x80) };
+        let mut enc = Encoder::with_capacity(Self::MAX_LEN + TraceCtx::MAX_WIRE_LEN + body.len());
+        self.put_head(&mut enc);
+        // The extension's length, a one-byte varint whatever the context
+        // holds: written once the context is.
+        let len_at = enc.len();
+        enc.put_u8(0);
         if ctx.is_some() {
-            ctx.encode(&mut enc);
+            ctx.encode_with(&mut enc, &bases);
         }
+        let ext = enc.len() - len_at - 1;
         let mut buf = enc.into_vec();
+        if let Some(len) = buf.get_mut(len_at) {
+            *len = ext as u8;
+        }
         buf.extend_from_slice(body);
         Bytes::from(buf)
     }
@@ -170,13 +179,22 @@ impl MsgHeader {
     }
 
     /// Like [`parse`](Self::parse), but also decode the trace context when
-    /// the extension carries one ([`TraceCtx::NONE`] otherwise).
-    pub fn parse_ext(framed: &Bytes) -> Result<(MsgHeader, Bytes, TraceCtx)> {
+    /// the extension carries one, against the span bases `bases` gives for
+    /// the parsed header (asked only then; see [`frame_ext`](Self::frame_ext)).
+    /// An extension that is not exactly one context reads as
+    /// [`TraceCtx::NONE`]: tracing never costs a message.
+    pub fn parse_ext(
+        framed: &Bytes,
+        bases: impl FnOnce(&MsgHeader) -> [u64; 2],
+    ) -> Result<(MsgHeader, Bytes, TraceCtx)> {
         let (header, ext, body) = Self::parse_head(framed)?;
-        let ctx = if ext.len() >= TraceCtx::WIRE_LEN {
-            TraceCtx::decode(&mut Decoder::new(ext))?
-        } else {
+        let ctx = if ext.is_empty() {
             TraceCtx::NONE
+        } else {
+            let mut dec = Decoder::new(ext);
+            TraceCtx::decode_with(&mut dec, &bases(&header))
+                .and_then(|ctx| dec.finish().map(|()| ctx))
+                .unwrap_or(TraceCtx::NONE)
         };
         Ok((header, framed.slice(body..), ctx))
     }
@@ -414,6 +432,7 @@ impl RelMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use starfish_trace::{rank_scope, span_base};
 
     #[test]
     fn frame_and_parse_roundtrip() {
@@ -548,13 +567,26 @@ mod tests {
         assert!(MsgHeader::parse(&short).is_err());
     }
 
+    /// The implied span bases the test frames are coded against: those of
+    /// app 1's ranks 5 and 0 at epoch 2.
+    fn bases() -> [u64; 2] {
+        [5, 0].map(|r| span_base(&rank_scope(AppId(1), Rank(r)), 2))
+    }
+
+    /// A send of rank 5 to rank 0 deep into a stream: its span and trace
+    /// under its own base, its parent under the receiver's.
     fn ctx() -> TraceCtx {
+        let [me, peer] = bases();
         TraceCtx {
-            trace: 0xAAAA,
-            span: 0xBBBB,
-            parent: 0xCCCC,
-            lamport: 42,
+            trace: me | 1,
+            span: me | 1000,
+            parent: peer | 7,
+            lamport: 1042,
         }
+    }
+
+    fn parse_ext(framed: &Bytes) -> Result<(MsgHeader, Bytes, TraceCtx)> {
+        MsgHeader::parse_ext(framed, |_| bases())
     }
 
     /// The unmodified-program compatibility guarantee (§MPI-module): a peer
@@ -573,13 +605,15 @@ mod tests {
             flags: 0,
             credit: 0,
         };
-        let traced = h.frame_ext(b"payload", ctx());
-        assert_eq!(traced.len(), h.frame(b"payload").len() + TraceCtx::WIRE_LEN);
+        let traced = h.frame_ext(b"payload", ctx(), bases());
+        // The tag, the span's counter in two bytes, the trace's and the
+        // parent's and the lamport delta in one each.
+        assert_eq!(traced.len(), h.frame(b"payload").len() + 6);
         let (got, body) = MsgHeader::parse(&traced).unwrap();
         assert_eq!(got, h);
         assert_eq!(&body[..], b"payload");
         // And the ctx-aware parse recovers the context.
-        let (got2, body2, c) = MsgHeader::parse_ext(&traced).unwrap();
+        let (got2, body2, c) = parse_ext(&traced).unwrap();
         assert_eq!(got2, h);
         assert_eq!(&body2[..], b"payload");
         assert_eq!(c, ctx());
@@ -600,9 +634,36 @@ mod tests {
             credit: 0,
         };
         let plain = h.frame(b"xy");
-        let (_, body, c) = MsgHeader::parse_ext(&plain).unwrap();
+        let (_, body, c) = parse_ext(&plain).unwrap();
         assert_eq!(&body[..], b"xy");
         assert!(c.is_none());
+    }
+
+    /// An extension that is not exactly one context — garbage, a context
+    /// cut short inside its region, a context with bytes after it — reads
+    /// as no context, and the frame still gives its header and body.
+    #[test]
+    fn an_extension_that_does_not_decode_reads_as_no_context() {
+        let h = base_header();
+        let mut good = Encoder::new();
+        ctx().encode_with(&mut good, &bases());
+        let mut trailing = good.into_vec();
+        trailing.push(0);
+        for ext in [&[0xFF][..], &[0x03, 1, 2], &trailing] {
+            // The extension length is the header's last byte.
+            let mut raw = h.frame(&[]).to_vec();
+            if let Some(len) = raw.last_mut() {
+                *len = ext.len() as u8;
+            }
+            raw.extend_from_slice(ext);
+            raw.extend_from_slice(b"body");
+            let (got, body, c) = parse_ext(&Bytes::from(raw)).unwrap();
+            assert_eq!(
+                (got, &body[..], c),
+                (h, &b"body"[..], TraceCtx::NONE),
+                "{ext:?}"
+            );
+        }
     }
 
     /// A lying extension length (longer than the frame) is rejected, not
@@ -626,16 +687,18 @@ mod tests {
         raw[7] = 100;
         let lying = Bytes::from(raw);
         assert!(MsgHeader::parse(&lying).is_err());
-        assert!(MsgHeader::parse_ext(&lying).is_err());
+        assert!(parse_ext(&lying).is_err());
     }
 
     /// The envelope on the small-message path: an 8-byte world-context
     /// eager frame whose rank, tag and epoch are below 128, outside the
     /// reliability layer and before any checkpoint, is 8 header bytes and the
-    /// payload — 48 bytes with a trace context. A header with every field at
-    /// its maximum still fits `MAX_LEN`.
+    /// payload — 25 bytes with the context of a send 2.5 M messages into a
+    /// stream. A header with every field at its maximum is `MAX_LEN`, and
+    /// with a context whose ids all travel in full, `MAX_LEN` and
+    /// `TraceCtx::MAX_WIRE_LEN`.
     #[test]
-    fn an_8_byte_eager_frame_is_16_bytes_or_48_traced() {
+    fn an_8_byte_eager_frame_is_16_bytes_or_25_traced() {
         let h = MsgHeader {
             src: Rank(127),
             context: WORLD_CONTEXT,
@@ -647,7 +710,17 @@ mod tests {
             credit: 63,
         };
         assert_eq!(h.frame(&[7u8; 8]).len(), 16);
-        assert_eq!(h.frame_ext(&[7u8; 8], ctx()).len(), 48);
+        let [me, peer] = [127, 0].map(|r| span_base(&rank_scope(AppId(1), Rank(r)), 127));
+        let streaming = TraceCtx {
+            trace: me | 1,
+            span: me | 2_500_000,
+            parent: peer | 125,
+            lamport: 2_500_300,
+        };
+        let traced = h.frame_ext(&[7u8; 8], streaming, [me, peer]);
+        assert_eq!(traced.len(), 25);
+        let (_, _, got) = MsgHeader::parse_ext(&traced, |_| [me, peer]).unwrap();
+        assert_eq!(got, streaming);
         let max = MsgHeader {
             src: Rank(u32::MAX),
             context: u32::MAX,
@@ -659,10 +732,16 @@ mod tests {
             credit: 63,
         };
         let framed = max.frame(&[]);
-        assert!(framed.len() <= MsgHeader::MAX_LEN, "{}", framed.len());
+        assert_eq!(framed.len(), MsgHeader::MAX_LEN);
+        let unknown = TraceCtx {
+            trace: u64::MAX,
+            span: u64::MAX - 1,
+            parent: u64::MAX - 2,
+            lamport: 1 << 63,
+        };
         assert_eq!(
-            max.frame_ext(&[], ctx()).len(),
-            framed.len() + TraceCtx::WIRE_LEN
+            max.frame_ext(&[], unknown, bases()).len(),
+            framed.len() + TraceCtx::MAX_WIRE_LEN
         );
     }
 
@@ -672,18 +751,19 @@ mod tests {
     /// end of the frame is rejected; no single bit flip panics; and a
     /// restamp rewrites the credit bits and nothing else.
     fn check_frame(h: MsgHeader, ctx: TraceCtx, body: &[u8]) {
-        let framed = h.frame_ext(body, ctx);
-        let (got, got_body, got_ctx) = MsgHeader::parse_ext(&framed).unwrap();
+        let framed = h.frame_ext(body, ctx, bases());
+        let (got, got_body, got_ctx) = parse_ext(&framed).unwrap();
         assert_eq!((got, &got_body[..], got_ctx), (h, body, ctx));
         let (plain, plain_body) = MsgHeader::parse(&framed).unwrap();
         assert_eq!((plain, &plain_body[..]), (h, body));
         let head = framed.len() - body.len();
-        let ext = if ctx.is_some() { TraceCtx::WIRE_LEN } else { 0 };
+        let ext = framed.len() - h.frame(body).len();
+        assert!(ext <= TraceCtx::MAX_WIRE_LEN, "{ctx:?}: {ext} bytes");
         assert!(head - ext <= MsgHeader::MAX_LEN, "{h:?}: {head} bytes");
         for cut in 0..head {
             let prefix = framed.slice(..cut);
             assert!(MsgHeader::parse(&prefix).is_err(), "{h:?} cut at {cut}");
-            assert!(MsgHeader::parse_ext(&prefix).is_err(), "{h:?} cut at {cut}");
+            assert!(parse_ext(&prefix).is_err(), "{h:?} cut at {cut}");
         }
         if ext == 0 {
             // The extension length is the header's last byte; claim one
@@ -697,14 +777,14 @@ mod tests {
             raw[bit / 8] ^= 1 << (bit % 8);
             let flipped = Bytes::from(raw);
             let _ = MsgHeader::parse(&flipped);
-            let _ = MsgHeader::parse_ext(&flipped);
+            let _ = parse_ext(&flipped);
         }
         for credit in [0, 1, 42, 63] {
             let again = MsgHeader::restamp(&framed, credit);
             assert_eq!(again.len(), framed.len());
             assert_eq!(again[0] & FLAG_BITS, framed[0] & FLAG_BITS);
             assert_eq!(again[1..], framed[1..]);
-            let (got, _, _) = MsgHeader::parse_ext(&again).unwrap();
+            let (got, _, _) = parse_ext(&again).unwrap();
             assert_eq!(got, MsgHeader { credit, ..h });
         }
     }

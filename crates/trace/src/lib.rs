@@ -28,7 +28,7 @@ pub mod perfetto;
 pub mod reassemble;
 pub mod recorder;
 
-pub use context::TraceCtx;
+pub use context::{rank_scope, span_base, TraceCtx};
 pub use event::{EventKind, TraceEvent};
 pub use hub::TraceHub;
 pub use reassemble::{reassemble, Dag, NodeRef, PathStep};

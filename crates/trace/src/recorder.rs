@@ -31,7 +31,7 @@ use starfish_events::{ClusterEvent, EventKind as ClusterKind};
 use starfish_util::ring::SeqRing;
 use starfish_util::{NodeId, VirtualTime};
 
-use crate::context::TraceCtx;
+use crate::context::{span_base, TraceCtx, SPAN_COUNTER_MASK};
 use crate::event::{EventKind, TraceEvent};
 
 /// Default message-ring capacity (events) of recorders created by the
@@ -135,7 +135,7 @@ struct State {
 impl State {
     fn mint(&mut self, span_base: u64) -> TraceCtx {
         self.span_ctr += 1;
-        let span = span_base | (self.span_ctr & 0xff_ffff);
+        let span = span_base | (self.span_ctr & SPAN_COUNTER_MASK);
         TraceCtx {
             trace: if self.cur_trace != 0 {
                 self.cur_trace
@@ -206,8 +206,9 @@ impl State {
 
 struct Inner {
     scope: String,
-    /// High bits of every span id minted here (derived from the scope), so
-    /// spans are unique across the recorders of one cluster.
+    /// High bits of every span id minted here ([`span_base`] of the scope
+    /// and incarnation), so spans are unique across the recorders of one
+    /// cluster.
     span_base: u64,
     state: Mutex<State>,
 }
@@ -216,17 +217,6 @@ struct Inner {
 #[derive(Clone, Default)]
 pub struct FlightRecorder {
     inner: Option<Arc<Inner>>,
-}
-
-/// FNV-1a, the same cheap stable hash the rest of the workspace idiom uses
-/// for deterministic non-cryptographic ids.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 impl FlightRecorder {
@@ -242,15 +232,10 @@ impl FlightRecorder {
     /// namespace per incarnation keeps the reassembler from pairing those
     /// stale receives with the new incarnation's sends.
     pub fn with_incarnation(scope: &str, cap: usize, incarnation: u64) -> FlightRecorder {
-        // Reserve 24 bits for the per-recorder counter; keep the top bit
-        // set so a real span id can never collide with the 0 sentinel.
-        let span_base =
-            (fnv1a(scope).wrapping_add(incarnation.wrapping_mul(0x9e37_79b9_7f4a_7c15)) << 24)
-                | (1 << 63);
         FlightRecorder {
             inner: Some(Arc::new(Inner {
                 scope: scope.to_string(),
-                span_base,
+                span_base: span_base(scope, incarnation),
                 state: Mutex::new(State {
                     msgs: SeqRing::new(cap),
                     events: SeqRing::new(EVENT_CAPACITY),
@@ -382,7 +367,7 @@ impl FlightRecorder {
     pub fn phase_begin(&self, vt: VirtualTime, name: &str) {
         self.with(|inner, s| {
             s.span_ctr += 1;
-            let span = inner.span_base | (s.span_ctr & 0xff_ffff);
+            let span = inner.span_base | (s.span_ctr & SPAN_COUNTER_MASK);
             if s.cur_trace == 0 {
                 s.cur_trace = span;
             }
