@@ -2,10 +2,12 @@
 # Per-crate non-test line counts, base → change: `starfish-lint`'s
 # `non_test_lines` (physical lines of crates/*/src outside test code) for
 # the tree at a base revision and for the working tree, one line per crate,
-# then the workspace total and its delta, then the lint's `lock_classes`
-# the same way, and the panic-lint `#[expect]` attributes in crates/*/src
-# (`panic_expects`: the panic surface's ratchet, one per surviving site or
-# function). Report only: it exits 0 whatever the numbers say.
+# then the workspace total and its delta, the number of workspace crates
+# (`crates`: the directories of crates/ with a manifest), the lint's
+# `lock_classes` the same way, and the panic-lint `#[expect]` attributes in
+# crates/*/src (`panic_expects`: the panic surface's ratchet, one per
+# surviving site or function). Report only: it exits 0 whatever the
+# numbers say.
 #
 #   ci/lines.sh [base]      # base defaults to HEAD^
 #
@@ -50,6 +52,7 @@ lines_b, lines_c = base["non_test_lines"], change["non_test_lines"]
 for crate in sorted(set(lines_b) | set(lines_c)):
     row(crate, lines_b.get(crate, 0), lines_c.get(crate, 0))
 row("workspace", sum(lines_b.values()), sum(lines_c.values()))
+row("crates", *(len(list(pathlib.Path(t).glob("crates/*/Cargo.toml"))) for t in sys.argv[4:]))
 row("lock_classes", base["lock_classes"], change["lock_classes"])
 row("panic_expects", *map(panic_expects, sys.argv[4:]))
 EOF

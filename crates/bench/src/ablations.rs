@@ -3,7 +3,10 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use starfish::{CkptProto, CkptValue, Cluster, FtPolicy, Rank, RuntimeKnobs, SubmitOpts};
+use starfish::bus::BUS_EVENT_COST;
+use starfish::{
+    CkptProto, CkptValue, Cluster, FtPolicy, Rank, RuntimeKnobs, SubmitOpts, VirtualTime,
+};
 use starfish_checkpoint::disk::DiskModel;
 use starfish_checkpoint::incremental::IncrementalTracker;
 use starfish_checkpoint::recovery::{recovery_line, MsgDep};
@@ -64,7 +67,7 @@ fn cr_round(proto: CkptProto) -> (f64, u64, u64) {
 /// [`cr_round`] per protocol, [`REPEATS`] times: the round time moves with
 /// [`cause::RELAY_ORDER`] and the captured channel messages with
 /// [`cause::ARRIVAL_ORDER`].
-pub fn cr_protocols() -> J {
+pub(crate) fn cr_protocols() -> J {
     let protos = [
         CkptProto::StopAndSync,
         CkptProto::ChandyLamport,
@@ -95,7 +98,7 @@ pub fn cr_protocols() -> J {
 /// to another node (`MIGRATE`): one cast, whose view change every daemon
 /// derives from it without a message of its own. Control messages per
 /// change at 5, 9 and 17 nodes.
-pub fn lwgroups() -> J {
+pub(crate) fn lwgroups() -> J {
     let rows = [4u32, 8, 16].map(|n| {
         let trace = TraceSink::enabled();
         let cluster = Cluster::builder()
@@ -161,7 +164,7 @@ pub fn lwgroups() -> J {
 
 /// The polling thread (§2.2.1): virtual µs per receive of an
 /// already-arrived message, with and without it.
-pub fn polling() -> J {
+pub(crate) fn polling() -> J {
     // The paper's point: "when using the polling thread, the time required
     // for kernel interaction is interleaved with other operations, yielding
     // fast receive operations". So the interesting case is a receive posted
@@ -169,10 +172,7 @@ pub fn polling() -> J {
     // in the queue; without it, every receive performs the (virtual) kernel
     // interaction itself.
     fn recv_cost(mode: RecvMode) -> f64 {
-        let k = RuntimeKnobs {
-            recv_mode: mode,
-            ..RuntimeKnobs::default()
-        };
+        let k = RuntimeKnobs { recv_mode: mode };
         let cluster = Cluster::builder()
             .nodes(2)
             .network_bip()
@@ -214,56 +214,52 @@ pub fn polling() -> J {
 
 /// The fast data path vs routing data through the object bus (§2.2, "we
 /// employ a fast data path ... that does not go through the object bus"):
-/// the 1-byte round trip each way.
-pub fn fastpath() -> J {
-    fn rtt(bus: bool) -> f64 {
-        let k = RuntimeKnobs {
-            bus_data_path: bus,
-            ..RuntimeKnobs::default()
-        };
-        let cluster = Cluster::builder()
-            .nodes(2)
-            .network_bip()
-            .knobs(k)
-            .build()
-            .unwrap();
-        cluster.register_app("pp", |ctx| {
-            let me = ctx.rank().0;
-            const REPS: u64 = 100;
-            if me == 0 {
-                ctx.send(Rank(1), 999, &[0])?;
-                ctx.recv(Some(Rank(1)), Some(999))?;
-                let t0 = ctx.time();
-                for i in 0..REPS {
-                    ctx.send(Rank(1), i, &[0])?;
-                    ctx.recv(Some(Rank(1)), Some(i))?;
-                }
-                ctx.publish(CkptValue::Float(((ctx.time() - t0) / REPS).as_micros_f64()));
-            } else {
-                let w = ctx.recv(Some(Rank(0)), Some(999))?;
-                ctx.send(Rank(0), 999, &w.data)?;
-                for i in 0..REPS {
-                    let m = ctx.recv(Some(Rank(0)), Some(i))?;
-                    ctx.send(Rank(0), i, &m.data)?;
-                }
+/// the 1-byte round trip each way. The bus row is the measured fast-path
+/// round trip plus one bus dispatch ([`BUS_EVENT_COST`]) at each of its two
+/// receives, which is all that routing data through the bus would add.
+pub(crate) fn fastpath() -> J {
+    let cluster = Cluster::builder().nodes(2).network_bip().build().unwrap();
+    cluster.register_app("pp", |ctx| {
+        let me = ctx.rank().0;
+        const REPS: u64 = 100;
+        if me == 0 {
+            ctx.send(Rank(1), 999, &[0])?;
+            ctx.recv(Some(Rank(1)), Some(999))?;
+            let t0 = ctx.time();
+            for i in 0..REPS {
+                ctx.send(Rank(1), i, &[0])?;
+                ctx.recv(Some(Rank(1)), Some(i))?;
             }
-            Ok(())
-        });
-        let app = cluster
-            .submit("pp", 2, SubmitOpts::default().policy(FtPolicy::Kill))
-            .unwrap();
-        cluster.wait_app_done(app, T).unwrap();
-        cluster.outputs(app, Rank(0))[0].as_float().unwrap()
-    }
-    let rows = [("fast_path", false), ("object_bus", true)]
-        .map(|(name, bus)| (name, J::obj([("rtt_us", J::num(rtt(bus)))])));
+            let rtt = (ctx.time() - t0) / REPS;
+            ctx.publish(CkptValue::Int(rtt.as_nanos() as i64));
+        } else {
+            let w = ctx.recv(Some(Rank(0)), Some(999))?;
+            ctx.send(Rank(0), 999, &w.data)?;
+            for i in 0..REPS {
+                let m = ctx.recv(Some(Rank(0)), Some(i))?;
+                ctx.send(Rank(0), i, &m.data)?;
+            }
+        }
+        Ok(())
+    });
+    let app = cluster
+        .submit("pp", 2, SubmitOpts::default().policy(FtPolicy::Kill))
+        .unwrap();
+    cluster.wait_app_done(app, T).unwrap();
+    let ns = cluster.outputs(app, Rank(0))[0].as_int().unwrap();
+    let fast = VirtualTime::from_nanos(ns as u64);
+    let rows = [
+        ("fast_path", fast),
+        ("object_bus", fast + BUS_EVENT_COST * 2),
+    ]
+    .map(|(name, rtt)| (name, J::obj([("rtt_us", J::num(rtt.as_micros_f64()))])));
     J::section("virtual", vec![("rows", J::obj(rows))])
 }
 
 /// Incremental checkpointing (libckpt-style, §6): a 64 MB image written
 /// 10 times, in full or as the pages dirtied since the last checkpoint, at
 /// several dirty fractions per interval.
-pub fn incremental() -> J {
+pub(crate) fn incremental() -> J {
     let disk = DiskModel::ide_1999();
     const IMG: usize = 64 << 20;
     let rows = [1usize, 5, 20, 100].map(|dirty_pct| {
@@ -345,7 +341,7 @@ fn discarded(ckpt_prob: f64, coordinated: bool) -> (f64, u64) {
 
 /// Rollback propagation under uncoordinated checkpointing against the
 /// coordinated baseline, at three checkpoint rates (percent per step).
-pub fn domino() -> J {
+pub(crate) fn domino() -> J {
     let rows = [5u32, 20, 50].map(|rate_pct| {
         let ckpt_prob = rate_pct as f64 / 100.0;
         let (avg, worst) = discarded(ckpt_prob, false);
@@ -366,7 +362,7 @@ pub fn domino() -> J {
 /// (§6): the app-visible stall per checkpoint, blocking or forked, and the
 /// slowdown it costs at a 60 s compute interval. The background write
 /// still gates the next checkpoint: the minimum interval is the write time.
-pub fn forked() -> J {
+pub(crate) fn forked() -> J {
     let disk = DiskModel::ide_1999();
     const INTERVAL_S: f64 = 60.0;
     let rows = [1u64, 16, 64, 135].map(|mb| {

@@ -92,7 +92,7 @@ fn ckpt_figure(level: LevelKind, payloads: &[u64], anchor: [f64; 3], tolerance_p
 /// Figure 3: native (homogeneous) checkpointing time vs size, 1/2/4 nodes.
 /// Payloads span the paper's 632 KB ... 135 MB range; the smallest image
 /// is the empty program.
-pub fn fig3() -> J {
+pub(crate) fn fig3() -> J {
     let payloads = [
         0u64,
         4_000_000,
@@ -107,7 +107,7 @@ pub fn fig3() -> J {
 
 /// Figure 4: VM-level (heterogeneous) checkpointing time vs size. The
 /// smallest image is 260 KB: the VM itself is not saved (§5).
-pub fn fig4() -> J {
+pub(crate) fn fig4() -> J {
     let payloads = [
         0u64, 4_000_000, 16_000_000, 48_000_000,
         95_733_760, // ≈ 96 MB total with the 260 KB base
@@ -117,7 +117,7 @@ pub fn fig4() -> J {
 
 /// Figure 5: application-level round-trip delay vs data size, BIP vs TCP,
 /// each a 100-repetition average like the paper's ping application.
-pub fn fig5() -> J {
+pub(crate) fn fig5() -> J {
     let sizes: [usize; 8] = [1, 256, 1024, 4096, 16384, 65536, 262_144, 1_048_576];
 
     fn run(cluster: &Cluster, sizes: &[usize]) -> Vec<f64> {
@@ -194,7 +194,7 @@ pub fn fig5() -> J {
 /// software time left of a one-way message once the wire terms are
 /// removed (the same at every size: payloads are never copied between
 /// layers), and the per-layer histograms a live ping-pong records.
-pub fn fig6() -> J {
+pub(crate) fn fig6() -> J {
     let layers = LayerCosts::prototype();
     let breakdown = layers.breakdown();
     let layers_us = ["send", "recv"].map(|dir| {
@@ -324,7 +324,7 @@ fn lifecycle_audit() -> Vec<(u64, u64)> {
 /// Table 1: the message taxonomy, audited on [`REPEATS`] live lifecycles.
 /// Every class repeats but Control, whose count and bytes move with
 /// [`cause::CAST_TIMING`].
-pub fn table1() -> J {
+pub(crate) fn table1() -> J {
     let runs: Vec<Vec<(u64, u64)>> = (0..REPEATS).map(|_| lifecycle_audit()).collect();
     let rows = MsgClass::ALL.iter().enumerate().map(|(i, c)| {
         let sent_between = match c {
@@ -357,7 +357,7 @@ pub fn table1() -> J {
 /// representation, `S` byte-swapped, `W` word-resized, `S+W` both) when the
 /// state came back exact, `corrupt` when it did not, `error` when decoding
 /// failed.
-pub fn table2() -> J {
+pub(crate) fn table2() -> J {
     // A representative VM heap.
     let state = CkptValue::record(vec![
         ("step", CkptValue::Int(123_456)),
@@ -406,7 +406,7 @@ pub fn table2() -> J {
 /// §5 claim: "if a checkpoint is taken once every hour, it would only slow
 /// down the entire execution time by less than 1%" — the worst case, a
 /// native-level round of the largest image (135 MB) on 4 nodes.
-pub fn claim_overhead() -> J {
+pub(crate) fn claim_overhead() -> J {
     let (bytes, rounds) = repeated_ckpt_point(LevelKind::Native, 4, 134_352_832);
     let rows = [10u64, 30, 60, 120].map(|interval_min| {
         let interval = interval_min as f64 * 60.0;
@@ -432,7 +432,7 @@ pub fn claim_overhead() -> J {
 /// The fitted stop-and-sync coordination model behind Figures 3 and 4's
 /// node scaling (DESIGN.md §6): native 55.6 ms x (1 - 1/n), VM 13.9 ms x
 /// (n - 1).
-pub fn sync_model_table() -> J {
+pub(crate) fn sync_model_table() -> J {
     let rows = [1usize, 2, 4, 8].map(|n| {
         let cells = [
             (

@@ -17,8 +17,8 @@
 //! that moves between runs is recorded as the range of [`report::REPEATS`]
 //! runs with the cause that moves it ([`report::cause`]).
 
-pub mod ablations;
-pub mod figures;
+pub(crate) mod ablations;
+pub(crate) mod figures;
 pub mod recovery;
 pub mod report;
 pub mod threshold;
@@ -26,7 +26,7 @@ pub mod threshold;
 use report::J;
 
 /// A report section's name and what computes it.
-pub type Section = (&'static str, fn() -> J);
+pub(crate) type Section = (&'static str, fn() -> J);
 
 /// The paper's sections of the report. They run the same in quick and full
 /// mode.

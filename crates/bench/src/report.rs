@@ -7,20 +7,20 @@ use std::fmt::{Debug, Display};
 use starfish_util::json;
 
 /// How many times a section with a cell that moves between runs is run.
-pub const REPEATS: usize = 5;
+pub(crate) const REPEATS: usize = 5;
 
 /// Why a banded cell moves. `ci/check_bench.py` knows each cause and the
 /// cells it may band; EXPERIMENTS.md explains them.
-pub mod cause {
+pub(crate) mod cause {
     /// A stop-and-sync round's duration takes stamps that daemons relay,
     /// and which a daemon relays first is thread scheduling (DESIGN.md §7).
-    pub const RELAY_ORDER: &str = "relay-order";
+    pub(crate) const RELAY_ORDER: &str = "relay-order";
     /// A cast racing the idle node's crash reaches it or not, and a rank's
     /// telemetry cast carries wall-clock histograms whose encoding varies.
-    pub const CAST_TIMING: &str = "cast-timing";
+    pub(crate) const CAST_TIMING: &str = "cast-timing";
     /// Whether a ring message is queued or in flight when a rank captures
     /// its channel state is thread scheduling.
-    pub const ARRIVAL_ORDER: &str = "arrival-order";
+    pub(crate) const ARRIVAL_ORDER: &str = "arrival-order";
 }
 
 /// One value of the report: a formatted scalar, or an object. An object of
@@ -55,7 +55,7 @@ impl J {
 
     /// A cell measured once per repeat that moves between runs: the range
     /// of the repeats and why it moves.
-    pub fn band(values: impl IntoIterator<Item = f64>, cause: &str) -> J {
+    pub(crate) fn band(values: impl IntoIterator<Item = f64>, cause: &str) -> J {
         let (min, max) = values
             .into_iter()
             .fold((f64::MAX, f64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
@@ -102,7 +102,7 @@ impl J {
 
 /// The one value every repeat measured for a cell the report records as
 /// exact. A cell that moved is a defect of the report, not noise to hide.
-pub fn exact<T: PartialEq + Debug + Copy>(values: &[T], what: &str) -> T {
+pub(crate) fn exact<T: PartialEq + Debug + Copy>(values: &[T], what: &str) -> T {
     assert!(
         values.windows(2).all(|w| w[0] == w[1]),
         "{what} moved between repeats: {values:?}"

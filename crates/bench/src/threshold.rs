@@ -19,16 +19,16 @@
 /// count as "competitive": the crossover is the smallest size with
 /// `bandwidth <= latency * CROSSOVER_TOLERANCE`. The slack absorbs
 /// run-to-run noise around the true intersection of the two cost curves.
-pub const CROSSOVER_TOLERANCE: f64 = 1.10;
+pub(crate) const CROSSOVER_TOLERANCE: f64 = 1.10;
 
 /// Smallest threshold calibration will produce: below this the bandwidth
 /// arm's extra steps can never amortize, whatever one noisy sweep says.
-pub const MIN_CALIBRATED: usize = 1024;
+pub(crate) const MIN_CALIBRATED: usize = 1024;
 
 /// Largest threshold calibration will produce, and the one it produces when
 /// the bandwidth arm never competed in the sweep: the latency arm keeps
 /// every size below it.
-pub const MAX_CALIBRATED: usize = 1 << 20;
+pub(crate) const MAX_CALIBRATED: usize = 1 << 20;
 
 /// One row of a sweep: payload size in bytes, the latency arm's cost, the
 /// bandwidth arm's cost.

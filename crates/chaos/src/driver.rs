@@ -20,8 +20,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 use starfish_checkpoint::{CkptBackend, CkptImage, CkptLevel, CkptStore, CkptValue, MACHINES};
-use starfish_events::{ClusterEvent, EventKind, Phase, Postmortem, Rollback};
 use starfish_mpi::{CtsCadence, MpiEndpoint, RankDirectory, RecvMode, WORLD_CONTEXT};
+use starfish_trace::event::{ClusterEvent, EventKind};
+use starfish_trace::postmortem::{Phase, Postmortem, Rollback};
 use starfish_trace::{FlightRecorder, ProcTrace};
 use starfish_util::rng::DetRng;
 use starfish_util::trace::TraceSink;
@@ -31,7 +32,7 @@ use starfish_vni::{Fabric, FaultStats, Ideal, LayerCosts};
 use crate::plan::{Event, FaultPlan};
 
 /// Application id every scenario runs under.
-pub const CHAOS_APP: AppId = AppId(7);
+pub(crate) const CHAOS_APP: AppId = AppId(7);
 
 /// Traffic tag (a single flow per rank pair keeps oracles simple).
 const TRAFFIC_TAG: u64 = 1;
@@ -57,9 +58,9 @@ pub struct ScenarioReport {
     /// Fabric fault-layer accounting at the end of the run.
     pub stats: FaultStats,
     /// Packets still sitting in fabric queues after quiescence.
-    pub queued: usize,
+    pub(crate) queued: usize,
     /// Whether the quiescence loop converged before its deadline.
-    pub quiesced: bool,
+    pub(crate) quiesced: bool,
     /// Coordinated checkpoint rounds completed.
     pub ckpt_rounds: u64,
     /// Torn-image injections that hit an existing image.
@@ -78,7 +79,7 @@ pub struct ScenarioReport {
     /// fill — a mis-spliced rendezvous DATA merge or torn payload.
     pub payload_corruptions: u64,
     /// The plan's `replica <k>` directive (`None` = legacy disk store).
-    pub replica_k: Option<u8>,
+    pub(crate) replica_k: Option<u8>,
     /// Distinct nodes that crashed at least once (a restart brings the
     /// node back empty, so its pre-crash replicas stay lost).
     pub nodes_lost: u32,

@@ -23,14 +23,13 @@
 //! See `CHAOS.md` at the repository root for the plan format and the
 //! reproduction workflow.
 
-pub mod driver;
+pub(crate) mod driver;
 pub mod oracle;
-pub mod plan;
-pub mod shrink;
+pub(crate) mod plan;
+pub(crate) mod shrink;
 
 pub use driver::{
     postmortem, postmortem_dir, run_mpi_scenario, run_mpi_scenario_traced, write_postmortem,
-    ScenarioReport, CHAOS_APP,
 };
-pub use plan::{Event, FaultPlan, LinkFaultSpec, TimedEvent};
+pub use plan::{Event, FaultPlan, TimedEvent};
 pub use shrink::minimize;

@@ -72,7 +72,7 @@ pub fn exactly_once(r: &ScenarioReport) -> Option<String> {
 }
 
 /// Oracle 2: per-flow delivery order equals send order.
-pub fn fifo_order(r: &ScenarioReport) -> Option<String> {
+pub(crate) fn fifo_order(r: &ScenarioReport) -> Option<String> {
     for ((src, dst), sent) in &r.sent {
         if r.dead_ranks.contains(src) || r.dead_ranks.contains(dst) {
             continue;
@@ -97,7 +97,7 @@ pub fn fifo_order(r: &ScenarioReport) -> Option<String> {
 }
 
 /// Oracle 3: fault-layer frame conservation, and an empty wire afterwards.
-pub fn conservation(r: &ScenarioReport) -> Option<String> {
+pub(crate) fn conservation(r: &ScenarioReport) -> Option<String> {
     if !r.stats.conserved() {
         return Some(format!(
             "conservation violated: accepted {} + duplicated {} != delivered {} + dropped {} + held {}",
@@ -114,7 +114,7 @@ pub fn conservation(r: &ScenarioReport) -> Option<String> {
 }
 
 /// Oracle 4: the recovery line is restorable and degrades gracefully.
-pub fn recovery_line(r: &ScenarioReport) -> Option<String> {
+pub(crate) fn recovery_line(r: &ScenarioReport) -> Option<String> {
     if !r.line_restorable {
         return Some(format!(
             "recovery line {} is not restorable by every live rank",
@@ -136,7 +136,7 @@ pub fn recovery_line(r: &ScenarioReport) -> Option<String> {
 }
 
 /// Oracle 5: the run converged before the quiescence deadline.
-pub fn quiescence(r: &ScenarioReport) -> Option<String> {
+pub(crate) fn quiescence(r: &ScenarioReport) -> Option<String> {
     if !r.quiesced {
         return Some("scenario failed to quiesce before the deadline".into());
     }
@@ -152,7 +152,7 @@ pub fn quiescence(r: &ScenarioReport) -> Option<String> {
 /// Oracle 6: delivered bodies are byte-identical to what was sent (the
 /// driver checks each delivery against the sender's deterministic fill —
 /// the teeth behind the rendezvous DATA-merge path).
-pub fn payload_integrity(r: &ScenarioReport) -> Option<String> {
+pub(crate) fn payload_integrity(r: &ScenarioReport) -> Option<String> {
     if r.payload_corruptions > 0 {
         return Some(format!(
             "{} delivered payloads had corrupted bodies",
@@ -170,7 +170,7 @@ pub fn payload_integrity(r: &ScenarioReport) -> Option<String> {
 /// Restorability-from-peer-memory itself is enforced by oracle 4: for
 /// replica plans the driver computes `line_restorable` by actually
 /// reassembling each image from surviving fragments.
-pub fn diskless_recovery(r: &ScenarioReport) -> Option<String> {
+pub(crate) fn diskless_recovery(r: &ScenarioReport) -> Option<String> {
     let k = r.replica_k?;
     let promise_in_force =
         r.nodes_lost < u32::from(k) && r.replica_under_replicated == 0 && r.corruptions == 0;

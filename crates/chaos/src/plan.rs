@@ -43,13 +43,13 @@ pub struct LinkFaultSpec {
     /// Destination node index.
     pub dst: u32,
     /// Seed of the link's decision streams.
-    pub seed: u64,
+    pub(crate) seed: u64,
     pub drop_p: f64,
-    pub dup_p: f64,
-    pub delay_p: f64,
+    pub(crate) dup_p: f64,
+    pub(crate) delay_p: f64,
     /// Extra virtual latency applied on a delay decision, microseconds.
-    pub delay_us: u64,
-    pub reorder_p: f64,
+    pub(crate) delay_us: u64,
+    pub(crate) reorder_p: f64,
 }
 
 impl LinkFaultSpec {
@@ -248,7 +248,7 @@ impl FaultPlan {
     }
 
     /// Events due at `step`, in plan order.
-    pub fn events_at(&self, step: u32) -> impl Iterator<Item = &TimedEvent> {
+    pub(crate) fn events_at(&self, step: u32) -> impl Iterator<Item = &TimedEvent> {
         self.events.iter().filter(move |e| e.step == step)
     }
 

@@ -40,7 +40,7 @@ pub struct Arch {
 }
 
 impl Arch {
-    pub const fn new(
+    pub(crate) const fn new(
         cpu: &'static str,
         os: &'static str,
         endian: Endianness,
@@ -56,20 +56,13 @@ impl Arch {
 
     /// Native representations identical? (Then no conversion is needed and
     /// even a native image can restore.)
-    pub fn same_representation(&self, other: &Arch) -> bool {
+    #[cfg(test)]
+    fn same_representation(&self, other: &Arch) -> bool {
         self.endian == other.endian && self.word_bits == other.word_bits
     }
 
-    /// Largest unsigned value a machine word holds.
-    pub fn word_max(&self) -> u64 {
-        match self.word_bits {
-            32 => u32::MAX as u64,
-            _ => u64::MAX,
-        }
-    }
-
     /// Stable index into [`MACHINES`] if this is one of the Table 2 hosts.
-    pub fn table2_index(&self) -> Option<usize> {
+    pub(crate) fn table2_index(&self) -> Option<usize> {
         MACHINES.iter().position(|m| m == self)
     }
 }
@@ -189,12 +182,6 @@ mod tests {
         assert!(linux.same_representation(&nt)); // both LE 32
         assert!(!linux.same_representation(&sun)); // endianness differs
         assert!(!linux.same_representation(&alpha)); // word length differs
-    }
-
-    #[test]
-    fn word_max_by_width() {
-        assert_eq!(MACHINES[0].word_max(), u32::MAX as u64);
-        assert_eq!(MACHINES[5].word_max(), u64::MAX);
     }
 
     #[test]

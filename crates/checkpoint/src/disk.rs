@@ -13,11 +13,11 @@ use starfish_util::VirtualTime;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskModel {
     /// Fixed per-image overhead (open, seek, sync, metadata).
-    pub fixed: VirtualTime,
+    pub(crate) fixed: VirtualTime,
     /// Sustained write bandwidth, bytes/second.
-    pub write_bw: f64,
+    pub(crate) write_bw: f64,
     /// Sustained read bandwidth, bytes/second (restore path).
-    pub read_bw: f64,
+    pub(crate) read_bw: f64,
 }
 
 impl DiskModel {
@@ -35,7 +35,7 @@ impl DiskModel {
     /// Buffer-cache-absorbed write path used by the small VM-level images.
     /// Calibrated: 260 KB VM image → 0.0077 s on one node (Figure 4).
     /// 0.0033 s fixed + 266_240 B / 60 MB/s = 0.00774 s.
-    pub fn vm_buffered() -> Self {
+    pub(crate) fn vm_buffered() -> Self {
         DiskModel {
             fixed: VirtualTime::from_micros(3300),
             write_bw: 60.0e6,
@@ -44,7 +44,8 @@ impl DiskModel {
     }
 
     /// A free disk, for pure protocol-logic tests.
-    pub fn instant() -> Self {
+    #[cfg(test)]
+    fn instant() -> Self {
         DiskModel {
             fixed: VirtualTime::ZERO,
             write_bw: 0.0,

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 /// Chunk size used for dirty tracking (a memory page on the paper's i686
 /// testbed).
-pub const CHUNK: usize = 4096;
+pub(crate) const CHUNK: usize = 4096;
 
 fn hash_chunk(data: &[u8]) -> u64 {
     // FNV-1a: cheap, stable, good enough for dirty detection in a simulator.
@@ -28,9 +28,9 @@ fn hash_chunk(data: &[u8]) -> u64 {
 /// One incremental delta: the chunks that changed, plus the new total length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Increment {
-    pub len: usize,
+    pub(crate) len: usize,
     /// chunk index → new contents.
-    pub dirty: BTreeMap<usize, Vec<u8>>,
+    pub(crate) dirty: BTreeMap<usize, Vec<u8>>,
 }
 
 impl Increment {
@@ -86,7 +86,8 @@ impl IncrementalTracker {
     }
 
     /// Forget the baseline (forces the next capture to be full).
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self) {
         self.hashes.clear();
         self.len = 0;
     }
@@ -94,7 +95,8 @@ impl IncrementalTracker {
 
 /// Reassemble an image from a full base plus later increments (oldest
 /// first).
-pub fn reassemble(base: &Increment, increments: &[Increment]) -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn reassemble(base: &Increment, increments: &[Increment]) -> Vec<u8> {
     let final_len = increments.last().map(|i| i.len).unwrap_or(base.len);
     let mut chunks: BTreeMap<usize, &[u8]> = BTreeMap::new();
     for (i, c) in &base.dirty {
@@ -112,7 +114,6 @@ pub fn reassemble(base: &Increment, increments: &[Increment]) -> Vec<u8> {
             continue;
         }
         let hi = (lo + c.len()).min(final_len);
-        #[expect(clippy::indexing_slicing, reason = "both ranges are clamped above")]
         out[lo..hi].copy_from_slice(&c[..hi - lo]);
     }
     out

@@ -49,7 +49,7 @@ pub mod proto;
 pub mod recovery;
 pub mod replica;
 pub mod store;
-pub mod value;
+pub(crate) mod value;
 
 pub use arch::{Arch, Endianness, MACHINES};
 pub use backend::CkptBackend;

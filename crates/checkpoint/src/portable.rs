@@ -48,7 +48,7 @@ pub struct ConversionReport {
     /// Words were narrowed 64→32 (each value range-checked).
     pub word_narrowed: bool,
     /// Number of scalar values that required conversion work.
-    pub values_converted: u64,
+    pub(crate) values_converted: u64,
     /// Total body bytes processed.
     pub body_bytes: u64,
 }
@@ -369,7 +369,7 @@ pub fn encode_portable(value: &CkptValue, arch: Arch) -> Result<Vec<u8>> {
 /// Read the representation header of an image without decoding the body.
 #[expect(clippy::indexing_slicing, reason = "the 7-byte header is checked")]
 #[expect(clippy::unwrap_used, reason = "the 7-byte header is checked")]
-pub fn peek_arch(img: &[u8]) -> Result<Arch> {
+pub(crate) fn peek_arch(img: &[u8]) -> Result<Arch> {
     if img.len() < 7 {
         return Err(Error::checkpoint("image too short for header"));
     }

@@ -52,11 +52,11 @@ impl ChandyLamport {
     }
 
     #[expect(clippy::indexing_slicing, reason = "`new`'s `ranks` holds `me`")]
-    pub fn initiator(&self) -> Rank {
+    pub(crate) fn initiator(&self) -> Rank {
         self.ranks[0]
     }
 
-    pub fn is_initiator(&self) -> bool {
+    pub(crate) fn is_initiator(&self) -> bool {
         self.me == self.initiator()
     }
 
@@ -64,7 +64,8 @@ impl ChandyLamport {
         self.phase
     }
 
-    pub fn index(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn index(&self) -> u64 {
         self.index
     }
 

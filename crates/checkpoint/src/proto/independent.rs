@@ -20,7 +20,7 @@ use super::CrEffect;
 
 /// Tracks one process's checkpoint intervals and message dependencies.
 #[derive(Debug, Clone)]
-pub struct Independent {
+pub(crate) struct Independent {
     me: Rank,
     /// Current interval index: number of checkpoints taken so far. Interval
     /// `k` is the execution after checkpoint `k`.
@@ -28,19 +28,19 @@ pub struct Independent {
 }
 
 impl Independent {
-    pub fn new(me: Rank) -> Self {
+    pub(crate) fn new(me: Rank) -> Self {
         Independent { me, interval: 0 }
     }
 
     /// The interval index to piggyback on outgoing data messages.
-    pub fn current_interval(&self) -> u64 {
+    pub(crate) fn current_interval(&self) -> u64 {
         self.interval
     }
 
     /// Take a local checkpoint right now (no coordination, no quiesce; the
     /// receive queue is captured as channel state so locally-buffered
     /// messages are not lost).
-    pub fn take_checkpoint(&mut self) -> Vec<CrEffect> {
+    pub(crate) fn take_checkpoint(&mut self) -> Vec<CrEffect> {
         self.interval += 1;
         vec![CrEffect::TakeCheckpoint {
             index: self.interval,
@@ -50,7 +50,7 @@ impl Independent {
     /// A data message arrived carrying the sender's piggybacked interval.
     /// Returns the dependency record the runtime must persist (the engine
     /// keeps no copy: the store's dependency log is the only one).
-    pub fn on_data_received(&self, sender: Rank, sender_interval: u64) -> MsgDep {
+    pub(crate) fn on_data_received(&self, sender: Rank, sender_interval: u64) -> MsgDep {
         MsgDep {
             sender,
             send_interval: sender_interval,
@@ -60,7 +60,7 @@ impl Independent {
     }
 
     /// After a rollback, reset to the restored interval.
-    pub fn rollback_to(&mut self, index: u64) {
+    pub(crate) fn rollback_to(&mut self, index: u64) {
         self.interval = index;
     }
 }

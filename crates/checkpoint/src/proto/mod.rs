@@ -20,7 +20,7 @@
 //!   paired with [`crate::recovery`] for recovery-line computation.
 
 pub mod chandy_lamport;
-pub mod independent;
+pub(crate) mod independent;
 pub mod rank;
 pub mod stop_and_sync;
 

@@ -237,10 +237,6 @@ impl RankCr {
         self.last_index
     }
 
-    pub fn committed(&self) -> u64 {
-        self.committed
-    }
-
     /// The ordered rollback, once: the index to reload and the epoch to
     /// enter (none for a first incarnation's restore).
     pub fn take_rewind(&mut self) -> Option<(u64, Option<Epoch>)> {

@@ -73,20 +73,16 @@ impl StopAndSync {
     }
 
     #[expect(clippy::indexing_slicing, reason = "`new`'s `ranks` holds `me`")]
-    pub fn coordinator(&self) -> Rank {
+    pub(crate) fn coordinator(&self) -> Rank {
         self.ranks[0]
     }
 
-    pub fn is_coordinator(&self) -> bool {
+    pub(crate) fn is_coordinator(&self) -> bool {
         self.me == self.coordinator()
     }
 
     pub fn phase(&self) -> Phase {
         self.phase
-    }
-
-    pub fn index(&self) -> u64 {
-        self.index
     }
 
     fn peers(&self) -> impl Iterator<Item = Rank> + '_ {

@@ -34,23 +34,17 @@ pub struct MsgDep {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryLine {
     /// Checkpoint index each rank must restart from.
-    pub line: BTreeMap<Rank, u64>,
+    pub(crate) line: BTreeMap<Rank, u64>,
     /// Checkpoints discarded relative to each rank's latest
     /// (`latest[r] - line[r]`), summed — the domino-effect cost.
     pub rolled_back: u64,
     /// Number of fixpoint iterations the algorithm needed.
-    pub iterations: u32,
+    pub(crate) iterations: u32,
 }
 
 impl RecoveryLine {
     pub fn index_of(&self, r: Rank) -> u64 {
         self.line.get(&r).copied().unwrap_or(0)
-    }
-
-    /// True when every process restarts from its latest checkpoint (no
-    /// domino effect).
-    pub fn is_latest(&self) -> bool {
-        self.rolled_back == 0
     }
 }
 
@@ -111,18 +105,6 @@ pub fn recovery_line(
     }
 }
 
-/// Count how many checkpoints each process would keep after pruning to the
-/// line (helper for the ablation report).
-pub fn discarded_checkpoints(
-    latest: &BTreeMap<Rank, u64>,
-    line: &RecoveryLine,
-) -> BTreeMap<Rank, u64> {
-    latest
-        .iter()
-        .map(|(r, l)| (*r, l.saturating_sub(line.index_of(*r))))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,7 +126,7 @@ mod tests {
     fn no_messages_no_rollback() {
         let l = latest(&[(0, 3), (1, 2)]);
         let rl = recovery_line(&l, &[], &[Rank(0)]);
-        assert!(rl.is_latest());
+        assert_eq!(rl.rolled_back, 0);
         assert_eq!(rl.index_of(Rank(0)), 3);
         assert_eq!(rl.index_of(Rank(1)), 2);
     }
@@ -156,7 +138,7 @@ mod tests {
         let l = latest(&[(0, 1), (1, 1)]);
         let deps = [dep(0, 0, 1, 0)];
         let rl = recovery_line(&l, &deps, &[Rank(0)]);
-        assert!(rl.is_latest());
+        assert_eq!(rl.rolled_back, 0);
     }
 
     #[test]
@@ -218,12 +200,13 @@ mod tests {
 
     #[test]
     fn discarded_counts() {
+        // Rank 1 received in interval 0 what rank 0 sends again after its
+        // rollback: rank 1 discards both of its checkpoints, rank 0 none.
         let l = latest(&[(0, 2), (1, 2)]);
         let deps = [dep(0, 2, 1, 0)];
         let rl = recovery_line(&l, &deps, &[Rank(0)]);
-        let d = discarded_checkpoints(&l, &rl);
-        assert_eq!(d[&Rank(0)], 0);
-        assert_eq!(d[&Rank(1)], 2);
+        assert_eq!((rl.index_of(Rank(0)), rl.index_of(Rank(1))), (2, 0));
+        assert_eq!(rl.rolled_back, 2);
     }
 }
 

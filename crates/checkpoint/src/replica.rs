@@ -41,14 +41,14 @@ pub const DEFAULT_FRAG_BYTES: u64 = 256 * 1024;
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicaNet {
     /// One-way small-message latency.
-    pub latency: VirtualTime,
+    pub(crate) latency: VirtualTime,
     /// Sustained point-to-point bandwidth, bytes/second.
-    pub bandwidth: f64,
+    pub(crate) bandwidth: f64,
     /// Fragments at or above this size ride the rendezvous path and pay
     /// `rndv_rtt` of control handshake on top of the transfer.
     pub rndv_threshold: u64,
     /// Control round-trip of the rendezvous handshake (RTS/CTS).
-    pub rndv_rtt: VirtualTime,
+    pub(crate) rndv_rtt: VirtualTime,
     /// Fragment size used when splitting images.
     pub frag_bytes: u64,
 }
@@ -102,15 +102,15 @@ impl Fragment {
 
 /// Where a replica-backed image's fragments live in peer memory.
 #[derive(Debug, Clone)]
-pub struct Placement {
-    pub owner: NodeId,
-    pub frags: Vec<Fragment>,
+pub(crate) struct Placement {
+    pub(crate) owner: NodeId,
+    pub(crate) frags: Vec<Fragment>,
     /// XOR parity over all data fragments (size = largest fragment),
     /// placed on the ring after the data replicas.
-    pub parity: Fragment,
+    pub(crate) parity: Fragment,
     /// True when fewer than `k` distinct peers were live at put time; the
     /// k−1-loss guarantee is void until the next full-strength put.
-    pub under_replicated: bool,
+    pub(crate) under_replicated: bool,
 }
 
 /// Receipt of a put: virtual-time cost at the owner (its disk write, or its
@@ -173,7 +173,7 @@ impl Placement {
     /// Split an image of `total` bytes into fragments, place `k` replicas
     /// of each on distinct live peers of `owner`, plus an XOR parity
     /// fragment, and charge the owner-side push cost.
-    pub fn new(
+    pub(crate) fn new(
         total: u64,
         owner: NodeId,
         k: u8,
@@ -229,7 +229,7 @@ impl Placement {
     /// of parity rebuilds needed (`0` = every fragment has a live replica,
     /// `1` = exactly one fragment is fully lost but the parity group and
     /// every other fragment survive), or `None` if unrecoverable.
-    pub fn rebuild_plan(&self, live: &BTreeSet<NodeId>) -> Option<u32> {
+    pub(crate) fn rebuild_plan(&self, live: &BTreeSet<NodeId>) -> Option<u32> {
         let lost = self
             .frags
             .iter()
@@ -245,7 +245,7 @@ impl Placement {
     /// Reassemble `img` on node `to` from the `live` peers, charging
     /// fabric-speed recovery cost; `None` if too many fragments are lost
     /// (beyond what parity can rebuild).
-    pub fn fetch(
+    pub(crate) fn fetch(
         &self,
         img: CkptImage,
         live: &BTreeSet<NodeId>,
@@ -283,7 +283,7 @@ impl Placement {
     }
 
     /// The `CKPT STATUS` row of the image `(rank, index)` placed here.
-    pub fn health(&self, rank: Rank, index: u64, live: &BTreeSet<NodeId>) -> RankHealth {
+    pub(crate) fn health(&self, rank: Rank, index: u64, live: &BTreeSet<NodeId>) -> RankHealth {
         let mut map = self.frags.clone();
         map.push(self.parity.clone());
         RankHealth {
@@ -305,7 +305,7 @@ impl Placement {
     }
 
     /// `node` lost its memory: it holds no copy of any fragment any more.
-    pub fn forget(&mut self, node: NodeId) {
+    pub(crate) fn forget(&mut self, node: NodeId) {
         for f in self
             .frags
             .iter_mut()

@@ -298,7 +298,8 @@ impl CkptStore {
     }
 
     /// Delete everything belonging to an application, its policy included.
-    pub fn remove_app(&self, app: AppId) {
+    #[cfg(test)]
+    pub(crate) fn remove_app(&self, app: AppId) {
         let mut g = self.inner.lock();
         g.images.retain(|(a, _), _| *a != app);
         g.deps.remove(&app);
@@ -324,7 +325,8 @@ impl CkptStore {
     /// (image count, logical bytes) across the whole store — logical image
     /// sizes for both backends (replica copies are reported separately via
     /// the replication-bytes telemetry counter).
-    pub fn stats(&self) -> (usize, u64) {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> (usize, u64) {
         let g = self.inner.lock();
         let images = g.images.values().flatten();
         let count = images.clone().count();

@@ -72,13 +72,6 @@ impl CkptValue {
         }
     }
 
-    pub fn as_bytes(&self) -> Option<&[u8]> {
-        match self {
-            CkptValue::Bytes(b) => Some(b),
-            _ => None,
-        }
-    }
-
     pub fn as_float_array(&self) -> Option<&[f64]> {
         match self {
             CkptValue::FloatArray(v) => Some(v),

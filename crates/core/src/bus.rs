@@ -4,10 +4,10 @@
 //! the corresponding event handlers at each of the listening module. Using
 //! an object bus allows us to completely decouple the modules."
 //!
-//! Our bus carries the paper's non-data event classes between the group
-//! handler, the C/R module and the application module: lightweight
-//! membership views, relayed coordination messages, and C/R protocol
-//! messages. Crucially, *data* messages never touch it — they use the fast
+//! Our bus carries the paper's non-data event classes from the group handler
+//! to the application module: lightweight membership views and relayed
+//! coordination messages. A relayed C/R protocol message pays the same
+//! dispatch but goes straight to the rank's C/R machine. Crucially, *data* messages never touch it — they use the fast
 //! data path straight into the MPI module (the design decision Figure 6 and
 //! the bench report's `ablation_fastpath` section justify). Each posted event costs
 //! [`BUS_EVENT_COST`] of virtual time (handler dispatch on the era's
@@ -17,7 +17,7 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use starfish_lwgroups::LwView;
+use starfish_daemon::lwgroups::LwView;
 use starfish_util::{Rank, VirtualTime};
 
 /// Dispatch cost of one bus event on the prototype (handler lookup +
@@ -26,40 +26,25 @@ pub const BUS_EVENT_COST: VirtualTime = VirtualTime(15_000);
 
 /// Event topics on the bus (one queue per listening module input).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BusTopic {
+pub(crate) enum BusTopic {
     /// Lightweight membership events → application module (view upcalls).
     Membership,
     /// Coordination messages → application module.
     Coordination,
-    /// C/R protocol messages → checkpoint/restart module.
-    CheckpointRestart,
 }
 
 /// One event on the bus.
 #[derive(Debug, Clone)]
-pub enum BusEvent {
-    View {
-        view: LwView,
-        vt: VirtualTime,
-    },
-    Coord {
-        from: Rank,
-        body: Bytes,
-        vt: VirtualTime,
-    },
-    Cr {
-        from: Rank,
-        body: Bytes,
-        vt: VirtualTime,
-    },
+pub(crate) enum BusEvent {
+    View { view: LwView },
+    Coord { from: Rank, body: Bytes },
 }
 
 impl BusEvent {
-    pub fn topic(&self) -> BusTopic {
+    pub(crate) fn topic(&self) -> BusTopic {
         match self {
             BusEvent::View { .. } => BusTopic::Membership,
             BusEvent::Coord { .. } => BusTopic::Coordination,
-            BusEvent::Cr { .. } => BusTopic::CheckpointRestart,
         }
     }
 }
@@ -68,57 +53,41 @@ impl BusEvent {
 /// topic queue at their next activation (the runtime's scheduler drives
 /// module activations at service points).
 #[derive(Debug, Default)]
-pub struct Bus {
+pub(crate) struct Bus {
     membership: VecDeque<BusEvent>,
     coordination: VecDeque<BusEvent>,
-    cr: VecDeque<BusEvent>,
     /// Statistics: events posted per topic (for the taxonomy audit and the
     /// fast-path ablation).
-    pub posted: u64,
+    pub(crate) posted: u64,
 }
 
 impl Bus {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Bus::default()
     }
 
     /// Post an event; the caller charges [`BUS_EVENT_COST`] to its clock.
-    pub fn post(&mut self, ev: BusEvent) {
+    pub(crate) fn post(&mut self, ev: BusEvent) {
         self.posted += 1;
         match ev.topic() {
             BusTopic::Membership => self.membership.push_back(ev),
             BusTopic::Coordination => self.coordination.push_back(ev),
-            BusTopic::CheckpointRestart => self.cr.push_back(ev),
         }
     }
 
     /// Drain one event from a topic queue.
-    pub fn take(&mut self, topic: BusTopic) -> Option<BusEvent> {
+    pub(crate) fn take(&mut self, topic: BusTopic) -> Option<BusEvent> {
         match topic {
             BusTopic::Membership => self.membership.pop_front(),
             BusTopic::Coordination => self.coordination.pop_front(),
-            BusTopic::CheckpointRestart => self.cr.pop_front(),
         }
-    }
-
-    pub fn len(&self, topic: BusTopic) -> usize {
-        match topic {
-            BusTopic::Membership => self.membership.len(),
-            BusTopic::Coordination => self.coordination.len(),
-            BusTopic::CheckpointRestart => self.cr.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.membership.is_empty() && self.coordination.is_empty() && self.cr.is_empty()
     }
 
     /// Drop everything (rollback: queued events belong to the abandoned
     /// execution).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.membership.clear();
         self.coordination.clear();
-        self.cr.clear();
     }
 }
 
@@ -134,7 +103,6 @@ mod tests {
                 id: ViewId(1),
                 members: vec![],
             },
-            vt: VirtualTime::ZERO,
         }
     }
 
@@ -145,25 +113,17 @@ mod tests {
         bus.post(BusEvent::Coord {
             from: Rank(1),
             body: Bytes::from_static(b"c"),
-            vt: VirtualTime::ZERO,
         });
-        bus.post(BusEvent::Cr {
-            from: Rank(2),
-            body: Bytes::from_static(b"k"),
-            vt: VirtualTime::ZERO,
-        });
+        bus.post(view_ev());
         assert_eq!(bus.posted, 3);
-        assert_eq!(bus.len(BusTopic::Membership), 1);
-        assert_eq!(bus.len(BusTopic::Coordination), 1);
-        assert_eq!(bus.len(BusTopic::CheckpointRestart), 1);
         assert!(matches!(
             bus.take(BusTopic::Coordination),
             Some(BusEvent::Coord { .. })
         ));
         assert!(bus.take(BusTopic::Coordination).is_none());
-        assert!(!bus.is_empty());
+        assert!(bus.take(BusTopic::Membership).is_some());
         bus.clear();
-        assert!(bus.is_empty());
+        assert!(bus.take(BusTopic::Membership).is_none());
     }
 
     #[test]
@@ -173,7 +133,6 @@ mod tests {
             bus.post(BusEvent::Coord {
                 from: Rank(i as u32),
                 body: Bytes::from_static(b"x"),
-                vt: VirtualTime::ZERO,
             });
         }
         for i in 0..3u32 {

@@ -18,9 +18,8 @@ use starfish_checkpoint::store::CkptStore;
 use starfish_checkpoint::CkptValue;
 use starfish_daemon::config::{AppSpec, AppStatus, ClusterConfig};
 use starfish_daemon::{CfgCmd, CkptProto, Daemon, DaemonConfig, FtPolicy, LevelKind, MgmtSession};
-use starfish_ensemble::{HeartbeatCfg, HeartbeatChaos};
-use starfish_events::EventKind;
-use starfish_mpi::RankDirectory;
+use starfish_ensemble::HeartbeatCfg;
+use starfish_trace::event::EventKind;
 use starfish_util::trace::TraceSink;
 use starfish_util::{AppId, Error, NodeId, Rank, Result};
 use starfish_vni::{BipMyrinet, Fabric, LayerCosts, NetworkModel, TcpEthernet};
@@ -35,7 +34,7 @@ pub struct SubmitOpts {
     pub policy: FtPolicy,
     pub level: LevelKind,
     pub proto: CkptProto,
-    pub backend: CkptBackend,
+    pub(crate) backend: CkptBackend,
 }
 
 impl Default for SubmitOpts {
@@ -64,7 +63,7 @@ impl SubmitOpts {
     }
     /// Checkpoint store backend: stable disk (default) or the diskless
     /// peer-memory replica store with `k` copies per fragment.
-    pub fn backend(mut self, b: CkptBackend) -> Self {
+    pub(crate) fn backend(mut self, b: CkptBackend) -> Self {
         self.backend = b;
         self
     }
@@ -83,7 +82,6 @@ pub struct ClusterBuilder {
     trace: TraceSink,
     knobs: RuntimeKnobs,
     heartbeat: Option<HeartbeatCfg>,
-    heartbeat_chaos: Option<HeartbeatChaos>,
     trace_cap: usize,
 }
 
@@ -96,7 +94,6 @@ impl Default for ClusterBuilder {
             trace: TraceSink::disabled(),
             knobs: RuntimeKnobs::default(),
             heartbeat: None,
-            heartbeat_chaos: None,
             trace_cap: starfish_trace::DEFAULT_CAPACITY,
         }
     }
@@ -189,15 +186,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Seeded chaos on the heartbeat path (beacon rounds skipped with
-    /// probability `skip_p`); only meaningful together with [`heartbeat`].
-    ///
-    /// [`heartbeat`]: ClusterBuilder::heartbeat
-    pub fn heartbeat_chaos(mut self, seed: u64, skip_p: f64) -> Self {
-        self.heartbeat_chaos = Some(HeartbeatChaos { seed, skip_p });
-        self
-    }
-
     /// Build and boot the cluster: all daemons started and converged on the
     /// full node set.
     pub fn build(self) -> Result<Cluster> {
@@ -226,7 +214,6 @@ impl ClusterBuilder {
             knobs: self.knobs,
             metrics,
             heartbeat: self.heartbeat,
-            heartbeat_chaos: self.heartbeat_chaos,
             trace_hub,
             trace_cap: self.trace_cap,
             next_token: AtomicU64::new(1),
@@ -259,7 +246,6 @@ pub struct Cluster {
     knobs: RuntimeKnobs,
     metrics: starfish_telemetry::Registry,
     heartbeat: Option<HeartbeatCfg>,
-    heartbeat_chaos: Option<HeartbeatChaos>,
     trace_hub: starfish_trace::TraceHub,
     trace_cap: usize,
     next_token: AtomicU64,
@@ -470,11 +456,6 @@ impl Cluster {
         self.daemon().issue(CfgCmd::DisableNode { node })
     }
 
-    pub fn enable_node(&self, node: NodeId) -> Result<()> {
-        self.fabric.enable_node(node);
-        self.daemon().issue(CfgCmd::EnableNode { node })
-    }
-
     /// Add a brand-new node to the running cluster (paper §3.1.2
     /// dynamicity). Returns its id once the whole cluster knows it.
     pub fn add_node(&self, arch_index: u8) -> Result<NodeId> {
@@ -542,7 +523,6 @@ impl Cluster {
     fn boot_daemon(&self, node: NodeId, arch_index: u8, contact: Option<NodeId>) -> Result<Daemon> {
         self.fabric.add_node(node);
         let host = RuntimeHost {
-            node,
             arch: starfish_checkpoint::MACHINES
                 .get(arch_index as usize)
                 .copied()
@@ -562,7 +542,6 @@ impl Cluster {
         dc.trace = self.trace.clone();
         dc.ensemble.trace = self.trace.clone();
         dc.ensemble.heartbeat = self.heartbeat;
-        dc.ensemble.chaos = self.heartbeat_chaos;
         dc.metrics = Some(self.metrics.clone());
         dc.ensemble.metrics = Some(self.metrics.clone());
         dc.recorder = match self.trace_cap {
@@ -588,11 +567,6 @@ impl Cluster {
         timeout: Duration,
     ) -> Result<Vec<CkptValue>> {
         self.outputs.wait_count(app, rank, n, timeout)
-    }
-
-    /// The placement directory of an application (diagnostics).
-    pub fn directory(&self, app: AppId) -> Option<RankDirectory> {
-        self.dirs.get(app)
     }
 
     /// The message-taxonomy trace attached at build time.
@@ -634,7 +608,7 @@ impl Cluster {
     /// The recovery postmortem bundle of `app` on a live daemon, if one has
     /// been assembled (also served by the `POSTMORTEM` mgmt command and
     /// written to `target/postmortems/` by the view coordinator).
-    pub fn postmortem(&self, app: AppId) -> Option<starfish_events::Postmortem> {
+    pub fn postmortem(&self, app: AppId) -> Option<starfish_trace::postmortem::Postmortem> {
         self.daemon().postmortem(app)
     }
 }

@@ -40,8 +40,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use starfish_checkpoint::CkptValue;
+use starfish_daemon::lwgroups::LwView;
 use starfish_daemon::{ProcUp, RelayKind};
-use starfish_lwgroups::LwView;
 use starfish_mpi::collectives as coll;
 use starfish_mpi::wire::WORLD_CONTEXT;
 use starfish_mpi::{
@@ -72,7 +72,6 @@ pub struct ViewNotice {
     /// Ranks that currently have a live process (derived from the placement
     /// directory).
     pub alive: Vec<Rank>,
-    pub vt: VirtualTime,
 }
 
 /// The application's window onto the Starfish runtime.
@@ -97,11 +96,6 @@ impl SubComm {
     /// Number of members.
     pub fn size(&self) -> u32 {
         self.comm.size()
-    }
-
-    /// Members as world ranks.
-    pub fn members(&self) -> &[Rank] {
-        self.comm.members()
     }
 }
 
@@ -146,10 +140,6 @@ impl Ctx<'_> {
     /// Number of ranks in the application.
     pub fn size(&self) -> u32 {
         self.rt.size
-    }
-
-    pub fn app(&self) -> starfish_util::AppId {
-        self.rt.app
     }
 
     /// The machine type this process runs on (Table 2).
@@ -256,7 +246,8 @@ impl Ctx<'_> {
 
     /// Blocking receive with an explicit real-time bound.
     #[expect(clippy::disallowed_methods, reason = "the caller's receive bound")]
-    pub fn recv_timeout(
+    #[cfg(test)]
+    pub(crate) fn recv_timeout(
         &mut self,
         src: Option<Rank>,
         tag: Option<u64>,
@@ -313,7 +304,12 @@ impl Ctx<'_> {
     }
 
     /// Non-blocking receive.
-    pub fn try_recv(&mut self, src: Option<Rank>, tag: Option<u64>) -> Result<Option<RecvdMsg>> {
+    #[cfg(test)]
+    pub(crate) fn try_recv(
+        &mut self,
+        src: Option<Rank>,
+        tag: Option<u64>,
+    ) -> Result<Option<RecvdMsg>> {
         user_tag(tag)?;
         self.rt.service(None)?;
         let got = self
@@ -387,10 +383,6 @@ impl Ctx<'_> {
             },
             m.data.clone(),
         );
-        if self.rt.bus_data_path {
-            // Ablation: pretend data messages ride the object bus.
-            self.rt.clock.advance(crate::bus::BUS_EVENT_COST);
-        }
         if let Some(dep) = self.rt.cr.consumed(m.src, m.interval) {
             self.rt.store.log_dep(self.rt.app, dep);
         }
@@ -514,7 +506,7 @@ impl Ctx<'_> {
     }
 
     /// Allreduce over a sub-communicator.
-    pub fn sub_allreduce_f64(
+    pub(crate) fn sub_allreduce_f64(
         &mut self,
         sub: &mut SubComm,
         data: &[f64],
@@ -534,7 +526,7 @@ impl Ctx<'_> {
     }
 
     /// Gather over a sub-communicator.
-    pub fn sub_gather(
+    pub(crate) fn sub_gather(
         &mut self,
         sub: &mut SubComm,
         root: Rank,
@@ -610,10 +602,9 @@ impl Ctx<'_> {
     pub fn take_view(&mut self) -> Result<Option<ViewNotice>> {
         self.rt.service(None)?;
         Ok(self.rt.bus.take(BusTopic::Membership).map(|ev| match ev {
-            BusEvent::View { view, vt } => ViewNotice {
+            BusEvent::View { view } => ViewNotice {
                 lw: view,
                 alive: self.alive_ranks(),
-                vt,
             },
             _ => unreachable!("membership queue holds View events"),
         }))

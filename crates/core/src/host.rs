@@ -12,7 +12,7 @@ use starfish_daemon::config::AppEntry;
 use starfish_daemon::{DownLink, NodeHost, ProcSpec};
 use starfish_mpi::{MpiEndpoint, RankDirectory, RecvMode};
 use starfish_util::trace::TraceSink;
-use starfish_util::{AppId, NodeId, Rank, Result};
+use starfish_util::{AppId, Rank, Result};
 use starfish_vni::{Fabric, KickSender};
 
 use crate::ctx::Ctx;
@@ -21,18 +21,18 @@ use crate::runtime::{process_main, Outputs, ProcessRuntime};
 /// The registered application programs, shared cluster-wide (stands in for
 /// the executables an admin would install on every node).
 #[derive(Clone, Default)]
-pub struct AppRegistry {
+pub(crate) struct AppRegistry {
     inner: Arc<Mutex<HashMap<String, Arc<AppFn>>>>,
 }
 
-pub type AppFn = dyn Fn(&mut Ctx<'_>) -> Result<()> + Send + Sync;
+pub(crate) type AppFn = dyn Fn(&mut Ctx<'_>) -> Result<()> + Send + Sync;
 
 impl AppRegistry {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AppRegistry::default()
     }
 
-    pub fn register(
+    pub(crate) fn register(
         &self,
         name: &str,
         f: impl Fn(&mut Ctx<'_>) -> Result<()> + Send + Sync + 'static,
@@ -40,19 +40,19 @@ impl AppRegistry {
         self.inner.lock().insert(name.to_string(), Arc::new(f));
     }
 
-    pub fn get(&self, name: &str) -> Option<Arc<AppFn>> {
+    pub(crate) fn get(&self, name: &str) -> Option<Arc<AppFn>> {
         self.inner.lock().get(name).cloned()
     }
 }
 
 /// Cluster-wide registry of per-application placement directories.
 #[derive(Clone, Default)]
-pub struct DirRegistry {
+pub(crate) struct DirRegistry {
     inner: Arc<Mutex<HashMap<AppId, RankDirectory>>>,
 }
 
 impl DirRegistry {
-    pub fn get_or_create(&self, app: AppId, size: usize) -> RankDirectory {
+    pub(crate) fn get_or_create(&self, app: AppId, size: usize) -> RankDirectory {
         self.inner
             .lock()
             .entry(app)
@@ -60,7 +60,7 @@ impl DirRegistry {
             .clone()
     }
 
-    pub fn get(&self, app: AppId) -> Option<RankDirectory> {
+    pub(crate) fn get(&self, app: AppId) -> Option<RankDirectory> {
         self.inner.lock().get(&app).cloned()
     }
 }
@@ -73,37 +73,32 @@ pub struct RuntimeKnobs {
     /// or a kernel crossing per port read (ablation). A cost model: either
     /// way the rank reads its own port.
     pub recv_mode: RecvMode,
-    /// Route data messages through the object bus (ablation; default off =
-    /// fast path).
-    pub bus_data_path: bool,
 }
 
 impl Default for RuntimeKnobs {
     fn default() -> Self {
         RuntimeKnobs {
             recv_mode: RecvMode::Polled,
-            bus_data_path: false,
         }
     }
 }
 
 /// One node's host: implements the daemon's spawn interface with real
 /// process threads.
-pub struct RuntimeHost {
-    pub node: NodeId,
-    pub arch: Arch,
-    pub fabric: Fabric,
-    pub registry: AppRegistry,
-    pub dirs: DirRegistry,
-    pub store: CkptStore,
-    pub outputs: Outputs,
-    pub trace: TraceSink,
-    pub knobs: RuntimeKnobs,
+pub(crate) struct RuntimeHost {
+    pub(crate) arch: Arch,
+    pub(crate) fabric: Fabric,
+    pub(crate) registry: AppRegistry,
+    pub(crate) dirs: DirRegistry,
+    pub(crate) store: CkptStore,
+    pub(crate) outputs: Outputs,
+    pub(crate) trace: TraceSink,
+    pub(crate) knobs: RuntimeKnobs,
     /// Cluster-wide flight-recorder registry; every spawned rank registers
     /// its ring here under `"app<A>.r<R>"`.
-    pub trace_hub: starfish_trace::TraceHub,
+    pub(crate) trace_hub: starfish_trace::TraceHub,
     /// Ring capacity for per-rank flight recorders (0 = recording off).
-    pub trace_cap: usize,
+    pub(crate) trace_cap: usize,
 }
 
 impl NodeHost for RuntimeHost {
@@ -160,7 +155,6 @@ impl NodeHost for RuntimeHost {
             self.outputs.clone(),
             spec.spawn_vt,
             spec.restore_from,
-            self.knobs.bus_data_path,
             starfish_telemetry::Registry::new(),
         );
         // The daemon's end: it queues, then kicks the rank's wait point.

@@ -54,16 +54,15 @@
 //!   checkpoint conversion on restore.
 
 pub mod bus;
-pub mod cluster;
-pub mod ctx;
-pub mod host;
-pub mod runtime;
+pub(crate) mod cluster;
+pub(crate) mod ctx;
+pub(crate) mod host;
+pub(crate) mod runtime;
 pub mod state;
 mod transport;
 
-pub use bus::{Bus, BusTopic};
-pub use cluster::{AutoCheckpoint, Cluster, ClusterBuilder, SubmitOpts};
-pub use ctx::{Ctx, SubComm, ViewNotice};
+pub use cluster::{Cluster, SubmitOpts};
+pub use ctx::Ctx;
 pub use host::RuntimeKnobs;
 pub use state::Checkpointable;
 

@@ -67,28 +67,28 @@ use crate::state::Checkpointable;
 
 /// Throughput of representation conversion on restore (byte-swapping /
 /// word-resizing a heap image on the era's hardware).
-pub const CONVERT_BW: f64 = 25.0e6;
+pub(crate) const CONVERT_BW: f64 = 25.0e6;
 
 type OutputMap = HashMap<(AppId, Rank), Vec<CkptValue>>;
 
 /// Per-process published results, visible to the cluster owner (tests,
 /// examples, benches read these).
 #[derive(Clone, Default)]
-pub struct Outputs {
+pub(crate) struct Outputs {
     inner: Arc<(Mutex<OutputMap>, Condvar)>,
 }
 
 impl Outputs {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Outputs::default()
     }
 
-    pub fn publish(&self, app: AppId, rank: Rank, v: CkptValue) {
+    pub(crate) fn publish(&self, app: AppId, rank: Rank, v: CkptValue) {
         self.inner.0.lock().entry((app, rank)).or_default().push(v);
         self.inner.1.notify_all();
     }
 
-    pub fn get(&self, app: AppId, rank: Rank) -> Vec<CkptValue> {
+    pub(crate) fn get(&self, app: AppId, rank: Rank) -> Vec<CkptValue> {
         self.inner
             .0
             .lock()
@@ -97,19 +97,10 @@ impl Outputs {
             .unwrap_or_default()
     }
 
-    pub fn count(&self, app: AppId, rank: Rank) -> usize {
-        self.inner
-            .0
-            .lock()
-            .get(&(app, rank))
-            .map(|v| v.len())
-            .unwrap_or(0)
-    }
-
     /// Wait (real time) until `rank` has published at least `n` values;
     /// woken by each [`publish`](Self::publish).
     #[expect(clippy::disallowed_methods, reason = "the caller's `timeout`")]
-    pub fn wait_count(
+    pub(crate) fn wait_count(
         &self,
         app: AppId,
         rank: Rank,
@@ -136,9 +127,9 @@ impl Outputs {
 
 /// One application process (runs on its own OS thread): the I/O shell of
 /// its [`RankCr`] machine.
-pub struct ProcessRuntime {
+pub(crate) struct ProcessRuntime {
     pub(crate) app: AppId,
-    pub(crate) rank: Rank,
+    pub rank: Rank,
     pub(crate) size: u32,
     pub(crate) node: NodeId,
     pub(crate) arch: Arch,
@@ -160,10 +151,6 @@ pub struct ProcessRuntime {
     pub(crate) cache: SafepointCache,
     /// A captured image, until the machine has it written.
     captured: Option<Captured>,
-
-    /// Ablation: route data-message delivery through the object bus,
-    /// charging [`BUS_EVENT_COST`] per message (what the fast path avoids).
-    pub(crate) bus_data_path: bool,
 
     /// This process's telemetry registry (also installed in the MPI
     /// endpoint); snapshots flush to the daemon at round commits,
@@ -274,7 +261,6 @@ impl ProcessRuntime {
         outputs: Outputs,
         spawn_vt: VirtualTime,
         restore_from: u64,
-        bus_data_path: bool,
         metrics: Registry,
     ) -> ProcessRuntime {
         let app = entry.id;
@@ -304,7 +290,6 @@ impl ProcessRuntime {
             restored: None,
             cache: SafepointCache::default(),
             captured: None,
-            bus_data_path,
             metrics,
             ckpt_marks: std::collections::BTreeMap::from([(0, (spawn_vt, 0))]),
             consumed_total: 0,
@@ -460,10 +445,7 @@ impl ProcessRuntime {
             ProcDown::LwView { view, vt } => {
                 self.clock.merge(vt);
                 self.clock.advance(BUS_EVENT_COST);
-                self.bus.post(BusEvent::View {
-                    view,
-                    vt: self.clock.now(),
-                });
+                self.bus.post(BusEvent::View { view });
             }
             ProcDown::Relay {
                 kind: RelayKind::Coordination,
@@ -473,11 +455,7 @@ impl ProcessRuntime {
             } => {
                 self.clock.merge(vt);
                 self.clock.advance(BUS_EVENT_COST);
-                self.bus.post(BusEvent::Coord {
-                    from,
-                    body,
-                    vt: self.clock.now(),
-                });
+                self.bus.post(BusEvent::Coord { from, body });
             }
             ProcDown::Relay {
                 kind: RelayKind::CheckpointRestart,

@@ -103,7 +103,6 @@ fn rig_of(me: Rank) -> (Rig, ProcessRuntime) {
         Outputs::new(),
         VirtualTime::ZERO,
         0,
-        false,
         starfish_telemetry::Registry::new(),
     );
     let rig = Rig {

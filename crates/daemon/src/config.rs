@@ -100,19 +100,19 @@ pub enum CfgNodeStatus {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeEntry {
     pub status: CfgNodeStatus,
-    pub arch: Arch,
+    pub(crate) arch: Arch,
     /// Whether the node's own daemon has self-announced (an `AddNode` cast
     /// originated by the node itself). A bare admin `ADDNODE` registers the
     /// node in the configuration but leaves it unannounced: it shows up in
     /// `NODES` output and [`ClusterConfig::up_nodes`], but the scheduler
     /// refuses to place ranks there until the daemon proves it is alive.
-    pub announced: bool,
+    pub(crate) announced: bool,
 }
 
 impl NodeEntry {
     /// Eligible to run work: administratively `Up` *and* its daemon has
     /// announced itself on the cast stream.
-    pub fn live(&self) -> bool {
+    pub(crate) fn live(&self) -> bool {
         self.status == CfgNodeStatus::Up && self.announced
     }
 }
@@ -130,7 +130,7 @@ pub struct ClusterConfig {
 /// them (spawn, kill, ...). Effects are derived purely from the command and
 /// the pre-state, so every daemon computes the same list.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CfgEffect {
+pub(crate) enum CfgEffect {
     AppSubmitted(AppId),
     AppKilled(AppId),
     AppSuspended(AppId),
@@ -151,7 +151,7 @@ pub enum CfgEffect {
 }
 
 impl ClusterConfig {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ClusterConfig::default()
     }
 
@@ -172,7 +172,7 @@ impl ClusterConfig {
     }
 
     /// Nodes eligible to run work (`Up` and daemon-announced), sorted by id.
-    pub fn live_nodes(&self) -> Vec<NodeId> {
+    pub(crate) fn live_nodes(&self) -> Vec<NodeId> {
         self.nodes
             .iter()
             .filter(|(_, e)| e.live())
@@ -203,7 +203,7 @@ impl ClusterConfig {
     /// Deterministic initial placement: round-robin over up nodes, starting
     /// at the least-loaded one.
     #[expect(clippy::indexing_slicing, reason = "non-empty; the index is mod len")]
-    pub fn place_new(&self, size: u32) -> Option<Vec<NodeId>> {
+    pub(crate) fn place_new(&self, size: u32) -> Option<Vec<NodeId>> {
         let nodes = self.live_nodes();
         if nodes.is_empty() {
             return None;
@@ -226,7 +226,7 @@ impl ClusterConfig {
     /// (least-loaded first; paper §3.2.2: "some rules regarding how to
     /// choose the node on which a process will be started after a partial
     /// failure").
-    pub fn replace_lost(&self, app: &AppEntry) -> Option<Vec<(Rank, NodeId)>> {
+    pub(crate) fn replace_lost(&self, app: &AppEntry) -> Option<Vec<(Rank, NodeId)>> {
         let nodes = self.live_nodes();
         if nodes.is_empty() {
             return None;
@@ -253,7 +253,8 @@ impl ClusterConfig {
     /// `AddNode` applied this way counts as a self-announce. Convenience for
     /// single-replica state machines and tests; daemons delivering the cast
     /// stream use [`ClusterConfig::apply_from`] with the real sender.
-    pub fn apply(&mut self, cmd: &CfgCmd) -> Vec<CfgEffect> {
+    #[cfg(test)]
+    pub(crate) fn apply(&mut self, cmd: &CfgCmd) -> Vec<CfgEffect> {
         let from = match cmd {
             CfgCmd::AddNode { node, .. } => *node,
             _ => NodeId(u32::MAX),
@@ -267,7 +268,7 @@ impl ClusterConfig {
     /// sender *is* the added node is a daemon self-announce and marks the
     /// node live; any other sender (an admin `ADDNODE` relayed by whichever
     /// daemon served the management connection) merely registers it.
-    pub fn apply_from(&mut self, from: NodeId, cmd: &CfgCmd) -> Vec<CfgEffect> {
+    pub(crate) fn apply_from(&mut self, from: NodeId, cmd: &CfgCmd) -> Vec<CfgEffect> {
         match cmd {
             CfgCmd::AddNode { node, arch_index } => {
                 let arch = MACHINES

@@ -25,8 +25,9 @@ use parking_lot::Mutex;
 use starfish_checkpoint::recovery::{self};
 use starfish_checkpoint::store::CkptStore;
 use starfish_ensemble::{EndpointConfig, GcEvent, HeartbeatAges, Stack};
-use starfish_events::{ClusterEvent, EventKind as ClusterKind, Postmortem};
 use starfish_telemetry::{metric, Registry};
+use starfish_trace::event::{ClusterEvent, EventKind as ClusterKind};
+use starfish_trace::postmortem::Postmortem;
 use starfish_trace::{EventLog, FlightRecorder, TraceHub};
 use starfish_util::codec::{Decode, Encode};
 use starfish_util::trace::{ActorKind, TraceSink};
@@ -84,7 +85,6 @@ enum DaemonCmd {
     /// Publish a locally observed cluster event (rides the ordered cast
     /// path so every daemon's recorder assigns it the same sequence number).
     Emit(ClusterKind),
-    Shutdown,
 }
 
 /// Handle to a running daemon (cheap to clone; management sessions hold
@@ -244,13 +244,13 @@ impl Daemon {
 
     /// The cluster's flight-recorder registry (the `TRACE` management
     /// commands read it).
-    pub fn trace_hub(&self) -> &TraceHub {
+    pub(crate) fn trace_hub(&self) -> &TraceHub {
         &self.trace_hub
     }
 
     /// The checkpoint store this daemon reads recovery lines from (the
     /// `CKPT` management commands report through it).
-    pub fn ckpt_store(&self) -> &CkptStore {
+    pub(crate) fn ckpt_store(&self) -> &CkptStore {
         &self.store
     }
 
@@ -280,23 +280,18 @@ impl Daemon {
     }
 
     /// Apps with a completed recovery bundle available.
-    pub fn postmortem_apps(&self) -> Vec<AppId> {
+    pub(crate) fn postmortem_apps(&self) -> Vec<AppId> {
         self.postmortems.lock().keys().copied().collect()
     }
 
     /// Failure-detector liveness: `(peer, time since last heard)` per peer
     /// (the `HEALTH` management command's heartbeat-age column).
-    pub fn heartbeat_ages(&self) -> Vec<(NodeId, Duration)> {
+    pub(crate) fn heartbeat_ages(&self) -> Vec<(NodeId, Duration)> {
         self.liveness.ages()
     }
 
-    /// Ask the daemon to leave the group and exit.
-    pub fn shutdown(&self) {
-        let _ = self.cmd_tx.send(DaemonCmd::Shutdown);
-    }
-
-    /// Wait for the daemon loop to exit — after [`shutdown`](Self::shutdown)
-    /// or after its node was powered off at the fabric. The first caller
+    /// Wait for the daemon loop to exit — after its node was powered off at
+    /// the fabric. The first caller
     /// joins the thread; later calls (other clones) return at once.
     pub fn join(&self) {
         let handle = {
@@ -394,7 +389,8 @@ impl Loop {
                     let outs = self.machine.emit(kind, self.clock.now());
                     self.carry(outs);
                 }
-                Ok(DaemonCmd::Shutdown) | Err(TryRecvError::Disconnected) => {
+                // The last handle is gone: leave the group and exit.
+                Err(TryRecvError::Disconnected) => {
                     self.leave();
                     return false;
                 }
@@ -469,12 +465,11 @@ impl Loop {
                     rank,
                     restore_from,
                 } => {
-                    let (app, epoch, up_tx) = (entry.id, entry.epoch, self.up_tx.clone());
+                    let (app, up_tx) = (entry.id, self.up_tx.clone());
                     let spec = ProcSpec {
                         app,
                         rank,
                         node: self.node,
-                        epoch,
                         entry,
                         restore_from,
                         up_tx,
@@ -1095,9 +1090,9 @@ mod tests {
     #[test]
     fn daemon_shutdown_leaves_group() {
         let f = fabric(2);
-        let (daemons, _) = start_cluster(&f, 2);
-        daemons[1].shutdown();
-        daemons[1].join();
+        let (mut daemons, _) = start_cluster(&f, 2);
+        // Dropping a daemon's last handle makes it leave the group.
+        drop(daemons.pop());
         // Daemon 0 keeps running: the group shrinks, and its coordinator
         // records the node that left as Dead — but still listed (dropping a
         // node from the configuration is the admin's REMOVENODE).

@@ -26,8 +26,9 @@
 
 use std::collections::BTreeMap;
 
-use starfish_events::{ClusterEvent, EventKind, MetricDelta, Phase, Postmortem, Rollback};
 use starfish_telemetry::{metric, MetricKind, Snapshot};
+use starfish_trace::event::{ClusterEvent, EventKind};
+use starfish_trace::postmortem::{MetricDelta, Phase, Postmortem, Rollback};
 use starfish_trace::EventLog;
 use starfish_util::{AppId, NodeId};
 
@@ -56,17 +57,17 @@ struct InFlight {
 /// cluster events to embed (read from the recovery's anchor on, so the
 /// newest must be its `recovery-complete`), the cluster-wide metrics at
 /// completion, and the recovery line's backend label.
-pub struct BundleInputs<'a> {
-    pub app_name: &'a str,
-    pub store_backend: &'a str,
-    pub complete_vt_ns: u64,
-    pub events: &'a EventLog,
-    pub stats_after: &'a Snapshot,
+pub(crate) struct BundleInputs<'a> {
+    pub(crate) app_name: &'a str,
+    pub(crate) store_backend: &'a str,
+    pub(crate) complete_vt_ns: u64,
+    pub(crate) events: &'a EventLog,
+    pub(crate) stats_after: &'a Snapshot,
 }
 
 /// Deterministic recovery observer. One per daemon loop.
 #[derive(Default)]
-pub struct Forensics {
+pub(crate) struct Forensics {
     /// First suspicion per node: `(event seq, event vt ns, wall silent ns)`.
     suspects: BTreeMap<NodeId, (u64, u64, u64)>,
     /// When the cluster declared each node dead: `(event seq, event vt ns)`.
@@ -75,7 +76,7 @@ pub struct Forensics {
 }
 
 impl Forensics {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Forensics::default()
     }
 
@@ -83,15 +84,10 @@ impl Forensics {
     /// will respawn (known when the `RestartApp` effect is applied). The
     /// recovery completes when that many `recovery-respawn` events have
     /// been observed.
-    pub fn expect_respawns(&mut self, app: AppId, n: usize) {
+    pub(crate) fn expect_respawns(&mut self, app: AppId, n: usize) {
         if let Some(f) = self.inflight.get_mut(&app) {
             f.expected_respawns = Some(n);
         }
-    }
-
-    /// Whether a recovery of `app` is currently being assembled.
-    pub fn in_flight(&self, app: AppId) -> bool {
-        self.inflight.contains_key(&app)
     }
 
     /// Feed one cluster event. Returns `Some(app)` when this event completed a
@@ -100,7 +96,7 @@ impl Forensics {
     ///
     /// `stats_now` is only read when a recovery *begins* (cheap closure so
     /// the common path never snapshots).
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         ev: &ClusterEvent,
         stats_now: impl FnOnce() -> Snapshot,
@@ -175,7 +171,7 @@ impl Forensics {
     }
 
     /// Build the bundle for `app` and close its in-flight record.
-    pub fn finalize(&mut self, app: AppId, inputs: BundleInputs<'_>) -> Option<Postmortem> {
+    pub(crate) fn finalize(&mut self, app: AppId, inputs: BundleInputs<'_>) -> Option<Postmortem> {
         let BundleInputs {
             app_name,
             store_backend,
@@ -271,6 +267,13 @@ mod tests {
     use super::*;
     use starfish_trace::FlightRecorder;
     use starfish_util::{Epoch, Rank, VirtualTime};
+
+    impl Forensics {
+        /// Whether a recovery of `app` is currently being assembled.
+        pub(super) fn in_flight(&self, app: AppId) -> bool {
+            self.inflight.contains_key(&app)
+        }
+    }
 
     /// The daemon loop in miniature: each event is recorded on a
     /// recorder's event class, and the sequenced event feeds the tracker.

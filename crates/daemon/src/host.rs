@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use starfish_util::{AppId, Epoch, NodeId, Rank, VirtualTime};
+use starfish_util::{AppId, NodeId, Rank, VirtualTime};
 use starfish_vni::KickSender;
 
 use crate::config::AppEntry;
@@ -23,7 +23,6 @@ pub struct ProcSpec {
     pub app: AppId,
     pub rank: Rank,
     pub node: NodeId,
-    pub epoch: Epoch,
     pub entry: AppEntry,
     /// Restore from this checkpoint index (0 ⇒ fresh start from the initial
     /// state).
@@ -113,7 +112,7 @@ mod tests {
     fn rollback() -> ProcDown {
         ProcDown::Rollback {
             index: 0,
-            epoch: Epoch(1),
+            epoch: starfish_util::Epoch(1),
             vt: VirtualTime::ZERO,
         }
     }

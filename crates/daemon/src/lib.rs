@@ -15,7 +15,7 @@
 //!   (§3.1.1: "the use of ensemble's reliable and totally ordered delivery
 //!   mechanism is instrumental here, in maintaining coherent state between
 //!   all cluster daemons");
-//! * **lightweight membership module** ([`starfish_lwgroups`]) — deduces
+//! * **lightweight membership module** ([`lwgroups`]) — deduces
 //!   per-application lightweight views from the configuration and the main
 //!   view;
 //! * **lightweight endpoint modules** — one per local application process:
@@ -45,17 +45,17 @@
 #![deny(clippy::allow_attributes_without_reason)]
 
 pub mod config;
-pub mod daemon;
-pub mod forensics;
-pub mod host;
-pub mod mgmt;
+pub(crate) mod daemon;
+pub(crate) mod forensics;
+pub(crate) mod host;
+pub mod lwgroups;
+pub(crate) mod mgmt;
 pub mod msg;
 pub mod node;
 pub mod stats;
 
 pub use config::{AppEntry, AppSpec, AppStatus, CkptProto, ClusterConfig, FtPolicy, LevelKind};
 pub use daemon::{postmortem_dir, Daemon, DaemonConfig};
-pub use forensics::Forensics;
 pub use host::{DownLink, NodeHost, ProcSpec};
 pub use mgmt::MgmtSession;
 pub use msg::{CfgCmd, ProcDown, ProcUp, RelayKind};

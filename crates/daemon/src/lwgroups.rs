@@ -1,12 +1,23 @@
-//! The lightweight membership module as one derivation (paper §2.1,
-//! figure 2). An application's lightweight group is the set of nodes that
-//! host one of its ranks not lost, intersected with the main view:
-//! [`members`] computes it. [`LwGroups`] keeps, per group, a view counter
-//! and the node set it last announced, and answers one [`LwView`] per change
-//! of that set; [`LwGroups::delivers`] filters multicasts by it. Both are
-//! pure: each daemon's reducer calls them with the replicated configuration
-//! and its installed main view at the same point of the total order, so
-//! every daemon derives the same views and delivers at the same members.
+//! The lightweight membership module (paper §2.1, figure 2). The paper
+//! associates each application with a *lightweight group* whose members
+//! are the daemons running that application's processes, following the
+//! dynamic lightweight groups of Guo & Rodrigues \[19\]: all of them are
+//! multiplexed over the single Starfish group. So a membership change of
+//! one application produces a view only in its own lightweight group, a
+//! node failure only in the groups that spanned that node, and a multicast
+//! in a group is delivered only at its members, although the transport is
+//! the main group's total order.
+//!
+//! Here a lightweight group is no protocol of its own but one derivation:
+//! [`members`] computes it, the nodes that host one of an application's
+//! ranks not lost, intersected with the main view. [`LwGroups`] keeps, per
+//! group, a view counter and the node set it last announced, and answers
+//! one [`LwView`] per change of that set; [`LwGroups::delivers`] filters
+//! multicasts by it. Both are pure: each daemon's reducer calls them with
+//! the replicated configuration and its installed main view at the same
+//! point of the total order, so every daemon derives the same views and
+//! delivers at the same members without exchanging a message. The bench
+//! report's `ablation_lwgroups` section measures what this saves.
 // lint: sans-io
 
 use std::collections::BTreeMap;
@@ -24,18 +35,20 @@ pub struct LwView {
 }
 
 impl LwView {
-    pub fn contains(&self, n: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, n: NodeId) -> bool {
         self.members.binary_search(&n).is_ok()
     }
 
-    pub fn size(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn size(&self) -> usize {
         self.members.len()
     }
 }
 
 /// The lightweight group of an application whose live ranks run on
 /// `hosts`: the hosts that are members of the main view, sorted, once each.
-pub fn members(hosts: impl IntoIterator<Item = NodeId>, main: &View) -> Vec<NodeId> {
+pub(crate) fn members(hosts: impl IntoIterator<Item = NodeId>, main: &View) -> Vec<NodeId> {
     let mut m: Vec<NodeId> = hosts.into_iter().filter(|n| main.contains(*n)).collect();
     m.sort_unstable();
     m.dedup();
@@ -44,12 +57,12 @@ pub fn members(hosts: impl IntoIterator<Item = NodeId>, main: &View) -> Vec<Node
 
 /// Every lightweight group one daemon knows: `(view counter, members)`.
 #[derive(Debug, Clone, Default)]
-pub struct LwGroups {
+pub(crate) struct LwGroups {
     groups: BTreeMap<GroupId, (u64, Vec<NodeId>)>,
 }
 
 impl LwGroups {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LwGroups::default()
     }
 
@@ -58,7 +71,7 @@ impl LwGroups {
     /// answers its next view; a group that is empty or not listed is
     /// dropped without one (its application is over, or nobody is left to
     /// tell).
-    pub fn sync(
+    pub(crate) fn sync(
         &mut self,
         groups: impl IntoIterator<Item = (GroupId, Vec<NodeId>)>,
     ) -> Vec<LwView> {
@@ -79,7 +92,7 @@ impl LwGroups {
 
     /// Whether a multicast in `gid` is delivered at `node`: only at a
     /// member of the group's last view. An unknown group has no members.
-    pub fn delivers(&self, gid: GroupId, node: NodeId) -> bool {
+    pub(crate) fn delivers(&self, gid: GroupId, node: NodeId) -> bool {
         let members = self.groups.get(&gid).map(|(_, m)| m);
         members.is_some_and(|m| m.binary_search(&node).is_ok())
     }

@@ -32,11 +32,11 @@ use starfish_checkpoint::backend::CkptBackend;
 use starfish_trace::TraceCursor;
 
 /// Default administrator password; override with `SET admin_password <pw>`.
-pub const DEFAULT_ADMIN_PASSWORD: &str = "starfish";
+pub(crate) const DEFAULT_ADMIN_PASSWORD: &str = "starfish";
 
 /// Who may run a command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Access {
+pub(crate) enum Access {
     Anyone,
     /// A logged-in session, user or admin.
     User,
@@ -50,13 +50,13 @@ type Reply = Result<String, Option<String>>;
 const USAGE: Option<String> = None;
 
 /// One row of the command table.
-pub struct Command {
-    pub name: &'static str,
+pub(crate) struct Command {
+    pub(crate) name: &'static str,
     /// What `HELP` lists, and what a usage error replies with.
-    pub usage: &'static str,
-    pub access: Access,
+    pub(crate) usage: &'static str,
+    pub(crate) access: Access,
     /// Accepted token counts, the command's own included.
-    pub arity: RangeInclusive<usize>,
+    pub(crate) arity: RangeInclusive<usize>,
     run: fn(&mut MgmtSession, &[&str]) -> Reply,
 }
 
@@ -76,7 +76,7 @@ macro_rules! commands {
 /// The command table, which is the dispatch: [`MgmtSession::handle_line`]
 /// finds the row, checks its access and arity, then runs its handler.
 #[rustfmt::skip]
-pub const COMMAND_USAGE: &[Command] = commands! {
+pub(crate) const COMMAND_USAGE: &[Command] = commands! {
     "HELP" Anyone 1..=1 help "HELP — list commands";
     "LOGIN" Anyone 3..=3 login "LOGIN ADMIN <password> | LOGIN USER <name>";
     "LOGOUT" Anyone 1..=1 logout "LOGOUT — end the session";
@@ -146,17 +146,6 @@ impl MgmtSession {
             next_token: session_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
             subscription: None,
         }
-    }
-
-    /// Whether a `SUBSCRIBE`/`FOLLOW` is armed on this session.
-    pub fn subscribed(&self) -> bool {
-        self.subscription.is_some()
-    }
-
-    /// Drop the active subscription (client disconnected or issued a new
-    /// command that replaces it).
-    pub fn unsubscribe(&mut self) {
-        self.subscription = None;
     }
 
     /// Drain the push frames the active subscription owes the client. The
@@ -792,6 +781,19 @@ mod tests {
     use starfish_util::NodeId;
     use starfish_vni::{Fabric, Ideal, LayerCosts};
 
+    impl MgmtSession {
+        /// Whether a `SUBSCRIBE`/`FOLLOW` is armed on this session.
+        pub(super) fn subscribed(&self) -> bool {
+            self.subscription.is_some()
+        }
+
+        /// Drop the active subscription (client disconnected or issued a new
+        /// command that replaces it).
+        pub(super) fn unsubscribe(&mut self) {
+            self.subscription = None;
+        }
+    }
+
     fn one_node_daemon() -> Daemon {
         let f = Fabric::new(Box::new(Ideal), LayerCosts::zero());
         f.add_node(NodeId(0));
@@ -1066,7 +1068,7 @@ mod tests {
         // Subscribe at the live edge, then publish an observation.
         assert_eq!(s.handle_line("EVENTS SUBSCRIBE"), "OK subscribed events");
         assert!(s.subscribed());
-        d.publish_event(starfish_events::EventKind::FaultInjected {
+        d.publish_event(starfish_trace::event::EventKind::FaultInjected {
             desc: "test kill".into(),
         })
         .unwrap();
@@ -1083,7 +1085,7 @@ mod tests {
             s.handle_line("EVENTS SUBSCRIBE recovery"),
             "OK subscribed events"
         );
-        d.publish_event(starfish_events::EventKind::FaultInjected {
+        d.publish_event(starfish_trace::event::EventKind::FaultInjected {
             desc: "filtered".into(),
         })
         .unwrap();

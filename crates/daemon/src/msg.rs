@@ -4,13 +4,13 @@
 use bytes::Bytes;
 
 use starfish_checkpoint::backend::CkptBackend;
-use starfish_lwgroups::LwView;
 use starfish_telemetry::Snapshot;
 use starfish_util::codec::{Decode, Decoder, Encode, Encoder};
 use starfish_util::trace::MsgClass;
 use starfish_util::{AppId, Epoch, Error, NodeId, Rank, Result, VirtualTime};
 
 use crate::config::{AppSpec, CkptProto, FtPolicy, LevelKind};
+use crate::lwgroups::LwView;
 
 /// Replicated configuration commands, carried as totally ordered casts
 /// between daemons (Table 1 "Control" messages).
@@ -357,7 +357,7 @@ pub enum RelayKind {
 
 impl RelayKind {
     /// The Table 1 class a relay of this kind is audited under.
-    pub fn class(self) -> MsgClass {
+    pub(crate) fn class(self) -> MsgClass {
         match self {
             RelayKind::Coordination => MsgClass::Coordination,
             RelayKind::CheckpointRestart => MsgClass::CheckpointRestart,
@@ -368,12 +368,12 @@ impl RelayKind {
 /// Envelope of an application message relayed inside a lightweight group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppRelay {
-    pub app: AppId,
-    pub kind: RelayKind,
-    pub from: Rank,
+    pub(crate) app: AppId,
+    pub(crate) kind: RelayKind,
+    pub(crate) from: Rank,
     /// Specific destination rank, or None for a lightweight-group multicast.
-    pub to: Option<Rank>,
-    pub body: Bytes,
+    pub(crate) to: Option<Rank>,
+    pub(crate) body: Bytes,
 }
 
 impl Encode for AppRelay {
@@ -437,7 +437,7 @@ pub enum ProcDown {
 
 impl ProcDown {
     /// The Table 1 class this message is audited under.
-    pub fn class(&self) -> MsgClass {
+    pub(crate) fn class(&self) -> MsgClass {
         match self {
             ProcDown::LwView { .. } => MsgClass::LwMembership,
             ProcDown::Relay { kind, .. } => kind.class(),
@@ -476,7 +476,7 @@ pub enum ProcUp {
 
 impl ProcUp {
     /// The process's virtual time when it sent this.
-    pub fn vt(&self) -> VirtualTime {
+    pub(crate) fn vt(&self) -> VirtualTime {
         match self {
             ProcUp::Cast { vt, .. }
             | ProcUp::SendTo { vt, .. }
@@ -508,7 +508,7 @@ pub enum WireCast {
     Event {
         origin: NodeId,
         vt: VirtualTime,
-        kind: starfish_events::EventKind,
+        kind: starfish_trace::event::EventKind,
     },
     /// Casts one daemon made at one virtual instant, in one slot of the
     /// total order: every daemon takes them in this order. Never empty and
@@ -568,7 +568,7 @@ impl WireCast {
             3 => WireCast::Event {
                 origin: NodeId::decode(dec)?,
                 vt: VirtualTime::from_nanos(dec.get_u64()?),
-                kind: starfish_events::EventKind::decode(dec)?,
+                kind: starfish_trace::event::EventKind::decode(dec)?,
             },
             T_BATCH => return Err(Error::codec("a batch inside a batch")),
             t => return Err(Error::codec(format!("unknown WireCast tag {t}"))),
@@ -775,7 +775,7 @@ mod tests {
         let w = WireCast::Event {
             origin: NodeId(1),
             vt: VirtualTime::from_nanos(42_000),
-            kind: starfish_events::EventKind::NodeSuspected {
+            kind: starfish_trace::event::EventKind::NodeSuspected {
                 node: NodeId(2),
                 silent_ns: 450_000_000,
             },
@@ -820,7 +820,7 @@ mod tests {
         let event = WireCast::Event {
             origin: NodeId(1),
             vt: VirtualTime::from_nanos(42_000),
-            kind: starfish_events::EventKind::CkptCommit {
+            kind: starfish_trace::event::EventKind::CkptCommit {
                 app: AppId(1),
                 rank: Rank(0),
                 index: 3,

@@ -34,13 +34,13 @@ use std::collections::BTreeSet;
 
 use starfish_checkpoint::backend::CkptBackend;
 use starfish_ensemble::View;
-use starfish_events::EventKind;
-use starfish_lwgroups::{self as lw, LwGroups};
 use starfish_telemetry::Snapshot;
+use starfish_trace::event::EventKind;
 use starfish_util::codec::{Decode, Encode};
 use starfish_util::{AppId, GroupId, NodeId, Rank, VirtualTime};
 
 use crate::config::{AppEntry, AppStatus, CfgEffect, CfgNodeStatus, ClusterConfig, FtPolicy};
+use crate::lwgroups::{self as lw, LwGroups};
 use crate::msg::{AppRelay, CfgCmd, P2pMsg, ProcDown, ProcUp, WireCast};
 
 /// What the machine asks its shell to do, in order.
@@ -278,7 +278,7 @@ impl Node {
     /// Rank `rank` of `app`, local, sent `ups`: what one step of its
     /// machine produced, in order. Each is handled at `now` merged with its
     /// own `vt` and those before it, as the shell's clock merges them.
-    pub fn proc_up(
+    pub(crate) fn proc_up(
         &mut self,
         app: AppId,
         rank: Rank,
@@ -344,7 +344,7 @@ impl Node {
 
     /// Publish a locally observed event: it rides the total order, so every
     /// daemon records it at the same point.
-    pub fn emit(&mut self, kind: EventKind, now: VirtualTime) -> Vec<Out> {
+    pub(crate) fn emit(&mut self, kind: EventKind, now: VirtualTime) -> Vec<Out> {
         self.emit_event(kind, now);
         self.take()
     }

@@ -44,23 +44,18 @@ impl Default for StatsHub {
 }
 
 impl StatsHub {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         StatsHub::default()
     }
 
     /// Install `snap` as the latest cumulative snapshot of `scope`.
-    pub fn update(&self, scope: &str, snap: Snapshot) {
+    pub(crate) fn update(&self, scope: &str, snap: Snapshot) {
         self.inner.lock().insert(scope.to_string(), snap);
     }
 
     /// All scopes currently known, in order.
     pub fn scopes(&self) -> Vec<String> {
         self.inner.lock().keys().cloned().collect()
-    }
-
-    /// Latest snapshot of one scope.
-    pub fn get(&self, scope: &str) -> Option<Snapshot> {
-        self.inner.lock().get(scope).cloned()
     }
 
     /// Additive merge of every scope's latest snapshot — the cluster-wide
@@ -77,13 +72,13 @@ impl StatsHub {
     /// Append a timestamped snapshot of the current cluster-wide merge to
     /// the history ring (called once per delivered `Stats` entry, after all of
     /// its scopes are in, so all daemons record the same sequence).
-    pub fn record_history(&self, vt: VirtualTime) {
+    pub(crate) fn record_history(&self, vt: VirtualTime) {
         let sample = (vt, self.merged());
         self.history.lock().push(sample);
     }
 
     /// Set how many history snapshots are retained (`SET stats_history <n>`).
-    pub fn set_retention(&self, n: usize) {
+    pub(crate) fn set_retention(&self, n: usize) {
         self.history.lock().set_capacity(n);
     }
 

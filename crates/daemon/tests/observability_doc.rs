@@ -3,7 +3,7 @@
 //! one row per ring, each with the capacity the code gives it.
 
 use starfish_daemon::stats::DEFAULT_HISTORY_RETENTION;
-use starfish_events::EventKind;
+use starfish_trace::event::EventKind;
 use starfish_trace::recorder::{EVENT_CAPACITY, PHASE_CAPACITY};
 use starfish_trace::DEFAULT_CAPACITY;
 use starfish_util::{AppId, Epoch, NodeId, Rank};

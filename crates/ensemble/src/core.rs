@@ -26,7 +26,7 @@ use crate::msg::SeqEntry;
 
 /// Member-side totally-ordered delivery state for one installed view.
 #[derive(Debug, Clone, Default)]
-pub struct DeliveryState {
+pub(crate) struct DeliveryState {
     /// Next sequence number to deliver (the sequencer assigns from 1).
     next_deliver_seq: u64,
     /// Everything delivered in the current view, in order — the flush
@@ -37,7 +37,7 @@ pub struct DeliveryState {
 }
 
 impl DeliveryState {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DeliveryState {
             next_deliver_seq: 1,
             delivered_log: Vec::new(),
@@ -48,7 +48,7 @@ impl DeliveryState {
     /// A sequenced cast arrived (already validated against the current view
     /// and flush status). Returns the entries that become deliverable, in
     /// delivery order: the new cast may fill a gap and release a parked run.
-    pub fn on_seq_cast(&mut self, entry: SeqEntry) -> Vec<SeqEntry> {
+    pub(crate) fn on_seq_cast(&mut self, entry: SeqEntry) -> Vec<SeqEntry> {
         self.pending_oos.insert(entry.seq, entry);
         let mut out = Vec::new();
         while let Some(e) = self.pending_oos.remove(&self.next_deliver_seq) {
@@ -64,7 +64,7 @@ impl DeliveryState {
     /// — but may start below our own position; entries we already delivered
     /// are skipped, the rest are delivered in order. Returns the newly
     /// delivered entries.
-    pub fn apply_backfill(&mut self, backfill: Vec<SeqEntry>) -> Vec<SeqEntry> {
+    pub(crate) fn apply_backfill(&mut self, backfill: Vec<SeqEntry>) -> Vec<SeqEntry> {
         let mut out = Vec::new();
         for e in backfill {
             if e.seq >= self.next_deliver_seq {
@@ -78,25 +78,15 @@ impl DeliveryState {
 
     /// Install a new view: sequencing restarts at 1, the log and any parked
     /// strays of the closed view are discarded.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.next_deliver_seq = 1;
         self.delivered_log.clear();
         self.pending_oos.clear();
     }
 
     /// Everything delivered in the current view, in order.
-    pub fn log(&self) -> &[SeqEntry] {
+    pub(crate) fn log(&self) -> &[SeqEntry] {
         &self.delivered_log
-    }
-
-    /// The next sequence number this member will deliver.
-    pub fn next_deliver_seq(&self) -> u64 {
-        self.next_deliver_seq
-    }
-
-    /// Number of casts parked above a gap.
-    pub fn parked_len(&self) -> usize {
-        self.pending_oos.len()
     }
 }
 
@@ -104,18 +94,18 @@ impl DeliveryState {
 /// in the high bits ties every `FlushReq`/`FlushOk` to the view it closes,
 /// the counter in the low bits distinguishes successive proposals by the
 /// same coordinator.
-pub fn encode_proposal(view_id: u64, counter: u64) -> u64 {
+pub(crate) fn encode_proposal(view_id: u64, counter: u64) -> u64 {
     (view_id << 16) | counter
 }
 
 /// The view a proposal closes (inverse of [`encode_proposal`]'s high bits).
-pub fn proposal_view(proposal: u64) -> u64 {
+pub(crate) fn proposal_view(proposal: u64) -> u64 {
     proposal >> 16
 }
 
 /// Membership of the next view: the current members minus suspects and
 /// leavers (including ourselves if `leaving`), plus joiners.
-pub fn proposed_members(
+pub(crate) fn proposed_members(
     view_members: &[NodeId],
     suspects: &BTreeSet<NodeId>,
     leaves: &BTreeSet<NodeId>,
@@ -141,7 +131,7 @@ pub fn proposed_members(
 
 /// Coordinator-side bookkeeping of one in-progress membership change.
 #[derive(Debug, Clone)]
-pub struct ChangeState {
+pub(crate) struct ChangeState {
     proposal: u64,
     new_members: Vec<NodeId>,
     waiting: BTreeSet<NodeId>,
@@ -151,7 +141,7 @@ pub struct ChangeState {
 impl ChangeState {
     /// Open a change: `waiting` are the members that owe a `FlushOk`;
     /// `delivered` seeds the flush union with the coordinator's own log.
-    pub fn new(
+    pub(crate) fn new(
         proposal: u64,
         new_members: Vec<NodeId>,
         waiting: BTreeSet<NodeId>,
@@ -169,21 +159,13 @@ impl ChangeState {
         }
     }
 
-    pub fn proposal(&self) -> u64 {
+    pub(crate) fn proposal(&self) -> u64 {
         self.proposal
-    }
-
-    pub fn waiting(&self) -> &BTreeSet<NodeId> {
-        &self.waiting
-    }
-
-    pub fn new_members(&self) -> &[NodeId] {
-        &self.new_members
     }
 
     /// A member's flush reply: it stops owing, its delivered log joins the
     /// union.
-    pub fn on_flush_ok(&mut self, node: NodeId, delivered: Vec<SeqEntry>) {
+    pub(crate) fn on_flush_ok(&mut self, node: NodeId, delivered: Vec<SeqEntry>) {
         self.waiting.remove(&node);
         for e in delivered {
             self.collected.insert(e.seq, e);
@@ -192,19 +174,19 @@ impl ChangeState {
 
     /// A member died (or a send to it failed) mid-change: it no longer owes
     /// a flush and leaves the proposed membership.
-    pub fn drop_member(&mut self, node: NodeId) {
+    pub(crate) fn drop_member(&mut self, node: NodeId) {
         self.waiting.remove(&node);
         self.new_members.retain(|m| *m != node);
     }
 
     /// All flushes are in: the change can finish.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.waiting.is_empty()
     }
 
     /// Consume the finished change: the next view's members and the backfill
     /// (the flush union in sequence order).
-    pub fn into_outcome(self) -> (Vec<NodeId>, Vec<SeqEntry>) {
+    pub(crate) fn into_outcome(self) -> (Vec<NodeId>, Vec<SeqEntry>) {
         (self.new_members, self.collected.into_values().collect())
     }
 }
@@ -214,6 +196,13 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use starfish_trace::TraceCtx;
+
+    impl DeliveryState {
+        /// Number of casts parked above a gap.
+        pub(super) fn parked_len(&self) -> usize {
+            self.pending_oos.len()
+        }
+    }
 
     fn entry(seq: u64) -> SeqEntry {
         SeqEntry {
@@ -233,7 +222,7 @@ mod tests {
         let released = d.on_seq_cast(entry(1));
         let seqs: Vec<u64> = released.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3]);
-        assert_eq!(d.next_deliver_seq(), 4);
+        assert_eq!(d.next_deliver_seq, 4);
         assert_eq!(d.log().len(), 3);
     }
 
@@ -244,7 +233,7 @@ mod tests {
         d.on_seq_cast(entry(2));
         let newly = d.apply_backfill(vec![entry(1), entry(2), entry(3)]);
         assert_eq!(newly.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![3]);
-        assert_eq!(d.next_deliver_seq(), 4);
+        assert_eq!(d.next_deliver_seq, 4);
     }
 
     #[test]
@@ -253,7 +242,7 @@ mod tests {
         d.on_seq_cast(entry(1));
         d.on_seq_cast(entry(5)); // stray above a gap
         d.reset();
-        assert_eq!(d.next_deliver_seq(), 1);
+        assert_eq!(d.next_deliver_seq, 1);
         assert!(d.log().is_empty());
         assert_eq!(d.parked_len(), 0);
     }

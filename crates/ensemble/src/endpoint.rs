@@ -30,7 +30,7 @@ use crate::msg::GcMsg;
 use crate::view::View;
 
 /// Well-known fabric port of the group-communication stack on every node.
-pub const ENSEMBLE_PORT: PortId = PortId(1);
+pub(crate) const ENSEMBLE_PORT: PortId = PortId(1);
 
 /// Configuration of an endpoint.
 #[derive(Clone)]

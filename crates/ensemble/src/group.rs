@@ -185,7 +185,7 @@ impl Group {
         (g, out)
     }
 
-    pub fn node(&self) -> NodeId {
+    pub(crate) fn node(&self) -> NodeId {
         self.node
     }
 
@@ -204,14 +204,14 @@ impl Group {
 
     /// Whether a `JoinReq` for `node` would change nothing: it is already a
     /// member or already queued (a join retransmission).
-    pub fn knows_joiner(&self, node: NodeId) -> bool {
+    pub(crate) fn knows_joiner(&self, node: NodeId) -> bool {
         self.view().is_some_and(|v| v.contains(node)) || self.pending_joins.contains(&node)
     }
 
     /// When [`tick`](Self::tick) next has something to do: the join retry
     /// while view-less; the next beacon or the earliest possible suspicion
     /// when heartbeats are configured; otherwise never.
-    pub fn deadline(&self) -> Option<Duration> {
+    pub(crate) fn deadline(&self) -> Option<Duration> {
         match &self.role {
             Role::Joining { retry_at, .. } => Some(*retry_at),
             Role::Member(view) => {

@@ -62,13 +62,13 @@
 #![deny(clippy::unimplemented, clippy::allow_attributes)]
 #![deny(clippy::allow_attributes_without_reason)]
 
-pub mod core;
-pub mod endpoint;
+pub(crate) mod core;
+pub(crate) mod endpoint;
 pub mod group;
-pub mod msg;
-pub mod view;
+pub(crate) mod msg;
+pub(crate) mod view;
 
-pub use endpoint::{EndpointConfig, GcEvent, HeartbeatAges, Stack, ENSEMBLE_PORT};
+pub use endpoint::{EndpointConfig, GcEvent, HeartbeatAges, Stack};
 pub use group::{HeartbeatCfg, HeartbeatChaos};
 pub use msg::GcMsg;
 pub use view::View;

@@ -19,7 +19,7 @@ pub struct SeqEntry {
     pub seq: u64,
     pub origin: NodeId,
     pub payload: Bytes,
-    pub ctx: TraceCtx,
+    pub(crate) ctx: TraceCtx,
 }
 
 impl Encode for SeqEntry {

@@ -36,25 +36,12 @@ impl View {
 
     /// The members of `self` that are also in `other` (the survivor set used
     /// by view-synchrony reasoning).
-    pub fn survivors(&self, other: &View) -> Vec<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn survivors(&self, other: &View) -> Vec<NodeId> {
         self.members
             .iter()
             .copied()
             .filter(|m| other.contains(*m))
-            .collect()
-    }
-
-    /// Replica peers for diskless checkpointing: the candidate homes for
-    /// `owner`'s checkpoint fragments, i.e. every member except the owner
-    /// itself. Derived from the membership view so the fragment placement
-    /// map (`starfish_checkpoint::replica::ring_placement`) never co-locates
-    /// a fragment's replicas with the rank that produced the image — losing
-    /// the owner node can never take a replica down with it.
-    pub fn replica_peers(&self, owner: NodeId) -> Vec<NodeId> {
-        self.members
-            .iter()
-            .copied()
-            .filter(|m| *m != owner)
             .collect()
     }
 }
@@ -93,17 +80,6 @@ mod tests {
         let a = View::new(ViewId(1), vec![NodeId(1), NodeId(2), NodeId(3)]);
         let b = View::new(ViewId(2), vec![NodeId(2), NodeId(3), NodeId(4)]);
         assert_eq!(a.survivors(&b), vec![NodeId(2), NodeId(3)]);
-    }
-
-    #[test]
-    fn replica_peers_excludes_the_owner_and_stays_sorted() {
-        let v = View::new(ViewId(3), vec![NodeId(2), NodeId(0), NodeId(1)]);
-        assert_eq!(v.replica_peers(NodeId(1)), vec![NodeId(0), NodeId(2)]);
-        // An owner outside the view gets every member as a candidate peer.
-        assert_eq!(
-            v.replica_peers(NodeId(9)),
-            vec![NodeId(0), NodeId(1), NodeId(2)]
-        );
     }
 
     #[test]

@@ -72,7 +72,7 @@
 mod bruck;
 mod rdouble;
 mod ring;
-pub mod selector;
+pub(crate) mod selector;
 mod transport;
 mod vdg;
 
@@ -97,7 +97,7 @@ const SEQ_MASK: u64 = 0xFFFF_FFFF;
 
 /// Ring/scatter step indices ride the 12-bit `step` tag field, so a
 /// collective can span at most this many ranks.
-pub const MAX_COLL_RANKS: usize = 1 << 12;
+pub(crate) const MAX_COLL_RANKS: usize = 1 << 12;
 
 /// The stepped algorithms (ring, Bruck, scatter+allgather) refuse a group
 /// whose step indices would overflow the tag field.
@@ -194,22 +194,12 @@ impl_pod!(u32, 4);
 impl_pod!(u8, 1);
 
 /// Encode a slice of Pod elements.
-pub fn encode_slice<T: Pod>(xs: &[T]) -> Vec<u8> {
+pub(crate) fn encode_slice<T: Pod>(xs: &[T]) -> Vec<u8> {
     let mut out = Vec::with_capacity(xs.len() * T::SIZE);
     for x in xs {
         x.write(&mut out);
     }
     out
-}
-
-/// Decode a slice of Pod elements.
-pub fn decode_slice<T: Pod>(buf: &[u8]) -> Result<Vec<T>> {
-    if !buf.len().is_multiple_of(T::SIZE) {
-        return Err(Error::codec("ragged Pod buffer"));
-    }
-    buf.chunks_exact(T::SIZE)
-        .map(|b| T::read(b).ok_or_else(|| Error::codec("short Pod element")))
-        .collect()
 }
 
 /// Fold the big-endian elements of a received buffer into `acc` in place,

@@ -7,6 +7,16 @@ use starfish_util::trace::{MsgClass, TraceSink};
 use starfish_util::{AppId, NodeId, VClock, VirtualTime};
 use starfish_vni::{BipMyrinet, Fabric, Ideal, LayerCosts, NetworkModel};
 
+/// Decode a slice of Pod elements.
+fn decode_slice<T: Pod>(buf: &[u8]) -> Result<Vec<T>> {
+    if !buf.len().is_multiple_of(T::SIZE) {
+        return Err(Error::codec("ragged Pod buffer"));
+    }
+    buf.chunks_exact(T::SIZE)
+        .map(|b| T::read(b).ok_or_else(|| Error::codec("short Pod element")))
+        .collect()
+}
+
 /// Run `f(rank, endpoint, comm, clock)` on `n` rank-threads and collect
 /// the results in rank order.
 fn run_ranks<T: Send + 'static>(

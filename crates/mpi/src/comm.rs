@@ -35,7 +35,7 @@ impl Comm {
 
     /// Build an arbitrary communicator (used by split/dup and by the
     /// dynamic-process machinery).
-    pub fn from_members(context: u32, members: Vec<Rank>, me: Rank) -> Result<Comm> {
+    pub(crate) fn from_members(context: u32, members: Vec<Rank>, me: Rank) -> Result<Comm> {
         let my_index = members
             .iter()
             .position(|r| *r == me)
@@ -49,7 +49,7 @@ impl Comm {
     }
 
     /// Take the sequence number of the next collective round.
-    pub fn next_coll_seq(&mut self) -> u64 {
+    pub(crate) fn next_coll_seq(&mut self) -> u64 {
         self.coll_seq += 1;
         self.coll_seq - 1
     }
@@ -63,24 +63,16 @@ impl Comm {
         self.members.len() as u32
     }
 
-    pub fn context(&self) -> u32 {
+    pub(crate) fn context(&self) -> u32 {
         self.context
     }
 
     /// Translate a communicator rank to a world rank.
-    pub fn world_rank(&self, comm_rank: Rank) -> Result<Rank> {
+    pub(crate) fn world_rank(&self, comm_rank: Rank) -> Result<Rank> {
         self.members
             .get(comm_rank.index())
             .copied()
             .ok_or_else(|| Error::invalid_arg(format!("rank {comm_rank} out of range")))
-    }
-
-    /// Translate a world rank to a communicator rank, if a member.
-    pub fn comm_rank_of_world(&self, world: Rank) -> Option<Rank> {
-        self.members
-            .iter()
-            .position(|r| *r == world)
-            .map(|i| Rank(i as u32))
     }
 
     pub fn members(&self) -> &[Rank] {
@@ -103,7 +95,7 @@ impl Comm {
 /// context with no extra agreement round (contexts only need to be unique
 /// per application, and the derivation chain is collision-resistant enough
 /// for the handful of communicators real programs create).
-pub fn derive_context(parent: u32, salt: u32) -> u32 {
+pub(crate) fn derive_context(parent: u32, salt: u32) -> u32 {
     parent
         .wrapping_mul(0x9E37_79B9)
         .wrapping_add(salt)
@@ -131,8 +123,6 @@ mod tests {
         assert_eq!(c.rank(), Rank(1)); // index of world rank 3
         assert_eq!(c.size(), 2);
         assert_eq!(c.world_rank(Rank(0)).unwrap(), Rank(1));
-        assert_eq!(c.comm_rank_of_world(Rank(3)), Some(Rank(1)));
-        assert_eq!(c.comm_rank_of_world(Rank(0)), None);
     }
 
     #[test]

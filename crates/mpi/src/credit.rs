@@ -85,13 +85,13 @@ pub enum Route {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Peer {
     /// Eager payload bytes sent to the peer.
-    pub spent: u64,
+    pub(crate) spent: u64,
     /// Units of them the peer has reported consumed.
     pub acked: u64,
     /// Eager payload bytes consumed from the peer.
     pub consumed: u64,
     /// Units of them last reported to the peer.
-    pub reported: u64,
+    pub(crate) reported: u64,
 }
 
 /// Both directions of one endpoint's eager credit, per peer.
@@ -184,7 +184,7 @@ impl Credit {
     }
 
     /// Forget every count (they belong to a rolled-back incarnation).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.peers.clear();
     }
 }

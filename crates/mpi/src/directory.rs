@@ -65,7 +65,7 @@ impl RankDirectory {
         }
     }
 
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.inner.read().placement.len()
     }
 
@@ -106,7 +106,7 @@ impl RankDirectory {
 
     /// `rank`'s endpoint is going away; forget `kick` unless a newer
     /// incarnation has already replaced it.
-    pub fn unbound(&self, rank: Rank, kick: &Kick) {
+    pub(crate) fn unbound(&self, rank: Rank, kick: &Kick) {
         self.inner
             .write()
             .bound
@@ -137,40 +137,9 @@ impl RankDirectory {
         }
     }
 
-    /// Ranks currently placed on `node`.
-    pub fn ranks_on(&self, node: NodeId) -> Vec<Rank> {
-        self.inner
-            .read()
-            .placement
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| **n == Some(node))
-            .map(|(i, _)| Rank(i as u32))
-            .collect()
-    }
-
-    /// Full placement snapshot.
-    pub fn snapshot(&self) -> Vec<(Rank, Option<NodeId>)> {
-        self.inner
-            .read()
-            .placement
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (Rank(i as u32), *n))
-            .collect()
-    }
-
     /// The application's current restart epoch.
-    pub fn epoch(&self) -> Epoch {
+    pub(crate) fn epoch(&self) -> Epoch {
         self.inner.read().epoch
-    }
-
-    /// Bump the epoch (called by the daemons when the application rolls
-    /// back); returns the new epoch.
-    pub fn bump_epoch(&self) -> Epoch {
-        let mut g = self.inner.write();
-        g.epoch = Epoch(g.epoch.0 + 1);
-        g.epoch
     }
 
     /// Set the epoch to an absolute value (from the replicated
@@ -186,6 +155,20 @@ impl RankDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RankDirectory {
+        /// Ranks currently placed on `node`.
+        pub(super) fn ranks_on(&self, node: NodeId) -> Vec<Rank> {
+            self.inner
+                .read()
+                .placement
+                .iter()
+                .enumerate()
+                .filter(|(_, n)| **n == Some(node))
+                .map(|(i, _)| Rank(i as u32))
+                .collect()
+        }
+    }
 
     #[test]
     fn place_and_lookup() {
@@ -213,8 +196,11 @@ mod tests {
     fn epoch_bumps() {
         let d = RankDirectory::new(1);
         assert_eq!(d.epoch(), Epoch(0));
-        assert_eq!(d.bump_epoch(), Epoch(1));
-        assert_eq!(d.epoch(), Epoch(1));
+        d.set_epoch(Epoch(2));
+        assert_eq!(d.epoch(), Epoch(2));
+        // A stale epoch from the configuration never moves it back.
+        d.set_epoch(Epoch(1));
+        assert_eq!(d.epoch(), Epoch(2));
     }
 
     #[test]

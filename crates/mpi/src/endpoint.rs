@@ -41,19 +41,14 @@ use crate::reliability::{Flows, RxVerdict};
 use crate::rendezvous::{ChunkOut, CtsCadence, Grant, RndvRx, RndvTx};
 use crate::wire::{data_port, MsgHeader, RelMsg, CTRL_CONTEXT, FLAG_RNDV_DATA, FLAG_RNDV_RTS};
 
-/// Wildcard source for receives (`MPI_ANY_SOURCE`).
-pub const ANY_SOURCE: Option<Rank> = None;
-/// Wildcard tag for receives (`MPI_ANY_TAG`).
-pub const ANY_TAG: Option<u64> = None;
-
 /// Default real-time bound on blocking operations: long enough for any test
 /// workload, short enough to turn a deadlock into a diagnosable error.
-pub const BLOCKING_TIMEOUT: Duration = Duration::from_secs(60);
+pub(crate) const BLOCKING_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// How long a blocked concrete-source receive waits before probing the
 /// sender's flow with a [`RelMsg::Ping`] (recovers dropped packets); also
 /// the default CTS re-grant interval.
-pub const REL_PING_INTERVAL: Duration = Duration::from_millis(25);
+pub(crate) const REL_PING_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Longest a blocked wait goes without re-checking its abort flag.
 const WAIT_SLICE: Duration = Duration::from_millis(100);
@@ -67,14 +62,14 @@ const WAIT_SLICE: Duration = Duration::from_millis(100);
 /// slice as-is. The default equals [`crate::EAGER_CREDIT_BYTES`] so a single
 /// optimistically-streamed chunk never exposes the receiver to more
 /// un-granted bytes than eager credit would.
-pub const RNDV_CHUNK_BYTES: usize = 1 << 20;
+pub(crate) const RNDV_CHUNK_BYTES: usize = 1 << 20;
 
 // A threshold-sized rendezvous transfer is one chunk: no placement buffer.
 const _: () = assert!(DEFAULT_RNDV_THRESHOLD <= RNDV_CHUNK_BYTES);
 
 /// Packets drained from the port per ingest round: a pipelined chunk burst
 /// is pulled out of the port's queue in one lock acquisition.
-pub const INGEST_BATCH: usize = 64;
+pub(crate) const INGEST_BATCH: usize = 64;
 
 /// One data-path frame as it left, which is everything a retransmission
 /// needs — the reliable flows retain exactly this. Single-segment messages
@@ -141,8 +136,6 @@ pub struct RecvdMsg {
     pub src: Rank,
     pub tag: u64,
     pub data: Bytes,
-    /// Receiver's virtual time after the receive completed.
-    pub vt: VirtualTime,
     /// Sender's piggybacked checkpoint interval (uncoordinated C/R).
     pub interval: u64,
 }
@@ -181,7 +174,7 @@ pub enum RecvMode {
 
 /// Cost of one user/kernel crossing on the era's hardware, paid per port
 /// read in [`RecvMode::Direct`].
-pub const SYSCALL_COST: VirtualTime = VirtualTime(25_000);
+pub(crate) const SYSCALL_COST: VirtualTime = VirtualTime(25_000);
 
 /// The MPI module of one application process.
 pub struct MpiEndpoint {
@@ -302,7 +295,7 @@ impl MpiEndpoint {
     }
 
     /// The collective algorithm selection policy in force.
-    pub fn coll_selector(&self) -> &crate::collectives::CollAlgoSelector {
+    pub(crate) fn coll_selector(&self) -> &crate::collectives::CollAlgoSelector {
         &self.coll_selector
     }
 
@@ -324,7 +317,7 @@ impl MpiEndpoint {
     /// The rendezvous DATA chunk size in force. Collective phases align
     /// their segments to this so every large-message leg rides the
     /// pipelined rendezvous path in whole chunks.
-    pub fn rendezvous_chunk_bytes(&self) -> usize {
+    pub(crate) fn rendezvous_chunk_bytes(&self) -> usize {
         self.rndv_chunk_bytes
     }
 
@@ -430,10 +423,6 @@ impl MpiEndpoint {
         self.rank
     }
 
-    pub fn app(&self) -> AppId {
-        self.app
-    }
-
     pub fn directory(&self) -> &RankDirectory {
         &self.dir
     }
@@ -488,20 +477,6 @@ impl MpiEndpoint {
         data: &[u8],
     ) -> Result<()> {
         let req = self.isend_world(clock, dst, context, tag, data)?;
-        self.wait(clock, req).map(drop)
-    }
-
-    /// [`send_world`](Self::send_world) without the payload copy: a `Bytes`
-    /// payload travels either path as zero-copy slices end-to-end.
-    pub fn send_world_bytes(
-        &mut self,
-        clock: &mut VClock,
-        dst: Rank,
-        context: u32,
-        tag: u64,
-        data: Bytes,
-    ) -> Result<()> {
-        let req = self.isend_world_bytes(clock, dst, context, tag, data)?;
         self.wait(clock, req).map(drop)
     }
 
@@ -1041,7 +1016,6 @@ impl MpiEndpoint {
             src: header.src,
             tag: header.tag,
             data,
-            vt: clock.now(),
             interval: header.interval,
         })
     }
@@ -1118,26 +1092,6 @@ impl MpiEndpoint {
             }
             Request::Recv { context, src, tag } => {
                 return self.recv_world(clock, context, src, tag).map(Some)
-            }
-        }
-        Ok(None)
-    }
-
-    /// Test a request without blocking: `Ok(Some(..))`/`Ok(None)` semantics
-    /// mirror MPI_Test's flag. Send requests are always complete.
-    pub fn test(&mut self, clock: &mut VClock, req: &Request) -> Result<Option<RecvdMsg>> {
-        match req {
-            Request::Send { vt } => {
-                clock.merge(*vt);
-            }
-            Request::RndvSend { vt, .. } => {
-                clock.merge(*vt);
-                // Pump once so a waiting CTS is serviced; completion is
-                // observable as the transfer leaving the pending set.
-                self.drain(clock)?;
-            }
-            Request::Recv { context, src, tag } => {
-                return self.try_recv_world(clock, *context, *src, *tag)
             }
         }
         Ok(None)
@@ -1233,11 +1187,6 @@ impl MpiEndpoint {
     pub fn take_recorded(&mut self) -> Vec<(MsgHeader, Bytes)> {
         self.matching.take_recorded()
     }
-
-    /// Number of unconsumed data messages currently buffered.
-    pub fn pending_count(&self) -> usize {
-        self.matching.len()
-    }
 }
 
 impl Drop for MpiEndpoint {
@@ -1256,6 +1205,32 @@ mod tests {
     use starfish_trace::EventKind;
     use starfish_util::NodeId;
     use starfish_vni::{BipMyrinet, Ideal};
+
+    impl MpiEndpoint {
+        /// [`send_world`](Self::send_world) without the payload copy: a `Bytes`
+        /// payload travels either path as zero-copy slices end-to-end.
+        pub(super) fn send_world_bytes(
+            &mut self,
+            clock: &mut VClock,
+            dst: Rank,
+            context: u32,
+            tag: u64,
+            data: Bytes,
+        ) -> Result<()> {
+            let req = self.isend_world_bytes(clock, dst, context, tag, data)?;
+            self.wait(clock, req).map(drop)
+        }
+
+        /// Number of unconsumed data messages currently buffered.
+        pub(super) fn pending_count(&self) -> usize {
+            self.matching.len()
+        }
+    }
+
+    /// Wildcard source for receives (`MPI_ANY_SOURCE`).
+    const ANY_SOURCE: Option<Rank> = None;
+    /// Wildcard tag for receives (`MPI_ANY_TAG`).
+    const ANY_TAG: Option<u64> = None;
 
     fn setup(n: u32, model: &str) -> (Fabric, RankDirectory) {
         let f = match model {
@@ -2594,7 +2569,7 @@ mod proptests {
             let mut got: Vec<(u64, u8)> = Vec::new();
             if use_wildcards {
                 for _ in &msgs {
-                    let m = b.recv_world(&mut cb, 1, ANY_SOURCE, ANY_TAG).unwrap();
+                    let m = b.recv_world(&mut cb, 1, None, None).unwrap();
                     got.push((m.tag, m.data[0]));
                 }
             } else {

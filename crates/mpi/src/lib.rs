@@ -42,26 +42,23 @@
 #![deny(clippy::allow_attributes_without_reason)]
 
 pub mod collectives;
-pub mod comm;
+pub(crate) mod comm;
 pub mod credit;
-pub mod directory;
-pub mod endpoint;
+pub(crate) mod directory;
+pub(crate) mod endpoint;
 pub mod matching;
 pub mod reliability;
 pub mod rendezvous;
-pub mod replication;
+pub(crate) mod replication;
 pub mod wire;
 
 pub use collectives::{
     AllgatherAlgo, AllreduceAlgo, BcastAlgo, CollAlgoSelector, ReduceOp, COLL_TAG_BASE,
-    MAX_COLL_RANKS,
 };
 pub use comm::Comm;
 pub use credit::{DEFAULT_RNDV_THRESHOLD, EAGER_CREDIT_BYTES};
 pub use directory::RankDirectory;
-pub use endpoint::{
-    MpiEndpoint, RecvMode, RecvdMsg, Request, ANY_SOURCE, ANY_TAG, RNDV_CHUNK_BYTES,
-};
-pub use rendezvous::{CtsCadence, RNDV_EARLY_CHUNKS};
+pub use endpoint::{MpiEndpoint, RecvMode, RecvdMsg, Request};
+pub use rendezvous::CtsCadence;
 pub use replication::PushSession;
-pub use wire::{MsgHeader, CTRL_CONTEXT, DATA_PORT_BASE, WORLD_CONTEXT};
+pub use wire::{MsgHeader, WORLD_CONTEXT};

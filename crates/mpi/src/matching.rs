@@ -68,9 +68,9 @@ pub enum Matched {
 /// endpoint records in its flight recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Delivery {
-    pub header: MsgHeader,
-    pub len: usize,
-    pub at: VirtualTime,
+    pub(crate) header: MsgHeader,
+    pub(crate) len: usize,
+    pub(crate) at: VirtualTime,
 }
 
 /// Parsed messages that arrived before a matching receive was posted.
@@ -218,7 +218,13 @@ impl MatchQueue {
     }
 
     /// `MPI_Iprobe`: is a matching message (or its placeholder) queued?
-    pub fn probe(&self, epoch: Epoch, context: u32, src: Option<Rank>, tag: Option<u64>) -> bool {
+    pub(crate) fn probe(
+        &self,
+        epoch: Epoch,
+        context: u32,
+        src: Option<Rank>,
+        tag: Option<u64>,
+    ) -> bool {
         self.queue
             .iter()
             .any(|e| matches(epoch, &e.header, context, src, tag))
@@ -230,7 +236,7 @@ impl MatchQueue {
     /// per-link FIFO guarantees it arrives before the marks complete — so
     /// by the time the snapshot is actually taken the placeholder has
     /// merged or its payload is still counted on the sender's side.
-    pub fn snapshot(&self, epoch: Epoch) -> Vec<(MsgHeader, Bytes)> {
+    pub(crate) fn snapshot(&self, epoch: Epoch) -> Vec<(MsgHeader, Bytes)> {
         self.queue
             .iter()
             .filter(|e| e.header.epoch == epoch)
@@ -246,7 +252,7 @@ impl MatchQueue {
     /// behind the restored ones (they were sent by peers that have already
     /// restarted and will not be re-sent); everything older is dropped with
     /// the rolled-back past, and so is any recording.
-    pub fn restore(
+    pub(crate) fn restore(
         &mut self,
         epoch: Epoch,
         msgs: Vec<(MsgHeader, Bytes)>,
@@ -278,22 +284,22 @@ impl MatchQueue {
 
     /// Start copying messages completing from `from` (Chandy–Lamport
     /// channel recording).
-    pub fn start_recording(&mut self, from: Rank) {
+    pub(crate) fn start_recording(&mut self, from: Rank) {
         self.recording.insert(from);
     }
 
     /// Stop recording the channel from `from`.
-    pub fn stop_recording(&mut self, from: Rank) {
+    pub(crate) fn stop_recording(&mut self, from: Rank) {
         self.recording.remove(&from);
     }
 
     /// Take everything recorded so far.
-    pub fn take_recorded(&mut self) -> Vec<(MsgHeader, Bytes)> {
+    pub(crate) fn take_recorded(&mut self) -> Vec<(MsgHeader, Bytes)> {
         std::mem::take(&mut self.recorded)
     }
 
     /// Number of unconsumed data messages (placeholders included).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.queue.len()
     }
 

@@ -28,11 +28,11 @@ use starfish_util::{Epoch, Rank};
 
 /// Default retransmission window: messages kept per destination until
 /// acknowledged by a peer's Ping (cumulative ack).
-pub const REL_WINDOW: usize = 1024;
+pub(crate) const REL_WINDOW: usize = 1024;
 
 /// Most missing sequences named by a single NACK. Bounds control-message
 /// size; the remainder is recovered by the next ping/flush round.
-pub const NACK_BATCH: usize = 64;
+pub(crate) const NACK_BATCH: usize = 64;
 
 /// Sender-side state of one reliable flow.
 #[derive(Debug, Clone)]
@@ -98,7 +98,8 @@ impl<P> FlowTx<P> {
     }
 
     /// Number of unacknowledged payloads currently buffered.
-    pub fn in_flight(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn in_flight(&self) -> usize {
         self.buf.len()
     }
 }
@@ -173,7 +174,8 @@ impl<P> FlowRx<P> {
     }
 
     /// Number of payloads parked above a gap.
-    pub fn parked_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn parked_len(&self) -> usize {
         self.parked.len()
     }
 }
@@ -194,10 +196,10 @@ impl<P> Default for FlowRx<P> {
 /// `S`, what a retransmission needs), incoming by `(source rank, source
 /// epoch)` (payload `R`, what delivery needs).
 #[derive(Debug, Clone)]
-pub struct Flows<S, R> {
+pub(crate) struct Flows<S, R> {
     /// While off (the default) sends are not sequenced: `seq == 0` marks
     /// unmanaged traffic, delivered as it arrives.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
     tx: BTreeMap<Rank, FlowTx<S>>,
     rx: BTreeMap<(Rank, Epoch), FlowRx<R>>,
 }
@@ -214,12 +216,12 @@ impl<S, R> Default for Flows<S, R> {
 
 impl<S, R> Flows<S, R> {
     /// The flow to `dst`.
-    pub fn tx(&mut self, dst: Rank) -> &mut FlowTx<S> {
+    pub(crate) fn tx(&mut self, dst: Rank) -> &mut FlowTx<S> {
         self.tx.entry(dst).or_default()
     }
 
     /// The flow from `src`'s incarnation `epoch`.
-    pub fn rx(&mut self, src: Rank, epoch: Epoch) -> &mut FlowRx<R> {
+    pub(crate) fn rx(&mut self, src: Rank, epoch: Epoch) -> &mut FlowRx<R> {
         self.rx.entry((src, epoch)).or_default()
     }
 
@@ -234,7 +236,7 @@ impl<S, R> Flows<S, R> {
     /// restart at 1 (receiver flows are keyed by the sender's epoch, so old
     /// and new incarnations can never be confused), and flows from
     /// rolled-back incarnations are dropped with their past.
-    pub fn new_epoch(&mut self, epoch: Epoch) {
+    pub(crate) fn new_epoch(&mut self, epoch: Epoch) {
         self.tx.clear();
         self.rx.retain(|(_, e), _| *e >= epoch);
     }

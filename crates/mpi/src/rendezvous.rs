@@ -35,7 +35,7 @@ use crate::wire::{RndvChunk, RndvEnv};
 /// unsolicited push — so parking semantics, quiescence accounting and the
 /// receiver-memory bound all survive pipelining. Credit-exhaustion
 /// fallbacks stream nothing early: they exist to bound receiver memory.
-pub const RNDV_EARLY_CHUNKS: usize = 2;
+pub(crate) const RNDV_EARLY_CHUNKS: usize = 2;
 
 /// How a receiver paces CTS re-grants for a rendezvous transfer still
 /// awaiting its DATA. Real deployments throttle on wall time so a blocked
@@ -55,9 +55,9 @@ pub enum CtsCadence {
 /// a zero-copy slice of the parked payload, addressed like its RTS.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkOut {
-    pub dst: Rank,
-    pub context: u32,
-    pub tag: u64,
+    pub(crate) dst: Rank,
+    pub(crate) context: u32,
+    pub(crate) tag: u64,
     pub desc: RndvChunk,
     pub seg: Bytes,
 }
@@ -180,18 +180,18 @@ impl RndvTx {
         self.parked.keys().copied().collect()
     }
 
-    pub fn is_parked(&self, id: u64) -> bool {
+    pub(crate) fn is_parked(&self, id: u64) -> bool {
         self.parked.contains_key(&id)
     }
 
     /// Give up on `id` (its blocking send timed out): a later push must not
     /// resurrect a send the caller saw fail.
-    pub fn abandon(&mut self, id: u64) {
+    pub(crate) fn abandon(&mut self, id: u64) {
         self.parked.remove(&id);
     }
 
     /// Forget every transfer (the incarnation that parked them rolled back).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.parked.clear();
     }
 }
@@ -206,7 +206,7 @@ impl RndvTx {
 /// chunk and each chunk is written straight to its offset (the analogue of
 /// RDMA rendezvous placing data directly into the posted receive buffer).
 #[derive(Debug, Clone, Default)]
-pub struct RndvAsm {
+pub(crate) struct RndvAsm {
     /// Total payload size (RTS envelope / chunk descriptors agree on it).
     total: u64,
     /// Distinct payload bytes absorbed so far.
@@ -235,7 +235,7 @@ impl RndvAsm {
 
     /// Absorb one chunk. Descriptor-mismatched or out-of-bounds chunks are
     /// dropped; duplicates are no-ops. Returns completeness.
-    pub fn absorb(&mut self, c: &RndvChunk, chunk: Bytes, arrive: VirtualTime) -> bool {
+    pub(crate) fn absorb(&mut self, c: &RndvChunk, chunk: Bytes, arrive: VirtualTime) -> bool {
         let end = c.offset.saturating_add(chunk.len() as u64);
         if c.total != self.total || end > self.total {
             return self.is_complete();
@@ -269,11 +269,11 @@ impl RndvAsm {
     /// Complete when every byte arrived and at least one chunk was seen —
     /// the second clause makes empty transfers complete on their single
     /// empty chunk rather than at creation.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.received == self.total && !self.got.is_empty()
     }
 
-    pub fn take_bytes(&mut self) -> Bytes {
+    pub(crate) fn take_bytes(&mut self) -> Bytes {
         match self.whole.take() {
             Some(w) => w,
             None => Bytes::from(std::mem::take(&mut self.buf)),
@@ -303,7 +303,7 @@ pub enum Grant {
 /// matching order, and when each awaited transfer was last granted.
 #[derive(Debug, Clone)]
 pub struct RndvRx {
-    pub cadence: CtsCadence,
+    pub(crate) cadence: CtsCadence,
     /// Reassembly of chunks that overtook their RTS (possible outside the
     /// reliability layer), by (sender, transfer id).
     strays: BTreeMap<(Rank, u64), RndvAsm>,
@@ -322,7 +322,13 @@ impl RndvRx {
 
     /// A chunk arrived with no RTS placeholder to merge into: reassemble it
     /// aside until the RTS places the transfer in matching order.
-    pub fn on_stray_chunk(&mut self, src: Rank, c: &RndvChunk, chunk: Bytes, at: VirtualTime) {
+    pub(crate) fn on_stray_chunk(
+        &mut self,
+        src: Rank,
+        c: &RndvChunk,
+        chunk: Bytes,
+        at: VirtualTime,
+    ) {
         let slot = self.strays.entry((src, c.id));
         slot.or_insert_with(|| RndvAsm::new(c.total))
             .absorb(c, chunk, at);
@@ -331,7 +337,7 @@ impl RndvRx {
     /// The RTS of `env` arrived: the reassembly its placeholder starts from
     /// — whatever overtook it, or empty. Strays that disagree with the RTS
     /// about the size are corrupt and dropped.
-    pub fn on_rts(&mut self, src: Rank, env: &RndvEnv) -> RndvAsm {
+    pub(crate) fn on_rts(&mut self, src: Rank, env: &RndvEnv) -> RndvAsm {
         match self.strays.remove(&(src, env.id)) {
             Some(asm) if asm.total == env.size => asm,
             _ => RndvAsm::new(env.size),
@@ -353,13 +359,13 @@ impl RndvRx {
     }
 
     /// Transfer `(src, id)` merged completely: its pacing record goes.
-    pub fn on_complete(&mut self, src: Rank, id: u64) {
+    pub(crate) fn on_complete(&mut self, src: Rank, id: u64) {
         self.granted.remove(&(src, id));
     }
 
     /// Forget everything (in-flight transfers belong to a rolled-back
     /// incarnation; stray DATA from it is dropped on arrival anyway).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.strays.clear();
         self.granted.clear();
     }

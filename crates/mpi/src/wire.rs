@@ -12,20 +12,20 @@ use starfish_vni::PortId;
 /// Application processes bind data ports at
 /// `DATA_PORT_BASE + app * APP_PORT_STRIDE + world_rank`, so concurrent
 /// applications sharing a node never collide.
-pub const DATA_PORT_BASE: u32 = 1000;
+pub(crate) const DATA_PORT_BASE: u32 = 1000;
 
 /// Maximum ranks per application for port allocation purposes.
-pub const APP_PORT_STRIDE: u32 = 8192;
+pub(crate) const APP_PORT_STRIDE: u32 = 8192;
 
 /// Context id of `MPI_COMM_WORLD` point-to-point traffic.
 pub const WORLD_CONTEXT: u32 = 1;
 
 /// Context id reserved for C/R data-path marks (flush marks and
 /// Chandy–Lamport markers) — FIFO with data, never matched by user receives.
-pub const CTRL_CONTEXT: u32 = 0;
+pub(crate) const CTRL_CONTEXT: u32 = 0;
 
 /// Data port of a given application's world rank.
-pub fn data_port(app: AppId, world_rank: Rank) -> PortId {
+pub(crate) fn data_port(app: AppId, world_rank: Rank) -> PortId {
     PortId(DATA_PORT_BASE + app.0 * APP_PORT_STRIDE + world_rank.0)
 }
 
@@ -94,7 +94,7 @@ impl MsgHeader {
     /// [`TraceCtx`]) is skipped wholesale by [`parse`](Self::parse), so a
     /// receiver that does not understand it — the paper's unmodified MPI
     /// program, §MPI-module — still gets the exact body bytes.
-    pub const MAX_LEN: usize = 1 + 3 * VAR_U32_LEN + 3 * VAR_MAX_LEN + 1;
+    pub(crate) const MAX_LEN: usize = 1 + 3 * VAR_U32_LEN + 3 * VAR_MAX_LEN + 1;
 
     fn put_head(&self, enc: &mut Encoder) {
         enc.put_u8(self.flags | (self.credit << CREDIT_SHIFT));
@@ -108,7 +108,8 @@ impl MsgHeader {
 
     /// Prefix `body` with this header (no extension); see
     /// [`frame_ext`](Self::frame_ext).
-    pub fn frame(&self, body: &[u8]) -> Bytes {
+    #[cfg(test)]
+    pub(crate) fn frame(&self, body: &[u8]) -> Bytes {
         self.frame_ext(body, TraceCtx::NONE, [0; 2])
     }
 
@@ -118,7 +119,7 @@ impl MsgHeader {
     /// receiver derives from the header alone ([`parse_ext`](Self::parse_ext)).
     /// One buffer of at least the frame's size: the body bytes are copied
     /// into it once, and it becomes the `Bytes` uncopied.
-    pub fn frame_ext(&self, body: &[u8], ctx: TraceCtx, bases: [u64; 2]) -> Bytes {
+    pub(crate) fn frame_ext(&self, body: &[u8], ctx: TraceCtx, bases: [u64; 2]) -> Bytes {
         const { assert!(TraceCtx::MAX_WIRE_LEN < 0x80) };
         let mut enc = Encoder::with_capacity(Self::MAX_LEN + TraceCtx::MAX_WIRE_LEN + body.len());
         self.put_head(&mut enc);
@@ -163,7 +164,7 @@ impl MsgHeader {
     /// the count of when it leaves again, never a stale one. The flags byte
     /// leads the header, so this rewrites the first byte alone however long
     /// the varints after it are.
-    pub fn restamp(framed: &Bytes, credit: u8) -> Bytes {
+    pub(crate) fn restamp(framed: &Bytes, credit: u8) -> Bytes {
         let mut buf = framed.to_vec();
         if let Some(bits) = buf.first_mut() {
             *bits = (*bits & FLAG_BITS) | (credit << CREDIT_SHIFT);
@@ -173,7 +174,8 @@ impl MsgHeader {
 
     /// Split a framed payload into header + body (zero-copy body slice).
     /// Any extension region is skipped unread.
-    pub fn parse(framed: &Bytes) -> Result<(MsgHeader, Bytes)> {
+    #[cfg(test)]
+    pub(crate) fn parse(framed: &Bytes) -> Result<(MsgHeader, Bytes)> {
         let (header, _, body) = Self::parse_head(framed)?;
         Ok((header, framed.slice(body..)))
     }
@@ -183,7 +185,7 @@ impl MsgHeader {
     /// the parsed header (asked only then; see [`frame_ext`](Self::frame_ext)).
     /// An extension that is not exactly one context reads as
     /// [`TraceCtx::NONE`]: tracing never costs a message.
-    pub fn parse_ext(
+    pub(crate) fn parse_ext(
         framed: &Bytes,
         bases: impl FnOnce(&MsgHeader) -> [u64; 2],
     ) -> Result<(MsgHeader, Bytes, TraceCtx)> {
@@ -234,16 +236,16 @@ fn be_words<const N: usize, const LEN: usize>(words: [u64; N]) -> [u8; LEN] {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RndvChunk {
     /// Transfer id of the RTS this chunk answers.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Byte offset of this chunk within the transfer.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Total transfer size in bytes (every chunk repeats it, so a chunk
     /// that overtakes its RTS still sizes the reassembly buffer).
-    pub total: u64,
+    pub(crate) total: u64,
 }
 
 impl RndvChunk {
-    pub const LEN: usize = 24;
+    pub(crate) const LEN: usize = 24;
 
     /// The three fields as big-endian `u64`s.
     pub fn encode(&self) -> [u8; Self::LEN] {
@@ -252,7 +254,7 @@ impl RndvChunk {
 
     /// Decode the descriptor at the front of `body`; bytes after it are
     /// not read.
-    pub fn decode(body: &[u8]) -> Result<RndvChunk> {
+    pub(crate) fn decode(body: &[u8]) -> Result<RndvChunk> {
         let mut dec = Decoder::new(body);
         Ok(RndvChunk {
             id: dec.get_u64()?,
@@ -266,12 +268,12 @@ impl RndvChunk {
 /// incarnation) and the payload size the receiver should expect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RndvEnv {
-    pub id: u64,
-    pub size: u64,
+    pub(crate) id: u64,
+    pub(crate) size: u64,
 }
 
 impl RndvEnv {
-    pub const LEN: usize = 16;
+    pub(crate) const LEN: usize = 16;
 
     /// The two fields as big-endian `u64`s.
     pub fn encode(&self) -> [u8; Self::LEN] {
@@ -280,7 +282,7 @@ impl RndvEnv {
 
     /// Decode the envelope at the front of `body`; bytes after it are not
     /// read.
-    pub fn decode(body: &[u8]) -> Result<RndvEnv> {
+    pub(crate) fn decode(body: &[u8]) -> Result<RndvEnv> {
         let mut dec = Decoder::new(body);
         Ok(RndvEnv {
             id: dec.get_u64()?,
@@ -293,7 +295,7 @@ impl RndvEnv {
 /// [`starfish_vni::PacketKind::Control`] packets so it can never be confused
 /// with (or matched against) application data.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RelMsg {
+pub(crate) enum RelMsg {
     /// Receiver reports a gap: `seqs` are missing from `from`'s flow.
     Nack {
         from: Rank,
@@ -389,7 +391,7 @@ impl RelMsg {
         enc.into_bytes()
     }
 
-    pub fn decode(buf: &Bytes) -> Result<RelMsg> {
+    pub(crate) fn decode(buf: &Bytes) -> Result<RelMsg> {
         let mut dec = Decoder::new(buf);
         let kind = dec.get_u8()?;
         let from = Rank::decode(&mut dec)?;

@@ -70,7 +70,7 @@ impl Gauge {
         Gauge::default()
     }
 
-    pub fn set(&self, v: i64) {
+    pub(crate) fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
     }
 

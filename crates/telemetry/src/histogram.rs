@@ -6,18 +6,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use starfish_util::codec::{Decode, Decoder, Encode, Encoder};
 use starfish_util::Result;
 
-pub const BUCKETS: usize = 64;
+pub(crate) const BUCKETS: usize = 64;
 
 /// Bucket index for a value: 0 holds zero, bucket `i >= 1` holds values in
 /// `(2^(i-1) - 1, 2^i - 1]`, i.e. values up to `2^i - 1`.
 #[inline]
-pub fn bucket_of(value: u64) -> usize {
+pub(crate) fn bucket_of(value: u64) -> usize {
     (u64::BITS - value.leading_zeros()) as usize
 }
 
 /// Upper bound of bucket `i` (inclusive).
 #[inline]
-pub fn bucket_bound(index: usize) -> u64 {
+pub(crate) fn bucket_bound(index: usize) -> u64 {
     if index == 0 {
         0
     } else if index >= 64 {
@@ -47,12 +47,12 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram::default()
     }
 
     #[inline]
-    pub fn record(&self, value: u64) {
+    pub(crate) fn record(&self, value: u64) {
         self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         if value > self.max.load(Ordering::Relaxed) {
@@ -60,7 +60,7 @@ impl Histogram {
         }
     }
 
-    pub fn snapshot(&self) -> HistSnap {
+    pub(crate) fn snapshot(&self) -> HistSnap {
         let mut buckets = Vec::new();
         for (i, b) in self.buckets.iter().enumerate() {
             let v = b.load(Ordering::Relaxed);
@@ -88,7 +88,7 @@ pub struct HistSnap {
 }
 
 impl HistSnap {
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
@@ -103,7 +103,7 @@ impl HistSnap {
     /// Quantile estimate: the upper bound of the first bucket at which the
     /// cumulative count reaches `q * count`. The true max is reported for
     /// `q >= 1`.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -126,16 +126,16 @@ impl HistSnap {
         self.quantile(0.50)
     }
 
-    pub fn p95(&self) -> u64 {
+    pub(crate) fn p95(&self) -> u64 {
         self.quantile(0.95)
     }
 
-    pub fn p99(&self) -> u64 {
+    pub(crate) fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
 
     /// Accumulates another snapshot into this one.
-    pub fn merge(&mut self, other: &HistSnap) {
+    pub(crate) fn merge(&mut self, other: &HistSnap) {
         self.count += other.count;
         self.sum += other.sum;
         self.max = self.max.max(other.max);

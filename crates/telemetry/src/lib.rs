@@ -21,16 +21,16 @@
 //! they are recorded once, on the process's `starfish-trace` flight
 //! recorder, and `TIMELINE` folds them from there.
 
-pub mod counter;
-pub mod histogram;
+pub(crate) mod counter;
+pub(crate) mod histogram;
 pub mod metric;
-pub mod registry;
-pub mod render;
-pub mod snapshot;
+pub(crate) mod registry;
+pub(crate) mod render;
+pub(crate) mod snapshot;
 
 pub use counter::{Counter, Gauge};
 pub use histogram::{HistSnap, Histogram};
-pub use metric::{MetricDef, MetricId, MetricKind, Unit};
+pub use metric::{MetricId, MetricKind, Unit};
 pub use registry::Registry;
 pub use render::render_stats;
 pub use snapshot::Snapshot;

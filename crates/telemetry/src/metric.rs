@@ -13,7 +13,7 @@ use starfish_util::trace::MsgClass;
 pub struct MetricId(pub u16);
 
 impl MetricId {
-    pub fn def(self) -> &'static MetricDef {
+    pub(crate) fn def(self) -> &'static MetricDef {
         &DEFS[self.0 as usize]
     }
 
@@ -45,11 +45,10 @@ pub enum Unit {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub struct MetricDef {
+pub(crate) struct MetricDef {
     pub name: &'static str,
     pub kind: MetricKind,
-    pub unit: Unit,
-    pub help: &'static str,
+    pub(crate) unit: Unit,
 }
 
 macro_rules! metric_table {
@@ -58,12 +57,13 @@ macro_rules! metric_table {
     };
     (@step ($idx:expr) [$($acc:tt)*]) => {
         /// Every metric in the system, indexed by [`MetricId`].
-        pub const DEFS: &[MetricDef] = &[ $($acc)* ];
+        pub(crate) const DEFS: &[MetricDef] = &[ $($acc)* ];
     };
     (@step ($idx:expr) [$($acc:tt)*]
         $konst:ident = ($name:expr, $kind:ident, $unit:ident, $help:expr);
         $($rest:tt)*
     ) => {
+        #[doc = $help]
         pub const $konst: MetricId = MetricId($idx);
         metric_table!(@step ($idx + 1)
             [
@@ -72,7 +72,6 @@ macro_rules! metric_table {
                     name: $name,
                     kind: MetricKind::$kind,
                     unit: Unit::$unit,
-                    help: $help,
                 },
             ]
             $($rest)*);

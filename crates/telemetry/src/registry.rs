@@ -47,11 +47,6 @@ impl Registry {
         }
     }
 
-    /// True when `other` is a clone of this registry (same slots).
-    pub fn same_as(&self, other: &Registry) -> bool {
-        Arc::ptr_eq(&self.slots, &other.slots)
-    }
-
     // --- counters ---------------------------------------------------------
 
     #[inline]
@@ -175,8 +170,6 @@ mod tests {
         r.inc(VNI_PACKETS);
         r2.add(VNI_PACKETS, 2);
         assert_eq!(r.counter(VNI_PACKETS), 3);
-        assert!(r.same_as(&r2));
-        assert!(!r.same_as(&Registry::new()));
     }
 
     #[test]

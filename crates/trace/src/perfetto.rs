@@ -12,7 +12,7 @@
 
 use starfish_util::json::{self, Json};
 
-use crate::event::EventKind;
+use crate::record::EventKind;
 use crate::recorder::ProcTrace;
 
 /// Export dumped rings as a Chrome-trace JSON object.
@@ -130,9 +130,9 @@ pub fn export(traces: &[ProcTrace]) -> String {
 /// What [`validate`] measured about a trace file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSummary {
-    pub events: usize,
-    pub processes: usize,
-    pub flows: usize,
+    pub(crate) events: usize,
+    pub(crate) processes: usize,
+    pub(crate) flows: usize,
 }
 
 /// Structural schema check of an exported Chrome-trace file: a JSON object
@@ -242,7 +242,7 @@ mod tests {
         a.mark(vt(50), "ckpt.commit", "index 1");
         a.fault(vt(60), "partition n0|n1");
         let node = starfish_util::NodeId(0);
-        a.record_event(node, vt(70), starfish_events::EventKind::NodeUp { node });
+        a.record_event(node, vt(70), crate::event::EventKind::NodeUp { node });
         let json = export(&[a.dump(), b.dump()]);
         let sum = validate(&json).expect("exported trace must validate");
         assert_eq!(sum.processes, 2);

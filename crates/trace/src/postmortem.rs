@@ -12,6 +12,14 @@
 //! or explicitly tagged `"wall"` (the failure detector's clock). A bundle
 //! produced by a deterministic scenario is byte-identical across replays.
 
+// The panic surface, held as in the audited crates although the rest of
+// `trace` is not: each surviving site carries an `#[expect]` with its
+// reason (VERIFICATION.md §2).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 use starfish_util::json;
 
 use crate::event::ClusterEvent;

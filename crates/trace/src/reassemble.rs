@@ -14,33 +14,33 @@
 
 use std::collections::HashMap;
 
-use crate::event::{EventKind, TraceEvent};
+use crate::record::{EventKind, TraceEvent};
 use crate::recorder::ProcTrace;
 
 /// One node of the happens-before DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeRef {
     /// Index into the dumped traces.
-    pub proc: usize,
+    pub(crate) proc: usize,
     /// Index into that trace's `events`.
-    pub idx: usize,
+    pub(crate) idx: usize,
 }
 
 /// The reassembled happens-before DAG over a set of dumped rings.
 pub struct Dag {
-    pub traces: Vec<ProcTrace>,
+    pub(crate) traces: Vec<ProcTrace>,
     pub nodes: Vec<NodeRef>,
     /// Edges as (from, to) indices into `nodes`.
-    pub edges: Vec<(usize, usize)>,
+    pub(crate) edges: Vec<(usize, usize)>,
     /// How many of `edges` are cross-process message edges.
     pub message_edges: usize,
 }
 
 /// One step of a rendered critical path.
 #[derive(Debug, Clone)]
-pub struct PathStep {
-    pub scope: String,
-    pub event: TraceEvent,
+pub(crate) struct PathStep {
+    pub(crate) scope: String,
+    pub(crate) event: TraceEvent,
 }
 
 /// Build the happens-before DAG of the given dumps.
@@ -113,7 +113,7 @@ impl Dag {
     }
 
     /// True iff the happens-before relation is acyclic.
-    pub fn is_acyclic(&self) -> bool {
+    pub(crate) fn is_acyclic(&self) -> bool {
         self.topo().is_some()
     }
 
@@ -121,7 +121,7 @@ impl Dag {
     /// ring order. (Virtual time is deliberately *not* required to be
     /// monotone: a retransmitted control mark is replayed at its original
     /// virtual departure time.)
-    pub fn lamport_monotone(&self) -> bool {
+    pub(crate) fn lamport_monotone(&self) -> bool {
         self.traces
             .iter()
             .all(|t| t.events.windows(2).all(|w| w[1].lamport > w[0].lamport))
@@ -155,7 +155,7 @@ impl Dag {
     /// The causal chain ending at the globally latest event, preferring
     /// (in order) chains that cross more process boundaries, then longer
     /// chains. Empty if there are no events.
-    pub fn critical_path(&self) -> Vec<PathStep> {
+    pub(crate) fn critical_path(&self) -> Vec<PathStep> {
         let Some(order) = self.topo() else {
             return Vec::new();
         };

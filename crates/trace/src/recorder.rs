@@ -27,12 +27,12 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use starfish_events::{ClusterEvent, EventKind as ClusterKind};
 use starfish_util::ring::SeqRing;
 use starfish_util::{NodeId, VirtualTime};
 
 use crate::context::{span_base, TraceCtx, SPAN_COUNTER_MASK};
-use crate::event::{EventKind, TraceEvent};
+use crate::event::{ClusterEvent, EventKind as ClusterKind};
+use crate::record::{EventKind, TraceEvent};
 
 /// Default message-ring capacity (events) of recorders created by the
 /// cluster.
@@ -51,7 +51,7 @@ pub const EVENT_CAPACITY: usize = 4096;
 /// span of every collective call. They are traffic: filed in the message
 /// ring, where a long run of them ages out sends and receives, never a
 /// `ckpt.round`.
-pub const TRAFFIC_PHASES: &str = "coll.";
+pub(crate) const TRAFFIC_PHASES: &str = "coll.";
 
 /// One process's dumped rings: what the reassembler and exporters consume.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -284,11 +284,6 @@ impl FlightRecorder {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Current Lamport clock value.
-    pub fn lamport(&self) -> u64 {
-        self.with(|_, s| s.lamport)
     }
 
     /// Record a send and mint the context to stamp on the wire. Returns

@@ -55,7 +55,7 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
     #[inline]
-    pub fn put_f64(&mut self, v: f64) {
+    pub(crate) fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
@@ -71,7 +71,7 @@ impl Encoder {
         self.buf.push(v as u8);
     }
 
-    pub fn put_bytes(&mut self, v: &[u8]) {
+    pub(crate) fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
         self.buf.extend_from_slice(v);
     }
@@ -170,7 +170,7 @@ impl<'a> Decoder<'a> {
         Ok(i64::from_be_bytes(self.take_array()?))
     }
     #[inline]
-    pub fn get_f64(&mut self) -> Result<f64> {
+    pub(crate) fn get_f64(&mut self) -> Result<f64> {
         Ok(f64::from_be_bytes(self.take_array()?))
     }
 
@@ -195,7 +195,7 @@ impl<'a> Decoder<'a> {
         )))
     }
 
-    pub fn get_bytes(&mut self) -> Result<Vec<u8>> {
+    pub(crate) fn get_bytes(&mut self) -> Result<Vec<u8>> {
         let n = self.get_u32()? as usize;
         Ok(self.take(n)?.to_vec())
     }

@@ -54,9 +54,6 @@ impl Error {
     pub fn checkpoint(msg: impl Into<String>) -> Self {
         Error::Checkpoint(msg.into())
     }
-    pub fn auth(msg: impl Into<String>) -> Self {
-        Error::Auth(msg.into())
-    }
     pub fn not_found(msg: impl Into<String>) -> Self {
         Error::NotFound(msg.into())
     }

@@ -92,68 +92,10 @@ id_newtype!(
 );
 
 id_newtype!(
-    /// Per-sender, per-stream message sequence number.
-    SeqNo, u64, "#"
-);
-
-id_newtype!(
     /// A lightweight group identifier. Lightweight groups are multiplexed on
     /// top of the single full-blown Starfish group (paper §2.1, \[19\]).
     GroupId, u32, "g"
 );
-
-/// Globally unique identifier of one application process: application,
-/// rank within the application, and restart epoch.
-///
-/// The epoch distinguishes a restarted incarnation of rank `r` from its dead
-/// predecessor, so late messages from before a rollback can be filtered.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct ProcId {
-    pub app: AppId,
-    pub rank: Rank,
-    pub epoch: Epoch,
-}
-
-impl ProcId {
-    pub fn new(app: AppId, rank: Rank, epoch: Epoch) -> Self {
-        ProcId { app, rank, epoch }
-    }
-
-    /// Same logical process (app + rank), possibly different incarnation.
-    pub fn same_logical(&self, other: &ProcId) -> bool {
-        self.app == other.app && self.rank == other.rank
-    }
-}
-
-impl fmt::Debug for ProcId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}.{}@{}", self.app, self.rank, self.epoch)
-    }
-}
-
-impl fmt::Display for ProcId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self, f)
-    }
-}
-
-impl Encode for ProcId {
-    fn encode(&self, enc: &mut Encoder) {
-        self.app.encode(enc);
-        self.rank.encode(enc);
-        self.epoch.encode(enc);
-    }
-}
-
-impl Decode for ProcId {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(ProcId {
-            app: AppId::decode(dec)?,
-            rank: Rank::decode(dec)?,
-            epoch: Epoch::decode(dec)?,
-        })
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -170,19 +112,9 @@ mod tests {
     }
 
     #[test]
-    fn procid_display_and_logical_equality() {
-        let p = ProcId::new(AppId(3), Rank(1), Epoch(0));
-        let q = ProcId::new(AppId(3), Rank(1), Epoch(2));
-        assert_eq!(format!("{p}"), "app3.r1@e0");
-        assert!(p.same_logical(&q));
-        assert_ne!(p, q);
-    }
-
-    #[test]
     fn ids_roundtrip_through_codec() {
         assert_eq!(roundtrip(&NodeId(77)).unwrap(), NodeId(77));
         assert_eq!(roundtrip(&ViewId(1 << 40)).unwrap(), ViewId(1 << 40));
-        let p = ProcId::new(AppId(9), Rank(4), Epoch(2));
-        assert_eq!(roundtrip(&p).unwrap(), p);
+        assert_eq!(roundtrip(&Epoch(2)).unwrap(), Epoch(2));
     }
 }

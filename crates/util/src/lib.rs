@@ -30,8 +30,8 @@
 #![deny(clippy::allow_attributes_without_reason)]
 
 pub mod codec;
-pub mod error;
-pub mod ids;
+pub(crate) mod error;
+pub(crate) mod ids;
 pub mod json;
 pub mod ring;
 pub mod rng;
@@ -40,5 +40,5 @@ pub mod trace;
 pub mod watch;
 
 pub use error::{Error, Result};
-pub use ids::{AppId, Epoch, GroupId, NodeId, ProcId, Rank, SeqNo, ViewId};
+pub use ids::{AppId, Epoch, GroupId, NodeId, Rank, ViewId};
 pub use time::{VClock, VirtualTime};

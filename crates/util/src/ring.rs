@@ -87,7 +87,8 @@ impl<T: Clone> SeqRing<T> {
     }
 
     /// The newest `n` items, oldest first.
-    pub fn tail(&self, n: usize) -> Vec<T> {
+    #[cfg(test)]
+    pub(crate) fn tail(&self, n: usize) -> Vec<T> {
         let skip = self.items.len().saturating_sub(n);
         self.items.iter().skip(skip).cloned().collect()
     }

@@ -47,7 +47,7 @@ impl DetRng {
     }
 
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = s[1] << 17;
@@ -69,13 +69,14 @@ impl DetRng {
     }
 
     /// Uniform in `[lo, hi)`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn range(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(hi > lo, "empty range");
         lo + self.below(hi - lo)
     }
 
     /// Uniform float in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -85,7 +86,8 @@ impl DetRng {
     }
 
     /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
+    #[cfg(test)]
+    fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
             let j = self.below(i as u64 + 1) as usize;
             xs.swap(i, j);
@@ -93,13 +95,13 @@ impl DetRng {
     }
 
     /// Deterministic pseudo-random payload of `n` bytes (for workloads).
-    pub fn bytes(&mut self, n: usize) -> Vec<u8> {
+    #[cfg(test)]
+    pub(crate) fn bytes(&mut self, n: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(n);
         while out.len() + 8 <= n {
             out.extend_from_slice(&self.next_u64().to_le_bytes());
         }
         let rest = self.next_u64().to_le_bytes();
-        #[expect(clippy::indexing_slicing, reason = "fewer than 8 bytes are left")]
         out.extend_from_slice(&rest[..n - out.len()]);
         out
     }

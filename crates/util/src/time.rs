@@ -48,7 +48,7 @@ impl VirtualTime {
     }
     /// Fractional seconds (used by calibration code); rounds to nanoseconds.
     #[inline]
-    pub fn from_secs_f64(s: f64) -> Self {
+    pub(crate) fn from_secs_f64(s: f64) -> Self {
         VirtualTime((s * 1e9).round().max(0.0) as u64)
     }
 

@@ -10,35 +10,35 @@ use std::path::Path;
 /// One triaged lock-order edge `a -> b`: the edge is dropped from the graph
 /// before cycle detection.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockOrderAllow {
-    pub a: String,
-    pub b: String,
-    pub reason: String,
+pub(crate) struct LockOrderAllow {
+    pub(crate) a: String,
+    pub(crate) b: String,
+    pub(crate) reason: String,
 }
 
 /// One triaged blocking-while-locked site, keyed by the holding function's
 /// qualified name and the blocking op kind (robust to line drift).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockingAllow {
-    pub function: String,
-    pub op: String,
-    pub reason: String,
+pub(crate) struct BlockingAllow {
+    pub(crate) function: String,
+    pub(crate) op: String,
+    pub(crate) reason: String,
 }
 
 #[derive(Debug, Clone, Default)]
-pub struct Baseline {
-    pub lock_order: Vec<LockOrderAllow>,
-    pub blocking: Vec<BlockingAllow>,
+pub(crate) struct Baseline {
+    pub(crate) lock_order: Vec<LockOrderAllow>,
+    pub(crate) blocking: Vec<BlockingAllow>,
 }
 
 impl Baseline {
-    pub fn empty() -> Baseline {
+    pub(crate) fn empty() -> Baseline {
         Baseline::default()
     }
 
     /// Load from disk; a missing file is an empty baseline, an unreadable
     /// or malformed one is an error.
-    pub fn load(path: &Path) -> Result<Baseline, String> {
+    pub(crate) fn load(path: &Path) -> Result<Baseline, String> {
         if !path.exists() {
             return Ok(Baseline::empty());
         }
@@ -47,7 +47,7 @@ impl Baseline {
         Self::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    pub fn parse(text: &str) -> Result<Baseline, String> {
+    pub(crate) fn parse(text: &str) -> Result<Baseline, String> {
         #[derive(PartialEq)]
         enum Sec {
             None,
@@ -139,11 +139,11 @@ impl Baseline {
         Ok(b)
     }
 
-    pub fn allows_edge(&self, a: &str, b: &str) -> bool {
+    pub(crate) fn allows_edge(&self, a: &str, b: &str) -> bool {
         self.lock_order.iter().any(|e| e.a == a && e.b == b)
     }
 
-    pub fn allows_blocking(&self, function: &str, op: &str) -> bool {
+    pub(crate) fn allows_blocking(&self, function: &str, op: &str) -> bool {
         self.blocking
             .iter()
             .any(|e| e.function == function && e.op == op)

@@ -17,7 +17,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use starfish_analysis::{analyze_crate, analyze_workspace};
+use verify::{analyze_crate, analyze_workspace};
 
 fn main() -> ExitCode {
     let mut json_out: Option<PathBuf> = None;

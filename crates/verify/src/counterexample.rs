@@ -80,7 +80,6 @@ mod tests {
             kind: ViolationKind::Safety,
             message: "x".into(),
             trace: vec!["A".into(), "B".into()],
-            state: "S".into(),
         };
         let p = assert_parses(&render_plan_commented("stop-sync", &v, 3, 3));
         assert_eq!(p.nodes, 3);

@@ -63,10 +63,10 @@ pub trait Model {
 pub struct Options {
     /// Hard cap on distinct states; exceeding it marks the report
     /// incomplete instead of looping forever on an infinite space.
-    pub max_states: usize,
+    pub(crate) max_states: usize,
     /// Also require every reachable state to be able to *reach* an
     /// accepting state (no livelocks).
-    pub liveness: bool,
+    pub(crate) liveness: bool,
 }
 
 impl Default for Options {
@@ -94,8 +94,6 @@ pub struct Violation {
     pub message: String,
     /// `Debug` renderings of the actions along the path, in order.
     pub trace: Vec<String>,
-    /// `Debug` rendering of the violating state.
-    pub state: String,
 }
 
 /// The outcome of one exhaustive exploration.
@@ -117,7 +115,8 @@ pub struct Report {
 impl Report {
     /// True exactly when the space was fully enumerated and no safety,
     /// deadlock or liveness violation was found.
-    pub fn clean(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn clean(&self) -> bool {
         self.complete && self.violation.is_none()
     }
 }
@@ -194,7 +193,6 @@ pub fn explore<M: Model>(m: &M, opts: Options) -> Report {
                 kind: ViolationKind::Safety,
                 message: msg,
                 trace: trace_to(idx, &parent),
-                state: format!("{s:?}"),
             });
             break;
         }
@@ -209,7 +207,6 @@ pub fn explore<M: Model>(m: &M, opts: Options) -> Report {
                 kind: ViolationKind::Deadlock,
                 message: "non-accepting state enables no action".into(),
                 trace: trace_to(idx, &parent),
-                state: format!("{s:?}"),
             });
             break;
         }
@@ -257,7 +254,6 @@ pub fn explore<M: Model>(m: &M, opts: Options) -> Report {
                 kind: ViolationKind::Livelock,
                 message: "state cannot reach any accepting state".into(),
                 trace: trace_to(stuck, &parent),
-                state: format!("{:?}", states[stuck]),
             });
         }
     }
@@ -347,7 +343,6 @@ mod tests {
         assert_eq!(v.kind, ViolationKind::Safety);
         // Shortest path to 5 is 1,1,3 (depth 3), not five increments.
         assert_eq!(v.trace, vec!["1", "1", "3"]);
-        assert_eq!(v.state, "5");
     }
 
     #[test]

@@ -47,12 +47,12 @@ use crate::source::token_in;
 /// Escape hatch: an acquisition line (or the line above) carrying this
 /// marker is removed from both passes — the triage reason belongs in the
 /// comment.
-pub const ALLOW_LOCK_ORDER: &str = "lint: allow(lock-order)";
+pub(crate) const ALLOW_LOCK_ORDER: &str = "lint: allow(lock-order)";
 /// Escape hatch for one blocking site (or call line).
-pub const ALLOW_BLOCKING: &str = "lint: allow(blocking-while-locked)";
+pub(crate) const ALLOW_BLOCKING: &str = "lint: allow(blocking-while-locked)";
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockKind {
+pub(crate) enum LockKind {
     Mutex,
     RwLock,
     Condvar,
@@ -60,11 +60,11 @@ pub enum LockKind {
 
 /// One discovered lock field.
 #[derive(Debug, Clone)]
-pub struct LockField {
-    pub strukt: String,
-    pub field: String,
-    pub kind: LockKind,
-    pub class: String,
+pub(crate) struct LockField {
+    pub(crate) strukt: String,
+    pub(crate) field: String,
+    pub(crate) kind: LockKind,
+    pub(crate) class: String,
 }
 
 /// `A -> B`: B was acquired while A was held, with the acquisition chain
@@ -74,8 +74,8 @@ pub struct LockEdge {
     pub a: String,
     pub b: String,
     pub witness: Vec<String>,
-    pub file: PathBuf,
-    pub line: usize,
+    pub(crate) file: PathBuf,
+    pub(crate) line: usize,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -87,15 +87,15 @@ pub struct LockGraph {
 /// A potential deadlock: `a -> b` somewhere, `b -> .. -> a` somewhere else.
 #[derive(Debug, Clone)]
 pub struct Cycle {
-    pub a: String,
-    pub b: String,
+    pub(crate) a: String,
+    pub(crate) b: String,
     /// Chain establishing `a -> b`.
-    pub forward: Vec<String>,
+    pub(crate) forward: Vec<String>,
     /// Chains establishing the return path `b -> .. -> a` (empty for a
     /// self-cycle `a -> a`).
-    pub back: Vec<String>,
-    pub file: PathBuf,
-    pub line: usize,
+    pub(crate) back: Vec<String>,
+    pub(crate) file: PathBuf,
+    pub(crate) line: usize,
 }
 
 impl LockGraph {
@@ -218,18 +218,17 @@ impl Watched {
 }
 
 #[derive(Debug, Clone, Default)]
-pub struct LockStats {
-    pub functions: usize,
-    pub unresolved_locks: usize,
+pub(crate) struct LockStats {
+    pub(crate) functions: usize,
+    pub(crate) unresolved_locks: usize,
 }
 
 pub struct LockAnalysis {
     pub graph: LockGraph,
-    pub blocking: Vec<Finding>,
+    pub(crate) blocking: Vec<Finding>,
     /// notify-unlocked findings.
-    pub notify: Vec<Finding>,
-    pub fields: Vec<LockField>,
-    pub stats: LockStats,
+    pub(crate) notify: Vec<Finding>,
+    pub(crate) stats: LockStats,
 }
 
 // ---------------------------------------------------------------------------
@@ -663,7 +662,6 @@ pub fn analyze(models: &[CrateModel], watched: Watched) -> LockAnalysis {
     // Global class list.
     let mut classes: Vec<String> = Vec::new();
     let mut class_idx: BTreeMap<String, usize> = BTreeMap::new();
-    let mut fields: Vec<LockField> = Vec::new();
     for m in &maps {
         for lfs in m.lock_fields.values() {
             for lf in lfs {
@@ -674,7 +672,6 @@ pub fn analyze(models: &[CrateModel], watched: Watched) -> LockAnalysis {
                     class_idx.insert(lf.class.clone(), classes.len());
                     classes.push(lf.class.clone());
                 }
-                fields.push(lf.clone());
             }
         }
     }
@@ -893,7 +890,6 @@ pub fn analyze(models: &[CrateModel], watched: Watched) -> LockAnalysis {
         graph: LockGraph { classes, edges },
         blocking,
         notify,
-        fields,
         stats,
     }
 }

@@ -10,26 +10,25 @@ use crate::source::{leading_ident, rs_files, token_pos, SourceFile};
 /// One struct field: `name` and the raw remainder of its declaring line
 /// (enough to classify `Mutex<…>` / `RwLock<…>` / `Condvar` fields).
 #[derive(Debug, Clone)]
-pub struct FieldDef {
-    pub name: String,
-    pub ty: String,
+pub(crate) struct FieldDef {
+    pub(crate) name: String,
+    pub(crate) ty: String,
 }
 
 #[derive(Debug, Clone)]
 pub struct StructDef {
-    pub name: String,
-    pub fields: Vec<FieldDef>,
-    pub file: usize,
+    pub(crate) name: String,
+    pub(crate) fields: Vec<FieldDef>,
     pub line: usize,
 }
 
 #[derive(Debug, Clone)]
 pub struct EnumDef {
-    pub name: String,
-    pub variants: Vec<String>,
-    pub file: usize,
+    pub(crate) name: String,
+    pub(crate) variants: Vec<String>,
+    pub(crate) file: usize,
     pub line: usize,
-    pub in_test: bool,
+    pub(crate) in_test: bool,
 }
 
 /// One `fn` item. `body` spans from the line of the opening brace to the
@@ -37,18 +36,18 @@ pub struct EnumDef {
 /// no body.
 #[derive(Debug, Clone)]
 pub struct FnDef {
-    pub name: String,
+    pub(crate) name: String,
     /// Enclosing `impl` type, if the fn sits in an impl block.
-    pub self_ty: Option<String>,
-    pub file: usize,
+    pub(crate) self_ty: Option<String>,
+    pub(crate) file: usize,
     pub sig_line: usize,
     pub body: Option<(usize, usize)>,
-    pub in_test: bool,
+    pub(crate) in_test: bool,
 }
 
 impl FnDef {
     /// `Type::name` or bare `name` for free functions.
-    pub fn qualified(&self) -> String {
+    pub(crate) fn qualified(&self) -> String {
         match &self.self_ty {
             Some(t) => format!("{t}::{}", self.name),
             None => self.name.clone(),
@@ -58,7 +57,7 @@ impl FnDef {
 
 /// How a call site names its callee.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CallKind {
+pub(crate) enum CallKind {
     /// `foo(…)` — a plain path call.
     Plain,
     /// `recv.foo(…)` — a method call on some receiver.
@@ -68,21 +67,21 @@ pub enum CallKind {
 }
 
 #[derive(Debug, Clone)]
-pub struct CallSite {
-    pub callee: String,
+pub(crate) struct CallSite {
+    pub(crate) callee: String,
     /// Last path segment before `::callee` for qualified calls.
-    pub qualifier: Option<String>,
-    pub kind: CallKind,
-    pub line: usize,
+    pub(crate) qualifier: Option<String>,
+    pub(crate) kind: CallKind,
+    pub(crate) line: usize,
     /// Char index of the callee identifier within the line.
-    pub pos: usize,
+    pub(crate) pos: usize,
 }
 
 /// Whole-crate source model.
 pub struct CrateModel {
     /// Crate directory name (`vni`, `daemon`, …).
-    pub name: String,
-    pub files: Vec<SourceFile>,
+    pub(crate) name: String,
+    pub(crate) files: Vec<SourceFile>,
     pub structs: Vec<StructDef>,
     pub enums: Vec<EnumDef>,
     pub functions: Vec<FnDef>,
@@ -186,7 +185,7 @@ impl CrateModel {
     /// Physical lines (code, comments, blanks) outside `#[cfg(test)]`
     /// regions and test-only files: the one definition of "non-test lines"
     /// a PR that claims to delete code quotes before and after.
-    pub fn non_test_lines(&self) -> usize {
+    pub(crate) fn non_test_lines(&self) -> usize {
         self.files
             .iter()
             .map(|f| f.in_test.iter().filter(|t| !**t).count())
@@ -329,7 +328,6 @@ impl CrateModel {
         Some(StructDef {
             name,
             fields,
-            file: fi,
             line: start,
         })
     }
@@ -440,7 +438,7 @@ impl CrateModel {
     }
 
     /// Call sites in one code line.
-    pub fn calls_in_line(code: &str, line: usize) -> Vec<CallSite> {
+    pub(crate) fn calls_in_line(code: &str, line: usize) -> Vec<CallSite> {
         const KEYWORDS: &[&str] = &[
             "if", "while", "for", "match", "return", "fn", "loop", "move", "in", "as", "let",
             "else", "impl", "dyn", "where", "box", "unsafe", "async",
@@ -499,12 +497,6 @@ impl CrateModel {
         }
         out
     }
-
-    /// Structs by name (there may be several across files; first wins is
-    /// never relied on — callers collect all).
-    pub fn structs_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a StructDef> + 'a {
-        self.structs.iter().filter(move |s| s.name == name)
-    }
 }
 
 fn collect_variants(region: &str, variants: &mut Vec<String>) {
@@ -517,7 +509,7 @@ fn collect_variants(region: &str, variants: &mut Vec<String>) {
 
 /// Line index of the `}` closing the first `{` at/after `start`.
 /// Returns `start` if no brace opens (defensive).
-pub fn block_end(code: &[String], start: usize) -> usize {
+pub(crate) fn block_end(code: &[String], start: usize) -> usize {
     let mut depth = 0i32;
     let mut opened = false;
     let mut j = start;

@@ -84,7 +84,7 @@ impl MembershipModel {
     /// every cast it makes is its own to deliver.
     pub const SOLO: Self = Self::of(&[1], 1, 2);
 
-    pub const fn of(members: &'static [u32], caster: u32, casts: u8) -> Self {
+    pub(crate) const fn of(members: &'static [u32], caster: u32, casts: u8) -> Self {
         MembershipModel {
             members,
             casts,

@@ -37,16 +37,16 @@ pub(crate) mod chan {
 
     /// FIFO queues keyed by `(from, to)`. `BTreeMap` keeps the `Debug`
     /// rendering canonical, which is what keys the explorer's visited set.
-    pub type Fifo<K, M> = BTreeMap<(K, K), Vec<M>>;
+    pub(crate) type Fifo<K, M> = BTreeMap<(K, K), Vec<M>>;
 
     /// Push onto the `(from, to)` queue.
-    pub fn push<K: Ord + Copy, M>(f: &mut Fifo<K, M>, from: K, to: K, m: M) {
+    pub(crate) fn push<K: Ord + Copy, M>(f: &mut Fifo<K, M>, from: K, to: K, m: M) {
         f.entry((from, to)).or_default().push(m);
     }
 
     /// Pop the head of the `(from, to)` queue; removes drained queues so
     /// equal channel states render identically.
-    pub fn pop<K: Ord + Copy, M>(f: &mut Fifo<K, M>, from: K, to: K) -> Option<M> {
+    pub(crate) fn pop<K: Ord + Copy, M>(f: &mut Fifo<K, M>, from: K, to: K) -> Option<M> {
         let q = f.get_mut(&(from, to))?;
         let m = if q.is_empty() {
             None
@@ -60,14 +60,14 @@ pub(crate) mod chan {
     }
 
     /// Heads available for delivery, in canonical order.
-    pub fn heads<K: Ord + Copy, M>(f: &Fifo<K, M>) -> Vec<(K, K)> {
+    pub(crate) fn heads<K: Ord + Copy, M>(f: &Fifo<K, M>) -> Vec<(K, K)> {
         f.iter()
             .filter(|(_, q)| !q.is_empty())
             .map(|(k, _)| *k)
             .collect()
     }
 
-    pub fn is_empty<K: Ord + Copy, M>(f: &Fifo<K, M>) -> bool {
+    pub(crate) fn is_empty<K: Ord + Copy, M>(f: &Fifo<K, M>) -> bool {
         f.values().all(Vec::is_empty)
     }
 }
@@ -89,14 +89,14 @@ pub(crate) mod link {
     /// [`ping`](Link::ping) and a [`flush`](Link::flush) each put what the
     /// sender's window still holds straight back on the wire.
     #[derive(Clone, Debug)]
-    pub struct Link<M> {
-        pub tx: FlowTx<M>,
-        pub rx: FlowRx<M>,
-        pub wire: BTreeSet<(u64, M)>,
+    pub(crate) struct Link<M> {
+        pub(crate) tx: FlowTx<M>,
+        pub(crate) rx: FlowRx<M>,
+        pub(crate) wire: BTreeSet<(u64, M)>,
     }
 
     impl<M: Copy + Ord> Link<M> {
-        pub fn new(window: usize) -> Self {
+        pub(crate) fn new(window: usize) -> Self {
             Link {
                 tx: FlowTx::new(window),
                 rx: FlowRx::new(),
@@ -105,7 +105,7 @@ pub(crate) mod link {
         }
 
         /// The sender commits `m` to its flow and puts it on the wire.
-        pub fn send(&mut self, m: M) {
+        pub(crate) fn send(&mut self, m: M) {
             let seq = self.tx.peek_seq();
             self.tx.commit(seq, m);
             self.wire.insert((seq, m));
@@ -113,7 +113,7 @@ pub(crate) mod link {
 
         /// Frame `seq` off the wire — or, if `keep`, a copy of it (a loss
         /// takes it and forgets it).
-        pub fn take(&mut self, seq: u64, keep: bool) -> Option<(u64, M)> {
+        pub(crate) fn take(&mut self, seq: u64, keep: bool) -> Option<(u64, M)> {
             let frame = self.wire.iter().find(|(q, _)| *q == seq).copied()?;
             if !keep {
                 self.wire.remove(&frame);
@@ -125,7 +125,7 @@ pub(crate) mod link {
         /// the receiving flow. Returns what the flow delivers, in order,
         /// each with its sequence; a gap is NACKed and the sender
         /// retransmits what was asked for.
-        pub fn deliver(&mut self, seq: u64, keep: bool) -> Vec<(u64, M)> {
+        pub(crate) fn deliver(&mut self, seq: u64, keep: bool) -> Vec<(u64, M)> {
             let Some((seq, m)) = self.take(seq, keep) else {
                 return Vec::new();
             };
@@ -142,14 +142,14 @@ pub(crate) mod link {
 
         /// The receiver's cumulative ack reaches the sender, which prunes
         /// its buffer and retransmits everything unacked.
-        pub fn ping(&mut self) {
+        pub(crate) fn ping(&mut self) {
             let unacked = self.tx.on_ping(self.rx.next_expected());
             self.resend(&unacked);
         }
 
         /// The sender's tail-loss probe: the receiver NACKs its gaps below
         /// the advertised high-water mark, the sender retransmits them.
-        pub fn flush(&mut self) {
+        pub(crate) fn flush(&mut self) {
             if let Some(highest) = self.tx.highest() {
                 let missing = self.rx.missing_upto(highest);
                 self.resend(&missing);

@@ -65,7 +65,7 @@ const EPOCH: Epoch = Epoch(0);
 /// A sequenced frame on the data-path flow, reduced to what the receiver
 /// needs to rebuild the real frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Msg {
+pub(crate) enum Msg {
     /// Request-to-send for a parked payload.
     Rts(RndvEnv),
     /// One payload chunk: its descriptor and its single byte.

@@ -13,21 +13,21 @@ pub struct Finding {
     pub rule: String,
     pub file: PathBuf,
     pub line: usize,
-    pub msg: String,
+    pub(crate) msg: String,
     /// Acquisition / call chains substantiating the finding (lock-order and
     /// blocking-while-locked); empty for line-local rules.
-    pub chains: Vec<String>,
+    pub(crate) chains: Vec<String>,
     /// Stable subject for baseline matching: the qualified function for
     /// blocking findings, the `a -> b` pair for lock-order findings,
     /// empty for legacy rules.
-    pub subject: String,
+    pub(crate) subject: String,
     /// Stable detail for baseline matching: the blocking op kind. Empty
     /// when unused.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl Finding {
-    pub fn new(rule: &str, file: PathBuf, line: usize, msg: String) -> Finding {
+    pub(crate) fn new(rule: &str, file: PathBuf, line: usize, msg: String) -> Finding {
         Finding {
             rule: rule.to_string(),
             file,
@@ -60,23 +60,23 @@ impl fmt::Display for Finding {
 /// Corpus-level numbers, so a clean run still proves the passes saw the
 /// workspace (a lint that silently scanned nothing also reports nothing).
 #[derive(Debug, Clone, Default)]
-pub struct Stats {
-    pub crates: Vec<String>,
+pub(crate) struct Stats {
+    pub(crate) crates: Vec<String>,
     /// `CrateModel::non_test_lines` of each entry of `crates`, in order.
-    pub non_test_lines: Vec<usize>,
-    pub files: usize,
-    pub functions: usize,
-    pub lock_classes: usize,
-    pub lock_edges: usize,
-    pub unresolved_locks: usize,
-    pub baselined: usize,
+    pub(crate) non_test_lines: Vec<usize>,
+    pub(crate) files: usize,
+    pub(crate) functions: usize,
+    pub(crate) lock_classes: usize,
+    pub(crate) lock_edges: usize,
+    pub(crate) unresolved_locks: usize,
+    pub(crate) baselined: usize,
 }
 
 /// Everything one analysis run produced.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     pub findings: Vec<Finding>,
-    pub stats: Stats,
+    pub(crate) stats: Stats,
 }
 
 impl Report {
@@ -165,7 +165,7 @@ impl Report {
 /// JSON string literal with escaping. A private copy of
 /// `starfish_util::json::string`: this crate analyses the workspace and
 /// deliberately depends on none of it (`[dependencies]` is empty).
-pub fn json_str(s: &str) -> String {
+pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -1,5 +1,5 @@
-//! The repo-specific rules clippy cannot express, hosted on the analysis
-//! framework's source model:
+//! The repo-specific rules clippy cannot express, hosted on the analyser's
+//! source model:
 //!
 //! 1. **sans-io** — a file carrying the `// lint: sans-io` marker is a pure
 //!    protocol machine: it may not name a clock read, the fabric, the
@@ -14,7 +14,7 @@
 use std::fs;
 use std::path::Path;
 
-use crate::model::CrateModel;
+use crate::model::{CrateModel, EnumDef};
 use crate::report::Finding;
 use crate::source::{rs_files, token_in, SourceFile};
 
@@ -25,15 +25,15 @@ use crate::source::{rs_files, token_in, SourceFile};
 /// The file marker (a comment line of its own) that opts a module into
 /// the sans-io rule. `crates/mpi/src/{reliability,rendezvous,credit,matching}.rs`,
 /// `crates/ensemble/src/{core,group}.rs`,
-/// `crates/checkpoint/src/proto/{rank,stop_and_sync,chandy_lamport,independent}.rs`,
-/// `crates/daemon/src/node.rs` and `crates/lwgroups/src/router.rs` carry
-/// it; a unit test below pins that.
-pub const SANS_IO_MARKER: &str = "// lint: sans-io";
+/// `crates/checkpoint/src/proto/{rank,stop_and_sync,chandy_lamport,independent}.rs`
+/// and `crates/daemon/src/{node,lwgroups}.rs` carry it; a unit test below
+/// pins that.
+pub(crate) const SANS_IO_MARKER: &str = "// lint: sans-io";
 
 /// What a sans-IO module may not name: wall-clock reads, the fabric and
 /// the virtual clock (it is handed values, never the thing that produces
 /// them), locks, threads (`thread::…` paths), and the instruments.
-pub const SANS_IO_TOKENS: &[&str] = &[
+pub(crate) const SANS_IO_TOKENS: &[&str] = &[
     "Instant::now",
     "SystemTime::now",
     "Fabric",
@@ -46,14 +46,14 @@ pub const SANS_IO_TOKENS: &[&str] = &[
 ];
 
 /// Does this file declare itself a pure machine?
-pub fn is_sans_io(scan: &SourceFile) -> bool {
+pub(crate) fn is_sans_io(scan: &SourceFile) -> bool {
     scan.raw.iter().any(|l| l.trim() == SANS_IO_MARKER)
 }
 
 /// Check the marked files under `src_dir`: every line, test code included
 /// (a machine whose tests need a thread or a clock is not driven purely),
 /// and nothing excuses a finding.
-pub fn sans_io(src_dir: &Path) -> Vec<Finding> {
+pub(crate) fn sans_io(src_dir: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
     let files = rs_files(src_dir);
     let scans = files.iter().filter_map(|f| SourceFile::load(f));
@@ -77,21 +77,22 @@ pub fn sans_io(src_dir: &Path) -> Vec<Finding> {
 // ---------------------------------------------------------------------------
 
 /// Names with an `impl Encode for X` / `impl Decode for X`, or an inherent
-/// impl block containing both `fn encode` and `fn decode`.
-fn codec_types(scans: &[SourceFile]) -> Vec<String> {
+/// impl block containing both `fn encode` and `fn decode`, each with the
+/// index of a file that holds one of those impls.
+fn codec_types(scans: &[SourceFile]) -> Vec<(String, usize)> {
     let mut enc = Vec::new();
     let mut dec = Vec::new();
-    for scan in scans {
+    for (file, scan) in scans.iter().enumerate() {
         let mut i = 0;
         while i < scan.code.len() {
             let line = scan.code[i].trim().to_string();
             if let Some(rest) = line.strip_prefix("impl Encode for ") {
                 if let Some(n) = crate::source::leading_ident(rest) {
-                    enc.push(n);
+                    enc.push((n, file));
                 }
             } else if let Some(rest) = line.strip_prefix("impl Decode for ") {
                 if let Some(n) = crate::source::leading_ident(rest) {
-                    dec.push(n);
+                    dec.push((n, file));
                 }
             } else if line.starts_with("impl ") && !line.contains(" for ") {
                 // Inherent impl: scope out the block, look for both fns.
@@ -136,8 +137,8 @@ fn codec_types(scans: &[SourceFile]) -> Vec<String> {
                         j += 1;
                     }
                     if has_enc && has_dec {
-                        enc.push(name.clone());
-                        dec.push(name);
+                        enc.push((name.clone(), file));
+                        dec.push((name, file));
                     }
                     i = j + 1;
                     continue;
@@ -146,14 +147,17 @@ fn codec_types(scans: &[SourceFile]) -> Vec<String> {
             i += 1;
         }
     }
-    enc.retain(|n| dec.contains(n));
-    enc.sort();
-    enc.dedup();
-    enc
+    let both = |n: &String, other: &[(String, usize)]| other.iter().any(|(o, _)| o == n);
+    let mut out: Vec<(String, usize)> =
+        enc.iter().filter(|(n, _)| both(n, &dec)).cloned().collect();
+    out.extend(dec.iter().filter(|(n, _)| both(n, &enc)).cloned());
+    out.sort();
+    out.dedup();
+    out
 }
 
 /// Check one crate directory (containing `src/`, optionally `tests/`).
-pub fn wire_enum_coverage(crate_dir: &Path) -> Vec<Finding> {
+pub(crate) fn wire_enum_coverage(crate_dir: &Path) -> Vec<Finding> {
     let name = crate_dir
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
@@ -180,9 +184,17 @@ pub fn wire_enum_coverage(crate_dir: &Path) -> Vec<Finding> {
         }
     }
 
+    // A codec impl names a type, not a path: where a crate has two enums of
+    // one name, it belongs to the one in its own file.
+    let coded = |e: &EnumDef| {
+        codecs.iter().any(|(n, f)| {
+            *n == e.name
+                && (*f == e.file || !model.enums.iter().any(|o| o.name == *n && o.file == *f))
+        })
+    };
     let mut out = Vec::new();
     for e in &model.enums {
-        if e.in_test || !codecs.contains(&e.name) {
+        if e.in_test || !coded(e) {
             continue;
         }
         for v in &e.variants {
@@ -273,7 +285,7 @@ mod tests {
     #[test]
     fn the_protocol_machines_are_marked_sans_io() {
         // (crate dir, its machines, the shell that drives them)
-        let table: [(&str, &[&str], &str); 5] = [
+        let table: [(&str, &[&str], &str); 4] = [
             (
                 "mpi",
                 &[
@@ -299,8 +311,11 @@ mod tests {
                 ],
                 "core/src/runtime.rs",
             ),
-            ("daemon", &["node.rs"], "daemon/src/daemon.rs"),
-            ("lwgroups", &["router.rs"], "daemon/src/daemon.rs"),
+            (
+                "daemon",
+                &["node.rs", "lwgroups.rs"],
+                "daemon/src/daemon.rs",
+            ),
         ];
         let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
         let marked = |f: &Path| is_sans_io(&SourceFile::load(f).expect("a source file"));
@@ -380,6 +395,30 @@ mod tests {
         assert_eq!(v.len(), 2, "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("`Missed`")), "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("`Skipped`")), "{msgs:?}");
+    }
+
+    #[test]
+    fn a_codec_covers_the_enum_of_its_own_file_only() {
+        let d = tmpdir("enum-twins");
+        fs::write(
+            d.join("src/wire.rs"),
+            concat!(
+                "pub enum Kind { Sent, Lost }\n",
+                "impl Encode for Kind {}\n",
+                "impl Decode for Kind {}\n",
+            ),
+        )
+        .unwrap();
+        fs::write(d.join("src/local.rs"), "pub enum Kind { Kept }\n").unwrap();
+        fs::write(
+            d.join("src/lib.rs"),
+            "#[cfg(test)]\nmod tests { fn t() { let _ = \"Sent\"; } }\n",
+        )
+        .unwrap();
+        let v = wire_enum_coverage(&d);
+        let msgs: Vec<&str> = v.iter().map(|x| x.msg.as_str()).collect();
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(msgs[0].contains("`Lost`"), "{msgs:?}");
     }
 
     #[test]

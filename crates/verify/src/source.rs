@@ -9,18 +9,18 @@ use std::path::{Path, PathBuf};
 
 /// A file prepared for token judgments.
 pub struct SourceFile {
-    pub path: PathBuf,
+    pub(crate) path: PathBuf,
     /// Raw source lines (for `allow` markers and reporting).
-    pub raw: Vec<String>,
+    pub(crate) raw: Vec<String>,
     /// Comments *and* string/char literal bodies blanked.
-    pub code: Vec<String>,
+    pub(crate) code: Vec<String>,
     /// Line lies inside a `#[cfg(test)]` item.
-    pub in_test: Vec<bool>,
+    pub(crate) in_test: Vec<bool>,
 }
 
 impl SourceFile {
     /// Scan a file from disk; `None` when it cannot be read.
-    pub fn load(path: &Path) -> Option<SourceFile> {
+    pub(crate) fn load(path: &Path) -> Option<SourceFile> {
         let text = fs::read_to_string(path).ok()?;
         Some(SourceFile::from_text(path, &text))
     }
@@ -42,7 +42,7 @@ impl SourceFile {
     /// comment-only line carrying it (the two placements
     /// `// lint: allow(..)` accepts — a *trailing* marker only covers its
     /// own line).
-    pub fn allowed(&self, line_idx: usize, marker: &str) -> bool {
+    pub(crate) fn allowed(&self, line_idx: usize, marker: &str) -> bool {
         if self.raw[line_idx].contains(marker) {
             return true;
         }
@@ -246,7 +246,7 @@ pub fn test_regions(code: &[String]) -> Vec<bool> {
 }
 
 /// All `.rs` files under `dir`, recursively, sorted for stable output.
-pub fn rs_files(dir: &Path) -> Vec<PathBuf> {
+pub(crate) fn rs_files(dir: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
@@ -265,12 +265,12 @@ pub fn rs_files(dir: &Path) -> Vec<PathBuf> {
 }
 
 /// `needle` occurs in `hay` as a whole token (not a sub-identifier).
-pub fn token_in(hay: &str, needle: &str) -> bool {
+pub(crate) fn token_in(hay: &str, needle: &str) -> bool {
     token_pos(hay, needle).is_some()
 }
 
 /// Byte offset of the first whole-token occurrence of `needle` in `hay`.
-pub fn token_pos(hay: &str, needle: &str) -> Option<usize> {
+pub(crate) fn token_pos(hay: &str, needle: &str) -> Option<usize> {
     let mut from = 0;
     while let Some(pos) = hay[from..].find(needle) {
         let start = from + pos;
@@ -287,7 +287,7 @@ pub fn token_pos(hay: &str, needle: &str) -> Option<usize> {
 }
 
 /// Leading identifier of `s` (after trimming), if any.
-pub fn leading_ident(s: &str) -> Option<String> {
+pub(crate) fn leading_ident(s: &str) -> Option<String> {
     let t = s.trim_start();
     let id: String = t
         .chars()

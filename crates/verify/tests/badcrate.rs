@@ -5,7 +5,7 @@
 
 use std::path::Path;
 
-use starfish_analysis::analyze_crate;
+use verify::analyze_crate;
 
 #[test]
 fn badcrate_yields_exactly_its_seeded_findings() {

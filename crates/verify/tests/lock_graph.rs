@@ -4,10 +4,10 @@
 //! of the real `vni` fabric's lock order so a future refactor that inverts
 //! it fails loudly.
 
-use starfish_analysis::locks::{self, Watched};
-use starfish_analysis::model::CrateModel;
 use std::collections::BTreeSet;
 use std::path::Path;
+use verify::locks::{self, Watched};
+use verify::model::CrateModel;
 
 fn locky() -> locks::LockAnalysis {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/locky");

@@ -7,9 +7,9 @@
 
 use proptest::collection;
 use proptest::prelude::*;
-use starfish_analysis::model::CrateModel;
-use starfish_analysis::source::{blank, test_regions, SourceFile};
 use std::path::Path;
+use verify::model::CrateModel;
+use verify::source::{blank, test_regions, SourceFile};
 
 /// Fragments chosen to collide: comment openers inside strings, quotes
 /// inside comments, raw-string fences, escaped quotes, lifetimes.

@@ -71,7 +71,7 @@ use crate::polling::{Kick, KickSender};
 
 /// Latency of the node-local daemon ↔ application-process TCP connection
 /// (paper §2.3). Loopback TCP on the era's hardware: tens of microseconds.
-pub const LOCAL_LATENCY: VirtualTime = VirtualTime(30_000);
+pub(crate) const LOCAL_LATENCY: VirtualTime = VirtualTime(30_000);
 
 /// Lifecycle state of a cluster node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,25 +115,25 @@ pub enum FabricEvent {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFault {
     /// Seed of the per-stream decision RNG.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Probability of silently dropping a packet (the sender still sees
     /// `Ok`: a lossy wire gives no feedback).
-    pub drop_p: f64,
+    pub(crate) drop_p: f64,
     /// Probability of delivering a packet twice.
-    pub dup_p: f64,
+    pub(crate) dup_p: f64,
     /// Probability of adding `delay` to a packet's virtual arrival time.
-    pub delay_p: f64,
+    pub(crate) delay_p: f64,
     /// Extra virtual wire time applied to delayed packets.
-    pub delay: VirtualTime,
+    pub(crate) delay: VirtualTime,
     /// Probability of holding a packet so the next packet on the stream
     /// overtakes it (released when the next packet passes, the fault is
     /// cleared, or the link partitions — held frames are on the wire).
-    pub reorder_p: f64,
+    pub(crate) reorder_p: f64,
     /// Deterministically drop exactly the k-th packet (0-based) of each
     /// stream, regardless of probabilities.
     pub drop_nth: Option<u64>,
     /// Deterministically duplicate exactly the k-th packet of each stream.
-    pub dup_nth: Option<u64>,
+    pub(crate) dup_nth: Option<u64>,
 }
 
 impl LinkFault {
@@ -321,11 +321,6 @@ impl Fabric {
                 fault_stats: FaultCells::default(),
             }),
         }
-    }
-
-    /// The interconnect model in force.
-    pub fn model(&self) -> &dyn NetworkModel {
-        &*self.inner.model
     }
 
     /// The software layer costs in force.
@@ -773,15 +768,6 @@ impl Port {
         }
     }
 
-    /// Receive with a real-time deadline.
-    pub fn recv_timeout(&self, d: Duration) -> Result<Packet> {
-        match self.inbox.pop_wait(Some(d)) {
-            Pop::Packet(p) => Ok(p),
-            Pop::TimedOut => Err(Error::timeout(format!("recv on {}", self.addr))),
-            Pop::Closed => Err(Error::closed(format!("port {} closed", self.addr))),
-        }
-    }
-
     /// The one batched receive ([`Inbox::pop_batch`]): up to `max` queued
     /// packets land in `buf` in one inbox lock acquisition, by trading
     /// buffers when they all fit. `Ok` with `buf` still empty: nothing
@@ -802,7 +788,8 @@ impl Port {
     }
 
     /// Non-blocking receive; `Ok(None)` when no packet is waiting.
-    pub fn try_recv(&self) -> Result<Option<Packet>> {
+    #[cfg(test)]
+    pub(crate) fn try_recv(&self) -> Result<Option<Packet>> {
         match self.inbox.try_pop() {
             Pop::Packet(p) => Ok(Some(p)),
             Pop::TimedOut => Ok(None),
@@ -811,7 +798,8 @@ impl Port {
     }
 
     /// Drain everything currently queued.
-    pub fn drain(&self) -> Vec<Packet> {
+    #[cfg(test)]
+    pub(crate) fn drain(&self) -> Vec<Packet> {
         let mut out = Vec::new();
         while let Ok(Some(p)) = self.try_recv() {
             out.push(p);

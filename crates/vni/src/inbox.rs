@@ -97,12 +97,8 @@ impl Inbox {
         self.cond.notify_all();
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.q.lock().packets.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Pop without blocking. `Pop::TimedOut` doubles as "empty" here.

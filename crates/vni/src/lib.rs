@@ -29,14 +29,14 @@
 #![deny(clippy::unimplemented, clippy::allow_attributes)]
 #![deny(clippy::allow_attributes_without_reason)]
 
-pub mod fabric;
+pub(crate) mod fabric;
 pub mod inbox;
-pub mod models;
-pub mod packet;
-pub mod polling;
+pub(crate) mod models;
+pub(crate) mod packet;
+pub(crate) mod polling;
 
-pub use fabric::{Fabric, FabricEvent, FaultStats, LinkFault, NodeStatus, Port};
+pub use fabric::{Fabric, FabricEvent, FaultStats, LinkFault, Port};
 pub use inbox::{Inbox, Pop, PopBatch};
-pub use models::{BipMyrinet, Ideal, LayerCosts, NetKind, NetworkModel, ServerNetVia, TcpEthernet};
-pub use packet::{Addr, Packet, PacketKind, PortId, DAEMON_PORT};
+pub use models::{BipMyrinet, Ideal, LayerCosts, NetworkModel, ServerNetVia, TcpEthernet};
+pub use packet::{Addr, Packet, PacketKind, PortId};
 pub use polling::{Kick, KickSender};

@@ -11,13 +11,13 @@ use starfish_util::{NodeId, VirtualTime};
 pub struct PortId(pub u32);
 
 /// The daemon's well-known port on every node.
-pub const DAEMON_PORT: PortId = PortId(0);
+pub(crate) const DAEMON_PORT: PortId = PortId(0);
 
 /// A fabric address: (node, port).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr {
     pub node: NodeId,
-    pub port: PortId,
+    pub(crate) port: PortId,
 }
 
 impl Addr {
@@ -69,7 +69,7 @@ pub enum PacketKind {
 #[derive(Debug, Clone)]
 pub struct Packet {
     pub src: Addr,
-    pub dst: Addr,
+    pub(crate) dst: Addr,
     pub kind: PacketKind,
     /// Protocol-specific discriminator (MPI tag, control opcode, ...).
     pub tag: u64,
@@ -134,12 +134,8 @@ impl Packet {
         }
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.head.len() + self.payload.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.head.is_empty() && self.payload.is_empty()
     }
 }
 

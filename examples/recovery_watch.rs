@@ -57,7 +57,7 @@ fn main() -> Result<()> {
     'warm: while std::time::Instant::now() < warmup {
         for ev in events.poll(&mut cursor).0 {
             println!("  {}", ev.summary());
-            if matches!(ev.kind, starfish_events::EventKind::CkptCommit { .. }) {
+            if matches!(ev.kind, starfish_trace::event::EventKind::CkptCommit { .. }) {
                 break 'warm;
             }
         }
@@ -76,7 +76,10 @@ fn main() -> Result<()> {
         }
         for ev in &polled {
             println!("  {}", ev.summary());
-            if matches!(ev.kind, starfish_events::EventKind::RecoveryComplete { .. }) {
+            if matches!(
+                ev.kind,
+                starfish_trace::event::EventKind::RecoveryComplete { .. }
+            ) {
                 break 'watch;
             }
         }
