@@ -243,12 +243,6 @@ impl RankCr {
         self.rewind.take()
     }
 
-    /// This rank's view of a round is open: it wrote an image the round
-    /// has not closed yet.
-    pub fn round_open(&self) -> bool {
-        self.round_started.is_some()
-    }
-
     /// When the round that just closed began, once.
     pub fn take_round_start(&mut self) -> Option<VirtualTime> {
         self.round_started.take()

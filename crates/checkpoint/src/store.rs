@@ -297,9 +297,9 @@ impl CkptStore {
             .retain(|(a, _, idx)| *a != app || *idx >= keep_from);
     }
 
-    /// Delete everything belonging to an application, its policy included.
-    #[cfg(test)]
-    pub(crate) fn remove_app(&self, app: AppId) {
+    /// Delete everything belonging to an application, its policy included
+    /// (a deleted or killed app; a finished one keeps its images).
+    pub fn remove_app(&self, app: AppId) {
         let mut g = self.inner.lock();
         g.images.retain(|(a, _), _| *a != app);
         g.deps.remove(&app);

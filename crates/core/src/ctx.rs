@@ -201,13 +201,16 @@ impl Ctx<'_> {
     /// holds (a restored incarnation re-executing it: `suppressed` is the
     /// result); else run the send `attempt`, waiting out a destination that
     /// is not reachable *yet* (rank not placed, port not bound, node down:
-    /// the peer is still spawning or restarting) for up to [`SEND_GRACE`].
-    /// Each failed attempt parks on the rank's wait point: the rank
-    /// directory kicks it when a peer is placed or binds its port, the
-    /// daemon's link when it orders a rollback. What has no notifier (a
-    /// healed partition, a re-enabled node) is re-tried once per
-    /// [`SERVICE_SLICE`].
-    #[expect(clippy::disallowed_methods, reason = "`SEND_GRACE`, in 50 ms slices")]
+    /// the peer is still spawning or restarting) for up to [`SEND_GRACE`]
+    /// after the first failed attempt. Each failed attempt parks on the
+    /// rank's wait point: the rank directory kicks it when a peer is placed
+    /// or binds its port, the daemon's link when it orders a rollback. What
+    /// has no notifier (a healed partition, a re-enabled node) is re-tried
+    /// once per [`SERVICE_SLICE`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`SEND_GRACE` from a send's first failed attempt, in 50 ms slices"
+    )]
     pub(crate) fn send_when_reachable<R>(
         &mut self,
         dst: Rank,
@@ -218,12 +221,16 @@ impl Ctx<'_> {
         if self.rt.cr.suppress(dst) {
             return Ok(suppressed(self.rt));
         }
-        let deadline = Instant::now() + SEND_GRACE;
+        // Set at the first failure: a send that goes through reads no clock.
+        let mut deadline = None;
         loop {
             match attempt(self.rt) {
-                Err(Error::NotFound(_)) | Err(Error::Unreachable(_))
-                    if Instant::now() < deadline =>
-                {
+                Err(e @ (Error::NotFound(_) | Error::Unreachable(_))) => {
+                    let now = Instant::now();
+                    let deadline = *deadline.get_or_insert(now + SEND_GRACE);
+                    if now >= deadline {
+                        return Err(e);
+                    }
                     self.rt.service(None)?;
                     self.rt
                         .wait_event(deadline.min(Instant::now() + SERVICE_SLICE))?;

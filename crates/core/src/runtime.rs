@@ -166,6 +166,9 @@ pub(crate) struct ProcessRuntime {
     /// Set when a restore completes; taken by the first outbound send (the
     /// respawn-to-first-send forensic phase).
     pub(crate) restored_at: Option<VirtualTime>,
+    /// This rank's `ckpt.round` phase is open: from its first flush mark
+    /// or capture of a round to the round's close.
+    round_phase: bool,
     /// `STARFISH_RT_DEBUG`: print what the machine answers.
     debug: bool,
     /// Service points run so far (the no-poll tests count these).
@@ -294,6 +297,7 @@ impl ProcessRuntime {
             ckpt_marks: std::collections::BTreeMap::from([(0, (spawn_vt, 0))]),
             consumed_total: 0,
             restored_at: None,
+            round_phase: false,
             debug: std::env::var_os("STARFISH_RT_DEBUG").is_some(),
             #[cfg(test)]
             service_calls: 0,
@@ -318,13 +322,26 @@ impl ProcessRuntime {
     /// coordinator and members — whichever comes first ends the rank's view
     /// of the round.
     fn note_round_done(&mut self) {
+        let now = self.clock.now();
         if let Some(started) = self.cr.take_round_start() {
-            let now = self.clock.now();
             self.metrics.record_vt(metric::CKPT_ROUND_NS, now - started);
+        }
+        if std::mem::take(&mut self.round_phase) {
             let index = self.cr.last_index();
             self.mpi
                 .recorder()
                 .phase_end(now, "ckpt.round", &format!("index {index}"));
+        }
+    }
+
+    /// Open this rank's `ckpt.round` phase at its first act of a round, a
+    /// flush mark or a capture: the round's data-path traffic then carries
+    /// the phase's trace, whatever the sampling of roots.
+    fn open_round_phase(&mut self) {
+        if !std::mem::replace(&mut self.round_phase, true) {
+            self.mpi
+                .recorder()
+                .phase_begin(self.clock.now(), "ckpt.round");
         }
     }
 
@@ -605,6 +622,7 @@ impl ProcessRuntime {
         let sent = match at {
             Some(at) => self.mpi.resend_ctrl_mark_at(at, to, &body),
             None => {
+                self.open_round_phase();
                 self.mpi.push_pending_rendezvous(&mut self.clock);
                 self.mpi
                     .recorder()
@@ -624,11 +642,7 @@ impl ProcessRuntime {
     /// restored incarnation must suppress (machine-level fields beside the
     /// collective sequence number, present only when non-zero).
     fn capture(&mut self, kind: Capture, owed: u64, state: Option<&dyn Checkpointable>) {
-        if !self.cr.round_open() {
-            self.mpi
-                .recorder()
-                .phase_begin(self.clock.now(), "ckpt.round");
-        }
+        self.open_round_phase();
         let (user, coll_seq, replay) = match (&kind, state) {
             (Capture::Live, Some(s)) => (Some(s.save()), self.comm.coll_seq, Vec::new()),
             _ => (

@@ -496,6 +496,7 @@ impl Loop {
                         self.store.update_placement(app, placement)
                     }
                     StoreOp::PruneBelow(app, index) => self.store.prune_below(app, index),
+                    StoreOp::RemoveApp(app) => self.store.remove_app(app),
                 },
                 Out::Placement(entry) => self.host.placement_update(&entry),
                 Out::RankLost(app, rank) => self.host.rank_lost(app, rank),

@@ -666,6 +666,13 @@ impl MgmtSession {
                 };
                 for t in &dumps {
                     out.push_str(&format!("\n== {} dropped={}", t.scope, t.dropped));
+                    // The sampled-out traffic: whole-ring dumps only.
+                    for u in t.unsampled.iter().filter(|_| verb == "DUMP") {
+                        out.push_str(&format!(
+                            "\nunsampled r{}: sent {} ({} B) recvd {} ({} B)",
+                            u.peer, u.sent, u.sent_bytes, u.recvd, u.recvd_bytes
+                        ));
+                    }
                     for ev in t.events.iter().skip(t.events.len().saturating_sub(n)) {
                         out.push('\n');
                         out.push_str(&ev.summary());
@@ -985,6 +992,27 @@ mod tests {
         let tail = s.handle_line("TRACE TAIL 1 n0");
         assert!(tail.starts_with("OK trace tail 1"), "{tail}");
         assert_eq!(tail.lines().count(), 3, "{tail}");
+        // Sampled-out traffic is one tally line per peer in the dump.
+        let rank = starfish_trace::FlightRecorder::new("app3.r0", 8);
+        for tag in 0..3 {
+            let ctx = rank.mint_send();
+            rank.record_send(
+                starfish_util::VirtualTime::from_nanos(tag),
+                1,
+                1,
+                tag,
+                8,
+                ctx,
+            );
+        }
+        s.daemon.trace_hub().register(rank);
+        let dump = s.handle_line("TRACE DUMP app3.r0");
+        assert!(
+            dump.contains("\nunsampled r1: sent 2 (16 B) recvd 0 (0 B)"),
+            "{dump}"
+        );
+        let tail = s.handle_line("TRACE TAIL 5 app3.r0");
+        assert!(!tail.contains("unsampled"), "{tail}");
         assert!(s
             .handle_line("TRACE DUMP nosuch")
             .starts_with("ERR no such scope"));

@@ -118,6 +118,7 @@ pub enum StoreOp {
     SetBackend(AppId, CkptBackend, Vec<NodeId>),
     UpdatePlacement(AppId, Vec<NodeId>),
     PruneBelow(AppId, u64),
+    RemoveApp(AppId),
 }
 
 /// One daemon's decision state. See the module docs.
@@ -546,12 +547,15 @@ impl Node {
                     }
                 }
             }
+            // Deleted, by an admin or the `Kill` policy: its images,
+            // dependency log and backend policy go with it.
             CfgEffect::AppKilled(app) => {
                 let ranks = self.local(app);
                 for rank in &ranks {
                     self.down(app, *rank, ProcDown::Kill { vt: now });
                 }
                 ranks.into_iter().for_each(|rank| self.forget(app, rank));
+                self.out.push(Out::Store(StoreOp::RemoveApp(app)));
             }
             CfgEffect::AppSuspended(app) => {
                 for rank in self.local(app) {
@@ -1059,7 +1063,19 @@ mod tests {
         assert_eq!(net.cfg(0).apps[&kill].status, AppStatus::Killed);
         assert_eq!(net.cfg(0).apps[&notify].lost, vec![Rank(2)]);
         let lost = |o: &Out| matches!(o, Out::RankLost(a, Rank(2)) if *a == notify);
-        assert!(net.told(1).iter().any(lost));
+        // Every daemon drops the killed app's checkpoints, and only its.
+        for id in [0, 1] {
+            let told = net.told(id);
+            let removed: Vec<AppId> = told
+                .iter()
+                .filter_map(|o| match o {
+                    Out::Store(StoreOp::RemoveApp(app)) => Some(*app),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(removed, [kill], "n{id}");
+            assert!(id == 0 || told.iter().any(lost));
+        }
     }
 
     /// A restart whose acting daemon died after `NodeDead` is derived again

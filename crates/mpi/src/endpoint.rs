@@ -1829,6 +1829,9 @@ mod tests {
         a.set_epoch(Epoch(1));
         b.set_epoch(Epoch(1));
         let (mut ca, mut cb) = (VClock::new(), VClock::new());
+        // Inside a phase every send carries its context.
+        a.recorder().phase_begin(ca.now(), "ckpt.round");
+        b.recorder().phase_begin(cb.now(), "ckpt.round");
         for tag in 0..3 {
             a.send_world(&mut ca, Rank(1), 1, tag, b"ping").unwrap();
             b.recv_world(&mut cb, 1, Some(Rank(0)), Some(tag)).unwrap();
@@ -1843,7 +1846,7 @@ mod tests {
     }
 
     /// A frame whose extension does not decode still delivers its body,
-    /// recorded untraced; the traced frame behind it keeps its context.
+    /// tallied as untraced; the traced frame behind it keeps its context.
     #[test]
     fn a_garbage_extension_delivers_its_body_untraced() {
         let (f, dir) = setup(2, "ideal");
@@ -1877,8 +1880,63 @@ mod tests {
         let m = b.recv_world(&mut cb, 1, Some(Rank(0)), Some(2)).unwrap();
         assert_eq!(&m.data[..], b"traced");
         let sent = recorded(&a, true);
-        assert!(sent.iter().all(TraceCtx::is_some));
-        assert_eq!(recorded(&b, false), [vec![TraceCtx::NONE], sent].concat());
+        assert!(sent.len() == 1 && sent[0].is_some());
+        assert_eq!(recorded(&b, false), sent);
+        let tally = b.recorder().dump().unsampled;
+        assert_eq!(
+            (tally[0].peer, tally[0].recvd, tally[0].recvd_bytes),
+            (0, 1, 7)
+        );
+    }
+
+    /// Sampling keeps the untraced frame off the wire: an 8-byte message
+    /// whose root was sampled out frames in 16 bytes, its extension empty.
+    #[test]
+    fn an_unsampled_8_byte_frame_is_16_bytes() {
+        let (f, dir) = setup(2, "ideal");
+        let sink = TraceSink::enabled();
+        let mut a = MpiEndpoint::new(
+            &f,
+            AppId(1),
+            Rank(0),
+            dir.clone(),
+            RecvMode::Polled,
+            sink.clone(),
+        )
+        .unwrap();
+        let _b = ep(&f, &dir, 1);
+        a.set_recorder(FlightRecorder::new("app1.r0", 64));
+        let mut ca = VClock::new();
+        a.send_world(&mut ca, Rank(1), 1, 1, &[7; 8]).unwrap();
+        let sampled = sink.bytes(MsgClass::Data);
+        a.send_world(&mut ca, Rank(1), 1, 1, &[7; 8]).unwrap();
+        assert_eq!(sink.bytes(MsgClass::Data) - sampled, 16);
+        assert!(sampled > 16, "the first root carries its context");
+        assert_eq!(recorded(&a, true).len(), 1);
+    }
+
+    /// A send the fabric refused minted nothing: once the peer is up, the
+    /// first send that leaves carries the recorder's first span and takes
+    /// the first sampling slot, and the 64th root after it is the next one
+    /// traced.
+    #[test]
+    fn a_failed_attempt_consumes_no_span_and_no_sampling_slot() {
+        let (f, dir) = setup(2, "ideal");
+        let mut a = ep(&f, &dir, 0);
+        a.set_recorder(FlightRecorder::new("app1.r0", 64));
+        let mut ca = VClock::new();
+        for _ in 0..5 {
+            let err = a.send_world(&mut ca, Rank(1), 1, 1, b"x");
+            assert!(matches!(err, Err(Error::NotFound(_))), "{err:?}");
+        }
+        let _b = ep(&f, &dir, 1);
+        for tag in 0..=64 {
+            a.send_world(&mut ca, Rank(1), 1, tag, b"x").unwrap();
+        }
+        let base = starfish_trace::span_base("app1.r0", 0);
+        let spans: Vec<u64> = recorded(&a, true).iter().map(|c| c.span).collect();
+        assert_eq!(spans, [base | 1, base | 2]);
+        assert_eq!(a.recorder().dump().unsampled[0].sent, 63);
     }
 
     // ---- rendezvous protocol ----------------------------------------------
@@ -2331,6 +2389,8 @@ mod tests {
             [1, 2].map(|tag| b.recv_world(&mut cb, 1, Some(Rank(0)), Some(tag)).unwrap())
         });
         let mut ca = VClock::new();
+        // Inside a phase every send carries its context.
+        a.recorder().phase_begin(ca.now(), "transfer");
         a.send_world_bytes(&mut ca, Rank(1), 1, 1, big).unwrap();
         let req = a.isend_world_bytes(&mut ca, Rank(1), 1, 2, small).unwrap();
         assert!(matches!(req, Request::Send { .. }), "512 B is eager");
@@ -2350,10 +2410,10 @@ mod tests {
             "{eager:?}"
         );
         // The RTS, the chunk and the eager frame, each header at its own
-        // encoded length, each context three bytes: the tag, the span's
-        // counter under the sender's implied base and the clock's distance
-        // from it, 0. The trace is the span (nothing arrived to join) and
-        // there is no parent.
+        // encoded length, each context five bytes: the tag, the counters
+        // of the span, of the trace and of the parent (both the phase's
+        // span) under the sender's implied base, and the clock's distance
+        // from the span's counter, 0.
         let seqs: [u64; 3] = if a.flows.enabled { [1, 2, 3] } else { [0; 3] };
         let head = |tag, seq, flags| {
             let h = MsgHeader {
@@ -2370,7 +2430,7 @@ mod tests {
         };
         let rts = head(1, seqs[0], FLAG_RNDV_RTS) + RndvEnv::LEN;
         let chunk = head(1, seqs[1], FLAG_RNDV_DATA) + RndvChunk::LEN + BIG;
-        let framed = rts + chunk + head(2, seqs[2], 0) + 3 * 3 + 512;
+        let framed = rts + chunk + head(2, seqs[2], 0) + 3 * 5 + 512;
         assert_eq!(sink.bytes(MsgClass::Data), framed as u64);
     }
 

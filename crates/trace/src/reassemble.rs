@@ -196,6 +196,30 @@ impl Dag {
         path
     }
 
+    /// How many message edges leave a send that its ring recorded inside
+    /// an open phase named `phase` (`"ckpt.round"`): the traffic a
+    /// sampled-out root cannot hide.
+    pub fn message_edges_in(&self, phase: &str) -> usize {
+        let mut inside = vec![false; self.nodes.len()];
+        let mut depth = 0usize;
+        for (n, nr) in self.nodes.iter().enumerate() {
+            if nr.idx == 0 {
+                depth = 0;
+            }
+            match &self.event(n).kind {
+                EventKind::PhaseBegin { name } if name == phase => depth += 1,
+                EventKind::PhaseEnd { name, .. } if name == phase => {
+                    depth = depth.saturating_sub(1)
+                }
+                EventKind::Send { .. } => inside[n] = depth > 0,
+                _ => {}
+            }
+        }
+        // The message edges follow the program-order ones.
+        let messages = &self.edges[self.edges.len() - self.message_edges..];
+        messages.iter().filter(|&&(send, _)| inside[send]).count()
+    }
+
     /// Render the critical path one step per line.
     pub fn render_path(&self) -> String {
         let path = self.critical_path();
@@ -230,11 +254,37 @@ mod tests {
         a.on_recv(vt(40), 1, 1, 8, 8, c2);
         let dag = reassemble(vec![a.dump(), b.dump()]);
         assert_eq!(dag.message_edges, 2);
+        assert_eq!(dag.message_edges_in("round"), 0);
         dag.check().unwrap();
         let path = dag.critical_path();
         assert_eq!(path.len(), 4, "send->recv->send->recv chain");
         assert_eq!(path[0].scope, "r0");
         assert_eq!(path.last().unwrap().scope, "r0");
+    }
+
+    /// Only the edges whose send lies inside the named phase count: the
+    /// receiver's phases do not matter, nor the sender's other phases.
+    #[test]
+    fn edges_are_counted_inside_the_senders_phase() {
+        let a = FlightRecorder::new("r0", 64);
+        let b = FlightRecorder::new("r1", 64);
+        let before = a.on_send(vt(1), 1, 1, 1, 8);
+        a.phase_begin(vt(2), "round");
+        a.phase_begin(vt(3), "inner");
+        let inside = a.on_send(vt(4), 1, 1, 2, 8);
+        a.phase_end(vt(5), "inner", "");
+        let still = a.on_send(vt(6), 1, 1, 3, 8);
+        a.phase_end(vt(7), "round", "");
+        b.phase_begin(vt(8), "round");
+        for ctx in [before, inside, still] {
+            b.on_recv(vt(9), 0, 1, 0, 8, ctx);
+        }
+        let reply = b.on_send(vt(10), 0, 1, 4, 8);
+        a.on_recv(vt(11), 1, 1, 4, 8, reply);
+        let dag = reassemble(vec![a.dump(), b.dump()]);
+        assert_eq!(dag.message_edges, 4);
+        assert_eq!(dag.message_edges_in("round"), 3);
+        assert_eq!(dag.message_edges_in("inner"), 1);
     }
 
     /// A receive whose send was evicted (or whose sender died) dangles but

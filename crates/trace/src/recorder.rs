@@ -23,6 +23,13 @@
 //!    job that moves 20 000 messages or runs 600 allreduces between two
 //!    checkpoint rounds still shows both rounds in `TIMELINE`, and a
 //!    recovery's events in its postmortem.
+//! 5. **Sampled at the root, whole when sampled.** A data-path send with
+//!    no causal cursor starts a trace, and one such root in
+//!    [`SAMPLE_EVERY`] does; the others leave without a context and record
+//!    nothing but a per-peer tally ([`Unsampled`]). A send with a cursor
+//!    (inside a sampled trace or an open phase) always carries its
+//!    context, so every recorded trace is recorded whole. A trace ends
+//!    where it comes home, or at the next receive without a context.
 
 use std::sync::Arc;
 
@@ -47,6 +54,10 @@ pub const PHASE_CAPACITY: usize = 1024;
 /// to never matter in memory.
 pub const EVENT_CAPACITY: usize = 4096;
 
+/// One data-path root in this many carries a context: the first, then
+/// every 64th root that left this recorder (head-based sampling).
+pub(crate) const SAMPLE_EVERY: u64 = 64;
+
 /// Name prefix of the phases that occur at message rate — the `coll.<op>`
 /// span of every collective call. They are traffic: filed in the message
 /// ring, where a long run of them ages out sends and receives, never a
@@ -62,6 +73,20 @@ pub struct ProcTrace {
     pub dropped: u64,
     /// Retained events of every ring, in record order.
     pub events: Vec<TraceEvent>,
+    /// The traffic sampling left unrecorded, per peer, by peer.
+    pub unsampled: Vec<Unsampled>,
+}
+
+/// What one peer exchanged with a recorder that no event records: the
+/// sampled-out data-path sends and the receives that arrived without a
+/// context.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Unsampled {
+    pub peer: u32,
+    pub sent: u64,
+    pub sent_bytes: u64,
+    pub recvd: u64,
+    pub recvd_bytes: u64,
 }
 
 /// One closed phase: a `PhaseBegin` folded with its `PhaseEnd`.
@@ -124,18 +149,32 @@ struct State {
     phases: SeqRing<TraceEvent>,
     /// The process Lamport clock.
     lamport: u64,
-    /// Causal cursor: the trace/span subsequent sends attach to. Set by
-    /// the latest delivered traced message or an open phase.
+    /// Causal cursor: the trace/span subsequent sends attach to (0: none,
+    /// a send is a root). Set by the latest delivered traced message or an
+    /// open phase; [`State::end_trace`] returns it to the phases.
     cur_trace: u64,
     cur_parent: u64,
-    /// Next span id suffix.
+    /// The open phases, innermost last: name, trace and span.
+    open: Vec<(String, u64, u64)>,
+    /// Spans minted so far; the next span id's suffix is one more.
     span_ctr: u64,
+    /// Data-path roots that left, sampled or not: the sampling clock.
+    roots: u64,
+    /// Sampled-out traffic, per peer in first-contact order (a process
+    /// talks to few peers, so a scan beats a map).
+    unsampled: Vec<Unsampled>,
 }
 
 impl State {
     fn mint(&mut self, span_base: u64) -> TraceCtx {
+        let ctx = self.next_ctx(span_base);
         self.span_ctr += 1;
-        let span = span_base | (self.span_ctr & SPAN_COUNTER_MASK);
+        ctx
+    }
+
+    /// The context the next span would carry, minting nothing.
+    fn next_ctx(&self, span_base: u64) -> TraceCtx {
+        let span = span_base | ((self.span_ctr + 1) & SPAN_COUNTER_MASK);
         TraceCtx {
             trace: if self.cur_trace != 0 {
                 self.cur_trace
@@ -150,6 +189,27 @@ impl State {
             // it.
             lamport: self.lamport + 1,
         }
+    }
+
+    /// End the current trace: the cursor returns to the innermost open
+    /// phase's, or to none.
+    fn end_trace(&mut self) {
+        (self.cur_trace, self.cur_parent) = self.open.last().map_or((0, 0), |p| (p.1, p.2));
+    }
+
+    /// The tally of sampled-out traffic with `peer`.
+    fn unsampled(&mut self, peer: u32) -> &mut Unsampled {
+        let i = match self.unsampled.iter().position(|t| t.peer == peer) {
+            Some(i) => i,
+            None => {
+                self.unsampled.push(Unsampled {
+                    peer,
+                    ..Unsampled::default()
+                });
+                self.unsampled.len() - 1
+            }
+        };
+        &mut self.unsampled[i]
     }
 
     fn push_send(
@@ -243,7 +303,10 @@ impl FlightRecorder {
                     lamport: 0,
                     cur_trace: 0,
                     cur_parent: 0,
+                    open: Vec::new(),
                     span_ctr: 0,
+                    roots: 0,
+                    unsampled: Vec::new(),
                 }),
             })),
         }
@@ -286,9 +349,10 @@ impl FlightRecorder {
         self.len() == 0
     }
 
-    /// Record a send and mint the context to stamp on the wire. Returns
-    /// [`TraceCtx::NONE`] when disabled, so callers can pass the result to
-    /// the framing layer unconditionally.
+    /// Record a send and mint the context to stamp on the wire: the path
+    /// of ensemble casts, which are not sampled.
+    /// Returns [`TraceCtx::NONE`] when disabled, so callers can pass the
+    /// result to the framing layer unconditionally.
     pub fn on_send(
         &self,
         vt: VirtualTime,
@@ -304,16 +368,26 @@ impl FlightRecorder {
         })
     }
 
-    /// First half of [`on_send`](Self::on_send) for senders whose send can
-    /// fail: mint the wire context without recording anything. Follow a
-    /// successful send with [`record_send`](Self::record_send); after a
-    /// failed one do nothing (the span id is simply never used).
+    /// First half of a sampled data-path send, for senders whose send can
+    /// fail: the context the send carries, consuming nothing. A send with
+    /// a cursor carries one; a root does when it is the first of
+    /// [`SAMPLE_EVERY`] roots, and is [`TraceCtx::NONE`] otherwise. Follow
+    /// a successful send with [`record_send`](Self::record_send); after a
+    /// failed one do nothing, so a retry gets the same answer.
     pub fn mint_send(&self) -> TraceCtx {
-        self.with(|inner, s| s.mint(inner.span_base))
+        self.with(|inner, s| {
+            if s.cur_trace == 0 && !s.roots.is_multiple_of(SAMPLE_EVERY) {
+                TraceCtx::NONE
+            } else {
+                s.next_ctx(inner.span_base)
+            }
+        })
     }
 
-    /// Second half of [`on_send`](Self::on_send): record the send that
-    /// carried `ctx` (from [`mint_send`](Self::mint_send)).
+    /// Second half of a sampled data-path send: the send that carried
+    /// `ctx` (from [`mint_send`](Self::mint_send), with nothing minted in
+    /// between) left. Commits its span and records it, or tallies it
+    /// under `peer` if it was sampled out.
     pub fn record_send(
         &self,
         vt: VirtualTime,
@@ -323,12 +397,28 @@ impl FlightRecorder {
         bytes: usize,
         ctx: TraceCtx,
     ) {
-        self.with(|_, s| s.push_send(vt, peer, context, tag, bytes, ctx));
+        self.with(|_, s| {
+            if ctx.parent == 0 {
+                s.roots += 1;
+            }
+            if ctx.is_some() {
+                s.span_ctr += 1;
+                s.push_send(vt, peer, context, tag, bytes, ctx);
+            } else {
+                let t = s.unsampled(peer);
+                t.sent += 1;
+                t.sent_bytes += bytes as u64;
+            }
+        })
     }
 
-    /// Record a delivered message. Folds the sender's Lamport clock in
-    /// and moves the causal cursor to the sender's span, so work this
-    /// process does next is attributed to the arriving operation.
+    /// A message was delivered. A traced one is recorded, its sender's
+    /// Lamport clock folded in, and the causal cursor moved to its span,
+    /// so work this process does next is attributed to the arriving
+    /// operation — unless its trace was minted here: it came home, and
+    /// the trace ends. One without a context is tallied under `peer` and
+    /// ends an adopted trace the same way, so the latest delivered message
+    /// wins either way.
     pub fn on_recv(
         &self,
         vt: VirtualTime,
@@ -338,11 +428,19 @@ impl FlightRecorder {
         bytes: usize,
         ctx: TraceCtx,
     ) {
-        self.with(|_, s| {
-            if ctx.is_some() {
-                s.lamport = s.lamport.max(ctx.lamport);
-                s.cur_trace = ctx.trace;
-                s.cur_parent = ctx.span;
+        self.with(|inner, s| {
+            if ctx.is_none() {
+                s.end_trace();
+                let t = s.unsampled(peer);
+                t.recvd += 1;
+                t.recvd_bytes += bytes as u64;
+                return;
+            }
+            s.lamport = s.lamport.max(ctx.lamport);
+            if ctx.trace & !SPAN_COUNTER_MASK == inner.span_base {
+                s.end_trace();
+            } else {
+                (s.cur_trace, s.cur_parent) = (ctx.trace, ctx.span);
             }
             s.push(
                 vt,
@@ -357,16 +455,14 @@ impl FlightRecorder {
         })
     }
 
-    /// Open a named phase; sends recorded until the matching
-    /// [`phase_end`](Self::phase_end) parent to it.
+    /// Open a named phase; sends until the matching
+    /// [`phase_end`](Self::phase_end) parent to it, and an ended trace
+    /// returns the cursor to it.
     pub fn phase_begin(&self, vt: VirtualTime, name: &str) {
         self.with(|inner, s| {
-            s.span_ctr += 1;
-            let span = inner.span_base | (s.span_ctr & SPAN_COUNTER_MASK);
-            if s.cur_trace == 0 {
-                s.cur_trace = span;
-            }
-            s.cur_parent = span;
+            let TraceCtx { trace, span, .. } = s.mint(inner.span_base);
+            (s.cur_trace, s.cur_parent) = (trace, span);
+            s.open.push((name.to_string(), trace, span));
             s.push(
                 vt,
                 EventKind::PhaseBegin {
@@ -376,13 +472,16 @@ impl FlightRecorder {
         })
     }
 
-    /// Close the innermost open phase of `name`, annotating it with what
-    /// is only known now (`detail`: the checkpoint index, the line restored
-    /// to), and reset the causal cursor.
+    /// Close the innermost open phase of `name` (and any left open inside
+    /// it), annotating it with what is only known now (`detail`: the
+    /// checkpoint index, the line restored to), and return the causal
+    /// cursor to the phase around it, or to none.
     pub fn phase_end(&self, vt: VirtualTime, name: &str, detail: &str) {
         self.with(|_, s| {
-            s.cur_trace = 0;
-            s.cur_parent = 0;
+            if let Some(pos) = s.open.iter().rposition(|p| p.0 == name) {
+                s.open.truncate(pos);
+            }
+            s.end_trace();
             s.push(
                 vt,
                 EventKind::PhaseEnd {
@@ -496,10 +595,13 @@ impl FlightRecorder {
     /// Snapshot everything retained (record order).
     pub fn dump(&self) -> ProcTrace {
         let (events, dropped) = self.poll(&mut TraceCursor::default());
+        let mut unsampled = self.with(|_, s| s.unsampled.clone());
+        unsampled.sort_by_key(|t| t.peer);
         ProcTrace {
             scope: self.scope().to_string(),
             dropped,
             events,
+            unsampled,
         }
     }
 }
@@ -848,6 +950,118 @@ mod tests {
         let cb = b.on_send(vt(1), 0, 1, 0, 1);
         assert_ne!(ca.span, cb.span);
         assert!(ca.is_some() && cb.is_some());
+    }
+
+    /// One data-path send: mint, then record as having left.
+    fn send(r: &FlightRecorder, peer: u32, tag: u64) -> TraceCtx {
+        let ctx = r.mint_send();
+        r.record_send(vt(tag), peer, 1, tag, 8, ctx);
+        ctx
+    }
+
+    /// 64·k roots record k sends, the first of each 64; the rest, and the
+    /// receives without a context, are tallied per peer.
+    #[test]
+    fn one_root_in_64_is_recorded_and_the_rest_are_tallied_per_peer() {
+        let r = FlightRecorder::new("app0.r0", 16);
+        for tag in 0..3 * SAMPLE_EVERY {
+            let ctx = send(&r, 1 + (tag % 2) as u32, tag);
+            assert_eq!(ctx.is_some(), tag.is_multiple_of(SAMPLE_EVERY), "{tag}");
+            assert_eq!((ctx.trace, ctx.parent), (ctx.span, 0));
+        }
+        r.on_recv(vt(500), 2, 1, 0, 5, TraceCtx::NONE);
+        r.on_recv(vt(501), 3, 1, 0, 7, TraceCtx::NONE);
+        let d = r.dump();
+        let tags: Vec<Option<u64>> = (d.events.iter())
+            .map(|e| match e.kind {
+                EventKind::Send { tag, .. } => Some(tag),
+                _ => None,
+            })
+            .collect();
+        // Only the sampled sends: an untraced receive records no event.
+        assert_eq!(tags, [Some(0), Some(64), Some(128)]);
+        let half = 3 * SAMPLE_EVERY / 2;
+        let tally = |peer, sent: u64, recvd, recvd_bytes| Unsampled {
+            peer,
+            sent,
+            sent_bytes: 8 * sent,
+            recvd,
+            recvd_bytes,
+        };
+        assert_eq!(
+            d.unsampled,
+            [
+                tally(1, half - 3, 0, 0),
+                tally(2, half, 1, 5),
+                tally(3, 0, 1, 7)
+            ]
+        );
+    }
+
+    /// A trace that comes back to the recorder that minted it ends there:
+    /// the next send is a root again, sampled out.
+    #[test]
+    fn a_context_that_comes_home_ends_the_trace() {
+        let a = FlightRecorder::new("app0.r0", 16);
+        let b = FlightRecorder::new("app0.r1", 16);
+        let out = send(&a, 1, 0);
+        b.on_recv(vt(1), 0, 1, 0, 8, out);
+        let back = send(&b, 0, 1);
+        assert_eq!((back.trace, back.parent), (out.trace, out.span));
+        a.on_recv(vt(2), 1, 1, 1, 8, back);
+        assert!(send(&a, 1, 2).is_none(), "the trace came home and ended");
+        // The receiver keeps the adopted trace until something ends it.
+        assert_eq!(b.mint_send().trace, out.trace);
+        assert_eq!(a.dump().events.len(), 2, "the traced send and its answer");
+        let dag = crate::reassemble(vec![a.dump(), b.dump()]);
+        assert_eq!(dag.message_edges, 2);
+    }
+
+    /// A receive without a context ends an adopted trace: the latest
+    /// delivered message wins, so the next send is a root of its own.
+    #[test]
+    fn a_receive_without_a_context_ends_an_adopted_trace() {
+        let a = FlightRecorder::new("app0.r0", 16);
+        let b = FlightRecorder::new("app0.r1", 16);
+        let out = send(&a, 1, 0);
+        b.on_recv(vt(1), 0, 1, 0, 8, out);
+        assert_eq!(b.mint_send().trace, out.trace);
+        b.on_recv(vt(2), 0, 1, 1, 8, TraceCtx::NONE);
+        let root = send(&b, 0, 2);
+        assert_eq!((root.trace, root.parent), (root.span, 0));
+        assert!(send(&b, 0, 3).is_none(), "b's second root is sampled out");
+    }
+
+    /// An open phase's cursor survives both end-of-trace rules, and each
+    /// phase's end returns the cursor to the phase around it.
+    #[test]
+    fn an_open_phase_survives_both_end_of_trace_rules() {
+        let a = FlightRecorder::new("app0.r0", 16);
+        let b = FlightRecorder::new("app0.r1", 16);
+        send(&b, 0, 0); // b's first root: the next ones are sampled out
+        a.phase_begin(vt(1), "ckpt.round");
+        let inside = send(&a, 1, 1);
+        let phase = (inside.trace, inside.parent);
+        assert_ne!(phase.1, 0);
+        // Adopted, then ended by a receive without a context.
+        b.on_recv(vt(2), 0, 1, 1, 8, inside);
+        let back = send(&b, 0, 2);
+        let foreign = send(&FlightRecorder::new("app0.r2", 16), 0, 3);
+        a.on_recv(vt(3), 2, 1, 3, 8, foreign);
+        assert_eq!(a.mint_send().trace, foreign.trace);
+        a.on_recv(vt(4), 2, 1, 4, 8, TraceCtx::NONE);
+        let after = send(&a, 1, 5);
+        assert_eq!((after.trace, after.parent), phase);
+        // Came home: ended, back to the phase.
+        a.on_recv(vt(5), 1, 1, 2, 8, back);
+        assert_eq!((a.mint_send().trace, a.mint_send().parent), phase);
+        // A nested phase's end returns to the outer one.
+        a.phase_begin(vt(6), "recovery.restore");
+        assert_ne!(a.mint_send().parent, phase.1);
+        a.phase_end(vt(7), "recovery.restore", "");
+        assert_eq!((a.mint_send().trace, a.mint_send().parent), phase);
+        a.phase_end(vt(8), "ckpt.round", "index 1");
+        assert_eq!(send(&a, 1, 9).parent, 0);
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! * `target/trace_explorer.perfetto.json` — load it in the Perfetto UI;
 //! * `target/trace_explorer.dump.txt` — the raw flight-recorder rings.
 //!
-//! The example exits nonzero if the reassembled DAG is inconsistent or the
-//! exported JSON fails the schema check, so CI can run it as a gate.
+//! The example exits nonzero if the reassembled DAG is inconsistent, has
+//! no cross-process message edge inside a `ckpt.round` phase (sampling
+//! must never cut a checkpoint round's tracing), or the exported JSON fails
+//! the schema check, so CI can run it as a gate.
 
 use std::time::Duration;
 
@@ -97,6 +99,12 @@ fn main() -> Result<()> {
         dag.message_edges
     );
     print!("{}", dag.render_path());
+    let round_edges = dag.message_edges_in("ckpt.round");
+    println!("{round_edges} message edges inside ckpt.round phases");
+    assert!(
+        round_edges > 0,
+        "a checkpoint round's messages must be traced whatever the sampling"
+    );
 
     let json = perfetto::export(&traces);
     perfetto::validate(&json).expect("exported JSON must pass the schema check");

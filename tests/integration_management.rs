@@ -87,6 +87,46 @@ fn suspend_resume_delete_via_protocol() {
         .unwrap();
 }
 
+/// A deleted app leaves nothing in the checkpoint store: its images and
+/// its dependency log go with it.
+#[test]
+fn delete_prunes_the_app_from_the_store() {
+    let cluster = Cluster::builder().nodes(2).build().unwrap();
+    cluster.register_app("pruned", |ctx| {
+        let state = CkptValue::Unit;
+        ctx.checkpoint(&state)?;
+        if ctx.rank().0 == 0 {
+            ctx.send(Rank(1), 1, b"dep")?;
+        } else {
+            ctx.recv(Some(Rank(0)), Some(1))?;
+        }
+        loop {
+            ctx.safepoint(&state)?;
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    });
+    let mut s = cluster.session();
+    ok(&s.handle_line("LOGIN USER gale"));
+    let resp = s.handle_line("SUBMIT pruned 2 PROTO indep");
+    let id_tok = resp.split_whitespace().nth(2).unwrap().to_string();
+    let id = starfish::AppId(id_tok.trim_start_matches("app").parse().unwrap());
+    let ranks = [Rank(0), Rank(1)];
+    cluster.store().wait_common_index(id, &ranks, 0, T).unwrap();
+    let deadline = std::time::Instant::now() + T;
+    while cluster.store().deps(id).is_empty() {
+        assert!(std::time::Instant::now() < deadline, "no dependency logged");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    ok(&s.handle_line(&format!("DELETE {id_tok}")));
+    cluster
+        .wait_app(id, T, |a| a.status == AppStatus::Killed)
+        .unwrap();
+    for rank in ranks {
+        assert_eq!(cluster.store().latest_index(id, rank), 0);
+    }
+    assert!(cluster.store().deps(id).is_empty());
+}
+
 #[test]
 fn nodes_and_apps_reports_reflect_cluster_state() {
     let cluster = Cluster::builder().node_archs(&[0, 1]).build().unwrap();

@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use starfish::{CkptValue, Cluster, FtPolicy, NodeId, Rank, ReduceOp, SubmitOpts};
 use starfish_telemetry::metric;
+use starfish_trace::{reassemble, EventKind};
 use starfish_util::trace::{MsgClass, TraceSink};
 
 const T: Duration = Duration::from_secs(90);
@@ -134,10 +135,11 @@ fn stats_health_timeline_populated_through_checkpoint_and_failure() {
     );
 }
 
-/// Traffic must not evict structure: with far more sends between two
-/// checkpoint rounds than the message ring holds — and more collective
-/// calls, each leaving `coll.*` spans, than the phase ring holds events —
-/// `TIMELINE` still shows both rounds, each with the index it committed.
+/// Traffic must not evict structure: with far more collective calls
+/// between two checkpoint rounds, each leaving a `coll.*` span in the
+/// message ring, than the message ring — or the phase ring — holds events,
+/// and sends around them (sampled one root in 64), `TIMELINE` still shows
+/// both rounds, each with the index it committed.
 #[test]
 fn timeline_keeps_checkpoint_rounds_across_message_ring_eviction() {
     const RING: usize = 64;
@@ -177,7 +179,7 @@ fn timeline_keeps_checkpoint_rounds_across_message_ring_eviction() {
             .get(&format!("{app}.r{rank}"))
             .expect("rank recorder");
         assert!(
-            rec.dropped() >= SENDS - RING as u64,
+            rec.dropped() >= 2 * ALLREDUCES as u64 - RING as u64,
             "the message ring must have overflowed (dropped {})",
             rec.dropped()
         );
@@ -479,4 +481,74 @@ fn stats_message_class_counters_match_trace_audit() {
             trace.count(class)
         );
     }
+}
+
+/// Sampling never cuts a checkpoint round: a rank's `ckpt.round` phase
+/// opens at its first flush mark, so every mark carries the phase's
+/// context, and `reassemble` pairs each with its receive, though the
+/// traffic between the rounds is sampled one root in 64.
+#[test]
+fn reassemble_pairs_every_flush_mark_of_a_round() {
+    const RANKS: u32 = 3;
+    const ROUNDS: usize = 3;
+    let cluster = Cluster::builder().nodes(3).build().unwrap();
+    cluster.register_app("marked", |ctx| {
+        let state = CkptValue::Unit;
+        let next = Rank((ctx.rank().0 + 1) % RANKS);
+        for _ in 0..ROUNDS {
+            for i in 0..100u64 {
+                ctx.send(next, 1, &i.to_le_bytes())?;
+                ctx.recv(None, Some(1))?;
+            }
+            ctx.checkpoint(&state)?;
+        }
+        ctx.barrier()?;
+        Ok(())
+    });
+    let app = cluster
+        .submit("marked", RANKS, SubmitOpts::default())
+        .unwrap();
+    cluster.wait_app_done(app, T).unwrap();
+    let traces = cluster.trace_hub().dump_prefix(&format!("{app}.r"));
+    let mut marks = Vec::new();
+    for t in &traces {
+        // A C/R mark is a send on the data path's context 0.
+        let sent: Vec<u64> = t
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Send {
+                    context: 0, ctx, ..
+                } => Some(ctx.span),
+                _ => None,
+            })
+            .collect();
+        let announced = t
+            .events
+            .iter()
+            .filter(|e| matches!(&e.kind, EventKind::Mark { name, .. } if name == "cr.mark"));
+        assert_eq!(
+            sent.len(),
+            announced.count(),
+            "{}: a mark went untraced",
+            t.scope
+        );
+        marks.extend(sent);
+    }
+    assert_eq!(marks.len(), ROUNDS * (RANKS * (RANKS - 1)) as usize);
+    let received = |span: u64| {
+        traces
+            .iter()
+            .flat_map(|t| &t.events)
+            .any(|e| matches!(e.kind, EventKind::Recv { ctx, .. } if ctx.span == span))
+    };
+    assert!(marks.iter().all(|&span| received(span)), "an unpaired mark");
+    let dag = reassemble(traces);
+    dag.check().unwrap();
+    assert!(dag.message_edges_in("ckpt.round") >= marks.len());
+    assert!(
+        dag.message_edges < marks.len() + 100,
+        "the ring traffic between the rounds is sampled: {} edges",
+        dag.message_edges
+    );
 }
