@@ -566,6 +566,7 @@ impl Ctx<'_> {
     /// locally.
     pub fn checkpoint(&mut self, state: &dyn Checkpointable) -> Result<VirtualTime> {
         let start = self.rt.clock.now();
+        self.rt.mpi.recorder().end_trace();
         self.rt.cache_safepoint(state);
         let outs = self.rt.cr.checkpoint_called();
         self.rt.carry(outs, Some(state))?;

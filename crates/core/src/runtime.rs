@@ -786,10 +786,12 @@ impl ProcessRuntime {
         self.cr.safepoint();
     }
 
-    /// Full safepoint: refresh the cache if it is [stale](SafepointCache::stale),
+    /// Full safepoint: end an adopted trace (what the rank does next is
+    /// its own step), refresh the cache if it is [stale](SafepointCache::stale),
     /// service everything; if a stop-and-sync round is in progress, hold
     /// here (quiesce) until it commits.
     pub(crate) fn safepoint(&mut self, state: &dyn Checkpointable) -> Result<()> {
+        self.mpi.recorder().end_trace();
         if self.cache.stale() {
             self.cache_safepoint(state);
         }

@@ -39,7 +39,9 @@ use crate::directory::RankDirectory;
 use crate::matching::{MatchQueue, Matched};
 use crate::reliability::{Flows, RxVerdict};
 use crate::rendezvous::{ChunkOut, CtsCadence, Grant, RndvRx, RndvTx};
-use crate::wire::{data_port, MsgHeader, RelMsg, CTRL_CONTEXT, FLAG_RNDV_DATA, FLAG_RNDV_RTS};
+use crate::wire::{
+    data_port, rank_of_port, MsgHeader, RelMsg, CTRL_CONTEXT, FLAG_RNDV_DATA, FLAG_RNDV_RTS,
+};
 
 /// Default real-time bound on blocking operations: long enough for any test
 /// workload, short enough to turn a deadlock into a diagnosable error.
@@ -768,6 +770,12 @@ impl MpiEndpoint {
             }
             return;
         }
+        // The sender is the rank whose data port the packet left from: a
+        // frame from any other port is not this application's, and is
+        // dropped.
+        let Some(src) = rank_of_port(self.app, pkt.src.port) else {
+            return;
+        };
         let arrive = pkt.arrive_vt;
         // Gather frames carry the MsgHeader envelope in the head segment and
         // the (zero-copy) payload in the payload segment — a rendezvous
@@ -778,8 +786,8 @@ impl MpiEndpoint {
         } else {
             (pkt.head, pkt.payload)
         };
-        let bases = |h: &MsgHeader| self.span_bases.pair(h.src, self.rank, h.epoch);
-        let parsed = MsgHeader::parse_ext(&envelope, bases);
+        let bases = |h: &MsgHeader| self.span_bases.pair(src, self.rank, h.epoch);
+        let parsed = MsgHeader::parse_ext(&envelope, src, bases);
         let (header, body, ctx) = match parsed {
             Ok(x) => x,
             Err(_) => return, // corrupt: drop
@@ -1204,7 +1212,7 @@ mod tests {
     use crate::wire::{RndvChunk, RndvEnv};
     use starfish_trace::EventKind;
     use starfish_util::NodeId;
-    use starfish_vni::{BipMyrinet, Ideal};
+    use starfish_vni::{BipMyrinet, Ideal, PortId};
 
     impl MpiEndpoint {
         /// [`send_world`](Self::send_world) without the payload copy: a `Bytes`
@@ -1864,14 +1872,10 @@ mod tests {
             flags: 0,
             credit: 0,
         };
-        // The extension length is the header's last byte; the one byte of
-        // extension has the context tag's reserved bit set.
-        let mut raw = h.frame(&[]).to_vec();
-        *raw.last_mut().unwrap() = 1;
-        raw.push(0xFF);
-        raw.extend_from_slice(b"garbled");
+        // The one byte of extension has the context tag's reserved bit set.
+        let raw = h.frame_raw_ext(&[0xFF], b"garbled");
         let (src, dst) = a.addrs(Rank(1)).unwrap();
-        let garbled = Packet::new(src, dst, PacketKind::Data, 1, Bytes::from(raw));
+        let garbled = Packet::new(src, dst, PacketKind::Data, 1, raw);
         f.send(garbled).unwrap();
         let (mut ca, mut cb) = (VClock::new(), VClock::new());
         a.send_world(&mut ca, Rank(1), 1, 2, b"traced").unwrap();
@@ -1890,9 +1894,9 @@ mod tests {
     }
 
     /// Sampling keeps the untraced frame off the wire: an 8-byte message
-    /// whose root was sampled out frames in 16 bytes, its extension empty.
+    /// whose root was sampled out frames in 11 bytes, with no extension.
     #[test]
-    fn an_unsampled_8_byte_frame_is_16_bytes() {
+    fn an_unsampled_8_byte_frame_is_11_bytes() {
         let (f, dir) = setup(2, "ideal");
         let sink = TraceSink::enabled();
         let mut a = MpiEndpoint::new(
@@ -1910,9 +1914,43 @@ mod tests {
         a.send_world(&mut ca, Rank(1), 1, 1, &[7; 8]).unwrap();
         let sampled = sink.bytes(MsgClass::Data);
         a.send_world(&mut ca, Rank(1), 1, 1, &[7; 8]).unwrap();
-        assert_eq!(sink.bytes(MsgClass::Data) - sampled, 16);
-        assert!(sampled > 16, "the first root carries its context");
+        assert_eq!(sink.bytes(MsgClass::Data) - sampled, 11);
+        assert!(sampled > 11, "the first root carries its context");
         assert_eq!(recorded(&a, true).len(), 1);
+    }
+
+    /// The sender's rank is the packet's source port's: a well-formed
+    /// frame from a port outside the application's data ports — an
+    /// unbound port, another application's rank — is dropped, never
+    /// delivered, and the frames behind it still are.
+    #[test]
+    fn a_frame_from_a_foreign_port_is_dropped() {
+        let (f, dir) = setup(2, "ideal");
+        let mut a = ep(&f, &dir, 0);
+        let mut b = ep(&f, &dir, 1);
+        let h = MsgHeader {
+            src: Rank(0),
+            context: 1,
+            tag: 1,
+            epoch: Epoch(0),
+            interval: 0,
+            seq: 0,
+            flags: 0,
+            credit: 0,
+        };
+        let (own, dst) = a.addrs(Rank(1)).unwrap();
+        for port in [PortId(999), data_port(AppId(2), Rank(0))] {
+            let foreign = Addr::new(own.node, port);
+            let pkt = Packet::new(foreign, dst, PacketKind::Data, 1, h.frame(b"foreign"));
+            f.send(pkt).unwrap();
+        }
+        let (mut ca, mut cb) = (VClock::new(), VClock::new());
+        a.send_world(&mut ca, Rank(1), 1, 2, b"own").unwrap();
+        let m = b.recv_world(&mut cb, 1, ANY_SOURCE, ANY_TAG).unwrap();
+        assert_eq!((m.src, m.tag, &m.data[..]), (Rank(0), 2, &b"own"[..]));
+        let late = b.try_recv_world(&mut cb, 1, ANY_SOURCE, ANY_TAG).unwrap();
+        assert!(late.is_none(), "{late:?}");
+        assert_eq!(b.pending_count(), 0);
     }
 
     /// A send the fabric refused minted nothing: once the peer is up, the
@@ -2410,10 +2448,10 @@ mod tests {
             "{eager:?}"
         );
         // The RTS, the chunk and the eager frame, each header at its own
-        // encoded length, each context five bytes: the tag, the counters
-        // of the span, of the trace and of the parent (both the phase's
-        // span) under the sender's implied base, and the clock's distance
-        // from the span's counter, 0.
+        // encoded length, each extension six bytes: its length, then the
+        // context's tag, the counters of the span, of the trace and of the
+        // parent (both the phase's span) under the sender's implied base,
+        // and the clock's distance from the span's counter, 0.
         let seqs: [u64; 3] = if a.flows.enabled { [1, 2, 3] } else { [0; 3] };
         let head = |tag, seq, flags| {
             let h = MsgHeader {
@@ -2430,7 +2468,7 @@ mod tests {
         };
         let rts = head(1, seqs[0], FLAG_RNDV_RTS) + RndvEnv::LEN;
         let chunk = head(1, seqs[1], FLAG_RNDV_DATA) + RndvChunk::LEN + BIG;
-        let framed = rts + chunk + head(2, seqs[2], 0) + 3 * 5 + 512;
+        let framed = rts + chunk + head(2, seqs[2], 0) + 3 * 6 + 512;
         assert_eq!(sink.bytes(MsgClass::Data), framed as u64);
     }
 

@@ -29,6 +29,15 @@ pub(crate) fn data_port(app: AppId, world_rank: Rank) -> PortId {
     PortId(DATA_PORT_BASE + app.0 * APP_PORT_STRIDE + world_rank.0)
 }
 
+/// The world rank whose data port of `app` is `port`, the inverse of
+/// [`data_port`]; `None` for a port outside the application's range. A
+/// data frame's sender is the rank of the packet's source port: `src` is
+/// not on the wire.
+pub(crate) fn rank_of_port(app: AppId, port: PortId) -> Option<Rank> {
+    let offset = port.0.checked_sub(data_port(app, Rank(0)).0)?;
+    (offset < APP_PORT_STRIDE).then_some(Rank(offset))
+}
+
 /// Header flag: the body is a rendezvous RTS envelope ([`RndvEnv`]), not
 /// application data. The real payload follows in a later
 /// [`FLAG_RNDV_DATA`] message once the receiver grants a CTS.
@@ -49,17 +58,33 @@ const FLAG_BITS: u8 = FLAG_RNDV_RTS | FLAG_RNDV_DATA;
 /// Shift of [`MsgHeader::credit`] within the wire's flags byte.
 const CREDIT_SHIFT: u8 = 2;
 
+// The layout byte's bits, each set when its part of the header follows
+// the tag: a `context` other than `WORLD_CONTEXT`, a nonzero `epoch`,
+// `interval` or `seq`, and an extension region (its length, then its
+// bytes). `LAYOUT_BITS` are those in use; bits 5–7 are reserved, and a
+// frame that sets one is a decode error.
+const LAYOUT_CONTEXT: u8 = 1 << 0;
+const LAYOUT_EPOCH: u8 = 1 << 1;
+const LAYOUT_INTERVAL: u8 = 1 << 2;
+const LAYOUT_SEQ: u8 = 1 << 3;
+const LAYOUT_EXT: u8 = 1 << 4;
+const LAYOUT_BITS: u8 = 0x1F;
+
 /// The longest varint of a `u32` field.
 const VAR_U32_LEN: usize = 5;
 
 /// The envelope prefixed to every data-path message.
 ///
 /// On the wire: the flags byte (the rendezvous [`flags`](Self::flags) in
-/// bits 0–1, the [`credit`](Self::credit) count in bits 2–7), then `src`,
-/// `context`, `tag`, `epoch`, `interval`, `seq` and the length of the
-/// extension region, each an LEB128 varint ([`Encoder::put_var`]), then
-/// the extension, then the body. A header whose fields are all below 128 is
-/// 8 bytes.
+/// bits 0–1, the [`credit`](Self::credit) count in bits 2–7), the layout
+/// byte, the `tag`, then only the fields the layout names — `context` when
+/// it is not [`WORLD_CONTEXT`], `epoch`, `interval` and `seq` when nonzero,
+/// each an LEB128 varint ([`Encoder::put_var`]) — then, when the layout
+/// says so, the length of the extension region and the extension, then the
+/// body. `src` is not on the wire: the receiver takes it from the packet's
+/// source port ([`rank_of_port`]). An untraced world-context header at
+/// epoch 0, outside the reliability layer and independent C/R, with a tag
+/// below 128 is 3 bytes; each field off its usual value adds its varint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MsgHeader {
     /// Sender's world rank.
@@ -88,22 +113,41 @@ pub struct MsgHeader {
 
 impl MsgHeader {
     /// The longest header [`frame_ext`](Self::frame_ext) writes: the flags
-    /// byte, three `u32` and three `u64` varints, and the one-byte extension
-    /// length. It only sizes the frame buffer: a header is as long as
-    /// its values need. The extension region (empty, or exactly one
-    /// [`TraceCtx`]) is skipped wholesale by [`parse`](Self::parse), so a
-    /// receiver that does not understand it — the paper's unmodified MPI
+    /// and layout bytes, two `u32` and three `u64` varints, and the one-byte
+    /// extension length. It only sizes the frame buffer: a header is as
+    /// long as its values need. The extension region (absent, or exactly
+    /// one [`TraceCtx`]) is skipped wholesale by [`parse`](Self::parse), so
+    /// a receiver that does not understand it — the paper's unmodified MPI
     /// program, §MPI-module — still gets the exact body bytes.
-    pub(crate) const MAX_LEN: usize = 1 + 3 * VAR_U32_LEN + 3 * VAR_MAX_LEN + 1;
+    pub(crate) const MAX_LEN: usize = 2 + 2 * VAR_U32_LEN + 3 * VAR_MAX_LEN + 1;
 
-    fn put_head(&self, enc: &mut Encoder) {
+    /// The fields after the tag, in wire order: each one's layout bit, its
+    /// value and its usual value, which costs no byte.
+    fn optional(&self) -> [(u8, u64, u64); 4] {
+        [
+            (LAYOUT_CONTEXT, self.context.into(), WORLD_CONTEXT.into()),
+            (LAYOUT_EPOCH, self.epoch.0.into(), 0),
+            (LAYOUT_INTERVAL, self.interval, 0),
+            (LAYOUT_SEQ, self.seq, 0),
+        ]
+    }
+
+    /// Write the header up to the extension region, announcing one when
+    /// `ext` is set.
+    fn put_head(&self, enc: &mut Encoder, ext: bool) {
+        let fields = self.optional();
+        let layout = fields
+            .iter()
+            .filter(|&&(_, v, usual)| v != usual)
+            .fold(if ext { LAYOUT_EXT } else { 0 }, |l, &(bit, ..)| l | bit);
         enc.put_u8(self.flags | (self.credit << CREDIT_SHIFT));
-        enc.put_var(self.src.0.into());
-        enc.put_var(self.context.into());
+        enc.put_u8(layout);
         enc.put_var(self.tag);
-        enc.put_var(self.epoch.0.into());
-        enc.put_var(self.interval);
-        enc.put_var(self.seq);
+        for (bit, v, _) in fields {
+            if layout & bit != 0 {
+                enc.put_var(v);
+            }
+        }
     }
 
     /// Prefix `body` with this header (no extension); see
@@ -113,49 +157,83 @@ impl MsgHeader {
         self.frame_ext(body, TraceCtx::NONE, [0; 2])
     }
 
+    /// Prefix `body` with this header and an extension region holding
+    /// `ext` as it is, whatever it decodes to.
+    #[cfg(test)]
+    pub(crate) fn frame_raw_ext(&self, ext: &[u8], body: &[u8]) -> Bytes {
+        let mut enc = Encoder::new();
+        self.put_head(&mut enc, true);
+        enc.put_var(ext.len() as u64);
+        let mut buf = enc.into_vec();
+        buf.extend_from_slice(ext);
+        buf.extend_from_slice(body);
+        Bytes::from(buf)
+    }
+
     /// Prefix `body` with this header and, when `ctx` carries one, a
     /// trace-context extension coded against `bases`: the span bases of
     /// the sender and of the receiver at the header's epoch, which the
-    /// receiver derives from the header alone ([`parse_ext`](Self::parse_ext)).
-    /// One buffer of at least the frame's size: the body bytes are copied
-    /// into it once, and it becomes the `Bytes` uncopied.
+    /// receiver derives from the packet and the header alone
+    /// ([`parse_ext`](Self::parse_ext)). One buffer of at least the frame's
+    /// size: the body bytes are copied into it once, and it becomes the
+    /// `Bytes` uncopied.
     pub(crate) fn frame_ext(&self, body: &[u8], ctx: TraceCtx, bases: [u64; 2]) -> Bytes {
         const { assert!(TraceCtx::MAX_WIRE_LEN < 0x80) };
         let mut enc = Encoder::with_capacity(Self::MAX_LEN + TraceCtx::MAX_WIRE_LEN + body.len());
-        self.put_head(&mut enc);
+        let traced = ctx.is_some();
+        self.put_head(&mut enc, traced);
         // The extension's length, a one-byte varint whatever the context
         // holds: written once the context is.
         let len_at = enc.len();
-        enc.put_u8(0);
-        if ctx.is_some() {
+        if traced {
+            enc.put_u8(0);
             ctx.encode_with(&mut enc, &bases);
         }
-        let ext = enc.len() - len_at - 1;
         let mut buf = enc.into_vec();
-        if let Some(len) = buf.get_mut(len_at) {
-            *len = ext as u8;
+        if traced {
+            let ext = buf.len() - len_at - 1;
+            if let Some(len) = buf.get_mut(len_at) {
+                *len = ext as u8;
+            }
         }
         buf.extend_from_slice(body);
         Bytes::from(buf)
     }
 
-    /// Decode the header and step over its extension: the header, the
-    /// extension's bytes and the offset at which the body starts.
-    fn parse_head(framed: &[u8]) -> Result<(MsgHeader, &[u8], usize)> {
+    /// Decode the header of a frame `src` sent and step over its
+    /// extension: the header, the extension's bytes and the offset at which
+    /// the body starts.
+    fn parse_head(framed: &[u8], src: Rank) -> Result<(MsgHeader, &[u8], usize)> {
         let mut dec = Decoder::new(framed);
         let bits = dec.get_u8()?;
+        let layout = dec.get_u8()?;
+        if layout & !LAYOUT_BITS != 0 {
+            return Err(Error::codec(format!("reserved layout bit in {layout:#x}")));
+        }
+        let tag = dec.get_var()?;
+        let mut field = |bit: u8, usual: u64| {
+            if layout & bit == 0 {
+                Ok(usual)
+            } else {
+                dec.get_var()
+            }
+        };
         let header = MsgHeader {
-            src: Rank(get_var_u32(&mut dec)?),
-            context: get_var_u32(&mut dec)?,
-            tag: dec.get_var()?,
-            epoch: Epoch(get_var_u32(&mut dec)?),
-            interval: dec.get_var()?,
-            seq: dec.get_var()?,
+            src,
+            context: narrow(field(LAYOUT_CONTEXT, WORLD_CONTEXT.into())?)?,
+            tag,
+            epoch: Epoch(narrow(field(LAYOUT_EPOCH, 0)?)?),
+            interval: field(LAYOUT_INTERVAL, 0)?,
+            seq: field(LAYOUT_SEQ, 0)?,
             flags: bits & FLAG_BITS,
             credit: bits >> CREDIT_SHIFT,
         };
-        let len = dec.get_var()?;
-        let ext = dec.take(usize::try_from(len).unwrap_or(usize::MAX))?;
+        let ext = if layout & LAYOUT_EXT == 0 {
+            &[][..]
+        } else {
+            let len = dec.get_var()?;
+            dec.take(usize::try_from(len).unwrap_or(usize::MAX))?
+        };
         Ok((header, ext, framed.len() - dec.remaining()))
     }
 
@@ -163,7 +241,7 @@ impl MsgHeader {
     /// `credit` instead of the one it left with: a retransmission reports
     /// the count of when it leaves again, never a stale one. The flags byte
     /// leads the header, so this rewrites the first byte alone however long
-    /// the varints after it are.
+    /// the fields after it are.
     pub(crate) fn restamp(framed: &Bytes, credit: u8) -> Bytes {
         let mut buf = framed.to_vec();
         if let Some(bits) = buf.first_mut() {
@@ -172,11 +250,11 @@ impl MsgHeader {
         Bytes::from(buf)
     }
 
-    /// Split a framed payload into header + body (zero-copy body slice).
+    /// Split a frame `src` sent into header + body (zero-copy body slice).
     /// Any extension region is skipped unread.
     #[cfg(test)]
-    pub(crate) fn parse(framed: &Bytes) -> Result<(MsgHeader, Bytes)> {
-        let (header, _, body) = Self::parse_head(framed)?;
+    pub(crate) fn parse(framed: &Bytes, src: Rank) -> Result<(MsgHeader, Bytes)> {
+        let (header, _, body) = Self::parse_head(framed, src)?;
         Ok((header, framed.slice(body..)))
     }
 
@@ -187,9 +265,10 @@ impl MsgHeader {
     /// [`TraceCtx::NONE`]: tracing never costs a message.
     pub(crate) fn parse_ext(
         framed: &Bytes,
+        src: Rank,
         bases: impl FnOnce(&MsgHeader) -> [u64; 2],
     ) -> Result<(MsgHeader, Bytes, TraceCtx)> {
-        let (header, ext, body) = Self::parse_head(framed)?;
+        let (header, ext, body) = Self::parse_head(framed, src)?;
         let ctx = if ext.is_empty() {
             TraceCtx::NONE
         } else {
@@ -203,8 +282,7 @@ impl MsgHeader {
 }
 
 /// A varint that must fit a `u32` field.
-fn get_var_u32(dec: &mut Decoder<'_>) -> Result<u32> {
-    let v = dec.get_var()?;
+fn narrow(v: u64) -> Result<u32> {
     u32::try_from(v).map_err(|_| Error::codec(format!("varint {v} overflows a u32 field")))
 }
 
@@ -449,8 +527,12 @@ mod tests {
             credit: 0,
         };
         let framed = h.frame(b"payload");
-        assert_eq!(framed.len(), 8 + 7, "every field below 128: 8 header bytes");
-        let (got, body) = MsgHeader::parse(&framed).unwrap();
+        assert_eq!(
+            framed.len(),
+            7 + 7,
+            "flags, layout, tag and four fields below 128: 7 header bytes"
+        );
+        let (got, body) = MsgHeader::parse(&framed, Rank(3)).unwrap();
         assert_eq!(got, h);
         assert_eq!(&body[..], b"payload");
     }
@@ -468,7 +550,7 @@ mod tests {
             credit: 0,
         };
         let framed = h.frame(&[9u8; 64]);
-        let (_, body) = MsgHeader::parse(&framed).unwrap();
+        let (_, body) = MsgHeader::parse(&framed, Rank(0)).unwrap();
         // Same backing allocation.
         assert_eq!(body.as_ptr(), framed[framed.len() - 64..].as_ptr());
     }
@@ -555,9 +637,9 @@ mod tests {
                 ..h
             };
             assert_eq!(framed.len(), bare.frame(b"body").len());
-            assert_eq!(MsgHeader::parse(&framed).unwrap().0, h);
+            assert_eq!(MsgHeader::parse(&framed, h.src).unwrap().0, h);
             let again = MsgHeader::restamp(&framed, 7);
-            let (got, body) = MsgHeader::parse(&again).unwrap();
+            let (got, body) = MsgHeader::parse(&again, h.src).unwrap();
             assert_eq!(got, MsgHeader { credit: 7, ..h });
             assert_eq!(&body[..], b"body");
         }
@@ -565,8 +647,12 @@ mod tests {
 
     #[test]
     fn truncated_header_rejected() {
-        let short = Bytes::from_static(b"abc");
-        assert!(MsgHeader::parse(&short).is_err());
+        for short in [&b""[..], &[0], &[0, 0], &[0, LAYOUT_SEQ, 1], b"abc"] {
+            assert!(
+                MsgHeader::parse(&Bytes::copy_from_slice(short), Rank(0)).is_err(),
+                "{short:?}"
+            );
+        }
     }
 
     /// The implied span bases the test frames are coded against: those of
@@ -587,8 +673,15 @@ mod tests {
         }
     }
 
-    fn parse_ext(framed: &Bytes) -> Result<(MsgHeader, Bytes, TraceCtx)> {
-        MsgHeader::parse_ext(framed, |_| bases())
+    fn parse_ext(framed: &Bytes, src: Rank) -> Result<(MsgHeader, Bytes, TraceCtx)> {
+        MsgHeader::parse_ext(framed, src, |_| bases())
+    }
+
+    /// The length of `v`'s varint.
+    fn var_len(v: u64) -> usize {
+        let mut enc = Encoder::new();
+        enc.put_var(v);
+        enc.len()
     }
 
     /// The unmodified-program compatibility guarantee (§MPI-module): a peer
@@ -608,14 +701,15 @@ mod tests {
             credit: 0,
         };
         let traced = h.frame_ext(b"payload", ctx(), bases());
-        // The tag, the span's counter in two bytes, the trace's and the
-        // parent's and the lamport delta in one each.
-        assert_eq!(traced.len(), h.frame(b"payload").len() + 6);
-        let (got, body) = MsgHeader::parse(&traced).unwrap();
+        // The extension's length, the context's tag, the span's counter in
+        // two bytes, the trace's and the parent's and the lamport delta in
+        // one each.
+        assert_eq!(traced.len(), h.frame(b"payload").len() + 7);
+        let (got, body) = MsgHeader::parse(&traced, h.src).unwrap();
         assert_eq!(got, h);
         assert_eq!(&body[..], b"payload");
         // And the ctx-aware parse recovers the context.
-        let (got2, body2, c) = parse_ext(&traced).unwrap();
+        let (got2, body2, c) = parse_ext(&traced, h.src).unwrap();
         assert_eq!(got2, h);
         assert_eq!(&body2[..], b"payload");
         assert_eq!(c, ctx());
@@ -636,14 +730,15 @@ mod tests {
             credit: 0,
         };
         let plain = h.frame(b"xy");
-        let (_, body, c) = parse_ext(&plain).unwrap();
+        let (_, body, c) = parse_ext(&plain, h.src).unwrap();
         assert_eq!(&body[..], b"xy");
         assert!(c.is_none());
     }
 
     /// An extension that is not exactly one context — garbage, a context
-    /// cut short inside its region, a context with bytes after it — reads
-    /// as no context, and the frame still gives its header and body.
+    /// cut short inside its region, a context with bytes after it, an empty
+    /// region — reads as no context, and the frame still gives its header
+    /// and body.
     #[test]
     fn an_extension_that_does_not_decode_reads_as_no_context() {
         let h = base_header();
@@ -651,15 +746,9 @@ mod tests {
         ctx().encode_with(&mut good, &bases());
         let mut trailing = good.into_vec();
         trailing.push(0);
-        for ext in [&[0xFF][..], &[0x03, 1, 2], &trailing] {
-            // The extension length is the header's last byte.
-            let mut raw = h.frame(&[]).to_vec();
-            if let Some(len) = raw.last_mut() {
-                *len = ext.len() as u8;
-            }
-            raw.extend_from_slice(ext);
-            raw.extend_from_slice(b"body");
-            let (got, body, c) = parse_ext(&Bytes::from(raw)).unwrap();
+        for ext in [&[0xFF][..], &[0x03, 1, 2], &trailing, &[]] {
+            let raw = h.frame_raw_ext(ext, b"body");
+            let (got, body, c) = parse_ext(&raw, h.src).unwrap();
             assert_eq!(
                 (got, &body[..], c),
                 (h, &b"body"[..], TraceCtx::NONE),
@@ -682,37 +771,68 @@ mod tests {
             flags: 0,
             credit: 0,
         };
-        let framed = h.frame(b"abc");
-        let mut raw = framed.to_vec();
-        // Every field is below 128, so the extension length is byte 7.
-        assert_eq!(raw[7], 0);
-        raw[7] = 100;
+        let mut raw = h.frame_raw_ext(&[], b"abc").to_vec();
+        // Flags, layout and tag, then the extension length.
+        assert_eq!(raw[1], LAYOUT_EXT);
+        assert_eq!(raw[3], 0);
+        raw[3] = 100;
         let lying = Bytes::from(raw);
-        assert!(MsgHeader::parse(&lying).is_err());
-        assert!(parse_ext(&lying).is_err());
+        assert!(MsgHeader::parse(&lying, Rank(0)).is_err());
+        assert!(parse_ext(&lying, Rank(0)).is_err());
     }
 
     /// The envelope on the small-message path: an 8-byte world-context
-    /// eager frame whose rank, tag and epoch are below 128, outside the
-    /// reliability layer and before any checkpoint, is 8 header bytes and the
-    /// payload — 25 bytes with the context of a send 2.5 M messages into a
-    /// stream. A header with every field at its maximum is `MAX_LEN`, and
-    /// with a context whose ids all travel in full, `MAX_LEN` and
-    /// `TraceCtx::MAX_WIRE_LEN`.
+    /// eager frame whose tag is below 128, outside the reliability layer and
+    /// before any checkpoint, is the flags byte, the layout byte, the tag and
+    /// the payload — 21 bytes with the extension's length and the context
+    /// of a send 2.5 M messages into a stream. Each field off its usual
+    /// value adds exactly its varint, wherever the sender's rank is. A
+    /// header with every field at its maximum and a context whose ids all
+    /// travel in full is `MAX_LEN` and `TraceCtx::MAX_WIRE_LEN`.
     #[test]
-    fn an_8_byte_eager_frame_is_16_bytes_or_25_traced() {
+    fn an_8_byte_eager_frame_is_11_bytes_or_21_traced() {
         let h = MsgHeader {
             src: Rank(127),
             context: WORLD_CONTEXT,
             tag: 127,
-            epoch: Epoch(127),
+            epoch: Epoch(0),
             interval: 0,
             seq: 0,
             flags: 0,
             credit: 63,
         };
-        assert_eq!(h.frame(&[7u8; 8]).len(), 16);
-        let [me, peer] = [127, 0].map(|r| span_base(&rank_scope(AppId(1), Rank(r)), 127));
+        assert_eq!(h.frame(&[7u8; 8]).len(), 11);
+        for src in [0, 128, u32::MAX] {
+            let far = MsgHeader {
+                src: Rank(src),
+                ..h
+            };
+            assert_eq!(far.frame(&[7u8; 8]).len(), 11);
+        }
+        for v in [0, 2, 127, 128, 1 << 20, u32::MAX.into(), u64::MAX] {
+            let v32 = u32::try_from(v).unwrap_or(u32::MAX);
+            let off = |v: u64, usual: u64| if v == usual { 0 } else { var_len(v) };
+            let cases = [
+                (MsgHeader { tag: v, ..h }, var_len(v) - 1),
+                (
+                    MsgHeader { context: v32, ..h },
+                    off(v32.into(), WORLD_CONTEXT.into()),
+                ),
+                (
+                    MsgHeader {
+                        epoch: Epoch(v32),
+                        ..h
+                    },
+                    off(v32.into(), 0),
+                ),
+                (MsgHeader { interval: v, ..h }, off(v, 0)),
+                (MsgHeader { seq: v, ..h }, off(v, 0)),
+            ];
+            for (h2, extra) in cases {
+                assert_eq!(h2.frame(&[7u8; 8]).len(), 11 + extra, "{h2:?}");
+            }
+        }
+        let [me, peer] = [127, 0].map(|r| span_base(&rank_scope(AppId(1), Rank(r)), 0));
         let streaming = TraceCtx {
             trace: me | 1,
             span: me | 2_500_000,
@@ -720,8 +840,8 @@ mod tests {
             lamport: 2_500_300,
         };
         let traced = h.frame_ext(&[7u8; 8], streaming, [me, peer]);
-        assert_eq!(traced.len(), 25);
-        let (_, _, got) = MsgHeader::parse_ext(&traced, |_| [me, peer]).unwrap();
+        assert_eq!(traced.len(), 21);
+        let (_, _, got) = MsgHeader::parse_ext(&traced, h.src, |_| [me, peer]).unwrap();
         assert_eq!(got, streaming);
         let max = MsgHeader {
             src: Rank(u32::MAX),
@@ -733,8 +853,6 @@ mod tests {
             flags: FLAG_BITS,
             credit: 63,
         };
-        let framed = max.frame(&[]);
-        assert_eq!(framed.len(), MsgHeader::MAX_LEN);
         let unknown = TraceCtx {
             trace: u64::MAX,
             span: u64::MAX - 1,
@@ -743,8 +861,9 @@ mod tests {
         };
         assert_eq!(
             max.frame_ext(&[], unknown, bases()).len(),
-            framed.len() + TraceCtx::MAX_WIRE_LEN
+            MsgHeader::MAX_LEN + TraceCtx::MAX_WIRE_LEN
         );
+        assert_eq!(max.frame(&[]).len(), MsgHeader::MAX_LEN - 1);
     }
 
     /// Everything the envelope promises of one frame: both parses give back
@@ -754,39 +873,43 @@ mod tests {
     /// restamp rewrites the credit bits and nothing else.
     fn check_frame(h: MsgHeader, ctx: TraceCtx, body: &[u8]) {
         let framed = h.frame_ext(body, ctx, bases());
-        let (got, got_body, got_ctx) = parse_ext(&framed).unwrap();
+        let (got, got_body, got_ctx) = parse_ext(&framed, h.src).unwrap();
         assert_eq!((got, &got_body[..], got_ctx), (h, body, ctx));
-        let (plain, plain_body) = MsgHeader::parse(&framed).unwrap();
+        let (plain, plain_body) = MsgHeader::parse(&framed, h.src).unwrap();
         assert_eq!((plain, &plain_body[..]), (h, body));
         let head = framed.len() - body.len();
+        // The extension region: its length byte and the context.
         let ext = framed.len() - h.frame(body).len();
-        assert!(ext <= TraceCtx::MAX_WIRE_LEN, "{ctx:?}: {ext} bytes");
-        assert!(head - ext <= MsgHeader::MAX_LEN, "{h:?}: {head} bytes");
+        assert_eq!(ext == 0, ctx.is_none());
+        assert!(ext <= 1 + TraceCtx::MAX_WIRE_LEN, "{ctx:?}: {ext} bytes");
+        assert!(head - ext < MsgHeader::MAX_LEN, "{h:?}: {head} bytes");
         for cut in 0..head {
             let prefix = framed.slice(..cut);
-            assert!(MsgHeader::parse(&prefix).is_err(), "{h:?} cut at {cut}");
-            assert!(parse_ext(&prefix).is_err(), "{h:?} cut at {cut}");
+            assert!(
+                MsgHeader::parse(&prefix, h.src).is_err(),
+                "{h:?} cut at {cut}"
+            );
+            assert!(parse_ext(&prefix, h.src).is_err(), "{h:?} cut at {cut}");
         }
-        if ext == 0 {
-            // The extension length is the header's last byte; claim one
-            // byte more than the body holds.
+        if ext != 0 {
+            // Claim one byte more than the context and the body hold.
             let mut raw = framed.to_vec();
-            raw[head - 1] = body.len() as u8 + 1;
-            assert!(MsgHeader::parse(&Bytes::from(raw)).is_err(), "{h:?}");
+            raw[head - ext] = (ext + body.len()) as u8;
+            assert!(MsgHeader::parse(&Bytes::from(raw), h.src).is_err(), "{h:?}");
         }
         for bit in 0..framed.len() * 8 {
             let mut raw = framed.to_vec();
             raw[bit / 8] ^= 1 << (bit % 8);
             let flipped = Bytes::from(raw);
-            let _ = MsgHeader::parse(&flipped);
-            let _ = parse_ext(&flipped);
+            let _ = MsgHeader::parse(&flipped, h.src);
+            let _ = parse_ext(&flipped, h.src);
         }
         for credit in [0, 1, 42, 63] {
             let again = MsgHeader::restamp(&framed, credit);
             assert_eq!(again.len(), framed.len());
             assert_eq!(again[0] & FLAG_BITS, framed[0] & FLAG_BITS);
             assert_eq!(again[1..], framed[1..]);
-            let (got, _, _) = parse_ext(&again).unwrap();
+            let (got, _, _) = parse_ext(&again, h.src).unwrap();
             assert_eq!(got, MsgHeader { credit, ..h });
         }
     }
@@ -861,16 +984,96 @@ mod tests {
         }
     }
 
+    /// A header whose fields are off their usual values exactly where
+    /// `layout`'s bits say, and the context its extension bit asks for.
+    fn header_of_layout(layout: u8) -> (MsgHeader, TraceCtx) {
+        let on = |bit: u8, v: u64, usual: u64| if layout & bit == 0 { usual } else { v };
+        let h = MsgHeader {
+            src: Rank(5),
+            context: on(
+                LAYOUT_CONTEXT,
+                u64::from(CTRL_CONTEXT),
+                WORLD_CONTEXT.into(),
+            ) as u32,
+            tag: 300,
+            epoch: Epoch(on(LAYOUT_EPOCH, 200, 0) as u32),
+            interval: on(LAYOUT_INTERVAL, 9, 0),
+            seq: on(LAYOUT_SEQ, 1 << 40, 0),
+            flags: FLAG_RNDV_RTS,
+            credit: 42,
+        };
+        let traced = if layout & LAYOUT_EXT == 0 {
+            TraceCtx::NONE
+        } else {
+            ctx()
+        };
+        (h, traced)
+    }
+
+    /// Each of the 32 subsets of the layout bits: the layout byte names
+    /// exactly the fields off their usual values, the frame round-trips
+    /// (with every check of `check_frame`), and its length is the flags and
+    /// layout bytes, the tag, the varint of each field the layout names,
+    /// the extension region and the body.
+    #[test]
+    fn every_subset_of_the_layout_bits_roundtrips() {
+        for layout in 0..=LAYOUT_BITS {
+            let (h, traced) = header_of_layout(layout);
+            check_frame(h, traced, b"body");
+            let framed = h.frame_ext(b"body", traced, bases());
+            assert_eq!(framed[1], layout);
+            let fields: usize = h
+                .optional()
+                .iter()
+                .filter(|&&(bit, ..)| layout & bit != 0)
+                .map(|&(_, v, _)| var_len(v))
+                .sum();
+            let ext = framed.len() - h.frame(b"body").len();
+            assert_eq!(framed.len(), 2 + var_len(300) + fields + ext + 4);
+        }
+    }
+
+    /// Bits 5–7 of the layout byte are reserved: a frame with any of them
+    /// set is an error, whatever else it holds.
+    #[test]
+    fn a_reserved_layout_bit_is_rejected() {
+        for layout in [0, LAYOUT_BITS] {
+            let (h, traced) = header_of_layout(layout);
+            let framed = h.frame_ext(b"body", traced, bases());
+            for bit in 5..8 {
+                let mut raw = framed.to_vec();
+                raw[1] |= 1 << bit;
+                let bad = Bytes::from(raw);
+                assert!(MsgHeader::parse(&bad, h.src).is_err(), "bit {bit}");
+                assert!(parse_ext(&bad, h.src).is_err(), "bit {bit}");
+            }
+        }
+    }
+
+    /// The credit restamp of a retransmission rewrites byte 0 alone, on
+    /// every layout.
+    #[test]
+    fn a_restamp_edits_byte_0_only() {
+        for layout in 0..=LAYOUT_BITS {
+            let (h, traced) = header_of_layout(layout);
+            let framed = h.frame_ext(b"body", traced, bases());
+            let again = MsgHeader::restamp(&framed, 7);
+            assert_eq!(again[0], FLAG_RNDV_RTS | 7 << CREDIT_SHIFT);
+            assert_eq!(again[1..], framed[1..]);
+        }
+    }
+
     /// A varint wider than its field is rejected, not truncated.
     #[test]
     fn a_u32_field_past_its_range_is_rejected() {
-        let mut enc = Encoder::new();
-        enc.put_u8(0);
-        enc.put_var(u64::from(u32::MAX) + 1); // src
-        for _ in 0..6 {
-            enc.put_var(0);
+        for layout in [LAYOUT_CONTEXT, LAYOUT_EPOCH] {
+            let mut enc = Encoder::new();
+            enc.put_u8(0);
+            enc.put_u8(layout);
+            enc.put_var(0); // tag
+            enc.put_var(u64::from(u32::MAX) + 1);
+            assert!(MsgHeader::parse(&enc.into_bytes(), Rank(0)).is_err());
         }
-        assert!(MsgHeader::parse(&enc.into_bytes()).is_err());
     }
 
     mod props {
@@ -882,7 +1085,14 @@ mod tests {
         }
 
         fn edge_u32() -> impl Strategy<Value = u32> {
-            prop_oneof![Just(0), Just(127), Just(128), Just(u32::MAX), any::<u32>()]
+            prop_oneof![
+                Just(0),
+                Just(1),
+                Just(127),
+                Just(128),
+                Just(u32::MAX),
+                any::<u32>()
+            ]
         }
 
         fn arb_header() -> impl Strategy<Value = MsgHeader> {
@@ -914,6 +1124,17 @@ mod tests {
             ) {
                 check_frame(h, if traced { ctx() } else { TraceCtx::NONE }, &body);
             }
+
+            /// Any byte string, a valid frame's or not, is a header or an
+            /// `Err`: parsing never panics.
+            #[test]
+            fn any_bytes_parse_without_a_panic(
+                raw in proptest::collection::vec(any::<u8>(), 0..48),
+            ) {
+                let raw = Bytes::from(raw);
+                let _ = MsgHeader::parse(&raw, Rank(0));
+                let _ = parse_ext(&raw, Rank(0));
+            }
         }
     }
 
@@ -927,5 +1148,21 @@ mod tests {
             data_port(AppId(1), Rank(0)),
             data_port(AppId(0), Rank(8191))
         );
+    }
+
+    /// The rank a frame came from is its source port's, within the
+    /// application's own range only.
+    #[test]
+    fn rank_of_port_inverts_data_port() {
+        for app in [AppId(0), AppId(1), AppId(3)] {
+            for r in [0, 1, 127, APP_PORT_STRIDE - 1] {
+                assert_eq!(rank_of_port(app, data_port(app, Rank(r))), Some(Rank(r)));
+            }
+            let first = data_port(app, Rank(0)).0;
+            assert_eq!(rank_of_port(app, PortId(first - 1)), None);
+            assert_eq!(rank_of_port(app, PortId(first + APP_PORT_STRIDE)), None);
+            assert_eq!(rank_of_port(app, PortId(0)), None);
+        }
+        assert_eq!(rank_of_port(AppId(1), data_port(AppId(2), Rank(0))), None);
     }
 }

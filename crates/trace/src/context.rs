@@ -10,18 +10,19 @@
 //! `lamport`'s distance from the span's counter follows (a sending process
 //! keeps the two close; only the absent context omits it); bit 7 is
 //! reserved. On the MPI data path the bases are the sender's and the
-//! receiver's [`span_base`], which both ends derive from the header, so a
-//! streaming 8-byte message carries its context in about 11 bytes instead
-//! of 32. An id under any other base (a survivor rolled back in place
-//! keeps its old recorder) travels in full, so decoding is exact whatever
-//! the recorders are. Casts between daemons have no bases; an absent
+//! receiver's [`span_base`], which both ends derive from the packet's
+//! source port and the header's epoch, so a streaming 8-byte message
+//! carries its context in 4 to 9 bytes instead of 32. An id under any
+//! other base (a survivor rolled back in place keeps its old recorder)
+//! travels in full, so decoding is exact whatever the recorders are. Casts between daemons have no bases; an absent
 //! context there is one byte.
 //!
 //! The context is deliberately *optional*: a frame without one (or one
 //! parsed by a peer that does not understand it) is a perfectly valid
 //! frame — see
-//! [`MsgHeader::parse`](../../starfish_mpi/wire/struct.MsgHeader.html),
-//! which skips the length-prefixed extension region unconditionally.
+//! [`MsgHeader`](../../starfish_mpi/wire/struct.MsgHeader.html), whose
+//! layout byte says whether an extension region follows and whose parse
+//! skips that length-prefixed region unconditionally.
 
 use starfish_util::codec::{Decode, Decoder, Encode, Encoder, VAR_MAX_LEN};
 use starfish_util::{AppId, Error, Rank, Result};

@@ -455,6 +455,15 @@ impl FlightRecorder {
         })
     }
 
+    /// The process reached a safepoint or a checkpoint call: an adopted
+    /// trace ends there, as at a receive without a context, and the cursor
+    /// returns to the innermost open phase's, or to none. What a rank does
+    /// after its safepoint is its own next step, not the tail of the last
+    /// traced message it received; an open phase's cursor survives.
+    pub fn end_trace(&self) {
+        self.with(|_, s| s.end_trace())
+    }
+
     /// Open a named phase; sends until the matching
     /// [`phase_end`](Self::phase_end) parent to it, and an ended trace
     /// returns the cursor to it.
@@ -1030,6 +1039,30 @@ mod tests {
         let root = send(&b, 0, 2);
         assert_eq!((root.trace, root.parent), (root.span, 0));
         assert!(send(&b, 0, 3).is_none(), "b's second root is sampled out");
+    }
+
+    /// A safepoint ends an adopted trace: the sends after it are roots,
+    /// sampled as any other, however long the rank receives nothing.
+    #[test]
+    fn a_safepoint_ends_an_adopted_trace() {
+        let a = FlightRecorder::new("app0.r0", 16);
+        let b = FlightRecorder::new("app0.r1", 16);
+        let out = send(&a, 1, 0);
+        b.on_recv(vt(1), 0, 1, 0, 8, out);
+        assert_eq!(b.mint_send().trace, out.trace);
+        b.end_trace();
+        let root = send(&b, 0, 1);
+        assert_eq!((root.trace, root.parent), (root.span, 0));
+        assert!(send(&b, 0, 2).is_none(), "b's second root is sampled out");
+        // Inside a phase the cursor returns to the phase, not to none.
+        b.phase_begin(vt(2), "ckpt.round");
+        let phase = b.mint_send();
+        let foreign = send(&FlightRecorder::new("app0.r2", 16), 1, 3);
+        b.on_recv(vt(3), 2, 1, 3, 8, foreign);
+        assert_eq!(b.mint_send().trace, foreign.trace);
+        b.end_trace();
+        let after = b.mint_send();
+        assert_eq!((after.trace, after.parent), (phase.trace, phase.parent));
     }
 
     /// An open phase's cursor survives both end-of-trace rules, and each

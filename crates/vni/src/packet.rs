@@ -17,7 +17,7 @@ pub(crate) const DAEMON_PORT: PortId = PortId(0);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr {
     pub node: NodeId,
-    pub(crate) port: PortId,
+    pub port: PortId,
 }
 
 impl Addr {

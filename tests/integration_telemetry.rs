@@ -552,3 +552,50 @@ fn reassemble_pairs_every_flush_mark_of_a_round() {
         dag.message_edges
     );
 }
+
+/// A safepoint ends an adopted trace: rank 0 adopts rank 1's sampled
+/// message, passes a safepoint and streams 64 messages without receiving
+/// one. They are roots of rank 0's own, one in 64 traced, not 64 sends
+/// that carry rank 1's trace.
+#[test]
+fn a_safepoint_ends_an_adopted_trace() {
+    const SENDS: u64 = 64;
+    let cluster = Cluster::builder().nodes(2).build().unwrap();
+    cluster.register_app("adopter", |ctx| {
+        if ctx.rank() == Rank(1) {
+            ctx.send(Rank(0), 1, b"sampled")?;
+            for _ in 0..SENDS {
+                ctx.recv(Some(Rank(0)), Some(2))?;
+            }
+        } else {
+            ctx.recv(Some(Rank(1)), Some(1))?;
+            ctx.safepoint(&CkptValue::Unit)?;
+            for i in 0..SENDS {
+                ctx.send(Rank(1), 2, &i.to_le_bytes())?;
+            }
+        }
+        Ok(())
+    });
+    let app = cluster.submit("adopter", 2, SubmitOpts::default()).unwrap();
+    cluster.wait_app_done(app, T).unwrap();
+    let traces = cluster.trace_hub().dump_prefix(&format!("{app}.r0"));
+    let events = &traces.first().expect("rank 0's recorder").events;
+    let adopted = events.iter().find_map(|e| match e.kind {
+        EventKind::Recv { tag: 1, ctx, .. } => Some(ctx),
+        _ => None,
+    });
+    let adopted = adopted.expect("rank 1's first send is a sampled root");
+    let sent: Vec<_> = (events.iter())
+        .filter_map(|e| match e.kind {
+            EventKind::Send { tag: 2, ctx, .. } => Some(ctx),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        sent.len(),
+        1,
+        "the sends after the safepoint kept the adopted trace"
+    );
+    assert_eq!((sent[0].trace, sent[0].parent), (sent[0].span, 0));
+    assert_ne!(sent[0].trace, adopted.trace);
+}
