@@ -3,11 +3,10 @@
 # `non_test_lines` (physical lines of crates/*/src outside test code) for
 # the tree at a base revision and for the working tree, one line per crate,
 # then the workspace total and its delta, the number of workspace crates
-# (`crates`: the directories of crates/ with a manifest), the lint's
-# `lock_classes` the same way, and the panic-lint `#[expect]` attributes in
-# crates/*/src (`panic_expects`: the panic surface's ratchet, one per
-# surviving site or function). Report only: it exits 0 whatever the
-# numbers say.
+# (`crates`: the directories of crates/ with a manifest), and the panic-lint
+# `#[expect]` attributes in crates/*/src (`panic_expects`: the panic
+# surface's ratchet, one per surviving site or function). Report only: it
+# exits 0 whatever the numbers say.
 #
 #   ci/lines.sh [base]      # base defaults to HEAD^
 #
@@ -27,10 +26,7 @@ lint="${CARGO_TARGET_DIR:-$root/target}/debug/starfish-lint"
 
 mkdir "$tmp/base"
 git archive "$base" | tar -x -C "$tmp/base"
-# Exit 1 means findings, which is not this report's business; nor is the
-# base's triage file, which an older tree may write in a format this lint
-# no longer reads.
-rm -f "$tmp/base/analysis-baseline.toml"
+# Exit 1 means findings, which is not this report's business.
 (cd "$tmp/base" && "$lint" --json "$tmp/base.json" >/dev/null) || true
 "$lint" --json "$tmp/change.json" >/dev/null || true
 
@@ -53,6 +49,5 @@ for crate in sorted(set(lines_b) | set(lines_c)):
     row(crate, lines_b.get(crate, 0), lines_c.get(crate, 0))
 row("workspace", sum(lines_b.values()), sum(lines_c.values()))
 row("crates", *(len(list(pathlib.Path(t).glob("crates/*/Cargo.toml"))) for t in sys.argv[4:]))
-row("lock_classes", base["lock_classes"], change["lock_classes"])
 row("panic_expects", *map(panic_expects, sys.argv[4:]))
 EOF

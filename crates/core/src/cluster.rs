@@ -227,7 +227,9 @@ impl ClusterBuilder {
             d.wait_config(Duration::from_secs(30), |c| c.up_nodes().len() == i + 1)?;
             cluster.daemons.lock().push(d);
         }
-        for d in cluster.daemons.lock().iter() {
+        // Wait on copies of the handles: no wait runs under a lock.
+        let booted: Vec<Daemon> = cluster.daemons.lock().clone();
+        for d in &booted {
             d.wait_config(Duration::from_secs(30), |c| c.up_nodes().len() == n)?;
         }
         Ok(cluster)

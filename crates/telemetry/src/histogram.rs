@@ -1,6 +1,14 @@
 //! Log-bucketed histograms: power-of-two buckets, lock-free recording,
 //! quantile estimates from bucket upper bounds.
 
+// The panic surface, held as in the audited crates although the rest of
+// `telemetry` is not: this module decodes foreign bytes, so each surviving
+// site carries an `#[expect]` with its reason (VERIFICATION.md §2).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use starfish_util::codec::{Decode, Decoder, Encode, Encoder};
@@ -52,6 +60,10 @@ impl Histogram {
     }
 
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`bucket_of` is at most 64, the last of `BUCKETS + 1`"
+    )]
     pub(crate) fn record(&self, value: u64) {
         self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
@@ -135,6 +147,7 @@ impl HistSnap {
     }
 
     /// Accumulates another snapshot into this one.
+    #[expect(clippy::indexing_slicing, reason = "`pos` is a `binary_search` hit")]
     pub(crate) fn merge(&mut self, other: &HistSnap) {
         self.count += other.count;
         self.sum += other.sum;

@@ -6,6 +6,14 @@
 //! *different* scopes merge additively), and self-describing via the
 //! static [`crate::metric::DEFS`] table.
 
+// The panic surface, held as in the audited crates although the rest of
+// `telemetry` is not: this module decodes foreign bytes, so each surviving
+// site carries an `#[expect]` with its reason (VERIFICATION.md §2).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 use crate::histogram::HistSnap;
 use crate::metric::MetricId;
 use starfish_util::codec::{Decode, Decoder, Encode, Encoder};
@@ -46,6 +54,10 @@ impl Snapshot {
 
     /// Additive merge of a snapshot from a *different* scope: counters and
     /// gauges sum, histograms accumulate.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "each index is a `binary_search` hit"
+    )]
     pub fn merge(&mut self, other: &Snapshot) {
         for &(i, v) in &other.counters {
             match self.counters.binary_search_by_key(&i, |&(k, _)| k) {

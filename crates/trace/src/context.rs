@@ -24,6 +24,14 @@
 //! layout byte says whether an extension region follows and whose parse
 //! skips that length-prefixed region unconditionally.
 
+// The panic surface, held as in the audited crates although the rest of
+// `trace` is not: this module decodes foreign bytes, so each surviving
+// site carries an `#[expect]` with its reason (VERIFICATION.md §2).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 use starfish_util::codec::{Decode, Decoder, Encode, Encoder, VAR_MAX_LEN};
 use starfish_util::{AppId, Error, Rank, Result};
 

@@ -1,4 +1,4 @@
-//! Violation 5 (sans-io): a module that declares itself a pure protocol
+//! Violation 3 (sans-io): a module that declares itself a pure protocol
 //! machine and then does I/O: it reads a clock and holds the fabric.
 // lint: sans-io
 

@@ -6,13 +6,13 @@
 //! starfish-lint --json <path> [dir] # additionally write the JSON report
 //! ```
 //!
-//! Workspace mode runs every pass (lock-order cycles, blocking-while-locked,
-//! notify-unlocked, wire-enum-coverage, sans-io) gated on the committed
-//! `analysis-baseline.toml`. Fixture mode runs the same passes on one crate
-//! directory with no baseline — every finding is reported, which is what
-//! the seeded `fixtures/badcrate` must-fail check relies on. The panic
-//! surface and the clock, sleep and entropy bans are clippy's
-//! (`clippy.toml`, seeded in `fixtures/clippybad`).
+//! Both modes run every rule (wire-enum-coverage, sans-io) and report every
+//! finding: the workspace mode on each crate under `crates/`, the fixture
+//! mode on one crate directory, which the seeded `fixtures/badcrate`
+//! must-fail check relies on. The panic surface and the clock, sleep and
+//! entropy bans are clippy's (`clippy.toml`, seeded in
+//! `fixtures/clippybad`); the lock rules are checked at run time by the
+//! debug build's `parking_lot::lockdep`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -51,13 +51,7 @@ fn main() -> ExitCode {
                 eprintln!("starfish-lint: no crates/ here — run from the workspace root");
                 return ExitCode::from(2);
             }
-            match analyze_workspace(root) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("starfish-lint: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+            analyze_workspace(root)
         }
         Some(dir) => {
             if !dir.join("src").is_dir() {

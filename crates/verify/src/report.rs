@@ -14,16 +14,6 @@ pub struct Finding {
     pub file: PathBuf,
     pub line: usize,
     pub(crate) msg: String,
-    /// Acquisition / call chains substantiating the finding (lock-order and
-    /// blocking-while-locked); empty for line-local rules.
-    pub(crate) chains: Vec<String>,
-    /// Stable subject for baseline matching: the qualified function for
-    /// blocking findings, the `a -> b` pair for lock-order findings,
-    /// empty for legacy rules.
-    pub(crate) subject: String,
-    /// Stable detail for baseline matching: the blocking op kind. Empty
-    /// when unused.
-    pub(crate) detail: String,
 }
 
 impl Finding {
@@ -33,9 +23,6 @@ impl Finding {
             file,
             line,
             msg,
-            chains: Vec::new(),
-            subject: String::new(),
-            detail: String::new(),
         }
     }
 }
@@ -49,11 +36,7 @@ impl fmt::Display for Finding {
             self.line,
             self.rule,
             self.msg
-        )?;
-        for c in &self.chains {
-            write!(f, "\n    {c}")?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -65,11 +48,6 @@ pub(crate) struct Stats {
     /// `CrateModel::non_test_lines` of each entry of `crates`, in order.
     pub(crate) non_test_lines: Vec<usize>,
     pub(crate) files: usize,
-    pub(crate) functions: usize,
-    pub(crate) lock_classes: usize,
-    pub(crate) lock_edges: usize,
-    pub(crate) unresolved_locks: usize,
-    pub(crate) baselined: usize,
 }
 
 /// Everything one analysis run produced.
@@ -84,8 +62,7 @@ impl Report {
         self.findings.is_empty()
     }
 
-    /// Human output: one line per finding (plus indented chains), then a
-    /// stats trailer.
+    /// Human output: one line per finding, then a stats trailer.
     pub fn render_human(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
@@ -94,18 +71,10 @@ impl Report {
         }
         let s = &self.stats;
         out.push_str(&format!(
-            "analysis: {} crate(s), {} file(s), {} function(s); \
-             {} lock class(es), {} lock-order edge(s), {} unresolved lock site(s); \
-             {} finding(s) ({} baselined); \
-             {} non-test line(s)\n",
+            "analysis: {} crate(s), {} file(s); {} finding(s); {} non-test line(s)\n",
             s.crates.len(),
             s.files,
-            s.functions,
-            s.lock_classes,
-            s.lock_edges,
-            s.unresolved_locks,
             self.findings.len(),
-            s.baselined,
             s.non_test_lines.iter().sum::<usize>(),
         ));
         out
@@ -113,7 +82,7 @@ impl Report {
 
     /// Machine-readable report (CI artifact).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"starfish-analysis/2\",\n  \"findings\": [");
+        let mut out = String::from("{\n  \"schema\": \"starfish-analysis/3\",\n  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -125,17 +94,7 @@ impl Report {
                 json_str(&f.file.display().to_string())
             ));
             out.push_str(&format!("\"line\": {}, ", f.line));
-            out.push_str(&format!("\"subject\": {}, ", json_str(&f.subject)));
-            out.push_str(&format!("\"detail\": {}, ", json_str(&f.detail)));
-            out.push_str(&format!("\"message\": {}, ", json_str(&f.msg)));
-            out.push_str("\"chains\": [");
-            for (j, c) in f.chains.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_str(c));
-            }
-            out.push_str("]}");
+            out.push_str(&format!("\"message\": {}}}", json_str(&f.msg)));
         }
         let s = &self.stats;
         out.push_str("\n  ],\n  \"stats\": {");
@@ -153,11 +112,7 @@ impl Report {
             }
             out.push_str(&format!("{}: {n}", json_str(c)));
         }
-        out.push_str(&format!(
-            "}}, \"files\": {}, \"functions\": {}, \"lock_classes\": {}, \
-             \"lock_edges\": {}, \"unresolved_locks\": {}, \"baselined\": {}}}\n}}\n",
-            s.files, s.functions, s.lock_classes, s.lock_edges, s.unresolved_locks, s.baselined,
-        ));
+        out.push_str(&format!("}}, \"files\": {}}}\n}}\n", s.files));
         out
     }
 }
@@ -190,20 +145,18 @@ mod tests {
     #[test]
     fn json_escapes_and_shapes() {
         let mut r = Report::default();
-        let mut f = Finding::new(
-            "lock-order",
-            PathBuf::from("crates/vni/src/fabric.rs"),
+        r.findings.push(Finding::new(
+            "sans-io",
+            PathBuf::from("crates/mpi/src/credit.rs"),
             10,
-            "cycle \"a\" <-> b".into(),
-        );
-        f.chains.push("x -> y\t(f.rs:1)".into());
-        r.findings.push(f);
+            "`Fabric` named \"here\"\tand there".into(),
+        ));
         r.stats.crates.push("vni".into());
         r.stats.non_test_lines.push(42);
         let j = r.to_json();
-        assert!(j.contains("\\\"a\\\""), "{j}");
+        assert!(j.contains("\\\"here\\\""), "{j}");
         assert!(j.contains("\\t"), "{j}");
-        assert!(j.contains("\"schema\": \"starfish-analysis/2\""));
+        assert!(j.contains("\"schema\": \"starfish-analysis/3\""));
         assert!(j.contains("\"crates\": [\"vni\"]"));
         assert!(j.contains("\"non_test_lines\": {\"vni\": 42}, "));
         // Structurally balanced (cheap sanity: equal brace counts).
@@ -215,19 +168,12 @@ mod tests {
     }
 
     #[test]
-    fn human_render_includes_chains_and_stats() {
+    fn human_render_includes_findings_and_stats() {
         let mut r = Report::default();
-        let mut f = Finding::new(
-            "blocking-while-locked",
-            PathBuf::from("a.rs"),
-            3,
-            "m".into(),
-        );
-        f.chains.push("chain step".into());
+        let f = Finding::new("sans-io", PathBuf::from("a.rs"), 3, "m".into());
         r.findings.push(f);
         let h = r.render_human();
-        assert!(h.contains("a.rs:3: [blocking-while-locked] m"));
-        assert!(h.contains("    chain step"));
+        assert!(h.contains("a.rs:3: [sans-io] m"));
         assert!(h.contains("1 finding(s)"));
     }
 }

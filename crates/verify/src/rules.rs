@@ -156,13 +156,8 @@ fn codec_types(scans: &[SourceFile]) -> Vec<(String, usize)> {
     out
 }
 
-/// Check one crate directory (containing `src/`, optionally `tests/`).
-pub(crate) fn wire_enum_coverage(crate_dir: &Path) -> Vec<Finding> {
-    let name = crate_dir
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    let model = CrateModel::parse(&name, crate_dir);
+/// Check one crate: its model, and its directory's `tests/`.
+pub(crate) fn wire_enum_coverage(model: &CrateModel, crate_dir: &Path) -> Vec<Finding> {
     let codecs = codec_types(&model.files);
     if codecs.is_empty() {
         return Vec::new();
@@ -219,6 +214,10 @@ pub(crate) fn wire_enum_coverage(crate_dir: &Path) -> Vec<Finding> {
 mod tests {
     use super::*;
     use std::path::PathBuf;
+
+    fn coverage(dir: &Path) -> Vec<Finding> {
+        wire_enum_coverage(&CrateModel::parse("t", dir), dir)
+    }
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("starfish-analysis-test-{name}"));
@@ -358,7 +357,7 @@ mod tests {
             ),
         )
         .unwrap();
-        let v = wire_enum_coverage(&d);
+        let v = coverage(&d);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].msg.contains("Forgotten"), "{}", v[0].msg);
     }
@@ -390,7 +389,7 @@ mod tests {
             ),
         )
         .unwrap();
-        let v = wire_enum_coverage(&d);
+        let v = coverage(&d);
         let msgs: Vec<&str> = v.iter().map(|x| x.msg.as_str()).collect();
         assert_eq!(v.len(), 2, "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("`Missed`")), "{msgs:?}");
@@ -415,7 +414,7 @@ mod tests {
             "#[cfg(test)]\nmod tests { fn t() { let _ = \"Sent\"; } }\n",
         )
         .unwrap();
-        let v = wire_enum_coverage(&d);
+        let v = coverage(&d);
         let msgs: Vec<&str> = v.iter().map(|x| x.msg.as_str()).collect();
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].contains("`Lost`"), "{msgs:?}");
@@ -429,7 +428,7 @@ mod tests {
             "pub enum Internal { NeverOnTheWire }\n",
         )
         .unwrap();
-        assert!(wire_enum_coverage(&d).is_empty());
+        assert!(coverage(&d).is_empty());
     }
 
     #[test]
@@ -449,7 +448,7 @@ mod tests {
             ),
         )
         .unwrap();
-        let v = wire_enum_coverage(&d);
+        let v = coverage(&d);
         assert_eq!(v.len(), 2, "{v:?}"); // no tests at all: both flagged
     }
 }

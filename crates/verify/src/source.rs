@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 /// A file prepared for token judgments.
 pub struct SourceFile {
     pub(crate) path: PathBuf,
-    /// Raw source lines (for `allow` markers and reporting).
+    /// Raw source lines (for file markers and the test corpus).
     pub(crate) raw: Vec<String>,
     /// Comments *and* string/char literal bodies blanked.
     pub(crate) code: Vec<String>,
@@ -36,21 +36,6 @@ impl SourceFile {
             code,
             in_test,
         }
-    }
-
-    /// The raw line carries marker `m` on this line, or the line above is a
-    /// comment-only line carrying it (the two placements
-    /// `// lint: allow(..)` accepts — a *trailing* marker only covers its
-    /// own line).
-    pub(crate) fn allowed(&self, line_idx: usize, marker: &str) -> bool {
-        if self.raw[line_idx].contains(marker) {
-            return true;
-        }
-        if line_idx == 0 {
-            return false;
-        }
-        let above = self.raw[line_idx - 1].trim_start();
-        above.starts_with("//") && above.contains(marker)
     }
 }
 
@@ -341,16 +326,5 @@ mod tests {
         assert!(!token_in("x.unlock()", "lock"));
         assert!(!token_in("lockstep", "lock"));
         assert_eq!(token_pos("a lock b lock", "lock"), Some(2));
-    }
-
-    #[test]
-    fn allowed_marker_here_or_above() {
-        let f = SourceFile::from_text(
-            Path::new("t.rs"),
-            "// lint: allow(x)\nlet a = 1;\nlet b = 2; // lint: allow(x)\nlet c = 3;\n",
-        );
-        assert!(f.allowed(1, "lint: allow(x)"));
-        assert!(f.allowed(2, "lint: allow(x)"));
-        assert!(!f.allowed(3, "lint: allow(x)"));
     }
 }

@@ -1,7 +1,8 @@
 //! The audited panic surface (VERIFICATION.md §2). The crates that decode
 //! foreign bytes deny clippy's panic lints and `#[allow]` at their root,
-//! and so do the two modules of `trace` that hold the cluster event
-//! vocabulary, at their own head. Clippy holds each site; this test holds
+//! and so do the modules of the unaudited crates that decode foreign bytes
+//! (`trace`'s cluster event vocabulary and trace context, `telemetry`'s
+//! snapshots), at their own head. Clippy holds each site; this test holds
 //! the list, so dropping a block fails here instead of silently ending the
 //! audit of a crate.
 
@@ -21,7 +22,7 @@ const LINTS: [&str; 9] = [
 ];
 
 /// Each audited file, relative to `crates/`.
-const AUDITED: [&str; 8] = [
+const AUDITED: [&str; 11] = [
     "vni/src/lib.rs",
     "mpi/src/lib.rs",
     "ensemble/src/lib.rs",
@@ -30,6 +31,9 @@ const AUDITED: [&str; 8] = [
     "util/src/lib.rs",
     "trace/src/event.rs",
     "trace/src/postmortem.rs",
+    "trace/src/context.rs",
+    "telemetry/src/snapshot.rs",
+    "telemetry/src/histogram.rs",
 ];
 
 /// The `clippy::` lints that the inner attributes at the head of a file

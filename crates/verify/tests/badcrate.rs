@@ -22,9 +22,6 @@ fn badcrate_yields_exactly_its_seeded_findings() {
     let want = [
         ("wire-enum-coverage", "src/lib.rs", 22),
         ("wire-enum-coverage", "src/lib.rs", 34),
-        ("lock-order", "src/lib.rs", 47),
-        ("blocking-while-locked", "src/lib.rs", 62),
-        ("notify-unlocked", "src/lib.rs", 78),
         ("sans-io", "src/machine.rs", 6),
         ("sans-io", "src/machine.rs", 12),
     ]
