@@ -5,8 +5,8 @@
 # then the workspace total and its delta, the number of workspace crates
 # (`crates`: the directories of crates/ with a manifest), and the panic-lint
 # `#[expect]` attributes in crates/*/src (`panic_expects`: the panic
-# surface's ratchet, one per surviving site or function). Report only: it
-# exits 0 whatever the numbers say.
+# surface's ratchet, one per surviving site or function), per crate and in
+# total. Report only: it exits 0 whatever the numbers say.
 #
 #   ci/lines.sh [base]      # base defaults to HEAD^
 #
@@ -38,9 +38,14 @@ panic_lints = ("indexing_slicing", "unwrap_used", "expect_used", "panic", "unrea
                "todo", "unimplemented")
 expect = re.compile(r"#\[expect\((.*?)\)\]", re.S)
 def panic_expects(tree):
-    return sum(any(f"clippy::{lint}," in attr for lint in panic_lints)
-               for f in pathlib.Path(tree).glob("crates/*/src/**/*.rs")
-               for attr in expect.findall(f.read_text()))
+    """The panic-lint `#[expect]`s of each crate under `tree`."""
+    counts = {}
+    for f in pathlib.Path(tree).glob("crates/*/src/**/*.rs"):
+        crate = f.relative_to(tree).parts[1]
+        n = sum(any(f"clippy::{lint}," in attr for lint in panic_lints)
+                for attr in expect.findall(f.read_text()))
+        counts[crate] = counts.get(crate, 0) + n
+    return counts
 
 row = lambda label, b, c: print(f"  {label:<12} {b:>7} -> {c:>7}  {c - b:+d}")
 print(f"non_test_lines, {name} -> working tree")
@@ -49,5 +54,10 @@ for crate in sorted(set(lines_b) | set(lines_c)):
     row(crate, lines_b.get(crate, 0), lines_c.get(crate, 0))
 row("workspace", sum(lines_b.values()), sum(lines_c.values()))
 row("crates", *(len(list(pathlib.Path(t).glob("crates/*/Cargo.toml"))) for t in sys.argv[4:]))
-row("panic_expects", *map(panic_expects, sys.argv[4:]))
+print("panic_expects, per crate")
+expects_b, expects_c = map(panic_expects, sys.argv[4:])
+for crate in sorted(set(expects_b) | set(expects_c)):
+    if expects_b.get(crate, 0) or expects_c.get(crate, 0):
+        row(crate, expects_b.get(crate, 0), expects_c.get(crate, 0))
+row("panic_expects", sum(expects_b.values()), sum(expects_c.values()))
 EOF

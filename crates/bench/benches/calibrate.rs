@@ -38,13 +38,14 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use starfish_bench::recovery::{recovery_model, speedup, K, LEGS, NODES};
-use starfish_bench::report::J;
+use starfish_bench::report::section;
 use starfish_bench::threshold::{calibrate, measured_crossover, threshold_consistent, SweepRow};
 use starfish_bench::PAPER;
 use starfish_mpi::collectives::{self, AllgatherAlgo, AllreduceAlgo, BcastAlgo, ReduceOp};
 use starfish_mpi::{
     Comm, CtsCadence, MpiEndpoint, RankDirectory, RecvMode, DEFAULT_RNDV_THRESHOLD,
 };
+use starfish_util::json::Json;
 use starfish_util::trace::TraceSink;
 use starfish_util::{AppId, NodeId, Rank, VClock};
 use starfish_vni::{BipMyrinet, Fabric, LayerCosts, NetworkModel, TcpEthernet};
@@ -187,10 +188,10 @@ impl Sweep {
     }
 
     /// The report's rows: key → {arm: ns}.
-    fn json(&self) -> J {
-        J::obj(self.rows.iter().map(|(k, ns)| {
-            let cells = self.arms.iter().zip(ns).map(|(a, &v)| (a, J::num(v)));
-            (k, J::obj(cells))
+    fn json(&self) -> Json {
+        Json::obj(self.rows.iter().map(|(k, ns)| {
+            let cells = self.arms.iter().zip(ns).map(|(a, &v)| (a, Json::Num(v)));
+            (k, Json::obj(cells))
         }))
     }
 
@@ -202,7 +203,7 @@ impl Sweep {
 }
 
 /// The collective sweeps and their report sections.
-fn collectives_sections(q: bool) -> Vec<(&'static str, J)> {
+fn collectives_sections(q: bool) -> Vec<(&'static str, Json)> {
     let models: &[&str] = &["BIP/Myrinet", "TCP/IP"];
     let ranks: &[u32] = if q { &[4, 8] } else { &[8, 64] };
     let sizes: &[usize] = if q {
@@ -263,7 +264,7 @@ fn collectives_sections(q: bool) -> Vec<(&'static str, J)> {
     sweeps.push(("allgather", models[0], allgather.crossover_sweep(1, 2)));
     sweeps.push(("bcast", models[0], bcast.crossover_sweep(0, 1)));
     let mut all_measured = true;
-    let mut thresholds: Vec<(&str, Vec<(String, J)>)> = Vec::new();
+    let mut thresholds: Vec<(&str, Vec<(String, Json)>)> = Vec::new();
     for (op, model, sweep) in sweeps {
         let crossover = measured_crossover(&sweep);
         let calibrated = calibrate(crossover);
@@ -274,43 +275,42 @@ fn collectives_sections(q: bool) -> Vec<(&'static str, J)> {
                 "allreduce threshold {calibrated} inconsistent with sweep {sweep:?} @ {model}"
             );
         }
-        let shown = crossover.map_or("null".to_string(), |c| c.to_string());
-        let entry = J::obj([
-            ("crossover_bytes", J::Lit(shown)),
-            ("measured", J::num(crossover.is_some())),
-            ("calibrated", J::num(calibrated)),
+        let entry = Json::obj([
+            ("crossover_bytes", crossover.map_or(Json::Null, Json::Num)),
+            ("measured", Json::Bool(crossover.is_some())),
+            ("calibrated", Json::Num(calibrated)),
         ]);
         match thresholds.last_mut() {
             Some((last, entries)) if *last == op => entries.push((key(model), entry)),
             _ => thresholds.push((op, vec![(key(model), entry)])),
         }
     }
-    let allreduce_rows = J::obj(allreduce.iter().map(|(model, per_ranks)| {
+    let allreduce_rows = Json::obj(allreduce.iter().map(|(model, per_ranks)| {
         (
             key(model),
-            J::obj(per_ranks.iter().map(|(n, sw)| (n, sw.json()))),
+            Json::obj(per_ranks.iter().map(|(n, sw)| (n, sw.json()))),
         )
     }));
     let head = vec![
-        ("ranks", J::num(head_n)),
-        ("bytes", J::num(head_size)),
-        ("model", J::str(&key(models[0]))),
-        ("speedup", J::num(format!("{head:.2}"))),
+        ("ranks", Json::Num(head_n)),
+        ("bytes", Json::Num(head_size)),
+        ("model", Json::str(key(models[0]))),
+        ("speedup", Json::Num(format!("{head:.2}"))),
     ];
     let thresholds = vec![
-        ("unit", J::str("bytes")),
-        ("measured", J::num(all_measured)),
+        ("unit", Json::str("bytes")),
+        ("measured", Json::Bool(all_measured)),
         (
             "rows",
-            J::obj(thresholds.into_iter().map(|(op, e)| (op, J::obj(e)))),
+            Json::obj(thresholds.into_iter().map(|(op, e)| (op, Json::obj(e)))),
         ),
     ];
-    let virt = |fields| J::section("virtual", fields);
+    let virt = |fields| section("virtual", fields);
     vec![
         (
             "allreduce_vt_ns",
             virt(vec![
-                ("layer_costs", J::str("prototype")),
+                ("layer_costs", Json::str("prototype")),
                 ("rows", allreduce_rows),
             ]),
         ),
@@ -321,20 +321,23 @@ fn collectives_sections(q: bool) -> Vec<(&'static str, J)> {
         ),
         (
             "allgather_vt_ns",
-            virt(vec![("ranks", J::num(head_n)), ("rows", allgather.json())]),
+            virt(vec![
+                ("ranks", Json::Num(head_n)),
+                ("rows", allgather.json()),
+            ]),
         ),
         (
             "bcast_vt_ns",
-            virt(vec![("ranks", J::num(head_n)), ("rows", bcast.json())]),
+            virt(vec![("ranks", Json::Num(head_n)), ("rows", bcast.json())]),
         ),
-        ("selector_thresholds", J::section("count", thresholds)),
+        ("selector_thresholds", section("count", thresholds)),
     ]
 }
 
 // ---- checkpoint recovery ---------------------------------------------------
 
 /// The disk-vs-replica rows and their report section.
-fn recovery_section(q: bool) -> (&'static str, J) {
+fn recovery_section(q: bool) -> (&'static str, Json) {
     let sizes: &[usize] = if q {
         &[256 * 1024, 1 << 20]
     } else {
@@ -350,28 +353,28 @@ fn recovery_section(q: bool) -> (&'static str, J) {
         let mut cell: Vec<_> = LEGS
             .iter()
             .zip(legs)
-            .map(|(l, v)| (*l, J::num(v)))
+            .map(|(l, v)| (*l, Json::Num(v)))
             .collect();
-        cell.push(("speedup", J::Lit(speedup)));
-        cells.push((size, J::obj(cell)));
+        cell.push(("speedup", Json::Num(speedup)));
+        cells.push((size, Json::obj(cell)));
     }
     let fields = vec![
-        ("k", J::num(K)),
-        ("nodes", J::num(NODES)),
-        ("replica_recovery_beats_disk", J::num(replica_wins)),
-        ("rows", J::obj(cells)),
+        ("k", Json::Num(K)),
+        ("nodes", Json::Num(NODES)),
+        ("replica_recovery_beats_disk", Json::Bool(replica_wins)),
+        ("rows", Json::obj(cells)),
     ];
-    ("recovery_ns", J::section("virtual", fields))
+    ("recovery_ns", section("virtual", fields))
 }
 
 fn main() {
     let q = quick();
     println!("calibrate: {} mode", if q { "quick" } else { "full" });
     let mut fields = vec![
-        ("bench", J::str("calibrate")),
-        ("quick", J::num(q)),
+        ("bench", Json::str("calibrate")),
+        ("quick", Json::Bool(q)),
         // The recovery rows and the large collective cells depend on it.
-        ("rndv_threshold_bytes", J::num(DEFAULT_RNDV_THRESHOLD)),
+        ("rndv_threshold_bytes", Json::Num(DEFAULT_RNDV_THRESHOLD)),
     ];
     fields.extend(collectives_sections(q));
     fields.push(recovery_section(q));
@@ -381,7 +384,7 @@ fn main() {
     }
 
     let path = format!("{}/../../BENCH_calibrate.json", env!("CARGO_MANIFEST_DIR"));
-    match std::fs::write(&path, J::obj(fields).render()) {
+    match std::fs::write(&path, Json::obj(fields).render()) {
         Ok(()) => println!("\nwrote {path}"),
         Err(e) => println!("\ncould not write {path}: {e}"),
     }

@@ -17,7 +17,8 @@ use starfish_util::trace::{MsgClass, TraceSink};
 use starfish_util::NodeId;
 use starfish_vni::{Ideal, LayerCosts};
 
-use crate::report::{cause, exact, J, REPEATS};
+use crate::report::{band, cause, exact, section, REPEATS};
+use starfish_util::json::Json;
 
 const T: Duration = Duration::from_secs(120);
 
@@ -67,7 +68,7 @@ fn cr_round(proto: CkptProto) -> (f64, u64, u64) {
 /// [`cr_round`] per protocol, [`REPEATS`] times: the round time moves with
 /// [`cause::RELAY_ORDER`] and the captured channel messages with
 /// [`cause::ARRIVAL_ORDER`].
-pub(crate) fn cr_protocols() -> J {
+pub(crate) fn cr_protocols() -> Json {
     let protos = [
         CkptProto::StopAndSync,
         CkptProto::ChandyLamport,
@@ -79,17 +80,17 @@ pub(crate) fn cr_protocols() -> J {
         let cells = [
             (
                 "round_s",
-                J::band(runs.iter().map(|r| r.0), cause::RELAY_ORDER),
+                band(runs.iter().map(|r| r.0), cause::RELAY_ORDER),
             ),
-            ("cr_msgs", J::num(exact(&cr_msgs, "C/R messages"))),
+            ("cr_msgs", Json::Num(exact(&cr_msgs, "C/R messages"))),
             (
                 "channel_msgs",
-                J::band(runs.iter().map(|r| r.2 as f64), cause::ARRIVAL_ORDER),
+                band(runs.iter().map(|r| r.2 as f64), cause::ARRIVAL_ORDER),
             ),
         ];
-        (format!("{proto:?}"), J::obj(cells))
+        (format!("{proto:?}"), Json::obj(cells))
     });
-    J::section("virtual", vec![("rows", J::obj(rows))])
+    section("virtual", vec![("rows", Json::obj(rows))])
 }
 
 /// Lightweight groups vs full-blown groups: cost of one membership change.
@@ -98,7 +99,7 @@ pub(crate) fn cr_protocols() -> J {
 /// to another node (`MIGRATE`): one cast, whose view change every daemon
 /// derives from it without a message of its own. Control messages per
 /// change at 5, 9 and 17 nodes.
-pub(crate) fn lwgroups() -> J {
+pub(crate) fn lwgroups() -> Json {
     let rows = [4u32, 8, 16].map(|n| {
         let trace = TraceSink::enabled();
         let cluster = Cluster::builder()
@@ -156,15 +157,15 @@ pub(crate) fn lwgroups() -> J {
         everywhere(&cluster, &|c| c.apps[&app].epoch.0 == 1);
         let lw = settle(&cluster) - c2 - cast;
         cluster.delete(app).unwrap();
-        let cells = [("full_msgs", J::num(full)), ("lw_msgs", J::num(lw))];
-        (n + 1, J::obj(cells))
+        let cells = [("full_msgs", Json::Num(full)), ("lw_msgs", Json::Num(lw))];
+        (n + 1, Json::obj(cells))
     });
-    J::section("count", vec![("rows", J::obj(rows))])
+    section("count", vec![("rows", Json::obj(rows))])
 }
 
 /// The polling thread (§2.2.1): virtual µs per receive of an
 /// already-arrived message, with and without it.
-pub(crate) fn polling() -> J {
+pub(crate) fn polling() -> Json {
     // The paper's point: "when using the polling thread, the time required
     // for kernel interaction is interleaved with other operations, yielding
     // fast receive operations". So the interesting case is a receive posted
@@ -207,9 +208,10 @@ pub(crate) fn polling() -> J {
         cluster.wait_app_done(app, T).unwrap();
         cluster.outputs(app, Rank(0))[0].as_float().unwrap()
     }
-    let rows = [("polled", RecvMode::Polled), ("direct", RecvMode::Direct)]
-        .map(|(name, mode)| (name, J::obj([("us_per_recv", J::num(recv_cost(mode)))])));
-    J::section("virtual", vec![("rows", J::obj(rows))])
+    let cell = |mode| Json::obj([("us_per_recv", Json::Num(recv_cost(mode)))]);
+    let rows = [("polled", RecvMode::Polled), ("direct", RecvMode::Direct)];
+    let rows = rows.map(|(name, mode)| (name, cell(mode)));
+    section("virtual", vec![("rows", Json::obj(rows))])
 }
 
 /// The fast data path vs routing data through the object bus (§2.2, "we
@@ -217,7 +219,7 @@ pub(crate) fn polling() -> J {
 /// the 1-byte round trip each way. The bus row is the measured fast-path
 /// round trip plus one bus dispatch ([`BUS_EVENT_COST`]) at each of its two
 /// receives, which is all that routing data through the bus would add.
-pub(crate) fn fastpath() -> J {
+pub(crate) fn fastpath() -> Json {
     let cluster = Cluster::builder().nodes(2).network_bip().build().unwrap();
     cluster.register_app("pp", |ctx| {
         let me = ctx.rank().0;
@@ -248,18 +250,19 @@ pub(crate) fn fastpath() -> J {
     cluster.wait_app_done(app, T).unwrap();
     let ns = cluster.outputs(app, Rank(0))[0].as_int().unwrap();
     let fast = VirtualTime::from_nanos(ns as u64);
+    let cell = |rtt: VirtualTime| Json::obj([("rtt_us", Json::Num(rtt.as_micros_f64()))]);
     let rows = [
         ("fast_path", fast),
         ("object_bus", fast + BUS_EVENT_COST * 2),
     ]
-    .map(|(name, rtt)| (name, J::obj([("rtt_us", J::num(rtt.as_micros_f64()))])));
-    J::section("virtual", vec![("rows", J::obj(rows))])
+    .map(|(name, rtt)| (name, cell(rtt)));
+    section("virtual", vec![("rows", Json::obj(rows))])
 }
 
 /// Incremental checkpointing (libckpt-style, §6): a 64 MB image written
 /// 10 times, in full or as the pages dirtied since the last checkpoint, at
 /// several dirty fractions per interval.
-pub(crate) fn incremental() -> J {
+pub(crate) fn incremental() -> Json {
     let disk = DiskModel::ide_1999();
     const IMG: usize = 64 << 20;
     let rows = [1usize, 5, 20, 100].map(|dirty_pct| {
@@ -286,15 +289,15 @@ pub(crate) fn incremental() -> J {
         }
         let (full_s, incr_s) = (full_time.as_secs_f64(), incr_time.as_secs_f64());
         let cells = [
-            ("full_MB", J::num(full_bytes as f64 / 1e6)),
-            ("incr_MB", J::num(incr_bytes as f64 / 1e6)),
-            ("full_s", J::num(full_s)),
-            ("incr_s", J::num(incr_s)),
-            ("speedup", J::num(full_s / incr_s)),
+            ("full_MB", Json::Num(full_bytes as f64 / 1e6)),
+            ("incr_MB", Json::Num(incr_bytes as f64 / 1e6)),
+            ("full_s", Json::Num(full_s)),
+            ("incr_s", Json::Num(incr_s)),
+            ("speedup", Json::Num(full_s / incr_s)),
         ];
-        (dirty_pct, J::obj(cells))
+        (dirty_pct, Json::obj(cells))
     });
-    J::section("virtual", vec![("rows", J::obj(rows))])
+    section("virtual", vec![("rows", Json::obj(rows))])
 }
 
 /// Checkpoints discarded when rank 0 fails, on a ring workload of 8 ranks
@@ -341,20 +344,20 @@ fn discarded(ckpt_prob: f64, coordinated: bool) -> (f64, u64) {
 
 /// Rollback propagation under uncoordinated checkpointing against the
 /// coordinated baseline, at three checkpoint rates (percent per step).
-pub(crate) fn domino() -> J {
+pub(crate) fn domino() -> Json {
     let rows = [5u32, 20, 50].map(|rate_pct| {
         let ckpt_prob = rate_pct as f64 / 100.0;
         let (avg, worst) = discarded(ckpt_prob, false);
         let (coord_avg, coord_worst) = discarded(ckpt_prob, true);
         let cells = [
-            ("independent_avg", J::num(avg)),
-            ("independent_worst", J::num(worst)),
-            ("coordinated_avg", J::num(coord_avg)),
-            ("coordinated_worst", J::num(coord_worst)),
+            ("independent_avg", Json::Num(avg)),
+            ("independent_worst", Json::Num(worst)),
+            ("coordinated_avg", Json::Num(coord_avg)),
+            ("coordinated_worst", Json::Num(coord_worst)),
         ];
-        (rate_pct, J::obj(cells))
+        (rate_pct, Json::obj(cells))
     });
-    J::section("count", vec![("rows", J::obj(rows))])
+    section("count", vec![("rows", Json::obj(rows))])
 }
 
 /// Forked (copy-on-write) checkpointing — the libckpt optimization the
@@ -362,7 +365,7 @@ pub(crate) fn domino() -> J {
 /// (§6): the app-visible stall per checkpoint, blocking or forked, and the
 /// slowdown it costs at a 60 s compute interval. The background write
 /// still gates the next checkpoint: the minimum interval is the write time.
-pub(crate) fn forked() -> J {
+pub(crate) fn forked() -> Json {
     let disk = DiskModel::ide_1999();
     const INTERVAL_S: f64 = 60.0;
     let rows = [1u64, 16, 64, 135].map(|mb| {
@@ -370,19 +373,22 @@ pub(crate) fn forked() -> J {
         let blocking = disk.write_time(bytes).as_secs_f64();
         let forked = disk.fork_time(bytes).as_secs_f64();
         let cells = [
-            ("blocking_s", J::num(blocking)),
-            ("forked_s", J::num(forked)),
+            ("blocking_s", Json::Num(blocking)),
+            ("forked_s", Json::Num(forked)),
             (
                 "overhead_blocking_pct",
-                J::num(blocking / (INTERVAL_S + blocking) * 100.0),
+                Json::Num(blocking / (INTERVAL_S + blocking) * 100.0),
             ),
             (
                 "overhead_forked_pct",
-                J::num(forked / (INTERVAL_S + forked) * 100.0),
+                Json::Num(forked / (INTERVAL_S + forked) * 100.0),
             ),
         ];
-        (mb, J::obj(cells))
+        (mb, Json::obj(cells))
     });
-    let fields = vec![("interval_s", J::num(INTERVAL_S)), ("rows", J::obj(rows))];
-    J::section("virtual", fields)
+    let fields = vec![
+        ("interval_s", Json::Num(INTERVAL_S)),
+        ("rows", Json::obj(rows)),
+    ];
+    section("virtual", fields)
 }

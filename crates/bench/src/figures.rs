@@ -12,7 +12,8 @@ use starfish_telemetry::metric as telemetry_metric;
 use starfish_util::trace::{MsgClass, TraceSink};
 use starfish_vni::{BipMyrinet, LayerCosts, NetworkModel, TcpEthernet};
 
-use crate::report::{cause, exact, J, REPEATS};
+use crate::report::{band, cause, exact, section, REPEATS};
+use starfish_util::json::Json;
 
 const T: Duration = Duration::from_secs(120);
 
@@ -58,16 +59,16 @@ fn repeated_ckpt_point(level: LevelKind, n: u32, payload: u64) -> (u64, Vec<f64>
 
 /// The round seconds of one node count: one node relays no stamp between
 /// daemons and repeats; more nodes move with the relay order.
-fn round_cell(n: u32, secs: &[f64]) -> J {
+fn round_cell(n: u32, secs: &[f64]) -> Json {
     match n {
-        1 => J::num(exact(secs, "1-node round")),
-        _ => J::band(secs.iter().copied(), cause::RELAY_ORDER),
+        1 => Json::Num(exact(secs, "1-node round")),
+        _ => band(secs.iter().copied(), cause::RELAY_ORDER),
     }
 }
 
 /// Checkpoint time vs image size at 1, 2 and 4 nodes, against the paper's
 /// times for the smallest image.
-fn ckpt_figure(level: LevelKind, payloads: &[u64], anchor: [f64; 3], tolerance_pct: u32) -> J {
+fn ckpt_figure(level: LevelKind, payloads: &[u64], anchor: [f64; 3], tolerance_pct: u32) -> Json {
     const NODES: [u32; 3] = [1, 2, 4];
     const COLUMNS: [&str; 3] = ["t_1node_s", "t_2nodes_s", "t_4nodes_s"];
     let rows = payloads.iter().map(|&payload| {
@@ -78,21 +79,22 @@ fn ckpt_figure(level: LevelKind, payloads: &[u64], anchor: [f64; 3], tolerance_p
         let bytes: Vec<u64> = points.iter().map(|p| p.0).collect();
         let mb = exact(&bytes, "image bytes") as f64 / 1e6;
         let cells = NODES.iter().zip(&points).map(|(&n, p)| round_cell(n, &p.1));
-        let row = [("image_MB", J::num(mb))].into_iter();
-        (payload, J::obj(row.chain(COLUMNS.into_iter().zip(cells))))
+        let row = [("image_MB", Json::Num(mb))].into_iter();
+        let row = row.chain(COLUMNS.into_iter().zip(cells));
+        (payload, Json::obj(row))
     });
-    let anchor = COLUMNS.iter().zip(anchor).map(|(c, s)| (*c, J::num(s)));
-    let anchor = anchor.chain([("tolerance_pct", J::num(tolerance_pct))]);
-    J::section(
+    let anchor = COLUMNS.iter().zip(anchor).map(|(c, s)| (*c, Json::Num(s)));
+    let anchor = anchor.chain([("tolerance_pct", Json::Num(tolerance_pct))]);
+    section(
         "virtual",
-        vec![("anchor", J::obj(anchor)), ("rows", J::obj(rows))],
+        vec![("anchor", Json::obj(anchor)), ("rows", Json::obj(rows))],
     )
 }
 
 /// Figure 3: native (homogeneous) checkpointing time vs size, 1/2/4 nodes.
 /// Payloads span the paper's 632 KB ... 135 MB range; the smallest image
 /// is the empty program.
-pub(crate) fn fig3() -> J {
+pub(crate) fn fig3() -> Json {
     let payloads = [
         0u64,
         4_000_000,
@@ -107,7 +109,7 @@ pub(crate) fn fig3() -> J {
 
 /// Figure 4: VM-level (heterogeneous) checkpointing time vs size. The
 /// smallest image is 260 KB: the VM itself is not saved (§5).
-pub(crate) fn fig4() -> J {
+pub(crate) fn fig4() -> Json {
     let payloads = [
         0u64, 4_000_000, 16_000_000, 48_000_000,
         95_733_760, // ≈ 96 MB total with the 260 KB base
@@ -117,7 +119,7 @@ pub(crate) fn fig4() -> J {
 
 /// Figure 5: application-level round-trip delay vs data size, BIP vs TCP,
 /// each a 100-repetition average like the paper's ping application.
-pub(crate) fn fig5() -> J {
+pub(crate) fn fig5() -> Json {
     let sizes: [usize; 8] = [1, 256, 1024, 4096, 16384, 65536, 262_144, 1_048_576];
 
     fn run(cluster: &Cluster, sizes: &[usize]) -> Vec<f64> {
@@ -174,19 +176,17 @@ pub(crate) fn fig5() -> J {
         &Cluster::builder().nodes(2).network_tcp().build().unwrap(),
         &sizes,
     );
-    let rows = sizes
-        .iter()
-        .zip(bip.iter().zip(&tcp))
-        .map(|(s, (b, t))| (s, J::obj([("bip_us", J::num(b)), ("tcp_us", J::num(t))])));
+    let cell = |b, t| Json::obj([("bip_us", Json::Num(b)), ("tcp_us", Json::Num(t))]);
+    let rows = (sizes.iter().zip(bip.iter().zip(&tcp))).map(|(s, (b, t))| (s, cell(b, t)));
     let anchor = [
-        ("bytes", J::num(1)),
-        ("bip_us", J::num(86)),
-        ("tcp_us", J::num(552)),
-        ("tolerance_pct", J::num(1)),
+        ("bytes", Json::Num(1)),
+        ("bip_us", Json::Num(86)),
+        ("tcp_us", Json::Num(552)),
+        ("tolerance_pct", Json::Num(1)),
     ];
-    J::section(
+    section(
         "virtual",
-        vec![("anchor", J::obj(anchor)), ("rows", J::obj(rows))],
+        vec![("anchor", Json::obj(anchor)), ("rows", Json::obj(rows))],
     )
 }
 
@@ -194,14 +194,14 @@ pub(crate) fn fig5() -> J {
 /// software time left of a one-way message once the wire terms are
 /// removed (the same at every size: payloads are never copied between
 /// layers), and the per-layer histograms a live ping-pong records.
-pub(crate) fn fig6() -> J {
+pub(crate) fn fig6() -> Json {
     let layers = LayerCosts::prototype();
     let breakdown = layers.breakdown();
     let layers_us = ["send", "recv"].map(|dir| {
         let cells = breakdown.iter().filter(|(d, ..)| *d == dir);
         (
             dir,
-            J::obj(cells.map(|(_, name, t)| (name, J::num(t.as_micros_f64())))),
+            Json::obj(cells.map(|(_, name, t)| (name, Json::Num(t.as_micros_f64())))),
         )
     });
 
@@ -210,10 +210,10 @@ pub(crate) fn fig6() -> J {
             let one_way = layers.send_total() + model.one_way(size) + layers.recv_total();
             (
                 size,
-                J::num((one_way - model.one_way(size)).as_micros_f64()),
+                Json::Num((one_way - model.one_way(size)).as_micros_f64()),
             )
         });
-        (model.name().replace('/', "-"), J::obj(cells))
+        (model.name().replace('/', "-"), Json::obj(cells))
     });
 
     // Run a ping-pong and read the seven per-layer histograms back out of
@@ -239,17 +239,17 @@ pub(crate) fn fig6() -> J {
     let measured = telemetry_metric::LAYERS.iter().filter_map(|id| {
         let h = snap.hist(*id)?;
         let cells = [
-            ("samples", J::num(h.count)),
-            ("mean_us", J::num(h.mean() / 1e3)),
+            ("samples", Json::Num(h.count)),
+            ("mean_us", Json::Num(h.mean() / 1e3)),
         ];
-        Some((id.name(), J::obj(cells)))
+        Some((id.name(), Json::obj(cells)))
     });
-    J::section(
+    section(
         "virtual",
         vec![
-            ("layers_us", J::obj(layers_us)),
-            ("software_us", J::obj(software)),
-            ("measured", J::obj(measured)),
+            ("layers_us", Json::obj(layers_us)),
+            ("software_us", Json::obj(software)),
+            ("measured", Json::obj(measured)),
         ],
     )
 }
@@ -324,7 +324,7 @@ fn lifecycle_audit() -> Vec<(u64, u64)> {
 /// Table 1: the message taxonomy, audited on [`REPEATS`] live lifecycles.
 /// Every class repeats but Control, whose count and bytes move with
 /// [`cause::CAST_TIMING`].
-pub(crate) fn table1() -> J {
+pub(crate) fn table1() -> Json {
     let runs: Vec<Vec<(u64, u64)>> = (0..REPEATS).map(|_| lifecycle_audit()).collect();
     let rows = MsgClass::ALL.iter().enumerate().map(|(i, c)| {
         let sent_between = match c {
@@ -338,17 +338,17 @@ pub(crate) fn table1() -> J {
         let count: Vec<u64> = runs.iter().map(|r| r[i].0).collect();
         let bytes: Vec<u64> = runs.iter().map(|r| r[i].1).collect();
         let cell = |v: &[u64], what: &str| match c {
-            MsgClass::Control => J::band(v.iter().map(|&x| x as f64), cause::CAST_TIMING),
-            _ => J::num(exact(v, what)),
+            MsgClass::Control => band(v.iter().map(|&x| x as f64), cause::CAST_TIMING),
+            _ => Json::Num(exact(v, what)),
         };
         let cells = [
-            ("sent_between", J::str(sent_between)),
+            ("sent_between", Json::str(sent_between)),
             ("count", cell(&count, c.name())),
             ("bytes", cell(&bytes, c.name())),
         ];
-        (c.name(), J::obj(cells))
+        (c.name(), Json::obj(cells))
     });
-    J::section("count", vec![("rows", J::obj(rows))])
+    section("count", vec![("rows", Json::obj(rows))])
 }
 
 /// Table 2: the heterogeneous C/R machine matrix. An image saved in each
@@ -357,7 +357,7 @@ pub(crate) fn table1() -> J {
 /// representation, `S` byte-swapped, `W` word-resized, `S+W` both) when the
 /// state came back exact, `corrupt` when it did not, `error` when decoding
 /// failed.
-pub(crate) fn table2() -> J {
+pub(crate) fn table2() -> Json {
     // A representative VM heap.
     let state = CkptValue::record(vec![
         ("step", CkptValue::Int(123_456)),
@@ -373,12 +373,12 @@ pub(crate) fn table2() -> J {
     ]);
     let machines = MACHINES.iter().enumerate().map(|(i, m)| {
         let cells = [
-            ("cpu", J::str(m.cpu)),
-            ("os", J::str(m.os)),
-            ("endian", J::str(m.endian.name())),
-            ("word_bits", J::num(m.word_bits)),
+            ("cpu", Json::str(m.cpu)),
+            ("os", Json::str(m.os)),
+            ("endian", Json::str(m.endian.name())),
+            ("word_bits", Json::Num(m.word_bits)),
         ];
-        (i, J::obj(cells))
+        (i, Json::obj(cells))
     });
     let rows = MACHINES.iter().enumerate().map(|(si, src)| {
         let img = encode_portable(&state, *src).unwrap();
@@ -393,38 +393,38 @@ pub(crate) fn table2() -> J {
                 Ok((_, rep)) if rep.byte_swapped => "S",
                 Ok(_) => "W",
             };
-            (di, J::str(kind))
+            (di, Json::str(kind))
         });
-        (si, J::obj(cells))
+        (si, Json::obj(cells))
     });
-    J::section(
+    section(
         "count",
-        vec![("machines", J::obj(machines)), ("rows", J::obj(rows))],
+        vec![("machines", Json::obj(machines)), ("rows", Json::obj(rows))],
     )
 }
 
 /// §5 claim: "if a checkpoint is taken once every hour, it would only slow
 /// down the entire execution time by less than 1%" — the worst case, a
 /// native-level round of the largest image (135 MB) on 4 nodes.
-pub(crate) fn claim_overhead() -> J {
+pub(crate) fn claim_overhead() -> Json {
     let (bytes, rounds) = repeated_ckpt_point(LevelKind::Native, 4, 134_352_832);
     let rows = [10u64, 30, 60, 120].map(|interval_min| {
         let interval = interval_min as f64 * 60.0;
         let overhead = rounds.iter().map(|r| r / (interval + r) * 100.0);
-        let cell = J::band(overhead, cause::RELAY_ORDER);
-        (interval_min, J::obj([("overhead_pct", cell)]))
+        let cell = band(overhead, cause::RELAY_ORDER);
+        (interval_min, Json::obj([("overhead_pct", cell)]))
     });
     let anchor = [
-        ("interval_min", J::num(60)),
-        ("overhead_pct_below", J::num(1)),
+        ("interval_min", Json::Num(60)),
+        ("overhead_pct_below", Json::Num(1)),
     ];
-    J::section(
+    section(
         "virtual",
         vec![
-            ("anchor", J::obj(anchor)),
-            ("image_MB", J::num(bytes as f64 / 1e6)),
-            ("ckpt_s", J::band(rounds, cause::RELAY_ORDER)),
-            ("rows", J::obj(rows)),
+            ("anchor", Json::obj(anchor)),
+            ("image_MB", Json::Num(bytes as f64 / 1e6)),
+            ("ckpt_s", band(rounds, cause::RELAY_ORDER)),
+            ("rows", Json::obj(rows)),
         ],
     )
 }
@@ -432,16 +432,19 @@ pub(crate) fn claim_overhead() -> J {
 /// The fitted stop-and-sync coordination model behind Figures 3 and 4's
 /// node scaling (DESIGN.md §6): native 55.6 ms x (1 - 1/n), VM 13.9 ms x
 /// (n - 1).
-pub(crate) fn sync_model_table() -> J {
+pub(crate) fn sync_model_table() -> Json {
     let rows = [1usize, 2, 4, 8].map(|n| {
         let cells = [
             (
                 "native_ms",
-                J::num(SyncCostModel::native_sync(n).as_millis_f64()),
+                Json::Num(SyncCostModel::native_sync(n).as_millis_f64()),
             ),
-            ("vm_ms", J::num(SyncCostModel::vm_sync(n).as_millis_f64())),
+            (
+                "vm_ms",
+                Json::Num(SyncCostModel::vm_sync(n).as_millis_f64()),
+            ),
         ];
-        (n, J::obj(cells))
+        (n, Json::obj(cells))
     });
-    J::section("virtual", vec![("rows", J::obj(rows))])
+    section("virtual", vec![("rows", Json::obj(rows))])
 }

@@ -23,10 +23,10 @@ pub mod recovery;
 pub mod report;
 pub mod threshold;
 
-use report::J;
+use starfish_util::json::Json;
 
 /// A report section's name and what computes it.
-pub(crate) type Section = (&'static str, fn() -> J);
+pub(crate) type Section = (&'static str, fn() -> Json);
 
 /// The paper's sections of the report. They run the same in quick and full
 /// mode.

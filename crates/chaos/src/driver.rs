@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use starfish_checkpoint::{CkptBackend, CkptImage, CkptLevel, CkptStore, CkptValue, MACHINES};
 use starfish_mpi::{CtsCadence, MpiEndpoint, RankDirectory, RecvMode, WORLD_CONTEXT};
 use starfish_trace::event::{ClusterEvent, EventKind};
-use starfish_trace::postmortem::{Phase, Postmortem, Rollback};
+use starfish_trace::postmortem::{postmortem_dir, Phase, Postmortem, Rollback};
 use starfish_trace::{FlightRecorder, ProcTrace};
 use starfish_util::rng::DetRng;
 use starfish_util::trace::TraceSink;
@@ -563,19 +563,6 @@ pub fn postmortem(plan: &FaultPlan, report: &ScenarioReport) -> Option<Postmorte
         .map(|te| format!("chaos: @{} {:?}", te.step, te.event))
         .collect();
     Some(pm)
-}
-
-/// Where chaos bundles land (mirrors the daemon's postmortem directory):
-/// `$STARFISH_POSTMORTEM_DIR`, else `target/postmortems/` at the workspace
-/// root.
-pub fn postmortem_dir() -> std::path::PathBuf {
-    match std::env::var_os("STARFISH_POSTMORTEM_DIR") {
-        Some(d) => std::path::PathBuf::from(d),
-        None => std::path::PathBuf::from(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/postmortems"
-        )),
-    }
 }
 
 /// Write the bundle for this plan under [`postmortem_dir`] as

@@ -28,8 +28,6 @@ pub mod oracle;
 pub(crate) mod plan;
 pub(crate) mod shrink;
 
-pub use driver::{
-    postmortem, postmortem_dir, run_mpi_scenario, run_mpi_scenario_traced, write_postmortem,
-};
+pub use driver::{postmortem, run_mpi_scenario, run_mpi_scenario_traced, write_postmortem};
 pub use plan::{Event, FaultPlan, TimedEvent};
 pub use shrink::minimize;

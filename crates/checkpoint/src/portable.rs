@@ -17,6 +17,7 @@
 //!   Narrowing fails with [`Error::Checkpoint`] if a value does not fit the
 //!   destination word — the failure mode real heterogeneous C/R must detect.
 
+use starfish_util::codec::{Decoder, Encoder};
 use starfish_util::{Error, Result};
 
 use crate::arch::{Arch, Endianness};
@@ -59,30 +60,39 @@ impl ConversionReport {
     }
 }
 
+// ---- the arch layer over the canonical codec --------------------------------
+//
+// `Encoder` and `Decoder` carry big-endian words; a little-endian machine's
+// word is the big-endian one with its bytes swapped.
+
+fn native_u32(endian: Endianness, v: u32) -> u32 {
+    match endian {
+        Endianness::Little => v.swap_bytes(),
+        Endianness::Big => v,
+    }
+}
+
+fn native_u64(endian: Endianness, v: u64) -> u64 {
+    match endian {
+        Endianness::Little => v.swap_bytes(),
+        Endianness::Big => v,
+    }
+}
+
 // ---- native-representation writer -----------------------------------------
 
 struct NativeWriter {
     arch: Arch,
-    buf: Vec<u8>,
+    enc: Encoder,
 }
 
 impl NativeWriter {
-    fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
     fn put_u32_native(&mut self, v: u32) {
-        match self.arch.endian {
-            Endianness::Little => self.buf.extend_from_slice(&v.to_le_bytes()),
-            Endianness::Big => self.buf.extend_from_slice(&v.to_be_bytes()),
-        }
+        self.enc.put_u32(native_u32(self.arch.endian, v));
     }
 
     fn put_u64_native(&mut self, v: u64) {
-        match self.arch.endian {
-            Endianness::Little => self.buf.extend_from_slice(&v.to_le_bytes()),
-            Endianness::Big => self.buf.extend_from_slice(&v.to_be_bytes()),
-        }
+        self.enc.put_u64(native_u64(self.arch.endian, v));
     }
 
     /// A machine word: 4 or 8 bytes depending on the saving arch. Errors if
@@ -102,78 +112,78 @@ impl NativeWriter {
     }
 
     /// An unsigned word used for lengths.
-    fn put_word_len(&mut self, v: u64) -> Result<()> {
+    fn put_word_len(&mut self, v: usize) -> Result<()> {
         if self.arch.word_bits == 32 {
             let narrowed = u32::try_from(v)
                 .map_err(|_| Error::checkpoint(format!("length {v} exceeds 32-bit word")))?;
             self.put_u32_native(narrowed);
         } else {
-            self.put_u64_native(v);
+            self.put_u64_native(v as u64);
         }
         Ok(())
     }
 
-    fn put_f64_native(&mut self, v: f64) {
-        self.put_u64_native(v.to_bits());
+    /// A length word, then `bytes` as they are.
+    fn put_bytes(&mut self, bytes: &[u8]) -> Result<()> {
+        self.put_word_len(bytes.len())?;
+        self.enc.put_raw(bytes);
+        Ok(())
     }
 
     fn put_value(&mut self, v: &CkptValue) -> Result<()> {
         match v {
-            CkptValue::Unit => self.put_u8(T_UNIT),
+            CkptValue::Unit => self.enc.put_u8(T_UNIT),
             CkptValue::Bool(b) => {
-                self.put_u8(T_BOOL);
-                self.put_u8(*b as u8);
+                self.enc.put_u8(T_BOOL);
+                self.enc.put_u8(*b as u8);
             }
             CkptValue::Int(i) => {
-                self.put_u8(T_INT);
+                self.enc.put_u8(T_INT);
                 self.put_word_signed(*i)?;
             }
             CkptValue::Float(f) => {
-                self.put_u8(T_FLOAT);
-                self.put_f64_native(*f);
+                self.enc.put_u8(T_FLOAT);
+                self.put_u64_native(f.to_bits());
             }
             CkptValue::Str(s) => {
-                self.put_u8(T_STR);
-                self.put_word_len(s.len() as u64)?;
-                self.buf.extend_from_slice(s.as_bytes());
+                self.enc.put_u8(T_STR);
+                self.put_bytes(s.as_bytes())?;
             }
             CkptValue::Bytes(b) => {
-                self.put_u8(T_BYTES);
-                self.put_word_len(b.len() as u64)?;
-                self.buf.extend_from_slice(b);
+                self.enc.put_u8(T_BYTES);
+                self.put_bytes(b)?;
             }
             CkptValue::IntArray(xs) => {
-                self.put_u8(T_INT_ARR);
-                self.put_word_len(xs.len() as u64)?;
+                self.enc.put_u8(T_INT_ARR);
+                self.put_word_len(xs.len())?;
                 for x in xs {
                     self.put_word_signed(*x)?;
                 }
             }
             CkptValue::FloatArray(xs) => {
-                self.put_u8(T_FLOAT_ARR);
-                self.put_word_len(xs.len() as u64)?;
+                self.enc.put_u8(T_FLOAT_ARR);
+                self.put_word_len(xs.len())?;
                 for x in xs {
-                    self.put_f64_native(*x);
+                    self.put_u64_native(x.to_bits());
                 }
             }
             CkptValue::List(vs) => {
-                self.put_u8(T_LIST);
-                self.put_word_len(vs.len() as u64)?;
+                self.enc.put_u8(T_LIST);
+                self.put_word_len(vs.len())?;
                 for v in vs {
                     self.put_value(v)?;
                 }
             }
             CkptValue::Record(fs) => {
-                self.put_u8(T_RECORD);
-                self.put_word_len(fs.len() as u64)?;
+                self.enc.put_u8(T_RECORD);
+                self.put_word_len(fs.len())?;
                 for (k, v) in fs {
-                    self.put_word_len(k.len() as u64)?;
-                    self.buf.extend_from_slice(k.as_bytes());
+                    self.put_bytes(k.as_bytes())?;
                     self.put_value(v)?;
                 }
             }
             CkptValue::Zeros(n) => {
-                self.put_u8(T_ZEROS);
+                self.enc.put_u8(T_ZEROS);
                 // Always 8 bytes: region sizes can exceed a 32-bit word even
                 // on 32-bit machines (file-backed regions).
                 self.put_u64_native(*n);
@@ -188,46 +198,17 @@ impl NativeWriter {
 struct ConvertingReader<'a> {
     src: Arch,
     dst: Arch,
-    buf: &'a [u8],
-    pos: usize,
+    dec: Decoder<'a>,
     report: ConversionReport,
 }
 
-impl<'a> ConvertingReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(Error::checkpoint(format!(
-                "truncated image: need {n} bytes at {}",
-                self.pos
-            )));
-        }
-        #[expect(clippy::indexing_slicing, reason = "checked just above")]
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    #[expect(clippy::indexing_slicing, reason = "`take(1)` returned one byte")]
-    fn get_u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
+impl ConvertingReader<'_> {
     fn get_u32_src(&mut self) -> Result<u32> {
-        #[expect(clippy::unwrap_used, reason = "`take(4)` returned four bytes")]
-        let b: [u8; 4] = self.take(4)?.try_into().unwrap();
-        Ok(match self.src.endian {
-            Endianness::Little => u32::from_le_bytes(b),
-            Endianness::Big => u32::from_be_bytes(b),
-        })
+        Ok(native_u32(self.src.endian, self.dec.get_u32()?))
     }
 
     fn get_u64_src(&mut self) -> Result<u64> {
-        #[expect(clippy::unwrap_used, reason = "`take(8)` returned eight bytes")]
-        let b: [u8; 8] = self.take(8)?.try_into().unwrap();
-        Ok(match self.src.endian {
-            Endianness::Little => u64::from_le_bytes(b),
-            Endianness::Big => u64::from_be_bytes(b),
-        })
+        Ok(native_u64(self.src.endian, self.dec.get_u64()?))
     }
 
     fn note_scalar(&mut self) {
@@ -254,14 +235,34 @@ impl<'a> ConvertingReader<'a> {
         Ok(v)
     }
 
-    fn get_word_len(&mut self) -> Result<u64> {
+    fn get_word_len(&mut self) -> Result<usize> {
         let v = if self.src.word_bits == 32 {
             self.get_u32_src()? as u64
         } else {
             self.get_u64_src()?
         };
         self.note_scalar();
-        Ok(v)
+        Ok(v as usize)
+    }
+
+    /// A length word no larger than the bytes left, each element taking at
+    /// least `min_size` of them: a lying length fails before it allocates.
+    fn get_count(&mut self, min_size: usize) -> Result<usize> {
+        let n = self.get_word_len()?;
+        if n.saturating_mul(min_size) > self.dec.remaining() {
+            return Err(Error::checkpoint(format!(
+                "length {n} exceeds the {} bytes left in the image",
+                self.dec.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
+    /// A length word, then that many bytes as UTF-8.
+    fn get_string(&mut self) -> Result<String> {
+        let n = self.get_word_len()?;
+        String::from_utf8(self.dec.take(n)?.to_vec())
+            .map_err(|_| Error::checkpoint("invalid utf-8 in image"))
     }
 
     fn get_f64(&mut self) -> Result<f64> {
@@ -271,32 +272,22 @@ impl<'a> ConvertingReader<'a> {
     }
 
     fn get_value(&mut self) -> Result<CkptValue> {
-        Ok(match self.get_u8()? {
+        Ok(match self.dec.get_u8()? {
             T_UNIT => CkptValue::Unit,
-            T_BOOL => CkptValue::Bool(match self.get_u8()? {
+            T_BOOL => CkptValue::Bool(match self.dec.get_u8()? {
                 0 => false,
                 1 => true,
                 b => return Err(Error::checkpoint(format!("bad bool byte {b}"))),
             }),
             T_INT => CkptValue::Int(self.get_word_signed()?),
             T_FLOAT => CkptValue::Float(self.get_f64()?),
-            T_STR => {
-                let n = self.get_word_len()? as usize;
-                let raw = self.take(n)?.to_vec();
-                CkptValue::Str(
-                    String::from_utf8(raw)
-                        .map_err(|_| Error::checkpoint("invalid utf-8 in image"))?,
-                )
-            }
+            T_STR => CkptValue::Str(self.get_string()?),
             T_BYTES => {
-                let n = self.get_word_len()? as usize;
-                CkptValue::Bytes(self.take(n)?.to_vec())
+                let n = self.get_word_len()?;
+                CkptValue::Bytes(self.dec.take(n)?.to_vec())
             }
             T_INT_ARR => {
-                let n = self.get_word_len()? as usize;
-                if n > self.buf.len() - self.pos {
-                    return Err(Error::checkpoint("array length exceeds image"));
-                }
+                let n = self.get_count(1)?;
                 let mut xs = Vec::with_capacity(n);
                 for _ in 0..n {
                     xs.push(self.get_word_signed()?);
@@ -304,10 +295,7 @@ impl<'a> ConvertingReader<'a> {
                 CkptValue::IntArray(xs)
             }
             T_FLOAT_ARR => {
-                let n = self.get_word_len()? as usize;
-                if n.saturating_mul(8) > self.buf.len() - self.pos {
-                    return Err(Error::checkpoint("array length exceeds image"));
-                }
+                let n = self.get_count(8)?;
                 let mut xs = Vec::with_capacity(n);
                 for _ in 0..n {
                     xs.push(self.get_f64()?);
@@ -315,10 +303,7 @@ impl<'a> ConvertingReader<'a> {
                 CkptValue::FloatArray(xs)
             }
             T_LIST => {
-                let n = self.get_word_len()? as usize;
-                if n > self.buf.len() - self.pos {
-                    return Err(Error::checkpoint("list length exceeds image"));
-                }
+                let n = self.get_count(1)?;
                 let mut vs = Vec::with_capacity(n);
                 for _ in 0..n {
                     vs.push(self.get_value()?);
@@ -326,16 +311,10 @@ impl<'a> ConvertingReader<'a> {
                 CkptValue::List(vs)
             }
             T_RECORD => {
-                let n = self.get_word_len()? as usize;
-                if n > self.buf.len() - self.pos {
-                    return Err(Error::checkpoint("record length exceeds image"));
-                }
+                let n = self.get_count(1)?;
                 let mut fs = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let klen = self.get_word_len()? as usize;
-                    let k = String::from_utf8(self.take(klen)?.to_vec())
-                        .map_err(|_| Error::checkpoint("invalid utf-8 field name"))?;
-                    fs.push((k, self.get_value()?));
+                    fs.push((self.get_string()?, self.get_value()?));
                 }
                 CkptValue::Record(fs)
             }
@@ -347,45 +326,46 @@ impl<'a> ConvertingReader<'a> {
 
 // ---- public API -------------------------------------------------------------
 
+/// The architecture-independent header: magic, version, endianness byte
+/// and word bits, fixed big-endian so any machine can read it.
+const HEADER_LEN: usize = 7;
+
 /// Serialize `value` in the native representation of `arch`, prefixed by the
 /// architecture-independent header.
 pub fn encode_portable(value: &CkptValue, arch: Arch) -> Result<Vec<u8>> {
     let mut w = NativeWriter {
         arch,
-        buf: Vec::with_capacity(256),
+        enc: Encoder::with_capacity(256),
     };
-    // Header (always big-endian / fixed layout so any machine can read it).
-    w.buf.extend_from_slice(&MAGIC.to_be_bytes());
-    w.buf.push(VERSION);
-    w.buf.push(match arch.endian {
+    w.enc.put_u32(MAGIC);
+    w.enc.put_u8(VERSION);
+    w.enc.put_u8(match arch.endian {
         Endianness::Little => 0,
         Endianness::Big => 1,
     });
-    w.buf.push(arch.word_bits);
+    w.enc.put_u8(arch.word_bits);
     w.put_value(value)?;
-    Ok(w.buf)
+    Ok(w.enc.into_vec())
 }
 
-/// Read the representation header of an image without decoding the body.
-#[expect(clippy::indexing_slicing, reason = "the 7-byte header is checked")]
-#[expect(clippy::unwrap_used, reason = "the 7-byte header is checked")]
-pub(crate) fn peek_arch(img: &[u8]) -> Result<Arch> {
-    if img.len() < 7 {
+/// Read the representation header from `dec`, leaving it at the body.
+fn get_header(dec: &mut Decoder<'_>) -> Result<Arch> {
+    if dec.remaining() < HEADER_LEN {
         return Err(Error::checkpoint("image too short for header"));
     }
-    let magic = u32::from_be_bytes(img[0..4].try_into().unwrap());
-    if magic != MAGIC {
+    if dec.get_u32()? != MAGIC {
         return Err(Error::checkpoint("bad image magic"));
     }
-    if img[4] != VERSION {
-        return Err(Error::checkpoint(format!("unsupported version {}", img[4])));
+    let version = dec.get_u8()?;
+    if version != VERSION {
+        return Err(Error::checkpoint(format!("unsupported version {version}")));
     }
-    let endian = match img[5] {
+    let endian = match dec.get_u8()? {
         0 => Endianness::Little,
         1 => Endianness::Big,
         b => return Err(Error::checkpoint(format!("bad endianness byte {b}"))),
     };
-    let word_bits = img[6];
+    let word_bits = dec.get_u8()?;
     if word_bits != 32 && word_bits != 64 {
         return Err(Error::checkpoint(format!("bad word bits {word_bits}")));
     }
@@ -395,27 +375,22 @@ pub(crate) fn peek_arch(img: &[u8]) -> Result<Arch> {
 /// Decode an image on a machine of architecture `dst`, converting the
 /// representation as needed.
 pub fn decode_portable(img: &[u8], dst: Arch) -> Result<(CkptValue, ConversionReport)> {
-    let src = peek_arch(img)?;
+    let mut dec = Decoder::new(img);
+    let src = get_header(&mut dec)?;
     let mut r = ConvertingReader {
         src,
         dst,
-        buf: img,
-        pos: 7,
         report: ConversionReport {
             byte_swapped: src.endian != dst.endian,
             word_widened: src.word_bits < dst.word_bits,
             word_narrowed: src.word_bits > dst.word_bits,
             values_converted: 0,
-            body_bytes: (img.len() - 7) as u64,
+            body_bytes: dec.remaining() as u64,
         },
+        dec,
     };
     let v = r.get_value()?;
-    if r.pos != r.buf.len() {
-        return Err(Error::checkpoint(format!(
-            "{} trailing bytes in image",
-            r.buf.len() - r.pos
-        )));
-    }
+    r.dec.finish()?;
     Ok((v, r.report))
 }
 
@@ -512,7 +487,9 @@ mod tests {
     #[test]
     fn peek_arch_reads_header_only() {
         let img = encode_portable(&CkptValue::Unit, MACHINES[1]).unwrap();
-        let a = peek_arch(&img).unwrap();
+        let mut dec = Decoder::new(&img);
+        let a = get_header(&mut dec).unwrap();
+        assert_eq!(dec.remaining(), 1, "the body: one tag byte");
         assert_eq!(a.endian, Endianness::Big);
         assert_eq!(a.word_bits, 32);
     }

@@ -15,7 +15,6 @@
 //! (`node.rs`); the loop here is its I/O shell.
 
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,7 +26,7 @@ use starfish_checkpoint::store::CkptStore;
 use starfish_ensemble::{EndpointConfig, GcEvent, HeartbeatAges, Stack};
 use starfish_telemetry::{metric, Registry};
 use starfish_trace::event::{ClusterEvent, EventKind as ClusterKind};
-use starfish_trace::postmortem::Postmortem;
+use starfish_trace::postmortem::{postmortem_dir, Postmortem};
 use starfish_trace::{EventLog, FlightRecorder, TraceHub};
 use starfish_util::codec::{Decode, Encode};
 use starfish_util::trace::{ActorKind, TraceSink};
@@ -301,18 +300,6 @@ impl Daemon {
         if let Some(h) = handle {
             let _ = h.join();
         }
-    }
-}
-
-/// Directory recovery postmortem bundles are written to by the view
-/// coordinator. `STARFISH_POSTMORTEM_DIR` overrides it (tests, CI).
-pub fn postmortem_dir() -> PathBuf {
-    match std::env::var_os("STARFISH_POSTMORTEM_DIR") {
-        Some(d) => PathBuf::from(d),
-        None => PathBuf::from(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/postmortems"
-        )),
     }
 }
 

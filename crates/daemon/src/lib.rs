@@ -55,7 +55,7 @@ pub mod node;
 pub mod stats;
 
 pub use config::{AppEntry, AppSpec, AppStatus, CkptProto, ClusterConfig, FtPolicy, LevelKind};
-pub use daemon::{postmortem_dir, Daemon, DaemonConfig};
+pub use daemon::{Daemon, DaemonConfig};
 pub use host::{DownLink, NodeHost, ProcSpec};
 pub use mgmt::MgmtSession;
 pub use msg::{CfgCmd, ProcDown, ProcUp, RelayKind};

@@ -749,7 +749,7 @@ impl MgmtSession {
         };
         let id = Self::parse_app_id(tok).map_err(|_| USAGE)?;
         if let Some(pm) = self.daemon.postmortem(id) {
-            return Ok(format!("OK postmortem {id}\n{}", pm.to_json()));
+            return Ok(format!("OK postmortem {id}\n{}", pm.to_json().trim_end()));
         }
         let have: Vec<String> = self
             .daemon

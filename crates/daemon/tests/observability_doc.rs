@@ -1,8 +1,10 @@
 //! OBSERVABILITY.md against the code: its list of event labels is exactly
-//! the labels `EventKind::label()` returns, and its "One ring" table has
-//! one row per ring, each with the capacity the code gives it.
+//! the labels `EventKind::label()` returns, its "Metric catalogue" is the
+//! metric table row for row, and its "One ring" table has one row per
+//! ring, each with the capacity the code gives it.
 
 use starfish_daemon::stats::DEFAULT_HISTORY_RETENTION;
+use starfish_telemetry::{metric, MetricKind, Unit};
 use starfish_trace::event::EventKind;
 use starfish_trace::recorder::{EVENT_CAPACITY, PHASE_CAPACITY};
 use starfish_trace::DEFAULT_CAPACITY;
@@ -103,4 +105,30 @@ fn one_ring_table_has_one_row_per_ring() {
         let row = rows.iter().find(|r| r[0].starts_with(name)).unwrap();
         assert!(row[2].contains(&cap.to_string()), "{name}: {row:?}");
     }
+}
+
+#[test]
+fn metric_catalogue_is_the_metric_table() {
+    let doc: Vec<String> = section("Metric catalogue")
+        .into_iter()
+        .filter(|l| l.starts_with("| `"))
+        .map(str::to_string)
+        .collect();
+    let code: Vec<String> = metric::all()
+        .map(|id| {
+            let kind = match id.kind() {
+                MetricKind::Counter => "counter",
+                MetricKind::Gauge => "gauge",
+                MetricKind::Histogram => "histogram",
+            };
+            let unit = match id.unit() {
+                Unit::Count => "count",
+                Unit::Bytes => "bytes",
+                Unit::VirtualNanos => "virtual ns",
+                Unit::WallNanos => "wall ns",
+            };
+            format!("| `{}` | {kind} | {unit} |", id.name())
+        })
+        .collect();
+    assert_eq!(doc, code);
 }

@@ -13,6 +13,7 @@
 
 use bytes::Bytes;
 
+use starfish_util::codec::{Decode, Encode};
 use starfish_util::{Error, Rank, Result};
 
 use super::{
@@ -74,8 +75,6 @@ fn unrotate<T: Clone + Default>(me: usize, n: usize, blocks: &[T]) -> Vec<T> {
 
 /// The length pre-round: circulate every rank's blob length (4-byte BE
 /// entries on the control phase). Returns lengths in rank order.
-#[expect(clippy::indexing_slicing, reason = "each block has 4 bytes")]
-#[expect(clippy::unwrap_used, reason = "a 4-byte slice")]
 pub(super) fn exchange_lens<X: Transport>(
     t: &mut X,
     comm: &Comm,
@@ -88,7 +87,7 @@ pub(super) fn exchange_lens<X: Transport>(
     check_group_size(n)?;
     let entry = u32::try_from(my_len)
         .map_err(|_| Error::invalid_arg("allgather blob exceeds u32 length"))?;
-    let mut blocks = vec![Bytes::copy_from_slice(&entry.to_be_bytes())];
+    let mut blocks = vec![entry.encode_to_bytes()];
     let lens_rot = vec![4usize; n];
     rounds(
         t,
@@ -98,11 +97,14 @@ pub(super) fn exchange_lens<X: Transport>(
         &lens_rot,
         &mut blocks,
     )?;
-    let ordered = unrotate(me, n, &blocks);
-    Ok(ordered
-        .iter()
-        .map(|b| u32::from_be_bytes(b[0..4].try_into().unwrap()) as usize)
-        .collect())
+    block_lens(&unrotate(me, n, &blocks))
+}
+
+/// The lengths the pre-round's blocks carry, one `u32` each. The blocks
+/// came from peers: one of another size is an error, not a panic.
+fn block_lens(blocks: &[Bytes]) -> Result<Vec<usize>> {
+    let len = |b: &Bytes| Ok(u32::decode_from_bytes(b)? as usize);
+    blocks.iter().map(len).collect()
 }
 
 /// Bruck allgather of the blobs themselves, lengths already shared.
@@ -128,4 +130,19 @@ pub(super) fn allgather<X: Transport>(
         &mut blocks,
     )?;
     Ok(unrotate(me, n, &blocks))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_short_length_block_is_an_error() {
+        let blocks = [
+            Bytes::from_static(&[0, 0, 0, 7]),
+            Bytes::from_static(&[0, 0, 1]),
+        ];
+        assert!(block_lens(&blocks).is_err());
+        assert_eq!(block_lens(&blocks[..1]).unwrap(), vec![7]);
+    }
 }

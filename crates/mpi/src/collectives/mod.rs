@@ -63,7 +63,8 @@
 //! forward, an encoded contribution or a scattered blob leaves as its
 //! `Bytes` through [`Transport::isend`]; only a slice the caller lent
 //! (gather, alltoall) pays the endpoint's one copy. The one composite wire
-//! format is the gather+bcast allgather's concatenation:
+//! format is the gather+bcast allgather's concatenation, a `Vec<Bytes>` in
+//! `starfish_util::codec`'s form:
 //!
 //! ```text
 //! [count: u32 BE] ( [len_i: u32 BE] [blob_i: len_i bytes] ) * count
@@ -81,6 +82,7 @@ pub use transport::Transport;
 
 use bytes::Bytes;
 use starfish_telemetry::{metric, MetricId};
+use starfish_util::codec::{Decode, Decoder, Encode, Encoder};
 use starfish_util::{Error, Rank, Result};
 
 use crate::comm::Comm;
@@ -527,14 +529,12 @@ fn bcast_len_header<X: Transport>(
 ) -> Result<usize> {
     let tag = PhaseTag::new(OP_BCAST, seq, PHASE_CTRL, 0).seg(0);
     let hdr = if comm.rank() == root {
-        Bytes::copy_from_slice(&(len_at_root as u64).to_be_bytes())
+        (len_at_root as u64).encode_to_bytes()
     } else {
         Bytes::new()
     };
     let got = binomial_bcast_raw(t, comm, clock, root, comm.size() as usize, hdr, tag)?;
-    let len = <[u8; 8]>::try_from(got.as_ref())
-        .map_err(|_| Error::codec("bcast length header truncated"))?;
-    Ok(u64::from_be_bytes(len) as usize)
+    Ok(u64::decode_from_bytes(&got)? as usize)
 }
 
 /// `MPI_Bcast` of raw bytes from communicator rank `root`. A length header
@@ -850,14 +850,9 @@ fn allgather_gather_bcast<X: Transport>(
 ) -> Result<Vec<Bytes>> {
     let gathered = gather(t, comm, clock, Rank(0), data)?;
     let framed = gathered.map(|blobs| {
-        let total: usize = 4 + blobs.iter().map(|b| 4 + b.len()).sum::<usize>();
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&(blobs.len() as u32).to_be_bytes());
-        for b in &blobs {
-            out.extend_from_slice(&(b.len() as u32).to_be_bytes());
-            out.extend_from_slice(b);
-        }
-        Bytes::from(out)
+        let mut enc = Encoder::with_capacity(4 + blobs.iter().map(|b| 4 + b.len()).sum::<usize>());
+        blobs.encode(&mut enc);
+        enc.into_bytes()
     });
     let bytes = bcast_with(
         t,
@@ -867,29 +862,21 @@ fn allgather_gather_bcast<X: Transport>(
         framed.unwrap_or_default(),
         BcastAlgo::Binomial,
     )?;
-    // Unframe by slicing the shared buffer.
+    unframe(&bytes)
+}
+
+/// The blobs of a gather+bcast frame, each a zero-copy slice of `frame`.
+fn unframe(frame: &Bytes) -> Result<Vec<Bytes>> {
+    let mut dec = Decoder::new(frame);
+    let count = dec.get_u32()?;
     let mut out = Vec::new();
-    let mut pos = 4usize;
-    if bytes.len() < 4 {
-        return Err(Error::codec("allgather frame too short"));
-    }
-    #[expect(clippy::indexing_slicing, reason = "`bytes.len() >= 4`")]
-    #[expect(clippy::unwrap_used, reason = "a 4-byte slice")]
-    let count = u32::from_be_bytes(bytes[0..4].try_into().unwrap()) as usize;
     for _ in 0..count {
-        if pos + 4 > bytes.len() {
-            return Err(Error::codec("allgather frame truncated"));
-        }
-        #[expect(clippy::indexing_slicing, reason = "`pos + 4 <= bytes.len()`")]
-        #[expect(clippy::unwrap_used, reason = "a 4-byte slice")]
-        let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
-        if pos + len > bytes.len() {
-            return Err(Error::codec("allgather frame truncated"));
-        }
-        out.push(bytes.slice(pos..pos + len));
-        pos += len;
+        let len = dec.get_u32()? as usize;
+        let at = frame.len() - dec.remaining();
+        dec.take(len)?;
+        out.push(frame.slice(at..at + len));
     }
+    dec.finish()?;
     Ok(out)
 }
 
@@ -961,22 +948,14 @@ pub fn comm_split<X: Transport>(
     key: u32,
     exchange: AllgatherAlgo,
 ) -> Result<Option<Comm>> {
-    let mut mine = Vec::with_capacity(8);
-    mine.extend_from_slice(&color.unwrap_or(u32::MAX).to_be_bytes());
-    mine.extend_from_slice(&key.to_be_bytes());
+    let mine = (color.unwrap_or(u32::MAX), key).encode_to_bytes();
     let all = allgather_with(t, comm, clock, &mine, exchange)?;
     let Some(my_color) = color else {
         return Ok(None);
     };
     let mut members: Vec<(u32, Rank)> = Vec::new();
-    #[expect(clippy::indexing_slicing, reason = "each blob has 8 bytes")]
-    #[expect(clippy::unwrap_used, reason = "4-byte slices")]
     for (i, blob) in all.iter().enumerate() {
-        if blob.len() != 8 {
-            return Err(Error::codec("bad split blob"));
-        }
-        let c = u32::from_be_bytes(blob[0..4].try_into().unwrap());
-        let k = u32::from_be_bytes(blob[4..8].try_into().unwrap());
+        let (c, k) = <(u32, u32)>::decode_from_bytes(blob)?;
         if c == my_color {
             members.push((k, comm.world_rank(Rank(i as u32))?));
         }

@@ -701,3 +701,23 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    /// The gather+bcast frame and the split pair are read from peers' bytes:
+    /// a whole frame unframes to its blobs, a cut one is an error, and no
+    /// bytes at all make either reader panic.
+    #[test]
+    fn unframing_remote_bytes_never_panics(
+        blobs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..6), 0..4),
+        cut in 0usize..64,
+        noise in proptest::collection::vec(any::<u8>(), 0..32),
+    ) {
+        let blobs: Vec<Bytes> = blobs.into_iter().map(Bytes::from).collect();
+        let frame = blobs.encode_to_bytes();
+        prop_assert_eq!(unframe(&frame).unwrap(), blobs);
+        let cut = cut.min(frame.len());
+        prop_assert_eq!(unframe(&frame.slice(..cut)).is_ok(), cut == frame.len());
+        let _ = unframe(&Bytes::from(noise.clone()));
+        prop_assert_eq!(<(u32, u32)>::decode_from_bytes(&noise).is_ok(), noise.len() == 8);
+    }
+}

@@ -24,6 +24,10 @@ impl MetricId {
     pub fn kind(self) -> MetricKind {
         self.def().kind
     }
+
+    pub fn unit(self) -> Unit {
+        self.def().unit
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -32,99 +32,114 @@ pub fn export(traces: &[ProcTrace]) -> String {
     }
     let mut ev = Vec::new();
     for (p, t) in traces.iter().enumerate() {
-        let pid = p + 1;
-        ev.push(format!(
-            r#"{{"ph":"M","pid":{pid},"tid":1,"name":"process_name","args":{{"name":{}}}}}"#,
-            json::string(&t.scope)
-        ));
+        let pid = Json::Num(p + 1);
+        ev.push(Json::obj([
+            ("ph", Json::str("M")),
+            ("pid", pid.clone()),
+            ("tid", Json::Num(1)),
+            ("name", Json::str("process_name")),
+            ("args", Json::obj([("name", Json::str(&t.scope))])),
+        ]));
         for e in &t.events {
             // Virtual nanoseconds -> fractional microseconds.
-            let ts = e.vt.as_nanos() as f64 / 1000.0;
-            let common = format!(r#""pid":{pid},"tid":1,"ts":{ts:.3}"#);
-            let lam = e.lamport;
-            match &e.kind {
+            let ts = Json::Num(format!("{:.3}", e.vt.as_nanos() as f64 / 1000.0));
+            // Name, category and phase, `more` fields, where and when, then
+            // `args` if there are any.
+            let event = |name: String, cat: &str, ph: &str, more, args: Vec<_>| {
+                let head = [
+                    ("name", Json::str(name)),
+                    ("cat", Json::str(cat)),
+                    ("ph", Json::str(ph)),
+                ];
+                let at = [
+                    ("pid", pid.clone()),
+                    ("tid", Json::Num(1)),
+                    ("ts", ts.clone()),
+                ];
+                let args = (!args.is_empty()).then(|| ("args", Json::obj(args)));
+                Json::obj(head.into_iter().chain(more).chain(at).chain(args))
+            };
+            let lam = ("lamport", Json::Num(e.lamport));
+            let scope = |s| vec![("s", Json::str(s))];
+            let one = match &e.kind {
                 EventKind::Send {
                     peer,
                     context,
                     tag,
                     bytes,
                     ctx,
-                } => {
-                    ev.push(format!(
-                        r#"{{"name":"send r{peer} t{tag}","cat":"msg","ph":"X","dur":1,{common},"args":{{"lamport":{lam},"context":{context},"bytes":{bytes},"span":{}}}}}"#,
-                        ctx.span
-                    ));
-                    if ctx.is_some() {
-                        ev.push(format!(
-                            r#"{{"name":"msg","cat":"flow","ph":"s","id":{},{common}}}"#,
-                            ctx.span
-                        ));
-                    }
                 }
-                EventKind::Recv {
+                | EventKind::Recv {
                     peer,
                     context,
                     tag,
                     bytes,
                     ctx,
                 } => {
-                    ev.push(format!(
-                        r#"{{"name":"recv r{peer} t{tag}","cat":"msg","ph":"X","dur":1,{common},"args":{{"lamport":{lam},"context":{context},"bytes":{bytes},"span":{}}}}}"#,
-                        ctx.span
-                    ));
-                    if ctx.is_some() && sent_spans.contains(&ctx.span) {
-                        ev.push(format!(
-                            r#"{{"name":"msg","cat":"flow","ph":"f","bp":"e","id":{},{common}}}"#,
-                            ctx.span
-                        ));
+                    let send = matches!(e.kind, EventKind::Send { .. });
+                    let name = format!("{} r{peer} t{tag}", if send { "send" } else { "recv" });
+                    let span = ("span", Json::Num(ctx.span));
+                    let args = vec![
+                        lam,
+                        ("context", Json::Num(context)),
+                        ("bytes", Json::Num(bytes)),
+                        span,
+                    ];
+                    ev.push(event(name, "msg", "X", vec![("dur", Json::Num(1))], args));
+                    let id = ("id", Json::Num(ctx.span));
+                    if send && ctx.is_some() {
+                        event("msg".into(), "flow", "s", vec![id], vec![])
+                    } else if !send && ctx.is_some() && sent_spans.contains(&ctx.span) {
+                        event(
+                            "msg".into(),
+                            "flow",
+                            "f",
+                            vec![("bp", Json::str("e")), id],
+                            vec![],
+                        )
+                    } else {
+                        continue;
                     }
                 }
                 EventKind::PhaseBegin { name } => {
-                    ev.push(format!(
-                        r#"{{"name":{},"cat":"phase","ph":"B",{common},"args":{{"lamport":{lam}}}}}"#,
-                        json::string(name)
-                    ));
+                    event(name.clone(), "phase", "B", vec![], vec![lam])
                 }
                 EventKind::PhaseEnd { name, detail } => {
-                    ev.push(format!(
-                        r#"{{"name":{},"cat":"phase","ph":"E",{common},"args":{{"lamport":{lam},"detail":{}}}}}"#,
-                        json::string(name),
-                        json::string(detail)
-                    ));
+                    let args = vec![lam, ("detail", Json::str(detail))];
+                    event(name.clone(), "phase", "E", vec![], args)
                 }
                 EventKind::ViewChange { view, members } => {
-                    ev.push(format!(
-                        r#"{{"name":"view v{view}","cat":"membership","ph":"i","s":"p",{common},"args":{{"lamport":{lam},"members":{members}}}}}"#
-                    ));
+                    let args = vec![lam, ("members", Json::Num(members))];
+                    event(format!("view v{view}"), "membership", "i", scope("p"), args)
                 }
                 EventKind::Mark { name, detail } => {
-                    ev.push(format!(
-                        r#"{{"name":{},"cat":"mark","ph":"i","s":"t",{common},"args":{{"lamport":{lam},"detail":{}}}}}"#,
-                        json::string(name),
-                        json::string(detail)
-                    ));
+                    let args = vec![lam, ("detail", Json::str(detail))];
+                    event(name.clone(), "mark", "i", scope("t"), args)
                 }
-                EventKind::Fault { desc } => {
-                    ev.push(format!(
-                        r#"{{"name":{},"cat":"fault","ph":"i","s":"g",{common},"args":{{"lamport":{lam}}}}}"#,
-                        json::string(&format!("fault: {desc}"))
-                    ));
-                }
+                EventKind::Fault { desc } => event(
+                    format!("fault: {desc}"),
+                    "fault",
+                    "i",
+                    scope("g"),
+                    vec![lam],
+                ),
                 EventKind::Cluster(c) => {
-                    ev.push(format!(
-                        r#"{{"name":{},"cat":"event","ph":"i","s":"p",{common},"args":{{"lamport":{lam},"seq":{},"detail":{}}}}}"#,
-                        json::string(c.kind.label()),
-                        c.seq,
-                        json::string(&c.kind.detail())
-                    ));
+                    let args = vec![
+                        lam,
+                        ("seq", Json::Num(c.seq)),
+                        ("detail", Json::str(c.kind.detail())),
+                    ];
+                    event(c.kind.label().to_string(), "event", "i", scope("p"), args)
                 }
-            }
+            };
+            ev.push(one);
         }
     }
-    format!(
-        "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n{}\n]}}\n",
-        ev.join(",\n")
-    )
+    let doc = [
+        ("displayTimeUnit", Json::str("ns")),
+        ("traceEvents", Json::Arr(ev)),
+    ];
+    Json::obj(doc).render()
 }
 
 /// What [`validate`] measured about a trace file.

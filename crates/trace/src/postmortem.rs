@@ -4,9 +4,9 @@
 //! ordered event sequence around the failure, per-phase timings (detection,
 //! restore, respawn), rollback depth against the chosen recovery line, a
 //! causal trace slice from the flight recorders, and the metrics that moved.
-//! Bundles are written as hand-rolled JSON (same discipline as the Perfetto
-//! exporter: no serialization framework) to `target/postmortems/` and served
-//! over the mgmt protocol via `POSTMORTEM <app>`.
+//! A bundle is a [`Json`] value rendered by the workspace's one JSON writer
+//! (`starfish_util::json`), written to [`postmortem_dir`] and served over
+//! the mgmt protocol via `POSTMORTEM <app>`.
 //!
 //! Every timestamp in a bundle is either virtual (deterministic, replayable)
 //! or explicitly tagged `"wall"` (the failure detector's clock). A bundle
@@ -20,7 +20,7 @@
 #![deny(clippy::unimplemented, clippy::allow_attributes)]
 #![deny(clippy::allow_attributes_without_reason)]
 
-use starfish_util::json;
+use starfish_util::json::Json;
 
 use crate::event::ClusterEvent;
 
@@ -120,95 +120,60 @@ impl Postmortem {
     /// The bundle as a JSON document (stable key order, no wall-clock
     /// stamps: deterministic input ⇒ byte-identical output).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"postmortem\": {},\n", json::string(&self.app)));
-        out.push_str(&format!("  \"epoch\": {},\n", self.epoch));
-        out.push_str(&format!(
-            "  \"trigger\": {},\n",
-            json::string(&self.trigger)
-        ));
-        out.push_str(&format!(
-            "  \"store_backend\": {},\n",
-            json::string(&self.store_backend)
-        ));
-        out.push_str(&format!(
-            "  \"window_vt_ns\": {{\"begin\": {}, \"complete\": {}}},\n",
-            self.begin_vt_ns, self.complete_vt_ns
-        ));
-        out.push_str("  \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"name\": {}, \"ns\": {}, \"domain\": \"{}\"}}",
-                json::string(&p.name),
-                p.ns,
-                p.domain
-            ));
-        }
-        out.push_str(if self.phases.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
+        let phases = self.phases.iter().map(|p| {
+            Json::obj([
+                ("name", Json::str(&p.name)),
+                ("ns", Json::Num(p.ns)),
+                ("domain", Json::str(p.domain)),
+            ])
         });
-        out.push_str(&format!(
-            "  \"rollback\": {{\"line\": [{}], \"depth_vt_ns\": {}, \"messages_lost\": {}}},\n",
-            self.rollback
-                .line
-                .iter()
-                .map(|i| i.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-            self.rollback.depth_vt_ns,
-            self.rollback.messages_lost
-        ));
-        out.push_str("  \"events\": [");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"seq\": {}, \"vt_ns\": {}, \"origin\": {}, \"kind\": {}, \"detail\": {}}}",
-                e.seq,
-                e.vt.as_nanos(),
-                json::string(&e.origin.to_string()),
-                json::string(e.kind.label()),
-                json::string(&e.kind.detail())
-            ));
-        }
-        out.push_str(if self.events.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
+        let rollback = [
+            ("line", Json::arr(self.rollback.line.iter().map(Json::Num))),
+            ("depth_vt_ns", Json::Num(self.rollback.depth_vt_ns)),
+            ("messages_lost", Json::Num(self.rollback.messages_lost)),
+        ];
+        let events = self.events.iter().map(|e| {
+            Json::obj([
+                ("seq", Json::Num(e.seq)),
+                ("vt_ns", Json::Num(e.vt.as_nanos())),
+                ("origin", Json::str(e.origin.to_string())),
+                ("kind", Json::str(e.kind.label())),
+                ("detail", Json::str(e.kind.detail())),
+            ])
         });
-        out.push_str("  \"trace\": [");
-        for (i, t) in self.trace.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}", json::string(t)));
-        }
-        out.push_str(if self.trace.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        out.push_str("  \"metrics_delta\": {");
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: {}", json::string(&m.name), m.delta));
-        }
-        out.push_str(if self.metrics.is_empty() {
-            "}\n"
-        } else {
-            "\n  }\n"
-        });
-        out.push('}');
-        out
+        let window = [
+            ("begin", Json::Num(self.begin_vt_ns)),
+            ("complete", Json::Num(self.complete_vt_ns)),
+        ];
+        Json::obj([
+            ("postmortem", Json::str(&self.app)),
+            ("epoch", Json::Num(self.epoch)),
+            ("trigger", Json::str(&self.trigger)),
+            ("store_backend", Json::str(&self.store_backend)),
+            ("window_vt_ns", Json::obj(window)),
+            ("phases", Json::arr(phases)),
+            ("rollback", Json::obj(rollback)),
+            ("events", Json::arr(events)),
+            ("trace", Json::arr(self.trace.iter().map(Json::str))),
+            (
+                "metrics_delta",
+                Json::obj(self.metrics.iter().map(|m| (&m.name, Json::Num(m.delta)))),
+            ),
+        ])
+        .render()
+    }
+}
+
+/// Where recovery bundles are written: `$STARFISH_POSTMORTEM_DIR`, else
+/// `target/postmortems/` at the workspace root. The daemon's view
+/// coordinator and the chaos driver both write there.
+pub fn postmortem_dir() -> std::path::PathBuf {
+    match std::env::var_os("STARFISH_POSTMORTEM_DIR") {
+        Some(d) => std::path::PathBuf::from(d),
+        None => std::path::PathBuf::from(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../target/postmortems"
+        )),
     }
 }
 

@@ -5,10 +5,11 @@
 //! strings and sequences are length-prefixed with a `u32`. The format is
 //! deliberately simple and self-contained: the reproduction must not lean on
 //! an external serialization framework for the parts of the system whose
-//! *representation* is under study (checkpoint images use
-//! `starfish-checkpoint`'s native representations instead; this codec is for
-//! control messages, which the paper sends through Ensemble, and for the MPI
-//! data envelope).
+//! *representation* is under study. It carries control messages, which the
+//! paper sends through Ensemble, the MPI data envelope and the collectives'
+//! frames; portable checkpoint images are written and read through it by an
+//! arch layer (`starfish-checkpoint`'s `portable`) that swaps the bytes of a
+//! little-endian machine's words.
 
 use bytes::Bytes;
 
@@ -69,6 +70,11 @@ impl Encoder {
             v >>= 7;
         }
         self.buf.push(v as u8);
+    }
+
+    /// Append `v` as it is, with no length prefix.
+    pub fn put_raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
     }
 
     pub(crate) fn put_bytes(&mut self, v: &[u8]) {

@@ -1,12 +1,12 @@
-//! The workspace's one JSON string writer and one JSON reader (there is no
-//! serde offline, so every emitter formats its own objects — but they all
-//! quote through [`string`], and every reader parses through [`parse`]).
+//! The workspace's one JSON value type, [`Json`], with its one reader,
+//! [`parse`], and its one writer, [`Json::render`]. There is no serde
+//! offline: every report, bundle and trace file builds a `Json` and renders
+//! it, and every reader parses through `parse`.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
-/// `s` as a quoted, escaped JSON string literal.
-pub fn string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// `s` as a quoted, escaped JSON string literal, appended to `out`.
+fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -22,21 +22,46 @@ pub fn string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
-/// A parsed JSON value. An object keeps its keys in document order.
+/// A JSON value. An object keeps its keys in document order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
     Bool(bool),
-    Num(f64),
+    /// A number as its literal text, so a `u64` id or a report cell prints
+    /// exactly as it was written. [`Json::Num`] builds one.
+    Number(String),
     Str(String),
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
 }
 
 impl Json {
+    /// A number, written as `v` displays: `7`, `0.25`, or a value formatted
+    /// to a fixed precision beforehand, such as `"6.30"`.
+    #[expect(
+        non_snake_case,
+        reason = "reads as the variant it builds, as `Json::Str(..)` does"
+    )]
+    pub fn Num(v: impl Display) -> Json {
+        Json::Number(v.to_string())
+    }
+
+    pub fn str(s: impl Into<String>) -> Json {
+        Json::Str(s.into())
+    }
+
+    pub fn arr(items: impl IntoIterator<Item = Json>) -> Json {
+        Json::Arr(items.into_iter().collect())
+    }
+
+    /// An object from `(key, value)` pairs, each key as it displays.
+    pub fn obj<K: Display>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+        Json::Obj(fields.collect())
+    }
+
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -53,7 +78,7 @@ impl Json {
 
     pub fn as_num(&self) -> Option<f64> {
         match self {
-            Json::Num(n) => Some(*n),
+            Json::Number(n) => n.parse().ok(),
             _ => None,
         }
     }
@@ -71,6 +96,45 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The document, ending in a newline. A container of scalars prints on
+    /// one line; a container that holds a container nests, one entry per
+    /// line, indented two spaces a level.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        let entries: Vec<(Option<&String>, &Json)> = match self {
+            Json::Null => return out.push_str("null"),
+            Json::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            Json::Number(n) => return out.push_str(n),
+            Json::Str(s) => return write_string(out, s),
+            Json::Arr(items) => items.iter().map(|v| (None, v)).collect(),
+            Json::Obj(kv) => kv.iter().map(|(k, v)| (Some(k), v)).collect(),
+        };
+        let nests = (entries.iter()).any(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)));
+        let pad = |depth: usize| match nests {
+            true => format!("\n{}", "  ".repeat(depth)),
+            false => String::new(),
+        };
+        let sep = if nests { "," } else { ", " };
+        out.push(if let Json::Arr(_) = self { '[' } else { '{' });
+        for (i, (key, v)) in entries.into_iter().enumerate() {
+            out.push_str(if i == 0 { "" } else { sep });
+            out.push_str(&pad(depth + 1));
+            if let Some(key) = key {
+                write_string(out, key);
+                out.push_str(": ");
+            }
+            v.write(out, depth + 1);
+        }
+        out.push_str(&pad(depth));
+        out.push(if let Json::Arr(_) = self { ']' } else { '}' });
+    }
 }
 
 struct Parser<'a> {
@@ -79,9 +143,8 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    #[expect(clippy::indexing_slicing, reason = "`i < len` is checked first")]
     fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
+        while self.b.get(self.i).is_some_and(u8::is_ascii_whitespace) {
             self.i += 1;
         }
     }
@@ -94,15 +157,15 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| "unexpected end of input".to_string())
     }
 
-    #[expect(clippy::indexing_slicing, reason = "`peek` found a byte at `i`")]
     fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek()? == c {
+        let found = self.peek()?;
+        if found == c {
             self.i += 1;
             Ok(())
         } else {
             Err(format!(
                 "expected {:?} at byte {}, found {:?}",
-                c as char, self.i, self.b[self.i] as char
+                c as char, self.i, found as char
             ))
         }
     }
@@ -119,9 +182,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    #[expect(clippy::indexing_slicing, reason = "`peek` found a byte at `i`")]
     fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
+        let rest = self.b.get(self.i..).unwrap_or_default();
+        if rest.starts_with(word.as_bytes()) {
             self.i += word.len();
             Ok(v)
         } else {
@@ -129,21 +192,16 @@ impl<'a> Parser<'a> {
         }
     }
 
-    #[expect(clippy::indexing_slicing, reason = "`start <= i < len`, checked first")]
     fn number(&mut self) -> Result<Json, String> {
         let start = self.i;
-        while self.i < self.b.len()
-            && matches!(
-                self.b[self.i],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
+        let numeric = |c: &u8| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E');
+        while self.b.get(self.i).is_some_and(numeric) {
             self.i += 1;
         }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
+        (self.b.get(start..self.i))
+            .and_then(|s| std::str::from_utf8(s).ok())
+            .filter(|s| s.parse::<f64>().is_ok())
+            .map(|s| Json::Number(s.to_string()))
             .ok_or_else(|| format!("bad number at byte {start}"))
     }
 
@@ -267,6 +325,13 @@ pub fn parse(text: &str) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn string(s: &str) -> String {
+        let mut out = String::new();
+        write_string(&mut out, s);
+        out
+    }
 
     #[test]
     fn escapes_quotes_backslashes_and_controls() {
@@ -282,5 +347,89 @@ mod tests {
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert!(parse("[1,2,]").is_err());
         assert!(parse("{\"a\":1} extra").is_err());
+    }
+
+    #[test]
+    fn render_nests_only_containers_of_containers() {
+        let v = Json::obj([
+            ("n", Json::Num(6.5)),
+            (
+                "flat",
+                Json::Arr(vec![Json::Num(1), Json::Null, Json::Bool(false)]),
+            ),
+            ("empty", Json::obj::<&str>([])),
+            ("rows", Json::Arr(vec![Json::obj([("k", Json::str("v"))])])),
+        ]);
+        let want = "{\n  \"n\": 6.5,\n  \"flat\": [1, null, false],\n  \"empty\": {},\n  \
+                    \"rows\": [\n    {\"k\": \"v\"}\n  ]\n}\n";
+        assert_eq!(v.render(), want);
+    }
+
+    #[test]
+    fn numbers_keep_their_literal_text() {
+        let text = "[18446744073709551615, 6.30, 1E5, -0.000]\n";
+        let v = parse(text).unwrap();
+        assert_eq!(v.render(), text);
+        assert_eq!(v.as_arr().unwrap()[1].as_num(), Some(6.3));
+    }
+
+    /// The committed calibration report reads and re-renders byte for byte:
+    /// its writer is this renderer.
+    #[test]
+    fn the_committed_report_renders_back_byte_for_byte() {
+        let text = include_str!("../../../BENCH_calibrate.json");
+        assert_eq!(parse(text).unwrap().render(), text);
+    }
+
+    /// Any string: every code point class the escaper treats apart.
+    fn any_string() -> impl Strategy<Value = String> {
+        let class = prop_oneof![
+            0u32..0x80,
+            0x80u32..0x800,
+            0x800u32..0xD800,
+            0x10000u32..0x110000,
+        ];
+        proptest::collection::vec(class, 0..8)
+            .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    fn any_json() -> impl Strategy<Value = Json> {
+        let leaf = prop_oneof![
+            Just(Json::Null),
+            any::<bool>().prop_map(Json::Bool),
+            any::<i64>().prop_map(Json::Num),
+            any::<u64>().prop_map(Json::Num),
+            any::<f64>().prop_map(|f| Json::Num(if f.is_finite() { f } else { 0.5 })),
+            any_string().prop_map(Json::Str),
+        ];
+        leaf.prop_recursive(3, 24, 4, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 0..4).prop_map(Json::Arr),
+                proptest::collection::vec((any_string(), inner), 0..4).prop_map(Json::Obj),
+            ]
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn render_then_parse_is_the_identity(v in any_json()) {
+            prop_assert_eq!(parse(&v.render()), Ok(v));
+        }
+
+        /// Truncations and bit flips of the committed report parse or fail,
+        /// and never panic.
+        #[test]
+        fn parse_never_panics_on_a_damaged_report(
+            cut in 0usize..1 << 20,
+            flips in proptest::collection::vec((0usize..1 << 20, 0u8..8), 0..4),
+        ) {
+            let mut bytes = include_bytes!("../../../BENCH_calibrate.json").to_vec();
+            for (at, bit) in flips {
+                let at = at % bytes.len();
+                bytes[at] ^= 1 << bit;
+            }
+            bytes.truncate(cut % (bytes.len() + 1));
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
     }
 }

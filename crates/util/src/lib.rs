@@ -9,9 +9,10 @@
 //!   in a deterministic virtual timeline calibrated to the paper's hardware
 //!   (see DESIGN.md §5/§6).
 //! * [`codec`] — a small, canonical, portable binary wire format used for all
-//!   control-plane messages. Checkpoint images deliberately do *not* use this
-//!   canonical format; they use the architecture-native representation from
-//!   `starfish-checkpoint`, because representation control is part of the
+//!   control-plane messages, and the one cursor every byte image is read
+//!   with. Portable checkpoint images keep the saving machine's native
+//!   representation (`starfish-checkpoint`'s `portable`, an arch layer over
+//!   this codec), because representation control is part of the
 //!   heterogeneous-checkpointing experiment.
 //! * [`rng`] — deterministic seeded RNG helpers for reproducible workloads.
 //! * [`trace`] — the Table 1 message-taxonomy audit: per-class totals and
@@ -19,7 +20,7 @@
 //! * [`ring`] — [`ring::SeqRing`], the one bounded, sequenced ring every
 //!   observability buffer (the flight recorder's record classes, the stats
 //!   history) is a typed user of.
-//! * [`json`] — the one JSON string writer.
+//! * [`json`] — the one JSON value type, with its one reader and one writer.
 //! * [`error`] — the shared error type.
 
 // The panic surface: each surviving site carries an `#[expect]` with its

@@ -1,11 +1,10 @@
-//! Findings and the machine-readable report. The JSON writer is
-//! hand-rolled (same philosophy as `trace`'s perfetto exporter and
-//! `events`' postmortem bundles): no serde offline, and the schema is
-//! small enough that an escaper plus string building is clearer than a
-//! framework.
+//! Findings and the machine-readable report, a [`Json`] value rendered by
+//! the workspace's one JSON writer.
 
 use std::fmt;
 use std::path::PathBuf;
+
+use starfish_util::json::Json;
 
 /// One finding from any pass.
 #[derive(Debug, Clone)]
@@ -82,60 +81,31 @@ impl Report {
 
     /// Machine-readable report (CI artifact).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"starfish-analysis/3\",\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"rule\": {}, ", json_str(&f.rule)));
-            out.push_str(&format!(
-                "\"file\": {}, ",
-                json_str(&f.file.display().to_string())
-            ));
-            out.push_str(&format!("\"line\": {}, ", f.line));
-            out.push_str(&format!("\"message\": {}}}", json_str(&f.msg)));
-        }
+        let findings = self.findings.iter().map(|f| {
+            Json::obj([
+                ("rule", Json::str(&f.rule)),
+                ("file", Json::str(f.file.display().to_string())),
+                ("line", Json::Num(f.line)),
+                ("message", Json::str(&f.msg)),
+            ])
+        });
         let s = &self.stats;
-        out.push_str("\n  ],\n  \"stats\": {");
-        out.push_str("\"crates\": [");
-        for (i, c) in s.crates.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(c));
-        }
-        out.push_str("], \"non_test_lines\": {");
-        for (i, (c, n)) in s.crates.iter().zip(&s.non_test_lines).enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {n}", json_str(c)));
-        }
-        out.push_str(&format!("}}, \"files\": {}}}\n}}\n", s.files));
-        out
+        let lines = s.crates.iter().zip(&s.non_test_lines);
+        let stats = [
+            ("crates", Json::arr(s.crates.iter().map(Json::str))),
+            (
+                "non_test_lines",
+                Json::obj(lines.map(|(c, n)| (c, Json::Num(n)))),
+            ),
+            ("files", Json::Num(s.files)),
+        ];
+        Json::obj([
+            ("schema", Json::str("starfish-analysis/3")),
+            ("findings", Json::arr(findings)),
+            ("stats", Json::obj(stats)),
+        ])
+        .render()
     }
-}
-
-/// JSON string literal with escaping. A private copy of
-/// `starfish_util::json::string`: this crate analyses the workspace and
-/// deliberately depends on none of it (`[dependencies]` is empty).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -153,18 +123,19 @@ mod tests {
         ));
         r.stats.crates.push("vni".into());
         r.stats.non_test_lines.push(42);
-        let j = r.to_json();
-        assert!(j.contains("\\\"here\\\""), "{j}");
-        assert!(j.contains("\\t"), "{j}");
-        assert!(j.contains("\"schema\": \"starfish-analysis/3\""));
-        assert!(j.contains("\"crates\": [\"vni\"]"));
-        assert!(j.contains("\"non_test_lines\": {\"vni\": 42}, "));
-        // Structurally balanced (cheap sanity: equal brace counts).
+        let j = starfish_util::json::parse(&r.to_json()).expect("the report is JSON");
+        assert_eq!(j.get("schema"), Some(&Json::str("starfish-analysis/3")));
+        let finding = &j.get("findings").and_then(Json::as_arr).unwrap()[0];
+        let message = finding.get("message").and_then(Json::as_str);
+        assert_eq!(message, Some("`Fabric` named \"here\"\tand there"));
+        assert_eq!(finding.get("line"), Some(&Json::Num(10)));
+        let stats = j.get("stats").unwrap();
         assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced: {j}"
+            stats.get("crates"),
+            Some(&Json::Arr(vec![Json::str("vni")]))
         );
+        let lines = Json::obj([("vni", Json::Num(42))]);
+        assert_eq!(stats.get("non_test_lines"), Some(&lines));
     }
 
     #[test]
