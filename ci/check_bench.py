@@ -129,6 +129,11 @@ DATA_BYTES_PER_MSG_CEILING = 18
 # (60 of them); with a packet to itself per cast and one cast per entry it
 # read 78-79.
 CONTROL_COUNT_CEILING = 51
+# ... and their bytes. A rank's telemetry is varints with zero entries left
+# out, a scope is its ids, and a round's snapshots ride one cast; the
+# snapshots that wrote every entry in fixed width, named each scope by a
+# string and cast each rank's flush alone read 10 365-13 329 bytes.
+CONTROL_BYTES_CEILING = 6000
 INCREMENTAL_FLOOR = 9.0
 FORKED_STALL_CEILING_S = 1.0
 
@@ -367,6 +372,12 @@ def check_table1(r, path):
         fail(
             f"{where}: the lifecycle sent {control} Control messages, over the "
             f"{CONTROL_COUNT_CEILING} of in-place self-delivery and same-instant casts"
+        )
+    control_bytes = hi(rows["Control"]["bytes"])
+    if not control_bytes <= CONTROL_BYTES_CEILING:
+        fail(
+            f"{where}: the lifecycle's Control messages took {control_bytes} bytes, over the "
+            f"{CONTROL_BYTES_CEILING} of varint telemetry that rides one cast per round"
         )
     data = rows["Data"]
     per_msg = hi(data["bytes"]) / lo(data["count"])

@@ -54,6 +54,7 @@ use starfish_checkpoint::proto::{CrMsg, SyncCostModel};
 use starfish_checkpoint::store::CkptStore;
 use starfish_checkpoint::{Arch, CkptValue};
 use starfish_daemon::config::AppEntry;
+use starfish_daemon::msg::RankStats;
 use starfish_daemon::{LevelKind, ProcDown, ProcUp, RelayKind};
 use starfish_mpi::wire::MsgHeader;
 use starfish_mpi::{Comm, MpiEndpoint};
@@ -153,9 +154,11 @@ pub(crate) struct ProcessRuntime {
     captured: Option<Captured>,
 
     /// This process's telemetry registry (also installed in the MPI
-    /// endpoint); snapshots flush to the daemon at round commits,
-    /// restores, and completion.
+    /// endpoint); snapshots go up at round commits and with a member's
+    /// `Saved`, at restores, and at completion.
     pub(crate) metrics: Registry,
+    /// Snapshots sent up so far: the last one's `seq`.
+    flushes: u64,
     /// Forensic baselines: `(vt, consumed-message count)` at each committed
     /// checkpoint index. A rollback to index `i` is measured against these
     /// — rollback depth in virtual time, and messages consumed past the
@@ -294,6 +297,7 @@ impl ProcessRuntime {
             cache: SafepointCache::default(),
             captured: None,
             metrics,
+            flushes: 0,
             ckpt_marks: std::collections::BTreeMap::from([(0, (spawn_vt, 0))]),
             consumed_total: 0,
             restored_at: None,
@@ -346,12 +350,23 @@ impl ProcessRuntime {
     }
 
     /// The cumulative registry snapshot, for the daemon to cast
-    /// cluster-wide (scope `"app<A>.r<R>"`): once per round and per
-    /// restore, and at exit.
-    pub(crate) fn stats_up(&self) -> ProcUp {
+    /// cluster-wide (scope `"app<A>.r<R>"`): at a commit the rank
+    /// coordinated, per restore, and at exit. A member's rides its `Saved`
+    /// instead.
+    pub(crate) fn stats_up(&mut self) -> ProcUp {
         ProcUp::Stats {
-            snap: self.metrics.snapshot(),
+            stats: self.rank_stats(),
             vt: self.clock.now(),
+        }
+    }
+
+    /// The cumulative registry snapshot, numbered.
+    fn rank_stats(&mut self) -> RankStats {
+        self.flushes += 1;
+        RankStats {
+            epoch: self.mpi.epoch(),
+            seq: self.flushes,
+            snap: self.metrics.snapshot(),
         }
     }
 
@@ -551,7 +566,10 @@ impl ProcessRuntime {
 
     /// Carry out what the machine answered, in order — with the
     /// application's state in hand, at a safepoint. Everything it sends the
-    /// daemon goes up at the end, as one message.
+    /// daemon goes up at the end, as one message. A batch that commits a
+    /// round ends with one stats flush, which makes the round's layer
+    /// histograms and checkpoint costs visible cluster-wide; the members'
+    /// snapshots, handed over with their `Saved`s, go out with it.
     pub(crate) fn carry(
         &mut self,
         outs: Vec<Out>,
@@ -559,14 +577,18 @@ impl ProcessRuntime {
     ) -> Result<()> {
         let mut ups = Vec::new();
         let carried = self.carry_into(outs, state, &mut ups);
+        if ups
+            .iter()
+            .any(|up| matches!(up, ProcUp::CkptCommitted { .. }))
+        {
+            ups.push(self.stats_up());
+        }
         self.send_ups(ups);
         carried
     }
 
-    /// [`carry`](Self::carry), gathering what goes up in `ups`. A batch
-    /// that closes or commits a round ends with one stats flush, which
-    /// makes the round's layer histograms and checkpoint costs visible
-    /// cluster-wide.
+    /// [`carry`](Self::carry), gathering what goes up in `ups`. A `Saved`
+    /// carries the rank's cumulative snapshot.
     fn carry_into(
         &mut self,
         outs: Vec<Out>,
@@ -576,7 +598,6 @@ impl ProcessRuntime {
         if self.debug && !outs.is_empty() {
             eprintln!("[rt {}.{}] {outs:?}", self.app, self.rank);
         }
-        let flush = (outs.iter()).any(|o| matches!(o, Out::RoundClosed | Out::Committed(_)));
         for out in outs {
             match out {
                 Out::Merge(t) => {
@@ -585,8 +606,18 @@ impl ProcessRuntime {
                 Out::Up { to, msg } => {
                     let (kind, body) = (RelayKind::CheckpointRestart, msg.encode_to_bytes());
                     let vt = self.clock.now();
+                    let saved = matches!(msg, CrMsg::Saved { .. });
                     ups.push(match to {
-                        Some(to) => ProcUp::SendTo { kind, to, body, vt },
+                        Some(to) => {
+                            let stats = saved.then(|| self.rank_stats());
+                            ProcUp::SendTo {
+                                kind,
+                                to,
+                                body,
+                                stats,
+                                vt,
+                            }
+                        }
                         None => ProcUp::Cast { kind, body, vt },
                     });
                 }
@@ -603,9 +634,6 @@ impl ProcessRuntime {
                 Out::RoundClosed => self.note_round_done(),
                 Out::Committed(index) => ups.push(self.committed(index)),
             }
-        }
-        if flush {
-            ups.push(self.stats_up());
         }
         Ok(())
     }
@@ -918,7 +946,8 @@ pub(crate) fn process_main(mut rt: ProcessRuntime, run: Arc<crate::host::AppFn>)
                 .recorder()
                 .phase_end(now, "recovery.restore", &format!("to index {idx}"));
             rt.restored_at = Some(now);
-            rt.send_up(rt.stats_up());
+            let flush = rt.stats_up();
+            rt.send_up(flush);
         }
         let result = {
             let mut ctx = crate::ctx::Ctx { rt: &mut rt };
@@ -929,6 +958,7 @@ pub(crate) fn process_main(mut rt: ProcessRuntime, run: Arc<crate::host::AppFn>)
                 // The last flush and `Done` go up together: one cast.
                 let (outs, mut ups) = (rt.cr.finish(), Vec::new());
                 let _ = rt.carry_into(outs, None, &mut ups);
+                ups.push(rt.stats_up());
                 ups.push(ProcUp::Done { vt: rt.clock.now() });
                 rt.send_ups(ups);
                 return;

@@ -401,8 +401,8 @@ fn the_coordinator_flushes_stats_once_per_round_after_counting_it() {
             .into_iter()
             .filter_map(|msg| match msg {
                 ProcUp::CkptCommitted { index, .. } => Some(format!("commit {index}")),
-                ProcUp::Stats { snap, .. } => {
-                    Some(format!("stats {}", snap.counter(metric::CKPT_ROUNDS)))
+                ProcUp::Stats { stats, .. } => {
+                    Some(format!("stats {}", stats.snap.counter(metric::CKPT_ROUNDS)))
                 }
                 ProcUp::Done { .. } => Some("done".into()),
                 _ => None,
@@ -419,5 +419,74 @@ fn the_coordinator_flushes_stats_once_per_round_after_counting_it() {
     ];
     let exit = ["stats 3 + done"];
     assert_eq!(seen, [&rounds[..], &exit].concat());
+    rank.join().unwrap();
+}
+
+/// A member's telemetry rides its `Saved`, and no flush of its own goes up
+/// in a round: the snapshot counts the round's image and the rounds before
+/// it (a round's time is taken at its `Resume`); the last round's time goes
+/// up with the exit flush, beside the `Done`. Each snapshot is numbered, one
+/// past the last.
+#[test]
+fn a_members_stats_ride_its_saved() {
+    const ROUNDS: u64 = 3;
+    let (mut rig, rt) = rig();
+    let rank = run(rt, |ctx| {
+        for _ in 0..ROUNDS {
+            ctx.checkpoint(&CkptValue::Unit)?;
+        }
+        Ok(())
+    });
+    // `#seq images round-times`.
+    let counts = |stats: &starfish_daemon::msg::RankStats| {
+        let n = |id| stats.snap.hist(id).map_or(0, |h| h.count);
+        let (images, timed) = (n(metric::CKPT_IMAGE_BYTES), n(metric::CKPT_ROUND_NS));
+        format!("#{} {images} {timed}", stats.seq)
+    };
+    // The next message up, labelled.
+    let next = |rig: &mut Rig| -> String {
+        let (_, _, msgs) = rig.up.recv_timeout(T).expect("the rank went quiet");
+        let label = |msg: ProcUp| match msg {
+            ProcUp::SendTo { stats, .. } => Some(match stats {
+                Some(stats) => format!("saved {}", counts(&stats)),
+                None => "saved".into(),
+            }),
+            ProcUp::Stats { stats, .. } => Some(format!("stats {}", counts(&stats))),
+            ProcUp::Done { .. } => Some("done".into()),
+            _ => None,
+        };
+        msgs.into_iter()
+            .filter_map(label)
+            .collect::<Vec<_>>()
+            .join(" + ")
+    };
+    let mut seen = Vec::new();
+    for index in 1..=ROUNDS {
+        rig.relay(CrMsg::Stop { index });
+        rig.await_flush_mark(index);
+        rig.flush_mark(index);
+        loop {
+            let up = next(&mut rig);
+            let saved = up.starts_with("saved");
+            seen.push(up);
+            if saved {
+                break;
+            }
+        }
+        rig.relay(CrMsg::Resume { index });
+    }
+    while !seen.last().is_some_and(|m| m.ends_with("done")) {
+        seen.push(next(&mut rig));
+    }
+    seen.retain(|m| !m.is_empty());
+    assert_eq!(
+        seen,
+        [
+            "saved #1 1 0",
+            "saved #2 2 1",
+            "saved #3 3 2",
+            "stats #4 3 3 + done"
+        ]
+    );
     rank.join().unwrap();
 }

@@ -505,12 +505,7 @@ impl Loop {
                 }
                 // Cumulative telemetry: the total order makes every hub
                 // converge, and its history stays queryable afterwards.
-                Out::Stats { scopes, vt } => {
-                    for (scope, snap) in scopes {
-                        self.stats.update(&scope, snap);
-                    }
-                    self.stats.record_history(vt);
-                }
+                Out::Stats { stats, vt } => self.stats.apply(stats, vt),
                 Out::Retention(n) => self.stats.set_retention(n),
                 Out::Publish => {
                     *self.shared_cfg.lock() = self.machine.config().clone();
@@ -522,13 +517,12 @@ impl Loop {
 
     /// Cast `wc` at `vt`. Each stats entry gains the shared
     /// infrastructure's snapshot under one well-known scope (so re-casts
-    /// replace): a rank's telemetry and the cluster's take one slot.
+    /// replace): the ranks' telemetry and the cluster's take one slot.
     fn cast(&mut self, wc: WireCast, vt: VirtualTime) {
         let stamp = |entry| match entry {
-            WireCast::Stats { mut scopes } => {
-                let cluster = self.metrics.as_ref().map(|m| m.snapshot());
-                scopes.extend(cluster.map(|snap| ("cluster".to_string(), snap)));
-                WireCast::Stats { scopes }
+            WireCast::Stats(mut stats) => {
+                stats.cluster = self.metrics.as_ref().map(|m| m.snapshot());
+                WireCast::Stats(stats)
             }
             entry => entry,
         };

@@ -456,11 +456,15 @@ pub enum ProcUp {
         body: Bytes,
         vt: VirtualTime,
     },
-    /// Send a C/R message to a specific rank.
+    /// Send a C/R message to a specific rank. A member's `Saved` carries
+    /// its telemetry (`stats`): the daemon that hosts the coordinator casts
+    /// it with the coordinator's own flush, so a round costs no cast of the
+    /// member's.
     SendTo {
         kind: RelayKind,
         to: Rank,
         body: Bytes,
+        stats: Option<RankStats>,
         vt: VirtualTime,
     },
     /// This rank finished normally.
@@ -468,10 +472,10 @@ pub enum ProcUp {
     /// A checkpoint round committed locally at `index` (reported by the
     /// round coordinator for bookkeeping/GC).
     CkptCommitted { index: u64, vt: VirtualTime },
-    /// Cumulative telemetry snapshot of this process's registry; the daemon
-    /// casts it, with its own infrastructure snapshot, in one
-    /// [`WireCast::Stats`] so every daemon's stats hub sees both.
-    Stats { snap: Snapshot, vt: VirtualTime },
+    /// This process's telemetry; the daemon casts it, with the snapshots
+    /// other ranks' `Saved`s handed it and its own infrastructure snapshot,
+    /// in one [`WireCast::Stats`] so every daemon's stats hub sees them all.
+    Stats { stats: RankStats, vt: VirtualTime },
 }
 
 impl ProcUp {
@@ -495,11 +499,8 @@ pub enum WireCast {
     /// An application multicast inside its lightweight group: every other
     /// rank of `relay.app` gets it.
     Mcast(AppRelay),
-    /// Cumulative telemetry snapshots, one per scope: a rank's and, where
-    /// its daemon has an infrastructure registry, `"cluster"`. Each replaces
-    /// the previous snapshot of its scope in every daemon's stats hub, and
-    /// the cast is one point of the hub's history.
-    Stats { scopes: Vec<(String, Snapshot)> },
+    /// Cumulative telemetry snapshots (see [`StatsCast`]).
+    Stats(StatsCast),
     /// A structured cluster event observed locally (suspicion, checkpoint
     /// commit, respawn, injected fault) published to every daemon's flight
     /// recorder through the total order, so all agree on sequence.
@@ -518,6 +519,88 @@ pub enum WireCast {
 }
 
 const T_BATCH: u8 = 4;
+
+/// A rank's cumulative telemetry snapshot, numbered: its `seq`-th flush in
+/// `epoch`. Its own daemon casts some of a rank's snapshots and the
+/// coordinator's daemon the rest, so two of them can be delivered out of
+/// order; a hub keeps the one with the greater `(epoch, seq)`. A respawned
+/// rank counts from 1 again, in a later epoch.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RankStats {
+    pub epoch: Epoch,
+    pub seq: u64,
+    pub snap: Snapshot,
+}
+
+impl RankStats {
+    pub(crate) fn key(&self) -> (Epoch, u64) {
+        (self.epoch, self.seq)
+    }
+}
+
+/// In varints.
+impl Encode for RankStats {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_var(u64::from(self.epoch.0));
+        enc.put_var(self.seq);
+        self.snap.encode(enc);
+    }
+}
+
+impl Decode for RankStats {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        Ok(RankStats {
+            epoch: Epoch(var_u32(dec)?),
+            seq: dec.get_var()?,
+            snap: Snapshot::decode(dec)?,
+        })
+    }
+}
+
+/// A varint that must fit a `u32` id.
+fn var_u32(dec: &mut Decoder<'_>) -> Result<u32> {
+    u32::try_from(dec.get_var()?).map_err(|_| Error::codec("an id past u32"))
+}
+
+/// Telemetry in one cast: cumulative snapshots, each of which replaces the
+/// previous one of its scope in every daemon's stats hub.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct StatsCast {
+    /// Ranks' snapshots (scope `"app<A>.r<R>"`), each one point of the
+    /// hub's history: the flushing rank's first, then those handed to its
+    /// daemon with a `Saved`.
+    pub(crate) ranks: Vec<(AppId, Rank, RankStats)>,
+    /// The shared infrastructure's (scope `"cluster"`), where the casting
+    /// daemon has an infrastructure registry.
+    pub(crate) cluster: Option<Snapshot>,
+}
+
+/// On the wire a scope is its ids, in varints.
+impl Encode for StatsCast {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_var(self.ranks.len() as u64);
+        for (app, rank, stats) in &self.ranks {
+            enc.put_var(u64::from(app.0));
+            enc.put_var(u64::from(rank.0));
+            stats.encode(enc);
+        }
+        self.cluster.encode(enc);
+    }
+}
+
+impl Decode for StatsCast {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        // Four varints and a snapshot's three counts.
+        let n = dec.get_len(7)?;
+        let mut ranks = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (app, rank) = (AppId(var_u32(dec)?), Rank(var_u32(dec)?));
+            ranks.push((app, rank, RankStats::decode(dec)?));
+        }
+        let cluster = Option::<Snapshot>::decode(dec)?;
+        Ok(StatsCast { ranks, cluster })
+    }
+}
 
 /// Entries a decoder reserves room for before it has seen them: a lying
 /// count costs a truncation error, not an allocation.
@@ -554,17 +637,7 @@ impl WireCast {
         Ok(match tag {
             0 => WireCast::Cfg(CfgCmd::decode(dec)?),
             1 => WireCast::Mcast(AppRelay::decode(dec)?),
-            2 => {
-                // The count is the sender's word: two scopes is all a cast
-                // carries, so a lying count costs a truncation error, not
-                // an allocation.
-                let n = dec.get_u32()?;
-                let mut scopes = Vec::with_capacity(n.min(2) as usize);
-                for _ in 0..n {
-                    scopes.push((dec.get_str()?, Snapshot::decode(dec)?));
-                }
-                WireCast::Stats { scopes }
-            }
+            2 => WireCast::Stats(StatsCast::decode(dec)?),
             3 => WireCast::Event {
                 origin: NodeId::decode(dec)?,
                 vt: VirtualTime::from_nanos(dec.get_u64()?),
@@ -587,9 +660,9 @@ impl Encode for WireCast {
                 enc.put_u8(1);
                 r.encode(enc);
             }
-            WireCast::Stats { scopes } => {
+            WireCast::Stats(stats) => {
                 enc.put_u8(2);
-                scopes.encode(enc);
+                stats.encode(enc);
             }
             WireCast::Event { origin, vt, kind } => {
                 enc.put_u8(3);
@@ -628,8 +701,13 @@ impl Decode for WireCast {
 /// Targeted daemon-to-daemon payloads (ensemble point-to-point).
 #[derive(Debug, Clone, PartialEq)]
 pub enum P2pMsg {
-    /// A relayed application message addressed to one rank.
-    Relay(AppRelay),
+    /// A relayed application message addressed to one rank, with the
+    /// sender's telemetry snapshot when it is a `Saved` (see
+    /// [`ProcUp::SendTo`]).
+    Relay {
+        relay: AppRelay,
+        stats: Option<RankStats>,
+    },
     /// State transfer: the serialized replicated configuration at the
     /// point of the joiner's `NeedState { req }` cast.
     State { req: u32, config: Bytes },
@@ -638,9 +716,17 @@ pub enum P2pMsg {
 impl Encode for P2pMsg {
     fn encode(&self, enc: &mut Encoder) {
         match self {
-            P2pMsg::Relay(r) => {
+            P2pMsg::Relay { relay, stats: None } => {
                 enc.put_u8(0);
-                r.encode(enc);
+                relay.encode(enc);
+            }
+            P2pMsg::Relay {
+                relay,
+                stats: Some(stats),
+            } => {
+                enc.put_u8(2);
+                relay.encode(enc);
+                stats.encode(enc);
             }
             P2pMsg::State { req, config } => {
                 enc.put_u8(1);
@@ -654,10 +740,17 @@ impl Encode for P2pMsg {
 impl Decode for P2pMsg {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(match dec.get_u8()? {
-            0 => P2pMsg::Relay(AppRelay::decode(dec)?),
+            0 => P2pMsg::Relay {
+                relay: AppRelay::decode(dec)?,
+                stats: None,
+            },
             1 => P2pMsg::State {
                 req: dec.get_u32()?,
                 config: Bytes::decode(dec)?,
+            },
+            2 => P2pMsg::Relay {
+                relay: AppRelay::decode(dec)?,
+                stats: Some(RankStats::decode(dec)?),
             },
             t => return Err(Error::codec(format!("unknown P2pMsg tag {t}"))),
         })
@@ -783,30 +876,44 @@ mod tests {
         assert_eq!(roundtrip(&w).unwrap(), w);
     }
 
-    /// Stats casts of 0, 1 and 2 scopes (a rank's, then `"cluster"`).
-    fn stats_casts() -> Vec<WireCast> {
+    /// Stats casts of no snapshot, a rank's, two ranks', and two ranks'
+    /// with `"cluster"`'s.
+    pub(super) fn stats_casts() -> Vec<WireCast> {
         let reg = starfish_telemetry::Registry::new();
         reg.inc(starfish_telemetry::metric::CKPT_ROUNDS);
         reg.record(starfish_telemetry::metric::CKPT_IMAGE_BYTES, 4096);
         let infra = starfish_telemetry::Registry::new();
         infra.inc(starfish_telemetry::metric::ENSEMBLE_CASTS);
-        let scopes = [
-            ("app1.r0".to_string(), reg.snapshot()),
-            ("cluster".to_string(), infra.snapshot()),
+        let stats = |epoch, seq| RankStats {
+            epoch: Epoch(epoch),
+            seq,
+            snap: reg.snapshot(),
+        };
+        let ranks = [
+            (AppId(1), Rank(0), stats(0, 1)),
+            (AppId(1), Rank(300), stats(2, 700)),
         ];
-        (0..=2)
-            .map(|n| WireCast::Stats {
-                scopes: scopes[..n].to_vec(),
-            })
-            .collect()
+        let cast = |n: usize, cluster: Option<Snapshot>| {
+            let ranks = ranks[..n].to_vec();
+            WireCast::Stats(StatsCast { ranks, cluster })
+        };
+        vec![
+            cast(0, None),
+            cast(1, None),
+            cast(2, None),
+            cast(2, Some(infra.snapshot())),
+        ]
     }
 
     #[test]
-    fn stats_cast_with_a_lying_count_or_a_truncated_snapshot_is_an_error() {
+    fn stats_casts_roundtrip_and_a_lying_count_or_a_cut_is_an_error() {
+        for wc in stats_casts() {
+            assert_eq!(roundtrip(&wc).unwrap(), wc);
+        }
         let mut enc = starfish_util::codec::Encoder::new();
         enc.put_u8(2);
-        enc.put_u32(u32::MAX);
-        enc.put_str("app1.r0");
+        enc.put_var(u64::from(u32::MAX));
+        enc.put_raw(&[1; 64]);
         let lying = enc.into_bytes();
         assert!(WireCast::decode_from_bytes(&lying).is_err());
         let whole = stats_casts().pop().unwrap().encode_to_bytes();
@@ -876,13 +983,30 @@ mod tests {
             config: Bytes::from_static(b"cfg"),
         };
         assert_eq!(roundtrip(&m).unwrap(), m);
-        let m = P2pMsg::Relay(AppRelay {
+        let relay = AppRelay {
             app: AppId(1),
             kind: RelayKind::Coordination,
             from: Rank(0),
             to: Some(Rank(1)),
             body: Bytes::from_static(b"x"),
-        });
+        };
+        let m = P2pMsg::Relay {
+            relay: relay.clone(),
+            stats: None,
+        };
+        assert_eq!(roundtrip(&m).unwrap(), m);
+        // A relay without telemetry is the relay alone behind its tag.
+        assert_eq!(m.encode_to_bytes()[1..], relay.encode_to_bytes()[..]);
+        let reg = starfish_telemetry::Registry::new();
+        reg.inc(starfish_telemetry::metric::CKPT_ROUNDS);
+        let m = P2pMsg::Relay {
+            relay,
+            stats: Some(RankStats {
+                epoch: Epoch(1),
+                seq: 3,
+                snap: reg.snapshot(),
+            }),
+        };
         assert_eq!(roundtrip(&m).unwrap(), m);
     }
 
@@ -909,7 +1033,22 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use starfish_telemetry::HistSnap;
     use starfish_util::codec::{Decode, Encode};
+
+    /// `s` as its merge into an empty snapshot, zero entries left out: two
+    /// snapshots are merge-equal when this is equal.
+    fn normal(s: &Snapshot) -> Snapshot {
+        let mut n = Snapshot::default();
+        n.merge(s);
+        n.counters.retain(|&(_, v)| v != 0);
+        n.gauges.retain(|&(_, v)| v != 0);
+        n.hists.retain(|(_, h)| h.count != 0);
+        for (_, h) in &mut n.hists {
+            h.buckets.retain(|&(_, c)| c != 0);
+        }
+        n
+    }
 
     proptest! {
         /// Arbitrary submissions round-trip (names/owners are user input).
@@ -949,8 +1088,8 @@ mod proptests {
             let _ = WireCast::decode_from_bytes(&data);
             let _ = P2pMsg::decode_from_bytes(&data);
             let _ = AppRelay::decode_from_bytes(&data);
-            // A stats cast that claims u32::MAX scopes, whatever follows.
-            let mut lying = vec![2, 0xFF, 0xFF, 0xFF, 0xFF];
+            // A stats cast that claims u32::MAX snapshots, whatever follows.
+            let mut lying = vec![2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
             lying.extend_from_slice(&data);
             prop_assert!(WireCast::decode_from_bytes(&lying).is_err());
         }
@@ -969,6 +1108,80 @@ mod proptests {
             let mut flipped = whole.clone();
             flipped[pos % whole.len()] ^= 1 << bit;
             let _ = WireCast::decode_from_bytes(&flipped);
+        }
+
+        /// Snapshots of any shape survive the codec merge-equal, alone and in
+        /// the relay that carries one; every cut of that relay is an error,
+        /// and no flipped bit or lying count panics a decoder or gets past
+        /// the bytes that follow it.
+        #[test]
+        fn a_relayed_snapshot_roundtrips_and_damage_never_panics(
+            counters in proptest::collection::vec((0u16..80, 0u64..1 << 56), 0..12),
+            gauges in proptest::collection::vec((0u16..80, -(1i64 << 56)..1 << 56), 0..6),
+            hists in proptest::collection::vec(
+                (0u16..80, proptest::collection::vec((0u8..=64, 0u64..1 << 40), 0..8),
+                 0u64..1 << 40, 0u64..1 << 40),
+                0..6,
+            ),
+            cut in any::<usize>(),
+            pos in any::<usize>(),
+            bit in 0u8..8,
+            count in any::<u64>(),
+            epoch in any::<u32>(),
+            seq in any::<u64>(),
+        ) {
+            let hists = hists.into_iter().map(|(id, buckets, sum, max)| {
+                // Ascending and one per index, as a histogram's are.
+                let buckets: std::collections::BTreeMap<u8, u64> = buckets.into_iter().collect();
+                let buckets: Vec<(u8, u64)> = buckets.into_iter().collect();
+                let count: u64 = buckets.iter().map(|&(_, n)| n).sum();
+                let (sum, max) = if count == 0 { (0, 0) } else { (sum, max) };
+                (id, HistSnap { count, sum, max, buckets })
+            });
+            let snap = Snapshot { counters, gauges, hists: hists.collect() };
+            let bytes = snap.encode_to_bytes();
+            prop_assert_eq!(normal(&Snapshot::decode_from_bytes(&bytes).unwrap()), normal(&snap));
+            let relay = AppRelay {
+                app: AppId(7),
+                kind: RelayKind::CheckpointRestart,
+                from: Rank(1),
+                to: Some(Rank(0)),
+                body: Bytes::from_static(b"saved"),
+            };
+            let stats = RankStats { epoch: Epoch(epoch), seq, snap: snap.clone() };
+            let whole = P2pMsg::Relay { relay: relay.clone(), stats: Some(stats) }
+                .encode_to_bytes()
+                .to_vec();
+            match P2pMsg::decode_from_bytes(&whole).unwrap() {
+                P2pMsg::Relay { relay: got, stats: Some(stats) } => {
+                    prop_assert_eq!(got, relay);
+                    prop_assert_eq!(stats.key(), (Epoch(epoch), seq));
+                    prop_assert_eq!(normal(&stats.snap), normal(&snap));
+                }
+                other => prop_assert!(false, "{other:?}"),
+            }
+            prop_assert!(P2pMsg::decode_from_bytes(&whole[..cut % whole.len()]).is_err());
+            let mut flipped = whole.clone();
+            flipped[pos % whole.len()] ^= 1 << bit;
+            let _ = P2pMsg::decode_from_bytes(&flipped);
+            // A lying count in front of a real snapshot's bytes: as the
+            // snapshot's counters, a histogram's buckets, a stats cast's
+            // ranks.
+            let mut enc = Encoder::new();
+            enc.put_var(count);
+            enc.put_raw(&bytes);
+            let lying = enc.into_vec();
+            let overstated = count > bytes.len() as u64;
+            let got = Snapshot::decode_from_bytes(&lying);
+            prop_assert!(!overstated || got.is_err());
+            let mut enc = Encoder::new();
+            enc.put_var(0);
+            enc.put_var(0);
+            enc.put_raw(&lying);
+            let got = HistSnap::decode_from_bytes(&enc.into_vec());
+            prop_assert!(!overstated || got.is_err());
+            let got = StatsCast::decode_from_bytes(&lying);
+            prop_assert!(!overstated || got.is_err());
         }
 
         /// A batch count that overstates what follows is an error, and no

@@ -30,18 +30,17 @@
 //! daemon rows run *n* of these values over the deployed ensemble `Group`.
 // lint: sans-io
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use starfish_checkpoint::backend::CkptBackend;
 use starfish_ensemble::View;
-use starfish_telemetry::Snapshot;
 use starfish_trace::event::EventKind;
 use starfish_util::codec::{Decode, Encode};
 use starfish_util::{AppId, GroupId, NodeId, Rank, VirtualTime};
 
 use crate::config::{AppEntry, AppStatus, CfgEffect, CfgNodeStatus, ClusterConfig, FtPolicy};
 use crate::lwgroups::{self as lw, LwGroups};
-use crate::msg::{AppRelay, CfgCmd, P2pMsg, ProcDown, ProcUp, WireCast};
+use crate::msg::{AppRelay, CfgCmd, P2pMsg, ProcDown, ProcUp, RankStats, StatsCast, WireCast};
 
 /// What the machine asks its shell to do, in order.
 #[derive(Debug, Clone)]
@@ -98,10 +97,10 @@ pub enum Out {
         dead: Vec<NodeId>,
     },
     /// Telemetry a daemon cast, delivered at `vt`: each scope's snapshot
-    /// replaces that scope's last one in the stats hub, and the entry is
+    /// replaces that scope's last one in the stats hub, and each rank's is
     /// one point of the hub's history.
     Stats {
-        scopes: Vec<(String, Snapshot)>,
+        stats: StatsCast,
         vt: VirtualTime,
     },
     /// Keep this many stats history samples.
@@ -141,6 +140,10 @@ pub struct Node {
     cast_buffer: Vec<(NodeId, CfgCmd)>,
     /// A snapshot that overtook its marker, applied when that is delivered.
     early_state: Option<(u32, ClusterConfig)>,
+    /// Ranks' telemetry handed over with their `Saved`s: it rides this
+    /// daemon's next stats cast, a newer snapshot replacing an older one,
+    /// unless its job is done or deleted first.
+    handed: BTreeMap<(AppId, Rank), RankStats>,
     out: Vec<Out>,
 }
 
@@ -159,6 +162,7 @@ impl Node {
             asked: 0,
             cast_buffer: Vec::new(),
             early_state: None,
+            handed: BTreeMap::new(),
             out: Vec::new(),
         }
     }
@@ -244,7 +248,7 @@ impl Node {
             WireCast::Event { origin, vt, kind } if self.bootstrapped => {
                 self.out.push(Out::Event { origin, vt, kind })
             }
-            WireCast::Stats { scopes } => self.out.push(Out::Stats { scopes, vt }),
+            WireCast::Stats(stats) => self.out.push(Out::Stats { stats, vt }),
             // Before a snapshot: no local ranks and no event history yet.
             // A multicast of a group we are not in.
             _ => {}
@@ -254,10 +258,11 @@ impl Node {
     /// A daemon-to-daemon message.
     pub fn p2p(&mut self, msg: P2pMsg, now: VirtualTime) -> Vec<Out> {
         match msg {
-            P2pMsg::Relay(relay) => {
+            P2pMsg::Relay { relay, stats } => {
                 if let Some(to) = relay.to {
                     self.relay(&relay, to, now);
                 }
+                self.hand(relay.app, relay.from, stats);
             }
             P2pMsg::State { req, config } if !self.bootstrapped => {
                 if let Ok(cfg) = ClusterConfig::decode_from_bytes(&config) {
@@ -305,7 +310,13 @@ impl Node {
                 };
                 self.queue_cast(WireCast::Mcast(relay), now);
             }
-            ProcUp::SendTo { kind, to, body, .. } => {
+            ProcUp::SendTo {
+                kind,
+                to,
+                body,
+                stats,
+                ..
+            } => {
                 let relay = AppRelay {
                     app,
                     kind,
@@ -315,9 +326,12 @@ impl Node {
                 };
                 let entry = self.config.apps.get(&app);
                 match entry.and_then(|e| e.placement.get(to.index())).copied() {
-                    Some(node) if node == self.me => self.relay(&relay, to, now),
+                    Some(node) if node == self.me => {
+                        self.relay(&relay, to, now);
+                        self.hand(app, rank, stats);
+                    }
                     Some(to) => {
-                        let msg = P2pMsg::Relay(relay);
+                        let msg = P2pMsg::Relay { relay, stats };
                         self.out.push(Out::SendTo { to, msg, vt: now });
                     }
                     None => {}
@@ -335,10 +349,18 @@ impl Node {
                 // Last: the stats flush behind it joins this cast.
                 self.emit_event(EventKind::CkptCommit { app, rank, index }, now);
             }
-            // The shell adds the cluster's own scope as it casts.
-            ProcUp::Stats { snap, .. } => {
-                let scopes = vec![(starfish_trace::rank_scope(app, rank), snap)];
-                self.queue_cast(WireCast::Stats { scopes }, now);
+            // The handed snapshots ride along, the rank's own older one
+            // excepted; the shell adds the cluster's scope as it casts.
+            ProcUp::Stats { stats, .. } => {
+                self.handed.remove(&(app, rank));
+                let handed = std::mem::take(&mut self.handed).into_iter();
+                let mut ranks = vec![(app, rank, stats)];
+                ranks.extend(handed.map(|((app, rank), stats)| (app, rank, stats)));
+                let stats = StatsCast {
+                    ranks,
+                    cluster: None,
+                };
+                self.queue_cast(WireCast::Stats(stats), now);
             }
         }
     }
@@ -555,6 +577,7 @@ impl Node {
                     self.down(app, *rank, ProcDown::Kill { vt: now });
                 }
                 ranks.into_iter().for_each(|rank| self.forget(app, rank));
+                self.handed.retain(|&(a, _), _| a != app);
                 self.out.push(Out::Store(StoreOp::RemoveApp(app)));
             }
             CfgEffect::AppSuspended(app) => {
@@ -573,6 +596,7 @@ impl Node {
                 for rank in self.local(app) {
                     self.forget(app, rank);
                 }
+                self.handed.retain(|&(a, _), _| a != app);
             }
             // The round coordinator is rank 0; its host forwards the trigger.
             CfgEffect::CheckpointRequested(app) => {
@@ -706,6 +730,14 @@ impl Node {
                 vt,
             },
         );
+    }
+
+    /// Keep a rank's snapshot, handed over with its `Saved`, for the next
+    /// stats cast.
+    fn hand(&mut self, app: AppId, rank: Rank, stats: Option<RankStats>) {
+        if let Some(stats) = stats {
+            self.handed.insert((app, rank), stats);
+        }
     }
 
     fn local(&self, app: AppId) -> Vec<Rank> {
@@ -1284,7 +1316,7 @@ mod tests {
                 vt: synced,
             },
             ProcUp::Stats {
-                snap: Snapshot::default(),
+                stats: RankStats::default(),
                 vt: synced,
             },
         ];
@@ -1313,16 +1345,84 @@ mod tests {
                 .iter()
                 .filter_map(|o| match o {
                     Out::Event { .. } => Some("event"),
-                    Out::Stats { scopes, .. } => Some(if scopes[0].0 == format!("{app}.r0") {
-                        "stats"
-                    } else {
-                        "other stats"
+                    Out::Stats { stats, .. } => Some(match stats.ranks[..] {
+                        [(a, Rank(0), _)] if a == app => "stats",
+                        _ => "other stats",
                     }),
                     _ => None,
                 })
                 .collect();
             assert_eq!(told, vec!["event", "stats"], "n{id}");
         }
+    }
+
+    /// A member's snapshot rides its `Saved` to the coordinator's daemon —
+    /// in the relay, or straight in when the two ranks share a node — and
+    /// leaves in that daemon's next stats cast, behind the coordinator's
+    /// own, a newer one replacing an older. Nothing else casts it.
+    #[test]
+    fn a_members_snapshot_rides_its_saved_into_the_coordinators_flush() {
+        use starfish_telemetry::{metric, Snapshot};
+        let mut net = Net::of(&[0, 1]);
+        let app = net.submit(3, FtPolicy::Restart); // ranks 0, 2 on n0; 1 on n1
+        net.casts.clear();
+        // A rank's `n`th flush, which counts `n` rounds.
+        let rounds = |n| RankStats {
+            seq: n,
+            snap: Snapshot {
+                counters: vec![(metric::CKPT_ROUNDS.0, n)],
+                ..Snapshot::default()
+            },
+            ..RankStats::default()
+        };
+        let saved = |n| ProcUp::SendTo {
+            kind: crate::msg::RelayKind::CheckpointRestart,
+            to: Rank(0),
+            body: bytes::Bytes::from_static(b"saved"),
+            stats: Some(rounds(n)),
+            vt: T,
+        };
+        net.at(1, |node| node.proc_up(app, Rank(1), vec![saved(1)], T));
+        net.at(1, |node| node.proc_up(app, Rank(1), vec![saved(2)], T));
+        net.at(0, |node| node.proc_up(app, Rank(2), vec![saved(3)], T));
+        let relayed = net.told(0).into_iter().filter(|o| {
+            matches!(
+                o,
+                Out::Down {
+                    rank: Rank(0),
+                    msg: ProcDown::Relay { .. },
+                    ..
+                }
+            )
+        });
+        assert_eq!(relayed.count(), 3, "each `Saved` reaches the coordinator");
+        assert!(net.casts.is_empty(), "{:?}", net.casts);
+        // The coordinator flushes; n1 applies what that casts, as `(rank,
+        // rounds)` per stats cast.
+        let flush = |net: &mut Net, app, n| {
+            let stats = rounds(n);
+            let up = ProcUp::Stats { stats, vt: T };
+            net.at(0, |node| node.proc_up(app, Rank(0), vec![up], T));
+            let flushed =
+                |(_, r, s): (AppId, Rank, RankStats)| (r.0, s.snap.counter(metric::CKPT_ROUNDS));
+            (net.told(1).into_iter())
+                .filter_map(|o| match o {
+                    Out::Stats { stats, .. } => {
+                        Some(stats.ranks.into_iter().map(flushed).collect())
+                    }
+                    _ => None,
+                })
+                .collect::<Vec<Vec<_>>>()
+        };
+        assert_eq!(flush(&mut net, app, 9), [[(0, 9), (1, 2), (2, 3)]]);
+        // Handed snapshots go once.
+        assert_eq!(flush(&mut net, app, 10), [[(0, 10)]]);
+        // A deleted job's go with it: another job's flush carries none.
+        let saved = saved(4);
+        net.at(0, |node| node.proc_up(app, Rank(2), vec![saved], T));
+        net.issue(CfgCmd::Delete { app });
+        assert_eq!(flush(&mut net, AppId(app.0 + 1), 1), [[(0, 1)]]);
+        assert_eq!(net.casts.len(), 3, "one cast per flush");
     }
 
     fn label(wc: &WireCast) -> &'static str {

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use starfish_util::codec::{Decode, Decoder, Encode, Encoder};
-use starfish_util::Result;
+use starfish_util::{Error, Result};
 
 pub(crate) const BUCKETS: usize = 64;
 
@@ -161,29 +161,39 @@ impl HistSnap {
     }
 }
 
+/// On the wire: the sum, the maximum and the buckets that hold a sample,
+/// each as its index's distance from the previous one and its count, all
+/// varints. The count is not sent: it is the buckets' total.
 impl Encode for HistSnap {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.count);
-        enc.put_u64(self.sum);
-        enc.put_u64(self.max);
-        enc.put_u16(self.buckets.len() as u16);
-        for &(idx, n) in &self.buckets {
-            enc.put_u8(idx);
-            enc.put_u64(n);
+        enc.put_var(self.sum);
+        enc.put_var(self.max);
+        let filled = || self.buckets.iter().filter(|&&(_, n)| n > 0);
+        enc.put_var(filled().count() as u64);
+        let mut prev = 0u8;
+        for &(idx, n) in filled() {
+            enc.put_var(u64::from(idx.wrapping_sub(prev)));
+            enc.put_var(n);
+            prev = idx;
         }
     }
 }
 
 impl Decode for HistSnap {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let count = dec.get_u64()?;
-        let sum = dec.get_u64()?;
-        let max = dec.get_u64()?;
-        let n = dec.get_u16()? as usize;
-        let mut buckets = Vec::with_capacity(n.min(BUCKETS + 1));
+        let sum = dec.get_var()?;
+        let max = dec.get_var()?;
+        // A bucket is two varints.
+        let n = dec.get_len(2)?;
+        let mut buckets = Vec::with_capacity(n);
+        let (mut idx, mut count) = (0u8, 0u64);
         for _ in 0..n {
-            let idx = dec.get_u8()?;
-            let cnt = dec.get_u64()?;
+            let delta = u8::try_from(dec.get_var()?)
+                .map_err(|_| Error::codec("a bucket index past 255"))?;
+            idx = idx.wrapping_add(delta);
+            let cnt = dec.get_var()?;
+            count = (count.checked_add(cnt))
+                .ok_or_else(|| Error::codec("a histogram count past u64"))?;
             buckets.push((idx, cnt));
         }
         Ok(HistSnap {

@@ -17,7 +17,7 @@
 use crate::histogram::HistSnap;
 use crate::metric::MetricId;
 use starfish_util::codec::{Decode, Decoder, Encode, Encoder};
-use starfish_util::Result;
+use starfish_util::{Error, Result};
 
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
@@ -80,55 +80,64 @@ impl Snapshot {
     }
 }
 
+/// On the wire: the counters, the gauges and the histograms, each a
+/// varint count and then the entries that are not zero, in order. An entry
+/// is its metric id's distance from the previous entry's (a varint) and its
+/// value: a varint, a zigzag varint, or a [`HistSnap`].
 impl Encode for Snapshot {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u16(self.counters.len() as u16);
-        for &(i, v) in &self.counters {
-            enc.put_u16(i);
-            enc.put_u64(v);
-        }
-        enc.put_u16(self.gauges.len() as u16);
-        for &(i, v) in &self.gauges {
-            enc.put_u16(i);
-            enc.put_i64(v);
-        }
-        enc.put_u16(self.hists.len() as u16);
-        for (i, h) in &self.hists {
-            enc.put_u16(*i);
-            h.encode(enc);
-        }
+        put_sparse(enc, &self.counters, |&v| v != 0, |enc, &v| enc.put_var(v));
+        put_sparse(enc, &self.gauges, |&v| v != 0, |enc, &v| enc.put_ivar(v));
+        put_sparse(enc, &self.hists, |h| !h.is_empty(), |enc, h| h.encode(enc));
     }
 }
 
 impl Decode for Snapshot {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let nc = dec.get_u16()? as usize;
-        let mut counters = Vec::with_capacity(nc.min(256));
-        for _ in 0..nc {
-            let i = dec.get_u16()?;
-            let v = dec.get_u64()?;
-            counters.push((i, v));
-        }
-        let ng = dec.get_u16()? as usize;
-        let mut gauges = Vec::with_capacity(ng.min(256));
-        for _ in 0..ng {
-            let i = dec.get_u16()?;
-            let v = dec.get_i64()?;
-            gauges.push((i, v));
-        }
-        let nh = dec.get_u16()? as usize;
-        let mut hists = Vec::with_capacity(nh.min(256));
-        for _ in 0..nh {
-            let i = dec.get_u16()?;
-            let h = HistSnap::decode(dec)?;
-            hists.push((i, h));
-        }
         Ok(Snapshot {
-            counters,
-            gauges,
-            hists,
+            counters: get_sparse(dec, 1, |dec| dec.get_var())?,
+            gauges: get_sparse(dec, 1, |dec| dec.get_ivar())?,
+            // A histogram is at least three varints.
+            hists: get_sparse(dec, 3, HistSnap::decode)?,
         })
     }
+}
+
+/// Write the entries of `entries` that `keep`, each as its id's distance
+/// from the previous id and its value (`put`).
+fn put_sparse<T>(
+    enc: &mut Encoder,
+    entries: &[(u16, T)],
+    keep: impl Fn(&T) -> bool,
+    put: impl Fn(&mut Encoder, &T),
+) {
+    let kept = || entries.iter().filter(|(_, v)| keep(v));
+    enc.put_var(kept().count() as u64);
+    let mut prev = 0u16;
+    for (id, v) in kept() {
+        enc.put_var(u64::from(id.wrapping_sub(prev)));
+        put(enc, v);
+        prev = *id;
+    }
+}
+
+/// Read what [`put_sparse`] wrote; a value takes at least `min_value`
+/// bytes.
+fn get_sparse<T>(
+    dec: &mut Decoder<'_>,
+    min_value: usize,
+    get: impl Fn(&mut Decoder<'_>) -> Result<T>,
+) -> Result<Vec<(u16, T)>> {
+    let n = dec.get_len(1 + min_value)?;
+    let mut entries = Vec::with_capacity(n);
+    let mut id = 0u16;
+    for _ in 0..n {
+        let delta =
+            u16::try_from(dec.get_var()?).map_err(|_| Error::codec("a metric id past 65535"))?;
+        id = id.wrapping_add(delta);
+        entries.push((id, get(dec)?));
+    }
+    Ok(entries)
 }
 
 #[cfg(test)]

@@ -195,12 +195,12 @@ pub fn validate(text: &str) -> Result<TraceSummary, String> {
             .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i}: missing name"))?;
         match ph {
+            // A flow id is a full 64-bit span id: read exactly.
             "s" | "f" => {
                 let id = e
                     .get("id")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("event {i}: flow without id"))?
-                    as u64;
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| format!("event {i}: flow without id"))?;
                 if ph == "s" {
                     starts.insert(id);
                 } else {
@@ -263,6 +263,23 @@ mod tests {
         assert_eq!(sum.processes, 2);
         assert_eq!(sum.flows, 1);
         assert!(sum.events >= 10);
+    }
+
+    /// Two span ids an `f64` cannot tell apart: a flow end whose start
+    /// differs from its own only below bit 11 has no start.
+    #[test]
+    fn flow_ids_match_exactly() {
+        let flow = |ph: &str, id: u64| {
+            format!(r#"{{"ph":"{ph}","bp":"e","id":{id},"pid":1,"tid":1,"ts":1,"name":"m"}}"#)
+        };
+        let id = 15_887_240_108_374_491_137u64;
+        assert_eq!(id as f64, (id ^ 0x2) as f64);
+        let doc = |end: u64| {
+            let events = [flow("s", id), flow("f", end)].join(",");
+            format!(r#"{{"traceEvents":[{events}]}}"#)
+        };
+        assert_eq!(validate(&doc(id)).map(|s| s.flows), Ok(1));
+        assert!(validate(&doc(id ^ 0x2)).is_err());
     }
 
     #[test]

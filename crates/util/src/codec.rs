@@ -72,6 +72,13 @@ impl Encoder {
         self.buf.push(v as u8);
     }
 
+    /// Write `v` zigzagged (0, -1, 1, -2, …) as a varint: a small value of
+    /// either sign is one byte.
+    #[inline]
+    pub fn put_ivar(&mut self, v: i64) {
+        self.put_var(((v << 1) ^ (v >> 63)) as u64);
+    }
+
     /// Append `v` as it is, with no length prefix.
     pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
@@ -199,6 +206,28 @@ impl<'a> Decoder<'a> {
         Err(Error::codec(format!(
             "varint longer than {VAR_MAX_LEN} bytes"
         )))
+    }
+
+    /// Read a varint written by [`Encoder::put_ivar`].
+    #[inline]
+    pub fn get_ivar(&mut self) -> Result<i64> {
+        let z = self.get_var()?;
+        Ok((z >> 1) as i64 ^ -((z & 1) as i64))
+    }
+
+    /// Read a varint count of entries that take at least `min_entry` bytes
+    /// each. A count the remaining bytes cannot hold is an error, so a
+    /// count from the wire never sizes an allocation beyond them.
+    pub fn get_len(&mut self, min_entry: usize) -> Result<usize> {
+        let n = self.get_var()?;
+        let fits = self.remaining() / min_entry.max(1);
+        match usize::try_from(n) {
+            Ok(n) if n <= fits => Ok(n),
+            _ => Err(Error::codec(format!(
+                "{n} entries of {min_entry}+ bytes in {} bytes",
+                self.remaining()
+            ))),
+        }
     }
 
     pub(crate) fn get_bytes(&mut self) -> Result<Vec<u8>> {
@@ -480,6 +509,34 @@ mod tests {
                 assert!(Decoder::new(&b[..cut]).get_var().is_err(), "{v:#x}/{cut}");
             }
         }
+    }
+
+    #[test]
+    fn zigzag_varints_keep_small_values_of_either_sign_short() {
+        for (v, len) in [(0, 1), (-1, 1), (63, 1), (-64, 1), (64, 2), (i64::MIN, 10)] {
+            let mut enc = Encoder::new();
+            enc.put_ivar(v);
+            let b = enc.into_vec();
+            assert_eq!(b.len(), len, "{v}");
+            assert_eq!(Decoder::new(&b).get_ivar().unwrap(), v);
+        }
+        let mut enc = Encoder::new();
+        enc.put_ivar(i64::MAX);
+        assert_eq!(Decoder::new(&enc.into_vec()).get_ivar().unwrap(), i64::MAX);
+    }
+
+    #[test]
+    fn a_count_the_remaining_bytes_cannot_hold_is_an_error() {
+        let mut enc = Encoder::new();
+        enc.put_var(3);
+        enc.put_raw(&[0; 6]);
+        let b = enc.into_vec();
+        assert_eq!(Decoder::new(&b).get_len(2).unwrap(), 3);
+        assert!(Decoder::new(&b).get_len(3).is_err());
+        assert!(Decoder::new(&b[..6]).get_len(2).is_err());
+        let mut enc = Encoder::new();
+        enc.put_var(u64::MAX);
+        assert!(Decoder::new(&enc.into_vec()).get_len(1).is_err());
     }
 
     #[test]

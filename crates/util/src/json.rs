@@ -4,6 +4,7 @@
 //! it, and every reader parses through `parse`.
 
 use std::fmt::{Display, Write as _};
+use std::iter::Peekable;
 
 /// `s` as a quoted, escaped JSON string literal, appended to `out`.
 fn write_string(out: &mut String, s: &str) {
@@ -77,6 +78,15 @@ impl Json {
     }
 
     pub fn as_num(&self) -> Option<f64> {
+        match self {
+            Json::Number(n) => n.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// A number whose literal text is an unsigned integer, read exactly
+    /// (not through an `f64`, which keeps 53 bits).
+    pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Number(n) => n.parse().ok(),
             _ => None,
@@ -199,8 +209,8 @@ impl<'a> Parser<'a> {
             self.i += 1;
         }
         (self.b.get(start..self.i))
+            .filter(|s| is_number(s))
             .and_then(|s| std::str::from_utf8(s).ok())
-            .filter(|s| s.parse::<f64>().is_ok())
             .map(|s| Json::Number(s.to_string()))
             .ok_or_else(|| format!("bad number at byte {start}"))
     }
@@ -244,6 +254,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(format!("bad escape \\{}", e as char)),
                     }
                 }
+                0x00..=0x1f => return Err(format!("raw control character {c:#04x} in a string")),
                 c => {
                     // Reassemble multi-byte UTF-8 sequences verbatim.
                     let len = match c {
@@ -308,6 +319,33 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// JSON's number grammar: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+/// Rust's `f64` grammar also takes `+1`, `.5` and `1.`.
+fn is_number(s: &[u8]) -> bool {
+    fn digits(it: &mut Peekable<impl Iterator<Item = u8>>) -> usize {
+        std::iter::from_fn(|| it.next_if(u8::is_ascii_digit)).count()
+    }
+    let mut it = s.iter().copied().peekable();
+    it.next_if_eq(&b'-');
+    match it.next() {
+        Some(b'0') => {}
+        Some(b'1'..=b'9') => {
+            digits(&mut it);
+        }
+        _ => return false,
+    }
+    if it.next_if_eq(&b'.').is_some() && digits(&mut it) == 0 {
+        return false;
+    }
+    if it.next_if(|c| matches!(c, b'e' | b'E')).is_some() {
+        it.next_if(|c| matches!(c, b'+' | b'-'));
+        if digits(&mut it) == 0 {
+            return false;
+        }
+    }
+    it.next().is_none()
+}
+
 /// Parse a JSON document.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
@@ -363,6 +401,33 @@ mod tests {
         let want = "{\n  \"n\": 6.5,\n  \"flat\": [1, null, false],\n  \"empty\": {},\n  \
                     \"rows\": [\n    {\"k\": \"v\"}\n  ]\n}\n";
         assert_eq!(v.render(), want);
+    }
+
+    #[test]
+    fn numbers_outside_the_json_grammar_are_rejected() {
+        for bad in ["+1", ".5", "1.", "01", "-", "1e", "1.e5", "--1", "1e+"] {
+            assert!(parse(bad).is_err(), "{bad}");
+            assert!(parse(&format!("[{bad}]")).is_err(), "[{bad}]");
+        }
+        for good in ["0", "-0", "1.5", "10e-3", "2E+8", "-0.25e1"] {
+            assert_eq!(parse(good), Ok(Json::Number(good.into())), "{good}");
+        }
+    }
+
+    #[test]
+    fn raw_control_characters_in_a_string_are_rejected() {
+        for c in ['\u{0}', '\u{1}', '\n', '\t', '\u{1f}'] {
+            assert!(parse(&format!("\"a{c}b\"")).is_err(), "{c:?}");
+        }
+        assert_eq!(parse("\"a\\u0001b\\n\""), Ok(Json::str("a\u{1}b\n")));
+        assert_eq!(parse("\"\u{7f}\""), Ok(Json::str("\u{7f}")));
+    }
+
+    #[test]
+    fn a_u64_reads_exactly() {
+        let v = parse("[18446744073709551615, 9007199254740993, -1, 1.5]").unwrap();
+        let ids: Vec<Option<u64>> = v.as_arr().unwrap().iter().map(Json::as_u64).collect();
+        assert_eq!(ids, [Some(u64::MAX), Some((1 << 53) + 1), None, None]);
     }
 
     #[test]

@@ -317,25 +317,15 @@ fn ctx_collectives_pin_message_counts_and_coll_telemetry() {
     assert!(!stats.contains("coll.segments"), "{stats}");
 }
 
-/// What a stop-and-sync round costs the daemons' total order: Stop,
-/// Resume, the coordinator's `CkptCommit` event and stats flush (its own
-/// scope and `"cluster"`) in one cast — they leave its daemon at one
-/// virtual instant — and the member's stats flush: four casts, each
-/// delivered at all three daemons. The sequencer delivers its own copy in
-/// place, so a cast costs two packets, and a round twelve: eight cast
-/// deliveries, the member's flush forwarded to the sequencer, its `Saved`
-/// relay and the two flush marks. The ranks hold at safepoints after each
-/// round until the test has read the counters that round left behind.
-#[test]
-fn a_checkpoint_round_costs_four_ordered_casts_and_one_stats_flush_per_rank() {
-    const NODES: u32 = 3;
-    const ROUNDS: u64 = 4;
-    let cluster = Cluster::builder().nodes(NODES).build().unwrap();
+/// A 2-rank job on `NODES` nodes that checkpoints `ROUNDS` times and holds
+/// at safepoints after round `k` until the step reaches `k`.
+fn held_rounds(nodes: u32, rounds: u64) -> (Cluster, starfish::AppId, Arc<AtomicU64>) {
+    let cluster = Cluster::builder().nodes(nodes).build().unwrap();
     let step = Arc::new(AtomicU64::new(0));
     let released = step.clone();
     cluster.register_app("rounds", move |ctx| {
         let state = CkptValue::Unit;
-        for round in 1..=ROUNDS {
+        for round in 1..=rounds {
             ctx.checkpoint(&state)?;
             while released.load(Ordering::SeqCst) < round {
                 ctx.safepoint(&state)?;
@@ -345,23 +335,59 @@ fn a_checkpoint_round_costs_four_ordered_casts_and_one_stats_flush_per_rank() {
         Ok(())
     });
     let app = cluster.submit("rounds", 2, SubmitOpts::default()).unwrap();
-    let daemons: Vec<_> = (0..NODES)
+    (cluster, app, step)
+}
+
+/// Every daemon of `cluster`.
+fn daemons(cluster: &Cluster, nodes: u32) -> Vec<starfish_daemon::Daemon> {
+    (0..nodes)
         .map(|n| cluster.daemon_of(NodeId(n)).unwrap())
-        .collect();
+        .collect()
+}
+
+/// Wait until every hub in `daemons` passes `flushed`.
+fn await_hubs(
+    daemons: &[starfish_daemon::Daemon],
+    what: &str,
+    flushed: impl Fn(&starfish_daemon::StatsHub) -> bool,
+) {
+    let deadline = std::time::Instant::now() + T;
+    while !daemons.iter().all(|d| flushed(d.stats())) {
+        assert!(std::time::Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// What a stop-and-sync round costs the daemons' total order: Stop,
+/// Resume, and the coordinator's `CkptCommit` event and stats flush in one
+/// cast — they leave its daemon at one virtual instant. The flush carries
+/// the member's snapshot too, which rode its `Saved` to the coordinator's
+/// daemon: three casts, each delivered at all three daemons. The sequencer
+/// delivers its own copy in place, so a cast costs two packets, and a round
+/// nine: six cast deliveries, the member's `Saved` relay and the two flush
+/// marks. The ranks hold at safepoints after each round until the test has
+/// read the counters that round left behind.
+#[test]
+fn a_checkpoint_round_costs_three_ordered_casts() {
+    const NODES: u32 = 3;
+    const ROUNDS: u64 = 4;
+    let (cluster, app, step) = held_rounds(NODES, ROUNDS);
+    let daemons = daemons(&cluster, NODES);
     let mut marks = Vec::new();
     for round in 1..=ROUNDS {
-        // Every daemon has applied both ranks' flush of this round: the
-        // coordinator's counts the commit, each rank's the round's time.
-        let flushed = |d: &starfish_daemon::Daemon| {
-            let m = d.stats().merged();
-            let timed = m.hist(metric::CKPT_ROUND_NS).map_or(0, |h| h.count);
-            m.counter(metric::CKPT_ROUNDS) == round && timed == 2 * round
-        };
-        let deadline = std::time::Instant::now() + T;
-        while !daemons.iter().all(flushed) {
-            assert!(std::time::Instant::now() < deadline, "round {round} stats");
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        // Every daemon has applied the round's flush: both snapshots count
+        // the round's image, the coordinator's the commit and its round's
+        // time, the member's (taken at its `Saved`) the times of the rounds
+        // before.
+        await_hubs(&daemons, &format!("round {round} stats"), |hub| {
+            let m = hub.merged();
+            let count = |id| m.hist(id).map_or(0, |h| h.count);
+            let (images, timed) = (
+                count(metric::CKPT_IMAGE_BYTES),
+                count(metric::CKPT_ROUND_NS),
+            );
+            images == 2 * round && m.counter(metric::CKPT_ROUNDS) == round && timed == 2 * round - 1
+        });
         let reg = cluster.metrics();
         let (casts, packets) = (
             reg.counter(metric::ENSEMBLE_CASTS),
@@ -373,8 +399,8 @@ fn a_checkpoint_round_costs_four_ordered_casts_and_one_stats_flush_per_rank() {
     }
     for w in marks.windows(2) {
         let ((c0, p0, h0), (c1, p1, h1)) = (&w[0], &w[1]);
-        assert_eq!(c1 - c0, 4 * u64::from(NODES), "casts delivered per round");
-        assert!(p1 - p0 <= 12, "{} fabric packets in a round", p1 - p0);
+        assert_eq!(c1 - c0, 3 * u64::from(NODES), "casts delivered per round");
+        assert!(p1 - p0 <= 9, "{} fabric packets in a round", p1 - p0);
         for (a, b) in h0.iter().zip(h1) {
             assert_eq!(b - a, 2, "stats samples per round (one per rank)");
         }
@@ -384,9 +410,50 @@ fn a_checkpoint_round_costs_four_ordered_casts_and_one_stats_flush_per_rank() {
             c.apps.get(&app).map(|a| a.status) == Some(starfish::AppStatus::Done)
         };
         d.wait_config(T, done).unwrap();
-        let rounds = d.stats().merged().counter(metric::CKPT_ROUNDS);
-        assert_eq!(rounds, ROUNDS, "{} hub", d.node());
     }
+    // The member's last round time lands with its exit flush.
+    await_hubs(&daemons, "exit flushes", |hub| {
+        let m = hub.merged();
+        let timed = m.hist(metric::CKPT_ROUND_NS).map_or(0, |h| h.count);
+        m.counter(metric::CKPT_ROUNDS) == ROUNDS && timed == 2 * ROUNDS
+    });
+}
+
+/// A steady round casts no stats entry of the member's own: its snapshot
+/// reaches every hub in the coordinator's flush, so both ranks' scopes are
+/// there once the commit is, and the round's two history points share the
+/// one delivery.
+#[test]
+fn a_round_casts_the_members_stats_with_the_coordinators() {
+    const NODES: u32 = 3;
+    let (cluster, app, step) = held_rounds(NODES, 2);
+    let daemons = daemons(&cluster, NODES);
+    // Both ranks' snapshots of the round are in.
+    let committed = |round: u64| {
+        move |hub: &starfish_daemon::StatsHub| {
+            let images = hub.merged().hist(metric::CKPT_IMAGE_BYTES).map(|h| h.count);
+            images == Some(2 * round)
+        }
+    };
+    await_hubs(&daemons, "round 1 stats", committed(1));
+    let scopes = [format!("{app}.r0"), format!("{app}.r1"), "cluster".into()];
+    let before: Vec<usize> = daemons.iter().map(|d| d.stats().history().len()).collect();
+    for d in &daemons {
+        assert_eq!(d.stats().scopes(), scopes, "{} hub", d.node());
+    }
+    let casts = cluster.metrics().counter(metric::ENSEMBLE_CASTS);
+    step.store(1, Ordering::SeqCst);
+    await_hubs(&daemons, "round 2 stats", committed(2));
+    let round = cluster.metrics().counter(metric::ENSEMBLE_CASTS) - casts;
+    assert_eq!(round, 3 * u64::from(NODES), "casts delivered in round 2");
+    for (d, before) in daemons.iter().zip(before) {
+        let history = d.stats().history();
+        let new: Vec<_> = history[before..].iter().map(|(vt, _)| *vt).collect();
+        assert_eq!(new.len(), 2, "{} hub: {new:?}", d.node());
+        assert_eq!(new[0], new[1], "{} hub: one delivery", d.node());
+    }
+    step.store(2, Ordering::SeqCst);
+    cluster.wait_app_done(app, T).unwrap();
 }
 
 #[test]
