@@ -23,7 +23,12 @@ the gate holds it to the paper's number. A cell is a number, a string, or
 a band {min, max, cause} where BANDS lets one move, for the cause BANDS
 names. Every anchor and claim is recomputed from the rows: a derived cell
 (an overhead, a speedup) must equal its recomputation, and a band must
-meet a claim at both ends.
+meet a claim at both ends. Figures 3 and 4 carry what each node count's
+round was charged for its coordination: the members' Saveds the
+coordinator took in and how many crossed daemons, and coordination_s,
+which must equal those counts times the section's per-event constants
+(vni::CoordCosts: one saved_hop when any Saved crossed, one saved per
+Saved) and must fit inside the round's growth over the 1-node round.
 
 Quick mode (the report's "quick" flag; the CI smoke run with
 BENCH_QUICK=1) stops there: its sizes are too small for the collective
@@ -64,7 +69,6 @@ PAPER = (
     "table1_message_audit",
     "table2_hetero_matrix",
     "claim_overhead_1pct",
-    "sync_model_table",
     "ablation_cr_protocols",
     "ablation_lwgroups",
     "ablation_polling",
@@ -77,30 +81,15 @@ SECTIONS = (*ROWS, "ring_speedup_largest", *PAPER)
 
 # Why a cell moves between runs (EXPERIMENTS.md, "Bands").
 CAUSES = {
-    "relay-order": "a stop-and-sync round takes stamps daemons relay, in scheduling order",
     "cast-timing": "a cast races the idle node's crash; telemetry casts vary in size",
-    "arrival-order": "a ring message is queued or in flight when a rank captures",
 }
 # The cells a run may record as a band, by path ("*" is any row), and why.
 BANDS = {
-    "fig3_native_ckpt": {
-        ("rows", "*", "t_2nodes_s"): "relay-order",
-        ("rows", "*", "t_4nodes_s"): "relay-order",
-    },
     "table1_message_audit": {
         ("rows", "Control", "count"): "cast-timing",
         ("rows", "Control", "bytes"): "cast-timing",
     },
-    "claim_overhead_1pct": {
-        ("ckpt_s",): "relay-order",
-        ("rows", "*", "overhead_pct"): "relay-order",
-    },
-    "ablation_cr_protocols": {
-        ("rows", "*", "round_s"): "relay-order",
-        ("rows", "*", "channel_msgs"): "arrival-order",
-    },
 }
-BANDS["fig4_hetero_ckpt"] = BANDS["fig3_native_ckpt"]
 
 # The paper's anchors and the tolerance the reproduction holds each to.
 FIG3_ANCHOR = {"t_1node_s": 0.104061, "t_2nodes_s": 0.131898, "t_4nodes_s": 0.149219, "tolerance_pct": 2}
@@ -308,10 +297,36 @@ def near(value, target, tol_pct):
     return abs(value / target - 1) * 100 <= tol_pct
 
 
+# Figures 3 and 4's round-time column at each node count.
+NODE_COLS = {1: "t_1node_s", 2: "t_2nodes_s", 4: "t_4nodes_s"}
+
+
+def check_coordination(section, where):
+    coordination = section["coordination"]
+    hop, saved = coordination["saved_hop_s"], coordination["saved_s"]
+    if list(coordination["rounds"]) != [str(n) for n in NODE_COLS]:
+        fail(f"{where}.coordination.rounds are {list(coordination['rounds'])}, not {list(NODE_COLS)}")
+    for n, col in NODE_COLS.items():
+        c = coordination["rounds"][str(n)]
+        if c["saveds"] != n - 1 or not 0 <= c["crossed"] <= c["saveds"]:
+            fail(f"{where}: a {n}-node round took in {c['saveds']} Saveds, {c['crossed']} "
+                 f"of them across daemons, not one from each of its {n - 1} members")
+        charged = (hop if c["crossed"] > 0 else 0) + c["saveds"] * saved
+        if abs(c["coordination_s"] - charged) > 1e-12:
+            fail(f"{where}: the {n}-node round's coordination_s is {c['coordination_s']}, "
+                 f"but its counted events cost {charged} s at the section's constants")
+        for row in section["rows"].values():
+            grown = lo(row[col]) - hi(row["t_1node_s"])
+            if grown < c["coordination_s"]:
+                fail(f"{where}: the {n}-node round at {row['image_MB']} MB grows {grown} s "
+                     f"over one node, less than its {c['coordination_s']} s of coordination")
+
+
 def check_ckpt_figure(name, r, path, anchor):
     section, where = r[name], f"{path}: {name}"
     check_anchor(section, anchor, where)
-    cols = ("t_1node_s", "t_2nodes_s", "t_4nodes_s")
+    cols = tuple(NODE_COLS.values())
+    check_coordination(section, where)
     rows = sorted(section["rows"].values(), key=lambda row: row["image_MB"])
     tol = anchor["tolerance_pct"]
     for col in cols:

@@ -2,10 +2,9 @@
 //! and the collective selector rest on, measured in one run and written to
 //! `BENCH_calibrate.json` at the workspace root.
 //!
-//! * **The paper's evaluation** — Figures 3–6, Tables 1–2, the § 5 claim,
-//!   the coordination-cost fit and seven ablations, one section each under
-//!   the names of `starfish_bench::PAPER`. They run the same in quick and
-//!   full mode.
+//! * **The paper's evaluation** — Figures 3–6, Tables 1–2, the § 5 claim
+//!   and seven ablations, one section each under the names of
+//!   `starfish_bench::PAPER`. They run the same in quick and full mode.
 //! * **Collectives** — allreduce / allgather / bcast, every algorithm arm,
 //!   at 8–1024 simulated ranks under both network models, and the selector
 //!   thresholds calibrated from the measured crossovers. The bench reports

@@ -17,7 +17,7 @@ use starfish_util::trace::{MsgClass, TraceSink};
 use starfish_util::NodeId;
 use starfish_vni::{Ideal, LayerCosts};
 
-use crate::report::{band, cause, exact, section, REPEATS};
+use crate::report::{exact, section, REPEATS};
 use starfish_util::json::Json;
 
 const T: Duration = Duration::from_secs(120);
@@ -26,29 +26,48 @@ const T: Duration = Duration::from_secs(120);
 /// application with two different C/R protocols, and compare them" (§1).
 /// One round of a 4-rank ring on 4 nodes per protocol: (rank 0's round
 /// seconds, C/R messages, channel messages captured).
+///
+/// A token goes once round the ring, from rank 0 back to it, each rank
+/// sending its ring message ahead of it: so every ring message is queued,
+/// unconsumed, at its receiver before that rank checkpoints, and rank 0
+/// opens its round after every other rank has reached its own. What a
+/// protocol captures and how long its round takes are then properties of
+/// the protocol, not of which thread ran first. A coordinated round's ranks
+/// then stay until its last relay has reached them; an independent rank
+/// sends nothing after its checkpoint, which another rank's local
+/// checkpoint could take in.
 fn cr_round(proto: CkptProto) -> (f64, u64, u64) {
+    const RING: u64 = 1;
+    const TOKEN: u64 = 2;
     let trace = TraceSink::enabled();
     let cluster = Cluster::builder()
         .nodes(4)
         .trace(trace.clone())
         .build()
         .unwrap();
-    cluster.register_app("compare", |ctx| {
+    cluster.register_app("compare", move |ctx| {
         let me = ctx.rank().0;
         let n = ctx.size();
         let state = CkptValue::record(vec![("heap", CkptValue::Zeros(2_000_000))]);
-        // Keep messages flowing so the protocols' channel handling
-        // differs meaningfully.
         let next = Rank((me + 1) % n);
         let prev = Rank((me + n - 1) % n);
-        ctx.send(next, 1, &[me as u8])?;
+        if me != 0 {
+            ctx.recv(Some(prev), Some(TOKEN))?;
+        }
+        ctx.send(next, RING, &[me as u8])?;
+        ctx.send(next, TOKEN, &[])?;
+        if me == 0 {
+            ctx.recv(Some(prev), Some(TOKEN))?;
+        }
         let dt = ctx.checkpoint(&state)?;
-        let m = ctx.recv(Some(prev), Some(1))?;
-        assert_eq!(m.data[0] as u32, (me + n - 1) % n);
+        let m = ctx.recv(Some(prev), Some(RING))?;
+        assert_eq!(m.data[0] as u32, prev.0);
         if me == 0 {
             ctx.publish(CkptValue::Float(dt.as_secs_f64()));
         }
-        ctx.barrier()?;
+        if proto != CkptProto::Independent {
+            ctx.barrier()?;
+        }
         Ok(())
     });
     let before = trace.count(MsgClass::CheckpointRestart);
@@ -65,9 +84,8 @@ fn cr_round(proto: CkptProto) -> (f64, u64, u64) {
     (round, cr_msgs, chan)
 }
 
-/// [`cr_round`] per protocol, [`REPEATS`] times: the round time moves with
-/// [`cause::RELAY_ORDER`] and the captured channel messages with
-/// [`cause::ARRIVAL_ORDER`].
+/// [`cr_round`] per protocol, [`REPEATS`] times; every run must read the
+/// same.
 pub(crate) fn cr_protocols() -> Json {
     let protos = [
         CkptProto::StopAndSync,
@@ -76,17 +94,15 @@ pub(crate) fn cr_protocols() -> Json {
     ];
     let rows = protos.map(|proto| {
         let runs: Vec<(f64, u64, u64)> = (0..REPEATS).map(|_| cr_round(proto)).collect();
-        let cr_msgs: Vec<u64> = runs.iter().map(|r| r.1).collect();
+        let (round, cr_msgs, chan) = (
+            runs.iter().map(|r| r.0).collect::<Vec<_>>(),
+            runs.iter().map(|r| r.1).collect::<Vec<_>>(),
+            runs.iter().map(|r| r.2).collect::<Vec<_>>(),
+        );
         let cells = [
-            (
-                "round_s",
-                band(runs.iter().map(|r| r.0), cause::RELAY_ORDER),
-            ),
+            ("round_s", Json::Num(exact(&round, "round seconds"))),
             ("cr_msgs", Json::Num(exact(&cr_msgs, "C/R messages"))),
-            (
-                "channel_msgs",
-                band(runs.iter().map(|r| r.2 as f64), cause::ARRIVAL_ORDER),
-            ),
+            ("channel_msgs", Json::Num(exact(&chan, "channel messages"))),
         ];
         (format!("{proto:?}"), Json::obj(cells))
     });
@@ -109,43 +125,54 @@ pub(crate) fn lwgroups() -> Json {
             .trace(trace.clone())
             .build()
             .unwrap();
-        // Runs until it is deleted.
-        cluster.register_app("lw", |ctx| loop {
-            ctx.safepoint(&CkptValue::Unit)?;
-            #[expect(clippy::disallowed_methods, reason = "idles 1 ms between safepoints")]
-            std::thread::sleep(Duration::from_millis(1));
+        // Says it started, once per incarnation, then waits in a receive
+        // nothing answers, serviceable, until it is deleted.
+        cluster.register_app("lw", |ctx| {
+            ctx.publish(CkptValue::Unit);
+            ctx.recv(None, Some(1))?;
+            Ok(())
         });
         let app = cluster.submit("lw", 2, SubmitOpts::default()).unwrap();
-        let everywhere = |cluster: &Cluster, done: &dyn Fn(&ClusterConfig) -> bool| {
-            for d in (0..=n).filter_map(|i| cluster.daemon_of(NodeId(i))) {
-                d.wait_config(T, done).unwrap();
+        let started = |cluster: &Cluster, times: usize| {
+            for rank in [Rank(0), Rank(1)] {
+                cluster.wait_outputs(app, rank, times, T).unwrap();
             }
         };
-        // A marker every daemon has applied ends a measurement, once what
-        // the change set off (respawn events, telemetry) has had 100 ms to
-        // land; one cast is its price, taken off each figure.
+        started(&cluster, 1);
+        // Every daemon casts a marker behind whatever the change set off at
+        // it (a respawn event, a restored rank's telemetry); once every
+        // daemon has applied every marker, all of that has been sent. A
+        // measurement ends there, and the markers' price is taken off.
         let mut marks = 0;
         let mut settle = |cluster: &Cluster| {
-            #[expect(clippy::disallowed_methods, reason = "100 ms for stats casts to land")]
-            std::thread::sleep(Duration::from_millis(100));
-            marks += 1;
-            let (key, value) = (format!("mark{marks}"), String::new());
-            let marker = CfgCmd::SetParam {
-                key: key.clone(),
-                value,
-            };
-            cluster.daemon().issue(marker).unwrap();
-            everywhere(cluster, &|c| c.params.contains_key(&key));
+            let daemons: Vec<_> = (0..=n)
+                .filter_map(|i| cluster.daemon_of(NodeId(i)))
+                .collect();
+            let keys: Vec<String> = (daemons.iter())
+                .map(|d| {
+                    marks += 1;
+                    let (key, value) = (format!("mark{marks}"), String::new());
+                    d.issue(CfgCmd::SetParam {
+                        key: key.clone(),
+                        value,
+                    })
+                    .unwrap();
+                    key
+                })
+                .collect();
+            for d in &daemons {
+                let marked = |c: &ClusterConfig| keys.iter().all(|k| c.params.contains_key(k));
+                d.wait_config(T, marked).unwrap();
+            }
             trace.count(MsgClass::Control)
         };
-        let c0 = settle(&cluster);
-        let cast = settle(&cluster) - c0;
         // (a) Full-blown membership change: one more node joins.
-        let c1 = settle(&cluster);
+        let before = settle(&cluster);
         cluster.add_node(0).unwrap();
-        let full = settle(&cluster) - c1 - cast;
+        let joined = settle(&cluster);
+        let settled = settle(&cluster);
+        let full = joined - before - (settled - joined);
         // (b) Lightweight change: rank 1 moves to the new node.
-        let c2 = settle(&cluster);
         let (rank, node, line) = (Rank(1), NodeId(n), vec![0; 2]);
         let migrate = CfgCmd::Migrate {
             app,
@@ -154,8 +181,8 @@ pub(crate) fn lwgroups() -> Json {
             line,
         };
         cluster.daemon().issue(migrate).unwrap();
-        everywhere(&cluster, &|c| c.apps[&app].epoch.0 == 1);
-        let lw = settle(&cluster) - c2 - cast;
+        started(&cluster, 2);
+        let lw = settle(&cluster) - settled - (settled - joined);
         cluster.delete(app).unwrap();
         let cells = [("full_msgs", Json::Num(full)), ("lw_msgs", Json::Num(lw))];
         (n + 1, Json::obj(cells))

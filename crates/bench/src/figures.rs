@@ -6,7 +6,6 @@ use std::time::Duration;
 
 use starfish::{CkptValue, Cluster, LevelKind, NodeId, Rank, SubmitOpts, MACHINES};
 use starfish_checkpoint::portable::{decode_portable, encode_portable};
-use starfish_checkpoint::proto::SyncCostModel;
 use starfish_daemon::config::{AppStatus, CfgNodeStatus};
 use starfish_telemetry::metric as telemetry_metric;
 use starfish_util::trace::{MsgClass, TraceSink};
@@ -17,16 +16,60 @@ use starfish_util::json::Json;
 
 const T: Duration = Duration::from_secs(120);
 
+/// The tag of a member's word to rank 0 that it has reached the round.
+const READY: u64 = 7;
+
+/// What a round's coordination is charged for, counted from what the round
+/// left: (the members' `Saved`s the coordinator took in, those that crossed
+/// daemons). A member's image of the coordinator's index is a `Saved` it
+/// sent, and one placed off the coordinator's node crossed.
+type Coordination = (u64, u64);
+
+fn coordination(cluster: &Cluster, app: starfish::AppId, n: u32) -> Coordination {
+    let store = cluster.store();
+    let index = store.latest_index(app, Rank(0));
+    let placement = cluster.config().apps[&app].placement.clone();
+    let members = (1..n).filter(|&r| store.latest_index(app, Rank(r)) == index);
+    let crossed = members
+        .clone()
+        .filter(|&r| placement[r as usize] != placement[0]);
+    (members.count() as u64, crossed.count() as u64)
+}
+
 /// Run one coordinated checkpoint of an app whose registered state is
 /// `payload` zero bytes, on `n` nodes (one rank per node), at `level`.
-/// Returns (total image bytes, round seconds).
-fn one_ckpt_point(level: LevelKind, n: u32, payload: u64) -> (u64, f64) {
-    let cluster = Cluster::builder().nodes(n).network_tcp().build().unwrap();
+/// Rank 0 opens the round once every member has told it that it got there,
+/// so its call is the round's `Stop` and its return the commit, however far
+/// apart the ranks started. The ranks keep flight recorders unless
+/// `recorder` is off. Returns (total image bytes, round seconds, the
+/// round's coordination).
+fn one_ckpt_point(
+    level: LevelKind,
+    n: u32,
+    payload: u64,
+    recorder: bool,
+) -> (u64, f64, Coordination) {
+    let builder = Cluster::builder().nodes(n).network_tcp();
+    let builder = if recorder {
+        builder
+    } else {
+        builder.no_flight_recorder()
+    };
+    let cluster = builder.build().unwrap();
     cluster.register_app("sweep", move |ctx| {
         let state = CkptValue::record(vec![("heap", CkptValue::Zeros(payload))]);
-        let dt = ctx.checkpoint(&state)?;
-        if ctx.rank().0 == 0 {
-            ctx.publish(CkptValue::Float(dt.as_secs_f64()));
+        match ctx.rank().0 {
+            0 => {
+                for member in 1..ctx.size() {
+                    ctx.recv(Some(Rank(member)), Some(READY))?;
+                }
+                let dt = ctx.checkpoint(&state)?;
+                ctx.publish(CkptValue::Float(dt.as_secs_f64()));
+            }
+            _ => {
+                ctx.send(Rank(0), READY, &[])?;
+                ctx.checkpoint(&state)?;
+            }
         }
         ctx.barrier()?;
         Ok(())
@@ -41,53 +84,79 @@ fn one_ckpt_point(level: LevelKind, n: u32, payload: u64) -> (u64, f64) {
         .latest(app, Rank(0))
         .map(|i| i.total_bytes())
         .unwrap_or(0);
-    (bytes, secs)
+    (bytes, secs, coordination(&cluster, app, n))
 }
 
-/// [`REPEATS`] runs of [`one_ckpt_point`]: the image bytes, which repeat,
-/// and each run's round seconds.
-fn repeated_ckpt_point(level: LevelKind, n: u32, payload: u64) -> (u64, Vec<f64>) {
-    let runs: Vec<(u64, f64)> = (0..REPEATS)
-        .map(|_| one_ckpt_point(level, n, payload))
+/// [`one_ckpt_point`] [`REPEATS`] times; every run must read the same.
+fn repeated_ckpt_point(level: LevelKind, n: u32, payload: u64) -> (u64, f64, Coordination) {
+    let runs: Vec<(u64, f64, Coordination)> = (0..REPEATS)
+        .map(|_| one_ckpt_point(level, n, payload, true))
         .collect();
-    let bytes: Vec<u64> = runs.iter().map(|r| r.0).collect();
+    let (bytes, secs, coordination) = (
+        runs.iter().map(|r| r.0).collect::<Vec<_>>(),
+        runs.iter().map(|r| r.1).collect::<Vec<_>>(),
+        runs.iter().map(|r| r.2).collect::<Vec<_>>(),
+    );
     (
         exact(&bytes, "image bytes"),
-        runs.iter().map(|r| r.1).collect(),
+        exact(&secs, &format!("{n}-node round")),
+        exact(&coordination, &format!("{n}-node coordination")),
     )
 }
 
-/// The round seconds of one node count: one node relays no stamp between
-/// daemons and repeats; more nodes move with the relay order.
-fn round_cell(n: u32, secs: &[f64]) -> Json {
-    match n {
-        1 => Json::Num(exact(secs, "1-node round")),
-        _ => band(secs.iter().copied(), cause::RELAY_ORDER),
-    }
-}
-
 /// Checkpoint time vs image size at 1, 2 and 4 nodes, against the paper's
-/// times for the smallest image.
+/// times for the smallest image; and what each node count's round is
+/// charged for its coordination: the events it counted and, at the level's
+/// constants (`vni::CoordCosts`), their `coordination_s`.
 fn ckpt_figure(level: LevelKind, payloads: &[u64], anchor: [f64; 3], tolerance_pct: u32) -> Json {
     const NODES: [u32; 3] = [1, 2, 4];
     const COLUMNS: [&str; 3] = ["t_1node_s", "t_2nodes_s", "t_4nodes_s"];
-    let rows = payloads.iter().map(|&payload| {
-        let points: Vec<(u64, Vec<f64>)> = NODES
+    let mut counted: Vec<Vec<Coordination>> = vec![Vec::new(); NODES.len()];
+    let mut rows = Vec::new();
+    for &payload in payloads {
+        let points: Vec<(u64, f64, Coordination)> = NODES
             .iter()
             .map(|&n| repeated_ckpt_point(level, n, payload))
             .collect();
         let bytes: Vec<u64> = points.iter().map(|p| p.0).collect();
         let mb = exact(&bytes, "image bytes") as f64 / 1e6;
-        let cells = NODES.iter().zip(&points).map(|(&n, p)| round_cell(n, &p.1));
-        let row = [("image_MB", Json::Num(mb))].into_iter();
-        let row = row.chain(COLUMNS.into_iter().zip(cells));
-        (payload, Json::obj(row))
+        for (seen, p) in counted.iter_mut().zip(&points) {
+            seen.push(p.2);
+        }
+        let cells = COLUMNS
+            .into_iter()
+            .zip(points.iter().map(|p| Json::Num(p.1)));
+        let row = [("image_MB", Json::Num(mb))].into_iter().chain(cells);
+        rows.push((payload, Json::obj(row)));
+    }
+    let costs = level.coord_costs();
+    let rounds = NODES.iter().zip(&counted).map(|(n, seen)| {
+        let (saveds, crossed) = exact(seen, "coordination across image sizes");
+        // The crossing `Saved`s pay the hop side by side, so once; the
+        // coordinator takes them in one after another.
+        let hop = costs.saved_hop * u64::from(crossed > 0);
+        let secs = (hop + costs.saved * saveds).as_secs_f64();
+        let cells = [
+            ("saveds", Json::Num(saveds)),
+            ("crossed", Json::Num(crossed)),
+            ("coordination_s", Json::Num(secs)),
+        ];
+        (n, Json::obj(cells))
     });
+    let coordination = [
+        ("saved_hop_s", Json::Num(costs.saved_hop.as_secs_f64())),
+        ("saved_s", Json::Num(costs.saved.as_secs_f64())),
+        ("rounds", Json::obj(rounds)),
+    ];
     let anchor = COLUMNS.iter().zip(anchor).map(|(c, s)| (*c, Json::Num(s)));
     let anchor = anchor.chain([("tolerance_pct", Json::Num(tolerance_pct))]);
     section(
         "virtual",
-        vec![("anchor", Json::obj(anchor)), ("rows", Json::obj(rows))],
+        vec![
+            ("anchor", Json::obj(anchor)),
+            ("coordination", Json::obj(coordination)),
+            ("rows", Json::obj(rows)),
+        ],
     )
 }
 
@@ -257,13 +326,15 @@ pub(crate) fn fig6() -> Json {
 /// One application lifecycle — submission, data exchange, a coordination
 /// broadcast, a coordinated checkpoint, suspend/resume and the crash of an
 /// idle node — traced: (count, bytes) per message class.
-fn lifecycle_audit() -> Vec<(u64, u64)> {
+fn lifecycle_audit(recorder: bool) -> Vec<(u64, u64)> {
     let trace = TraceSink::enabled();
-    let cluster = Cluster::builder()
-        .nodes(3)
-        .trace(trace.clone())
-        .build()
-        .unwrap();
+    let builder = Cluster::builder().nodes(3).trace(trace.clone());
+    let builder = if recorder {
+        builder
+    } else {
+        builder.no_flight_recorder()
+    };
+    let cluster = builder.build().unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = stop.clone();
     cluster.register_app("audit", move |ctx| {
@@ -325,7 +396,7 @@ fn lifecycle_audit() -> Vec<(u64, u64)> {
 /// Every class repeats but Control, whose count and bytes move with
 /// [`cause::CAST_TIMING`].
 pub(crate) fn table1() -> Json {
-    let runs: Vec<Vec<(u64, u64)>> = (0..REPEATS).map(|_| lifecycle_audit()).collect();
+    let runs: Vec<Vec<(u64, u64)>> = (0..REPEATS).map(|_| lifecycle_audit(true)).collect();
     let rows = MsgClass::ALL.iter().enumerate().map(|(i, c)| {
         let sent_between = match c {
             MsgClass::Control => "Starfish daemons",
@@ -407,12 +478,14 @@ pub(crate) fn table2() -> Json {
 /// down the entire execution time by less than 1%" — the worst case, a
 /// native-level round of the largest image (135 MB) on 4 nodes.
 pub(crate) fn claim_overhead() -> Json {
-    let (bytes, rounds) = repeated_ckpt_point(LevelKind::Native, 4, 134_352_832);
+    let (bytes, round, _) = repeated_ckpt_point(LevelKind::Native, 4, 134_352_832);
     let rows = [10u64, 30, 60, 120].map(|interval_min| {
         let interval = interval_min as f64 * 60.0;
-        let overhead = rounds.iter().map(|r| r / (interval + r) * 100.0);
-        let cell = band(overhead, cause::RELAY_ORDER);
-        (interval_min, Json::obj([("overhead_pct", cell)]))
+        let overhead = round / (interval + round) * 100.0;
+        (
+            interval_min,
+            Json::obj([("overhead_pct", Json::Num(overhead))]),
+        )
     });
     let anchor = [
         ("interval_min", Json::Num(60)),
@@ -423,28 +496,30 @@ pub(crate) fn claim_overhead() -> Json {
         vec![
             ("anchor", Json::obj(anchor)),
             ("image_MB", Json::Num(bytes as f64 / 1e6)),
-            ("ckpt_s", band(rounds, cause::RELAY_ORDER)),
+            ("ckpt_s", Json::Num(round)),
             ("rows", Json::obj(rows)),
         ],
     )
 }
 
-/// The fitted stop-and-sync coordination model behind Figures 3 and 4's
-/// node scaling (DESIGN.md §6): native 55.6 ms x (1 - 1/n), VM 13.9 ms x
-/// (n - 1).
-pub(crate) fn sync_model_table() -> Json {
-    let rows = [1usize, 2, 4, 8].map(|n| {
-        let cells = [
-            (
-                "native_ms",
-                Json::Num(SyncCostModel::native_sync(n).as_millis_f64()),
-            ),
-            (
-                "vm_ms",
-                Json::Num(SyncCostModel::vm_sync(n).as_millis_f64()),
-            ),
-        ];
-        (n, Json::obj(cells))
-    });
-    section("virtual", vec![("rows", Json::obj(rows))])
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The flight recorder changes what a cast carries, never what the
+    /// model charges for it: Figure 3's 2-node round and Table 1's message
+    /// counts read the same with it off. (Table 1's bytes count the wire,
+    /// which carries the recorder's trace contexts.)
+    #[test]
+    fn the_flight_recorder_moves_no_exact_cell() {
+        let point = |recorder| one_ckpt_point(LevelKind::Native, 2, 0, recorder);
+        assert_eq!(point(true), point(false));
+        let counts = |recorder| {
+            let audit = lifecycle_audit(recorder);
+            let classes = MsgClass::ALL.iter().zip(audit);
+            let exact = classes.filter(|(c, _)| **c != MsgClass::Control);
+            exact.map(|(c, (count, _))| (*c, count)).collect::<Vec<_>>()
+        };
+        assert_eq!(counts(true), counts(false));
+    }
 }

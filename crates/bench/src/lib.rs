@@ -30,7 +30,7 @@ pub(crate) type Section = (&'static str, fn() -> Json);
 
 /// The paper's sections of the report. They run the same in quick and full
 /// mode.
-pub const PAPER: [Section; 15] = [
+pub const PAPER: [Section; 14] = [
     ("fig3_native_ckpt", figures::fig3),
     ("fig4_hetero_ckpt", figures::fig4),
     ("fig5_roundtrip", figures::fig5),
@@ -38,7 +38,6 @@ pub const PAPER: [Section; 15] = [
     ("table1_message_audit", figures::table1),
     ("table2_hetero_matrix", figures::table2),
     ("claim_overhead_1pct", figures::claim_overhead),
-    ("sync_model_table", figures::sync_model_table),
     ("ablation_cr_protocols", ablations::cr_protocols),
     ("ablation_lwgroups", ablations::lwgroups),
     ("ablation_polling", ablations::polling),

@@ -12,15 +12,9 @@ pub(crate) const REPEATS: usize = 5;
 /// Why a banded cell moves. `ci/check_bench.py` knows each cause and the
 /// cells it may band; EXPERIMENTS.md explains them.
 pub(crate) mod cause {
-    /// A stop-and-sync round's duration takes stamps that daemons relay,
-    /// and which a daemon relays first is thread scheduling (DESIGN.md §7).
-    pub(crate) const RELAY_ORDER: &str = "relay-order";
     /// A cast racing the idle node's crash reaches it or not, and a rank's
     /// telemetry cast carries wall-clock histograms whose encoding varies.
     pub(crate) const CAST_TIMING: &str = "cast-timing";
-    /// Whether a ring message is queued or in flight when a rank captures
-    /// its channel state is thread scheduling.
-    pub(crate) const ARRIVAL_ORDER: &str = "arrival-order";
 }
 
 /// A report section: its clock first, then its fields.

@@ -101,8 +101,8 @@ fn rerun(name: &str) {
     assert_same(committed, &fresh, name);
 }
 
-// Every paper section but `ablation_incremental` and `ablation_lwgroups`,
-// which take seconds in a debug build; CI's bench job runs those.
+// Every paper section but `ablation_incremental`, which takes seconds in a
+// debug build; CI's bench job runs it.
 
 #[test]
 fn fig3_native_ckpt_reruns_as_committed() {
@@ -140,13 +140,13 @@ fn claim_overhead_1pct_reruns_as_committed() {
 }
 
 #[test]
-fn sync_model_table_reruns_as_committed() {
-    rerun("sync_model_table");
+fn ablation_cr_protocols_reruns_as_committed() {
+    rerun("ablation_cr_protocols");
 }
 
 #[test]
-fn ablation_cr_protocols_reruns_as_committed() {
-    rerun("ablation_cr_protocols");
+fn ablation_lwgroups_reruns_as_committed() {
+    rerun("ablation_lwgroups");
 }
 
 #[test]

@@ -25,7 +25,7 @@ pub mod rank;
 pub mod stop_and_sync;
 
 use starfish_util::codec::{Decode, Decoder, Encode, Encoder};
-use starfish_util::{Error, Rank, Result, VirtualTime};
+use starfish_util::{Error, Rank, Result};
 
 /// Which distributed C/R protocol an application runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,35 +153,6 @@ pub enum CrEffect {
     Committed { index: u64 },
 }
 
-/// Fitted daemon-side coordination overheads for the distributed phase of a
-/// checkpoint (EXPERIMENTS.md documents the fit against Figures 3 and 4).
-/// Charged once per distributed checkpoint at the coordinator, on top of the
-/// genuine protocol-message latencies.
-#[derive(Debug, Clone, Copy)]
-pub struct SyncCostModel;
-
-impl SyncCostModel {
-    /// Native-level stop-and-sync overhead for `n` participating nodes.
-    /// `55.6 ms × (1 − 1/n)`: 0 for n=1, 27.8 ms for n=2 (paper: +27.8 ms),
-    /// 41.7 ms for n=4 (paper: +45.2 ms).
-    pub fn native_sync(n: usize) -> VirtualTime {
-        if n <= 1 {
-            return VirtualTime::ZERO;
-        }
-        VirtualTime::from_nanos((55_600_000.0 * (1.0 - 1.0 / n as f64)) as u64)
-    }
-
-    /// VM-level overhead: the coordinator serially validates each member's
-    /// portable representation header. `13.9 ms × (n − 1)`: 13.9 ms for n=2
-    /// (paper: +12.8 ms), 41.7 ms for n=4 (paper: +44.3 ms).
-    pub fn vm_sync(n: usize) -> VirtualTime {
-        if n <= 1 {
-            return VirtualTime::ZERO;
-        }
-        VirtualTime::from_nanos(13_900_000 * (n as u64 - 1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,28 +174,5 @@ mod tests {
             assert_eq!(roundtrip(&m).unwrap(), m);
         }
         assert!(CrMsg::decode_from_bytes(&[77]).is_err());
-    }
-
-    #[test]
-    fn sync_cost_model_anchors() {
-        assert_eq!(SyncCostModel::native_sync(1), VirtualTime::ZERO);
-        let n2 = SyncCostModel::native_sync(2).as_millis_f64();
-        assert!((n2 - 27.8).abs() < 0.1, "native n=2: {n2}ms");
-        let n4 = SyncCostModel::native_sync(4).as_millis_f64();
-        assert!((n4 - 41.7).abs() < 0.1, "native n=4: {n4}ms");
-
-        assert_eq!(SyncCostModel::vm_sync(1), VirtualTime::ZERO);
-        let v2 = SyncCostModel::vm_sync(2).as_millis_f64();
-        assert!((v2 - 13.9).abs() < 0.1, "vm n=2: {v2}ms");
-        let v4 = SyncCostModel::vm_sync(4).as_millis_f64();
-        assert!((v4 - 41.7).abs() < 0.1, "vm n=4: {v4}ms");
-    }
-
-    #[test]
-    fn sync_cost_grows_monotonically() {
-        for n in 1..8 {
-            assert!(SyncCostModel::native_sync(n + 1) > SyncCostModel::native_sync(n) || n == 0);
-            assert!(SyncCostModel::vm_sync(n + 1) > SyncCostModel::vm_sync(n) || n == 0);
-        }
     }
 }

@@ -101,8 +101,12 @@ pub enum Out {
     Interval(u64),
     /// This rank's view of the round ends ([`RankCr::take_round_start`]).
     RoundClosed,
-    /// The round this rank coordinated committed.
-    Committed(u64),
+    /// The round `index` this rank coordinated committed, after taking in
+    /// `saveds` members' `Saved`s.
+    Committed {
+        index: u64,
+        saveds: u32,
+    },
 }
 
 /// One rank's checkpoint/restart state.
@@ -135,6 +139,14 @@ pub struct RankCr {
     pending_marks: Vec<(Rank, CrMsg, VirtualTime)>,
     /// Latest `Saved` time relayed this round, merged when it commits.
     saved_vt: Option<VirtualTime>,
+    /// Latest flush mark or marker time this round, merged once every mark
+    /// is in: before a stop-and-sync capture, before a Chandy–Lamport
+    /// write (its snapshot, on the first marker, is at the rank's own
+    /// time). In whatever order the marks and the daemons' relays arrive,
+    /// the round's stamps are then the same.
+    marks_vt: Option<VirtualTime>,
+    /// `Saved`s relayed this round: what the commit takes in.
+    saveds: u32,
     /// When this rank's current round began (its first image write).
     round_started: Option<VirtualTime>,
     /// Messages sent to each peer since the cached safepoint, suppressed
@@ -185,6 +197,8 @@ impl RankCr {
             deferred: None,
             pending_marks: Vec::new(),
             saved_vt: None,
+            marks_vt: None,
+            saveds: 0,
             round_started: None,
             sent: vec![0; size as usize],
             skip: Vec::new(),
@@ -329,17 +343,20 @@ impl RankCr {
         out
     }
 
-    /// A C/R message relayed by the daemons, stamped `vt` by the last
-    /// daemon — whose clock holds whatever else it relayed first. A rank
-    /// takes the times it waits on, where the protocol waits: a peer's
-    /// `Saved` (stamped after that peer's image write) when the round
-    /// commits, never before its own capture; a `Resume` on arrival. A
-    /// `Stop`'s is not taken: no capture happens before the coordinator's
+    /// A C/R message relayed by the daemons, handled at `vt`: its origin
+    /// stamp, its path and its dispatch, whatever the daemons relayed
+    /// first. A rank takes the times it waits on, where the protocol waits:
+    /// a peer's `Saved` (stamped after that peer's image write) when the
+    /// round commits, never before its own capture; a `Resume` on arrival.
+    /// A `Stop`'s is not taken: no capture happens before the coordinator's
     /// flush mark, which carries its stop time exactly on the data path.
     pub fn relay(&mut self, from: Rank, msg: &CrMsg, vt: VirtualTime) -> Vec<Out> {
         let mut out = Vec::new();
         match msg {
-            CrMsg::Saved { .. } => self.saved_vt = self.saved_vt.max(Some(vt)),
+            CrMsg::Saved { .. } => {
+                self.saved_vt = self.saved_vt.max(Some(vt));
+                self.saveds += 1;
+            }
             CrMsg::Stop { .. } => {}
             _ => out.push(Out::Merge(vt)),
         }
@@ -352,8 +369,9 @@ impl RankCr {
         out
     }
 
-    /// A flush mark or marker from `from` on the data path.
-    pub fn mark(&mut self, from: Rank, msg: &CrMsg) -> Vec<Out> {
+    /// A flush mark or marker from `from` on the data path, arrived at `vt`.
+    pub fn mark(&mut self, from: Rank, msg: &CrMsg, vt: VirtualTime) -> Vec<Out> {
+        self.marks_vt = self.marks_vt.max(Some(vt));
         let effects = match (&mut self.engine, msg) {
             (Engine::Sync(e), CrMsg::FlushMark { index }) => e.on_flush_mark(from, *index),
             (Engine::Cl(e), CrMsg::Marker { index }) => e.on_marker(from, *index),
@@ -492,7 +510,8 @@ impl RankCr {
                 CrEffect::Committed { index } => {
                     self.committed += 1;
                     self.call = false;
-                    out.push(Out::Committed(index));
+                    let saveds = std::mem::take(&mut self.saveds);
+                    out.push(Out::Committed { index, saveds });
                 }
             }
         }
@@ -503,6 +522,7 @@ impl RankCr {
         );
         if let Some(index) = self.pending_cl.filter(|_| cl_done) {
             self.pending_cl = None;
+            out.extend(self.marks_vt.take().map(Out::Merge));
             out.push(Out::Write {
                 index,
                 recorded: true,
@@ -537,6 +557,9 @@ impl RankCr {
                     .collect(),
             },
         };
+        if !matches!(self.engine, Engine::Cl(_)) {
+            out.extend(self.marks_vt.take().map(Out::Merge));
+        }
         out.push(Out::Capture {
             index,
             kind,
@@ -613,7 +636,7 @@ mod tests {
                         let outs = self.ranks[r as usize].written(index, T0);
                         self.carry(r, outs);
                     }
-                    Out::Committed(index) => self.commits.push(index),
+                    Out::Committed { index, .. } => self.commits.push(index),
                     Out::Record(_) | Out::Unrecord(_) | Out::Interval(_) | Out::RoundClosed => {}
                 }
             }
@@ -632,7 +655,7 @@ mod tests {
         fn settle(&mut self, points: &[Point]) {
             while !self.ctrl.is_empty() || !self.marks.is_empty() {
                 for (from, to, msg) in std::mem::take(&mut self.marks) {
-                    self.at(to.0, points[to.0 as usize], |cr| cr.mark(from, &msg));
+                    self.at(to.0, points[to.0 as usize], |cr| cr.mark(from, &msg, T0));
                 }
                 for (from, to, msg) in std::mem::take(&mut self.ctrl) {
                     self.at(to.0, points[to.0 as usize], |cr| cr.relay(from, &msg, T0));
@@ -715,8 +738,8 @@ mod tests {
         // Captured again, blocked, before re-sending its second message to
         // rank 0: the receivers still hold both.
         again.service(Point::Busy);
-        again.mark(Rank(0), &CrMsg::FlushMark { index: 5 });
-        let outs = again.mark(Rank(2), &CrMsg::FlushMark { index: 5 });
+        again.mark(Rank(0), &CrMsg::FlushMark { index: 5 }, T0);
+        let outs = again.mark(Rank(2), &CrMsg::FlushMark { index: 5 }, T0);
         assert!(outs.contains(&Out::Capture {
             index: 5,
             kind: cached(&[2, 0, 1]),
@@ -742,7 +765,8 @@ mod tests {
             let mut cr = RankCr::new(CkptProto::StopAndSync, Rank(1), 2, 0);
             cr.service(Point::InRecv);
             cr.relay(Rank(0), &CrMsg::Stop { index: 1 }, T0);
-            let outs = cr.mark(Rank(0), &CrMsg::FlushMark { index: 1 });
+            let at = VirtualTime::from_millis(3);
+            let outs = cr.mark(Rank(0), &CrMsg::FlushMark { index: 1 }, at);
             assert!(!outs.iter().any(|o| matches!(o, Out::Capture { .. })));
             assert!(cr.deferred() && cr.held());
             let outs = if completes {
@@ -759,8 +783,9 @@ mod tests {
             };
             let owed = u64::from(!completes);
             assert_eq!(
-                &outs[..2],
+                &outs[..3],
                 &[
+                    Out::Merge(at),
                     Out::Capture {
                         index: 1,
                         kind,
@@ -776,14 +801,45 @@ mod tests {
         }
     }
 
+    /// A member's flush marks are merged at its capture, once all are in:
+    /// in either order of arrival, and whether the `Stop` or a mark opened
+    /// its round, it sends its marks and captures at the same times.
+    #[test]
+    fn mark_times_merge_at_the_capture_in_either_order() {
+        let (a, b) = (VirtualTime::from_millis(4), VirtualTime::from_millis(9));
+        let run = |first: (u32, VirtualTime), second: (u32, VirtualTime), stop_first: bool| {
+            let mut cr = RankCr::new(CkptProto::StopAndSync, Rank(1), 3, 0);
+            cr.checkpoint_called();
+            let mut outs = Vec::new();
+            let stop = CrMsg::Stop { index: 1 };
+            if stop_first {
+                outs.extend(cr.relay(Rank(0), &stop, T0));
+            }
+            for (from, at) in [first, second] {
+                outs.extend(cr.mark(Rank(from), &CrMsg::FlushMark { index: 1 }, at));
+            }
+            if !stop_first {
+                outs.extend(cr.relay(Rank(0), &stop, T0));
+            }
+            outs.retain(|o| matches!(o, Out::Merge(_) | Out::Capture { .. }));
+            outs
+        };
+        let want = run((0, a), (2, b), true);
+        assert!(matches!(want[..], [Out::Merge(t), Out::Capture { .. }] if t == b));
+        assert_eq!(run((2, b), (0, a), true), want);
+        assert_eq!(run((0, a), (2, b), false), want);
+        assert_eq!(run((2, b), (0, a), false), want);
+    }
+
     /// The application returning takes a capture still put off.
     #[test]
     fn finish_takes_a_deferred_capture() {
         let mut cr = RankCr::new(CkptProto::StopAndSync, Rank(1), 2, 0);
         cr.service(Point::InRecv);
-        cr.mark(Rank(0), &CrMsg::FlushMark { index: 1 });
+        cr.mark(Rank(0), &CrMsg::FlushMark { index: 1 }, T0);
         let outs = cr.finish();
-        assert!(matches!(outs[0], Out::Capture { index: 1, .. }));
+        assert_eq!(outs[0], Out::Merge(T0));
+        assert!(matches!(outs[1], Out::Capture { index: 1, .. }));
         assert_eq!(outs.last(), Some(&Out::RoundClosed));
     }
 
@@ -862,22 +918,25 @@ mod tests {
         // The Saved is serviced before rank 1's flush mark.
         let outs = net.ranks[0].relay(Rank(1), &saved, t);
         assert!(outs.is_empty(), "{outs:?}");
-        let outs = net.ranks[0].mark(Rank(1), &CrMsg::FlushMark { index: 1 });
-        assert_eq!(
-            outs[0],
-            Out::Capture {
-                index: 1,
-                kind: Capture::Live,
-                owed: 0
-            }
-        );
+        let at = VirtualTime::from_millis(2);
+        let outs = net.ranks[0].mark(Rank(1), &CrMsg::FlushMark { index: 1 }, at);
+        let capture = Out::Capture {
+            index: 1,
+            kind: Capture::Live,
+            owed: 0,
+        };
+        assert_eq!(&outs[..2], &[Out::Merge(at), capture]);
         let outs = net.ranks[0].written(1, T0);
         let resume = Out::Up {
             to: None,
             msg: CrMsg::Resume { index: 1 },
         };
         assert_eq!(&outs[..2], &[Out::Merge(t), resume]);
-        assert_eq!(outs.last(), Some(&Out::Committed(1)));
+        let commit = Out::Committed {
+            index: 1,
+            saveds: 1,
+        };
+        assert_eq!(outs.last(), Some(&commit));
         // A Resume is merged on arrival; a Stop's time comes with the
         // coordinator's flush mark instead.
         let outs = net.ranks[1].relay(Rank(0), &CrMsg::Stop { index: 1 }, t);
@@ -918,7 +977,7 @@ mod tests {
     fn chandy_lamport_writes_when_the_markers_are_in() {
         let mut cr = RankCr::new(CkptProto::ChandyLamport, Rank(1), 3, 0);
         cr.service(Point::Safepoint);
-        let outs = cr.mark(Rank(0), &CrMsg::Marker { index: 1 });
+        let outs = cr.mark(Rank(0), &CrMsg::Marker { index: 1 }, T0);
         assert!(outs.contains(&Out::Capture {
             index: 1,
             kind: Capture::Live,
@@ -926,7 +985,7 @@ mod tests {
         }));
         assert!(outs.contains(&Out::Record(Rank(2))));
         assert!(!outs.iter().any(|o| matches!(o, Out::Write { .. })));
-        let outs = cr.mark(Rank(2), &CrMsg::Marker { index: 1 });
+        let outs = cr.mark(Rank(2), &CrMsg::Marker { index: 1 }, T0);
         assert!(outs.contains(&Out::Write {
             index: 1,
             recorded: true

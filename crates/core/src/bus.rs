@@ -7,12 +7,14 @@
 //! Our bus carries the paper's non-data event classes from the group handler
 //! to the application module: lightweight membership views and relayed
 //! coordination messages. A relayed C/R protocol message pays the same
-//! dispatch but goes straight to the rank's C/R machine. Crucially, *data* messages never touch it — they use the fast
-//! data path straight into the MPI module (the design decision Figure 6 and
-//! the bench report's `ablation_fastpath` section justify). Each posted event costs
-//! [`BUS_EVENT_COST`] of virtual time (handler dispatch on the era's
-//! hardware), which is exactly the cost the fast path avoids per data
-//! message.
+//! dispatch, on its stamp, but goes straight to the rank's C/R machine.
+//! Crucially, *data* messages never touch it — they use the fast data path
+//! straight into the MPI module (the design decision Figure 6 and the bench
+//! report's `ablation_fastpath` section justify). Each event costs
+//! [`BUS_EVENT_COST`] of virtual time when its listener takes it (handler
+//! dispatch on the era's hardware), which is exactly the cost the fast path
+//! avoids per data message. An event nobody takes costs nothing, so a
+//! rank's times do not depend on when in its run a daemon's message came.
 
 use std::collections::VecDeque;
 
@@ -66,7 +68,7 @@ impl Bus {
         Bus::default()
     }
 
-    /// Post an event; the caller charges [`BUS_EVENT_COST`] to its clock.
+    /// Post an event; its listener charges [`BUS_EVENT_COST`] when it takes it.
     pub(crate) fn post(&mut self, ev: BusEvent) {
         self.posted += 1;
         match ev.topic() {

@@ -598,7 +598,8 @@ impl Ctx<'_> {
     /// Take the next pending coordination message, if any.
     pub fn take_coord(&mut self) -> Result<Option<(Rank, Bytes)>> {
         self.rt.service(None)?;
-        Ok(self.rt.bus.take(BusTopic::Coordination).map(|ev| match ev {
+        let ev = self.rt.take_bus(BusTopic::Coordination);
+        Ok(ev.map(|ev| match ev {
             BusEvent::Coord { from, body, .. } => (from, body),
             _ => unreachable!("coordination queue holds Coord events"),
         }))
@@ -609,7 +610,8 @@ impl Ctx<'_> {
     /// semantics).
     pub fn take_view(&mut self) -> Result<Option<ViewNotice>> {
         self.rt.service(None)?;
-        Ok(self.rt.bus.take(BusTopic::Membership).map(|ev| match ev {
+        let ev = self.rt.take_bus(BusTopic::Membership);
+        Ok(ev.map(|ev| match ev {
             BusEvent::View { view } => ViewNotice {
                 lw: view,
                 alive: self.alive_ranks(),

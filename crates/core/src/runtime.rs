@@ -50,7 +50,7 @@ use parking_lot::{Condvar, Mutex};
 
 use starfish_checkpoint::image::{ChannelMsg, CkptImage, CkptLevel};
 use starfish_checkpoint::proto::rank::{Capture, Out, Point, RankCr};
-use starfish_checkpoint::proto::{CrMsg, SyncCostModel};
+use starfish_checkpoint::proto::CrMsg;
 use starfish_checkpoint::store::CkptStore;
 use starfish_checkpoint::{Arch, CkptValue};
 use starfish_daemon::config::AppEntry;
@@ -63,7 +63,7 @@ use starfish_util::codec::{Decode, Encode};
 use starfish_util::{AppId, Epoch, Error, NodeId, Rank, Result, VClock, VirtualTime};
 use starfish_vni::KickSender;
 
-use crate::bus::{Bus, BusEvent, BUS_EVENT_COST};
+use crate::bus::{Bus, BusEvent, BusTopic, BUS_EVENT_COST};
 use crate::state::Checkpointable;
 
 /// Throughput of representation conversion on restore (byte-swapping /
@@ -370,6 +370,13 @@ impl ProcessRuntime {
         }
     }
 
+    /// Take the next event of `topic` off the bus, paying its dispatch.
+    pub(crate) fn take_bus(&mut self, topic: BusTopic) -> Option<BusEvent> {
+        let ev = self.bus.take(topic)?;
+        self.clock.advance(BUS_EVENT_COST);
+        Some(ev)
+    }
+
     pub(crate) fn send_up(&self, msg: ProcUp) {
         self.send_ups(vec![msg]);
     }
@@ -476,7 +483,6 @@ impl ProcessRuntime {
         match msg {
             ProcDown::LwView { view, vt } => {
                 self.clock.merge(vt);
-                self.clock.advance(BUS_EVENT_COST);
                 self.bus.post(BusEvent::View { view });
             }
             ProcDown::Relay {
@@ -486,7 +492,6 @@ impl ProcessRuntime {
                 vt,
             } => {
                 self.clock.merge(vt);
-                self.clock.advance(BUS_EVENT_COST);
                 self.bus.post(BusEvent::Coord { from, body });
             }
             ProcDown::Relay {
@@ -498,15 +503,7 @@ impl ProcessRuntime {
                 let Ok(msg) = CrMsg::decode_from_bytes(&body) else {
                     return Ok(());
                 };
-                // A leading merge is the relay's own timestamp (or, for the
-                // `Saved` that commits a round, the round's latest image):
-                // it precedes the bus dispatch of the relayed event.
-                let mut outs = self.cr.relay(from, &msg, vt);
-                if let Some(&Out::Merge(t)) = outs.first() {
-                    self.clock.merge(t);
-                    outs.remove(0);
-                }
-                self.clock.advance(BUS_EVENT_COST);
+                let outs = self.cr.relay(from, &msg, vt + BUS_EVENT_COST);
                 self.carry(outs, state)?;
             }
             ProcDown::StartCheckpoint { vt } => {
@@ -555,9 +552,8 @@ impl ProcessRuntime {
     fn pump_marks(&mut self, state: Option<&dyn Checkpointable>) -> Result<()> {
         let marks = self.mpi.pump_ctrl(&mut self.clock);
         for (from, body, vt) in marks {
-            self.clock.merge(vt);
             if let Ok(msg) = CrMsg::decode_from_bytes(&body) {
-                let outs = self.cr.mark(from, &msg);
+                let outs = self.cr.mark(from, &msg, vt);
                 self.carry(outs, state)?;
             }
         }
@@ -632,7 +628,7 @@ impl ProcessRuntime {
                 Out::Unrecord(from) => self.mpi.stop_recording(from),
                 Out::Interval(i) => self.mpi.piggyback_interval = i,
                 Out::RoundClosed => self.note_round_done(),
-                Out::Committed(index) => ups.push(self.committed(index)),
+                Out::Committed { index, saveds } => ups.push(self.committed(index, saveds)),
             }
         }
         Ok(())
@@ -729,16 +725,12 @@ impl ProcessRuntime {
         Ok(captured.taken_at)
     }
 
-    /// The round this rank coordinated committed: charge the fitted
-    /// daemon-coordination overhead for the distributed phase
-    /// (EXPERIMENTS.md); what the daemon is told.
-    fn committed(&mut self, index: u64) -> ProcUp {
-        let nodes = self.participating_nodes();
-        let sync_cost = match self.entry.spec.level {
-            LevelKind::Native => SyncCostModel::native_sync(nodes),
-            LevelKind::Vm => SyncCostModel::vm_sync(nodes),
-        };
-        self.clock.advance(sync_cost);
+    /// The round this rank coordinated committed: it took in the members'
+    /// `saveds` one after another, at its level's `CoordCosts::saved` each
+    /// (DESIGN.md §6); what the daemon is told.
+    fn committed(&mut self, index: u64, saveds: u32) -> ProcUp {
+        let saved = self.entry.spec.level.coord_costs().saved;
+        self.clock.advance(saved * u64::from(saveds));
         self.metrics.inc(metric::CKPT_ROUNDS);
         self.note_round_done();
         self.mpi.recorder().mark(
@@ -752,13 +744,6 @@ impl ProcessRuntime {
             index,
             vt: self.clock.now(),
         }
-    }
-
-    fn participating_nodes(&self) -> usize {
-        let mut nodes = self.entry.placement.clone();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes.len()
     }
 
     fn write_image(

@@ -11,6 +11,7 @@ use starfish_checkpoint::arch::{Arch, DEFAULT_ARCH, MACHINES};
 use starfish_checkpoint::backend::CkptBackend;
 use starfish_util::codec::{Decode, Decoder, Encode, Encoder};
 use starfish_util::{AppId, Epoch, Error, NodeId, Rank, Result};
+use starfish_vni::CoordCosts;
 
 use crate::msg::CfgCmd;
 
@@ -31,6 +32,16 @@ pub enum FtPolicy {
 pub enum LevelKind {
     Native,
     Vm,
+}
+
+impl LevelKind {
+    /// What a stop-and-sync round's coordination costs at this level.
+    pub fn coord_costs(self) -> CoordCosts {
+        match self {
+            LevelKind::Native => CoordCosts::NATIVE,
+            LevelKind::Vm => CoordCosts::VM,
+        }
+    }
 }
 
 pub use starfish_checkpoint::proto::CkptProto;
@@ -407,13 +418,11 @@ impl ClusterConfig {
                 }
                 _ => Vec::new(),
             },
+            // No round for a job that is ending: a rank that returned
+            // cannot answer one.
             CfgCmd::TriggerCkpt { app } => {
-                if self
-                    .apps
-                    .get(app)
-                    .map(|a| a.status == AppStatus::Running)
-                    .unwrap_or(false)
-                {
+                let open = |a: &AppEntry| a.status == AppStatus::Running && a.done_ranks == 0;
+                if self.apps.get(app).is_some_and(open) {
                     vec![CfgEffect::CheckpointRequested(*app)]
                 } else {
                     Vec::new()
@@ -732,6 +741,24 @@ mod tests {
             rank: Rank(1),
         });
         assert_eq!(eff, vec![CfgEffect::AppDone(AppId(1))]);
+    }
+
+    /// A job one of whose ranks returned opens no round: the returned rank
+    /// could not answer it.
+    #[test]
+    fn no_round_for_an_ending_job() {
+        let mut c = with_nodes(1);
+        c.apply(&CfgCmd::Submit { spec: spec("a", 2) });
+        let trigger = CfgCmd::TriggerCkpt { app: AppId(1) };
+        assert_eq!(
+            c.clone().apply(&trigger),
+            vec![CfgEffect::CheckpointRequested(AppId(1))]
+        );
+        c.apply(&CfgCmd::RankDone {
+            app: AppId(1),
+            rank: Rank(0),
+        });
+        assert!(c.apply(&trigger).is_empty());
     }
 
     #[test]

@@ -159,7 +159,7 @@ impl Daemon {
             node,
             // The founding daemon owns the (empty) initial state; joiners
             // acquire it by state transfer first.
-            machine: Node::new(node, cfg.arch_index, contact.is_none()),
+            machine: Node::new(node, cfg.arch_index, contact.is_none(), fabric.hop()),
             trace: cfg.trace,
             metrics: cfg.metrics,
             stats: stats.clone(),

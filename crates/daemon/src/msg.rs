@@ -366,6 +366,7 @@ impl RelayKind {
 }
 
 /// Envelope of an application message relayed inside a lightweight group.
+/// Every field but the kind is a varint on the wire: the ids are small.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppRelay {
     pub(crate) app: AppId,
@@ -374,33 +375,52 @@ pub struct AppRelay {
     /// Specific destination rank, or None for a lightweight-group multicast.
     pub(crate) to: Option<Rank>,
     pub(crate) body: Bytes,
+    /// The origin stamp: when the rank sent it. A daemon that relays it
+    /// stamps it from this and the path, not from its own clock.
+    pub(crate) vt: VirtualTime,
 }
 
 impl Encode for AppRelay {
     fn encode(&self, enc: &mut Encoder) {
-        self.app.encode(enc);
+        enc.put_var(u64::from(self.app.0));
         enc.put_u8(match self.kind {
             RelayKind::Coordination => 0,
             RelayKind::CheckpointRestart => 1,
         });
-        self.from.encode(enc);
-        self.to.map(|r| r.0).encode(enc);
-        self.body.encode(enc);
+        enc.put_var(u64::from(self.from.0));
+        // 0: a multicast; else the destination rank + 1.
+        enc.put_var(self.to.map_or(0, |r| u64::from(r.0) + 1));
+        enc.put_var(self.body.len() as u64);
+        enc.put_raw(&self.body);
+        enc.put_var(self.vt.as_nanos());
     }
 }
 
 impl Decode for AppRelay {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        let app = AppId(var_u32(dec)?);
+        let kind = match dec.get_u8()? {
+            0 => RelayKind::Coordination,
+            1 => RelayKind::CheckpointRestart,
+            b => return Err(Error::codec(format!("bad relay kind {b}"))),
+        };
+        let from = Rank(var_u32(dec)?);
+        let to = match dec.get_var()? {
+            0 => None,
+            r => Some(Rank(
+                u32::try_from(r - 1).map_err(|_| Error::codec("a rank past u32"))?,
+            )),
+        };
+        let len = dec.get_len(1)?;
+        let body = Bytes::copy_from_slice(dec.take(len)?);
+        let vt = VirtualTime::from_nanos(dec.get_var()?);
         Ok(AppRelay {
-            app: AppId::decode(dec)?,
-            kind: match dec.get_u8()? {
-                0 => RelayKind::Coordination,
-                1 => RelayKind::CheckpointRestart,
-                b => return Err(Error::codec(format!("bad relay kind {b}"))),
-            },
-            from: Rank::decode(dec)?,
-            to: Option::<u32>::decode(dec)?.map(Rank),
-            body: Bytes::decode(dec)?,
+            app,
+            kind,
+            from,
+            to,
+            body,
+            vt,
         })
     }
 }
@@ -775,6 +795,34 @@ mod tests {
         }
     }
 
+    /// A relayed `Stop` of app 1 from rank 0, sent at 2 ms: app, kind,
+    /// sender, destination and body length a byte each, the 9-byte body,
+    /// and its origin stamp in 3 bytes.
+    #[test]
+    fn a_relay_frames_its_ids_and_stamp_in_varints() {
+        let stop = AppRelay {
+            app: AppId(1),
+            kind: RelayKind::CheckpointRestart,
+            from: Rank(0),
+            to: None,
+            body: Bytes::from_static(&[1, 0, 0, 0, 0, 0, 0, 0, 1]),
+            vt: VirtualTime::from_millis(2),
+        };
+        assert_eq!(stop.encode_to_bytes().len(), 17);
+        assert_eq!(roundtrip(&stop).unwrap(), stop);
+        let saved = AppRelay {
+            to: Some(Rank(0)),
+            ..stop
+        };
+        assert_eq!(roundtrip(&saved).unwrap(), saved);
+        let mut past = Encoder::new();
+        past.put_var(1);
+        past.put_u8(1);
+        past.put_var(0);
+        past.put_var(u64::from(u32::MAX) + 2);
+        assert!(AppRelay::decode_from_bytes(&past.into_vec()).is_err());
+    }
+
     #[test]
     fn appspec_backend_bytes_roundtrip_and_reject_bad_tags() {
         for b in [
@@ -860,6 +908,7 @@ mod tests {
             from: Rank(0),
             to: None,
             body: Bytes::from_static(b"stop"),
+            vt: VirtualTime::from_micros(7),
         });
         assert_eq!(roundtrip(&w).unwrap(), w);
         for w in stats_casts() {
@@ -939,6 +988,7 @@ mod tests {
             from: Rank(0),
             to: None,
             body: Bytes::from_static(b"resume"),
+            vt: VirtualTime::from_micros(7),
         });
         let dead = WireCast::Cfg(CfgCmd::NodeDead { node: NodeId(2) });
         let stats = stats_casts().pop().unwrap();
@@ -989,6 +1039,7 @@ mod tests {
             from: Rank(0),
             to: Some(Rank(1)),
             body: Bytes::from_static(b"x"),
+            vt: VirtualTime::from_micros(7),
         };
         let m = P2pMsg::Relay {
             relay: relay.clone(),
@@ -1018,6 +1069,7 @@ mod tests {
             from: Rank(1),
             to: Some(Rank(2)),
             body: Bytes::from_static(b"cr"),
+            vt: VirtualTime::from_micros(7),
         };
         assert_eq!(roundtrip(&r).unwrap(), r);
         let r2 = AppRelay {
@@ -1147,6 +1199,7 @@ mod proptests {
                 from: Rank(1),
                 to: Some(Rank(0)),
                 body: Bytes::from_static(b"saved"),
+                vt: VirtualTime::from_micros(7),
             };
             let stats = RankStats { epoch: Epoch(epoch), seq, snap: snap.clone() };
             let whole = P2pMsg::Relay { relay: relay.clone(), stats: Some(stats) }

@@ -37,10 +37,13 @@ use starfish_ensemble::View;
 use starfish_trace::event::EventKind;
 use starfish_util::codec::{Decode, Encode};
 use starfish_util::{AppId, GroupId, NodeId, Rank, VirtualTime};
+use starfish_vni::RELAY_COST;
 
 use crate::config::{AppEntry, AppStatus, CfgEffect, CfgNodeStatus, ClusterConfig, FtPolicy};
 use crate::lwgroups::{self as lw, LwGroups};
-use crate::msg::{AppRelay, CfgCmd, P2pMsg, ProcDown, ProcUp, RankStats, StatsCast, WireCast};
+use crate::msg::{
+    AppRelay, CfgCmd, P2pMsg, ProcDown, ProcUp, RankStats, RelayKind, StatsCast, WireCast,
+};
 
 /// What the machine asks its shell to do, in order.
 #[derive(Debug, Clone)]
@@ -144,13 +147,15 @@ pub struct Node {
     /// daemon's next stats cast, a newer snapshot replacing an older one,
     /// unless its job is done or deleted first.
     handed: BTreeMap<(AppId, Rank), RankStats>,
+    /// The network's one-hop time between daemons, on a relayed stamp.
+    hop: VirtualTime,
     out: Vec<Out>,
 }
 
 impl Node {
     /// The daemon on `me`, a machine of type `arch_index`: the group's
-    /// `founder`, or a joiner.
-    pub fn new(me: NodeId, arch_index: u8, founder: bool) -> Self {
+    /// `founder`, or a joiner; `hop` is the network's time between daemons.
+    pub fn new(me: NodeId, arch_index: u8, founder: bool, hop: VirtualTime) -> Self {
         Node {
             me,
             arch_index,
@@ -163,6 +168,7 @@ impl Node {
             cast_buffer: Vec::new(),
             early_state: None,
             handed: BTreeMap::new(),
+            hop,
             out: Vec::new(),
         }
     }
@@ -238,9 +244,10 @@ impl Node {
             WireCast::Mcast(relay)
                 if self.bootstrapped && self.lw.delivers(GroupId(relay.app.0), self.me) =>
             {
+                let path = self.hop * u64::from(from != self.me);
                 for to in self.local(relay.app) {
                     if to != relay.from {
-                        self.relay(&relay, to, now);
+                        self.relay(&relay, to, path);
                     }
                 }
             }
@@ -255,12 +262,19 @@ impl Node {
         }
     }
 
-    /// A daemon-to-daemon message.
+    /// A daemon-to-daemon message. A C/R message relayed to one rank is a
+    /// member's `Saved` on its way to the coordinator: it pays its level's
+    /// `CoordCosts::saved_hop` on top of the network.
     pub fn p2p(&mut self, msg: P2pMsg, now: VirtualTime) -> Vec<Out> {
         match msg {
             P2pMsg::Relay { relay, stats } => {
+                let level = self.config.apps.get(&relay.app).map(|e| e.spec.level);
+                let saved_hop = match (relay.kind, level) {
+                    (RelayKind::CheckpointRestart, Some(l)) => l.coord_costs().saved_hop,
+                    _ => VirtualTime::ZERO,
+                };
                 if let Some(to) = relay.to {
-                    self.relay(&relay, to, now);
+                    self.relay(&relay, to, self.hop + saved_hop);
                 }
                 self.hand(relay.app, relay.from, stats);
             }
@@ -300,13 +314,14 @@ impl Node {
 
     fn up(&mut self, app: AppId, rank: Rank, up: ProcUp, now: VirtualTime) {
         match up {
-            ProcUp::Cast { kind, body, .. } => {
+            ProcUp::Cast { kind, body, vt } => {
                 let relay = AppRelay {
                     app,
                     kind,
                     from: rank,
                     to: None,
                     body,
+                    vt,
                 };
                 self.queue_cast(WireCast::Mcast(relay), now);
             }
@@ -315,7 +330,7 @@ impl Node {
                 to,
                 body,
                 stats,
-                ..
+                vt,
             } => {
                 let relay = AppRelay {
                     app,
@@ -323,11 +338,12 @@ impl Node {
                     from: rank,
                     to: Some(to),
                     body,
+                    vt,
                 };
                 let entry = self.config.apps.get(&app);
                 match entry.and_then(|e| e.placement.get(to.index())).copied() {
                     Some(node) if node == self.me => {
-                        self.relay(&relay, to, now);
+                        self.relay(&relay, to, VirtualTime::ZERO);
                         self.hand(app, rank, stats);
                     }
                     Some(to) => {
@@ -420,7 +436,7 @@ impl Node {
             });
         }
         for eff in effects {
-            self.effect(eff, now);
+            self.effect(eff, vt, now);
         }
         self.sync_lw(now);
         // Last: whoever waits on this command finds the response done.
@@ -507,7 +523,8 @@ impl Node {
         self.out.extend(kinds.into_iter().map(event));
     }
 
-    fn effect(&mut self, eff: CfgEffect, now: VirtualTime) {
+    /// Carry out `eff` of a command delivered at `vt`.
+    fn effect(&mut self, eff: CfgEffect, vt: VirtualTime, now: VirtualTime) {
         match eff {
             CfgEffect::AppSubmitted(app) => {
                 let Some(entry) = self.config.apps.get(&app).cloned() else {
@@ -598,12 +615,14 @@ impl Node {
                 }
                 self.handed.retain(|&(a, _), _| a != app);
             }
-            // The round coordinator is rank 0; its host forwards the trigger.
+            // The round coordinator is rank 0; its host relays the trigger,
+            // stamped from its ordered delivery.
             CfgEffect::CheckpointRequested(app) => {
                 let first = self.config.apps.get(&app).and_then(|e| e.placement.first());
                 let first = first.copied();
                 if first == Some(self.me) {
-                    self.down(app, Rank(0), ProcDown::StartCheckpoint { vt: now });
+                    let vt = vt + RELAY_COST;
+                    self.down(app, Rank(0), ProcDown::StartCheckpoint { vt });
                 }
             }
             CfgEffect::RankLost(app, rank) => self.out.push(Out::RankLost(app, rank)),
@@ -718,8 +737,12 @@ impl Node {
         }
     }
 
-    fn relay(&mut self, relay: &AppRelay, to: Rank, vt: VirtualTime) {
+    /// Hand `relay` to local rank `to`, stamped with its origin stamp, the
+    /// `path` it took between daemons and the relay's own cost: the same
+    /// stamp whatever else this daemon relayed first.
+    fn relay(&mut self, relay: &AppRelay, to: Rank, path: VirtualTime) {
         let (kind, from, body) = (relay.kind, relay.from, relay.body.clone());
+        let vt = relay.vt + path + RELAY_COST;
         self.down(
             relay.app,
             to,
@@ -815,7 +838,7 @@ mod tests {
             let mut members = Vec::new();
             for id in ids {
                 net.nodes
-                    .insert(*id, Node::new(n(*id), 0, members.is_empty()));
+                    .insert(*id, Node::new(n(*id), 0, members.is_empty(), T));
                 members.push(*id);
                 net.view(&members);
                 net.settle();
@@ -930,7 +953,7 @@ mod tests {
     #[test]
     fn a_founder_boots_and_announces_once() {
         let mut net = Net::default();
-        net.nodes.insert(0, Node::new(n(0), 3, true));
+        net.nodes.insert(0, Node::new(n(0), 3, true, T));
         net.view(&[0]);
         assert_eq!(
             net.cfg_casts(0),
@@ -956,7 +979,7 @@ mod tests {
     #[test]
     fn a_joiner_buffers_behind_its_need_state_and_replays_after_state() {
         let mut net = Net::of(&[0]);
-        net.nodes.insert(1, Node::new(n(1), 0, false));
+        net.nodes.insert(1, Node::new(n(1), 0, false, T));
         net.view(&[0, 1]);
         assert_eq!(
             net.cfg_casts(1),
@@ -979,7 +1002,7 @@ mod tests {
         assert_eq!(net.cfg(1), net.cfg(0));
         assert_eq!(net.cfg(1).live_nodes(), vec![n(0), n(1)]);
         // n2's snapshot overtakes its marker: it is kept until the marker.
-        net.nodes.insert(2, Node::new(n(2), 0, false));
+        net.nodes.insert(2, Node::new(n(2), 0, false, T));
         net.view(&[0, 1, 2]);
         while net.stream.front().is_some_and(|(f, _)| *f != n(2)) {
             net.step_cast();
@@ -1008,7 +1031,7 @@ mod tests {
     #[test]
     fn requests_are_repeated_at_each_view_until_answered() {
         let mut net = Net::of(&[0, 1]);
-        net.nodes.insert(2, Node::new(n(2), 0, false));
+        net.nodes.insert(2, Node::new(n(2), 0, false, T));
         net.view(&[0, 1, 2]);
         while net.step_cast() {}
         net.sends.clear(); // n0 died before its answer left
@@ -1040,7 +1063,7 @@ mod tests {
         net.view(&[0]);
         net.settle();
         assert_eq!(net.cfg(0).nodes[&n(1)].status, CfgNodeStatus::Dead);
-        net.nodes.insert(1, Node::new(n(1), 0, false));
+        net.nodes.insert(1, Node::new(n(1), 0, false, T));
         net.view(&[0, 1]);
         net.settle();
         net.view(&[0, 1]);
@@ -1265,7 +1288,7 @@ mod tests {
         net.settle();
         assert_eq!(views(&mut net, 0), vec![vec![0, 1]]);
         assert_eq!(views(&mut net, 1), vec![vec![0, 1]]);
-        net.nodes.insert(2, Node::new(n(2), 0, false));
+        net.nodes.insert(2, Node::new(n(2), 0, false, T));
         net.view(&[0, 1, 2]);
         net.settle();
         assert!(views(&mut net, 0).is_empty(), "rank 2 stays lost");
@@ -1296,6 +1319,52 @@ mod tests {
         };
         assert_eq!(relayed(net.told(0)), vec![Rank(2)]);
         assert_eq!(relayed(net.told(1)), vec![Rank(1)]);
+    }
+
+    /// A relayed stamp is the origin's stamp plus its path: neither the
+    /// relaying daemon's clock nor what it relayed first enters it, so two
+    /// members' `Saved`s reach the coordinator with the same stamps in
+    /// either order.
+    #[test]
+    fn a_relayed_stamp_is_its_origin_and_path_in_either_order() {
+        let mut net = Net::of(&[0, 1, 2]);
+        let app = net.submit(3, FtPolicy::Restart);
+        let saved = |from: u32, ms: u64| P2pMsg::Relay {
+            relay: AppRelay {
+                app,
+                kind: crate::msg::RelayKind::CheckpointRestart,
+                from: Rank(from),
+                to: Some(Rank(0)),
+                body: bytes::Bytes::from_static(b"saved"),
+                vt: VirtualTime::from_millis(ms),
+            },
+            stats: None,
+        };
+        let coordinator = net.nodes[&0].clone();
+        let stamps = |order: [(u32, u64); 2], now: [u64; 2]| {
+            let mut node = coordinator.clone();
+            let mut got = BTreeMap::new();
+            for ((from, ms), now) in order.into_iter().zip(now) {
+                for out in node.p2p(saved(from, ms), VirtualTime::from_secs(now)) {
+                    if let Out::Down {
+                        msg: ProcDown::Relay { from, vt, .. },
+                        ..
+                    } = out
+                    {
+                        got.insert(from, vt);
+                    }
+                }
+            }
+            got
+        };
+        let forward = stamps([(1, 5), (2, 7)], [9, 10]);
+        assert_eq!(forward, stamps([(2, 7), (1, 5)], [0, 3]));
+        let path = T + LevelKind::Vm.coord_costs().saved_hop + RELAY_COST;
+        let at = |ms| VirtualTime::from_millis(ms) + path;
+        assert_eq!(
+            forward,
+            BTreeMap::from([(Rank(1), at(5)), (Rank(2), at(7))])
+        );
     }
 
     /// A coordinator rank's last step of a round: the `Resume` relay at one

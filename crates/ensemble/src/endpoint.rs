@@ -363,6 +363,7 @@ impl Stack {
             "ensemble",
             payload.len(),
         );
+        let model_len = payload.len().saturating_sub(msg.context_len());
         let mut pkt = Packet::new(
             Addr::new(self.group.node(), ENSEMBLE_PORT),
             Addr::new(to, ENSEMBLE_PORT),
@@ -370,6 +371,7 @@ impl Stack {
             0,
             payload,
         );
+        pkt.model_len = model_len;
         pkt.depart_vt = self.clock.now();
         self.fabric.send(pkt)
     }

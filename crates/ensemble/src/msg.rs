@@ -88,6 +88,23 @@ pub enum GcMsg {
     Heartbeat { node: NodeId },
 }
 
+impl GcMsg {
+    /// The bytes its trace contexts take on the wire beyond an absent
+    /// context's: what the network model does not charge a control packet
+    /// for, as the data path charges its payload alone. A cast then costs
+    /// the same virtual time whether the flight recorder traces it or not.
+    pub(crate) fn context_len(&self) -> usize {
+        let len = |ctx: &TraceCtx| ctx.encode_to_bytes().len();
+        let extra = |ctx: &TraceCtx| len(ctx).saturating_sub(len(&TraceCtx::NONE));
+        match self {
+            GcMsg::CastReq { ctx, .. } | GcMsg::SeqCast { ctx, .. } => extra(ctx),
+            GcMsg::FlushOk { delivered, .. } => delivered.iter().map(|e| extra(&e.ctx)).sum(),
+            GcMsg::NewView { backfill, .. } => backfill.iter().map(|e| extra(&e.ctx)).sum(),
+            _ => 0,
+        }
+    }
+}
+
 const T_JOIN: u8 = 1;
 const T_LEAVE: u8 = 2;
 const T_CASTREQ: u8 = 3;

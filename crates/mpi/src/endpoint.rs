@@ -811,7 +811,13 @@ impl MpiEndpoint {
         if header.context == CTRL_CONTEXT {
             // Current-epoch marks are pumped now; future-epoch marks (a
             // restarted peer's round racing ahead of our own rollback) are
-            // held until set_epoch advances us into their world.
+            // held until set_epoch advances us into their world. A mark
+            // ends the recording of its sender's channel where it stands in
+            // the stream: what came after it is not in flight at the cut,
+            // even when it is drained before the mark is pumped.
+            if header.epoch == self.epoch {
+                self.matching.stop_recording(header.src);
+            }
             self.recorder
                 .on_recv(arrive, header.src.0, CTRL_CONTEXT, 0, body.len(), ctx);
             self.ctrl_marks
@@ -1413,6 +1419,29 @@ mod tests {
         assert_eq!(marks.len(), 1);
         assert_eq!(marks[0].0, Rank(0));
         assert_eq!(&marks[0].1[..], b"FLUSH");
+    }
+
+    /// A recorded channel takes what arrived before its sender's mark, not
+    /// what one drain ingested after it.
+    #[test]
+    fn a_mark_ends_its_channels_recording_where_it_stands() {
+        let (f, dir) = setup(2, "ideal");
+        let mut a = ep(&f, &dir, 0);
+        let mut b = ep(&f, &dir, 1);
+        let mut ca = VClock::new();
+        let mut cb = VClock::new();
+        b.start_recording(Rank(0));
+        a.send_world(&mut ca, Rank(1), 1, 1, b"in flight").unwrap();
+        a.send_ctrl_mark(&mut ca, Rank(1), b"MARKER").unwrap();
+        a.send_world(&mut ca, Rank(1), 1, 1, b"after").unwrap();
+        let after = b.recv_world(&mut cb, 1, ANY_SOURCE, Some(1)).unwrap();
+        assert_eq!(&after.data[..], b"in flight");
+        let after = b.recv_world(&mut cb, 1, ANY_SOURCE, Some(1)).unwrap();
+        assert_eq!(&after.data[..], b"after");
+        let recorded = b.take_recorded();
+        assert_eq!(recorded.len(), 1);
+        assert_eq!(&recorded[0].1[..], b"in flight");
+        assert_eq!(b.pump_ctrl(&mut cb).len(), 1);
     }
 
     #[test]

@@ -31,19 +31,19 @@ impl VirtualTime {
     pub const ZERO: VirtualTime = VirtualTime(0);
 
     #[inline]
-    pub fn from_nanos(ns: u64) -> Self {
+    pub const fn from_nanos(ns: u64) -> Self {
         VirtualTime(ns)
     }
     #[inline]
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         VirtualTime(us * 1_000)
     }
     #[inline]
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         VirtualTime(ms * 1_000_000)
     }
     #[inline]
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         VirtualTime(s * 1_000_000_000)
     }
     /// Fractional seconds (used by calibration code); rounds to nanoseconds.

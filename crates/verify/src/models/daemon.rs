@@ -122,7 +122,7 @@ pub enum DmAction {
 impl DaemonModel {
     fn start(&self, s: &mut DmState, id: u32, contact: Option<u32>) {
         let (group, outs) = Group::new(NodeId(id), contact.map(NodeId), None, None, Duration::ZERO);
-        let node = Node::new(NodeId(id), 0, contact.is_none());
+        let node = Node::new(NodeId(id), 0, contact.is_none(), VirtualTime::ZERO);
         let (todo, pos, alive, retried, announced) = (VecDeque::new(), (0, 0), true, false, false);
         let daemon = Daemon {
             group,

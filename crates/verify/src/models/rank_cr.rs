@@ -235,7 +235,7 @@ impl RankCrModel {
                     let outs = s.procs[r as usize].cr.written(index, VirtualTime::ZERO);
                     self.carry(s, r, outs);
                 }
-                Out::Committed(index) => {
+                Out::Committed { index, .. } => {
                     if index <= s.committed {
                         s.broken.get_or_insert(format!(
                             "commit regressed: {index} after {}",
@@ -492,7 +492,9 @@ impl Model for RankCrModel {
             }
             RcAction::Data(f, t) => match chan::pop(&mut s.data, *f, *t) {
                 Some(Wire::Data(m)) => s.procs[*t as usize].queue.push(m),
-                Some(Wire::Mark(msg)) => self.service(&mut s, *t, |cr| cr.mark(Rank(*f), &msg)),
+                Some(Wire::Mark(msg)) => {
+                    self.service(&mut s, *t, |cr| cr.mark(Rank(*f), &msg, VirtualTime::ZERO))
+                }
                 _ => {}
             },
             RcAction::Crash => self.crash(&mut s),

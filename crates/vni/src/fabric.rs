@@ -328,6 +328,12 @@ impl Fabric {
         self.inner.layers
     }
 
+    /// The wire time of an empty message between two nodes: one hop of a
+    /// message relayed between daemons.
+    pub fn hop(&self) -> VirtualTime {
+        self.inner.model.one_way(0)
+    }
+
     /// Subscribe to fabric events (node lifecycle, partitions): each is
     /// queued, then `kick` wakes the subscriber (membership → inbox order).
     pub fn subscribe(&self, kick: Kick) -> Receiver<FabricEvent> {

@@ -37,6 +37,8 @@ pub(crate) mod polling;
 
 pub use fabric::{Fabric, FabricEvent, FaultStats, LinkFault, Port};
 pub use inbox::{Inbox, Pop, PopBatch};
-pub use models::{BipMyrinet, Ideal, LayerCosts, NetworkModel, ServerNetVia, TcpEthernet};
+pub use models::{
+    BipMyrinet, CoordCosts, Ideal, LayerCosts, NetworkModel, ServerNetVia, TcpEthernet, RELAY_COST,
+};
 pub use packet::{Addr, Packet, PacketKind, PortId};
 pub use polling::{Kick, KickSender};

@@ -228,6 +228,44 @@ impl LayerCosts {
     }
 }
 
+/// What a daemon adds to a C/R or coordination message it relays to a
+/// local rank: its VNI receive and send of the message
+/// ([`LayerCosts::prototype`]'s `vni_recv` + `vni_send`). A relayed message
+/// is stamped with its origin stamp, plus one network hop when it crossed
+/// daemons, plus this; never with the relaying daemon's own clock, which
+/// holds whatever else it relayed first (DESIGN.md §6).
+pub const RELAY_COST: VirtualTime = VirtualTime::from_micros(10);
+
+/// What a stop-and-sync round's coordination costs at one checkpoint level,
+/// by the event of the deployed round that pays it (DESIGN.md §6). The
+/// values are fitted to the paper's Figures 3 and 4, whose rounds grow by
+/// 27.8 ms at 2 nodes and 45.2 ms at 4 (native), 12.8 ms and 44.3 ms (VM).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoordCosts {
+    /// A member's `Saved` relayed from its daemon to the coordinator's,
+    /// charged on that relay's stamp: the members' `Saved`s cross side by
+    /// side, so a round pays it once.
+    pub saved_hop: VirtualTime,
+    /// The coordinator takes in one member's `Saved` (at the VM level it
+    /// checks the image's portable header), charged at the commit, one
+    /// `Saved` after another.
+    pub saved: VirtualTime,
+}
+
+impl CoordCosts {
+    /// Native level: 19.1 + 8.7 = 27.8 ms at 2 nodes, 19.1 + 3 × 8.7 =
+    /// 45.2 ms at 4.
+    pub const NATIVE: CoordCosts = CoordCosts {
+        saved_hop: VirtualTime::from_micros(19_100),
+        saved: VirtualTime::from_micros(8_700),
+    };
+    /// VM level: 13.9 ms per member's header, 41.7 ms at 4 nodes.
+    pub const VM: CoordCosts = CoordCosts {
+        saved_hop: VirtualTime::ZERO,
+        saved: VirtualTime::from_micros(13_900),
+    };
+}
+
 impl Default for LayerCosts {
     fn default() -> Self {
         LayerCosts::prototype()
@@ -253,6 +291,12 @@ mod tests {
         let tcp_one_way = sw + TcpEthernet.one_way(1);
         let rtt = (tcp_one_way * 2).as_micros_f64();
         assert!((rtt - 552.0).abs() < 0.5, "TCP RTT {rtt} != 552us");
+    }
+
+    #[test]
+    fn a_relay_costs_a_daemons_vni_pass() {
+        let layers = LayerCosts::prototype();
+        assert_eq!(RELAY_COST, layers.vni_recv + layers.vni_send);
     }
 
     #[test]
